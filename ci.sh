@@ -154,11 +154,20 @@ RSIM_PROP_CASES=4 cargo test -q --offline --test properties workload_
 
 echo "== vectorized-kernel invariants (quick property pass) =="
 # Differential fuzz of the typed columnar kernels against the boxed
-# row-at-a-time interpreter: random batches (NULLs, NaN/±0/±inf float
-# specials) under random predicate trees must agree bit-for-bit
-# whenever the kernel path covers the expression, and coverage itself
-# is asserted (>50% of generated trees). NaN total-order comparisons
-# are pinned exhaustively. Reproduce with RSIM_SEED=<seed>.
+# interpreter: random batches (NULLs, NaN/±0/±inf float specials,
+# i64::MAX/MIN, multi-byte text) under random predicate trees with
+# arithmetic operands and LIKE shapes must agree bit-for-bit whenever
+# the kernel path covers the expression; where the interpreter raises
+# (overflow, x / 0, x % 0) the kernel must decline; narrowing a
+# selection conjunct by conjunct must equal evaluating every conjunct
+# over all rows; and coverage itself is asserted (>80% of the trees the
+# interpreter can evaluate). NaN total-order comparisons are pinned
+# exhaustively. vector_aggregates_match_value_path holds the typed
+# accumulators to the row-at-a-time AggState path (NULLs, NaN, ±0,
+# sums wrapping past i64::MAX, filters that keep nothing, empty
+# tables), and vector_predicate_fallback_* pins exec.predicate_fallback
+# at 0 on the benchmark's statement shapes and non-zero on a CASE/cast
+# predicate. Reproduce with RSIM_SEED=<seed>.
 RSIM_PROP_CASES=4 cargo test -q --offline --test properties vector_
 
 echo "== frontdoor wire-server smoke (64 concurrent sessions) =="
@@ -221,8 +230,10 @@ cargo run -q --offline -p redsim-bench --bin benchdiff -- --p99 \
 
 echo "== scan-kernel pipeline baseline is honored (benchdiff gates) =="
 # The scan_kernels bench times the same scan→filter→aggregate loop
-# through the typed kernels and through the interpreter fallback
-# (identical selection vectors asserted before timing), the persistent
+# through the typed kernels and through the interpreter fallback for
+# five shapes — two-lane comparison, arithmetic operand, LIKE prefix,
+# LIKE general, filter + MIN/MAX aggregate — (identical selections and
+# results asserted before timing), the persistent
 # worker pool vs thread-per-item spawn, and the one-pass bytedict build
 # vs the old serialize-every-row reference. Both p50 and p99 are gated:
 # a kernel that falls back to the interpreter, or a pool that starts
@@ -234,6 +245,17 @@ cargo run -q --offline -p redsim-bench --bin benchdiff -- \
   results/scan_kernels_baseline.csv results/scan_kernels.csv
 cargo run -q --offline -p redsim-bench --bin benchdiff -- --p99 \
   results/scan_kernels_baseline.csv results/scan_kernels.csv
+
+echo "== compile-vs-interpret (e7) baseline is honored (benchdiff gate) =="
+# E7: the same GROUP BY query through the cached vectorized engine and
+# through the row-at-a-time baseline at 1k / 10k / 100k rows. Stale
+# since PR 1 until the scan path went typed end to end; the 100k-row
+# ratio is stated in EXPERIMENTS.md. Regenerate after an intentional
+# change with
+#   cargo bench --offline -p redsim-bench --bench compile_vs_interpret
+# and copy results/e7_compile_vs_interpret.csv over its _baseline.csv.
+cargo run -q --offline -p redsim-bench --bin benchdiff -- \
+  results/e7_compile_vs_interpret_baseline.csv results/e7_compile_vs_interpret.csv
 
 echo "== encode (e9) budget is honored (benchdiff gate) =="
 # The E9 encoding microbenches, re-baselined after the one-pass

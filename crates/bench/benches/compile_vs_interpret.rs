@@ -81,6 +81,22 @@ fn bench_compile(c: &mut Bench) {
 
 fn main() {
     let mut b = Bench::new("e7_compile_vs_interpret");
+    b.json_summary_to("BENCH_e7.json");
     bench_compile(&mut b);
-    b.finish();
+    let records = b.finish();
+    // The headline ratio, so a bench run documents itself.
+    let p50 = |bench: &str, rows: &str| {
+        records
+            .iter()
+            .find(|r| r.bench == bench && r.input == rows)
+            .map(|r| r.p50_ns)
+            .unwrap_or(f64::NAN)
+    };
+    println!();
+    for rows in ["1000", "10000", "100000"] {
+        println!(
+            "e7 rows={rows:<7}: interpreted/cached_vectorized p50 ratio = {:.1}x",
+            p50("interpreted", rows) / p50("cached_vectorized", rows)
+        );
+    }
 }

@@ -2,14 +2,21 @@
 //! vectorized predicate kernels and the bounded worker pool.
 //!
 //! Three groups, one CSV (`results/scan_kernels.csv`, gated by
-//! `benchdiff` p50 *and* p99 against the committed baseline):
+//! `benchdiff` p50 *and* p99 against the committed baseline) and one
+//! JSON point (`BENCH_scan_kernels.json`):
 //!
 //! * `scan_pipeline` — the same scan→filter→aggregate loop twice: once
-//!   through the typed kernels (`engine::kernels::try_eval_predicate`,
-//!   what `eval_predicate` now runs), once through the row-at-a-time
-//!   `Value`-boxed interpreter fallback. The two must return identical
-//!   selection vectors (asserted per batch); the committed baseline
-//!   records kernel p50 at least 2x below interp.
+//!   through the typed kernels (`engine::kernels`, what
+//!   `eval_predicate` runs), once through the `Value`-boxed interpreter
+//!   fallback, for five predicate shapes: the original two-lane
+//!   comparison (`kernel` / `interp`), an arithmetic operand (`arith`),
+//!   `LIKE` with a prefix pattern (`like_prefix`) and with one that
+//!   needs backtracking (`like_general`). Each pair must return
+//!   identical selections (asserted per batch before timing).
+//!   `agg_minmax` times a whole filter + MIN/MAX aggregate plan through
+//!   the executor (typed accumulators over `(batch, selection)`)
+//!   against the row-at-a-time `baseline` engine on the same plan and
+//!   rows, results asserted equal first.
 //! * `spawn_vs_pool` — `testkit::par::map_indexed` (persistent
 //!   work-stealing pool) vs a fresh `thread::scope` spawn per item, at
 //!   fan-out sizes bracketing the old thread-per-item design's sweet
@@ -21,11 +28,15 @@
 //!   cargo bench --offline -p redsim-bench --bench scan_kernels
 //! and copy results/scan_kernels.csv over results/scan_kernels_baseline.csv.
 
-use redsim_common::{ColumnData, DataType, FxHashMap, Value};
+use redsim_common::{ColumnData, DataType, FxHashMap, Result, Row, Value};
+use redsim_engine::baseline::{self, RowStore};
+use redsim_engine::exec::{Executor, TableProvider};
 use redsim_engine::expr::{eval_predicate, eval_predicate_interp};
+use redsim_engine::Selection;
 use redsim_sql::ast::BinaryOp;
-use redsim_sql::plan::BoundExpr;
+use redsim_sql::plan::{AggExpr, AggFunc, BoundExpr, LogicalPlan, OutCol};
 use redsim_storage::encoding::{encode_column, Encoding};
+use redsim_storage::table::{ScanOutput, ScanPredicate};
 use redsim_testkit::bench::{Bench, BenchmarkId};
 use redsim_testkit::par;
 
@@ -56,65 +67,175 @@ fn make_batches() -> Vec<Vec<ColumnData>> {
         .collect()
 }
 
-/// `k < 32 AND v > 950.0` — kernel-covered, ~5% selective.
-fn predicate() -> BoundExpr {
-    BoundExpr::Binary {
-        left: Box::new(BoundExpr::Binary {
-            left: Box::new(BoundExpr::Column { index: 0, ty: DataType::Int8 }),
-            op: BinaryOp::Lt,
-            right: Box::new(BoundExpr::Literal(Value::Int8(32))),
-        }),
-        op: BinaryOp::And,
-        right: Box::new(BoundExpr::Binary {
-            left: Box::new(BoundExpr::Column { index: 1, ty: DataType::Float8 }),
-            op: BinaryOp::Gt,
-            right: Box::new(BoundExpr::Literal(Value::Float8(950.0))),
-        }),
+fn col(index: usize) -> Box<BoundExpr> {
+    let ty = [DataType::Int8, DataType::Float8, DataType::Varchar][index];
+    Box::new(BoundExpr::Column { index, ty })
+}
+
+fn bin(left: Box<BoundExpr>, op: BinaryOp, right: Box<BoundExpr>) -> Box<BoundExpr> {
+    Box::new(BoundExpr::Binary { left, op, right })
+}
+
+fn lit(v: Value) -> Box<BoundExpr> {
+    Box::new(BoundExpr::Literal(v))
+}
+
+fn like(pattern: &str) -> Box<BoundExpr> {
+    Box::new(BoundExpr::Like { expr: col(2), pattern: pattern.into(), negated: false })
+}
+
+/// `v > 950.0`, the ~5% conjunct every shape ends in.
+fn v_high() -> Box<BoundExpr> {
+    bin(col(1), BinaryOp::Gt, lit(Value::Float8(950.0)))
+}
+
+/// The timed predicate shapes: (row label, predicate).
+fn predicates() -> Vec<(&'static str, BoundExpr)> {
+    let shape = |first: Box<BoundExpr>| *bin(first, BinaryOp::And, v_high());
+    vec![
+        // `k < 32 AND v > 950.0` — the PR 10 shape, rows `kernel`/`interp`.
+        ("", shape(bin(col(0), BinaryOp::Lt, lit(Value::Int8(32))))),
+        // `k + 0 < 32 AND …` — an arithmetic operand.
+        (
+            "arith",
+            shape(bin(bin(col(0), BinaryOp::Add, lit(Value::Int8(0))), BinaryOp::Lt, lit(Value::Int8(32)))),
+        ),
+        // `s LIKE 'tag-1%' AND …` — prefix shape, no backtracking.
+        ("like_prefix", shape(like("tag-1%"))),
+        // `s LIKE 't%g-_1' AND …` — `%` inside and `_`: the general matcher.
+        ("like_general", shape(like("t%g-_1"))),
+    ]
+}
+
+/// Shared tail of the pipeline: group the selected rows by k, sum v.
+fn aggregate_selected(batch: &[ColumnData], sel: &Selection, acc: &mut FxHashMap<i64, f64>) {
+    sel.for_each(|_, i| {
+        if let (Some(k), Some(v)) = (batch[0].get_i64(i), batch[1].get_f64(i)) {
+            *acc.entry(k).or_insert(0.0) += v;
+        }
+    });
+}
+
+/// The bench's batches as a one-slice table, for the executor …
+struct OneSlice<'a>(&'a [Vec<ColumnData>]);
+
+impl TableProvider for OneSlice<'_> {
+    fn num_slices(&self) -> usize {
+        1
+    }
+
+    fn scan_slice(
+        &self,
+        _table: &str,
+        _slice: usize,
+        projection: &[usize],
+        _pred: &ScanPredicate,
+    ) -> Result<ScanOutput> {
+        let batches: Vec<Vec<ColumnData>> =
+            self.0.iter().map(|b| projection.iter().map(|&c| b[c].clone()).collect()).collect();
+        Ok(ScanOutput { groups_total: batches.len(), batches, ..ScanOutput::default() })
     }
 }
 
-/// Shared tail of the pipeline: apply the selection, group by k, sum v.
-fn filter_and_aggregate(batch: &[ColumnData], sel: &[bool], acc: &mut FxHashMap<i64, f64>) {
-    let filtered: Vec<ColumnData> = batch.iter().map(|c| c.filter(sel)).collect();
-    let rows = filtered[0].len();
-    for i in 0..rows {
-        if let (Some(k), Some(v)) = (filtered[0].get_i64(i), filtered[1].get_f64(i)) {
-            *acc.entry(k).or_insert(0.0) += v;
+/// … and as a heap of rows, for the row-at-a-time baseline.
+fn row_store(batches: &[Vec<ColumnData>]) -> RowStore {
+    let mut rows = Vec::with_capacity(BATCHES * ROWS);
+    for b in batches {
+        for i in 0..ROWS {
+            rows.push(Row::new(b.iter().map(|c| c.get(i)).collect()));
         }
+    }
+    let mut store = RowStore::new();
+    store.insert_table("t", rows);
+    store
+}
+
+/// `SELECT MIN(v), MAX(v), MIN(k), MAX(k) FROM t WHERE k <> 7 AND v < 900.0`
+/// — the `adhoc_scan` minmax shape: most rows survive the filter.
+fn minmax_plan() -> LogicalPlan {
+    let out = |name: &str, ty| OutCol { name: name.into(), ty };
+    let agg = |func, c: usize, name: &str| AggExpr {
+        func,
+        arg: Some(*col(c)),
+        distinct: false,
+        output_name: name.into(),
+    };
+    let filter = bin(
+        bin(col(0), BinaryOp::NotEq, lit(Value::Int8(7))),
+        BinaryOp::And,
+        bin(col(1), BinaryOp::Lt, lit(Value::Float8(900.0))),
+    );
+    LogicalPlan::Aggregate {
+        input: Box::new(LogicalPlan::Scan {
+            table: "t".into(),
+            projection: vec![0, 1],
+            output: vec![out("k", DataType::Int8), out("v", DataType::Float8)],
+            filter: Some(*filter),
+            pruning: ScanPredicate::default(),
+        }),
+        group_by: Vec::new(),
+        aggs: vec![
+            agg(AggFunc::Min, 1, "min_v"),
+            agg(AggFunc::Max, 1, "max_v"),
+            agg(AggFunc::Min, 0, "min_k"),
+            agg(AggFunc::Max, 0, "max_k"),
+        ],
+        output: vec![
+            out("min_v", DataType::Float8),
+            out("max_v", DataType::Float8),
+            out("min_k", DataType::Int8),
+            out("max_k", DataType::Int8),
+        ],
     }
 }
 
 fn bench_scan_pipeline(b: &mut Bench, batches: &[Vec<ColumnData>]) {
-    let pred = predicate();
-    // The two paths must agree bit-for-bit before we time anything.
-    for batch in batches {
-        let kernel = eval_predicate(&pred, batch, ROWS).unwrap();
-        let interp = eval_predicate_interp(&pred, batch, ROWS).unwrap();
-        assert_eq!(kernel, interp, "kernel/interp disagreement");
+    let preds = predicates();
+    // The two paths must agree before we time anything.
+    for (shape, pred) in &preds {
+        for batch in batches {
+            let kernel = eval_predicate(pred, batch, ROWS).unwrap();
+            let interp = eval_predicate_interp(pred, batch, ROWS).unwrap();
+            assert_eq!(kernel, interp, "kernel/interp disagreement on {shape:?}");
+        }
     }
+    let plan = minmax_plan();
+    let provider = OneSlice(batches);
+    let store = row_store(batches);
+    let typed = Executor::new(&provider).run(&plan).unwrap();
+    assert_eq!(typed.metrics.predicate_fallback, 0, "minmax filter left the kernels");
+    assert_eq!(typed.rows, baseline::run_plan(&plan, &store).unwrap(), "typed/row aggregate disagreement");
 
     let mut g = b.group("scan_pipeline");
     g.sample_size(10);
     g.throughput_elems((BATCHES * ROWS) as u64);
-    g.bench_function("kernel", |bch| {
-        bch.iter(|| {
-            let mut acc = FxHashMap::default();
-            for batch in batches {
-                let sel = eval_predicate(&pred, batch, ROWS).unwrap();
-                filter_and_aggregate(batch, &sel, &mut acc);
-            }
-            acc.len()
+    for (shape, pred) in &preds {
+        g.bench_with_input(BenchmarkId::new("kernel", shape), pred, |bch, pred| {
+            bch.iter(|| {
+                let mut acc = FxHashMap::default();
+                for batch in batches {
+                    let sel = eval_predicate(pred, batch, ROWS).unwrap();
+                    aggregate_selected(batch, &sel, &mut acc);
+                }
+                acc.len()
+            });
         });
+        g.bench_with_input(BenchmarkId::new("interp", shape), pred, |bch, pred| {
+            bch.iter(|| {
+                let mut acc = FxHashMap::default();
+                for batch in batches {
+                    let sel = eval_predicate_interp(pred, batch, ROWS).unwrap();
+                    aggregate_selected(batch, &sel, &mut acc);
+                }
+                acc.len()
+            });
+        });
+    }
+    g.bench_with_input(BenchmarkId::new("kernel", "agg_minmax"), &plan, |bch, plan| {
+        bch.iter(|| Executor::new(&provider).run(plan).unwrap().rows.len());
     });
-    g.bench_function("interp", |bch| {
-        bch.iter(|| {
-            let mut acc = FxHashMap::default();
-            for batch in batches {
-                let sel = eval_predicate_interp(&pred, batch, ROWS).unwrap();
-                filter_and_aggregate(batch, &sel, &mut acc);
-            }
-            acc.len()
-        });
+    g.bench_with_input(BenchmarkId::new("interp", "agg_minmax"), &plan, |bch, plan| {
+        bch.iter(|| baseline::run_plan(plan, &store).unwrap().len());
     });
     g.finish();
 }
@@ -219,6 +340,7 @@ fn bench_encode(b: &mut Bench) {
 
 fn main() {
     let mut b = Bench::new("scan_kernels");
+    b.json_summary_to("BENCH_scan_kernels.json");
     let batches = make_batches();
     bench_scan_pipeline(&mut b, &batches);
     bench_spawn_vs_pool(&mut b);
@@ -233,10 +355,13 @@ fn main() {
             .map(|r| r.p50_ns)
             .unwrap_or(f64::NAN)
     };
-    println!(
-        "\nscan_pipeline: interp/kernel p50 ratio = {:.1}x",
-        p50("interp", "") / p50("kernel", "")
-    );
+    println!();
+    for shape in ["", "arith", "like_prefix", "like_general", "agg_minmax"] {
+        println!(
+            "scan_pipeline {shape:<12}: interp/kernel p50 ratio = {:.1}x",
+            p50("interp", shape) / p50("kernel", shape)
+        );
+    }
     for n in ["64", "512", "4096"] {
         println!(
             "spawn_vs_pool n={n}: spawn/pool p50 ratio = {:.1}x",

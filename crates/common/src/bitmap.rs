@@ -93,6 +93,15 @@ impl Bitmap {
         }
     }
 
+    /// Row-wise AND with `other` (same length): valid where both are.
+    /// Word-at-a-time, for kernels that combine operand validity.
+    pub fn and(&self, other: &Bitmap) -> Bitmap {
+        assert_eq!(self.len, other.len, "bitmap length mismatch");
+        let bits: Vec<u64> = self.bits.iter().zip(&other.bits).map(|(a, b)| a & b).collect();
+        let ones: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
+        Bitmap { bits, len: self.len, zeros: self.len - ones }
+    }
+
     /// Iterate validity bits.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
@@ -114,12 +123,17 @@ impl Bitmap {
         &self.bits
     }
 
-    /// Rebuild from raw parts; recomputes the zero count.
-    pub fn from_raw(words: Vec<u64>, len: usize) -> Self {
+    /// Rebuild from raw parts; recomputes the zero count (a popcount per
+    /// word — this runs once per decoded block).
+    pub fn from_raw(mut words: Vec<u64>, len: usize) -> Self {
         assert!(words.len() == len.div_ceil(64));
-        let mut bm = Bitmap { bits: words, len, zeros: 0 };
-        bm.zeros = (0..len).filter(|&i| !bm.get(i)).count();
-        bm
+        // Bits past `len` in the last word are not rows: clear them, so
+        // every bitmap keeps a clean tail whatever the bytes said.
+        if let (Some(last), used @ 1..) = (words.last_mut(), len % 64) {
+            *last &= (1u64 << used) - 1;
+        }
+        let ones: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+        Bitmap { bits: words, len, zeros: len - ones }
     }
 }
 
@@ -153,11 +167,24 @@ mod tests {
     }
 
     #[test]
+    fn and_combines_validity() {
+        let a = Bitmap::from_iter((0..130).map(|i| i % 2 == 0));
+        let b = Bitmap::from_iter((0..130).map(|i| i % 3 == 0));
+        let c = a.and(&b);
+        assert_eq!(c.len(), 130);
+        assert!((0..130).all(|i| c.get(i) == (i % 6 == 0)));
+        assert_eq!(c.null_count(), 130 - 22);
+        assert_eq!(a.and(&Bitmap::all_valid(130)), a);
+    }
+
+    #[test]
     fn raw_roundtrip() {
         let bm = Bitmap::from_iter([true, false, true, true, false].into_iter());
         let rt = Bitmap::from_raw(bm.words().to_vec(), bm.len());
         assert_eq!(bm, rt);
         assert_eq!(rt.null_count(), 2);
+        // Stray bits past `len` are dropped, not counted.
+        assert_eq!(Bitmap::from_raw(vec![u64::MAX, u64::MAX], 70), Bitmap::all_valid(70));
     }
 
     #[test]

@@ -52,6 +52,14 @@ impl StrVec {
         std::str::from_utf8(&self.bytes[a..b]).expect("StrVec holds valid UTF-8")
     }
 
+    /// Row `i` as raw bytes: what [`StrVec::get`] returns, minus the
+    /// per-call UTF-8 check. Byte-wise kernels (LIKE, string compares)
+    /// read this.
+    #[inline]
+    pub fn bytes_at(&self, i: usize) -> &[u8] {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
@@ -327,67 +335,20 @@ impl ColumnData {
         }
     }
 
-    /// Keep only rows where `sel[i]` is true.
-    ///
-    /// Typed per-variant loops (one match, then a straight copy) rather
-    /// than per-row [`ColumnData::push_from`]: selection is the hottest
-    /// consumer of the kernel path's selection vectors. NULL payload
+    /// Gather rows by index (join materialization, densifying a
+    /// selection). Typed per-variant loops (one match, then a straight
+    /// copy) rather than per-row [`ColumnData::push_from`]; NULL payload
     /// slots are re-normalized to the default payload, exactly like
-    /// `push_null`.
-    pub fn filter(&self, sel: &[bool]) -> ColumnData {
-        assert_eq!(sel.len(), self.len());
-        let kept = sel.iter().filter(|&&k| k).count();
-        macro_rules! fixed {
-            ($variant:ident, $data:expr, $nulls:expr $(, $f:ident : $fv:expr)?) => {{
-                let mut data = Vec::with_capacity(kept);
-                let mut nulls = Bitmap::new();
-                for (i, &keep) in sel.iter().enumerate() {
-                    if keep {
-                        let ok = $nulls.get(i);
-                        data.push(if ok { $data[i] } else { Default::default() });
-                        nulls.push(ok);
-                    }
-                }
-                ColumnData::$variant { data, nulls $(, $f: $fv)? }
-            }};
-        }
-        match self {
-            ColumnData::Bool { data, nulls } => fixed!(Bool, data, nulls),
-            ColumnData::Int2 { data, nulls } => fixed!(Int2, data, nulls),
-            ColumnData::Int4 { data, nulls } => fixed!(Int4, data, nulls),
-            ColumnData::Int8 { data, nulls } => fixed!(Int8, data, nulls),
-            ColumnData::Float8 { data, nulls } => fixed!(Float8, data, nulls),
-            ColumnData::Date { data, nulls } => fixed!(Date, data, nulls),
-            ColumnData::Timestamp { data, nulls } => fixed!(Timestamp, data, nulls),
-            ColumnData::Decimal { data, nulls, scale } => {
-                fixed!(Decimal, data, nulls, scale: *scale)
-            }
-            ColumnData::Str { data, nulls } => {
-                let mut out = StrVec::with_capacity(kept, data.byte_len());
-                let mut out_nulls = Bitmap::new();
-                for (i, &keep) in sel.iter().enumerate() {
-                    if keep {
-                        let ok = nulls.get(i);
-                        if ok {
-                            // Raw arena copy: no per-row UTF-8 revalidation.
-                            let (a, b) =
-                                (data.offsets[i] as usize, data.offsets[i + 1] as usize);
-                            out.bytes.extend_from_slice(&data.bytes[a..b]);
-                        }
-                        out.offsets.push(out.bytes.len() as u32);
-                        out_nulls.push(ok);
-                    }
-                }
-                ColumnData::Str { data: out, nulls: out_nulls }
-            }
-        }
-    }
-
-    /// Gather rows by index (join materialization). Same typed layout as
-    /// [`ColumnData::filter`]; indices out of range panic, as before.
+    /// `push_null`. Indices out of range panic.
     pub fn gather(&self, idx: &[u32]) -> ColumnData {
         macro_rules! fixed {
             ($variant:ident, $data:expr, $nulls:expr $(, $f:ident : $fv:expr)?) => {{
+                if $nulls.all_set() {
+                    // No NULLs to carry over: a plain indexed copy.
+                    let data = idx.iter().map(|&i| $data[i as usize]).collect();
+                    let nulls = Bitmap::all_valid(idx.len());
+                    return ColumnData::$variant { data, nulls $(, $f: $fv)? };
+                }
                 let mut data = Vec::with_capacity(idx.len());
                 let mut nulls = Bitmap::new();
                 for &i in idx {
@@ -411,14 +372,14 @@ impl ColumnData {
                 fixed!(Decimal, data, nulls, scale: *scale)
             }
             ColumnData::Str { data, nulls } => {
-                let mut out = StrVec::new();
+                let mut out = StrVec::with_capacity(idx.len(), 0);
                 let mut out_nulls = Bitmap::new();
                 for &i in idx {
                     let i = i as usize;
                     let ok = nulls.get(i);
                     if ok {
-                        let (a, b) = (data.offsets[i] as usize, data.offsets[i + 1] as usize);
-                        out.bytes.extend_from_slice(&data.bytes[a..b]);
+                        // Raw arena copy: no per-row UTF-8 revalidation.
+                        out.bytes.extend_from_slice(data.bytes_at(i));
                     }
                     out.offsets.push(out.bytes.len() as u32);
                     out_nulls.push(ok);
@@ -576,14 +537,11 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_gather() {
+    fn gather_by_index() {
         let mut c = ColumnData::new(DataType::Varchar);
         for s in ["a", "b", "c", "d"] {
             c.push_value(&Value::Str(s.into())).unwrap();
         }
-        let f = c.filter(&[true, false, true, false]);
-        assert_eq!(f.len(), 2);
-        assert_eq!(f.get_str(1), Some("c"));
         let g = c.gather(&[3, 0, 0]);
         assert_eq!(g.get_str(0), Some("d"));
         assert_eq!(g.get_str(2), Some("a"));

@@ -688,6 +688,10 @@ impl Cluster {
         out.metrics.queue_wait_ns = queue_wait_ns;
         out.metrics.exec_ns = exec_ns;
         out.metrics.compile_ns = compile_ns;
+        // Batches whose predicate the typed kernels declined. Zero is
+        // the expected value; anything else says which statement fell
+        // off the fast path (EXPLAIN ANALYZE prints it per statement).
+        self.trace.counter("exec.predicate_fallback").add(out.metrics.predicate_fallback);
         if espan.is_recording() {
             espan.attr("slices", self.topology.total_slices());
             espan.attr("rows_out", out.rows.len());
@@ -759,16 +763,20 @@ impl Cluster {
                 }
             }
             let columns = vec![OutCol { name: "QUERY PLAN".into(), ty: DataType::Varchar }];
+            // The root line also carries the statement's count of
+            // batches that fell back to the boxed predicate interpreter.
+            let fallback = format!(" predicate_fallback={}", out.metrics.predicate_fallback);
             let rows = plan_text
                 .lines()
                 .enumerate()
                 .map(|(i, l)| {
                     let step = i + 1;
                     Row::new(vec![Value::Str(format!(
-                        "{} (actual rows={} time={:.3}ms)",
+                        "{} (actual rows={} time={:.3}ms{})",
                         l,
                         step_rows.get(step).copied().unwrap_or(0),
                         *step_ns.get(step).unwrap_or(&0) as f64 / 1e6,
+                        if i == 0 { fallback.as_str() } else { "" },
                     ))])
                 })
                 .collect();

@@ -11,7 +11,7 @@
 //!    plans run here through the per-row interpreter, standing in for
 //!    "execution in a general-purpose set of executor functions".
 
-use crate::exec::AggState;
+use crate::agg::AggState;
 use crate::hashkey::HKey;
 use crate::interp::{eval_row, row_passes};
 use redsim_common::{FxHashMap, Result, Row, RsError, Value};

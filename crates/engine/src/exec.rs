@@ -9,20 +9,55 @@
 //! Exchange operators count the bytes they move so experiment E11 can
 //! report broadcast vs redistribution traffic.
 
-use crate::expr::{eval, eval_predicate};
+use crate::agg::{GroupTable, Groups};
+use crate::expr::{eval, narrow_predicate};
 use crate::hashkey::HKey;
+use crate::kernels::cmp_slots;
+use crate::selection::Selection;
 use redsim_testkit::sync::Mutex;
-use redsim_common::{
-    ColumnData, DataType, FxHashMap, FxHashSet, Result, Row, RsError, Value,
-};
+use redsim_common::{ColumnData, DataType, FxHashMap, FxHashSet, Result, Row, RsError};
 use redsim_distribution::{style::dist_hash, JoinDistStrategy};
 use redsim_sql::ast::JoinType;
-use redsim_sql::plan::{AggExpr, AggFunc, BoundExpr, LogicalPlan, OutCol};
-use redsim_storage::stats::KmvSketch;
+use redsim_sql::plan::{AggExpr, BoundExpr, LogicalPlan, OutCol};
 use redsim_storage::table::{ScanOutput, ScanPredicate};
+use std::borrow::Cow;
 
 /// One column batch (all columns share a length).
 pub type Batch = Vec<ColumnData>;
+
+/// A batch and the rows of it that are still alive — what flows between
+/// operators (the contract is [`crate::selection`]'s). Filters narrow
+/// `sel`; aggregation and the final row copy read through it; operators
+/// that need dense columns call [`Chunk::into_dense`] at their input.
+struct Chunk {
+    cols: Batch,
+    sel: Selection,
+}
+
+impl Chunk {
+    fn dense(cols: Batch) -> Self {
+        let rows = cols.first().map_or(0, |c| c.len());
+        Chunk { cols, sel: Selection::all(rows) }
+    }
+
+    /// The selected rows as a batch of their own; free when nothing was
+    /// filtered out.
+    fn into_dense(self) -> Batch {
+        if self.sel.is_all() {
+            self.cols
+        } else {
+            self.sel.gather(&self.cols)
+        }
+    }
+
+    /// Narrow to the rows where `predicate` holds; `true` when the
+    /// interpreter had to run.
+    fn filter(&mut self, predicate: &BoundExpr) -> Result<bool> {
+        let (sel, fell_back) = narrow_predicate(predicate, &self.cols, &self.sel)?;
+        self.sel = sel;
+        Ok(fell_back)
+    }
+}
 
 /// Storage access the executor needs; implemented by the compute layer.
 pub trait TableProvider: Sync {
@@ -51,6 +86,10 @@ pub struct ExecMetrics {
     pub groups_total: usize,
     pub groups_skipped: usize,
     pub rows_scanned: u64,
+    /// Batches whose predicate (scan filter, `Filter`, join residual)
+    /// the typed kernels declined, so the `Value`-boxed interpreter ran:
+    /// the `exec.predicate_fallback` counter, per statement.
+    pub predicate_fallback: u64,
     /// Time the query waited for a WLM concurrency slot before running
     /// (leader-side admission control; 0 when a slot was free).
     pub queue_wait_ns: u64,
@@ -74,6 +113,7 @@ impl ExecMetrics {
         self.groups_total += other.groups_total;
         self.groups_skipped += other.groups_skipped;
         self.rows_scanned += other.rows_scanned;
+        self.predicate_fallback += other.predicate_fallback;
         self.queue_wait_ns += other.queue_wait_ns;
         self.exec_ns += other.exec_ns;
         self.compile_ns += other.compile_ns;
@@ -120,10 +160,20 @@ pub struct QueryOutput {
 
 /// Data placement during execution.
 enum DataSet {
-    /// One batch list per slice.
-    Slices(Vec<Vec<Batch>>),
+    /// One chunk list per slice.
+    Slices(Vec<Vec<Chunk>>),
     /// Materialized at the leader.
-    Leader(Vec<Batch>),
+    Leader(Vec<Chunk>),
+}
+
+impl DataSet {
+    /// Every chunk, slice by slice, at the leader.
+    fn into_chunks(self) -> Vec<Chunk> {
+        match self {
+            DataSet::Leader(c) => c,
+            DataSet::Slices(per_slice) => per_slice.into_iter().flatten().collect(),
+        }
+    }
 }
 
 /// Executes optimized logical plans against a [`TableProvider`].
@@ -183,15 +233,12 @@ impl<'a> Executor<'a> {
     /// Run a plan to completion, materializing rows at the leader.
     pub fn run(&self, plan: &LogicalPlan) -> Result<QueryOutput> {
         let columns = plan.output();
-        let ds = self.exec(plan, 1)?;
-        let batches = self.gather(ds);
-        let width = columns.len();
-        let mut rows = Vec::new();
-        for b in &batches {
-            debug_assert_eq!(b.len(), width);
-            let n = b.first().map_or(0, |c| c.len());
-            for i in 0..n {
-                rows.push(Row::new(b.iter().map(|c| c.get(i)).collect()));
+        let chunks = self.exec(plan, 1)?.into_chunks();
+        let mut rows = Vec::with_capacity(chunks.iter().map(|c| c.sel.len()).sum());
+        for chunk in &chunks {
+            debug_assert_eq!(chunk.cols.len(), columns.len());
+            for i in chunk.sel.iter() {
+                rows.push(Row::new(chunk.cols.iter().map(|c| c.get(i)).collect()));
             }
         }
         let mut profile =
@@ -200,11 +247,9 @@ impl<'a> Executor<'a> {
         Ok(QueryOutput { columns, rows, metrics: self.metrics.lock().clone(), profile })
     }
 
+    /// Everything at the leader as dense batches (sort and limit input).
     fn gather(&self, ds: DataSet) -> Vec<Batch> {
-        match ds {
-            DataSet::Leader(b) => b,
-            DataSet::Slices(per_slice) => per_slice.into_iter().flatten().collect(),
-        }
+        ds.into_chunks().into_iter().map(Chunk::into_dense).collect()
     }
 
     /// Execute one plan node (pre-order step id `step`), recording a
@@ -222,10 +267,10 @@ impl<'a> Executor<'a> {
         // Output footprint per slice; leader-materialized results count
         // on slice 0, other slices report the step with zero rows.
         let totals: Vec<(u64, u64)> = match &ds {
-            DataSet::Slices(per_slice) => per_slice.iter().map(|b| batch_totals(b)).collect(),
-            DataSet::Leader(batches) => {
+            DataSet::Slices(per_slice) => per_slice.iter().map(|c| chunk_totals(c)).collect(),
+            DataSet::Leader(chunks) => {
                 let mut v = vec![(0u64, 0u64); n.max(1)];
-                v[0] = batch_totals(batches);
+                v[0] = chunk_totals(chunks);
                 v
             }
         };
@@ -251,17 +296,20 @@ impl<'a> Executor<'a> {
             }
             LogicalPlan::Filter { input, predicate } => {
                 let ds = self.exec(input, step + 1)?;
-                self.map_batches(ds, |batch| {
-                    let rows = batch.first().map_or(0, |c| c.len());
-                    let sel = eval_predicate(predicate, &batch, rows)?;
-                    Ok(batch.iter().map(|c| c.filter(&sel)).collect())
+                self.map_chunks(ds, |mut chunk| {
+                    if chunk.filter(predicate)? {
+                        self.metrics.lock().predicate_fallback += 1;
+                    }
+                    Ok(chunk)
                 })
             }
             LogicalPlan::Project { input, exprs, .. } => {
                 let ds = self.exec(input, step + 1)?;
-                self.map_batches(ds, |batch| {
+                self.map_chunks(ds, |chunk| {
+                    let batch = chunk.into_dense();
                     let rows = batch.first().map_or(0, |c| c.len());
-                    exprs.iter().map(|e| eval(e, &batch, rows)).collect()
+                    let out: Result<Batch> = exprs.iter().map(|e| eval(e, &batch, rows)).collect();
+                    Ok(Chunk::dense(out?))
                 })
             }
             LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy } => {
@@ -272,16 +320,22 @@ impl<'a> Executor<'a> {
             }
             LogicalPlan::Sort { input, keys } => {
                 let ds = self.exec(input, step + 1)?;
-                let batches = self.gather(ds);
-                let width = input.output().len();
-                let all = concat_batches(width, batches);
+                let all = concat_batches(&input.output(), self.gather(ds));
                 let rows = all.first().map_or(0, |c| c.len());
-                let key_cols: Vec<ColumnData> =
-                    keys.iter().map(|(k, _)| eval(k, &all, rows)).collect::<Result<_>>()?;
+                // A key that is a plain column is compared in place.
+                let key_cols: Vec<Cow<ColumnData>> = keys
+                    .iter()
+                    .map(|(k, _)| match k {
+                        BoundExpr::Column { index, .. } if *index < all.len() => {
+                            Ok(Cow::Borrowed(&all[*index]))
+                        }
+                        k => eval(k, &all, rows).map(Cow::Owned),
+                    })
+                    .collect::<Result<_>>()?;
                 let mut idx: Vec<u32> = (0..rows as u32).collect();
                 idx.sort_by(|&a, &b| {
                     for ((_, desc), kc) in keys.iter().zip(&key_cols) {
-                        let o = kc.get(a as usize).cmp_sql(&kc.get(b as usize));
+                        let o = cmp_slots(kc, a as usize, b as usize);
                         let o = if *desc { o.reverse() } else { o };
                         if o != std::cmp::Ordering::Equal {
                             return o;
@@ -290,17 +344,15 @@ impl<'a> Executor<'a> {
                     std::cmp::Ordering::Equal
                 });
                 let sorted: Batch = all.iter().map(|c| c.gather(&idx)).collect();
-                Ok(DataSet::Leader(vec![sorted]))
+                Ok(DataSet::Leader(vec![Chunk::dense(sorted)]))
             }
             LogicalPlan::Limit { input, n } => {
                 let ds = self.exec(input, step + 1)?;
-                let batches = self.gather(ds);
-                let width = input.output().len();
-                let all = concat_batches(width, batches);
+                let all = concat_batches(&input.output(), self.gather(ds));
                 let rows = all.first().map_or(0, |c| c.len());
                 let take = (*n as usize).min(rows);
                 let truncated: Batch = all.iter().map(|c| c.slice(0, take)).collect();
-                Ok(DataSet::Leader(vec![truncated]))
+                Ok(DataSet::Leader(vec![Chunk::dense(truncated)]))
             }
         }
     }
@@ -313,7 +365,7 @@ impl<'a> Executor<'a> {
         pruning: &ScanPredicate,
     ) -> Result<DataSet> {
         let n = self.provider.num_slices();
-        let results: Vec<Result<(Vec<Batch>, ExecMetrics)>> =
+        let results: Vec<Result<(Vec<Chunk>, ExecMetrics)>> =
             parallel_map(n, |slice| {
                 if let Some(faults) = &self.faults {
                     use redsim_faultkit::{fp, Outcome};
@@ -343,19 +395,17 @@ impl<'a> Executor<'a> {
                     groups_skipped: out.groups_skipped,
                     ..Default::default()
                 };
-                let mut batches = Vec::with_capacity(out.batches.len());
+                let mut chunks = Vec::with_capacity(out.batches.len());
                 for batch in out.batches {
-                    let rows = batch.first().map_or(0, |c| c.len());
-                    m.rows_scanned += rows as u64;
-                    match filter {
-                        Some(f) => {
-                            let sel = eval_predicate(f, &batch, rows)?;
-                            if sel.iter().any(|&b| b) {
-                                batches.push(batch.iter().map(|c| c.filter(&sel)).collect());
-                            }
+                    let mut chunk = Chunk::dense(batch);
+                    m.rows_scanned += chunk.sel.rows() as u64;
+                    if let Some(f) = filter {
+                        m.predicate_fallback += chunk.filter(f)? as u64;
+                        if chunk.sel.is_empty() {
+                            continue;
                         }
-                        None => batches.push(batch),
                     }
+                    chunks.push(chunk);
                 }
                 if span.is_recording() {
                     span.attr("table", table);
@@ -365,7 +415,7 @@ impl<'a> Executor<'a> {
                     span.attr("bytes_read", m.bytes_read);
                     span.attr("groups_skipped", m.groups_skipped);
                 }
-                Ok((batches, m))
+                Ok((chunks, m))
             });
         // Unwrap every slice result BEFORE absorbing any metrics: a scan
         // that fails on slice k must not pollute svl_query_metrics /
@@ -376,9 +426,9 @@ impl<'a> Executor<'a> {
         let mut per_slice = Vec::with_capacity(n);
         let mut slice_metrics = Vec::with_capacity(n);
         for r in results {
-            let (batches, m) = r?;
+            let (chunks, m) = r?;
             slice_metrics.push(m);
-            per_slice.push(batches);
+            per_slice.push(chunks);
         }
         let mut metrics = self.metrics.lock();
         for m in &slice_metrics {
@@ -388,19 +438,19 @@ impl<'a> Executor<'a> {
         Ok(DataSet::Slices(per_slice))
     }
 
-    fn map_batches(
+    fn map_chunks(
         &self,
         ds: DataSet,
-        f: impl Fn(Batch) -> Result<Batch> + Sync,
+        f: impl Fn(Chunk) -> Result<Chunk> + Sync,
     ) -> Result<DataSet> {
         match ds {
-            DataSet::Leader(batches) => {
-                let out: Result<Vec<Batch>> = batches.into_iter().map(&f).collect();
+            DataSet::Leader(chunks) => {
+                let out: Result<Vec<Chunk>> = chunks.into_iter().map(&f).collect();
                 Ok(DataSet::Leader(out?))
             }
             DataSet::Slices(per_slice) => {
-                let results: Vec<Result<Vec<Batch>>> = parallel_map_owned(per_slice, |batches| {
-                    batches.into_iter().map(&f).collect()
+                let results: Vec<Result<Vec<Chunk>>> = parallel_map_owned(per_slice, |chunks| {
+                    chunks.into_iter().map(&f).collect()
                 });
                 Ok(DataSet::Slices(results.into_iter().collect::<Result<_>>()?))
             }
@@ -465,14 +515,16 @@ impl<'a> Executor<'a> {
         self.local_joins(l_slices, r_slices, lw, &right_types, join_type, left_key, right_key, residual)
     }
 
+    /// Join input: dense batches per slice.
     fn to_slices(&self, ds: DataSet, n: usize) -> Vec<Vec<Batch>> {
+        let densify = |chunks: Vec<Chunk>| chunks.into_iter().map(Chunk::into_dense).collect();
         match ds {
-            DataSet::Slices(s) => s,
-            DataSet::Leader(batches) => {
+            DataSet::Slices(s) => s.into_iter().map(densify).collect(),
+            DataSet::Leader(chunks) => {
                 // Leader data participates as slice 0 (rare; e.g. joins over
                 // leader-materialized inputs).
                 let mut out = vec![Vec::new(); n];
-                out[0] = batches;
+                out[0] = densify(chunks);
                 out
             }
         }
@@ -516,7 +568,6 @@ impl<'a> Executor<'a> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
     fn local_joins(
         &self,
         l_slices: Vec<Vec<Batch>>,
@@ -530,10 +581,18 @@ impl<'a> Executor<'a> {
     ) -> Result<DataSet> {
         let pairs: Vec<(Vec<Batch>, Vec<Batch>)> =
             l_slices.into_iter().zip(r_slices).collect();
-        let results: Vec<Result<Vec<Batch>>> = parallel_map_owned(pairs, |(lb, rb)| {
+        let results: Vec<Result<(Vec<Batch>, u64)>> = parallel_map_owned(pairs, |(lb, rb)| {
             hash_join_local(lb, rb, lw, right_types, join_type, left_key, right_key, residual)
         });
-        Ok(DataSet::Slices(results.into_iter().collect::<Result<_>>()?))
+        let mut per_slice = Vec::with_capacity(results.len());
+        let mut fallbacks = 0;
+        for r in results {
+            let (batches, fell_back) = r?;
+            fallbacks += fell_back;
+            per_slice.push(batches.into_iter().map(Chunk::dense).collect());
+        }
+        self.metrics.lock().predicate_fallback += fallbacks;
+        Ok(DataSet::Slices(per_slice))
     }
 
     fn exec_aggregate(
@@ -545,428 +604,26 @@ impl<'a> Executor<'a> {
         step: usize,
     ) -> Result<DataSet> {
         let ds = self.exec(input, step + 1)?;
-        // Partial aggregation per slice, in parallel.
-        let partials: Vec<Result<GroupTable>> = match ds {
-            DataSet::Slices(per_slice) => parallel_map_owned(per_slice, |batches| {
-                let mut table = GroupTable::default();
-                for batch in batches {
-                    update_groups(&mut table, &batch, group_by, aggs)?;
-                }
-                Ok(table)
-            }),
-            DataSet::Leader(batches) => {
-                let mut table = GroupTable::default();
-                for batch in batches {
-                    update_groups(&mut table, &batch, group_by, aggs)?;
-                }
-                vec![Ok(table)]
+        // Partial aggregation per slice, in parallel, straight off the
+        // (batch, selection) pairs.
+        let partial = |chunks: Vec<Chunk>| -> Result<GroupTable> {
+            let mut groups = Groups::new(group_by, aggs);
+            for chunk in &chunks {
+                groups.update(&chunk.cols, &chunk.sel)?;
             }
+            Ok(groups.into_table())
         };
-        // Final merge at the leader.
+        let partials: Vec<Result<GroupTable>> = match ds {
+            DataSet::Slices(per_slice) => parallel_map_owned(per_slice, partial),
+            DataSet::Leader(chunks) => vec![partial(chunks)],
+        };
+        // Final merge at the leader, one output batch.
         let mut merged = GroupTable::default();
         for p in partials {
-            let p = p?;
-            for (k, states) in p.0 {
-                match merged.0.entry(k) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        for (a, b) in e.get_mut().iter_mut().zip(states) {
-                            a.merge(b);
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(states);
-                    }
-                }
-            }
+            merged.merge(p?);
         }
-        // Global aggregate over zero rows still yields one group.
-        if group_by.is_empty() && merged.0.is_empty() {
-            merged
-                .0
-                .insert(GroupKey::Empty, aggs.iter().map(AggState::init).collect());
-        }
-        // Emit one leader batch.
-        let mut cols: Vec<ColumnData> = output
-            .iter()
-            .map(|c| ColumnData::new(c.ty))
-            .collect();
-        for (key, states) in merged.0 {
-            for (i, hk) in GroupTable::key_values(&key).into_iter().enumerate() {
-                cols[i].push_value(&hkey_to_value(hk, output[i].ty))?;
-            }
-            for (j, st) in states.into_iter().enumerate() {
-                let slot = group_by.len() + j;
-                cols[slot].push_value(&st.finish().coerce_to(output[slot].ty)?)?;
-            }
-        }
-        Ok(DataSet::Leader(vec![cols]))
-    }
-}
-
-/// Composite group key without a heap allocation for the common 0/1/2
-/// column cases.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum GroupKey {
-    Empty,
-    One(HKey),
-    Two(HKey, HKey),
-    Many(Vec<HKey>),
-}
-
-/// group key -> agg states.
-#[derive(Default)]
-struct GroupTable(FxHashMap<GroupKey, Vec<AggState>>);
-
-impl GroupTable {
-    fn key_values(key: &GroupKey) -> Vec<&HKey> {
-        match key {
-            GroupKey::Empty => Vec::new(),
-            GroupKey::One(a) => vec![a],
-            GroupKey::Two(a, b) => vec![a, b],
-            GroupKey::Many(v) => v.iter().collect(),
-        }
-    }
-}
-
-/// Precompute one column's `HKey` per row, sharing `Arc<str>` allocations
-/// across repeated string values within the batch.
-fn hkeys_of_column(c: &ColumnData, rows: usize) -> Vec<HKey> {
-    if let ColumnData::Str { data, .. } = c {
-        let mut memo: FxHashMap<&str, HKey> = FxHashMap::default();
-        return (0..rows)
-            .map(|i| {
-                if c.is_null(i) {
-                    HKey::Null
-                } else {
-                    memo.entry(data.get(i))
-                        .or_insert_with(|| HKey::from_column(c, i))
-                        .clone()
-                }
-            })
-            .collect();
-    }
-    (0..rows).map(|i| HKey::from_column(c, i)).collect()
-}
-
-fn update_groups(
-    table: &mut GroupTable,
-    batch: &Batch,
-    group_by: &[BoundExpr],
-    aggs: &[AggExpr],
-) -> Result<()> {
-    let rows = batch.first().map_or(0, |c| c.len());
-    if rows == 0 {
-        return Ok(());
-    }
-    let key_cols: Vec<ColumnData> =
-        group_by.iter().map(|g| eval(g, batch, rows)).collect::<Result<_>>()?;
-    let key_hkeys: Vec<Vec<HKey>> =
-        key_cols.iter().map(|c| hkeys_of_column(c, rows)).collect();
-    let arg_cols: Vec<Option<ColumnData>> = aggs
-        .iter()
-        .map(|a| a.arg.as_ref().map(|e| eval(e, batch, rows)).transpose())
-        .collect::<Result<_>>()?;
-    for i in 0..rows {
-        let key = match key_hkeys.len() {
-            0 => GroupKey::Empty,
-            1 => GroupKey::One(key_hkeys[0][i].clone()),
-            2 => GroupKey::Two(key_hkeys[0][i].clone(), key_hkeys[1][i].clone()),
-            _ => GroupKey::Many(key_hkeys.iter().map(|col| col[i].clone()).collect()),
-        };
-        let states = table
-            .0
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(AggState::init).collect());
-        for ((st, a), arg_col) in states.iter_mut().zip(aggs).zip(&arg_cols) {
-            st.update_from_column(a, arg_col.as_ref(), i)?;
-        }
-    }
-    Ok(())
-}
-
-fn hkey_to_value(k: &HKey, ty: DataType) -> Value {
-    match k {
-        HKey::Null => Value::Null,
-        HKey::Bool(b) => Value::Bool(*b),
-        HKey::Int(i) => match ty {
-            DataType::Date => Value::Date(*i as i32),
-            DataType::Timestamp => Value::Timestamp(*i),
-            DataType::Int2 => Value::Int2(*i as i16),
-            DataType::Int4 => Value::Int4(*i as i32),
-            _ => Value::Int8(*i),
-        },
-        HKey::Float(bits) => Value::Float8(f64::from_bits(*bits)),
-        HKey::Str(s) => Value::Str(s.to_string()),
-        HKey::Decimal(u, s) => Value::Decimal { units: *u, scale: *s },
-    }
-}
-
-/// One aggregate's running state.
-pub(crate) enum AggState {
-    Count(i64),
-    SumInt { sum: i128, seen: bool },
-    SumFloat { sum: f64, seen: bool },
-    SumDec { sum: i128, scale: u8, seen: bool },
-    Avg { sum: f64, n: i64 },
-    MinMax { best: Option<Value>, is_min: bool },
-    Distinct(FxHashSet<HKey>),
-    Approx(KmvSketch),
-}
-
-impl AggState {
-    pub(crate) fn init(a: &AggExpr) -> AggState {
-        match a.func {
-            AggFunc::CountStar => AggState::Count(0),
-            AggFunc::Count => {
-                if a.distinct {
-                    AggState::Distinct(FxHashSet::default())
-                } else {
-                    AggState::Count(0)
-                }
-            }
-            AggFunc::Sum => match a.arg.as_ref().map(|e| e.ty()) {
-                Some(DataType::Float8) => AggState::SumFloat { sum: 0.0, seen: false },
-                Some(DataType::Decimal(_, s)) => {
-                    AggState::SumDec { sum: 0, scale: s, seen: false }
-                }
-                _ => AggState::SumInt { sum: 0, seen: false },
-            },
-            AggFunc::Avg => AggState::Avg { sum: 0.0, n: 0 },
-            AggFunc::Min => AggState::MinMax { best: None, is_min: true },
-            AggFunc::Max => AggState::MinMax { best: None, is_min: false },
-            AggFunc::ApproxCountDistinct => AggState::Approx(KmvSketch::new(256)),
-        }
-    }
-
-    /// Typed fast path used by the vectorized engine: reads the argument
-    /// straight from the column, avoiding a `Value` per row for the
-    /// numeric aggregates.
-    pub(crate) fn update_from_column(
-        &mut self,
-        spec: &AggExpr,
-        col: Option<&ColumnData>,
-        i: usize,
-    ) -> Result<()> {
-        match (&mut *self, col) {
-            (AggState::Count(n), col) => {
-                if spec.func == AggFunc::CountStar || col.is_some_and(|c| !c.is_null(i)) {
-                    *n += 1;
-                }
-                Ok(())
-            }
-            (AggState::SumInt { sum, seen }, Some(c)) => {
-                if let Some(x) = c.get_i64(i) {
-                    *sum += x as i128;
-                    *seen = true;
-                }
-                Ok(())
-            }
-            (AggState::SumFloat { sum, seen }, Some(c)) => {
-                if let Some(x) = c.get_f64(i) {
-                    *sum += x;
-                    *seen = true;
-                }
-                Ok(())
-            }
-            (AggState::Avg { sum, n }, Some(c)) => {
-                if let Some(x) = c.get_f64(i) {
-                    *sum += x;
-                    *n += 1;
-                }
-                Ok(())
-            }
-            (AggState::Distinct(set), Some(c)) => {
-                if !c.is_null(i) {
-                    set.insert(HKey::from_column(c, i));
-                }
-                Ok(())
-            }
-            (AggState::MinMax { best, is_min }, Some(c)) => {
-                // Compare the slot against the running best in place;
-                // materialize a `Value` only when it improves (strings
-                // stop allocating once the extremum stabilizes).
-                if !c.is_null(i) {
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            let o = crate::kernels::cmp_slot_value(c, i, b);
-                            if *is_min {
-                                o == std::cmp::Ordering::Less
-                            } else {
-                                o == std::cmp::Ordering::Greater
-                            }
-                        }
-                    };
-                    if better {
-                        *best = Some(c.get(i));
-                    }
-                }
-                Ok(())
-            }
-            // Decimal sums and sketches keep the general path.
-            (_, col) => {
-                let v = col.map(|c| c.get(i));
-                self.update(spec, v.as_ref())
-            }
-        }
-    }
-
-    pub(crate) fn update(&mut self, spec: &AggExpr, v: Option<&Value>) -> Result<()> {
-        match self {
-            AggState::Count(n) => {
-                if spec.func == AggFunc::CountStar || v.is_some_and(|x| !x.is_null()) {
-                    *n += 1;
-                }
-            }
-            AggState::SumInt { sum, seen } => {
-                if let Some(v) = v {
-                    if let Some(x) = v.as_i64() {
-                        *sum += x as i128;
-                        *seen = true;
-                    }
-                }
-            }
-            AggState::SumFloat { sum, seen } => {
-                if let Some(v) = v {
-                    if let Some(x) = v.as_f64() {
-                        *sum += x;
-                        *seen = true;
-                    }
-                }
-            }
-            AggState::SumDec { sum, scale, seen } => {
-                if let Some(Value::Decimal { units, scale: s }) = v {
-                    *sum += redsim_common::types::rescale(*units, *s, *scale)?;
-                    *seen = true;
-                }
-            }
-            AggState::Avg { sum, n } => {
-                if let Some(v) = v {
-                    if let Some(x) = v.as_f64() {
-                        *sum += x;
-                        *n += 1;
-                    }
-                }
-            }
-            AggState::MinMax { best, is_min } => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        let better = match best {
-                            None => true,
-                            Some(b) => {
-                                let o = v.cmp_sql(b);
-                                if *is_min {
-                                    o == std::cmp::Ordering::Less
-                                } else {
-                                    o == std::cmp::Ordering::Greater
-                                }
-                            }
-                        };
-                        if better {
-                            *best = Some(v.clone());
-                        }
-                    }
-                }
-            }
-            AggState::Distinct(set) => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        set.insert(HKey::from_value(v));
-                    }
-                }
-            }
-            AggState::Approx(sketch) => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        sketch.insert_value(v);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::SumInt { sum: a, seen: sa }, AggState::SumInt { sum: b, seen: sb }) => {
-                *a += b;
-                *sa |= sb;
-            }
-            (AggState::SumFloat { sum: a, seen: sa }, AggState::SumFloat { sum: b, seen: sb }) => {
-                *a += b;
-                *sa |= sb;
-            }
-            (
-                AggState::SumDec { sum: a, seen: sa, .. },
-                AggState::SumDec { sum: b, seen: sb, .. },
-            ) => {
-                *a += b;
-                *sa |= sb;
-            }
-            (AggState::Avg { sum: a, n: na }, AggState::Avg { sum: b, n: nb }) => {
-                *a += b;
-                *na += nb;
-            }
-            (AggState::MinMax { best: a, is_min }, AggState::MinMax { best: b, .. }) => {
-                if let Some(bv) = b {
-                    let better = match a {
-                        None => true,
-                        Some(av) => {
-                            let o = bv.cmp_sql(av);
-                            if *is_min {
-                                o == std::cmp::Ordering::Less
-                            } else {
-                                o == std::cmp::Ordering::Greater
-                            }
-                        }
-                    };
-                    if better {
-                        *a = Some(bv);
-                    }
-                }
-            }
-            (AggState::Distinct(a), AggState::Distinct(b)) => a.extend(b),
-            (AggState::Approx(a), AggState::Approx(b)) => a.merge(&b),
-            _ => unreachable!("mismatched aggregate states"),
-        }
-    }
-
-    pub(crate) fn finish(self) -> Value {
-        match self {
-            AggState::Count(n) => Value::Int8(n),
-            AggState::SumInt { sum, seen } => {
-                if seen {
-                    Value::Int8(sum as i64)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::SumFloat { sum, seen } => {
-                if seen {
-                    Value::Float8(sum)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::SumDec { sum, scale, seen } => {
-                if seen {
-                    Value::Decimal { units: sum, scale }
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::Avg { sum, n } => {
-                if n > 0 {
-                    Value::Float8(sum / n as f64)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::MinMax { best, .. } => best.unwrap_or(Value::Null),
-            AggState::Distinct(set) => Value::Int8(set.len() as i64),
-            AggState::Approx(sketch) => Value::Int8(sketch.estimate().round() as i64),
-        }
+        let cols = merged.into_batch(group_by, aggs, output)?;
+        Ok(DataSet::Leader(vec![Chunk::dense(cols)]))
     }
 }
 
@@ -981,7 +638,8 @@ fn hash_join_local(
     left_key: usize,
     right_key: usize,
     residual: Option<&BoundExpr>,
-) -> Result<Vec<Batch>> {
+) -> Result<(Vec<Batch>, u64)> {
+    let mut fallbacks = 0u64;
     // Build on the right side.
     let right_all = concat_batches_opt(right_batches);
     let mut table: FxHashMap<HKey, Vec<u32>> = FxHashMap::default();
@@ -1041,29 +699,18 @@ fn hash_join_local(
         }
         // Residual filter on matched rows only.
         let mut kept = if let Some(res) = residual {
-            let rows = combined.first().map_or(0, |c| c.len());
-            let sel = eval_predicate(res, &combined, rows)?;
-            let filtered: Batch = combined.iter().map(|c| c.filter(&sel)).collect();
-            // LEFT JOIN: rows failing the residual revert to unmatched.
+            let mut matched = Chunk::dense(combined);
+            fallbacks += matched.filter(res)? as u64;
+            // LEFT JOIN: a left row none of whose candidate matches
+            // survived the residual reverts to unmatched.
             if join_type == JoinType::Left {
-                for (pos, &li) in l_idx.iter().enumerate() {
-                    if !sel[pos] {
-                        unmatched.push(li);
-                    }
-                }
-                // A left row may have several candidate matches; only add
-                // it to unmatched when *none* survived.
-                let survivors: FxHashSet<u32> = l_idx
-                    .iter()
-                    .enumerate()
-                    .filter(|(p, _)| sel[*p])
-                    .map(|(_, &li)| li)
-                    .collect();
-                unmatched.retain(|li| !survivors.contains(li));
+                let survivors: FxHashSet<u32> =
+                    matched.sel.iter().map(|pos| l_idx[pos]).collect();
+                unmatched.extend(l_idx.iter().filter(|li| !survivors.contains(li)));
                 unmatched.sort_unstable();
                 unmatched.dedup();
             }
-            filtered
+            matched.into_dense()
         } else {
             combined
         };
@@ -1089,7 +736,7 @@ fn hash_join_local(
             out.push(kept);
         }
     }
-    Ok(out)
+    Ok((out, fallbacks))
 }
 
 /// Routing hash of one column slot without materializing a `Value`
@@ -1104,23 +751,26 @@ fn dist_hash_column(c: &ColumnData, i: usize) -> u64 {
     }
 }
 
-/// Total (rows, bytes) across a batch list — a profiled step's output
-/// footprint on one slice.
-fn batch_totals(batches: &[Batch]) -> (u64, u64) {
+/// Total (rows, bytes) across a chunk list — a profiled step's output
+/// footprint on one slice. A partly selected batch counts the selected
+/// share of its column bytes.
+fn chunk_totals(chunks: &[Chunk]) -> (u64, u64) {
     let mut rows = 0u64;
     let mut bytes = 0u64;
-    for b in batches {
-        rows += b.first().map_or(0, |c| c.len()) as u64;
-        bytes += b.iter().map(|c| c.byte_size() as u64).sum::<u64>();
+    for c in chunks {
+        let col_bytes = c.cols.iter().map(|c| c.byte_size() as u64).sum::<u64>();
+        rows += c.sel.len() as u64;
+        bytes += col_bytes * c.sel.len() as u64 / c.sel.rows().max(1) as u64;
     }
     (rows, bytes)
 }
 
-/// Concatenate batches of a known width into one batch.
-pub fn concat_batches(width: usize, batches: Vec<Batch>) -> Batch {
+/// Concatenate batches into one; an empty input yields empty columns of
+/// the schema's types.
+fn concat_batches(schema: &[OutCol], batches: Vec<Batch>) -> Batch {
     match concat_batches_opt(batches) {
         Some(b) => b,
-        None => (0..width).map(|_| ColumnData::new(DataType::Int8)).collect(),
+        None => schema.iter().map(|c| ColumnData::new(c.ty)).collect(),
     }
 }
 
@@ -1169,6 +819,7 @@ mod metrics_tests {
             queue_wait_ns: 8,
             exec_ns: 9,
             compile_ns: 10,
+            predicate_fallback: 11,
         };
         let mut acc = ExecMetrics::default();
         acc.absorb(&all_nonzero);
@@ -1183,6 +834,7 @@ mod metrics_tests {
         assert_eq!(acc.queue_wait_ns, 16);
         assert_eq!(acc.exec_ns, 18);
         assert_eq!(acc.compile_ns, 20);
+        assert_eq!(acc.predicate_fallback, 22);
         assert_eq!(acc.exchange_bytes(), 6);
     }
 }

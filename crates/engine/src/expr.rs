@@ -6,6 +6,8 @@
 //! the "tight execution" half of the paper's compilation argument; the
 //! per-row comparator lives in [`crate::interp`].
 
+use crate::like::LikeMatcher;
+use crate::selection::Selection;
 use redsim_common::{ColumnData, DataType, Result, RsError, Value};
 use redsim_sql::ast::{BinaryOp, UnaryOp};
 use redsim_sql::plan::{BoundExpr, ScalarFunc};
@@ -144,7 +146,7 @@ pub fn eval(expr: &BoundExpr, batch: &[ColumnData], rows: usize) -> Result<Colum
             Ok(out)
         }
         BoundExpr::Case { branches, else_expr, ty } => {
-            let conds: Vec<Vec<bool>> = branches
+            let conds: Vec<Selection> = branches
                 .iter()
                 .map(|(c, _)| eval_predicate(c, batch, rows))
                 .collect::<Result<_>>()?;
@@ -156,21 +158,19 @@ pub fn eval(expr: &BoundExpr, batch: &[ColumnData], rows: usize) -> Result<Colum
                 Some(e) => Some(eval(e, batch, rows)?),
                 None => None,
             };
+            // Which branch each row takes: the first whose condition
+            // holds, so conditions are applied last to first.
+            const ELSE: usize = usize::MAX;
+            let mut branch_of = vec![ELSE; rows];
+            for (b, cond) in conds.iter().enumerate().rev() {
+                cond.for_each(|_, i| branch_of[i] = b);
+            }
             let mut out = ColumnData::new(*ty);
-            for i in 0..rows {
-                let mut done = false;
-                for (c, v) in conds.iter().zip(&vals) {
-                    if c[i] {
-                        out.push_value(&v.get(i).coerce_to(*ty)?)?;
-                        done = true;
-                        break;
-                    }
-                }
-                if !done {
-                    match &else_col {
-                        Some(e) => out.push_value(&e.get(i).coerce_to(*ty)?)?,
-                        None => out.push_null(),
-                    }
+            for (i, &b) in branch_of.iter().enumerate() {
+                match (vals.get(b), &else_col) {
+                    (Some(v), _) => out.push_value(&v.get(i).coerce_to(*ty)?)?,
+                    (None, Some(e)) => out.push_value(&e.get(i).coerce_to(*ty)?)?,
+                    (None, None) => out.push_null(),
                 }
             }
             Ok(out)
@@ -223,32 +223,45 @@ pub fn eval(expr: &BoundExpr, batch: &[ColumnData], rows: usize) -> Result<Colum
     }
 }
 
-/// Evaluate a boolean predicate, mapping NULL to `false` (SQL WHERE
-/// semantics: only TRUE passes). Dispatches to the columnar kernels
-/// ([`crate::kernels`]) when the expression is covered; otherwise falls
-/// back to the `Value`-boxed interpreter below. The `vector_*` property
-/// suite pins both paths to bit-identical selection vectors.
-pub fn eval_predicate(expr: &BoundExpr, batch: &[ColumnData], rows: usize) -> Result<Vec<bool>> {
-    if let Some(sel) = crate::kernels::try_eval_predicate(expr, batch, rows) {
-        return Ok(sel);
+/// Evaluate a boolean predicate over every row: the rows on which it is
+/// TRUE (SQL WHERE semantics: NULL does not pass). Dispatches to the
+/// columnar kernels ([`crate::kernels`]) when the expression is covered;
+/// otherwise falls back to the `Value`-boxed interpreter below. The
+/// `vector_*` property suite pins both paths to identical selections.
+pub fn eval_predicate(expr: &BoundExpr, batch: &[ColumnData], rows: usize) -> Result<Selection> {
+    Ok(narrow_predicate(expr, batch, &Selection::all(rows))?.0)
+}
+
+/// Narrow `cand` to the rows on which `expr` is TRUE, and say whether
+/// the interpreter had to run (the executor counts those batches). The
+/// interpreter only ever sees a dense copy of the candidates, so it
+/// raises exactly the errors it would over a filtered copy of the batch.
+pub(crate) fn narrow_predicate(
+    expr: &BoundExpr,
+    batch: &[ColumnData],
+    cand: &Selection,
+) -> Result<(Selection, bool)> {
+    if let Some(sel) = crate::kernels::narrow(expr, batch, cand) {
+        return Ok((sel, false));
     }
-    eval_predicate_interp(expr, batch, rows)
+    let sel = if cand.is_all() {
+        eval_predicate_interp(expr, batch, cand.rows())?
+    } else {
+        cand.compose(&eval_predicate_interp(expr, &cand.gather(batch), cand.len())?)
+    };
+    Ok((sel, true))
 }
 
 /// The interpreter path of [`eval_predicate`]: materialize the ternary
-/// boolean column, then collapse it to a selection vector. Public so
-/// kernel coverage can be differentially fuzzed against it.
+/// boolean column, then keep the rows that are TRUE. Public so kernel
+/// coverage can be differentially fuzzed against it.
 pub fn eval_predicate_interp(
     expr: &BoundExpr,
     batch: &[ColumnData],
     rows: usize,
-) -> Result<Vec<bool>> {
+) -> Result<Selection> {
     let col = eval(expr, batch, rows)?;
-    let mut out = Vec::with_capacity(col.len());
-    for i in 0..col.len() {
-        out.push(matches!(col.get(i), Value::Bool(true)));
-    }
-    Ok(out)
+    Ok(Selection::all(col.len()).select(|i| matches!(col.get(i), Value::Bool(true))))
 }
 
 pub(crate) fn negate(v: Value) -> Result<Value> {
@@ -396,19 +409,19 @@ fn int_arith(a: i64, op: BinaryOp, b: i64) -> Result<i64> {
             if b == 0 {
                 return Err(RsError::Execution("division by zero".into()));
             }
-            a / b
+            a.checked_div(b).ok_or_else(overflow)?
         }
         BinaryOp::Mod => {
             if b == 0 {
                 return Err(RsError::Execution("division by zero".into()));
             }
-            a % b
+            a.checked_rem(b).ok_or_else(overflow)?
         }
         _ => unreachable!(),
     })
 }
 
-fn float_arith(a: f64, op: BinaryOp, b: f64) -> f64 {
+pub(crate) fn float_arith(a: f64, op: BinaryOp, b: f64) -> f64 {
     match op {
         BinaryOp::Add => a + b,
         BinaryOp::Sub => a - b,
@@ -468,46 +481,6 @@ pub fn scalar_arith(a: &Value, op: BinaryOp, b: &Value) -> Result<Value> {
     }
 }
 
-/// SQL LIKE matcher: `%` = any run, `_` = any single char.
-pub struct LikeMatcher {
-    pattern: Vec<char>,
-}
-
-impl LikeMatcher {
-    pub fn new(pattern: &str) -> Self {
-        LikeMatcher { pattern: pattern.chars().collect() }
-    }
-
-    pub fn matches(&self, s: &str) -> bool {
-        let text: Vec<char> = s.chars().collect();
-        // Iterative two-pointer with backtracking on the last %.
-        let (mut ti, mut pi) = (0usize, 0usize);
-        let (mut star_p, mut star_t) = (usize::MAX, 0usize);
-        while ti < text.len() {
-            if pi < self.pattern.len()
-                && (self.pattern[pi] == '_' || self.pattern[pi] == text[ti])
-            {
-                ti += 1;
-                pi += 1;
-            } else if pi < self.pattern.len() && self.pattern[pi] == '%' {
-                star_p = pi;
-                star_t = ti;
-                pi += 1;
-            } else if star_p != usize::MAX {
-                pi = star_p + 1;
-                star_t += 1;
-                ti = star_t;
-            } else {
-                return false;
-            }
-        }
-        while pi < self.pattern.len() && self.pattern[pi] == '%' {
-            pi += 1;
-        }
-        pi == self.pattern.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,7 +519,7 @@ mod tests {
             right: Box::new(BoundExpr::Literal(Value::Int8(2))),
         };
         let sel = eval_predicate(&cmp, &batch, 3).unwrap();
-        assert_eq!(sel, vec![true, false, false]); // NULL → false
+        assert_eq!(sel, Selection::from_ids(3, vec![0])); // NULL → false
     }
 
     #[test]
@@ -569,18 +542,6 @@ mod tests {
             right: Box::new(BoundExpr::Literal(Value::Int8(0))),
         };
         assert!(eval(&e, &[], 1).is_err());
-    }
-
-    #[test]
-    fn like_matching() {
-        let m = LikeMatcher::new("http://%amazon%");
-        assert!(m.matches("http://www.amazon.com"));
-        assert!(!m.matches("https://www.amazon.com"));
-        assert!(LikeMatcher::new("a_c").matches("abc"));
-        assert!(!LikeMatcher::new("a_c").matches("abbc"));
-        assert!(LikeMatcher::new("%").matches(""));
-        assert!(LikeMatcher::new("%%x").matches("zzzx"));
-        assert!(!LikeMatcher::new("x%").matches("yx"));
     }
 
     #[test]
@@ -656,45 +617,9 @@ mod tests {
             negated: false,
         };
         let sel = eval_predicate(&inl, &batch, 3).unwrap();
-        assert_eq!(sel, vec![true, false, false]);
+        assert_eq!(sel, Selection::from_ids(3, vec![0]));
         let isn = BoundExpr::IsNull { expr: Box::new(col_expr(0, DataType::Int8)), negated: false };
         let sel = eval_predicate(&isn, &batch, 3).unwrap();
-        assert_eq!(sel, vec![false, false, true]);
-    }
-}
-
-#[cfg(test)]
-mod like_properties {
-    use super::LikeMatcher;
-    use redsim_testkit::prop::{self, Config};
-
-    /// Exponential-but-correct reference implementation.
-    fn oracle(pattern: &[char], text: &[char]) -> bool {
-        match pattern.split_first() {
-            None => text.is_empty(),
-            Some(('%', rest)) => {
-                (0..=text.len()).any(|k| oracle(rest, &text[k..]))
-            }
-            Some(('_', rest)) => !text.is_empty() && oracle(rest, &text[1..]),
-            Some((c, rest)) => text.first() == Some(c) && oracle(rest, &text[1..]),
-        }
-    }
-
-    #[test]
-    fn matcher_agrees_with_oracle() {
-        let gen = prop::pair(prop::pattern("[ab%_]{0,10}"), prop::pattern("[ab]{0,12}"));
-        prop::check(
-            "matcher_agrees_with_oracle",
-            &Config::with_cases(512),
-            &gen,
-            |(pattern, text)| {
-                let fast = LikeMatcher::new(pattern).matches(text);
-                let slow = oracle(
-                    &pattern.chars().collect::<Vec<_>>(),
-                    &text.chars().collect::<Vec<_>>(),
-                );
-                assert_eq!(fast, slow, "pattern={:?} text={:?}", pattern, text);
-            },
-        );
+        assert_eq!(sel, Selection::from_ids(3, vec![2]));
     }
 }

@@ -6,7 +6,8 @@
 //! says compilation avoids. Also the evaluator of the row-store baseline
 //! engine.
 
-use crate::expr::{scalar_arith, LikeMatcher};
+use crate::expr::scalar_arith;
+use crate::like::LikeMatcher;
 use redsim_common::{Result, RsError, Value};
 use redsim_sql::ast::{BinaryOp, UnaryOp};
 use redsim_sql::plan::{BoundExpr, ScalarFunc};

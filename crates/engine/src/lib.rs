@@ -8,10 +8,13 @@
 //! > etc., in parallel."
 //!
 //! * [`expr`] — vectorized (batch-at-a-time) expression evaluation.
-//! * [`kernels`] — typed columnar predicate kernels (selection vectors
-//!   straight off `ColumnData` slices, no `Value` boxing); `expr` is the
-//!   fallback for uncovered expressions and the differential-fuzz
-//!   reference.
+//! * [`kernels`] — typed columnar kernels: predicates (with arithmetic
+//!   operands) straight off `ColumnData` slices into a [`Selection`], no
+//!   `Value` boxing; `expr` is the counted fallback for uncovered
+//!   expressions and the differential-fuzz reference.
+//! * [`selection`] — the one selection vector every operator passes on.
+//! * [`like`] — the one `LIKE` matcher, compiled into a shape, matching
+//!   over bytes.
 //! * [`interp`] — a deliberately row-at-a-time, `Value`-boxed interpreter:
 //!   the non-compiled comparator for the paper's claim that query
 //!   compilation's "fixed overhead per query … is generally amortized by
@@ -25,6 +28,7 @@
 //! * [`baseline`] — a single-threaded, row-oriented engine standing in
 //!   for the intro's legacy scale-out warehouse (experiment E1).
 
+mod agg;
 pub mod baseline;
 pub mod compile;
 pub mod exec;
@@ -32,6 +36,9 @@ pub mod expr;
 pub mod hashkey;
 pub mod interp;
 pub mod kernels;
+pub mod like;
+pub mod selection;
 
 pub use compile::{CompiledQuery, EvictionPolicy, PlanCache};
 pub use exec::{ExecMetrics, Executor, QueryOutput, TableProvider};
+pub use selection::Selection;

@@ -141,53 +141,110 @@ fn widen(col: &ColumnData) -> Option<Vec<i128>> {
     })
 }
 
-fn narrow(ty: DataType, vals: Vec<i128>, nulls: Bitmap) -> Result<ColumnData> {
-    let err = |v: i128| RsError::Codec(format!("decoded value {v} out of range for {ty}"));
-    Ok(match ty {
-        DataType::Bool => ColumnData::Bool {
-            data: vals.into_iter().map(|v| v != 0).collect(),
-            nulls,
-        },
-        DataType::Int2 => ColumnData::Int2 {
-            data: vals
-                .into_iter()
-                .map(|v| i16::try_from(v).map_err(|_| err(v)))
-                .collect::<Result<_>>()?,
-            nulls,
-        },
-        DataType::Int4 => ColumnData::Int4 {
-            data: vals
-                .into_iter()
-                .map(|v| i32::try_from(v).map_err(|_| err(v)))
-                .collect::<Result<_>>()?,
-            nulls,
-        },
-        DataType::Date => ColumnData::Date {
-            data: vals
-                .into_iter()
-                .map(|v| i32::try_from(v).map_err(|_| err(v)))
-                .collect::<Result<_>>()?,
-            nulls,
-        },
-        DataType::Int8 => ColumnData::Int8 {
-            data: vals
-                .into_iter()
-                .map(|v| i64::try_from(v).map_err(|_| err(v)))
-                .collect::<Result<_>>()?,
-            nulls,
-        },
-        DataType::Timestamp => ColumnData::Timestamp {
-            data: vals
-                .into_iter()
-                .map(|v| i64::try_from(v).map_err(|_| err(v)))
-                .collect::<Result<_>>()?,
-            nulls,
-        },
-        DataType::Decimal(_, s) => ColumnData::Decimal { data: vals, scale: s, nulls },
-        DataType::Float8 | DataType::Varchar => {
-            return Err(RsError::Codec(format!("{ty} is not an integer-family type")))
+/// A payload slot of an integer-family column, for the codecs whose
+/// wire values are widened to `i128`: decoding converts each value
+/// straight into the column's own width.
+trait IntSlot: Copy {
+    fn from_wide(v: i128) -> Option<Self>;
+}
+
+impl IntSlot for bool {
+    fn from_wide(v: i128) -> Option<Self> {
+        Some(v != 0)
+    }
+}
+
+macro_rules! int_slot {
+    ($($t:ty),*) => {$(
+        impl IntSlot for $t {
+            #[inline]
+            fn from_wide(v: i128) -> Option<Self> {
+                <$t>::try_from(v).ok()
+            }
         }
-    })
+    )*};
+}
+int_slot!(i16, i32, i64, i128);
+
+fn out_of_range(v: i128, ty: DataType) -> RsError {
+    RsError::Codec(format!("decoded value {v} out of range for {ty}"))
+}
+
+/// Build the `ty` column whose payload `$decode::<slot type>($args)`
+/// produces — the inverse of [`widen`].
+macro_rules! int_column {
+    ($ty:expr, $nulls:expr, $decode:ident($($arg:expr),*)) => {
+        match $ty {
+            DataType::Bool => ColumnData::Bool { data: $decode($($arg),*)?, nulls: $nulls },
+            DataType::Int2 => ColumnData::Int2 { data: $decode($($arg),*)?, nulls: $nulls },
+            DataType::Int4 => ColumnData::Int4 { data: $decode($($arg),*)?, nulls: $nulls },
+            DataType::Date => ColumnData::Date { data: $decode($($arg),*)?, nulls: $nulls },
+            DataType::Int8 => ColumnData::Int8 { data: $decode($($arg),*)?, nulls: $nulls },
+            DataType::Timestamp => {
+                ColumnData::Timestamp { data: $decode($($arg),*)?, nulls: $nulls }
+            }
+            DataType::Decimal(_, s) => {
+                ColumnData::Decimal { data: $decode($($arg),*)?, scale: s, nulls: $nulls }
+            }
+            DataType::Float8 | DataType::Varchar => {
+                return Err(RsError::Codec(format!("{} is not an integer-family type", $ty)))
+            }
+        }
+    };
+}
+
+/// Delta stream: `rows` zigzag varints, each the step from the previous
+/// value.
+fn decode_delta<T: IntSlot>(buf: &[u8], rows: usize, ty: DataType) -> Result<Vec<T>> {
+    // Every varint takes at least a byte: bound the allocation by the
+    // bytes actually present, not by the header's row count.
+    if rows > buf.len() {
+        return Err(RsError::Codec("delta stream shorter than its row count".into()));
+    }
+    let mut out = Vec::with_capacity(rows);
+    let mut pos = 0usize;
+    let mut prev = 0i128;
+    for _ in 0..rows {
+        prev += read_ivarint(buf, &mut pos)?;
+        out.push(T::from_wide(prev).ok_or_else(|| out_of_range(prev, ty))?);
+    }
+    Ok(out)
+}
+
+/// Mostly-N: `width`-byte little-endian slots, then the exception list
+/// (`n_exc` × (u32 row, zigzag varint value)) patched over them.
+fn decode_mostly<T: IntSlot>(
+    narrow: &[u8],
+    width: usize,
+    exceptions: &[u8],
+    n_exc: usize,
+    ty: DataType,
+) -> Result<Vec<T>> {
+    let slot = |v: i128| T::from_wide(v).ok_or_else(|| out_of_range(v, ty));
+    let mut out: Vec<T> = match width {
+        1 => narrow.iter().map(|&b| slot(b as i8 as i128)).collect::<Result<_>>()?,
+        2 => narrow
+            .chunks_exact(2)
+            .map(|c| slot(i16::from_le_bytes([c[0], c[1]]) as i128))
+            .collect::<Result<_>>()?,
+        _ => narrow
+            .chunks_exact(4)
+            .map(|c| slot(i32::from_le_bytes([c[0], c[1], c[2], c[3]]) as i128))
+            .collect::<Result<_>>()?,
+    };
+    let mut pos = 0usize;
+    for _ in 0..n_exc {
+        if pos + 4 > exceptions.len() {
+            return Err(RsError::Codec("mostly-N exception list truncated".into()));
+        }
+        let idx = u32::from_le_bytes(exceptions[pos..pos + 4].try_into().unwrap()) as usize;
+        pos += 4;
+        let v = read_ivarint(exceptions, &mut pos)?;
+        *out.get_mut(idx).ok_or_else(|| {
+            RsError::Codec("mostly-N exception index out of range".into())
+        })? = slot(v)?;
+    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -238,66 +295,37 @@ fn write_raw_payload(col: &ColumnData, w: &mut Writer) {
 }
 
 fn read_raw_payload(ty: DataType, rows: usize, nulls: Bitmap, r: &mut Reader) -> Result<ColumnData> {
+    // Fixed-width payloads: one bounds check for the whole column, then
+    // a straight little-endian conversion per slot.
+    macro_rules! fixed {
+        ($t:ty) => {
+            r.get_raw(rows * std::mem::size_of::<$t>())?
+                .chunks_exact(std::mem::size_of::<$t>())
+                .map(|c| <$t>::from_le_bytes(c.try_into().expect("chunk is one slot wide")))
+                .collect()
+        };
+    }
     Ok(match ty {
         DataType::Bool => {
-            let mut data = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                data.push(r.get_u8()? != 0);
-            }
-            ColumnData::Bool { data, nulls }
+            ColumnData::Bool { data: r.get_raw(rows)?.iter().map(|&b| b != 0).collect(), nulls }
         }
-        DataType::Int2 => {
-            let mut data = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                data.push(i16::from_le_bytes(r.get_raw(2)?.try_into().unwrap()));
-            }
-            ColumnData::Int2 { data, nulls }
-        }
-        DataType::Int4 | DataType::Date => {
-            let mut data = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                data.push(r.get_i32()?);
-            }
-            if ty == DataType::Int4 {
-                ColumnData::Int4 { data, nulls }
-            } else {
-                ColumnData::Date { data, nulls }
-            }
-        }
-        DataType::Int8 | DataType::Timestamp => {
-            let mut data = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                data.push(r.get_i64()?);
-            }
-            if ty == DataType::Int8 {
-                ColumnData::Int8 { data, nulls }
-            } else {
-                ColumnData::Timestamp { data, nulls }
-            }
-        }
-        DataType::Float8 => {
-            let mut data = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                data.push(r.get_f64()?);
-            }
-            ColumnData::Float8 { data, nulls }
-        }
-        DataType::Decimal(_, s) => {
-            let mut data = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                data.push(r.get_i128()?);
-            }
-            ColumnData::Decimal { data, scale: s, nulls }
-        }
+        DataType::Int2 => ColumnData::Int2 { data: fixed!(i16), nulls },
+        DataType::Int4 => ColumnData::Int4 { data: fixed!(i32), nulls },
+        DataType::Date => ColumnData::Date { data: fixed!(i32), nulls },
+        DataType::Int8 => ColumnData::Int8 { data: fixed!(i64), nulls },
+        DataType::Timestamp => ColumnData::Timestamp { data: fixed!(i64), nulls },
+        DataType::Float8 => ColumnData::Float8 { data: fixed!(f64), nulls },
+        DataType::Decimal(_, s) => ColumnData::Decimal { data: fixed!(i128), scale: s, nulls },
         DataType::Varchar => {
             let n_off = r.get_u32()? as usize;
             if n_off != rows + 1 {
                 return Err(RsError::Codec("StrVec offset count mismatch".into()));
             }
-            let mut offsets = Vec::with_capacity(n_off);
-            for _ in 0..n_off {
-                offsets.push(r.get_u32()?);
-            }
+            let offsets = r
+                .get_raw(n_off * 4)?
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                .collect();
             let bytes = r.get_bytes()?.to_vec();
             ColumnData::Str { data: StrVec::from_raw_parts(offsets, bytes)?, nulls }
         }
@@ -755,29 +783,23 @@ pub fn decode_column(bytes: &[u8], expected: Option<DataType>) -> Result<ColumnD
                 read_one_into(&mut dict, &mut dr)?;
             }
             let wide = pr.get_bool()?;
-            let mut out = ColumnData::new(ty);
-            for _ in 0..rows {
-                let code = if wide { pr.get_u16()? as usize } else { pr.get_u8()? as usize };
-                if code >= dict_len {
-                    return Err(RsError::Codec("dictionary code out of range".into()));
-                }
-                out.push_from(&dict, code);
+            // The code stream in one read, then one gather through the
+            // dictionary.
+            let codes: Vec<u32> = if wide {
+                pr.get_raw(rows * 2)?
+                    .chunks_exact(2)
+                    .map(|c| u16::from_le_bytes([c[0], c[1]]) as u32)
+                    .collect()
+            } else {
+                pr.get_raw(rows)?.iter().map(|&c| c as u32).collect()
+            };
+            if codes.iter().any(|&c| c as usize >= dict_len) {
+                return Err(RsError::Codec("dictionary code out of range".into()));
             }
-            restore_nulls(out, nulls)
+            restore_nulls(dict.gather(&codes), nulls)
         }
-        Encoding::Delta => {
-            let buf = payload;
-            // Skip past the header fields the payload reader consumed: the
-            // delta stream is the entire payload.
-            let mut pos = 0usize;
-            let mut vals = Vec::with_capacity(rows);
-            let mut prev = 0i128;
-            for _ in 0..rows {
-                prev += read_ivarint(buf, &mut pos)?;
-                vals.push(prev);
-            }
-            narrow(ty, vals, nulls)?
-        }
+        // The delta stream is the entire payload.
+        Encoding::Delta => int_column!(ty, nulls, decode_delta(payload, rows, ty)),
         Encoding::Mostly8 | Encoding::Mostly16 | Encoding::Mostly32 => {
             let n_exc = pr.get_u32()? as usize;
             let exc_bytes = pr.get_bytes()?;
@@ -787,34 +809,7 @@ pub fn decode_column(bytes: &[u8], expected: Option<DataType>) -> Result<ColumnD
                 _ => 4,
             };
             let narrow_bytes = pr.get_raw(rows * width)?;
-            let mut vals: Vec<i128> = Vec::with_capacity(rows);
-            for i in 0..rows {
-                let v = match enc {
-                    Encoding::Mostly8 => narrow_bytes[i] as i8 as i128,
-                    Encoding::Mostly16 => i16::from_le_bytes(
-                        narrow_bytes[i * 2..i * 2 + 2].try_into().unwrap(),
-                    ) as i128,
-                    _ => i32::from_le_bytes(narrow_bytes[i * 4..i * 4 + 4].try_into().unwrap())
-                        as i128,
-                };
-                vals.push(v);
-            }
-            // Patch exceptions.
-            let mut pos = 0usize;
-            for _ in 0..n_exc {
-                if pos + 4 > exc_bytes.len() {
-                    return Err(RsError::Codec("mostly-N exception list truncated".into()));
-                }
-                let idx =
-                    u32::from_le_bytes(exc_bytes[pos..pos + 4].try_into().unwrap()) as usize;
-                pos += 4;
-                let v = read_ivarint(exc_bytes, &mut pos)?;
-                if idx >= rows {
-                    return Err(RsError::Codec("mostly-N exception index out of range".into()));
-                }
-                vals[idx] = v;
-            }
-            narrow(ty, vals, nulls)?
+            int_column!(ty, nulls, decode_mostly(narrow_bytes, width, exc_bytes, n_exc, ty))
         }
     };
     if col.len() != rows {

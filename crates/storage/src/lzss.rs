@@ -112,39 +112,92 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, redsim_common::RsError> {
         return Err(err());
     }
     let expect = u32::from_le_bytes(data[..4].try_into().unwrap()) as usize;
-    let mut out = Vec::with_capacity(expect);
+    // A 2-byte copy token yields at most MAX_MATCH bytes: a header
+    // claiming more than the stream can hold is corrupt (and must not
+    // size the allocation).
+    if expect > data.len().saturating_mul(MAX_MATCH / 2) {
+        return Err(err());
+    }
+    // Decode into a buffer of the final size. While a whole flag group
+    // (8 tokens: at most 16 input bytes, 8 × MAX_MATCH output bytes) is
+    // sure to fit, tokens are copied without per-byte bounds questions,
+    // matches in 8-byte chunks; the tail of the stream takes the careful
+    // path. Both paths reject a copy that reaches before the output.
+    const GROUP_OUT: usize = 8 * MAX_MATCH + 8; // + one chunk of overshoot
+    let mut out = vec![0u8; expect];
+    let mut n = 0usize;
     let mut pos = 4usize;
-    while out.len() < expect {
+    while n < expect {
         let flags = *data.get(pos).ok_or_else(err)?;
         pos += 1;
+        if pos + 16 <= data.len() && n + GROUP_OUT <= expect {
+            if flags == 0 {
+                out[n..n + 8].copy_from_slice(&data[pos..pos + 8]);
+                n += 8;
+                pos += 8;
+                continue;
+            }
+            for bit in 0..8 {
+                if flags & (1 << bit) == 0 {
+                    out[n] = data[pos];
+                    n += 1;
+                    pos += 1;
+                    continue;
+                }
+                let token = u16::from_le_bytes([data[pos], data[pos + 1]]);
+                pos += 2;
+                let off = ((token >> 5) + 1) as usize;
+                let len = (token & 0x1F) as usize + MIN_MATCH;
+                if off > n {
+                    return Err(err());
+                }
+                let start = n - off;
+                if off >= 8 {
+                    // Source chunks end at or before the write cursor,
+                    // so chunked copying equals the byte-by-byte
+                    // definition; the overshoot past `len` is overwritten
+                    // by the next token (GROUP_OUT reserves room for it).
+                    let mut k = 0;
+                    while k < len {
+                        out.copy_within(start + k..start + k + 8, n + k);
+                        k += 8;
+                    }
+                } else {
+                    for k in 0..len {
+                        out[n + k] = out[start + k];
+                    }
+                }
+                n += len;
+            }
+            continue;
+        }
         for bit in 0..8 {
-            if out.len() >= expect {
+            if n >= expect {
                 break;
             }
             if flags & (1 << bit) != 0 {
-                let lo = *data.get(pos).ok_or_else(err)?;
-                let hi = *data.get(pos + 1).ok_or_else(err)?;
+                let (Some(&lo), Some(&hi)) = (data.get(pos), data.get(pos + 1)) else {
+                    return Err(err());
+                };
                 pos += 2;
                 let token = u16::from_le_bytes([lo, hi]);
                 let off = ((token >> 5) + 1) as usize;
                 let len = (token & 0x1F) as usize + MIN_MATCH;
-                if off > out.len() {
+                if off > n || n + len > expect {
                     return Err(err());
                 }
-                let start = out.len() - off;
+                let start = n - off;
                 // Overlapping copies are defined byte-by-byte.
                 for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                    out[n + k] = out[start + k];
                 }
+                n += len;
             } else {
-                out.push(*data.get(pos).ok_or_else(err)?);
+                out[n] = *data.get(pos).ok_or_else(err)?;
+                n += 1;
                 pos += 1;
             }
         }
-    }
-    if out.len() != expect {
-        return Err(err());
     }
     Ok(out)
 }
@@ -204,6 +257,30 @@ mod tests {
             data.extend_from_slice(format!("row-{}-{}", i % 10, i).as_bytes());
         }
         roundtrip(&data);
+    }
+
+    #[test]
+    fn copy_reaching_before_the_output_is_rejected_on_both_paths() {
+        // Flag byte 0x01: first token is a copy with back-distance 1 at
+        // output position 0. Short stream → careful path; padded with
+        // literals so a whole group fits → fast path.
+        let mut short = 4u32.to_le_bytes().to_vec();
+        short.extend_from_slice(&[0x01, 0x00, 0x00]);
+        assert!(decompress(&short).is_err());
+        let mut long = 600u32.to_le_bytes().to_vec();
+        long.extend_from_slice(&[0x01, 0x00, 0x00]);
+        long.extend(std::iter::repeat_n(0u8, 700));
+        assert!(decompress(&long).is_err());
+    }
+
+    #[test]
+    fn every_length_and_distance_roundtrips() {
+        // Periods 1..40 exercise overlapping (distance < 8) and chunked
+        // copies, at every match length, through both decode paths.
+        for period in 1..40usize {
+            let data: Vec<u8> = (0..3000).map(|i| (i % period) as u8 ^ (i / 997) as u8).collect();
+            roundtrip(&data);
+        }
     }
 
     #[test]

@@ -34,8 +34,21 @@ pub fn write_ivarint(out: &mut Vec<u8>, v: i128) {
 
 /// Read a LEB128 varint, advancing `pos`.
 pub fn read_uvarint(buf: &[u8], pos: &mut usize) -> Result<u128> {
-    let mut v: u128 = 0;
-    let mut shift = 0u32;
+    // Up to nine bytes fit a `u64`; only wider values (decimal units)
+    // pay for 128-bit shifts.
+    let mut small: u64 = 0;
+    for shift in (0..63).step_by(7) {
+        let byte = *buf
+            .get(*pos)
+            .ok_or_else(|| RsError::Codec("varint truncated".into()))?;
+        *pos += 1;
+        small |= ((byte & 0x7F) as u64) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(small as u128);
+        }
+    }
+    let mut v: u128 = small as u128;
+    let mut shift = 63u32;
     loop {
         let byte = *buf
             .get(*pos)

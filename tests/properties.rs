@@ -1773,11 +1773,13 @@ fn recovery_replays_exactly_the_committed_prefix() {
 // ---------------------------------------------------------------------
 //
 // The typed kernels in `engine::kernels` must return exactly the
-// selection vector the row-at-a-time interpreter produces — for every
+// selection the `Value`-boxed interpreter produces — for every
 // expression shape they claim to cover, over columns with NULLs, NaN
-// payloads (both orderings of `cmp_f64`), signed zeros and infinities.
-// Expressions the kernels decline (`None`) are fine: the executor falls
-// back; disagreement is the only failure.
+// payloads (both orderings of `cmp_f64`), signed zeros and infinities,
+// integer extremes and multi-byte text. Expressions the kernels decline
+// (`None`) are fine: the executor falls back and counts it. Disagreement
+// is a failure, and so is a kernel answer where the interpreter errors
+// (overflow, division by zero): there the kernel must decline.
 
 mod vector_support {
     use redshift_sim::common::{ColumnData, DataType, Value};
@@ -1796,14 +1798,22 @@ mod vector_support {
         1e300,
     ];
 
-    pub const STR_POOL: &[&str] = &["", "a", "ab", "zz", "redshift", "a%b"];
+    pub const STR_POOL: &[&str] =
+        &["", "a", "ab", "zz", "redshift", "a%b", "é", "aé", "日本", "a日b", "naïve"];
+
+    const LIKE_PATTERNS: &[&str] = &[
+        "%", "a%", "%b", "a", "_", "%a%", "%%", "%%a", "a%%", "%%a%%", "__", "a_", "_b", "a_b",
+        "%_", "_%", "é", "_é", "a%é", "日%", "%日_", "%ï%", "a%b", "%a%b%", "",
+    ];
 
     /// Batch layout used by every vector_ test: col0 Int8, col1 Float8,
-    /// col2 Varchar — all nullable.
+    /// col2 Varchar — all nullable. With `extremes`, the ints 4 and -4
+    /// stand for `i64::MAX` and `i64::MIN`, so `col0 + 1` overflows.
     pub fn batch(
         ints: &[Option<i64>],
         floats: &[Option<usize>],
         strs: &[Option<usize>],
+        extremes: bool,
     ) -> Vec<ColumnData> {
         let n = ints.len().min(floats.len()).min(strs.len());
         let mut c0 = ColumnData::new(DataType::Int8);
@@ -1811,6 +1821,8 @@ mod vector_support {
         let mut c2 = ColumnData::new(DataType::Varchar);
         for i in 0..n {
             match ints[i] {
+                Some(4) if extremes => c0.push_value(&Value::Int8(i64::MAX)).unwrap(),
+                Some(-4) if extremes => c0.push_value(&Value::Int8(i64::MIN)).unwrap(),
                 Some(x) => c0.push_value(&Value::Int8(x)).unwrap(),
                 None => c0.push_null(),
             }
@@ -1830,9 +1842,13 @@ mod vector_support {
         vec![c0, c1, c2]
     }
 
-    fn col(index: usize) -> BoundExpr {
+    pub fn col(index: usize) -> BoundExpr {
         let ty = [DataType::Int8, DataType::Float8, DataType::Varchar][index];
         BoundExpr::Column { index, ty }
+    }
+
+    fn pick<T: Copy>(rng: &mut Pcg32, items: &[T]) -> T {
+        items[gen_u64_below(rng, items.len() as u64) as usize]
     }
 
     fn literal_for(rng: &mut Pcg32, index: usize) -> Value {
@@ -1841,18 +1857,65 @@ mod vector_support {
         }
         match index {
             0 => Value::Int8(gen_u64_below(rng, 9) as i64 - 4),
-            1 => Value::Float8(
-                FLOAT_SPECIALS[gen_u64_below(rng, FLOAT_SPECIALS.len() as u64) as usize],
-            ),
-            _ => Value::Str(
-                STR_POOL[gen_u64_below(rng, STR_POOL.len() as u64) as usize].to_string(),
-            ),
+            1 => Value::Float8(pick(rng, FLOAT_SPECIALS)),
+            _ => Value::Str(pick(rng, STR_POOL).to_string()),
         }
     }
 
+    fn binary(left: BoundExpr, op: BinaryOp, right: BoundExpr) -> BoundExpr {
+        BoundExpr::Binary { left: Box::new(left), op, right: Box::new(right) }
+    }
+
+    /// A numeric operand: a column, a small literal (0 included, so
+    /// `x / 0` and `x % 0` occur), or — a third of the time while depth
+    /// lasts — arithmetic over operands, `i64::MAX + 1` among them.
+    fn gen_operand(rng: &mut Pcg32, depth: u32) -> BoundExpr {
+        if depth > 0 && gen_u64_below(rng, 3) == 0 {
+            if gen_u64_below(rng, 12) == 0 {
+                return binary(
+                    BoundExpr::Literal(Value::Int8(i64::MAX)),
+                    BinaryOp::Add,
+                    BoundExpr::Literal(Value::Int8(1)),
+                );
+            }
+            // Division and modulo are rarer: with a 0 somewhere in most
+            // batches they mostly exercise the both-error path.
+            let op = pick(
+                rng,
+                &[
+                    BinaryOp::Add,
+                    BinaryOp::Add,
+                    BinaryOp::Sub,
+                    BinaryOp::Sub,
+                    BinaryOp::Mul,
+                    BinaryOp::Mul,
+                    BinaryOp::Div,
+                    BinaryOp::Mod,
+                ],
+            );
+            return binary(gen_operand(rng, depth - 1), op, gen_operand(rng, depth - 1));
+        }
+        match gen_u64_below(rng, 4) {
+            0 => col(1),
+            1 => BoundExpr::Literal(Value::Int8(gen_u64_below(rng, 7) as i64 - 2)),
+            2 => BoundExpr::Literal(Value::Float8(pick(rng, FLOAT_SPECIALS))),
+            _ => col(0),
+        }
+    }
+
+    const CMP_OPS: [BinaryOp; 6] = [
+        BinaryOp::Eq,
+        BinaryOp::NotEq,
+        BinaryOp::Lt,
+        BinaryOp::LtEq,
+        BinaryOp::Gt,
+        BinaryOp::GtEq,
+    ];
+
     /// A random predicate over the fixed 3-column batch. Depth-bounded;
-    /// leaves are comparisons, IS [NOT] NULL, [NOT] IN lists (sometimes
-    /// deliberately mixed-type so the kernels must bail) and LIKE.
+    /// leaves are comparisons (plain, or over arithmetic operands),
+    /// IS [NOT] NULL, [NOT] IN lists (sometimes deliberately mixed-type
+    /// so the kernels must bail) and LIKE.
     pub fn gen_expr(rng: &mut Pcg32, depth: u32) -> BoundExpr {
         if depth > 0 && gen_u64_below(rng, 2) == 0 {
             return match gen_u64_below(rng, 3) {
@@ -1860,25 +1923,25 @@ mod vector_support {
                     op: UnaryOp::Not,
                     expr: Box::new(gen_expr(rng, depth - 1)),
                 },
-                n => BoundExpr::Binary {
-                    left: Box::new(gen_expr(rng, depth - 1)),
-                    op: if n == 1 { BinaryOp::And } else { BinaryOp::Or },
-                    right: Box::new(gen_expr(rng, depth - 1)),
-                },
+                n => binary(
+                    gen_expr(rng, depth - 1),
+                    if n == 1 { BinaryOp::And } else { BinaryOp::Or },
+                    gen_expr(rng, depth - 1),
+                ),
             };
         }
         let index = gen_u64_below(rng, 3) as usize;
-        match gen_u64_below(rng, 4) {
+        match gen_u64_below(rng, 5) {
             0 => BoundExpr::IsNull {
                 expr: Box::new(col(index)),
                 negated: gen_u64_below(rng, 2) == 1,
             },
             1 => {
                 let items = 1 + gen_u64_below(rng, 3);
-                // 1-in-4 lists draw literals for a *different* column
+                // 1-in-8 lists draw literals for a *different* column
                 // type: the mixed-lane case the kernels must decline
                 // rather than guess at.
-                let lit_from = if gen_u64_below(rng, 4) == 0 {
+                let lit_from = if gen_u64_below(rng, 8) == 0 {
                     gen_u64_below(rng, 3) as usize
                 } else {
                     index
@@ -1891,82 +1954,130 @@ mod vector_support {
             }
             2 if index == 2 => BoundExpr::Like {
                 expr: Box::new(col(2)),
-                pattern: ["%", "a%", "%b", "a", "_", "%a%"]
-                    [gen_u64_below(rng, 6) as usize]
-                    .to_string(),
+                pattern: pick(rng, LIKE_PATTERNS).to_string(),
                 negated: gen_u64_below(rng, 2) == 1,
             },
+            3 => binary(gen_operand(rng, 2), pick(rng, &CMP_OPS), gen_operand(rng, 2)),
             _ => {
-                let ops = [
-                    BinaryOp::Eq,
-                    BinaryOp::NotEq,
-                    BinaryOp::Lt,
-                    BinaryOp::LtEq,
-                    BinaryOp::Gt,
-                    BinaryOp::GtEq,
-                ];
-                let lit = literal_for(rng, index);
-                let (l, r): (BoundExpr, BoundExpr) = if gen_u64_below(rng, 2) == 0 {
-                    (col(index), BoundExpr::Literal(lit))
+                let lit = BoundExpr::Literal(literal_for(rng, index));
+                let (l, r) = if gen_u64_below(rng, 2) == 0 {
+                    (col(index), lit)
                 } else {
-                    (BoundExpr::Literal(lit), col(index))
+                    (lit, col(index))
                 };
-                BoundExpr::Binary {
-                    left: Box::new(l),
-                    op: ops[gen_u64_below(rng, ops.len() as u64) as usize],
-                    right: Box::new(r),
-                }
+                binary(l, pick(rng, &CMP_OPS), r)
             }
         }
+    }
+
+    /// `parts[0] AND parts[1] AND …`.
+    pub fn conjunction(parts: &[BoundExpr]) -> BoundExpr {
+        parts
+            .iter()
+            .cloned()
+            .reduce(|acc, p| binary(acc, BinaryOp::And, p))
+            .expect("at least one conjunct")
     }
 }
 
 #[test]
 fn vector_kernels_match_interpreter() {
     use redshift_sim::engine::expr::eval_predicate_interp;
-    use redshift_sim::engine::kernels::try_eval_predicate;
+    use redshift_sim::engine::kernels::{narrow, try_eval_predicate};
+    use redshift_sim::engine::Selection;
     use redshift_sim::testkit::rng::Pcg32;
 
     let gen = prop::tuple4(
         prop::vec_of(prop::option_of(prop::range(-4i64..5)), 0..120),
         prop::vec_of(prop::option_of(prop::range(0usize..8)), 0..120),
-        prop::vec_of(prop::option_of(prop::range(0usize..6)), 0..120),
+        prop::vec_of(prop::option_of(prop::range(0usize..11)), 0..120),
         prop::any_i64(),
     );
+    // The three refusals the generator only sometimes reaches, pinned:
+    // `i64::MAX + 1`, `x / 0`, `x % 0` — interpreter raises, kernel declines.
+    {
+        use redshift_sim::sql::ast::BinaryOp;
+        use redshift_sim::sql::plan::BoundExpr;
+        let batch = vector_support::batch(&[Some(1), None], &[Some(2), Some(3)], &[None, Some(1)], false);
+        let lit = |v: i64| Box::new(BoundExpr::Literal(Value::Int8(v)));
+        let bin = |left, op, right| BoundExpr::Binary { left, op, right };
+        for arith in [
+            bin(lit(i64::MAX), BinaryOp::Add, lit(1)),
+            bin(Box::new(vector_support::col(0)), BinaryOp::Div, lit(0)),
+            bin(Box::new(vector_support::col(0)), BinaryOp::Mod, lit(0)),
+        ] {
+            let expr = bin(Box::new(arith), BinaryOp::Gt, lit(0));
+            assert!(eval_predicate_interp(&expr, &batch, 2).is_err(), "{expr:?}");
+            assert!(try_eval_predicate(&expr, &batch, 2).is_none(), "{expr:?}");
+        }
+    }
     let covered = std::cell::Cell::new(0u32);
     let total = std::cell::Cell::new(0u32);
     {
-        let covered = &covered;
-        let total = &total;
+        let (covered, total) = (&covered, &total);
         prop::check(
             "vector_kernels_match_interpreter",
             &Config::with_cases(256),
             &gen,
             move |(ints, floats, strs, expr_seed)| {
-                let batch = vector_support::batch(ints, floats, strs);
+                // One case in four carries i64::MAX / i64::MIN, so
+                // integer arithmetic overflows there and not everywhere.
+                let batch = vector_support::batch(ints, floats, strs, expr_seed % 4 == 0);
                 let rows = batch[0].len();
+                let all = Selection::all(rows);
                 let mut rng = Pcg32::seed_from_u64(*expr_seed as u64);
-                for _ in 0..4 {
-                    let expr = vector_support::gen_expr(&mut rng, 3);
-                    let interp = eval_predicate_interp(&expr, &batch, rows)
-                        .expect("generated predicates are well-typed");
-                    total.set(total.get() + 1);
-                    if let Some(kernel) = try_eval_predicate(&expr, &batch, rows) {
-                        covered.set(covered.get() + 1);
-                        assert_eq!(
-                            kernel, interp,
-                            "kernel disagrees with interpreter on {expr:?}"
-                        );
+                let parts: Vec<_> = (0..4).map(|_| vector_support::gen_expr(&mut rng, 3)).collect();
+                let mut each = Vec::new();
+                for expr in &parts {
+                    let kernel = try_eval_predicate(expr, &batch, rows);
+                    match eval_predicate_interp(expr, &batch, rows) {
+                        Ok(interp) => {
+                            total.set(total.get() + 1);
+                            if let Some(kernel) = kernel {
+                                covered.set(covered.get() + 1);
+                                assert_eq!(
+                                    kernel, interp,
+                                    "kernel disagrees with interpreter on {expr:?}"
+                                );
+                            }
+                            each.push(interp);
+                        }
+                        // Overflow, x / 0, x % 0: both must refuse.
+                        Err(e) => {
+                            assert!(
+                                kernel.is_none(),
+                                "kernel answered {kernel:?} where the interpreter raised {e}: {expr:?}"
+                            );
+                        }
                     }
+                }
+                // Narrowing conjunct by conjunct == every conjunct over
+                // all rows, intersected — whatever order the kernels
+                // pick, and from the chain as one expression too.
+                let chain = vector_support::conjunction(&parts);
+                if each.len() < parts.len() {
+                    assert!(try_eval_predicate(&chain, &batch, rows).is_none());
+                    return;
+                }
+                let want = all.select(|i| each.iter().all(|s| s.iter().any(|j| j == i)));
+                assert_eq!(eval_predicate_interp(&chain, &batch, rows).unwrap(), want);
+                if let Some(got) = try_eval_predicate(&chain, &batch, rows) {
+                    assert_eq!(got, want, "chain {chain:?}");
+                    let stepwise = parts
+                        .iter()
+                        .try_fold(all.clone(), |alive, p| narrow(p, &batch, &alive))
+                        .expect("every conjunct of a covered chain is covered");
+                    assert_eq!(stepwise, want, "stepwise {chain:?}");
                 }
             },
         );
     }
-    // The kernels must actually cover the bulk of generated predicates —
-    // otherwise this differential test silently tests nothing.
+    // The kernels must actually cover the bulk of the predicates the
+    // interpreter can evaluate — otherwise this differential test
+    // silently tests nothing.
     let (covered, total) = (covered.get(), total.get());
     assert!(
-        covered * 2 > total,
+        covered * 5 > total * 4,
         "kernels covered only {covered}/{total} generated predicates"
     );
 }
@@ -1983,7 +2094,7 @@ fn vector_kernels_nan_total_order_end_to_end() {
     let ints: Vec<Option<i64>> = (0..9).map(|i| if i == 4 { None } else { Some(i) }).collect();
     let floats: Vec<Option<usize>> = (0..9).map(|i| if i == 8 { None } else { Some(i) }).collect();
     let strs: Vec<Option<usize>> = (0..9).map(|i| Some(i)).collect();
-    let batch = vector_support::batch(&ints, &floats, &strs);
+    let batch = vector_support::batch(&ints, &floats, &strs, false);
     let rows = batch[0].len();
     for &lit in vector_support::FLOAT_SPECIALS {
         for op in [
@@ -2005,4 +2116,224 @@ fn vector_kernels_nan_total_order_end_to_end() {
             assert_eq!(kernel, interp, "op {op:?} lit {lit:?}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Typed aggregates are bit-identical to the Value path.
+// ---------------------------------------------------------------------
+//
+// The executor folds `(batch, selection)` pairs into typed accumulators
+// (no-key and single-integer-key shapes); the row-at-a-time `baseline`
+// engine runs the same plan through `AggState::update` over boxed
+// `Value`s. One slice, so both add floats in the same order: results
+// must match to the bit — NULLs, NaN, ±0, ±inf, sums that wrap past
+// `i64::MAX`, filters that keep nothing, and empty tables included.
+
+#[test]
+fn vector_aggregates_match_value_path() {
+    use redshift_sim::common::{Result, Row};
+    use redshift_sim::engine::baseline::{self, RowStore};
+    use redshift_sim::engine::exec::{Executor, TableProvider};
+    use redshift_sim::sql::ast::BinaryOp;
+    use redshift_sim::sql::plan::{AggExpr, AggFunc, BoundExpr, LogicalPlan, OutCol};
+    use redshift_sim::storage::table::{ScanOutput, ScanPredicate};
+
+    /// One slice holding the batches as they are.
+    struct OneSlice(Vec<Vec<ColumnData>>);
+    impl TableProvider for OneSlice {
+        fn num_slices(&self) -> usize {
+            1
+        }
+        fn scan_slice(&self, _: &str, _: usize, projection: &[usize], _: &ScanPredicate) -> Result<ScanOutput> {
+            let batches =
+                self.0.iter().map(|b| projection.iter().map(|&c| b[c].clone()).collect()).collect();
+            Ok(ScanOutput { batches, ..ScanOutput::default() })
+        }
+    }
+
+    const TYPES: [DataType; 4] = [DataType::Int8, DataType::Float8, DataType::Int8, DataType::Int4];
+    let col = |index: usize| BoundExpr::Column { index, ty: TYPES[index] };
+    let agg = |func: AggFunc, arg: Option<BoundExpr>, n: usize| AggExpr {
+        func,
+        arg,
+        distinct: false,
+        output_name: format!("a{n}"),
+    };
+    let times_two = BoundExpr::Binary {
+        left: Box::new(col(3)),
+        op: BinaryOp::Mul,
+        right: Box::new(BoundExpr::Literal(Value::Int8(2))),
+    };
+    let aggs: Vec<AggExpr> = [
+        (AggFunc::CountStar, None),
+        (AggFunc::Count, Some(col(1))),
+        (AggFunc::Sum, Some(col(2))),
+        (AggFunc::Sum, Some(col(1))),
+        (AggFunc::Sum, Some(times_two)),
+        (AggFunc::Avg, Some(col(1))),
+        (AggFunc::Avg, Some(col(3))),
+        (AggFunc::Min, Some(col(1))),
+        (AggFunc::Max, Some(col(1))),
+        (AggFunc::Min, Some(col(2))),
+        (AggFunc::Max, Some(col(3))),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(n, (f, a))| agg(f, a, n))
+    .collect();
+
+    // (key, float special, big int, small int) per row; batches of up
+    // to 7 rows so groups span batches.
+    let row = prop::tuple4(
+        prop::option_of(prop::range(0i64..4)),
+        prop::option_of(prop::range(0usize..8)),
+        prop::option_of(prop::range(0i64..4)),
+        prop::option_of(prop::range(-3i64..4)),
+    );
+    let gen = prop::pair(prop::vec_of(row, 0..40), prop::range(0i64..6));
+    prop::check(
+        "vector_aggregates_match_value_path",
+        &Config::with_cases(128),
+        &gen,
+        |(rows, keep_below)| {
+            let mut batches: Vec<Vec<ColumnData>> = Vec::new();
+            let mut heap = Vec::new();
+            for chunk in rows.chunks(7) {
+                let mut cols: Vec<ColumnData> = TYPES.iter().map(|t| ColumnData::new(*t)).collect();
+                for (k, f, big, small) in chunk {
+                    let vals = [
+                        k.map_or(Value::Null, Value::Int8),
+                        f.map_or(Value::Null, |j| Value::Float8(vector_support::FLOAT_SPECIALS[j])),
+                        // 0 → i64::MAX, 1 → i64::MAX - 1, …: sums wrap.
+                        big.map_or(Value::Null, |b| Value::Int8(i64::MAX - b)),
+                        small.map_or(Value::Null, |s| Value::Int4(s as i32)),
+                    ];
+                    for (c, v) in cols.iter_mut().zip(&vals) {
+                        c.push_value(v).unwrap();
+                    }
+                    heap.push(Row::new(vals.to_vec()));
+                }
+                batches.push(cols);
+            }
+            let mut store = RowStore::new();
+            store.insert_table("t", heap);
+            let provider = OneSlice(batches);
+            // `small < keep_below`: keeps nothing at 0 … everything at 5
+            // (NULL `small` never passes).
+            let filter = BoundExpr::Binary {
+                left: Box::new(col(3)),
+                op: BinaryOp::Lt,
+                right: Box::new(BoundExpr::Literal(Value::Int8(*keep_below - 3))),
+            };
+            for keyed in [false, true] {
+                let group_by = if keyed { vec![col(0)] } else { Vec::new() };
+                let mut output: Vec<OutCol> = group_by
+                    .iter()
+                    .map(|g| OutCol { name: "k".into(), ty: g.ty() })
+                    .collect();
+                output.extend(aggs.iter().map(|a| OutCol { name: a.output_name.clone(), ty: a.ty() }));
+                let plan = LogicalPlan::Aggregate {
+                    input: Box::new(LogicalPlan::Scan {
+                        table: "t".into(),
+                        projection: vec![0, 1, 2, 3],
+                        output: TYPES
+                            .iter()
+                            .enumerate()
+                            .map(|(i, t)| OutCol { name: format!("c{i}"), ty: *t })
+                            .collect(),
+                        filter: Some(filter.clone()),
+                        pruning: ScanPredicate::default(),
+                    }),
+                    group_by,
+                    aggs: aggs.clone(),
+                    output,
+                };
+                let typed = Executor::new(&provider).run(&plan).unwrap();
+                assert_eq!(typed.metrics.predicate_fallback, 0);
+                let boxed = baseline::run_plan(&plan, &store).unwrap();
+                // Debug text: NaN equals itself, -0.0 differs from 0.0.
+                let text = |rows: &[Row]| {
+                    let mut v: Vec<String> = rows.iter().map(|r| format!("{:?}", r.values())).collect();
+                    v.sort();
+                    v
+                };
+                assert_eq!(text(&typed.rows), text(&boxed), "keyed={keyed}");
+            }
+        },
+    );
+}
+
+// ---------------------------------------------------------------------
+// The interpreter fallback is visible, and the benchmark shapes never
+// take it.
+// ---------------------------------------------------------------------
+
+#[test]
+fn vector_predicate_fallback_is_counted_and_zero_on_benchmark_shapes() {
+    use redshift_sim::workload::synth::template_sql;
+    use redshift_sim::workload::QueryClass;
+
+    let c = Cluster::launch(ClusterConfig::new("fallback").nodes(2).slices_per_node(2)).unwrap();
+    c.execute(
+        "CREATE TABLE fact (d BIGINT, cust BIGINT, pid BIGINT, sid BIGINT, qty BIGINT, \
+         price FLOAT8, note VARCHAR(24)) DISTKEY(cust) COMPOUND SORTKEY(d)",
+    )
+    .unwrap();
+    c.execute("CREATE TABLE events (k BIGINT, v BIGINT) DISTKEY(k)").unwrap();
+    let mut fact = String::new();
+    let mut events = String::new();
+    for r in 0..6_000u32 {
+        let color = ["red", "blue", "green"][(r % 3) as usize];
+        fact.push_str(&format!(
+            "{},{},{},{},{},{}.{:02},{color}-{:03}\n",
+            r / 10, r % 50, r % 20, r % 5, r % 100, r % 1000, r % 100, r % 1000
+        ));
+        events.push_str(&format!("{},{}\n", r % 50, r * 7 % 10_000));
+    }
+    c.put_s3_object("fb/fact", fact.into_bytes());
+    c.put_s3_object("fb/events", events.into_bytes());
+    c.execute("COPY fact FROM 's3://fb/fact'").unwrap();
+    c.execute("COPY events FROM 's3://fb/events'").unwrap();
+
+    // The six `adhoc_scan` families of benchmark/src/data.rs and the
+    // four dashboard templates.
+    let mut shapes = vec![
+        "SELECT COUNT(*) FROM fact WHERE d BETWEEN 100 AND 220".to_string(),
+        "SELECT cust, COUNT(*) AS n, SUM(qty) AS s FROM fact WHERE qty < 45 AND price < 512.3400001 \
+         GROUP BY cust ORDER BY n DESC, cust LIMIT 10"
+            .to_string(),
+        "SELECT COUNT(*) FROM fact WHERE note LIKE 'red-03%' AND price < 950.1200003".to_string(),
+        "SELECT MIN(price), MAX(price), MIN(qty), MAX(qty) FROM fact \
+         WHERE pid <> 7 AND price < 700.5000001"
+            .to_string(),
+        "SELECT COUNT(*), SUM(qty) FROM fact WHERE qty + 0 < 45 AND price < 512.3400001".to_string(),
+        "SELECT d, cust, qty, price FROM fact WHERE d BETWEEN 300 AND 399".to_string(),
+    ];
+    shapes.extend((0..4).map(|rank| template_sql(QueryClass::Dashboard, rank)));
+    for sql in &shapes {
+        let q = c.query(sql).unwrap();
+        assert_eq!(q.metrics.predicate_fallback, 0, "fell back: {sql}");
+        assert!(q.metrics.rows_scanned > 0, "scanned nothing: {sql}");
+    }
+    assert_eq!(c.trace().counter_value("exec.predicate_fallback"), 0);
+
+    // A cast or a CASE in the predicate has no kernel: every batch it
+    // sees is counted, per statement and in the cluster counter, and
+    // EXPLAIN ANALYZE prints the statement's count on its first line.
+    let cast = "SELECT COUNT(*) FROM fact WHERE CAST(qty AS FLOAT8) < 45.5";
+    let case = "SELECT COUNT(*) FROM fact WHERE CASE WHEN qty < 10 THEN 1 ELSE 0 END = 1";
+    let mut counted = 0;
+    for sql in [cast, case] {
+        let q = c.query(sql).unwrap();
+        assert!(q.metrics.predicate_fallback > 0, "did not fall back: {sql}");
+        counted += q.metrics.predicate_fallback;
+    }
+    assert_eq!(c.trace().counter_value("exec.predicate_fallback"), counted);
+    let line = |sql: &str| {
+        let q = c.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        q.rows[0].get(0).as_str().unwrap().to_string()
+    };
+    assert!(line(&shapes[4]).contains("predicate_fallback=0)"), "{}", line(&shapes[4]));
+    let fell = line(cast);
+    assert!(fell.contains("predicate_fallback=") && !fell.contains("predicate_fallback=0)"), "{fell}");
 }
