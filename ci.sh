@@ -84,6 +84,12 @@ cargo bench --no-run --offline -p redsim-bench
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
+echo "== benchmark harness builds against this tree (its own workspace) =="
+# `benchmark/` is outside the workspace, so nothing above compiles it: an
+# API it imports could be removed from `core` and only the benchmark
+# driver would notice. Builds `rsbench` and runs its harness unit tests.
+CARGO_TARGET_DIR=target/benchmark cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "== trace invariants (quick property pass) =="
 # A smaller random workload than the in-suite default, as a fast
 # standalone gate: spans all close, children nest, stl_query counts.

@@ -214,40 +214,23 @@ impl UsageStats {
 
     /// (feature, count) sorted by count desc — the Pareto view of §5.
     pub fn top_features(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .inner
-            .lock()
-            .by_feature
-            .iter()
-            .map(|(k, &c)| (k.clone(), c))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
+        ranked(&self.inner.lock().by_feature)
     }
 
     pub fn top_plan_shapes(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .inner
-            .lock()
-            .by_plan_shape
-            .iter()
-            .map(|(k, &c)| (k.clone(), c))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
+        ranked(&self.inner.lock().by_plan_shape)
     }
 
     pub fn top_errors(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .inner
-            .lock()
-            .errors_by_code
-            .iter()
-            .map(|(k, &c)| (k.clone(), c))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
+        ranked(&self.inner.lock().errors_by_code)
     }
+}
+
+/// Counts sorted descending (ties by key, so the order is stable).
+fn ranked(counts: &FxHashMap<String, u64>) -> Vec<(String, u64)> {
+    let mut v: Vec<(String, u64)> = counts.iter().map(|(k, &c)| (k.clone(), c)).collect();
+    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    v
 }
 
 /// Reduce a plan's EXPLAIN text to its operator skeleton ("plan shape"):

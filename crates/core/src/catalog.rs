@@ -7,6 +7,7 @@ use redsim_common::{Result, RsError, Schema};
 use redsim_distribution::{ClusterTopology, DistStyle, RowRouter};
 use redsim_storage::stats::TableStats;
 use redsim_storage::table::{SliceTable, SortKeySpec, TableConfig};
+use redsim_storage::BlockId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -24,6 +25,22 @@ pub struct TableVersion {
     pub rows_estimate: u64,
 }
 
+/// Everything a write statement can change about a table besides its
+/// slice storage, as one value: what [`TableEntry::state`] snapshots for
+/// rollback, what the redo log and snapshot manifests persist, and what
+/// resize / redistribute carry over to the re-laid-out copy.
+#[derive(Debug, Clone, Default)]
+pub struct TableState {
+    /// Cheap running row count (kept even without ANALYZE).
+    pub rows_estimate: u64,
+    /// The router's EVEN round-robin cursor.
+    pub cursor: u32,
+    /// ANALYZE output; also refreshed by COPY (STATUPDATE).
+    pub stats: Option<TableStats>,
+    /// Rows loaded since the last ANALYZE (maintenance advisor).
+    pub loads_since_analyze: u64,
+}
+
 /// One table: definition + one [`SliceTable`] per slice.
 pub struct TableEntry {
     pub name: String,
@@ -33,12 +50,11 @@ pub struct TableEntry {
     /// Per-slice storage, index = global slice id. This is the *live*
     /// write state; readers go through [`TableEntry::snapshot`].
     pub slices: Vec<Mutex<SliceTable>>,
-    /// Row router (owns the EVEN round-robin cursor).
+    /// Row router (owns [`TableState::cursor`]).
     pub router: Mutex<RowRouter>,
-    /// ANALYZE output; also refreshed by COPY (STATUPDATE).
     pub stats: RwLock<Option<TableStats>>,
-    /// Cheap running row count (kept even without ANALYZE).
     pub rows_estimate: RwLock<u64>,
+    pub loads_since_analyze: RwLock<u64>,
     /// Last committed version (what SELECT sees).
     pub committed: RwLock<Arc<TableVersion>>,
     /// First-committer-wins writer lock: a COPY/INSERT `try_lock`s this
@@ -63,25 +79,38 @@ impl TableEntry {
             auto_compress: true,
         };
         let slices = (0..topology.total_slices())
-            .map(|_| Ok(Mutex::new(SliceTable::new(schema.clone(), config.clone())?)))
+            .map(|_| SliceTable::new(schema.clone(), config.clone()))
             .collect::<Result<Vec<_>>>()?;
-        let v0 = TableVersion {
-            txn: 0,
-            slices: slices.iter().map(|s| s.lock().clone()).collect(),
-            rows_estimate: 0,
-        };
-        Ok(Arc::new(TableEntry {
-            router: Mutex::new(RowRouter::new(dist_style.clone(), topology)),
+        let state = TableState::default();
+        Ok(Self::from_parts(name, schema, dist_style, sort_key, topology, slices, state))
+    }
+
+    fn from_parts(
+        name: String,
+        schema: Schema,
+        dist_style: DistStyle,
+        sort_key: SortKeySpec,
+        topology: &ClusterTopology,
+        slices: Vec<SliceTable>,
+        state: TableState,
+    ) -> Arc<TableEntry> {
+        let mut router = RowRouter::new(dist_style.clone(), topology);
+        router.set_cursor(state.cursor);
+        let rows_estimate = state.rows_estimate;
+        let v0 = TableVersion { txn: 0, slices: slices.clone(), rows_estimate };
+        Arc::new(TableEntry {
             name,
             schema,
             dist_style,
             sort_key,
-            slices,
-            stats: RwLock::new(None),
-            rows_estimate: RwLock::new(0),
+            slices: slices.into_iter().map(Mutex::new).collect(),
+            router: Mutex::new(router),
+            stats: RwLock::new(state.stats),
+            rows_estimate: RwLock::new(state.rows_estimate),
+            loads_since_analyze: RwLock::new(state.loads_since_analyze),
             committed: RwLock::new(Arc::new(v0)),
             writer: Mutex::new(()),
-        }))
+        })
     }
 
     /// The committed version a SELECT should scan. One `Arc` clone; the
@@ -114,6 +143,80 @@ impl TableEntry {
             total
         }
     }
+
+    /// The live [`TableState`]. Callers hold the table's writer lock or
+    /// the exclusive `data_lock`, so the fields are mutually consistent.
+    pub fn state(&self) -> TableState {
+        TableState {
+            rows_estimate: *self.rows_estimate.read(),
+            cursor: self.router.lock().cursor(),
+            stats: self.stats.read().clone(),
+            loads_since_analyze: *self.loads_since_analyze.read(),
+        }
+    }
+
+    pub fn set_state(&self, state: TableState) {
+        *self.rows_estimate.write() = state.rows_estimate;
+        self.router.lock().set_cursor(state.cursor);
+        *self.stats.write() = state.stats;
+        *self.loads_since_analyze.write() = state.loads_since_analyze;
+    }
+
+    /// Carry `from`'s state over to this re-laid-out copy of the same
+    /// table (resize, redistribute): everything but the cursor, which
+    /// re-routing the rows has already advanced for the new layout.
+    pub fn inherit_state(&self, from: &TableEntry) {
+        let cursor = self.router.lock().cursor();
+        self.set_state(TableState { cursor, ..from.state() });
+    }
+
+    /// The one persisted form of a table's mutable state: [`TableState`]
+    /// followed by every slice's manifest (not blocks). Snapshot
+    /// manifests, redo checkpoints and redo deltas all embed exactly
+    /// these bytes. Slice buffers must be flushed, so the manifests are
+    /// lossless.
+    fn encode_image(&self, w: &mut Writer) {
+        let state = self.state();
+        w.put_u64(state.rows_estimate);
+        w.put_u32(state.cursor);
+        w.put_bool(state.stats.is_some());
+        if let Some(s) = &state.stats {
+            s.encode(w);
+        }
+        w.put_u64(state.loads_since_analyze);
+        w.put_u32(self.slices.len() as u32);
+        for s in &self.slices {
+            s.lock().encode_meta(w);
+        }
+    }
+
+    /// Inverse of [`TableEntry::encode_image`], for a table laid out over
+    /// `expected` slices.
+    fn decode_image(r: &mut Reader, expected: usize) -> Result<(TableState, Vec<SliceTable>)> {
+        let state = TableState {
+            rows_estimate: r.get_u64()?,
+            cursor: r.get_u32()?,
+            stats: if r.get_bool()? { Some(TableStats::decode(r)?) } else { None },
+            loads_since_analyze: r.get_u64()?,
+        };
+        let n_slices = r.get_u32()? as usize;
+        if n_slices != expected {
+            return Err(RsError::InvalidState(format!(
+                "table image has {n_slices} slices; the cluster has {expected} — restore to \
+                 a matching configuration, then resize"
+            )));
+        }
+        let slices = (0..n_slices).map(|_| SliceTable::decode_meta(r)).collect::<Result<_>>()?;
+        Ok((state, slices))
+    }
+
+    /// One committed writer's post-state as a redo-delta payload.
+    pub fn encode_delta(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_str(&self.name);
+        self.encode_image(&mut w);
+        w.into_bytes()
+    }
 }
 
 /// The catalog: a name → table map behind the leader's serialization
@@ -124,10 +227,6 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn create(&mut self, entry: Arc<TableEntry>) -> Result<()> {
         let key = entry.name.to_ascii_lowercase();
         if self.tables.contains_key(&key) {
@@ -147,21 +246,23 @@ impl Catalog {
         self.tables.get(&name.to_ascii_lowercase()).cloned()
     }
 
-    pub fn names(&self) -> Vec<String> {
-        self.tables.values().map(|t| t.name.clone()).collect()
-    }
-
     pub fn tables(&self) -> impl Iterator<Item = &Arc<TableEntry>> {
         self.tables.values()
     }
 
-    /// Serialize the full catalog (definitions + slice-table metadata,
-    /// not blocks) for snapshot manifests.
+    /// Every block the live slice manifests reference.
+    pub fn block_ids(&self) -> Vec<BlockId> {
+        self.tables().flat_map(|t| &t.slices).flat_map(|s| s.lock().block_ids()).collect()
+    }
+
+    /// Serialize the full catalog (not blocks): per table its name,
+    /// distribution style and image. Schema and sort key are not
+    /// repeated — every slice manifest in the image carries them.
+    /// Snapshot manifests and redo checkpoints are these bytes.
     pub fn encode(&self, w: &mut Writer) {
         w.put_u32(self.tables.len() as u32);
         for t in self.tables.values() {
             w.put_str(&t.name);
-            t.schema.encode(w);
             match &t.dist_style {
                 DistStyle::Even => w.put_u8(0),
                 DistStyle::Key(c) => {
@@ -170,96 +271,54 @@ impl Catalog {
                 }
                 DistStyle::All => w.put_u8(2),
             }
-            match &t.sort_key {
-                SortKeySpec::None => w.put_u8(0),
-                SortKeySpec::Compound(cols) => {
-                    w.put_u8(1);
-                    w.put_u32(cols.len() as u32);
-                    for &c in cols {
-                        w.put_u32(c as u32);
-                    }
-                }
-                SortKeySpec::Interleaved(cols) => {
-                    w.put_u8(2);
-                    w.put_u32(cols.len() as u32);
-                    for &c in cols {
-                        w.put_u32(c as u32);
-                    }
-                }
-            }
-            w.put_u64(*t.rows_estimate.read());
-            w.put_u32(t.slices.len() as u32);
-            for s in &t.slices {
-                s.lock().encode_meta(w);
-            }
+            t.encode_image(w);
         }
     }
 
-    /// Rebuild a catalog from snapshot metadata. The restored cluster may
-    /// have a different topology; slice tables beyond the new slice count
-    /// are *merged round-robin* onto the new slices? No — restore keeps
-    /// the snapshot's slice count (the paper restores to an equivalently
-    /// sized cluster; resizing afterwards is a resize operation).
+    /// Rebuild a catalog from [`Catalog::encode`] bytes, which are always
+    /// the tail of their container (snapshot metadata, redo checkpoint).
+    /// The image keeps its slice count: the paper restores to an
+    /// equivalently sized cluster; changing size afterwards is a resize.
     pub fn decode(r: &mut Reader, topology: &ClusterTopology) -> Result<Catalog> {
         let n = r.get_u32()? as usize;
-        let mut catalog = Catalog::new();
+        let mut catalog = Catalog::default();
         for _ in 0..n {
             let name = r.get_str()?;
-            let schema = Schema::decode(r)?;
             let dist_style = match r.get_u8()? {
                 0 => DistStyle::Even,
                 1 => DistStyle::Key(r.get_u32()? as usize),
                 2 => DistStyle::All,
                 t => return Err(RsError::Codec(format!("bad dist tag {t}"))),
             };
-            let sort_key = match r.get_u8()? {
-                0 => SortKeySpec::None,
-                tag @ (1 | 2) => {
-                    let k = r.get_u32()? as usize;
-                    let mut cols = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        cols.push(r.get_u32()? as usize);
-                    }
-                    if tag == 1 {
-                        SortKeySpec::Compound(cols)
-                    } else {
-                        SortKeySpec::Interleaved(cols)
-                    }
-                }
-                t => return Err(RsError::Codec(format!("bad sort tag {t}"))),
-            };
-            let rows_estimate = r.get_u64()?;
-            let n_slices = r.get_u32()? as usize;
-            if n_slices != topology.total_slices() as usize {
-                return Err(RsError::InvalidState(format!(
-                    "snapshot has {n_slices} slices; restore target has {} — restore to a \
-                     matching configuration, then resize",
-                    topology.total_slices()
-                )));
-            }
-            let mut slices = Vec::with_capacity(n_slices);
-            for _ in 0..n_slices {
-                slices.push(Mutex::new(SliceTable::decode_meta(r)?));
-            }
-            let v0 = TableVersion {
-                txn: 0,
-                slices: slices.iter().map(|s| s.lock().clone()).collect(),
-                rows_estimate,
-            };
-            catalog.create(Arc::new(TableEntry {
-                router: Mutex::new(RowRouter::new(dist_style.clone(), topology)),
-                name,
-                schema,
-                dist_style,
-                sort_key,
-                slices,
-                stats: RwLock::new(None),
-                rows_estimate: RwLock::new(rows_estimate),
-                committed: RwLock::new(Arc::new(v0)),
-                writer: Mutex::new(()),
-            }))?;
+            let (state, slices) = TableEntry::decode_image(r, topology.total_slices() as usize)?;
+            let (schema, sort_key) = (slices[0].schema().clone(), slices[0].sort_key().clone());
+            catalog.create(TableEntry::from_parts(
+                name, schema, dist_style, sort_key, topology, slices, state,
+            ))?;
+        }
+        if !r.is_exhausted() {
+            return Err(RsError::Codec(format!("{} bytes after the catalog image", r.remaining())));
         }
         Ok(catalog)
+    }
+
+    /// Replay one [`TableEntry::encode_delta`] payload onto its table:
+    /// the live state and slice manifests become the delta's image.
+    pub fn apply_delta(&self, payload: &[u8]) -> Result<Arc<TableEntry>> {
+        let mut r = Reader::new(payload);
+        let name = r.get_str()?;
+        let entry = self.get(&name).ok_or_else(|| {
+            RsError::InvalidState(format!("redo delta references unknown table {name:?}"))
+        })?;
+        let (state, slices) = TableEntry::decode_image(&mut r, entry.slices.len())?;
+        if !r.is_exhausted() {
+            return Err(RsError::Codec(format!("{} bytes after the redo delta", r.remaining())));
+        }
+        for (live, image) in entry.slices.iter().zip(slices) {
+            *live.lock() = image;
+        }
+        entry.set_state(state);
+        Ok(entry)
     }
 }
 
@@ -320,7 +379,7 @@ mod tests {
 
     #[test]
     fn create_get_drop() {
-        let mut c = Catalog::new();
+        let mut c = Catalog::default();
         c.create(entry("T1")).unwrap();
         assert!(c.get("t1").is_some(), "case-insensitive");
         assert!(c.create(entry("t1")).is_err(), "duplicate rejected");
@@ -331,7 +390,7 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip() {
-        let mut c = Catalog::new();
+        let mut c = Catalog::default();
         c.create(entry("clicks")).unwrap();
         *c.get("clicks").unwrap().rows_estimate.write() = 123;
         let mut w = Writer::new();
@@ -345,9 +404,66 @@ mod tests {
         assert_eq!(t.slices.len(), 4);
     }
 
+    /// A table whose every [`TableState`] field is off its default.
+    fn busy_entry(stats: Option<TableStats>) -> Arc<TableEntry> {
+        let t = entry("busy");
+        t.set_state(TableState { rows_estimate: 41, cursor: 3, stats, loads_since_analyze: 17 });
+        t
+    }
+
+    #[test]
+    fn table_image_roundtrips_through_checkpoint_and_delta() {
+        for stats in [None, Some(TableStats { rows: 40, columns: Vec::new() })] {
+            let src = busy_entry(stats.clone());
+            let delta = src.encode_delta();
+            // Checkpoint / snapshot path: decode builds the entry.
+            let mut c = Catalog::default();
+            c.create(Arc::clone(&src)).unwrap();
+            let mut w = Writer::new();
+            c.encode(&mut w);
+            let decoded = Catalog::decode(&mut Reader::new(&w.into_bytes()), &topo()).unwrap();
+            assert_eq!(decoded.get("busy").unwrap().encode_delta(), delta);
+            assert_eq!(decoded.get("busy").unwrap().snapshot().rows_estimate, 41);
+            // Delta path: replay onto a fresh entry of the same table.
+            let mut fresh = Catalog::default();
+            fresh.create(entry("busy")).unwrap();
+            let t = fresh.apply_delta(&delta).unwrap();
+            assert_eq!(t.encode_delta(), delta);
+            let state = t.state();
+            assert_eq!((state.rows_estimate, state.cursor, state.loads_since_analyze), (41, 3, 17));
+            assert_eq!(state.stats.map(|s| s.rows), stats.map(|s| s.rows));
+        }
+    }
+
+    #[test]
+    fn malformed_table_images_are_codec_errors() {
+        let delta = busy_entry(None).encode_delta();
+        let mut c = Catalog::default();
+        c.create(entry("busy")).unwrap();
+        let untouched = c.get("busy").unwrap().encode_delta();
+        for cut in [0, 3, delta.len() / 2, delta.len() - 1] {
+            let err = c.apply_delta(&delta[..cut]).map(|_| ()).unwrap_err();
+            assert!(matches!(err, RsError::Codec(_)), "truncated at {cut}: {err}");
+        }
+        let mut long = delta.clone();
+        long.push(0);
+        let err = c.apply_delta(&long).map(|_| ()).unwrap_err();
+        assert!(matches!(err, RsError::Codec(_)), "over-long: {err}");
+        assert_eq!(c.get("busy").unwrap().encode_delta(), untouched, "failed replay changes nothing");
+        // The same bytes embedded in a catalog image.
+        let mut w = Writer::new();
+        c.encode(&mut w);
+        let mut image = w.into_bytes();
+        let err = Catalog::decode(&mut Reader::new(&image[..image.len() - 1]), &topo());
+        assert!(matches!(err, Err(RsError::Codec(_))));
+        image.push(0);
+        let err = Catalog::decode(&mut Reader::new(&image), &topo());
+        assert!(matches!(err, Err(RsError::Codec(_))));
+    }
+
     #[test]
     fn topology_mismatch_rejected() {
-        let mut c = Catalog::new();
+        let mut c = Catalog::default();
         c.create(entry("t")).unwrap();
         let mut w = Writer::new();
         c.encode(&mut w);

@@ -24,14 +24,6 @@ impl<S: BlockStore> EncryptedBlockStore<S> {
     pub fn new(inner: S, keyring: Arc<ClusterKeyring>, seed: u64) -> Self {
         EncryptedBlockStore { inner, keyring, rng: Mutex::new(Pcg32::seed_from_u64(seed)) }
     }
-
-    pub fn keyring(&self) -> &Arc<ClusterKeyring> {
-        &self.keyring
-    }
-
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: BlockStore> BlockStore for EncryptedBlockStore<S> {
@@ -102,7 +94,7 @@ mod tests {
         let id = block.id;
         store.put(block).unwrap();
         // Bypass the wrapper: the stored bytes must not contain plaintext.
-        let raw = store.inner().get(id).unwrap();
+        let raw = store.inner.get(id).unwrap();
         assert!(
             !raw.payload.windows(8).any(|w| secret.windows(8).any(|s| s == w)),
             "plaintext leaked to the underlying store"
@@ -115,8 +107,8 @@ mod tests {
         let block = EncodedBlock::new(1, vec![1, 2, 3]);
         let id = block.id;
         store.put(block).unwrap();
-        assert_eq!(store.keyring().block_key_count(), 1);
+        assert_eq!(store.keyring.block_key_count(), 1);
         store.delete(id);
-        assert_eq!(store.keyring().block_key_count(), 0);
+        assert_eq!(store.keyring.block_key_count(), 0);
     }
 }

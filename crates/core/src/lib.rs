@@ -11,8 +11,11 @@
 //! > transactions. The compute node(s) perform the heavy lifting."
 //!
 //! Public surface: [`Cluster`] (launch / `execute` / `query` / `copy` /
-//! snapshot / restore / resize / encryption), [`ClusterConfig`], and the
-//! result types. Everything a "time to first report" needs:
+//! snapshot / restore / resize / crash + recover / encryption),
+//! [`ClusterConfig`], [`Session`], and the result types. Inside,
+//! [`cluster`] composes a durable part, a compute part and a leader
+//! part (DESIGN.md §17); [`catalog`] owns the one table-state record and
+//! its codec. Everything a "time to first report" needs:
 //!
 //! ```
 //! use redsim_core::{Cluster, ClusterConfig};

@@ -7,9 +7,8 @@
 //! (COMPUPDATE default, result-cache opt-out), and the in-flight
 //! statement. The session is the single source of truth for the
 //! `userid`-style columns in `stl_*` tables and for WLM routing; the
-//! legacy `Cluster::query_as(sql, group)` shim now runs through an
-//! implicit single-statement session so both paths produce identical
-//! telemetry.
+//! sessionless `Cluster::query` runs through an implicit
+//! single-statement session so both paths produce identical telemetry.
 //!
 //! Statements within one session are serialized (a client connection is
 //! a pipe, not a pool); concurrency comes from opening many sessions,
@@ -111,7 +110,7 @@ pub struct SessionShared {
     pub(crate) cache_hits: AtomicU64,
     /// Statement text while one is executing (`stv_sessions.state`).
     pub(crate) in_flight: Mutex<Option<String>>,
-    /// Implicit sessions back the deprecated sessionless API: they are
+    /// Implicit sessions back the sessionless API: they are
     /// live (gauge, `stv_sessions`) but skip the connection log.
     implicit: bool,
 }
@@ -293,12 +292,6 @@ impl SessionShared {
     }
 }
 
-#[derive(Debug, Clone)]
-struct SessionSettings {
-    use_result_cache: bool,
-    comp_update_default: bool,
-}
-
 /// A client session. Obtained from [`Cluster::connect`]; disconnects on
 /// drop (abrupt client exits included — the wire server leans on this).
 ///
@@ -309,7 +302,8 @@ pub struct Session {
     cluster: Arc<Cluster>,
     shared: Arc<SessionShared>,
     stmt_lock: Mutex<()>,
-    settings: Mutex<SessionSettings>,
+    /// Identity plus the `SET`-able settings, cloned per statement.
+    ctx: Mutex<SessionCtx>,
 }
 
 impl Session {
@@ -319,15 +313,14 @@ impl Session {
             opts.user_group.as_deref(),
             false,
         );
-        Session {
-            cluster,
-            shared,
-            stmt_lock: Mutex::new(()),
-            settings: Mutex::new(SessionSettings {
-                use_result_cache: opts.use_result_cache,
-                comp_update_default: opts.comp_update_default,
-            }),
-        }
+        let ctx = SessionCtx {
+            session_id: shared.id,
+            userid: shared.userid,
+            user_group: opts.user_group,
+            use_result_cache: opts.use_result_cache,
+            comp_update_default: opts.comp_update_default,
+        };
+        Session { cluster, shared, stmt_lock: Mutex::new(()), ctx: Mutex::new(ctx) }
     }
 
     pub fn id(&self) -> u64 {
@@ -356,40 +349,29 @@ impl Session {
         self.shared.result_cache_hits()
     }
 
-    fn ctx(&self) -> SessionCtx {
-        let settings = self.settings.lock();
-        SessionCtx {
-            session_id: self.shared.id,
-            userid: self.shared.userid,
-            user_group: self.shared.user_group.clone(),
-            use_result_cache: settings.use_result_cache,
-            comp_update_default: settings.comp_update_default,
-        }
+    /// One statement at a time, visible in `stv_sessions` while it runs.
+    fn run<T>(&self, sql: &str, f: impl FnOnce(&SessionCtx) -> Result<T>) -> Result<T> {
+        let _serialize = self.stmt_lock.lock();
+        *self.shared.in_flight.lock() = Some(sql.to_string());
+        self.shared.statements.fetch_add(1, Ordering::Relaxed);
+        let ctx = self.ctx.lock().clone();
+        let r = f(&ctx);
+        *self.shared.in_flight.lock() = None;
+        r
     }
 
     /// Run a SELECT (or EXPLAIN) on this session.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        let _serialize = self.stmt_lock.lock();
-        *self.shared.in_flight.lock() = Some(sql.to_string());
-        self.shared.statements.fetch_add(1, Ordering::Relaxed);
-        let r = self.cluster.query_with_ctx(sql, &self.ctx());
-        if let Ok(q) = &r {
-            if q.result_cache_hit {
-                self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            }
+        let r = self.run(sql, |ctx| self.cluster.query_with_ctx(sql, ctx));
+        if matches!(&r, Ok(q) if q.result_cache_hit) {
+            self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
         }
-        *self.shared.in_flight.lock() = None;
         r
     }
 
     /// Execute any statement on this session.
     pub fn execute(&self, sql: &str) -> Result<ExecSummary> {
-        let _serialize = self.stmt_lock.lock();
-        *self.shared.in_flight.lock() = Some(sql.to_string());
-        self.shared.statements.fetch_add(1, Ordering::Relaxed);
-        let r = self.cluster.execute_with_ctx(sql, &self.ctx());
-        *self.shared.in_flight.lock() = None;
-        r
+        self.run(sql, |ctx| self.cluster.execute_with_ctx(sql, ctx))
     }
 
     /// `SET`-style session settings. Recognized names (case-insensitive):
@@ -407,11 +389,11 @@ impl Session {
         };
         match name.to_ascii_lowercase().as_str() {
             "enable_result_cache_for_session" => {
-                self.settings.lock().use_result_cache = on;
+                self.ctx.lock().use_result_cache = on;
                 Ok(())
             }
             "compupdate" => {
-                self.settings.lock().comp_update_default = on;
+                self.ctx.lock().comp_update_default = on;
                 Ok(())
             }
             other => Err(RsError::Unsupported(format!("unknown session setting {other:?}"))),

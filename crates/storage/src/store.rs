@@ -34,6 +34,35 @@ pub trait BlockStore: Send + Sync {
     fn total_bytes(&self) -> u64;
 }
 
+/// A shared handle to a store is a store, so wrappers generic over
+/// `S: BlockStore` also take `Arc<dyn BlockStore>` or an `Arc` that
+/// someone else keeps a typed clone of.
+impl<T: BlockStore + ?Sized> BlockStore for Arc<T> {
+    fn put(&self, block: EncodedBlock) -> Result<()> {
+        (**self).put(block)
+    }
+
+    fn get(&self, id: BlockId) -> Result<Arc<EncodedBlock>> {
+        (**self).get(id)
+    }
+
+    fn delete(&self, id: BlockId) {
+        (**self).delete(id)
+    }
+
+    fn contains(&self, id: BlockId) -> bool {
+        (**self).contains(id)
+    }
+
+    fn block_count(&self) -> usize {
+        (**self).block_count()
+    }
+
+    fn total_bytes(&self) -> u64 {
+        (**self).total_bytes()
+    }
+}
+
 /// In-memory block store (a node's local disk in the simulation).
 #[derive(Default)]
 pub struct MemBlockStore {

