@@ -131,6 +131,15 @@ echo "== crash-recovery invariants (quick property pass) =="
 # a fixpoint. Replay a failure with RSIM_SEED=<seed>.
 RSIM_PROP_CASES=4 cargo test -q --offline --test properties recovery_
 
+echo "== load-time statistics invariants (quick property pass) =="
+# COPY (STATUPDATE) and INSERT fold the loaded batch into the table's
+# statistics record instead of rescanning the table: over generated
+# schedules of COPY / INSERT / STATUPDATE OFF / crash-recover /
+# snapshot-restore / resize on KEY, EVEN and ALL tables with every
+# DataType, the folded record equals what ANALYZE computes next, field
+# for field and sketch hash for hash.
+RSIM_PROP_CASES=4 cargo test -q --offline --test properties stats_
+
 echo "== session + result cache invariants (quick property pass) =="
 # Randomized multi-session schedules: cache hits bit-identical to cold
 # executions, rolled-back COPY never moves the catalog version, abrupt
@@ -215,12 +224,27 @@ for wl_class in dashboard etl adhoc; do
 done
 
 echo "== copy_load WAL-overhead budget (benchdiff gate) =="
-# Every COPY/INSERT now appends+fsyncs a redo-log delta before it
-# commits. Re-running `cargo bench -p redsim-bench --bench copy_load`
-# rewrites results/copy_load.csv; the stock 15% p50 gate against the
-# pre-WAL baseline IS the write-ahead-logging overhead budget.
+# Every COPY/INSERT appends+fsyncs a redo-log delta (table image with
+# its statistics sketches) before it commits. Re-running
+# `cargo bench -p redsim-bench --bench copy_load` rewrites
+# results/copy_load.csv (and BENCH_copy_load.json); the stock 15% p50
+# gate against the committed baseline is the budget for that path, for
+# the fresh-table load, the n-th load and the per-value statistics fold.
 cargo run -q --offline -p redsim-bench --bin benchdiff -- \
   results/copy_load_baseline.csv results/copy_load.csv
+
+echo "== COPY cost is flat in table size (nth_copy flatness check) =="
+# nth_copy/1 and nth_copy/20 are the same 10k x 4 COPY into a table
+# holding 0 and 190k rows. Statistics are folded from the batch, so the
+# 20th may cost at most 1.5x the 1st; a rescan of the table on the load
+# path (5.6x before the fold) fails here.
+awk -F, '$1 == "nth_copy" { p50[$2] = $6 }
+  END {
+    if (!(1 in p50) || !(20 in p50)) { print "error: nth_copy rows missing" > "/dev/stderr"; exit 1 }
+    ratio = p50[20] / p50[1]
+    printf "nth_copy/20 = %.2fx nth_copy/1\n", ratio
+    if (ratio > 1.5) { print "error: the 20th COPY costs more than 1.5x the 1st" > "/dev/stderr"; exit 1 }
+  }' results/copy_load.csv
 
 echo "== concurrent COPY baseline is honored (benchdiff gates) =="
 # 1 vs 4 concurrent writers on distinct tables. Both p50 and p99 are

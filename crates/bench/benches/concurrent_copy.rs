@@ -22,6 +22,7 @@ const ROWS_PER_OBJECT: usize = 2_000;
 
 fn main() {
     let mut b = Bench::new("concurrent_copy");
+    b.json_summary_to("BENCH_concurrent_copy.json");
     let c = Cluster::launch(
         ClusterConfig::new("ccopy-bench").nodes(2).slices_per_node(2),
     )

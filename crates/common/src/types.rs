@@ -397,16 +397,18 @@ pub fn epoch_days_from_date(y: i32, m: u32, d: u32) -> i32 {
 
 /// Parse `YYYY-MM-DD` into epoch days.
 pub fn parse_date(s: &str) -> Result<i32> {
-    let parts: Vec<&str> = s.trim().split('-').collect();
+    let mut parts = s.trim().split('-');
     let bad = || RsError::Parse(format!("invalid date literal {s:?}"));
     // Handle possible leading '-' on year by rejecting; dates of interest
     // are CE.
-    if parts.len() != 3 {
+    let (Some(y), Some(m), Some(d), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
         return Err(bad());
-    }
-    let y: i32 = parts[0].parse().map_err(|_| bad())?;
-    let m: u32 = parts[1].parse().map_err(|_| bad())?;
-    let d: u32 = parts[2].parse().map_err(|_| bad())?;
+    };
+    let y: i32 = y.parse().map_err(|_| bad())?;
+    let m: u32 = m.parse().map_err(|_| bad())?;
+    let d: u32 = d.parse().map_err(|_| bad())?;
     if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
         return Err(bad());
     }
@@ -428,20 +430,23 @@ pub fn parse_timestamp(s: &str) -> Result<i64> {
             Some((a, b)) => (a, Some(b)),
             None => (t, None),
         };
-        let hp: Vec<&str> = hms.split(':').collect();
-        if hp.len() != 3 {
+        let mut hp = hms.split(':');
+        let (Some(h), Some(mi), Some(sec), None) = (hp.next(), hp.next(), hp.next(), hp.next())
+        else {
             return Err(bad());
-        }
-        let h: i64 = hp[0].parse().map_err(|_| bad())?;
-        let mi: i64 = hp[1].parse().map_err(|_| bad())?;
-        let sec: i64 = hp[2].parse().map_err(|_| bad())?;
+        };
+        let h: i64 = h.parse().map_err(|_| bad())?;
+        let mi: i64 = mi.parse().map_err(|_| bad())?;
+        let sec: i64 = sec.parse().map_err(|_| bad())?;
         if h > 23 || mi > 59 || sec > 60 {
             return Err(bad());
         }
         micros += (h * 3600 + mi * 60 + sec) * 1_000_000;
         if let Some(fr) = frac {
-            let digits: String = fr.chars().take(6).collect();
-            if digits.is_empty() || !digits.chars().all(|c| c.is_ascii_digit()) {
+            // At most six digits count; a cut that is not a char boundary
+            // means a non-digit sits in them, which the check below rejects.
+            let digits = fr.get(..6).unwrap_or(fr);
+            if digits.is_empty() || !digits.bytes().all(|c| c.is_ascii_digit()) {
                 return Err(bad());
             }
             let v: i64 = digits.parse().map_err(|_| bad())?;
@@ -474,7 +479,7 @@ pub fn parse_decimal(s: &str, scale: u8) -> Result<i128> {
     let int_units: i128 = if int_part.is_empty() { 0 } else { int_part.parse().map_err(|_| bad())? };
     let mut units = int_units.checked_mul(pow10(scale)?).ok_or_else(bad)?;
     // Fractional digits: take up to `scale`, truncating extras.
-    let taken: String = frac_part.chars().take(scale as usize).collect();
+    let taken = &frac_part[..frac_part.len().min(scale as usize)];
     if !taken.is_empty() {
         let v: i128 = taken.parse().map_err(|_| bad())?;
         units += v * pow10(scale - taken.len() as u8)?;

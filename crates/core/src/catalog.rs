@@ -35,7 +35,8 @@ pub struct TableState {
     pub rows_estimate: u64,
     /// The router's EVEN round-robin cursor.
     pub cursor: u32,
-    /// ANALYZE output; also refreshed by COPY (STATUPDATE).
+    /// ANALYZE output, sketches included; COPY (STATUPDATE) and INSERT
+    /// merge the statistics of the rows they load into it.
     pub stats: Option<TableStats>,
     /// Rows loaded since the last ANALYZE (maintenance advisor).
     pub loads_since_analyze: u64,
@@ -160,6 +161,14 @@ impl TableEntry {
         self.router.lock().set_cursor(state.cursor);
         *self.stats.write() = state.stats;
         *self.loads_since_analyze.write() = state.loads_since_analyze;
+    }
+
+    /// Absorb the statistics of rows this statement loaded (the caller
+    /// holds the table's writer lock). A never-analyzed table starts from
+    /// the empty record, exactly as `ANALYZE` of an empty table would.
+    pub fn fold_stats(&self, loaded: &TableStats) {
+        let mut stats = self.stats.write();
+        stats.get_or_insert_with(|| TableStats::new(self.schema.len())).merge(loaded);
     }
 
     /// Carry `from`'s state over to this re-laid-out copy of the same
@@ -331,18 +340,14 @@ pub struct PlannerCatalog<'a> {
 impl redsim_sql::CatalogView for PlannerCatalog<'_> {
     fn table(&self, name: &str) -> Option<redsim_sql::TableMeta> {
         self.catalog.get(name).map(|t| {
-            let rows = t
-                .stats
-                .read()
-                .as_ref()
-                .map(|s| s.rows)
-                .unwrap_or_else(|| *t.rows_estimate.read());
             redsim_sql::TableMeta {
                 name: t.name.clone(),
                 schema: t.schema.clone(),
                 dist_style: t.dist_style.clone(),
                 sort_key: t.sort_key.clone(),
-                rows,
+                // Every load adds to the estimate and ANALYZE sets it
+                // exactly; `stats.rows` goes stale under STATUPDATE OFF.
+                rows: *t.rows_estimate.read(),
             }
         })
     }

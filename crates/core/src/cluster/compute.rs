@@ -10,7 +10,7 @@ use redsim_distribution::{ClusterTopology, DistStyle, SliceId};
 use redsim_engine::baseline;
 use redsim_engine::exec::TableProvider;
 use redsim_obs::{Span, LVL_DETAIL};
-use redsim_storage::stats::{StatsBuilder, TableStats};
+use redsim_storage::stats::TableStats;
 use redsim_storage::table::{ScanOutput, ScanPredicate, WriteCheckpoint};
 use redsim_storage::{BlockId, BlockStore};
 /// Run a closure over owned inputs on scoped threads, preserving order.
@@ -88,17 +88,15 @@ impl Compute {
         Ok(scans.into_iter().flat_map(|s| s.batches).collect())
     }
 
-    /// Optimizer statistics over the live table (`None` for a table with
-    /// no slices).
-    pub fn analyze(&self, entry: &TableEntry) -> Result<Option<TableStats>> {
-        let builders = self.on_slices(distinct_slices(entry), |slice, store| {
+    /// Optimizer statistics from a scan of the live table — `ANALYZE`
+    /// only; loads fold their own batch (`TableStats::update`) instead.
+    pub fn analyze(&self, entry: &TableEntry) -> Result<TableStats> {
+        let partials = self.on_slices(distinct_slices(entry), |slice, store| {
             entry.slices[slice].lock().analyze(store)
         })?;
-        let merged = builders.into_iter().reduce(|mut m: StatsBuilder, b| {
-            m.merge(&b);
-            m
-        });
-        Ok(merged.map(|m| m.finish()))
+        let mut stats = TableStats::new(entry.schema.len());
+        partials.iter().for_each(|p| stats.merge(p));
+        Ok(stats)
     }
 
     /// Re-sort every slice, keeping the old blocks: returns rows

@@ -193,6 +193,7 @@ impl Leader {
             Some(&self.wlm),
             Some(faults),
             Some(&self.sessions),
+            Some(&self.catalog.read()),
             refs,
         );
         let bound = Binder::new(&sys).bind_select(sel)?;

@@ -56,12 +56,15 @@ impl Cluster {
     pub(super) fn run_analyze(&self, table: Option<&str>) -> Result<ExecSummary> {
         self.check_readable()?;
         // Exclusive so the refreshed stats and the checkpoint that makes
-        // them durable are a consistent image. (A COPY's STATUPDATE
-        // analyze instead rides the COPY's own writer lock and delta.)
+        // them durable are a consistent image. (A load's statistics fold
+        // instead rides the statement's own writer lock and delta.)
         let txn = self.begin_write_txn(WriteScope::Exclusive)?;
         let targets = self.tables_or_all(table)?;
         for entry in &targets {
-            self.analyze_entry(entry)?;
+            let stats = self.compute.analyze(entry)?;
+            *entry.rows_estimate.write() = stats.rows;
+            *entry.stats.write() = Some(stats);
+            *entry.loads_since_analyze.write() = 0;
         }
         self.log_checkpoint(txn.txn)?;
         for entry in &targets {
@@ -70,16 +73,6 @@ impl Cluster {
         self.leader.committed();
         let analyzed = targets.len() as u64;
         Ok(ExecSummary { rows_affected: analyzed, message: format!("ANALYZE {analyzed} tables") })
-    }
-
-    /// Refresh `entry`'s optimizer statistics from its live slices.
-    pub(super) fn analyze_entry(&self, entry: &TableEntry) -> Result<()> {
-        if let Some(stats) = self.compute.analyze(entry)? {
-            *entry.rows_estimate.write() = stats.rows;
-            *entry.stats.write() = Some(stats);
-        }
-        *entry.loads_since_analyze.write() = 0;
-        Ok(())
     }
 
     /// Self-maintenance pass (§3.2 future work): inspect every table and

@@ -179,6 +179,13 @@ impl Cluster {
         self.leader.catalog.read().get(table).map_or(0, |e| *e.loads_since_analyze.read())
     }
 
+    /// `table`'s optimizer statistics (`None` when unknown or never
+    /// analyzed/loaded): `ANALYZE`'s output, kept current by every
+    /// STATUPDATE COPY and INSERT.
+    pub fn table_stats(&self, table: &str) -> Option<redsim_storage::stats::TableStats> {
+        self.leader.catalog.read().get(table).and_then(|e| e.stats.read().clone())
+    }
+
     pub fn state(&self) -> ClusterState {
         *self.state.read()
     }

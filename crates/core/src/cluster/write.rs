@@ -11,6 +11,7 @@ use redsim_common::{ColumnData, ColumnDef, Result, RsError, Schema, Value};
 use redsim_distribution::DistStyle;
 use redsim_obs::{AttrValue, LVL_CORE, LVL_DETAIL, LVL_PHASE};
 use redsim_sql::{ast, Binder};
+use redsim_storage::stats::TableStats;
 use redsim_storage::table::{SortKeySpec, WriteCheckpoint};
 use redsim_testkit::sync::{MutexGuard, RwLockWriteGuard};
 use std::sync::atomic::Ordering;
@@ -333,8 +334,10 @@ impl Cluster {
         // encoded a group, another errored) must not leave stray rows
         // or a drifted round-robin cursor behind.
         let guard = self.begin_write(&entry);
+        let folded = TableStats::of(&batch);
         self.compute.append(&entry, batch, true)?;
         *entry.rows_estimate.write() += n_rows;
+        entry.fold_stats(&folded);
         guard.commit(txn.txn)?;
         Ok(ExecSummary { rows_affected: n_rows, message: format!("INSERT 0 {n_rows}") })
     }
@@ -390,8 +393,10 @@ impl Cluster {
         // Client-side encrypted sources carry a hex key in the statement.
         let source_key = c.decrypt_key.as_deref().map(parse_hex_key).transpose()?;
         // Parse objects in parallel (each slice "reading data in
-        // parallel"), then route + append.
-        let texts: Vec<Result<Vec<ColumnData>>> = parallel_map(keys, |key| {
+        // parallel"), then route + append. STATUPDATE folds each object's
+        // statistics here too: columns still hot, work spread over the
+        // parse threads, and — before routing — ALL rows counted once.
+        let texts = parallel_map(keys, |key| -> Result<(Vec<ColumnData>, Option<TableStats>)> {
             let mut ospan = span.child(LVL_DETAIL, "copy.object");
             if ospan.is_recording() {
                 ospan.attr("object", key.clone());
@@ -427,23 +432,24 @@ impl Cluster {
             }
             let text = std::str::from_utf8(&bytes)
                 .map_err(|_| RsError::Analysis(format!("{key}: not UTF-8")))?;
-            let parsed = match c.format {
+            let cols = match c.format {
                 ast::CopyFormat::Csv => loader::parse_csv(text, c.delimiter, &entry.schema),
                 ast::CopyFormat::Json => loader::parse_json_lines(text, &entry.schema),
-            };
+            }?;
             if ospan.is_recording() {
-                if let Ok(cols) = &parsed {
-                    ospan.attr("rows", cols.first().map_or(0, |col| col.len()));
-                }
+                ospan.attr("rows", cols.first().map_or(0, |col| col.len()));
             }
-            parsed
+            let stats = c.stat_update.then(|| TableStats::of(&cols));
+            Ok((cols, stats))
         });
         let mut loaded = 0u64;
+        let mut folded = Vec::new();
         {
             let mut aspan = span.child(LVL_PHASE, "copy.append");
             for t in texts {
-                let batch = t?;
+                let (batch, stats) = t?;
                 loaded += batch.first().map_or(0, |col| col.len()) as u64;
+                folded.extend(stats);
                 self.compute.append(&entry, batch, false)?;
             }
             aspan.attr("rows", loaded);
@@ -474,14 +480,17 @@ impl Cluster {
                 .with_note(&format!(" (COPY seal failed on {n} of {total} slices: [{detail}])")));
         }
         *entry.rows_estimate.write() += loaded;
-        *entry.loads_since_analyze.write() += loaded;
         // STATUPDATE: refresh optimizer statistics with the load (§2.1:
         // "By default, compression scheme and optimizer statistics are
-        // updated with load").
+        // updated with load") by merging the per-object partials: work
+        // proportional to the load, not the table. Without it the rows
+        // count as stale for the maintenance advisor.
         if c.stat_update {
-            let aspan = span.child(LVL_PHASE, "copy.analyze");
-            self.analyze_entry(&entry)?;
-            aspan.finish();
+            let mut aspan = span.child(LVL_PHASE, "copy.analyze");
+            folded.iter().for_each(|stats| entry.fold_stats(stats));
+            aspan.attr("rows", loaded);
+        } else {
+            *entry.loads_since_analyze.write() += loaded;
         }
         if span.is_recording() {
             span.attr("rows", loaded);

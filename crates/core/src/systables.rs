@@ -21,7 +21,9 @@
 //! | `svl_query_report`  | `SVL_QUERY_REPORT`  | `profile.step` spans (one row per query × slice × step) |
 //! | `stl_wlm_rule_action` | `STL_WLM_RULE_ACTION` | `wlm_rule_action` spans (QMR firings) |
 //! | `stl_tr_conflict`   | `STL_TR_CONFLICT`   | `tr_conflict` spans (serializable-isolation aborts) |
+//! | `svv_table_info`    | `SVV_TABLE_INFO`    | live [`Catalog`] table state (row estimate vs statistics) |
 
+use crate::catalog::Catalog;
 use crate::session::SessionManager;
 use crate::wlm::WlmController;
 use redsim_common::{ColumnData, ColumnDef, DataType, FxHashMap, Result, RsError, Schema, Value};
@@ -32,7 +34,7 @@ use redsim_obs::{SpanRecord, TraceSink};
 use redsim_storage::table::{ScanOutput, ScanPredicate, SortKeySpec};
 
 /// The virtual tables the leader recognizes.
-pub const SYSTEM_TABLES: [&str; 11] = [
+pub const SYSTEM_TABLES: [&str; 12] = [
     "stl_query",
     "stl_explain",
     "svl_query_metrics",
@@ -44,6 +46,7 @@ pub const SYSTEM_TABLES: [&str; 11] = [
     "svl_query_report",
     "stl_wlm_rule_action",
     "stl_tr_conflict",
+    "svv_table_info",
 ];
 
 /// Is `name` a leader-side system table?
@@ -151,6 +154,14 @@ fn schema_of(table: &str) -> Schema {
             ColumnDef::new("table_name", DataType::Varchar),
             ColumnDef::new("abort_time_us", DataType::Int8),
         ],
+        "svv_table_info" => vec![
+            ColumnDef::new("table", DataType::Varchar),
+            ColumnDef::new("diststyle", DataType::Varchar),
+            ColumnDef::new("tbl_rows", DataType::Int8),
+            ColumnDef::new("stats_off", DataType::Float8),
+            ColumnDef::new("unsorted", DataType::Float8),
+            ColumnDef::new("loads_since_analyze", DataType::Int8),
+        ],
         _ => unreachable!("not a system table: {table}"),
     };
     Schema::new(cols).expect("system table schemas are well-formed")
@@ -172,6 +183,7 @@ fn materialize(
     wlm: Option<&WlmController>,
     faults: Option<&FaultRegistry>,
     sessions: Option<&SessionManager>,
+    catalog: Option<&Catalog>,
     table: &str,
 ) -> Vec<ColumnData> {
     let schema = schema_of(table);
@@ -322,6 +334,38 @@ fn materialize(
             }
             return cols;
         }
+        "svv_table_info" => {
+            // Is a table's statistics record current? `stats_off` is how
+            // far its row count sits from the running estimate (every
+            // load adds to the estimate; only STATUPDATE loads, INSERT
+            // and ANALYZE reach the statistics), NULL if it has none.
+            let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
+            for t in catalog.into_iter().flat_map(Catalog::tables) {
+                let rows = *t.rows_estimate.read();
+                let stats_rows = t.stats.read().as_ref().map(|s| s.rows);
+                let (stored, unsorted) = t.slices.iter().fold((0, 0), |(n, u), s| {
+                    let s = s.lock();
+                    (n + s.row_count(), u + s.unsorted_rows())
+                });
+                let diststyle = match &t.dist_style {
+                    DistStyle::Even => "EVEN".to_string(),
+                    DistStyle::All => "ALL".to_string(),
+                    DistStyle::Key(c) => format!("KEY({})", t.schema.column(*c).name),
+                };
+                push(vec![
+                    Value::Str(t.name.clone()),
+                    Value::Str(diststyle),
+                    Value::Int8(rows as i64),
+                    stats_rows.map_or(Value::Null, |s| Value::Float8(pct(rows.abs_diff(s), rows))),
+                    match t.sort_key {
+                        SortKeySpec::None => Value::Null, // nothing to be sorted by
+                        _ => Value::Float8(pct(unsorted, stored)),
+                    },
+                    Value::Int8(*t.loads_since_analyze.read() as i64),
+                ]);
+            }
+            return cols;
+        }
         _ => {}
     }
     for r in query_spans(sink) {
@@ -386,6 +430,7 @@ impl SystemTables {
         wlm: Option<&WlmController>,
         faults: Option<&FaultRegistry>,
         sessions: Option<&SessionManager>,
+        catalog: Option<&Catalog>,
         referenced: &[&str],
     ) -> SystemTables {
         let mut tables = FxHashMap::default();
@@ -393,7 +438,7 @@ impl SystemTables {
             let lower = name.to_ascii_lowercase();
             if is_system_table(&lower) && !tables.contains_key(&lower) {
                 let schema = schema_of(&lower);
-                let cols = materialize(sink, wlm, faults, sessions, &lower);
+                let cols = materialize(sink, wlm, faults, sessions, catalog, &lower);
                 tables.insert(lower, (schema, cols));
             }
         }
@@ -483,6 +528,7 @@ mod tests {
         assert!(is_system_table("svl_query_report"));
         assert!(is_system_table("STL_WLM_RULE_ACTION"));
         assert!(is_system_table("stl_tr_conflict"));
+        assert!(is_system_table("SVV_TABLE_INFO"));
         assert!(!is_system_table("users"));
     }
 
@@ -496,7 +542,7 @@ mod tests {
             let _ = reg.fire(fp::S3_GET);
         }
         assert!(matches!(reg.fire(fp::S3_GET), Outcome::Proceed));
-        let sys = SystemTables::capture(&sink, None, Some(&reg), None, &["stl_fault_event"]);
+        let sys = SystemTables::capture(&sink, None, Some(&reg), None, None, &["stl_fault_event"]);
         let out = sys
             .scan_slice("stl_fault_event", 0, &[0, 2, 3, 4], &ScanPredicate::default())
             .unwrap();
@@ -506,7 +552,7 @@ mod tests {
         assert_eq!(b[2].get(0).as_str(), Some("err"));
         assert_eq!(b[3].get(0).as_str(), Some("throttle"));
         // Without a registry the table is empty but bindable.
-        let sys2 = SystemTables::capture(&sink, None, None, None, &["stl_fault_event"]);
+        let sys2 = SystemTables::capture(&sink, None, None, None, None, &["stl_fault_event"]);
         let empty =
             sys2.scan_slice("stl_fault_event", 0, &[0], &ScanPredicate::default()).unwrap();
         assert!(empty.batches.is_empty());
@@ -527,6 +573,7 @@ mod tests {
             Some(&ctl),
             None,
             None,
+            None,
             &["stl_wlm_query", "stv_wlm_service_class_state"],
         );
         let wq =
@@ -540,7 +587,7 @@ mod tests {
             .unwrap();
         assert_eq!(sc.batches[0][0].len(), 2, "q1 + sqa lane rows");
         // Without a controller the STV table is empty but bindable.
-        let sys2 = SystemTables::capture(&sink, None, None, None, &["stv_wlm_service_class_state"]);
+        let sys2 = SystemTables::capture(&sink, None, None, None, None, &["stv_wlm_service_class_state"]);
         let empty = sys2
             .scan_slice("stv_wlm_service_class_state", 0, &[0], &ScanPredicate::default())
             .unwrap();
@@ -559,6 +606,7 @@ mod tests {
             None,
             None,
             Some(&mgr),
+            None,
             &["stv_sessions", "stl_connection_log"],
         );
         let s = sys
@@ -579,7 +627,7 @@ mod tests {
     #[test]
     fn stl_query_materializes_one_row_per_span() {
         let sink = sink_with_queries(3);
-        let sys = SystemTables::capture(&sink, None, None, None, &["stl_query"]);
+        let sys = SystemTables::capture(&sink, None, None, None, None, &["stl_query"]);
         let out = sys.scan_slice("stl_query", 0, &[0, 5], &ScanPredicate::default()).unwrap();
         assert_eq!(out.batches.len(), 1);
         let ids = &out.batches[0][0];
@@ -592,7 +640,7 @@ mod tests {
     #[test]
     fn stl_explain_splits_plan_lines() {
         let sink = sink_with_queries(1);
-        let sys = SystemTables::capture(&sink, None, None, None, &["stl_explain"]);
+        let sys = SystemTables::capture(&sink, None, None, None, None, &["stl_explain"]);
         let out = sys.scan_slice("stl_explain", 0, &[0, 1, 2], &ScanPredicate::default()).unwrap();
         let steps = &out.batches[0][1];
         assert_eq!(steps.len(), 2, "two plan lines → two rows");
@@ -625,7 +673,7 @@ mod tests {
                 );
             }
         }
-        let sys = SystemTables::capture(&sink, None, None, None, &["svl_query_report"]);
+        let sys = SystemTables::capture(&sink, None, None, None, None, &["svl_query_report"]);
         let out = sys
             .scan_slice("svl_query_report", 0, &[0, 1, 2, 3, 6], &ScanPredicate::default())
             .unwrap();
@@ -640,7 +688,7 @@ mod tests {
     #[test]
     fn empty_sink_yields_empty_tables() {
         let sink = Arc::new(TraceSink::with_level(LVL_CORE));
-        let sys = SystemTables::capture(&sink, None, None, None, &["svl_query_metrics"]);
+        let sys = SystemTables::capture(&sink, None, None, None, None, &["svl_query_metrics"]);
         let out =
             sys.scan_slice("svl_query_metrics", 0, &[0], &ScanPredicate::default()).unwrap();
         assert!(out.batches.is_empty());

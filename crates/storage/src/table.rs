@@ -15,7 +15,7 @@
 use crate::analyzer::{analyze_compression, DEFAULT_SAMPLE_ROWS};
 use crate::block::{BlockId, EncodedBlock};
 use crate::encoding::{decode_column, encode_column, Encoding};
-use crate::stats::StatsBuilder;
+use crate::stats::TableStats;
 use crate::store::BlockStore;
 use crate::zonemap::ZoneMap;
 use redsim_common::codec::{Reader, Writer};
@@ -594,10 +594,10 @@ impl SliceTable {
     }
 
     /// Compute full table statistics (ANALYZE) for this slice.
-    pub fn analyze(&self, store: &dyn BlockStore) -> Result<StatsBuilder> {
+    pub fn analyze(&self, store: &dyn BlockStore) -> Result<TableStats> {
         let all: Vec<usize> = (0..self.schema.len()).collect();
         let scanned = self.scan(store, &all, None)?;
-        let mut b = StatsBuilder::new(self.schema.len());
+        let mut b = TableStats::new(self.schema.len());
         for batch in &scanned.batches {
             b.update(batch);
         }

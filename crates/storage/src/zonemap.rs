@@ -155,7 +155,7 @@ pub fn decode_value(r: &mut Reader) -> Result<Value> {
     })
 }
 
-fn encode_value_opt(w: &mut Writer, v: &Option<Value>) {
+pub(crate) fn encode_value_opt(w: &mut Writer, v: &Option<Value>) {
     match v {
         Some(v) => {
             w.put_bool(true);
@@ -165,7 +165,7 @@ fn encode_value_opt(w: &mut Writer, v: &Option<Value>) {
     }
 }
 
-fn decode_value_opt(r: &mut Reader) -> Result<Option<Value>> {
+pub(crate) fn decode_value_opt(r: &mut Reader) -> Result<Option<Value>> {
     if r.get_bool()? {
         Ok(Some(decode_value(r)?))
     } else {

@@ -331,14 +331,13 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Warm up, calibrate iterations-per-sample to the target sample
-    /// duration, then time `tuning.samples` samples.
-    pub fn iter<O>(&mut self, mut f: impl FnMut() -> O) {
-        // Warmup + calibration.
+    /// Warm up and calibrate iterations-per-sample to the target sample
+    /// duration, by wall time of `once` (all of it, timed or not).
+    fn calibrate(&self, mut once: impl FnMut()) -> u64 {
         let warm_start = Instant::now();
         let mut warm_iters = 0u64;
         loop {
-            black_box(f());
+            once();
             warm_iters += 1;
             if warm_start.elapsed() >= self.tuning.warmup || warm_iters >= 1_000 {
                 break;
@@ -346,9 +345,14 @@ impl Bencher {
         }
         let per_iter_ns =
             (warm_start.elapsed().as_nanos() as f64 / warm_iters as f64).max(1.0);
-        let iters = ((self.tuning.target_sample.as_nanos() as f64 / per_iter_ns) as u64)
-            .clamp(1, 10_000_000);
+        ((self.tuning.target_sample.as_nanos() as f64 / per_iter_ns) as u64).clamp(1, 10_000_000)
+    }
 
+    /// Warm up, calibrate, then time `tuning.samples` samples.
+    pub fn iter<O>(&mut self, mut f: impl FnMut() -> O) {
+        let iters = self.calibrate(|| {
+            black_box(f());
+        });
         let mut samples_ns = Vec::with_capacity(self.tuning.samples);
         for _ in 0..self.tuning.samples {
             let t = Instant::now();
@@ -356,6 +360,32 @@ impl Bencher {
                 black_box(f());
             }
             samples_ns.push(t.elapsed().as_nanos() as f64 / iters as f64);
+        }
+        self.result = Some((iters, samples_ns));
+    }
+
+    /// Like [`Bencher::iter`], but every iteration gets a fresh input
+    /// from `setup`, whose time is not counted (criterion's
+    /// `iter_batched`): for routines that consume or dirty their input,
+    /// such as the n-th COPY into a table.
+    pub fn iter_batched<I, O>(
+        &mut self,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+    ) {
+        let iters = self.calibrate(|| {
+            black_box(routine(setup()));
+        });
+        let mut samples_ns = Vec::with_capacity(self.tuning.samples);
+        for _ in 0..self.tuning.samples {
+            let mut timed = Duration::ZERO;
+            for _ in 0..iters {
+                let input = setup();
+                let t = Instant::now();
+                black_box(routine(input));
+                timed += t.elapsed();
+            }
+            samples_ns.push(timed.as_nanos() as f64 / iters as f64);
         }
         self.result = Some((iters, samples_ns));
     }
@@ -680,6 +710,27 @@ mod tests {
         assert!(json.contains("\"harness\": \"jsum\""));
         assert!(json.contains("quote\\\"in\\\"name"));
         assert!(json.contains("\"p50_ns\""));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn iter_batched_times_the_routine_only() {
+        let dir = temp_dir("batched");
+        let mut b = quick_bench("batched", &dir);
+        let mut setups = 0u64;
+        b.bench_function("cheap_routine_slow_setup", |b| {
+            b.iter_batched(
+                || {
+                    setups += 1;
+                    std::thread::sleep(Duration::from_micros(300));
+                    setups
+                },
+                |n| n + 1,
+            )
+        });
+        let records = b.finish();
+        assert!(setups > records[0].samples as u64, "fresh input per iteration");
+        assert!(records[0].p50_ns < 100_000.0, "setup's 300 µs leaked in: {:?}", records[0]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

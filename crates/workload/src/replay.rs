@@ -16,7 +16,7 @@
 
 use crate::config::{QueryClass, WorkloadConfig};
 use crate::synth::{copy_object_body, OpKind, Schedule, ScheduledOp};
-use redsim_common::{FxHashMap, Result};
+use redsim_common::{FxHashMap, Result, RetryPolicy};
 use redsim_core::{Cluster, Session, SessionOpts, WlmAccounting};
 use redsim_obs::Histogram;
 use redsim_simkit::{SimTime, VirtualClock};
@@ -328,21 +328,16 @@ fn run_op(
             // Concurrent writers into one table resolve first-committer-
             // wins: the loser sees a retryable serializable-isolation
             // error. Retry like a real ETL client — every conflict means
-            // some other writer committed, so progress is guaranteed.
-            let mut err = true;
-            for _ in 0..64 {
-                match session.execute(&copy) {
-                    Ok(_) => {
-                        err = false;
-                        break;
-                    }
-                    Err(e) if e.is_retryable() => {
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    Err(_) => break,
-                }
-            }
+            // some other writer is committing, so sleep (briefly, growing)
+            // until it has: bounded by time, since on few cores a spinning
+            // loser can burn any fixed attempt count before the winner
+            // gets to run.
+            let policy = RetryPolicy::default()
+                .with_max_attempts(u32::MAX)
+                .with_delays(Duration::from_micros(100), Duration::from_millis(5))
+                .with_deadline(Duration::from_secs(10))
+                .with_seed(op.tenant as u64);
+            let err = policy.run("replay.copy", || session.execute(&copy)).is_err();
             (false, err)
         }
     };

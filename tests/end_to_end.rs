@@ -363,3 +363,75 @@ fn copy_ingests_compressed_and_encrypted_sources() {
         .unwrap();
     assert_eq!(s.rows_affected, 2_000);
 }
+
+/// Three analyzed rows, then 50,000 loaded with STATUPDATE OFF: the
+/// statistics say 3 rows, the running estimate says 50,003. The planner
+/// must go by the estimate (broadcast the 3-row `d`, not redistribute
+/// both sides), and `svv_table_info` must show the gap until ANALYZE.
+#[test]
+fn stale_statistics_neither_steer_the_planner_nor_hide() {
+    let c = launch("stale");
+    c.execute("CREATE TABLE t (k BIGINT, v BIGINT) DISTKEY(k)").unwrap();
+    c.execute("CREATE TABLE d (w BIGINT)").unwrap();
+    c.put_s3_object("small/1", b"1,1\n2,2\n3,3\n".to_vec());
+    c.put_s3_object("dim/1", b"1\n2\n3\n".to_vec());
+    let big: String = (0..50_000).map(|i| format!("{i},{}\n", i % 3)).collect();
+    c.put_s3_object("big/1", big.into_bytes());
+    c.execute("COPY t FROM 's3://small/'").unwrap();
+    c.execute("COPY d FROM 's3://dim/'").unwrap();
+    c.execute("COPY t FROM 's3://big/' STATUPDATE OFF").unwrap();
+    assert_eq!(c.table_stats("t").unwrap().rows, 3, "STATUPDATE OFF leaves statistics alone");
+    assert_eq!(c.rows_estimate("t"), Some(50_003));
+
+    let explain = |c: &Cluster| {
+        let plan = c.query("EXPLAIN SELECT COUNT(*) FROM t JOIN d ON t.v = d.w").unwrap();
+        format!("{:?}", plan.rows)
+    };
+    let info = |c: &Cluster| {
+        // `table` and `diststyle` are keywords here, as `table` is in Redshift.
+        let q = "SELECT stats_off, tbl_rows, loads_since_analyze, \"diststyle\" \
+                 FROM svv_table_info WHERE \"table\" = 't'";
+        c.query(q).unwrap().rows[0].clone()
+    };
+    let stale_plan = explain(&c);
+    assert!(stale_plan.contains("DS_BCAST_INNER"), "planned with stale rows: {stale_plan}");
+    let stale = info(&c);
+    assert!(stale.get(0).as_f64().unwrap() > 99.0, "{stale:?}");
+    assert_eq!(stale.get(1).as_i64(), Some(50_003));
+    assert_eq!(stale.get(2).as_i64(), Some(50_000));
+    assert_eq!(stale.get(3).as_str(), Some("KEY(k)"));
+
+    c.execute("ANALYZE t").unwrap();
+    assert_eq!(explain(&c), stale_plan, "ANALYZE has nothing left to correct");
+    let fresh = info(&c);
+    assert_eq!(fresh.get(0).as_f64(), Some(0.0));
+    assert_eq!(fresh.get(2).as_i64(), Some(0));
+    // Never-analyzed, never-loaded: no statistics to be off.
+    c.execute("CREATE TABLE e (x BIGINT)").unwrap();
+    let q = "SELECT stats_off, unsorted FROM svv_table_info WHERE \"table\" = 'e'";
+    let empty = c.query(q).unwrap().rows[0].clone();
+    assert!(empty.get(0).is_null() && empty.get(1).is_null(), "{empty:?}");
+}
+
+/// INSERT reaches the statistics: after a STATUPDATE COPY and two
+/// INSERTs the record is what a fresh ANALYZE computes, and the table
+/// needs no auto-ANALYZE.
+#[test]
+fn insert_keeps_statistics_current() {
+    let c = launch("ins-stats");
+    c.execute("CREATE TABLE t (k BIGINT, s VARCHAR(8))").unwrap();
+    c.put_s3_object("in/1", b"1,a\n2,b\n3,\n".to_vec());
+    c.execute("COPY t FROM 's3://in/'").unwrap();
+    c.execute("INSERT INTO t VALUES (40, 'zz'), (2, NULL)").unwrap();
+    c.execute("INSERT INTO t (k) VALUES (41)").unwrap();
+    let folded = c.table_stats("t").unwrap();
+    assert_eq!(folded.rows, 6);
+    assert_eq!(folded.columns[0].max.as_ref().and_then(|v| v.as_i64()), Some(41));
+    assert_eq!(folded.columns[0].ndv(), 5.0);
+    assert_eq!(folded.columns[1].nulls, 3);
+    assert!(c.maintenance_tick(&Default::default()).unwrap().iter().all(|a| {
+        !matches!(a, redshift_sim::core::MaintenanceAction::Analyze { .. })
+    }));
+    c.execute("ANALYZE t").unwrap();
+    assert_eq!(c.table_stats("t").unwrap(), folded, "ANALYZE recomputes the folded record");
+}

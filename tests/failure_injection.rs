@@ -445,6 +445,8 @@ struct PreWrite {
     loads_since_analyze: u64,
     rows_loaded_counter: u64,
     local_bytes: u64,
+    /// The statement folds its rows into these before it commits.
+    stats: Option<redshift_sim::storage::stats::TableStats>,
 }
 
 fn pre_write(c: &Cluster, table: &str) -> PreWrite {
@@ -460,6 +462,7 @@ fn pre_write(c: &Cluster, table: &str) -> PreWrite {
         loads_since_analyze: c.loads_since_analyze(table),
         rows_loaded_counter: c.trace().counter("copy.rows_loaded").get(),
         local_bytes: c.replicated_store().unwrap().local_bytes(),
+        stats: c.table_stats(table),
     }
 }
 
@@ -479,6 +482,7 @@ fn assert_unchanged(c: &Cluster, table: &str, pre: &PreWrite, ctx: &str) {
         post.local_bytes, pre.local_bytes,
         "{ctx}: orphan blocks left on the nodes"
     );
+    assert_eq!(post.stats, pre.stats, "{ctx}: statistics kept the failed load's rows");
 }
 
 #[test]

@@ -1765,6 +1765,172 @@ fn recovery_replays_exactly_the_committed_prefix() {
 }
 
 // ---------------------------------------------------------------------
+// Load-time statistics equal ANALYZE's.
+// ---------------------------------------------------------------------
+//
+// COPY (STATUPDATE) and INSERT fold the statistics of the rows they load
+// into the table's record instead of rescanning the table. The record is
+// a merge of additive fields and set-union sketches, so the fold must
+// equal — field for field, sketches hash for hash, hence `ndv` and
+// `avg_width` bit for bit — what `ANALYZE` then computes from a scan, and
+// must keep doing so after the record has travelled through a redo
+// delta, a checkpoint, a snapshot manifest or a resize.
+
+mod stats_support {
+    use redshift_sim::testkit::rng::{Pcg32, Rng};
+
+    pub const DDL_COLUMNS: &str = "b BOOLEAN, i2 SMALLINT, i4 INTEGER, k BIGINT, f FLOAT8, \
+                                   v VARCHAR(16), d DATE, ts TIMESTAMP, m DECIMAL(12,2)";
+
+    /// One generated row: per column `None` = NULL, else the value's CSV
+    /// text. Small domains so batches repeat values (ndv < rows) and wide
+    /// ones so sketches fill.
+    pub fn row(rng: &mut Pcg32) -> Vec<Option<String>> {
+        let wide = rng.gen_bool(0.5);
+        let span = if wide { 100_000 } else { 12 };
+        let strs = ["a", "ab", "redshift", "naïve", "日本", "x y", "-"];
+        let cells = vec![
+            ["t", "f"][rng.gen_index(2)].to_string(),
+            rng.gen_range(-300i64..300).to_string(),
+            rng.gen_range(-span..span).to_string(),
+            (rng.gen_range(0..span) * 1024 - span).to_string(),
+            ["-0.0", "0.0", "1.5", "-2.25", "1e300"][rng.gen_index(5)].to_string(),
+            if wide { rng.alphanumeric(6) } else { strs[rng.gen_index(strs.len())].to_string() },
+            format!("20{:02}-{:02}-15", rng.gen_range(0..30), rng.gen_range(1..13)),
+            format!("2015-05-{:02} 10:{:02}:00", rng.gen_range(1..29), rng.gen_range(0..60)),
+            format!("{}.{:02}", rng.gen_range(-span..span), rng.gen_range(0..100)),
+        ];
+        cells.into_iter().map(|c| (!rng.gen_bool(0.15)).then_some(c)).collect()
+    }
+
+    pub fn csv(rows: &[Vec<Option<String>>]) -> String {
+        let line = |r: &Vec<Option<String>>| {
+            r.iter().map(|c| c.as_deref().unwrap_or("")).collect::<Vec<_>>().join("|")
+        };
+        rows.iter().map(|r| line(r) + "\n").collect()
+    }
+
+    pub fn insert_values(rows: &[Vec<Option<String>>]) -> String {
+        let literal = |col: usize, text: &str| match col {
+            0 => ["FALSE", "TRUE"][(text == "t") as usize].to_string(),
+            5 => format!("'{text}'"),
+            6 => format!("DATE '{text}'"),
+            7 => format!("TIMESTAMP '{text}'"),
+            _ => text.to_string(),
+        };
+        let tuple = |r: &Vec<Option<String>>| {
+            let cells = r.iter().enumerate().map(|(i, c)| match c {
+                Some(text) => literal(i, text),
+                None => "NULL".to_string(),
+            });
+            format!("({})", cells.collect::<Vec<_>>().join(", "))
+        };
+        rows.iter().map(tuple).collect::<Vec<_>>().join(", ")
+    }
+}
+
+/// (distribution style, schedule of (op, seed)).
+fn arb_stats_case() -> Gen<(usize, Vec<(usize, u64)>)> {
+    prop::pair(
+        prop::range(0usize..3),
+        prop::vec_of(prop::pair(prop::range(0usize..8), prop::any_int::<u64>()), 1..10),
+    )
+}
+
+#[test]
+fn stats_incremental_equals_analyze() {
+    use redshift_sim::replication::SnapshotKind;
+    use redshift_sim::storage::stats::TableStats;
+    use redshift_sim::testkit::rng::{Pcg32, Rng};
+
+    /// The record as it stands must be what ANALYZE computes next.
+    fn assert_current(c: &Cluster, ctx: &str) {
+        // Never loaded = the empty record, which is where a fold starts.
+        let folded = c.table_stats("s").or_else(|| Some(TableStats::new(9)));
+        let estimate = c.rows_estimate("s");
+        c.execute("ANALYZE s").unwrap();
+        assert_eq!(folded, c.table_stats("s"), "{ctx}: folded statistics differ from ANALYZE");
+        assert_eq!(estimate, c.rows_estimate("s"), "{ctx}: rows_estimate drifted");
+        assert_eq!(c.loads_since_analyze("s"), 0);
+    }
+
+    let cfg = Config::with_cases(24).regressions_file(regressions());
+    prop::check("stats_incremental_equals_analyze", &cfg, &arb_stats_case(), |(dist, schedule)| {
+        let dist = ["DISTKEY(k)", "DISTSTYLE EVEN", "DISTSTYLE ALL"][*dist];
+        let mut c = Cluster::launch(
+            ClusterConfig::new("stats-prop").nodes(2).slices_per_node(2).rows_per_group(32),
+        )
+        .unwrap();
+        c.execute(&format!("CREATE TABLE s ({}) {dist}", stats_support::DDL_COLUMNS)).unwrap();
+        // A restored cluster can neither snapshot nor crash again.
+        let mut restored = false;
+        for (step, (op, seed)) in schedule.iter().enumerate() {
+            let mut rng = Pcg32::seed_from_u64(*seed);
+            let ctx = format!("step {step} op {op} {dist}");
+            let rows = |rng: &mut Pcg32, n: usize| -> Vec<_> {
+                (0..n).map(|_| stats_support::row(rng)).collect()
+            };
+            let stage = |c: &Cluster, rng: &mut Pcg32| {
+                for object in 0..rng.gen_range(1usize..7) {
+                    let n = rng.gen_range(0usize..120);
+                    let body = stats_support::csv(&rows(rng, n));
+                    c.put_s3_object(&format!("st/{step}/{object}"), body.into_bytes());
+                }
+                format!("COPY s FROM 's3://st/{step}/' DELIMITER '|'")
+            };
+            // Lifecycle steps carry the record as it is — no ANALYZE first,
+            // so what a redo delta or manifest brings back is a *folded*
+            // record — and the check runs on the far side.
+            match op {
+                0..=2 => {
+                    c.execute(&stage(&c, &mut rng)).unwrap();
+                }
+                3 => {
+                    let n = rng.gen_range(1usize..5);
+                    let values = stats_support::insert_values(&rows(&mut rng, n));
+                    c.execute(&format!("INSERT INTO s VALUES {values}")).unwrap();
+                }
+                4 => {
+                    let before = c.table_stats("s");
+                    c.execute(&format!("{} STATUPDATE OFF", stage(&c, &mut rng))).unwrap();
+                    let after = c.table_stats("s");
+                    assert_eq!(after, before, "{ctx}: STATUPDATE OFF touched statistics");
+                    // Stale by construction; ANALYZE before comparing again.
+                    c.execute("ANALYZE s").unwrap();
+                }
+                5 if !restored => c = Cluster::recover(c.crash().unwrap()).unwrap(),
+                6 if !restored => {
+                    c.create_snapshot("p", SnapshotKind::User).unwrap();
+                    let from = c.config().clone();
+                    c = Cluster::restore_from_snapshot(
+                        ClusterConfig::new(format!("stats-prop-r{step}"))
+                            .nodes(from.nodes)
+                            .slices_per_node(from.slices_per_node),
+                        Arc::clone(c.s3()),
+                        "us-east-1",
+                        &from.name,
+                        "p",
+                        None,
+                    )
+                    .unwrap();
+                    while c.hydrate_step(64).unwrap() > 0 {}
+                    restored = true;
+                }
+                _ => {
+                    let (nodes, slices) = [(1, 2), (3, 1), (2, 2)][rng.gen_index(3)];
+                    c = c.resize(nodes, slices).unwrap();
+                    restored = false;
+                }
+            }
+            let next_is_lifecycle = schedule.get(step + 1).is_some_and(|(op, _)| *op >= 5);
+            if !next_is_lifecycle {
+                assert_current(&c, &ctx);
+            }
+        }
+    });
+}
+
+// ---------------------------------------------------------------------
 // Vectorized kernels are bit-identical to the interpreter.
 // ---------------------------------------------------------------------
 //
