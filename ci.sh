@@ -168,22 +168,38 @@ echo "== workload replay invariants (quick property pass) =="
 RSIM_PROP_CASES=4 cargo test -q --offline --test properties workload_
 
 echo "== vectorized-kernel invariants (quick property pass) =="
-# Differential fuzz of the typed columnar kernels against the boxed
-# interpreter: random batches (NULLs, NaN/±0/±inf float specials,
-# i64::MAX/MIN, multi-byte text) under random predicate trees with
-# arithmetic operands and LIKE shapes must agree bit-for-bit whenever
-# the kernel path covers the expression; where the interpreter raises
-# (overflow, x / 0, x % 0) the kernel must decline; narrowing a
-# selection conjunct by conjunct must equal evaluating every conjunct
-# over all rows; and coverage itself is asserted (>80% of the trees the
-# interpreter can evaluate). NaN total-order comparisons are pinned
-# exhaustively. vector_aggregates_match_value_path holds the typed
-# accumulators to the row-at-a-time AggState path (NULLs, NaN, ±0,
-# sums wrapping past i64::MAX, filters that keep nothing, empty
-# tables), and vector_predicate_fallback_* pins exec.predicate_fallback
-# at 0 on the benchmark's statement shapes and non-zero on a CASE/cast
-# predicate. Reproduce with RSIM_SEED=<seed>.
+# The engine has two expression evaluators: the typed columnar kernels
+# and the row interpreter (`interp::eval_row`), which is the reference —
+# and the fallback the binder runs for whatever the kernels decline.
+# Differential fuzz of the first against the second: random batches
+# (NULLs, NaN/±0/±inf float specials, i64::MAX/MIN, multi-byte text)
+# under random predicate trees with arithmetic operands and LIKE shapes
+# must agree bit-for-bit whenever the kernel path covers the
+# expression; where the reference raises (overflow, x / 0, x % 0 — the
+# f64 lane included) the kernel must decline; a chain's kernel answer,
+# when given, is the reference's short-circuit answer for the chain;
+# and coverage itself is asserted (>80% of the trees the reference can
+# evaluate). NaN total-order comparisons are pinned exhaustively.
+# vector_aggregates_match_value_path holds the typed accumulators to
+# the row-at-a-time AggState path (NULLs, NaN, ±0, sums wrapping past
+# i64::MAX, filters that keep nothing, empty tables), and
+# vector_interp_fallback_* pins exec.interp_fallback at 0 on the
+# benchmark's statement shapes (adhoc_scan, star_join, dashboards) and
+# non-zero on a cast/CASE predicate, a function projection or sort key,
+# and a CASE group key or aggregate argument. Reproduce with
+# RSIM_SEED=<seed>.
 RSIM_PROP_CASES=4 cargo test -q --offline --test properties vector_
+
+echo "== one expression semantics (quick differential pass) =="
+# The production engine and the row-store baseline answer the same rows
+# or raise the same error code on a panel with one shape per arm of the
+# `Value` evaluator (casts from strings, guarded and unguarded
+# division, INT/SMALLINT width overflow, DECIMAL arithmetic, functions,
+# CASE as group key / aggregate argument, ORDER BY an expression); the
+# two user-facing bugs that one semantics closed stay closed.
+RSIM_PROP_CASES=4 cargo test -q --offline --test properties compiled_equals_interpreted
+cargo test -q --offline --test end_to_end insert_parses_strings
+cargo test -q --offline --test end_to_end guards_protect_division
 
 echo "== frontdoor wire-server smoke (64 concurrent sessions) =="
 # The concurrent TCP server end to end: 64 clients, backlog rejection

@@ -7,9 +7,10 @@
 //!
 //! * `scan_pipeline` — the same scan→filter→aggregate loop twice: once
 //!   through the typed kernels (`engine::kernels`, what
-//!   `eval_predicate` runs), once through the `Value`-boxed interpreter
-//!   fallback, for five predicate shapes: the original two-lane
-//!   comparison (`kernel` / `interp`), an arithmetic operand (`arith`),
+//!   `eval_predicate` runs), once through the row interpreter
+//!   (`interp::eval_row`: the reference, and production's fallback),
+//!   for five predicate shapes: the original two-lane comparison
+//!   (`kernel` / `interp`), an arithmetic operand (`arith`),
 //!   `LIKE` with a prefix pattern (`like_prefix`) and with one that
 //!   needs backtracking (`like_general`). Each pair must return
 //!   identical selections (asserted per batch before timing).
@@ -203,7 +204,7 @@ fn bench_scan_pipeline(b: &mut Bench, batches: &[Vec<ColumnData>]) {
     let provider = OneSlice(batches);
     let store = row_store(batches);
     let typed = Executor::new(&provider).run(&plan).unwrap();
-    assert_eq!(typed.metrics.predicate_fallback, 0, "minmax filter left the kernels");
+    assert_eq!(typed.metrics.interp_fallback, 0, "minmax filter left the kernels");
     assert_eq!(typed.rows, baseline::run_plan(&plan, &store).unwrap(), "typed/row aggregate disagreement");
 
     let mut g = b.group("scan_pipeline");

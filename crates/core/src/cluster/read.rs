@@ -169,10 +169,10 @@ impl Cluster {
         out.metrics.queue_wait_ns = queue_wait_ns;
         out.metrics.exec_ns = exec_ns;
         out.metrics.compile_ns = compile_ns;
-        // Batches whose predicate the typed kernels declined. Zero is
-        // the expected value; anything else says which statement fell
-        // off the fast path (EXPLAIN ANALYZE prints it per statement).
-        self.trace().counter("exec.predicate_fallback").add(out.metrics.predicate_fallback);
+        // Batches the binder handed to the row interpreter. Zero is the
+        // expected value; anything else says which statement fell off
+        // the fast path (EXPLAIN ANALYZE prints it per statement).
+        self.trace().counter("exec.interp_fallback").add(out.metrics.interp_fallback);
         if espan.is_recording() {
             espan.attr("slices", view.total_slices);
             espan.attr("rows_out", out.rows.len());
@@ -236,8 +236,8 @@ impl Cluster {
                 }
             }
             // The root line also carries the statement's count of
-            // batches that fell back to the boxed predicate interpreter.
-            let fallback = format!(" predicate_fallback={}", out.metrics.predicate_fallback);
+            // batches that fell back to the row interpreter.
+            let fallback = format!(" interp_fallback={}", out.metrics.interp_fallback);
             let annotated = QueryResult::plan_rows(plan_text, |i, l| {
                 let step = i + 1;
                 format!(

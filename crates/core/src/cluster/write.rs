@@ -10,7 +10,7 @@ use crate::session::SessionCtx;
 use redsim_common::{ColumnData, ColumnDef, Result, RsError, Schema, Value};
 use redsim_distribution::DistStyle;
 use redsim_obs::{AttrValue, LVL_CORE, LVL_DETAIL, LVL_PHASE};
-use redsim_sql::{ast, Binder};
+use redsim_sql::{ast, Binder, BoundExpr};
 use redsim_storage::stats::TableStats;
 use redsim_storage::table::{SortKeySpec, WriteCheckpoint};
 use redsim_testkit::sync::{MutexGuard, RwLockWriteGuard};
@@ -316,9 +316,10 @@ impl Cluster {
             }
             let mut full: Vec<Value> = vec![Value::Null; entry.schema.len()];
             for (expr, &ci) in row.iter().zip(&target_cols) {
-                let bound = binder.bind_standalone(expr)?;
-                let v = redsim_engine::interp::eval_row(&bound, &[])?;
-                full[ci] = v.coerce_to(entry.schema.column(ci).data_type)?;
+                // A CAST to the column's type: strings parse, as in a query.
+                let to = entry.schema.column(ci).data_type;
+                let bound = BoundExpr::Cast { expr: Box::new(binder.bind_standalone(expr)?), to };
+                full[ci] = redsim_engine::interp::eval_row(&bound, &[])?;
             }
             for (ci, v) in full.iter().enumerate() {
                 if v.is_null() && !entry.schema.column(ci).nullable {

@@ -15,10 +15,9 @@
 //! struct-of-arrays accumulators ([`Acc`]) updated in typed loops
 //! straight off the argument column's payload; DISTINCT, the sketch,
 //! DECIMAL sums and MIN/MAX over VARCHAR, DECIMAL or BOOL keep one
-//! boxed [`AggState`] per group. Arguments and keys that are plain
-//! columns are borrowed, arithmetic ones come from
-//! [`crate::kernels::arith`]; only when neither applies does the boxed
-//! evaluator run, over a dense copy of the selected rows.
+//! boxed [`AggState`] per group. Arguments and keys come from the
+//! binder ([`crate::expr::bind`]): borrowed, computed by a kernel, or —
+//! counted — evaluated by the row interpreter over the selected rows.
 //!
 //! Either table ends as a [`GroupTable`], filled in first-seen order —
 //! the order the boxed path has always inserted in — so the leader's
@@ -26,9 +25,9 @@
 //! depend on which path a fragment took. Row order inside a slice is
 //! preserved throughout, so `f64` sums add up in the same order.
 
-use crate::expr::eval;
+use crate::expr::bind;
 use crate::hashkey::HKey;
-use crate::kernels::{arith, with_ints};
+use crate::kernels::with_ints;
 use crate::selection::Selection;
 use redsim_common::types::cmp_f64;
 use redsim_common::{Bitmap, ColumnData, DataType, FxHashMap, FxHashSet, Result, RsError, Value};
@@ -142,49 +141,27 @@ impl<'a> Groups<'a> {
         }
     }
 
-    /// Fold the selected rows of one batch in.
-    pub(crate) fn update(&mut self, cols: &[ColumnData], sel: &Selection) -> Result<()> {
+    /// Fold the selected rows of one batch in; returns how many keys
+    /// and arguments the row interpreter had to evaluate.
+    pub(crate) fn update(&mut self, cols: &[ColumnData], sel: &Selection) -> Result<u64> {
         if sel.is_empty() {
-            return Ok(());
+            return Ok(0);
         }
         // Keys first, then one entry per aggregate (`None` = COUNT(*)).
-        let (group_by, aggs) = (self.group_by, self.aggs);
-        let exprs = || {
-            group_by
-                .iter()
-                .map(Some)
-                .chain(aggs.iter().map(|a| a.arg.as_ref()))
-        };
-        let typed: Option<Vec<Option<Cow<ColumnData>>>> = exprs()
-            .map(|e| match e {
-                None => Some(None),
-                Some(e) => bind(e, cols, sel.rows()).map(Some),
-            })
-            .collect();
-        match typed {
-            Some(bound) => self.consume(&bound, sel),
-            None => {
-                // Something needs the boxed evaluator: it gets a dense
-                // copy of the survivors, as a filtered batch would be.
-                let dense;
-                let cols = if sel.is_all() {
-                    cols
-                } else {
-                    dense = sel.gather(cols);
-                    &dense
-                };
-                let bound: Vec<Option<Cow<ColumnData>>> = exprs()
-                    .map(|e| {
-                        e.map(|e| eval(e, cols, sel.len()).map(Cow::Owned))
-                            .transpose()
-                    })
-                    .collect::<Result<_>>()?;
-                self.consume(&bound, &Selection::all(sel.len()))
-            }
+        let exprs =
+            (self.group_by.iter().map(Some)).chain(self.aggs.iter().map(|a| a.arg.as_ref()));
+        let mut fallbacks = 0;
+        let mut bound: Vec<Option<Cow<ColumnData>>> = Vec::new();
+        for e in exprs {
+            bound.push(match e {
+                None => None,
+                Some(e) => {
+                    let (col, fell_back) = bind(e, cols, sel)?;
+                    fallbacks += fell_back as u64;
+                    Some(col)
+                }
+            });
         }
-    }
-
-    fn consume(&mut self, bound: &[Option<Cow<ColumnData>>], sel: &Selection) -> Result<()> {
         let (keys, args) = bound.split_at(self.group_by.len());
         let keys: Vec<&ColumnData> = keys
             .iter()
@@ -192,9 +169,10 @@ impl<'a> Groups<'a> {
             .collect();
         let args: Vec<Option<&ColumnData>> = args.iter().map(|a| a.as_deref()).collect();
         match &mut self.table {
-            Table::Typed(t) => t.update(keys.first().copied(), &args, self.aggs, sel),
-            Table::Hashed(t) => update_hashed(t, &keys, &args, self.aggs, sel),
+            Table::Typed(t) => t.update(keys.first().copied(), &args, self.aggs, sel)?,
+            Table::Hashed(t) => update_hashed(t, &keys, &args, self.aggs, sel)?,
         }
+        Ok(fallbacks)
     }
 
     pub(crate) fn into_table(self) -> GroupTable {
@@ -202,20 +180,6 @@ impl<'a> Groups<'a> {
             Table::Typed(t) => t.into_table(),
             Table::Hashed(t) => t,
         }
-    }
-}
-
-/// A key or argument column aligned with the batch's physical rows,
-/// without the boxed evaluator: a plain column is borrowed, arithmetic
-/// runs in its kernel.
-fn bind<'a>(e: &BoundExpr, cols: &'a [ColumnData], rows: usize) -> Option<Cow<'a, ColumnData>> {
-    match e {
-        BoundExpr::Column { index, .. } => cols
-            .get(*index)
-            .filter(|c| c.len() == rows)
-            .map(Cow::Borrowed),
-        BoundExpr::Binary { .. } => arith(e, cols, rows).map(Cow::Owned),
-        _ => None,
     }
 }
 

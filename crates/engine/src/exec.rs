@@ -10,7 +10,7 @@
 //! report broadcast vs redistribution traffic.
 
 use crate::agg::{GroupTable, Groups};
-use crate::expr::{eval, narrow_predicate};
+use crate::expr::{bind, narrow_predicate};
 use crate::hashkey::HKey;
 use crate::kernels::cmp_slots;
 use crate::selection::Selection;
@@ -20,7 +20,6 @@ use redsim_distribution::{style::dist_hash, JoinDistStrategy};
 use redsim_sql::ast::JoinType;
 use redsim_sql::plan::{AggExpr, BoundExpr, LogicalPlan, OutCol};
 use redsim_storage::table::{ScanOutput, ScanPredicate};
-use std::borrow::Cow;
 
 /// One column batch (all columns share a length).
 pub type Batch = Vec<ColumnData>;
@@ -50,7 +49,7 @@ impl Chunk {
         }
     }
 
-    /// Narrow to the rows where `predicate` holds; `true` when the
+    /// Narrow to the rows where `predicate` holds; `true` when the row
     /// interpreter had to run.
     fn filter(&mut self, predicate: &BoundExpr) -> Result<bool> {
         let (sel, fell_back) = narrow_predicate(predicate, &self.cols, &self.sel)?;
@@ -86,10 +85,11 @@ pub struct ExecMetrics {
     pub groups_total: usize,
     pub groups_skipped: usize,
     pub rows_scanned: u64,
-    /// Batches whose predicate (scan filter, `Filter`, join residual)
-    /// the typed kernels declined, so the `Value`-boxed interpreter ran:
-    /// the `exec.predicate_fallback` counter, per statement.
-    pub predicate_fallback: u64,
+    /// Batches of an expression — predicate, projection, sort key,
+    /// group key or aggregate argument — the binder handed to the row
+    /// interpreter because no typed kernel covers it: the
+    /// `exec.interp_fallback` counter, per statement.
+    pub interp_fallback: u64,
     /// Time the query waited for a WLM concurrency slot before running
     /// (leader-side admission control; 0 when a slot was free).
     pub queue_wait_ns: u64,
@@ -113,7 +113,7 @@ impl ExecMetrics {
         self.groups_total += other.groups_total;
         self.groups_skipped += other.groups_skipped;
         self.rows_scanned += other.rows_scanned;
-        self.predicate_fallback += other.predicate_fallback;
+        self.interp_fallback += other.interp_fallback;
         self.queue_wait_ns += other.queue_wait_ns;
         self.exec_ns += other.exec_ns;
         self.compile_ns += other.compile_ns;
@@ -247,6 +247,14 @@ impl<'a> Executor<'a> {
         Ok(QueryOutput { columns, rows, metrics: self.metrics.lock().clone(), profile })
     }
 
+    /// Add batches the binder handed to the row interpreter to the
+    /// statement's count.
+    fn count_fallbacks(&self, n: u64) {
+        if n > 0 {
+            self.metrics.lock().interp_fallback += n;
+        }
+    }
+
     /// Everything at the leader as dense batches (sort and limit input).
     fn gather(&self, ds: DataSet) -> Vec<Batch> {
         ds.into_chunks().into_iter().map(Chunk::into_dense).collect()
@@ -297,19 +305,24 @@ impl<'a> Executor<'a> {
             LogicalPlan::Filter { input, predicate } => {
                 let ds = self.exec(input, step + 1)?;
                 self.map_chunks(ds, |mut chunk| {
-                    if chunk.filter(predicate)? {
-                        self.metrics.lock().predicate_fallback += 1;
-                    }
+                    let fell_back = chunk.filter(predicate)?;
+                    self.count_fallbacks(fell_back as u64);
                     Ok(chunk)
                 })
             }
             LogicalPlan::Project { input, exprs, .. } => {
                 let ds = self.exec(input, step + 1)?;
                 self.map_chunks(ds, |chunk| {
-                    let batch = chunk.into_dense();
-                    let rows = batch.first().map_or(0, |c| c.len());
-                    let out: Result<Batch> = exprs.iter().map(|e| eval(e, &batch, rows)).collect();
-                    Ok(Chunk::dense(out?))
+                    let mut out = Batch::with_capacity(exprs.len());
+                    for e in exprs {
+                        let (col, fell_back) = bind(e, &chunk.cols, &chunk.sel)?;
+                        self.count_fallbacks(fell_back as u64);
+                        out.push(match chunk.sel.ids() {
+                            None => col.into_owned(),
+                            Some(ids) => col.gather(ids),
+                        });
+                    }
+                    Ok(Chunk::dense(out))
                 })
             }
             LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy } => {
@@ -322,16 +335,12 @@ impl<'a> Executor<'a> {
                 let ds = self.exec(input, step + 1)?;
                 let all = concat_batches(&input.output(), self.gather(ds));
                 let rows = all.first().map_or(0, |c| c.len());
-                // A key that is a plain column is compared in place.
-                let key_cols: Vec<Cow<ColumnData>> = keys
-                    .iter()
-                    .map(|(k, _)| match k {
-                        BoundExpr::Column { index, .. } if *index < all.len() => {
-                            Ok(Cow::Borrowed(&all[*index]))
-                        }
-                        k => eval(k, &all, rows).map(Cow::Owned),
-                    })
-                    .collect::<Result<_>>()?;
+                let mut key_cols = Vec::with_capacity(keys.len());
+                for (k, _) in keys {
+                    let (col, fell_back) = bind(k, &all, &Selection::all(rows))?;
+                    self.count_fallbacks(fell_back as u64);
+                    key_cols.push(col);
+                }
                 let mut idx: Vec<u32> = (0..rows as u32).collect();
                 idx.sort_by(|&a, &b| {
                     for ((_, desc), kc) in keys.iter().zip(&key_cols) {
@@ -400,7 +409,7 @@ impl<'a> Executor<'a> {
                     let mut chunk = Chunk::dense(batch);
                     m.rows_scanned += chunk.sel.rows() as u64;
                     if let Some(f) = filter {
-                        m.predicate_fallback += chunk.filter(f)? as u64;
+                        m.interp_fallback += chunk.filter(f)? as u64;
                         if chunk.sel.is_empty() {
                             continue;
                         }
@@ -591,7 +600,7 @@ impl<'a> Executor<'a> {
             fallbacks += fell_back;
             per_slice.push(batches.into_iter().map(Chunk::dense).collect());
         }
-        self.metrics.lock().predicate_fallback += fallbacks;
+        self.count_fallbacks(fallbacks);
         Ok(DataSet::Slices(per_slice))
     }
 
@@ -608,9 +617,11 @@ impl<'a> Executor<'a> {
         // (batch, selection) pairs.
         let partial = |chunks: Vec<Chunk>| -> Result<GroupTable> {
             let mut groups = Groups::new(group_by, aggs);
+            let mut fallbacks = 0;
             for chunk in &chunks {
-                groups.update(&chunk.cols, &chunk.sel)?;
+                fallbacks += groups.update(&chunk.cols, &chunk.sel)?;
             }
+            self.count_fallbacks(fallbacks);
             Ok(groups.into_table())
         };
         let partials: Vec<Result<GroupTable>> = match ds {
@@ -819,7 +830,7 @@ mod metrics_tests {
             queue_wait_ns: 8,
             exec_ns: 9,
             compile_ns: 10,
-            predicate_fallback: 11,
+            interp_fallback: 11,
         };
         let mut acc = ExecMetrics::default();
         acc.absorb(&all_nonzero);
@@ -834,7 +845,7 @@ mod metrics_tests {
         assert_eq!(acc.queue_wait_ns, 16);
         assert_eq!(acc.exec_ns, 18);
         assert_eq!(acc.compile_ns, 20);
-        assert_eq!(acc.predicate_fallback, 22);
+        assert_eq!(acc.interp_fallback, 22);
         assert_eq!(acc.exchange_bytes(), 6);
     }
 }

@@ -5,9 +5,11 @@
 //! `ColumnData` slices and returns the surviving rows as a
 //! [`Selection`], without materializing a `Value` — or an intermediate
 //! boolean column — per row. Expressions the kernels don't cover return
-//! `None` and the caller falls back to the interpreter
-//! ([`crate::expr::eval_predicate_interp`]); the `vector_*` property
-//! suite fuzzes both paths for identical results.
+//! `None` and the binder ([`crate::expr`]) falls back to the interpreter
+//! — [`crate::interp::eval_row`], here and below — whose rules are the
+//! specification: a kernel answers exactly what the interpreter answers,
+//! or declines. The `vector_*` property suite fuzzes both for identical
+//! results.
 //!
 //! ## Dispatch rules
 //!
@@ -17,25 +19,25 @@
 //!
 //! | lane | operand types | comparison |
 //! |---|---|---|
-//! | i64 | INT2/4/8, DATE, TIMESTAMP, BOOL | widened `i64`s, like the interpreter's integer fast path |
+//! | i64 | INT2/4/8, DATE, TIMESTAMP, BOOL | widened `i64`s, `cmp_sql`'s integer arm |
 //! | f64 | FLOAT8 or DECIMAL on at least one side, the other numeric/bool | [`cmp_f64`] (NaN equals itself and sorts greatest) — `cmp_sql`'s mixed-numeric arm, including its deliberate use of `f64` for DECIMAL-vs-DECIMAL |
 //! | str | VARCHAR on both sides | byte-wise over the `StrVec` arena, no per-row allocation |
 //!
 //! Arithmetic has two lanes of its own, chosen by the expression's
-//! static result type like `expr::eval` does:
+//! static result type, the type the interpreter coerces into:
 //!
 //! | result | operands | kernel |
 //! |---|---|---|
 //! | INT8 / INT4 / INT2 | both in the i64 lane | checked `i64` arithmetic, range-checked into the result width |
-//! | FLOAT8 | both numeric | IEEE `f64` arithmetic (`x / 0.0` is ±inf/NaN, as in the interpreter) |
+//! | FLOAT8 | both numeric | IEEE `f64` arithmetic; declines on a zero divisor (the interpreter raises) |
 //! | DECIMAL | — | declined: the interpreter's exact decimal path |
 //!
 //! An arithmetic operand is computed **densely, over every row of the
 //! batch**, whatever the candidate set: on overflow, division by zero
 //! or a result outside the result width on any non-NULL row the kernel
-//! declines the whole predicate and the interpreter raises its own
-//! error. That keeps errors identical to evaluating every conjunct over
-//! all rows, which is what the interpreter does.
+//! declines the whole predicate and the interpreter answers it: it
+//! raises its own error if a row it evaluates fails, and answers if a
+//! guard (`a <> 0 AND 10 / a > 1`) keeps it off the failing rows.
 //!
 //! Everything else (CASE, casts, functions, unary minus, mixed
 //! string/number comparisons) is declined.
@@ -64,7 +66,7 @@
 //! comparison is FALSE exactly when the inverse operator holds, and a
 //! NULL comparison matches neither target.
 
-use crate::expr::{cmp_holds, float_arith};
+use crate::interp::{cmp_holds, float_arith};
 use crate::like::LikeMatcher;
 use crate::selection::Selection;
 use redsim_common::types::cmp_f64;
@@ -618,8 +620,8 @@ fn float_side<'a>(o: &'a Operand) -> Nums<'a, f64> {
 /// `left ∘ right` for `∘` in `+ - * / %`, computed over every row of
 /// the batch into a typed column (NULL where either side is), or `None`
 /// when the shape has no lane **or any non-NULL row fails** (integer
-/// overflow, division by zero, result outside the result width): the
-/// interpreter then runs and raises its own error.
+/// overflow, division by zero in either lane, result outside the result
+/// width): the interpreter then runs over the rows that matter.
 pub(crate) fn arith(e: &BoundExpr, batch: &[ColumnData], rows: usize) -> Option<ColumnData> {
     use BinaryOp::*;
     let BoundExpr::Binary { left, op, right } = e else {
@@ -673,6 +675,9 @@ pub(crate) fn arith(e: &BoundExpr, batch: &[ColumnData], rows: usize) -> Option<
         DataType::Float8 if ll != Lane::Str && rl != Lane::Str => {
             let (a, b) = (float_side(&lo), float_side(&ro));
             let op = *op;
+            if matches!(op, Div | Mod) && (0..rows).any(|i| nulls.get(i) && b.at(i) == 0.0) {
+                return None;
+            }
             let mut data = vec![0f64; rows];
             if nulls.all_set() {
                 for (i, out) in data.iter_mut().enumerate() {
@@ -1058,13 +1063,14 @@ mod tests {
             &batch,
             4,
         );
-        // Float division by zero is IEEE, not an error, on both paths.
+        // Float division by zero (row 3): declines, the reference raises;
+        // over the rows with a non-zero divisor both answer.
         let quot = bin(k(), BinaryOp::Div, v());
-        agree(
-            &bin(Box::new(quot), BinaryOp::Gt, lit(Value::Float8(1.0))),
-            &batch,
-            4,
-        );
+        let e = bin(Box::new(quot), BinaryOp::Gt, lit(Value::Float8(1.0)));
+        assert!(try_eval_predicate(&e, &batch, 4).is_none());
+        assert!(eval_predicate_interp(&e, &batch, 4).is_err());
+        let nonzero: Vec<ColumnData> = batch.iter().map(|c| c.slice(0, 3)).collect();
+        assert_eq!(agree(&e, &nonzero, 3), vec![0]);
         // Arithmetic inside IN.
         let e = BoundExpr::InList {
             expr: Box::new(bin(k(), BinaryOp::Add, k())),
@@ -1084,10 +1090,12 @@ mod tests {
             bin(k(), BinaryOp::Add, lit(Value::Int8(1))),
             bin(k(), BinaryOp::Mul, lit(Value::Int8(2))),
         ];
-        for arith in cases {
+        for (arith, want) in cases.into_iter().zip([vec![0], vec![], vec![0], vec![0]]) {
             let cmp = bin(Box::new(arith), BinaryOp::Gt, lit(Value::Int8(0)));
-            // Row 0 alone would evaluate fine; the kernel still looks
-            // at every row, like the interpreter, and both refuse.
+            assert!(eval_predicate_interp(&cmp, &batch, 4).is_err(), "{cmp:?}");
+            // Row 0 alone evaluates fine; the kernel still looks at
+            // every row and declines, and the reference — which the
+            // guard keeps off the failing rows — answers.
             let guarded = bin(
                 Box::new(bin(k(), BinaryOp::Eq, lit(Value::Int8(1)))),
                 BinaryOp::And,
@@ -1097,10 +1105,8 @@ mod tests {
                 try_eval_predicate(&guarded, &batch, 4).is_none(),
                 "{guarded:?}"
             );
-            assert!(
-                eval_predicate_interp(&guarded, &batch, 4).is_err(),
-                "{guarded:?}"
-            );
+            let fallback = eval_predicate_interp(&guarded, &batch, 4).unwrap();
+            assert_eq!(fallback.iter().collect::<Vec<_>>(), want, "{guarded:?}");
         }
         // The NULL slot's payload (0) is never divided by.
         let ok = vec![int8(&[Some(2), None])];

@@ -7,18 +7,24 @@
 //! > multiple operations such as scanning, filtering, processing joins,
 //! > etc., in parallel."
 //!
-//! * [`expr`] — vectorized (batch-at-a-time) expression evaluation.
-//! * [`kernels`] — typed columnar kernels: predicates (with arithmetic
-//!   operands) straight off `ColumnData` slices into a [`Selection`], no
-//!   `Value` boxing; `expr` is the counted fallback for uncovered
-//!   expressions and the differential-fuzz reference.
+//! An expression is walked by two evaluators, each with one job:
+//!
+//! * [`kernels`] — the fast path: typed columnar kernels, predicates
+//!   (with arithmetic operands) straight off `ColumnData` slices into a
+//!   [`Selection`] and arithmetic into typed columns, no `Value` boxing.
+//!   A kernel answers exactly what the interpreter answers, or declines.
+//! * [`interp`] — the reference: a deliberately row-at-a-time,
+//!   `Value`-boxed interpreter, the one place that says what an
+//!   expression means. It is the counted fallback for what the kernels
+//!   decline, the oracle of the differential tests, INSERT's VALUES
+//!   evaluator, and the non-compiled comparator for the paper's claim
+//!   that query compilation's "fixed overhead per query … is generally
+//!   amortized by the tighter execution" (experiment E7).
+//! * [`expr`] — the binder between them: borrow a column, run a kernel,
+//!   fill a literal, else the interpreter over the selected rows.
 //! * [`selection`] — the one selection vector every operator passes on.
 //! * [`like`] — the one `LIKE` matcher, compiled into a shape, matching
 //!   over bytes.
-//! * [`interp`] — a deliberately row-at-a-time, `Value`-boxed interpreter:
-//!   the non-compiled comparator for the paper's claim that query
-//!   compilation's "fixed overhead per query … is generally amortized by
-//!   the tighter execution" (experiment E7).
 //! * [`exec`] — the distributed executor: per-slice parallel fragments
 //!   (std scoped threads via testkit::par), broadcast/redistribute exchanges with
 //!   byte accounting (experiment E11), partial/final aggregation at the

@@ -10,11 +10,11 @@
 //!
 //! A `(batch, Selection)` pair stands for the batch with the unselected
 //! rows deleted, in row order. Operators that only *read* rows — a
-//! further filter, partial aggregation, the final row copy — must use
-//! the pair as it is. Operators that need dense columns (join build and
-//! probe, sort, limit, projection, the hashed multi-key aggregate and
-//! the boxed interpreter) call [`Selection::gather`] exactly once, at
-//! their input.
+//! further filter, partial aggregation, the row interpreter's fallback,
+//! the final row copy — must use the pair as it is. Operators that need
+//! dense columns (join build and probe, sort, limit) call
+//! [`Selection::gather`] exactly once, at their input; projection
+//! gathers each column it produces.
 
 use redsim_common::{Bitmap, ColumnData};
 
@@ -166,19 +166,6 @@ impl Selection {
         })
     }
 
-    /// Translate `inner`, a selection over the dense copy
-    /// [`Selection::gather`] makes, back to this batch's row ids.
-    pub fn compose(&self, inner: &Selection) -> Selection {
-        debug_assert_eq!(inner.rows, self.len());
-        match (&self.ids, &inner.ids) {
-            (None, _) => inner.clone(),
-            (_, None) => self.clone(),
-            (Some(ids), Some(pos)) => {
-                Selection::from_ids(self.rows, pos.iter().map(|&p| ids[p as usize]).collect())
-            }
-        }
-    }
-
     /// Dense copies of `cols` holding only the selected rows.
     pub fn gather(&self, cols: &[ColumnData]) -> Vec<ColumnData> {
         match &self.ids {
@@ -228,14 +215,6 @@ mod tests {
         assert_eq!(Selection::all(8).difference(&a), sel(8, &[1, 3, 5, 7]));
         assert!(a.difference(&Selection::all(8)).is_empty());
         assert_eq!(a.difference(&Selection::none(8)), a);
-    }
-
-    #[test]
-    fn compose_maps_dense_positions_back() {
-        let outer = sel(10, &[2, 5, 7, 9]);
-        assert_eq!(outer.compose(&sel(4, &[1, 3])), sel(10, &[5, 9]));
-        assert_eq!(outer.compose(&Selection::all(4)), outer);
-        assert_eq!(Selection::all(4).compose(&sel(4, &[0])), sel(4, &[0]));
     }
 
     #[test]

@@ -435,3 +435,59 @@ fn insert_keeps_statistics_current() {
     c.execute("ANALYZE t").unwrap();
     assert_eq!(c.table_stats("t").unwrap(), folded, "ANALYZE recomputes the folded record");
 }
+
+#[test]
+fn insert_parses_strings_into_date_timestamp_and_decimal_columns() {
+    let c = launch("ins-cast");
+    c.execute("CREATE TABLE d (x DATE, ts TIMESTAMP, m DECIMAL(8,2))").unwrap();
+    c.execute("INSERT INTO d VALUES (DATE '2015-01-02', TIMESTAMP '2015-01-02 03:04:05', 1.5)").unwrap();
+    c.execute("INSERT INTO d VALUES ('2015-01-02', '2015-01-02 03:04:05', '1.50')").unwrap();
+    c.execute("INSERT INTO d VALUES (CAST('2015-01-02' AS DATE), NULL, NULL)").unwrap();
+    let rows = c.query("SELECT x, ts, m FROM d ORDER BY ts, m").unwrap().rows;
+    assert_eq!(rows.len(), 3);
+    assert_eq!(rows[0], rows[1], "the string form reads back equal to the literal form");
+    assert_eq!(rows[2].get(0), rows[0].get(0));
+    // The same cast answers on both engines.
+    let sql = "SELECT CAST(CAST(x AS VARCHAR) AS DATE) FROM d";
+    assert_eq!(c.query(sql).unwrap().rows, c.query_interpreted(sql).unwrap());
+    // A malformed string is still a typed error naming the value, and
+    // the statement leaves nothing behind.
+    for bad in ["'2015-13-02', NULL, NULL", "NULL, '2015-01-02 25:00:00', NULL", "NULL, NULL, '1.2.3'"] {
+        let err = c.execute(&format!("INSERT INTO d VALUES ({bad})")).unwrap_err();
+        assert_eq!(err.code(), "PARSE", "{err}");
+        let value = bad.split('\'').nth(1).unwrap();
+        assert!(err.to_string().contains(value), "{err}");
+    }
+    assert_eq!(c.query("SELECT COUNT(*) FROM d").unwrap().rows[0].get(0).as_i64(), Some(3));
+}
+
+#[test]
+fn guards_protect_division() {
+    let c = launch("guards");
+    c.execute("CREATE TABLE t (a BIGINT, f FLOAT8)").unwrap();
+    c.execute("INSERT INTO t VALUES (0, 0.0), (2, 0.5), (5, 4.0), (NULL, NULL)").unwrap();
+    let ints = |sql: &str| -> Vec<Vec<Option<i64>>> {
+        let q = c.query(sql).unwrap();
+        assert_eq!(q.rows, c.query_interpreted(sql).unwrap(), "{sql}");
+        q.rows.iter().map(|r| r.values().iter().map(|v| v.as_i64()).collect()).collect()
+    };
+    // A WHERE conjunct and a CASE condition keep the division off a = 0.
+    let guarded_where = "SELECT a FROM t WHERE a <> 0 AND 10 / a > 1 ORDER BY a";
+    assert_eq!(ints(guarded_where), [[Some(2)], [Some(5)]]);
+    assert_eq!(
+        ints("SELECT a, CASE WHEN a <> 0 THEN 10 / a ELSE 0 END FROM t ORDER BY a"),
+        [[Some(0), Some(0)], [Some(2), Some(5)], [Some(5), Some(2)], [None, Some(0)]]
+    );
+    assert_eq!(ints("SELECT a FROM t WHERE f = 0 OR 1.0 / f > 1 ORDER BY a"), [[Some(0)], [Some(2)]]);
+    // It is the row interpreter that answers the guarded WHERE, and the
+    // statement says so.
+    let explain = c.query(&format!("EXPLAIN ANALYZE {guarded_where}")).unwrap();
+    let line = explain.rows[0].get(0).as_str().unwrap().to_string();
+    assert!(line.contains("interp_fallback=") && !line.contains("interp_fallback=0)"), "{line}");
+    // Unguarded, every lane raises — the same error on both engines.
+    for sql in ["SELECT 10 / a FROM t", "SELECT 10 % a FROM t", "SELECT 1.0 / f FROM t", "SELECT a FROM t WHERE 10 / a > 1"] {
+        let (fast, slow) = (c.query(sql).unwrap_err(), c.query_interpreted(sql).unwrap_err());
+        assert_eq!((fast.code(), slow.code()), ("EXEC", "EXEC"), "{sql}");
+        assert!(fast.to_string().contains("division by zero"), "{fast}");
+    }
+}

@@ -167,21 +167,75 @@ fn compiled_equals_interpreted() {
             )
             .unwrap();
             c.execute("CREATE TABLE t (k BIGINT, b BOOLEAN, v BIGINT) DISTKEY(k)").unwrap();
-            let mut csv = String::new();
-            for (k, b, v) in rows {
-                csv.push_str(&format!("{k},{},{v}\n", if *b { "t" } else { "f" }));
+            // The same rows again with one column per type the `Value`
+            // evaluator has an arm for. Some cases hold the rows that
+            // make an expression raise (a = 0, f = 0, i near 2^31, sm
+            // near 2^15) and some do not: both engines must answer the
+            // same rows or raise the same error code.
+            c.execute(
+                "CREATE TABLE u (id BIGINT, a BIGINT, i INT, sm SMALLINT, f FLOAT8, \
+                 m DECIMAL(10,2), s VARCHAR(16), n VARCHAR(16), d DATE) DISTKEY(a)",
+            )
+            .unwrap();
+            let (mut t, mut u) = (String::new(), String::new());
+            for (id, (k, b, v)) in rows.iter().enumerate() {
+                t.push_str(&format!("{k},{},{v}\n", if *b { "t" } else { "f" }));
+                let i = if v % 7 == 0 { 2_000_000_000 } else { *v };
+                let sm = if v % 5 == 0 { 30_000 } else { v % 100 };
+                let day = 1 + k % 28;
+                u.push_str(&format!(
+                    "{id},{k},{i},{sm},{},{}.{:02},2015-01-{day:02},Ab{k},2015-02-{day:02}\n",
+                    (k % 4) as f64 * 0.5,
+                    v / 100,
+                    v % 100,
+                ));
             }
-            c.put_s3_object("p/1", csv.into_bytes());
+            c.put_s3_object("p/1", t.into_bytes());
+            c.put_s3_object("q/1", u.into_bytes());
             c.execute("COPY t FROM 's3://p/'").unwrap();
-            for sql in [
+            c.execute("COPY u FROM 's3://q/'").unwrap();
+            let mut queries = vec![
                 format!("SELECT k, COUNT(*) AS n, SUM(v) AS s FROM t WHERE v < {threshold} GROUP BY k ORDER BY k"),
                 "SELECT COUNT(*) FROM t WHERE b".to_string(),
                 "SELECT k, v FROM t ORDER BY v DESC, k LIMIT 7".to_string(),
                 "SELECT a.k, COUNT(*) AS n FROM t a JOIN t b ON a.k = b.k GROUP BY a.k ORDER BY a.k".to_string(),
-            ] {
-                let vectorized = c.query(&sql).unwrap().rows;
-                let interpreted = c.query_interpreted(&sql).unwrap();
+            ];
+            queries.extend(
+                [
+                    // The seven shapes on which the two engines used to
+                    // differ, and the unguarded divisions.
+                    "SELECT id, CAST(s AS DATE), CAST(s AS TIMESTAMP), CAST(CAST(a AS VARCHAR) AS BIGINT), \
+                     CAST(CAST(m AS VARCHAR) AS DECIMAL(10,2)) FROM u ORDER BY id",
+                    "SELECT id, 1.0 / f FROM u ORDER BY id",
+                    "SELECT id FROM u WHERE a <> 0 AND 10 / a > 1 ORDER BY id",
+                    "SELECT id, CASE WHEN a <> 0 THEN 10 / a ELSE 0 END FROM u ORDER BY id",
+                    "SELECT id, i + i FROM u ORDER BY id",
+                    "SELECT id, sm * sm FROM u ORDER BY id",
+                    "SELECT id, m / 2 FROM u ORDER BY id",
+                    "SELECT id, 10 / a, 10 % a FROM u ORDER BY id",
+                    "SELECT id FROM u WHERE f <> 0 AND 1.0 / f > 0.5 ORDER BY id",
+                    // One shape per remaining arm of the `Value` evaluator.
+                    "SELECT id, n || '-' || s, -a, -f, -m FROM u ORDER BY id",
+                    "SELECT id, ABS(a - 25), ABS(f - 1.0), ABS(m - 5), ABS(sm - 50), LENGTH(n), UPPER(n), \
+                     LOWER(n), DATE_PART('year', d), DATE_PART('month', d), DATE_PART('day', d) \
+                     FROM u ORDER BY id",
+                    "SELECT id, m + m, m - m, m * m, m + 1 FROM u ORDER BY id",
+                    "SELECT CASE WHEN a < 25 THEN 'lo' ELSE 'hi' END AS g, COUNT(*) AS c FROM u \
+                     GROUP BY CASE WHEN a < 25 THEN 'lo' ELSE 'hi' END ORDER BY g",
+                    "SELECT id, n FROM u ORDER BY LOWER(n), id",
+                    "SELECT SUM(CASE WHEN a < 25 THEN sm ELSE 0 END), COUNT(CASE WHEN a < 25 THEN 1 END) FROM u",
+                    "SELECT id FROM u WHERE n LIKE 'Ab1%' AND NOT (s IN ('2015-01-02', '2015-01-12')) \
+                     AND d IS NOT NULL ORDER BY id",
+                ]
+                .map(String::from),
+            );
+            for sql in queries {
+                let vectorized = c.query(&sql).map(|q| q.rows).map_err(|e| e.code());
+                let interpreted = c.query_interpreted(&sql).map_err(|e| e.code());
                 assert_eq!(vectorized, interpreted, "query {}", sql);
+                // A row's data may make an expression raise; nothing
+                // else about these statements may fail.
+                assert!(matches!(vectorized, Ok(_) | Err("EXEC")), "{vectorized:?}: {sql}");
             }
         },
     );
@@ -1935,7 +1989,8 @@ fn stats_incremental_equals_analyze() {
 // ---------------------------------------------------------------------
 //
 // The typed kernels in `engine::kernels` must return exactly the
-// selection the `Value`-boxed interpreter produces — for every
+// selection the row interpreter (`interp::eval_row`, through
+// `eval_predicate_interp`) produces — for every
 // expression shape they claim to cover, over columns with NULLs, NaN
 // payloads (both orderings of `cmp_f64`), signed zeros and infinities,
 // integer extremes and multi-byte text. Expressions the kernels decline
@@ -2156,7 +2211,8 @@ fn vector_kernels_match_interpreter() {
         prop::any_i64(),
     );
     // The three refusals the generator only sometimes reaches, pinned:
-    // `i64::MAX + 1`, `x / 0`, `x % 0` — interpreter raises, kernel declines.
+    // `i64::MAX + 1`, `x / 0`, `x % 0`, and `x / 0.0` on the f64 lane —
+    // interpreter raises, kernel declines.
     {
         use redshift_sim::sql::ast::BinaryOp;
         use redshift_sim::sql::plan::BoundExpr;
@@ -2167,6 +2223,11 @@ fn vector_kernels_match_interpreter() {
             bin(lit(i64::MAX), BinaryOp::Add, lit(1)),
             bin(Box::new(vector_support::col(0)), BinaryOp::Div, lit(0)),
             bin(Box::new(vector_support::col(0)), BinaryOp::Mod, lit(0)),
+            bin(
+                Box::new(vector_support::col(1)),
+                BinaryOp::Div,
+                Box::new(BoundExpr::Literal(Value::Float8(0.0))),
+            ),
         ] {
             let expr = bin(Box::new(arith), BinaryOp::Gt, lit(0));
             assert!(eval_predicate_interp(&expr, &batch, 2).is_err(), "{expr:?}");
@@ -2213,17 +2274,27 @@ fn vector_kernels_match_interpreter() {
                         }
                     }
                 }
-                // Narrowing conjunct by conjunct == every conjunct over
-                // all rows, intersected — whatever order the kernels
-                // pick, and from the chain as one expression too.
+                // The chain as one expression: the reference
+                // short-circuits, so it may answer where a conjunct
+                // alone raises; the kernel's answer, when given, is the
+                // reference's. Where every conjunct evaluates alone the
+                // answer is their intersection — and narrowing conjunct
+                // by conjunct, in whatever order the kernels pick,
+                // arrives at it too.
                 let chain = vector_support::conjunction(&parts);
-                if each.len() < parts.len() {
-                    assert!(try_eval_predicate(&chain, &batch, rows).is_none());
-                    return;
+                let kernel = try_eval_predicate(&chain, &batch, rows);
+                let want = match eval_predicate_interp(&chain, &batch, rows) {
+                    Ok(want) => want,
+                    Err(e) => {
+                        assert!(kernel.is_none(), "kernel answered {kernel:?}, reference raised {e}");
+                        return;
+                    }
+                };
+                if each.len() == parts.len() {
+                    let both = all.select(|i| each.iter().all(|s| s.iter().any(|j| j == i)));
+                    assert_eq!(want, both, "chain {chain:?}");
                 }
-                let want = all.select(|i| each.iter().all(|s| s.iter().any(|j| j == i)));
-                assert_eq!(eval_predicate_interp(&chain, &batch, rows).unwrap(), want);
-                if let Some(got) = try_eval_predicate(&chain, &batch, rows) {
+                if let Some(got) = kernel {
                     assert_eq!(got, want, "chain {chain:?}");
                     let stepwise = parts
                         .iter()
@@ -2411,7 +2482,7 @@ fn vector_aggregates_match_value_path() {
                     output,
                 };
                 let typed = Executor::new(&provider).run(&plan).unwrap();
-                assert_eq!(typed.metrics.predicate_fallback, 0);
+                assert_eq!(typed.metrics.interp_fallback, 0);
                 let boxed = baseline::run_plan(&plan, &store).unwrap();
                 // Debug text: NaN equals itself, -0.0 differs from 0.0.
                 let text = |rows: &[Row]| {
@@ -2431,17 +2502,21 @@ fn vector_aggregates_match_value_path() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn vector_predicate_fallback_is_counted_and_zero_on_benchmark_shapes() {
+fn vector_interp_fallback_is_counted_and_zero_on_benchmark_shapes() {
     use redshift_sim::workload::synth::template_sql;
     use redshift_sim::workload::QueryClass;
 
     let c = Cluster::launch(ClusterConfig::new("fallback").nodes(2).slices_per_node(2)).unwrap();
-    c.execute(
+    for ddl in [
         "CREATE TABLE fact (d BIGINT, cust BIGINT, pid BIGINT, sid BIGINT, qty BIGINT, \
          price FLOAT8, note VARCHAR(24)) DISTKEY(cust) COMPOUND SORTKEY(d)",
-    )
-    .unwrap();
-    c.execute("CREATE TABLE events (k BIGINT, v BIGINT) DISTKEY(k)").unwrap();
+        "CREATE TABLE customer (c_id BIGINT, c_region VARCHAR(8), c_tier BIGINT) DISTKEY(c_id)",
+        "CREATE TABLE part (p_id BIGINT, p_cat VARCHAR(8), p_size BIGINT) DISTSTYLE ALL",
+        "CREATE TABLE supplier (s_id BIGINT, s_nation BIGINT) DISTSTYLE EVEN",
+        "CREATE TABLE events (k BIGINT, v BIGINT) DISTKEY(k)",
+    ] {
+        c.execute(ddl).unwrap();
+    }
     let mut fact = String::new();
     let mut events = String::new();
     for r in 0..6_000u32 {
@@ -2452,13 +2527,21 @@ fn vector_predicate_fallback_is_counted_and_zero_on_benchmark_shapes() {
         ));
         events.push_str(&format!("{},{}\n", r % 50, r * 7 % 10_000));
     }
-    c.put_s3_object("fb/fact", fact.into_bytes());
-    c.put_s3_object("fb/events", events.into_bytes());
-    c.execute("COPY fact FROM 's3://fb/fact'").unwrap();
-    c.execute("COPY events FROM 's3://fb/events'").unwrap();
+    let region = |i: usize| ["na", "eu"][i % 2];
+    let cat = |i: usize| ["bolt", "nut", "gear"][i % 3];
+    for (table, csv) in [
+        ("fact", fact),
+        ("events", events),
+        ("customer", (0..50).map(|i| format!("{i},{},{}\n", region(i), i % 4)).collect()),
+        ("part", (0..20).map(|i| format!("{i},{},{}\n", cat(i), i % 7)).collect()),
+        ("supplier", (0..5).map(|i| format!("{i},{}\n", i % 3)).collect()),
+    ] {
+        c.put_s3_object(&format!("fb/{table}"), csv.into_bytes());
+        c.execute(&format!("COPY {table} FROM 's3://fb/{table}'")).unwrap();
+    }
 
-    // The six `adhoc_scan` families of benchmark/src/data.rs and the
-    // four dashboard templates.
+    // The six `adhoc_scan` families and the four `star_join` families of
+    // benchmark/src/data.rs, and the four dashboard templates.
     let mut shapes = vec![
         "SELECT COUNT(*) FROM fact WHERE d BETWEEN 100 AND 220".to_string(),
         "SELECT cust, COUNT(*) AS n, SUM(qty) AS s FROM fact WHERE qty < 45 AND price < 512.3400001 \
@@ -2470,32 +2553,55 @@ fn vector_predicate_fallback_is_counted_and_zero_on_benchmark_shapes() {
             .to_string(),
         "SELECT COUNT(*), SUM(qty) FROM fact WHERE qty + 0 < 45 AND price < 512.3400001".to_string(),
         "SELECT d, cust, qty, price FROM fact WHERE d BETWEEN 300 AND 399".to_string(),
+        "SELECT c_region, COUNT(*) AS n, SUM(qty) AS s FROM fact JOIN customer ON cust = c_id \
+         WHERE c_tier = 2 AND qty < 45 GROUP BY c_region ORDER BY c_region"
+            .to_string(),
+        "SELECT p_cat, COUNT(*) AS n, SUM(qty) AS s FROM fact JOIN part ON pid = p_id \
+         WHERE p_size < 4 AND qty < 45 GROUP BY p_cat ORDER BY p_cat"
+            .to_string(),
+        "SELECT s_nation, COUNT(*) AS n, SUM(qty) AS s FROM fact JOIN supplier ON sid = s_id \
+         WHERE s_nation < 2 AND qty < 45 GROUP BY s_nation ORDER BY s_nation"
+            .to_string(),
+        "SELECT c_region, p_cat, COUNT(*) AS n, SUM(qty) AS s FROM fact \
+         JOIN customer ON cust = c_id JOIN part ON pid = p_id \
+         WHERE d BETWEEN 100 AND 400 AND c_tier = 2 \
+         GROUP BY c_region, p_cat ORDER BY n DESC, c_region, p_cat LIMIT 10"
+            .to_string(),
     ];
     shapes.extend((0..4).map(|rank| template_sql(QueryClass::Dashboard, rank)));
     for sql in &shapes {
         let q = c.query(sql).unwrap();
-        assert_eq!(q.metrics.predicate_fallback, 0, "fell back: {sql}");
+        assert_eq!(q.metrics.interp_fallback, 0, "fell back: {sql}");
         assert!(q.metrics.rows_scanned > 0, "scanned nothing: {sql}");
     }
-    assert_eq!(c.trace().counter_value("exec.predicate_fallback"), 0);
+    assert_eq!(c.trace().counter_value("exec.interp_fallback"), 0);
 
-    // A cast or a CASE in the predicate has no kernel: every batch it
-    // sees is counted, per statement and in the cluster counter, and
-    // EXPLAIN ANALYZE prints the statement's count on its first line.
+    // What no kernel covers — a cast or a CASE in a predicate, a
+    // function in a projection or a sort key, a CASE as a group key or
+    // an aggregate argument — is counted batch by batch, per statement
+    // and in the cluster counter, and EXPLAIN ANALYZE prints the
+    // statement's count on its first line.
     let cast = "SELECT COUNT(*) FROM fact WHERE CAST(qty AS FLOAT8) < 45.5";
-    let case = "SELECT COUNT(*) FROM fact WHERE CASE WHEN qty < 10 THEN 1 ELSE 0 END = 1";
     let mut counted = 0;
-    for sql in [cast, case] {
+    for sql in [
+        cast,
+        "SELECT COUNT(*) FROM fact WHERE CASE WHEN qty < 10 THEN 1 ELSE 0 END = 1",
+        "SELECT LOWER(note) FROM fact WHERE d < 3",
+        "SELECT CASE WHEN qty < 50 THEN 0 ELSE 1 END AS half, COUNT(*) FROM fact \
+         GROUP BY CASE WHEN qty < 50 THEN 0 ELSE 1 END",
+        "SELECT SUM(CASE WHEN qty < 50 THEN qty ELSE 0 END) FROM fact",
+        "SELECT note FROM fact WHERE d < 3 ORDER BY LOWER(note)",
+    ] {
         let q = c.query(sql).unwrap();
-        assert!(q.metrics.predicate_fallback > 0, "did not fall back: {sql}");
-        counted += q.metrics.predicate_fallback;
+        assert!(q.metrics.interp_fallback > 0, "did not fall back: {sql}");
+        counted += q.metrics.interp_fallback;
     }
-    assert_eq!(c.trace().counter_value("exec.predicate_fallback"), counted);
+    assert_eq!(c.trace().counter_value("exec.interp_fallback"), counted);
     let line = |sql: &str| {
         let q = c.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
         q.rows[0].get(0).as_str().unwrap().to_string()
     };
-    assert!(line(&shapes[4]).contains("predicate_fallback=0)"), "{}", line(&shapes[4]));
+    assert!(line(&shapes[4]).contains("interp_fallback=0)"), "{}", line(&shapes[4]));
     let fell = line(cast);
-    assert!(fell.contains("predicate_fallback=") && !fell.contains("predicate_fallback=0)"), "{fell}");
+    assert!(fell.contains("interp_fallback=") && !fell.contains("interp_fallback=0)"), "{fell}");
 }
