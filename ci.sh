@@ -182,12 +182,20 @@ echo "== vectorized-kernel invariants (quick property pass) =="
 # evaluate). NaN total-order comparisons are pinned exhaustively.
 # vector_aggregates_match_value_path holds the typed accumulators to
 # the row-at-a-time AggState path (NULLs, NaN, ±0, sums wrapping past
-# i64::MAX, filters that keep nothing, empty tables), and
-# vector_interp_fallback_* pins exec.interp_fallback at 0 on the
-# benchmark's statement shapes (adhoc_scan, star_join, dashboards) and
-# non-zero on a cast/CASE predicate, a function projection or sort key,
-# and a CASE group key or aggregate argument. Reproduce with
-# RSIM_SEED=<seed>.
+# i64::MAX, filters that keep nothing, empty tables; no key, an integer
+# or VARCHAR key, two of them, NULL keys). vector_joins_match_baseline
+# is the join's oracle: generated two- and three-table plans on the
+# executor vs engine::baseline — every JoinDistStrategy incl. a join
+# above a join, INNER and LEFT, residuals, NULL and duplicate-heavy
+# keys, INT2 ⋈ INT8 / DATE / VARCHAR keys, build and probe sides
+# arriving empty, partly and fully selected, any emit list; ordered
+# lists on one slice, f64 sums bit for bit. vector_interp_fallback_*
+# pins exec.interp_fallback and exec.key_fallback at 0 on the
+# benchmark's statement shapes (adhoc_scan, star_join, dashboards),
+# the first non-zero on a cast/CASE predicate, a function projection or
+# sort key, and a CASE group key or aggregate argument, the second on a
+# FLOAT8 join key, a DECIMAL group key and a three-key GROUP BY.
+# Reproduce with RSIM_SEED=<seed>.
 RSIM_PROP_CASES=4 cargo test -q --offline --test properties vector_
 
 echo "== one expression semantics (quick differential pass) =="
@@ -302,6 +310,26 @@ echo "== compile-vs-interpret (e7) baseline is honored (benchdiff gate) =="
 # and copy results/e7_compile_vs_interpret.csv over its _baseline.csv.
 cargo run -q --offline -p redsim-bench --bin benchdiff -- \
   results/e7_compile_vs_interpret_baseline.csv results/e7_compile_vs_interpret.csv
+
+echo "== join strategies + aggregate key lanes (e11) baseline is honored (benchdiff gate) =="
+# E11: the same join co-located (DS_DIST_NONE), against a DISTSTYLE ALL
+# inner (DS_DIST_ALL_NONE) and re-hashed, and one 200k-row join grouped
+# by a BIGINT, a VARCHAR and two VARCHAR keys. The baseline is the run
+# on the commit before the typed join (PR 16); the stock 15% p50 gate
+# keeps the 3-10x from eroding. The bench prints ALL_NONE / DIST_NONE
+# (target <= 1.2: a replicated inner is built once, not per slice) and
+# GROUP BY VARCHAR / BIGINT (target <= 2). Regenerate with
+#   cargo bench --offline -p redsim-bench --bench join_strategy
+# and copy results/e11_join_strategy.csv over its _baseline.csv.
+cargo run -q --offline -p redsim-bench --bin benchdiff -- \
+  results/e11_join_strategy_baseline.csv results/e11_join_strategy.csv
+awk -F, '$1 == "join_strategy" && $2 ~ /^DS_DIST_NONE/ { none = $6 }
+  $1 == "join_strategy" && $2 ~ /^DS_DIST_ALL_NONE/ { all = $6 }
+  END {
+    if (!none || !all) { print "error: join_strategy rows missing" > "/dev/stderr"; exit 1 }
+    printf "DS_DIST_ALL_NONE = %.2fx DS_DIST_NONE\n", all / none
+    if (all / none > 1.2) { print "error: the ALL join costs more than 1.2x the co-located one" > "/dev/stderr"; exit 1 }
+  }' results/e11_join_strategy.csv
 
 echo "== encode (e9) budget is honored (benchdiff gate) =="
 # The E9 encoding microbenches, re-baselined after the one-pass

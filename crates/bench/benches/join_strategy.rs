@@ -1,6 +1,8 @@
 //! E11 — join distribution strategies: runtime and bytes moved for the
-//! same join under DS_DIST_NONE / DS_BCAST_INNER / DS_DIST_BOTH (§2.1's
-//! co-located join claim).
+//! same join under DS_DIST_NONE / DS_DIST_ALL_NONE / DS_BCAST_INNER
+//! (§2.1's co-located join claim), and the aggregate's key lanes above a
+//! join: the same 200k joined rows grouped by a BIGINT, a VARCHAR and
+//! two VARCHAR columns of the dimension.
 
 use redsim_testkit::bench::Bench;
 use redsim_bench::datagen;
@@ -81,8 +83,65 @@ fn bench_join_strategies(c: &mut Bench) {
     g.finish();
 }
 
+const LANE_ROWS: usize = 200_000;
+const LANE_DIMS: usize = 2_000;
+
+/// Every fact row joins exactly one row of an ALL dimension, so each
+/// GROUP BY below aggregates the same 200k joined rows into 8 (or 40)
+/// groups and differs only in its key columns.
+fn bench_aggregate_lanes(c: &mut Bench) {
+    let cluster = Cluster::launch(ClusterConfig::new("e11-lanes").nodes(2).slices_per_node(4)).unwrap();
+    cluster.execute("CREATE TABLE lane_fact (pid BIGINT, qty BIGINT) DISTKEY(pid)").unwrap();
+    cluster
+        .execute(
+            "CREATE TABLE lane_dim (id BIGINT, code BIGINT, cat VARCHAR(8), region VARCHAR(8))
+             DISTSTYLE ALL",
+        )
+        .unwrap();
+    let cats = ["bolt", "nut", "gear", "cam", "rod", "pin", "cog", "hub"];
+    let regions = ["na", "eu", "apac", "latam", "mea"];
+    let fact: String =
+        (0..LANE_ROWS).map(|r| format!("{},{}\n", r * 7919 % LANE_DIMS, r % 100)).collect();
+    let dim: String = (0..LANE_DIMS)
+        .map(|i| format!("{i},{},{},{}\n", i % 8, cats[i % 8], regions[i / 8 % 5]))
+        .collect();
+    cluster.put_s3_object("lf/0", fact.into_bytes());
+    cluster.put_s3_object("ld/0", dim.into_bytes());
+    cluster.execute("COPY lane_fact FROM 's3://lf/'").unwrap();
+    cluster.execute("COPY lane_dim FROM 's3://ld/'").unwrap();
+    cluster.execute("ANALYZE").unwrap();
+
+    let mut g = c.group("aggregate_lanes");
+    g.sample_size(10);
+    for (label, keys) in
+        [("GROUP BY BIGINT", "code"), ("GROUP BY VARCHAR", "cat"), ("GROUP BY VARCHAR, VARCHAR", "cat, region")]
+    {
+        let sql = format!(
+            "SELECT {keys}, COUNT(*) AS n, SUM(qty) AS s FROM lane_fact JOIN lane_dim ON pid = id GROUP BY {keys}"
+        );
+        let r = cluster.query(&sql).unwrap();
+        let joined: i64 = r.rows.iter().map(|row| row.get(row.len() - 2).as_i64().unwrap()).sum();
+        assert_eq!(joined as usize, LANE_ROWS, "{sql}");
+        g.bench_function(label, |b| {
+            b.iter(|| cluster.query(&sql).unwrap());
+        });
+    }
+    g.finish();
+}
+
 fn main() {
     let mut b = Bench::new("e11_join_strategy");
+    b.json_summary_to("BENCH_e11.json");
     bench_join_strategies(&mut b);
-    b.finish();
+    bench_aggregate_lanes(&mut b);
+    let records = b.finish();
+    // The two headline ratios, so a bench run documents itself.
+    let p50 = |bench: &str| {
+        records.iter().find(|r| r.bench.starts_with(bench)).map_or(f64::NAN, |r| r.p50_ns)
+    };
+    println!(
+        "E11 ALL_NONE / DIST_NONE = {:.2} (target <= 1.2); GROUP BY VARCHAR / BIGINT = {:.2} (target <= 2)",
+        p50("DS_DIST_ALL_NONE") / p50("DS_DIST_NONE"),
+        p50("GROUP BY VARCHAR") / p50("GROUP BY BIGINT"),
+    );
 }

@@ -373,6 +373,14 @@ impl ColumnData {
             }
             ColumnData::Str { data, nulls } => {
                 let mut out = StrVec::with_capacity(idx.len(), 0);
+                if nulls.all_set() {
+                    // No NULLs to carry over: arena copies only.
+                    for &i in idx {
+                        out.bytes.extend_from_slice(data.bytes_at(i as usize));
+                        out.offsets.push(out.bytes.len() as u32);
+                    }
+                    return ColumnData::Str { data: out, nulls: Bitmap::all_valid(idx.len()) };
+                }
                 let mut out_nulls = Bitmap::new();
                 for &i in idx {
                     let i = i as usize;

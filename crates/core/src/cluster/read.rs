@@ -173,6 +173,8 @@ impl Cluster {
         // expected value; anything else says which statement fell off
         // the fast path (EXPLAIN ANALYZE prints it per statement).
         self.trace().counter("exec.interp_fallback").add(out.metrics.interp_fallback);
+        // Likewise batches whose join or group keys were boxed.
+        self.trace().counter("exec.key_fallback").add(out.metrics.key_fallback);
         if espan.is_recording() {
             espan.attr("slices", view.total_slices);
             espan.attr("rows_out", out.rows.len());
@@ -235,9 +237,12 @@ impl Cluster {
                     step_ns[s.step] = step_ns[s.step].max(s.elapsed_ns);
                 }
             }
-            // The root line also carries the statement's count of
-            // batches that fell back to the row interpreter.
-            let fallback = format!(" interp_fallback={}", out.metrics.interp_fallback);
+            // The root line also carries the statement's counts of
+            // batches that boxed their keys or fell back to the row
+            // interpreter.
+            let m = &out.metrics;
+            let fallback =
+                format!(" key_fallback={} interp_fallback={}", m.key_fallback, m.interp_fallback);
             let annotated = QueryResult::plan_rows(plan_text, |i, l| {
                 let step = i + 1;
                 format!(

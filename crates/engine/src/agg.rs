@@ -8,7 +8,9 @@
 //! |---|---|---|
 //! | none | [`TypedGroups`], one group | none beyond the accumulators |
 //! | one INT2/4/8, DATE or TIMESTAMP key | [`TypedGroups`], `i64 → group id` | one integer hash lookup |
-//! | anything else (several keys, VARCHAR, FLOAT8, DECIMAL, BOOL) | [`GroupTable`] | an `HKey` per key column, a `GroupKey` per row |
+//! | one VARCHAR key | [`TypedGroups`], bytes `→ group id` | one string hash lookup, no allocation |
+//! | two keys, each of the above | [`TypedGroups`], a lookup per key, then `(id, id)` packed into an `i64 → group id` | three hash lookups |
+//! | anything else (a FLOAT8, DECIMAL or BOOL key, three or more keys) | [`GroupTable`] — counted (`ExecMetrics::key_fallback`) | an `HKey` per key column, a `GroupKey` per row |
 //!
 //! Inside a `TypedGroups`, COUNT, SUM and AVG over the i64 and f64
 //! lanes and MIN/MAX over integer-family and FLOAT8 arguments are
@@ -119,7 +121,7 @@ enum Table {
     Hashed(GroupTable),
 }
 
-fn is_int_key(ty: DataType) -> bool {
+pub(crate) fn is_int_key(ty: DataType) -> bool {
     // BOOL hashes as `HKey::Bool`, not `HKey::Int`: it stays boxed.
     matches!(
         ty,
@@ -129,10 +131,12 @@ fn is_int_key(ty: DataType) -> bool {
 
 impl<'a> Groups<'a> {
     pub(crate) fn new(group_by: &'a [BoundExpr], aggs: &'a [AggExpr]) -> Self {
-        let table = match group_by {
-            [] => Table::Typed(TypedGroups::new(aggs, false)),
-            [k] if is_int_key(k.ty()) => Table::Typed(TypedGroups::new(aggs, true)),
-            _ => Table::Hashed(GroupTable::default()),
+        let lanes: Option<Vec<KeyLane>> = (group_by.len() <= 2)
+            .then(|| group_by.iter().map(|k| KeyLane::for_type(k.ty())).collect())
+            .flatten();
+        let table = match lanes {
+            Some(lanes) => Table::Typed(TypedGroups::new(aggs, lanes)),
+            None => Table::Hashed(GroupTable::default()),
         };
         Groups {
             group_by,
@@ -169,10 +173,15 @@ impl<'a> Groups<'a> {
             .collect();
         let args: Vec<Option<&ColumnData>> = args.iter().map(|a| a.as_deref()).collect();
         match &mut self.table {
-            Table::Typed(t) => t.update(keys.first().copied(), &args, self.aggs, sel)?,
+            Table::Typed(t) => t.update(&keys, &args, self.aggs, sel)?,
             Table::Hashed(t) => update_hashed(t, &keys, &args, self.aggs, sel)?,
         }
         Ok(fallbacks)
+    }
+
+    /// True when group keys go through [`HKey`]: the counted lane.
+    pub(crate) fn boxes_keys(&self) -> bool {
+        matches!(self.table, Table::Hashed(_))
     }
 
     pub(crate) fn into_table(self) -> GroupTable {
@@ -440,84 +449,163 @@ impl Acc {
     }
 }
 
-/// Groups of the no-key and single-integer-key shapes: group ids in
+/// A dictionary: each distinct key (NULL too) gets a dense id, counted
+/// from 0 in first-seen order.
+#[derive(Default)]
+struct Dict<K> {
+    ids: FxHashMap<K, u32>,
+    null_id: Option<u32>,
+    len: u32,
+}
+
+impl<K: std::hash::Hash + Eq> Dict<K> {
+    fn fresh(len: &mut u32) -> u32 {
+        *len += 1;
+        *len - 1
+    }
+
+    #[inline]
+    fn null(&mut self) -> u32 {
+        *self.null_id.get_or_insert_with(|| Self::fresh(&mut self.len))
+    }
+
+    /// The key of each id (`None` = NULL).
+    fn into_keys(self) -> Vec<Option<K>> {
+        let mut keys: Vec<Option<K>> = (0..self.len).map(|_| None).collect();
+        for (k, id) in self.ids {
+            keys[id as usize] = Some(k);
+        }
+        keys
+    }
+}
+
+impl Dict<i64> {
+    #[inline]
+    fn id_of(&mut self, key: i64) -> u32 {
+        *self.ids.entry(key).or_insert_with(|| Self::fresh(&mut self.len))
+    }
+}
+
+impl Dict<Box<[u8]>> {
+    /// One hash of the bytes; a key is copied once, when first seen.
+    #[inline]
+    fn id_of(&mut self, key: &[u8]) -> u32 {
+        if let Some(&id) = self.ids.get(key) {
+            return id;
+        }
+        let id = Self::fresh(&mut self.len);
+        self.ids.insert(key.into(), id);
+        id
+    }
+}
+
+/// One group key column's dictionary, on the lane its type has.
+enum KeyLane {
+    /// The integer family, widened to i64.
+    Int(Dict<i64>),
+    /// VARCHAR, by its UTF-8 bytes.
+    Str(Dict<Box<[u8]>>),
+}
+
+impl KeyLane {
+    fn for_type(ty: DataType) -> Option<KeyLane> {
+        match ty {
+            DataType::Varchar => Some(KeyLane::Str(Dict::default())),
+            ty if is_int_key(ty) => Some(KeyLane::Int(Dict::default())),
+            _ => None,
+        }
+    }
+
+    /// Append the id of each selected row's key to `out`; how many ids
+    /// the dictionary now holds.
+    fn ids_of(&mut self, col: &ColumnData, sel: &Selection, out: &mut Vec<u32>) -> Result<u32> {
+        let nulls = col.nulls();
+        let mismatch = || {
+            RsError::Execution(format!("typed group key got a {} column", col.data_type()))
+        };
+        match (self, col) {
+            (KeyLane::Str(dict), ColumnData::Str { data, .. }) => {
+                sel.for_each(|_, i| {
+                    out.push(if nulls.get(i) { dict.id_of(data.bytes_at(i)) } else { dict.null() })
+                });
+                Ok(dict.len)
+            }
+            // BOOL has an integer payload but hashes as `HKey::Bool`.
+            (KeyLane::Int(_), ColumnData::Bool { .. }) | (KeyLane::Str(_), _) => Err(mismatch()),
+            (KeyLane::Int(dict), other) => {
+                with_ints!(other,
+                    d => sel.for_each(|_, i| {
+                        out.push(if nulls.get(i) { dict.id_of(d[i] as i64) } else { dict.null() })
+                    }),
+                    _ => return Err(mismatch()));
+                Ok(dict.len)
+            }
+        }
+    }
+
+    /// The `HKey` of each id.
+    fn into_hkeys(self) -> Vec<HKey> {
+        let text = |bytes: Box<[u8]>| {
+            HKey::Str(std::str::from_utf8(&bytes).expect("StrVec holds valid UTF-8").into())
+        };
+        match self {
+            KeyLane::Int(d) => d.into_keys().into_iter().map(|k| k.map_or(HKey::Null, HKey::Int)).collect(),
+            KeyLane::Str(d) => d.into_keys().into_iter().map(|k| k.map_or(HKey::Null, text)).collect(),
+        }
+    }
+}
+
+/// Groups of the shapes with typed key lanes — no key, or one or two
+/// keys that are each integer-family or VARCHAR: group ids in
 /// first-seen order, one [`Acc`] column per aggregate.
 struct TypedGroups {
-    keyed: bool,
-    index: FxHashMap<i64, u32>,
-    null_group: Option<u32>,
-    /// Key of each group id (`None` = the NULL group); for the global
-    /// shape, one entry once a row has been seen.
-    keys: Vec<Option<i64>>,
+    /// One dictionary per key. A single key's id is the group id.
+    lanes: Vec<KeyLane>,
+    /// Two keys: their ids packed `(first << 32) | second` → group id.
+    pairs: Dict<i64>,
+    groups: usize,
     accs: Vec<Acc>,
 }
 
 impl TypedGroups {
-    fn new(aggs: &[AggExpr], keyed: bool) -> Self {
-        TypedGroups {
-            keyed,
-            index: FxHashMap::default(),
-            null_group: None,
-            keys: Vec::new(),
-            accs: aggs.iter().map(Acc::new).collect(),
-        }
-    }
-
-    /// Group id of `key`, opening the group on first sight.
-    #[inline]
-    fn group_of(&mut self, key: Option<i64>, aggs: &[AggExpr]) -> u32 {
-        let next = self.keys.len() as u32;
-        let g = match key {
-            Some(k) => *self.index.entry(k).or_insert(next),
-            None => *self.null_group.get_or_insert(next),
-        };
-        if g == next {
-            self.keys.push(key);
-            for (acc, spec) in self.accs.iter_mut().zip(aggs) {
-                acc.push_group(spec);
-            }
-        }
-        g
+    fn new(aggs: &[AggExpr], lanes: Vec<KeyLane>) -> Self {
+        TypedGroups { lanes, pairs: Dict::default(), groups: 0, accs: aggs.iter().map(Acc::new).collect() }
     }
 
     fn update(
         &mut self,
-        key: Option<&ColumnData>,
+        keys: &[&ColumnData],
         args: &[Option<&ColumnData>],
         aggs: &[AggExpr],
         sel: &Selection,
     ) -> Result<()> {
-        let mut gids: Vec<u32> = Vec::new();
-        if self.keyed {
-            let key = key.expect("keyed shape has a key column");
-            gids.reserve(sel.len());
-            let nulls = key.nulls();
-            match key {
-                ColumnData::Bool { .. } => {
-                    return Err(RsError::Execution(
-                        "integer group key got a BOOL column".into(),
-                    ))
+        // Group id of each selected row, opening groups on first sight.
+        let mut gids: Vec<u32> = Vec::with_capacity(sel.len() * self.lanes.len().min(1));
+        let groups = match self.lanes.as_mut_slice() {
+            [] => 1,
+            [lane] => lane.ids_of(keys[0], sel, &mut gids)?,
+            [first, second] => {
+                first.ids_of(keys[0], sel, &mut gids)?;
+                let mut seconds = Vec::with_capacity(sel.len());
+                second.ids_of(keys[1], sel, &mut seconds)?;
+                for (g, s) in gids.iter_mut().zip(seconds) {
+                    *g = self.pairs.id_of(((*g as i64) << 32) | s as i64);
                 }
-                other => with_ints!(other,
-                d => sel.for_each(|_, i| {
-                    let k = nulls.get(i).then(|| d[i] as i64);
-                    gids.push(self.group_of(k, aggs));
-                }),
-                _ => {
-                    return Err(RsError::Execution(format!(
-                        "integer group key got a {} column",
-                        other.data_type()
-                    )))
-                }),
+                self.pairs.len
             }
-        } else if self.keys.is_empty() {
-            self.group_of(None, aggs);
+            _ => unreachable!("at most two typed key lanes"),
+        } as usize;
+        for _ in self.groups..groups {
+            for (acc, spec) in self.accs.iter_mut().zip(aggs) {
+                acc.push_group(spec);
+            }
         }
+        self.groups = groups;
         for ((acc, spec), arg) in self.accs.iter_mut().zip(aggs).zip(args) {
-            if self.keyed {
-                acc.update(spec, *arg, sel, |j| gids[j] as usize)?;
-            } else {
+            if self.lanes.is_empty() {
                 acc.update(spec, *arg, sel, |_| 0)?;
+            } else {
+                acc.update(spec, *arg, sel, |j| gids[j] as usize)?;
             }
         }
         Ok(())
@@ -525,18 +613,25 @@ impl TypedGroups {
 
     /// Into the boxed table, inserting groups in first-seen order.
     fn into_table(self) -> GroupTable {
+        let mut hkeys: Vec<Vec<HKey>> = self.lanes.into_iter().map(KeyLane::into_hkeys).collect();
+        let keys: Vec<GroupKey> = match hkeys.len() {
+            0 => vec![GroupKey::Empty; self.groups],
+            1 => hkeys.remove(0).into_iter().map(GroupKey::One).collect(),
+            _ => (self.pairs.into_keys().into_iter())
+                .map(|pair| {
+                    let pair = pair.expect("a packed pair is never NULL");
+                    let (a, b) = ((pair >> 32) as usize, pair as u32 as usize);
+                    GroupKey::Two(hkeys[0][a].clone(), hkeys[1][b].clone())
+                })
+                .collect(),
+        };
         let mut per_agg: Vec<_> = self
             .accs
             .into_iter()
             .map(|a| a.into_states().into_iter())
             .collect();
         let mut table = GroupTable::default();
-        for key in self.keys {
-            let key = match (self.keyed, key) {
-                (false, _) => GroupKey::Empty,
-                (true, Some(k)) => GroupKey::One(HKey::Int(k)),
-                (true, None) => GroupKey::One(HKey::Null),
-            };
+        for key in keys {
             let states = per_agg
                 .iter_mut()
                 .map(|s| s.next().expect("one state per group"))
@@ -547,28 +642,6 @@ impl TypedGroups {
     }
 }
 
-/// Precompute one column's `HKey` for each selected row, sharing
-/// `Arc<str>` allocations across repeated string values within the
-/// batch.
-fn hkeys_of_column(c: &ColumnData, sel: &Selection) -> Vec<HKey> {
-    if let ColumnData::Str { data, .. } = c {
-        let mut memo: FxHashMap<&str, HKey> = FxHashMap::default();
-        return sel
-            .iter()
-            .map(|i| {
-                if c.is_null(i) {
-                    HKey::Null
-                } else {
-                    memo.entry(data.get(i))
-                        .or_insert_with(|| HKey::from_column(c, i))
-                        .clone()
-                }
-            })
-            .collect();
-    }
-    sel.iter().map(|i| HKey::from_column(c, i)).collect()
-}
-
 /// The boxed path: an `HKey` per key column, a `GroupKey` per row.
 fn update_hashed(
     table: &mut GroupTable,
@@ -577,7 +650,9 @@ fn update_hashed(
     aggs: &[AggExpr],
     sel: &Selection,
 ) -> Result<()> {
-    let key_hkeys: Vec<Vec<HKey>> = keys.iter().map(|c| hkeys_of_column(c, sel)).collect();
+    let key_hkeys: Vec<Vec<HKey>> = (keys.iter())
+        .map(|c| sel.iter().map(|i| HKey::from_column(c, i)).collect())
+        .collect();
     for (j, i) in sel.iter().enumerate() {
         let key = match key_hkeys.len() {
             0 => GroupKey::Empty,
@@ -1024,22 +1099,38 @@ mod tests {
     #[test]
     fn unsorted_group_order_is_the_boxed_paths() {
         // Same first-seen insertion order ⇒ same hash-table layout ⇒
-        // same iteration order at the leader.
-        let keys: Vec<Value> = (0..500).map(|i| Value::Int8((i * 7919) % 97)).collect();
-        let cols = vec![column(DataType::Int8, &keys)];
+        // same iteration order at the leader — for every typed key
+        // shape, NULL keys included.
+        let ints: Vec<Value> = (0..500)
+            .map(|i| if i % 41 == 7 { Value::Null } else { Value::Int8((i * 7919) % 97) })
+            .collect();
+        let strs: Vec<Value> = (0..500)
+            .map(|i| if i % 53 == 9 { Value::Null } else { Value::Str(format!("k{}", (i * 31) % 19)) })
+            .collect();
+        let cols = vec![column(DataType::Int8, &ints), column(DataType::Varchar, &strs)];
         let aggs = vec![agg(AggFunc::CountStar, None)];
-        let key = [col(0, DataType::Int8)];
-        let sel = Selection::all(500);
-        let mut typed = Groups::new(&key, &aggs);
-        typed.update(&cols, &sel).unwrap();
-        let mut boxed = Groups {
-            group_by: &key,
-            aggs: &aggs,
-            table: Table::Hashed(GroupTable::default()),
-        };
-        boxed.update(&cols, &sel).unwrap();
-        let order = |g: Groups| g.into_table().0.into_keys().collect::<Vec<_>>();
-        assert_eq!(order(typed), order(boxed));
+        let (k0, k1) = (col(0, DataType::Int8), col(1, DataType::Varchar));
+        for key in [vec![k0.clone()], vec![k1.clone()], vec![k1.clone(), k1.clone()], vec![k0, k1]] {
+            let mut typed = Groups::new(&key, &aggs);
+            assert!(!typed.boxes_keys());
+            let mut boxed = Groups {
+                group_by: &key,
+                aggs: &aggs,
+                table: Table::Hashed(GroupTable::default()),
+            };
+            // Two batches: ids and groups carry over from one to the next.
+            for sel in [Selection::from_ids(500, (0..250).collect()), Selection::all(500)] {
+                typed.update(&cols, &sel).unwrap();
+                boxed.update(&cols, &sel).unwrap();
+            }
+            let order = |g: Groups| g.into_table().0.into_keys().collect::<Vec<_>>();
+            assert_eq!(order(typed), order(boxed), "{} keys", key.len());
+        }
+        // What the code lanes decline is boxed, and says so.
+        let float = [col(0, DataType::Float8)];
+        assert!(Groups::new(&float, &aggs).boxes_keys());
+        let three = [col(0, DataType::Int8), col(0, DataType::Int8), col(0, DataType::Int8)];
+        assert!(Groups::new(&three, &aggs).boxes_keys());
     }
 
     #[test]

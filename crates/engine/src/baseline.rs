@@ -96,7 +96,7 @@ pub fn run_plan(plan: &LogicalPlan, source: &dyn RowSource) -> Result<Vec<Row>> 
             }
             out
         }
-        LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, .. } => {
+        LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, emit, .. } => {
             let left_rows = run_plan(left, source)?;
             let right_rows = run_plan(right, source)?;
             let rw = right.output().len();
@@ -107,6 +107,8 @@ pub fn run_plan(plan: &LogicalPlan, source: &dyn RowSource) -> Result<Vec<Row>> 
                     table.entry(k).or_default().push(i);
                 }
             }
+            // The join matches over all of both rows and emits `emit`.
+            let emitted = |vals: &[Value]| Row::new(emit.iter().map(|&i| vals[i].clone()).collect());
             let mut out = Vec::new();
             for l in &left_rows {
                 let k = HKey::from_value(l.get(*left_key));
@@ -122,14 +124,14 @@ pub fn run_plan(plan: &LogicalPlan, source: &dyn RowSource) -> Result<Vec<Row>> 
                                 }
                             }
                             matched = true;
-                            out.push(Row::new(vals));
+                            out.push(emitted(&vals));
                         }
                     }
                 }
                 if !matched && *join_type == JoinType::Left {
                     let mut vals = l.values().to_vec();
                     vals.extend(std::iter::repeat_n(Value::Null, rw));
-                    out.push(Row::new(vals));
+                    out.push(emitted(&vals));
                 }
             }
             out

@@ -11,13 +11,12 @@
 
 use crate::agg::{GroupTable, Groups};
 use crate::expr::{bind, narrow_predicate};
-use crate::hashkey::HKey;
-use crate::kernels::cmp_slots;
+use crate::join::{join_chunk, Build, JoinShape};
+use crate::kernels::{cmp_slots, with_ints};
 use crate::selection::Selection;
-use redsim_testkit::sync::Mutex;
-use redsim_common::{ColumnData, DataType, FxHashMap, FxHashSet, Result, Row, RsError};
+use redsim_testkit::{par, sync::Mutex};
+use redsim_common::{fx_hash64, ColumnData, Result, Row, RsError};
 use redsim_distribution::{style::dist_hash, JoinDistStrategy};
-use redsim_sql::ast::JoinType;
 use redsim_sql::plan::{AggExpr, BoundExpr, LogicalPlan, OutCol};
 use redsim_storage::table::{ScanOutput, ScanPredicate};
 
@@ -26,11 +25,13 @@ pub type Batch = Vec<ColumnData>;
 
 /// A batch and the rows of it that are still alive — what flows between
 /// operators (the contract is [`crate::selection`]'s). Filters narrow
-/// `sel`; aggregation and the final row copy read through it; operators
-/// that need dense columns call [`Chunk::into_dense`] at their input.
-struct Chunk {
-    cols: Batch,
-    sel: Selection,
+/// `sel`; joins, aggregation and the final row copy read through it;
+/// sort and limit call [`Chunk::into_dense`] at their input. `sel`
+/// carries the row count, so a join nobody reads a column of (`COUNT(*)`
+/// above it) emits chunks with no columns at all.
+pub(crate) struct Chunk {
+    pub(crate) cols: Batch,
+    pub(crate) sel: Selection,
 }
 
 impl Chunk {
@@ -90,6 +91,10 @@ pub struct ExecMetrics {
     /// interpreter because no typed kernel covers it: the
     /// `exec.interp_fallback` counter, per statement.
     pub interp_fallback: u64,
+    /// Batches whose join or group keys were boxed into `HKey`s for want
+    /// of a typed key lane (a FLOAT8 / DECIMAL / BOOL key, a VARCHAR join
+    /// key, 3+ group keys): the `exec.key_fallback` counter, per statement.
+    pub key_fallback: u64,
     /// Time the query waited for a WLM concurrency slot before running
     /// (leader-side admission control; 0 when a slot was free).
     pub queue_wait_ns: u64,
@@ -114,6 +119,7 @@ impl ExecMetrics {
         self.groups_skipped += other.groups_skipped;
         self.rows_scanned += other.rows_scanned;
         self.interp_fallback += other.interp_fallback;
+        self.key_fallback += other.key_fallback;
         self.queue_wait_ns += other.queue_wait_ns;
         self.exec_ns += other.exec_ns;
         self.compile_ns += other.compile_ns;
@@ -247,11 +253,13 @@ impl<'a> Executor<'a> {
         Ok(QueryOutput { columns, rows, metrics: self.metrics.lock().clone(), profile })
     }
 
-    /// Add batches the binder handed to the row interpreter to the
-    /// statement's count.
-    fn count_fallbacks(&self, n: u64) {
-        if n > 0 {
-            self.metrics.lock().interp_fallback += n;
+    /// Add batches the binder handed to the row interpreter, and
+    /// batches whose keys were boxed, to the statement's counts.
+    fn count_fallbacks(&self, interp: u64, key: u64) {
+        if interp + key > 0 {
+            let mut m = self.metrics.lock();
+            m.interp_fallback += interp;
+            m.key_fallback += key;
         }
     }
 
@@ -306,7 +314,7 @@ impl<'a> Executor<'a> {
                 let ds = self.exec(input, step + 1)?;
                 self.map_chunks(ds, |mut chunk| {
                     let fell_back = chunk.filter(predicate)?;
-                    self.count_fallbacks(fell_back as u64);
+                    self.count_fallbacks(fell_back as u64, 0);
                     Ok(chunk)
                 })
             }
@@ -316,7 +324,7 @@ impl<'a> Executor<'a> {
                     let mut out = Batch::with_capacity(exprs.len());
                     for e in exprs {
                         let (col, fell_back) = bind(e, &chunk.cols, &chunk.sel)?;
-                        self.count_fallbacks(fell_back as u64);
+                        self.count_fallbacks(fell_back as u64, 0);
                         out.push(match chunk.sel.ids() {
                             None => col.into_owned(),
                             Some(ids) => col.gather(ids),
@@ -325,8 +333,11 @@ impl<'a> Executor<'a> {
                     Ok(Chunk::dense(out))
                 })
             }
-            LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy } => {
-                self.exec_join(left, right, *join_type, *left_key, *right_key, residual.as_ref(), *strategy, step)
+            LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy, emit } => {
+                let keys = (*left_key, *right_key);
+                let shape =
+                    JoinShape::new(&left.output(), &right.output(), *join_type, keys, residual.as_ref(), emit)?;
+                self.exec_join(left, right, &shape, *strategy, step)
             }
             LogicalPlan::Aggregate { input, group_by, aggs, output } => {
                 self.exec_aggregate(input, group_by, aggs, output, step)
@@ -338,7 +349,7 @@ impl<'a> Executor<'a> {
                 let mut key_cols = Vec::with_capacity(keys.len());
                 for (k, _) in keys {
                     let (col, fell_back) = bind(k, &all, &Selection::all(rows))?;
-                    self.count_fallbacks(fell_back as u64);
+                    self.count_fallbacks(fell_back as u64, 0);
                     key_cols.push(col);
                 }
                 let mut idx: Vec<u32> = (0..rows as u32).collect();
@@ -375,7 +386,7 @@ impl<'a> Executor<'a> {
     ) -> Result<DataSet> {
         let n = self.provider.num_slices();
         let results: Vec<Result<(Vec<Chunk>, ExecMetrics)>> =
-            parallel_map(n, |slice| {
+            par::map_indexed(n, |slice| {
                 if let Some(faults) = &self.faults {
                     use redsim_faultkit::{fp, Outcome};
                     match faults.fire(fp::EXEC_SCAN_SLICE) {
@@ -458,7 +469,7 @@ impl<'a> Executor<'a> {
                 Ok(DataSet::Leader(out?))
             }
             DataSet::Slices(per_slice) => {
-                let results: Vec<Result<Vec<Chunk>>> = parallel_map_owned(per_slice, |chunks| {
+                let results: Vec<Result<Vec<Chunk>>> = par::map(per_slice, |chunks| {
                     chunks.into_iter().map(&f).collect()
                 });
                 Ok(DataSet::Slices(results.into_iter().collect::<Result<_>>()?))
@@ -466,142 +477,83 @@ impl<'a> Executor<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_join(
         &self,
         left: &LogicalPlan,
         right: &LogicalPlan,
-        join_type: JoinType,
-        left_key: usize,
-        right_key: usize,
-        residual: Option<&BoundExpr>,
+        shape: &JoinShape,
         strategy: JoinDistStrategy,
         step: usize,
     ) -> Result<DataSet> {
-        let lw = left.output().len();
-        let right_types: Vec<DataType> = right.output().iter().map(|c| c.ty).collect();
-        let l_ds = self.exec(left, step + 1)?;
-        let r_ds = self.exec(right, step + 1 + left.num_steps())?;
         let n = self.provider.num_slices();
-        let l_slices = self.to_slices(l_ds, n);
-        let mut r_slices = self.to_slices(r_ds, n);
-        // (shadowed mutable below for strategies that re-expand a side)
-
-        let mut l_slices = l_slices;
-        match strategy {
-            JoinDistStrategy::DistNone => {}
-            JoinDistStrategy::AllNone { all_side_left } => {
-                // The ALL side's copy exists on every node; its scan
-                // reported it once (slice 0). Re-expand it locally —
-                // no network bytes move.
-                if all_side_left {
-                    let all_left: Vec<Batch> = l_slices.into_iter().flatten().collect();
-                    l_slices = (0..n).map(|_| all_left.clone()).collect();
-                } else {
-                    let all_right: Vec<Batch> = r_slices.into_iter().flatten().collect();
-                    r_slices = (0..n).map(|_| all_right.clone()).collect();
-                }
-            }
-            JoinDistStrategy::BcastInner => {
-                // Ship every inner batch to every slice.
-                let all_right: Vec<Batch> = r_slices.into_iter().flatten().collect();
-                let bytes: u64 = all_right
-                    .iter()
-                    .map(|b| b.iter().map(|c| c.byte_size() as u64).sum::<u64>())
-                    .sum();
-                self.metrics.lock().bytes_broadcast += bytes * (n as u64).saturating_sub(1);
-                r_slices = (0..n).map(|_| all_right.clone()).collect();
-            }
-            JoinDistStrategy::DistBoth => {
-                let (l2, lb) = self.redistribute(l_slices, left_key, n)?;
-                let (r2, rb) = self.redistribute(r_slices, right_key, n)?;
-                self.metrics.lock().bytes_redistributed += lb + rb;
-                return self.local_joins(
-                    l2, r2, lw, &right_types, join_type, left_key, right_key, residual,
-                );
-            }
-        }
-        self.local_joins(l_slices, r_slices, lw, &right_types, join_type, left_key, right_key, residual)
-    }
-
-    /// Join input: dense batches per slice.
-    fn to_slices(&self, ds: DataSet, n: usize) -> Vec<Vec<Batch>> {
-        let densify = |chunks: Vec<Chunk>| chunks.into_iter().map(Chunk::into_dense).collect();
-        match ds {
-            DataSet::Slices(s) => s.into_iter().map(densify).collect(),
+        // One chunk list per slice; leader data (rare: a join over a
+        // leader-materialized input) takes part as slice 0.
+        let per_slice = |ds: DataSet| match ds {
+            DataSet::Slices(s) => s,
             DataSet::Leader(chunks) => {
-                // Leader data participates as slice 0 (rare; e.g. joins over
-                // leader-materialized inputs).
-                let mut out = vec![Vec::new(); n];
-                out[0] = densify(chunks);
+                let mut out: Vec<Vec<Chunk>> = (0..n).map(|_| Vec::new()).collect();
+                out[0] = chunks;
                 out
             }
+        };
+        let mut outer = per_slice(self.exec(left, step + 1)?);
+        let mut inner = per_slice(self.exec(right, step + 1 + left.num_steps())?);
+        if strategy == JoinDistStrategy::DistBoth {
+            let (o, ob) = redistribute(outer, shape.left_key, n);
+            let (i, ib) = redistribute(inner, shape.right_key, n);
+            (outer, inner) = (o, i);
+            self.metrics.lock().bytes_redistributed += ob + ib;
         }
-    }
-
-    /// Hash-partition every row by its key column; returns the new
-    /// placement and the bytes that crossed slices.
-    fn redistribute(
-        &self,
-        per_slice: Vec<Vec<Batch>>,
-        key: usize,
-        n: usize,
-    ) -> Result<(Vec<Vec<Batch>>, u64)> {
-        let mut out: Vec<Vec<Batch>> = vec![Vec::new(); n];
-        let mut moved = 0u64;
-        for (src, batches) in per_slice.into_iter().enumerate() {
-            for batch in batches {
-                let rows = batch.first().map_or(0, |c| c.len());
-                if rows == 0 {
-                    continue;
+        let batches = |side: &[Vec<Chunk>]| side.iter().map(|c| c.len() as u64).sum::<u64>();
+        self.count_fallbacks(0, if shape.typed { 0 } else { batches(&outer) + batches(&inner) });
+        let joined: Vec<Result<Vec<Chunk>>> = match strategy {
+            // The inner side is the same on every slice — a DISTSTYLE ALL
+            // table's copy (its scan reports it once), or shipped to all
+            // of them: hash it once, probe it from every slice.
+            JoinDistStrategy::AllNone { all_side_left: false } | JoinDistStrategy::BcastInner => {
+                let all: Vec<Chunk> = inner.into_iter().flatten().collect();
+                if strategy == JoinDistStrategy::BcastInner {
+                    let bytes: u64 = all.iter().map(dense_bytes).sum();
+                    self.metrics.lock().bytes_broadcast += bytes * (n as u64).saturating_sub(1);
                 }
-                let mut dest_idx: Vec<Vec<u32>> = vec![Vec::new(); n];
-                for i in 0..rows {
-                    let d = (dist_hash_column(&batch[key], i) % n as u64) as usize;
-                    dest_idx[d].push(i as u32);
-                }
-                let row_bytes =
-                    batch.iter().map(|c| c.byte_size()).sum::<usize>() as u64 / rows.max(1) as u64;
-                for (d, idx) in dest_idx.into_iter().enumerate() {
-                    if idx.is_empty() {
-                        continue;
-                    }
-                    if d != src {
-                        moved += row_bytes * idx.len() as u64;
-                    }
-                    out[d].push(batch.iter().map(|c| c.gather(&idx)).collect());
-                }
+                let build = Build::new(shape, &all)?;
+                drop(all);
+                par::map(outer, |chunks| self.probe_all(shape, &build, chunks))
             }
-        }
-        Ok((out, moved))
+            // The outer side is the local copy: every slice probes its
+            // own inner rows with all of it.
+            JoinDistStrategy::AllNone { all_side_left: true } => {
+                let all: Vec<Chunk> = outer.into_iter().flatten().collect();
+                par::map(inner, |chunks| self.probe_all(shape, &Build::new(shape, &chunks)?, &all))
+            }
+            JoinDistStrategy::DistNone | JoinDistStrategy::DistBoth => {
+                let pairs: Vec<_> = outer.into_iter().zip(inner).collect();
+                par::map(pairs, |(outer, inner)| {
+                    let build = Build::new(shape, &inner)?;
+                    drop(inner);
+                    self.probe_all(shape, &build, outer)
+                })
+            }
+        };
+        Ok(DataSet::Slices(joined.into_iter().collect::<Result<_>>()?))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn local_joins(
+    /// One slice's local join: every outer chunk against `build`.
+    fn probe_all<C: std::borrow::Borrow<Chunk>>(
         &self,
-        l_slices: Vec<Vec<Batch>>,
-        r_slices: Vec<Vec<Batch>>,
-        lw: usize,
-        right_types: &[DataType],
-        join_type: JoinType,
-        left_key: usize,
-        right_key: usize,
-        residual: Option<&BoundExpr>,
-    ) -> Result<DataSet> {
-        let pairs: Vec<(Vec<Batch>, Vec<Batch>)> =
-            l_slices.into_iter().zip(r_slices).collect();
-        let results: Vec<Result<(Vec<Batch>, u64)>> = parallel_map_owned(pairs, |(lb, rb)| {
-            hash_join_local(lb, rb, lw, right_types, join_type, left_key, right_key, residual)
-        });
-        let mut per_slice = Vec::with_capacity(results.len());
+        shape: &JoinShape,
+        build: &Build,
+        outer: impl IntoIterator<Item = C>,
+    ) -> Result<Vec<Chunk>> {
+        let mut out = Vec::new();
         let mut fallbacks = 0;
-        for r in results {
-            let (batches, fell_back) = r?;
-            fallbacks += fell_back;
-            per_slice.push(batches.into_iter().map(Chunk::dense).collect());
+        for chunk in outer {
+            let (joined, fell_back) = join_chunk(shape, build, chunk.borrow())?;
+            fallbacks += fell_back as u64;
+            out.extend(joined);
         }
-        self.count_fallbacks(fallbacks);
-        Ok(DataSet::Slices(per_slice))
+        self.count_fallbacks(fallbacks, 0);
+        Ok(out)
     }
 
     fn exec_aggregate(
@@ -617,15 +569,16 @@ impl<'a> Executor<'a> {
         // (batch, selection) pairs.
         let partial = |chunks: Vec<Chunk>| -> Result<GroupTable> {
             let mut groups = Groups::new(group_by, aggs);
-            let mut fallbacks = 0;
+            let (mut interp, mut key) = (0, 0);
             for chunk in &chunks {
-                fallbacks += groups.update(&chunk.cols, &chunk.sel)?;
+                interp += groups.update(&chunk.cols, &chunk.sel)?;
+                key += (groups.boxes_keys() && !chunk.sel.is_empty()) as u64;
             }
-            self.count_fallbacks(fallbacks);
+            self.count_fallbacks(interp, key);
             Ok(groups.into_table())
         };
         let partials: Vec<Result<GroupTable>> = match ds {
-            DataSet::Slices(per_slice) => parallel_map_owned(per_slice, partial),
+            DataSet::Slices(per_slice) => par::map(per_slice, partial),
             DataSet::Leader(chunks) => vec![partial(chunks)],
         };
         // Final merge at the leader, one output batch.
@@ -638,127 +591,72 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// Per-slice hash join over local batches.
-#[allow(clippy::too_many_arguments)]
-fn hash_join_local(
-    left_batches: Vec<Batch>,
-    right_batches: Vec<Batch>,
-    lw: usize,
-    right_types: &[DataType],
-    join_type: JoinType,
-    left_key: usize,
-    right_key: usize,
-    residual: Option<&BoundExpr>,
-) -> Result<(Vec<Batch>, u64)> {
-    let mut fallbacks = 0u64;
-    // Build on the right side.
-    let right_all = concat_batches_opt(right_batches);
-    let mut table: FxHashMap<HKey, Vec<u32>> = FxHashMap::default();
-    if let Some(r) = &right_all {
-        let n = r.first().map_or(0, |c| c.len());
-        for i in 0..n {
-            let k = HKey::from_column(&r[right_key], i);
-            if k.is_null() {
-                continue; // NULL never matches
+/// Hash-partition every selected row by its key column; returns the new
+/// placement and the bytes that crossed slices. Per chunk: one pass over
+/// the key's typed lane for the destinations, one counting sort of the
+/// row ids, one gather per destination.
+fn redistribute(per_slice: Vec<Vec<Chunk>>, key: usize, n: usize) -> (Vec<Vec<Chunk>>, u64) {
+    let mut out: Vec<Vec<Chunk>> = (0..n).map(|_| Vec::new()).collect();
+    let mut moved = 0u64;
+    for (src, chunks) in per_slice.into_iter().enumerate() {
+        for chunk in chunks {
+            let rows = chunk.sel.len();
+            if rows == 0 {
+                continue;
             }
-            table.entry(k).or_default().push(i as u32);
+            let dest = route(&chunk.cols[key], &chunk.sel, n as u64);
+            let mut start = vec![0usize; n + 1];
+            dest.iter().for_each(|&d| start[d as usize + 1] += 1);
+            (0..n).for_each(|d| start[d + 1] += start[d]);
+            let mut cursor = start.clone();
+            let mut ids = vec![0u32; rows];
+            chunk.sel.for_each(|j, i| {
+                let d = dest[j] as usize;
+                ids[cursor[d]] = i as u32;
+                cursor[d] += 1;
+            });
+            for d in 0..n {
+                let part = &ids[start[d]..start[d + 1]];
+                if part.is_empty() {
+                    continue;
+                }
+                let moving = Chunk::dense(chunk.cols.iter().map(|c| c.gather(part)).collect());
+                if d != src {
+                    moved += dense_bytes(&moving);
+                }
+                out[d].push(moving);
+            }
         }
     }
-    let mut out = Vec::new();
-    for lb in left_batches {
-        let n = lb.first().map_or(0, |c| c.len());
-        if n == 0 {
-            continue;
-        }
-        let mut l_idx: Vec<u32> = Vec::new();
-        let mut r_idx: Vec<u32> = Vec::new();
-        let mut unmatched: Vec<u32> = Vec::new();
-        for i in 0..n {
-            let k = HKey::from_column(&lb[left_key], i);
-            let matches = if k.is_null() { None } else { table.get(&k) };
-            match matches {
-                Some(list) => {
-                    for &j in list {
-                        l_idx.push(i as u32);
-                        r_idx.push(j);
-                    }
-                }
-                None => {
-                    if join_type == JoinType::Left {
-                        unmatched.push(i as u32);
-                    }
-                }
-            }
-        }
-        // Materialize matched rows (an absent build side still yields
-        // typed, empty right columns so output width stays stable).
-        let mut combined: Batch = Vec::with_capacity(lw + right_types.len());
-        for c in &lb {
-            combined.push(c.gather(&l_idx));
-        }
-        match &right_all {
-            Some(r) => {
-                for c in r {
-                    combined.push(c.gather(&r_idx));
-                }
-            }
-            None => {
-                for &ty in right_types {
-                    combined.push(ColumnData::new(ty));
-                }
-            }
-        }
-        // Residual filter on matched rows only.
-        let mut kept = if let Some(res) = residual {
-            let mut matched = Chunk::dense(combined);
-            fallbacks += matched.filter(res)? as u64;
-            // LEFT JOIN: a left row none of whose candidate matches
-            // survived the residual reverts to unmatched.
-            if join_type == JoinType::Left {
-                let survivors: FxHashSet<u32> =
-                    matched.sel.iter().map(|pos| l_idx[pos]).collect();
-                unmatched.extend(l_idx.iter().filter(|li| !survivors.contains(li)));
-                unmatched.sort_unstable();
-                unmatched.dedup();
-            }
-            matched.into_dense()
-        } else {
-            combined
-        };
-        // NULL-extended unmatched left rows.
-        if join_type == JoinType::Left && !unmatched.is_empty() {
-            let mut pad: Batch = Vec::with_capacity(lw + right_types.len());
-            for c in &lb {
-                pad.push(c.gather(&unmatched));
-            }
-            for &ty in right_types {
-                let mut nulls = ColumnData::new(ty);
-                for _ in 0..unmatched.len() {
-                    nulls.push_null();
-                }
-                pad.push(nulls);
-            }
-            // Append pad to kept.
-            for (k, p) in kept.iter_mut().zip(&pad) {
-                k.append(p);
-            }
-        }
-        if kept.first().map_or(0, |c| c.len()) > 0 {
-            out.push(kept);
-        }
-    }
-    Ok((out, fallbacks))
+    (out, moved)
 }
 
-/// Routing hash of one column slot without materializing a `Value`
-/// (matches `redsim_distribution::style::dist_hash` semantics).
-fn dist_hash_column(c: &ColumnData, i: usize) -> u64 {
-    if c.is_null(i) {
-        return 0;
+/// The slice (of `n`) each selected row's key routes to: `dist_hash`'s
+/// hash — a re-hashed side meets a KEY-distributed table's rows —
+/// without a `Value` per row for the integer family and VARCHAR.
+fn route(key: &ColumnData, sel: &Selection, n: u64) -> Vec<u32> {
+    let mut dest = Vec::with_capacity(sel.len());
+    let nulls = key.nulls();
+    // NULL keys route like `dist_hash(&Value::Null)`: to slice 0.
+    let slot = |valid: bool, hash: u64| if valid { (hash % n) as u32 } else { 0 };
+    match key {
+        ColumnData::Str { data, .. } => {
+            sel.for_each(|_, i| dest.push(slot(nulls.get(i), fx_hash64(data.get(i)))))
+        }
+        other => with_ints!(other,
+            d => sel.for_each(|_, i| dest.push(slot(nulls.get(i), fx_hash64(&(d[i] as i64))))),
+            _ => sel.for_each(|_, i| dest.push(slot(true, dist_hash(&other.get(i)))))),
     }
-    match c {
-        ColumnData::Str { data, .. } => redsim_common::fx_hash64(data.get(i)),
-        other => dist_hash(&other.get(i)),
+    dest
+}
+
+/// `chunk.into_dense()`'s `byte_size`: what shipping the chunk's
+/// selected rows moves.
+fn dense_bytes(chunk: &Chunk) -> u64 {
+    let bytes = |cols: &[ColumnData]| cols.iter().map(|c| c.byte_size() as u64).sum();
+    match chunk.sel.ids() {
+        None => bytes(&chunk.cols),
+        Some(_) => bytes(&chunk.sel.gather(&chunk.cols)),
     }
 }
 
@@ -776,34 +674,19 @@ fn chunk_totals(chunks: &[Chunk]) -> (u64, u64) {
     (rows, bytes)
 }
 
-/// Concatenate batches into one; an empty input yields empty columns of
-/// the schema's types.
+/// Concatenate the batches that hold rows into one; with none, empty
+/// columns of the schema's types.
 fn concat_batches(schema: &[OutCol], batches: Vec<Batch>) -> Batch {
-    match concat_batches_opt(batches) {
-        Some(b) => b,
-        None => schema.iter().map(|c| ColumnData::new(c.ty)).collect(),
-    }
-}
-
-fn concat_batches_opt(batches: Vec<Batch>) -> Option<Batch> {
-    let mut iter = batches.into_iter().filter(|b| b.first().map_or(0, |c| c.len()) > 0 || !b.is_empty());
-    let mut acc = iter.next()?;
+    let mut iter = batches.into_iter().filter(|b| b.first().is_some_and(|c| !c.is_empty()));
+    let Some(mut acc) = iter.next() else {
+        return schema.iter().map(|c| ColumnData::new(c.ty)).collect();
+    };
     for b in iter {
         for (a, c) in acc.iter_mut().zip(&b) {
             a.append(c);
         }
     }
-    Some(acc)
-}
-
-/// Run `f(0..n)` on scoped threads, preserving order.
-fn parallel_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    redsim_testkit::par::map_indexed(n, f)
-}
-
-/// Like [`parallel_map`] but consuming owned inputs.
-fn parallel_map_owned<I: Send, T: Send>(inputs: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
-    redsim_testkit::par::map(inputs, f)
+    acc
 }
 
 #[cfg(test)]
@@ -831,6 +714,7 @@ mod metrics_tests {
             exec_ns: 9,
             compile_ns: 10,
             interp_fallback: 11,
+            key_fallback: 12,
         };
         let mut acc = ExecMetrics::default();
         acc.absorb(&all_nonzero);
@@ -846,6 +730,7 @@ mod metrics_tests {
         assert_eq!(acc.exec_ns, 18);
         assert_eq!(acc.compile_ns, 20);
         assert_eq!(acc.interp_fallback, 22);
+        assert_eq!(acc.key_fallback, 24);
         assert_eq!(acc.exchange_bytes(), 6);
     }
 }

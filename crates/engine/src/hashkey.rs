@@ -3,6 +3,14 @@
 //! `Value` is not `Hash`/`Eq` (floats); `HKey` normalizes values into a
 //! hashable form consistent with [`redsim_distribution::style::dist_hash`]
 //! for the integer family, so hash-table joins agree with slice routing.
+//!
+//! This is the slow path by design. Joins on integer-family keys and
+//! GROUP BYs of up to two integer-family / VARCHAR keys never build an
+//! `HKey` per row (`join`'s and `agg`'s typed lanes); what does —
+//! FLOAT8, DECIMAL, BOOL and VARCHAR join keys, the same group keys,
+//! three or more of any — is counted in `ExecMetrics::key_fallback`.
+//! In particular [`HKey::from_column`]'s `Arc::from` per VARCHAR slot is
+//! paid on that lane only.
 
 use redsim_common::Value;
 use std::sync::Arc;

@@ -29,6 +29,13 @@
 //!   (std scoped threads via testkit::par), broadcast/redistribute exchanges with
 //!   byte accounting (experiment E11), partial/final aggregation at the
 //!   leader.
+//! * `join` (private) — the per-slice hash join: a flat typed table
+//!   over integer-family keys (the counted `HKey` map for the rest),
+//!   probed off the selection, emitting index pairs and gathering only
+//!   the columns the parent reads.
+//! * `agg` (private) — partial aggregation: struct-of-arrays
+//!   accumulators over dictionary-coded integer / VARCHAR group keys,
+//!   the counted boxed table for the shapes without a lane.
 //! * [`compile`] — query "compilation": plan specialization with a
 //!   deliberate fixed cost, plus the LRU plan cache that amortizes it.
 //! * [`baseline`] — a single-threaded, row-oriented engine standing in
@@ -41,6 +48,7 @@ pub mod exec;
 pub mod expr;
 pub mod hashkey;
 pub mod interp;
+mod join;
 pub mod kernels;
 pub mod like;
 pub mod selection;

@@ -10,11 +10,12 @@
 //!
 //! A `(batch, Selection)` pair stands for the batch with the unselected
 //! rows deleted, in row order. Operators that only *read* rows — a
-//! further filter, partial aggregation, the row interpreter's fallback,
-//! the final row copy — must use the pair as it is. Operators that need
-//! dense columns (join build and probe, sort, limit) call
-//! [`Selection::gather`] exactly once, at their input; projection
-//! gathers each column it produces.
+//! further filter, a join's build and probe, an exchange, partial
+//! aggregation, the row interpreter's fallback, the final row copy —
+//! must use the pair as it is. Operators that need dense columns (sort,
+//! limit) call [`Selection::gather`] exactly once, at their input;
+//! projection gathers each column it produces, a join the columns it
+//! emits.
 
 use redsim_common::{Bitmap, ColumnData};
 

@@ -103,6 +103,7 @@ fn join_plan(strategy: JoinDistStrategy, join_type: JoinType) -> LogicalPlan {
         right_key: 0,
         residual: None,
         strategy,
+        emit: vec![0, 1, 2, 3],
     }
 }
 

@@ -129,6 +129,7 @@ impl<'a> Binder<'a> {
                 right_key,
                 residual,
                 strategy: JoinDistStrategy::DistBoth, // optimizer refines
+                emit: (0..combined.cols.len()).collect(), // optimizer prunes
             };
             scope = combined;
         }

@@ -72,7 +72,7 @@ fn push_down_filters(plan: LogicalPlan) -> LogicalPlan {
             exprs,
             output,
         },
-        LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy } => {
+        LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy, emit } => {
             LogicalPlan::Join {
                 left: Box::new(push_down_filters(*left)),
                 right: Box::new(push_down_filters(*right)),
@@ -81,6 +81,7 @@ fn push_down_filters(plan: LogicalPlan) -> LogicalPlan {
                 right_key,
                 residual,
                 strategy,
+                emit,
             }
         }
         LogicalPlan::Aggregate { input, group_by, aggs, output } => LogicalPlan::Aggregate {
@@ -113,30 +114,23 @@ fn push_pred_into(input: LogicalPlan, pred: BoundExpr) -> LogicalPlan {
             let combined = and_all(vec![predicate, pred]).expect("non-empty");
             push_pred_into(*input, combined)
         }
-        LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy } => {
+        LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy, emit } => {
             use crate::ast::JoinType;
             let lw = left.output().len();
             let mut to_left = Vec::new();
             let mut to_right = Vec::new();
             let mut stay = Vec::new();
             for c in split_conjuncts_bound(pred) {
-                let lo = min_col(&c);
-                let hi = max_col(&c);
-                match (lo, hi) {
-                    (Some(_), Some(h)) if h < lw => to_left.push(c),
-                    (Some(l), Some(_)) if l >= lw => {
-                        // For LEFT joins, predicates on the right side can't
-                        // be pushed below the join (they'd drop NULL-extended
-                        // rows differently). Keep them above.
-                        if join_type == JoinType::Left {
-                            stay.push(c);
-                        } else {
-                            to_right.push(
-                                c.remap_columns(&|i| Some(i - lw)).expect("cols ≥ lw"),
-                            );
-                        }
-                    }
-                    (None, None) => stay.push(c), // constant predicate
+                // The conjunct over the children's columns (left ++ right).
+                let below = c.remap_columns(&|i| emit.get(i).copied()).expect("emitted column");
+                match (min_col(&below), max_col(&below)) {
+                    (Some(_), Some(h)) if h < lw => to_left.push(below),
+                    // For LEFT joins, predicates on the right side can't
+                    // be pushed below the join (they'd drop NULL-extended
+                    // rows differently). Keep them above.
+                    (Some(l), Some(_)) if l >= lw && join_type != JoinType::Left => to_right
+                        .push(below.remap_columns(&|i| Some(i - lw)).expect("cols ≥ lw")),
+                    // Constant predicates and those spanning both sides.
                     _ => stay.push(c),
                 }
             }
@@ -158,6 +152,7 @@ fn push_pred_into(input: LogicalPlan, pred: BoundExpr) -> LogicalPlan {
                 right_key,
                 residual,
                 strategy,
+                emit,
             };
             match and_all(stay) {
                 Some(p) => LogicalPlan::Filter { input: Box::new(join), predicate: p },
@@ -233,38 +228,47 @@ fn as_col_cmp_literal(e: &BoundExpr) -> Option<(usize, BinaryOp, Value)> {
 
 fn choose_join_strategies(plan: LogicalPlan, catalog: &dyn CatalogView) -> LogicalPlan {
     map_plan(plan, &|node| {
-        if let LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, .. } =
+        let LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, emit, .. } =
             node
-        {
-            let l_info = side_info(&left, left_key, catalog);
-            let r_info = side_info(&right, right_key, catalog);
-            let strategy = match (l_info, r_info) {
-                (Some(l), Some(r)) => classify_join(
-                    &l.style,
-                    &r.style,
-                    l.key_table_col,
-                    r.key_table_col,
-                    l.rows,
-                    r.rows,
-                    catalog.total_slices(),
-                ),
-                _ => JoinDistStrategy::DistBoth,
-            };
-            LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy }
-        } else {
-            node
-        }
+        else {
+            return node;
+        };
+        let sides = side_info(&left, left_key, catalog).zip(side_info(&right, right_key, catalog));
+        let strategy = match sides {
+            Some((l, r)) => classify_join(
+                &l.style,
+                &r.style,
+                l.key_col,
+                r.key_col,
+                l.rows,
+                r.rows,
+                catalog.total_slices(),
+            ),
+            None => JoinDistStrategy::DistBoth,
+        };
+        // A replicated outer side cannot be NULL-extended slice by slice:
+        // each slice would pad the rows only another slice matches.
+        let replicated_outer = strategy == JoinDistStrategy::AllNone { all_side_left: true };
+        let strategy = match join_type {
+            crate::ast::JoinType::Left if replicated_outer => JoinDistStrategy::DistBoth,
+            _ => strategy,
+        };
+        LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy, emit }
     })
 }
 
+/// Where one join input's rows sit, and how many there are.
 struct SideInfo {
     style: redsim_distribution::DistStyle,
-    /// Join key as a *table* column index (usize::MAX if not a plain scan
-    /// column — never matches a distkey).
-    key_table_col: usize,
+    /// The join key in the coordinates `style`'s `Key(_)` uses — a table
+    /// column index under a scan — or `usize::MAX` when the key is not a
+    /// plain column of the side the rows are placed by (never matches a
+    /// distkey).
+    key_col: usize,
     rows: u64,
 }
 
+/// `key` is a position in `plan`'s output (`usize::MAX`: no such column).
 fn side_info(plan: &LogicalPlan, key: usize, catalog: &dyn CatalogView) -> Option<SideInfo> {
     match plan {
         LogicalPlan::Scan { table, projection, filter, .. } => {
@@ -272,7 +276,7 @@ fn side_info(plan: &LogicalPlan, key: usize, catalog: &dyn CatalogView) -> Optio
             let selectivity = if filter.is_some() { 0.33 } else { 1.0 };
             Some(SideInfo {
                 style: meta.dist_style,
-                key_table_col: projection.get(key).copied().unwrap_or(usize::MAX),
+                key_col: projection.get(key).copied().unwrap_or(usize::MAX),
                 rows: ((meta.rows as f64) * selectivity) as u64,
             })
         }
@@ -280,6 +284,27 @@ fn side_info(plan: &LogicalPlan, key: usize, catalog: &dyn CatalogView) -> Optio
             let mut info = side_info(input, key, catalog)?;
             info.rows = (info.rows as f64 * 0.33) as u64;
             Some(info)
+        }
+        // A join's output sits where the side that did not move sat: the
+        // outer side, unless that was the replicated one. Re-hashed, it
+        // sits by the join key.
+        LogicalPlan::Join { left, right, join_type, left_key, right_key, strategy, emit, .. } => {
+            let lw = left.output().len();
+            let col = emit.get(key).copied().unwrap_or(usize::MAX);
+            // An inner equi-join's two key columns hold the same values.
+            let inner = *join_type == crate::ast::JoinType::Inner;
+            let col = if inner && col == lw + right_key { *left_key } else { col };
+            match strategy {
+                JoinDistStrategy::DistBoth => Some(SideInfo {
+                    style: redsim_distribution::DistStyle::Key(*left_key),
+                    key_col: if col == *left_key { col } else { usize::MAX },
+                    rows: side_info(left, *left_key, catalog)?.rows,
+                }),
+                JoinDistStrategy::AllNone { all_side_left: true } => {
+                    side_info(right, if col >= lw { col - lw } else { usize::MAX }, catalog)
+                }
+                _ => side_info(left, if col < lw { col } else { usize::MAX }, catalog),
+            }
         }
         _ => None,
     }
@@ -376,58 +401,47 @@ fn prune_node(plan: LogicalPlan, needed: &BTreeSet<usize>) -> (LogicalPlan, Vec<
                 .expect("predicate column retained");
             (LogicalPlan::Filter { input: Box::new(new_input), predicate }, mapping)
         }
-        LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy } => {
+        LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy, emit } => {
             let lw = left.output().len();
-            let mut need_left: BTreeSet<usize> = BTreeSet::new();
-            let mut need_right: BTreeSet<usize> = BTreeSet::new();
-            for &i in needed {
+            // What the parent reads, as old output positions; the join
+            // will emit exactly these.
+            let kept: Vec<usize> = needed.iter().copied().filter(|&i| i < emit.len()).collect();
+            let mut need_left: BTreeSet<usize> = BTreeSet::from([left_key]);
+            let mut need_right: BTreeSet<usize> = BTreeSet::from([right_key]);
+            let mut need = |i: usize| {
                 if i < lw {
                     need_left.insert(i);
                 } else {
                     need_right.insert(i - lw);
                 }
-            }
-            need_left.insert(left_key);
-            need_right.insert(right_key);
+            };
+            kept.iter().for_each(|&i| need(emit[i]));
             if let Some(r) = &residual {
-                r.for_each_column(&mut |i| {
-                    if i < lw {
-                        need_left.insert(i);
-                    } else {
-                        need_right.insert(i - lw);
-                    }
-                });
+                r.for_each_column(&mut need);
             }
             let (new_left, lmap) = prune_node(*left, &need_left);
             let (new_right, rmap) = prune_node(*right, &need_right);
             let new_lw = lmap.len();
-            let new_left_key = lmap.iter().position(|&m| m == left_key).expect("key kept");
-            let new_right_key = rmap.iter().position(|&m| m == right_key).expect("key kept");
-            let new_residual = residual.map(|r| {
-                r.remap_columns(&|i| {
-                    if i < lw {
-                        lmap.iter().position(|&m| m == i)
-                    } else {
-                        rmap.iter().position(|&m| m == i - lw).map(|p| p + new_lw)
-                    }
-                })
-                .expect("residual columns retained")
-            });
-            // New combined mapping (old combined index per new position).
-            let mut mapping: Vec<usize> = lmap.clone();
-            mapping.extend(rmap.iter().map(|&m| m + lw));
-            (
-                LogicalPlan::Join {
-                    left: Box::new(new_left),
-                    right: Box::new(new_right),
-                    join_type,
-                    left_key: new_left_key,
-                    right_key: new_right_key,
-                    residual: new_residual,
-                    strategy,
-                },
-                mapping,
-            )
+            // Old position among the children's columns -> new one.
+            let below = |i: usize| {
+                if i < lw {
+                    lmap.iter().position(|&m| m == i)
+                } else {
+                    rmap.iter().position(|&m| m == i - lw).map(|p| p + new_lw)
+                }
+            };
+            let join = LogicalPlan::Join {
+                join_type,
+                left_key: below(left_key).expect("key kept"),
+                right_key: below(lw + right_key).expect("key kept") - new_lw,
+                residual: residual
+                    .map(|r| r.remap_columns(&below).expect("residual columns retained")),
+                strategy,
+                emit: kept.iter().map(|&i| below(emit[i]).expect("emitted column kept")).collect(),
+                left: Box::new(new_left),
+                right: Box::new(new_right),
+            };
+            (join, kept)
         }
         LogicalPlan::Aggregate { input, group_by, aggs, output } => {
             // The aggregate's own output shape is fixed; its input needs
@@ -523,7 +537,7 @@ fn map_plan(plan: LogicalPlan, f: &dyn Fn(LogicalPlan) -> LogicalPlan) -> Logica
         LogicalPlan::Filter { input, predicate } => {
             LogicalPlan::Filter { input: Box::new(map_plan(*input, f)), predicate }
         }
-        LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy } => {
+        LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy, emit } => {
             LogicalPlan::Join {
                 left: Box::new(map_plan(*left, f)),
                 right: Box::new(map_plan(*right, f)),
@@ -532,6 +546,7 @@ fn map_plan(plan: LogicalPlan, f: &dyn Fn(LogicalPlan) -> LogicalPlan) -> Logica
                 right_key,
                 residual,
                 strategy,
+                emit,
             }
         }
         LogicalPlan::Aggregate { input, group_by, aggs, output } => LogicalPlan::Aggregate {
@@ -593,6 +608,17 @@ mod tests {
                     dist_style: DistStyle::Key(0),
                     sort_key: SortKeySpec::None,
                     rows: 6_000_000,
+                },
+                TableMeta {
+                    name: "dims_all".into(),
+                    schema: Schema::new(vec![
+                        ColumnDef::new("id", DataType::Int8),
+                        ColumnDef::new("label", DataType::Varchar),
+                    ])
+                    .unwrap(),
+                    dist_style: DistStyle::All,
+                    sort_key: SortKeySpec::None,
+                    rows: 2_000,
                 },
                 TableMeta {
                     name: "tiny_dims".into(),
@@ -717,6 +743,72 @@ mod tests {
         } else {
             panic!();
         }
+    }
+
+    /// Strategies of the top join and of the join that is its outer side.
+    fn nested_strategies(sql: &str) -> (JoinDistStrategy, JoinDistStrategy) {
+        let plan = optimized(sql);
+        let Some(LogicalPlan::Join { strategy: top, left, .. }) = find_join(&plan) else {
+            panic!("no join: {plan:?}");
+        };
+        let Some(LogicalPlan::Join { strategy: below, .. }) = find_join(left) else {
+            panic!("outer side is not a join: {plan:?}");
+        };
+        (*top, *below)
+    }
+
+    #[test]
+    fn join_of_join_with_all_inner_is_all_none() {
+        // The outer side is a join's output: an ALL inner still never moves.
+        let (top, below) = nested_strategies(
+            "SELECT c.url FROM clicks c JOIN products p ON c.user_id = p.id
+             JOIN dims_all d ON c.bytes = d.id",
+        );
+        assert_eq!(below, JoinDistStrategy::DistNone);
+        assert_eq!(top, JoinDistStrategy::AllNone { all_side_left: false });
+    }
+
+    #[test]
+    fn join_output_keeps_the_distribution_of_the_side_that_stayed() {
+        // ALL outer: the output sits where `clicks` sat, on its distkey,
+        // so the next join on that key is co-located.
+        let (top, below) = nested_strategies(
+            "SELECT c.url FROM dims_all d JOIN clicks c ON d.id = c.bytes
+             JOIN products p ON c.user_id = p.id",
+        );
+        assert_eq!(below, JoinDistStrategy::AllNone { all_side_left: true });
+        assert_eq!(top, JoinDistStrategy::DistNone);
+        // Re-hashed on `bytes`, the output meets a table keyed on the
+        // same values; joined on any other column it does not.
+        let rehashed = "SELECT a.url FROM clicks a JOIN clicks b ON a.bytes = b.bytes";
+        let (top, below) =
+            nested_strategies(&format!("{rehashed} JOIN products p ON a.bytes = p.id"));
+        assert_eq!((top, below), (JoinDistStrategy::DistNone, JoinDistStrategy::DistBoth));
+        let (top, _) = nested_strategies(&format!("{rehashed} JOIN clicks p ON a.ts = p.bytes"));
+        assert_eq!(top, JoinDistStrategy::DistBoth);
+    }
+
+    #[test]
+    fn left_join_never_pads_a_replicated_outer_side_locally() {
+        let plan = optimized("SELECT d.label FROM dims_all d LEFT JOIN clicks c ON d.id = c.bytes");
+        let Some(LogicalPlan::Join { strategy, .. }) = find_join(&plan) else { panic!() };
+        assert_eq!(*strategy, JoinDistStrategy::DistBoth);
+        // The replicated side as the inner one is fine.
+        let plan = optimized("SELECT d.label FROM clicks c LEFT JOIN dims_all d ON d.id = c.bytes");
+        let Some(LogicalPlan::Join { strategy, .. }) = find_join(&plan) else { panic!() };
+        assert_eq!(*strategy, JoinDistStrategy::AllNone { all_side_left: false });
+    }
+
+    #[test]
+    fn pruning_narrows_what_a_join_emits() {
+        let plan = optimized(
+            "SELECT p.name FROM clicks c JOIN products p ON c.user_id = p.id WHERE c.bytes > 7",
+        );
+        let Some(LogicalPlan::Join { left, emit, .. }) = find_join(&plan) else { panic!() };
+        // Of (user_id, bytes) ++ (id, name), the parent reads `name` only.
+        assert_eq!(left.output().len(), 2);
+        assert_eq!(emit, &vec![3]);
+        assert_eq!(find_join(&plan).unwrap().output().len(), 1);
     }
 
     #[test]

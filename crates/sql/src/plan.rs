@@ -248,6 +248,11 @@ pub enum LogicalPlan {
         residual: Option<BoundExpr>,
         /// Data-movement strategy chosen by the optimizer.
         strategy: JoinDistStrategy,
+        /// The columns this join emits, as positions in the concatenated
+        /// (left ++ right) child outputs, in output order. The binder
+        /// emits everything; column pruning narrows it to what the parent
+        /// reads, so keys and filter-only columns are never materialised.
+        emit: Vec<usize>,
     },
     Aggregate {
         input: Box<LogicalPlan>,
@@ -279,10 +284,10 @@ impl LogicalPlan {
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. } => input.output(),
-            LogicalPlan::Join { left, right, .. } => {
-                let mut out = left.output();
-                out.extend(right.output());
-                out
+            LogicalPlan::Join { left, right, emit, .. } => {
+                let mut all = left.output();
+                all.extend(right.output());
+                emit.iter().map(|&i| all[i].clone()).collect()
             }
             LogicalPlan::Aggregate { output, .. } | LogicalPlan::Project { output, .. } => {
                 output.clone()

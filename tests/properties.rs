@@ -2356,9 +2356,11 @@ fn vector_kernels_nan_total_order_end_to_end() {
 // ---------------------------------------------------------------------
 //
 // The executor folds `(batch, selection)` pairs into typed accumulators
-// (no-key and single-integer-key shapes); the row-at-a-time `baseline`
-// engine runs the same plan through `AggState::update` over boxed
-// `Value`s. One slice, so both add floats in the same order: results
+// (no key; one or two keys, each integer-family or VARCHAR, NULL keys
+// included); the row-at-a-time `baseline` engine runs the same plan
+// through `AggState::update` over boxed `Value`s. No typed shape boxes
+// a key (`key_fallback` 0); that a fragment's groups come out in the
+// boxed table's order is `agg::tests`' assertion. One slice, so both add floats in the same order: results
 // must match to the bit — NULLs, NaN, ±0, ±inf, sums that wrap past
 // `i64::MAX`, filters that keep nothing, and empty tables included.
 
@@ -2384,7 +2386,15 @@ fn vector_aggregates_match_value_path() {
         }
     }
 
-    const TYPES: [DataType; 4] = [DataType::Int8, DataType::Float8, DataType::Int8, DataType::Int4];
+    const TYPES: [DataType; 6] = [
+        DataType::Int8,
+        DataType::Float8,
+        DataType::Int8,
+        DataType::Int4,
+        DataType::Varchar,
+        DataType::Varchar,
+    ];
+    const STRS: [&str; 3] = ["", "a", "é日"];
     let col = |index: usize| BoundExpr::Column { index, ty: TYPES[index] };
     let agg = |func: AggFunc, arg: Option<BoundExpr>, n: usize| AggExpr {
         func,
@@ -2415,13 +2425,14 @@ fn vector_aggregates_match_value_path() {
     .map(|(n, (f, a))| agg(f, a, n))
     .collect();
 
-    // (key, float special, big int, small int) per row; batches of up
-    // to 7 rows so groups span batches.
-    let row = prop::tuple4(
+    // (key, float special, big int, small int, two string keys) per
+    // row; batches of up to 7 rows so groups span batches.
+    let row = prop::tuple5(
         prop::option_of(prop::range(0i64..4)),
         prop::option_of(prop::range(0usize..8)),
         prop::option_of(prop::range(0i64..4)),
         prop::option_of(prop::range(-3i64..4)),
+        prop::pair(prop::option_of(prop::range(0usize..3)), prop::option_of(prop::range(0usize..3))),
     );
     let gen = prop::pair(prop::vec_of(row, 0..40), prop::range(0i64..6));
     prop::check(
@@ -2433,13 +2444,15 @@ fn vector_aggregates_match_value_path() {
             let mut heap = Vec::new();
             for chunk in rows.chunks(7) {
                 let mut cols: Vec<ColumnData> = TYPES.iter().map(|t| ColumnData::new(*t)).collect();
-                for (k, f, big, small) in chunk {
+                for (k, f, big, small, (s0, s1)) in chunk {
                     let vals = [
                         k.map_or(Value::Null, Value::Int8),
                         f.map_or(Value::Null, |j| Value::Float8(vector_support::FLOAT_SPECIALS[j])),
                         // 0 → i64::MAX, 1 → i64::MAX - 1, …: sums wrap.
                         big.map_or(Value::Null, |b| Value::Int8(i64::MAX - b)),
                         small.map_or(Value::Null, |s| Value::Int4(s as i32)),
+                        s0.map_or(Value::Null, |j| Value::Str(STRS[j].into())),
+                        s1.map_or(Value::Null, |j| Value::Str(STRS[j].into())),
                     ];
                     for (c, v) in cols.iter_mut().zip(&vals) {
                         c.push_value(v).unwrap();
@@ -2458,8 +2471,8 @@ fn vector_aggregates_match_value_path() {
                 op: BinaryOp::Lt,
                 right: Box::new(BoundExpr::Literal(Value::Int8(*keep_below - 3))),
             };
-            for keyed in [false, true] {
-                let group_by = if keyed { vec![col(0)] } else { Vec::new() };
+            for keys in [&[][..], &[0], &[4], &[4, 5], &[0, 4]] {
+                let group_by: Vec<BoundExpr> = keys.iter().map(|&k| col(k)).collect();
                 let mut output: Vec<OutCol> = group_by
                     .iter()
                     .map(|g| OutCol { name: "k".into(), ty: g.ty() })
@@ -2468,7 +2481,7 @@ fn vector_aggregates_match_value_path() {
                 let plan = LogicalPlan::Aggregate {
                     input: Box::new(LogicalPlan::Scan {
                         table: "t".into(),
-                        projection: vec![0, 1, 2, 3],
+                        projection: (0..TYPES.len()).collect(),
                         output: TYPES
                             .iter()
                             .enumerate()
@@ -2482,7 +2495,7 @@ fn vector_aggregates_match_value_path() {
                     output,
                 };
                 let typed = Executor::new(&provider).run(&plan).unwrap();
-                assert_eq!(typed.metrics.interp_fallback, 0);
+                assert_eq!((typed.metrics.interp_fallback, typed.metrics.key_fallback), (0, 0));
                 let boxed = baseline::run_plan(&plan, &store).unwrap();
                 // Debug text: NaN equals itself, -0.0 differs from 0.0.
                 let text = |rows: &[Row]| {
@@ -2490,15 +2503,269 @@ fn vector_aggregates_match_value_path() {
                     v.sort();
                     v
                 };
-                assert_eq!(text(&typed.rows), text(&boxed), "keyed={keyed}");
+                assert_eq!(text(&typed.rows), text(&boxed), "keys={keys:?}");
             }
         },
     );
 }
 
 // ---------------------------------------------------------------------
-// The interpreter fallback is visible, and the benchmark shapes never
-// take it.
+// The typed hash join is the row-at-a-time join.
+// ---------------------------------------------------------------------
+//
+// Generated two- and three-table join plans run on the executor, over
+// tables placed on 1-3 slices the way each `JoinDistStrategy` expects
+// (KEY, EVEN, or one ALL copy), and on `engine::baseline` over the same
+// rows in one heap. Keys are duplicate-heavy with NULLs on both sides
+// (INT8, INT2 ⋈ INT8, DATE on the typed lane; VARCHAR on the counted
+// one); scans filter everything / something / nothing, so build and
+// probe sides arrive empty, partly selected and fully selected;
+// residuals include one no candidate passes (a LEFT row reverts to
+// unmatched); the join emits a subset of its columns, sometimes none. A
+// join above a join takes every strategy its input's placement allows.
+// On one slice with inner joins, row order and `f64` addition order are
+// the baseline's, so rows compare as ordered lists and sums bit for bit;
+// elsewhere rows compare as multisets over exactly representable floats.
+
+#[test]
+fn vector_joins_match_baseline() {
+    use redshift_sim::common::{Result, Row};
+    use redshift_sim::distribution::style::dist_hash;
+    use redshift_sim::distribution::JoinDistStrategy as S;
+    use redshift_sim::engine::baseline::{self, RowStore};
+    use redshift_sim::engine::exec::{Executor, TableProvider};
+    use redshift_sim::sql::ast::{BinaryOp, JoinType};
+    use redshift_sim::sql::plan::{AggExpr, AggFunc, BoundExpr, LogicalPlan, OutCol};
+    use redshift_sim::storage::table::{ScanOutput, ScanPredicate};
+    use redshift_sim::testkit::rng::{gen_u64_below, Pcg32};
+    use std::collections::HashMap;
+
+    /// table -> slice -> batches.
+    struct Placed(usize, HashMap<String, Vec<Vec<Vec<ColumnData>>>>);
+    impl TableProvider for Placed {
+        fn num_slices(&self) -> usize {
+            self.0
+        }
+        fn scan_slice(&self, t: &str, slice: usize, projection: &[usize], _: &ScanPredicate) -> Result<ScanOutput> {
+            let batches = self.1[t][slice]
+                .iter()
+                .map(|b| projection.iter().map(|&c| b[c].clone()).collect())
+                .collect();
+            Ok(ScanOutput { batches, ..ScanOutput::default() })
+        }
+    }
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Place {
+        Key,
+        Even,
+        All,
+    }
+    const STRS: [&str; 4] = ["", "a", "ab", "é日"];
+    /// Every table is (k, v BIGINT, f FLOAT8, s VARCHAR).
+    fn types(key: DataType) -> [DataType; 4] {
+        [key, DataType::Int8, DataType::Float8, DataType::Varchar]
+    }
+    fn out_cols(key: DataType) -> Vec<OutCol> {
+        types(key).iter().enumerate().map(|(i, &ty)| OutCol { name: format!("c{i}"), ty }).collect()
+    }
+    let below = |b: u64, rng: &mut Pcg32| gen_u64_below(rng, b);
+
+    prop::check("vector_joins_match_baseline", &Config::with_cases(192), &prop::any_i64(), |seed| {
+        let rng = &mut Pcg32::seed_from_u64(*seed as u64);
+        let slices = 1 + below(3, rng) as usize;
+        let three_way = below(2, rng) == 0;
+        // Key types of the (outer, inner) sides; the third table's key
+        // joins the first's.
+        let (lk, rk) = [
+            (DataType::Int8, DataType::Int8),
+            (DataType::Int2, DataType::Int8),
+            (DataType::Date, DataType::Date),
+            (DataType::Varchar, DataType::Varchar),
+        ][below(4, rng) as usize];
+        let typed_keys = lk != DataType::Varchar;
+        // One slice, inner joins only: the baseline's row order, and its
+        // order of `f64` additions.
+        let ordered = slices == 1 && below(2, rng) == 0;
+
+        // A strategy and placements it is valid for. `lower` is the
+        // strategy of the join below, when the outer side is a join.
+        let pick = |rng: &mut Pcg32, lower: Option<S>| -> (S, Place, Place) {
+            let any = |rng: &mut Pcg32| [Place::Key, Place::Even, Place::All][below(3, rng) as usize];
+            let spread = |rng: &mut Pcg32| [Place::Key, Place::Even][below(2, rng) as usize];
+            loop {
+                match below(5, rng) {
+                    // Co-located: two KEY tables, or a join output that
+                    // sits by its outer key, and a KEY table.
+                    0 if lower.is_none_or(|s| matches!(s, S::DistNone | S::DistBoth)) => {
+                        return (S::DistNone, Place::Key, Place::Key)
+                    }
+                    1 => return (S::AllNone { all_side_left: false }, spread(rng), Place::All),
+                    2 if lower.is_none() => return (S::AllNone { all_side_left: true }, Place::All, spread(rng)),
+                    3 => return (S::BcastInner, Place::Even, spread(rng)),
+                    4 => return (S::DistBoth, any(rng), any(rng)),
+                    _ => {}
+                }
+            }
+        };
+        let join_type = |rng: &mut Pcg32, strategy: S| {
+            // A replicated outer side is never NULL-extended locally (the
+            // planner re-hashes that shape).
+            if !ordered && strategy != (S::AllNone { all_side_left: true }) && below(2, rng) == 0 {
+                JoinType::Left
+            } else {
+                JoinType::Inner
+            }
+        };
+
+        let mut placed = Placed(slices, HashMap::new());
+        let mut store = RowStore::new();
+        let mut table = |rng: &mut Pcg32, name: &str, key: DataType, place: Place| -> LogicalPlan {
+            let rows: Vec<Vec<Value>> = (0..below(40, rng))
+                .map(|_| {
+                    let k = below(7, rng) as i64; // 6 stands for NULL
+                    let key = match key {
+                        _ if k == 6 => Value::Null,
+                        DataType::Int2 => Value::Int2(k as i16 - 2),
+                        DataType::Date => Value::Date(k as i32 * 1000),
+                        DataType::Varchar => Value::Str(STRS[k as usize % 4].into()),
+                        // Far apart and close together: both table shapes.
+                        _ => Value::Int8(if *seed % 2 == 0 { k - 2 } else { (k - 2) << 40 }),
+                    };
+                    let f = below(9, rng) as f64;
+                    vec![
+                        key,
+                        Value::Int8(below(6, rng) as i64),
+                        Value::Float8(if ordered { f * 0.1 } else { f * 0.25 }),
+                        match below(5, rng) {
+                            0 => Value::Null,
+                            _ => Value::Str(STRS[below(4, rng) as usize].into()),
+                        },
+                    ]
+                })
+                .collect();
+            let mut per_slice: Vec<Vec<Vec<ColumnData>>> = vec![Vec::new(); slices];
+            let batch_rows = 1 + below(6, rng) as usize;
+            for (i, row) in rows.iter().enumerate() {
+                let slice = match place {
+                    Place::Key => (dist_hash(&row[0]) % slices as u64) as usize,
+                    Place::Even => i % slices,
+                    Place::All => 0,
+                };
+                let batches = &mut per_slice[slice];
+                if batches.last().is_none_or(|b: &Vec<ColumnData>| b[0].len() == batch_rows) {
+                    batches.push(types(key).iter().map(|&t| ColumnData::new(t)).collect());
+                }
+                for (c, v) in batches.last_mut().unwrap().iter_mut().zip(row) {
+                    c.push_value(v).unwrap();
+                }
+            }
+            placed.1.insert(name.into(), per_slice);
+            store.insert_table(name, rows.into_iter().map(Row::new).collect());
+            // `v < 0 | 3 | 100`: nothing, something, everything.
+            let keep_below = [0, 3, 3, 100, 100][below(5, rng) as usize];
+            LogicalPlan::Scan {
+                table: name.into(),
+                projection: vec![0, 1, 2, 3],
+                output: out_cols(key),
+                filter: Some(BoundExpr::Binary {
+                    left: Box::new(BoundExpr::Column { index: 1, ty: DataType::Int8 }),
+                    op: BinaryOp::Lt,
+                    right: Box::new(BoundExpr::Literal(Value::Int8(keep_below))),
+                }),
+                pruning: ScanPredicate::default(),
+            }
+        };
+        // Over (outer ++ inner) columns `v` at 1 and `lw + 1`: none, a
+        // comparison, one nothing passes.
+        let residual = |rng: &mut Pcg32, lw: usize| {
+            let v = |index| Box::new(BoundExpr::Column { index, ty: DataType::Int8 });
+            match below(4, rng) {
+                0 => Some(BoundExpr::Binary { left: v(1), op: BinaryOp::LtEq, right: v(lw + 1) }),
+                1 => Some(BoundExpr::Binary {
+                    left: v(lw + 1),
+                    op: BinaryOp::Lt,
+                    right: Box::new(BoundExpr::Literal(Value::Int8(0))),
+                }),
+                _ => None,
+            }
+        };
+
+        let (s1, p_a, p_b) = pick(rng, None);
+        let (a, b) = (table(rng, "a", lk, p_a), table(rng, "b", rk, p_b));
+        let mut plan = LogicalPlan::Join {
+            join_type: join_type(rng, s1),
+            left_key: 0,
+            right_key: 0,
+            residual: residual(rng, 4),
+            strategy: s1,
+            emit: (0..8).collect(),
+            left: Box::new(a),
+            right: Box::new(b),
+        };
+        if three_way {
+            let (s2, _, p_c) = pick(rng, Some(s1));
+            let c = table(rng, "c", lk, p_c);
+            plan = LogicalPlan::Join {
+                join_type: join_type(rng, s2),
+                left_key: 0,
+                right_key: 0,
+                residual: residual(rng, 8),
+                strategy: s2,
+                emit: (0..12).collect(),
+                left: Box::new(plan),
+                right: Box::new(c),
+            };
+        }
+        let width = plan.output().len();
+        let aggregated = below(2, rng) == 0;
+        if aggregated {
+            // GROUP BY the last table's `s`, the first's `v`, or both,
+            // over everything the join emits.
+            let out = plan.output();
+            let col = |index: usize| BoundExpr::Column { index, ty: out[index].ty };
+            let group_by = match below(3, rng) {
+                0 => vec![col(width - 1)],
+                1 => vec![col(1)],
+                _ => vec![col(1), col(width - 1)],
+            };
+            let aggs = vec![
+                AggExpr { func: AggFunc::CountStar, arg: None, distinct: false, output_name: "n".into() },
+                AggExpr { func: AggFunc::Sum, arg: Some(col(2)), distinct: false, output_name: "f".into() },
+            ];
+            let mut output: Vec<OutCol> =
+                group_by.iter().map(|g| OutCol { name: "g".into(), ty: g.ty() }).collect();
+            output.extend(aggs.iter().map(|a| OutCol { name: a.output_name.clone(), ty: a.ty() }));
+            plan = LogicalPlan::Aggregate { input: Box::new(plan), group_by, aggs, output };
+        } else if let LogicalPlan::Join { emit, .. } = &mut plan {
+            // What a parent would read: any subset, none included.
+            emit.retain(|_| below(3, rng) > 0);
+        }
+
+        let got = Executor::new(&placed).run(&plan).unwrap();
+        let want = baseline::run_plan(&plan, &store).unwrap();
+        let text = |rows: &[Row]| rows.iter().map(|r| format!("{:?}", r.values())).collect::<Vec<_>>();
+        let (mut got_rows, mut want_rows) = (text(&got.rows), text(&want));
+        if aggregated || !ordered {
+            got_rows.sort();
+            want_rows.sort();
+        }
+        assert_eq!(got_rows, want_rows, "plan:\n{}", plan.explain());
+        assert_eq!(got.metrics.interp_fallback, 0);
+        if typed_keys {
+            assert_eq!(got.metrics.key_fallback, 0, "plan:\n{}", plan.explain());
+        } else if !got.rows.is_empty() {
+            assert!(got.metrics.key_fallback > 0, "VARCHAR join keys went uncounted");
+        }
+        let moved = got.metrics.exchange_bytes();
+        if !plan.explain().contains("DS_BCAST_INNER") && !plan.explain().contains("DS_DIST_BOTH") {
+            assert_eq!(moved, 0, "a local join moved bytes");
+        }
+    });
+}
+
+// ---------------------------------------------------------------------
+// The interpreter fallback and the boxed-key fallback are visible, and
+// the benchmark shapes take neither.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -2572,9 +2839,35 @@ fn vector_interp_fallback_is_counted_and_zero_on_benchmark_shapes() {
     for sql in &shapes {
         let q = c.query(sql).unwrap();
         assert_eq!(q.metrics.interp_fallback, 0, "fell back: {sql}");
+        assert_eq!(q.metrics.key_fallback, 0, "boxed its keys: {sql}");
         assert!(q.metrics.rows_scanned > 0, "scanned nothing: {sql}");
     }
     assert_eq!(c.trace().counter_value("exec.interp_fallback"), 0);
+    assert_eq!(c.trace().counter_value("exec.key_fallback"), 0);
+    // The three-way join's second inner is the ALL table: nothing moves,
+    // and the answer is the row-at-a-time engine's.
+    let three_way = c.query(&shapes[9]).unwrap();
+    assert!(three_way.plan.contains("DS_DIST_ALL_NONE") && !three_way.plan.contains("DS_DIST_BOTH"));
+    assert_eq!(three_way.metrics.exchange_bytes(), 0);
+    assert_eq!(three_way.rows, c.query_interpreted(&shapes[9]).unwrap());
+
+    // Keys no typed lane covers — a FLOAT8 join key, a DECIMAL group
+    // key, three group keys — are boxed, and counted the same three ways.
+    c.execute("CREATE TABLE odd (a DECIMAL(8,2), b FLOAT8)").unwrap();
+    c.execute("INSERT INTO odd VALUES (1.50, 0.5), (1.50, 2.5), (2.25, 0.5)").unwrap();
+    let mut boxed = 0;
+    for sql in [
+        "SELECT COUNT(*) FROM odd x JOIN odd y ON x.b = y.b",
+        "SELECT a, COUNT(*) FROM odd GROUP BY a",
+        "SELECT cust, pid, sid, COUNT(*) FROM fact WHERE d < 3 GROUP BY cust, pid, sid",
+    ] {
+        let q = c.query(sql).unwrap();
+        assert!(q.metrics.key_fallback > 0, "keys not counted: {sql}");
+        assert_eq!(q.metrics.interp_fallback, 0, "{sql}");
+        assert_eq!(q.rows.len(), c.query_interpreted(sql).unwrap().len(), "{sql}");
+        boxed += q.metrics.key_fallback;
+    }
+    assert_eq!(c.trace().counter_value("exec.key_fallback"), boxed);
 
     // What no kernel covers — a cast or a CASE in a predicate, a
     // function in a projection or a sort key, a CASE as a group key or
@@ -2601,7 +2894,9 @@ fn vector_interp_fallback_is_counted_and_zero_on_benchmark_shapes() {
         let q = c.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
         q.rows[0].get(0).as_str().unwrap().to_string()
     };
-    assert!(line(&shapes[4]).contains("interp_fallback=0)"), "{}", line(&shapes[4]));
+    assert!(line(&shapes[4]).contains("key_fallback=0 interp_fallback=0)"), "{}", line(&shapes[4]));
+    let boxed_line = line("SELECT a, COUNT(*) FROM odd GROUP BY a");
+    assert!(boxed_line.contains("key_fallback=") && !boxed_line.contains("key_fallback=0 "), "{boxed_line}");
     let fell = line(cast);
     assert!(fell.contains("interp_fallback=") && !fell.contains("interp_fallback=0)"), "{fell}");
 }
