@@ -353,6 +353,35 @@ cargo test -q --offline --test failure_injection copy_
 cargo test -q --offline --test failure_injection failed_
 cargo test -q --offline --test failure_injection wal_
 
+echo "== one table image (quick pass) =="
+# A table is one immutable TableVersion behind an Arc (DESIGN.md §11):
+# writers build the next one privately, commit is a swap, abort a drop.
+# The probes: a refused ANALYZE / VACUUM changes nothing; readers neither
+# wait on nor see through a COPY parked mid-append; a dropped draft
+# deletes exactly its blocks on every replica, leaves a first load's
+# encodings unlocked and takes the COMPUPDATE override with it; and the
+# table-image bytes (delta, checkpoint, manifest) are still PR 17's.
+cargo test -q --offline --test failure_injection one_image_
+cargo test -q --offline -p redsim-core --lib -- \
+  dropped_draft_deletes_exactly_its_blocks_on_every_replica \
+  aborted_first_load_leaves_encodings_unlocked \
+  compupdate_override_dies_with_its_statement \
+  table_image_bytes_are_the_parents
+# Structural guard: the second copy and its undo machinery stay deleted.
+if grep -rn 'Mutex<SliceTable>\|WriteCheckpoint\|rollback_write' crates/; then
+  echo "ERROR: live slice state / per-slice rollback reappeared under crates/" >&2
+  exit 1
+fi
+# Non-test lines (up to the first #[cfg(test)]) of the files the change
+# was about; the parent commit (PR 17) had 3597.
+one_image_lines=0
+for f in crates/core/src/catalog.rs crates/core/src/cluster/*.rs crates/storage/src/table.rs; do
+  n=$(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f")
+  printf '  %5d %s\n' "$n" "$f"
+  one_image_lines=$((one_image_lines + n))
+done
+echo "  non-test lines: $one_image_lines (parent: 3597)"
+
 echo "== benchdiff smoke (self-diff must pass, regression must fail) =="
 bd_dir=$(mktemp -d)
 trap 'rm -rf "$bd_dir"' EXIT

@@ -55,66 +55,6 @@ fn bench_plan_cache(c: &mut Bench) {
     g.finish();
 }
 
-/// Eviction pressure: a working set of N distinct statements cycled
-/// against a plan cache of capacity smaller than N. LRU and FIFO see
-/// identical miss streams under a pure round-robin cycle, so the cycle
-/// is skewed (a hot statement re-queried between cold ones) — exactly
-/// the reuse pattern where LRU keeps the hot plan and FIFO ages it
-/// out. Hit/miss ratios come from the cluster's own
-/// `plan_cache.hits`/`plan_cache.misses` counters (the same ones
-/// `svl_query_metrics`' `compile_cache` column is derived from).
-fn bench_plan_cache_eviction(c: &mut Bench) {
-    use redsim_engine::EvictionPolicy;
-    const CAPACITY: usize = 8;
-    const WORKING_SET: usize = 12; // > CAPACITY: every cycle evicts.
-    let make = |policy: EvictionPolicy, tag: &str| {
-        let cl = Cluster::launch(
-            ClusterConfig::new(format!("pc-evict-{tag}"))
-                .nodes(1)
-                .slices_per_node(2)
-                .compile_work(100_000)
-                .plan_cache_capacity(CAPACITY)
-                .plan_cache_eviction(policy),
-        )
-        .unwrap();
-        cl.execute("CREATE TABLE t (a BIGINT)").unwrap();
-        for i in 0..50 {
-            cl.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
-        }
-        cl
-    };
-    let lru = make(EvictionPolicy::Lru, "lru");
-    let fifo = make(EvictionPolicy::Fifo, "fifo");
-    // Skewed cycle: hot statement 0 between every pair of cold ones.
-    let statements: Vec<String> =
-        (0..WORKING_SET).map(|i| format!("SELECT COUNT(*) FROM t WHERE a <> {i}")).collect();
-    let run_cycle = |cl: &Cluster, i: &mut usize| {
-        *i += 1;
-        cl.query(&statements[0]).unwrap(); // hot
-        cl.query(&statements[1 + (*i % (WORKING_SET - 1))]).unwrap(); // cold tail
-    };
-    let mut g = c.group("plan_cache_eviction");
-    g.sample_size(10);
-    g.bench_function("lru_over_capacity", |b| {
-        let mut i = 0usize;
-        b.iter(|| run_cycle(&lru, &mut i));
-    });
-    g.bench_function("fifo_over_capacity", |b| {
-        let mut i = 0usize;
-        b.iter(|| run_cycle(&fifo, &mut i));
-    });
-    g.finish();
-    for (name, cl) in [("lru", &lru), ("fifo", &fifo)] {
-        let hits = cl.trace().counter_value("plan_cache.hits");
-        let misses = cl.trace().counter_value("plan_cache.misses");
-        println!(
-            "Ablation — plan cache eviction ({name}, cap {CAPACITY}, working set {WORKING_SET}): \
-             {hits} hits / {misses} misses ({:.1}% hit rate)",
-            hits as f64 / ((hits + misses).max(1)) as f64 * 100.0
-        );
-    }
-}
-
 fn bench_block_size(c: &mut Bench) {
     let build = |rows_per_group: usize| {
         let store = MemBlockStore::new();
@@ -441,7 +381,6 @@ fn bench_faultkit(c: &mut Bench) {
 fn main() {
     let mut b = Bench::new("ablations");
     bench_plan_cache(&mut b);
-    bench_plan_cache_eviction(&mut b);
     bench_block_size(&mut b);
     bench_compression_toggle(&mut b);
     bench_cohort_rereplication(&mut b);

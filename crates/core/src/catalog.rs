@@ -1,39 +1,42 @@
-//! The leader node's catalog: table definitions and their per-slice
-//! storage.
+//! The leader node's catalog: table definitions and their versions.
 
 use redsim_testkit::sync::{Mutex, RwLock};
 use redsim_common::codec::{Reader, Writer};
 use redsim_common::{Result, RsError, Schema};
-use redsim_distribution::{ClusterTopology, DistStyle, RowRouter};
+use redsim_distribution::{ClusterTopology, DistStyle};
 use redsim_storage::stats::TableStats;
 use redsim_storage::table::{SliceTable, SortKeySpec, TableConfig};
 use redsim_storage::BlockId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// An immutable, published snapshot of one table's storage state — the
-/// unit of MVCC visibility. SELECT captures the `Arc` once at statement
-/// start and scans it without ever touching the live slice mutexes, so
-/// readers neither block on nor observe a half-applied concurrent write.
-/// Cheap to build: slice *manifests* are cloned (group descriptors plus
-/// the small unsealed buffer), never block payloads.
+/// One immutable image of a table — the only place its mutable state
+/// lives, and the unit of MVCC visibility. A write statement clones the
+/// committed version (slice *manifests*: group descriptors plus the small
+/// unsealed buffer, never block payloads), changes its private copy,
+/// logs it and swaps it in with [`TableEntry::install`]; dropping the
+/// copy instead is the abort. Once installed a version is reached only
+/// through its `Arc` and never changes, so a reader holding
+/// [`TableEntry::snapshot`] neither blocks on nor observes a concurrent
+/// write.
+#[derive(Clone, Default)]
 pub struct TableVersion {
-    /// Transaction that published this version (0 = table creation).
+    /// Transaction that installed this version (0 = bootstrap).
     pub txn: u64,
-    /// One sealed slice image per global slice id.
+    /// One slice table per global slice id.
     pub slices: Vec<SliceTable>,
-    pub rows_estimate: u64,
+    pub state: TableState,
 }
 
 /// Everything a write statement can change about a table besides its
-/// slice storage, as one value: what [`TableEntry::state`] snapshots for
-/// rollback, what the redo log and snapshot manifests persist, and what
-/// resize / redistribute carry over to the re-laid-out copy.
+/// slice storage, as one value: what the redo log and snapshot manifests
+/// persist, and what resize / redistribute carry over to the re-laid-out
+/// copy.
 #[derive(Debug, Clone, Default)]
 pub struct TableState {
     /// Cheap running row count (kept even without ANALYZE).
     pub rows_estimate: u64,
-    /// The router's EVEN round-robin cursor.
+    /// The EVEN round-robin cursor: where routing the next batch starts.
     pub cursor: u32,
     /// ANALYZE output, sketches included; COPY (STATUPDATE) and INSERT
     /// merge the statistics of the rows they load into it.
@@ -42,141 +45,24 @@ pub struct TableState {
     pub loads_since_analyze: u64,
 }
 
-/// One table: definition + one [`SliceTable`] per slice.
-pub struct TableEntry {
-    pub name: String,
-    pub schema: Schema,
-    pub dist_style: DistStyle,
-    pub sort_key: SortKeySpec,
-    /// Per-slice storage, index = global slice id. This is the *live*
-    /// write state; readers go through [`TableEntry::snapshot`].
-    pub slices: Vec<Mutex<SliceTable>>,
-    /// Row router (owns [`TableState::cursor`]).
-    pub router: Mutex<RowRouter>,
-    pub stats: RwLock<Option<TableStats>>,
-    pub rows_estimate: RwLock<u64>,
-    pub loads_since_analyze: RwLock<u64>,
-    /// Last committed version (what SELECT sees).
-    pub committed: RwLock<Arc<TableVersion>>,
-    /// First-committer-wins writer lock: a COPY/INSERT `try_lock`s this
-    /// for the statement's duration; a second writer on the same table
-    /// finds it held and fails with `RsError::Serializable` instead of
-    /// queueing. Writers to *different* tables proceed in parallel.
-    pub writer: Mutex<()>,
-}
-
-impl TableEntry {
-    pub fn new(
-        name: String,
-        schema: Schema,
-        dist_style: DistStyle,
-        sort_key: SortKeySpec,
-        topology: &ClusterTopology,
-        rows_per_group: usize,
-    ) -> Result<Arc<TableEntry>> {
-        let config = TableConfig {
-            rows_per_group,
-            sort_key: sort_key.clone(),
-            auto_compress: true,
-        };
-        let slices = (0..topology.total_slices())
-            .map(|_| SliceTable::new(schema.clone(), config.clone()))
-            .collect::<Result<Vec<_>>>()?;
-        let state = TableState::default();
-        Ok(Self::from_parts(name, schema, dist_style, sort_key, topology, slices, state))
+impl TableVersion {
+    /// Every block the slice manifests reference.
+    pub fn block_ids(&self) -> Vec<BlockId> {
+        self.slices.iter().flat_map(SliceTable::block_ids).collect()
     }
 
-    fn from_parts(
-        name: String,
-        schema: Schema,
-        dist_style: DistStyle,
-        sort_key: SortKeySpec,
-        topology: &ClusterTopology,
-        slices: Vec<SliceTable>,
-        state: TableState,
-    ) -> Arc<TableEntry> {
-        let mut router = RowRouter::new(dist_style.clone(), topology);
-        router.set_cursor(state.cursor);
-        let rows_estimate = state.rows_estimate;
-        let v0 = TableVersion { txn: 0, slices: slices.clone(), rows_estimate };
-        Arc::new(TableEntry {
-            name,
-            schema,
-            dist_style,
-            sort_key,
-            slices: slices.into_iter().map(Mutex::new).collect(),
-            router: Mutex::new(router),
-            stats: RwLock::new(state.stats),
-            rows_estimate: RwLock::new(state.rows_estimate),
-            loads_since_analyze: RwLock::new(state.loads_since_analyze),
-            committed: RwLock::new(Arc::new(v0)),
-            writer: Mutex::new(()),
-        })
+    /// (stored, unsorted) rows summed over slices — an ALL table counts
+    /// every copy.
+    pub fn stored_rows(&self) -> (u64, u64) {
+        self.slices.iter().fold((0, 0), |(n, u), s| (n + s.row_count(), u + s.unsorted_rows()))
     }
 
-    /// The committed version a SELECT should scan. One `Arc` clone; the
-    /// caller holds it for the statement and never touches live slices.
-    pub fn snapshot(&self) -> Arc<TableVersion> {
-        self.committed.read().clone()
-    }
-
-    /// Publish the live slice state as the new committed version.
-    /// Called with the table's `writer` lock held (or under the global
-    /// exclusive `data_lock` for DDL/VACUUM paths), *after* the WAL
-    /// commit mark — publish order is durability first, visibility
-    /// second, so a crash between the two re-derives the version at
-    /// recovery rather than losing it.
-    pub fn publish(&self, txn: u64) {
-        let v = TableVersion {
-            txn,
-            slices: self.slices.iter().map(|s| s.lock().clone()).collect(),
-            rows_estimate: *self.rows_estimate.read(),
-        };
-        *self.committed.write() = Arc::new(v);
-    }
-
-    /// Total rows across slices (ALL-distributed tables report one copy).
-    pub fn logical_rows(&self) -> u64 {
-        let total: u64 = self.slices.iter().map(|s| s.lock().row_count()).sum();
-        if matches!(self.dist_style, DistStyle::All) {
-            total / self.slices.len().max(1) as u64
-        } else {
-            total
-        }
-    }
-
-    /// The live [`TableState`]. Callers hold the table's writer lock or
-    /// the exclusive `data_lock`, so the fields are mutually consistent.
-    pub fn state(&self) -> TableState {
-        TableState {
-            rows_estimate: *self.rows_estimate.read(),
-            cursor: self.router.lock().cursor(),
-            stats: self.stats.read().clone(),
-            loads_since_analyze: *self.loads_since_analyze.read(),
-        }
-    }
-
-    pub fn set_state(&self, state: TableState) {
-        *self.rows_estimate.write() = state.rows_estimate;
-        self.router.lock().set_cursor(state.cursor);
-        *self.stats.write() = state.stats;
-        *self.loads_since_analyze.write() = state.loads_since_analyze;
-    }
-
-    /// Absorb the statistics of rows this statement loaded (the caller
-    /// holds the table's writer lock). A never-analyzed table starts from
-    /// the empty record, exactly as `ANALYZE` of an empty table would.
-    pub fn fold_stats(&self, loaded: &TableStats) {
-        let mut stats = self.stats.write();
-        stats.get_or_insert_with(|| TableStats::new(self.schema.len())).merge(loaded);
-    }
-
-    /// Carry `from`'s state over to this re-laid-out copy of the same
-    /// table (resize, redistribute): everything but the cursor, which
-    /// re-routing the rows has already advanced for the new layout.
-    pub fn inherit_state(&self, from: &TableEntry) {
-        let cursor = self.router.lock().cursor();
-        self.set_state(TableState { cursor, ..from.state() });
+    /// Absorb the statistics of rows this statement loaded. A
+    /// never-analyzed table starts from the empty record, exactly as
+    /// `ANALYZE` of an empty table would.
+    pub fn fold_stats(&mut self, loaded: &TableStats) {
+        let columns = loaded.columns.len();
+        self.state.stats.get_or_insert_with(|| TableStats::new(columns)).merge(loaded);
     }
 
     /// The one persisted form of a table's mutable state: [`TableState`]
@@ -185,23 +71,22 @@ impl TableEntry {
     /// these bytes. Slice buffers must be flushed, so the manifests are
     /// lossless.
     fn encode_image(&self, w: &mut Writer) {
-        let state = self.state();
-        w.put_u64(state.rows_estimate);
-        w.put_u32(state.cursor);
-        w.put_bool(state.stats.is_some());
-        if let Some(s) = &state.stats {
+        w.put_u64(self.state.rows_estimate);
+        w.put_u32(self.state.cursor);
+        w.put_bool(self.state.stats.is_some());
+        if let Some(s) = &self.state.stats {
             s.encode(w);
         }
-        w.put_u64(state.loads_since_analyze);
+        w.put_u64(self.state.loads_since_analyze);
         w.put_u32(self.slices.len() as u32);
         for s in &self.slices {
-            s.lock().encode_meta(w);
+            s.encode_meta(w);
         }
     }
 
-    /// Inverse of [`TableEntry::encode_image`], for a table laid out over
-    /// `expected` slices.
-    fn decode_image(r: &mut Reader, expected: usize) -> Result<(TableState, Vec<SliceTable>)> {
+    /// Inverse of [`TableVersion::encode_image`], for a table laid out
+    /// over `expected` slices.
+    fn decode_image(r: &mut Reader, expected: usize) -> Result<TableVersion> {
         let state = TableState {
             rows_estimate: r.get_u64()?,
             cursor: r.get_u32()?,
@@ -216,15 +101,84 @@ impl TableEntry {
             )));
         }
         let slices = (0..n_slices).map(|_| SliceTable::decode_meta(r)).collect::<Result<_>>()?;
-        Ok((state, slices))
+        Ok(TableVersion { txn: 0, slices, state })
     }
 
-    /// One committed writer's post-state as a redo-delta payload.
-    pub fn encode_delta(&self) -> Vec<u8> {
+    /// This version of table `name` as a redo-delta payload.
+    pub fn encode_delta(&self, name: &str) -> Vec<u8> {
         let mut w = Writer::new();
-        w.put_str(&self.name);
+        w.put_str(name);
         self.encode_image(&mut w);
         w.into_bytes()
+    }
+}
+
+/// One table: its definition and its committed [`TableVersion`].
+pub struct TableEntry {
+    pub name: String,
+    pub schema: Schema,
+    pub dist_style: DistStyle,
+    pub sort_key: SortKeySpec,
+    /// What every reader sees. Replaced whole, never changed in place.
+    committed: RwLock<Arc<TableVersion>>,
+    /// First-committer-wins writer lock: a COPY/INSERT `try_lock`s this
+    /// for the statement's duration; a second writer on the same table
+    /// finds it held and fails with `RsError::Serializable` instead of
+    /// queueing. Writers to *different* tables proceed in parallel.
+    pub writer: Mutex<()>,
+}
+
+impl TableEntry {
+    /// An empty table laid out over `topology`.
+    pub fn new(
+        name: String,
+        schema: Schema,
+        dist_style: DistStyle,
+        sort_key: SortKeySpec,
+        topology: &ClusterTopology,
+        rows_per_group: usize,
+    ) -> Result<Arc<TableEntry>> {
+        let config = TableConfig { rows_per_group, sort_key: sort_key.clone(), auto_compress: true };
+        let slices = (0..topology.total_slices())
+            .map(|_| SliceTable::new(schema.clone(), config.clone()))
+            .collect::<Result<Vec<_>>>()?;
+        let v0 = TableVersion { slices, ..TableVersion::default() };
+        Ok(Self::from_parts(name, schema, dist_style, sort_key, v0))
+    }
+
+    fn from_parts(
+        name: String,
+        schema: Schema,
+        dist_style: DistStyle,
+        sort_key: SortKeySpec,
+        version: TableVersion,
+    ) -> Arc<TableEntry> {
+        let committed = RwLock::new(Arc::new(version));
+        Arc::new(TableEntry { name, schema, dist_style, sort_key, committed, writer: Mutex::new(()) })
+    }
+
+    /// The committed version: one `Arc` clone, held for the statement.
+    pub fn snapshot(&self) -> Arc<TableVersion> {
+        self.committed.read().clone()
+    }
+
+    /// Make `next` the committed version and return the one it replaces.
+    /// Called with the table's `writer` lock held *after* the redo commit
+    /// mark (durability first, visibility second), or under the exclusive
+    /// scope *before* the checkpoint, re-installing the returned version
+    /// if the log refuses it.
+    pub fn install(&self, next: Arc<TableVersion>) -> Arc<TableVersion> {
+        std::mem::replace(&mut *self.committed.write(), next)
+    }
+
+    /// Total rows across slices (ALL-distributed tables report one copy).
+    pub fn logical_rows(&self) -> u64 {
+        let version = self.snapshot();
+        let total: u64 = version.slices.iter().map(SliceTable::row_count).sum();
+        match self.dist_style {
+            DistStyle::All => total / version.slices.len().max(1) as u64,
+            _ => total,
+        }
     }
 }
 
@@ -259,9 +213,9 @@ impl Catalog {
         self.tables.values()
     }
 
-    /// Every block the live slice manifests reference.
+    /// Every block the committed versions reference.
     pub fn block_ids(&self) -> Vec<BlockId> {
-        self.tables().flat_map(|t| &t.slices).flat_map(|s| s.lock().block_ids()).collect()
+        self.tables().flat_map(|t| t.snapshot().block_ids()).collect()
     }
 
     /// Serialize the full catalog (not blocks): per table its name,
@@ -280,7 +234,7 @@ impl Catalog {
                 }
                 DistStyle::All => w.put_u8(2),
             }
-            t.encode_image(w);
+            t.snapshot().encode_image(w);
         }
     }
 
@@ -299,11 +253,10 @@ impl Catalog {
                 2 => DistStyle::All,
                 t => return Err(RsError::Codec(format!("bad dist tag {t}"))),
             };
-            let (state, slices) = TableEntry::decode_image(r, topology.total_slices() as usize)?;
-            let (schema, sort_key) = (slices[0].schema().clone(), slices[0].sort_key().clone());
-            catalog.create(TableEntry::from_parts(
-                name, schema, dist_style, sort_key, topology, slices, state,
-            ))?;
+            let version = TableVersion::decode_image(r, topology.total_slices() as usize)?;
+            let slice = &version.slices[0];
+            let (schema, sort_key) = (slice.schema().clone(), slice.sort_key().clone());
+            catalog.create(TableEntry::from_parts(name, schema, dist_style, sort_key, version))?;
         }
         if !r.is_exhausted() {
             return Err(RsError::Codec(format!("{} bytes after the catalog image", r.remaining())));
@@ -311,49 +264,20 @@ impl Catalog {
         Ok(catalog)
     }
 
-    /// Replay one [`TableEntry::encode_delta`] payload onto its table:
-    /// the live state and slice manifests become the delta's image.
-    pub fn apply_delta(&self, payload: &[u8]) -> Result<Arc<TableEntry>> {
+    /// Replay one [`TableVersion::encode_delta`] payload, committed as
+    /// `txn`, onto its table: the delta's image becomes the version.
+    pub fn apply_delta(&self, txn: u64, payload: &[u8]) -> Result<()> {
         let mut r = Reader::new(payload);
         let name = r.get_str()?;
         let entry = self.get(&name).ok_or_else(|| {
             RsError::InvalidState(format!("redo delta references unknown table {name:?}"))
         })?;
-        let (state, slices) = TableEntry::decode_image(&mut r, entry.slices.len())?;
+        let version = TableVersion::decode_image(&mut r, entry.snapshot().slices.len())?;
         if !r.is_exhausted() {
             return Err(RsError::Codec(format!("{} bytes after the redo delta", r.remaining())));
         }
-        for (live, image) in entry.slices.iter().zip(slices) {
-            *live.lock() = image;
-        }
-        entry.set_state(state);
-        Ok(entry)
-    }
-}
-
-/// `CatalogView` adapter for the SQL planner.
-pub struct PlannerCatalog<'a> {
-    pub catalog: &'a Catalog,
-    pub total_slices: u32,
-}
-
-impl redsim_sql::CatalogView for PlannerCatalog<'_> {
-    fn table(&self, name: &str) -> Option<redsim_sql::TableMeta> {
-        self.catalog.get(name).map(|t| {
-            redsim_sql::TableMeta {
-                name: t.name.clone(),
-                schema: t.schema.clone(),
-                dist_style: t.dist_style.clone(),
-                sort_key: t.sort_key.clone(),
-                // Every load adds to the estimate and ANALYZE sets it
-                // exactly; `stats.rows` goes stale under STATUPDATE OFF.
-                rows: *t.rows_estimate.read(),
-            }
-        })
-    }
-
-    fn total_slices(&self) -> u32 {
-        self.total_slices
+        entry.install(Arc::new(TableVersion { txn, ..version }));
+        Ok(())
     }
 }
 
@@ -396,8 +320,8 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let mut c = Catalog::default();
-        c.create(entry("clicks")).unwrap();
-        *c.get("clicks").unwrap().rows_estimate.write() = 123;
+        c.create(with_state(entry("clicks"), TableState { rows_estimate: 123, ..Default::default() }))
+            .unwrap();
         let mut w = Writer::new();
         c.encode(&mut w);
         let bytes = w.into_bytes();
@@ -405,56 +329,147 @@ mod tests {
         let t = c2.get("clicks").unwrap();
         assert_eq!(t.dist_style, DistStyle::Key(0));
         assert_eq!(t.sort_key, SortKeySpec::Compound(vec![0]));
-        assert_eq!(*t.rows_estimate.read(), 123);
-        assert_eq!(t.slices.len(), 4);
+        assert_eq!(t.snapshot().state.rows_estimate, 123);
+        assert_eq!(t.snapshot().slices.len(), 4);
+    }
+
+    /// `t` with a next version that differs from its current one in `state`.
+    fn with_state(t: Arc<TableEntry>, state: TableState) -> Arc<TableEntry> {
+        t.install(Arc::new(TableVersion { state, ..TableVersion::clone(&t.snapshot()) }));
+        t
     }
 
     /// A table whose every [`TableState`] field is off its default.
     fn busy_entry(stats: Option<TableStats>) -> Arc<TableEntry> {
-        let t = entry("busy");
-        t.set_state(TableState { rows_estimate: 41, cursor: 3, stats, loads_since_analyze: 17 });
-        t
+        let state = TableState { rows_estimate: 41, cursor: 3, stats, loads_since_analyze: 17 };
+        with_state(entry("busy"), state)
+    }
+
+    fn delta(t: &TableEntry) -> Vec<u8> {
+        t.snapshot().encode_delta(&t.name)
     }
 
     #[test]
     fn table_image_roundtrips_through_checkpoint_and_delta() {
         for stats in [None, Some(TableStats { rows: 40, columns: Vec::new() })] {
             let src = busy_entry(stats.clone());
-            let delta = src.encode_delta();
+            let image = delta(&src);
             // Checkpoint / snapshot path: decode builds the entry.
             let mut c = Catalog::default();
             c.create(Arc::clone(&src)).unwrap();
             let mut w = Writer::new();
             c.encode(&mut w);
             let decoded = Catalog::decode(&mut Reader::new(&w.into_bytes()), &topo()).unwrap();
-            assert_eq!(decoded.get("busy").unwrap().encode_delta(), delta);
-            assert_eq!(decoded.get("busy").unwrap().snapshot().rows_estimate, 41);
+            assert_eq!(delta(&decoded.get("busy").unwrap()), image);
+            assert_eq!(decoded.get("busy").unwrap().snapshot().state.rows_estimate, 41);
             // Delta path: replay onto a fresh entry of the same table.
             let mut fresh = Catalog::default();
             fresh.create(entry("busy")).unwrap();
-            let t = fresh.apply_delta(&delta).unwrap();
-            assert_eq!(t.encode_delta(), delta);
-            let state = t.state();
+            fresh.apply_delta(9, &image).unwrap();
+            let t = fresh.get("busy").unwrap();
+            assert_eq!(delta(&t), image);
+            let version = t.snapshot();
+            assert_eq!(version.txn, 9, "the replayed version carries its commit's txn");
+            let state = &version.state;
             assert_eq!((state.rows_estimate, state.cursor, state.loads_since_analyze), (41, 3, 17));
-            assert_eq!(state.stats.map(|s| s.rows), stats.map(|s| s.rows));
+            assert_eq!(state.stats.as_ref().map(|s| s.rows), stats.map(|s| s.rows));
         }
+    }
+
+    /// Redo deltas as the parent commit (PR 17) encoded them, hex: `busy`
+    /// is `busy_entry` with `stats_of(0..3)` — built from scratch, no
+    /// blocks; `pin` is a one-slice EVEN table with a sorted and an
+    /// unsorted region (blocks 3..=8) and `stats_of(0..5)`.
+    const PARENT_BUSY_DELTA: &str = "\
+         0400000062757379290000000000000003000000010300000000000000020000000000000000000000010400\
+         0000000000000001040200000000000000180000000000000003000000c15c0289ec2d0a91ce56971cde3558\
+         97afcd1d7b39a820e20100000000000000010602000000763001060200000076311000000000000000020000\
+         00849ff4be771d0c001e64c04e3e24c015110000000000000004000000020000000200000069640300000101\
+         0000007605000001000400000101010000000000000000000000000000000000020000000200000069640300\
+         0001010000007605000001000400000101010000000000000000000000000000000000020000000200000069\
+         6403000001010000007605000001000400000101010000000000000000000000000000000000020000000200\
+         0000696403000001010000007605000001000400000101010000000000000000000000000000000000";
+    const PARENT_PIN_DELTA: &str = "\
+         0300000070696e05000000000000000000000001050000000000000002000000000000000000000001040000\
+         00000000000001040400000000000000280000000000000005000000ed8f01dbe4140b1dca8a33e272e3736e\
+         c15c0289ec2d0a91ce56971cde355897afcd1d7b39a820e20100000000000000010602000000763001060200\
+         000076341c0000000000000004000000849ff4be771d0c001e64c04e3e24c015f6bb9200e583c744e7cdc9c1\
+         7637fbec02000000000000000100000002000000020000006964030000010100000076050000010200000001\
+         0101000000000000000102000000020702000000020000000200000003000000000000000104000000000000\
+         0000010401000000000000000000000002000000040000000000000001060200000076300106020000007631\
+         0000000002000000000100000002000000050000000000000001040200000000000000010402000000000000\
+         0000000000010000000600000000000000000001000000010000000001000000020000000200000007000000\
+         0000000001040300000000000000010404000000000000000000000002000000080000000000000001060200\
+         00007633010602000000763400000000020000000000";
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+    }
+
+    fn stats_of(ids: std::ops::Range<i64>) -> TableStats {
+        use redsim_common::{ColumnData, Value};
+        let mut a = ColumnData::new(DataType::Int8);
+        let mut b = ColumnData::new(DataType::Varchar);
+        for i in ids {
+            let v = if i % 3 == 2 { Value::Null } else { Value::Str(format!("v{i}")) };
+            a.push_value(&Value::Int8(i)).unwrap();
+            b.push_value(&v).unwrap();
+        }
+        TableStats::of(&[a, b])
+    }
+
+    /// The table-image codec moved from `TableEntry`'s live fields to
+    /// `TableVersion`; the bytes in the log, the checkpoint and the
+    /// snapshot manifest did not move with it.
+    #[test]
+    fn table_image_bytes_are_the_parents() {
+        let catalog_image = |c: &Catalog| {
+            let mut w = Writer::new();
+            c.encode(&mut w);
+            w.into_bytes()
+        };
+        // Encoder, from state built in memory.
+        let busy = busy_entry(Some(stats_of(0..3)));
+        let parent = unhex(PARENT_BUSY_DELTA);
+        assert_eq!(delta(&busy), parent);
+        let mut c = Catalog::default();
+        c.create(busy).unwrap();
+        // A checkpoint is `count, (name, dist style, image)*`; a delta is
+        // `name, image`: same image bytes behind a different header.
+        let header = unhex("01000000" /* tables */).into_iter().chain(parent[..8].iter().copied());
+        let key0 = unhex("0100000000"); // DistStyle::Key(0)
+        let expect: Vec<u8> = header.chain(key0).chain(parent[8..].iter().copied()).collect();
+        assert_eq!(catalog_image(&c), expect);
+        // Decoder then encoder, over populated manifests.
+        let parent = unhex(PARENT_PIN_DELTA);
+        let topo1 = ClusterTopology::new(1, 1).unwrap();
+        let header = unhex("01000000").into_iter().chain(parent[..7].iter().copied());
+        let even = unhex("00"); // DistStyle::Even
+        let image: Vec<u8> = header.chain(even).chain(parent[7..].iter().copied()).collect();
+        let c = Catalog::decode(&mut Reader::new(&image), &topo1).unwrap();
+        assert_eq!(catalog_image(&c), image);
+        let pin = c.get("pin").unwrap();
+        assert_eq!(pin.snapshot().stored_rows(), (5, 2));
+        assert_eq!(delta(&pin), parent);
+        c.apply_delta(3, &parent).unwrap();
+        assert_eq!(delta(&pin), parent);
     }
 
     #[test]
     fn malformed_table_images_are_codec_errors() {
-        let delta = busy_entry(None).encode_delta();
+        let image = delta(&busy_entry(None));
         let mut c = Catalog::default();
         c.create(entry("busy")).unwrap();
-        let untouched = c.get("busy").unwrap().encode_delta();
-        for cut in [0, 3, delta.len() / 2, delta.len() - 1] {
-            let err = c.apply_delta(&delta[..cut]).map(|_| ()).unwrap_err();
+        let untouched = delta(&c.get("busy").unwrap());
+        for cut in [0, 3, image.len() / 2, image.len() - 1] {
+            let err = c.apply_delta(1, &image[..cut]).unwrap_err();
             assert!(matches!(err, RsError::Codec(_)), "truncated at {cut}: {err}");
         }
-        let mut long = delta.clone();
+        let mut long = image.clone();
         long.push(0);
-        let err = c.apply_delta(&long).map(|_| ()).unwrap_err();
+        let err = c.apply_delta(1, &long).unwrap_err();
         assert!(matches!(err, RsError::Codec(_)), "over-long: {err}");
-        assert_eq!(c.get("busy").unwrap().encode_delta(), untouched, "failed replay changes nothing");
+        assert_eq!(delta(&c.get("busy").unwrap()), untouched, "failed replay changes nothing");
         // The same bytes embedded in a catalog image.
         let mut w = Writer::new();
         c.encode(&mut w);

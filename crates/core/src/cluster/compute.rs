@@ -1,20 +1,23 @@
 //! The compute part: the topology and the per-node block stores, and
 //! every operation that fans out over a table's slices — the paper's
 //! compute nodes, which "perform the heavy lifting" (§2.1). Stateless
-//! apart from the stores: which table, which version and under which
-//! lock is the caller's business.
+//! apart from the stores: which table, which version (a committed one to
+//! read, a writer's private draft to change) and under which lock is the
+//! caller's business.
 
-use crate::catalog::{Catalog, PlannerCatalog, TableEntry, TableVersion};
+use crate::catalog::{Catalog, TableEntry, TableState, TableVersion};
 use redsim_common::{ColumnData, FxHashMap, Result, Row, RsError};
-use redsim_distribution::{ClusterTopology, DistStyle, SliceId};
+use redsim_distribution::{ClusterTopology, DistStyle, RowRouter, SliceId};
 use redsim_engine::baseline;
 use redsim_engine::exec::TableProvider;
 use redsim_obs::{Span, LVL_DETAIL};
+use redsim_sql::{CatalogView, TableMeta};
 use redsim_storage::stats::TableStats;
-use redsim_storage::table::{ScanOutput, ScanPredicate, WriteCheckpoint};
+use redsim_storage::table::{ScanOutput, ScanPredicate, SliceTable};
 use redsim_storage::{BlockId, BlockStore};
 /// Run a closure over owned inputs on scoped threads, preserving order.
 pub(super) use redsim_testkit::par::map as parallel_map;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 pub(super) struct Compute {
@@ -23,39 +26,56 @@ pub(super) struct Compute {
     pub node_stores: Vec<Arc<dyn BlockStore>>,
 }
 
-/// The slices holding distinct rows: an ALL table keeps a full copy on
-/// every slice, so reading slice 0 reads the table.
-fn distinct_slices(entry: &TableEntry) -> Vec<usize> {
-    let n = if matches!(entry.dist_style, DistStyle::All) { 1 } else { entry.slices.len() };
-    (0..n).collect()
-}
-
 impl Compute {
     pub fn store_for_slice(&self, slice: usize) -> &dyn BlockStore {
         let node = self.topology.node_of(SliceId(slice as u32));
         self.node_stores[node.0 as usize].as_ref()
     }
 
-    /// Run `f` on every listed slice of `entry` in parallel; first error
-    /// wins.
-    fn on_slices<T: Send>(
+    /// Run `f` on the slices of `version` holding distinct rows, in
+    /// parallel; first error wins. An ALL table keeps a full copy on
+    /// every slice, so reading slice 0 reads the table.
+    fn on_distinct_slices<T: Send>(
         &self,
-        slices: Vec<usize>,
-        f: impl Fn(usize, &dyn BlockStore) -> Result<T> + Sync,
+        entry: &TableEntry,
+        version: &TableVersion,
+        f: impl Fn(&SliceTable, &dyn BlockStore) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
-        parallel_map(slices, |slice| f(slice, self.store_for_slice(slice))).into_iter().collect()
+        let n = if matches!(entry.dist_style, DistStyle::All) { 1 } else { version.slices.len() };
+        let slices = version.slices[..n].iter().enumerate().collect();
+        parallel_map(slices, |(slice, t)| f(t, self.store_for_slice(slice))).into_iter().collect()
     }
 
-    /// Route a batch by the table's distribution style and append to the
-    /// slice tables (optionally flushing buffered rows — INSERT flushes;
-    /// COPY seals once at the end). Per-slice appends are independent
-    /// and run on worker threads ("COPY is parallelized across slices",
-    /// §2.1).
-    pub fn append(&self, entry: &TableEntry, batch: Vec<ColumnData>, flush: bool) -> Result<()> {
-        let per_slice = entry.router.lock().route(&batch)?;
-        let results = parallel_map(per_slice.into_iter().enumerate().collect(), |(slice, cols)| {
+    /// Run `f` on every slice of the draft `next` in parallel.
+    fn on_slices_mut<T: Send>(
+        &self,
+        next: &mut TableVersion,
+        f: impl Fn(usize, &mut SliceTable, &dyn BlockStore) -> T + Sync,
+    ) -> Vec<T> {
+        let slices = next.slices.iter_mut().enumerate().collect();
+        parallel_map(slices, |(slice, t)| f(slice, t, self.store_for_slice(slice)))
+    }
+
+    /// Route a batch by `entry`'s distribution style, resuming the EVEN
+    /// rotation at the draft's cursor, and append to the draft's slice
+    /// tables (optionally flushing buffered rows — INSERT flushes; COPY
+    /// seals once at the end). Per-slice appends are independent and run
+    /// on worker threads ("COPY is parallelized across slices", §2.1).
+    pub fn append(
+        &self,
+        entry: &TableEntry,
+        next: &mut TableVersion,
+        batch: Vec<ColumnData>,
+        flush: bool,
+    ) -> Result<()> {
+        let mut router = RowRouter::new(entry.dist_style.clone(), &self.topology);
+        router.set_cursor(next.state.cursor);
+        let per_slice = router.route(&batch)?;
+        next.state.cursor = router.cursor();
+        // Each slice's share moves into its task and is freed with it.
+        let work = next.slices.iter_mut().zip(per_slice).enumerate().collect();
+        let results = parallel_map(work, |(slice, (t, cols)): (usize, (&mut SliceTable, _))| {
             let store = self.store_for_slice(slice);
-            let mut t = entry.slices[slice].lock();
             t.append(&cols, store)?;
             if flush {
                 t.flush(store)?;
@@ -69,45 +89,56 @@ impl Compute {
     /// sealed into encoded blocks), one `copy.slice_seal` child of `span`
     /// per slice. Returns every slice's outcome so the caller can name
     /// each failure.
-    pub fn seal(&self, entry: &TableEntry, span: &Span) -> Vec<Result<()>> {
-        parallel_map((0..entry.slices.len()).collect(), |slice| {
+    pub fn seal(&self, next: &mut TableVersion, span: &Span) -> Vec<Result<()>> {
+        self.on_slices_mut(next, |slice, t, store| {
             let mut sspan = span.child(LVL_DETAIL, "copy.slice_seal");
             if sspan.is_recording() {
                 sspan.attr("slice", slice);
             }
-            entry.slices[slice].lock().flush(self.store_for_slice(slice))
+            t.flush(store)
         })
     }
 
-    /// Every row of the live table, as full-width batches.
-    pub fn scan_table(&self, entry: &TableEntry) -> Result<Vec<Vec<ColumnData>>> {
-        let all_cols: Vec<usize> = (0..entry.schema.len()).collect();
-        let scans = self.on_slices(distinct_slices(entry), |slice, store| {
-            entry.slices[slice].lock().scan(store, &all_cols, None)
-        })?;
-        Ok(scans.into_iter().flat_map(|s| s.batches).collect())
-    }
-
-    /// Optimizer statistics from a scan of the live table — `ANALYZE`
-    /// only; loads fold their own batch (`TableStats::update`) instead.
-    pub fn analyze(&self, entry: &TableEntry) -> Result<TableStats> {
-        let partials = self.on_slices(distinct_slices(entry), |slice, store| {
-            entry.slices[slice].lock().analyze(store)
-        })?;
+    /// Optimizer statistics from a scan of `version` — `ANALYZE` only;
+    /// loads fold their own batch (`TableStats::update`) instead.
+    pub fn analyze(&self, entry: &TableEntry, version: &TableVersion) -> Result<TableStats> {
+        let partials = self.on_distinct_slices(entry, version, |t, store| t.analyze(store))?;
         let mut stats = TableStats::new(entry.schema.len());
         partials.iter().for_each(|p| stats.merge(p));
         Ok(stats)
     }
 
-    /// Re-sort every slice, keeping the old blocks: returns rows
-    /// rewritten and the superseded block ids for the caller to
-    /// [`Compute::delete_blocks`] once the new layout is durable.
-    pub fn vacuum_deferred(&self, entry: &TableEntry) -> Result<(u64, Vec<BlockId>)> {
-        let results = self.on_slices((0..entry.slices.len()).collect(), |slice, store| {
-            entry.slices[slice].lock().vacuum_deferred(store)
-        })?;
-        let rows = results.iter().map(|(rows, _)| rows).sum();
-        Ok((rows, results.into_iter().flat_map(|(_, blocks)| blocks).collect()))
+    /// Re-sort every slice of the draft into new blocks; returns rows
+    /// rewritten. The blocks it supersedes stay in the store — they still
+    /// back the committed version — until the caller's commit frees them
+    /// with [`Compute::delete_unshared`].
+    pub fn vacuum(&self, next: &mut TableVersion) -> Result<u64> {
+        let rewritten = self.on_slices_mut(next, |_, t, store| t.vacuum_deferred(store));
+        rewritten.into_iter().map(|r| r.map(|(rows, _)| rows)).sum()
+    }
+
+    /// Fill `next`, the draft of the re-laid-out copy `to` (resize,
+    /// redistribute), with every row of `from` as `source` — `from`'s
+    /// cluster — reads it: routed for `to`'s layout and sealed. Carries
+    /// `from`'s state over, all but the cursor, which re-routing the rows
+    /// has just advanced for the new layout.
+    pub fn copy_table(
+        &self,
+        to: &TableEntry,
+        next: &mut TableVersion,
+        source: &Compute,
+        from: &TableEntry,
+    ) -> Result<()> {
+        let image = from.snapshot();
+        let all_cols: Vec<usize> = (0..from.schema.len()).collect();
+        let scans =
+            source.on_distinct_slices(from, &image, |t, store| t.scan(store, &all_cols, None))?;
+        for batch in scans.into_iter().flat_map(|s| s.batches) {
+            self.append(to, next, batch, false)?;
+        }
+        self.seal(next, &Span::disabled()).into_iter().collect::<Result<()>>()?;
+        next.state = TableState { cursor: next.state.cursor, ..image.state.clone() };
+        Ok(())
     }
 
     /// Delete blocks from every replica (any node's handle reaches all).
@@ -119,27 +150,16 @@ impl Compute {
         }
     }
 
-    pub fn drop_storage(&self, entry: &TableEntry) {
-        for (slice, st) in entry.slices.iter().enumerate() {
-            st.lock().drop_storage(self.store_for_slice(slice));
-        }
-    }
-
-    /// Undo a statement's slice writes; returns the blocks dropped.
-    pub fn rollback(&self, entry: &TableEntry, cps: &mut [Option<WriteCheckpoint>]) -> usize {
-        let mut blocks = 0;
-        for (slice, cp) in cps.iter_mut().enumerate() {
-            if let Some(cp) = cp.take() {
-                let store = self.store_for_slice(slice);
-                blocks += entry.slices[slice].lock().rollback_write(cp, store);
-            }
-        }
-        blocks
-    }
-
-    /// `catalog` as the SQL planner sees it on this topology.
-    pub fn planner<'a>(&self, catalog: &'a Catalog) -> PlannerCatalog<'a> {
-        PlannerCatalog { catalog, total_slices: self.topology.total_slices() }
+    /// Delete the blocks `dead` references and `live` does not; returns
+    /// how many. An aborted draft against the version it was cloned from,
+    /// or a superseded version against the one that replaced it.
+    pub fn delete_unshared(&self, dead: &TableVersion, live: &TableVersion) -> usize {
+        let keep: BTreeSet<BlockId> = live.block_ids().into_iter().collect();
+        let mut ids = dead.block_ids();
+        ids.retain(|id| !keep.contains(id));
+        let dropped = ids.len();
+        self.delete_blocks(ids);
+        dropped
     }
 
     /// Capture the committed [`TableVersion`] of every referenced user
@@ -149,24 +169,40 @@ impl Compute {
         let tables = refs
             .iter()
             .filter_map(|t| catalog.get(t))
-            .map(|e| {
-                let all = matches!(e.dist_style, DistStyle::All);
-                (e.name.to_ascii_lowercase(), (all, e.snapshot()))
-            })
+            .map(|e| (e.name.to_ascii_lowercase(), (e.snapshot(), e)))
             .collect();
         SnapshotReader { compute: self, tables }
     }
 }
 
-/// Scans against a statement's MVCC snapshot, for the compiled executor
-/// ([`TableProvider`]) and the row interpreter ([`baseline::RowSource`])
-/// alike. Scans never touch the live slice tables, so a concurrent
-/// writer's uncommitted (or newly committed) state is invisible to a
-/// query that has already started.
+/// One statement's view of the tables it references: what the planner
+/// binds and costs against ([`CatalogView`]) and what the compiled
+/// executor ([`TableProvider`]) and the row interpreter
+/// ([`baseline::RowSource`]) scan are the same captured versions, so a
+/// concurrent writer's uncommitted (or newly committed) state is
+/// invisible to a query that has already started.
 pub(super) struct SnapshotReader<'a> {
     compute: &'a Compute,
-    /// Lowercased name → (is DISTSTYLE ALL, committed version).
-    tables: FxHashMap<String, (bool, Arc<TableVersion>)>,
+    /// Lowercased name → (committed version, its table).
+    tables: FxHashMap<String, (Arc<TableVersion>, Arc<TableEntry>)>,
+}
+
+impl CatalogView for SnapshotReader<'_> {
+    fn table(&self, name: &str) -> Option<TableMeta> {
+        self.tables.get(&name.to_ascii_lowercase()).map(|(version, t)| TableMeta {
+            name: t.name.clone(),
+            schema: t.schema.clone(),
+            dist_style: t.dist_style.clone(),
+            sort_key: t.sort_key.clone(),
+            // Every load adds to the estimate and ANALYZE sets it
+            // exactly; `stats.rows` goes stale under STATUPDATE OFF.
+            rows: version.state.rows_estimate,
+        })
+    }
+
+    fn total_slices(&self) -> u32 {
+        self.compute.topology.total_slices()
+    }
 }
 
 impl TableProvider for SnapshotReader<'_> {
@@ -181,12 +217,12 @@ impl TableProvider for SnapshotReader<'_> {
         projection: &[usize],
         pred: &ScanPredicate,
     ) -> Result<ScanOutput> {
-        let (all, version) = self
+        let (version, entry) = self
             .tables
             .get(&table.to_ascii_lowercase())
             .ok_or_else(|| RsError::NotFound(format!("relation {table:?}")))?;
         // ALL tables: only slice 0 scans (avoids N× duplicate rows).
-        if *all && slice != 0 {
+        if matches!(entry.dist_style, DistStyle::All) && slice != 0 {
             return Ok(ScanOutput::default());
         }
         version.slices[slice].scan(self.compute.store_for_slice(slice), projection, Some(pred))

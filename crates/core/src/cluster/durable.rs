@@ -4,7 +4,7 @@
 //! [`CrashImage`]); everything else on a [`Cluster`](super::Cluster) is
 //! rebuilt from it.
 
-use crate::catalog::{Catalog, TableEntry};
+use crate::catalog::{Catalog, TableVersion};
 use crate::config::ClusterConfig;
 use crate::encstore::EncryptedBlockStore;
 use redsim_common::codec::{Reader, Writer};
@@ -88,7 +88,7 @@ impl Keys {
 /// See the module docs. Owns no lock of the statement protocol: callers
 /// hold the table's writer lock ([`Durable::log_table_delta`]) or the
 /// exclusive `data_lock` ([`Durable::log_checkpoint`],
-/// [`Durable::snapshot`]) so the state they log is the committed state.
+/// [`Durable::snapshot`]) so nothing else can commit around what they log.
 pub(super) struct Durable {
     pub s3: Arc<S3Sim>,
     pub blocks: BlockHome,
@@ -99,9 +99,10 @@ pub(super) struct Durable {
     pub wal: Wal,
     /// Monotonic transaction ids (1-based; 0 marks bootstrap versions).
     txn_seq: AtomicU64,
-    /// Armed by `Cluster::crash` / `Cluster::arm_hard_crash`: in-flight
-    /// write rollbacks become no-ops, modeling a process that died
-    /// mid-statement and left orphan blocks for recovery to scrub.
+    /// Armed by `Cluster::crash` / `Cluster::arm_hard_crash`: an aborted
+    /// statement no longer deletes the blocks it wrote, modeling a
+    /// process that died mid-statement and left orphans for recovery to
+    /// scrub.
     pub hard_crash: AtomicBool,
     pub trace: Arc<TraceSink>,
 }
@@ -194,14 +195,15 @@ impl Durable {
         self.txn_seq.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Append one committed table-writer's post-state to the redo log:
-    /// redo record, fsync, commit mark. Called with the table's writer
-    /// lock held and after the final flush, so every slice's buffer is
-    /// empty and the delta is a lossless image. Any failure (all
-    /// injected — the log is in-memory) aborts the statement *before*
-    /// it publishes, so an unlogged write is never visible.
-    pub fn log_table_delta(&self, txn: u64, entry: &TableEntry) -> Result<()> {
-        self.wal.append_delta(txn, &entry.encode_delta())?;
+    /// Append a table writer's draft `next` of table `name` to the redo
+    /// log: redo record, fsync, commit mark. Called with the table's
+    /// writer lock held and after the final flush, so every slice's
+    /// buffer is empty and the delta is a lossless image. Any failure
+    /// (all injected — the log is in-memory) aborts the statement
+    /// *before* the draft is installed, so an unlogged write is never
+    /// visible.
+    pub fn log_table_delta(&self, txn: u64, name: &str, next: &TableVersion) -> Result<()> {
+        self.wal.append_delta(txn, &next.encode_delta(name))?;
         self.wal.sync()?;
         self.wal.commit(txn)?;
         self.trace.counter("wal.commits").incr();
@@ -210,8 +212,7 @@ impl Durable {
 
     /// Write a full-catalog checkpoint ([`Catalog::encode`]) to the redo
     /// log and reclaim the bytes it supersedes. Caller holds the
-    /// exclusive `data_lock`, so the live catalog *is* the committed
-    /// state.
+    /// exclusive `data_lock`, so no table writer commits mid-encode.
     pub fn log_checkpoint(&self, txn: u64, catalog: &Catalog) -> Result<()> {
         let mut w = Writer::new();
         catalog.encode(&mut w);
@@ -248,7 +249,7 @@ impl Durable {
         };
         for (txn, payload) in &replay.deltas {
             max_txn = max_txn.max(*txn);
-            catalog.apply_delta(payload)?.publish(*txn);
+            catalog.apply_delta(*txn, payload)?;
         }
         self.txn_seq.store(max_txn, Ordering::Relaxed);
         Ok((catalog, replay.deltas.len() as u64))

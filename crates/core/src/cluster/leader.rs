@@ -90,10 +90,9 @@ impl Leader {
         Leader {
             catalog: RwLock::new(catalog),
             catalog_version: AtomicU64::new(0),
-            plan_cache: PlanCache::with_policy(
+            plan_cache: PlanCache::with_work(
                 config.plan_cache_capacity,
                 config.compile_work_per_node,
-                config.plan_cache_eviction,
             ),
             result_cache: ResultCache::new(
                 config.result_cache_capacity,
@@ -129,9 +128,9 @@ impl Leader {
     }
 
     /// Estimated cost for WLM routing: total logical rows across the
-    /// referenced tables, scaled by the table count (joins are
-    /// superlinear). Deliberately cheap — a short catalog read before
-    /// admission, no planning.
+    /// referenced tables' committed versions, scaled by the table count
+    /// (joins are superlinear). Deliberately cheap — a short catalog
+    /// read before admission, no planning, no wait on any writer.
     pub fn estimate_cost(&self, refs: &[&str]) -> u64 {
         let catalog = self.catalog.read();
         let total: u64 =
@@ -143,11 +142,9 @@ impl Leader {
     /// `qspan`. Returns (cache hit?, compiled plan, nanoseconds).
     pub fn compile(&self, plan: LogicalPlan, qspan: &Span) -> (bool, Arc<CompiledQuery>, u64) {
         let mut cspan = qspan.child(LVL_PHASE, "query.compile");
-        let (hits_before, _) = self.plan_cache.stats();
         let t0 = std::time::Instant::now();
-        let compiled = self.plan_cache.get_or_compile(plan);
+        let (compiled, cache_hit) = self.plan_cache.get_or_compile(plan);
         let compile_ns = t0.elapsed().as_nanos() as u64;
-        let cache_hit = self.plan_cache.stats().0 > hits_before;
         self.trace.counter(if cache_hit { "plan_cache.hits" } else { "plan_cache.misses" }).incr();
         cspan.attr("cache", if cache_hit { "hit" } else { "miss" });
         cspan.finish();

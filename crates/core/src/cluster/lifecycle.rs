@@ -11,7 +11,7 @@ use crate::config::ClusterConfig;
 use redsim_common::codec::Reader;
 use redsim_common::Result;
 use redsim_crypto::HsmSim;
-use redsim_obs::{Span, TraceSink, LVL_PHASE};
+use redsim_obs::{TraceSink, LVL_PHASE};
 use redsim_replication::{
     BackupManager, ReplicatedStore, S3Sim, SnapshotInfo, SnapshotKind, StreamingRestoreStore,
 };
@@ -179,17 +179,13 @@ impl Cluster {
                 &target.compute.topology,
                 target.config.rows_per_group,
             )?;
-            target.leader.catalog.write().create(Arc::clone(&new_entry))?;
             // Node-to-node parallel copy: every source slice streams its
             // batches; the router redistributes for the new topology.
             // ALL tables copy from one slice (the target re-duplicates).
-            for batch in self.compute.scan_table(entry)? {
-                target.compute.append(&new_entry, batch, false)?;
-            }
-            target.compute.seal(&new_entry, &Span::disabled()).into_iter().collect::<Result<()>>()?;
-            new_entry.inherit_state(entry);
-            // Make the copied data visible to the target's MVCC readers.
-            new_entry.publish(0);
+            let mut draft = target.draft(&new_entry);
+            target.compute.copy_table(&new_entry, &mut draft.next, &self.compute, entry)?;
+            draft.install(0);
+            target.leader.catalog.write().create(new_entry)?;
         }
         // Seed the target's redo log so a crash right after cutover
         // recovers the migrated data rather than an empty catalog.
@@ -202,10 +198,10 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Arm the hard-crash flag *without* tearing the cluster down yet:
-    /// from here on, failed statements skip their in-memory rollback
-    /// (and leave their blocks behind), exactly as if the process died
-    /// mid-statement. Pair with [`Cluster::crash`] +
-    /// [`Cluster::recover`]; only recovery's orphan scrub cleans up.
+    /// from here on, failed statements leave the blocks they wrote
+    /// behind, exactly as if the process died mid-statement. Pair with
+    /// [`Cluster::crash`] + [`Cluster::recover`]; only recovery's orphan
+    /// scrub cleans up.
     pub fn arm_hard_crash(&self) {
         self.durable.hard_crash.store(true, Ordering::Release);
     }
@@ -400,7 +396,7 @@ mod tests {
 
         // The next COPY dies after its blocks hit the mirror but before
         // the WAL commit record: a hard crash mid-commit. The armed
-        // crash flag keeps WriteTxn::drop from rolling the blocks back —
+        // crash flag keeps the dropped draft from deleting its blocks —
         // exactly the state a real power cut leaves behind.
         c.arm_hard_crash();
         c.faults().configure(fp::WAL_COMMIT, FaultSpec::err(ErrClass::Fault).once());
@@ -446,12 +442,11 @@ mod tests {
         c.put_s3_object("a/rows", b"1\n2\n3\n".to_vec());
         c.execute("COPY t FROM 's3://a/'").unwrap();
         c.execute("COPY t FROM 's3://a/' STATUPDATE OFF").unwrap();
-        let t = c.leader.catalog.read().get("t").unwrap();
-        let state = t.state();
-        assert_eq!(state.loads_since_analyze, 3);
-        assert_eq!(state.cursor, 6 % 4, "six rows round-robined over four slices");
-        assert!(state.stats.is_some());
-        t.encode_delta()
+        let version = c.committed("t").unwrap();
+        assert_eq!(version.state.loads_since_analyze, 3);
+        assert_eq!(version.state.cursor, 6 % 4, "six rows round-robined over four slices");
+        assert!(version.state.stats.is_some());
+        version.encode_delta("t")
     }
 
     fn restore(c: &Cluster, name: &str, snapshot: &str) -> Arc<Cluster> {
@@ -474,7 +469,7 @@ mod tests {
         let r = restore(&c, "r", "s");
         // Loads, stats and the round-robin cursor all survive: the
         // manifest carries the same table image the redo log does.
-        assert_eq!(r.leader.catalog.read().get("t").unwrap().encode_delta(), image);
+        assert_eq!(r.committed("t").unwrap().encode_delta("t"), image);
         assert_eq!(r.loads_since_analyze("t"), 3);
         // So the restored cluster still auto-analyzes the stale table.
         let actions = r.maintenance_tick(&Default::default()).unwrap();
@@ -488,7 +483,7 @@ mod tests {
         stale_even_table(&c);
         let target = c.resize(4, 2).unwrap();
         assert_eq!(target.loads_since_analyze("t"), 3);
-        let state = target.leader.catalog.read().get("t").unwrap().state();
+        let state = target.committed("t").unwrap().state.clone();
         assert_eq!(state.rows_estimate, 6);
         assert_eq!(state.stats.map(|s| s.rows), Some(3));
         assert_eq!(state.cursor, 6, "the target's own routing, not the source's cursor");
@@ -525,8 +520,7 @@ mod tests {
         c.execute("COPY b FROM 's3://inb/'").unwrap(); // delta: stats
         c.execute("INSERT INTO a VALUES (6)").unwrap(); // delta over a delta
         let images = |c: &Cluster| -> Vec<Vec<u8>> {
-            let catalog = c.leader.catalog.read();
-            ["a", "b"].iter().map(|t| catalog.get(t).unwrap().encode_delta()).collect()
+            ["a", "b"].iter().map(|t| c.committed(t).unwrap().encode_delta(t)).collect()
         };
         let before = images(&c);
         let r = Cluster::recover(c.crash().unwrap()).unwrap();

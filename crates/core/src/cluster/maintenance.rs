@@ -8,7 +8,6 @@ use crate::autonomics::{self, MaintenanceAction, MaintenancePolicy};
 use crate::catalog::TableEntry;
 use redsim_common::{Result, RsError};
 use redsim_distribution::DistStyle;
-use redsim_obs::Span;
 use redsim_storage::table::SortKeySpec;
 use std::sync::Arc;
 
@@ -27,29 +26,21 @@ impl Cluster {
     pub(super) fn run_vacuum(&self, table: Option<&str>) -> Result<ExecSummary> {
         self.check_writable()?;
         let txn = self.begin_write_txn(WriteScope::Exclusive)?;
-        let targets = self.tables_or_all(table)?;
-        // Deferred deletion: the rewrite installs new blocks but keeps
-        // the old ones until the checkpoint below is durably committed.
-        // A crash before the commit mark recovers the pre-vacuum layout
-        // (new blocks are scrubbed as orphans); after it, the post-vacuum
-        // layout (old blocks are scrubbed). Either way exactly one
-        // complete block set backs the recovered manifests.
-        let mut old_blocks = Vec::new();
+        // Each draft re-sorts into new blocks and keeps the old ones,
+        // which still back the committed version: `commit_exclusive`
+        // frees them once the post-vacuum layout is durable, and an
+        // error on any table drops every draft, new blocks and all.
+        let mut drafts = Vec::new();
         let mut rewritten = 0u64;
-        for entry in &targets {
-            let (rows, blocks) = self.compute.vacuum_deferred(entry)?;
-            rewritten += rows;
-            old_blocks.extend(blocks);
-        }
-        self.log_checkpoint(txn.txn)?;
-        self.compute.delete_blocks(old_blocks);
-        for entry in &targets {
-            entry.publish(txn.txn);
+        for entry in self.tables_or_all(table)? {
+            let mut draft = self.draft(&entry);
+            rewritten += self.compute.vacuum(&mut draft.next)?;
+            drafts.push(draft);
         }
         // VACUUM re-sorts without changing visible rows, but the blocks
-        // behind a cached plan's zone maps did change; conservatively
-        // treat every committed mutating statement the same way.
-        self.leader.committed();
+        // behind a cached plan's zone maps did change; the commit bumps
+        // the catalog version as for every other mutating statement.
+        self.commit_exclusive(txn.txn, drafts)?;
         Ok(ExecSummary { rows_affected: rewritten, message: format!("VACUUM {rewritten}") })
     }
 
@@ -59,19 +50,17 @@ impl Cluster {
         // them durable are a consistent image. (A load's statistics fold
         // instead rides the statement's own writer lock and delta.)
         let txn = self.begin_write_txn(WriteScope::Exclusive)?;
-        let targets = self.tables_or_all(table)?;
-        for entry in &targets {
-            let stats = self.compute.analyze(entry)?;
-            *entry.rows_estimate.write() = stats.rows;
-            *entry.stats.write() = Some(stats);
-            *entry.loads_since_analyze.write() = 0;
+        let mut drafts = Vec::new();
+        for entry in self.tables_or_all(table)? {
+            let mut draft = self.draft(&entry);
+            let stats = self.compute.analyze(&entry, &draft.next)?;
+            draft.next.state.rows_estimate = stats.rows;
+            draft.next.state.loads_since_analyze = 0;
+            draft.next.state.stats = Some(stats);
+            drafts.push(draft);
         }
-        self.log_checkpoint(txn.txn)?;
-        for entry in &targets {
-            entry.publish(txn.txn);
-        }
-        self.leader.committed();
-        let analyzed = targets.len() as u64;
+        let analyzed = drafts.len() as u64;
+        self.commit_exclusive(txn.txn, drafts)?;
         Ok(ExecSummary { rows_affected: analyzed, message: format!("ANALYZE {analyzed} tables") })
     }
 
@@ -87,15 +76,13 @@ impl Cluster {
             catalog
                 .tables()
                 .map(|t| {
-                    let total: u64 = t.slices.iter().map(|s| s.lock().row_count()).sum();
-                    let unsorted: u64 =
-                        t.slices.iter().map(|s| s.lock().unsorted_rows()).sum();
+                    let version = t.snapshot();
+                    let (total, unsorted) = version.stored_rows();
                     let needs_vacuum = total > 0
                         && !matches!(t.sort_key, SortKeySpec::None)
                         && (unsorted as f64 / total as f64) > policy.vacuum_unsorted_fraction;
-                    let analyzed_rows =
-                        t.stats.read().as_ref().map(|s| s.rows).unwrap_or(0);
-                    let fresh_loads = *t.loads_since_analyze.read();
+                    let analyzed_rows = version.state.stats.as_ref().map_or(0, |s| s.rows);
+                    let fresh_loads = version.state.loads_since_analyze;
                     let needs_analyze = fresh_loads > 0
                         && (analyzed_rows == 0
                             || (fresh_loads as f64 / analyzed_rows as f64)
@@ -125,7 +112,7 @@ impl Cluster {
                     .tables()
                     .filter(|t| {
                         matches!(t.dist_style, DistStyle::Even)
-                            && t.stats.read().is_some() // only analyzed (stable) tables
+                            && t.snapshot().state.stats.is_some() // only analyzed (stable) tables
                             && t.logical_rows() > 0
                             && t.logical_rows() <= max_rows
                     })
@@ -164,17 +151,17 @@ impl Cluster {
             &self.compute.topology,
             self.config.rows_per_group,
         )?;
-        for batch in self.compute.scan_table(&entry)? {
-            self.compute.append(&new_entry, batch, false)?;
-        }
-        self.compute.seal(&new_entry, &Span::disabled()).into_iter().collect::<Result<()>>()?;
+        let mut draft = self.draft(&new_entry);
+        self.compute.copy_table(&new_entry, &mut draft.next, &self.compute, &entry)?;
         // Preserve sortedness: the rebuild appended into the unsorted
         // region; re-sort so zone maps keep working.
         if !matches!(new_entry.sort_key, SortKeySpec::None) {
-            let (_, unsorted_blocks) = self.compute.vacuum_deferred(&new_entry)?;
-            self.compute.delete_blocks(unsorted_blocks);
+            let unsorted = draft.next.clone();
+            let sorted = self.compute.vacuum(&mut draft.next);
+            self.compute.delete_unshared(&unsorted, &draft.next);
+            sorted?;
         }
-        new_entry.inherit_state(&entry);
+        draft.install(txn.txn);
         // Swap in the ALL layout, make it durable, and only then free
         // the old layout's blocks (deferred deletion — a crash on either
         // side of the commit mark leaves one complete block set; the
@@ -188,11 +175,10 @@ impl Cluster {
         if let Err(e) = self.log_checkpoint(txn.txn) {
             // Undo the swap so the failed statement is invisible.
             let _ = swap(&new_entry, &entry);
-            self.compute.drop_storage(&new_entry);
+            self.compute.delete_blocks(new_entry.snapshot().block_ids());
             return Err(e);
         }
-        new_entry.publish(txn.txn);
-        self.compute.drop_storage(&entry);
+        self.compute.delete_blocks(entry.snapshot().block_ids());
         // The table changed distribution: plans compiled against the old
         // layout are stale, and cached results (though still row-correct)
         // follow the same committed-write rule as everything else.

@@ -21,7 +21,7 @@ pub use durable::CrashImage;
 pub use leader::WlmAccounting;
 
 use crate::autonomics::UsageStats;
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableVersion};
 use crate::config::ClusterConfig;
 use crate::session::{Session, SessionCtx, SessionManager, SessionOpts};
 use crate::wlm::WlmController;
@@ -108,9 +108,9 @@ pub struct Cluster {
     /// Structural lock over table *storage*. Readers and per-table
     /// writers hold it shared — reads are isolated by MVCC snapshots
     /// ([`crate::catalog::TableEntry::snapshot`]), not by excluding
-    /// writers. Only operations that rewrite storage in place (DROP,
-    /// VACUUM, redistribute) or need a frozen catalog image (checkpoint)
-    /// take it exclusively.
+    /// writers. Only operations that free blocks a running scan may
+    /// still read (DROP, VACUUM, redistribute) or need a frozen catalog
+    /// image (checkpoint) take it exclusively.
     data_lock: RwLock<()>,
 }
 
@@ -163,27 +163,32 @@ impl Cluster {
         self.durable.s3.faults()
     }
 
+    /// `table`'s committed version (`None` for an unknown table): what
+    /// the accessors below read, so an in-flight writer's progress is
+    /// visible in none of them and none of them waits on it.
+    fn committed(&self, table: &str) -> Option<Arc<TableVersion>> {
+        self.leader.catalog.read().get(table).map(|e| e.snapshot())
+    }
+
     /// The catalog's cheap running row count for `table` (`None` for an
     /// unknown table). Maintained by COPY/INSERT, rewritten by ANALYZE,
-    /// and rolled back with the rest of the slice state when a write
-    /// statement aborts — exactness tests key on it. Reads the last
-    /// *committed* table version, so an in-flight writer's uncommitted
-    /// progress is never visible here.
+    /// and untouched by a write statement that aborts — exactness tests
+    /// key on it.
     pub fn rows_estimate(&self, table: &str) -> Option<u64> {
-        self.leader.catalog.read().get(table).map(|e| e.snapshot().rows_estimate)
+        self.committed(table).map(|v| v.state.rows_estimate)
     }
 
     /// Rows loaded into `table` since its last ANALYZE (drives the
     /// auto-analyze maintenance trigger; `0` for unknown tables).
     pub fn loads_since_analyze(&self, table: &str) -> u64 {
-        self.leader.catalog.read().get(table).map_or(0, |e| *e.loads_since_analyze.read())
+        self.committed(table).map_or(0, |v| v.state.loads_since_analyze)
     }
 
     /// `table`'s optimizer statistics (`None` when unknown or never
     /// analyzed/loaded): `ANALYZE`'s output, kept current by every
     /// STATUPDATE COPY and INSERT.
     pub fn table_stats(&self, table: &str) -> Option<redsim_storage::stats::TableStats> {
-        self.leader.catalog.read().get(table).and_then(|e| e.stats.read().clone())
+        self.committed(table).and_then(|v| v.state.stats.clone())
     }
 
     pub fn state(&self) -> ClusterState {
@@ -425,8 +430,7 @@ mod tests {
         assert_eq!(r.rows[0].get(1).as_i64(), Some(0));
         assert_eq!(r.rows[0].get(2).as_i64(), Some(499));
         // STATUPDATE ran: stats exist.
-        let cat = c.leader.catalog.read();
-        assert!(cat.get("logs").unwrap().stats.read().is_some());
+        assert!(c.table_stats("logs").is_some());
     }
 
     #[test]

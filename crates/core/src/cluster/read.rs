@@ -1,6 +1,7 @@
 //! The read path: SELECT / EXPLAIN / EXPLAIN ANALYZE from parse to
 //! rows, and the row-interpreter comparator.
 
+use super::compute::SnapshotReader;
 use super::{leader, Cluster, QueryResult};
 use crate::autonomics;
 use crate::result_cache::CachedResult;
@@ -10,10 +11,11 @@ use crate::wlm::QmrStats;
 use redsim_common::{Result, Row, RsError};
 use redsim_engine::baseline;
 use redsim_engine::exec::Executor;
-use redsim_obs::{AttrValue, LVL_CORE, LVL_PHASE};
+use redsim_obs::{AttrValue, Span, LVL_CORE, LVL_PHASE};
 use redsim_sql::ast::{self, Statement};
 use redsim_sql::plan::LogicalPlan;
 use redsim_sql::{optimizer, Binder};
+use redsim_testkit::sync::RwLockReadGuard;
 use std::sync::Arc;
 
 /// How a SELECT is being run: for real, plan-only (`EXPLAIN`), or for
@@ -63,6 +65,32 @@ impl Cluster {
                 Err(RsError::Unsupported("EXPLAIN ANALYZE supports SELECT only".into()))
             }
         }
+    }
+
+    /// A SELECT's read snapshot and its plan, bound and optimized against
+    /// that same snapshot: the one prologue of the production path and
+    /// the row-interpreter reference path, so the two cannot plan
+    /// against different versions or catalog views. Returns the shared
+    /// `data_lock` guard (hold it while scanning — exclusive statements
+    /// free blocks), the catalog version as of *before* the snapshot,
+    /// the reader and the plan (planned under a `query.plan` child of
+    /// `qspan`).
+    fn plan_select(
+        &self,
+        sel: &ast::Select,
+        qspan: &Span,
+    ) -> Result<(RwLockReadGuard<'_, ()>, u64, SnapshotReader<'_>, LogicalPlan)> {
+        let data = self.data_lock.read();
+        // MVCC read point: the catalog version *before* capturing table
+        // snapshots, and the committed version of every referenced table.
+        // Writers can commit concurrently (they hold the data lock
+        // shared); this query keeps scanning the versions captured here.
+        let version = self.catalog_version();
+        let reader = self.compute.reader(&self.leader.catalog.read(), &sel.referenced_tables());
+        let pspan = qspan.child(LVL_PHASE, "query.plan");
+        let plan = optimizer::optimize(Binder::new(&reader).bind_select(sel)?, &reader);
+        pspan.finish();
+        Ok((data, version, reader, plan))
     }
 
     fn run_select(
@@ -124,23 +152,8 @@ impl Cluster {
         if queue_wait_ns > 0 {
             qspan.child_completed(LVL_PHASE, "wlm.wait", queue_wait_ns, &[]);
         }
-        let _snapshot = self.data_lock.read();
-        let catalog = self.leader.catalog.read();
-        // MVCC read point: the catalog version *before* capturing table
-        // snapshots, and the committed version of every referenced table.
-        // Writers can commit concurrently (they hold the data lock
-        // shared); this query keeps scanning the versions captured here.
-        let version_at_snapshot = self.catalog_version();
-        let reader = self.compute.reader(&catalog, &refs);
-        let view = self.compute.planner(&catalog);
-        let (plan, plan_text) = {
-            let pspan = qspan.child(LVL_PHASE, "query.plan");
-            let bound = Binder::new(&view).bind_select(sel)?;
-            let plan = optimizer::optimize(bound, &view);
-            let plan_text = plan.explain();
-            pspan.finish();
-            (plan, plan_text)
-        };
+        let (_snapshot, version_at_snapshot, reader, plan) = self.plan_select(sel, &qspan)?;
+        let plan_text = plan.explain();
         self.leader.usage.record_feature(match mode {
             SelectMode::Execute => "SELECT",
             SelectMode::ExplainOnly => "EXPLAIN",
@@ -176,7 +189,7 @@ impl Cluster {
         // Likewise batches whose join or group keys were boxed.
         self.trace().counter("exec.key_fallback").add(out.metrics.key_fallback);
         if espan.is_recording() {
-            espan.attr("slices", view.total_slices);
+            espan.attr("slices", self.compute.topology.total_slices());
             espan.attr("rows_out", out.rows.len());
         }
         espan.finish();
@@ -306,12 +319,7 @@ impl Cluster {
             Statement::Select(s) => s,
             _ => return Err(RsError::Analysis("not a SELECT".into())),
         };
-        let _snapshot = self.data_lock.read();
-        let catalog = self.leader.catalog.read();
-        let reader = self.compute.reader(&catalog, &sel.referenced_tables());
-        let view = self.compute.planner(&catalog);
-        let bound = Binder::new(&view).bind_select(&sel)?;
-        let plan = optimizer::optimize(bound, &view);
+        let (_snapshot, _, reader, plan) = self.plan_select(&sel, &Span::disabled())?;
         baseline::run_plan(&plan, &reader)
     }
 }

@@ -1,10 +1,11 @@
 //! The write path: the transaction protocol (`write_txn` → `data_lock`
-//! → catalog → table `writer` → slice mutex; DESIGN.md §15) and the
-//! statements that run under it — CREATE / DROP / INSERT / COPY.
+//! → catalog → table `writer`; DESIGN.md §15), the [`Draft`] every
+//! statement builds its table's next version in, and the statements
+//! themselves — CREATE / DROP / INSERT / COPY.
 
 use super::compute::parallel_map;
 use super::{Cluster, ExecSummary};
-use crate::catalog::{TableEntry, TableState};
+use crate::catalog::{TableEntry, TableVersion};
 use crate::loader;
 use crate::session::SessionCtx;
 use redsim_common::{ColumnData, ColumnDef, Result, RsError, Schema, Value};
@@ -12,7 +13,7 @@ use redsim_distribution::DistStyle;
 use redsim_obs::{AttrValue, LVL_CORE, LVL_DETAIL, LVL_PHASE};
 use redsim_sql::{ast, Binder, BoundExpr};
 use redsim_storage::stats::TableStats;
-use redsim_storage::table::{SortKeySpec, WriteCheckpoint};
+use redsim_storage::table::SortKeySpec;
 use redsim_testkit::sync::{MutexGuard, RwLockWriteGuard};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -32,8 +33,8 @@ pub(super) enum WriteScope<'a> {
 
 /// The locks a write transaction holds, plus its id. Dropping the
 /// handle releases them; the handle itself carries no rollback duty —
-/// that stays with [`WriteTxn`] (slice state) and the WAL protocol
-/// (durability).
+/// that stays with [`Draft`] (the uninstalled version's blocks) and the
+/// WAL protocol (durability).
 pub(super) struct TxnHandle<'a> {
     pub txn: u64,
     _locks: TxnLocks<'a>,
@@ -58,65 +59,61 @@ fn parse_hex_key(hex: &str) -> Result<redsim_crypto::Key> {
     Ok(redsim_crypto::Key(words))
 }
 
-/// RAII slice-level write transaction (see [`Cluster::begin_write`]).
+/// One table's next version under construction: a private clone of the
+/// committed one that the statement appends into, vacuums or re-analyzes
+/// with no lock but the scope it already holds (the table's writer mutex
+/// or the exclusive scope — either way it is the table's only writer).
 ///
-/// Install-or-rollback: the happy path calls [`WriteTxn::commit`]
-/// (the appended state *is* the new state); every other exit path,
-/// including panics, runs the rollback in `Drop`. Because the guard is
-/// declared after the `write_txn` / `data_lock` guards in the statement
-/// functions, it drops *before* the locks release — no reader or writer
-/// can observe the mid-rollback state.
-struct WriteTxn<'a> {
-    /// One checkpoint per slice; `take()`n by rollback.
-    checkpoints: Vec<Option<WriteCheckpoint>>,
-    /// Router cursor and catalog counters as of the snapshot.
-    state: TableState,
+/// Commit installs it ([`Draft::commit`] for table writers,
+/// [`Cluster::commit_exclusive`] for catalog-shaped statements). Every
+/// other exit path, panics included, drops it, and that is the whole
+/// abort: nobody else ever saw the draft, so all there is to undo is the
+/// blocks it wrote ("data loads are transactional", §2.1).
+pub(super) struct Draft<'a> {
     cluster: &'a Cluster,
     entry: Arc<TableEntry>,
-    armed: bool,
+    /// The committed version `next` was cloned from.
+    base: Arc<TableVersion>,
+    pub next: TableVersion,
+    installed: bool,
 }
 
-impl WriteTxn<'_> {
-    /// Commit the statement as transaction `txn`. Durability first (redo
-    /// record + commit mark), visibility second (publish the new
-    /// committed version): a WAL failure returns before disarming, so
-    /// `Drop` rolls the in-memory state back and an unlogged write is
+impl Draft<'_> {
+    /// Swap `next` in as the version committed by `txn`; returns the
+    /// table and the version it replaced.
+    pub fn install(mut self, txn: u64) -> (Arc<TableEntry>, Arc<TableVersion>) {
+        self.installed = true;
+        let next = TableVersion { txn, ..std::mem::take(&mut self.next) };
+        let replaced = self.entry.install(Arc::new(next));
+        (Arc::clone(&self.entry), replaced)
+    }
+
+    /// Commit a table writer's statement as transaction `txn`.
+    /// Durability first (redo record + commit mark, logged from the
+    /// draft), visibility second (the swap): a WAL failure returns before
+    /// the swap, so the drop discards the draft and an unlogged write is
     /// never visible. Only a committed write bumps the catalog version,
-    /// so a statement that rolls back never invalidates the result cache
-    /// (the PR-5 atomicity contract).
-    fn commit(mut self, txn: u64) -> Result<()> {
+    /// so a statement that aborts never invalidates the result cache.
+    pub fn commit(mut self, txn: u64) -> Result<()> {
         // COMPUPDATE is a per-statement override, not a table property:
-        // restore it before the image is logged so it leaks neither past
-        // the COPY that set it nor into the redo log.
-        for (slice, cp) in self.checkpoints.iter().enumerate() {
-            if let Some(cp) = cp {
-                self.entry.slices[slice].lock().set_auto_compress(cp.auto_compress());
-            }
+        // put the table's own flag back before the image is logged so the
+        // override reaches neither a later COPY nor the redo log.
+        for (slice, base) in self.next.slices.iter_mut().zip(&self.base.slices) {
+            slice.set_auto_compress(base.auto_compress());
         }
-        self.cluster.durable.log_table_delta(txn, &self.entry)?;
-        self.armed = false;
-        self.entry.publish(txn);
-        self.cluster.leader.committed();
+        self.cluster.durable.log_table_delta(txn, &self.entry.name, &self.next)?;
+        let cluster = self.cluster;
+        self.install(txn);
+        cluster.leader.committed();
         Ok(())
     }
 }
 
-impl Drop for WriteTxn<'_> {
+impl Drop for Draft<'_> {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
+        if !self.installed {
+            self.cluster.discard(&self.next, &self.base);
         }
-        // A hard crash means the process died before it could roll back:
-        // leave the half-written state (and its orphan blocks) in place
-        // for recovery to resolve. Without this gate the harness's
-        // unwind would tidy up the very mess recovery must handle.
-        if self.cluster.durable.hard_crash.load(Ordering::Acquire) {
-            return;
-        }
-        let blocks = self.cluster.compute.rollback(&self.entry, &mut self.checkpoints);
-        self.entry.set_state(std::mem::take(&mut self.state));
-        self.cluster.trace().counter("write_txn.rollbacks").add(1);
-        self.cluster.trace().counter("write_txn.blocks_dropped").add(blocks as u64);
     }
 }
 
@@ -133,8 +130,9 @@ impl Cluster {
     ///   recorded in `txn.conflicts` / `stl_tr_conflict`.
     /// - [`WriteScope::Exclusive`]: the global `write_txn` mutex plus the
     ///   exclusive `data_lock` — waits out readers and in-flight table
-    ///   writers, so live state equals committed state and a full-catalog
-    ///   WAL checkpoint taken under it is consistent.
+    ///   writers, so no draft but the statement's own exists, the blocks
+    ///   it frees back no running scan, and a full-catalog WAL checkpoint
+    ///   taken under it is consistent.
     pub(super) fn begin_write_txn<'a>(
         &'a self,
         scope: WriteScope<'a>,
@@ -169,30 +167,52 @@ impl Cluster {
         }
     }
 
-    /// Open a slice-level write transaction over `entry` (DESIGN.md §11).
-    ///
-    /// Callers hold the table's writer mutex (via
-    /// [`Cluster::begin_write_txn`]), so exactly one statement mutates
-    /// this table at a time and the snapshot is a consistent image of
-    /// everything it can mutate: each slice's buffered tail / group
-    /// manifests / encodings / COMPUPDATE flag, and the table's
-    /// [`TableState`]. Dropping the guard without
-    /// [`WriteTxn::commit`] rolls everything back and deletes the blocks
-    /// the statement wrote from every replica, so an aborted COPY/INSERT
-    /// is observationally invisible — unless a hard crash is armed, in
-    /// which case rollback is skipped and recovery's orphan scrub owns
-    /// the cleanup.
-    fn begin_write(&self, entry: &Arc<TableEntry>) -> WriteTxn<'_> {
-        WriteTxn {
-            checkpoints: entry.slices.iter().map(|s| Some(s.lock().begin_write())).collect(),
-            state: entry.state(),
-            cluster: self,
-            entry: Arc::clone(entry),
-            armed: true,
-        }
+    /// Start `entry`'s next version: one clone of the committed slice
+    /// manifests and [`TableState`](crate::catalog::TableState). The
+    /// caller holds the table's writer mutex or the exclusive scope.
+    pub(super) fn draft(&self, entry: &Arc<TableEntry>) -> Draft<'_> {
+        let base = entry.snapshot();
+        let next = TableVersion::clone(&base);
+        Draft { cluster: self, entry: Arc::clone(entry), base, next, installed: false }
     }
 
-    /// Make the live catalog durable as a redo checkpoint. Caller holds
+    /// Abort: delete from every replica the blocks `dead` wrote beyond
+    /// `live`, the version still (or again) committed — unless a hard
+    /// crash is armed. That models a process that died before it could
+    /// clean up: the blocks stay behind for recovery's orphan scrub, and
+    /// tidying here would remove the very mess recovery must handle.
+    fn discard(&self, dead: &TableVersion, live: &TableVersion) {
+        if self.durable.hard_crash.load(Ordering::Acquire) {
+            return;
+        }
+        let blocks = self.compute.delete_unshared(dead, live);
+        self.trace().counter("write_txn.rollbacks").add(1);
+        self.trace().counter("write_txn.blocks_dropped").add(blocks as u64);
+    }
+
+    /// Commit an exclusive-scope statement's drafts (VACUUM, ANALYZE):
+    /// install them all, then make the catalog durable as a checkpoint.
+    /// Deferred deletion: blocks a new version no longer references are
+    /// freed only after the commit mark, so a crash on either side of it
+    /// leaves one complete block set (recovery scrubs the other). A
+    /// refused checkpoint re-installs the replaced versions and discards
+    /// the drafts' blocks, so the failed statement is invisible.
+    pub(super) fn commit_exclusive(&self, txn: u64, drafts: Vec<Draft<'_>>) -> Result<()> {
+        let installed: Vec<_> = drafts.into_iter().map(|d| d.install(txn)).collect();
+        let logged = self.log_checkpoint(txn);
+        for (entry, replaced) in installed {
+            if logged.is_ok() {
+                self.compute.delete_unshared(&replaced, &entry.snapshot());
+            } else {
+                self.discard(&entry.install(Arc::clone(&replaced)), &replaced);
+            }
+        }
+        logged?;
+        self.leader.committed();
+        Ok(())
+    }
+
+    /// Make the catalog durable as a redo checkpoint. Caller holds
     /// [`WriteScope::Exclusive`].
     pub(super) fn log_checkpoint(&self, txn: u64) -> Result<()> {
         self.durable.log_checkpoint(txn, &self.leader.catalog.read())
@@ -275,7 +295,7 @@ impl Cluster {
             let _ = self.leader.catalog.write().create(entry);
             return Err(e);
         }
-        self.compute.drop_storage(&entry);
+        self.compute.delete_blocks(entry.snapshot().block_ids());
         self.leader.schema_changed();
         Ok(ExecSummary { rows_affected: 0, message: format!("DROP TABLE {name}") })
     }
@@ -305,7 +325,7 @@ impl Cluster {
                 .collect::<Result<_>>()?,
             None => (0..entry.schema.len()).collect(),
         };
-        let view = self.compute.planner(&catalog);
+        let view = self.compute.reader(&catalog, &[]); // VALUES reference no table
         let binder = Binder::new(&view);
         let mut batch: Vec<ColumnData> =
             entry.schema.columns().iter().map(|c| ColumnData::new(c.data_type)).collect();
@@ -331,15 +351,15 @@ impl Cluster {
                 batch[ci].push_value(v)?;
             }
         }
-        // Atomic install: a partial multi-slice append (one slice
-        // encoded a group, another errored) must not leave stray rows
-        // or a drifted round-robin cursor behind.
-        let guard = self.begin_write(&entry);
+        // A partial multi-slice append (one slice encoded a group,
+        // another errored) leaves no stray rows and no drifted
+        // round-robin cursor: both live in the draft.
+        let mut draft = self.draft(&entry);
         let folded = TableStats::of(&batch);
-        self.compute.append(&entry, batch, true)?;
-        *entry.rows_estimate.write() += n_rows;
-        entry.fold_stats(&folded);
-        guard.commit(txn.txn)?;
+        self.compute.append(&entry, &mut draft.next, batch, true)?;
+        draft.next.state.rows_estimate += n_rows;
+        draft.next.fold_stats(&folded);
+        draft.commit(txn.txn)?;
         Ok(ExecSummary { rows_affected: n_rows, message: format!("INSERT 0 {n_rows}") })
     }
 
@@ -370,18 +390,17 @@ impl Cluster {
             span.attr("objects", keys.len());
         }
         // All-or-nothing from here on ("data loads are transactional",
-        // §2.1): any error below rolls every touched slice, the router
-        // cursor and the catalog counters back to this snapshot and
-        // deletes the statement's blocks from every replica.
-        let txn = self.begin_write(&entry);
+        // §2.1): slices, cursor and counters change in the draft only,
+        // and any error below drops it and deletes the statement's
+        // blocks from every replica.
+        let mut draft = self.draft(&entry);
         // COMPUPDATE governs automatic compression analysis on first
         // load; an unspecified statement falls back to the session's
-        // default (SET compupdate). A per-statement override: the txn
-        // guard restores the flag on commit *and* rollback, so an
-        // aborted COPY no longer leaves it flipped on every slice.
+        // default (SET compupdate). A per-statement override: commit
+        // puts the table's flag back, abort drops the flipped copy.
         let comp_update = c.comp_update.unwrap_or(ctx.comp_update_default);
-        for s in &entry.slices {
-            s.lock().set_auto_compress(comp_update);
+        for s in &mut draft.next.slices {
+            s.set_auto_compress(comp_update);
         }
         if comp_update {
             // First flush samples the data and locks per-column encodings.
@@ -451,12 +470,12 @@ impl Cluster {
                 let (batch, stats) = t?;
                 loaded += batch.first().map_or(0, |col| col.len()) as u64;
                 folded.extend(stats);
-                self.compute.append(&entry, batch, false)?;
+                self.compute.append(&entry, &mut draft.next, batch, false)?;
             }
             aspan.attr("rows", loaded);
         }
         let seal_span = span.child(LVL_PHASE, "copy.seal");
-        let results = self.compute.seal(&entry, &seal_span);
+        let results = self.compute.seal(&mut draft.next, &seal_span);
         seal_span.finish();
         // Aggregate per-slice seal failures instead of dropping all but
         // the first: the returned error names every failed slice, and
@@ -475,12 +494,12 @@ impl Cluster {
                 .collect::<Vec<_>>()
                 .join("; ");
             let n = failures.len();
-            let total = entry.slices.len();
+            let total = draft.next.slices.len();
             let first = failures.into_iter().next().expect("non-empty").1;
             return Err(first
                 .with_note(&format!(" (COPY seal failed on {n} of {total} slices: [{detail}])")));
         }
-        *entry.rows_estimate.write() += loaded;
+        draft.next.state.rows_estimate += loaded;
         // STATUPDATE: refresh optimizer statistics with the load (§2.1:
         // "By default, compression scheme and optimizer statistics are
         // updated with load") by merging the per-object partials: work
@@ -488,16 +507,16 @@ impl Cluster {
         // count as stale for the maintenance advisor.
         if c.stat_update {
             let mut aspan = span.child(LVL_PHASE, "copy.analyze");
-            folded.iter().for_each(|stats| entry.fold_stats(stats));
+            folded.iter().for_each(|stats| draft.next.fold_stats(stats));
             aspan.attr("rows", loaded);
         } else {
-            *entry.loads_since_analyze.write() += loaded;
+            draft.next.state.loads_since_analyze += loaded;
         }
         if span.is_recording() {
             span.attr("rows", loaded);
         }
         span.finish();
-        txn.commit(wtxn.txn)?;
+        draft.commit(wtxn.txn)?;
         self.trace().counter("copy.rows_loaded").add(loaded);
         self.trace().histogram("copy.duration_ns").record(t_copy.elapsed().as_nanos() as u64);
         Ok(ExecSummary { rows_affected: loaded, message: format!("COPY {loaded}") })
@@ -508,6 +527,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
+    use redsim_storage::Encoding;
 
     fn small() -> Arc<Cluster> {
         Cluster::launch(ClusterConfig::new("w").nodes(2).slices_per_node(2)).unwrap()
@@ -546,6 +566,107 @@ mod tests {
         let log = c.query("SELECT table_name FROM stl_tr_conflict").unwrap();
         assert_eq!(log.rows.len(), 1);
         assert_eq!(log.rows[0].get(0).as_str(), Some("a"));
+    }
+
+    fn ids(cols: std::ops::Range<i64>) -> Vec<ColumnData> {
+        let mut k = ColumnData::new(redsim_common::DataType::Int8);
+        cols.for_each(|i| k.push_value(&Value::Int8(i)).unwrap());
+        vec![k]
+    }
+
+    /// `t`'s committed blocks, and what every replica holds of them.
+    fn storage(c: &Cluster, t: &str) -> (Vec<redsim_storage::BlockId>, Vec<u64>, u64) {
+        let store = c.replicated_store().unwrap();
+        let mut placed: Vec<u64> = store.placed_block_ids().iter().map(|id| id.0).collect();
+        placed.sort_unstable();
+        (c.committed(t).unwrap().block_ids(), placed, store.local_bytes())
+    }
+
+    /// Abort is `drop(draft)`: it deletes exactly the blocks the statement
+    /// wrote, from every replica, and the committed version — rows,
+    /// manifests, encodings, cursor — was never touched to begin with.
+    #[test]
+    fn dropped_draft_deletes_exactly_its_blocks_on_every_replica() {
+        let c = Cluster::launch(
+            ClusterConfig::new("abort").nodes(2).slices_per_node(2).rows_per_group(100),
+        )
+        .unwrap();
+        c.execute("CREATE TABLE t (k BIGINT)").unwrap();
+        let entry = c.leader.catalog.read().get("t").unwrap();
+        let load = |rows: std::ops::Range<i64>| -> Draft<'_> {
+            let mut draft = c.draft(&entry);
+            draft.next.slices.iter_mut().for_each(|s| s.set_auto_compress(false));
+            c.compute.append(&entry, &mut draft.next, ids(rows), false).unwrap();
+            c.compute.seal(&mut draft.next, &redsim_obs::Span::disabled());
+            draft
+        };
+        load(0..600).commit(c.durable.next_txn()).unwrap();
+        let base = c.committed("t").unwrap();
+        let before = storage(&c, "t");
+        assert_eq!(before.0.len(), before.1.len(), "every placed block is the table's");
+
+        // A second load seals more groups on every slice, then aborts.
+        let draft = load(600..1600);
+        assert!(draft.next.block_ids().len() > before.0.len());
+        assert!(c.replicated_store().unwrap().local_bytes() > before.2, "the draft's blocks exist");
+        drop(draft);
+        assert_eq!(storage(&c, "t"), before, "an aborted statement's blocks outlived it");
+        let after = c.committed("t").unwrap();
+        assert!(Arc::ptr_eq(&after, &base), "abort never replaces the committed version");
+        assert_eq!(c.trace().counter_value("write_txn.rollbacks"), 1);
+        assert!(c.trace().counter_value("write_txn.blocks_dropped") > 0);
+
+        // The table is fully writable afterwards: the same rows re-load.
+        load(600..1600).commit(c.durable.next_txn()).unwrap();
+        let q = c.query("SELECT COUNT(*), MAX(k) FROM t").unwrap();
+        assert_eq!((q.rows[0].get(0).as_i64(), q.rows[0].get(1).as_i64()), (Some(1600), Some(1599)));
+    }
+
+    /// Encodings lock in on the first seal; aborting that first load must
+    /// leave them unlocked so the next COPY's COMPUPDATE decides afresh.
+    #[test]
+    fn aborted_first_load_leaves_encodings_unlocked() {
+        let c = Cluster::launch(
+            ClusterConfig::new("first").nodes(1).slices_per_node(2).rows_per_group(100),
+        )
+        .unwrap();
+        c.execute("CREATE TABLE t (k BIGINT)").unwrap();
+        let entry = c.leader.catalog.read().get("t").unwrap();
+        let mut draft = c.draft(&entry);
+        c.compute.append(&entry, &mut draft.next, ids(0..300), false).unwrap();
+        assert!(draft.next.slices.iter().all(|s| s.encodings().is_some()), "first seal locks them");
+        drop(draft);
+        let committed = c.committed("t").unwrap();
+        assert!(committed.slices.iter().all(|s| s.encodings().is_none()));
+        assert_eq!(committed.stored_rows(), (0, 0));
+        assert_eq!(c.replicated_store().unwrap().placed_block_ids(), Vec::new());
+    }
+
+    /// COMPUPDATE is the statement's, not the table's: the override
+    /// outlives neither a commit nor an abort, and never reaches the redo
+    /// image a recovered cluster is rebuilt from.
+    #[test]
+    fn compupdate_override_dies_with_its_statement() {
+        let c = small();
+        c.execute("CREATE TABLE t (k BIGINT)").unwrap();
+        c.put_s3_object("in/rows", b"1\n2\n3\n".to_vec());
+        let flags = |c: &Cluster| -> Vec<bool> {
+            c.committed("t").unwrap().slices.iter().map(|s| s.auto_compress()).collect()
+        };
+        let table_default = flags(&c);
+        c.faults().configure(
+            redsim_faultkit::fp::WAL_COMMIT,
+            redsim_faultkit::FaultSpec::err(redsim_faultkit::ErrClass::Fault).once(),
+        );
+        c.execute("COPY t FROM 's3://in/' COMPUPDATE OFF").unwrap_err();
+        assert_eq!(flags(&c), table_default, "an aborted COPY left its override behind");
+        c.execute("COPY t FROM 's3://in/' COMPUPDATE OFF").unwrap();
+        assert_eq!(flags(&c), table_default, "a committed COPY left its override behind");
+        let committed = c.committed("t").unwrap();
+        assert!(committed.slices.iter().any(|s| s.encodings() == Some(&[Encoding::Raw][..])),
+            "the override did apply to the statement itself");
+        let r = Cluster::recover(c.crash().unwrap()).unwrap();
+        assert_eq!(flags(&r), table_default, "the override reached the redo log");
     }
 
     /// The acceptance criterion end to end: concurrent COPYs into

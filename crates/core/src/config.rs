@@ -7,7 +7,6 @@
 
 use crate::wlm::WlmConfig;
 use redsim_common::RetryPolicy;
-use redsim_engine::EvictionPolicy;
 
 /// Configuration for [`crate::Cluster::launch`].
 #[derive(Debug, Clone)]
@@ -32,9 +31,6 @@ pub struct ClusterConfig {
     pub compile_work_per_node: u64,
     /// Compiled-plan cache capacity (entries).
     pub plan_cache_capacity: usize,
-    /// Compiled-plan cache eviction policy (LRU by default; FIFO is the
-    /// ablation comparator — see `benches/ablations.rs`).
-    pub plan_cache_eviction: EvictionPolicy,
     /// Retained system snapshots before aging out.
     pub system_snapshot_retention: usize,
     /// Seed for the cluster's internal randomness (keys, nonces).
@@ -71,7 +67,6 @@ impl ClusterConfig {
             dr_region: None,
             compile_work_per_node: 0,
             plan_cache_capacity: 64,
-            plan_cache_eviction: EvictionPolicy::Lru,
             system_snapshot_retention: 4,
             seed: 0xC0FFEE,
             retry: RetryPolicy::default(),
@@ -124,11 +119,6 @@ impl ClusterConfig {
 
     pub fn plan_cache_capacity(mut self, entries: usize) -> Self {
         self.plan_cache_capacity = entries;
-        self
-    }
-
-    pub fn plan_cache_eviction(mut self, policy: EvictionPolicy) -> Self {
-        self.plan_cache_eviction = policy;
         self
     }
 

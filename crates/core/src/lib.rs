@@ -14,8 +14,8 @@
 //! snapshot / restore / resize / crash + recover / encryption),
 //! [`ClusterConfig`], [`Session`], and the result types. Inside,
 //! [`cluster`] composes a durable part, a compute part and a leader
-//! part (DESIGN.md §17); [`catalog`] owns the one table-state record and
-//! its codec. Everything a "time to first report" needs:
+//! part (DESIGN.md §17); [`catalog`] owns the table version — the one
+//! place a table's mutable state lives (DESIGN.md §11) — and its codec. Everything a "time to first report" needs:
 //!
 //! ```
 //! use redsim_core::{Cluster, ClusterConfig};

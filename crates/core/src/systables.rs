@@ -341,12 +341,10 @@ fn materialize(
             // and ANALYZE reach the statistics), NULL if it has none.
             let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
             for t in catalog.into_iter().flat_map(Catalog::tables) {
-                let rows = *t.rows_estimate.read();
-                let stats_rows = t.stats.read().as_ref().map(|s| s.rows);
-                let (stored, unsorted) = t.slices.iter().fold((0, 0), |(n, u), s| {
-                    let s = s.lock();
-                    (n + s.row_count(), u + s.unsorted_rows())
-                });
+                let version = t.snapshot();
+                let rows = version.state.rows_estimate;
+                let stats_rows = version.state.stats.as_ref().map(|s| s.rows);
+                let (stored, unsorted) = version.stored_rows();
                 let diststyle = match &t.dist_style {
                     DistStyle::Even => "EVEN".to_string(),
                     DistStyle::All => "ALL".to_string(),
@@ -361,7 +359,7 @@ fn materialize(
                         SortKeySpec::None => Value::Null, // nothing to be sorted by
                         _ => Value::Float8(pct(unsorted, stored)),
                     },
-                    Value::Int8(*t.loads_since_analyze.read() as i64),
+                    Value::Int8(version.state.loads_since_analyze as i64),
                 ]);
             }
             return cols;

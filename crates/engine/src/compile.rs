@@ -66,28 +66,15 @@ pub fn compile(plan: LogicalPlan, work_per_node: u64) -> CompiledQuery {
     CompiledQuery { plan, signature, checksum: acc }
 }
 
-/// Eviction policy for the compiled-plan cache.
-///
-/// LRU refreshes an entry's position on every hit (recency wins); FIFO
-/// evicts strictly in insertion order (a hit does not protect an
-/// entry). FIFO is cheaper per hit and the ablation bench measures what
-/// that trade costs under eviction pressure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    #[default]
-    Lru,
-    Fifo,
-}
-
 /// Bounded cache of compiled queries, keyed by plan signature.
 ///
 /// "At the compute nodes, the executable is run with the plan
 /// parameters" — repeated query shapes skip compilation entirely.
+/// Eviction is LRU: a hit refreshes the entry's position.
 pub struct PlanCache {
     inner: Mutex<CacheInner>,
     capacity: usize,
     work_per_node: u64,
-    policy: EvictionPolicy,
 }
 
 struct CacheInner {
@@ -103,10 +90,6 @@ impl PlanCache {
     }
 
     pub fn with_work(capacity: usize, work_per_node: u64) -> Self {
-        Self::with_policy(capacity, work_per_node, EvictionPolicy::Lru)
-    }
-
-    pub fn with_policy(capacity: usize, work_per_node: u64, policy: EvictionPolicy) -> Self {
         PlanCache {
             inner: Mutex::new(CacheInner {
                 entries: Vec::new(),
@@ -116,13 +99,7 @@ impl PlanCache {
             }),
             capacity: capacity.max(1),
             work_per_node,
-            policy,
         }
-    }
-
-    /// The configured eviction policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
     }
 
     /// The configured capacity.
@@ -130,20 +107,18 @@ impl PlanCache {
         self.capacity
     }
 
-    /// Fetch a compiled form, compiling (and caching) on miss.
-    pub fn get_or_compile(&self, plan: LogicalPlan) -> Arc<CompiledQuery> {
+    /// Fetch a compiled form, compiling (and caching) on miss; the flag
+    /// says whether *this* call hit.
+    pub fn get_or_compile(&self, plan: LogicalPlan) -> (Arc<CompiledQuery>, bool) {
         let signature = plan_signature(&plan);
         {
             let mut inner = self.inner.lock();
             if let Some((_, c)) = inner.entries.iter().find(|(s, _)| *s == signature) {
                 let c = Arc::clone(c);
                 inner.hits += 1;
-                if self.policy == EvictionPolicy::Lru {
-                    // Refresh LRU position; FIFO leaves insertion order.
-                    inner.order.retain(|s| *s != signature);
-                    inner.order.push_back(signature);
-                }
-                return c;
+                inner.order.retain(|s| *s != signature);
+                inner.order.push_back(signature);
+                return (c, true);
             }
             inner.misses += 1;
         }
@@ -158,7 +133,7 @@ impl PlanCache {
                 inner.entries.retain(|(s, _)| *s != evict);
             }
         }
-        compiled
+        (compiled, false)
     }
 
     /// Drop every cached plan. Called by the leader after a
@@ -206,10 +181,32 @@ mod tests {
     #[test]
     fn cache_hits_skip_compilation() {
         let cache = PlanCache::with_work(4, 10_000);
-        let a1 = cache.get_or_compile(scan("t"));
-        let a2 = cache.get_or_compile(scan("t"));
+        let (a1, hit1) = cache.get_or_compile(scan("t"));
+        let (a2, hit2) = cache.get_or_compile(scan("t"));
         assert_eq!(a1.checksum, a2.checksum);
+        assert_eq!((hit1, hit2), (false, true), "the flag is this call's outcome");
         assert_eq!(cache.stats(), (1, 1));
+    }
+
+    /// The flag is this call's outcome, so summed over racing sessions it
+    /// is the hit counter — which a before/after read of `stats()` around
+    /// the call is not.
+    #[test]
+    fn hit_flags_add_up_to_the_hit_counter_under_concurrency() {
+        let cache = PlanCache::with_work(4, 1_000);
+        let hits: u64 = std::thread::scope(|s| {
+            let sessions: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..50).filter(|i| cache.get_or_compile(scan(["a", "b"][i % 2])).1).count()
+                    })
+                })
+                .collect();
+            sessions.into_iter().map(|h| h.join().unwrap() as u64).sum()
+        });
+        let (counted, misses) = cache.stats();
+        assert_eq!(hits, counted);
+        assert_eq!(hits + misses, 8 * 50);
     }
 
     #[test]
@@ -231,19 +228,6 @@ mod tests {
         assert_eq!(cache.len(), 2);
         cache.get_or_compile(scan("b"));
         assert_eq!(cache.stats().0, 1, "only the refreshed `a` hit");
-    }
-
-    #[test]
-    fn fifo_ignores_recency() {
-        let cache = PlanCache::with_policy(2, 1_000, EvictionPolicy::Fifo);
-        cache.get_or_compile(scan("a"));
-        cache.get_or_compile(scan("b"));
-        cache.get_or_compile(scan("a")); // hit, but FIFO does not refresh
-        cache.get_or_compile(scan("c")); // evicts a (oldest insertion)
-        cache.get_or_compile(scan("a")); // must recompile
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits, 1, "only the pre-eviction `a` access hit");
-        assert_eq!(misses, 4);
     }
 
     #[test]

@@ -53,6 +53,6 @@ pub mod kernels;
 pub mod like;
 pub mod selection;
 
-pub use compile::{CompiledQuery, EvictionPolicy, PlanCache};
+pub use compile::{CompiledQuery, PlanCache};
 pub use exec::{ExecMetrics, Executor, QueryOutput, TableProvider};
 pub use selection::Selection;

@@ -115,38 +115,12 @@ pub struct ScanOutput {
     pub bytes_read: u64,
 }
 
-/// Snapshot of a slice table's mutable write state, taken by
-/// [`SliceTable::begin_write`] before the first append of a write
-/// statement and either discarded on success or handed back to
-/// [`SliceTable::rollback_write`] to undo every effect of the
-/// statement (staged-then-atomic-install, cf. C-Store's WOS→ROS).
-///
-/// The snapshot is cheap: group manifests are captured by *length*
-/// (append/flush only ever push), only the buffered tail — at most
-/// `rows_per_group - 1` rows — is deep-cloned.
-#[derive(Debug)]
-pub struct WriteCheckpoint {
-    encodings: Option<Vec<Encoding>>,
-    sorted_len: usize,
-    unsorted_len: usize,
-    buffer: Vec<ColumnData>,
-    auto_compress: bool,
-}
-
-impl WriteCheckpoint {
-    /// The auto-compress flag as of the checkpoint. COPY's COMPUPDATE
-    /// is a per-statement override, so the loader restores this on
-    /// *both* commit and rollback.
-    pub fn auto_compress(&self) -> bool {
-        self.auto_compress
-    }
-}
-
 /// Columnar storage of one table on one slice.
 ///
-/// `Clone` is deliberate: MVCC publishes a committed *version* of every
-/// slice (manifests only — block payloads live in the store), so a deep
-/// copy here is a few group descriptors, not table data.
+/// `Clone` is deliberate: a writer builds the table's next version on a
+/// private copy of every slice (manifests only — block payloads live in
+/// the store), so a deep copy here is a few group descriptors plus the
+/// buffered tail, not table data.
 #[derive(Debug, Clone)]
 pub struct SliceTable {
     schema: Schema,
@@ -227,44 +201,8 @@ impl SliceTable {
         self.config.auto_compress = on;
     }
 
-    /// Snapshot the mutable write state ahead of a write statement.
-    /// Pair with [`SliceTable::rollback_write`] on any downstream error;
-    /// on success simply drop the checkpoint (install is the no-op).
-    pub fn begin_write(&self) -> WriteCheckpoint {
-        WriteCheckpoint {
-            encodings: self.encodings.clone(),
-            sorted_len: self.sorted.len(),
-            unsorted_len: self.unsorted.len(),
-            buffer: self.buffer.clone(),
-            auto_compress: self.config.auto_compress,
-        }
-    }
-
-    /// Restore the state captured by [`SliceTable::begin_write`],
-    /// deleting every block encoded since the checkpoint from `store`
-    /// (for a replicated store that removes primary *and* secondary
-    /// copies and the placement record, so the mirror stays in
-    /// lockstep; S3 backup copies are governed by snapshot retention
-    /// and become unreachable orphans). Returns the number of blocks
-    /// dropped.
-    pub fn rollback_write(&mut self, cp: WriteCheckpoint, store: &dyn BlockStore) -> usize {
-        let mut dropped = 0usize;
-        for g in self.sorted.drain(cp.sorted_len..) {
-            for b in &g.cols {
-                store.delete(b.id);
-                dropped += 1;
-            }
-        }
-        for g in self.unsorted.drain(cp.unsorted_len..) {
-            for b in &g.cols {
-                store.delete(b.id);
-                dropped += 1;
-            }
-        }
-        self.buffer = cp.buffer;
-        self.encodings = cp.encodings;
-        self.config.auto_compress = cp.auto_compress;
-        dropped
+    pub fn auto_compress(&self) -> bool {
+        self.config.auto_compress
     }
 
     /// Ids of every block owned by this slice table (replication/backup).
@@ -604,17 +542,6 @@ impl SliceTable {
         Ok(b)
     }
 
-    /// Remove every block owned by this table from the store.
-    pub fn drop_storage(&mut self, store: &dyn BlockStore) {
-        for id in self.block_ids() {
-            store.delete(id);
-        }
-        self.sorted.clear();
-        self.unsorted.clear();
-        self.buffer =
-            self.schema.columns().iter().map(|c| ColumnData::new(c.data_type)).collect();
-    }
-
     /// Serialize the slice-table metadata (not the blocks) for snapshots.
     pub fn encode_meta(&self, w: &mut Writer) {
         self.schema.encode(w);
@@ -866,70 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn write_checkpoint_rollback_restores_state_and_deletes_blocks() {
-        let store = MemBlockStore::new();
-        let mut t = SliceTable::new(
-            schema2(),
-            TableConfig { rows_per_group: 100, ..Default::default() },
-        )
-        .unwrap();
-        // Committed base state: 150 rows (one sealed group + 50 buffered).
-        t.append(&batch(0..150), &store).unwrap();
-        let base_rows = t.row_count();
-        let base_blocks = t.block_ids();
-        let base_store_blocks = store.block_count();
-        let base_encodings = t.encodings().map(<[Encoding]>::to_vec);
-
-        // Open a write txn, mutate everything it protects, then roll back.
-        let cp = t.begin_write();
-        t.set_auto_compress(false);
-        t.append(&batch(150..400), &store).unwrap(); // seals 2 more groups
-        t.flush(&store).unwrap(); // seals the mixed tail
-        assert!(t.row_count() > base_rows);
-        assert!(store.block_count() > base_store_blocks);
-        let dropped = t.rollback_write(cp, &store);
-        assert!(dropped > 0, "rollback must delete the txn's blocks");
-        assert_eq!(t.row_count(), base_rows, "row count not restored");
-        assert_eq!(t.block_ids(), base_blocks, "manifest not restored");
-        assert_eq!(
-            store.block_count(),
-            base_store_blocks,
-            "orphan blocks left in the store"
-        );
-        assert_eq!(
-            t.encodings().map(<[Encoding]>::to_vec),
-            base_encodings,
-            "encodings not restored"
-        );
-
-        // The slice is fully writable afterwards: same data re-appends.
-        let cp = t.begin_write();
-        t.append(&batch(150..400), &store).unwrap();
-        t.flush(&store).unwrap();
-        drop(cp); // install = keep
-        assert_eq!(t.row_count(), 400);
-    }
-
-    #[test]
-    fn rollback_of_first_write_resets_locked_encodings() {
-        // Encodings lock in on the first seal; aborting that first write
-        // must unlock them so the next COPY's COMPUPDATE decides afresh.
-        let store = MemBlockStore::new();
-        let mut t = SliceTable::new(
-            schema2(),
-            TableConfig { rows_per_group: 100, ..Default::default() },
-        )
-        .unwrap();
-        let cp = t.begin_write();
-        t.append(&batch(0..150), &store).unwrap();
-        assert!(t.encodings().is_some(), "first seal locks encodings");
-        t.rollback_write(cp, &store);
-        assert!(t.encodings().is_none(), "aborted first write left encodings locked");
-        assert_eq!(t.row_count(), 0);
-        assert_eq!(store.block_count(), 0);
-    }
-
-    #[test]
     fn append_flush_scan_roundtrip() {
         let store = MemBlockStore::new();
         let mut t = SliceTable::new(
@@ -1142,17 +1005,5 @@ mod tests {
         let schema = Schema::new(vec![ColumnDef::new("s", DataType::Varchar)]).unwrap();
         let cfg = TableConfig { sort_key: SortKeySpec::Interleaved(vec![0]), ..Default::default() };
         assert!(SliceTable::new(schema, cfg).is_err());
-    }
-
-    #[test]
-    fn drop_storage_frees_blocks() {
-        let store = MemBlockStore::new();
-        let mut t = SliceTable::new(schema2(), TableConfig::default()).unwrap();
-        t.append(&batch(0..100), &store).unwrap();
-        t.flush(&store).unwrap();
-        assert!(store.block_count() > 0);
-        t.drop_storage(&store);
-        assert_eq!(store.block_count(), 0);
-        assert_eq!(t.row_count(), 0);
     }
 }

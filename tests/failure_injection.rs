@@ -708,3 +708,103 @@ fn failed_insert_rolls_back_router_and_estimates() {
     assert_eq!(n, 2);
     assert_eq!(c.rows_estimate("t"), Some(2));
 }
+
+// ---------------------------------------------------------------------
+// One table image: a table's state lives in its committed version and
+// nowhere else, so a statement the log refuses leaves nothing behind,
+// and no reader waits on — or sees through — a statement in flight.
+// ---------------------------------------------------------------------
+
+/// Everything a reader can learn about `t` without scanning it.
+fn one_image_view(c: &Cluster) -> impl PartialEq + std::fmt::Debug {
+    let info = c
+        .query(
+            "SELECT tbl_rows, stats_off, unsorted, loads_since_analyze \
+             FROM svv_table_info WHERE \"table\" = 't'",
+        )
+        .unwrap();
+    (c.table_stats("t"), c.rows_estimate("t"), c.loads_since_analyze("t"), info.rows)
+}
+
+/// The store's block population: (placed blocks, bytes on all replicas).
+fn one_image_blocks(c: &Cluster) -> (usize, u64) {
+    let store = c.replicated_store().unwrap();
+    (store.placed_block_ids().len(), store.local_bytes())
+}
+
+fn one_image_cluster(name: &str) -> Arc<Cluster> {
+    let c = Cluster::launch(
+        ClusterConfig::new(name).nodes(2).slices_per_node(1).rows_per_group(32).retry(fast_retry()),
+    )
+    .unwrap();
+    c.execute("CREATE TABLE t (a BIGINT, s VARCHAR(64)) COMPOUND SORTKEY(a)").unwrap();
+    let csv = |rows: std::ops::Range<u64>| -> Vec<u8> {
+        rows.map(|i| format!("{},row-{i}\n", (i * 2_654_435_761) % 1_000)).collect::<String>().into()
+    };
+    c.put_s3_object("fresh/1", csv(0..500));
+    c.put_s3_object("stale/1", csv(500..800));
+    c.put_s3_object("more/1", csv(800..2_800));
+    c.execute("COPY t FROM 's3://fresh/'").unwrap();
+    // Statistics now lag the table, and every row sits unsorted.
+    c.execute("COPY t FROM 's3://stale/' STATUPDATE OFF").unwrap();
+    c
+}
+
+#[test]
+fn one_image_refused_analyze_and_vacuum_change_nothing() {
+    let c = one_image_cluster("oneimg-refused");
+    let scan = "SELECT COUNT(*), SUM(a) FROM t WHERE a BETWEEN 100 AND 300";
+    let read = |c: &Cluster| (one_image_view(c), one_image_blocks(c), c.query(scan).unwrap().rows);
+    let pre = read(&c);
+    assert_eq!(c.loads_since_analyze("t"), 300);
+    for stmt in ["ANALYZE t", "VACUUM t"] {
+        c.faults().configure(fp::WAL_APPEND, FaultSpec::err(ErrClass::Fault).once());
+        let err = c.execute(stmt).unwrap_err();
+        assert!(err.is_retryable(), "{stmt}: {err}");
+        assert!(err.to_string().contains(fp::WAL_APPEND), "{stmt}: {err}");
+        assert_eq!(read(&c), pre, "a refused {stmt} is visible");
+    }
+    // Retried, both land — and only now does anything move.
+    c.execute("ANALYZE t").unwrap();
+    assert_eq!(c.loads_since_analyze("t"), 0);
+    assert_eq!(c.table_stats("t").unwrap().rows, 800);
+    c.execute("VACUUM t").unwrap();
+    assert!(one_image_blocks(&c).0 <= pre.1 .0, "the rewrite's superseded blocks were freed");
+    assert_eq!(c.query(scan).unwrap().rows, pre.2);
+    // The refused attempts left nothing for recovery to find either.
+    let r = Cluster::recover(c.crash().unwrap()).unwrap();
+    assert_eq!(r.query(scan).unwrap().rows, pre.2);
+    assert_eq!(r.trace().counter_value("recovery.orphan_blocks_scrubbed"), 0);
+}
+
+#[test]
+fn one_image_readers_neither_wait_on_nor_see_an_inflight_copy() {
+    let c = one_image_cluster("oneimg-inflight");
+    let read = |c: &Cluster| {
+        let explain = c.query("EXPLAIN SELECT COUNT(*) FROM t x JOIN t y ON x.a = y.a").unwrap();
+        (one_image_view(c), explain.plan, c.query("SELECT COUNT(*) FROM t").unwrap().rows)
+    };
+    let pre = read(&c);
+    // Park the COPY mid-append, inside a block write.
+    let park = Duration::from_millis(2_000);
+    c.faults()
+        .configure(fp::MIRROR_WRITE_PRIMARY, FaultSpec::delay_ms(park.as_millis() as u64).once());
+    let writer = {
+        let c = Arc::clone(&c);
+        std::thread::spawn(move || c.execute("COPY t FROM 's3://more/' STATUPDATE OFF"))
+    };
+    let armed = std::time::Instant::now();
+    while c.faults().injected_total() == 0 {
+        assert!(armed.elapsed() < Duration::from_secs(20), "the COPY never reached the mirror");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let parked = std::time::Instant::now();
+    let during = read(&c);
+    let took = parked.elapsed();
+    assert!(took < park / 4, "readers waited {took:?} on a writer parked for {park:?}");
+    assert!(!writer.is_finished(), "the reads must overlap the parked COPY");
+    assert_eq!(during, pre, "readers saw through to an uncommitted COPY");
+    assert_eq!(writer.join().unwrap().unwrap().rows_affected, 2_000);
+    assert_eq!(c.loads_since_analyze("t"), 2_300);
+    assert_eq!(c.rows_estimate("t"), Some(2_800));
+}
