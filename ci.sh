@@ -382,6 +382,37 @@ for f in crates/core/src/catalog.rs crates/core/src/cluster/*.rs crates/storage/
 done
 echo "  non-test lines: $one_image_lines (parent: 3597)"
 
+echo "== one block home (quick pass) =="
+# ReplicatedStore is every cluster's one block store; a restored cluster
+# is one whose blocks start pending in S3, and the page fault is
+# hydration (DESIGN.md §3 replication). The probes: a failed hydration
+# step keeps its block pending; post-restore writes are not hydrated
+# blocks; the manifest load and the snapshot's S3 calls retry observed;
+# a restored cluster kills/revives, snapshots and crash-recovers at 0 %,
+# 50 % and 100 % hydration; and the ported streaming-restore behaviours.
+cargo test -q --offline -p redsim-core --lib -- \
+  failed_hydration_step_keeps_its_block_pending \
+  hydration_progress_ignores_writes_after_restore \
+  restore_reads_its_manifest_through_the_retry_loop \
+  snapshot_retries_are_observed \
+  restored_cluster_is_an_ordinary_cluster
+cargo test -q --offline -p redsim-replication --lib -- restore_ writes_after_restore_
+# Structural guard: the second store and the store-kind switch stay deleted.
+if grep -rn 'StreamingRestoreStore\|BlockHome\|fn mirrored(\|fn restoring(' crates/; then
+  echo "ERROR: a second block store / store-kind switch reappeared under crates/" >&2
+  exit 1
+fi
+# Non-test lines of the files the change was about; the parent (PR 18,
+# with crates/replication/src/restore.rs) had 1849.
+block_home_lines=0
+for f in crates/replication/src/*.rs crates/core/src/cluster/durable.rs \
+  crates/core/src/cluster/lifecycle.rs; do
+  n=$(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f")
+  printf '  %5d %s\n' "$n" "$f"
+  block_home_lines=$((block_home_lines + n))
+done
+echo "  non-test lines: $block_home_lines (parent: 1849)"
+
 echo "== benchdiff smoke (self-diff must pass, regression must fail) =="
 bd_dir=$(mktemp -d)
 trap 'rm -rf "$bd_dir"' EXIT

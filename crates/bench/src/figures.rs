@@ -208,6 +208,8 @@ pub fn e12_streaming_restore(rows: usize) -> redsim_common::Result<Table> {
         None,
     )?;
     let open_secs = t0.elapsed().as_secs_f64();
+    // Opening reads metadata and the catalog only: no block is faulted.
+    let faults_at_open = restored.restore_page_faults();
     // Working-set query during hydration (page-faults what it needs).
     let t1 = Instant::now();
     let r = restored.query("SELECT COUNT(*) FROM t WHERE k < 100")?;
@@ -224,6 +226,7 @@ pub fn e12_streaming_restore(rows: usize) -> redsim_common::Result<Table> {
     );
     t.row(&["rows in snapshot".into(), rows.to_string()]);
     t.row(&["open for SQL after".into(), fmt_secs(open_secs)]);
+    t.row(&["page faults before first query".into(), faults_at_open.to_string()]);
     t.row(&["first (working-set) query".into(), fmt_secs(first_query_secs)]);
     t.row(&[
         "hydration at first query".into(),

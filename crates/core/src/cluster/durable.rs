@@ -12,25 +12,12 @@ use redsim_common::{Result, RsError};
 use redsim_crypto::{ClusterKeyring, HsmSim, KeyId, WrappedKey};
 use redsim_distribution::{ClusterTopology, NodeId};
 use redsim_obs::TraceSink;
-use redsim_replication::{
-    BackupManager, ReplicatedStore, S3Sim, SnapshotInfo, SnapshotKind, StreamingRestoreStore,
-};
+use redsim_replication::{BackupManager, ReplicatedStore, S3Sim, SnapshotInfo, SnapshotKind};
 use redsim_storage::wal::{self, Wal};
 use redsim_storage::{BlockId, BlockStore};
 use redsim_testkit::rng::Pcg32;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Where the cluster's blocks live.
-#[derive(Clone)]
-pub(super) enum BlockHome {
-    /// Launched and recovered clusters: per-node stores with a
-    /// synchronous secondary and an asynchronous S3 backup.
-    Mirrored(Arc<ReplicatedStore>),
-    /// Snapshot-restored clusters: one store shared by every node that
-    /// page-faults blocks in from the snapshot's S3 copy.
-    Restoring(Arc<StreamingRestoreStore>),
-}
 
 /// Encryption at rest (§3.2): the HSM, the master key it holds, and the
 /// keyring of block keys wrapped under the cluster key.
@@ -91,7 +78,10 @@ impl Keys {
 /// [`Durable::snapshot`]) so nothing else can commit around what they log.
 pub(super) struct Durable {
     pub s3: Arc<S3Sim>,
-    pub blocks: BlockHome,
+    /// Every cluster's one block store: per-node stores with a
+    /// synchronous secondary and an asynchronous S3 backup. A restored
+    /// cluster's blocks start in S3 and page-fault in.
+    pub blocks: Arc<ReplicatedStore>,
     backup: BackupManager,
     pub keys: Option<Keys>,
     /// Write-ahead redo log: committed writes are replayable from it
@@ -108,6 +98,24 @@ pub(super) struct Durable {
 }
 
 impl Durable {
+    /// The durable part of a new cluster (launched, or restored into):
+    /// an empty block store over `s3` and an empty redo log.
+    pub fn create(
+        config: &ClusterConfig,
+        trace: Arc<TraceSink>,
+        s3: Arc<S3Sim>,
+        keys: Option<Keys>,
+    ) -> Result<Durable> {
+        let blocks = ReplicatedStore::new(
+            config.nodes,
+            config.cohort_size.min(config.nodes.max(1)).max(2.min(config.nodes)),
+            Arc::clone(&s3),
+            config.region.clone(),
+            config.name.clone(),
+        )?;
+        Ok(Durable::new(config, trace, s3, blocks, keys, Vec::new()))
+    }
+
     /// Wire the storage stack to `trace` and the cluster's retry
     /// schedule, and open the redo log at `wal` (its durable prefix;
     /// empty for a cluster with no history).
@@ -115,7 +123,7 @@ impl Durable {
         config: &ClusterConfig,
         trace: Arc<TraceSink>,
         s3: Arc<S3Sim>,
-        blocks: BlockHome,
+        blocks: Arc<ReplicatedStore>,
         keys: Option<Keys>,
         wal: Vec<u8>,
     ) -> Durable {
@@ -123,10 +131,8 @@ impl Durable {
         // cluster seed so chaos runs replay bit-for-bit.
         let retry = config.retry.with_seed(config.seed);
         s3.set_trace(Arc::clone(&trace));
-        if let BlockHome::Mirrored(replicated) = &blocks {
-            replicated.set_trace(Arc::clone(&trace));
-            replicated.set_retry_policy(retry);
-        }
+        blocks.set_trace(Arc::clone(&trace));
+        blocks.set_retry_policy(retry);
         let backup = BackupManager::new(
             Arc::clone(&s3),
             config.region.clone(),
@@ -134,7 +140,8 @@ impl Durable {
             config.dr_region.clone(),
             config.system_snapshot_retention,
         )
-        .with_retry(retry);
+        .with_retry(retry)
+        .with_trace(Arc::clone(&trace));
         Durable {
             wal: Wal::from_durable(wal, Arc::clone(s3.faults())),
             s3,
@@ -151,44 +158,17 @@ impl Durable {
     pub fn node_stores(&self, config: &ClusterConfig) -> Vec<Arc<dyn BlockStore>> {
         (0..config.nodes)
             .map(|n| {
-                let store: Arc<dyn BlockStore> = match &self.blocks {
-                    BlockHome::Mirrored(r) => Arc::new(r.node_store(NodeId(n))),
-                    BlockHome::Restoring(r) => Arc::clone(r) as Arc<dyn BlockStore>,
-                };
+                let store = self.blocks.node_store(NodeId(n));
                 match &self.keys {
                     Some(k) => Arc::new(EncryptedBlockStore::new(
                         store,
                         Arc::clone(&k.keyring),
                         config.seed ^ (n as u64 + 1),
-                    )),
-                    None => store,
+                    )) as Arc<dyn BlockStore>,
+                    None => Arc::new(store),
                 }
             })
             .collect()
-    }
-
-    pub fn replicated(&self) -> Option<&Arc<ReplicatedStore>> {
-        match &self.blocks {
-            BlockHome::Mirrored(r) => Some(r),
-            BlockHome::Restoring(_) => None,
-        }
-    }
-
-    /// The mirrored store, or why `what` cannot run without one.
-    pub fn mirrored(&self, what: &str) -> Result<&Arc<ReplicatedStore>> {
-        self.replicated().ok_or_else(|| {
-            RsError::InvalidState(format!(
-                "{what} requires a mirrored block store; a snapshot-restored cluster reads \
-                 through its restore store and has none"
-            ))
-        })
-    }
-
-    pub fn restoring(&self) -> Option<&Arc<StreamingRestoreStore>> {
-        match &self.blocks {
-            BlockHome::Restoring(r) => Some(r),
-            BlockHome::Mirrored(_) => None,
-        }
     }
 
     pub fn next_txn(&self) -> u64 {
@@ -264,11 +244,10 @@ impl Durable {
         catalog: &Catalog,
         blocks: Vec<BlockId>,
     ) -> Result<SnapshotInfo> {
-        let replicated = self.mirrored("snapshot")?;
         let mut w = Writer::new();
         Keys::encode(self.keys.as_ref(), &mut w);
         catalog.encode(&mut w);
-        self.backup.take_snapshot(id, kind, replicated, blocks, &w.into_bytes())
+        self.backup.take_snapshot(id, kind, &self.blocks, blocks, &w.into_bytes())
     }
 
     /// Rotate the cluster key (re-wraps block keys only; §3.2). Caller

@@ -3,7 +3,7 @@
 //! and hands it to [`Cluster::assemble`] — and the ways it ends
 //! (snapshot, resize, shutdown, crash).
 
-use super::durable::{BlockHome, CrashImage, Durable, Keys};
+use super::durable::{CrashImage, Durable, Keys};
 use super::write::WriteScope;
 use super::{Cluster, ClusterState};
 use crate::catalog::{Catalog, TableEntry};
@@ -11,10 +11,9 @@ use crate::config::ClusterConfig;
 use redsim_common::codec::Reader;
 use redsim_common::Result;
 use redsim_crypto::HsmSim;
+use redsim_distribution::SliceId;
 use redsim_obs::{TraceSink, LVL_PHASE};
-use redsim_replication::{
-    BackupManager, ReplicatedStore, S3Sim, SnapshotInfo, SnapshotKind, StreamingRestoreStore,
-};
+use redsim_replication::{BackupManager, S3Sim, SnapshotInfo, SnapshotKind};
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -27,17 +26,8 @@ impl Cluster {
 
     /// Launch against a shared S3 (restore drills, DR, resize).
     pub fn launch_with_s3(config: ClusterConfig, s3: Arc<S3Sim>) -> Result<Arc<Cluster>> {
-        let replicated = ReplicatedStore::new(
-            config.nodes,
-            config.cohort_size.min(config.nodes.max(1)).max(2.min(config.nodes)),
-            Arc::clone(&s3),
-            config.region.clone(),
-            config.name.clone(),
-        )?;
         let keys = if config.encryption { Some(Keys::create(config.seed)?) } else { None };
-        let trace = Arc::new(TraceSink::from_env());
-        let blocks = BlockHome::Mirrored(replicated);
-        let durable = Durable::new(&config, trace, s3, blocks, keys, Vec::new());
+        let durable = Durable::create(&config, Arc::new(TraceSink::from_env()), s3, keys)?;
         Self::assemble(config, durable, |_, _| Ok(Catalog::default()))
     }
 
@@ -48,7 +38,6 @@ impl Cluster {
     /// Take a snapshot (system snapshots age out; user snapshots persist).
     pub fn create_snapshot(&self, id: &str, kind: SnapshotKind) -> Result<SnapshotInfo> {
         self.check_readable()?;
-        self.durable.mirrored("snapshot")?; // before queueing for the exclusive lock
         // Exclusive: waits out in-flight table writers, so the manifest
         // only ever references committed blocks.
         let _txn = self.begin_write_txn(WriteScope::Exclusive)?;
@@ -63,9 +52,13 @@ impl Cluster {
     }
 
     /// Restore a snapshot into a new cluster. The returned cluster is
-    /// queryable immediately (streaming restore); use
+    /// queryable immediately (streaming restore): its block store starts
+    /// with no placements and the snapshot's blocks pending in S3, each
+    /// page-faulted onto its node on first read; use
     /// [`Cluster::hydrate_step`] / [`Cluster::hydration_progress`] to
-    /// drive and observe the background download.
+    /// drive and observe the background download. It is otherwise an
+    /// ordinary cluster: it mirrors and backs up its writes, snapshots,
+    /// crashes and recovers, and resizes, at any hydration point.
     ///
     /// `region` picks which copy to restore from — pass the DR region for
     /// a disaster drill. `hsm` must be the HSM holding the master key for
@@ -82,7 +75,9 @@ impl Cluster {
         // Before the manifest load, so its S3 reads land in this sink.
         s3.set_trace(Arc::clone(&trace));
         let mut rspan = trace.span(LVL_PHASE, "restore.open");
-        let mgr = BackupManager::new(Arc::clone(&s3), region, bucket, None, 4);
+        let mgr = BackupManager::new(Arc::clone(&s3), region, bucket, None, 4)
+            .with_retry(config.retry.with_seed(config.seed))
+            .with_trace(Arc::clone(&trace));
         let (_kind, metadata, blocks) = mgr.load_manifest(region, snapshot_id)?;
         if rspan.is_recording() {
             rspan.attr("snapshot", snapshot_id);
@@ -90,34 +85,44 @@ impl Cluster {
         }
         let mut r = Reader::new(&metadata);
         let keys = Keys::decode(&mut r, hsm)?;
-        let restoring = Arc::new(
-            StreamingRestoreStore::open(Arc::clone(&s3), region, bucket, blocks)
-                .with_trace(Arc::clone(&trace))
-                .with_retry(config.retry.with_seed(config.seed)),
-        );
-        let blocks = BlockHome::Restoring(restoring);
-        let durable = Durable::new(&config, trace, s3, blocks, keys, Vec::new());
-        let cluster =
-            Self::assemble(config, durable, |_, c| Catalog::decode(&mut r, &c.topology))?;
+        let durable = Durable::create(&config, trace, s3, keys)?;
+        let cluster = Self::assemble(config, durable, |durable, compute| {
+            let catalog = Catalog::decode(&mut r, &compute.topology)?;
+            // Each block is pending on the node of the slice that owns it.
+            let mut homes = Vec::new();
+            for table in catalog.tables() {
+                for (slice, t) in table.snapshot().slices.iter().enumerate() {
+                    let node = compute.topology.node_of(SliceId(slice as u32));
+                    homes.extend(t.block_ids().into_iter().map(|id| (id, node)));
+                }
+            }
+            durable.blocks.restore_from(region, bucket, homes);
+            Ok(catalog)
+        })?;
+        // Seed the redo log so a crash right after the restore recovers
+        // the restored catalog rather than an empty one.
+        cluster.checkpoint_now();
         rspan.finish(); // open for SQL: metadata + catalog only (§2.2)
         Ok(cluster)
     }
 
-    /// Drive background hydration (restored clusters). Returns blocks
-    /// fetched; 0 = complete.
+    /// Drive background hydration (restored clusters): page-fault up to
+    /// `k` pending blocks onto the cluster. Returns blocks fetched;
+    /// 0 = complete.
     pub fn hydrate_step(&self, k: usize) -> Result<usize> {
-        self.durable.restoring().map_or(Ok(0), |r| r.hydrate_step(k))
+        self.durable.blocks.hydrate_step(k)
     }
 
-    /// Fraction of a restore's blocks present locally (1.0 = done, and
-    /// for normally-launched clusters).
+    /// Share of a restore's blocks on-cluster (1.0 = done, and for
+    /// normally-launched clusters). Writes after the restore do not count.
     pub fn hydration_progress(&self) -> f64 {
-        self.durable.restoring().map_or(1.0, |r| r.hydration_progress())
+        self.durable.blocks.hydration_progress()
     }
 
-    /// Page faults served during/after restore.
+    /// Reads that fell through to an S3 page fault (a restore's demand
+    /// faults among them) — `fallthrough_stats().1`.
     pub fn restore_page_faults(&self) -> u64 {
-        self.durable.restoring().map_or(0, |r| r.page_fault_count())
+        self.durable.blocks.fallthrough_stats().1
     }
 
     // ------------------------------------------------------------------
@@ -213,7 +218,6 @@ impl Cluster {
     /// decommissioned (every statement on it now fails); feed the image
     /// to [`Cluster::recover`].
     pub fn crash(&self) -> Result<CrashImage> {
-        self.durable.mirrored("crash/recover")?;
         self.arm_hard_crash();
         *self.state.write() = ClusterState::Decommissioned;
         Ok(CrashImage {
@@ -243,7 +247,7 @@ impl Cluster {
             // never ran). Delete it everywhere — committed state never
             // references it again.
             let referenced: BTreeSet<u64> = catalog.block_ids().iter().map(|id| id.0).collect();
-            let mut orphans = durable.mirrored("recover")?.placed_block_ids();
+            let mut orphans = durable.blocks.placed_block_ids();
             orphans.retain(|id| !referenced.contains(&id.0));
             let scrubbed = orphans.len() as u64;
             compute.delete_blocks(orphans);
@@ -454,7 +458,7 @@ mod tests {
             ClusterConfig::new(name).nodes(2).slices_per_node(2),
             Arc::clone(c.s3()),
             "us-east-1",
-            "t",
+            &c.config().name,
             snapshot,
             None,
         )
@@ -489,24 +493,125 @@ mod tests {
         assert_eq!(state.cursor, 6, "the target's own routing, not the source's cursor");
     }
 
+    /// Eight blocks: two columns on each of `small()`'s four slices.
+    fn eight_block_table(c: &Cluster) {
+        c.execute("CREATE TABLE t (k BIGINT, v VARCHAR) DISTKEY(k)").unwrap();
+        let csv: String = (0..400).map(|i| format!("{i},v{i}\n")).collect();
+        c.put_s3_object("in/rows", csv.into_bytes());
+        c.execute("COPY t FROM 's3://in/'").unwrap();
+        assert_eq!(c.leader.catalog.read().block_ids().len(), 8);
+    }
+
+    fn rows(c: &Cluster) -> Vec<redsim_common::Row> {
+        c.query("SELECT COUNT(*), SUM(k), MIN(v), MAX(v) FROM t").unwrap().rows
+    }
+
     #[test]
-    fn restored_cluster_says_why_it_cannot_snapshot_or_crash() {
+    fn restored_cluster_is_an_ordinary_cluster() {
         let c = small();
-        stale_even_table(&c);
+        eight_block_table(&c);
+        c.create_snapshot("s", SnapshotKind::User).unwrap();
+        c.execute("INSERT INTO t VALUES (1000, 'w')").unwrap();
+        let expect = rows(&c);
+        for hydrate in [0, 4, 8] {
+            // Restored, `hydrate` of 8 blocks on-cluster, then written to.
+            let at = |name: &str| {
+                let r = restore(&c, &format!("{name}{hydrate}"), "s");
+                assert_eq!(r.hydrate_step(hydrate).unwrap(), hydrate);
+                assert_eq!(r.hydration_progress(), hydrate as f64 / 8.0);
+                let before: BTreeSet<u64> =
+                    r.committed("t").unwrap().block_ids().iter().map(|b| b.0).collect();
+                r.execute("INSERT INTO t VALUES (1000, 'w')").unwrap();
+                let written = r.committed("t").unwrap().block_ids();
+                let id = *written.iter().find(|b| !before.contains(&b.0)).unwrap();
+                (r, id)
+            };
+            // Its writes are mirrored and backed up: one survives the
+            // loss of its primary.
+            let (r, id) = at("kill");
+            let store = r.replicated_store().unwrap();
+            let placement = store.placement_of(id).unwrap();
+            assert!(placement.secondary.is_some());
+            assert!(store.backup_backlog() > 0, "post-restore writes queue for backup");
+            let secondary_reads = store.fallthrough_stats().0;
+            store.kill_node(placement.primary);
+            assert_eq!(rows(&r), expect, "hydrated {hydrate}");
+            assert!(store.fallthrough_stats().0 > secondary_reads, "hydrated {hydrate}");
+            // It snapshots: a restore of the restore has the same rows.
+            let (r, _) = at("snap");
+            r.create_snapshot("again", SnapshotKind::User).unwrap();
+            assert_eq!(rows(&restore(&r, &format!("again{hydrate}"), "again")), expect);
+            // It crashes and recovers.
+            let (r, _) = at("crash");
+            let image = r.committed("t").unwrap().encode_delta("t");
+            let recovered = Cluster::recover(r.crash().unwrap()).unwrap();
+            assert_eq!(recovered.hydration_progress(), hydrate as f64 / 8.0);
+            assert_eq!(recovered.committed("t").unwrap().encode_delta("t"), image);
+            assert_eq!(rows(&recovered), expect, "hydrated {hydrate}");
+        }
+    }
+
+    #[test]
+    fn failed_hydration_step_keeps_its_block_pending() {
+        let c = small();
+        eight_block_table(&c);
+        c.create_snapshot("s", SnapshotKind::User).unwrap();
+        let retry = redsim_common::RetryPolicy::default()
+            .with_max_attempts(2)
+            .with_delays(std::time::Duration::from_micros(50), std::time::Duration::from_millis(1));
+        let r = Cluster::restore_from_snapshot(
+            ClusterConfig::new("r").nodes(2).slices_per_node(2).retry(retry),
+            Arc::clone(c.s3()),
+            "us-east-1",
+            "t",
+            "s",
+            None,
+        )
+        .unwrap();
+        r.faults().configure(fp::RESTORE_PAGE_FAULT, FaultSpec::err(ErrClass::Fault));
+        assert_eq!(r.hydrate_step(1).unwrap_err().code(), "FAULT");
+        r.faults().clear(fp::RESTORE_PAGE_FAULT);
+        while r.hydrate_step(64).unwrap() > 0 {}
+        assert_eq!(r.hydration_progress(), 1.0);
+        let store = r.replicated_store().unwrap();
+        for id in r.leader.catalog.read().block_ids() {
+            assert!(store.placement_of(id).is_some(), "{id} is not on-cluster");
+        }
+    }
+
+    #[test]
+    fn hydration_progress_ignores_writes_after_restore() {
+        let c = small();
+        eight_block_table(&c);
         c.create_snapshot("s", SnapshotKind::User).unwrap();
         let r = restore(&c, "r", "s");
-        while r.hydrate_step(16).unwrap() > 0 {}
-        assert!((r.hydration_progress() - 1.0).abs() < 1e-9);
-        let errors = [
-            r.create_snapshot("again", SnapshotKind::User).map(|_| ()).unwrap_err(),
-            r.crash().map(|_| ()).unwrap_err(),
-        ];
-        for e in errors {
-            assert!(matches!(e, redsim_common::RsError::InvalidState(_)), "{e}");
-            assert!(e.to_string().contains("has none"), "{e}");
-            assert!(!e.to_string().contains("in progress"), "hydration is complete: {e}");
+        for i in 0..20 {
+            r.execute(&format!("INSERT INTO t VALUES ({i}, 'w')")).unwrap();
         }
-        assert_eq!(r.state(), ClusterState::Available, "a refused crash leaves the cluster up");
+        assert_eq!(r.hydration_progress(), 0.0);
+    }
+
+    #[test]
+    fn restore_reads_its_manifest_through_the_retry_loop() {
+        let c = small();
+        eight_block_table(&c);
+        c.create_snapshot("s", SnapshotKind::User).unwrap();
+        c.faults().configure(fp::S3_GET, FaultSpec::err(ErrClass::Throttle).once());
+        let r = restore(&c, "r", "s");
+        assert_eq!(c.faults().injected_total(), 1);
+        assert_eq!(r.trace().counter_value("retry.attempts"), 1);
+        assert_eq!(rows(&r), rows(&c));
+    }
+
+    #[test]
+    fn snapshot_retries_are_observed() {
+        let c = small();
+        eight_block_table(&c);
+        c.replicated_store().unwrap().drain_backup_queue().unwrap();
+        c.faults().configure(fp::S3_PUT, FaultSpec::err(ErrClass::Throttle).times(2));
+        c.create_snapshot("s", SnapshotKind::User).unwrap();
+        assert_eq!(c.faults().injected_total(), 2);
+        assert_eq!(c.trace().counter_value("retry.attempts"), 2);
     }
 
     #[test]

@@ -195,9 +195,10 @@ impl Cluster {
         *self.state.read()
     }
 
-    /// The mirrored block store (`None` on a snapshot-restored cluster).
+    /// The cluster's block store — always `Some`: launched, restored and
+    /// recovered clusters all mirror their blocks in one.
     pub fn replicated_store(&self) -> Option<&Arc<ReplicatedStore>> {
-        self.durable.replicated()
+        Some(&self.durable.blocks)
     }
 
     pub fn plan_cache_stats(&self) -> (u64, u64) {

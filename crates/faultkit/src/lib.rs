@@ -75,7 +75,8 @@ pub mod fp {
     pub const MIRROR_BACKUP_DRAIN: &str = "mirror.backup_drain";
     /// Per-block copy in `ReplicatedStore::re_replicate`.
     pub const MIRROR_RE_REPLICATE: &str = "mirror.re_replicate";
-    /// On-demand block fetch in `StreamingRestoreStore::fetch`.
+    /// S3 page-fault fetch in `ReplicatedStore::fault_in` (demand reads
+    /// no live replica serves, and restore hydration).
     pub const RESTORE_PAGE_FAULT: &str = "restore.page_fault";
     /// Per-object fetch in the COPY loader (`Cluster::run_copy`).
     pub const COPY_FETCH_OBJECT: &str = "copy.fetch_object";

@@ -7,8 +7,10 @@
 //! explicitly deleted." Second-region copies are a checkbox (here: a
 //! constructor argument).
 
-use crate::mirror::ReplicatedStore;
+use crate::inject;
+use crate::mirror::{block_key, ReplicatedStore};
 use crate::s3sim::S3Sim;
+use redsim_obs::TraceSink;
 use redsim_testkit::sync::Mutex;
 use redsim_common::codec::{Reader, Writer};
 use redsim_common::{Result, RetryPolicy, RsError};
@@ -47,8 +49,10 @@ pub struct BackupManager {
     snapshots: Mutex<Vec<SnapshotInfo>>,
     /// Keep at most this many system snapshots (aging).
     system_retention: usize,
-    /// Retry policy for S3 uploads / DR copies during snapshots.
+    /// Retry policy for every S3 call: uploads, DR copies, manifest reads.
     retry: RetryPolicy,
+    /// Telemetry sink the retry loops report to (the owning cluster's).
+    trace: Option<Arc<TraceSink>>,
 }
 
 impl BackupManager {
@@ -68,21 +72,29 @@ impl BackupManager {
             snapshots: Mutex::new(Vec::new()),
             system_retention: system_retention.max(1),
             retry: RetryPolicy::default(),
+            trace: None,
         }
     }
 
-    /// Replace the snapshot retry policy (builder).
+    /// Replace the retry policy (builder).
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
         self
     }
 
-    fn manifest_key(&self, id: &str) -> String {
-        format!("{}/snapshots/{id}", self.bucket)
+    /// Report retries (`retry.attempts`, `retry.wait`, ...) to `sink`
+    /// (builder).
+    pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
+        self.trace = Some(sink);
+        self
     }
 
-    fn block_key(&self, id: BlockId) -> String {
-        format!("{}/blocks/{:016x}", self.bucket, id.0)
+    fn retried<T>(&self, op: &'static str, f: impl FnMut() -> Result<T>) -> Result<T> {
+        self.retry.run_observed(op, f, inject::retry_observer(self.trace.clone()))
+    }
+
+    fn manifest_key(&self, id: &str) -> String {
+        format!("{}/snapshots/{id}", self.bucket)
     }
 
     /// Take a snapshot of the given block set + metadata. Blocks already
@@ -99,11 +111,12 @@ impl BackupManager {
         store.drain_backup_queue()?;
         let mut uploaded = 0usize;
         for &b in &blocks {
-            let key = self.block_key(b);
+            let key = block_key(&self.bucket, b);
             if !self.s3.exists(&self.region, &key) {
                 let blk = store.get_any(b)?;
-                self.retry
-                    .run("s3.put", || self.s3.put_checked(&self.region, &key, blk.serialize()))?;
+                self.retried("s3.put", || {
+                    self.s3.put_checked(&self.region, &key, blk.serialize())
+                })?;
                 uploaded += 1;
             }
         }
@@ -125,18 +138,18 @@ impl BackupManager {
             w.put_u64(b.0);
         }
         let manifest = w.into_bytes();
-        self.retry.run("s3.put", || {
+        self.retried("s3.put", || {
             self.s3.put_checked(&self.region, &self.manifest_key(id), manifest.clone())
         })?;
         if let Some(dr) = &self.dr_region {
             // DR copies: manifest + any block not yet in the second region.
-            self.retry
-                .run("s3.put", || self.s3.put_checked(dr, &self.manifest_key(id), manifest.clone()))?;
+            self.retried("s3.put", || {
+                self.s3.put_checked(dr, &self.manifest_key(id), manifest.clone())
+            })?;
             for &b in &blocks {
-                let key = self.block_key(b);
+                let key = block_key(&self.bucket, b);
                 if !self.s3.exists(dr, &key) {
-                    self.retry
-                        .run("s3.copy_object", || self.s3.copy_object(&self.region, dr, &key))?;
+                    self.retried("s3.copy_object", || self.s3.copy_object(&self.region, dr, &key))?;
                 }
             }
         }
@@ -217,7 +230,7 @@ impl BackupManager {
         region: &str,
         id: &str,
     ) -> Result<(SnapshotKind, Vec<u8>, Vec<BlockId>)> {
-        let bytes = self.s3.get(region, &self.manifest_key(id))?;
+        let bytes = self.retried("s3.get", || self.s3.get(region, &self.manifest_key(id)))?;
         let mut r = Reader::new(&bytes);
         if r.get_u32()? != 0x534E_4150 {
             return Err(RsError::Codec("bad snapshot magic".into()));

@@ -11,16 +11,21 @@
 //! * [`s3sim`] — a multi-region durable object store standing in for
 //!   Amazon S3 (the paper's hardware/service gate; see DESIGN.md §5).
 //! * [`mirror`] — per-node block stores wrapped by a cluster-wide
-//!   [`mirror::ReplicatedStore`]: synchronous primary+secondary writes
-//!   with cohort-constrained placement, read fall-through
-//!   primary → secondary → S3, failure injection, and re-replication.
+//!   [`mirror::ReplicatedStore`], the only block store a cluster has:
+//!   synchronous primary+secondary writes with cohort-constrained
+//!   placement, read fall-through primary → secondary → S3, failure
+//!   injection, and re-replication.
 //! * [`backup`] — continuous incremental snapshots: only blocks S3 has
 //!   not seen are uploaded; system snapshots age out; user snapshots
 //!   persist; optional second-region copies for disaster recovery.
-//! * [`restore`] — **streaming restore**: a store that serves reads by
-//!   page-faulting blocks from S3 while a background process hydrates
-//!   the rest, so "the database \[can\] be opened for SQL operations after
-//!   metadata and catalog restoration".
+//!
+//! **Streaming restore** is not a second store. A restored cluster is a
+//! `ReplicatedStore` with no placements whose pending list holds the
+//! snapshot's blocks: the S3 page fault that serves a read places a
+//! pending block on its node and a secondary, and `hydrate_step` is that
+//! same page fault driven in the background — so "the database \[can\]
+//! be opened for SQL operations after metadata and catalog restoration"
+//! and is, from then on, an ordinary mirrored, backed-up cluster.
 
 //! Fault seams (this PR's escalator substrate): every S3-touching path
 //! consults a named `faultkit` failpoint and is wrapped in a typed
@@ -32,11 +37,9 @@
 pub mod backup;
 pub mod inject;
 pub mod mirror;
-pub mod restore;
 pub mod s3sim;
 
 pub use backup::{BackupManager, SnapshotInfo, SnapshotKind};
 pub use inject::{fault_error, fire, fire_no_skip, retry_observer, Flow};
 pub use mirror::{NodeStore, ReplicatedStore};
-pub use restore::StreamingRestoreStore;
 pub use s3sim::S3Sim;

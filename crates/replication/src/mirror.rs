@@ -1,13 +1,21 @@
-//! Synchronous primary/secondary block mirroring with cohort placement.
+//! Synchronous primary/secondary block mirroring with cohort placement,
+//! and the S3 page fault that serves a block no live replica holds.
+//!
+//! §2.2: "'page-faulting' in blocks when unavailable on local storage …
+//! also allowed us to implement a streaming restore capability". A
+//! restored cluster is this store with no placements and a pending list:
+//! the page fault that brings a pending block on-cluster *is* hydration.
 
 use crate::inject::{self, Flow};
 use crate::s3sim::S3Sim;
 use redsim_faultkit::{fp, FaultRegistry};
-use redsim_obs::{TraceSink, LVL_PHASE};
+use redsim_obs::{AttrValue, TraceSink, LVL_PHASE};
 use redsim_testkit::sync::{Mutex, RwLock};
 use redsim_common::{FxHashMap, Result, RetryPolicy, RsError};
 use redsim_distribution::{CohortMap, NodeId};
 use redsim_storage::{BlockId, BlockStore, EncodedBlock, MemBlockStore};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Where a block's replicas live.
@@ -15,6 +23,11 @@ use std::sync::Arc;
 pub struct Placement {
     pub primary: NodeId,
     pub secondary: Option<NodeId>,
+}
+
+/// A block's S3 key in `bucket` (backups, snapshots and page faults).
+pub(crate) fn block_key(bucket: &str, id: BlockId) -> String {
+    format!("{bucket}/blocks/{:016x}", id.0)
 }
 
 /// Cluster-wide replicated storage shared by all nodes.
@@ -26,6 +39,15 @@ pub struct ReplicatedStore {
     s3: Arc<S3Sim>,
     region: String,
     bucket: String,
+    /// Where a page fault reads a block the cluster's own bucket lacks:
+    /// the `(region, bucket)` of the snapshot a restore opened. A
+    /// launched cluster's origin is its own bucket.
+    origin: RwLock<(String, String)>,
+    /// Blocks a restore has not brought on-cluster yet, each tagged with
+    /// the node a COPY would have placed it on, and how many it started
+    /// with.
+    pending: Mutex<BTreeMap<u64, NodeId>>,
+    restored: AtomicUsize,
     /// Blocks written but not yet uploaded to S3 (the async backup queue).
     backup_queue: Mutex<Vec<BlockId>>,
     /// Read path telemetry.
@@ -47,14 +69,18 @@ impl ReplicatedStore {
         region: impl Into<String>,
         bucket: impl Into<String>,
     ) -> Result<Arc<Self>> {
+        let (region, bucket) = (region.into(), bucket.into());
         Ok(Arc::new(ReplicatedStore {
             nodes: (0..n_nodes).map(|_| Arc::new(MemBlockStore::new())).collect(),
             alive: RwLock::new(vec![true; n_nodes as usize]),
             cohorts: CohortMap::new(n_nodes, cohort_size)?,
             placements: RwLock::new(FxHashMap::default()),
             s3,
-            region: region.into(),
-            bucket: bucket.into(),
+            origin: RwLock::new((region.clone(), bucket.clone())),
+            region,
+            bucket,
+            pending: Mutex::new(BTreeMap::new()),
+            restored: AtomicUsize::new(0),
             backup_queue: Mutex::new(Vec::new()),
             secondary_reads: Mutex::new(0),
             s3_reads: Mutex::new(0),
@@ -99,8 +125,19 @@ impl ReplicatedStore {
         self.nodes.len()
     }
 
-    fn s3_key(&self, id: BlockId) -> String {
-        format!("{}/blocks/{:016x}", self.bucket, id.0)
+    /// Make this store a restore of the snapshot in `(region, bucket)`:
+    /// `blocks` start there, each tagged with the node that owns it, and
+    /// come on-cluster as they are read or hydrated.
+    pub fn restore_from(
+        &self,
+        region: impl Into<String>,
+        bucket: impl Into<String>,
+        blocks: impl IntoIterator<Item = (BlockId, NodeId)>,
+    ) {
+        *self.origin.write() = (region.into(), bucket.into());
+        let mut pending = self.pending.lock();
+        pending.extend(blocks.into_iter().map(|(id, node)| (id.0, node)));
+        self.restored.store(pending.len(), Ordering::Relaxed);
     }
 
     /// A per-node handle implementing [`BlockStore`]; writes through this
@@ -114,8 +151,9 @@ impl ReplicatedStore {
         self.alive.read()[node.0 as usize]
     }
 
-    /// Synchronous dual write: primary on `node`, secondary in-cohort.
-    fn put_from(&self, node: NodeId, block: EncodedBlock) -> Result<()> {
+    /// Synchronous dual write: primary on `node`, secondary in-cohort;
+    /// queued for S3 backup when `backup`.
+    fn put_from(&self, node: NodeId, block: EncodedBlock, backup: bool) -> Result<()> {
         if !self.node_alive(node) {
             return Err(RsError::FaultInjected(format!("{node} is down")));
         }
@@ -156,8 +194,10 @@ impl ReplicatedStore {
             )?;
         }
         self.placements.write().insert(id.0, Placement { primary: node, secondary });
-        self.backup_queue.lock().push(id);
-        self.publish_backlog();
+        if backup {
+            self.backup_queue.lock().push(id);
+            self.publish_backlog();
+        }
         Ok(())
     }
 
@@ -180,18 +220,46 @@ impl ReplicatedStore {
             }
         }
         // Page-fault from S3 ("making media failures transparent").
-        // Transient S3 faults (throttles, injected flakiness) are
-        // absorbed by the retry loop; a genuinely missing object keeps
-        // the legacy "unavailable everywhere" replication error, while
-        // an exhausted retry budget surfaces its own class (THROTTLE,
-        // FAULT, ...) so callers see the true failure.
+        *self.s3_reads.lock() += 1;
+        let Some(t) = self.sink_opt() else { return self.fault_in(id) };
+        t.counter("restore.page_faults").incr();
+        let mut span = t.span(LVL_PHASE, "restore.page_fault");
+        if span.is_recording() {
+            span.attr("block", AttrValue::Str(format!("{id}")));
+        }
+        let out = self.fault_in(id);
+        span.finish();
+        out
+    }
+
+    /// Fetch `id` from S3 — the cluster's own bucket, else the restore's
+    /// origin. Transient faults (throttles, the `restore.page_fault`
+    /// failpoint) are absorbed by the retry loop; a genuinely missing
+    /// object is a replication error, while an exhausted retry budget
+    /// surfaces its own class (THROTTLE, FAULT, ...). A pending block is
+    /// then placed like a COPY write — on its node, or a live cohort
+    /// member if that one is down — but not queued for backup: S3 has it.
+    fn fault_in(&self, id: BlockId) -> Result<Arc<EncodedBlock>> {
+        let sink = self.sink_opt();
+        if let Some(t) = &sink {
+            t.counter("restore.s3_gets").incr();
+        }
+        let (region, key) = match block_key(&self.bucket, id) {
+            own if self.s3.exists(&self.region, &own) => (self.region.clone(), own),
+            _ => {
+                let (region, bucket) = self.origin.read().clone();
+                (region, block_key(&bucket, id))
+            }
+        };
         let retry = *self.retry.read();
-        let key = self.s3_key(id);
         let bytes = retry
             .run_observed(
-                "s3.get",
-                || self.s3.get(&self.region, &key),
-                inject::retry_observer(self.sink_opt()),
+                "restore.page_fault",
+                || {
+                    inject::fire_no_skip(self.faults(), sink.as_ref(), fp::RESTORE_PAGE_FAULT)?;
+                    self.s3.get(&region, &key)
+                },
+                inject::retry_observer(sink.clone()),
             )
             .map_err(|e| match e {
                 RsError::NotFound(_) => {
@@ -199,8 +267,48 @@ impl ReplicatedStore {
                 }
                 other => other,
             })?;
-        *self.s3_reads.lock() += 1;
-        Ok(Arc::new(EncodedBlock::deserialize(&bytes)?))
+        let block = EncodedBlock::deserialize(&bytes)?;
+        let home = self.pending.lock().get(&id.0).copied();
+        if let Some(home) = home {
+            let node = Some(home)
+                .filter(|&n| self.node_alive(n))
+                .or_else(|| self.cohorts.members(home).into_iter().find(|&m| self.node_alive(m)))
+                .ok_or_else(|| RsError::Replication(format!("{id}: no live node to hydrate")))?;
+            self.put_from(node, block.clone(), false)?;
+            self.pending.lock().remove(&id.0);
+        }
+        Ok(Arc::new(block))
+    }
+
+    /// Page-fault up to `k` pending blocks onto the cluster. Returns how
+    /// many; 0 means hydration is complete. A block whose fetch fails
+    /// stays pending for the next step.
+    pub fn hydrate_step(&self, k: usize) -> Result<usize> {
+        let mut span = match self.trace.read().as_ref() {
+            Some(t) => t.span(LVL_PHASE, "restore.hydrate_step"),
+            None => redsim_obs::Span::disabled(),
+        };
+        let batch: Vec<u64> = self.pending.lock().keys().take(k).copied().collect();
+        for &id in &batch {
+            self.fault_in(BlockId(id))?;
+            self.with_sink(|t| t.counter("restore.blocks_hydrated").incr());
+        }
+        if span.is_recording() {
+            span.attr("requested", k);
+            span.attr("fetched", batch.len());
+            span.attr("remaining", self.pending.lock().len());
+        }
+        Ok(batch.len())
+    }
+
+    /// `1 − pending/restored`: the share of a restore's blocks on-cluster
+    /// (1.0 for a launched cluster).
+    pub fn hydration_progress(&self) -> f64 {
+        let restored = self.restored.load(Ordering::Relaxed);
+        if restored == 0 {
+            return 1.0;
+        }
+        restored.saturating_sub(self.pending.lock().len()) as f64 / restored as f64
     }
 
     /// Drain the async backup queue to S3; returns blocks uploaded.
@@ -221,7 +329,7 @@ impl ReplicatedStore {
         let mut failure: Option<RsError> = None;
         let mut iter = pending.into_iter();
         for id in iter.by_ref() {
-            let key = self.s3_key(id);
+            let key = block_key(&self.bucket, id);
             if self.s3.exists(&self.region, &key) {
                 continue; // incremental: S3 already has it
             }
@@ -405,7 +513,8 @@ impl ReplicatedStore {
         self.placements.read().keys().map(|&id| BlockId(id)).collect()
     }
 
-    /// (secondary reads, s3 page-fault reads) served so far.
+    /// (secondary reads, S3 page faults) so far — a restore's demand
+    /// faults included, its background hydration not.
     pub fn fallthrough_stats(&self) -> (u64, u64) {
         (*self.secondary_reads.lock(), *self.s3_reads.lock())
     }
@@ -420,6 +529,7 @@ impl ReplicatedStore {
             n.delete(id);
         }
         self.placements.write().remove(&id.0);
+        self.pending.lock().remove(&id.0);
         // S3 copies are governed by snapshot retention, not live deletes.
     }
 }
@@ -443,7 +553,7 @@ impl NodeStore {
 
 impl BlockStore for NodeStore {
     fn put(&self, block: EncodedBlock) -> Result<()> {
-        self.inner.put_from(self.node, block)
+        self.inner.put_from(self.node, block, true)
     }
 
     fn get(&self, id: BlockId) -> Result<Arc<EncodedBlock>> {
@@ -730,5 +840,148 @@ mod tests {
         for n in &store.nodes {
             assert!(!n.contains(id));
         }
+    }
+
+    /// A store restored from `n` blocks in `r/b`, homed alternately on
+    /// nodes 0 and 1 of a two-node cluster whose own bucket is `r/own`.
+    fn restored(n: u8) -> (Arc<S3Sim>, Arc<ReplicatedStore>, Vec<BlockId>) {
+        let s3 = Arc::new(S3Sim::new());
+        let ids: Vec<BlockId> = (0..n)
+            .map(|i| {
+                let b = block(vec![i; 8]);
+                s3.put("r", &block_key("b", b.id), b.serialize());
+                b.id
+            })
+            .collect();
+        let store = ReplicatedStore::new(2, 2, Arc::clone(&s3), "r", "own").unwrap();
+        store.restore_from("r", "b", ids.iter().map(|&id| (id, NodeId(id.0 as u32 % 2))));
+        (s3, store, ids)
+    }
+
+    fn hydrate_all(store: &ReplicatedStore) -> usize {
+        let mut total = 0;
+        loop {
+            match store.hydrate_step(64).unwrap() {
+                0 => return total,
+                n => total += n,
+            }
+        }
+    }
+
+    #[test]
+    fn restore_serves_a_demand_fault_then_reads_locally() {
+        let (_s3, store, ids) = restored(10);
+        assert_eq!(store.hydration_progress(), 0.0);
+        assert_eq!(store.get_any(ids[7]).unwrap().payload, vec![7; 8]);
+        assert_eq!(store.fallthrough_stats().1, 1);
+        // The fault placed it like a write: its node plus a secondary.
+        let p = store.placement_of(ids[7]).unwrap();
+        assert_eq!(p.primary, NodeId(ids[7].0 as u32 % 2));
+        assert!(p.secondary.is_some());
+        assert_eq!(store.backup_backlog(), 0, "S3 already has it");
+        store.get_any(ids[7]).unwrap();
+        assert_eq!(store.fallthrough_stats().1, 1, "second read is local");
+        assert_eq!(store.hydration_progress(), 0.1);
+    }
+
+    #[test]
+    fn restore_hydration_completes() {
+        let (_s3, store, ids) = restored(20);
+        let mut steps = 0;
+        while store.hydration_progress() < 1.0 {
+            store.hydrate_step(3).unwrap();
+            steps += 1;
+            assert!(steps < 100);
+        }
+        assert_eq!(store.placed_block_ids().len(), 20);
+        for id in ids {
+            store.get_any(id).unwrap();
+        }
+        assert_eq!(store.fallthrough_stats().1, 0, "every read is local");
+    }
+
+    #[test]
+    fn restore_hydration_skips_faulted_blocks() {
+        let (_s3, store, ids) = restored(5);
+        for &id in &ids {
+            store.get_any(id).unwrap();
+        }
+        assert_eq!(store.hydrate_step(64).unwrap(), 0, "nothing left to hydrate");
+    }
+
+    #[test]
+    fn restore_of_a_lost_object_is_a_replication_error() {
+        let (s3, store, ids) = restored(2);
+        s3.inject_object_loss("r", &block_key("b", ids[0]));
+        assert_eq!(store.get_any(ids[0]).unwrap_err().code(), "REPL");
+        assert!(store.get_any(ids[1]).is_ok());
+    }
+
+    #[test]
+    fn restore_trace_records_faults_and_hydration() {
+        let sink = Arc::new(TraceSink::with_level(redsim_obs::LVL_DETAIL));
+        let (_s3, store, ids) = restored(6);
+        store.set_trace(Arc::clone(&sink));
+        store.get_any(ids[0]).unwrap(); // demand fault
+        assert_eq!(hydrate_all(&store), 5);
+        assert_eq!(sink.counter_value("restore.page_faults"), 1);
+        assert_eq!(sink.counter_value("restore.blocks_hydrated"), 5);
+        assert_eq!(sink.counter_value("restore.s3_gets"), 6);
+        assert_eq!(sink.records_named("restore.page_fault").len(), 1);
+        assert!(!sink.records_named("restore.hydrate_step").is_empty());
+        assert_eq!(sink.open_spans(), 0, "all spans closed");
+    }
+
+    #[test]
+    fn restore_rides_through_s3_flakiness() {
+        use redsim_faultkit::{fp, ErrClass, FaultSpec};
+        let (s3, store, ids) = restored(12);
+        // 30% of S3 GETs throttle (seeded, replayable): hydration and
+        // demand reads must complete via retries.
+        s3.faults().reseed(7);
+        s3.faults().configure(fp::S3_GET, FaultSpec::err(ErrClass::Throttle).prob(0.3));
+        assert_eq!(hydrate_all(&store), 12);
+        for id in ids {
+            assert_eq!(store.get_any(id).unwrap().id, id);
+        }
+        assert!(s3.faults().injected_total() > 0, "the schedule must actually inject");
+    }
+
+    #[test]
+    fn restore_page_fault_failpoint_is_typed_and_recovers() {
+        use redsim_faultkit::{fp, ErrClass, FaultSpec};
+        use std::time::Duration;
+        let (s3, store, ids) = restored(2);
+        store.set_retry_policy(
+            RetryPolicy::default()
+                .with_max_attempts(3)
+                .with_delays(Duration::from_micros(100), Duration::from_millis(1)),
+        );
+        // Two transient faults then recovery: absorbed.
+        s3.faults().configure(fp::RESTORE_PAGE_FAULT, FaultSpec::err(ErrClass::Fault).times(2));
+        assert!(store.get_any(ids[0]).is_ok());
+        // Persistent fault: typed FAULT after the budget, never a hang,
+        // and the block stays pending.
+        s3.faults().configure(fp::RESTORE_PAGE_FAULT, FaultSpec::err(ErrClass::Fault));
+        let err = store.hydrate_step(1).unwrap_err();
+        assert_eq!(err.code(), "FAULT", "{err}");
+        assert_eq!(store.hydration_progress(), 0.5);
+        s3.faults().clear(fp::RESTORE_PAGE_FAULT);
+        assert_eq!(store.hydrate_step(1).unwrap(), 1, "recovers once the failpoint clears");
+        assert_eq!(store.hydration_progress(), 1.0);
+    }
+
+    #[test]
+    fn writes_after_restore_are_mirrored_and_backed_up() {
+        let (_s3, store, _ids) = restored(2);
+        let b = block(vec![42]);
+        let id = b.id;
+        store.node_store(NodeId(0)).put(b).unwrap();
+        assert_eq!(store.get_any(id).unwrap().payload, vec![42]);
+        assert_eq!(store.fallthrough_stats(), (0, 0));
+        let sec = store.placement_of(id).unwrap().secondary.unwrap();
+        assert!(store.nodes[sec.0 as usize].contains(id));
+        assert_eq!(store.backup_backlog(), 1);
+        assert_eq!(store.hydration_progress(), 0.0, "a write is not a hydrated block");
     }
 }
