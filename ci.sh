@@ -389,14 +389,19 @@ echo "== one block home (quick pass) =="
 # step keeps its block pending; post-restore writes are not hydrated
 # blocks; the manifest load and the snapshot's S3 calls retry observed;
 # a restored cluster kills/revives, snapshots and crash-recovers at 0 %,
-# 50 % and 100 % hydration; and the ported streaming-restore behaviours.
+# 50 % and 100 % hydration; the ported streaming-restore behaviours; a
+# demand read outlives a failed placement, a deleted pending block is
+# never placed, and blocks hydrated from another bucket are backed up.
 cargo test -q --offline -p redsim-core --lib -- \
   failed_hydration_step_keeps_its_block_pending \
   hydration_progress_ignores_writes_after_restore \
   restore_reads_its_manifest_through_the_retry_loop \
   snapshot_retries_are_observed \
-  restored_cluster_is_an_ordinary_cluster
-cargo test -q --offline -p redsim-replication --lib -- restore_ writes_after_restore_
+  restored_cluster_is_an_ordinary_cluster \
+  restored_select_survives_a_failed_placement
+cargo test -q --offline -p redsim-replication --lib -- restore_ writes_after_restore_ \
+  hydrated_blocks_are_backed_up_ demand_read_survives_a_failed_placement \
+  a_deleted_pending_block_is_never_placed
 # Structural guard: the second store and the store-kind switch stay deleted.
 if grep -rn 'StreamingRestoreStore\|BlockHome\|fn mirrored(\|fn restoring(' crates/; then
   echo "ERROR: a second block store / store-kind switch reappeared under crates/" >&2

@@ -580,6 +580,35 @@ mod tests {
     }
 
     #[test]
+    fn restored_select_survives_a_failed_placement() {
+        let c = small();
+        eight_block_table(&c);
+        c.create_snapshot("s", SnapshotKind::User).unwrap();
+        let retry = redsim_common::RetryPolicy::default()
+            .with_max_attempts(2)
+            .with_delays(std::time::Duration::from_micros(50), std::time::Duration::from_millis(1));
+        let r = Cluster::restore_from_snapshot(
+            ClusterConfig::new("r").nodes(2).slices_per_node(2).retry(retry),
+            Arc::clone(c.s3()),
+            "us-east-1",
+            "t",
+            "s",
+            None,
+        )
+        .unwrap();
+        // The cache-fill write fails; the SELECT is served from S3 anyway
+        // and every block stays pending for hydration to place.
+        r.faults().configure(fp::MIRROR_WRITE_PRIMARY, FaultSpec::err(ErrClass::Fault));
+        assert_eq!(rows(&r), rows(&c));
+        assert_eq!(r.hydration_progress(), 0.0);
+        assert_eq!(r.hydrate_step(1).unwrap_err().code(), "FAULT");
+        r.faults().clear(fp::MIRROR_WRITE_PRIMARY);
+        while r.hydrate_step(64).unwrap() > 0 {}
+        assert_eq!(r.hydration_progress(), 1.0);
+        assert_eq!(rows(&r), rows(&c));
+    }
+
+    #[test]
     fn hydration_progress_ignores_writes_after_restore() {
         let c = small();
         eight_block_table(&c);

@@ -22,8 +22,9 @@
 //! **Streaming restore** is not a second store. A restored cluster is a
 //! `ReplicatedStore` with no placements whose pending list holds the
 //! snapshot's blocks: the S3 page fault that serves a read places a
-//! pending block on its node and a secondary, and `hydrate_step` is that
-//! same page fault driven in the background — so "the database \[can\]
+//! pending block on its node and a secondary (and, if it came from
+//! another cluster's bucket, queues it for backup into this one's), and
+//! `hydrate_step` is that same page fault driven in the background — so "the database \[can\]
 //! be opened for SQL operations after metadata and catalog restoration"
 //! and is, from then on, an ordinary mirrored, backed-up cluster.
 

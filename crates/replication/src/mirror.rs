@@ -110,6 +110,11 @@ impl ReplicatedStore {
         self.trace.read().clone()
     }
 
+    fn span(&self, name: &'static str) -> redsim_obs::Span {
+        let trace = self.trace.read();
+        trace.as_ref().map_or_else(redsim_obs::Span::disabled, |t| t.span(LVL_PHASE, name))
+    }
+
     fn with_sink(&self, f: impl FnOnce(&Arc<TraceSink>)) {
         if let Some(t) = self.trace.read().as_ref() {
             f(t);
@@ -219,15 +224,17 @@ impl ReplicatedStore {
                 }
             }
         }
-        // Page-fault from S3 ("making media failures transparent").
+        // Page-fault from S3 ("making media failures transparent"). A
+        // failed placement does not fail the read: the block stays pending.
         *self.s3_reads.lock() += 1;
-        let Some(t) = self.sink_opt() else { return self.fault_in(id) };
+        let fault = || self.fault_in(id).map(|(block, _placed)| block);
+        let Some(t) = self.sink_opt() else { return fault() };
         t.counter("restore.page_faults").incr();
         let mut span = t.span(LVL_PHASE, "restore.page_fault");
         if span.is_recording() {
             span.attr("block", AttrValue::Str(format!("{id}")));
         }
-        let out = self.fault_in(id);
+        let out = fault();
         span.finish();
         out
     }
@@ -237,18 +244,19 @@ impl ReplicatedStore {
     /// failpoint) are absorbed by the retry loop; a genuinely missing
     /// object is a replication error, while an exhausted retry budget
     /// surfaces its own class (THROTTLE, FAULT, ...). A pending block is
-    /// then placed like a COPY write — on its node, or a live cohort
-    /// member if that one is down — but not queued for backup: S3 has it.
-    fn fault_in(&self, id: BlockId) -> Result<Arc<EncodedBlock>> {
+    /// placed like a COPY write (its node, else a live cohort member) and
+    /// backed up only if it came from the origin, whose retention is
+    /// another cluster's; the placement's result is returned beside it.
+    fn fault_in(&self, id: BlockId) -> Result<(Arc<EncodedBlock>, Result<()>)> {
         let sink = self.sink_opt();
         if let Some(t) = &sink {
             t.counter("restore.s3_gets").incr();
         }
-        let (region, key) = match block_key(&self.bucket, id) {
-            own if self.s3.exists(&self.region, &own) => (self.region.clone(), own),
+        let (region, key, from_origin) = match block_key(&self.bucket, id) {
+            own if self.s3.exists(&self.region, &own) => (self.region.clone(), own, false),
             _ => {
                 let (region, bucket) = self.origin.read().clone();
-                (region, block_key(&bucket, id))
+                (region, block_key(&bucket, id), true)
             }
         };
         let retry = *self.retry.read();
@@ -267,30 +275,32 @@ impl ReplicatedStore {
                 }
                 other => other,
             })?;
-        let block = EncodedBlock::deserialize(&bytes)?;
-        let home = self.pending.lock().get(&id.0).copied();
-        if let Some(home) = home {
-            let node = Some(home)
+        let block = Arc::new(EncodedBlock::deserialize(&bytes)?);
+        // Held until placed: `delete_everywhere` takes it first, so a
+        // concurrent delete is never undone.
+        let mut pending = self.pending.lock();
+        let placed = match pending.get(&id.0).copied() {
+            None => Ok(()),
+            Some(home) => Some(home)
                 .filter(|&n| self.node_alive(n))
                 .or_else(|| self.cohorts.members(home).into_iter().find(|&m| self.node_alive(m)))
-                .ok_or_else(|| RsError::Replication(format!("{id}: no live node to hydrate")))?;
-            self.put_from(node, block.clone(), false)?;
-            self.pending.lock().remove(&id.0);
-        }
-        Ok(Arc::new(block))
+                .ok_or_else(|| RsError::Replication(format!("{id}: no live node to hydrate")))
+                .and_then(|node| self.put_from(node, (*block).clone(), from_origin))
+                .map(|()| {
+                    pending.remove(&id.0);
+                }),
+        };
+        Ok((block, placed))
     }
 
     /// Page-fault up to `k` pending blocks onto the cluster. Returns how
-    /// many; 0 means hydration is complete. A block whose fetch fails
-    /// stays pending for the next step.
+    /// many; 0 means hydration is complete. A block whose fetch or
+    /// placement fails stays pending for the next step.
     pub fn hydrate_step(&self, k: usize) -> Result<usize> {
-        let mut span = match self.trace.read().as_ref() {
-            Some(t) => t.span(LVL_PHASE, "restore.hydrate_step"),
-            None => redsim_obs::Span::disabled(),
-        };
+        let mut span = self.span("restore.hydrate_step");
         let batch: Vec<u64> = self.pending.lock().keys().take(k).copied().collect();
         for &id in &batch {
-            self.fault_in(BlockId(id))?;
+            self.fault_in(BlockId(id))?.1?;
             self.with_sink(|t| t.counter("restore.blocks_hydrated").incr());
         }
         if span.is_recording() {
@@ -317,10 +327,7 @@ impl ReplicatedStore {
     pub fn drain_backup_queue(&self) -> Result<usize> {
         let pending: Vec<BlockId> = std::mem::take(&mut *self.backup_queue.lock());
         let requested = pending.len();
-        let mut span = match self.trace.read().as_ref() {
-            Some(t) => t.span(LVL_PHASE, "mirror.backup_drain"),
-            None => redsim_obs::Span::disabled(),
-        };
+        let mut span = self.span("mirror.backup_drain");
         let retry = *self.retry.read();
         let sink = self.sink_opt();
         let faults = self.faults();
@@ -436,10 +443,7 @@ impl ReplicatedStore {
     /// Returns (blocks re-replicated, bytes copied) — the "resource
     /// impact of re-replication" the cohort design bounds.
     pub fn re_replicate(&self, failed: NodeId) -> Result<(usize, u64)> {
-        let mut span = match self.trace.read().as_ref() {
-            Some(t) => t.span(LVL_PHASE, "mirror.re_replicate"),
-            None => redsim_obs::Span::disabled(),
-        };
+        let mut span = self.span("mirror.re_replicate");
         let affected: Vec<(u64, Placement)> = self
             .placements
             .read()
@@ -525,11 +529,14 @@ impl ReplicatedStore {
     }
 
     fn delete_everywhere(&self, id: BlockId) {
+        // Pending lock first: a page fault placing `id` finishes before
+        // this delete, never after it.
+        let mut pending = self.pending.lock();
+        pending.remove(&id.0);
         for n in &self.nodes {
             n.delete(id);
         }
         self.placements.write().remove(&id.0);
-        self.pending.lock().remove(&id.0);
         // S3 copies are governed by snapshot retention, not live deletes.
     }
 }
@@ -878,10 +885,58 @@ mod tests {
         let p = store.placement_of(ids[7]).unwrap();
         assert_eq!(p.primary, NodeId(ids[7].0 as u32 % 2));
         assert!(p.secondary.is_some());
-        assert_eq!(store.backup_backlog(), 0, "S3 already has it");
         store.get_any(ids[7]).unwrap();
         assert_eq!(store.fallthrough_stats().1, 1, "second read is local");
         assert_eq!(store.hydration_progress(), 0.1);
+    }
+
+    #[test]
+    fn hydrated_blocks_are_backed_up_unless_already_in_the_own_bucket() {
+        // From another cluster's snapshot: copied into the own bucket, so
+        // the origin's retention cannot take it away.
+        let (s3, store, ids) = restored(2);
+        store.get_any(ids[0]).unwrap();
+        assert_eq!(store.backup_backlog(), 1);
+        assert_eq!(store.drain_backup_queue().unwrap(), 1);
+        assert!(s3.exists("r", &block_key("own", ids[0])));
+        // From the cluster's own bucket: S3 already has it.
+        let b = block(vec![5; 8]);
+        s3.put("r", &block_key("own", b.id), b.serialize());
+        let store = ReplicatedStore::new(2, 2, Arc::clone(&s3), "r", "own").unwrap();
+        store.restore_from("r", "own", [(b.id, NodeId(0))]);
+        assert_eq!(hydrate_all(&store), 1);
+        assert_eq!(store.backup_backlog(), 0);
+    }
+
+    #[test]
+    fn demand_read_survives_a_failed_placement() {
+        use redsim_faultkit::{fp, ErrClass, FaultSpec};
+        let (s3, store, ids) = restored(2);
+        s3.faults().configure(fp::MIRROR_WRITE_PRIMARY, FaultSpec::err(ErrClass::Fault));
+        assert_eq!(store.get_any(ids[0]).unwrap().payload, vec![0; 8]);
+        assert_eq!(store.placement_of(ids[0]), None, "stays pending");
+        assert_eq!(store.hydration_progress(), 0.0);
+        // Hydration passes the placement error on; the block stays pending.
+        assert_eq!(store.hydrate_step(1).unwrap_err().code(), "FAULT");
+        s3.faults().clear(fp::MIRROR_WRITE_PRIMARY);
+        assert_eq!(hydrate_all(&store), 2);
+        assert_eq!(store.hydration_progress(), 1.0);
+        // With no live node to hold it, a read is still served from S3.
+        let (_s3, store, ids) = restored(1);
+        store.kill_node(NodeId(0));
+        store.kill_node(NodeId(1));
+        assert!(store.get_any(ids[0]).is_ok());
+        assert_eq!(store.hydration_progress(), 0.0);
+    }
+
+    #[test]
+    fn a_deleted_pending_block_is_never_placed() {
+        let (_s3, store, ids) = restored(2);
+        store.node_store(NodeId(0)).delete(ids[0]);
+        assert!(store.get_any(ids[0]).is_ok(), "S3 still has it");
+        assert_eq!(store.placement_of(ids[0]), None);
+        assert_eq!(hydrate_all(&store), 1);
+        assert_eq!(store.placed_block_ids(), vec![ids[1]]);
     }
 
     #[test]
