@@ -180,22 +180,24 @@ echo "== vectorized-kernel invariants (quick property pass) =="
 # when given, is the reference's short-circuit answer for the chain;
 # and coverage itself is asserted (>80% of the trees the reference can
 # evaluate). NaN total-order comparisons are pinned exhaustively.
-# vector_aggregates_match_value_path holds the typed accumulators to
-# the row-at-a-time AggState path (NULLs, NaN, ±0, sums wrapping past
-# i64::MAX, filters that keep nothing, empty tables; no key, an integer
-# or VARCHAR key, two of them, NULL keys). vector_joins_match_baseline
-# is the join's oracle: generated two- and three-table plans on the
-# executor vs engine::baseline — every JoinDistStrategy incl. a join
-# above a join, INNER and LEFT, residuals, NULL and duplicate-heavy
-# keys, INT2 ⋈ INT8 / DATE / VARCHAR keys, build and probe sides
-# arriving empty, partly and fully selected, any emit list; ordered
-# lists on one slice, f64 sums bit for bit. vector_interp_fallback_*
-# pins exec.interp_fallback and exec.key_fallback at 0 on the
-# benchmark's statement shapes (adhoc_scan, star_join, dashboards),
-# the first non-zero on a cast/CASE predicate, a function projection or
-# sort key, and a CASE group key or aggregate argument, the second on a
-# FLOAT8 join key, a DECIMAL group key and a three-key GROUP BY.
-# Reproduce with RSIM_SEED=<seed>.
+# vector_aggregates_match_value_path holds the typed accumulators and
+# the leader's merge to the row-at-a-time AggState path (NULLs, NaN, ±0,
+# sums wrapping past i64::MAX, filters that keep nothing, empty tables;
+# no key, or one to four keys of every lane: integer, FLOAT8, DECIMAL,
+# BOOL, VARCHAR, NULL keys). vector_joins_match_baseline is the join's
+# oracle: generated two- and three-table plans on the executor vs
+# engine::baseline — every JoinDistStrategy incl. a join above a join,
+# INNER and LEFT, residuals, NULL and duplicate-heavy keys, one key pair
+# per lane (INT2 ⋈ INT8, DATE, BOOL, VARCHAR, FLOAT8 with ±0/NaN,
+# DECIMAL of one and of two scales, INT ⋈ DECIMAL, INT ⋈ FLOAT8), build
+# and probe sides arriving empty, partly and fully selected, any emit
+# list; ordered lists on one slice, f64 sums bit for bit.
+# vector_interp_fallback_* pins exec.interp_fallback at 0 on the
+# benchmark's statement shapes (adhoc_scan, star_join, dashboards) and
+# non-zero on a cast/CASE predicate, a function projection or sort key,
+# and a CASE group key or aggregate argument; a FLOAT8 join key, a
+# DECIMAL group key and a three-key GROUP BY answer as query_interpreted
+# does. Reproduce with RSIM_SEED=<seed>.
 RSIM_PROP_CASES=4 cargo test -q --offline --test properties vector_
 
 echo "== one expression semantics (quick differential pass) =="
@@ -417,6 +419,34 @@ for f in crates/replication/src/*.rs crates/core/src/cluster/durable.rs \
   block_home_lines=$((block_home_lines + n))
 done
 echo "  non-test lines: $block_home_lines (parent: 1849)"
+
+echo "== one key path (quick pass) =="
+# Every join and GROUP BY key is a typed code from slice to leader
+# (DESIGN.md §16): the lane comes from the key's type, a join's from
+# both types. The probes: join keys match exactly when `=` holds (mixed
+# DECIMAL scales, INT ⋈ DECIMAL / FLOAT8, FLOAT8 ⋈ DECIMAL / INT, 0.0 ⋈
+# -0.0, NaN ⋈ NaN), pairs `=` refuses are refused, FLOAT8 keys group
+# and DISTINCT as `=` compares, and negating a type's minimum raises the
+# type's error on both engines; the key module's and agg's unit tests;
+# dist_hash places `=`-equal numerics on one slice.
+cargo test -q --offline --test end_to_end one_key_path_
+cargo test -q --offline -p redsim-engine --lib -- keys:: unsorted_group_order_ \
+  typed_accumulators_match_the_value_path floats_are_equal_as_eq_compares_them
+cargo test -q --offline -p redsim-distribution --lib -- keys_equal_by_sql_equality_hash_alike
+# Structural guard: the boxed key lanes and their counter stay deleted.
+if grep -rn 'GroupTable\|GroupKey\|update_hashed\|key_fallback\|Lookup::Boxed' crates/ src/ tests/; then
+  echo "ERROR: a boxed key lane or key_fallback reappeared" >&2
+  exit 1
+fi
+# Non-test lines of the files the one key path was about; with the
+# boxed lanes they were 4,382.
+key_path_lines=0
+for f in crates/engine/src/*.rs crates/core/src/cluster/read.rs; do
+  n=$(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f")
+  printf '  %5d %s\n' "$n" "$f"
+  key_path_lines=$((key_path_lines + n))
+done
+echo "  non-test lines: $key_path_lines (parent: 4382)"
 
 echo "== benchdiff smoke (self-diff must pass, regression must fail) =="
 bd_dir=$(mktemp -d)

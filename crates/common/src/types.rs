@@ -307,6 +307,13 @@ pub fn cmp_f64(a: f64, b: f64) -> Ordering {
     })
 }
 
+/// One representative per SQL-equal float, as [`cmp_f64`] equates them:
+/// `-0.0` → `0.0`, any NaN → the canonical NaN. Every float hash (keys,
+/// sketches, distribution) goes through it.
+pub fn canon_f64(x: f64) -> f64 {
+    if x.is_nan() { f64::NAN } else { x + 0.0 }
+}
+
 /// `10^scale` as i128, failing on absurd scales.
 pub fn pow10(scale: u8) -> Result<i128> {
     if scale > 38 {

@@ -1,6 +1,7 @@
 //! Distribution styles and the row router.
 
 use crate::topology::{ClusterTopology, SliceId};
+use redsim_common::types::canon_f64;
 use redsim_common::{fx_hash64, ColumnData, Result, RsError, Value};
 
 /// Table distribution style (`DISTSTYLE`).
@@ -33,8 +34,17 @@ pub fn dist_hash(v: &Value) -> u64 {
         Value::Int2(_) | Value::Int4(_) | Value::Int8(_) | Value::Date(_) | Value::Timestamp(_)
         | Value::Bool(_) => fx_hash64(&v.as_i64().expect("integer family")),
         Value::Str(s) => fx_hash64(s.as_str()),
-        Value::Float8(f) => fx_hash64(&f.to_bits()),
-        Value::Decimal { units, scale } => fx_hash64(&(*units, *scale)),
+        // FLOAT8 and DECIMAL hash by the f64 `=` compares them by, a whole
+        // one as that integer: keys `=` equates land on one slice whatever
+        // their numeric types (0.0 and -0.0, 2.00 and 2.000, 2 and 2.0).
+        Value::Float8(_) | Value::Decimal { .. } => {
+            let f = canon_f64(v.as_f64().expect("numeric"));
+            if f.fract() == 0.0 && f.abs() < 9.2e18 {
+                fx_hash64(&(f as i64))
+            } else {
+                fx_hash64(&f.to_bits())
+            }
+        }
         Value::Null => 0, // all NULL keys co-locate (matches Redshift)
     }
 }
@@ -177,6 +187,25 @@ mod tests {
             r1.slice_for_key(&Value::Int4(42)),
             r1.slice_for_key(&Value::Int8(42))
         );
+    }
+
+    #[test]
+    fn keys_equal_by_sql_equality_hash_alike() {
+        // Whatever their numeric types: a join re-hashing both sides, or
+        // two tables distributed on them, must meet these rows.
+        let dec = |units: i128, scale: u8| Value::Decimal { units, scale };
+        for (a, b) in [
+            (Value::Int4(2), dec(200, 2)),
+            (dec(200, 2), dec(2000, 3)),
+            (Value::Int8(2), Value::Float8(2.0)),
+            (dec(-150, 2), Value::Float8(-1.5)),
+            (Value::Float8(0.0), Value::Float8(-0.0)),
+            (Value::Float8(f64::NAN), Value::Float8(-f64::NAN)),
+        ] {
+            assert!(a.eq_sql(&b), "{a:?} = {b:?}");
+            assert_eq!(dist_hash(&a), dist_hash(&b), "{a:?} vs {b:?}");
+        }
+        assert_ne!(dist_hash(&dec(150, 2)), dist_hash(&Value::Int8(1)));
     }
 
     #[test]

@@ -1,147 +1,68 @@
-//! Aggregation state: typed accumulators for the common shapes, the
-//! boxed [`AggState`] / [`HKey`] table for the rest.
+//! GROUP BY: one table of groups, from the slice to the leader.
 //!
 //! A slice fragment folds its `(batch, selection)` pairs into a
-//! [`Groups`], one column at a time:
+//! [`Groups`], one column at a time. Each key column is coded to dense
+//! ids on its type's lane ([`crate::keys`]); the first key's id, then
+//! `(group so far, id)` packed into one `i64` per further key, is the
+//! row's group, numbered in first-seen order. A group's key values are
+//! copied once, from the row that opened it.
 //!
-//! | GROUP BY | table | per-row work |
-//! |---|---|---|
-//! | none | [`TypedGroups`], one group | none beyond the accumulators |
-//! | one INT2/4/8, DATE or TIMESTAMP key | [`TypedGroups`], `i64 → group id` | one integer hash lookup |
-//! | one VARCHAR key | [`TypedGroups`], bytes `→ group id` | one string hash lookup, no allocation |
-//! | two keys, each of the above | [`TypedGroups`], a lookup per key, then `(id, id)` packed into an `i64 → group id` | three hash lookups |
-//! | anything else (a FLOAT8, DECIMAL or BOOL key, three or more keys) | [`GroupTable`] — counted (`ExecMetrics::key_fallback`) | an `HKey` per key column, a `GroupKey` per row |
+//! COUNT, SUM and AVG over the i64 and f64 lanes and MIN/MAX over
+//! integer-family and FLOAT8 arguments are struct-of-arrays accumulators
+//! ([`Acc`]) updated in typed loops straight off the argument column's
+//! payload; DISTINCT, the sketch, DECIMAL sums and MIN/MAX over VARCHAR,
+//! DECIMAL or BOOL keep one boxed [`AggState`] per group. Arguments and
+//! keys come from the binder ([`crate::expr::bind`]): borrowed, computed
+//! by a kernel, or — counted — evaluated by the row interpreter over the
+//! selected rows.
 //!
-//! Inside a `TypedGroups`, COUNT, SUM and AVG over the i64 and f64
-//! lanes and MIN/MAX over integer-family and FLOAT8 arguments are
-//! struct-of-arrays accumulators ([`Acc`]) updated in typed loops
-//! straight off the argument column's payload; DISTINCT, the sketch,
-//! DECIMAL sums and MIN/MAX over VARCHAR, DECIMAL or BOOL keep one
-//! boxed [`AggState`] per group. Arguments and keys come from the
-//! binder ([`crate::expr::bind`]): borrowed, computed by a kernel, or —
-//! counted — evaluated by the row interpreter over the selected rows.
-//!
-//! Either table ends as a [`GroupTable`], filled in first-seen order —
-//! the order the boxed path has always inserted in — so the leader's
-//! merge, and with it the order of an unsorted GROUP BY result, does not
-//! depend on which path a fragment took. Row order inside a slice is
-//! preserved throughout, so `f64` sums add up in the same order.
+//! The leader's final merge is the same fold ([`Groups::merge`]): each
+//! fragment's key columns, in slice order, map its groups to the
+//! leader's, and [`Acc::merge`] adds its accumulators in. An unsorted
+//! GROUP BY result therefore comes out in first-seen order — slice
+//! order, then row order — and `f64` sums add up in one fixed order.
 
 use crate::expr::bind;
 use crate::hashkey::HKey;
 use crate::kernels::with_ints;
+use crate::keys::{is_int_key, Dict, KeyLane};
 use crate::selection::Selection;
 use redsim_common::types::cmp_f64;
-use redsim_common::{Bitmap, ColumnData, DataType, FxHashMap, FxHashSet, Result, RsError, Value};
+use redsim_common::{Bitmap, ColumnData, DataType, FxHashSet, Result, RsError, Value};
 use redsim_sql::plan::{AggExpr, AggFunc, BoundExpr, OutCol};
 use redsim_storage::stats::KmvSketch;
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
 
-/// Composite group key without a heap allocation for the common 0/1/2
-/// column cases.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum GroupKey {
-    Empty,
-    One(HKey),
-    Two(HKey, HKey),
-    Many(Vec<HKey>),
-}
-
-impl GroupKey {
-    fn values(&self) -> Vec<&HKey> {
-        match self {
-            GroupKey::Empty => Vec::new(),
-            GroupKey::One(a) => vec![a],
-            GroupKey::Two(a, b) => vec![a, b],
-            GroupKey::Many(v) => v.iter().collect(),
-        }
-    }
-}
-
-/// group key -> agg states: what a fragment hands the leader, and the
-/// boxed path's working table.
-#[derive(Default)]
-pub(crate) struct GroupTable(FxHashMap<GroupKey, Vec<AggState>>);
-
-impl GroupTable {
-    /// Fold another fragment's partial states into this one.
-    pub(crate) fn merge(&mut self, other: GroupTable) {
-        for (k, states) in other.0 {
-            match self.0.entry(k) {
-                Entry::Occupied(mut e) => {
-                    for (a, b) in e.get_mut().iter_mut().zip(states) {
-                        a.merge(b);
-                    }
-                }
-                Entry::Vacant(e) => {
-                    e.insert(states);
-                }
-            }
-        }
-    }
-
-    /// Finish every group into one output batch (`output` = group keys,
-    /// then aggregates).
-    pub(crate) fn into_batch(
-        mut self,
-        group_by: &[BoundExpr],
-        aggs: &[AggExpr],
-        output: &[OutCol],
-    ) -> Result<Vec<ColumnData>> {
-        // Global aggregate over zero rows still yields one group.
-        if group_by.is_empty() && self.0.is_empty() {
-            self.0
-                .insert(GroupKey::Empty, aggs.iter().map(AggState::init).collect());
-        }
-        let mut cols: Vec<ColumnData> = output.iter().map(|c| ColumnData::new(c.ty)).collect();
-        for (key, states) in self.0 {
-            for (i, hk) in key.values().into_iter().enumerate() {
-                cols[i].push_value(&hkey_to_value(hk, output[i].ty))?;
-            }
-            for (j, st) in states.into_iter().enumerate() {
-                let slot = group_by.len() + j;
-                cols[slot].push_value(&st.finish().coerce_to(output[slot].ty)?)?;
-            }
-        }
-        Ok(cols)
-    }
-}
-
-/// One fragment's partial aggregation.
+/// One fragment's groups, or at the leader every fragment's, merged.
 pub(crate) struct Groups<'a> {
     group_by: &'a [BoundExpr],
     aggs: &'a [AggExpr],
-    table: Table,
-}
-
-enum Table {
-    Typed(TypedGroups),
-    Hashed(GroupTable),
-}
-
-pub(crate) fn is_int_key(ty: DataType) -> bool {
-    // BOOL hashes as `HKey::Bool`, not `HKey::Int`: it stays boxed.
-    matches!(
-        ty,
-        DataType::Int2 | DataType::Int4 | DataType::Int8 | DataType::Date | DataType::Timestamp
-    )
+    /// One dictionary per key.
+    lanes: Vec<KeyLane>,
+    /// Per key after the first: `(group so far << 32) | its id` → group.
+    pairs: Vec<Dict<i64>>,
+    /// Each group's key values, from the row that opened it.
+    keys: Vec<ColumnData>,
+    groups: usize,
+    accs: Vec<Acc>,
 }
 
 impl<'a> Groups<'a> {
     pub(crate) fn new(group_by: &'a [BoundExpr], aggs: &'a [AggExpr]) -> Self {
-        let lanes: Option<Vec<KeyLane>> = (group_by.len() <= 2)
-            .then(|| group_by.iter().map(|k| KeyLane::for_type(k.ty())).collect())
-            .flatten();
-        let table = match lanes {
-            Some(lanes) => Table::Typed(TypedGroups::new(aggs, lanes)),
-            None => Table::Hashed(GroupTable::default()),
-        };
+        let mut accs: Vec<Acc> = aggs.iter().map(Acc::new).collect();
+        // Without keys there is one group, rows or no rows.
+        if group_by.is_empty() {
+            accs.iter_mut().zip(aggs).for_each(|(acc, spec)| acc.push_group(spec));
+        }
         Groups {
             group_by,
             aggs,
-            table,
+            lanes: group_by.iter().map(|k| KeyLane::for_type(k.ty())).collect(),
+            pairs: group_by.iter().skip(1).map(|_| Dict::default()).collect(),
+            keys: group_by.iter().map(|k| ColumnData::new(k.ty())).collect(),
+            groups: group_by.is_empty() as usize,
+            accs,
         }
     }
 
@@ -171,24 +92,67 @@ impl<'a> Groups<'a> {
             .iter()
             .map(|k| &**k.as_ref().expect("group keys are expressions"))
             .collect();
-        let args: Vec<Option<&ColumnData>> = args.iter().map(|a| a.as_deref()).collect();
-        match &mut self.table {
-            Table::Typed(t) => t.update(&keys, &args, self.aggs, sel)?,
-            Table::Hashed(t) => update_hashed(t, &keys, &args, self.aggs, sel)?,
+        let gids = self.open(&keys, sel)?;
+        for ((acc, spec), arg) in self.accs.iter_mut().zip(self.aggs).zip(args) {
+            if gids.is_empty() {
+                acc.update(spec, arg.as_deref(), sel, |_| 0)?;
+            } else {
+                acc.update(spec, arg.as_deref(), sel, |j| gids[j] as usize)?;
+            }
         }
         Ok(fallbacks)
     }
 
-    /// True when group keys go through [`HKey`]: the counted lane.
-    pub(crate) fn boxes_keys(&self) -> bool {
-        matches!(self.table, Table::Hashed(_))
+    /// Fold another fragment's groups in: its key rows map its groups to
+    /// these, opening the ones new here, and its accumulators add in.
+    pub(crate) fn merge(&mut self, other: Groups) -> Result<()> {
+        let keys: Vec<&ColumnData> = other.keys.iter().collect();
+        let gids = self.open(&keys, &Selection::all(other.groups))?;
+        for (acc, theirs) in self.accs.iter_mut().zip(other.accs) {
+            acc.merge(theirs, |j| gids.get(j).map_or(0, |&g| g as usize));
+        }
+        Ok(())
     }
 
-    pub(crate) fn into_table(self) -> GroupTable {
-        match self.table {
-            Table::Typed(t) => t.into_table(),
-            Table::Hashed(t) => t,
+    /// Every group as one output batch (`output` = group keys, then
+    /// aggregates).
+    pub(crate) fn finish(self, output: &[OutCol]) -> Result<Vec<ColumnData>> {
+        let mut cols = self.keys;
+        for (acc, out) in self.accs.into_iter().zip(&output[self.group_by.len()..]) {
+            cols.push(acc.finish(out.ty)?);
         }
+        Ok(cols)
+    }
+
+    /// The group of each selected row of `keys` (none without keys: all
+    /// are group 0), opening groups on first sight — a key row copied
+    /// from the row that opened it, a slot in every accumulator.
+    fn open(&mut self, keys: &[&ColumnData], sel: &Selection) -> Result<Vec<u32>> {
+        let mut gids = Vec::new();
+        let Some((first, rest)) = self.lanes.split_first_mut() else {
+            return Ok(gids);
+        };
+        gids.reserve(sel.len());
+        first.ids_of(keys[0], sel, &mut gids)?;
+        let mut ids = Vec::with_capacity(sel.len());
+        for ((lane, pairs), key) in rest.iter_mut().zip(&mut self.pairs).zip(&keys[1..]) {
+            ids.clear();
+            lane.ids_of(key, sel, &mut ids)?;
+            for (g, &id) in gids.iter_mut().zip(&ids) {
+                *g = pairs.id_of(&(((*g as i64) << 32) | id as i64));
+            }
+        }
+        let opened = self.groups;
+        sel.for_each(|j, i| {
+            if gids[j] as usize == self.groups {
+                self.keys.iter_mut().zip(keys).for_each(|(out, key)| out.push_from(key, i));
+                self.groups += 1;
+            }
+        });
+        for (acc, spec) in self.accs.iter_mut().zip(self.aggs) {
+            (opened..self.groups).for_each(|_| acc.push_group(spec));
+        }
+        Ok(gids)
     }
 }
 
@@ -206,6 +170,18 @@ fn for_valid(sel: &Selection, nulls: &Bitmap, mut f: impl FnMut(usize, usize)) {
     }
 }
 
+/// Fold `seen` values whose best is `x` into group `g`'s MIN/MAX: `x` is
+/// taken when `g` has none yet or `better(x, best)` — strictly, so of
+/// equal values (-0.0 and 0.0, two NaNs) the first seen stays, as in
+/// [`AggState`].
+#[inline]
+fn fold_best<T: Copy>(best: &mut [T], n: &mut [i64], g: usize, (x, seen): (T, i64), better: impl Fn(T, T) -> bool) {
+    if seen > 0 && (n[g] == 0 || better(x, best[g])) {
+        best[g] = x;
+    }
+    n[g] += seen;
+}
+
 /// One aggregate's accumulators, one slot per group. `n` counts the
 /// non-NULL inputs a group has seen (SQL: SUM/MIN/MAX of none is NULL).
 enum Acc {
@@ -219,24 +195,19 @@ enum Acc {
         n: Vec<i64>,
         avg: bool,
     },
-    /// MIN/MAX over the i64 lane; `ty` rebuilds the `Value`.
+    /// MIN (`want` = `Less`) or MAX over the integer family.
     MinMaxInt {
         best: Vec<i64>,
         n: Vec<i64>,
-        is_min: bool,
-        ty: DataType,
+        want: Ordering,
     },
     MinMaxFloat {
         best: Vec<f64>,
         n: Vec<i64>,
-        is_min: bool,
+        want: Ordering,
     },
     /// Shapes without a typed lane keep the boxed state.
     Boxed(Vec<AggState>),
-}
-
-fn int_lane(ty: Option<DataType>) -> bool {
-    ty.is_some_and(|t| is_int_key(t) || t == DataType::Bool)
 }
 
 impl Acc {
@@ -245,6 +216,8 @@ impl Acc {
     fn new(a: &AggExpr) -> Acc {
         let ty = a.arg.as_ref().map(|e| e.ty());
         let float = ty == Some(DataType::Float8);
+        let int = ty.is_some_and(is_int_key);
+        let want = if a.func == AggFunc::Min { Ordering::Less } else { Ordering::Greater };
         match a.func {
             AggFunc::CountStar => Acc::Count {
                 n: Vec::new(),
@@ -254,7 +227,7 @@ impl Acc {
                 n: Vec::new(),
                 star: false,
             },
-            AggFunc::Sum if int_lane(ty) => Acc::SumInt {
+            AggFunc::Sum if int => Acc::SumInt {
                 sum: Vec::new(),
                 n: Vec::new(),
             },
@@ -263,7 +236,7 @@ impl Acc {
                 n: Vec::new(),
                 avg: false,
             },
-            AggFunc::Avg if float || int_lane(ty) => Acc::SumFloat {
+            AggFunc::Avg if float || int => Acc::SumFloat {
                 sum: Vec::new(),
                 n: Vec::new(),
                 avg: true,
@@ -271,13 +244,12 @@ impl Acc {
             AggFunc::Min | AggFunc::Max if float => Acc::MinMaxFloat {
                 best: Vec::new(),
                 n: Vec::new(),
-                is_min: a.func == AggFunc::Min,
+                want,
             },
-            AggFunc::Min | AggFunc::Max if ty.is_some_and(is_int_key) => Acc::MinMaxInt {
+            AggFunc::Min | AggFunc::Max if int && ty != Some(DataType::Bool) => Acc::MinMaxInt {
                 best: Vec::new(),
                 n: Vec::new(),
-                is_min: a.func == AggFunc::Min,
-                ty: ty.expect("checked"),
+                want,
             },
             _ => Acc::Boxed(Vec::new()),
         }
@@ -334,8 +306,8 @@ impl Acc {
                 }),
                 _ => return Err(mismatch(c))),
             (Acc::SumFloat { sum, n, .. }, Some(c)) => {
-                // Row order is the selection's order: the same order the
-                // boxed path adds in, so the sum is bit-identical.
+                // Row order is the selection's order, so a group's sum adds
+                // up in the order the value path adds in: bit-identical.
                 let mut add = |j: usize, x: f64| {
                     let g = gid(j);
                     sum[g] += x;
@@ -350,44 +322,17 @@ impl Acc {
                         _ => return Err(mismatch(c))),
                 }
             }
-            (
-                Acc::MinMaxInt {
-                    best, n, is_min, ..
-                },
-                Some(c),
-            ) => {
-                let want = if *is_min {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                };
-                with_ints!(c,
-                    d => for_valid(sel, c.nulls(), |j, i| {
-                        let (g, x) = (gid(j), d[i] as i64);
-                        if n[g] == 0 || x.cmp(&best[g]) == want {
-                            best[g] = x;
-                        }
-                        n[g] += 1;
-                    }),
-                    _ => return Err(mismatch(c)))
-            }
-            (Acc::MinMaxFloat { best, n, is_min }, Some(c)) => {
-                let want = if *is_min {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                };
+            (Acc::MinMaxInt { best, n, want }, Some(c)) => with_ints!(c,
+                d => for_valid(sel, c.nulls(), |j, i| {
+                    fold_best(best, n, gid(j), (d[i] as i64, 1), |x, b| x.cmp(&b) == *want)
+                }),
+                _ => return Err(mismatch(c))),
+            (Acc::MinMaxFloat { best, n, want }, Some(c)) => {
                 let ColumnData::Float8 { data, nulls } = c else {
                     return Err(mismatch(c));
                 };
-                // Strictly better only, by `cmp_f64`: of -0.0 and 0.0 (or
-                // two NaNs) the first seen stays, as in `AggState`.
                 for_valid(sel, nulls, |j, i| {
-                    let (g, x) = (gid(j), data[i]);
-                    if n[g] == 0 || cmp_f64(x, best[g]) == want {
-                        best[g] = x;
-                    }
-                    n[g] += 1;
+                    fold_best(best, n, gid(j), (data[i], 1), |x, b| cmp_f64(x, b) == *want)
                 })
             }
             (Acc::Boxed(states), col) => {
@@ -405,289 +350,69 @@ impl Acc {
         Ok(())
     }
 
-    /// Every group's state in the boxed form the leader merges.
-    fn into_states(self) -> Vec<AggState> {
-        let seen = |n: i64| n > 0;
-        match self {
-            Acc::Count { n, .. } => n.into_iter().map(AggState::Count).collect(),
-            Acc::SumInt { sum, n } => sum
-                .into_iter()
-                .zip(n)
-                .map(|(sum, n)| AggState::SumInt { sum, seen: seen(n) })
-                .collect(),
-            Acc::SumFloat { sum, n, avg } => sum
-                .into_iter()
-                .zip(n)
-                .map(|(sum, n)| match avg {
-                    true => AggState::Avg { sum, n },
-                    false => AggState::SumFloat { sum, seen: seen(n) },
-                })
-                .collect(),
-            Acc::MinMaxInt {
-                best,
-                n,
-                is_min,
-                ty,
-            } => best
-                .into_iter()
-                .zip(n)
-                .map(|(b, n)| AggState::MinMax {
-                    best: seen(n).then(|| hkey_to_value(&HKey::Int(b), ty)),
-                    is_min,
-                })
-                .collect(),
-            Acc::MinMaxFloat { best, n, is_min } => best
-                .into_iter()
-                .zip(n)
-                .map(|(b, n)| AggState::MinMax {
-                    best: seen(n).then_some(Value::Float8(b)),
-                    is_min,
-                })
-                .collect(),
-            Acc::Boxed(states) => states,
-        }
-    }
-}
-
-/// A dictionary: each distinct key (NULL too) gets a dense id, counted
-/// from 0 in first-seen order.
-#[derive(Default)]
-struct Dict<K> {
-    ids: FxHashMap<K, u32>,
-    null_id: Option<u32>,
-    len: u32,
-}
-
-impl<K: std::hash::Hash + Eq> Dict<K> {
-    fn fresh(len: &mut u32) -> u32 {
-        *len += 1;
-        *len - 1
-    }
-
-    #[inline]
-    fn null(&mut self) -> u32 {
-        *self.null_id.get_or_insert_with(|| Self::fresh(&mut self.len))
-    }
-
-    /// The key of each id (`None` = NULL).
-    fn into_keys(self) -> Vec<Option<K>> {
-        let mut keys: Vec<Option<K>> = (0..self.len).map(|_| None).collect();
-        for (k, id) in self.ids {
-            keys[id as usize] = Some(k);
-        }
-        keys
-    }
-}
-
-impl Dict<i64> {
-    #[inline]
-    fn id_of(&mut self, key: i64) -> u32 {
-        *self.ids.entry(key).or_insert_with(|| Self::fresh(&mut self.len))
-    }
-}
-
-impl Dict<Box<[u8]>> {
-    /// One hash of the bytes; a key is copied once, when first seen.
-    #[inline]
-    fn id_of(&mut self, key: &[u8]) -> u32 {
-        if let Some(&id) = self.ids.get(key) {
-            return id;
-        }
-        let id = Self::fresh(&mut self.len);
-        self.ids.insert(key.into(), id);
-        id
-    }
-}
-
-/// One group key column's dictionary, on the lane its type has.
-enum KeyLane {
-    /// The integer family, widened to i64.
-    Int(Dict<i64>),
-    /// VARCHAR, by its UTF-8 bytes.
-    Str(Dict<Box<[u8]>>),
-}
-
-impl KeyLane {
-    fn for_type(ty: DataType) -> Option<KeyLane> {
-        match ty {
-            DataType::Varchar => Some(KeyLane::Str(Dict::default())),
-            ty if is_int_key(ty) => Some(KeyLane::Int(Dict::default())),
-            _ => None,
-        }
-    }
-
-    /// Append the id of each selected row's key to `out`; how many ids
-    /// the dictionary now holds.
-    fn ids_of(&mut self, col: &ColumnData, sel: &Selection, out: &mut Vec<u32>) -> Result<u32> {
-        let nulls = col.nulls();
-        let mismatch = || {
-            RsError::Execution(format!("typed group key got a {} column", col.data_type()))
-        };
-        match (self, col) {
-            (KeyLane::Str(dict), ColumnData::Str { data, .. }) => {
-                sel.for_each(|_, i| {
-                    out.push(if nulls.get(i) { dict.id_of(data.bytes_at(i)) } else { dict.null() })
-                });
-                Ok(dict.len)
+    /// Fold another table's accumulators for the same aggregate in: its
+    /// group `j` is this one's `gid(j)`.
+    fn merge(&mut self, other: Acc, gid: impl Fn(usize) -> usize) {
+        match (self, other) {
+            (Acc::Count { n, .. }, Acc::Count { n: theirs, .. }) => {
+                theirs.into_iter().enumerate().for_each(|(j, m)| n[gid(j)] += m)
             }
-            // BOOL has an integer payload but hashes as `HKey::Bool`.
-            (KeyLane::Int(_), ColumnData::Bool { .. }) | (KeyLane::Str(_), _) => Err(mismatch()),
-            (KeyLane::Int(dict), other) => {
-                with_ints!(other,
-                    d => sel.for_each(|_, i| {
-                        out.push(if nulls.get(i) { dict.id_of(d[i] as i64) } else { dict.null() })
-                    }),
-                    _ => return Err(mismatch()));
-                Ok(dict.len)
-            }
-        }
-    }
-
-    /// The `HKey` of each id.
-    fn into_hkeys(self) -> Vec<HKey> {
-        let text = |bytes: Box<[u8]>| {
-            HKey::Str(std::str::from_utf8(&bytes).expect("StrVec holds valid UTF-8").into())
-        };
-        match self {
-            KeyLane::Int(d) => d.into_keys().into_iter().map(|k| k.map_or(HKey::Null, HKey::Int)).collect(),
-            KeyLane::Str(d) => d.into_keys().into_iter().map(|k| k.map_or(HKey::Null, text)).collect(),
-        }
-    }
-}
-
-/// Groups of the shapes with typed key lanes — no key, or one or two
-/// keys that are each integer-family or VARCHAR: group ids in
-/// first-seen order, one [`Acc`] column per aggregate.
-struct TypedGroups {
-    /// One dictionary per key. A single key's id is the group id.
-    lanes: Vec<KeyLane>,
-    /// Two keys: their ids packed `(first << 32) | second` → group id.
-    pairs: Dict<i64>,
-    groups: usize,
-    accs: Vec<Acc>,
-}
-
-impl TypedGroups {
-    fn new(aggs: &[AggExpr], lanes: Vec<KeyLane>) -> Self {
-        TypedGroups { lanes, pairs: Dict::default(), groups: 0, accs: aggs.iter().map(Acc::new).collect() }
-    }
-
-    fn update(
-        &mut self,
-        keys: &[&ColumnData],
-        args: &[Option<&ColumnData>],
-        aggs: &[AggExpr],
-        sel: &Selection,
-    ) -> Result<()> {
-        // Group id of each selected row, opening groups on first sight.
-        let mut gids: Vec<u32> = Vec::with_capacity(sel.len() * self.lanes.len().min(1));
-        let groups = match self.lanes.as_mut_slice() {
-            [] => 1,
-            [lane] => lane.ids_of(keys[0], sel, &mut gids)?,
-            [first, second] => {
-                first.ids_of(keys[0], sel, &mut gids)?;
-                let mut seconds = Vec::with_capacity(sel.len());
-                second.ids_of(keys[1], sel, &mut seconds)?;
-                for (g, s) in gids.iter_mut().zip(seconds) {
-                    *g = self.pairs.id_of(((*g as i64) << 32) | s as i64);
+            (Acc::SumInt { sum, n }, Acc::SumInt { sum: s, n: m }) => {
+                for (j, (s, m)) in s.into_iter().zip(m).enumerate() {
+                    let g = gid(j);
+                    sum[g] += s;
+                    n[g] += m;
                 }
-                self.pairs.len
             }
-            _ => unreachable!("at most two typed key lanes"),
-        } as usize;
-        for _ in self.groups..groups {
-            for (acc, spec) in self.accs.iter_mut().zip(aggs) {
-                acc.push_group(spec);
+            (Acc::SumFloat { sum, n, .. }, Acc::SumFloat { sum: s, n: m, .. }) => {
+                for (j, (s, m)) in s.into_iter().zip(m).enumerate() {
+                    let g = gid(j);
+                    sum[g] += s;
+                    n[g] += m;
+                }
             }
+            (Acc::MinMaxInt { best, n, want }, Acc::MinMaxInt { best: b, n: m, .. }) => {
+                for (j, x) in b.into_iter().zip(m).enumerate() {
+                    fold_best(best, n, gid(j), x, |x, b| x.cmp(&b) == *want)
+                }
+            }
+            (Acc::MinMaxFloat { best, n, want }, Acc::MinMaxFloat { best: b, n: m, .. }) => {
+                for (j, x) in b.into_iter().zip(m).enumerate() {
+                    fold_best(best, n, gid(j), x, |x, b| cmp_f64(x, b) == *want)
+                }
+            }
+            (Acc::Boxed(states), Acc::Boxed(theirs)) => {
+                theirs.into_iter().enumerate().for_each(|(j, s)| states[gid(j)].merge(s))
+            }
+            _ => unreachable!("mismatched accumulators"),
         }
-        self.groups = groups;
-        for ((acc, spec), arg) in self.accs.iter_mut().zip(aggs).zip(args) {
-            if self.lanes.is_empty() {
-                acc.update(spec, *arg, sel, |_| 0)?;
-            } else {
-                acc.update(spec, *arg, sel, |j| gids[j] as usize)?;
-            }
-        }
-        Ok(())
     }
 
-    /// Into the boxed table, inserting groups in first-seen order.
-    fn into_table(self) -> GroupTable {
-        let mut hkeys: Vec<Vec<HKey>> = self.lanes.into_iter().map(KeyLane::into_hkeys).collect();
-        let keys: Vec<GroupKey> = match hkeys.len() {
-            0 => vec![GroupKey::Empty; self.groups],
-            1 => hkeys.remove(0).into_iter().map(GroupKey::One).collect(),
-            _ => (self.pairs.into_keys().into_iter())
-                .map(|pair| {
-                    let pair = pair.expect("a packed pair is never NULL");
-                    let (a, b) = ((pair >> 32) as usize, pair as u32 as usize);
-                    GroupKey::Two(hkeys[0][a].clone(), hkeys[1][b].clone())
-                })
+    /// Every group's value, as a column of the aggregate's output type.
+    fn finish(self, ty: DataType) -> Result<ColumnData> {
+        let some = |n: &i64, v: Value| if *n > 0 { v } else { Value::Null };
+        let values: Vec<Value> = match self {
+            Acc::Count { n, .. } => n.into_iter().map(Value::Int8).collect(),
+            Acc::SumInt { sum, n } => {
+                sum.iter().zip(&n).map(|(&s, n)| some(n, Value::Int8(s as i64))).collect()
+            }
+            Acc::SumFloat { sum, n, avg } => (sum.iter().zip(&n))
+                .map(|(&s, n)| some(n, Value::Float8(if avg { s / *n as f64 } else { s })))
                 .collect(),
+            Acc::MinMaxInt { best, n, .. } => {
+                best.iter().zip(&n).map(|(&b, n)| some(n, Value::Int8(b))).collect()
+            }
+            Acc::MinMaxFloat { best, n, .. } => {
+                best.iter().zip(&n).map(|(&b, n)| some(n, Value::Float8(b))).collect()
+            }
+            Acc::Boxed(states) => states.into_iter().map(AggState::finish).collect(),
         };
-        let mut per_agg: Vec<_> = self
-            .accs
-            .into_iter()
-            .map(|a| a.into_states().into_iter())
-            .collect();
-        let mut table = GroupTable::default();
-        for key in keys {
-            let states = per_agg
-                .iter_mut()
-                .map(|s| s.next().expect("one state per group"))
-                .collect();
-            table.0.insert(key, states);
+        // `push_value` coerces: an INT4 MIN comes back INT4, a DATE a DATE.
+        let mut col = ColumnData::new(ty);
+        for v in &values {
+            col.push_value(v)?;
         }
-        table
-    }
-}
-
-/// The boxed path: an `HKey` per key column, a `GroupKey` per row.
-fn update_hashed(
-    table: &mut GroupTable,
-    keys: &[&ColumnData],
-    args: &[Option<&ColumnData>],
-    aggs: &[AggExpr],
-    sel: &Selection,
-) -> Result<()> {
-    let key_hkeys: Vec<Vec<HKey>> = (keys.iter())
-        .map(|c| sel.iter().map(|i| HKey::from_column(c, i)).collect())
-        .collect();
-    for (j, i) in sel.iter().enumerate() {
-        let key = match key_hkeys.len() {
-            0 => GroupKey::Empty,
-            1 => GroupKey::One(key_hkeys[0][j].clone()),
-            2 => GroupKey::Two(key_hkeys[0][j].clone(), key_hkeys[1][j].clone()),
-            _ => GroupKey::Many(key_hkeys.iter().map(|col| col[j].clone()).collect()),
-        };
-        let states = table
-            .0
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(AggState::init).collect());
-        for ((st, a), arg_col) in states.iter_mut().zip(aggs).zip(args) {
-            st.update_from_column(a, *arg_col, i)?;
-        }
-    }
-    Ok(())
-}
-
-fn hkey_to_value(k: &HKey, ty: DataType) -> Value {
-    match k {
-        HKey::Null => Value::Null,
-        HKey::Bool(b) => Value::Bool(*b),
-        HKey::Int(i) => match ty {
-            DataType::Date => Value::Date(*i as i32),
-            DataType::Timestamp => Value::Timestamp(*i),
-            DataType::Int2 => Value::Int2(*i as i16),
-            DataType::Int4 => Value::Int4(*i as i32),
-            _ => Value::Int8(*i),
-        },
-        HKey::Float(bits) => Value::Float8(f64::from_bits(*bits)),
-        HKey::Str(s) => Value::Str(s.to_string()),
-        HKey::Decimal(u, s) => Value::Decimal {
-            units: *u,
-            scale: *s,
-        },
+        Ok(col)
     }
 }
 
@@ -742,10 +467,10 @@ impl AggState {
         }
     }
 
-    /// One row into a boxed state — the hashed table's path, and the
-    /// typed table's for the shapes without an accumulator lane. Reads
-    /// the argument straight from the column, so the numeric aggregates
-    /// still avoid a `Value` per row.
+    /// One row into a boxed state: the path of the aggregates without
+    /// an accumulator lane (`Acc::Boxed`). AVG, DISTINCT and MIN/MAX
+    /// read the argument straight from the column, without a `Value`
+    /// per row.
     pub(crate) fn update_from_column(
         &mut self,
         spec: &AggExpr,
@@ -753,26 +478,6 @@ impl AggState {
         i: usize,
     ) -> Result<()> {
         match (&mut *self, col) {
-            (AggState::Count(n), col) => {
-                if spec.func == AggFunc::CountStar || col.is_some_and(|c| !c.is_null(i)) {
-                    *n += 1;
-                }
-                Ok(())
-            }
-            (AggState::SumInt { sum, seen }, Some(c)) => {
-                if let Some(x) = c.get_i64(i) {
-                    *sum += x as i128;
-                    *seen = true;
-                }
-                Ok(())
-            }
-            (AggState::SumFloat { sum, seen }, Some(c)) => {
-                if let Some(x) = c.get_f64(i) {
-                    *sum += x;
-                    *seen = true;
-                }
-                Ok(())
-            }
             (AggState::Avg { sum, n }, Some(c)) => {
                 if let Some(x) = c.get_f64(i) {
                     *sum += x;
@@ -808,7 +513,7 @@ impl AggState {
                 }
                 Ok(())
             }
-            // Decimal sums and sketches keep the general path.
+            // Decimal sums and sketches take the general path.
             (_, col) => {
                 let v = col.map(|c| c.get(i));
                 self.update(spec, v.as_ref())
@@ -982,6 +687,7 @@ impl AggState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redsim_common::FxHashMap;
     use redsim_sql::ast::BinaryOp;
 
     fn column(ty: DataType, vals: &[Value]) -> ColumnData {
@@ -1005,27 +711,56 @@ mod tests {
         BoundExpr::Column { index, ty }
     }
 
-    /// The typed table and the boxed per-row path, fed the same
-    /// selected rows, finish to the same values per key.
-    fn finish(g: Groups) -> Vec<(Vec<HKey>, Vec<Value>)> {
-        let mut out: Vec<_> = g
-            .into_table()
-            .0
-            .into_iter()
-            .map(|(k, states)| {
-                let key = k.values().into_iter().cloned().collect::<Vec<_>>();
-                (
-                    key,
-                    states.into_iter().map(AggState::finish).collect::<Vec<_>>(),
-                )
+    fn output(group_by: &[BoundExpr], aggs: &[AggExpr]) -> Vec<OutCol> {
+        (group_by.iter().map(|k| OutCol { name: "k".into(), ty: k.ty() }))
+            .chain(aggs.iter().map(|a| OutCol { name: a.output_name.clone(), ty: a.ty() }))
+            .collect()
+    }
+
+    /// A finished table's rows, in its order.
+    fn rows(g: Groups, out: &[OutCol]) -> Vec<String> {
+        let cols = g.finish(out).unwrap();
+        (0..cols[0].len())
+            .map(|i| format!("{:?}", cols.iter().map(|c| c.get(i)).collect::<Vec<_>>()))
+            .collect()
+    }
+
+    /// The value path: a boxed `AggState` per aggregate per key tuple, fed
+    /// one selected row at a time, groups in first-seen order.
+    fn reference(cols: &[ColumnData], sel: &Selection, group_by: &[BoundExpr], aggs: &[AggExpr]) -> Vec<String> {
+        let mut order: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
+        let mut index: FxHashMap<Vec<HKey>, usize> = FxHashMap::default();
+        if group_by.is_empty() {
+            order.push((Vec::new(), aggs.iter().map(AggState::init).collect()));
+            index.insert(Vec::new(), 0);
+        }
+        let dense = sel.gather(cols);
+        let all = Selection::all(sel.len());
+        let bound = |e: &BoundExpr| bind(e, &dense, &all).unwrap().0.into_owned();
+        let keys: Vec<ColumnData> = group_by.iter().map(bound).collect();
+        let args: Vec<Option<ColumnData>> = aggs.iter().map(|a| a.arg.as_ref().map(bound)).collect();
+        for i in 0..sel.len() {
+            let key: Vec<HKey> = keys.iter().map(|k| HKey::from_column(k, i)).collect();
+            let g = *index.entry(key).or_insert_with(|| {
+                order.push((keys.iter().map(|k| k.get(i)).collect(), aggs.iter().map(AggState::init).collect()));
+                order.len() - 1
+            });
+            for ((st, a), arg) in order[g].1.iter_mut().zip(aggs).zip(&args) {
+                st.update_from_column(a, arg.as_ref(), i).unwrap();
+            }
+        }
+        let out = output(group_by, aggs);
+        (order.into_iter())
+            .map(|(mut vals, states)| {
+                let finished = states.into_iter().zip(&out[group_by.len()..]);
+                vals.extend(finished.map(|(st, o)| st.finish().coerce_to(o.ty).unwrap()));
+                format!("{vals:?}")
             })
-            .collect();
-        out.sort_by_key(|(k, _)| format!("{k:?}"));
-        out
+            .collect()
     }
 
     #[test]
-    fn typed_shapes_match_the_boxed_table() {
+    fn typed_accumulators_match_the_value_path() {
         use Value::*;
         let cols = vec![
             column(
@@ -1067,70 +802,74 @@ mod tests {
                 }),
             ),
         ];
-        let key = [col(0, DataType::Int8)];
+        let keys = [col(0, DataType::Int8), col(1, DataType::Float8), col(2, DataType::Int4)];
         for sel in [
             Selection::all(6),
             Selection::from_ids(6, vec![0, 2, 3, 5]),
             Selection::none(6),
         ] {
-            for group_by in [&key[..], &[]] {
-                let mut typed = Groups::new(group_by, &aggs);
-                assert!(matches!(typed.table, Table::Typed(_)));
-                typed.update(&cols, &sel).unwrap();
-                // Reference: the boxed table over a dense copy.
-                let mut boxed = Groups {
-                    group_by,
-                    aggs: &aggs,
-                    table: Table::Hashed(GroupTable::default()),
-                };
-                let dense = sel.gather(&cols);
-                boxed.update(&dense, &Selection::all(sel.len())).unwrap();
-                let (t, b) = (finish(typed), finish(boxed));
-                assert_eq!(
-                    format!("{t:?}"),
-                    format!("{b:?}"),
-                    "sel {sel:?} keys {}",
-                    group_by.len()
-                );
+            for group_by in [&keys[..1], &[], &keys[1..2], &keys[..]] {
+                let out = output(group_by, &aggs);
+                let mut g = Groups::new(group_by, &aggs);
+                g.update(&cols, &sel).unwrap();
+                let want = reference(&cols, &sel, group_by, &aggs);
+                assert_eq!(rows(g, &out), want, "sel {sel:?} keys {}", group_by.len());
             }
         }
     }
 
     #[test]
-    fn unsorted_group_order_is_the_boxed_paths() {
-        // Same first-seen insertion order ⇒ same hash-table layout ⇒
-        // same iteration order at the leader — for every typed key
-        // shape, NULL keys included.
-        let ints: Vec<Value> = (0..500)
+    fn unsorted_group_order_is_first_seen_across_batches_and_fragments() {
+        // Groups open in first-seen order — row order within a batch,
+        // batch order within a fragment, fragment (slice) order at the
+        // leader — for every lane, NULL keys and 3-4 keys included.
+        let n = 500;
+        let ints: Vec<Value> = (0..n)
             .map(|i| if i % 41 == 7 { Value::Null } else { Value::Int8((i * 7919) % 97) })
             .collect();
-        let strs: Vec<Value> = (0..500)
+        let strs: Vec<Value> = (0..n)
             .map(|i| if i % 53 == 9 { Value::Null } else { Value::Str(format!("k{}", (i * 31) % 19)) })
             .collect();
-        let cols = vec![column(DataType::Int8, &ints), column(DataType::Varchar, &strs)];
-        let aggs = vec![agg(AggFunc::CountStar, None)];
-        let (k0, k1) = (col(0, DataType::Int8), col(1, DataType::Varchar));
-        for key in [vec![k0.clone()], vec![k1.clone()], vec![k1.clone(), k1.clone()], vec![k0, k1]] {
-            let mut typed = Groups::new(&key, &aggs);
-            assert!(!typed.boxes_keys());
-            let mut boxed = Groups {
-                group_by: &key,
-                aggs: &aggs,
-                table: Table::Hashed(GroupTable::default()),
-            };
-            // Two batches: ids and groups carry over from one to the next.
-            for sel in [Selection::from_ids(500, (0..250).collect()), Selection::all(500)] {
-                typed.update(&cols, &sel).unwrap();
-                boxed.update(&cols, &sel).unwrap();
+        let floats: Vec<Value> = (0..n).map(|i| Value::Float8([0.0, -0.0, f64::NAN, 2.5][i as usize % 4])).collect();
+        let decs: Vec<Value> = (0..n).map(|i| Value::Decimal { units: (i % 3) as i128, scale: 2 }).collect();
+        let bools: Vec<Value> = (0..n).map(|i| Value::Bool(i % 5 == 0)).collect();
+        let cols = vec![
+            column(DataType::Int8, &ints),
+            column(DataType::Varchar, &strs),
+            column(DataType::Float8, &floats),
+            column(DataType::Decimal(10, 2), &decs),
+            column(DataType::Bool, &bools),
+        ];
+        let aggs = vec![agg(AggFunc::CountStar, None), agg(AggFunc::Sum, Some(col(2, DataType::Float8)))];
+        let k = |i: usize| col(i, cols[i].data_type());
+        for key in [
+            vec![k(0)],
+            vec![k(1)],
+            vec![k(2)],
+            vec![k(3)],
+            vec![k(4)],
+            vec![k(1), k(1)],
+            vec![k(0), k(1)],
+            vec![k(4), k(2), k(3)],
+            vec![k(1), k(4), k(0), k(2)],
+        ] {
+            let out = output(&key, &aggs);
+            // Two fragments of two batches each: ids and groups carry over
+            // from batch to batch, and from fragment to fragment.
+            let halves = [(0..250u32).collect::<Vec<_>>(), (250..500).collect()];
+            let mut leader = Groups::new(&key, &aggs);
+            let mut whole = Vec::new();
+            for half in &halves {
+                let mut fragment = Groups::new(&key, &aggs);
+                for ids in [&half[..100], &half[100..]] {
+                    fragment.update(&cols, &Selection::from_ids(n as usize, ids.to_vec())).unwrap();
+                }
+                leader.merge(fragment).unwrap();
+                whole.extend_from_slice(half);
             }
-            let order = |g: Groups| g.into_table().0.into_keys().collect::<Vec<_>>();
-            assert_eq!(order(typed), order(boxed), "{} keys", key.len());
+            let want = reference(&cols, &Selection::from_ids(n as usize, whole), &key, &aggs);
+            assert_eq!(rows(leader, &out), want, "{} keys", key.len());
         }
-        // What the code lanes decline is boxed, and says so.
-        let float = [col(0, DataType::Float8)];
-        assert!(Groups::new(&float, &aggs).boxes_keys());
-        let three = [col(0, DataType::Int8), col(0, DataType::Int8), col(0, DataType::Int8)];
-        assert!(Groups::new(&three, &aggs).boxes_keys());
     }
 
     #[test]
@@ -1145,7 +884,7 @@ mod tests {
         let aggs = vec![agg(AggFunc::Sum, Some(div))];
         let mut g = Groups::new(&[], &aggs);
         g.update(&cols, &Selection::from_ids(2, vec![1])).unwrap();
-        assert_eq!(finish(g)[0].1, vec![Value::Int8(2)]);
+        assert_eq!(rows(g, &output(&[], &aggs)), ["[Int8(2)]"]);
         let mut g = Groups::new(&[], &aggs);
         assert!(g.update(&cols, &Selection::all(2)).is_err());
     }

@@ -14,6 +14,7 @@
 use crate::agg::AggState;
 use crate::hashkey::HKey;
 use crate::interp::{eval_row, row_passes};
+use crate::keys::joins_as_f64;
 use redsim_common::{FxHashMap, Result, Row, RsError, Value};
 use redsim_sql::ast::JoinType;
 use redsim_sql::plan::LogicalPlan;
@@ -100,9 +101,15 @@ pub fn run_plan(plan: &LogicalPlan, source: &dyn RowSource) -> Result<Vec<Row>> 
             let left_rows = run_plan(left, source)?;
             let right_rows = run_plan(right, source)?;
             let rw = right.output().len();
+            // Keys meet as `=` compares them: a mixed numeric pair as f64s.
+            let mixed = joins_as_f64(left.output()[*left_key].ty, right.output()[*right_key].ty);
+            let key = |v: &Value| match v.as_f64().filter(|_| mixed) {
+                Some(f) => HKey::from_value(&Value::Float8(f)),
+                None => HKey::from_value(v),
+            };
             let mut table: FxHashMap<HKey, Vec<usize>> = FxHashMap::default();
             for (i, r) in right_rows.iter().enumerate() {
-                let k = HKey::from_value(r.get(*right_key));
+                let k = key(r.get(*right_key));
                 if !k.is_null() {
                     table.entry(k).or_default().push(i);
                 }
@@ -111,7 +118,7 @@ pub fn run_plan(plan: &LogicalPlan, source: &dyn RowSource) -> Result<Vec<Row>> 
             let emitted = |vals: &[Value]| Row::new(emit.iter().map(|&i| vals[i].clone()).collect());
             let mut out = Vec::new();
             for l in &left_rows {
-                let k = HKey::from_value(l.get(*left_key));
+                let k = key(l.get(*left_key));
                 let mut matched = false;
                 if !k.is_null() {
                     if let Some(list) = table.get(&k) {

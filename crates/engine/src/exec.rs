@@ -9,7 +9,7 @@
 //! Exchange operators count the bytes they move so experiment E11 can
 //! report broadcast vs redistribution traffic.
 
-use crate::agg::{GroupTable, Groups};
+use crate::agg::Groups;
 use crate::expr::{bind, narrow_predicate};
 use crate::join::{join_chunk, Build, JoinShape};
 use crate::kernels::{cmp_slots, with_ints};
@@ -91,10 +91,6 @@ pub struct ExecMetrics {
     /// interpreter because no typed kernel covers it: the
     /// `exec.interp_fallback` counter, per statement.
     pub interp_fallback: u64,
-    /// Batches whose join or group keys were boxed into `HKey`s for want
-    /// of a typed key lane (a FLOAT8 / DECIMAL / BOOL key, a VARCHAR join
-    /// key, 3+ group keys): the `exec.key_fallback` counter, per statement.
-    pub key_fallback: u64,
     /// Time the query waited for a WLM concurrency slot before running
     /// (leader-side admission control; 0 when a slot was free).
     pub queue_wait_ns: u64,
@@ -119,7 +115,6 @@ impl ExecMetrics {
         self.groups_skipped += other.groups_skipped;
         self.rows_scanned += other.rows_scanned;
         self.interp_fallback += other.interp_fallback;
-        self.key_fallback += other.key_fallback;
         self.queue_wait_ns += other.queue_wait_ns;
         self.exec_ns += other.exec_ns;
         self.compile_ns += other.compile_ns;
@@ -253,13 +248,11 @@ impl<'a> Executor<'a> {
         Ok(QueryOutput { columns, rows, metrics: self.metrics.lock().clone(), profile })
     }
 
-    /// Add batches the binder handed to the row interpreter, and
-    /// batches whose keys were boxed, to the statement's counts.
-    fn count_fallbacks(&self, interp: u64, key: u64) {
-        if interp + key > 0 {
-            let mut m = self.metrics.lock();
-            m.interp_fallback += interp;
-            m.key_fallback += key;
+    /// Add batches the binder handed to the row interpreter to the
+    /// statement's count.
+    fn count_fallbacks(&self, interp: u64) {
+        if interp > 0 {
+            self.metrics.lock().interp_fallback += interp;
         }
     }
 
@@ -314,7 +307,7 @@ impl<'a> Executor<'a> {
                 let ds = self.exec(input, step + 1)?;
                 self.map_chunks(ds, |mut chunk| {
                     let fell_back = chunk.filter(predicate)?;
-                    self.count_fallbacks(fell_back as u64, 0);
+                    self.count_fallbacks(fell_back as u64);
                     Ok(chunk)
                 })
             }
@@ -324,7 +317,7 @@ impl<'a> Executor<'a> {
                     let mut out = Batch::with_capacity(exprs.len());
                     for e in exprs {
                         let (col, fell_back) = bind(e, &chunk.cols, &chunk.sel)?;
-                        self.count_fallbacks(fell_back as u64, 0);
+                        self.count_fallbacks(fell_back as u64);
                         out.push(match chunk.sel.ids() {
                             None => col.into_owned(),
                             Some(ids) => col.gather(ids),
@@ -349,7 +342,7 @@ impl<'a> Executor<'a> {
                 let mut key_cols = Vec::with_capacity(keys.len());
                 for (k, _) in keys {
                     let (col, fell_back) = bind(k, &all, &Selection::all(rows))?;
-                    self.count_fallbacks(fell_back as u64, 0);
+                    self.count_fallbacks(fell_back as u64);
                     key_cols.push(col);
                 }
                 let mut idx: Vec<u32> = (0..rows as u32).collect();
@@ -504,8 +497,6 @@ impl<'a> Executor<'a> {
             (outer, inner) = (o, i);
             self.metrics.lock().bytes_redistributed += ob + ib;
         }
-        let batches = |side: &[Vec<Chunk>]| side.iter().map(|c| c.len() as u64).sum::<u64>();
-        self.count_fallbacks(0, if shape.typed { 0 } else { batches(&outer) + batches(&inner) });
         let joined: Vec<Result<Vec<Chunk>>> = match strategy {
             // The inner side is the same on every slice — a DISTSTYLE ALL
             // table's copy (its scan reports it once), or shipped to all
@@ -552,7 +543,7 @@ impl<'a> Executor<'a> {
             fallbacks += fell_back as u64;
             out.extend(joined);
         }
-        self.count_fallbacks(fallbacks, 0);
+        self.count_fallbacks(fallbacks);
         Ok(out)
     }
 
@@ -567,27 +558,26 @@ impl<'a> Executor<'a> {
         let ds = self.exec(input, step + 1)?;
         // Partial aggregation per slice, in parallel, straight off the
         // (batch, selection) pairs.
-        let partial = |chunks: Vec<Chunk>| -> Result<GroupTable> {
+        let partial = |chunks: Vec<Chunk>| -> Result<Groups> {
             let mut groups = Groups::new(group_by, aggs);
-            let (mut interp, mut key) = (0, 0);
+            let mut interp = 0;
             for chunk in &chunks {
                 interp += groups.update(&chunk.cols, &chunk.sel)?;
-                key += (groups.boxes_keys() && !chunk.sel.is_empty()) as u64;
             }
-            self.count_fallbacks(interp, key);
-            Ok(groups.into_table())
+            self.count_fallbacks(interp);
+            Ok(groups)
         };
-        let partials: Vec<Result<GroupTable>> = match ds {
+        let partials: Vec<Result<Groups>> = match ds {
             DataSet::Slices(per_slice) => par::map(per_slice, partial),
             DataSet::Leader(chunks) => vec![partial(chunks)],
         };
-        // Final merge at the leader, one output batch.
-        let mut merged = GroupTable::default();
+        // Final merge at the leader — the same fold, slice by slice — into
+        // one output batch.
+        let mut merged = Groups::new(group_by, aggs);
         for p in partials {
-            merged.merge(p?);
+            merged.merge(p?)?;
         }
-        let cols = merged.into_batch(group_by, aggs, output)?;
-        Ok(DataSet::Leader(vec![Chunk::dense(cols)]))
+        Ok(DataSet::Leader(vec![Chunk::dense(merged.finish(output)?)]))
     }
 }
 
@@ -714,7 +704,6 @@ mod metrics_tests {
             exec_ns: 9,
             compile_ns: 10,
             interp_fallback: 11,
-            key_fallback: 12,
         };
         let mut acc = ExecMetrics::default();
         acc.absorb(&all_nonzero);
@@ -730,7 +719,6 @@ mod metrics_tests {
         assert_eq!(acc.exec_ns, 18);
         assert_eq!(acc.compile_ns, 20);
         assert_eq!(acc.interp_fallback, 22);
-        assert_eq!(acc.key_fallback, 24);
         assert_eq!(acc.exchange_bytes(), 6);
     }
 }

@@ -134,7 +134,8 @@ pub fn eval_row(expr: &BoundExpr, row: &[Value]) -> Result<Value> {
                 scale,
             },
             (ScalarFunc::Abs, v) => {
-                Value::Int8(v.as_i64().unwrap_or(0).abs()).coerce_to(expr.ty())?
+                let abs = v.as_i64().unwrap_or(0).checked_abs().ok_or_else(overflow)?;
+                Value::Int8(abs).coerce_to(expr.ty())?
             }
             (part, Value::Date(days)) => date_part(*part, days),
             (part, Value::Timestamp(us)) => date_part(*part, us.div_euclid(86_400_000_000) as i32),
@@ -157,11 +158,18 @@ fn date_part(func: ScalarFunc, days: i32) -> Value {
     })
 }
 
+fn overflow() -> RsError {
+    RsError::Execution("integer overflow".into())
+}
+
 fn negate(v: Value) -> Result<Value> {
     Ok(match v {
-        Value::Int2(x) => Value::Int2(-x),
-        Value::Int4(x) => Value::Int4(-x),
-        Value::Int8(x) => Value::Int8(-x),
+        // In i64, then back into the type: `-(-32768)` is out of range
+        // for SMALLINT, as `ABS` finds it.
+        Value::Int2(_) | Value::Int4(_) | Value::Int8(_) => {
+            let x = v.as_i64().expect("integer").checked_neg().ok_or_else(overflow)?;
+            Value::Int8(x).coerce_to(v.data_type().expect("not NULL"))?
+        }
         Value::Float8(x) => Value::Float8(-x),
         Value::Decimal { units, scale } => Value::Decimal {
             units: -units,
@@ -197,7 +205,7 @@ fn int_arith(a: i64, op: BinaryOp, b: i64) -> Result<i64> {
         BinaryOp::Mod => a.checked_rem(b),
         _ => unreachable!(),
     }
-    .ok_or_else(|| RsError::Execution("integer overflow".into()))
+    .ok_or_else(overflow)
 }
 
 /// IEEE arithmetic, shared with the kernels' f64 lane. Callers rule out

@@ -1,30 +1,33 @@
 //! The per-slice hash join: build on the inner side, probe with the
 //! outer side's `(batch, selection)` pairs, emit index pairs.
 //!
-//! | join keys | lookup | per-row work |
-//! |---|---|---|
-//! | both INT2/4/8, DATE or TIMESTAMP | [`IntTable`]: flat open addressing over the i64 lane | one multiply-shift hash, a linear probe |
-//! | anything else (VARCHAR, FLOAT8, DECIMAL, BOOL) | `FxHashMap<HKey, _>` — counted (`ExecMetrics::key_fallback`) | an [`HKey`] per row (a VARCHAR key allocates) |
+//! Keys are coded once, on the lane both key types choose
+//! ([`KeyLane::for_join`]): two integer-family keys index an [`IntTable`]
+//! — flat open addressing over the `i64` lane, one multiply-shift hash
+//! and a linear probe per row — as they are; any other pair (VARCHAR,
+//! FLOAT8, DECIMAL, a mixed numeric pair on `f64`) indexes it by the
+//! build side's dictionary id, and a probe key is looked up without
+//! inserting: a miss matches nothing. So keys match exactly when `=`
+//! holds, and no key is boxed.
 //!
-//! Only the lookup has two lanes. Either maps a key to the first build
-//! row holding it; `next[]` chains that key's other rows in build order,
-//! so duplicates cost no allocation and matches come out as (probe row,
-//! build row) ascending — the order an unsorted result, and an `f64` sum
-//! above the join, observe. The rest is written once over the
-//! `(l_idx, r_idx)` pairs: the residual sees only the columns it reads,
-//! a LEFT join's rows without a surviving match are NULL-extended after
-//! their batch's matches, and only the plan's `emit` columns are
-//! gathered — keys and filter-only columns are never copied. A [`Build`]
-//! is immutable: when the inner side is the same on every slice
-//! (`DS_DIST_ALL_NONE`, `DS_BCAST_INNER`) one is made and all probe it.
+//! The table maps a key to the first build row holding it; `next[]`
+//! chains that key's other rows in build order, so duplicates cost no
+//! allocation and matches come out as (probe row, build row) ascending —
+//! the order an unsorted result, and an `f64` sum above the join,
+//! observe. The rest is written once over the `(l_idx, r_idx)` pairs: the
+//! residual sees only the columns it reads, a LEFT join's rows without a
+//! surviving match are NULL-extended after their batch's matches, and
+//! only the plan's `emit` columns are gathered — keys and filter-only
+//! columns are never copied. A [`Build`] is immutable: when the inner
+//! side is the same on every slice (`DS_DIST_ALL_NONE`,
+//! `DS_BCAST_INNER`) one is made and all probe it.
 
-use crate::agg::is_int_key;
 use crate::exec::Chunk;
 use crate::expr::narrow_predicate;
-use crate::hashkey::HKey;
 use crate::kernels::with_ints;
+use crate::keys::{mismatch, KeyLane};
 use crate::selection::Selection;
-use redsim_common::{ColumnData, DataType, FxHashMap, Result, RsError};
+use redsim_common::{ColumnData, DataType, Result};
 use redsim_sql::ast::JoinType;
 use redsim_sql::plan::{BoundExpr, OutCol};
 
@@ -41,9 +44,8 @@ pub(crate) struct JoinShape<'a> {
     /// The residual rebound over just the columns it reads, and those
     /// columns (positions in left ++ right).
     residual: Option<(BoundExpr, Vec<usize>)>,
-    /// Both keys are integer-family: the typed lookup lane. Otherwise
-    /// keys go through [`HKey`], the counted lane.
-    pub(crate) typed: bool,
+    /// The outer and inner key types, which choose the key lane.
+    key_types: (DataType, DataType),
 }
 
 impl<'a> JoinShape<'a> {
@@ -73,7 +75,7 @@ impl<'a> JoinShape<'a> {
             right_types: right.iter().map(|c| c.ty).collect(),
             emit,
             residual,
-            typed: is_int_key(left[left_key].ty) && is_int_key(right[right_key].ty),
+            key_types: (left[left_key].ty, right[right_key].ty),
         })
     }
 
@@ -82,10 +84,6 @@ impl<'a> JoinShape<'a> {
         let at = self.lw + c;
         self.emit.contains(&at) || self.residual.as_ref().is_some_and(|(_, cols)| cols.contains(&at))
     }
-}
-
-fn lane_mismatch(key: &ColumnData) -> RsError {
-    RsError::Execution(format!("integer join key got a {} column", key.data_type()))
 }
 
 /// Map from an i64 key to the head of its chain (a build row + 1; 0
@@ -163,16 +161,14 @@ impl IntTable {
     }
 }
 
-enum Lookup {
-    Int(IntTable),
-    Boxed(FxHashMap<HKey, u32>),
-}
-
 /// The inner side of one join, hashed: the selected rows of its chunks,
 /// numbered in order.
 pub(crate) struct Build {
-    lookup: Lookup,
-    /// Chains, in the lookup's own terms (a build row + 1; 0 ends one):
+    /// `None`: integer-family keys index `table` as they are. Otherwise
+    /// the lane whose build-side ids do.
+    lane: Option<KeyLane>,
+    table: IntTable,
+    /// Chains, in the table's own terms (a build row + 1; 0 ends one):
     /// `next[head]` follows `head`.
     next: Vec<u32>,
     /// Does any build key repeat (any chain longer than its head)?
@@ -184,63 +180,58 @@ pub(crate) struct Build {
 impl Build {
     pub(crate) fn new(shape: &JoinShape, chunks: &[Chunk]) -> Result<Build> {
         let rows: usize = chunks.iter().map(|c| c.sel.len()).sum();
-        let mut next = vec![0u32; rows + 1];
+        let mut lane = KeyLane::for_join(shape.key_types.0, shape.key_types.1);
+        let (mut keys, mut ids): (Vec<Option<i64>>, Vec<u32>) = (Vec::with_capacity(rows), Vec::new());
+        for c in chunks {
+            let key = &c.cols[shape.right_key];
+            let nulls = key.nulls();
+            match &mut lane {
+                None => with_ints!(key,
+                    d => c.sel.for_each(|_, i| keys.push(nulls.get(i).then(|| d[i] as i64))),
+                    _ => return Err(mismatch(key))),
+                Some(lane) => {
+                    ids.clear();
+                    lane.ids_of(key, &c.sel, &mut ids)?;
+                    keys.extend(c.sel.iter().zip(&ids).map(|(i, &id)| nulls.get(i).then_some(id as i64)));
+                }
+            }
+        }
         // Rows go in back to front, each becoming its key's head, so a
         // chain reads in build order. NULL keys join nothing.
-        let lookup = if shape.typed {
-            let mut keys: Vec<Option<i64>> = Vec::with_capacity(rows);
-            for c in chunks {
-                let key = &c.cols[shape.right_key];
-                let nulls = key.nulls();
-                with_ints!(key,
-                    d => c.sel.for_each(|_, i| keys.push(nulls.get(i).then(|| d[i] as i64))),
-                    _ => return Err(lane_mismatch(key)));
+        let present = || keys.iter().flatten().copied();
+        let mut table = IntTable::new(rows, present().min().zip(present().max()));
+        let mut next = vec![0u32; rows + 1];
+        for (row, key) in keys.into_iter().enumerate().rev() {
+            if let Some(k) = key {
+                next[row + 1] = table.replace_head(k, row as u32 + 1);
             }
-            let present = || keys.iter().flatten().copied();
-            let mut table = IntTable::new(rows, present().min().zip(present().max()));
-            for (row, key) in keys.into_iter().enumerate().rev() {
-                if let Some(k) = key {
-                    next[row + 1] = table.replace_head(k, row as u32 + 1);
-                }
-            }
-            Lookup::Int(table)
-        } else {
-            let keys: Vec<HKey> = chunks
-                .iter()
-                .flat_map(|c| c.sel.iter().map(|i| HKey::from_column(&c.cols[shape.right_key], i)))
-                .collect();
-            let mut heads = FxHashMap::default();
-            for (row, key) in keys.into_iter().enumerate().rev() {
-                if !key.is_null() {
-                    next[row + 1] = heads.insert(key, row as u32 + 1).unwrap_or(0);
-                }
-            }
-            Lookup::Boxed(heads)
-        };
+        }
         let cols = (shape.right_types.iter().enumerate())
             .map(|(c, &ty)| shape.reads_right(c).then(|| concat_selected(chunks, c, ty)))
             .collect();
-        Ok(Build { lookup, duplicates: next.iter().any(|&x| x != 0), next, cols })
+        Ok(Build { lane, table, duplicates: next.iter().any(|&x| x != 0), next, cols })
     }
 
     fn col(&self, c: usize) -> &ColumnData {
         self.cols[c].as_ref().expect("an inner column the join reads")
     }
 
-    /// The head of each selected probe row's chain (0: no match) — the
-    /// one step that depends on the key lane.
+    /// The head of each selected probe row's chain (0: no match).
     fn heads(&self, key: &ColumnData, sel: &Selection) -> Result<Vec<u32>> {
         let mut heads = Vec::with_capacity(sel.len());
-        match &self.lookup {
-            Lookup::Int(t) => {
+        let t = &self.table;
+        match &self.lane {
+            None => {
                 let nulls = key.nulls();
                 with_ints!(key,
                     d => sel.for_each(|_, i| heads.push(if nulls.get(i) { t.head(d[i] as i64) } else { 0 })),
-                    _ => return Err(lane_mismatch(key)))
+                    _ => return Err(mismatch(key)))
             }
-            Lookup::Boxed(map) => sel.for_each(|_, i| {
-                heads.push(map.get(&HKey::from_column(key, i)).copied().unwrap_or(0))
-            }),
+            // `MISS` lies past every id the table holds: no head.
+            Some(lane) => {
+                lane.find(key, sel, &mut heads)?;
+                heads.iter_mut().for_each(|h| *h = t.head(*h as i64));
+            }
         }
         Ok(heads)
     }
@@ -358,6 +349,7 @@ pub(crate) fn join_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redsim_common::FxHashMap;
 
     /// Chains of `keys` (row -> key) through an `IntTable`, per key.
     fn chains(keys: &[i64]) -> (bool, FxHashMap<i64, Vec<u32>>) {

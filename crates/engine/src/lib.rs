@@ -29,13 +29,16 @@
 //!   (std scoped threads via testkit::par), broadcast/redistribute exchanges with
 //!   byte accounting (experiment E11), partial/final aggregation at the
 //!   leader.
-//! * `join` (private) — the per-slice hash join: a flat typed table
-//!   over integer-family keys (the counted `HKey` map for the rest),
-//!   probed off the selection, emitting index pairs and gathering only
-//!   the columns the parent reads.
-//! * `agg` (private) — partial aggregation: struct-of-arrays
-//!   accumulators over dictionary-coded integer / VARCHAR group keys,
-//!   the counted boxed table for the shapes without a lane.
+//! * `keys` (private) — the one key encoding: every join and GROUP BY
+//!   key coded to a dense id on the typed lane its type (a join: both
+//!   types) chooses.
+//! * `join` (private) — the per-slice hash join: a flat table over
+//!   integer keys or key ids, probed off the selection, emitting index
+//!   pairs and gathering only the columns the parent reads.
+//! * `agg` (private) — GROUP BY: struct-of-arrays accumulators over
+//!   coded group keys, merged at the leader by the same fold.
+//! * [`hashkey`] — `HKey`, the boxed key of the reference engine and of
+//!   `COUNT(DISTINCT …)`.
 //! * [`compile`] — query "compilation": plan specialization with a
 //!   deliberate fixed cost, plus the LRU plan cache that amortizes it.
 //! * [`baseline`] — a single-threaded, row-oriented engine standing in
@@ -49,6 +52,7 @@ pub mod expr;
 pub mod hashkey;
 pub mod interp;
 mod join;
+mod keys;
 pub mod kernels;
 pub mod like;
 pub mod selection;

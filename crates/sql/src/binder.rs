@@ -77,6 +77,8 @@ impl<'a> Binder<'a> {
             let mut right_key = None;
             let mut residual: Option<BoundExpr> = None;
             for c in conjuncts {
+                // Type-checked as any `=` is, key or residual.
+                let bound = self.bind_expr(c, &combined)?;
                 let mut used_as_key = false;
                 if let Expr::Binary { left, op: BinaryOp::Eq, right } = c {
                     if left_key.is_none() {
@@ -102,7 +104,6 @@ impl<'a> Binder<'a> {
                     }
                 }
                 if !used_as_key {
-                    let bound = self.bind_expr(c, &combined)?;
                     residual = Some(match residual {
                         Some(prev) => BoundExpr::Binary {
                             left: Box::new(prev),

@@ -12,18 +12,12 @@
 
 use crate::zonemap::{decode_value_opt, encode_value_opt};
 use redsim_common::codec::{Reader, Writer};
-use redsim_common::types::cmp_f64;
+use redsim_common::types::{canon_f64, cmp_f64};
 use redsim_common::{fx_hash64, mix64, Bitmap, ColumnData, Result, RsError, Value};
 use std::cmp::Ordering;
 
 /// Sketch size of every statistics column: 256 hashes = 2 KiB.
 const STATS_K: usize = 256;
-
-/// One representative per SQL-equal float: `-0.0` → `0.0`, any NaN → the
-/// canonical NaN.
-fn canon_f64(x: f64) -> f64 {
-    if x.is_nan() { f64::NAN } else { x + 0.0 }
-}
 
 /// KMV distinct-value sketch: keep the k smallest 64-bit hashes seen;
 /// NDV ≈ (k-1) / max_kept (normalized). Mergeable (the sketch of a union

@@ -491,3 +491,81 @@ fn guards_protect_division() {
         assert!(fast.to_string().contains("division by zero"), "{fast}");
     }
 }
+
+#[test]
+fn one_key_path_probes_match_equals() {
+    let c = launch("keys");
+    for (ddl, table, csv) in [
+        ("CREATE TABLE a (k INT, d2 DECIMAL(10,2), f FLOAT8, b BOOLEAN)", "a", "2,2.00,2.0,t\n"),
+        ("CREATE TABLE b (k BIGINT, d3 DECIMAL(10,3), f FLOAT8, i INT, s VARCHAR(8))", "b", "2,2.000,2.0,2,2\n"),
+        ("CREATE TABLE x (k INT, f FLOAT8)", "x", "1,0.0\n2,NaN\n"),
+        ("CREATE TABLE y (k INT, f FLOAT8)", "y", "1,-0.0\n2,NaN\n"),
+        ("CREATE TABLE z (f FLOAT8)", "z", "0.0\n-0.0\nNaN\nNaN\n"),
+        ("CREATE TABLE m (s SMALLINT, i INT, a BIGINT)", "m", "-32768,-2147483648,-9223372036854775808\n"),
+    ] {
+        c.execute(ddl).unwrap();
+        c.put_s3_object(&format!("keys/{table}"), csv.as_bytes().to_vec());
+        c.execute(&format!("COPY {table} FROM 's3://keys/{table}'")).unwrap();
+    }
+    // One number per statement, the same on both engines (as text: NaN
+    // is not equal to itself as a `Value`).
+    let count = |sql: &str| -> i64 {
+        let rows = c.query(sql).unwrap().rows;
+        assert_eq!(format!("{rows:?}"), format!("{:?}", c.query_interpreted(sql).unwrap()), "{sql}");
+        match rows.len() {
+            1 => rows[0].get(0).as_i64().unwrap(),
+            n => n as i64,
+        }
+    };
+
+    // A join key matches exactly when `=` holds: the same conjunct as a
+    // residual, under a key both sides share, is the oracle.
+    let joins = [
+        ("a", "b", "a.d2 = b.d3"),
+        ("a", "b", "a.k = b.d3"),
+        ("a", "b", "a.k = b.f"),
+        ("a", "b", "a.f = b.i"),
+        ("a", "b", "a.d2 = b.f"),
+        ("x", "y", "x.f = y.f"),
+    ];
+    for (l, r, on) in joins {
+        let oracle = count(&format!("SELECT COUNT(*) FROM {l} JOIN {r} ON {l}.k = {r}.k AND {on}"));
+        assert!(oracle > 0, "{on}");
+        assert_eq!(count(&format!("SELECT COUNT(*) FROM {l} JOIN {r} ON {on}")), oracle, "{on}");
+    }
+    assert_eq!(count("SELECT COUNT(*) FROM z WHERE f = -0.0"), 2);
+
+    // A key pair `=` refuses is refused as a join key too, with `=`'s error.
+    for (on, msg) in [
+        ("a.k = b.s", "cannot compare INTEGER with VARCHAR"),
+        ("a.b = b.i", "cannot compare BOOLEAN with INTEGER"),
+    ] {
+        for sql in [
+            format!("SELECT COUNT(*) FROM a JOIN b ON {on}"),
+            format!("SELECT COUNT(*) FROM a JOIN b ON a.k = b.k AND {on}"),
+        ] {
+            let err = c.query(&sql).unwrap_err();
+            assert_eq!(err.code(), "ANALYSIS", "{sql}");
+            assert!(err.to_string().contains(msg), "{sql}: {err}");
+        }
+    }
+
+    // FLOAT8 keys group as `=` compares: 0.0 with -0.0, NaN with NaN.
+    assert_eq!(count("SELECT f, COUNT(*) FROM z GROUP BY f ORDER BY f"), 2);
+    assert_eq!(count("SELECT COUNT(DISTINCT f) FROM z"), 2);
+
+    // Negating a type's minimum raises the error its type raises
+    // elsewhere, on both engines.
+    for (sql, msg) in [
+        ("SELECT -s FROM m", "value 32768 out of range for SMALLINT"),
+        ("SELECT ABS(s) FROM m", "value 32768 out of range for SMALLINT"),
+        ("SELECT -i FROM m", "value 2147483648 out of range for INTEGER"),
+        ("SELECT -a FROM m", "integer overflow"),
+        ("SELECT ABS(a) FROM m", "integer overflow"),
+        ("SELECT a - 1 FROM m", "integer overflow"),
+    ] {
+        let (fast, slow) = (c.query(sql).unwrap_err(), c.query_interpreted(sql).unwrap_err());
+        assert_eq!((fast.code(), slow.code()), ("EXEC", "EXEC"), "{sql}");
+        assert!(fast.to_string().contains(msg) && slow.to_string().contains(msg), "{sql}: {fast} / {slow}");
+    }
+}

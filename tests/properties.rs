@@ -170,8 +170,9 @@ fn compiled_equals_interpreted() {
             // The same rows again with one column per type the `Value`
             // evaluator has an arm for. Some cases hold the rows that
             // make an expression raise (a = 0, f = 0, i near 2^31, sm
-            // near 2^15) and some do not: both engines must answer the
-            // same rows or raise the same error code.
+            // near 2^15, each at its type's minimum) and some do not: both
+            // engines must answer the same rows or raise the same error
+            // code.
             c.execute(
                 "CREATE TABLE u (id BIGINT, a BIGINT, i INT, sm SMALLINT, f FLOAT8, \
                  m DECIMAL(10,2), s VARCHAR(16), n VARCHAR(16), d DATE) DISTKEY(a)",
@@ -180,11 +181,15 @@ fn compiled_equals_interpreted() {
             let (mut t, mut u) = (String::new(), String::new());
             for (id, (k, b, v)) in rows.iter().enumerate() {
                 t.push_str(&format!("{k},{},{v}\n", if *b { "t" } else { "f" }));
-                let i = if v % 7 == 0 { 2_000_000_000 } else { *v };
-                let sm = if v % 5 == 0 { 30_000 } else { v % 100 };
+                // A row at each integer type's minimum, where negating
+                // it overflows.
+                let (a, i, sm) = match v % 61 == 3 {
+                    true => (i64::MIN, i32::MIN as i64, i16::MIN as i64),
+                    false => (*k, if v % 7 == 0 { 2_000_000_000 } else { *v }, if v % 5 == 0 { 30_000 } else { v % 100 }),
+                };
                 let day = 1 + k % 28;
                 u.push_str(&format!(
-                    "{id},{k},{i},{sm},{},{}.{:02},2015-01-{day:02},Ab{k},2015-02-{day:02}\n",
+                    "{id},{a},{i},{sm},{},{}.{:02},2015-01-{day:02},Ab{k},2015-02-{day:02}\n",
                     (k % 4) as f64 * 0.5,
                     v / 100,
                     v % 100,
@@ -216,6 +221,7 @@ fn compiled_equals_interpreted() {
                     "SELECT id FROM u WHERE f <> 0 AND 1.0 / f > 0.5 ORDER BY id",
                     // One shape per remaining arm of the `Value` evaluator.
                     "SELECT id, n || '-' || s, -a, -f, -m FROM u ORDER BY id",
+                    "SELECT id, -sm, -i, ABS(a), ABS(i) FROM u ORDER BY id",
                     "SELECT id, ABS(a - 25), ABS(f - 1.0), ABS(m - 5), ABS(sm - 50), LENGTH(n), UPPER(n), \
                      LOWER(n), DATE_PART('year', d), DATE_PART('month', d), DATE_PART('day', d) \
                      FROM u ORDER BY id",
@@ -2353,13 +2359,15 @@ fn vector_kernels_nan_total_order_end_to_end() {
 // ---------------------------------------------------------------------
 //
 // The executor folds `(batch, selection)` pairs into typed accumulators
-// (no key; one or two keys, each integer-family or VARCHAR, NULL keys
-// included); the row-at-a-time `baseline` engine runs the same plan
-// through `AggState::update` over boxed `Value`s. No typed shape boxes
-// a key (`key_fallback` 0); that a fragment's groups come out in the
-// boxed table's order is `agg::tests`' assertion. One slice, so both add floats in the same order: results
-// must match to the bit — NULLs, NaN, ±0, ±inf, sums that wrap past
-// `i64::MAX`, filters that keep nothing, and empty tables included.
+// over coded keys — no key, or one to four keys of every lane: integer,
+// FLOAT8 (±0, NaN), DECIMAL, BOOL, VARCHAR, NULL keys included — and
+// merges them at the leader by the same fold; the row-at-a-time
+// `baseline` engine runs the same plan through `AggState::update` over
+// boxed `Value`s. That groups come out in first-seen order is
+// `agg::tests`' assertion. One slice, so both add floats in the same
+// order: results must match to the bit — NULLs, NaN, ±0, ±inf, sums that
+// wrap past `i64::MAX`, filters that keep nothing, and empty tables
+// included.
 
 #[test]
 fn vector_aggregates_match_value_path() {
@@ -2383,13 +2391,15 @@ fn vector_aggregates_match_value_path() {
         }
     }
 
-    const TYPES: [DataType; 6] = [
+    const TYPES: [DataType; 8] = [
         DataType::Int8,
         DataType::Float8,
         DataType::Int8,
         DataType::Int4,
         DataType::Varchar,
         DataType::Varchar,
+        DataType::Decimal(10, 2),
+        DataType::Bool,
     ];
     const STRS: [&str; 3] = ["", "a", "é日"];
     let col = |index: usize| BoundExpr::Column { index, ty: TYPES[index] };
@@ -2416,20 +2426,28 @@ fn vector_aggregates_match_value_path() {
         (AggFunc::Max, Some(col(1))),
         (AggFunc::Min, Some(col(2))),
         (AggFunc::Max, Some(col(3))),
+        (AggFunc::Sum, Some(col(6))),
+        (AggFunc::Max, Some(col(7))),
     ]
     .into_iter()
     .enumerate()
     .map(|(n, (f, a))| agg(f, a, n))
     .collect();
 
-    // (key, float special, big int, small int, two string keys) per
-    // row; batches of up to 7 rows so groups span batches.
+    // (key, float special, big int, small int, two string keys, a
+    // decimal, a bool) per row; batches of up to 7 rows so groups span
+    // batches.
     let row = prop::tuple5(
         prop::option_of(prop::range(0i64..4)),
         prop::option_of(prop::range(0usize..8)),
         prop::option_of(prop::range(0i64..4)),
         prop::option_of(prop::range(-3i64..4)),
-        prop::pair(prop::option_of(prop::range(0usize..3)), prop::option_of(prop::range(0usize..3))),
+        prop::tuple4(
+            prop::option_of(prop::range(0usize..3)),
+            prop::option_of(prop::range(0usize..3)),
+            prop::option_of(prop::range(-2i64..3)),
+            prop::option_of(prop::any_bool()),
+        ),
     );
     let gen = prop::pair(prop::vec_of(row, 0..40), prop::range(0i64..6));
     prop::check(
@@ -2441,7 +2459,7 @@ fn vector_aggregates_match_value_path() {
             let mut heap = Vec::new();
             for chunk in rows.chunks(7) {
                 let mut cols: Vec<ColumnData> = TYPES.iter().map(|t| ColumnData::new(*t)).collect();
-                for (k, f, big, small, (s0, s1)) in chunk {
+                for (k, f, big, small, (s0, s1, dec, b)) in chunk {
                     let vals = [
                         k.map_or(Value::Null, Value::Int8),
                         f.map_or(Value::Null, |j| Value::Float8(vector_support::FLOAT_SPECIALS[j])),
@@ -2450,6 +2468,8 @@ fn vector_aggregates_match_value_path() {
                         small.map_or(Value::Null, |s| Value::Int4(s as i32)),
                         s0.map_or(Value::Null, |j| Value::Str(STRS[j].into())),
                         s1.map_or(Value::Null, |j| Value::Str(STRS[j].into())),
+                        dec.map_or(Value::Null, |d| Value::Decimal { units: d as i128 * 75, scale: 2 }),
+                        b.map_or(Value::Null, Value::Bool),
                     ];
                     for (c, v) in cols.iter_mut().zip(&vals) {
                         c.push_value(v).unwrap();
@@ -2468,7 +2488,9 @@ fn vector_aggregates_match_value_path() {
                 op: BinaryOp::Lt,
                 right: Box::new(BoundExpr::Literal(Value::Int8(*keep_below - 3))),
             };
-            for keys in [&[][..], &[0], &[4], &[4, 5], &[0, 4]] {
+            let key_sets: [&[usize]; 11] =
+                [&[], &[0], &[4], &[4, 5], &[0, 4], &[1], &[6], &[7], &[1, 6, 7], &[7, 4, 0, 1], &[0, 6, 4, 5]];
+            for keys in key_sets {
                 let group_by: Vec<BoundExpr> = keys.iter().map(|&k| col(k)).collect();
                 let mut output: Vec<OutCol> = group_by
                     .iter()
@@ -2492,7 +2514,7 @@ fn vector_aggregates_match_value_path() {
                     output,
                 };
                 let typed = Executor::new(&provider).run(&plan).unwrap();
-                assert_eq!((typed.metrics.interp_fallback, typed.metrics.key_fallback), (0, 0));
+                assert_eq!(typed.metrics.interp_fallback, 0);
                 let boxed = baseline::run_plan(&plan, &store).unwrap();
                 // Debug text: NaN equals itself, -0.0 differs from 0.0.
                 let text = |rows: &[Row]| {
@@ -2513,13 +2535,16 @@ fn vector_aggregates_match_value_path() {
 // Generated two- and three-table join plans run on the executor, over
 // tables placed on 1-3 slices the way each `JoinDistStrategy` expects
 // (KEY, EVEN, or one ALL copy), and on `engine::baseline` over the same
-// rows in one heap. Keys are duplicate-heavy with NULLs on both sides
-// (INT8, INT2 ⋈ INT8, DATE on the typed lane; VARCHAR on the counted
-// one); scans filter everything / something / nothing, so build and
-// probe sides arrive empty, partly selected and fully selected;
-// residuals include one no candidate passes (a LEFT row reverts to
-// unmatched); the join emits a subset of its columns, sometimes none. A
-// join above a join takes every strategy its input's placement allows.
+// rows in one heap. Keys are duplicate-heavy with NULLs on both sides,
+// one pair per key lane: INT8, INT2 ⋈ INT8, DATE and BOOL indexed as
+// integers; VARCHAR, FLOAT8 (±0, NaN), DECIMAL of one scale by their
+// dictionary ids; DECIMAL scales that differ, INT ⋈ DECIMAL and
+// INT ⋈ FLOAT8 on the f64 lane. Scans filter everything / something /
+// nothing, so build and probe sides arrive empty, partly selected and
+// fully selected; residuals include one no candidate passes (a LEFT row
+// reverts to unmatched); the join emits a subset of its columns,
+// sometimes none. A join above a join takes every strategy its input's
+// placement allows.
 // On one slice with inner joins, row order and `f64` addition order are
 // the baseline's, so rows compare as ordered lists and sums bit for bit;
 // elsewhere rows compare as multisets over exactly representable floats.
@@ -2578,8 +2603,13 @@ fn vector_joins_match_baseline() {
             (DataType::Int2, DataType::Int8),
             (DataType::Date, DataType::Date),
             (DataType::Varchar, DataType::Varchar),
-        ][below(4, rng) as usize];
-        let typed_keys = lk != DataType::Varchar;
+            (DataType::Float8, DataType::Float8),
+            (DataType::Decimal(10, 2), DataType::Decimal(18, 2)),
+            (DataType::Decimal(10, 2), DataType::Decimal(10, 3)),
+            (DataType::Bool, DataType::Bool),
+            (DataType::Int4, DataType::Decimal(10, 3)),
+            (DataType::Int8, DataType::Float8),
+        ][below(10, rng) as usize];
         // One slice, inner joins only: the baseline's row order, and its
         // order of `f64` additions.
         let ordered = slices == 1 && below(2, rng) == 0;
@@ -2623,8 +2653,15 @@ fn vector_joins_match_baseline() {
                     let key = match key {
                         _ if k == 6 => Value::Null,
                         DataType::Int2 => Value::Int2(k as i16 - 2),
+                        DataType::Int4 => Value::Int4(k as i32 - 2),
                         DataType::Date => Value::Date(k as i32 * 1000),
                         DataType::Varchar => Value::Str(STRS[k as usize % 4].into()),
+                        DataType::Bool => Value::Bool(k % 2 == 0),
+                        DataType::Float8 => Value::Float8([0.0, -0.0, f64::NAN, 1.0, -2.0, 0.5][k as usize]),
+                        // -1, -0.5, 0, … 1.5 at either scale.
+                        DataType::Decimal(_, scale) => {
+                            Value::Decimal { units: (k as i128 - 2) * 10i128.pow(scale as u32) / 2, scale }
+                        }
                         // Far apart and close together: both table shapes.
                         _ => Value::Int8(if *seed % 2 == 0 { k - 2 } else { (k - 2) << 40 }),
                     };
@@ -2748,11 +2785,6 @@ fn vector_joins_match_baseline() {
         }
         assert_eq!(got_rows, want_rows, "plan:\n{}", plan.explain());
         assert_eq!(got.metrics.interp_fallback, 0);
-        if typed_keys {
-            assert_eq!(got.metrics.key_fallback, 0, "plan:\n{}", plan.explain());
-        } else if !got.rows.is_empty() {
-            assert!(got.metrics.key_fallback > 0, "VARCHAR join keys went uncounted");
-        }
         let moved = got.metrics.exchange_bytes();
         if !plan.explain().contains("DS_BCAST_INNER") && !plan.explain().contains("DS_DIST_BOTH") {
             assert_eq!(moved, 0, "a local join moved bytes");
@@ -2761,8 +2793,8 @@ fn vector_joins_match_baseline() {
 }
 
 // ---------------------------------------------------------------------
-// The interpreter fallback and the boxed-key fallback are visible, and
-// the benchmark shapes take neither.
+// The interpreter fallback is visible, and the benchmark shapes never
+// take it; every key class is coded, none boxed.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -2836,11 +2868,9 @@ fn vector_interp_fallback_is_counted_and_zero_on_benchmark_shapes() {
     for sql in &shapes {
         let q = c.query(sql).unwrap();
         assert_eq!(q.metrics.interp_fallback, 0, "fell back: {sql}");
-        assert_eq!(q.metrics.key_fallback, 0, "boxed its keys: {sql}");
         assert!(q.metrics.rows_scanned > 0, "scanned nothing: {sql}");
     }
     assert_eq!(c.trace().counter_value("exec.interp_fallback"), 0);
-    assert_eq!(c.trace().counter_value("exec.key_fallback"), 0);
     // The three-way join's second inner is the ALL table: nothing moves,
     // and the answer is the row-at-a-time engine's.
     let three_way = c.query(&shapes[9]).unwrap();
@@ -2848,23 +2878,26 @@ fn vector_interp_fallback_is_counted_and_zero_on_benchmark_shapes() {
     assert_eq!(three_way.metrics.exchange_bytes(), 0);
     assert_eq!(three_way.rows, c.query_interpreted(&shapes[9]).unwrap());
 
-    // Keys no typed lane covers — a FLOAT8 join key, a DECIMAL group
-    // key, three group keys — are boxed, and counted the same three ways.
+    // Every key class is coded: a FLOAT8 join key, a DECIMAL group key,
+    // three group keys answer exactly what the row-at-a-time engine
+    // answers (as multisets: an unsorted GROUP BY's order is its own).
     c.execute("CREATE TABLE odd (a DECIMAL(8,2), b FLOAT8)").unwrap();
     c.execute("INSERT INTO odd VALUES (1.50, 0.5), (1.50, 2.5), (2.25, 0.5)").unwrap();
-    let mut boxed = 0;
+    let sorted = |rows: &[redshift_sim::common::Row]| {
+        let mut text: Vec<String> = rows.iter().map(|r| format!("{:?}", r.values())).collect();
+        text.sort();
+        text
+    };
     for sql in [
         "SELECT COUNT(*) FROM odd x JOIN odd y ON x.b = y.b",
         "SELECT a, COUNT(*) FROM odd GROUP BY a",
         "SELECT cust, pid, sid, COUNT(*) FROM fact WHERE d < 3 GROUP BY cust, pid, sid",
     ] {
         let q = c.query(sql).unwrap();
-        assert!(q.metrics.key_fallback > 0, "keys not counted: {sql}");
         assert_eq!(q.metrics.interp_fallback, 0, "{sql}");
-        assert_eq!(q.rows.len(), c.query_interpreted(sql).unwrap().len(), "{sql}");
-        boxed += q.metrics.key_fallback;
+        assert!(!q.rows.is_empty(), "{sql}");
+        assert_eq!(sorted(&q.rows), sorted(&c.query_interpreted(sql).unwrap()), "{sql}");
     }
-    assert_eq!(c.trace().counter_value("exec.key_fallback"), boxed);
 
     // What no kernel covers — a cast or a CASE in a predicate, a
     // function in a projection or a sort key, a CASE as a group key or
@@ -2891,9 +2924,7 @@ fn vector_interp_fallback_is_counted_and_zero_on_benchmark_shapes() {
         let q = c.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
         q.rows[0].get(0).as_str().unwrap().to_string()
     };
-    assert!(line(&shapes[4]).contains("key_fallback=0 interp_fallback=0)"), "{}", line(&shapes[4]));
-    let boxed_line = line("SELECT a, COUNT(*) FROM odd GROUP BY a");
-    assert!(boxed_line.contains("key_fallback=") && !boxed_line.contains("key_fallback=0 "), "{boxed_line}");
+    assert!(line(&shapes[4]).contains(" interp_fallback=0)"), "{}", line(&shapes[4]));
     let fell = line(cast);
     assert!(fell.contains("interp_fallback=") && !fell.contains("interp_fallback=0)"), "{fell}");
 }
