@@ -448,6 +448,34 @@ for f in crates/engine/src/*.rs crates/core/src/cluster/read.rs; do
 done
 echo "  non-test lines: $key_path_lines (parent: 4382)"
 
+echo "== one catalog version (quick pass) =="
+# The catalog is one immutable value the leader publishes whole
+# (DESIGN.md §11): every commit logs the next catalog, then publishes it,
+# under the publication lock resize flips the source read-only with. The
+# probes: a COPY and an ANALYZE overlapping a resize land on the target
+# or return an error; a refused bootstrap checkpoint fails the resize
+# (the source serves again) and the restore; resized and restored writes
+# survive a crash; every exclusive-scope statement refused at wal.append
+# or wal.commit changes nothing; an evicted WLM waiter leaves the books
+# balanced; and the table-image bytes are still the pinned ones.
+cargo test -q --offline --test failure_injection -- one_catalog_ one_image_refused_
+cargo test -q --offline -p redsim-core --lib -- wait_timeout_evicts \
+  table_image_bytes_are_the_parents
+# Structural guard: the second commit order stays deleted.
+if grep -rn 'commit_exclusive\|fn install(\|catalog_version: AtomicU64' crates/; then
+  echo "ERROR: a second commit order reappeared under crates/" >&2
+  exit 1
+fi
+# Non-test lines of the catalog and the cluster; with two commit orders
+# they were 2705.
+one_catalog_lines=0
+for f in crates/core/src/catalog.rs crates/core/src/cluster/*.rs; do
+  n=$(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f")
+  printf '  %5d %s\n' "$n" "$f"
+  one_catalog_lines=$((one_catalog_lines + n))
+done
+echo "  non-test lines: $one_catalog_lines (parent: 2705)"
+
 echo "== benchdiff smoke (self-diff must pass, regression must fail) =="
 bd_dir=$(mktemp -d)
 trap 'rm -rf "$bd_dir"' EXIT

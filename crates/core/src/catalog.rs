@@ -1,28 +1,24 @@
-//! The leader node's catalog: table definitions and their versions.
+//! The leader node's catalog: table definitions and their versions, as
+//! one immutable value.
 
-use redsim_testkit::sync::{Mutex, RwLock};
 use redsim_common::codec::{Reader, Writer};
 use redsim_common::{Result, RsError, Schema};
 use redsim_distribution::{ClusterTopology, DistStyle};
 use redsim_storage::stats::TableStats;
 use redsim_storage::table::{SliceTable, SortKeySpec, TableConfig};
 use redsim_storage::BlockId;
-use std::collections::BTreeMap;
+use redsim_testkit::sync::Mutex;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 /// One immutable image of a table — the only place its mutable state
-/// lives, and the unit of MVCC visibility. A write statement clones the
-/// committed version (slice *manifests*: group descriptors plus the small
-/// unsealed buffer, never block payloads), changes its private copy,
-/// logs it and swaps it in with [`TableEntry::install`]; dropping the
-/// copy instead is the abort. Once installed a version is reached only
-/// through its `Arc` and never changes, so a reader holding
-/// [`TableEntry::snapshot`] neither blocks on nor observes a concurrent
-/// write.
+/// lives. A write statement's draft [`Catalog`] clones it on first change
+/// (slice *manifests*: group descriptors plus the small unsealed buffer,
+/// never block payloads); once published a version is reached only
+/// through its `Arc` and never changes, so a reader holding a catalog
+/// neither blocks on nor observes a concurrent write.
 #[derive(Clone, Default)]
 pub struct TableVersion {
-    /// Transaction that installed this version (0 = bootstrap).
-    pub txn: u64,
     /// One slice table per global slice id.
     pub slices: Vec<SliceTable>,
     pub state: TableState,
@@ -55,6 +51,15 @@ impl TableVersion {
     /// every copy.
     pub fn stored_rows(&self) -> (u64, u64) {
         self.slices.iter().fold((0, 0), |(n, u), s| (n + s.row_count(), u + s.unsorted_rows()))
+    }
+
+    /// Rows a scan returns: an ALL table's copies count once.
+    pub fn logical_rows(&self, dist_style: &DistStyle) -> u64 {
+        let (total, _) = self.stored_rows();
+        match dist_style {
+            DistStyle::All => total / self.slices.len().max(1) as u64,
+            _ => total,
+        }
     }
 
     /// Absorb the statistics of rows this statement loaded. A
@@ -101,7 +106,7 @@ impl TableVersion {
             )));
         }
         let slices = (0..n_slices).map(|_| SliceTable::decode_meta(r)).collect::<Result<_>>()?;
-        Ok(TableVersion { txn: 0, slices, state })
+        Ok(TableVersion { slices, state })
     }
 
     /// This version of table `name` as a redo-delta payload.
@@ -113,14 +118,13 @@ impl TableVersion {
     }
 }
 
-/// One table: its definition and its committed [`TableVersion`].
+/// One table's definition — what the catalog pairs with its
+/// [`TableVersion`] — and the lock its writers take.
 pub struct TableEntry {
     pub name: String,
     pub schema: Schema,
     pub dist_style: DistStyle,
     pub sort_key: SortKeySpec,
-    /// What every reader sees. Replaced whole, never changed in place.
-    committed: RwLock<Arc<TableVersion>>,
     /// First-committer-wins writer lock: a COPY/INSERT `try_lock`s this
     /// for the statement's duration; a second writer on the same table
     /// finds it held and fails with `RsError::Serializable` instead of
@@ -129,7 +133,8 @@ pub struct TableEntry {
 }
 
 impl TableEntry {
-    /// An empty table laid out over `topology`.
+    /// A new table laid out over `topology`, and its empty first version:
+    /// what [`Catalog::create`] takes.
     pub fn new(
         name: String,
         schema: Schema,
@@ -137,85 +142,68 @@ impl TableEntry {
         sort_key: SortKeySpec,
         topology: &ClusterTopology,
         rows_per_group: usize,
-    ) -> Result<Arc<TableEntry>> {
+    ) -> Result<(Arc<TableEntry>, TableVersion)> {
         let config = TableConfig { rows_per_group, sort_key: sort_key.clone(), auto_compress: true };
         let slices = (0..topology.total_slices())
             .map(|_| SliceTable::new(schema.clone(), config.clone()))
             .collect::<Result<Vec<_>>>()?;
-        let v0 = TableVersion { slices, ..TableVersion::default() };
-        Ok(Self::from_parts(name, schema, dist_style, sort_key, v0))
-    }
-
-    fn from_parts(
-        name: String,
-        schema: Schema,
-        dist_style: DistStyle,
-        sort_key: SortKeySpec,
-        version: TableVersion,
-    ) -> Arc<TableEntry> {
-        let committed = RwLock::new(Arc::new(version));
-        Arc::new(TableEntry { name, schema, dist_style, sort_key, committed, writer: Mutex::new(()) })
-    }
-
-    /// The committed version: one `Arc` clone, held for the statement.
-    pub fn snapshot(&self) -> Arc<TableVersion> {
-        self.committed.read().clone()
-    }
-
-    /// Make `next` the committed version and return the one it replaces.
-    /// Called with the table's `writer` lock held *after* the redo commit
-    /// mark (durability first, visibility second), or under the exclusive
-    /// scope *before* the checkpoint, re-installing the returned version
-    /// if the log refuses it.
-    pub fn install(&self, next: Arc<TableVersion>) -> Arc<TableVersion> {
-        std::mem::replace(&mut *self.committed.write(), next)
-    }
-
-    /// Total rows across slices (ALL-distributed tables report one copy).
-    pub fn logical_rows(&self) -> u64 {
-        let version = self.snapshot();
-        let total: u64 = version.slices.iter().map(SliceTable::row_count).sum();
-        match self.dist_style {
-            DistStyle::All => total / version.slices.len().max(1) as u64,
-            _ => total,
-        }
+        let entry = TableEntry { name, schema, dist_style, sort_key, writer: Mutex::new(()) };
+        Ok((Arc::new(entry), TableVersion { slices, ..TableVersion::default() }))
     }
 }
 
-/// The catalog: a name → table map behind the leader's serialization
-/// point.
-#[derive(Default)]
+/// The catalog: every table's definition and version, as one immutable
+/// value. The leader publishes it whole — a commit builds the next one
+/// and swaps an `Arc` (DESIGN.md §11) — so one `Arc<Catalog>` is a
+/// statement's consistent view of every table, and cloning one is a
+/// draft: a name → `Arc` map, whose versions are copied on first change.
+#[derive(Clone, Default)]
 pub struct Catalog {
-    tables: BTreeMap<String, Arc<TableEntry>>,
+    /// The transaction that published this catalog (0: a new cluster's
+    /// empty one). Distinct for every publication, so a result cached
+    /// under one version is never served after a commit.
+    pub version: u64,
+    tables: BTreeMap<String, (Arc<TableEntry>, Arc<TableVersion>)>,
 }
 
 impl Catalog {
-    pub fn create(&mut self, entry: Arc<TableEntry>) -> Result<()> {
-        let key = entry.name.to_ascii_lowercase();
-        if self.tables.contains_key(&key) {
-            return Err(RsError::AlreadyExists(format!("relation {:?}", entry.name)));
+    /// Add a table; returns its version, to fill in.
+    pub fn create(
+        &mut self,
+        (entry, version): (Arc<TableEntry>, TableVersion),
+    ) -> Result<&mut TableVersion> {
+        match self.tables.entry(entry.name.to_ascii_lowercase()) {
+            Entry::Occupied(_) => Err(RsError::AlreadyExists(format!("relation {:?}", entry.name))),
+            Entry::Vacant(slot) => {
+                Ok(Arc::make_mut(&mut slot.insert((entry, Arc::new(version))).1))
+            }
         }
-        self.tables.insert(key, entry);
-        Ok(())
     }
 
-    pub fn drop_table(&mut self, name: &str) -> Result<Arc<TableEntry>> {
+    pub fn drop_table(&mut self, name: &str) -> Result<(Arc<TableEntry>, Arc<TableVersion>)> {
         self.tables
             .remove(&name.to_ascii_lowercase())
             .ok_or_else(|| RsError::NotFound(format!("relation {name:?}")))
     }
 
-    pub fn get(&self, name: &str) -> Option<Arc<TableEntry>> {
-        self.tables.get(&name.to_ascii_lowercase()).cloned()
+    pub fn get(&self, name: &str) -> Option<(&Arc<TableEntry>, &Arc<TableVersion>)> {
+        self.tables.get(&name.to_ascii_lowercase()).map(|(e, v)| (e, v))
     }
 
-    pub fn tables(&self) -> impl Iterator<Item = &Arc<TableEntry>> {
-        self.tables.values()
+    /// Table `name`'s version, to replace — or to change in place with
+    /// `Arc::make_mut`, which copies it first if a published catalog
+    /// shares it.
+    pub fn version_mut(&mut self, name: &str) -> Option<&mut Arc<TableVersion>> {
+        self.tables.get_mut(&name.to_ascii_lowercase()).map(|(_, v)| v)
     }
 
-    /// Every block the committed versions reference.
+    pub fn tables(&self) -> impl Iterator<Item = (&Arc<TableEntry>, &Arc<TableVersion>)> {
+        self.tables.values().map(|(e, v)| (e, v))
+    }
+
+    /// Every block the versions reference.
     pub fn block_ids(&self) -> Vec<BlockId> {
-        self.tables().flat_map(|t| t.snapshot().block_ids()).collect()
+        self.tables().flat_map(|(_, v)| v.block_ids()).collect()
     }
 
     /// Serialize the full catalog (not blocks): per table its name,
@@ -224,7 +212,7 @@ impl Catalog {
     /// Snapshot manifests and redo checkpoints are these bytes.
     pub fn encode(&self, w: &mut Writer) {
         w.put_u32(self.tables.len() as u32);
-        for t in self.tables.values() {
+        for (t, version) in self.tables() {
             w.put_str(&t.name);
             match &t.dist_style {
                 DistStyle::Even => w.put_u8(0),
@@ -234,7 +222,7 @@ impl Catalog {
                 }
                 DistStyle::All => w.put_u8(2),
             }
-            t.snapshot().encode_image(w);
+            version.encode_image(w);
         }
     }
 
@@ -256,7 +244,8 @@ impl Catalog {
             let version = TableVersion::decode_image(r, topology.total_slices() as usize)?;
             let slice = &version.slices[0];
             let (schema, sort_key) = (slice.schema().clone(), slice.sort_key().clone());
-            catalog.create(TableEntry::from_parts(name, schema, dist_style, sort_key, version))?;
+            let entry = TableEntry { name, schema, dist_style, sort_key, writer: Mutex::new(()) };
+            catalog.create((Arc::new(entry), version))?;
         }
         if !r.is_exhausted() {
             return Err(RsError::Codec(format!("{} bytes after the catalog image", r.remaining())));
@@ -264,20 +253,21 @@ impl Catalog {
         Ok(catalog)
     }
 
-    /// Replay one [`TableVersion::encode_delta`] payload, committed as
-    /// `txn`, onto its table: the delta's image becomes the version.
-    pub fn apply_delta(&self, txn: u64, payload: &[u8]) -> Result<()> {
+    /// The catalog transaction `txn` published by committing one
+    /// [`TableVersion::encode_delta`] payload: this one with the delta's
+    /// image as its table's version.
+    pub fn apply_delta(&self, txn: u64, payload: &[u8]) -> Result<Catalog> {
         let mut r = Reader::new(payload);
         let name = r.get_str()?;
-        let entry = self.get(&name).ok_or_else(|| {
+        let mut next = Catalog { version: txn, ..self.clone() };
+        let slot = next.version_mut(&name).ok_or_else(|| {
             RsError::InvalidState(format!("redo delta references unknown table {name:?}"))
         })?;
-        let version = TableVersion::decode_image(&mut r, entry.snapshot().slices.len())?;
+        *slot = Arc::new(TableVersion::decode_image(&mut r, slot.slices.len())?);
         if !r.is_exhausted() {
             return Err(RsError::Codec(format!("{} bytes after the redo delta", r.remaining())));
         }
-        entry.install(Arc::new(TableVersion { txn, ..version }));
-        Ok(())
+        Ok(next)
     }
 }
 
@@ -290,7 +280,7 @@ mod tests {
         ClusterTopology::new(2, 2).unwrap()
     }
 
-    fn entry(name: &str) -> Arc<TableEntry> {
+    fn entry(name: &str) -> (Arc<TableEntry>, TableVersion) {
         TableEntry::new(
             name.to_string(),
             Schema::new(vec![
@@ -304,6 +294,28 @@ mod tests {
             1024,
         )
         .unwrap()
+    }
+
+    /// A table as a test holds it, a definition with one version: what
+    /// `TableEntry::new` returns, or what `Catalog::get` finds.
+    trait Table {
+        fn parts(&self) -> (&TableEntry, &TableVersion);
+
+        fn snapshot(&self) -> &TableVersion {
+            self.parts().1
+        }
+    }
+
+    impl Table for (Arc<TableEntry>, TableVersion) {
+        fn parts(&self) -> (&TableEntry, &TableVersion) {
+            (&self.0, &self.1)
+        }
+    }
+
+    impl Table for (&Arc<TableEntry>, &Arc<TableVersion>) {
+        fn parts(&self) -> (&TableEntry, &TableVersion) {
+            (self.0, self.1)
+        }
     }
 
     #[test]
@@ -326,27 +338,30 @@ mod tests {
         c.encode(&mut w);
         let bytes = w.into_bytes();
         let c2 = Catalog::decode(&mut Reader::new(&bytes), &topo()).unwrap();
-        let t = c2.get("clicks").unwrap();
+        let (t, version) = c2.get("clicks").unwrap();
         assert_eq!(t.dist_style, DistStyle::Key(0));
         assert_eq!(t.sort_key, SortKeySpec::Compound(vec![0]));
-        assert_eq!(t.snapshot().state.rows_estimate, 123);
-        assert_eq!(t.snapshot().slices.len(), 4);
+        assert_eq!(version.state.rows_estimate, 123);
+        assert_eq!(version.slices.len(), 4);
     }
 
-    /// `t` with a next version that differs from its current one in `state`.
-    fn with_state(t: Arc<TableEntry>, state: TableState) -> Arc<TableEntry> {
-        t.install(Arc::new(TableVersion { state, ..TableVersion::clone(&t.snapshot()) }));
-        t
+    /// `t` with its version's `state` replaced.
+    fn with_state(
+        (t, version): (Arc<TableEntry>, TableVersion),
+        state: TableState,
+    ) -> (Arc<TableEntry>, TableVersion) {
+        (t, TableVersion { state, ..version })
     }
 
     /// A table whose every [`TableState`] field is off its default.
-    fn busy_entry(stats: Option<TableStats>) -> Arc<TableEntry> {
+    fn busy_entry(stats: Option<TableStats>) -> (Arc<TableEntry>, TableVersion) {
         let state = TableState { rows_estimate: 41, cursor: 3, stats, loads_since_analyze: 17 };
         with_state(entry("busy"), state)
     }
 
-    fn delta(t: &TableEntry) -> Vec<u8> {
-        t.snapshot().encode_delta(&t.name)
+    fn delta(t: &impl Table) -> Vec<u8> {
+        let (entry, version) = t.parts();
+        version.encode_delta(&entry.name)
     }
 
     #[test]
@@ -356,21 +371,22 @@ mod tests {
             let image = delta(&src);
             // Checkpoint / snapshot path: decode builds the entry.
             let mut c = Catalog::default();
-            c.create(Arc::clone(&src)).unwrap();
+            c.create(src).unwrap();
             let mut w = Writer::new();
             c.encode(&mut w);
             let decoded = Catalog::decode(&mut Reader::new(&w.into_bytes()), &topo()).unwrap();
             assert_eq!(delta(&decoded.get("busy").unwrap()), image);
-            assert_eq!(decoded.get("busy").unwrap().snapshot().state.rows_estimate, 41);
+            assert_eq!(decoded.get("busy").unwrap().1.state.rows_estimate, 41);
             // Delta path: replay onto a fresh entry of the same table.
             let mut fresh = Catalog::default();
             fresh.create(entry("busy")).unwrap();
-            fresh.apply_delta(9, &image).unwrap();
-            let t = fresh.get("busy").unwrap();
+            let replayed = fresh.apply_delta(9, &image).unwrap();
+            assert_eq!(replayed.version, 9, "the replayed catalog is the one its commit published");
+            let untouched = delta(&fresh.get("busy").unwrap());
+            assert_eq!(untouched, delta(&entry("busy")), "replay changed the catalog it read");
+            let t = replayed.get("busy").unwrap();
             assert_eq!(delta(&t), image);
-            let version = t.snapshot();
-            assert_eq!(version.txn, 9, "the replayed version carries its commit's txn");
-            let state = &version.state;
+            let state = &t.1.state;
             assert_eq!((state.rows_estimate, state.cursor, state.loads_since_analyze), (41, 3, 17));
             assert_eq!(state.stats.as_ref().map(|s| s.rows), stats.map(|s| s.rows));
         }
@@ -462,12 +478,12 @@ mod tests {
         c.create(entry("busy")).unwrap();
         let untouched = delta(&c.get("busy").unwrap());
         for cut in [0, 3, image.len() / 2, image.len() - 1] {
-            let err = c.apply_delta(1, &image[..cut]).unwrap_err();
+            let err = c.apply_delta(1, &image[..cut]).err().expect("a truncated delta replayed");
             assert!(matches!(err, RsError::Codec(_)), "truncated at {cut}: {err}");
         }
         let mut long = image.clone();
         long.push(0);
-        let err = c.apply_delta(1, &long).unwrap_err();
+        let err = c.apply_delta(1, &long).err().expect("an over-long delta replayed");
         assert!(matches!(err, RsError::Codec(_)), "over-long: {err}");
         assert_eq!(delta(&c.get("busy").unwrap()), untouched, "failed replay changes nothing");
         // The same bytes embedded in a catalog image.

@@ -1,12 +1,12 @@
 //! The compute part: the topology and the per-node block stores, and
 //! every operation that fans out over a table's slices — the paper's
 //! compute nodes, which "perform the heavy lifting" (§2.1). Stateless
-//! apart from the stores: which table, which version (a committed one to
+//! apart from the stores: which table, which version (a published one to
 //! read, a writer's private draft to change) and under which lock is the
 //! caller's business.
 
 use crate::catalog::{Catalog, TableEntry, TableState, TableVersion};
-use redsim_common::{ColumnData, FxHashMap, Result, Row, RsError};
+use redsim_common::{ColumnData, Result, Row, RsError};
 use redsim_distribution::{ClusterTopology, DistStyle, RowRouter, SliceId};
 use redsim_engine::baseline;
 use redsim_engine::exec::TableProvider;
@@ -118,21 +118,21 @@ impl Compute {
     }
 
     /// Fill `next`, the draft of the re-laid-out copy `to` (resize,
-    /// redistribute), with every row of `from` as `source` — `from`'s
-    /// cluster — reads it: routed for `to`'s layout and sealed. Carries
-    /// `from`'s state over, all but the cursor, which re-routing the rows
-    /// has just advanced for the new layout.
+    /// redistribute), with every row of `image`, a version of `from`, as
+    /// `source` — `from`'s cluster — reads it: routed for `to`'s layout
+    /// and sealed. Carries `image`'s state over, all but the cursor,
+    /// which re-routing the rows has just advanced for the new layout.
     pub fn copy_table(
         &self,
         to: &TableEntry,
         next: &mut TableVersion,
         source: &Compute,
         from: &TableEntry,
+        image: &TableVersion,
     ) -> Result<()> {
-        let image = from.snapshot();
         let all_cols: Vec<usize> = (0..from.schema.len()).collect();
         let scans =
-            source.on_distinct_slices(from, &image, |t, store| t.scan(store, &all_cols, None))?;
+            source.on_distinct_slices(from, image, |t, store| t.scan(store, &all_cols, None))?;
         for batch in scans.into_iter().flat_map(|s| s.batches) {
             self.append(to, next, batch, false)?;
         }
@@ -151,8 +151,8 @@ impl Compute {
     }
 
     /// Delete the blocks `dead` references and `live` does not; returns
-    /// how many. An aborted draft against the version it was cloned from,
-    /// or a superseded version against the one that replaced it.
+    /// how many. VACUUM's unsorted copy against the sorted one that
+    /// replaced it, in a draft nobody else saw.
     pub fn delete_unshared(&self, dead: &TableVersion, live: &TableVersion) -> usize {
         let keep: BTreeSet<BlockId> = live.block_ids().into_iter().collect();
         let mut ids = dead.block_ids();
@@ -162,34 +162,42 @@ impl Compute {
         dropped
     }
 
-    /// Capture the committed [`TableVersion`] of every referenced user
-    /// table at one point in time: the statement's MVCC read snapshot.
-    /// Unknown names are skipped — binding reports them as missing.
-    pub fn reader(&self, catalog: &Catalog, refs: &[&str]) -> SnapshotReader<'_> {
-        let tables = refs
-            .iter()
-            .filter_map(|t| catalog.get(t))
-            .map(|e| (e.name.to_ascii_lowercase(), (e.snapshot(), e)))
-            .collect();
-        SnapshotReader { compute: self, tables }
+    /// [`Compute::delete_unshared`] table by table, matched by name:
+    /// an aborted draft against the published catalog, or a replaced
+    /// catalog against the one that replaced it. A table whose version
+    /// is the same `Arc` in both is skipped unread.
+    pub fn delete_unreferenced(&self, dead: &Catalog, live: &Catalog) -> usize {
+        let mut dropped = 0;
+        for (t, version) in dead.tables() {
+            match live.get(&t.name) {
+                Some((_, kept)) if Arc::ptr_eq(kept, version) => {}
+                Some((_, kept)) => dropped += self.delete_unshared(version, kept),
+                None => dropped += self.delete_unshared(version, &TableVersion::default()),
+            }
+        }
+        dropped
+    }
+
+    /// The MVCC read view of the published `catalog`.
+    pub fn reader(&self, catalog: Arc<Catalog>) -> SnapshotReader<'_> {
+        SnapshotReader { compute: self, catalog }
     }
 }
 
-/// One statement's view of the tables it references: what the planner
-/// binds and costs against ([`CatalogView`]) and what the compiled
-/// executor ([`TableProvider`]) and the row interpreter
-/// ([`baseline::RowSource`]) scan are the same captured versions, so a
-/// concurrent writer's uncommitted (or newly committed) state is
-/// invisible to a query that has already started.
+/// One statement's view of the tables: what the planner binds and costs
+/// against ([`CatalogView`]) and what the compiled executor
+/// ([`TableProvider`]) and the row interpreter ([`baseline::RowSource`])
+/// scan is one published catalog, so a concurrent writer's uncommitted
+/// (or newly committed) state is invisible to a query that has already
+/// started.
 pub(super) struct SnapshotReader<'a> {
     compute: &'a Compute,
-    /// Lowercased name → (committed version, its table).
-    tables: FxHashMap<String, (Arc<TableVersion>, Arc<TableEntry>)>,
+    pub catalog: Arc<Catalog>,
 }
 
 impl CatalogView for SnapshotReader<'_> {
     fn table(&self, name: &str) -> Option<TableMeta> {
-        self.tables.get(&name.to_ascii_lowercase()).map(|(version, t)| TableMeta {
+        self.catalog.get(name).map(|(t, version)| TableMeta {
             name: t.name.clone(),
             schema: t.schema.clone(),
             dist_style: t.dist_style.clone(),
@@ -217,9 +225,9 @@ impl TableProvider for SnapshotReader<'_> {
         projection: &[usize],
         pred: &ScanPredicate,
     ) -> Result<ScanOutput> {
-        let (version, entry) = self
-            .tables
-            .get(&table.to_ascii_lowercase())
+        let (entry, version) = self
+            .catalog
+            .get(table)
             .ok_or_else(|| RsError::NotFound(format!("relation {table:?}")))?;
         // ALL tables: only slice 0 scans (avoids N× duplicate rows).
         if matches!(entry.dist_style, DistStyle::All) && slice != 0 {

@@ -180,7 +180,7 @@ impl Durable {
     /// writer lock held and after the final flush, so every slice's
     /// buffer is empty and the delta is a lossless image. Any failure
     /// (all injected — the log is in-memory) aborts the statement
-    /// *before* the draft is installed, so an unlogged write is never
+    /// *before* the draft is published, so an unlogged write is never
     /// visible.
     pub fn log_table_delta(&self, txn: u64, name: &str, next: &TableVersion) -> Result<()> {
         self.wal.append_delta(txn, &next.encode_delta(name))?;
@@ -192,7 +192,8 @@ impl Durable {
 
     /// Write a full-catalog checkpoint ([`Catalog::encode`]) to the redo
     /// log and reclaim the bytes it supersedes. Caller holds the
-    /// exclusive `data_lock`, so no table writer commits mid-encode.
+    /// exclusive `data_lock`, so no table writer commits between the
+    /// catalog it encodes and the one it publishes.
     pub fn log_checkpoint(&self, txn: u64, catalog: &Catalog) -> Result<()> {
         let mut w = Writer::new();
         catalog.encode(&mut w);
@@ -213,23 +214,22 @@ impl Durable {
         Ok(())
     }
 
-    /// Rebuild the committed catalog from the redo log: the last
-    /// committed checkpoint seeds it, committed deltas after it overwrite
-    /// per-table state in log order. Returns the catalog and the number
-    /// of deltas replayed; transaction ids resume past the log's.
+    /// Rebuild the last published catalog from the redo log: the last
+    /// committed checkpoint seeds it, committed deltas after it replace
+    /// one table's version each, in log order. Returns the catalog and
+    /// the number of deltas replayed; transaction ids resume past the
+    /// log's.
     pub fn replay(&self, topology: &ClusterTopology) -> Result<(Catalog, u64)> {
         let replay = wal::replay(&self.wal.durable_bytes())?;
-        let mut max_txn = 0;
-        let catalog = match &replay.checkpoint {
-            Some((txn, payload)) => {
-                max_txn = *txn;
-                Catalog::decode(&mut Reader::new(payload), topology)?
-            }
-            None => Catalog::default(),
-        };
+        let mut catalog = Catalog::default();
+        if let Some((txn, payload)) = &replay.checkpoint {
+            catalog = Catalog::decode(&mut Reader::new(payload), topology)?;
+            catalog.version = *txn;
+        }
+        let mut max_txn = catalog.version;
         for (txn, payload) in &replay.deltas {
             max_txn = max_txn.max(*txn);
-            catalog.apply_delta(*txn, payload)?;
+            catalog = catalog.apply_delta(*txn, payload)?;
         }
         self.txn_seq.store(max_txn, Ordering::Relaxed);
         Ok((catalog, replay.deltas.len() as u64))

@@ -1,7 +1,7 @@
-//! The leader part: the catalog and the services around it that never
-//! touch a block — plan cache, result cache, WLM admission, sessions,
-//! usage telemetry, the trace sink and query ids (§2.1's leader node,
-//! minus the transaction protocol, which stays on
+//! The leader part: the published catalog and the services around it
+//! that never touch a block — plan cache, result cache, WLM admission,
+//! sessions, usage telemetry, the trace sink and query ids (§2.1's leader
+//! node, minus the transaction protocol, which stays on
 //! [`Cluster`](super::Cluster)). Nothing here survives a crash.
 
 use super::QueryResult;
@@ -20,7 +20,7 @@ use redsim_faultkit::FaultRegistry;
 use redsim_obs::{Span, TraceSink, LVL_CORE, LVL_PHASE};
 use redsim_sql::plan::LogicalPlan;
 use redsim_sql::{ast, optimizer, Binder};
-use redsim_testkit::sync::RwLock;
+use redsim_testkit::sync::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -42,10 +42,29 @@ pub struct WlmAccounting {
 }
 
 impl WlmAccounting {
-    /// `admitted == completed + aborted + evicted` — every admission
-    /// reaches exactly one terminal state.
+    /// Point-in-time snapshot of the books, read from the `wlm.*`
+    /// counters of `trace`.
+    pub(crate) fn of(trace: &TraceSink) -> WlmAccounting {
+        let c = |name| trace.counter_value(name);
+        WlmAccounting {
+            admitted: c("wlm.admitted"),
+            completed: c("wlm.completed"),
+            aborted: c("wlm.aborted"),
+            evicted: c("wlm.evicted"),
+            rejected: c("wlm.rejected"),
+            hops: c("wlm.hops"),
+            sqa_admits: c("wlm.sqa_admits"),
+            queued_admits: c("wlm.queued_admits"),
+            rule_actions: c("wlm.rule_actions"),
+        }
+    }
+
+    /// `admitted == completed + aborted`, the invariant every quiesced
+    /// cluster upholds and the workload replay harness asserts: each
+    /// admission reaches exactly one terminal state. Evictions and
+    /// rejections are failed admissions — they were never admitted.
     pub fn balanced(&self) -> bool {
-        self.admitted == self.completed + self.aborted + self.evicted
+        self.admitted == self.completed + self.aborted
     }
 }
 
@@ -59,15 +78,18 @@ pub(super) fn stamp_query(qspan: &mut Span, qid: u64, sql: &str, rows: usize, ct
 }
 
 pub(super) struct Leader {
-    /// Lock order: after `data_lock`, before any table's `writer`.
-    pub catalog: RwLock<Catalog>,
-    /// Bumped by every *committed* mutating statement; never by a
-    /// rollback. Result-cache entries are pinned to the version they
-    /// were produced under, so a bump is the invalidation.
-    catalog_version: AtomicU64,
+    /// The published catalog, replaced whole by [`Leader::publish`]. A
+    /// leaf lock, held for one `Arc` clone or swap.
+    catalog: RwLock<Arc<Catalog>>,
+    /// The publication lock: a commit holds it across its writability
+    /// check, its log write and its publish, and resize holds it to flip
+    /// the cluster read-only and take its one catalog snapshot — so every
+    /// commit is either in that snapshot or refused. After every table's
+    /// `writer`, before `Wal` internals.
+    pub publication: Mutex<()>,
     pub plan_cache: PlanCache,
     /// Leader result cache, keyed on (normalized SQL, user group,
-    /// catalog version). See `crate::result_cache`.
+    /// `Catalog::version`). See `crate::result_cache`.
     pub result_cache: ResultCache,
     /// WLM admission controller (§2.1): every SELECT holds a
     /// service-class concurrency slot for its whole execution.
@@ -88,8 +110,8 @@ pub(super) struct Leader {
 impl Leader {
     pub fn new(config: &ClusterConfig, catalog: Catalog, trace: Arc<TraceSink>) -> Leader {
         Leader {
-            catalog: RwLock::new(catalog),
-            catalog_version: AtomicU64::new(0),
+            catalog: RwLock::new(Arc::new(catalog)),
+            publication: Mutex::new(()),
             plan_cache: PlanCache::with_work(
                 config.plan_cache_capacity,
                 config.compile_work_per_node,
@@ -106,21 +128,15 @@ impl Leader {
         }
     }
 
-    pub fn catalog_version(&self) -> u64 {
-        self.catalog_version.load(Ordering::Acquire)
+    /// The published catalog: one `Arc` clone.
+    pub fn catalog(&self) -> Arc<Catalog> {
+        Arc::clone(&self.catalog.read())
     }
 
-    /// A mutating statement committed: result-cache entries stop matching.
-    pub fn committed(&self) {
-        self.catalog_version.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// A schema-changing statement committed: cached plans bound against
-    /// the old catalog must not survive either (a re-created table with a
-    /// different schema can produce a Debug-identical plan signature).
-    pub fn schema_changed(&self) {
-        self.plan_cache.invalidate_all();
-        self.committed();
+    /// Make `next` the published catalog; returns the one it replaces.
+    /// Caller holds `publication`, after logging `next`.
+    pub fn publish(&self, next: Arc<Catalog>) -> Arc<Catalog> {
+        std::mem::replace(&mut *self.catalog.write(), next)
     }
 
     pub fn next_query_id(&self) -> u64 {
@@ -128,13 +144,12 @@ impl Leader {
     }
 
     /// Estimated cost for WLM routing: total logical rows across the
-    /// referenced tables' committed versions, scaled by the table count
-    /// (joins are superlinear). Deliberately cheap — a short catalog
-    /// read before admission, no planning, no wait on any writer.
-    pub fn estimate_cost(&self, refs: &[&str]) -> u64 {
-        let catalog = self.catalog.read();
-        let total: u64 =
-            refs.iter().filter_map(|t| catalog.get(t)).map(|e| e.logical_rows()).sum();
+    /// referenced tables of `catalog`, scaled by the table count (joins
+    /// are superlinear). Deliberately cheap — no planning, no wait on any
+    /// writer.
+    pub fn estimate_cost(catalog: &Catalog, refs: &[&str]) -> u64 {
+        let tables = refs.iter().filter_map(|t| catalog.get(t));
+        let total: u64 = tables.map(|(t, v)| v.logical_rows(&t.dist_style)).sum();
         total.saturating_mul(refs.len().max(1) as u64)
     }
 
@@ -190,7 +205,7 @@ impl Leader {
             Some(&self.wlm),
             Some(faults),
             Some(&self.sessions),
-            Some(&self.catalog.read()),
+            Some(&self.catalog()),
             refs,
         );
         let bound = Binder::new(&sys).bind_select(sel)?;
@@ -202,25 +217,5 @@ impl Leader {
         }
         let out = Executor::new(&sys).run(&plan)?;
         Ok(QueryResult::new(out.columns, out.rows, out.metrics, plan_text))
-    }
-
-    /// Point-in-time snapshot of the WLM admission books, read from the
-    /// trace counters. The invariant every quiesced cluster upholds —
-    /// and the workload replay harness asserts — is `admitted ==
-    /// completed + aborted + evicted`: each admission ends in exactly
-    /// one terminal state (rejections never admit).
-    pub fn wlm_accounting(&self) -> WlmAccounting {
-        let c = |name| self.trace.counter_value(name);
-        WlmAccounting {
-            admitted: c("wlm.admitted"),
-            completed: c("wlm.completed"),
-            aborted: c("wlm.aborted"),
-            evicted: c("wlm.evicted"),
-            rejected: c("wlm.rejected"),
-            hops: c("wlm.hops"),
-            sqa_admits: c("wlm.sqa_admits"),
-            queued_admits: c("wlm.queued_admits"),
-            rule_actions: c("wlm.rule_actions"),
-        }
     }
 }

@@ -42,7 +42,7 @@ impl Cluster {
         // only ever references committed blocks.
         let _txn = self.begin_write_txn(WriteScope::Exclusive)?;
         let mut span = self.trace().span(LVL_PHASE, "snapshot");
-        let catalog = self.leader.catalog.read();
+        let catalog = self.leader.catalog();
         let blocks = catalog.block_ids();
         if span.is_recording() {
             span.attr("id", id);
@@ -86,22 +86,22 @@ impl Cluster {
         let mut r = Reader::new(&metadata);
         let keys = Keys::decode(&mut r, hsm)?;
         let durable = Durable::create(&config, trace, s3, keys)?;
-        let cluster = Self::assemble(config, durable, |durable, compute| {
-            let catalog = Catalog::decode(&mut r, &compute.topology)?;
-            // Each block is pending on the node of the slice that owns it.
-            let mut homes = Vec::new();
-            for table in catalog.tables() {
-                for (slice, t) in table.snapshot().slices.iter().enumerate() {
-                    let node = compute.topology.node_of(SliceId(slice as u32));
-                    homes.extend(t.block_ids().into_iter().map(|id| (id, node)));
-                }
+        let cluster = Self::assemble(config, durable, |_, _| Ok(Catalog::default()))?;
+        // The snapshot's catalog is the new cluster's first commit: its
+        // checkpoint seeds the redo log, so a crash right after the
+        // restore recovers it, and a refused one fails the restore.
+        let mut draft = cluster.begin(WriteScope::Exclusive)?;
+        draft.next = Catalog::decode(&mut r, &cluster.compute.topology)?;
+        // Each block is pending on the node of the slice that owns it.
+        let mut homes = Vec::new();
+        for (_, version) in draft.next.tables() {
+            for (slice, t) in version.slices.iter().enumerate() {
+                let node = cluster.compute.topology.node_of(SliceId(slice as u32));
+                homes.extend(t.block_ids().into_iter().map(|id| (id, node)));
             }
-            durable.blocks.restore_from(region, bucket, homes);
-            Ok(catalog)
-        })?;
-        // Seed the redo log so a crash right after the restore recovers
-        // the restored catalog rather than an empty one.
-        cluster.checkpoint_now();
+        }
+        cluster.durable.blocks.restore_from(region, bucket, homes);
+        draft.commit()?;
         rspan.finish(); // open for SQL: metadata + catalog only (§2.2)
         Ok(cluster)
     }
@@ -139,8 +139,15 @@ impl Cluster {
         // retryable error, and let in-flight queries finish before the
         // topology changes underneath them.
         self.drain_wlm();
-        *self.state.write() = ClusterState::ReadOnly;
-        let result = self.resize_inner(new_nodes, new_slices_per_node);
+        // Read-only under the publication lock: every commit is either in
+        // the one catalog the copy reads or refused, never acknowledged
+        // and then left behind on the source.
+        let source = {
+            let _publication = self.leader.publication.lock();
+            *self.state.write() = ClusterState::ReadOnly;
+            self.leader.catalog()
+        };
+        let result = self.resize_inner(&source, new_nodes, new_slices_per_node);
         match &result {
             Ok(_) => *self.state.write() = ClusterState::Decommissioned,
             Err(_) => {
@@ -166,17 +173,23 @@ impl Cluster {
         self.leader.wlm.wait_idle(std::time::Duration::from_secs(30));
     }
 
-    fn resize_inner(&self, new_nodes: u32, new_slices_per_node: u32) -> Result<Arc<Cluster>> {
+    fn resize_inner(
+        &self,
+        source: &Catalog,
+        new_nodes: u32,
+        new_slices_per_node: u32,
+    ) -> Result<Arc<Cluster>> {
         let mut cfg = self.config.clone();
         cfg.name = format!("{}-resized", self.config.name);
         cfg.nodes = new_nodes;
         cfg.slices_per_node = new_slices_per_node;
         cfg.seed = self.config.seed.wrapping_add(1);
         let target = Cluster::launch_with_s3(cfg, Arc::clone(self.s3()))?;
-        let catalog = self.leader.catalog.read();
-        for entry in catalog.tables() {
-            // Recreate the table on the target.
-            let new_entry = TableEntry::new(
+        // The migrated catalog is the target's first commit, as for a
+        // restore: a refused checkpoint fails the resize.
+        let mut draft = target.begin(WriteScope::Exclusive)?;
+        for (entry, image) in source.tables() {
+            let (to, empty) = TableEntry::new(
                 entry.name.clone(),
                 entry.schema.clone(),
                 entry.dist_style.clone(),
@@ -184,17 +197,13 @@ impl Cluster {
                 &target.compute.topology,
                 target.config.rows_per_group,
             )?;
+            let next = draft.next.create((Arc::clone(&to), empty))?;
             // Node-to-node parallel copy: every source slice streams its
             // batches; the router redistributes for the new topology.
             // ALL tables copy from one slice (the target re-duplicates).
-            let mut draft = target.draft(&new_entry);
-            target.compute.copy_table(&new_entry, &mut draft.next, &self.compute, entry)?;
-            draft.install(0);
-            target.leader.catalog.write().create(new_entry)?;
+            target.compute.copy_table(&to, next, &self.compute, entry, image)?;
         }
-        // Seed the target's redo log so a crash right after cutover
-        // recovers the migrated data rather than an empty catalog.
-        target.checkpoint_now();
+        draft.commit()?;
         Ok(target)
     }
 
@@ -239,7 +248,7 @@ impl Cluster {
         let mut rspan = trace.span(LVL_PHASE, "recovery");
         let (s3, blocks, keys) = (Arc::clone(&dead.s3), dead.blocks.clone(), dead.keys.clone());
         let durable = Durable::new(&config, Arc::clone(&trace), s3, blocks, keys, wal);
-        let cluster = Self::assemble(config, durable, |durable, compute| {
+        Self::assemble(config, durable, |durable, compute| {
             let (catalog, replayed) = durable.replay(&compute.topology)?;
             // Orphan scrub: any placed block no recovered manifest
             // references was written by an uncommitted statement (or
@@ -258,13 +267,15 @@ impl Cluster {
                 rspan.attr("orphan_blocks_scrubbed", scrubbed);
             }
             rspan.finish();
+            // Compact: fold the replayed state into one fresh checkpoint
+            // so repeated crash/recover cycles don't replay an ever-longer
+            // log. Best-effort — the log it compacts already holds the
+            // state, so on failure that (still-correct) log remains.
+            if durable.log_checkpoint(durable.next_txn(), &catalog).is_err() {
+                trace.counter("wal.checkpoint_errors").incr();
+            }
             Ok(catalog)
-        })?;
-        // Compact: fold the replayed state into one fresh checkpoint so
-        // repeated crash/recover cycles don't replay an ever-longer log.
-        // Best-effort — on failure the old (still-correct) log remains.
-        cluster.checkpoint_now();
-        Ok(cluster)
+        })
     }
 }
 
@@ -499,7 +510,7 @@ mod tests {
         let csv: String = (0..400).map(|i| format!("{i},v{i}\n")).collect();
         c.put_s3_object("in/rows", csv.into_bytes());
         c.execute("COPY t FROM 's3://in/'").unwrap();
-        assert_eq!(c.leader.catalog.read().block_ids().len(), 8);
+        assert_eq!(c.leader.catalog().block_ids().len(), 8);
     }
 
     fn rows(c: &Cluster) -> Vec<redsim_common::Row> {
@@ -574,7 +585,7 @@ mod tests {
         while r.hydrate_step(64).unwrap() > 0 {}
         assert_eq!(r.hydration_progress(), 1.0);
         let store = r.replicated_store().unwrap();
-        for id in r.leader.catalog.read().block_ids() {
+        for id in r.leader.catalog().block_ids() {
             assert!(store.placement_of(id).is_some(), "{id} is not on-cluster");
         }
     }

@@ -5,62 +5,58 @@
 use super::write::WriteScope;
 use super::{Cluster, ExecSummary};
 use crate::autonomics::{self, MaintenanceAction, MaintenancePolicy};
-use crate::catalog::TableEntry;
+use crate::catalog::{Catalog, TableEntry};
 use redsim_common::{Result, RsError};
 use redsim_distribution::DistStyle;
 use redsim_storage::table::SortKeySpec;
 use std::sync::Arc;
 
 impl Cluster {
-    /// The table a statement names, or every table when it names none.
-    fn tables_or_all(&self, table: Option<&str>) -> Result<Vec<Arc<TableEntry>>> {
-        let catalog = self.leader.catalog.read();
+    /// The tables a statement names — every table when it names none —
+    /// in `catalog`.
+    fn tables_or_all(catalog: &Catalog, table: Option<&str>) -> Result<Vec<Arc<TableEntry>>> {
         match table {
-            Some(t) => Ok(vec![catalog
-                .get(t)
-                .ok_or_else(|| RsError::NotFound(format!("relation {t:?}")))?]),
-            None => Ok(catalog.tables().cloned().collect()),
+            Some(t) => match catalog.get(t) {
+                Some((entry, _)) => Ok(vec![Arc::clone(entry)]),
+                None => Err(RsError::NotFound(format!("relation {t:?}"))),
+            },
+            None => Ok(catalog.tables().map(|(entry, _)| Arc::clone(entry)).collect()),
         }
     }
 
     pub(super) fn run_vacuum(&self, table: Option<&str>) -> Result<ExecSummary> {
         self.check_writable()?;
-        let txn = self.begin_write_txn(WriteScope::Exclusive)?;
-        // Each draft re-sorts into new blocks and keeps the old ones,
-        // which still back the committed version: `commit_exclusive`
-        // frees them once the post-vacuum layout is durable, and an
-        // error on any table drops every draft, new blocks and all.
-        let mut drafts = Vec::new();
+        // Each table re-sorts into new blocks in the draft and keeps the
+        // old ones, which still back the published catalog: the commit
+        // frees them once the post-vacuum layout is durable, and an error
+        // on any table drops the draft, new blocks and all.
+        let mut draft = self.begin(WriteScope::Exclusive)?;
         let mut rewritten = 0u64;
-        for entry in self.tables_or_all(table)? {
-            let mut draft = self.draft(&entry);
-            rewritten += self.compute.vacuum(&mut draft.next)?;
-            drafts.push(draft);
+        for entry in Self::tables_or_all(&draft.next, table)? {
+            let next = draft.next.version_mut(&entry.name).expect("listed from this catalog");
+            rewritten += self.compute.vacuum(Arc::make_mut(next))?;
         }
-        // VACUUM re-sorts without changing visible rows, but the blocks
-        // behind a cached plan's zone maps did change; the commit bumps
-        // the catalog version as for every other mutating statement.
-        self.commit_exclusive(txn.txn, drafts)?;
+        draft.commit()?;
         Ok(ExecSummary { rows_affected: rewritten, message: format!("VACUUM {rewritten}") })
     }
 
     pub(super) fn run_analyze(&self, table: Option<&str>) -> Result<ExecSummary> {
-        self.check_readable()?;
+        self.check_writable()?;
         // Exclusive so the refreshed stats and the checkpoint that makes
         // them durable are a consistent image. (A load's statistics fold
         // instead rides the statement's own writer lock and delta.)
-        let txn = self.begin_write_txn(WriteScope::Exclusive)?;
-        let mut drafts = Vec::new();
-        for entry in self.tables_or_all(table)? {
-            let mut draft = self.draft(&entry);
-            let stats = self.compute.analyze(&entry, &draft.next)?;
-            draft.next.state.rows_estimate = stats.rows;
-            draft.next.state.loads_since_analyze = 0;
-            draft.next.state.stats = Some(stats);
-            drafts.push(draft);
+        let mut draft = self.begin(WriteScope::Exclusive)?;
+        let tables = Self::tables_or_all(&draft.next, table)?;
+        for entry in &tables {
+            let next = draft.next.version_mut(&entry.name).expect("listed from this catalog");
+            let stats = self.compute.analyze(entry, next)?;
+            let state = &mut Arc::make_mut(next).state;
+            state.rows_estimate = stats.rows;
+            state.loads_since_analyze = 0;
+            state.stats = Some(stats);
         }
-        let analyzed = drafts.len() as u64;
-        self.commit_exclusive(txn.txn, drafts)?;
+        draft.commit()?;
+        let analyzed = tables.len() as u64;
         Ok(ExecSummary { rows_affected: analyzed, message: format!("ANALYZE {analyzed} tables") })
     }
 
@@ -72,11 +68,10 @@ impl Cluster {
         self.check_writable()?;
         let mut actions = Vec::new();
         let candidates: Vec<(String, bool, bool)> = {
-            let catalog = self.leader.catalog.read();
+            let catalog = self.leader.catalog();
             catalog
                 .tables()
-                .map(|t| {
-                    let version = t.snapshot();
+                .map(|(t, version)| {
                     let (total, unsorted) = version.stored_rows();
                     let needs_vacuum = total > 0
                         && !matches!(t.sort_key, SortKeySpec::None)
@@ -107,16 +102,15 @@ impl Cluster {
         // replicated copy are DS_DIST_ALL_NONE (no interconnect traffic).
         if let Some(max_rows) = policy.auto_all_max_rows {
             let small_even: Vec<String> = {
-                let catalog = self.leader.catalog.read();
+                let catalog = self.leader.catalog();
                 catalog
                     .tables()
-                    .filter(|t| {
+                    .filter(|(t, v)| {
                         matches!(t.dist_style, DistStyle::Even)
-                            && t.snapshot().state.stats.is_some() // only analyzed (stable) tables
-                            && t.logical_rows() > 0
-                            && t.logical_rows() <= max_rows
+                            && v.state.stats.is_some() // only analyzed (stable) tables
+                            && (1..=max_rows).contains(&v.logical_rows(&t.dist_style))
                     })
-                    .map(|t| t.name.clone())
+                    .map(|(t, _)| t.name.clone())
                     .collect()
             };
             for name in small_even {
@@ -132,18 +126,15 @@ impl Cluster {
     /// advisor; also callable directly).
     pub fn redistribute_all(&self, table: &str) -> Result<()> {
         self.check_writable()?;
-        let txn = self.begin_write_txn(WriteScope::Exclusive)?;
-        let entry = self
-            .leader
-            .catalog
-            .read()
-            .get(table)
-            .ok_or_else(|| RsError::NotFound(format!("relation {table:?}")))?;
+        let mut draft = self.begin(WriteScope::Exclusive)?;
+        // Read every row, rebuild under ALL in place of the old layout;
+        // the commit frees the old layout's blocks once the new one is
+        // durable, and plans compiled against the old layout with it.
+        let (entry, image) = draft.next.drop_table(table)?;
         if matches!(entry.dist_style, DistStyle::All) {
             return Ok(());
         }
-        // Read every row, rebuild under ALL, swap into the catalog.
-        let new_entry = TableEntry::new(
+        let (all, empty) = TableEntry::new(
             entry.name.clone(),
             entry.schema.clone(),
             DistStyle::All,
@@ -151,39 +142,17 @@ impl Cluster {
             &self.compute.topology,
             self.config.rows_per_group,
         )?;
-        let mut draft = self.draft(&new_entry);
-        self.compute.copy_table(&new_entry, &mut draft.next, &self.compute, &entry)?;
+        let next = draft.next.create((Arc::clone(&all), empty))?;
+        self.compute.copy_table(&all, next, &self.compute, &entry, &image)?;
         // Preserve sortedness: the rebuild appended into the unsorted
         // region; re-sort so zone maps keep working.
-        if !matches!(new_entry.sort_key, SortKeySpec::None) {
-            let unsorted = draft.next.clone();
-            let sorted = self.compute.vacuum(&mut draft.next);
-            self.compute.delete_unshared(&unsorted, &draft.next);
+        if !matches!(all.sort_key, SortKeySpec::None) {
+            let unsorted = next.clone();
+            let sorted = self.compute.vacuum(next);
+            self.compute.delete_unshared(&unsorted, next);
             sorted?;
         }
-        draft.install(txn.txn);
-        // Swap in the ALL layout, make it durable, and only then free
-        // the old layout's blocks (deferred deletion — a crash on either
-        // side of the commit mark leaves one complete block set; the
-        // other side is scrubbed as orphans during recovery).
-        let swap = |from: &Arc<TableEntry>, to: &Arc<TableEntry>| {
-            let mut catalog = self.leader.catalog.write();
-            let _ = catalog.drop_table(&from.name);
-            catalog.create(Arc::clone(to))
-        };
-        swap(&entry, &new_entry)?;
-        if let Err(e) = self.log_checkpoint(txn.txn) {
-            // Undo the swap so the failed statement is invisible.
-            let _ = swap(&new_entry, &entry);
-            self.compute.delete_blocks(new_entry.snapshot().block_ids());
-            return Err(e);
-        }
-        self.compute.delete_blocks(entry.snapshot().block_ids());
-        // The table changed distribution: plans compiled against the old
-        // layout are stale, and cached results (though still row-correct)
-        // follow the same committed-write rule as everything else.
-        self.leader.schema_changed();
-        Ok(())
+        draft.commit()
     }
 
     /// Auto-relationalize semi-structured data (§4 future work): infer a

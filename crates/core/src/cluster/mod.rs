@@ -106,11 +106,11 @@ pub struct Cluster {
     /// [`Cluster::begin_write_txn`].
     write_txn: Mutex<()>,
     /// Structural lock over table *storage*. Readers and per-table
-    /// writers hold it shared — reads are isolated by MVCC snapshots
-    /// ([`crate::catalog::TableEntry::snapshot`]), not by excluding
-    /// writers. Only operations that free blocks a running scan may
-    /// still read (DROP, VACUUM, redistribute) or need a frozen catalog
-    /// image (checkpoint) take it exclusively.
+    /// writers hold it shared — reads are isolated by the published
+    /// catalog they hold, not by excluding writers. Only operations that
+    /// free blocks a running scan may still read (DROP, VACUUM,
+    /// redistribute) or need a frozen catalog image (checkpoint) take it
+    /// exclusively.
     data_lock: RwLock<()>,
 }
 
@@ -163,11 +163,11 @@ impl Cluster {
         self.durable.s3.faults()
     }
 
-    /// `table`'s committed version (`None` for an unknown table): what
+    /// `table`'s published version (`None` for an unknown table): what
     /// the accessors below read, so an in-flight writer's progress is
     /// visible in none of them and none of them waits on it.
     fn committed(&self, table: &str) -> Option<Arc<TableVersion>> {
-        self.leader.catalog.read().get(table).map(|e| e.snapshot())
+        self.leader.catalog().get(table).map(|(_, v)| Arc::clone(v))
     }
 
     /// The catalog's cheap running row count for `table` (`None` for an
@@ -249,10 +249,11 @@ impl Cluster {
         &self.leader.sessions
     }
 
-    /// Current catalog version: bumped by every *committed* mutating
-    /// statement, never by a rollback. The result cache keys on it.
+    /// The published catalog's version: the transaction that published
+    /// it, so it changes with every *committed* mutating statement and
+    /// never with a rollback. The result cache keys on it.
     pub fn catalog_version(&self) -> u64 {
-        self.leader.catalog_version()
+        self.leader.catalog().version
     }
 
     /// `(hits, misses)` of the leader result cache since launch.
@@ -267,7 +268,7 @@ impl Cluster {
 
     /// See [`WlmAccounting`].
     pub fn wlm_accounting(&self) -> WlmAccounting {
-        self.leader.wlm_accounting()
+        WlmAccounting::of(&self.leader.trace)
     }
 
     /// Usage telemetry collected by the leader (§5 future work).

@@ -2,7 +2,8 @@
 //! rows, and the row-interpreter comparator.
 
 use super::compute::SnapshotReader;
-use super::{leader, Cluster, QueryResult};
+use super::leader::{self, Leader};
+use super::{Cluster, QueryResult};
 use crate::autonomics;
 use crate::result_cache::CachedResult;
 use crate::session::SessionCtx;
@@ -70,27 +71,26 @@ impl Cluster {
     /// A SELECT's read snapshot and its plan, bound and optimized against
     /// that same snapshot: the one prologue of the production path and
     /// the row-interpreter reference path, so the two cannot plan
-    /// against different versions or catalog views. Returns the shared
-    /// `data_lock` guard (hold it while scanning — exclusive statements
-    /// free blocks), the catalog version as of *before* the snapshot,
-    /// the reader and the plan (planned under a `query.plan` child of
+    /// against different catalogs. Returns the shared `data_lock` guard
+    /// (hold it while scanning — exclusive statements free blocks), the
+    /// reader and the plan (planned under a `query.plan` child of
     /// `qspan`).
     fn plan_select(
         &self,
         sel: &ast::Select,
         qspan: &Span,
-    ) -> Result<(RwLockReadGuard<'_, ()>, u64, SnapshotReader<'_>, LogicalPlan)> {
+    ) -> Result<(RwLockReadGuard<'_, ()>, SnapshotReader<'_>, LogicalPlan)> {
         let data = self.data_lock.read();
-        // MVCC read point: the catalog version *before* capturing table
-        // snapshots, and the committed version of every referenced table.
-        // Writers can commit concurrently (they hold the data lock
-        // shared); this query keeps scanning the versions captured here.
-        let version = self.catalog_version();
-        let reader = self.compute.reader(&self.leader.catalog.read(), &sel.referenced_tables());
+        // MVCC read point: the catalog published now, read under the
+        // data lock (one read before it could name blocks an exclusive
+        // statement has freed since). Table writers commit concurrently
+        // (they hold the data lock shared); this query keeps planning,
+        // scanning and keying its cache fill on the catalog read here.
+        let reader = self.compute.reader(self.leader.catalog());
         let pspan = qspan.child(LVL_PHASE, "query.plan");
         let plan = optimizer::optimize(Binder::new(&reader).bind_select(sel)?, &reader);
         pspan.finish();
-        Ok((data, version, reader, plan))
+        Ok((data, reader, plan))
     }
 
     fn run_select(
@@ -117,11 +117,13 @@ impl Cluster {
         // any data lock — a hit costs one hash lookup. EXPLAIN (both
         // flavors) and system-table reads never participate; a session
         // can opt out (and the sessionless compat path always does).
+        // The probe and the WLM estimate read the catalog published now;
+        // planning re-reads it once admitted and under the data lock.
+        let catalog = self.leader.catalog();
         let cacheable = mode == SelectMode::Execute && ctx.use_result_cache;
         if cacheable {
-            let version = self.catalog_version();
             let group = ctx.user_group.as_deref();
-            if let Some(hit) = self.leader.result_cache.get(sql, group, version) {
+            if let Some(hit) = self.leader.result_cache.get(sql, group, catalog.version) {
                 return Ok(self.leader.serve_cached(sql, ctx, &hit));
             }
             self.trace().counter("result_cache.misses").incr();
@@ -134,7 +136,8 @@ impl Cluster {
         // reads above bypass it too, so queue state stays observable when
         // every slot is busy.
         let mut wlm_guard = if mode == SelectMode::Execute {
-            let cost = self.leader.estimate_cost(&refs);
+            let cost = Leader::estimate_cost(&catalog, &refs);
+            drop(catalog); // a queued statement holds nothing
             Some(self.leader.wlm.admit(cost, ctx.user_group.as_deref())?)
         } else {
             None
@@ -152,7 +155,7 @@ impl Cluster {
         if queue_wait_ns > 0 {
             qspan.child_completed(LVL_PHASE, "wlm.wait", queue_wait_ns, &[]);
         }
-        let (_snapshot, version_at_snapshot, reader, plan) = self.plan_select(sel, &qspan)?;
+        let (_snapshot, reader, plan) = self.plan_select(sel, &qspan)?;
         let plan_text = plan.explain();
         self.leader.usage.record_feature(match mode {
             SelectMode::Execute => "SELECT",
@@ -286,15 +289,13 @@ impl Cluster {
         }
         qspan.finish();
         if cacheable {
-            // Fill keyed on the version captured *before* the table
-            // snapshots. A writer may have committed (and bumped the
-            // version) while we executed; keying on the pre-snapshot
-            // version means the entry is at worst unreachable (probes use
-            // the newer version), never stale-for-its-key.
+            // Fill keyed on the version of the catalog the rows came from.
+            // A writer may have published since; the entry is then at
+            // worst unreachable, never stale for its key.
             self.leader.result_cache.put(
                 sql,
                 ctx.user_group.as_deref(),
-                version_at_snapshot,
+                reader.catalog.version,
                 CachedResult {
                     columns: out.columns.clone(),
                     rows: out.rows.clone(),
@@ -314,7 +315,7 @@ impl Cluster {
             Statement::Select(s) => s,
             _ => return Err(RsError::Analysis("not a SELECT".into())),
         };
-        let (_snapshot, _, reader, plan) = self.plan_select(&sel, &Span::disabled())?;
+        let (_snapshot, reader, plan) = self.plan_select(&sel, &Span::disabled())?;
         baseline::run_plan(&plan, &reader)
     }
 }

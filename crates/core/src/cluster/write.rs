@@ -1,11 +1,12 @@
 //! The write path: the transaction protocol (`write_txn` → `data_lock`
-//! → catalog → table `writer`; DESIGN.md §15), the [`Draft`] every
-//! statement builds its table's next version in, and the statements
-//! themselves — CREATE / DROP / INSERT / COPY.
+//! → table `writer` → `publish`; DESIGN.md §15), the [`Draft`] every
+//! statement builds its next catalog in and the one commit that logs and
+//! publishes it, and the statements themselves — CREATE / DROP / INSERT /
+//! COPY.
 
 use super::compute::parallel_map;
 use super::{Cluster, ExecSummary};
-use crate::catalog::{TableEntry, TableVersion};
+use crate::catalog::{Catalog, TableEntry, TableVersion};
 use crate::loader;
 use crate::session::SessionCtx;
 use redsim_common::{ColumnData, ColumnDef, Result, RsError, Schema, Value};
@@ -33,7 +34,7 @@ pub(super) enum WriteScope<'a> {
 
 /// The locks a write transaction holds, plus its id. Dropping the
 /// handle releases them; the handle itself carries no rollback duty —
-/// that stays with [`Draft`] (the uninstalled version's blocks) and the
+/// that stays with [`Draft`] (the unpublished catalog's blocks) and the
 /// WAL protocol (durability).
 pub(super) struct TxnHandle<'a> {
     pub txn: u64,
@@ -59,61 +60,105 @@ fn parse_hex_key(hex: &str) -> Result<redsim_crypto::Key> {
     Ok(redsim_crypto::Key(words))
 }
 
-/// One table's next version under construction: a private clone of the
-/// committed one that the statement appends into, vacuums or re-analyzes
-/// with no lock but the scope it already holds (the table's writer mutex
-/// or the exclusive scope — either way it is the table's only writer).
+/// A statement's next catalog under construction: a private clone of the
+/// published one — a name → `Arc` map; a table's version is copied on its
+/// first change — that the statement appends into, vacuums, re-analyzes,
+/// creates or drops tables in with no lock but its scope (a table's
+/// writer mutex or the exclusive scope), which makes it the only writer
+/// of everything it changes.
 ///
-/// Commit installs it ([`Draft::commit`] for table writers,
-/// [`Cluster::commit_exclusive`] for catalog-shaped statements). Every
-/// other exit path, panics included, drops it, and that is the whole
-/// abort: nobody else ever saw the draft, so all there is to undo is the
-/// blocks it wrote ("data loads are transactional", §2.1).
+/// [`Draft::commit`] logs and publishes it. Every other exit path,
+/// panics included, drops it, and that is the whole abort: nobody else
+/// ever saw the draft, so all there is to undo is the blocks it wrote
+/// ("data loads are transactional", §2.1).
 pub(super) struct Draft<'a> {
     cluster: &'a Cluster,
-    entry: Arc<TableEntry>,
-    /// The committed version `next` was cloned from.
-    base: Arc<TableVersion>,
-    pub next: TableVersion,
-    installed: bool,
+    txn: TxnHandle<'a>,
+    /// A table writer's table, the only one its draft changes: logged as
+    /// a redo delta and published over whatever catalog is current by
+    /// then. `None` for an exclusive-scope draft: logged as a checkpoint
+    /// and published whole.
+    table: Option<&'a TableEntry>,
+    pub next: Catalog,
+    published: bool,
 }
 
+/// Why a table writer's table is in every catalog it sees: DROP waits
+/// on the shared `data_lock` the writer holds.
+const WRITER_TABLE: &str = "a table writer's table outlives its statement";
+
 impl Draft<'_> {
-    /// Swap `next` in as the version committed by `txn`; returns the
-    /// table and the version it replaced.
-    pub fn install(mut self, txn: u64) -> (Arc<TableEntry>, Arc<TableVersion>) {
-        self.installed = true;
-        let next = TableVersion { txn, ..std::mem::take(&mut self.next) };
-        let replaced = self.entry.install(Arc::new(next));
-        (Arc::clone(&self.entry), replaced)
+    /// A table writer's copy of its table.
+    pub fn table(&mut self) -> &mut TableVersion {
+        let name = &self.table.expect("a table writer's draft").name;
+        Arc::make_mut(self.next.version_mut(name).expect(WRITER_TABLE))
     }
 
-    /// Commit a table writer's statement as transaction `txn`.
-    /// Durability first (redo record + commit mark, logged from the
-    /// draft), visibility second (the swap): a WAL failure returns before
-    /// the swap, so the drop discards the draft and an unlogged write is
-    /// never visible. Only a committed write bumps the catalog version,
-    /// so a statement that aborts never invalidates the result cache.
-    pub fn commit(mut self, txn: u64) -> Result<()> {
-        // COMPUPDATE is a per-statement override, not a table property:
-        // put the table's own flag back before the image is logged so the
-        // override reaches neither a later COPY nor the redo log.
-        for (slice, base) in self.next.slices.iter_mut().zip(&self.base.slices) {
-            slice.set_auto_compress(base.auto_compress());
-        }
-        self.cluster.durable.log_table_delta(txn, &self.entry.name, &self.next)?;
+    /// Commit: log, then publish — the one way any statement's changes
+    /// become durable and visible (DESIGN.md §11). Under the leader's
+    /// publication lock: refuse if the cluster no longer takes writes (a
+    /// resize has taken its snapshot); log, a table writer its table's
+    /// redo delta, an exclusive-scope statement its whole next catalog as
+    /// a checkpoint; publish it as transaction `txn`'s catalog; and only
+    /// then free the blocks the replaced catalog references and the new
+    /// one does not (VACUUM's old layout, a dropped table), so a crash on
+    /// either side of the commit mark leaves one complete block set. Any
+    /// error returns before the publish, and the drop discards the draft.
+    /// A table writer only appends: it frees nothing and redefines
+    /// nothing.
+    pub fn commit(mut self) -> Result<()> {
         let cluster = self.cluster;
-        self.install(txn);
-        cluster.leader.committed();
+        let _publication = cluster.leader.publication.lock();
+        cluster.check_writable()?;
+        let txn = self.txn.txn;
+        let mut next = match self.table {
+            Some(entry) => {
+                let version = Arc::clone(self.next.get(&entry.name).expect(WRITER_TABLE).1);
+                cluster.durable.log_table_delta(txn, &entry.name, &version)?;
+                // Holding the table's writer, only other tables can have
+                // changed since the draft began.
+                let mut next = Catalog::clone(&cluster.leader.catalog());
+                *next.version_mut(&entry.name).expect(WRITER_TABLE) = version;
+                next
+            }
+            None => {
+                cluster.durable.log_checkpoint(txn, &self.next)?;
+                std::mem::take(&mut self.next)
+            }
+        };
+        next.version = txn;
+        self.published = true;
+        let next = Arc::new(next);
+        let replaced = cluster.leader.publish(Arc::clone(&next));
+        if self.table.is_none() {
+            cluster.compute.delete_unreferenced(&replaced, &next);
+            let definitions =
+                |c: &Catalog| c.tables().map(|(t, _)| Arc::as_ptr(t)).collect::<Vec<_>>();
+            if definitions(&replaced) != definitions(&next) {
+                // Plans bound against a table definition that changed
+                // must not survive it (a re-created table with another
+                // schema can produce a Debug-identical plan signature).
+                cluster.leader.plan_cache.invalidate_all();
+            }
+        }
         Ok(())
     }
 }
 
 impl Drop for Draft<'_> {
+    /// Abort: delete from every replica the blocks the draft references
+    /// and the published catalog does not — unless a hard crash is armed.
+    /// That models a process that died before it could clean up: the
+    /// blocks stay behind for recovery's orphan scrub, and tidying here
+    /// would remove the very mess recovery must handle.
     fn drop(&mut self) {
-        if !self.installed {
-            self.cluster.discard(&self.next, &self.base);
+        let cluster = self.cluster;
+        if self.published || cluster.durable.hard_crash.load(Ordering::Acquire) {
+            return;
         }
+        let blocks = cluster.compute.delete_unreferenced(&self.next, &cluster.leader.catalog());
+        cluster.trace().counter("write_txn.rollbacks").add(1);
+        cluster.trace().counter("write_txn.blocks_dropped").add(blocks as u64);
     }
 }
 
@@ -124,7 +169,7 @@ impl Cluster {
     ///
     /// - [`WriteScope::Table`]: first-committer-wins `try_lock` on the
     ///   table's writer mutex. The caller already holds the *shared*
-    ///   `data_lock` (taken before the catalog lock), so same-table
+    ///   `data_lock` (taken before it looked the table up), so same-table
     ///   contention is the only thing that can fail — and it fails fast
     ///   with a retryable [`RsError::Serializable`] instead of queueing,
     ///   recorded in `txn.conflicts` / `stl_tr_conflict`.
@@ -167,71 +212,22 @@ impl Cluster {
         }
     }
 
-    /// Start `entry`'s next version: one clone of the committed slice
-    /// manifests and [`TableState`](crate::catalog::TableState). The
-    /// caller holds the table's writer mutex or the exclusive scope.
-    pub(super) fn draft(&self, entry: &Arc<TableEntry>) -> Draft<'_> {
-        let base = entry.snapshot();
-        let next = TableVersion::clone(&base);
-        Draft { cluster: self, entry: Arc::clone(entry), base, next, installed: false }
-    }
-
-    /// Abort: delete from every replica the blocks `dead` wrote beyond
-    /// `live`, the version still (or again) committed — unless a hard
-    /// crash is armed. That models a process that died before it could
-    /// clean up: the blocks stay behind for recovery's orphan scrub, and
-    /// tidying here would remove the very mess recovery must handle.
-    fn discard(&self, dead: &TableVersion, live: &TableVersion) {
-        if self.durable.hard_crash.load(Ordering::Acquire) {
-            return;
-        }
-        let blocks = self.compute.delete_unshared(dead, live);
-        self.trace().counter("write_txn.rollbacks").add(1);
-        self.trace().counter("write_txn.blocks_dropped").add(blocks as u64);
-    }
-
-    /// Commit an exclusive-scope statement's drafts (VACUUM, ANALYZE):
-    /// install them all, then make the catalog durable as a checkpoint.
-    /// Deferred deletion: blocks a new version no longer references are
-    /// freed only after the commit mark, so a crash on either side of it
-    /// leaves one complete block set (recovery scrubs the other). A
-    /// refused checkpoint re-installs the replaced versions and discards
-    /// the drafts' blocks, so the failed statement is invisible.
-    pub(super) fn commit_exclusive(&self, txn: u64, drafts: Vec<Draft<'_>>) -> Result<()> {
-        let installed: Vec<_> = drafts.into_iter().map(|d| d.install(txn)).collect();
-        let logged = self.log_checkpoint(txn);
-        for (entry, replaced) in installed {
-            if logged.is_ok() {
-                self.compute.delete_unshared(&replaced, &entry.snapshot());
-            } else {
-                self.discard(&entry.install(Arc::clone(&replaced)), &replaced);
-            }
-        }
-        logged?;
-        self.leader.committed();
-        Ok(())
-    }
-
-    /// Make the catalog durable as a redo checkpoint. Caller holds
-    /// [`WriteScope::Exclusive`].
-    pub(super) fn log_checkpoint(&self, txn: u64) -> Result<()> {
-        self.durable.log_checkpoint(txn, &self.leader.catalog.read())
-    }
-
-    /// Best-effort checkpoint outside any statement (bootstrap paths:
-    /// resize targets, post-recovery log compaction). Failures are
-    /// recorded, not surfaced — the existing log is still correct.
-    pub(super) fn checkpoint_now(&self) {
-        if let Ok(txn) = self.begin_write_txn(WriteScope::Exclusive) {
-            if self.log_checkpoint(txn.txn).is_err() {
-                self.trace().counter("wal.checkpoint_errors").incr();
-            }
-        }
+    /// Open a write transaction in `scope` and start its draft from the
+    /// published catalog, read once the scope's locks are held — so it
+    /// is current for everything the statement may change.
+    pub(super) fn begin<'a>(&'a self, scope: WriteScope<'a>) -> Result<Draft<'a>> {
+        let table = match scope {
+            WriteScope::Table(entry) => Some(entry),
+            WriteScope::Exclusive => None,
+        };
+        let txn = self.begin_write_txn(scope)?;
+        let next = Catalog::clone(&self.leader.catalog());
+        Ok(Draft { cluster: self, txn, table, next, published: false })
     }
 
     pub(super) fn run_create_table(&self, ct: ast::CreateTable) -> Result<ExecSummary> {
         self.check_writable()?;
-        let txn = self.begin_write_txn(WriteScope::Exclusive)?;
+        let mut draft = self.begin(WriteScope::Exclusive)?;
         let columns = ct.columns.iter().map(|c| ColumnDef {
             name: c.name.clone(),
             data_type: c.data_type,
@@ -256,47 +252,28 @@ impl Cluster {
             ast::SortKeyAst::Compound(cols) => SortKeySpec::Compound(resolve(cols)?),
             ast::SortKeyAst::Interleaved(cols) => SortKeySpec::Interleaved(resolve(cols)?),
         };
-        let entry = TableEntry::new(
+        draft.next.create(TableEntry::new(
             ct.name.clone(),
             schema,
             dist_style,
             sort_key,
             &self.compute.topology,
             self.config.rows_per_group,
-        )?;
-        self.leader.catalog.write().create(entry)?;
-        // DDL is durable via a full-catalog checkpoint. If the redo log
-        // rejects it (injected fault), undo the in-memory create so the
-        // failed statement is invisible.
-        if let Err(e) = self.log_checkpoint(txn.txn) {
-            let _ = self.leader.catalog.write().drop_table(&ct.name);
-            return Err(e);
-        }
-        self.leader.schema_changed();
+        )?)?;
+        draft.commit()?;
         Ok(ExecSummary { rows_affected: 0, message: format!("CREATE TABLE {}", ct.name) })
     }
 
     pub(super) fn run_drop_table(&self, name: &str, if_exists: bool) -> Result<ExecSummary> {
         self.check_writable()?;
-        let txn = self.begin_write_txn(WriteScope::Exclusive)?;
-        let entry = match self.leader.catalog.write().drop_table(name) {
-            Ok(e) => e,
+        let mut draft = self.begin(WriteScope::Exclusive)?;
+        match draft.next.drop_table(name) {
+            Ok(_) => draft.commit()?,
             Err(_) if if_exists => {
                 return Ok(ExecSummary { rows_affected: 0, message: "DROP TABLE (skipped)".into() })
             }
             Err(e) => return Err(e),
-        };
-        // Deferred deletion: make the drop durable *before* deleting the
-        // blocks. A crash on either side of the commit mark leaves one
-        // complete, readable state — before: the table recovers intact
-        // (blocks still present); after: the table is gone and any
-        // still-present blocks are orphans for recovery to scrub.
-        if let Err(e) = self.log_checkpoint(txn.txn) {
-            let _ = self.leader.catalog.write().create(entry);
-            return Err(e);
         }
-        self.compute.delete_blocks(entry.snapshot().block_ids());
-        self.leader.schema_changed();
         Ok(ExecSummary { rows_affected: 0, message: format!("DROP TABLE {name}") })
     }
 
@@ -307,11 +284,11 @@ impl Cluster {
         // keep reading their MVCC snapshots, and a second writer on the
         // same table fails fast with a serializable-isolation error.
         let _shared = self.data_lock.read();
-        let catalog = self.leader.catalog.read();
-        let entry = catalog
+        let catalog = self.leader.catalog();
+        let (entry, _) = catalog
             .get(&ins.table)
             .ok_or_else(|| RsError::NotFound(format!("relation {:?}", ins.table)))?;
-        let txn = self.begin_write_txn(WriteScope::Table(&entry))?;
+        let mut draft = self.begin(WriteScope::Table(entry))?;
         // Map the column list (or full schema order).
         let target_cols: Vec<usize> = match &ins.columns {
             Some(cols) => cols
@@ -325,7 +302,7 @@ impl Cluster {
                 .collect::<Result<_>>()?,
             None => (0..entry.schema.len()).collect(),
         };
-        let view = self.compute.reader(&catalog, &[]); // VALUES reference no table
+        let view = self.compute.reader(Arc::clone(&catalog)); // VALUES reference no table
         let binder = Binder::new(&view);
         let mut batch: Vec<ColumnData> =
             entry.schema.columns().iter().map(|c| ColumnData::new(c.data_type)).collect();
@@ -354,12 +331,12 @@ impl Cluster {
         // A partial multi-slice append (one slice encoded a group,
         // another errored) leaves no stray rows and no drifted
         // round-robin cursor: both live in the draft.
-        let mut draft = self.draft(&entry);
         let folded = TableStats::of(&batch);
-        self.compute.append(&entry, &mut draft.next, batch, true)?;
-        draft.next.state.rows_estimate += n_rows;
-        draft.next.fold_stats(&folded);
-        draft.commit(txn.txn)?;
+        let next = draft.table();
+        self.compute.append(entry, next, batch, true)?;
+        next.state.rows_estimate += n_rows;
+        next.fold_stats(&folded);
+        draft.commit()?;
         Ok(ExecSummary { rows_affected: n_rows, message: format!("INSERT 0 {n_rows}") })
     }
 
@@ -369,11 +346,11 @@ impl Cluster {
         // tables run concurrently; a second COPY into the same table
         // fails fast with a serializable-isolation error.
         let _shared = self.data_lock.read();
-        let catalog = self.leader.catalog.read();
-        let entry = catalog
+        let catalog = self.leader.catalog();
+        let (entry, _) = catalog
             .get(&c.table)
             .ok_or_else(|| RsError::NotFound(format!("relation {:?}", c.table)))?;
-        let wtxn = self.begin_write_txn(WriteScope::Table(&entry))?;
+        let mut draft = self.begin(WriteScope::Table(entry))?;
         // `s3://prefix` → object listing in the home region.
         let prefix = c
             .source
@@ -393,13 +370,15 @@ impl Cluster {
         // §2.1): slices, cursor and counters change in the draft only,
         // and any error below drops it and deletes the statement's
         // blocks from every replica.
-        let mut draft = self.draft(&entry);
+        let next = draft.table();
         // COMPUPDATE governs automatic compression analysis on first
         // load; an unspecified statement falls back to the session's
-        // default (SET compupdate). A per-statement override: commit
-        // puts the table's flag back, abort drops the flipped copy.
+        // default (SET compupdate). A per-statement override: the table's
+        // flags go back before the commit logs the image, and an abort
+        // drops the flipped copy.
         let comp_update = c.comp_update.unwrap_or(ctx.comp_update_default);
-        for s in &mut draft.next.slices {
+        let table_flags: Vec<bool> = next.slices.iter().map(|s| s.auto_compress()).collect();
+        for s in &mut next.slices {
             s.set_auto_compress(comp_update);
         }
         if comp_update {
@@ -470,12 +449,12 @@ impl Cluster {
                 let (batch, stats) = t?;
                 loaded += batch.first().map_or(0, |col| col.len()) as u64;
                 folded.extend(stats);
-                self.compute.append(&entry, &mut draft.next, batch, false)?;
+                self.compute.append(entry, next, batch, false)?;
             }
             aspan.attr("rows", loaded);
         }
         let seal_span = span.child(LVL_PHASE, "copy.seal");
-        let results = self.compute.seal(&mut draft.next, &seal_span);
+        let results = self.compute.seal(next, &seal_span);
         seal_span.finish();
         // Aggregate per-slice seal failures instead of dropping all but
         // the first: the returned error names every failed slice, and
@@ -494,12 +473,12 @@ impl Cluster {
                 .collect::<Vec<_>>()
                 .join("; ");
             let n = failures.len();
-            let total = draft.next.slices.len();
+            let total = next.slices.len();
             let first = failures.into_iter().next().expect("non-empty").1;
             return Err(first
                 .with_note(&format!(" (COPY seal failed on {n} of {total} slices: [{detail}])")));
         }
-        draft.next.state.rows_estimate += loaded;
+        next.state.rows_estimate += loaded;
         // STATUPDATE: refresh optimizer statistics with the load (§2.1:
         // "By default, compression scheme and optimizer statistics are
         // updated with load") by merging the per-object partials: work
@@ -507,16 +486,19 @@ impl Cluster {
         // count as stale for the maintenance advisor.
         if c.stat_update {
             let mut aspan = span.child(LVL_PHASE, "copy.analyze");
-            folded.iter().for_each(|stats| draft.next.fold_stats(stats));
+            folded.iter().for_each(|stats| next.fold_stats(stats));
             aspan.attr("rows", loaded);
         } else {
-            draft.next.state.loads_since_analyze += loaded;
+            next.state.loads_since_analyze += loaded;
         }
         if span.is_recording() {
             span.attr("rows", loaded);
         }
         span.finish();
-        draft.commit(wtxn.txn)?;
+        for (s, flag) in next.slices.iter_mut().zip(table_flags) {
+            s.set_auto_compress(flag);
+        }
+        draft.commit()?;
         self.trace().counter("copy.rows_loaded").add(loaded);
         self.trace().histogram("copy.duration_ns").record(t_copy.elapsed().as_nanos() as u64);
         Ok(ExecSummary { rows_affected: loaded, message: format!("COPY {loaded}") })
@@ -545,9 +527,10 @@ mod tests {
         c.put_s3_object("w/a", b"1\n2\n".to_vec());
         c.put_s3_object("w/b", b"3\n4\n".to_vec());
 
-        let entry = c.leader.catalog.read().get("a").unwrap();
+        let catalog = c.leader.catalog();
+        let (entry, _) = catalog.get("a").unwrap();
         let _shared = c.data_lock.read();
-        let held = c.begin_write_txn(WriteScope::Table(&entry)).unwrap();
+        let held = c.begin_write_txn(WriteScope::Table(entry)).unwrap();
 
         // Independent table: commits while `a`'s writer mutex is held.
         let s = c.execute("COPY b FROM 's3://w/b'").unwrap();
@@ -574,7 +557,7 @@ mod tests {
         vec![k]
     }
 
-    /// `t`'s committed blocks, and what every replica holds of them.
+    /// `t`'s published blocks, and what every replica holds of them.
     fn storage(c: &Cluster, t: &str) -> (Vec<redsim_storage::BlockId>, Vec<u64>, u64) {
         let store = c.replicated_store().unwrap();
         let mut placed: Vec<u64> = store.placed_block_ids().iter().map(|id| id.0).collect();
@@ -583,7 +566,7 @@ mod tests {
     }
 
     /// Abort is `drop(draft)`: it deletes exactly the blocks the statement
-    /// wrote, from every replica, and the committed version — rows,
+    /// wrote, from every replica, and the published version — rows,
     /// manifests, encodings, cursor — was never touched to begin with.
     #[test]
     fn dropped_draft_deletes_exactly_its_blocks_on_every_replica() {
@@ -592,15 +575,16 @@ mod tests {
         )
         .unwrap();
         c.execute("CREATE TABLE t (k BIGINT)").unwrap();
-        let entry = c.leader.catalog.read().get("t").unwrap();
+        let entry = Arc::clone(c.leader.catalog().get("t").unwrap().0);
         let load = |rows: std::ops::Range<i64>| -> Draft<'_> {
-            let mut draft = c.draft(&entry);
-            draft.next.slices.iter_mut().for_each(|s| s.set_auto_compress(false));
-            c.compute.append(&entry, &mut draft.next, ids(rows), false).unwrap();
-            c.compute.seal(&mut draft.next, &redsim_obs::Span::disabled());
+            let mut draft = c.begin(WriteScope::Table(&entry)).unwrap();
+            let next = draft.table();
+            next.slices.iter_mut().for_each(|s| s.set_auto_compress(false));
+            c.compute.append(&entry, next, ids(rows), false).unwrap();
+            c.compute.seal(next, &redsim_obs::Span::disabled());
             draft
         };
-        load(0..600).commit(c.durable.next_txn()).unwrap();
+        load(0..600).commit().unwrap();
         let base = c.committed("t").unwrap();
         let before = storage(&c, "t");
         assert_eq!(before.0.len(), before.1.len(), "every placed block is the table's");
@@ -612,12 +596,12 @@ mod tests {
         drop(draft);
         assert_eq!(storage(&c, "t"), before, "an aborted statement's blocks outlived it");
         let after = c.committed("t").unwrap();
-        assert!(Arc::ptr_eq(&after, &base), "abort never replaces the committed version");
+        assert!(Arc::ptr_eq(&after, &base), "abort never replaces the published version");
         assert_eq!(c.trace().counter_value("write_txn.rollbacks"), 1);
         assert!(c.trace().counter_value("write_txn.blocks_dropped") > 0);
 
         // The table is fully writable afterwards: the same rows re-load.
-        load(600..1600).commit(c.durable.next_txn()).unwrap();
+        load(600..1600).commit().unwrap();
         let q = c.query("SELECT COUNT(*), MAX(k) FROM t").unwrap();
         assert_eq!((q.rows[0].get(0).as_i64(), q.rows[0].get(1).as_i64()), (Some(1600), Some(1599)));
     }
@@ -631,10 +615,12 @@ mod tests {
         )
         .unwrap();
         c.execute("CREATE TABLE t (k BIGINT)").unwrap();
-        let entry = c.leader.catalog.read().get("t").unwrap();
-        let mut draft = c.draft(&entry);
-        c.compute.append(&entry, &mut draft.next, ids(0..300), false).unwrap();
-        assert!(draft.next.slices.iter().all(|s| s.encodings().is_some()), "first seal locks them");
+        let catalog = c.leader.catalog();
+        let (entry, _) = catalog.get("t").unwrap();
+        let mut draft = c.begin(WriteScope::Table(entry)).unwrap();
+        c.compute.append(entry, draft.table(), ids(0..300), false).unwrap();
+        let locked = draft.table().slices.iter().all(|s| s.encodings().is_some());
+        assert!(locked, "first seal locks them");
         drop(draft);
         let committed = c.committed("t").unwrap();
         assert!(committed.slices.iter().all(|s| s.encodings().is_none()));

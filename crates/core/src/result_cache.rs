@@ -10,11 +10,12 @@
 //!
 //! Keying on the **catalog version** is the whole invalidation story:
 //! every *committed* write statement (COPY/INSERT/CREATE/DROP/VACUUM/
-//! ANALYZE) bumps the cluster's version counter, so entries stored under
-//! an older version simply stop matching and age out of the LRU. A
-//! rolled-back write must **not** bump the version — the PR-5 write
-//! transaction only bumps after [`commit`](crate::cluster), which is what
-//! makes "a failed COPY never invalidates the cache" a testable contract.
+//! ANALYZE) publishes a new catalog, whose version is the transaction
+//! that published it, so entries stored under an older version simply
+//! stop matching and age out of the LRU. A rolled-back write publishes
+//! nothing — a draft is published only after its commit mark (DESIGN.md
+//! §11) — which is what makes "a failed COPY never invalidates the cache"
+//! a testable contract.
 //!
 //! The user group participates in the key because WLM routing (and, in a
 //! real system, row-level visibility) is per-group; two groups never

@@ -21,7 +21,7 @@
 //! | `svl_query_report`  | `SVL_QUERY_REPORT`  | `profile.step` spans (one row per query × slice × step) |
 //! | `stl_wlm_rule_action` | `STL_WLM_RULE_ACTION` | `wlm_rule_action` spans (QMR firings) |
 //! | `stl_tr_conflict`   | `STL_TR_CONFLICT`   | `tr_conflict` spans (serializable-isolation aborts) |
-//! | `svv_table_info`    | `SVV_TABLE_INFO`    | live [`Catalog`] table state (row estimate vs statistics) |
+//! | `svv_table_info`    | `SVV_TABLE_INFO`    | published [`Catalog`] table state (row estimate vs statistics) |
 
 use crate::catalog::Catalog;
 use crate::session::SessionManager;
@@ -340,8 +340,7 @@ fn materialize(
             // load adds to the estimate; only STATUPDATE loads, INSERT
             // and ANALYZE reach the statistics), NULL if it has none.
             let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
-            for t in catalog.into_iter().flat_map(Catalog::tables) {
-                let version = t.snapshot();
+            for (t, version) in catalog.into_iter().flat_map(Catalog::tables) {
                 let rows = version.state.rows_estimate;
                 let stats_rows = version.state.stats.as_ref().map(|s| s.rows);
                 let (stored, unsorted) = version.stored_rows();

@@ -954,10 +954,15 @@ mod tests {
             WlmQueueDef::new("strict", 1).max_wait(Duration::from_millis(20))
         ]);
         let c = ctl(cfg);
-        let _g = c.admit(10, None).unwrap();
+        let g = c.admit(10, None).unwrap();
         let err = c.admit(10, None).unwrap_err();
         assert!(err.to_string().contains("timeout"), "{err}");
         assert_eq!(c.service_class_states()[0].evicted, 1);
+        // An evicted waiter was never admitted: the books still balance.
+        drop(g);
+        let books = crate::WlmAccounting::of(&c.trace);
+        assert_eq!((books.admitted, books.completed, books.evicted), (1, 1, 1));
+        assert!(books.balanced(), "{books:?}");
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! after loads; lose S3 objects; break crypto keys — every failure either
 //! degrades transparently or reports a typed error, never corrupts.
 
-use redshift_sim::common::RetryPolicy;
+use redshift_sim::common::{RetryPolicy, RsError};
 use redshift_sim::core::{Cluster, ClusterConfig};
 use redshift_sim::distribution::NodeId;
 use redshift_sim::faultkit::{fp, ErrClass, FaultSpec};
-use redshift_sim::replication::SnapshotKind;
+use redshift_sim::replication::{BackupManager, SnapshotKind};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -750,20 +750,52 @@ fn one_image_cluster(name: &str) -> Arc<Cluster> {
     c
 }
 
+/// The catalog image a snapshot taken now embeds: exactly the bytes a
+/// redo checkpoint of the published catalog holds.
+fn one_image_catalog(c: &Cluster, snapshot: &str) -> Vec<u8> {
+    c.create_snapshot(snapshot, SnapshotKind::User).unwrap();
+    let region = &c.config().region;
+    let mgr = BackupManager::new(Arc::clone(c.s3()), region.as_str(), &c.config().name, None, 4);
+    mgr.load_manifest(region, snapshot).unwrap().1
+}
+
 #[test]
 fn one_image_refused_analyze_and_vacuum_change_nothing() {
     let c = one_image_cluster("oneimg-refused");
     let scan = "SELECT COUNT(*), SUM(a) FROM t WHERE a BETWEEN 100 AND 300";
+    let snapshots = std::cell::Cell::new(0);
+    let catalog = |c: &Cluster| {
+        snapshots.set(snapshots.get() + 1);
+        one_image_catalog(c, &format!("s{}", snapshots.get()))
+    };
     let read = |c: &Cluster| (one_image_view(c), one_image_blocks(c), c.query(scan).unwrap().rows);
     let pre = read(&c);
+    let (pre_catalog, pre_version) = (catalog(&c), c.catalog_version());
     assert_eq!(c.loads_since_analyze("t"), 300);
-    for stmt in ["ANALYZE t", "VACUUM t"] {
-        c.faults().configure(fp::WAL_APPEND, FaultSpec::err(ErrClass::Fault).once());
-        let err = c.execute(stmt).unwrap_err();
-        assert!(err.is_retryable(), "{stmt}: {err}");
-        assert!(err.to_string().contains(fp::WAL_APPEND), "{stmt}: {err}");
-        assert_eq!(read(&c), pre, "a refused {stmt} is visible");
+    // Every exclusive-scope statement, refused at either log seam.
+    let statements =
+        ["ANALYZE t", "VACUUM t", "CREATE TABLE u (k BIGINT)", "DROP TABLE t", "redistribute_all t"];
+    for stmt in statements {
+        for seam in [fp::WAL_APPEND, fp::WAL_COMMIT] {
+            c.faults().configure(seam, FaultSpec::err(ErrClass::Fault).once());
+            let err = match stmt {
+                "redistribute_all t" => c.redistribute_all("t").err(),
+                sql => c.execute(sql).err(),
+            };
+            let err = err.unwrap_or_else(|| panic!("{stmt} committed through a refused {seam}"));
+            assert!(err.is_retryable(), "{stmt} at {seam}: {err}");
+            assert!(err.to_string().contains(seam), "{stmt} at {seam}: {err}");
+            assert_eq!(read(&c), pre, "a refused {stmt} at {seam} is visible");
+            assert_eq!(catalog(&c), pre_catalog, "a refused {stmt} at {seam} changed the catalog");
+            assert_eq!(c.catalog_version(), pre_version, "a refused {stmt} at {seam} published");
+        }
     }
+    // The refused attempts left nothing for recovery to find either: it
+    // rebuilds the pre-statement catalog and has no orphan to scrub.
+    let c = Cluster::recover(c.crash().unwrap()).unwrap();
+    assert_eq!(c.trace().counter_value("recovery.orphan_blocks_scrubbed"), 0);
+    assert_eq!(read(&c), pre, "recovery found a refused statement");
+    assert_eq!(catalog(&c), pre_catalog, "recovery found a refused statement");
     // Retried, both land — and only now does anything move.
     c.execute("ANALYZE t").unwrap();
     assert_eq!(c.loads_since_analyze("t"), 0);
@@ -771,7 +803,6 @@ fn one_image_refused_analyze_and_vacuum_change_nothing() {
     c.execute("VACUUM t").unwrap();
     assert!(one_image_blocks(&c).0 <= pre.1 .0, "the rewrite's superseded blocks were freed");
     assert_eq!(c.query(scan).unwrap().rows, pre.2);
-    // The refused attempts left nothing for recovery to find either.
     let r = Cluster::recover(c.crash().unwrap()).unwrap();
     assert_eq!(r.query(scan).unwrap().rows, pre.2);
     assert_eq!(r.trace().counter_value("recovery.orphan_blocks_scrubbed"), 0);
@@ -807,4 +838,115 @@ fn one_image_readers_neither_wait_on_nor_see_an_inflight_copy() {
     assert_eq!(writer.join().unwrap().unwrap().rows_affected, 2_000);
     assert_eq!(c.loads_since_analyze("t"), 2_300);
     assert_eq!(c.rows_estimate("t"), Some(2_800));
+}
+
+// ---------------------------------------------------------------------
+// One catalog version: every commit logs the next catalog, then
+// publishes it, under the publication lock resize flips the source
+// read-only with — so a write is on the resize target or refused, and a
+// target or restored cluster exists only once its first catalog is
+// durable.
+// ---------------------------------------------------------------------
+
+/// `t` with three rows, loaded without statistics.
+fn one_catalog_cluster(name: &str) -> Arc<Cluster> {
+    let c = Cluster::launch(
+        ClusterConfig::new(name).nodes(2).slices_per_node(2).retry(fast_retry()),
+    )
+    .unwrap();
+    c.execute("CREATE TABLE t (a BIGINT, s VARCHAR(64))").unwrap();
+    c.put_s3_object("base/1", b"1,x\n2,y\n3,z\n".to_vec());
+    c.execute("COPY t FROM 's3://base/' STATUPDATE OFF").unwrap();
+    c
+}
+
+fn one_catalog_restore(c: &Cluster, name: &str, snapshot: &str) -> Result<Arc<Cluster>, RsError> {
+    let (config, s3) = (ClusterConfig::new(name).nodes(2).slices_per_node(2), Arc::clone(c.s3()));
+    Cluster::restore_from_snapshot(config, s3, "us-east-1", &c.config().name, snapshot, None)
+}
+
+/// Wait until the delay armed on `c`'s failpoints has caught a statement.
+fn one_catalog_parked(c: &Cluster) {
+    let armed = std::time::Instant::now();
+    while c.faults().injected_total() == 0 {
+        assert!(armed.elapsed() < Duration::from_secs(20), "nothing reached the failpoint");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn one_catalog_rows(c: &Cluster) -> Vec<redshift_sim::common::Row> {
+    c.query("SELECT COUNT(*), SUM(a) FROM t").unwrap().rows
+}
+
+#[test]
+fn one_catalog_copy_overlapping_a_resize_lands_or_errors() {
+    let c = one_catalog_cluster("onecat-copy");
+    c.put_s3_object("more/1", b"4,a\n5,b\n6,c\n7,d\n".to_vec());
+    c.faults().configure(fp::COPY_FETCH_OBJECT, FaultSpec::delay_ms(600).once());
+    let writer = {
+        let c = Arc::clone(&c);
+        std::thread::spawn(move || c.execute("COPY t FROM 's3://more/'"))
+    };
+    one_catalog_parked(&c);
+    let target = c.resize(4, 2).unwrap();
+    let copied = writer.join().unwrap().map(|s| s.rows_affected);
+    let count = |c: &Cluster| one_catalog_rows(c)[0].get(0).as_i64().unwrap();
+    let expect = 3 + copied.as_ref().map_or(0, |&n| n as i64);
+    assert_eq!(count(&target), expect, "the COPY returned {copied:?}");
+    let recovered = Cluster::recover(target.crash().unwrap()).unwrap();
+    assert_eq!(count(&recovered), expect, "the COPY returned {copied:?}");
+}
+
+#[test]
+fn one_catalog_analyze_during_a_resize_lands_or_errors() {
+    let c = one_catalog_cluster("onecat-analyze");
+    // Park the resize inside its first block write on the target.
+    c.faults().configure(fp::MIRROR_WRITE_PRIMARY, FaultSpec::delay_ms(600).once());
+    let resize = {
+        let c = Arc::clone(&c);
+        std::thread::spawn(move || c.resize(4, 2).map_err(|e| e.to_string()))
+    };
+    one_catalog_parked(&c);
+    let analyzed = c.execute("ANALYZE t").map(|s| s.message);
+    let target = resize.join().unwrap().unwrap();
+    let seen = (target.loads_since_analyze("t"), target.table_stats("t").map(|s| s.rows));
+    let expect = if analyzed.is_ok() { (0, Some(3)) } else { (3, None) };
+    assert_eq!(seen, expect, "ANALYZE returned {analyzed:?}");
+}
+
+#[test]
+fn one_catalog_refused_resize_checkpoint_leaves_the_source_serving() {
+    let c = one_catalog_cluster("onecat-boot-resize");
+    c.faults().configure(fp::WAL_APPEND, FaultSpec::err(ErrClass::Fault).once());
+    let err = c.resize(4, 2).err().expect("resize acknowledged a target with an empty log");
+    assert!(err.to_string().contains(fp::WAL_APPEND), "{err}");
+    // The source answers reads and writes again.
+    assert_eq!(c.state(), redshift_sim::core::cluster::ClusterState::Available);
+    c.execute("INSERT INTO t VALUES (4, 'w')").unwrap();
+    assert_eq!(one_catalog_rows(&c)[0].get(0).as_i64(), Some(4));
+}
+
+#[test]
+fn one_catalog_refused_restore_checkpoint_fails_the_restore() {
+    let c = one_catalog_cluster("onecat-boot-restore");
+    c.create_snapshot("s", SnapshotKind::User).unwrap();
+    c.faults().configure(fp::WAL_APPEND, FaultSpec::err(ErrClass::Fault).once());
+    let err = one_catalog_restore(&c, "onecat-boot-r", "s").err();
+    let err = err.expect("restore acknowledged a cluster with an empty log");
+    assert!(err.to_string().contains(fp::WAL_APPEND), "{err}");
+}
+
+#[test]
+fn one_catalog_resized_and_restored_writes_survive_a_crash() {
+    let c = one_catalog_cluster("onecat-durable");
+    c.create_snapshot("s", SnapshotKind::User).unwrap();
+    let restored = one_catalog_restore(&c, "onecat-durable-r", "s").unwrap();
+    let resized = c.resize(4, 2).unwrap();
+    for target in [restored, resized] {
+        target.execute("INSERT INTO t VALUES (4, 'w')").unwrap();
+        let rows = one_catalog_rows(&target);
+        assert_eq!(rows[0].get(0).as_i64(), Some(4));
+        let recovered = Cluster::recover(target.crash().unwrap()).unwrap();
+        assert_eq!(one_catalog_rows(&recovered), rows, "{}", target.config().name);
+    }
 }
