@@ -476,6 +476,35 @@ for f in crates/core/src/catalog.rs crates/core/src/cluster/*.rs; do
 done
 echo "  non-test lines: $one_catalog_lines (parent: 2705)"
 
+echo "== readers take no lock (quick pass) =="
+# A block is freed when the last catalog naming it drops (DESIGN.md §11
+# retire), so a SELECT takes no lock and COPY/INSERT and the exclusive
+# scope share one writers' lock, `write_txn` (§15). The probes: VACUUM,
+# ANALYZE, redistribute and DROP commit beside a parked reader, which
+# returns the pre-statement rows and keeps its blocks until it returns;
+# readers overlap key rotation; a held catalog keeps its blocks across
+# 10,000 exclusive commits and releases them without recursing; a crash
+# while a retired catalog is held frees nothing under the recovered
+# cluster; a no-op exclusive statement counts no rollback.
+cargo test -q --offline --test failure_injection -- no_lock_
+cargo test -q --offline -p redsim-core --lib -- a_held_catalog_keeps_its_blocks_until_released \
+  crash_while_a_retired_catalog_is_held no_op_exclusive_statements_count_no_rollback \
+  dropped_draft_deletes_exactly_its_blocks_on_every_replica
+# Structural guard: the readers' lock stays deleted.
+if grep -rn 'data_lock' crates/; then
+  echo "ERROR: data_lock reappeared under crates/" >&2
+  exit 1
+fi
+# Non-test lines of the catalog and the cluster; with the readers' lock
+# and the immediate free they were 2662.
+no_lock_lines=0
+for f in crates/core/src/catalog.rs crates/core/src/cluster/*.rs; do
+  n=$(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f")
+  printf '  %5d %s\n' "$n" "$f"
+  no_lock_lines=$((no_lock_lines + n))
+done
+echo "  non-test lines: $no_lock_lines (parent: 2662)"
+
 echo "== benchdiff smoke (self-diff must pass, regression must fail) =="
 bd_dir=$(mktemp -d)
 trap 'rm -rf "$bd_dir"' EXIT

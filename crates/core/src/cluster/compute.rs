@@ -5,7 +5,8 @@
 //! read, a writer's private draft to change) and under which lock is the
 //! caller's business.
 
-use crate::catalog::{Catalog, TableEntry, TableState, TableVersion};
+use super::durable::Durable;
+use crate::catalog::{Catalog, FreeBlocks, TableEntry, TableState, TableVersion};
 use redsim_common::{ColumnData, Result, Row, RsError};
 use redsim_distribution::{ClusterTopology, DistStyle, RowRouter, SliceId};
 use redsim_engine::baseline;
@@ -17,7 +18,7 @@ use redsim_storage::table::{ScanOutput, ScanPredicate, SliceTable};
 use redsim_storage::{BlockId, BlockStore};
 /// Run a closure over owned inputs on scoped threads, preserving order.
 pub(super) use redsim_testkit::par::map as parallel_map;
-use std::collections::BTreeSet;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 pub(super) struct Compute {
@@ -110,8 +111,8 @@ impl Compute {
 
     /// Re-sort every slice of the draft into new blocks; returns rows
     /// rewritten. The blocks it supersedes stay in the store — they still
-    /// back the committed version — until the caller's commit frees them
-    /// with [`Compute::delete_unshared`].
+    /// back the committed version — until the caller's commit retires
+    /// them and the last catalog naming them drops.
     pub fn vacuum(&self, next: &mut TableVersion) -> Result<u64> {
         let rewritten = self.on_slices_mut(next, |_, t, store| t.vacuum_deferred(store));
         rewritten.into_iter().map(|r| r.map(|(rows, _)| rows)).sum()
@@ -150,32 +151,17 @@ impl Compute {
         }
     }
 
-    /// Delete the blocks `dead` references and `live` does not; returns
-    /// how many. VACUUM's unsorted copy against the sorted one that
-    /// replaced it, in a draft nobody else saw.
-    pub fn delete_unshared(&self, dead: &TableVersion, live: &TableVersion) -> usize {
-        let keep: BTreeSet<BlockId> = live.block_ids().into_iter().collect();
-        let mut ids = dead.block_ids();
-        ids.retain(|id| !keep.contains(id));
-        let dropped = ids.len();
-        self.delete_blocks(ids);
-        dropped
-    }
-
-    /// [`Compute::delete_unshared`] table by table, matched by name:
-    /// an aborted draft against the published catalog, or a replaced
-    /// catalog against the one that replaced it. A table whose version
-    /// is the same `Arc` in both is skipped unread.
-    pub fn delete_unreferenced(&self, dead: &Catalog, live: &Catalog) -> usize {
-        let mut dropped = 0;
-        for (t, version) in dead.tables() {
-            match live.get(&t.name) {
-                Some((_, kept)) if Arc::ptr_eq(kept, version) => {}
-                Some((_, kept)) => dropped += self.delete_unshared(version, kept),
-                None => dropped += self.delete_unshared(version, &TableVersion::default()),
+    /// How an [`Epoch`](crate::catalog::Epoch) frees what it retired:
+    /// [`Compute::delete_blocks`], unless `durable`'s hard crash is armed.
+    /// A dead process frees nothing — recovery's orphan scrub does — and a
+    /// late release never deletes under the cluster recovered after it.
+    pub fn free_blocks(&self, durable: &Arc<Durable>) -> FreeBlocks {
+        let (durable, store) = (Arc::clone(durable), Arc::clone(&self.node_stores[0]));
+        Arc::new(move |ids| {
+            if !durable.hard_crash.load(Ordering::Acquire) {
+                ids.into_iter().for_each(|id| store.delete(id));
             }
-        }
-        dropped
+        })
     }
 
     /// The MVCC read view of the published `catalog`.

@@ -73,9 +73,11 @@ impl Keys {
 }
 
 /// See the module docs. Owns no lock of the statement protocol: callers
-/// hold the table's writer lock ([`Durable::log_table_delta`]) or the
-/// exclusive `data_lock` ([`Durable::log_checkpoint`],
-/// [`Durable::snapshot`]) so nothing else can commit around what they log.
+/// log under the leader's publication lock, which orders every log write
+/// with its publish, and hold the table's writer lock
+/// ([`Durable::log_table_delta`]) or the exclusive `write_txn`
+/// ([`Durable::log_checkpoint`], [`Durable::snapshot`]) so no table writer
+/// changes what they encode.
 pub(super) struct Durable {
     pub s3: Arc<S3Sim>,
     /// Every cluster's one block store: per-node stores with a
@@ -90,9 +92,9 @@ pub(super) struct Durable {
     /// Monotonic transaction ids (1-based; 0 marks bootstrap versions).
     txn_seq: AtomicU64,
     /// Armed by `Cluster::crash` / `Cluster::arm_hard_crash`: an aborted
-    /// statement no longer deletes the blocks it wrote, modeling a
-    /// process that died mid-statement and left orphans for recovery to
-    /// scrub.
+    /// statement no longer deletes the blocks it wrote, nor a released
+    /// catalog the blocks it retired, modeling a process that died and
+    /// left orphans for recovery to scrub.
     pub hard_crash: AtomicBool,
     pub trace: Arc<TraceSink>,
 }
@@ -191,9 +193,11 @@ impl Durable {
     }
 
     /// Write a full-catalog checkpoint ([`Catalog::encode`]) to the redo
-    /// log and reclaim the bytes it supersedes. Caller holds the
-    /// exclusive `data_lock`, so no table writer commits between the
-    /// catalog it encodes and the one it publishes.
+    /// log and reclaim the bytes it supersedes. A commit calls it under
+    /// the publication lock, which serializes it with every other log
+    /// write, holding the exclusive `write_txn`, so no table writer
+    /// commits between the draft's clone and the catalog it encodes;
+    /// recovery calls it before the cluster serves anything.
     pub fn log_checkpoint(&self, txn: u64, catalog: &Catalog) -> Result<()> {
         let mut w = Writer::new();
         catalog.encode(&mut w);

@@ -562,6 +562,27 @@ mod tests {
         }
     }
 
+    /// A crash while a statement holds a catalog whose blocks a VACUUM
+    /// retired: recovery's orphan scrub frees them, and the dead cluster's
+    /// late release deletes nothing under the one recovered over the same
+    /// block store.
+    #[test]
+    fn crash_while_a_retired_catalog_is_held() {
+        let c = small();
+        eight_block_table(&c);
+        let held = c.leader.catalog();
+        c.execute("VACUUM t").unwrap();
+        let retired = held.unreferenced_by(&c.leader.catalog()).len() as u64;
+        assert_eq!(retired, 8, "VACUUM rewrote every block");
+        let r = Cluster::recover(c.crash().unwrap()).unwrap();
+        assert_eq!(r.trace().counter_value("recovery.orphan_blocks_scrubbed"), retired);
+        r.execute("INSERT INTO t VALUES (1000, 'w')").unwrap();
+        let store = r.replicated_store().unwrap();
+        let before = (rows(&r), store.placed_block_ids());
+        drop(held);
+        assert_eq!((rows(&r), store.placed_block_ids()), before, "the dead cluster freed blocks");
+    }
+
     #[test]
     fn failed_hydration_step_keeps_its_block_pending() {
         let c = small();

@@ -28,8 +28,8 @@ impl Cluster {
         self.check_writable()?;
         // Each table re-sorts into new blocks in the draft and keeps the
         // old ones, which still back the published catalog: the commit
-        // frees them once the post-vacuum layout is durable, and an error
-        // on any table drops the draft, new blocks and all.
+        // retires them once the post-vacuum layout is durable, and an
+        // error on any table drops the draft, new blocks and all.
         let mut draft = self.begin(WriteScope::Exclusive)?;
         let mut rewritten = 0u64;
         for entry in Self::tables_or_all(&draft.next, table)? {
@@ -127,13 +127,15 @@ impl Cluster {
     pub fn redistribute_all(&self, table: &str) -> Result<()> {
         self.check_writable()?;
         let mut draft = self.begin(WriteScope::Exclusive)?;
-        // Read every row, rebuild under ALL in place of the old layout;
-        // the commit frees the old layout's blocks once the new one is
-        // durable, and plans compiled against the old layout with it.
-        let (entry, image) = draft.next.drop_table(table)?;
-        if matches!(entry.dist_style, DistStyle::All) {
+        // Already ALL: the draft is left unchanged, so its drop rolls
+        // nothing back.
+        if draft.next.get(table).is_some_and(|(t, _)| matches!(t.dist_style, DistStyle::All)) {
             return Ok(());
         }
+        // Read every row, rebuild under ALL in place of the old layout;
+        // the commit retires the old layout's blocks once the new one is
+        // durable, and drops plans compiled against the old layout.
+        let (entry, image) = draft.next.drop_table(table)?;
         let (all, empty) = TableEntry::new(
             entry.name.clone(),
             entry.schema.clone(),
@@ -149,7 +151,7 @@ impl Cluster {
         if !matches!(all.sort_key, SortKeySpec::None) {
             let unsorted = next.clone();
             let sorted = self.compute.vacuum(next);
-            self.compute.delete_unshared(&unsorted, next);
+            self.compute.delete_blocks(unsorted.unshared(next));
             sorted?;
         }
         draft.commit()
@@ -188,7 +190,9 @@ impl Cluster {
         Ok((ddl, loaded.rows_affected))
     }
 
-    /// Rotate the cluster key (re-wraps block keys only; §3.2).
+    /// Rotate the cluster key (re-wraps block keys only; §3.2). Readers
+    /// overlap it; the exclusive scope keeps out the writers that insert
+    /// block keys.
     pub fn rotate_cluster_key(&self) -> Result<()> {
         let txn = self.begin_write_txn(WriteScope::Exclusive)?;
         // Deterministic per cluster seed, distinct per rotation.

@@ -6,8 +6,8 @@
 //! `compute` (topology + per-node stores — every per-slice fan-out) and
 //! `leader` (catalog, caches, WLM, sessions, telemetry). What stays on
 //! `Cluster` ties them together: statement entry points (`read`,
-//! `write`), the `state` / `write_txn` / `data_lock` protocol (`write`),
-//! `maintenance`, and `lifecycle` orchestration.
+//! `write`), the `state` / `write_txn` protocol (`write`; readers take no
+//! lock), `maintenance`, and `lifecycle` orchestration.
 
 mod compute;
 mod durable;
@@ -21,7 +21,7 @@ pub use durable::CrashImage;
 pub use leader::WlmAccounting;
 
 use crate::autonomics::UsageStats;
-use crate::catalog::{Catalog, TableVersion};
+use crate::catalog::{Catalog, Epoch, TableVersion};
 use crate::config::ClusterConfig;
 use crate::session::{Session, SessionCtx, SessionManager, SessionOpts};
 use crate::wlm::WlmController;
@@ -36,7 +36,7 @@ use redsim_obs::TraceSink;
 use redsim_replication::{ReplicatedStore, S3Sim};
 use redsim_sql::ast::Statement;
 use redsim_sql::plan::OutCol;
-use redsim_testkit::sync::{Mutex, RwLock};
+use redsim_testkit::sync::RwLock;
 use std::sync::Arc;
 
 /// Cluster availability state.
@@ -98,20 +98,17 @@ pub struct Cluster {
     compute: Compute,
     leader: Leader,
     state: RwLock<ClusterState>,
-    /// The leader's *global* transaction serialization point. Only
-    /// catalog-shaped statements (DDL, VACUUM, ANALYZE, redistribute,
-    /// snapshot, key rotation) queue here; per-table writers (COPY /
-    /// INSERT) serialize on their table's `writer` mutex instead and run
-    /// concurrently across tables. All acquisition goes through
+    /// The writers' lock; readers never take it — the catalog a SELECT
+    /// holds keeps every block it names. Table writers (COPY / INSERT)
+    /// hold it shared, taken before they look their table up, and
+    /// serialize per table on its `writer` mutex, so they run
+    /// concurrently across tables and DROP cannot remove a writer's
+    /// table. Catalog-shaped statements (DDL, VACUUM, ANALYZE,
+    /// redistribute, snapshot, key rotation) hold it exclusively, so no
+    /// table writer commits between their draft's clone and its
+    /// whole-catalog checkpoint. All exclusive acquisition goes through
     /// [`Cluster::begin_write_txn`].
-    write_txn: Mutex<()>,
-    /// Structural lock over table *storage*. Readers and per-table
-    /// writers hold it shared — reads are isolated by the published
-    /// catalog they hold, not by excluding writers. Only operations that
-    /// free blocks a running scan may still read (DROP, VACUUM,
-    /// redistribute) or need a frozen catalog image (checkpoint) take it
-    /// exclusively.
-    data_lock: RwLock<()>,
+    write_txn: RwLock<()>,
 }
 
 impl Cluster {
@@ -126,15 +123,16 @@ impl Cluster {
     ) -> Result<Arc<Cluster>> {
         let topology = ClusterTopology::new(config.nodes, config.slices_per_node)?;
         let compute = Compute { topology, node_stores: durable.node_stores(&config) };
-        let catalog = load(&durable, &compute)?;
+        let mut catalog = load(&durable, &compute)?;
+        let durable = Arc::new(durable);
+        catalog.epoch = Some(Epoch::open(compute.free_blocks(&durable)));
         Ok(Arc::new(Cluster {
             leader: Leader::new(&config, catalog, Arc::clone(&durable.trace)),
-            durable: Arc::new(durable),
+            durable,
             compute,
             config,
             state: RwLock::new(ClusterState::Available),
-            write_txn: Mutex::new(()),
-            data_lock: RwLock::new(()),
+            write_txn: RwLock::new(()),
         }))
     }
 

@@ -5,6 +5,7 @@ use super::compute::SnapshotReader;
 use super::leader::{self, Leader};
 use super::{Cluster, QueryResult};
 use crate::autonomics;
+use crate::catalog::Catalog;
 use crate::result_cache::CachedResult;
 use crate::session::SessionCtx;
 use crate::systables;
@@ -16,7 +17,6 @@ use redsim_obs::{AttrValue, Span, LVL_CORE, LVL_PHASE};
 use redsim_sql::ast::{self, Statement};
 use redsim_sql::plan::LogicalPlan;
 use redsim_sql::{optimizer, Binder};
-use redsim_testkit::sync::RwLockReadGuard;
 use std::sync::Arc;
 
 /// How a SELECT is being run: for real, plan-only (`EXPLAIN`), or for
@@ -68,29 +68,24 @@ impl Cluster {
         }
     }
 
-    /// A SELECT's read snapshot and its plan, bound and optimized against
-    /// that same snapshot: the one prologue of the production path and
-    /// the row-interpreter reference path, so the two cannot plan
-    /// against different catalogs. Returns the shared `data_lock` guard
-    /// (hold it while scanning — exclusive statements free blocks), the
-    /// reader and the plan (planned under a `query.plan` child of
-    /// `qspan`).
+    /// A SELECT's reader over `catalog`, its MVCC read point, and its plan,
+    /// bound and optimized against that same catalog: the one prologue of
+    /// the production path and the row-interpreter reference path, so the
+    /// two cannot plan against different catalogs. No lock: writers
+    /// commit concurrently, and the catalog the reader holds keeps every
+    /// block it names until the scan is done (DESIGN.md §11). Plans under
+    /// a `query.plan` child of `qspan`.
     fn plan_select(
         &self,
+        catalog: Arc<Catalog>,
         sel: &ast::Select,
         qspan: &Span,
-    ) -> Result<(RwLockReadGuard<'_, ()>, SnapshotReader<'_>, LogicalPlan)> {
-        let data = self.data_lock.read();
-        // MVCC read point: the catalog published now, read under the
-        // data lock (one read before it could name blocks an exclusive
-        // statement has freed since). Table writers commit concurrently
-        // (they hold the data lock shared); this query keeps planning,
-        // scanning and keying its cache fill on the catalog read here.
-        let reader = self.compute.reader(self.leader.catalog());
+    ) -> Result<(SnapshotReader<'_>, LogicalPlan)> {
+        let reader = self.compute.reader(catalog);
         let pspan = qspan.child(LVL_PHASE, "query.plan");
         let plan = optimizer::optimize(Binder::new(&reader).bind_select(sel)?, &reader);
         pspan.finish();
-        Ok((data, reader, plan))
+        Ok((reader, plan))
     }
 
     fn run_select(
@@ -113,12 +108,13 @@ impl Cluster {
             let explain_only = mode == SelectMode::ExplainOnly;
             return self.leader.run_system_select(sel, &refs, explain_only, self.faults());
         }
-        // Leader result cache: probed before WLM admission, planning, or
-        // any data lock — a hit costs one hash lookup. EXPLAIN (both
-        // flavors) and system-table reads never participate; a session
-        // can opt out (and the sessionless compat path always does).
-        // The probe and the WLM estimate read the catalog published now;
-        // planning re-reads it once admitted and under the data lock.
+        // One catalog read serves the whole statement: the result-cache
+        // probe, the WLM estimate, planning, the scan and the cache-fill
+        // key. Held across the queue wait, it pins blocks, not a lock.
+        // The cache is probed before WLM admission or planning — a hit
+        // costs one hash lookup. EXPLAIN (both flavors) and system-table
+        // reads never participate; a session can opt out (and the
+        // sessionless compat path always does).
         let catalog = self.leader.catalog();
         let cacheable = mode == SelectMode::Execute && ctx.use_result_cache;
         if cacheable {
@@ -129,7 +125,7 @@ impl Cluster {
             self.trace().counter("result_cache.misses").incr();
         }
         // WLM admission (§2.1): hold a service-class concurrency slot
-        // before taking any data lock, so a queued query starves neither
+        // before planning or scanning, so a queued query starves neither
         // writers nor the queries already running. EXPLAIN and EXPLAIN
         // ANALYZE are diagnostics and bypass admission (so monitoring
         // rules — including abort — can never fire on them); system-table
@@ -137,7 +133,6 @@ impl Cluster {
         // every slot is busy.
         let mut wlm_guard = if mode == SelectMode::Execute {
             let cost = Leader::estimate_cost(&catalog, &refs);
-            drop(catalog); // a queued statement holds nothing
             Some(self.leader.wlm.admit(cost, ctx.user_group.as_deref())?)
         } else {
             None
@@ -155,7 +150,7 @@ impl Cluster {
         if queue_wait_ns > 0 {
             qspan.child_completed(LVL_PHASE, "wlm.wait", queue_wait_ns, &[]);
         }
-        let (_snapshot, reader, plan) = self.plan_select(sel, &qspan)?;
+        let (reader, plan) = self.plan_select(catalog, sel, &qspan)?;
         let plan_text = plan.explain();
         self.leader.usage.record_feature(match mode {
             SelectMode::Execute => "SELECT",
@@ -315,7 +310,7 @@ impl Cluster {
             Statement::Select(s) => s,
             _ => return Err(RsError::Analysis("not a SELECT".into())),
         };
-        let (_snapshot, reader, plan) = self.plan_select(&sel, &Span::disabled())?;
+        let (reader, plan) = self.plan_select(self.leader.catalog(), &sel, &Span::disabled())?;
         baseline::run_plan(&plan, &reader)
     }
 }

@@ -1,8 +1,7 @@
-//! The write path: the transaction protocol (`write_txn` → `data_lock`
-//! → table `writer` → `publish`; DESIGN.md §15), the [`Draft`] every
-//! statement builds its next catalog in and the one commit that logs and
-//! publishes it, and the statements themselves — CREATE / DROP / INSERT /
-//! COPY.
+//! The write path: the transaction protocol (`write_txn` → table
+//! `writer` → publication; DESIGN.md §15), the [`Draft`] every statement
+//! builds its next catalog in and the one commit that logs and publishes
+//! it, and the statements themselves — CREATE / DROP / INSERT / COPY.
 
 use super::compute::parallel_map;
 use super::{Cluster, ExecSummary};
@@ -23,12 +22,11 @@ use std::sync::Arc;
 /// [`Cluster::begin_write_txn`] takes. See DESIGN.md §15.
 pub(super) enum WriteScope<'a> {
     /// Statement-scoped writer on one table (COPY / INSERT): shared
-    /// `data_lock` (held by the caller) + first-committer-wins
+    /// `write_txn` (held by the caller) + first-committer-wins
     /// `try_lock` on the table's writer mutex.
     Table(&'a TableEntry),
     /// Catalog-shaped statement (DDL, VACUUM, ANALYZE, redistribute,
-    /// snapshot, key rotation): the global `write_txn` mutex + the
-    /// exclusive `data_lock`.
+    /// snapshot, key rotation): the exclusive `write_txn`.
     Exclusive,
 }
 
@@ -42,7 +40,7 @@ pub(super) struct TxnHandle<'a> {
 }
 
 enum TxnLocks<'a> {
-    Exclusive { _write_txn: MutexGuard<'a, ()>, _data_lock: RwLockWriteGuard<'a, ()> },
+    Exclusive { _write_txn: RwLockWriteGuard<'a, ()> },
     Table { _writer: MutexGuard<'a, ()> },
 }
 
@@ -84,7 +82,7 @@ pub(super) struct Draft<'a> {
 }
 
 /// Why a table writer's table is in every catalog it sees: DROP waits
-/// on the shared `data_lock` the writer holds.
+/// on the shared `write_txn` the writer holds.
 const WRITER_TABLE: &str = "a table writer's table outlives its statement";
 
 impl Draft<'_> {
@@ -99,13 +97,15 @@ impl Draft<'_> {
     /// publication lock: refuse if the cluster no longer takes writes (a
     /// resize has taken its snapshot); log, a table writer its table's
     /// redo delta, an exclusive-scope statement its whole next catalog as
-    /// a checkpoint; publish it as transaction `txn`'s catalog; and only
-    /// then free the blocks the replaced catalog references and the new
-    /// one does not (VACUUM's old layout, a dropped table), so a crash on
-    /// either side of the commit mark leaves one complete block set. Any
-    /// error returns before the publish, and the drop discards the draft.
-    /// A table writer only appends: it frees nothing and redefines
-    /// nothing.
+    /// a checkpoint; and publish it as transaction `txn`'s catalog. Once
+    /// logged, an exclusive-scope commit retires the blocks the replaced
+    /// catalog references and the new one does not (VACUUM's old layout,
+    /// a dropped table): they are freed when the last catalog naming them
+    /// drops — at once if no statement holds one — so neither a crash on
+    /// either side of the commit mark nor a running scan loses a block.
+    /// Any error returns before the publish, and the drop discards the
+    /// draft. A table writer only appends: it retires nothing and
+    /// redefines nothing.
     pub fn commit(mut self) -> Result<()> {
         let cluster = self.cluster;
         let _publication = cluster.leader.publication.lock();
@@ -123,7 +123,9 @@ impl Draft<'_> {
             }
             None => {
                 cluster.durable.log_checkpoint(txn, &self.next)?;
-                std::mem::take(&mut self.next)
+                let mut next = std::mem::take(&mut self.next);
+                cluster.leader.catalog().retire(&mut next);
+                next
             }
         };
         next.version = txn;
@@ -131,7 +133,6 @@ impl Draft<'_> {
         let next = Arc::new(next);
         let replaced = cluster.leader.publish(Arc::clone(&next));
         if self.table.is_none() {
-            cluster.compute.delete_unreferenced(&replaced, &next);
             let definitions =
                 |c: &Catalog| c.tables().map(|(t, _)| Arc::as_ptr(t)).collect::<Vec<_>>();
             if definitions(&replaced) != definitions(&next) {
@@ -146,19 +147,27 @@ impl Draft<'_> {
 }
 
 impl Drop for Draft<'_> {
-    /// Abort: delete from every replica the blocks the draft references
-    /// and the published catalog does not — unless a hard crash is armed.
-    /// That models a process that died before it could clean up: the
-    /// blocks stay behind for recovery's orphan scrub, and tidying here
-    /// would remove the very mess recovery must handle.
+    /// Abort: delete from every replica, at once, the blocks the draft
+    /// references and the published catalog does not — no published
+    /// catalog ever named them, so no statement can be scanning them.
+    /// Unless a hard crash is armed: that models a process that died
+    /// before it could clean up, so the blocks stay behind for recovery's
+    /// orphan scrub, and tidying here would remove the very mess recovery
+    /// must handle. A draft that changed nothing (`DROP TABLE IF EXISTS`
+    /// of no table) has nothing to roll back and counts nothing.
     fn drop(&mut self) {
         let cluster = self.cluster;
         if self.published || cluster.durable.hard_crash.load(Ordering::Acquire) {
             return;
         }
-        let blocks = cluster.compute.delete_unreferenced(&self.next, &cluster.leader.catalog());
+        let published = cluster.leader.catalog();
+        if self.next.same_tables(&published) {
+            return;
+        }
+        let blocks = self.next.unreferenced_by(&published);
         cluster.trace().counter("write_txn.rollbacks").add(1);
-        cluster.trace().counter("write_txn.blocks_dropped").add(blocks as u64);
+        cluster.trace().counter("write_txn.blocks_dropped").add(blocks.len() as u64);
+        cluster.compute.delete_blocks(blocks);
     }
 }
 
@@ -169,15 +178,15 @@ impl Cluster {
     ///
     /// - [`WriteScope::Table`]: first-committer-wins `try_lock` on the
     ///   table's writer mutex. The caller already holds the *shared*
-    ///   `data_lock` (taken before it looked the table up), so same-table
+    ///   `write_txn` (taken before it looked the table up), so same-table
     ///   contention is the only thing that can fail — and it fails fast
     ///   with a retryable [`RsError::Serializable`] instead of queueing,
     ///   recorded in `txn.conflicts` / `stl_tr_conflict`.
-    /// - [`WriteScope::Exclusive`]: the global `write_txn` mutex plus the
-    ///   exclusive `data_lock` — waits out readers and in-flight table
-    ///   writers, so no draft but the statement's own exists, the blocks
-    ///   it frees back no running scan, and a full-catalog WAL checkpoint
-    ///   taken under it is consistent.
+    /// - [`WriteScope::Exclusive`]: the exclusive `write_txn` — waits out
+    ///   in-flight table writers (never readers), so no draft but the
+    ///   statement's own exists, a full-catalog WAL checkpoint taken under
+    ///   it is consistent, and key rotation never overlaps a block-key
+    ///   insert.
     pub(super) fn begin_write_txn<'a>(
         &'a self,
         scope: WriteScope<'a>,
@@ -185,9 +194,8 @@ impl Cluster {
         let txn = self.durable.next_txn();
         match scope {
             WriteScope::Exclusive => {
-                let _write_txn = self.write_txn.lock();
-                let _data_lock = self.data_lock.write();
-                Ok(TxnHandle { txn, _locks: TxnLocks::Exclusive { _write_txn, _data_lock } })
+                let _write_txn = self.write_txn.write();
+                Ok(TxnHandle { txn, _locks: TxnLocks::Exclusive { _write_txn } })
             }
             WriteScope::Table(entry) => match entry.writer.try_lock() {
                 Some(_writer) => Ok(TxnHandle { txn, _locks: TxnLocks::Table { _writer } }),
@@ -270,6 +278,7 @@ impl Cluster {
         match draft.next.drop_table(name) {
             Ok(_) => draft.commit()?,
             Err(_) if if_exists => {
+                // The draft is unchanged: dropping it rolls nothing back.
                 return Ok(ExecSummary { rows_affected: 0, message: "DROP TABLE (skipped)".into() })
             }
             Err(e) => return Err(e),
@@ -279,11 +288,11 @@ impl Cluster {
 
     pub(super) fn run_insert(&self, ins: ast::Insert) -> Result<ExecSummary> {
         self.check_writable()?;
-        // Table writers run under the *shared* data lock: concurrent
-        // INSERT/COPY into different tables proceed in parallel, readers
-        // keep reading their MVCC snapshots, and a second writer on the
-        // same table fails fast with a serializable-isolation error.
-        let _shared = self.data_lock.read();
+        // Table writers run under the *shared* writers' lock: concurrent
+        // INSERT/COPY into different tables proceed in parallel, and a
+        // second writer on the same table fails fast with a
+        // serializable-isolation error.
+        let _shared = self.write_txn.read();
         let catalog = self.leader.catalog();
         let (entry, _) = catalog
             .get(&ins.table)
@@ -342,10 +351,10 @@ impl Cluster {
 
     pub(super) fn run_copy(&self, c: ast::Copy, ctx: &SessionCtx) -> Result<ExecSummary> {
         self.check_writable()?;
-        // Shared data lock + per-table writer lock: COPYs into different
-        // tables run concurrently; a second COPY into the same table
-        // fails fast with a serializable-isolation error.
-        let _shared = self.data_lock.read();
+        // Shared writers' lock + per-table writer lock: COPYs into
+        // different tables run concurrently; a second COPY into the same
+        // table fails fast with a serializable-isolation error.
+        let _shared = self.write_txn.read();
         let catalog = self.leader.catalog();
         let (entry, _) = catalog
             .get(&c.table)
@@ -509,7 +518,8 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
-    use redsim_storage::Encoding;
+    use redsim_storage::{BlockId, Encoding};
+    use std::collections::BTreeSet;
 
     fn small() -> Arc<Cluster> {
         Cluster::launch(ClusterConfig::new("w").nodes(2).slices_per_node(2)).unwrap()
@@ -529,7 +539,7 @@ mod tests {
 
         let catalog = c.leader.catalog();
         let (entry, _) = catalog.get("a").unwrap();
-        let _shared = c.data_lock.read();
+        let _shared = c.write_txn.read();
         let held = c.begin_write_txn(WriteScope::Table(entry)).unwrap();
 
         // Independent table: commits while `a`'s writer mutex is held.
@@ -604,6 +614,53 @@ mod tests {
         load(600..1600).commit().unwrap();
         let q = c.query("SELECT COUNT(*), MAX(k) FROM t").unwrap();
         assert_eq!((q.rows[0].get(0).as_i64(), q.rows[0].get(1).as_i64()), (Some(1600), Some(1599)));
+    }
+
+    /// A statement that succeeds without changing anything has nothing to
+    /// roll back and counts nothing.
+    #[test]
+    fn no_op_exclusive_statements_count_no_rollback() {
+        let c = small();
+        c.execute("DROP TABLE IF EXISTS nope").unwrap();
+        c.execute("CREATE TABLE d (k BIGINT) DISTSTYLE ALL").unwrap();
+        c.redistribute_all("d").unwrap();
+        assert_eq!(c.trace().counter_value("write_txn.rollbacks"), 0);
+    }
+
+    /// Freeing follows catalog lifetime: a held catalog keeps every block
+    /// it names placed across the commits that retire them, and releasing
+    /// it frees them — walking the 10,000 epochs it held in a loop, on a
+    /// test thread's default stack.
+    #[test]
+    fn a_held_catalog_keeps_its_blocks_until_released() {
+        let c = Cluster::launch(
+            ClusterConfig::new("held").nodes(2).slices_per_node(1),
+        )
+        .unwrap();
+        c.execute("CREATE TABLE t (k BIGINT) COMPOUND SORTKEY(k)").unwrap();
+        c.execute("INSERT INTO t VALUES (9), (3), (7), (1), (5), (8), (2)").unwrap();
+        let placed = || -> BTreeSet<BlockId> {
+            c.replicated_store().unwrap().placed_block_ids().into_iter().collect()
+        };
+        let held = c.leader.catalog();
+        // Each exclusive commit ends an epoch, so the 10,000 ANALYZEs
+        // chain 10,000 of them, and the VACUUM retires the blocks `held`
+        // names in a later epoch than `held`'s own. A table writer's
+        // commit joins its predecessor's epoch and adds no link.
+        for _ in 0..10_000 {
+            c.execute("ANALYZE t").unwrap();
+        }
+        c.execute("VACUUM t").unwrap();
+        for i in 0..200 {
+            c.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+        }
+        c.execute("VACUUM t").unwrap();
+        let before = placed();
+        assert!(held.block_ids().iter().all(|id| before.contains(id)), "freed under its reader");
+        let published: BTreeSet<BlockId> = c.leader.catalog().block_ids().into_iter().collect();
+        assert!(before.len() > published.len(), "nothing was retired");
+        drop(held);
+        assert_eq!(placed(), published, "the release left retired blocks placed");
     }
 
     /// Encodings lock in on the first seal; aborting that first load must

@@ -219,9 +219,11 @@ impl ClusterKeyring {
         key
     }
 
-    /// Recover a block's key.
+    /// Recover a block's key. The cluster key stays locked across the
+    /// lookup, as rotation holds it across its re-wrap, so a read never
+    /// unwraps with the key a concurrent rotation has just replaced.
     pub fn block_key(&self, block_id: u64) -> Result<Key> {
-        let ck = *self.cluster_key.lock();
+        let ck = self.cluster_key.lock();
         let map = self.block_keys.lock();
         let wrapped = map
             .get(&block_id)

@@ -950,3 +950,136 @@ fn one_catalog_resized_and_restored_writes_survive_a_crash() {
         assert_eq!(one_catalog_rows(&recovered), rows, "{}", target.config().name);
     }
 }
+
+// ---------------------------------------------------------------------
+// Readers take no lock: an exclusive commit retires the blocks its
+// replaced catalog names and its own does not, and they are freed when
+// the last catalog naming them drops — so VACUUM, ANALYZE, redistribute
+// and DROP neither wait for a running scan nor free a block under it.
+// ---------------------------------------------------------------------
+
+/// The blocks on the store, and the ones the published catalog names (a
+/// snapshot manifest's list), both sorted.
+fn no_lock_blocks(c: &Cluster, snapshot: &str) -> (Vec<u64>, Vec<u64>) {
+    c.create_snapshot(snapshot, SnapshotKind::User).unwrap();
+    let region = c.config().region.as_str();
+    let mgr = BackupManager::new(Arc::clone(c.s3()), region, &c.config().name, None, 4);
+    let sorted = |ids: Vec<redshift_sim::storage::BlockId>| {
+        let mut ids: Vec<u64> = ids.iter().map(|b| b.0).collect();
+        ids.sort_unstable();
+        ids
+    };
+    let published = sorted(mgr.load_manifest(region, snapshot).unwrap().2);
+    (sorted(c.replicated_store().unwrap().placed_block_ids()), published)
+}
+
+/// Park a SELECT over `t` for 1.5 s in the scan delay and run `stmt`
+/// while it is parked: `stmt` returns in under a quarter of the park,
+/// no byte leaves the store while the reader runs, and the reader
+/// returns the pre-`stmt` rows. Returns the cluster once the reader is
+/// done.
+fn no_lock_probe(name: &str, stmt: &str, run: impl FnOnce(&Cluster)) -> Arc<Cluster> {
+    let c = one_image_cluster(name);
+    let scan = "SELECT COUNT(*), SUM(a), MIN(s), MAX(s) FROM t";
+    let pre = c.query(scan).unwrap().rows;
+    let bytes = c.replicated_store().unwrap().local_bytes();
+    let park = Duration::from_millis(1_500);
+    let delay = FaultSpec::delay_ms(park.as_millis() as u64).once();
+    c.faults().configure(fp::EXEC_SCAN_SLICE, delay);
+    let reader = {
+        let c = Arc::clone(&c);
+        std::thread::spawn(move || c.query(scan).map(|q| q.rows))
+    };
+    one_catalog_parked(&c);
+    let started = std::time::Instant::now();
+    run(&c);
+    let took = started.elapsed();
+    assert!(took < park / 4, "{stmt} waited {took:?} on a reader parked for {park:?}");
+    assert!(!reader.is_finished(), "{stmt} must commit while the reader is parked");
+    let during = c.replicated_store().unwrap().local_bytes();
+    assert!(during >= bytes, "{stmt} freed blocks under a running scan: {bytes} -> {during}");
+    assert_eq!(reader.join().unwrap().unwrap(), pre, "the reader lost its pre-{stmt} rows");
+    c
+}
+
+#[test]
+fn no_lock_vacuum_commits_beside_a_parked_reader() {
+    let c = no_lock_probe("nolock-vacuum", "VACUUM t", |c| {
+        c.execute("VACUUM t").unwrap();
+    });
+    let (placed, published) = no_lock_blocks(&c, "after");
+    assert_eq!(placed, published, "the reader's release left VACUUM's retired blocks placed");
+}
+
+#[test]
+fn no_lock_analyze_commits_beside_a_parked_reader() {
+    let c = no_lock_probe("nolock-analyze", "ANALYZE t", |c| {
+        c.execute("ANALYZE t").unwrap();
+    });
+    assert_eq!(c.loads_since_analyze("t"), 0);
+    let (placed, published) = no_lock_blocks(&c, "after");
+    assert_eq!(placed, published);
+}
+
+#[test]
+fn no_lock_redistribute_commits_beside_a_parked_reader() {
+    let c = no_lock_probe("nolock-redistribute", "redistribute_all", |c| {
+        c.redistribute_all("t").unwrap();
+    });
+    let (placed, published) = no_lock_blocks(&c, "after");
+    assert_eq!(placed, published, "the reader's release left the EVEN layout placed");
+}
+
+#[test]
+fn no_lock_drop_commits_beside_a_parked_reader() {
+    let c = no_lock_probe("nolock-drop", "DROP TABLE t", |c| {
+        c.execute("DROP TABLE t").unwrap();
+    });
+    assert_eq!(c.replicated_store().unwrap().local_bytes(), 0, "the dropped table outlived its reader");
+    assert_eq!(no_lock_blocks(&c, "after"), (Vec::new(), Vec::new()));
+}
+
+/// Readers overlap key rotation now: every row stays exact, and no read
+/// unwraps a block key with a cluster key a rotation has just replaced.
+#[test]
+fn no_lock_readers_overlap_key_rotation() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    let c = Cluster::launch(
+        ClusterConfig::new("nolock-rotate").nodes(2).slices_per_node(2).rows_per_group(32).encrypted(true),
+    )
+    .unwrap();
+    load(&c, 2_000);
+    let scan = "SELECT COUNT(*), SUM(a), MIN(s), MAX(s) FROM t";
+    let expect = c.query(scan).unwrap().rows;
+    let (done, reads) = (AtomicBool::new(false), AtomicU64::new(0));
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    while !done.load(Ordering::Acquire) {
+                        let rows = c.query(scan).map(|q| q.rows);
+                        reads.fetch_add(1, Ordering::AcqRel);
+                        if !matches!(&rows, Ok(r) if *r == expect) {
+                            done.store(true, Ordering::Release);
+                            return rows;
+                        }
+                    }
+                    Ok(expect.clone())
+                })
+            })
+            .collect();
+        for _ in 0..20 {
+            // Rotate only once the readers have moved on, so every
+            // rotation lands among scans.
+            let seen = reads.load(Ordering::Acquire);
+            while reads.load(Ordering::Acquire) == seen && !done.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            c.rotate_cluster_key().unwrap();
+        }
+        done.store(true, Ordering::Release);
+        for r in readers {
+            assert_eq!(r.join().unwrap().unwrap(), expect, "a read during rotation");
+        }
+    });
+}

@@ -1624,13 +1624,25 @@ fn workload_chaos_delay_rides_virtual_clock() {
 // ---------------------------------------------------------------------
 
 /// Per-thread statement scripts over one shared table. kind 0 = snapshot
-/// COUNT, kind 1 = 3-row INSERT, kind 2 = 3-row COPY; the literal keys
-/// the written values.
+/// COUNT, kind 1 = 3-row INSERT, kind 2 = 3-row COPY, kind 3 = VACUUM,
+/// kind 4 = ANALYZE; the literal keys the written values.
 fn arb_mvcc_workload() -> Gen<Vec<Vec<(usize, i64)>>> {
     prop::vec_of(
-        prop::vec_of(prop::pair(prop::range(0usize..3), prop::range(0i64..1_000)), 1..8),
+        prop::vec_of(prop::pair(prop::range(0usize..5), prop::range(0i64..1_000)), 1..8),
         2..5,
     )
+}
+
+/// The blocks `c`'s published catalog names, sorted: the block list of a
+/// snapshot taken now.
+fn published_blocks(c: &Cluster, snapshot: &str) -> Vec<u64> {
+    use redshift_sim::replication::{BackupManager, SnapshotKind};
+    c.create_snapshot(snapshot, SnapshotKind::User).unwrap();
+    let region = c.config().region.as_str();
+    let mgr = BackupManager::new(Arc::clone(c.s3()), region, &c.config().name, None, 4);
+    let mut ids: Vec<u64> = mgr.load_manifest(region, snapshot).unwrap().2.iter().map(|b| b.0).collect();
+    ids.sort_unstable();
+    ids
 }
 
 #[test]
@@ -1649,7 +1661,8 @@ fn mvcc_snapshot_reads_and_first_committer_wins() {
                 ClusterConfig::new("mvcc-prop").nodes(2).slices_per_node(2),
             )
             .unwrap();
-            c.execute("CREATE TABLE m (k BIGINT, v BIGINT) DISTKEY(k)").unwrap();
+            c.execute("CREATE TABLE m (k BIGINT, v BIGINT) DISTKEY(k) COMPOUND SORTKEY(k)")
+                .unwrap();
             let committed = AtomicU64::new(0);
             let conflicts_seen = AtomicU64::new(0);
             let results: Vec<Result<(), String>> = par::map(threads.clone(), |script| {
@@ -1665,8 +1678,12 @@ fn mvcc_snapshot_reads_and_first_committer_wins() {
                             let r =
                                 s.query("SELECT COUNT(*) FROM m").map_err(|e| e.to_string())?;
                             let n = r.rows[0].get(0).as_i64().unwrap();
-                            // Every committed write is exactly 3 rows: a
-                            // snapshot read must never see a torn write …
+                            // Never early: a VACUUM that replaced this
+                            // catalog's blocks frees them only once the
+                            // scan is done — an early free is an error
+                            // above. Every committed write is exactly 3
+                            // rows: a snapshot read must never see a torn
+                            // write …
                             if n % 3 != 0 {
                                 return Err(format!("torn snapshot: {n} rows"));
                             }
@@ -1676,6 +1693,10 @@ fn mvcc_snapshot_reads_and_first_committer_wins() {
                                 return Err(format!("time travel: {n} after {last}"));
                             }
                             last = n;
+                        }
+                        3 | 4 => {
+                            let stmt = if kind == 3 { "VACUUM m" } else { "ANALYZE m" };
+                            s.execute(stmt).map_err(|e| e.to_string())?;
                         }
                         kind => {
                             let stmt = if kind == 1 {
@@ -1731,6 +1752,14 @@ fn mvcc_snapshot_reads_and_first_committer_wins() {
                 .unwrap();
             assert_eq!(n as u64, committed.load(Ordering::Relaxed) * 3);
             assert_eq!(c.rows_estimate("m"), Some(n as u64));
+
+            // Never leaked: with every statement done, the placed blocks
+            // are exactly those the published catalog names (its snapshot
+            // manifest's list) — recovery's orphan equation, live.
+            let mut placed: Vec<u64> =
+                c.replicated_store().unwrap().placed_block_ids().iter().map(|b| b.0).collect();
+            placed.sort_unstable();
+            assert_eq!(placed, published_blocks(&c, "mvcc-quiesced"), "retired blocks leaked");
 
             // Leak freedom at quiesce: spans closed, sessions gone, WLM
             // slots drained.
