@@ -505,6 +505,45 @@ for f in crates/core/src/catalog.rs crates/core/src/cluster/*.rs; do
 done
 echo "  non-test lines: $no_lock_lines (parent: 2662)"
 
+echo "== one batch per slice (quick pass) =="
+# A slice's scan hands each decoded row group to a sink, and the pipeline
+# above it — the scan's filter, Filter, Project, a join's probe, the
+# partial GROUP BY — takes the batch before the next is decoded
+# (DESIGN.md §16 "Pipelines and breakers"); the result cache keeps the
+# result's dense columns (§12). The probes: a dropped exec.scan_slice
+# fragment is a retryable FAULT, never a short answer the cache then
+# serves; an out-of-range projection is an ANALYSIS error on a slice of
+# buffered rows or fully pruned groups, not a panic; peak heap during
+# Executor::run stays flat from N to 8N row groups (scan→filter→
+# aggregate, scan→probe→aggregate); a cached 10,000-row entry holds its
+# columns' byte_size and no more; cache hits equal cold runs for every
+# type.
+cargo test -q --offline --test failure_injection scan_slice_drop_is_a_retryable_fault_not_a_short_answer
+cargo test -q --offline -p redsim-storage --lib projection_out_of_range_is_an_error_not_a_panic
+cargo test -q --offline --test peak_heap
+cargo test -q --offline --test end_to_end result_cache_hits_are_bit_identical_for_every_type
+# Structural guard: scans no longer return their batches, and the cache
+# no longer deep-copies boxed rows.
+if grep -n 'pub batches:' crates/storage/src/table.rs || grep -n 'out.rows.clone()' crates/core/src/cluster/read.rs; then
+  echo "ERROR: a materialised scan output or a boxed result-cache copy reappeared" >&2
+  exit 1
+fi
+# Non-test lines of the files the change touched; the parent had 3,132,
+# and the change may add at most 150.
+one_batch_lines=0
+for f in crates/storage/src/table.rs crates/engine/src/exec.rs crates/engine/src/baseline.rs \
+  crates/core/src/cluster/compute.rs crates/core/src/cluster/read.rs \
+  crates/core/src/cluster/leader.rs crates/core/src/systables.rs crates/core/src/result_cache.rs; do
+  n=$(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f")
+  printf '  %5d %s\n' "$n" "$f"
+  one_batch_lines=$((one_batch_lines + n))
+done
+echo "  non-test lines: $one_batch_lines (parent: 3132)"
+if [ "$one_batch_lines" -gt $((3132 + 150)) ]; then
+  echo "ERROR: the touched files grew by more than 150 lines" >&2
+  exit 1
+fi
+
 echo "== benchdiff smoke (self-diff must pass, regression must fail) =="
 bd_dir=$(mktemp -d)
 trap 'rm -rf "$bd_dir"' EXIT

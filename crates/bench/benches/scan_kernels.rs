@@ -31,7 +31,7 @@
 
 use redsim_common::{ColumnData, DataType, FxHashMap, Result, Row, Value};
 use redsim_engine::baseline::{self, RowStore};
-use redsim_engine::exec::{Executor, TableProvider};
+use redsim_engine::exec::{Executor, ScanSink, TableProvider};
 use redsim_engine::expr::{eval_predicate, eval_predicate_interp};
 use redsim_engine::Selection;
 use redsim_sql::ast::BinaryOp;
@@ -131,10 +131,12 @@ impl TableProvider for OneSlice<'_> {
         _slice: usize,
         projection: &[usize],
         _pred: &ScanPredicate,
+        sink: &mut ScanSink,
     ) -> Result<ScanOutput> {
-        let batches: Vec<Vec<ColumnData>> =
-            self.0.iter().map(|b| projection.iter().map(|&c| b[c].clone()).collect()).collect();
-        Ok(ScanOutput { groups_total: batches.len(), batches, ..ScanOutput::default() })
+        for b in self.0 {
+            sink(projection.iter().map(|&c| b[c].clone()).collect())?;
+        }
+        Ok(ScanOutput { groups_total: self.0.len(), ..ScanOutput::default() })
     }
 }
 
@@ -205,7 +207,7 @@ fn bench_scan_pipeline(b: &mut Bench, batches: &[Vec<ColumnData>]) {
     let store = row_store(batches);
     let typed = Executor::new(&provider).run(&plan).unwrap();
     assert_eq!(typed.metrics.interp_fallback, 0, "minmax filter left the kernels");
-    assert_eq!(typed.rows, baseline::run_plan(&plan, &store).unwrap(), "typed/row aggregate disagreement");
+    assert_eq!(typed.rows(), baseline::run_plan(&plan, &store).unwrap(), "typed/row aggregate disagreement");
 
     let mut g = b.group("scan_pipeline");
     g.sample_size(10);
@@ -233,7 +235,7 @@ fn bench_scan_pipeline(b: &mut Bench, batches: &[Vec<ColumnData>]) {
         });
     }
     g.bench_with_input(BenchmarkId::new("kernel", "agg_minmax"), &plan, |bch, plan| {
-        bch.iter(|| Executor::new(&provider).run(plan).unwrap().rows.len());
+        bch.iter(|| Executor::new(&provider).run(plan).unwrap().row_count());
     });
     g.bench_with_input(BenchmarkId::new("interp", "agg_minmax"), &plan, |bch, plan| {
         bch.iter(|| baseline::run_plan(plan, &store).unwrap().len());

@@ -48,6 +48,10 @@ impl Bitmap {
         self.zeros == 0
     }
 
+    pub fn shrink_to_fit(&mut self) {
+        self.bits.shrink_to_fit();
+    }
+
     /// Append one bit.
     pub fn push(&mut self, valid: bool) {
         let word = self.len / 64;

@@ -64,6 +64,11 @@ impl StrVec {
         (0..self.len()).map(move |i| self.get(i))
     }
 
+    pub fn shrink_to_fit(&mut self) {
+        self.offsets.shrink_to_fit();
+        self.bytes.shrink_to_fit();
+    }
+
     /// Access the raw arena (offsets, bytes) for codecs.
     pub fn raw_parts(&self) -> (&[u32], &[u8]) {
         (&self.offsets, &self.bytes)
@@ -489,6 +494,15 @@ impl ColumnData {
             }
         }
         mn.zip(mx)
+    }
+
+    /// Release spare capacity, for a column kept long after it was built
+    /// (a cached result).
+    pub fn shrink_to_fit(&mut self) {
+        for_each_variant!(self, data, nulls => {
+            data.shrink_to_fit();
+            nulls.shrink_to_fit();
+        })
     }
 
     /// Approximate heap bytes held (uncompressed footprint accounting).

@@ -10,7 +10,7 @@ use crate::catalog::{Catalog, FreeBlocks, TableEntry, TableState, TableVersion};
 use redsim_common::{ColumnData, Result, Row, RsError};
 use redsim_distribution::{ClusterTopology, DistStyle, RowRouter, SliceId};
 use redsim_engine::baseline;
-use redsim_engine::exec::TableProvider;
+use redsim_engine::exec::{rows_of, ScanSink, TableProvider};
 use redsim_obs::{Span, LVL_DETAIL};
 use redsim_sql::{CatalogView, TableMeta};
 use redsim_storage::stats::TableStats;
@@ -27,6 +27,17 @@ pub(super) struct Compute {
     pub node_stores: Vec<Arc<dyn BlockStore>>,
 }
 
+/// How many of `version`'s slices, from the first, hold distinct rows.
+/// An ALL table keeps a full copy on every slice, so reading slice 0
+/// reads the table.
+fn distinct_slices(entry: &TableEntry, version: &TableVersion) -> usize {
+    if matches!(entry.dist_style, DistStyle::All) {
+        1
+    } else {
+        version.slices.len()
+    }
+}
+
 impl Compute {
     pub fn store_for_slice(&self, slice: usize) -> &dyn BlockStore {
         let node = self.topology.node_of(SliceId(slice as u32));
@@ -34,16 +45,14 @@ impl Compute {
     }
 
     /// Run `f` on the slices of `version` holding distinct rows, in
-    /// parallel; first error wins. An ALL table keeps a full copy on
-    /// every slice, so reading slice 0 reads the table.
+    /// parallel; first error wins.
     fn on_distinct_slices<T: Send>(
         &self,
         entry: &TableEntry,
         version: &TableVersion,
         f: impl Fn(&SliceTable, &dyn BlockStore) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
-        let n = if matches!(entry.dist_style, DistStyle::All) { 1 } else { version.slices.len() };
-        let slices = version.slices[..n].iter().enumerate().collect();
+        let slices = version.slices[..distinct_slices(entry, version)].iter().enumerate().collect();
         parallel_map(slices, |(slice, t)| f(t, self.store_for_slice(slice))).into_iter().collect()
     }
 
@@ -132,10 +141,10 @@ impl Compute {
         image: &TableVersion,
     ) -> Result<()> {
         let all_cols: Vec<usize> = (0..from.schema.len()).collect();
-        let scans =
-            source.on_distinct_slices(from, image, |t, store| t.scan(store, &all_cols, None))?;
-        for batch in scans.into_iter().flat_map(|s| s.batches) {
-            self.append(to, next, batch, false)?;
+        for (slice, t) in image.slices[..distinct_slices(from, image)].iter().enumerate() {
+            t.scan(source.store_for_slice(slice), &all_cols, None, |batch| {
+                self.append(to, next, batch, false)
+            })?;
         }
         self.seal(next, &Span::disabled()).into_iter().collect::<Result<()>>()?;
         next.state = TableState { cursor: next.state.cursor, ..image.state.clone() };
@@ -210,6 +219,7 @@ impl TableProvider for SnapshotReader<'_> {
         slice: usize,
         projection: &[usize],
         pred: &ScanPredicate,
+        sink: &mut ScanSink,
     ) -> Result<ScanOutput> {
         let (entry, version) = self
             .catalog
@@ -219,7 +229,7 @@ impl TableProvider for SnapshotReader<'_> {
         if matches!(entry.dist_style, DistStyle::All) && slice != 0 {
             return Ok(ScanOutput::default());
         }
-        version.slices[slice].scan(self.compute.store_for_slice(slice), projection, Some(pred))
+        version.slices[slice].scan(self.compute.store_for_slice(slice), projection, Some(pred), sink)
     }
 }
 
@@ -228,11 +238,10 @@ impl baseline::RowSource for SnapshotReader<'_> {
     fn scan_rows(&self, table: &str, projection: &[usize]) -> Result<Vec<Row>> {
         let mut rows = Vec::new();
         for slice in 0..self.num_slices() {
-            let out = self.scan_slice(table, slice, projection, &ScanPredicate::default())?;
-            for batch in out.batches {
-                let n = batch.first().map_or(0, |c| c.len());
-                rows.extend((0..n).map(|i| Row::new(batch.iter().map(|c| c.get(i)).collect())));
-            }
+            self.scan_slice(table, slice, projection, &ScanPredicate::default(), &mut |batch| {
+                rows.extend(rows_of(&batch));
+                Ok(())
+            })?;
         }
         Ok(rows)
     }

@@ -14,7 +14,7 @@ use crate::systables::SystemTables;
 use crate::wlm::WlmController;
 use redsim_common::Result;
 use redsim_engine::compile::CompiledQuery;
-use redsim_engine::exec::{ExecMetrics, Executor};
+use redsim_engine::exec::{rows_of, ExecMetrics, Executor};
 use redsim_engine::PlanCache;
 use redsim_faultkit::FaultRegistry;
 use redsim_obs::{Span, TraceSink, LVL_CORE, LVL_PHASE};
@@ -167,15 +167,15 @@ impl Leader {
     }
 
     /// The result-cache hit path: no WLM admission, no planning, no
-    /// compile, no execution — just the cached rows, plus an `stl_query`
-    /// row so dashboards still see their queries. The absence of
-    /// `query.compile` / `query.exec` child spans under this `query`
-    /// span is how tests verify the skip.
+    /// compile, no execution — just the cached columns, boxed into rows
+    /// for the reply, plus an `stl_query` row so dashboards still see
+    /// their queries. The absence of `query.compile` / `query.exec` child
+    /// spans under this `query` span is how tests verify the skip.
     pub fn serve_cached(&self, sql: &str, ctx: &SessionCtx, hit: &CachedResult) -> QueryResult {
         self.trace.counter("result_cache.hits").incr();
         let mut qspan = self.trace.span(LVL_CORE, "query");
         if qspan.is_recording() {
-            stamp_query(&mut qspan, self.next_query_id(), sql, hit.rows.len(), ctx);
+            stamp_query(&mut qspan, self.next_query_id(), sql, hit.row_count(), ctx);
             qspan.attr("result_cache", "hit");
             qspan.attr("plan", hit.plan.clone());
         }
@@ -183,7 +183,7 @@ impl Leader {
         self.usage.record_feature("SELECT");
         let mut served = QueryResult::new(
             hit.columns.clone(),
-            hit.rows.clone(),
+            rows_of(&hit.batch),
             ExecMetrics::default(),
             hit.plan.clone(),
         );
@@ -216,6 +216,7 @@ impl Leader {
             return Ok(QueryResult::plan_rows(plan_text, |_, l| l.to_string()));
         }
         let out = Executor::new(&sys).run(&plan)?;
-        Ok(QueryResult::new(out.columns, out.rows, out.metrics, plan_text))
+        let rows = out.rows();
+        Ok(QueryResult::new(out.columns, rows, out.metrics, plan_text))
     }
 }

@@ -186,7 +186,7 @@ impl Cluster {
         self.trace().counter("exec.interp_fallback").add(out.metrics.interp_fallback);
         if espan.is_recording() {
             espan.attr("slices", self.compute.topology.total_slices());
-            espan.attr("rows_out", out.rows.len());
+            espan.attr("rows_out", out.row_count());
         }
         espan.finish();
         // Query id is allocated only for logged (executed) queries, and
@@ -264,7 +264,7 @@ impl Cluster {
         self.trace().histogram("query.exec_ns").record(exec_ns);
         if qspan.is_recording() {
             let m = &out.metrics;
-            leader::stamp_query(&mut qspan, qid, sql, out.rows.len(), ctx);
+            leader::stamp_query(&mut qspan, qid, sql, out.row_count(), ctx);
             qspan.attr("compile_cache", if cache_hit { "hit" } else { "miss" });
             qspan.attr("compile_ns", compile_ns);
             qspan.attr("exec_ns", exec_ns);
@@ -283,22 +283,20 @@ impl Cluster {
             qspan.attr("plan", plan_text.clone());
         }
         qspan.finish();
+        let rows = out.rows();
         if cacheable {
             // Fill keyed on the version of the catalog the rows came from.
             // A writer may have published since; the entry is then at
-            // worst unreachable, never stale for its key.
+            // worst unreachable, never stale for its key. The entry keeps
+            // the result's columns, moved, not the boxed reply.
             self.leader.result_cache.put(
                 sql,
                 ctx.user_group.as_deref(),
                 reader.catalog.version,
-                CachedResult {
-                    columns: out.columns.clone(),
-                    rows: out.rows.clone(),
-                    plan: plan_text.clone(),
-                },
+                CachedResult { columns: out.columns.clone(), batch: out.batch, plan: plan_text.clone() },
             );
         }
-        let result = QueryResult::new(out.columns, out.rows, out.metrics, plan_text);
+        let result = QueryResult::new(out.columns, rows, out.metrics, plan_text);
         Ok(QueryResult { cache_hit, ..result })
     }
 

@@ -6,7 +6,8 @@
 //! near-zero-latency answers with a leader-node result cache. This module
 //! is that cache: a bounded LRU map from
 //! `(normalized query text, user group, catalog version)` to the
-//! finished rows of a previous execution.
+//! finished result of a previous execution, kept as the executor's dense
+//! columns — a few bytes a value — and boxed into rows only for a reply.
 //!
 //! Keying on the **catalog version** is the whole invalidation story:
 //! every *committed* write statement (COPY/INSERT/CREATE/DROP/VACUUM/
@@ -23,7 +24,7 @@
 //! compilation, or execution — the probe is a hash lookup on the raw
 //! statement text.
 
-use redsim_common::{FxHashMap, Row};
+use redsim_common::{ColumnData, FxHashMap};
 use redsim_sql::plan::OutCol;
 use redsim_testkit::sync::Mutex;
 use std::collections::VecDeque;
@@ -43,9 +44,16 @@ struct CacheKey {
 #[derive(Debug)]
 pub struct CachedResult {
     pub columns: Vec<OutCol>,
-    pub rows: Vec<Row>,
+    /// The rows as one dense batch, a column per `columns` entry.
+    pub batch: Vec<ColumnData>,
     /// EXPLAIN text of the execution that populated the entry.
     pub plan: String,
+}
+
+impl CachedResult {
+    pub fn row_count(&self) -> usize {
+        self.batch.first().map_or(0, |c| c.len())
+    }
 }
 
 #[derive(Default)]
@@ -110,7 +118,7 @@ impl ResultCache {
         catalog_version: u64,
         result: CachedResult,
     ) -> bool {
-        if result.rows.len() > self.max_rows {
+        if result.row_count() > self.max_rows {
             return false;
         }
         let key = CacheKey {
@@ -205,9 +213,11 @@ mod tests {
     use redsim_common::{DataType, Value};
 
     fn result(n: usize) -> CachedResult {
+        let mut a = ColumnData::new(DataType::Int8);
+        (0..n).for_each(|i| a.push_value(&Value::Int8(i as i64)).unwrap());
         CachedResult {
             columns: vec![OutCol { name: "a".into(), ty: DataType::Int8 }],
-            rows: (0..n).map(|i| Row::new(vec![Value::Int8(i as i64)])).collect(),
+            batch: vec![a],
             plan: "Seq Scan".into(),
         }
     }

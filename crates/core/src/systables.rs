@@ -29,7 +29,7 @@ use crate::wlm::WlmController;
 use redsim_common::{ColumnData, ColumnDef, DataType, FxHashMap, Result, RsError, Schema, Value};
 use redsim_faultkit::FaultRegistry;
 use redsim_distribution::DistStyle;
-use redsim_engine::exec::TableProvider;
+use redsim_engine::exec::{ScanSink, TableProvider};
 use redsim_obs::{SpanRecord, TraceSink};
 use redsim_storage::table::{ScanOutput, ScanPredicate, SortKeySpec};
 
@@ -471,6 +471,7 @@ impl TableProvider for SystemTables {
         _slice: usize,
         projection: &[usize],
         _pred: &ScanPredicate,
+        sink: &mut ScanSink,
     ) -> Result<ScanOutput> {
         let (_, cols) = self
             .tables
@@ -480,14 +481,9 @@ impl TableProvider for SystemTables {
         if n == 0 {
             return Ok(ScanOutput::default());
         }
-        let batch: Vec<ColumnData> = projection.iter().map(|&i| cols[i].clone()).collect();
-        Ok(ScanOutput {
-            batches: vec![batch],
-            groups_total: 1,
-            groups_skipped: 0,
-            blocks_read: 0, // virtual: no blocks behind these rows
-            bytes_read: 0,
-        })
+        sink(projection.iter().map(|&i| cols[i].clone()).collect())?;
+        // Virtual: no blocks behind these rows.
+        Ok(ScanOutput { groups_total: 1, ..ScanOutput::default() })
     }
 }
 
@@ -496,6 +492,16 @@ mod tests {
     use super::*;
     use redsim_obs::LVL_CORE;
     use std::sync::Arc;
+
+    /// Every batch a system table's scan hands on.
+    fn scan(sys: &SystemTables, table: &str, projection: &[usize]) -> Result<Vec<Vec<ColumnData>>> {
+        let mut batches = Vec::new();
+        sys.scan_slice(table, 0, projection, &ScanPredicate::default(), &mut |b| {
+            batches.push(b);
+            Ok(())
+        })?;
+        Ok(batches)
+    }
 
     fn sink_with_queries(n: u64) -> Arc<TraceSink> {
         let sink = Arc::new(TraceSink::with_level(LVL_CORE));
@@ -540,19 +546,16 @@ mod tests {
         }
         assert!(matches!(reg.fire(fp::S3_GET), Outcome::Proceed));
         let sys = SystemTables::capture(&sink, None, Some(&reg), None, None, &["stl_fault_event"]);
-        let out = sys
-            .scan_slice("stl_fault_event", 0, &[0, 2, 3, 4], &ScanPredicate::default())
-            .unwrap();
-        let b = &out.batches[0];
+        let out = scan(&sys, "stl_fault_event", &[0, 2, 3, 4]).unwrap();
+        let b = &out[0];
         assert_eq!(b[0].len(), 2, "one row per injected fault");
         assert_eq!(b[1].get(0).as_str(), Some("s3.get"));
         assert_eq!(b[2].get(0).as_str(), Some("err"));
         assert_eq!(b[3].get(0).as_str(), Some("throttle"));
         // Without a registry the table is empty but bindable.
         let sys2 = SystemTables::capture(&sink, None, None, None, None, &["stl_fault_event"]);
-        let empty =
-            sys2.scan_slice("stl_fault_event", 0, &[0], &ScanPredicate::default()).unwrap();
-        assert!(empty.batches.is_empty());
+        let empty = scan(&sys2, "stl_fault_event", &[0]).unwrap();
+        assert!(empty.is_empty());
     }
 
     #[test]
@@ -573,22 +576,17 @@ mod tests {
             None,
             &["stl_wlm_query", "stv_wlm_service_class_state"],
         );
-        let wq =
-            sys.scan_slice("stl_wlm_query", 0, &[0, 1, 2, 5], &ScanPredicate::default()).unwrap();
-        assert_eq!(wq.batches[0][0].len(), 2, "one row per admission");
+        let wq = scan(&sys, "stl_wlm_query", &[0, 1, 2, 5]).unwrap();
+        assert_eq!(wq[0][0].len(), 2, "one row per admission");
         let classes: Vec<_> =
-            (0..2).filter_map(|i| wq.batches[0][1].get(i).as_str().map(str::to_string)).collect();
+            (0..2).filter_map(|i| wq[0][1].get(i).as_str().map(str::to_string)).collect();
         assert!(classes.contains(&"sqa".to_string()) && classes.contains(&"q1".to_string()));
-        let sc = sys
-            .scan_slice("stv_wlm_service_class_state", 0, &[0, 4], &ScanPredicate::default())
-            .unwrap();
-        assert_eq!(sc.batches[0][0].len(), 2, "q1 + sqa lane rows");
+        let sc = scan(&sys, "stv_wlm_service_class_state", &[0, 4]).unwrap();
+        assert_eq!(sc[0][0].len(), 2, "q1 + sqa lane rows");
         // Without a controller the STV table is empty but bindable.
         let sys2 = SystemTables::capture(&sink, None, None, None, None, &["stv_wlm_service_class_state"]);
-        let empty = sys2
-            .scan_slice("stv_wlm_service_class_state", 0, &[0], &ScanPredicate::default())
-            .unwrap();
-        assert!(empty.batches.is_empty());
+        let empty = scan(&sys2, "stv_wlm_service_class_state", &[0]).unwrap();
+        assert!(empty.is_empty());
     }
 
     #[test]
@@ -606,17 +604,14 @@ mod tests {
             None,
             &["stv_sessions", "stl_connection_log"],
         );
-        let s = sys
-            .scan_slice("stv_sessions", 0, &[0, 2, 3, 4], &ScanPredicate::default())
-            .unwrap();
-        assert_eq!(s.batches[0][0].len(), 1, "only the live session");
-        assert_eq!(s.batches[0][1].get(0).as_str(), Some("ada"));
-        assert_eq!(s.batches[0][2].get(0).as_str(), Some("analyst"));
-        assert_eq!(s.batches[0][3].get(0).as_str(), Some("idle"));
-        let l =
-            sys.scan_slice("stl_connection_log", 0, &[0, 3], &ScanPredicate::default()).unwrap();
-        assert_eq!(l.batches[0][0].len(), 1, "implicit sessions skip the log");
-        assert_eq!(l.batches[0][0].get(0).as_str(), Some("initiating session"));
+        let s = scan(&sys, "stv_sessions", &[0, 2, 3, 4]).unwrap();
+        assert_eq!(s[0][0].len(), 1, "only the live session");
+        assert_eq!(s[0][1].get(0).as_str(), Some("ada"));
+        assert_eq!(s[0][2].get(0).as_str(), Some("analyst"));
+        assert_eq!(s[0][3].get(0).as_str(), Some("idle"));
+        let l = scan(&sys, "stl_connection_log", &[0, 3]).unwrap();
+        assert_eq!(l[0][0].len(), 1, "implicit sessions skip the log");
+        assert_eq!(l[0][0].get(0).as_str(), Some("initiating session"));
         mgr.unregister(&a);
         assert_eq!(sink.gauge_value("sessions.active"), 0);
     }
@@ -625,23 +620,23 @@ mod tests {
     fn stl_query_materializes_one_row_per_span() {
         let sink = sink_with_queries(3);
         let sys = SystemTables::capture(&sink, None, None, None, None, &["stl_query"]);
-        let out = sys.scan_slice("stl_query", 0, &[0, 5], &ScanPredicate::default()).unwrap();
-        assert_eq!(out.batches.len(), 1);
-        let ids = &out.batches[0][0];
+        let out = scan(&sys, "stl_query", &[0, 5]).unwrap();
+        assert_eq!(out.len(), 1);
+        let ids = &out[0][0];
         assert_eq!(ids.len(), 3);
         assert_eq!(ids.get(0).as_i64(), Some(1));
-        assert_eq!(out.batches[0][1].get(0).as_str(), Some("miss"));
-        assert_eq!(out.batches[0][1].get(2).as_str(), Some("hit"));
+        assert_eq!(out[0][1].get(0).as_str(), Some("miss"));
+        assert_eq!(out[0][1].get(2).as_str(), Some("hit"));
     }
 
     #[test]
     fn stl_explain_splits_plan_lines() {
         let sink = sink_with_queries(1);
         let sys = SystemTables::capture(&sink, None, None, None, None, &["stl_explain"]);
-        let out = sys.scan_slice("stl_explain", 0, &[0, 1, 2], &ScanPredicate::default()).unwrap();
-        let steps = &out.batches[0][1];
+        let out = scan(&sys, "stl_explain", &[0, 1, 2]).unwrap();
+        let steps = &out[0][1];
         assert_eq!(steps.len(), 2, "two plan lines → two rows");
-        assert_eq!(out.batches[0][2].get(1).as_str(), Some("  Seq Scan"));
+        assert_eq!(out[0][2].get(1).as_str(), Some("  Seq Scan"));
     }
 
     #[test]
@@ -671,10 +666,8 @@ mod tests {
             }
         }
         let sys = SystemTables::capture(&sink, None, None, None, None, &["svl_query_report"]);
-        let out = sys
-            .scan_slice("svl_query_report", 0, &[0, 1, 2, 3, 6], &ScanPredicate::default())
-            .unwrap();
-        let b = &out.batches[0];
+        let out = scan(&sys, "svl_query_report", &[0, 1, 2, 3, 6]).unwrap();
+        let b = &out[0];
         assert_eq!(b[0].len(), 4, "one row per query × slice × step");
         assert_eq!(b[1].get(0).as_i64(), Some(0), "sorted by (query, slice, step)");
         assert_eq!(b[2].get(1).as_i64(), Some(2));
@@ -686,8 +679,7 @@ mod tests {
     fn empty_sink_yields_empty_tables() {
         let sink = Arc::new(TraceSink::with_level(LVL_CORE));
         let sys = SystemTables::capture(&sink, None, None, None, None, &["svl_query_metrics"]);
-        let out =
-            sys.scan_slice("svl_query_metrics", 0, &[0], &ScanPredicate::default()).unwrap();
-        assert!(out.batches.is_empty());
+        let out = scan(&sys, "svl_query_metrics", &[0]).unwrap();
+        assert!(out.is_empty());
     }
 }

@@ -1,27 +1,33 @@
 //! The distributed executor.
 //!
-//! A logical plan runs as per-slice fragments joined by exchanges:
-//! scans/filters/joins execute on every slice in parallel (std scoped
-//! threads via `testkit::par` — one slice per core, as in §2.1),
-//! aggregation runs
-//! partial-per-slice then final-at-leader, and sorts/limits finish at the
-//! leader, which "performs final aggregation of results when required".
-//! Exchange operators count the bytes they move so experiment E11 can
-//! report broadcast vs redistribution traffic.
+//! A logical plan runs as per-slice pipelines joined by breakers. A
+//! pipeline — a slice's scan or a breaker's output, then the scan's
+//! filter, `Filter`, `Project` and join probes — runs on every slice in
+//! parallel (std scoped threads via `testkit::par` — one slice per core,
+//! as in §2.1) into a partial aggregate or a collection, each decoded
+//! batch going all the way up before the next is decoded. Breakers take
+//! their whole input: the leader's final aggregation, sort, limit, and
+//! joins whose inputs move (a redistributed pair, a `DISTSTYLE ALL`
+//! outer side). Exchanges count the bytes they move so experiment E11
+//! can report broadcast vs redistribution traffic.
 
 use crate::agg::Groups;
 use crate::expr::{bind, narrow_predicate};
 use crate::join::{join_chunk, Build, JoinShape};
 use crate::kernels::{cmp_slots, with_ints};
 use crate::selection::Selection;
-use redsim_testkit::{par, sync::Mutex};
 use redsim_common::{fx_hash64, ColumnData, Result, Row, RsError};
 use redsim_distribution::{style::dist_hash, JoinDistStrategy};
-use redsim_sql::plan::{AggExpr, BoundExpr, LogicalPlan, OutCol};
+use redsim_sql::plan::{BoundExpr, LogicalPlan, OutCol};
 use redsim_storage::table::{ScanOutput, ScanPredicate};
+use redsim_testkit::{par, sync::Mutex};
+use std::time::Instant;
 
 /// One column batch (all columns share a length).
 pub type Batch = Vec<ColumnData>;
+
+/// Where a slice scan hands each batch it decodes.
+pub type ScanSink<'a> = dyn FnMut(Batch) -> Result<()> + 'a;
 
 /// A batch and the rows of it that are still alive — what flows between
 /// operators (the contract is [`crate::selection`]'s). Filters narrow
@@ -63,13 +69,17 @@ impl Chunk {
 pub trait TableProvider: Sync {
     fn num_slices(&self) -> usize;
 
-    /// Scan one slice of a table with projection + pruning predicate.
+    /// Scan one slice of a table with projection + pruning predicate,
+    /// handing `sink` one batch at a time — a stored table's surviving
+    /// row groups, each decoded just before it is handed on — and
+    /// stopping at the first error `sink` returns.
     fn scan_slice(
         &self,
         table: &str,
         slice: usize,
         projection: &[usize],
         pred: &ScanPredicate,
+        sink: &mut ScanSink,
     ) -> Result<ScanOutput>;
 }
 
@@ -137,14 +147,16 @@ pub struct StepProfile {
     /// Operator label (`LogicalPlan::node_label`).
     pub label: String,
     pub slice: usize,
-    /// Rows this operator emitted on this slice. Leader-materialized
-    /// operators (Sort/Limit/final Aggregate) report on slice 0 only.
+    /// Rows this operator emitted on this slice, summed over the chunks
+    /// it streamed. Leader-materialized operators (Sort/Limit/final
+    /// Aggregate) report on slice 0 only.
     pub rows: u64,
     /// Bytes of those output rows (in-memory column footprint).
     pub bytes: u64,
-    /// Inclusive wall-clock time of the operator subtree. Slices run
-    /// the fragment in lockstep, so every slice row of a step carries
-    /// the same elapsed time.
+    /// Inclusive wall-clock time of the operator subtree, the same on
+    /// every slice row of a step. A streamed step reports its pipeline's:
+    /// from when the step began preparing (its build sides included) to
+    /// when the last slice finished.
     pub elapsed_ns: u64,
 }
 
@@ -152,11 +164,30 @@ pub struct StepProfile {
 #[derive(Debug)]
 pub struct QueryOutput {
     pub columns: Vec<OutCol>,
-    pub rows: Vec<Row>,
+    /// The result as one dense batch — a column per `columns` entry — with
+    /// no spare capacity: what the result cache keeps.
+    pub batch: Batch,
     pub metrics: ExecMetrics,
     /// Per-step, per-slice profile; empty unless
     /// [`Executor::with_profiling`] enabled it.
     pub profile: Vec<StepProfile>,
+}
+
+impl QueryOutput {
+    /// The result rows, boxed: what a reply carries.
+    pub fn rows(&self) -> Vec<Row> {
+        rows_of(&self.batch)
+    }
+
+    pub fn row_count(&self) -> usize {
+        self.batch.first().map_or(0, |c| c.len())
+    }
+}
+
+/// The rows of a dense batch, boxed.
+pub fn rows_of(batch: &[ColumnData]) -> Vec<Row> {
+    let n = batch.first().map_or(0, |c| c.len());
+    (0..n).map(|i| Row::new(batch.iter().map(|c| c.get(i)).collect())).collect()
 }
 
 /// Data placement during execution.
@@ -175,7 +206,139 @@ impl DataSet {
             DataSet::Slices(per_slice) => per_slice.into_iter().flatten().collect(),
         }
     }
+
+    /// One chunk list per slice of `n`; leader data (rare: a join over a
+    /// leader-materialized input) takes part as slice 0.
+    fn per_slice(self, n: usize) -> Vec<Vec<Chunk>> {
+        match self {
+            DataSet::Slices(s) => s,
+            DataSet::Leader(chunks) => {
+                let mut out: Vec<Vec<Chunk>> = (0..n).map(|_| Vec::new()).collect();
+                out[0] = chunks;
+                out
+            }
+        }
+    }
 }
+
+/// A plan's `Scan`, borrowed: a pipeline's source on each slice.
+struct Scan<'p> {
+    table: &'p str,
+    projection: &'p [usize],
+    filter: Option<&'p BoundExpr>,
+    pruning: &'p ScanPredicate,
+}
+
+/// Where a pipeline's chunks come from.
+enum Source<'p> {
+    Scan(Scan<'p>),
+    /// A breaker's output.
+    Placed(DataSet),
+}
+
+/// An operator that takes one chunk at a time.
+enum Op<'p> {
+    Filter(&'p BoundExpr),
+    Project(&'p [BoundExpr]),
+    /// A join's probe, against its build side built before the first
+    /// chunk: one per slice, or one that every slice shares.
+    Probe(Box<(JoinShape<'p>, Vec<Build>)>),
+}
+
+impl Op<'_> {
+    /// This operator's output for one chunk of `slice` (`None`: no rows
+    /// left), and the expressions the row interpreter evaluated.
+    fn apply(&self, mut chunk: Chunk, slice: usize) -> Result<(Option<Chunk>, u64)> {
+        match self {
+            Op::Filter(predicate) => {
+                let fell_back = chunk.filter(predicate)?;
+                Ok(((!chunk.sel.is_empty()).then_some(chunk), fell_back as u64))
+            }
+            Op::Project(exprs) => {
+                let mut out = Batch::with_capacity(exprs.len());
+                let mut interp = 0;
+                for e in *exprs {
+                    let (col, fell_back) = bind(e, &chunk.cols, &chunk.sel)?;
+                    interp += fell_back as u64;
+                    out.push(match chunk.sel.ids() {
+                        None => col.into_owned(),
+                        Some(ids) => col.gather(ids),
+                    });
+                }
+                Ok((Some(Chunk::dense(out)), interp))
+            }
+            Op::Probe(probe) => {
+                let (shape, builds) = &**probe;
+                let build = &builds[slice.min(builds.len() - 1)];
+                let (joined, fell_back) = join_chunk(shape, build, &chunk)?;
+                Ok((joined, fell_back as u64))
+            }
+        }
+    }
+}
+
+/// A streamed plan step: its pre-order id and when it began preparing.
+struct Stage<'p> {
+    plan: &'p LogicalPlan,
+    step: usize,
+    started: Instant,
+}
+
+/// The streaming part of a plan, ready to run on every slice: a source
+/// and the operators above it, bottom up, with every join's build side
+/// already built.
+struct Pipeline<'p> {
+    source: Source<'p>,
+    ops: Vec<Op<'p>>,
+    /// The scan's step if the source is a scan, then one per `ops` entry.
+    stages: Vec<Stage<'p>>,
+}
+
+impl<'p> Pipeline<'p> {
+    fn placed(ds: DataSet) -> Self {
+        Pipeline { source: Source::Placed(ds), ops: Vec::new(), stages: Vec::new() }
+    }
+
+    /// Run on the `n` slices: a leader-placed source becomes slice 0's.
+    fn spread(mut self, n: usize) -> Self {
+        if let Source::Placed(ds) = &mut self.source {
+            let placed = std::mem::replace(ds, DataSet::Slices(Vec::new()));
+            *ds = DataSet::Slices(placed.per_slice(n));
+        }
+        self
+    }
+}
+
+/// One slice's (or the leader's) run through a pipeline's operators.
+struct Lane<'a, 'p> {
+    ops: &'a [Op<'p>],
+    slice: usize,
+    /// The stage of `ops[0]`: 1 after a scan, else 0.
+    first: usize,
+    metrics: ExecMetrics,
+    /// (rows, bytes) each stage emitted.
+    emitted: Vec<(u64, u64)>,
+}
+
+impl Lane<'_, '_> {
+    /// Push one chunk through every operator into `out`, which returns
+    /// the expressions the row interpreter evaluated.
+    fn push(&mut self, mut chunk: Chunk, out: &mut dyn FnMut(Chunk) -> Result<u64>) -> Result<()> {
+        for (k, op) in self.ops.iter().enumerate() {
+            let (next, interp) = op.apply(chunk, self.slice)?;
+            self.metrics.interp_fallback += interp;
+            let Some(next) = next else { return Ok(()) };
+            tally(&mut self.emitted[self.first + k], &next);
+            chunk = next;
+        }
+        self.metrics.interp_fallback += out(chunk)?;
+        Ok(())
+    }
+}
+
+/// The join strategy that needs its outer side whole: a `DISTSTYLE ALL`
+/// copy, probed by every slice's inner rows.
+const ALL_OUTER: JoinDistStrategy = JoinDistStrategy::AllNone { all_side_left: true };
 
 /// Executes optimized logical plans against a [`TableProvider`].
 pub struct Executor<'a> {
@@ -231,21 +394,16 @@ impl<'a> Executor<'a> {
         self.metrics.lock().clone()
     }
 
-    /// Run a plan to completion, materializing rows at the leader.
+    /// Run a plan to completion: the result as one dense batch.
     pub fn run(&self, plan: &LogicalPlan) -> Result<QueryOutput> {
         let columns = plan.output();
-        let chunks = self.exec(plan, 1)?.into_chunks();
-        let mut rows = Vec::with_capacity(chunks.iter().map(|c| c.sel.len()).sum());
-        for chunk in &chunks {
-            debug_assert_eq!(chunk.cols.len(), columns.len());
-            for i in chunk.sel.iter() {
-                rows.push(Row::new(chunk.cols.iter().map(|c| c.get(i)).collect()));
-            }
-        }
+        let mut batch = concat_batches(&columns, self.gather(self.exec(plan, 1)?));
+        debug_assert_eq!(batch.len(), columns.len());
+        batch.iter_mut().for_each(ColumnData::shrink_to_fit);
         let mut profile =
             self.profile.as_ref().map_or_else(Vec::new, |p| std::mem::take(&mut p.lock()));
         profile.sort_by_key(|s| (s.step, s.slice));
-        Ok(QueryOutput { columns, rows, metrics: self.metrics.lock().clone(), profile })
+        Ok(QueryOutput { columns, batch, metrics: self.metrics.lock().clone(), profile })
     }
 
     /// Add batches the binder handed to the row interpreter to the
@@ -261,79 +419,44 @@ impl<'a> Executor<'a> {
         ds.into_chunks().into_iter().map(Chunk::into_dense).collect()
     }
 
-    /// Execute one plan node (pre-order step id `step`), recording a
-    /// [`StepProfile`] row per slice when profiling is on. Timing is
-    /// inclusive of the subtree, like `EXPLAIN ANALYZE` actual-time.
-    fn exec(&self, plan: &LogicalPlan, step: usize) -> Result<DataSet> {
-        let Some(profile) = &self.profile else {
-            return self.exec_node(plan, step);
-        };
-        let t0 = std::time::Instant::now();
-        let ds = self.exec_node(plan, step)?;
-        let elapsed_ns = t0.elapsed().as_nanos() as u64;
-        let n = self.provider.num_slices();
+    /// Profile rows of `plan`, pre-order step `step`: one per slice, from
+    /// each lane's (rows, bytes) — a lane per slice, or the leader's one,
+    /// which counts on slice 0 while the other slices report zero rows.
+    fn record(&self, plan: &LogicalPlan, step: usize, started: Instant, lanes: Vec<(u64, u64)>) {
+        let Some(profile) = &self.profile else { return };
+        let elapsed_ns = started.elapsed().as_nanos() as u64;
         let label = plan.node_label();
-        // Output footprint per slice; leader-materialized results count
-        // on slice 0, other slices report the step with zero rows.
-        let totals: Vec<(u64, u64)> = match &ds {
-            DataSet::Slices(per_slice) => per_slice.iter().map(|c| chunk_totals(c)).collect(),
-            DataSet::Leader(chunks) => {
-                let mut v = vec![(0u64, 0u64); n.max(1)];
-                v[0] = chunk_totals(chunks);
-                v
-            }
-        };
+        let n = self.provider.num_slices().max(lanes.len());
         let mut rows = profile.lock();
-        for (slice, (r, bytes)) in totals.into_iter().enumerate() {
-            rows.push(StepProfile {
-                step,
-                label: label.clone(),
-                slice,
-                rows: r,
-                bytes,
-                elapsed_ns,
-            });
+        for slice in 0..n {
+            let (r, bytes) = lanes.get(slice).copied().unwrap_or_default();
+            rows.push(StepProfile { step, label: label.clone(), slice, rows: r, bytes, elapsed_ns });
         }
-        drop(rows);
-        Ok(ds)
     }
 
-    fn exec_node(&self, plan: &LogicalPlan, step: usize) -> Result<DataSet> {
-        match plan {
-            LogicalPlan::Scan { table, projection, filter, pruning, .. } => {
-                self.exec_scan(table, projection, filter.as_ref(), pruning)
-            }
-            LogicalPlan::Filter { input, predicate } => {
-                let ds = self.exec(input, step + 1)?;
-                self.map_chunks(ds, |mut chunk| {
-                    let fell_back = chunk.filter(predicate)?;
-                    self.count_fallbacks(fell_back as u64);
-                    Ok(chunk)
-                })
-            }
-            LogicalPlan::Project { input, exprs, .. } => {
-                let ds = self.exec(input, step + 1)?;
-                self.map_chunks(ds, |chunk| {
-                    let mut out = Batch::with_capacity(exprs.len());
-                    for e in exprs {
-                        let (col, fell_back) = bind(e, &chunk.cols, &chunk.sel)?;
-                        self.count_fallbacks(fell_back as u64);
-                        out.push(match chunk.sel.ids() {
-                            None => col.into_owned(),
-                            Some(ids) => col.gather(ids),
-                        });
-                    }
-                    Ok(Chunk::dense(out))
-                })
-            }
-            LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy, emit } => {
-                let keys = (*left_key, *right_key);
-                let shape =
-                    JoinShape::new(&left.output(), &right.output(), *join_type, keys, residual.as_ref(), emit)?;
-                self.exec_join(left, right, &shape, *strategy, step)
-            }
+    /// Execute one plan node (pre-order step id `step`) to its whole
+    /// output. A breaker runs here, recording a [`StepProfile`] row per
+    /// slice when profiling is on, its time inclusive of the subtree like
+    /// `EXPLAIN ANALYZE` actual-time; anything else streams, and its
+    /// chunks are collected.
+    fn exec(&self, plan: &LogicalPlan, step: usize) -> Result<DataSet> {
+        let started = Instant::now();
+        let ds = match plan {
             LogicalPlan::Aggregate { input, group_by, aggs, output } => {
-                self.exec_aggregate(input, group_by, aggs, output, step)
+                // Partial aggregation per slice, in parallel, straight off
+                // the chunks as the pipeline hands them over.
+                let partials = self.drive(
+                    self.pipeline(input, step + 1)?,
+                    || Groups::new(group_by, aggs),
+                    |groups, chunk| groups.update(&chunk.cols, &chunk.sel),
+                )?;
+                // Final merge at the leader — the same fold, slice by
+                // slice — into one output batch.
+                let mut merged = Groups::new(group_by, aggs);
+                for p in partials {
+                    merged.merge(p)?;
+                }
+                DataSet::Leader(vec![Chunk::dense(merged.finish(output)?)])
             }
             LogicalPlan::Sort { input, keys } => {
                 let ds = self.exec(input, step + 1)?;
@@ -357,7 +480,7 @@ impl<'a> Executor<'a> {
                     std::cmp::Ordering::Equal
                 });
                 let sorted: Batch = all.iter().map(|c| c.gather(&idx)).collect();
-                Ok(DataSet::Leader(vec![Chunk::dense(sorted)]))
+                DataSet::Leader(vec![Chunk::dense(sorted)])
             }
             LogicalPlan::Limit { input, n } => {
                 let ds = self.exec(input, step + 1)?;
@@ -365,220 +488,219 @@ impl<'a> Executor<'a> {
                 let rows = all.first().map_or(0, |c| c.len());
                 let take = (*n as usize).min(rows);
                 let truncated: Batch = all.iter().map(|c| c.slice(0, take)).collect();
-                Ok(DataSet::Leader(vec![Chunk::dense(truncated)]))
+                DataSet::Leader(vec![Chunk::dense(truncated)])
             }
-        }
-    }
-
-    fn exec_scan(
-        &self,
-        table: &str,
-        projection: &[usize],
-        filter: Option<&BoundExpr>,
-        pruning: &ScanPredicate,
-    ) -> Result<DataSet> {
-        let n = self.provider.num_slices();
-        let results: Vec<Result<(Vec<Chunk>, ExecMetrics)>> =
-            par::map_indexed(n, |slice| {
-                if let Some(faults) = &self.faults {
-                    use redsim_faultkit::{fp, Outcome};
-                    match faults.fire(fp::EXEC_SCAN_SLICE) {
-                        Outcome::Proceed => {}
-                        Outcome::Err(class) => {
-                            return Err(RsError::FaultInjected(format!(
-                                "injected {} at {} (slice {slice})",
-                                class.as_str(),
-                                fp::EXEC_SCAN_SLICE,
-                            )))
-                        }
-                        // A dropped scan fragment yields an empty slice:
-                        // lost-work semantics, not an error.
-                        Outcome::Drop => return Ok((Vec::new(), ExecMetrics::default())),
+            LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy, emit }
+                if *strategy == ALL_OUTER =>
+            {
+                // The outer side is the local copy: every slice probes its
+                // own inner rows with all of it.
+                let keys = (*left_key, *right_key);
+                let shape =
+                    JoinShape::new(&left.output(), &right.output(), *join_type, keys, residual.as_ref(), emit)?;
+                let n = self.provider.num_slices();
+                let all = self.exec(left, step + 1)?.into_chunks();
+                let inner = self.exec(right, step + 1 + left.num_steps())?.per_slice(n);
+                let joined = par::map(inner, |chunks| {
+                    let build = Build::new(&shape, &chunks)?;
+                    let mut out = Vec::new();
+                    for chunk in &all {
+                        let (joined, fell_back) = join_chunk(&shape, &build, chunk)?;
+                        self.count_fallbacks(fell_back as u64);
+                        out.extend(joined);
                     }
-                }
-                let mut span = match self.trace {
-                    Some(parent) => parent.child(redsim_obs::LVL_DETAIL, "exec.slice"),
-                    None => redsim_obs::Span::disabled(),
-                };
-                let out = self.provider.scan_slice(table, slice, projection, pruning)?;
-                let mut m = ExecMetrics {
-                    blocks_read: out.blocks_read,
-                    bytes_read: out.bytes_read,
-                    groups_total: out.groups_total,
-                    groups_skipped: out.groups_skipped,
-                    ..Default::default()
-                };
-                let mut chunks = Vec::with_capacity(out.batches.len());
-                for batch in out.batches {
-                    let mut chunk = Chunk::dense(batch);
-                    m.rows_scanned += chunk.sel.rows() as u64;
-                    if let Some(f) = filter {
-                        m.interp_fallback += chunk.filter(f)? as u64;
-                        if chunk.sel.is_empty() {
-                            continue;
-                        }
-                    }
-                    chunks.push(chunk);
-                }
-                if span.is_recording() {
-                    span.attr("table", table);
-                    span.attr("slice", slice);
-                    span.attr("rows_scanned", m.rows_scanned);
-                    span.attr("blocks_read", m.blocks_read);
-                    span.attr("bytes_read", m.bytes_read);
-                    span.attr("groups_skipped", m.groups_skipped);
-                }
-                Ok((chunks, m))
-            });
-        // Unwrap every slice result BEFORE absorbing any metrics: a scan
-        // that fails on slice k must not pollute svl_query_metrics /
-        // stl_query with partial rows/bytes from slices 0..k. The `?`
-        // below therefore runs to completion (or propagates the first
-        // error with the shared counters untouched) before the absorb
-        // loop starts.
-        let mut per_slice = Vec::with_capacity(n);
-        let mut slice_metrics = Vec::with_capacity(n);
-        for r in results {
-            let (chunks, m) = r?;
-            slice_metrics.push(m);
-            per_slice.push(chunks);
-        }
-        let mut metrics = self.metrics.lock();
-        for m in &slice_metrics {
-            metrics.absorb(m);
-        }
-        drop(metrics);
-        Ok(DataSet::Slices(per_slice))
-    }
-
-    fn map_chunks(
-        &self,
-        ds: DataSet,
-        f: impl Fn(Chunk) -> Result<Chunk> + Sync,
-    ) -> Result<DataSet> {
-        match ds {
-            DataSet::Leader(chunks) => {
-                let out: Result<Vec<Chunk>> = chunks.into_iter().map(&f).collect();
-                Ok(DataSet::Leader(out?))
-            }
-            DataSet::Slices(per_slice) => {
-                let results: Vec<Result<Vec<Chunk>>> = par::map(per_slice, |chunks| {
-                    chunks.into_iter().map(&f).collect()
+                    Ok(out)
                 });
-                Ok(DataSet::Slices(results.into_iter().collect::<Result<_>>()?))
+                DataSet::Slices(joined.into_iter().collect::<Result<_>>()?)
             }
+            _ => return self.collect(self.pipeline(plan, step)?),
+        };
+        if self.profile.is_some() {
+            let lanes = match &ds {
+                DataSet::Slices(per_slice) => per_slice.iter().map(|c| chunk_totals(c)).collect(),
+                DataSet::Leader(chunks) => vec![chunk_totals(chunks)],
+            };
+            self.record(plan, step, started, lanes);
         }
+        Ok(ds)
     }
 
-    fn exec_join(
-        &self,
-        left: &LogicalPlan,
-        right: &LogicalPlan,
-        shape: &JoinShape,
-        strategy: JoinDistStrategy,
-        step: usize,
-    ) -> Result<DataSet> {
-        let n = self.provider.num_slices();
-        // One chunk list per slice; leader data (rare: a join over a
-        // leader-materialized input) takes part as slice 0.
-        let per_slice = |ds: DataSet| match ds {
-            DataSet::Slices(s) => s,
-            DataSet::Leader(chunks) => {
-                let mut out: Vec<Vec<Chunk>> = (0..n).map(|_| Vec::new()).collect();
-                out[0] = chunks;
-                out
+    /// `plan` as a pipeline: the streaming steps from `plan` down to a
+    /// scan or a breaker's output, with what must exist before the first
+    /// chunk — every join's build side, redistributed inputs, breakers'
+    /// output — made now.
+    fn pipeline<'p>(&self, plan: &'p LogicalPlan, step: usize) -> Result<Pipeline<'p>> {
+        let started = Instant::now();
+        let (mut pipe, op) = match plan {
+            LogicalPlan::Scan { table, projection, filter, pruning, .. } => {
+                let scan = Scan { table, projection, filter: filter.as_ref(), pruning };
+                (Pipeline { source: Source::Scan(scan), ops: Vec::new(), stages: Vec::new() }, None)
             }
+            LogicalPlan::Filter { input, predicate } => {
+                (self.pipeline(input, step + 1)?, Some(Op::Filter(predicate)))
+            }
+            LogicalPlan::Project { input, exprs, .. } => {
+                (self.pipeline(input, step + 1)?, Some(Op::Project(exprs)))
+            }
+            LogicalPlan::Join { left, right, join_type, left_key, right_key, residual, strategy, emit }
+                if *strategy != ALL_OUTER =>
+            {
+                let keys = (*left_key, *right_key);
+                let shape =
+                    JoinShape::new(&left.output(), &right.output(), *join_type, keys, residual.as_ref(), emit)?;
+                let n = self.provider.num_slices();
+                let inner_step = step + 1 + left.num_steps();
+                let (outer, builds) = if *strategy == JoinDistStrategy::DistBoth {
+                    let (o, ob) = redistribute(self.exec(left, step + 1)?.per_slice(n), shape.left_key, n);
+                    let (i, ib) = redistribute(self.exec(right, inner_step)?.per_slice(n), shape.right_key, n);
+                    self.metrics.lock().bytes_redistributed += ob + ib;
+                    (Pipeline::placed(DataSet::Slices(o)), build_each(&shape, i)?)
+                } else {
+                    let outer = self.pipeline(left, step + 1)?;
+                    let inner = self.exec(right, inner_step)?.per_slice(n);
+                    let builds = if *strategy == JoinDistStrategy::DistNone {
+                        build_each(&shape, inner)?
+                    } else {
+                        // The inner side is the same on every slice — a
+                        // DISTSTYLE ALL table's copy (its scan reports it
+                        // once), or shipped to all of them: hash it once,
+                        // probe it from every slice.
+                        let all: Vec<Chunk> = inner.into_iter().flatten().collect();
+                        if *strategy == JoinDistStrategy::BcastInner {
+                            let bytes: u64 = all.iter().map(dense_bytes).sum();
+                            self.metrics.lock().bytes_broadcast += bytes * (n as u64).saturating_sub(1);
+                        }
+                        vec![Build::new(&shape, &all)?]
+                    };
+                    (outer, builds)
+                };
+                (outer.spread(n), Some(Op::Probe(Box::new((shape, builds)))))
+            }
+            _ => return Ok(Pipeline::placed(self.exec(plan, step)?)),
         };
-        let mut outer = per_slice(self.exec(left, step + 1)?);
-        let mut inner = per_slice(self.exec(right, step + 1 + left.num_steps())?);
-        if strategy == JoinDistStrategy::DistBoth {
-            let (o, ob) = redistribute(outer, shape.left_key, n);
-            let (i, ib) = redistribute(inner, shape.right_key, n);
-            (outer, inner) = (o, i);
-            self.metrics.lock().bytes_redistributed += ob + ib;
+        pipe.ops.extend(op);
+        pipe.stages.push(Stage { plan, step, started });
+        Ok(pipe)
+    }
+
+    /// Run `pipe` into chunk lists, placed where its source was.
+    fn collect(&self, pipe: Pipeline) -> Result<DataSet> {
+        let leader = matches!(pipe.source, Source::Placed(DataSet::Leader(_)));
+        let lanes = self.drive(pipe, Vec::new, |chunks, chunk| {
+            chunks.push(chunk);
+            Ok(0)
+        })?;
+        Ok(if leader { DataSet::Leader(lanes.into_iter().flatten().collect()) } else { DataSet::Slices(lanes) })
+    }
+
+    /// Run `pipe` on every lane — a slice each, or the leader's one — in
+    /// parallel, folding each lane's chunks into its own `init()` as they
+    /// come (`fold` returns the expressions the row interpreter
+    /// evaluated); the folds, lane by lane. The lanes' metrics and
+    /// profile rows count only once every lane has succeeded: a scan
+    /// that fails on slice k must not pollute svl_query_metrics /
+    /// stl_query with partial rows/bytes from the others.
+    fn drive<T: Send>(
+        &self,
+        pipe: Pipeline,
+        init: impl Fn() -> T + Sync,
+        fold: impl Fn(&mut T, Chunk) -> Result<u64> + Sync,
+    ) -> Result<Vec<T>> {
+        let Pipeline { source, ops, stages } = pipe;
+        let (scan, lanes): (_, Vec<(usize, Vec<Chunk>)>) = match source {
+            Source::Scan(scan) => {
+                (Some(scan), (0..self.provider.num_slices()).map(|s| (s, Vec::new())).collect())
+            }
+            Source::Placed(ds) => (None, ds.per_slice(1).into_iter().enumerate().collect()),
+        };
+        let first = scan.is_some() as usize;
+        let results = par::map(lanes, |(slice, chunks)| {
+            let emitted = vec![(0, 0); first + ops.len()];
+            let mut lane = Lane { ops: &ops, slice, first, metrics: ExecMetrics::default(), emitted };
+            let mut acc = init();
+            let mut out = |chunk| fold(&mut acc, chunk);
+            for chunk in chunks {
+                lane.push(chunk, &mut out)?;
+            }
+            if let Some(scan) = &scan {
+                self.scan_lane(scan, &mut lane, &mut out)?;
+            }
+            Ok((acc, lane.metrics, lane.emitted))
+        });
+        let lanes: Vec<_> = results.into_iter().collect::<Result<_>>()?;
+        let mut metrics = self.metrics.lock();
+        lanes.iter().for_each(|(_, m, _)| metrics.absorb(m));
+        drop(metrics);
+        for (k, stage) in stages.iter().enumerate() {
+            let emitted = lanes.iter().map(|(_, _, e)| e[k]).collect();
+            self.record(stage.plan, stage.step, stage.started, emitted);
         }
-        let joined: Vec<Result<Vec<Chunk>>> = match strategy {
-            // The inner side is the same on every slice — a DISTSTYLE ALL
-            // table's copy (its scan reports it once), or shipped to all
-            // of them: hash it once, probe it from every slice.
-            JoinDistStrategy::AllNone { all_side_left: false } | JoinDistStrategy::BcastInner => {
-                let all: Vec<Chunk> = inner.into_iter().flatten().collect();
-                if strategy == JoinDistStrategy::BcastInner {
-                    let bytes: u64 = all.iter().map(dense_bytes).sum();
-                    self.metrics.lock().bytes_broadcast += bytes * (n as u64).saturating_sub(1);
+        Ok(lanes.into_iter().map(|(acc, _, _)| acc).collect())
+    }
+
+    /// One slice's scan: each batch through the scan's filter and then
+    /// the lane's operators into `out` before the next is decoded.
+    fn scan_lane(
+        &self,
+        scan: &Scan,
+        lane: &mut Lane,
+        out: &mut dyn FnMut(Chunk) -> Result<u64>,
+    ) -> Result<()> {
+        let slice = lane.slice;
+        if let Some(faults) = &self.faults {
+            use redsim_faultkit::{fp, ErrClass, Outcome};
+            let class = match faults.fire(fp::EXEC_SCAN_SLICE) {
+                Outcome::Proceed => None,
+                Outcome::Err(class) => Some(class),
+                // A result missing a slice is a wrong answer, and the
+                // result cache would serve it until the next write: a
+                // dropped fragment fails the statement, retryably.
+                Outcome::Drop => Some(ErrClass::Fault),
+            };
+            if let Some(class) = class {
+                return Err(RsError::FaultInjected(format!(
+                    "injected {} at {} (slice {slice})",
+                    class.as_str(),
+                    fp::EXEC_SCAN_SLICE,
+                )));
+            }
+        }
+        let mut span = match self.trace {
+            Some(parent) => parent.child(redsim_obs::LVL_DETAIL, "exec.slice"),
+            None => redsim_obs::Span::disabled(),
+        };
+        let read = self.provider.scan_slice(scan.table, slice, scan.projection, scan.pruning, &mut |batch| {
+            let mut chunk = Chunk::dense(batch);
+            lane.metrics.rows_scanned += chunk.sel.rows() as u64;
+            if let Some(f) = scan.filter {
+                lane.metrics.interp_fallback += chunk.filter(f)? as u64;
+                if chunk.sel.is_empty() {
+                    return Ok(());
                 }
-                let build = Build::new(shape, &all)?;
-                drop(all);
-                par::map(outer, |chunks| self.probe_all(shape, &build, chunks))
             }
-            // The outer side is the local copy: every slice probes its
-            // own inner rows with all of it.
-            JoinDistStrategy::AllNone { all_side_left: true } => {
-                let all: Vec<Chunk> = outer.into_iter().flatten().collect();
-                par::map(inner, |chunks| self.probe_all(shape, &Build::new(shape, &chunks)?, &all))
-            }
-            JoinDistStrategy::DistNone | JoinDistStrategy::DistBoth => {
-                let pairs: Vec<_> = outer.into_iter().zip(inner).collect();
-                par::map(pairs, |(outer, inner)| {
-                    let build = Build::new(shape, &inner)?;
-                    drop(inner);
-                    self.probe_all(shape, &build, outer)
-                })
-            }
-        };
-        Ok(DataSet::Slices(joined.into_iter().collect::<Result<_>>()?))
-    }
-
-    /// One slice's local join: every outer chunk against `build`.
-    fn probe_all<C: std::borrow::Borrow<Chunk>>(
-        &self,
-        shape: &JoinShape,
-        build: &Build,
-        outer: impl IntoIterator<Item = C>,
-    ) -> Result<Vec<Chunk>> {
-        let mut out = Vec::new();
-        let mut fallbacks = 0;
-        for chunk in outer {
-            let (joined, fell_back) = join_chunk(shape, build, chunk.borrow())?;
-            fallbacks += fell_back as u64;
-            out.extend(joined);
+            tally(&mut lane.emitted[0], &chunk);
+            lane.push(chunk, out)
+        })?;
+        let m = &mut lane.metrics;
+        m.blocks_read += read.blocks_read;
+        m.bytes_read += read.bytes_read;
+        m.groups_total += read.groups_total;
+        m.groups_skipped += read.groups_skipped;
+        if span.is_recording() {
+            span.attr("table", scan.table);
+            span.attr("slice", slice);
+            span.attr("rows_scanned", m.rows_scanned);
+            span.attr("blocks_read", m.blocks_read);
+            span.attr("bytes_read", m.bytes_read);
+            span.attr("groups_skipped", m.groups_skipped);
         }
-        self.count_fallbacks(fallbacks);
-        Ok(out)
+        Ok(())
     }
+}
 
-    fn exec_aggregate(
-        &self,
-        input: &LogicalPlan,
-        group_by: &[BoundExpr],
-        aggs: &[AggExpr],
-        output: &[OutCol],
-        step: usize,
-    ) -> Result<DataSet> {
-        let ds = self.exec(input, step + 1)?;
-        // Partial aggregation per slice, in parallel, straight off the
-        // (batch, selection) pairs.
-        let partial = |chunks: Vec<Chunk>| -> Result<Groups> {
-            let mut groups = Groups::new(group_by, aggs);
-            let mut interp = 0;
-            for chunk in &chunks {
-                interp += groups.update(&chunk.cols, &chunk.sel)?;
-            }
-            self.count_fallbacks(interp);
-            Ok(groups)
-        };
-        let partials: Vec<Result<Groups>> = match ds {
-            DataSet::Slices(per_slice) => par::map(per_slice, partial),
-            DataSet::Leader(chunks) => vec![partial(chunks)],
-        };
-        // Final merge at the leader — the same fold, slice by slice — into
-        // one output batch.
-        let mut merged = Groups::new(group_by, aggs);
-        for p in partials {
-            merged.merge(p?)?;
-        }
-        Ok(DataSet::Leader(vec![Chunk::dense(merged.finish(output)?)]))
-    }
+/// A build side per slice, each from that slice's inner rows.
+fn build_each(shape: &JoinShape, inner: Vec<Vec<Chunk>>) -> Result<Vec<Build>> {
+    par::map(inner, |chunks| Build::new(shape, &chunks)).into_iter().collect()
 }
 
 /// Hash-partition every selected row by its key column; returns the new
@@ -650,18 +772,20 @@ fn dense_bytes(chunk: &Chunk) -> u64 {
     }
 }
 
-/// Total (rows, bytes) across a chunk list — a profiled step's output
-/// footprint on one slice. A partly selected batch counts the selected
-/// share of its column bytes.
+/// Add a chunk's (rows, bytes) to a profiled step's footprint on one
+/// slice. A partly selected batch counts the selected share of its
+/// column bytes.
+fn tally(total: &mut (u64, u64), c: &Chunk) {
+    let col_bytes = c.cols.iter().map(|c| c.byte_size() as u64).sum::<u64>();
+    total.0 += c.sel.len() as u64;
+    total.1 += col_bytes * c.sel.len() as u64 / c.sel.rows().max(1) as u64;
+}
+
+/// Total (rows, bytes) across a chunk list.
 fn chunk_totals(chunks: &[Chunk]) -> (u64, u64) {
-    let mut rows = 0u64;
-    let mut bytes = 0u64;
-    for c in chunks {
-        let col_bytes = c.cols.iter().map(|c| c.byte_size() as u64).sum::<u64>();
-        rows += c.sel.len() as u64;
-        bytes += col_bytes * c.sel.len() as u64 / c.sel.rows().max(1) as u64;
-    }
-    (rows, bytes)
+    let mut total = (0, 0);
+    chunks.iter().for_each(|c| tally(&mut total, c));
+    total
 }
 
 /// Concatenate the batches that hold rows into one; with none, empty

@@ -5,7 +5,7 @@
 use redsim_common::{ColumnData, DataType, Result, Value};
 use redsim_distribution::style::dist_hash;
 use redsim_distribution::JoinDistStrategy;
-use redsim_engine::exec::{Executor, TableProvider};
+use redsim_engine::exec::{Executor, ScanSink, TableProvider};
 use redsim_sql::ast::JoinType;
 use redsim_sql::plan::{BoundExpr, LogicalPlan, OutCol};
 use redsim_storage::table::{ScanOutput, ScanPredicate};
@@ -66,18 +66,15 @@ impl TableProvider for Fixture {
         slice: usize,
         projection: &[usize],
         _pred: &ScanPredicate,
+        sink: &mut ScanSink,
     ) -> Result<ScanOutput> {
         let slices = self.tables.get(table).expect("fixture table");
         let batch = &slices[slice];
         let projected: Vec<ColumnData> = projection.iter().map(|&i| batch[i].clone()).collect();
-        let rows = projected.first().map_or(0, |c| c.len());
-        Ok(ScanOutput {
-            batches: if rows > 0 { vec![projected] } else { vec![] },
-            groups_total: 1,
-            groups_skipped: 0,
-            blocks_read: projection.len(),
-            bytes_read: 0,
-        })
+        if projected.first().is_some_and(|c| !c.is_empty()) {
+            sink(projected)?;
+        }
+        Ok(ScanOutput { groups_total: 1, groups_skipped: 0, blocks_read: projection.len(), bytes_read: 0 })
     }
 }
 
@@ -134,7 +131,7 @@ fn run_join(
     let exec = Executor::new(fixture);
     let out = exec.run(&join_plan(strategy, join_type)).unwrap();
     let mut rows: Vec<Vec<Option<i64>>> = out
-        .rows
+        .rows()
         .iter()
         .map(|r| r.values().iter().map(|v| v.as_i64()).collect())
         .collect();
@@ -233,7 +230,7 @@ fn aggregate_matches_oracle_across_slices() {
     let exec = Executor::new(&fixture);
     let out = exec.run(&plan).unwrap();
     let mut got: Vec<(i64, i64)> = out
-        .rows
+        .rows()
         .iter()
         .map(|r| (r.get(0).as_i64().unwrap(), r.get(1).as_i64().unwrap()))
         .collect();
@@ -261,9 +258,9 @@ fn limit_and_sort_at_leader() {
     };
     let exec = Executor::new(&fixture);
     let out = exec.run(&plan).unwrap();
-    assert_eq!(out.rows.len(), 5);
+    assert_eq!(out.row_count(), 5);
     // Smallest five v values = 1000-63 .. 1000-59, ascending.
-    let vs: Vec<i64> = out.rows.iter().map(|r| r.get(1).as_i64().unwrap()).collect();
+    let vs: Vec<i64> = out.rows().iter().map(|r| r.get(1).as_i64().unwrap()).collect();
     assert_eq!(vs, vec![937, 938, 939, 940, 941]);
 }
 

@@ -104,11 +104,10 @@ enum NormParam {
     Float { min: f64, max: f64 },
 }
 
-/// Scan output: decoded batches plus pruning telemetry for EXPLAIN.
-#[derive(Debug, Default)]
+/// What a scan read: pruning telemetry for EXPLAIN. The rows themselves
+/// went to the scan's sink, one surviving row group at a time.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOutput {
-    /// One entry per surviving row group: the projected columns.
-    pub batches: Vec<Vec<ColumnData>>,
     pub groups_total: usize,
     pub groups_skipped: usize,
     pub blocks_read: usize,
@@ -341,13 +340,20 @@ impl SliceTable {
         Some((lo, hi))
     }
 
-    /// Scan with projection and optional pruning predicate.
+    /// Scan with projection and optional pruning predicate: each
+    /// surviving row group is decoded and handed to `sink` before the
+    /// next is read, so one group's columns are alive at a time. The
+    /// first error, the sink's included, ends the scan.
     pub fn scan(
         &self,
         store: &dyn BlockStore,
         projection: &[usize],
         pred: Option<&ScanPredicate>,
+        mut sink: impl FnMut(Vec<ColumnData>) -> Result<()>,
     ) -> Result<ScanOutput> {
+        if let Some(ci) = projection.iter().find(|&&ci| ci >= self.schema.len()) {
+            return Err(RsError::Analysis(format!("projection column {ci} out of range")));
+        }
         let mut out = ScanOutput::default();
         let rect = pred.and_then(|p| self.pred_to_rect(p));
         for group in self.sorted.iter().chain(&self.unsorted) {
@@ -360,24 +366,19 @@ impl SliceTable {
             }
             let mut batch = Vec::with_capacity(projection.len());
             for &ci in projection {
-                if ci >= self.schema.len() {
-                    return Err(RsError::Analysis(format!("projection column {ci} out of range")));
-                }
                 let blk = store.get(group.cols[ci].id)?;
                 out.blocks_read += 1;
                 out.bytes_read += blk.byte_size() as u64;
                 let col = decode_column(&blk.payload, Some(self.schema.column(ci).data_type))?;
                 batch.push(col);
             }
-            out.batches.push(batch);
+            sink(batch)?;
         }
         // Buffered rows are always visible (they have no zone maps yet).
         let buffered = self.buffer.first().map_or(0, |c| c.len());
         if buffered > 0 {
             out.groups_total += 1;
-            let batch: Vec<ColumnData> =
-                projection.iter().map(|&ci| self.buffer[ci].clone()).collect();
-            out.batches.push(batch);
+            sink(projection.iter().map(|&ci| self.buffer[ci].clone()).collect())?;
         }
         Ok(out)
     }
@@ -459,14 +460,12 @@ impl SliceTable {
     pub fn vacuum_deferred(&mut self, store: &dyn BlockStore) -> Result<(u64, Vec<BlockId>)> {
         // Materialize everything.
         let all_cols_idx: Vec<usize> = (0..self.schema.len()).collect();
-        let scanned = self.scan(store, &all_cols_idx, None)?;
         let mut full: Vec<ColumnData> =
             self.schema.columns().iter().map(|c| ColumnData::new(c.data_type)).collect();
-        for batch in &scanned.batches {
-            for (acc, col) in full.iter_mut().zip(batch) {
-                acc.append(col);
-            }
-        }
+        self.scan(store, &all_cols_idx, None, |batch| {
+            full.iter_mut().zip(&batch).for_each(|(acc, col)| acc.append(col));
+            Ok(())
+        })?;
         let n = full.first().map_or(0, |c| c.len());
 
         // Establish sort order.
@@ -534,11 +533,11 @@ impl SliceTable {
     /// Compute full table statistics (ANALYZE) for this slice.
     pub fn analyze(&self, store: &dyn BlockStore) -> Result<TableStats> {
         let all: Vec<usize> = (0..self.schema.len()).collect();
-        let scanned = self.scan(store, &all, None)?;
         let mut b = TableStats::new(self.schema.len());
-        for batch in &scanned.batches {
-            b.update(batch);
-        }
+        self.scan(store, &all, None, |batch| {
+            b.update(&batch);
+            Ok(())
+        })?;
         Ok(b)
     }
 
@@ -792,6 +791,55 @@ mod tests {
         vec![a, b]
     }
 
+    /// A scan's pruning counters and every batch its sink was handed.
+    #[derive(Debug)]
+    struct Scanned {
+        batches: Vec<Vec<ColumnData>>,
+        groups_total: usize,
+        groups_skipped: usize,
+    }
+
+    fn scan_all(
+        t: &SliceTable,
+        store: &dyn BlockStore,
+        projection: &[usize],
+        pred: Option<&ScanPredicate>,
+    ) -> Scanned {
+        let mut batches = Vec::new();
+        let out = t
+            .scan(store, projection, pred, |b| {
+                batches.push(b);
+                Ok(())
+            })
+            .unwrap();
+        Scanned { batches, groups_total: out.groups_total, groups_skipped: out.groups_skipped }
+    }
+
+    #[test]
+    fn projection_out_of_range_is_an_error_not_a_panic() {
+        let store = MemBlockStore::new();
+        let cfg = || TableConfig {
+            rows_per_group: 100,
+            sort_key: SortKeySpec::Compound(vec![0]),
+            ..Default::default()
+        };
+        let out_of_range = |t: &SliceTable, pred: Option<&ScanPredicate>| {
+            let r = t.scan(&store, &[0, 2], pred, |_| Ok(()));
+            assert!(matches!(r, Err(RsError::Analysis(_))), "{r:?}");
+        };
+        // Only buffered rows: no row group for an in-loop check to see.
+        let mut buffered = SliceTable::new(schema2(), cfg()).unwrap();
+        buffered.append(&batch(0..10), &store).unwrap();
+        out_of_range(&buffered, None);
+        // Every group pruned, rows still buffered.
+        let mut pruned = SliceTable::new(schema2(), cfg()).unwrap();
+        pruned.append(&batch(0..250), &store).unwrap();
+        let nothing = ScanPredicate {
+            ranges: vec![ColumnRange { col: 0, lo: Some(Value::Int8(10_000)), hi: None }],
+        };
+        out_of_range(&pruned, Some(&nothing));
+    }
+
     #[test]
     fn append_flush_scan_roundtrip() {
         let store = MemBlockStore::new();
@@ -805,7 +853,7 @@ mod tests {
         // 2 full groups encoded, 50 buffered.
         assert_eq!(t.unsorted_rows(), 250);
         t.flush(&store).unwrap();
-        let out = t.scan(&store, &[0, 1], None).unwrap();
+        let out = scan_all(&t, &store, &[0, 1], None);
         let total: usize = out.batches.iter().map(|b| b[0].len()).sum();
         assert_eq!(total, 250);
         // Verify a value survived encode/decode.
@@ -836,7 +884,7 @@ mod tests {
                 hi: Some(Value::Int8(550)),
             }],
         };
-        let out = t.scan(&store, &[0], Some(&pred)).unwrap();
+        let out = scan_all(&t, &store, &[0], Some(&pred));
         assert_eq!(out.groups_total, 10);
         assert!(out.groups_skipped >= 8, "skipped {}", out.groups_skipped);
         let total: usize = out.batches.iter().map(|b| b[0].len()).sum();
@@ -867,7 +915,7 @@ mod tests {
                 hi: Some(Value::Int8(501)),
             }],
         };
-        let out = t.scan(&store, &[0], Some(&pred)).unwrap();
+        let out = scan_all(&t, &store, &[0], Some(&pred));
         assert_eq!(out.groups_skipped, 0);
     }
 
@@ -898,7 +946,7 @@ mod tests {
         assert_eq!(t.unsorted_rows(), 0);
         assert!(store.block_count() <= before_blocks);
         // Scan comes back globally sorted.
-        let out = t.scan(&store, &[0], None).unwrap();
+        let out = scan_all(&t, &store, &[0], None);
         let mut all = Vec::new();
         for bch in &out.batches {
             for i in 0..bch[0].len() {
@@ -944,7 +992,7 @@ mod tests {
                 hi: Some(Value::Int8(63)),
             }],
         };
-        let out = t.scan(&store, &[0, 1], Some(&pred)).unwrap();
+        let out = scan_all(&t, &store, &[0, 1], Some(&pred));
         assert!(
             out.groups_skipped > 0,
             "interleaved sort should prune on non-leading column: {out:?}"
@@ -981,7 +1029,7 @@ mod tests {
         let bytes = w.into_bytes();
         let t2 = SliceTable::decode_meta(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(t2.row_count(), 300);
-        let out = t2.scan(&store, &[0, 1], None).unwrap();
+        let out = scan_all(&t2, &store, &[0, 1], None);
         let total: usize = out.batches.iter().map(|b| b[0].len()).sum();
         assert_eq!(total, 300);
     }

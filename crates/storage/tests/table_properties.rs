@@ -40,13 +40,12 @@ fn build_table(
 }
 
 fn all_rows(store: &MemBlockStore, t: &SliceTable) -> Vec<(Option<i64>, Option<String>)> {
-    let out = t.scan(store, &[0, 1], None).unwrap();
     let mut rows = Vec::new();
-    for b in &out.batches {
-        for i in 0..b[0].len() {
-            rows.push((b[0].get_i64(i), b[1].get_str(i).map(str::to_string)));
-        }
-    }
+    t.scan(store, &[0, 1], None, |b| {
+        rows.extend((0..b[0].len()).map(|i| (b[0].get_i64(i), b[1].get_str(i).map(str::to_string))));
+        Ok(())
+    })
+    .unwrap();
     rows
 }
 
@@ -138,17 +137,13 @@ fn pruning_is_sound() {
                     hi: Some(Value::Int8(hi)),
                 }],
             };
-            let out = t.scan(&store, &[0], Some(&pred)).unwrap();
             let mut surviving = 0usize;
-            for b in &out.batches {
-                for i in 0..b[0].len() {
-                    if let Some(k) = b[0].get_i64(i) {
-                        if k >= lo && k <= hi {
-                            surviving += 1;
-                        }
-                    }
-                }
-            }
+            t.scan(&store, &[0], Some(&pred), |b| {
+                let keys = (0..b[0].len()).filter_map(|i| b[0].get_i64(i));
+                surviving += keys.filter(|k| (lo..=hi).contains(k)).count();
+                Ok(())
+            })
+            .unwrap();
             let expect = keys.iter().filter(|&&k| k >= lo && k <= hi).count();
             assert_eq!(surviving, expect, "pruning dropped matching rows");
         },
@@ -228,12 +223,17 @@ fn interleaved_meta_preserves_pruning() {
             hi: Some(Value::Int8(63)),
         }],
     };
-    let orig = t.scan(&store, &[0, 1], Some(&pred)).unwrap();
-    let restored = t2.scan(&store, &[0, 1], Some(&pred)).unwrap();
+    let scan = |t: &SliceTable| {
+        let mut rows = 0;
+        let out = t.scan(&store, &[0, 1], Some(&pred), |b| {
+            rows += b[0].len();
+            Ok(())
+        });
+        (out.unwrap(), rows)
+    };
+    let (orig, orig_rows) = scan(&t);
+    let (restored, restored_rows) = scan(&t2);
     assert!(orig.groups_skipped > 0);
     assert_eq!(orig.groups_skipped, restored.groups_skipped);
-    let rows = |o: &redsim_storage::table::ScanOutput| -> usize {
-        o.batches.iter().map(|b| b[0].len()).sum()
-    };
-    assert_eq!(rows(&orig), rows(&restored));
+    assert_eq!(orig_rows, restored_rows);
 }

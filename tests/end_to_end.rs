@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full cluster lifecycle the paper
 //! describes, exercised through the public facade crate.
 
-use redshift_sim::core::{Cluster, ClusterConfig};
+use redshift_sim::core::{Cluster, ClusterConfig, SessionOpts};
 use redshift_sim::replication::SnapshotKind;
 use std::sync::Arc;
 
@@ -568,4 +568,39 @@ fn one_key_path_probes_match_equals() {
         assert_eq!((fast.code(), slow.code()), ("EXEC", "EXEC"), "{sql}");
         assert!(fast.to_string().contains(msg) && slow.to_string().contains(msg), "{sql}: {fast} / {slow}");
     }
+}
+
+#[test]
+fn result_cache_hits_are_bit_identical_for_every_type() {
+    // A cached entry keeps the result's columns and boxes them again for
+    // every reply: each type comes back as the cold run returned it.
+    let c = launch("cache-types");
+    c.execute(
+        "CREATE TABLE t (k INT, s SMALLINT, b BIGINT, f FLOAT8, d2 DECIMAL(10,2), d4 DECIMAL(18,4),
+         v VARCHAR(16), dt DATE, ts TIMESTAMP, bo BOOLEAN)",
+    )
+    .unwrap();
+    let csv = "1,-32768,9223372036854775807,0.0,1.25,-0.0001,é日,2015-01-02,2015-01-02 03:04:05,t\n\
+               2,7,-1,-0.0,-99999999.99,12345678901234.5678,a b,1970-01-01,1999-12-31 23:59:59,f\n\
+               3,,,NaN,,,,,,\n\
+               4,0,0,-inf,0.10,0.0000,z,2038-01-19,2038-01-19 03:14:07,\n";
+    c.put_s3_object("types/t", csv.as_bytes().to_vec());
+    c.execute("COPY t FROM 's3://types/t'").unwrap();
+    let s = c.connect(SessionOpts::new("dash")).unwrap();
+    for sql in [
+        "SELECT k, s, b, f, d2, d4, v, dt, ts, bo FROM t ORDER BY k",
+        "SELECT bo, COUNT(*), SUM(d2), MIN(f), MAX(v) FROM t GROUP BY bo ORDER BY bo",
+        "SELECT k, f FROM t WHERE k > 10",
+    ] {
+        let cold = s.query(sql).unwrap();
+        let hit = s.query(sql).unwrap();
+        assert!(!cold.result_cache_hit && hit.result_cache_hit, "{sql}");
+        // Debug text tells -0.0 from 0.0 and prints NaN as itself.
+        assert_eq!(format!("{:?}", hit.columns), format!("{:?}", cold.columns), "{sql}");
+        assert_eq!(format!("{:?}", hit.rows), format!("{:?}", cold.rows), "{sql}");
+    }
+    let rows = s.query("SELECT f FROM t ORDER BY k").unwrap().rows;
+    let bits: Vec<u64> = rows.iter().map(|r| r.get(0).as_f64().map_or(0, f64::to_bits)).collect();
+    assert_eq!(bits[..2], [0.0f64.to_bits(), (-0.0f64).to_bits()]);
+    assert!(f64::from_bits(bits[2]).is_nan() && bits[3] == f64::NEG_INFINITY.to_bits());
 }

@@ -4,7 +4,7 @@
 //! degrades transparently or reports a typed error, never corrupts.
 
 use redshift_sim::common::{RetryPolicy, RsError};
-use redshift_sim::core::{Cluster, ClusterConfig};
+use redshift_sim::core::{Cluster, ClusterConfig, SessionOpts};
 use redshift_sim::distribution::NodeId;
 use redshift_sim::faultkit::{fp, ErrClass, FaultSpec};
 use redshift_sim::replication::{BackupManager, SnapshotKind};
@@ -1082,4 +1082,27 @@ fn no_lock_readers_overlap_key_rotation() {
             assert_eq!(r.join().unwrap().unwrap(), expect, "a read during rotation");
         }
     });
+}
+
+/// A dropped scan fragment fails the statement with the retryable FAULT
+/// `err(fault)` raises: an answer missing a slice is wrong, and the
+/// result cache would serve it until the next write. After the fault,
+/// the rerun and its cache hit both count every row.
+#[test]
+fn scan_slice_drop_is_a_retryable_fault_not_a_short_answer() {
+    let c = Cluster::launch(ClusterConfig::new("drop").nodes(2).slices_per_node(2)).unwrap();
+    load(&c, 4_000);
+    let s = c.connect(SessionOpts::new("dash")).unwrap();
+    let count = "SELECT COUNT(*) FROM t";
+    c.faults().configure(fp::EXEC_SCAN_SLICE, FaultSpec::drop_op().once());
+    let err = s.query(count).unwrap_err();
+    assert!(matches!(err, RsError::FaultInjected(_)) && err.is_retryable(), "{err:?}");
+    assert_eq!(err.code(), "FAULT");
+    assert!(err.to_string().contains(fp::EXEC_SCAN_SLICE), "{err}");
+    let rerun = s.query(count).unwrap();
+    let hit = s.query(count).unwrap();
+    assert!(!rerun.result_cache_hit && hit.result_cache_hit);
+    for q in [rerun, hit] {
+        assert_eq!(q.rows[0].get(0).as_i64(), Some(4_000));
+    }
 }

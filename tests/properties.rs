@@ -2402,7 +2402,7 @@ fn vector_kernels_nan_total_order_end_to_end() {
 fn vector_aggregates_match_value_path() {
     use redshift_sim::common::{Result, Row};
     use redshift_sim::engine::baseline::{self, RowStore};
-    use redshift_sim::engine::exec::{Executor, TableProvider};
+    use redshift_sim::engine::exec::{Executor, ScanSink, TableProvider};
     use redshift_sim::sql::ast::BinaryOp;
     use redshift_sim::sql::plan::{AggExpr, AggFunc, BoundExpr, LogicalPlan, OutCol};
     use redshift_sim::storage::table::{ScanOutput, ScanPredicate};
@@ -2413,10 +2413,18 @@ fn vector_aggregates_match_value_path() {
         fn num_slices(&self) -> usize {
             1
         }
-        fn scan_slice(&self, _: &str, _: usize, projection: &[usize], _: &ScanPredicate) -> Result<ScanOutput> {
-            let batches =
-                self.0.iter().map(|b| projection.iter().map(|&c| b[c].clone()).collect()).collect();
-            Ok(ScanOutput { batches, ..ScanOutput::default() })
+        fn scan_slice(
+            &self,
+            _: &str,
+            _: usize,
+            projection: &[usize],
+            _: &ScanPredicate,
+            sink: &mut ScanSink,
+        ) -> Result<ScanOutput> {
+            for b in &self.0 {
+                sink(projection.iter().map(|&c| b[c].clone()).collect())?;
+            }
+            Ok(ScanOutput::default())
         }
     }
 
@@ -2551,7 +2559,7 @@ fn vector_aggregates_match_value_path() {
                     v.sort();
                     v
                 };
-                assert_eq!(text(&typed.rows), text(&boxed), "keys={keys:?}");
+                assert_eq!(text(&typed.rows()), text(&boxed), "keys={keys:?}");
             }
         },
     );
@@ -2584,7 +2592,7 @@ fn vector_joins_match_baseline() {
     use redshift_sim::distribution::style::dist_hash;
     use redshift_sim::distribution::JoinDistStrategy as S;
     use redshift_sim::engine::baseline::{self, RowStore};
-    use redshift_sim::engine::exec::{Executor, TableProvider};
+    use redshift_sim::engine::exec::{Executor, ScanSink, TableProvider};
     use redshift_sim::sql::ast::{BinaryOp, JoinType};
     use redshift_sim::sql::plan::{AggExpr, AggFunc, BoundExpr, LogicalPlan, OutCol};
     use redshift_sim::storage::table::{ScanOutput, ScanPredicate};
@@ -2597,12 +2605,18 @@ fn vector_joins_match_baseline() {
         fn num_slices(&self) -> usize {
             self.0
         }
-        fn scan_slice(&self, t: &str, slice: usize, projection: &[usize], _: &ScanPredicate) -> Result<ScanOutput> {
-            let batches = self.1[t][slice]
-                .iter()
-                .map(|b| projection.iter().map(|&c| b[c].clone()).collect())
-                .collect();
-            Ok(ScanOutput { batches, ..ScanOutput::default() })
+        fn scan_slice(
+            &self,
+            t: &str,
+            slice: usize,
+            projection: &[usize],
+            _: &ScanPredicate,
+            sink: &mut ScanSink,
+        ) -> Result<ScanOutput> {
+            for b in &self.1[t][slice] {
+                sink(projection.iter().map(|&c| b[c].clone()).collect())?;
+            }
+            Ok(ScanOutput::default())
         }
     }
     #[derive(Clone, Copy, PartialEq, Debug)]
@@ -2807,7 +2821,7 @@ fn vector_joins_match_baseline() {
         let got = Executor::new(&placed).run(&plan).unwrap();
         let want = baseline::run_plan(&plan, &store).unwrap();
         let text = |rows: &[Row]| rows.iter().map(|r| format!("{:?}", r.values())).collect::<Vec<_>>();
-        let (mut got_rows, mut want_rows) = (text(&got.rows), text(&want));
+        let (mut got_rows, mut want_rows) = (text(&got.rows()), text(&want));
         if aggregated || !ordered {
             got_rows.sort();
             want_rows.sort();
