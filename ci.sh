@@ -544,6 +544,49 @@ if [ "$one_batch_lines" -gt $((3132 + 150)) ]; then
   exit 1
 fi
 
+echo "== COPY streams units (quick pass) =="
+# COPY fetches and decodes a window of one object per worker, cuts each
+# into line-aligned units, parses the units one per worker and appends
+# them in source order while the next round parses (DESIGN.md §17 "Load
+# path"), so a load holds two rounds of units, not the whole load; and a
+# decoded count that cannot fit in what is left of its buffer is a Codec
+# error.
+# The probes: objects of several units in CSV, JSON-lines, LZSS and
+# encrypted form write the blocks and statistics one append of the whole
+# parsed load writes; a bad field in a later unit names its line of the
+# object; the first object's error beats the second's; a failure in the
+# last unit changes no stored byte, placed block or catalog version;
+# units tile the text and parse as it does; COPY's transient heap is flat
+# from N to 8N objects and from an object of N rows to one of 8N; the
+# pool's join runs both sides and nests; and a u32::MAX count in a wire
+# Rows frame, a schema, a slice manifest, a bitmap and a snapshot manifest
+# is a typed error, not an abort.
+cargo test -q --offline -p redsim-core --lib -- copy_streams_ units_parse_as_the_whole_text
+cargo test -q --offline -p redsim-testkit --lib join_returns_both_sides_and_nests
+cargo test -q --offline --test peak_heap copy_heap_
+cargo test -q --offline --workspace a_corrupt_count_is_a_codec_error
+# Structural guard: the parse-everything-then-append phase and the copy of
+# every plain object stay deleted.
+if grep -n 'raw\.to_vec()\|parallel_map(keys' crates/core/src/cluster/write.rs; then
+  echo "ERROR: COPY parses or copies the whole load again" >&2
+  exit 1
+fi
+# Non-test lines of the files the change touched; the parent had 3,633,
+# and the change may add at most 120.
+copy_units_lines=0
+for f in crates/core/src/cluster/write.rs crates/core/src/loader.rs crates/common/src/codec.rs \
+  crates/common/src/schema.rs crates/frontdoor/src/wire.rs crates/storage/src/table.rs \
+  crates/storage/src/encoding.rs crates/replication/src/backup.rs crates/testkit/src/par.rs; do
+  n=$(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f")
+  printf '  %5d %s\n' "$n" "$f"
+  copy_units_lines=$((copy_units_lines + n))
+done
+echo "  non-test lines: $copy_units_lines (parent: 3633)"
+if [ "$copy_units_lines" -gt $((3633 + 120)) ]; then
+  echo "ERROR: the touched files grew by more than 120 lines" >&2
+  exit 1
+fi
+
 echo "== benchdiff smoke (self-diff must pass, regression must fail) =="
 bd_dir=$(mktemp -d)
 trap 'rm -rf "$bd_dir"' EXIT

@@ -160,6 +160,16 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// A `u32` count of items of at least `min_bytes` each, a Codec error
+    /// unless that many fit in what is left: it never sizes an allocation.
+    pub fn get_count(&mut self, min_bytes: usize) -> Result<usize> {
+        let (n, left) = (self.get_u32()? as usize, self.remaining());
+        if n.saturating_mul(min_bytes) > left {
+            return Err(RsError::Codec(format!("{n} items of {min_bytes}+ bytes in {left}")));
+        }
+        Ok(n)
+    }
+
     pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.get_u32()? as usize;
         self.take(len)
@@ -241,6 +251,20 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes[..5]);
         assert!(r.get_u64().is_err());
+    }
+
+    #[test]
+    fn a_corrupt_count_is_a_codec_error() {
+        let mut w = Writer::new();
+        w.put_u32(3);
+        w.put_raw(&[0; 6]);
+        let bytes = w.into_bytes();
+        assert_eq!(Reader::new(&bytes).get_count(2).unwrap(), 3, "3 items of 2 bytes fit in 6");
+        let err = Reader::new(&bytes).get_count(3).unwrap_err();
+        assert!(matches!(err, RsError::Codec(_)), "{err}");
+        let huge = u32::MAX.to_le_bytes();
+        assert!(matches!(Reader::new(&huge).get_count(1), Err(RsError::Codec(_))));
+        assert!(matches!(Reader::new(&huge).get_count(usize::MAX), Err(RsError::Codec(_))));
     }
 
     #[test]

@@ -91,7 +91,8 @@ impl Schema {
     }
 
     pub fn decode(r: &mut Reader) -> Result<Self> {
-        let n = r.get_u32()? as usize;
+        // A column: name length, type tag, precision, scale, nullable.
+        let n = r.get_count(8)?;
         let mut columns = Vec::with_capacity(n);
         for _ in 0..n {
             let name = r.get_str()?;
@@ -144,6 +145,14 @@ mod tests {
         let bytes = w.into_bytes();
         let rt = Schema::decode(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(s, rt);
+    }
+
+    /// A `u32::MAX` column count is a typed error, not an allocation that
+    /// aborts the process.
+    #[test]
+    fn a_corrupt_count_is_a_codec_error() {
+        let err = Schema::decode(&mut Reader::new(&u32::MAX.to_le_bytes())).unwrap_err();
+        assert!(matches!(err, crate::RsError::Codec(_)), "{err}");
     }
 
     #[test]

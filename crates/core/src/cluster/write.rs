@@ -14,9 +14,14 @@ use redsim_obs::{AttrValue, LVL_CORE, LVL_DETAIL, LVL_PHASE};
 use redsim_sql::{ast, Binder, BoundExpr};
 use redsim_storage::stats::TableStats;
 use redsim_storage::table::SortKeySpec;
+use redsim_testkit::par;
 use redsim_testkit::sync::{MutexGuard, RwLockWriteGuard};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+/// Bytes of source text in one COPY unit (carried on to a line end): what
+/// one worker parses at a time, so a load holds units, not the load.
+const COPY_UNIT_BYTES: usize = 256 << 10;
 
 /// Scope of a write transaction — which locks
 /// [`Cluster::begin_write_txn`] takes. See DESIGN.md §15.
@@ -400,68 +405,81 @@ impl Cluster {
         }
         // Client-side encrypted sources carry a hex key in the statement.
         let source_key = c.decrypt_key.as_deref().map(parse_hex_key).transpose()?;
-        // Parse objects in parallel (each slice "reading data in
-        // parallel"), then route + append. STATUPDATE folds each object's
-        // statistics here too: columns still hot, work spread over the
-        // parse threads, and — before routing — ALL rows counted once.
-        let texts = parallel_map(keys, |key| -> Result<(Vec<ColumnData>, Option<TableStats>)> {
-            let mut ospan = span.child(LVL_DETAIL, "copy.object");
-            if ospan.is_recording() {
-                ospan.attr("object", key.clone());
+        // Stream the load (DESIGN.md §17 "Load path"): fetch and decode
+        // `width` objects at a time, one per worker; cut them into
+        // line-aligned units; parse `width` units at a time, each with its
+        // statistics partial (before routing: ALL rows count once); append
+        // each in source order while the next round parses. The first error
+        // in source order stops the stream once the units before it are
+        // appended, so an append error among them still comes first.
+        let width = par::available_workers();
+        let append = |next: &mut TableVersion, pending: &mut Vec<Vec<ColumnData>>| {
+            pending.drain(..).try_for_each(|cols| self.compute.append(entry, next, cols, false))
+        };
+        let (mut loaded, mut pending, mut failed) = (0u64, Vec::new(), None);
+        let mut folded = TableStats::new(entry.schema.len());
+        let mut aspan = span.child(LVL_PHASE, "copy.append");
+        'load: for window in keys.chunks(width) {
+            let fetched = par::map_indexed(window.len(), |o| -> Result<_> {
+                let mut ospan = span.child(LVL_DETAIL, "copy.object");
+                ospan.attr("object", window[o].clone());
+                let bytes = self.fetch_source(&window[o], c.compressed, source_key.as_ref())?;
+                let units = loader::units(&bytes, COPY_UNIT_BYTES);
+                Ok((ospan, bytes, units))
+            });
+            // The objects before the first that failed: their lines come
+            // first, so their errors win over its.
+            let mut objects = Vec::new();
+            failed = fetched.into_iter().find_map(|f| f.map(|o| objects.push(o)).err());
+            let work: Vec<(usize, loader::Unit)> = objects
+                .iter()
+                .enumerate()
+                .flat_map(|(o, (_, _, units))| units.iter().map(move |u| (o, u.clone())))
+                .collect();
+            let parse = |(o, unit): (usize, loader::Unit)| -> Result<_> {
+                let text = std::str::from_utf8(&objects[o].1[unit.bytes])
+                    .map_err(|_| RsError::Analysis(format!("{}: not UTF-8", window[o])))?;
+                let (line, schema) = (unit.first_line, &entry.schema);
+                let cols = match c.format {
+                    ast::CopyFormat::Csv => loader::parse_csv(text, line, c.delimiter, schema),
+                    ast::CopyFormat::Json => loader::parse_json_lines(text, line, schema),
+                }?;
+                let stats = c.stat_update.then(|| TableStats::of(&cols));
+                Ok((o, cols, stats))
+            };
+            let mut rows = vec![0u64; objects.len()];
+            for batch in work.chunks(width) {
+                let parse_batch = || parallel_map(batch.to_vec(), &parse);
+                let (appended, parsed) = par::join(|| append(next, &mut pending), parse_batch);
+                appended?;
+                let stop = parsed.into_iter().try_for_each(|unit| {
+                    let (o, cols, stats) = unit?;
+                    let n = cols.first().map_or(0, |col| col.len()) as u64;
+                    rows[o] += n;
+                    loaded += n;
+                    stats.iter().for_each(|s| folded.merge(s));
+                    pending.push(cols);
+                    Ok(())
+                });
+                if let Err(e) = stop {
+                    // Earlier in source order than a failed fetch here.
+                    failed = Some(e);
+                    break 'load;
+                }
             }
-            // Fetch through the `copy.fetch_object` failpoint with the
-            // cluster retry policy: transient S3 flakiness is absorbed
-            // with backoff, permanent faults surface typed.
-            let raw = self.config.retry.with_seed(self.config.seed).run_observed(
-                "copy.fetch_object",
-                || {
-                    redsim_replication::fire_no_skip(
-                        self.faults(),
-                        Some(self.trace()),
-                        redsim_faultkit::fp::COPY_FETCH_OBJECT,
-                    )?;
-                    self.s3().get(&self.config.region, &key)
-                },
-                redsim_replication::retry_observer(Some(Arc::clone(self.trace()))),
-            )?;
-            // Undo source-side transforms: decrypt, then decompress
-            // ("COPY also directly supports ingestion of … data that is
-            // encrypted and/or compressed", §2.1).
-            let mut bytes: Vec<u8> = raw.to_vec();
-            if let Some(k) = &source_key {
-                let enc = redsim_crypto::EncryptedPayload::deserialize(&bytes)
-                    .map_err(|e| RsError::Analysis(format!("{key}: {e}")))?;
-                bytes = redsim_crypto::decrypt_payload(k, &enc)
-                    .map_err(|e| RsError::Analysis(format!("{key}: {e}")))?;
+            for ((mut ospan, _, _), n) in objects.into_iter().zip(rows) {
+                ospan.attr("rows", n);
             }
-            if c.compressed {
-                bytes = redsim_storage::lzss::decompress(&bytes)
-                    .map_err(|e| RsError::Analysis(format!("{key}: {e}")))?;
+            if failed.is_some() {
+                break;
             }
-            let text = std::str::from_utf8(&bytes)
-                .map_err(|_| RsError::Analysis(format!("{key}: not UTF-8")))?;
-            let cols = match c.format {
-                ast::CopyFormat::Csv => loader::parse_csv(text, c.delimiter, &entry.schema),
-                ast::CopyFormat::Json => loader::parse_json_lines(text, &entry.schema),
-            }?;
-            if ospan.is_recording() {
-                ospan.attr("rows", cols.first().map_or(0, |col| col.len()));
-            }
-            let stats = c.stat_update.then(|| TableStats::of(&cols));
-            Ok((cols, stats))
-        });
-        let mut loaded = 0u64;
-        let mut folded = Vec::new();
-        {
-            let mut aspan = span.child(LVL_PHASE, "copy.append");
-            for t in texts {
-                let (batch, stats) = t?;
-                loaded += batch.first().map_or(0, |col| col.len()) as u64;
-                folded.extend(stats);
-                self.compute.append(entry, next, batch, false)?;
-            }
-            aspan.attr("rows", loaded);
         }
+        append(next, &mut pending)?;
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        aspan.attr("rows", loaded);
+        aspan.finish();
         let seal_span = span.child(LVL_PHASE, "copy.seal");
         let results = self.compute.seal(next, &seal_span);
         seal_span.finish();
@@ -490,12 +508,12 @@ impl Cluster {
         next.state.rows_estimate += loaded;
         // STATUPDATE: refresh optimizer statistics with the load (§2.1:
         // "By default, compression scheme and optimizer statistics are
-        // updated with load") by merging the per-object partials: work
+        // updated with load") by merging the units' partials: work
         // proportional to the load, not the table. Without it the rows
         // count as stale for the maintenance advisor.
         if c.stat_update {
             let mut aspan = span.child(LVL_PHASE, "copy.analyze");
-            folded.iter().for_each(|stats| next.fold_stats(stats));
+            next.fold_stats(&folded);
             aspan.attr("rows", loaded);
         } else {
             next.state.loads_since_analyze += loaded;
@@ -511,6 +529,40 @@ impl Cluster {
         self.trace().counter("copy.rows_loaded").add(loaded);
         self.trace().histogram("copy.duration_ns").record(t_copy.elapsed().as_nanos() as u64);
         Ok(ExecSummary { rows_affected: loaded, message: format!("COPY {loaded}") })
+    }
+
+    /// One COPY source object's bytes: fetched through the
+    /// `copy.fetch_object` failpoint under the cluster retry policy, then
+    /// decrypted and decompressed (§2.1: "COPY also directly supports
+    /// ingestion of … data that is encrypted and/or compressed"). A plain
+    /// object is S3's own buffer, read in place.
+    fn fetch_source(
+        &self,
+        key: &str,
+        compressed: bool,
+        source_key: Option<&redsim_crypto::Key>,
+    ) -> Result<Arc<Vec<u8>>> {
+        let mut bytes = self.config.retry.with_seed(self.config.seed).run_observed(
+            "copy.fetch_object",
+            || {
+                redsim_replication::fire_no_skip(
+                    self.faults(),
+                    Some(self.trace()),
+                    redsim_faultkit::fp::COPY_FETCH_OBJECT,
+                )?;
+                self.s3().get(&self.config.region, key)
+            },
+            redsim_replication::retry_observer(Some(Arc::clone(self.trace()))),
+        )?;
+        let bad = |e: RsError| RsError::Analysis(format!("{key}: {e}"));
+        if let Some(k) = source_key {
+            let enc = redsim_crypto::EncryptedPayload::deserialize(&bytes).map_err(bad)?;
+            bytes = Arc::new(redsim_crypto::decrypt_payload(k, &enc).map_err(bad)?);
+        }
+        if compressed {
+            bytes = Arc::new(redsim_storage::lzss::decompress(&bytes).map_err(bad)?);
+        }
+        Ok(bytes)
     }
 }
 
@@ -735,6 +787,186 @@ mod tests {
         for i in 0..4 {
             let q = c.query(&format!("SELECT COUNT(*) FROM t{i}")).unwrap();
             assert_eq!(q.rows[0].get(0).as_i64(), Some(200));
+        }
+    }
+
+    /// The four ways a COPY source reaches the loader.
+    #[derive(Clone, Copy, Debug)]
+    enum Form {
+        Csv,
+        Json,
+        Lzss,
+        Encrypted,
+    }
+
+    const FORMS: [Form; 4] = [Form::Csv, Form::Json, Form::Lzss, Form::Encrypted];
+
+    /// An EVEN table: where each row lands depends on the rows before it.
+    const STREAMED: &str = "CREATE TABLE t (k BIGINT, s VARCHAR(16), f FLOAT8)";
+
+    /// Rows `k` in `from..from + rows` of `STREAMED`'s table as CSV or
+    /// JSON-lines text; line `bad`, if any, has a `k` BIGINT cannot parse.
+    fn source(form: Form, from: usize, rows: usize, bad: Option<usize>) -> String {
+        let line = |(i, k): (usize, usize)| {
+            let key = if bad == Some(i + 1) { "\"x\"".to_string() } else { k.to_string() };
+            let (s, f) = (format!("row-{}", k % 997), format!("{}.5", k % 89));
+            match form {
+                Form::Json => format!("{{\"k\": {key}, \"s\": \"{s}\", \"f\": {f}}}\n"),
+                _ => format!("{},{s},{f}\n", key.trim_matches('"')),
+            }
+        };
+        (from..from + rows).enumerate().map(line).collect()
+    }
+
+    /// Stage `texts` as the objects under `prefix/`, in `form`; the COPY
+    /// that loads them into `t`.
+    fn stage(c: &Cluster, form: Form, prefix: &str, texts: &[String]) -> String {
+        let mut rng = redsim_testkit::rng::Pcg32::seed_from_u64(28);
+        let key = redsim_crypto::Key::generate(&mut rng);
+        for (i, text) in texts.iter().enumerate() {
+            let body = match form {
+                Form::Csv | Form::Json => text.clone().into_bytes(),
+                Form::Lzss => redsim_storage::lzss::compress(text.as_bytes()),
+                Form::Encrypted => {
+                    redsim_crypto::encrypt_payload(&key, text.as_bytes(), &mut rng).serialize()
+                }
+            };
+            c.put_s3_object(&format!("{prefix}/{i:02}"), body);
+        }
+        let options = match form {
+            Form::Csv => String::new(),
+            Form::Json => " JSON".into(),
+            Form::Lzss => " LZSS".into(),
+            Form::Encrypted => {
+                let hex: String = key.0.iter().map(|w| format!("{w:08x}")).collect();
+                format!(" ENCRYPTED '{hex}'")
+            }
+        };
+        format!("COPY t FROM 's3://{prefix}/'{options}")
+    }
+
+    fn streamed(name: &str, rows_per_group: usize) -> Arc<Cluster> {
+        let config =
+            ClusterConfig::new(name).nodes(2).slices_per_node(2).rows_per_group(rows_per_group);
+        let c = Cluster::launch(config).unwrap();
+        c.execute(STREAMED).unwrap();
+        c
+    }
+
+    /// Bytes of `text` before its line `line`.
+    fn offset_of_line(text: &str, line: usize) -> usize {
+        text.split_inclusive('\n').take(line - 1).map(str::len).sum()
+    }
+
+    /// Every slice's encoded block payloads of `t`, in manifest order.
+    fn payloads(c: &Cluster) -> Vec<Vec<Vec<u8>>> {
+        let t = c.committed("t").unwrap();
+        let slice = |(s, table): (usize, &redsim_storage::SliceTable)| {
+            let store = c.compute.store_for_slice(s);
+            table.block_ids().into_iter().map(|id| store.get(id).unwrap().payload.clone()).collect()
+        };
+        t.slices.iter().enumerate().map(slice).collect()
+    }
+
+    /// A streamed COPY writes the blocks one append of the whole parsed
+    /// load writes, and folds the same statistics: objects of several
+    /// units over two windows, in every form, give every slice
+    /// byte-identical payloads in manifest order, the same EVEN cursor and
+    /// the same `TableStats`.
+    #[test]
+    fn copy_streams_into_the_blocks_one_append_writes() {
+        for form in FORMS {
+            let texts = [
+                source(form, 0, 30_000, None),
+                source(form, 30_000, 14_000, None),
+                source(form, 44_000, 9, None),
+            ];
+            assert!(texts[0].len() > 2 * COPY_UNIT_BYTES, "{form:?}: a few units per object");
+            let streamed_copy = streamed("stream", 4_096);
+            let sql = stage(&streamed_copy, form, "in", &texts);
+            assert_eq!(streamed_copy.execute(&sql).unwrap().rows_affected, 44_009);
+
+            // The reference: each object parsed whole, then one append.
+            let whole = streamed("whole", 4_096);
+            let catalog = whole.leader.catalog();
+            let (entry, _) = catalog.get("t").unwrap();
+            let mut batch: Vec<ColumnData> = Vec::new();
+            for text in &texts {
+                let cols = match form {
+                    Form::Json => loader::parse_json_lines(text, 1, &entry.schema),
+                    _ => loader::parse_csv(text, 1, ',', &entry.schema),
+                };
+                let cols = cols.unwrap();
+                match batch.is_empty() {
+                    true => batch = cols,
+                    false => batch.iter_mut().zip(&cols).for_each(|(b, c)| b.append(c)),
+                }
+            }
+            let stats = TableStats::of(&batch);
+            let mut draft = whole.begin(WriteScope::Table(entry)).unwrap();
+            let next = draft.table();
+            whole.compute.append(entry, next, batch, false).unwrap();
+            let sealed = whole.compute.seal(next, &redsim_obs::Span::disabled());
+            sealed.into_iter().collect::<Result<()>>().unwrap();
+            next.state.rows_estimate += 44_009;
+            next.fold_stats(&stats);
+            draft.commit().unwrap();
+
+            assert_eq!(payloads(&streamed_copy), payloads(&whole), "{form:?}");
+            let state = |c: &Cluster| {
+                let s = c.committed("t").unwrap().state.clone();
+                (s.rows_estimate, s.cursor, s.stats)
+            };
+            assert_eq!(state(&streamed_copy), state(&whole), "{form:?}");
+        }
+    }
+
+    /// A bad field past the first unit of an object reports its line of
+    /// the object, not of the unit, in every form.
+    #[test]
+    fn copy_streams_report_the_line_of_the_object() {
+        for form in FORMS {
+            let c = streamed("lines", 4_096);
+            let bad = 27_001;
+            let texts = [source(form, 0, 30_000, Some(bad))];
+            assert!(offset_of_line(&texts[0], bad) > COPY_UNIT_BYTES, "{form:?}: a later unit");
+            let err = c.execute(&stage(&c, form, "in", &texts)).unwrap_err();
+            assert!(err.to_string().contains(&format!("line {bad}: ")), "{form:?}: {err}");
+        }
+    }
+
+    /// The first error in object, then line, order wins: a bad line late
+    /// in the first object beats one on the second object's first line,
+    /// though the second's unit parses beside the first's last.
+    #[test]
+    fn copy_streams_first_object_error_wins() {
+        for form in FORMS {
+            let c = streamed("order", 4_096);
+            let texts =
+                [source(form, 0, 30_000, Some(29_999)), source(form, 30_000, 5_000, Some(1))];
+            let err = c.execute(&stage(&c, form, "in", &texts)).unwrap_err();
+            assert!(err.to_string().contains("line 29999: "), "{form:?}: {err}");
+        }
+    }
+
+    /// A failure in the last unit of the load, after earlier units sealed
+    /// blocks on every slice, leaves the stored bytes, the placed blocks
+    /// and the published catalog as they were.
+    #[test]
+    fn copy_streams_failing_in_the_last_unit_change_nothing() {
+        for form in FORMS {
+            let c = streamed("last", 256);
+            c.execute("INSERT INTO t VALUES (1, 'a', 1.5), (2, 'b', 2.5)").unwrap();
+            let before = (storage(&c, "t"), c.catalog_version());
+            let dropped = c.trace().counter_value("write_txn.blocks_dropped");
+            let texts = [source(form, 0, 20_000, None), source(form, 20_000, 20_000, Some(20_000))];
+            let err = c.execute(&stage(&c, form, "in", &texts)).unwrap_err();
+            assert!(err.to_string().contains("line 20000: "), "{form:?}: {err}");
+            assert_eq!((storage(&c, "t"), c.catalog_version()), before, "{form:?}");
+            assert!(
+                c.trace().counter_value("write_txn.blocks_dropped") > dropped,
+                "{form:?}: the earlier units sealed no blocks"
+            );
         }
     }
 }

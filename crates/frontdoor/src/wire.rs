@@ -215,18 +215,20 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
     let resp = match r.get_u8()? {
         OP_HELLO_OK => Response::HelloOk { session: r.get_u64()?, userid: r.get_u32()? },
         OP_ROWS => {
-            let ncols = r.get_u32()? as usize;
+            // A column is at least a name length and a type tag, a row an
+            // arity, a value a tag.
+            let ncols = r.get_count(5)?;
             let mut columns = Vec::with_capacity(ncols);
             for _ in 0..ncols {
                 let name = r.get_str()?;
                 let ty = get_dtype(&mut r)?;
                 columns.push(OutCol { name, ty });
             }
-            let nrows = r.get_u32()? as usize;
-            let mut rows = Vec::with_capacity(nrows.min(1 << 20));
+            let nrows = r.get_count(4)?;
+            let mut rows = Vec::with_capacity(nrows);
             for _ in 0..nrows {
-                let arity = r.get_u32()? as usize;
-                let mut values = Vec::with_capacity(arity.min(1 << 16));
+                let arity = r.get_count(1)?;
+                let mut values = Vec::with_capacity(arity);
                 for _ in 0..arity {
                     values.push(get_value(&mut r)?);
                 }
@@ -518,5 +520,21 @@ mod tests {
         let mut bytes = encode_request(&Request::Ping);
         bytes.push(0);
         assert!(matches!(decode_request(&bytes), Err(RsError::Codec(_))));
+    }
+
+    /// A `u32::MAX` column, row or value count in a Rows frame is a typed
+    /// error, not an allocation that aborts the process.
+    #[test]
+    fn a_corrupt_count_is_a_codec_error() {
+        let max = u32::MAX.to_le_bytes();
+        let frames = [
+            [&[OP_ROWS][..], &max].concat(),
+            [&[OP_ROWS][..], &0u32.to_le_bytes(), &max].concat(),
+            [&[OP_ROWS][..], &0u32.to_le_bytes(), &1u32.to_le_bytes(), &max].concat(),
+        ];
+        for frame in frames {
+            let err = decode_response(&frame).unwrap_err();
+            assert!(matches!(err, RsError::Codec(_)), "{frame:?}: {err}");
+        }
     }
 }

@@ -242,7 +242,7 @@ impl BackupManager {
             t => return Err(RsError::Codec(format!("bad snapshot kind {t}"))),
         };
         let metadata = r.get_bytes()?.to_vec();
-        let n = r.get_u32()? as usize;
+        let n = r.get_count(8)?;
         let mut blocks = Vec::with_capacity(n);
         for _ in 0..n {
             blocks.push(BlockId(r.get_u64()?));
@@ -377,5 +377,20 @@ mod tests {
         mgr.delete_snapshot("u").unwrap();
         assert!(mgr.delete_snapshot("u").is_err());
         assert!(mgr.load_manifest("us-east-1", "u").is_err());
+    }
+
+    /// A manifest read back from S3 whose block count says `u32::MAX` is
+    /// a typed error, not an allocation that aborts the process.
+    #[test]
+    fn a_corrupt_count_is_a_codec_error() {
+        let (s3, store, mgr) = setup();
+        mgr.take_snapshot("none", SnapshotKind::User, &store, Vec::new(), b"meta").unwrap();
+        let key = "clu/snapshots/none";
+        let mut manifest = s3.get("us-east-1", key).unwrap().to_vec();
+        let at = manifest.len() - 4; // the block count, of no blocks
+        manifest[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        s3.put("us-east-1", key, manifest);
+        let err = mgr.load_manifest("us-east-1", "none").unwrap_err();
+        assert!(matches!(err, RsError::Codec(_)), "{err}");
     }
 }

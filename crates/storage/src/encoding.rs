@@ -737,7 +737,7 @@ pub fn decode_column(bytes: &[u8], expected: Option<DataType>) -> Result<ColumnD
         }
     }
     let rows = r.get_u32()? as usize;
-    let n_words = r.get_u32()? as usize;
+    let n_words = r.get_count(8)?;
     let mut words = Vec::with_capacity(n_words);
     for _ in 0..n_words {
         words.push(r.get_u64()?);
@@ -868,6 +868,18 @@ mod tests {
         for i in 0..col.len() {
             assert_eq!(col.get(i), back.get(i), "row {i} enc {enc}");
         }
+    }
+
+    /// A `u32::MAX` null-bitmap word count in a block is a typed error,
+    /// not an allocation that aborts the process.
+    #[test]
+    fn a_corrupt_count_is_a_codec_error() {
+        let col = int_col(&[Some(1), None], DataType::Int8);
+        let mut bytes = encode_column(&col, Encoding::Raw).unwrap();
+        // Encoding, type tag, precision, scale, rows, then the word count.
+        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_column(&bytes, Some(DataType::Int8)).unwrap_err();
+        assert!(matches!(err, RsError::Codec(_)), "{err}");
     }
 
     #[test]

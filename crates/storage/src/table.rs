@@ -627,7 +627,7 @@ impl SliceTable {
         let sort_key = match r.get_u8()? {
             0 => SortKeySpec::None,
             tag @ (1 | 2) => {
-                let n = r.get_u32()? as usize;
+                let n = r.get_count(4)?;
                 let mut cols = Vec::with_capacity(n);
                 for _ in 0..n {
                     cols.push(r.get_u32()? as usize);
@@ -641,7 +641,7 @@ impl SliceTable {
             t => return Err(RsError::Codec(format!("bad sort key tag {t}"))),
         };
         let encodings = if r.get_bool()? {
-            let n = r.get_u32()? as usize;
+            let n = r.get_count(1)?;
             let mut encs = Vec::with_capacity(n);
             for _ in 0..n {
                 encs.push(Encoding::from_tag(r.get_u8()?)?);
@@ -651,12 +651,14 @@ impl SliceTable {
             None
         };
         let mut regions: Vec<Vec<RowGroup>> = Vec::with_capacity(2);
+        // A group is at least rows, a column count and the z-range flag; a
+        // column a block id and a zone map's two flags and two counts.
         for _ in 0..2 {
-            let n_groups = r.get_u32()? as usize;
+            let n_groups = r.get_count(9)?;
             let mut groups = Vec::with_capacity(n_groups);
             for _ in 0..n_groups {
                 let rows = r.get_u32()?;
-                let n_cols = r.get_u32()? as usize;
+                let n_cols = r.get_count(18)?;
                 let mut cols = Vec::with_capacity(n_cols);
                 for _ in 0..n_cols {
                     let id = BlockId(r.get_u64()?);
@@ -838,6 +840,50 @@ mod tests {
             ranges: vec![ColumnRange { col: 0, lo: Some(Value::Int8(10_000)), hi: None }],
         };
         out_of_range(&pruned, Some(&nothing));
+    }
+
+    /// A `u32::MAX` sort-key, encoding, group or group-column count in a
+    /// slice manifest is a typed error, not an allocation that aborts the
+    /// process.
+    #[test]
+    fn a_corrupt_count_is_a_codec_error() {
+        let manifest = |tail: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            schema2().encode(&mut w);
+            w.put_u32(100); // rows per group
+            w.put_bool(true); // auto-compress
+            tail(&mut w);
+            w.into_bytes()
+        };
+        let max = u32::MAX;
+        let sort_key = manifest(&|w| {
+            w.put_u8(1); // compound
+            w.put_u32(max);
+        });
+        let encodings = manifest(&|w| {
+            w.put_u8(0); // no sort key
+            w.put_bool(true);
+            w.put_u32(max);
+        });
+        let groups = manifest(&|w| {
+            w.put_u8(0);
+            w.put_bool(false); // encodings not locked
+            w.put_u32(max);
+        });
+        let group_columns = manifest(&|w| {
+            w.put_u8(0);
+            w.put_bool(false);
+            [1, 100, max].into_iter().for_each(|v| w.put_u32(v)); // one group of 100 rows
+        });
+        for (what, bytes) in [
+            ("sort key", sort_key),
+            ("encodings", encodings),
+            ("groups", groups),
+            ("columns", group_columns),
+        ] {
+            let err = SliceTable::decode_meta(&mut Reader::new(&bytes)).err().expect(what);
+            assert!(matches!(err, RsError::Codec(_)), "{what}: {err}");
+        }
     }
 
     #[test]

@@ -285,6 +285,18 @@ pub fn map<I: Send, T: Send>(inputs: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T
     out.into_iter().map(|o| o.expect("filled")).collect()
 }
 
+/// Run `a` and `b` side by side on the pool; a side done early helps the other.
+pub fn join<A: Send, B: Send>(
+    a: impl FnOnce() -> A + Send,
+    b: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    let (mut ra, mut rb) = (None, None);
+    let sides: Vec<Box<dyn FnOnce() + Send + '_>> =
+        vec![Box::new(|| ra = Some(a())), Box::new(|| rb = Some(b()))];
+    map(sides, |side| side());
+    (ra.expect("ran"), rb.expect("ran"))
+}
+
 /// Chunked parallel-for over a mutable slice: splits `data` into at most
 /// `workers` contiguous chunks and runs `f(chunk_index, chunk)` on the
 /// pool. Useful for data-parallel transforms where spawn-per-element
@@ -342,6 +354,19 @@ mod tests {
         });
         assert_eq!(counter.load(Ordering::SeqCst), 8);
         assert_eq!(got, vec![0, 2, 4, 6, 8, 10, 12, 14]);
+    }
+
+    #[test]
+    fn join_returns_both_sides_and_nests() {
+        let mut log = Vec::new();
+        let (a, b) = join(
+            || map((0..8).collect(), |i: u64| i * i).iter().sum::<u64>(),
+            || {
+                log.push("b");
+                join(|| 1, || 2)
+            },
+        );
+        assert_eq!((a, b, log), (140, (1, 2), vec!["b"]));
     }
 
     #[test]

@@ -289,6 +289,65 @@ fn peak_heap_is_flat_as_the_table_grows() {
     }
 }
 
+/// The most heap live at once during one COPY of `objects` staged CSV
+/// objects of `rows` rows each, above the heap live after it: what the
+/// load held and let go of — the table it wrote stays live after.
+fn copy_transient(objects: usize, rows: usize) -> usize {
+    let c = Cluster::launch(ClusterConfig::new("copy-heap").nodes(2).slices_per_node(2)).unwrap();
+    for t in ["warm", "t"] {
+        c.execute(&format!(
+            "CREATE TABLE {t} (k BIGINT, v BIGINT, f FLOAT8, s VARCHAR(16))"
+        ))
+        .unwrap();
+    }
+    let csv = |o: usize| -> Vec<u8> {
+        (o * rows..(o + 1) * rows)
+            .map(|i| format!("{i},{},{}.25,s-{}\n", i % 1_000, i % 97, i % 251))
+            .collect::<String>()
+            .into_bytes()
+    };
+    c.put_s3_object("warm/0", csv(0));
+    c.execute("COPY warm FROM 's3://warm/'").unwrap(); // warm the pool, the WAL, the trace
+    for o in 0..objects {
+        c.put_s3_object(&format!("t/{o:04}"), csv(o));
+    }
+    let start = LIVE.load(Relaxed);
+    PEAK.store(start, Relaxed);
+    let loaded = c.execute("COPY t FROM 's3://t/'").unwrap().rows_affected;
+    assert_eq!(loaded as usize, objects * rows);
+    PEAK.load(Relaxed) - LIVE.load(Relaxed)
+}
+
+/// COPY streams line-aligned units through parse, route and append, so
+/// what a load holds in flight does not grow with it: from a load of N to
+/// one of 8N, the transient heap grows by less than a quarter. N scales
+/// with the worker count, so the small load already keeps every worker
+/// busy.
+fn assert_copy_heap_flat(name: &str, transient_at: impl Fn(usize) -> usize) {
+    let n = redshift_sim::testkit::par::available_workers().div_ceil(8);
+    let (small, large) = (transient_at(n), transient_at(8 * n));
+    assert!(
+        large * 4 < small * 5,
+        "{name}: COPY's transient heap grew {small} -> {large} bytes from N to 8N"
+    );
+}
+
+#[test]
+fn copy_heap_is_flat_as_objects_multiply() {
+    let _turn = one_at_a_time();
+    assert_copy_heap_flat("8 vs 64 objects of 4,096 rows", |n| {
+        copy_transient(8 * n, 4_096)
+    });
+}
+
+#[test]
+fn copy_heap_is_flat_as_an_object_grows() {
+    let _turn = one_at_a_time();
+    assert_copy_heap_flat("one object of 32k vs 256k rows", |n| {
+        copy_transient(1, 32_768 * n)
+    });
+}
+
 #[test]
 fn a_cached_result_holds_its_columns_and_nothing_more() {
     let _turn = one_at_a_time();
