@@ -587,6 +587,29 @@ if [ "$copy_units_lines" -gt $((3633 + 120)) ]; then
   exit 1
 fi
 
+echo "== one model (quick pass) =="
+# A naive Vec<Row>-per-table model, queried through engine::baseline and
+# bound against a StaticCatalog, steps in lockstep with a Cluster under one
+# generated, shrinking schedule: DDL, COPY, INSERT, VACUUM, ANALYZE,
+# redistribute, SELECT, crash + recover (torn at a WAL seam), resize,
+# snapshot + restore, node loss, backup drain and transient failpoints
+# (DESIGN.md "The model"). After every step rows, statistics,
+# svv_table_info and catalog_version equal the model's, and a refused
+# statement moves nothing. The probes: a resized sorted table stays
+# sorted; a freed WLM slot goes to the longest waiter; a revived node takes
+# its replicas back.
+RSIM_PROP_CASES=4 cargo test -q --offline --test model
+cargo test -q --offline -p redsim-core --lib -- resize_keeps_a_sorted_table_sorted \
+  a_freed_slot_goes_to_the_longest_waiter
+cargo test -q --offline -p redsim-replication --lib re_replication_onto_a_revived_node_restores_redundancy
+# Structural guard: the four deleted ClusterConfig knobs stay deleted.
+knobs='cohort_size|plan_cache_capacity|system_snapshot_retention|result_cache_max_rows'
+if grep -nE "$knobs" crates/core/src/config.rs \
+  || grep -rnE "config\.($knobs)" crates/ src/ tests/ examples/ benchmark/src/; then
+  echo "ERROR: a deleted ClusterConfig knob reappeared" >&2
+  exit 1
+fi
+
 echo "== benchdiff smoke (self-diff must pass, regression must fail) =="
 bd_dir=$(mktemp -d)
 trap 'rm -rf "$bd_dir"' EXIT

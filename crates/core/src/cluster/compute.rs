@@ -14,7 +14,7 @@ use redsim_engine::exec::{rows_of, ScanSink, TableProvider};
 use redsim_obs::{Span, LVL_DETAIL};
 use redsim_sql::{CatalogView, TableMeta};
 use redsim_storage::stats::TableStats;
-use redsim_storage::table::{ScanOutput, ScanPredicate, SliceTable};
+use redsim_storage::table::{ScanOutput, ScanPredicate, SliceTable, SortKeySpec};
 use redsim_storage::{BlockId, BlockStore};
 /// Run a closure over owned inputs on scoped threads, preserving order.
 pub(super) use redsim_testkit::par::map as parallel_map;
@@ -129,9 +129,11 @@ impl Compute {
 
     /// Fill `next`, the draft of the re-laid-out copy `to` (resize,
     /// redistribute), with every row of `image`, a version of `from`, as
-    /// `source` — `from`'s cluster — reads it: routed for `to`'s layout
-    /// and sealed. Carries `image`'s state over, all but the cursor,
-    /// which re-routing the rows has just advanced for the new layout.
+    /// `source` — `from`'s cluster — reads it: routed for `to`'s layout,
+    /// sealed and, under a sort key, sorted — a re-laid-out table is fully
+    /// sorted, whatever its source's unsorted share. Carries `image`'s
+    /// state over, all but the cursor, which re-routing the rows has just
+    /// advanced for the new layout.
     pub fn copy_table(
         &self,
         to: &TableEntry,
@@ -147,6 +149,14 @@ impl Compute {
             })?;
         }
         self.seal(next, &Span::disabled()).into_iter().collect::<Result<()>>()?;
+        if !matches!(to.sort_key, SortKeySpec::None) {
+            // The appends landed in the unsorted region: re-sort, and free
+            // the unsorted copy only the draft ever named.
+            let unsorted = next.clone();
+            let sorted = self.vacuum(next);
+            self.delete_blocks(unsorted.unshared(next));
+            sorted?;
+        }
         next.state = TableState { cursor: next.state.cursor, ..image.state.clone() };
         Ok(())
     }

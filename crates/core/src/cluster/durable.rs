@@ -99,6 +99,11 @@ pub(super) struct Durable {
     pub trace: Arc<TraceSink>,
 }
 
+/// Replica-placement cohort size.
+const COHORT_SIZE: u32 = 4;
+/// Retained system snapshots before aging out.
+const SYSTEM_SNAPSHOT_RETENTION: usize = 4;
+
 impl Durable {
     /// The durable part of a new cluster (launched, or restored into):
     /// an empty block store over `s3` and an empty redo log.
@@ -110,7 +115,7 @@ impl Durable {
     ) -> Result<Durable> {
         let blocks = ReplicatedStore::new(
             config.nodes,
-            config.cohort_size.min(config.nodes.max(1)).max(2.min(config.nodes)),
+            COHORT_SIZE.min(config.nodes.max(1)).max(2.min(config.nodes)),
             Arc::clone(&s3),
             config.region.clone(),
             config.name.clone(),
@@ -140,7 +145,7 @@ impl Durable {
             config.region.clone(),
             config.name.clone(),
             config.dr_region.clone(),
-            config.system_snapshot_retention,
+            SYSTEM_SNAPSHOT_RETENTION,
         )
         .with_retry(retry)
         .with_trace(Arc::clone(&trace));

@@ -107,19 +107,18 @@ pub(super) struct Leader {
     query_seq: AtomicU64,
 }
 
+/// Compiled-plan cache capacity (entries).
+const PLAN_CACHE_CAPACITY: usize = 64;
+/// Results with more rows than this are never cached.
+const RESULT_CACHE_MAX_ROWS: usize = 10_000;
+
 impl Leader {
     pub fn new(config: &ClusterConfig, catalog: Catalog, trace: Arc<TraceSink>) -> Leader {
         Leader {
             catalog: RwLock::new(Arc::new(catalog)),
             publication: Mutex::new(()),
-            plan_cache: PlanCache::with_work(
-                config.plan_cache_capacity,
-                config.compile_work_per_node,
-            ),
-            result_cache: ResultCache::new(
-                config.result_cache_capacity,
-                config.result_cache_max_rows,
-            ),
+            plan_cache: PlanCache::with_work(PLAN_CACHE_CAPACITY, config.compile_work_per_node),
+            result_cache: ResultCache::new(config.result_cache_capacity, RESULT_CACHE_MAX_ROWS),
             wlm: Arc::new(WlmController::new(&config.wlm, Arc::clone(&trace))),
             sessions: SessionManager::new(Arc::clone(&trace)),
             usage: UsageStats::default(),

@@ -282,6 +282,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redsim_common::Value;
     use redsim_faultkit::{fp, ErrClass, FaultSpec};
 
     fn small() -> Arc<Cluster> {
@@ -372,6 +373,26 @@ mod tests {
         target.execute("INSERT INTO t VALUES (100, 'new')").unwrap();
         let r = target.query("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(r.rows[0].get(0).as_i64(), Some(101));
+    }
+
+    #[test]
+    fn resize_keeps_a_sorted_table_sorted() {
+        let c =
+            Cluster::launch(ClusterConfig::new("s").nodes(2).slices_per_node(1).rows_per_group(32))
+                .unwrap();
+        c.execute("CREATE TABLE t (k BIGINT) COMPOUND SORTKEY(k)").unwrap();
+        // 4,096 keys in scrambled order: an odd stride permutes 0..4096.
+        let csv: String = (0..4096u64).map(|i| format!("{}\n", i * 2_654_435_761 % 4096)).collect();
+        c.put_s3_object("k/rows", csv.into_bytes());
+        c.execute("COPY t FROM 's3://k/'").unwrap();
+        c.execute("VACUUM t").unwrap();
+        let target = c.resize(3, 1).unwrap();
+        let unsorted = target.query("SELECT unsorted FROM svv_table_info").unwrap();
+        assert_eq!(unsorted.rows[0].get(0), &Value::Float8(0.0), "a resized table is sorted");
+        let range = target.query("SELECT COUNT(*) FROM t WHERE k BETWEEN 100 AND 140").unwrap();
+        assert_eq!(range.rows[0].get(0).as_i64(), Some(41));
+        // Unsorted, every slice's groups span the whole key range: 9 blocks.
+        assert!(range.metrics.blocks_read < 9, "zone maps skip nothing: {:?}", range.metrics);
     }
 
 

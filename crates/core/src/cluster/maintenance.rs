@@ -132,9 +132,10 @@ impl Cluster {
         if draft.next.get(table).is_some_and(|(t, _)| matches!(t.dist_style, DistStyle::All)) {
             return Ok(());
         }
-        // Read every row, rebuild under ALL in place of the old layout;
-        // the commit retires the old layout's blocks once the new one is
-        // durable, and drops plans compiled against the old layout.
+        // Read every row, rebuild under ALL (sorted, as every re-layout)
+        // in place of the old layout; the commit retires the old layout's
+        // blocks once the new one is durable, and drops plans compiled
+        // against the old layout.
         let (entry, image) = draft.next.drop_table(table)?;
         let (all, empty) = TableEntry::new(
             entry.name.clone(),
@@ -146,14 +147,6 @@ impl Cluster {
         )?;
         let next = draft.next.create((Arc::clone(&all), empty))?;
         self.compute.copy_table(&all, next, &self.compute, &entry, &image)?;
-        // Preserve sortedness: the rebuild appended into the unsorted
-        // region; re-sort so zone maps keep working.
-        if !matches!(all.sort_key, SortKeySpec::None) {
-            let unsorted = next.clone();
-            let sorted = self.compute.vacuum(next);
-            self.compute.delete_blocks(unsorted.unshared(next));
-            sorted?;
-        }
         draft.commit()
     }
 

@@ -16,8 +16,6 @@ pub struct ClusterConfig {
     pub nodes: u32,
     /// Slices per node — one per core in the paper.
     pub slices_per_node: u32,
-    /// Replica-placement cohort size.
-    pub cohort_size: u32,
     /// Rows per row group (block granularity).
     pub rows_per_group: usize,
     /// Encrypt all data at rest (block→cluster→master key hierarchy).
@@ -29,10 +27,6 @@ pub struct ClusterConfig {
     /// Plan-compilation work units per plan node (0 = free compilation,
     /// useful in unit tests; benches use the calibrated default).
     pub compile_work_per_node: u64,
-    /// Compiled-plan cache capacity (entries).
-    pub plan_cache_capacity: usize,
-    /// Retained system snapshots before aging out.
-    pub system_snapshot_retention: usize,
     /// Seed for the cluster's internal randomness (keys, nonces).
     pub seed: u64,
     /// Retry/backoff policy for every S3-touching path (COPY object
@@ -46,8 +40,6 @@ pub struct ClusterConfig {
     /// Leader result-cache capacity (entries). Sessions opt out per
     /// connection; the sessionless compat API never participates.
     pub result_cache_capacity: usize,
-    /// Results with more rows than this are never cached.
-    pub result_cache_max_rows: usize,
     /// Record per-step, per-slice execution profiles (`svl_query_report`)
     /// for every query. On by default — the profiler-overhead bench
     /// gates the cost; `EXPLAIN ANALYZE` profiles regardless.
@@ -60,19 +52,15 @@ impl ClusterConfig {
             name: name.into(),
             nodes: 2,
             slices_per_node: 2,
-            cohort_size: 4,
             rows_per_group: 4_096,
             encryption: false,
             region: "us-east-1".into(),
             dr_region: None,
             compile_work_per_node: 0,
-            plan_cache_capacity: 64,
-            system_snapshot_retention: 4,
             seed: 0xC0FFEE,
             retry: RetryPolicy::default(),
             wlm: WlmConfig::default(),
             result_cache_capacity: 128,
-            result_cache_max_rows: 10_000,
             profile_queries: true,
         }
     }
@@ -84,11 +72,6 @@ impl ClusterConfig {
 
     pub fn slices_per_node(mut self, s: u32) -> Self {
         self.slices_per_node = s;
-        self
-    }
-
-    pub fn cohort_size(mut self, k: u32) -> Self {
-        self.cohort_size = k;
         self
     }
 
@@ -117,11 +100,6 @@ impl ClusterConfig {
         self
     }
 
-    pub fn plan_cache_capacity(mut self, entries: usize) -> Self {
-        self.plan_cache_capacity = entries;
-        self
-    }
-
     pub fn seed(mut self, s: u64) -> Self {
         self.seed = s;
         self
@@ -144,12 +122,6 @@ impl ClusterConfig {
     /// reuse: a one-entry cache that churns).
     pub fn result_cache_capacity(mut self, entries: usize) -> Self {
         self.result_cache_capacity = entries;
-        self
-    }
-
-    /// Row-count ceiling above which a result is not cached.
-    pub fn result_cache_max_rows(mut self, rows: usize) -> Self {
-        self.result_cache_max_rows = rows;
         self
     }
 

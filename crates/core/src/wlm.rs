@@ -29,6 +29,7 @@
 
 use redsim_common::{Result, RsError};
 use redsim_obs::{TraceSink, LVL_CORE};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -291,7 +292,9 @@ impl Outcome {
 #[derive(Debug, Default, Clone)]
 struct QueueState {
     in_flight: u32,
-    queued: u32,
+    /// Waiting queries by id, longest waiter first: a freed slot goes to
+    /// the head, and a newcomer takes a free slot only when nobody waits.
+    waiting: VecDeque<u64>,
     executed: u64,
     evicted: u64,
     rejected: u64,
@@ -301,6 +304,13 @@ struct QueueState {
     /// Queries terminated by an `abort` monitoring rule.
     aborted: u64,
     queue_wait_ns_total: u64,
+}
+
+impl QueueState {
+    /// Take `qid` off the wait list: admitted, hopped or evicted.
+    fn leave(&mut self, qid: u64) {
+        self.waiting.retain(|&w| w != qid);
+    }
 }
 
 #[derive(Debug)]
@@ -444,8 +454,8 @@ impl WlmController {
             });
         }
 
-        // Free slot: admit with zero wait.
-        if inner.queues[qi].in_flight < q.slots {
+        // Free slot and nobody ahead: admit with zero wait.
+        if inner.queues[qi].in_flight < q.slots && inner.queues[qi].waiting.is_empty() {
             inner.queues[qi].in_flight += 1;
             drop(inner);
             self.trace.counter("wlm.admitted").incr();
@@ -466,7 +476,7 @@ impl WlmController {
         }
 
         // Bounded wait list.
-        if inner.queues[qi].queued as usize >= q.max_queue_len {
+        if inner.queues[qi].waiting.len() >= q.max_queue_len {
             self.record_failure(&mut inner, qi, qid, Outcome::Rejected, 0, 0);
             drop(inner);
             return Err(RsError::InvalidState(format!(
@@ -481,13 +491,13 @@ impl WlmController {
         // Only falling off the *last* eligible queue evicts.
         let mut qi = qi;
         let mut hops = 0u64;
-        inner.queues[qi].queued += 1;
+        inner.queues[qi].waiting.push_back(qid);
         let my_epoch = inner.drain_epoch;
         let mut deadline = t0 + q.max_wait;
         loop {
             let now = Instant::now();
             if inner.draining || inner.drain_epoch != my_epoch {
-                inner.queues[qi].queued -= 1;
+                inner.queues[qi].leave(qid);
                 let wait_ns = now.duration_since(t0).as_nanos() as u64;
                 self.record_failure(&mut inner, qi, qid, Outcome::Evicted, wait_ns, hops);
                 drop(inner);
@@ -495,11 +505,14 @@ impl WlmController {
                     "wlm: evicted from queue by drain".into(),
                 ));
             }
-            if inner.queues[qi].in_flight < self.cfg.queues[qi].slots {
-                inner.queues[qi].queued -= 1;
+            let head = inner.queues[qi].waiting.front() == Some(&qid);
+            if head && inner.queues[qi].in_flight < self.cfg.queues[qi].slots {
+                inner.queues[qi].leave(qid);
                 inner.queues[qi].in_flight += 1;
                 let wait_ns = now.duration_since(t0).as_nanos() as u64;
                 drop(inner);
+                // The next waiter is the head now, and may find a slot.
+                self.cv.notify_all();
                 self.trace.counter("wlm.admitted").incr();
                 self.trace.counter("wlm.queued_admits").incr();
                 let mut guard = WlmGuard {
@@ -520,9 +533,11 @@ impl WlmController {
                 return Ok(guard);
             }
             if now >= deadline {
+                // Leaving may put another waiter at the head.
+                inner.queues[qi].leave(qid);
+                self.cv.notify_all();
                 if let Some(next) = self.next_hop(&inner, qi) {
-                    inner.queues[qi].queued -= 1;
-                    inner.queues[next].queued += 1;
+                    inner.queues[next].waiting.push_back(qid);
                     inner.queues[qi].hopped_out += 1;
                     qi = next;
                     hops += 1;
@@ -533,7 +548,6 @@ impl WlmController {
                     self.trace.counter("wlm.hops").incr();
                     continue;
                 }
-                inner.queues[qi].queued -= 1;
                 let wait_ns = now.duration_since(t0).as_nanos() as u64;
                 self.record_failure(&mut inner, qi, qid, Outcome::Evicted, wait_ns, hops);
                 drop(inner);
@@ -558,7 +572,7 @@ impl WlmController {
     fn next_hop(&self, inner: &Inner, qi: usize) -> Option<usize> {
         (qi + 1..self.cfg.queues.len()).find(|&j| {
             self.cfg.queues[j].user_groups.is_empty()
-                && (inner.queues[j].queued as usize) < self.cfg.queues[j].max_queue_len
+                && inner.queues[j].waiting.len() < self.cfg.queues[j].max_queue_len
         })
     }
 
@@ -672,7 +686,7 @@ impl WlmController {
                 name: def.name.clone(),
                 slots: def.slots,
                 in_flight: st.in_flight,
-                queued: st.queued,
+                queued: st.waiting.len() as u32,
                 executed: st.executed,
                 evicted: st.evicted,
                 rejected: st.rejected,
@@ -946,6 +960,33 @@ mod tests {
         assert!(g2.queue_wait_ns() > 0, "second admit had to wait");
         drop(g2);
         assert_eq!(c.service_class_states()[0].executed, 2);
+    }
+
+    #[test]
+    fn a_freed_slot_goes_to_the_longest_waiter() {
+        let cfg = WlmConfig::with_queues(vec![
+            WlmQueueDef::new("one", 1).max_wait(Duration::from_millis(100))
+        ]);
+        let c = ctl(cfg);
+        // Each round: a waiter queues behind the holder, then the slot
+        // frees as a newcomer arrives. The waiter keeps the slot until it
+        // is joined, so a newcomer that queues behind it times out.
+        let passed = (0..10)
+            .filter(|_| {
+                let holder = c.admit(10, None).unwrap();
+                let c2 = Arc::clone(&c);
+                let waiter = std::thread::spawn(move || c2.admit(10, None));
+                while c.service_class_states()[0].queued == 0 {
+                    std::thread::yield_now();
+                }
+                drop(holder);
+                let newcomer = c.admit(10, None);
+                let _waiter = waiter.join().unwrap();
+                newcomer.is_ok()
+            })
+            .count();
+        assert_eq!(passed, 0, "a newcomer passed the waiter in {passed} of 10 rounds");
+        assert!(crate::WlmAccounting::of(&c.trace).balanced());
     }
 
     #[test]

@@ -472,7 +472,8 @@ impl ReplicatedStore {
             )?;
             let Some(block) = fetched else { continue };
             // New primary: the survivor; new secondary: another live
-            // cohort member.
+            // cohort member — `failed` itself once revived (blank), which
+            // in a two-node cohort is the only one.
             let survivor = if old.primary == failed {
                 old.secondary.filter(|&s| self.node_alive(s))
             } else {
@@ -485,7 +486,7 @@ impl ReplicatedStore {
                 .cohorts
                 .members(survivor)
                 .into_iter()
-                .find(|&m| m != survivor && m != failed && self.node_alive(m));
+                .find(|&m| m != survivor && self.node_alive(m));
             if let Some(ns) = new_secondary {
                 self.nodes[ns.0 as usize].put((*block).clone())?;
                 bytes += block.byte_size() as u64;
@@ -687,6 +688,21 @@ mod tests {
             assert!(p.secondary.is_some());
             assert!(store.get_any(id).is_ok());
         }
+    }
+
+    #[test]
+    fn re_replication_onto_a_revived_node_restores_redundancy() {
+        // Two nodes, nothing backed up: after node 0 is replaced and
+        // re-replicated, losing node 1 must lose nothing.
+        let (_s3, store) = setup(2);
+        let b = block(vec![7; 32]);
+        let id = b.id;
+        store.node_store(NodeId(0)).put(b).unwrap();
+        store.kill_node(NodeId(0));
+        assert!(store.revive_node(NodeId(0)));
+        store.re_replicate(NodeId(0)).unwrap();
+        store.kill_node(NodeId(1));
+        assert_eq!(store.get_any(id).unwrap().payload, vec![7; 32]);
     }
 
     #[test]
