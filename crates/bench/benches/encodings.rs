@@ -2,7 +2,7 @@
 //! automatic analyzer's pick vs the oracle (§2.1's "dusty knob").
 
 use redsim_testkit::bench::{Bench, BenchmarkId};
-use redsim_common::{ColumnData, DataType, Value};
+use redsim_common::{mix64, ColumnData, DataType, Value};
 use redsim_storage::analyzer::{analyze_compression, encoding_report};
 use redsim_storage::encoding::{decode_column, encode_column, Encoding};
 
@@ -13,7 +13,11 @@ fn shapes() -> Vec<(&'static str, ColumnData)> {
     let mut runs = ColumnData::new(DataType::Int8);
     let mut random = ColumnData::new(DataType::Int8);
     let mut small = ColumnData::new(DataType::Int8);
+    // Uniform over 0..5,000, the `adhoc_scan` benchmark's `cust` / `pid`
+    // shape: two-byte delta steps in random order.
+    let mut small_random = ColumnData::new(DataType::Int8);
     for i in 0..ROWS as i64 {
+        small_random.push_value(&Value::Int8((mix64(i as u64) % 5_000) as i64)).unwrap();
         sorted.push_value(&Value::Int8(1_000_000_000 + i * 3)).unwrap();
         runs.push_value(&Value::Int8(i / 5_000)).unwrap();
         random
@@ -38,6 +42,7 @@ fn shapes() -> Vec<(&'static str, ColumnData)> {
         ("int-runs", runs),
         ("int-random", random),
         ("int-small", small),
+        ("int-small-random", small_random),
         ("text-urls", urls),
         ("text-lowcard", cats),
     ]

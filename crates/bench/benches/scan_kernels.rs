@@ -14,8 +14,14 @@
 //!   `LIKE` with a prefix pattern (`like_prefix`) and with one that
 //!   needs backtracking (`like_general`). Each pair must return
 //!   identical selections (asserted per batch before timing).
-//!   `agg_minmax` times a whole filter + MIN/MAX aggregate plan through
-//!   the executor (typed accumulators over `(batch, selection)`)
+//!   Three filter-only shapes time the predicate alone, so that only
+//!   selectivity separates them: `v > 950.0` (`float_tail`, ~5%),
+//!   `v < 500.0` (`float_half`, ~50%; a loop that branches on the data
+//!   pays there, and `ci.sh` holds it within 1.5× of `float_tail`) and
+//!   `note LIKE 'red-03%'` over the `adhoc_scan` benchmark's `color-NNN`
+//!   text (`like_prefix_note`). `agg_minmax` times a whole filter +
+//!   MIN/MAX aggregate plan through the executor (typed accumulators
+//!   over `(batch, selection)`)
 //!   against the row-at-a-time `baseline` engine on the same plan and
 //!   rows, results asserted equal first.
 //! * `spawn_vs_pool` — `testkit::par::map_indexed` (persistent
@@ -29,7 +35,7 @@
 //!   cargo bench --offline -p redsim-bench --bench scan_kernels
 //! and copy results/scan_kernels.csv over results/scan_kernels_baseline.csv.
 
-use redsim_common::{ColumnData, DataType, FxHashMap, Result, Row, Value};
+use redsim_common::{mix64, ColumnData, DataType, FxHashMap, Result, Row, Value};
 use redsim_engine::baseline::{self, RowStore};
 use redsim_engine::exec::{Executor, ScanSink, TableProvider};
 use redsim_engine::expr::{eval_predicate, eval_predicate_interp};
@@ -44,14 +50,17 @@ use redsim_testkit::par;
 const BATCHES: usize = 32;
 const ROWS: usize = 4_096;
 
-/// Batches of (k Int8, v Float8, s Varchar) with ~1/16 NULLs and a
-/// predicate selectivity around 5%.
+/// Batches of (k Int8, v Float8, s Varchar, note Varchar) with ~1/16
+/// NULLs in k and a predicate selectivity around 5%; `v` and `note` are
+/// the `adhoc_scan` benchmark's random `price` and `color-NNN` text.
 fn make_batches() -> Vec<Vec<ColumnData>> {
+    const COLORS: [&str; 8] = ["red", "blue", "green", "amber", "black", "white", "cyan", "pink"];
     (0..BATCHES)
         .map(|b| {
             let mut k = ColumnData::new(DataType::Int8);
             let mut v = ColumnData::new(DataType::Float8);
             let mut s = ColumnData::new(DataType::Varchar);
+            let mut note = ColumnData::new(DataType::Varchar);
             for i in 0..ROWS {
                 let x = (b * ROWS + i) as i64;
                 if x % 16 == 5 {
@@ -59,17 +68,21 @@ fn make_batches() -> Vec<Vec<ColumnData>> {
                 } else {
                     k.push_value(&Value::Int8(x % 64)).unwrap();
                 }
-                v.push_value(&Value::Float8((x.wrapping_mul(2_654_435_761) % 1000) as f64))
-                    .unwrap();
+                // Random cents, like the benchmark's `price`: a period in
+                // the data would let a branch predictor learn the outcomes.
+                let h = mix64(x as u64);
+                v.push_value(&Value::Float8((h % 100_000) as f64 / 100.0)).unwrap();
                 s.push_value(&Value::Str(format!("tag-{}", x % 100))).unwrap();
+                let (color, num) = (COLORS[(h >> 20) as usize % 8], (h >> 24) % 1000);
+                note.push_value(&Value::Str(format!("{color}-{num:03}"))).unwrap();
             }
-            vec![k, v, s]
+            vec![k, v, s, note]
         })
         .collect()
 }
 
 fn col(index: usize) -> Box<BoundExpr> {
-    let ty = [DataType::Int8, DataType::Float8, DataType::Varchar][index];
+    let ty = [DataType::Int8, DataType::Float8, DataType::Varchar, DataType::Varchar][index];
     Box::new(BoundExpr::Column { index, ty })
 }
 
@@ -105,6 +118,21 @@ fn predicates() -> Vec<(&'static str, BoundExpr)> {
         ("like_prefix", shape(like("tag-1%"))),
         // `s LIKE 't%g-_1' AND …` — `%` inside and `_`: the general matcher.
         ("like_general", shape(like("t%g-_1"))),
+    ]
+}
+
+/// Filter-only shapes, timed without the aggregate tail so that only
+/// selectivity separates them: (row label, predicate). A kernel loop
+/// that branches on the data pays for it at ~50% (`float_half`), not at
+/// ~5% (`float_tail`).
+fn filters() -> Vec<(&'static str, BoundExpr)> {
+    vec![
+        ("float_tail", *v_high()),
+        ("float_half", *bin(col(1), BinaryOp::Lt, lit(Value::Float8(500.0)))),
+        (
+            "like_prefix_note",
+            BoundExpr::Like { expr: col(3), pattern: "red-03%".into(), negated: false },
+        ),
     ]
 }
 
@@ -202,6 +230,13 @@ fn bench_scan_pipeline(b: &mut Bench, batches: &[Vec<ColumnData>]) {
             assert_eq!(kernel, interp, "kernel/interp disagreement on {shape:?}");
         }
     }
+    let filters = filters();
+    for (shape, pred) in &filters {
+        for batch in batches {
+            let kernel = eval_predicate(pred, batch, ROWS).unwrap();
+            assert_eq!(kernel, eval_predicate_interp(pred, batch, ROWS).unwrap(), "kernel/interp disagreement on {shape}");
+        }
+    }
     let plan = minmax_plan();
     let provider = OneSlice(batches);
     let store = row_store(batches);
@@ -232,6 +267,14 @@ fn bench_scan_pipeline(b: &mut Bench, batches: &[Vec<ColumnData>]) {
                 }
                 acc.len()
             });
+        });
+    }
+    for (shape, pred) in &filters {
+        g.bench_with_input(BenchmarkId::new("kernel", shape), pred, |bch, pred| {
+            bch.iter(|| batches.iter().map(|b| eval_predicate(pred, b, ROWS).unwrap().len()).sum::<usize>());
+        });
+        g.bench_with_input(BenchmarkId::new("interp", shape), pred, |bch, pred| {
+            bch.iter(|| batches.iter().map(|b| eval_predicate_interp(pred, b, ROWS).unwrap().len()).sum::<usize>());
         });
     }
     g.bench_with_input(BenchmarkId::new("kernel", "agg_minmax"), &plan, |bch, plan| {
@@ -359,12 +402,16 @@ fn main() {
             .unwrap_or(f64::NAN)
     };
     println!();
-    for shape in ["", "arith", "like_prefix", "like_general", "agg_minmax"] {
+    for shape in ["", "arith", "like_prefix", "like_general", "float_tail", "float_half", "like_prefix_note", "agg_minmax"] {
         println!(
             "scan_pipeline {shape:<12}: interp/kernel p50 ratio = {:.1}x",
             p50("interp", shape) / p50("kernel", shape)
         );
     }
+    println!(
+        "scan_pipeline float_half/float_tail kernel p50 ratio = {:.2}x (a branch on the data shows here)",
+        p50("kernel", "float_half") / p50("kernel", "float_tail")
+    );
     for n in ["64", "512", "4096"] {
         println!(
             "spawn_vs_pool n={n}: spawn/pool p50 ratio = {:.1}x",

@@ -94,8 +94,8 @@ impl<'a> Groups<'a> {
             .collect();
         let gids = self.open(&keys, sel)?;
         for ((acc, spec), arg) in self.accs.iter_mut().zip(self.aggs).zip(args) {
-            if gids.is_empty() {
-                acc.update(spec, arg.as_deref(), sel, |_| 0)?;
+            if keys.is_empty() {
+                acc.update_one(spec, arg.as_deref(), sel)?;
             } else {
                 acc.update(spec, arg.as_deref(), sel, |j| gids[j] as usize)?;
             }
@@ -168,6 +168,48 @@ fn for_valid(sel: &Selection, nulls: &Bitmap, mut f: impl FnMut(usize, usize)) {
             }
         })
     }
+}
+
+/// Call `f(row, valid)` for every selected row, without a branch on the
+/// validity bit.
+#[inline]
+fn for_each_valid(sel: &Selection, nulls: &Bitmap, mut f: impl FnMut(usize, bool)) {
+    if nulls.all_set() {
+        sel.for_each(|_, i| f(i, true))
+    } else {
+        sel.for_each(|_, i| f(i, nulls.get(i)))
+    }
+}
+
+/// The `pick` extreme of the valid selected rows, and how many were
+/// valid. Rows fold into four interleaved lanes, so a row's
+/// compare-and-select does not wait on the row before it; a NULL slot
+/// folds in as `id`, `pick`'s identity.
+#[inline]
+fn extreme<T: Copy>(sel: &Selection, nulls: &Bitmap, id: T, x: impl Fn(usize) -> T, pick: impl Fn(T, T) -> T) -> (T, i64) {
+    let mut acc = [(id, 0i64); 4];
+    let mut step = |l: usize, i: usize| {
+        let (v, valid) = (x(i), nulls.get(i));
+        acc[l] = (pick(acc[l].0, if valid { v } else { id }), acc[l].1 + valid as i64);
+    };
+    match sel.ids() {
+        None => {
+            let rows = sel.rows();
+            for k in 0..rows / 4 {
+                (0..4).for_each(|l| step(l, 4 * k + l));
+            }
+            (rows / 4 * 4..rows).for_each(|i| step(0, i));
+        }
+        Some(ids) => {
+            let quads = ids.chunks_exact(4);
+            let rest = quads.remainder();
+            for q in quads {
+                (0..4).for_each(|l| step(l, q[l] as usize));
+            }
+            rest.iter().for_each(|&i| step(0, i as usize));
+        }
+    }
+    acc.iter().fold((id, 0), |(b, m), &(v, k)| (pick(b, v), m + k))
 }
 
 /// Fold `seen` values whose best is `x` into group `g`'s MIN/MAX: `x` is
@@ -346,6 +388,78 @@ impl Acc {
                     spec.output_name
                 )))
             }
+        }
+        Ok(())
+    }
+
+    /// [`Acc::update`] for a plan without GROUP BY keys: the selection
+    /// folds into locals that are stored once per batch, with no group
+    /// id per row and no read-modify-write of `n[0]` through memory.
+    fn update_one(&mut self, spec: &AggExpr, col: Option<&ColumnData>, sel: &Selection) -> Result<()> {
+        match (&mut *self, col) {
+            (Acc::Count { n, star: true }, _) => n[0] += sel.len() as i64,
+            (Acc::Count { n, .. }, Some(c)) => {
+                let mut m = 0;
+                for_each_valid(sel, c.nulls(), |_, valid| m += valid as i64);
+                n[0] += m;
+            }
+            (Acc::SumInt { sum, n }, Some(c)) if is_int_key(c.data_type()) => with_ints!(c,
+                d => {
+                    let (mut s, mut m) = (sum[0], n[0]);
+                    for_each_valid(sel, c.nulls(), |i, valid| {
+                        s += if valid { d[i] as i128 } else { 0 };
+                        m += valid as i64;
+                    });
+                    (sum[0], n[0]) = (s, m);
+                },
+                _ => unreachable!("an integer-family column")),
+            (Acc::SumFloat { sum, n, .. }, Some(c)) if c.data_type() == DataType::Float8 || is_int_key(c.data_type()) => {
+                // Added in selection order, as the value path adds; a NULL
+                // adds -0.0, which leaves every sum's bits as they are.
+                let (mut s, mut m) = (sum[0], n[0]);
+                let mut add = |x: f64, valid: bool| {
+                    s += if valid { x } else { -0.0 };
+                    m += valid as i64;
+                };
+                match c {
+                    ColumnData::Float8 { data, nulls } => for_each_valid(sel, nulls, |i, v| add(data[i], v)),
+                    other => with_ints!(other,
+                        d => for_each_valid(sel, other.nulls(), |i, v| add(d[i] as i64 as f64, v)),
+                        _ => unreachable!("a numeric column")),
+                }
+                (sum[0], n[0]) = (s, m);
+            }
+            (Acc::MinMaxInt { best, n, want }, Some(c)) if is_int_key(c.data_type()) => with_ints!(c,
+                d => {
+                    // Equal integers are indistinguishable: the extreme decides.
+                    let x = |i: usize| d[i] as i64;
+                    let v = match want {
+                        Ordering::Less => extreme(sel, c.nulls(), i64::MAX, x, i64::min),
+                        _ => extreme(sel, c.nulls(), i64::MIN, x, i64::max),
+                    };
+                    fold_best(best, n, 0, v, |x, b| x.cmp(&b) == *want);
+                },
+                _ => unreachable!("an integer-family column")),
+            (Acc::MinMaxFloat { best, n, want }, Some(ColumnData::Float8 { data, nulls })) => {
+                // NaN is greatest: `f64::min` passes a NaN over, so MIN is
+                // NaN only when every valid value is; MAX is NaN when any is.
+                let x = |i: usize| data[i];
+                let (mut v, seen) = match want {
+                    Ordering::Less => extreme(sel, nulls, f64::NAN, x, f64::min),
+                    _ => extreme(sel, nulls, f64::NEG_INFINITY, x, |b, x| {
+                        if b.is_nan() | x.is_nan() { f64::NAN } else { b.max(x) }
+                    }),
+                };
+                // Of equal values the first wins, and ±0.0 or two NaNs can
+                // differ: take the extreme's first occurrence.
+                if seen > 0 && (v == 0.0 || v.is_nan()) {
+                    let first = sel.iter().find(|&i| nulls.get(i) && cmp_f64(data[i], v) == Ordering::Equal);
+                    v = data[first.expect("a valid row holds the extreme")];
+                }
+                fold_best(best, n, 0, (v, seen), |x, b| cmp_f64(x, b) == *want);
+            }
+            // Boxed states, and a column of the wrong type (an error).
+            _ => return self.update(spec, col, sel, |_| 0),
         }
         Ok(())
     }

@@ -129,6 +129,69 @@ macro_rules! with_op {
     };
 }
 
+/// `cmp_f64(a, b) == Less`: IEEE `<`, plus a non-NaN `a` below a NaN `b`.
+#[inline]
+fn f64_lt(a: f64, b: f64) -> bool {
+    (a < b) | (!a.is_nan() & b.is_nan())
+}
+
+/// `cmp_f64(a, b) != Greater`: IEEE `<=`, plus anything below a NaN `b`.
+#[inline]
+fn f64_le(a: f64, b: f64) -> bool {
+    (a <= b) | b.is_nan()
+}
+
+/// `cmp_f64(a, b) == Equal`: IEEE `==`, plus two NaNs.
+#[inline]
+fn f64_eq(a: f64, b: f64) -> bool {
+    (a == b) | (a.is_nan() & b.is_nan())
+}
+
+/// Run `$body` with `$holds: Fn(f64, f64) -> bool` bound to
+/// `cmp_holds(cmp_f64(a, b), $op)`, written as one boolean over IEEE
+/// compares and NaN flags: the float lane's loops carry no branch on the
+/// data, and a NaN operand takes the same loop as any other.
+macro_rules! with_f64_op {
+    ($op:expr, $holds:ident => $body:expr) => {
+        match $op {
+            BinaryOp::Lt => {
+                let $holds = f64_lt;
+                $body
+            }
+            BinaryOp::GtEq => {
+                let $holds = |a, b| !f64_lt(a, b);
+                $body
+            }
+            BinaryOp::LtEq => {
+                let $holds = f64_le;
+                $body
+            }
+            BinaryOp::Gt => {
+                let $holds = |a, b| !f64_le(a, b);
+                $body
+            }
+            BinaryOp::Eq => {
+                let $holds = f64_eq;
+                $body
+            }
+            BinaryOp::NotEq => {
+                let $holds = |a, b| !f64_eq(a, b);
+                $body
+            }
+            _ => unreachable!("comparison operator"),
+        }
+    };
+}
+
+/// `u as f64 / unit`, the DECIMAL slot as `ColumnData::get_f64` reads it,
+/// without the 128-bit conversion's library call when `u` fits an `i64`
+/// (the same correctly rounded double either way).
+#[inline]
+fn dec_f64(u: i128, unit: f64) -> f64 {
+    let narrow = u as i64;
+    (if narrow as i128 == u { narrow as f64 } else { u as f64 }) / unit
+}
+
 /// Evaluate a predicate over every row, or `None` when the expression
 /// (or its operand types) isn't covered by a kernel.
 pub fn try_eval_predicate(
@@ -407,7 +470,7 @@ fn floats(c: &ColumnData) -> Cow<'_, [f64]> {
         ColumnData::Float8 { data, .. } => Cow::Borrowed(data),
         ColumnData::Decimal { data, scale, .. } => {
             let unit = 10f64.powi(*scale as i32);
-            Cow::Owned(data.iter().map(|&u| u as f64 / unit).collect())
+            Cow::Owned(data.iter().map(|&u| dec_f64(u, unit)).collect())
         }
         other => with_ints!(other,
             d => Cow::Owned(d.iter().map(|&x| x as i64 as f64).collect()),
@@ -429,8 +492,8 @@ fn cmp_i64(lo: &Operand, ro: &Operand, op: BinaryOp, cand: &Selection) -> Select
         }
         (Operand::Col(lc), Operand::Col(rc)) => {
             let (a, b) = (ints(lc), ints(rc));
-            cand.select_valid(Some(lc.nulls()), Some(rc.nulls()), |i| {
-                cmp_holds(a[i].cmp(&b[i]), op)
+            with_op!(op, holds => {
+                cand.select_valid(Some(lc.nulls()), Some(rc.nulls()), |i| holds(a[i].cmp(&b[i])))
             })
         }
         (Operand::Lit(a), Operand::Lit(b)) => {
@@ -449,24 +512,23 @@ fn cmp_f64_lane(lo: &Operand, ro: &Operand, op: BinaryOp, cand: &Selection) -> S
         (Operand::Col(lc), Operand::Lit(v)) => {
             let b = v.as_f64().expect("f64 lane literal");
             let nulls = Some(lc.nulls());
-            let test = |a: f64| cmp_holds(cmp_f64(a, b), op);
-            match &**lc {
-                ColumnData::Float8 { data, .. } => with_op!(op, holds => {
-                    cand.select_valid(nulls, None, |i| holds(cmp_f64(data[i], b)))
-                }),
+            with_f64_op!(op, holds => match &**lc {
+                ColumnData::Float8 { data, .. } => {
+                    cand.select_valid(nulls, None, |i| holds(data[i], b))
+                }
                 ColumnData::Decimal { data, scale, .. } => {
                     let unit = 10f64.powi(*scale as i32);
-                    cand.select_valid(nulls, None, |i| test(data[i] as f64 / unit))
+                    cand.select_valid(nulls, None, |i| holds(dec_f64(data[i], unit), b))
                 }
                 other => with_ints!(other,
-                    d => cand.select_valid(nulls, None, |i| test(d[i] as i64 as f64)),
+                    d => cand.select_valid(nulls, None, |i| holds(d[i] as i64 as f64, b)),
                     _ => unreachable!("f64 lane holds numeric columns")),
-            }
+            })
         }
         (Operand::Col(lc), Operand::Col(rc)) => {
             let (a, b) = (floats(lc), floats(rc));
-            cand.select_valid(Some(lc.nulls()), Some(rc.nulls()), |i| {
-                cmp_holds(cmp_f64(a[i], b[i]), op)
+            with_f64_op!(op, holds => {
+                cand.select_valid(Some(lc.nulls()), Some(rc.nulls()), |i| holds(a[i], b[i]))
             })
         }
         (Operand::Lit(a), Operand::Lit(b)) => {
@@ -563,11 +625,7 @@ fn in_list_kernel(
             }
             let vals = floats(&c);
             Some(cand.select_valid(nulls, None, |i| {
-                keep(
-                    items
-                        .iter()
-                        .any(|&b| cmp_f64(vals[i], b) == Ordering::Equal),
-                )
+                keep(items.iter().fold(false, |found, &b| found | f64_eq(vals[i], b)))
             }))
         }
         Lane::Str => {

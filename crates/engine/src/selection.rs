@@ -118,7 +118,9 @@ impl Selection {
     }
 
     /// The selected rows that are valid in every given bitmap and pass
-    /// `test`. Bitmaps without a NULL drop out of the per-row work.
+    /// `test`. Bitmaps without a NULL drop out of the per-row work; the
+    /// others are and-ed in without a branch, so `test` also runs on
+    /// NULL slots (their payload is a plain default value).
     #[inline]
     pub fn select_valid(
         &self,
@@ -128,8 +130,8 @@ impl Selection {
     ) -> Selection {
         match (a.filter(|n| !n.all_set()), b.filter(|n| !n.all_set())) {
             (None, None) => self.select(test),
-            (Some(n), None) | (None, Some(n)) => self.select(|i| n.get(i) && test(i)),
-            (Some(x), Some(y)) => self.select(|i| x.get(i) && y.get(i) && test(i)),
+            (Some(n), None) | (None, Some(n)) => self.select(|i| n.get(i) & test(i)),
+            (Some(x), Some(y)) => self.select(|i| x.get(i) & y.get(i) & test(i)),
         }
     }
 

@@ -2,8 +2,9 @@
 //! one [`Session`] per connection.
 //!
 //! §2: "The leader node accepts connections from client programs" —
-//! here a TCP listener in nonblocking accept mode (so the accept loop
-//! can poll the stop flag), handing each connection to a thread that
+//! here a TCP listener whose accept thread sleeps in a blocking
+//! `accept` (drain wakes it with one loopback connect that is never
+//! admitted), handing each connection to a thread that
 //! speaks the frame protocol from [`crate::wire`]. Connection
 //! concurrency is bounded by `max_connections`: excess clients get a
 //! retryable `THROTTLE` error frame instead of an unbounded backlog.
@@ -23,7 +24,7 @@ use redsim_core::{Cluster, Session};
 use redsim_obs::{TraceSink, LVL_DETAIL};
 use redsim_testkit::sync::Mutex;
 use std::io::Write as _;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -103,9 +104,6 @@ impl FrontDoor {
         let local_addr = listener
             .local_addr()
             .map_err(|e| RsError::ControlPlane(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| RsError::ControlPlane(format!("set_nonblocking: {e}")))?;
         let shared = Arc::new(Shared {
             trace: Arc::clone(cluster.trace()),
             stop: AtomicBool::new(false),
@@ -160,6 +158,15 @@ impl FrontDoor {
     pub fn drain(&self) -> bool {
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.lock().take() {
+            // `accept` blocks: one loopback connect wakes it to see `stop`.
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             let _ = h.join();
         }
         // Half-close: reads unblock with EOF, writes (in-flight
@@ -192,15 +199,16 @@ impl Drop for FrontDoor {
 }
 
 fn accept_loop(listener: TcpListener, cluster: Arc<Cluster>, shared: Arc<Shared>) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let _ = stream.set_nonblocking(false);
-                admit(stream, peer, &cluster, &shared);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+    loop {
+        let accepted = listener.accept();
+        // Drain's wake-up connection (or a client racing it) is dropped
+        // unadmitted.
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, peer)) => admit(stream, peer, &cluster, &shared),
+            // Out of descriptors and the like: back off, then retry.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -385,4 +393,54 @@ fn expect_hello(stream: &mut TcpStream, cluster: &Arc<Cluster>) -> Option<Sessio
 
 fn send(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
     write_frame(stream, &encode_response(resp))
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+    use redsim_core::ClusterConfig;
+
+    /// `(tid, timeslices run so far)` of every accept thread in this
+    /// process, from `/proc/self/task/<tid>/schedstat`.
+    fn accept_threads() -> Vec<(String, u64)> {
+        let mut out = Vec::new();
+        for task in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
+            let dir = task.path();
+            // `comm` keeps the first 15 bytes of the thread name.
+            let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+            let stat = std::fs::read_to_string(dir.join("schedstat")).unwrap_or_default();
+            if let (true, Some(Ok(slices))) =
+                (comm.trim_end() == "frontdoor-accep", stat.split_whitespace().nth(2).map(str::parse))
+            {
+                out.push((task.file_name().to_string_lossy().into_owned(), slices));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn accept_thread_sleeps_while_idle() {
+        let before: Vec<String> = accept_threads().into_iter().map(|(tid, _)| tid).collect();
+        let cluster = Cluster::launch(ClusterConfig::new("idle").nodes(2).slices_per_node(2)).unwrap();
+        let door = FrontDoor::serve(cluster, ServerOpts::default()).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let ours: Vec<(String, u64)> =
+            accept_threads().into_iter().filter(|(tid, _)| !before.contains(tid)).collect();
+        assert!(!ours.is_empty(), "the accept thread is not in /proc/self/task");
+        std::thread::sleep(Duration::from_millis(500));
+        let now = accept_threads();
+        let woke = ours
+            .iter()
+            .map(|(tid, n)| now.iter().find(|(t, _)| t == tid).map_or(0, |(_, m)| m - n))
+            .min()
+            .unwrap();
+        assert!(woke <= 2, "an idle accept thread ran {woke} timeslices in 500 ms");
+        // Drain's wake-up connection is never admitted.
+        let trace = Arc::clone(door.cluster().trace());
+        assert!(door.drain());
+        assert_eq!(trace.counter_value("frontdoor.accepted"), 0);
+        assert_eq!(trace.gauge("frontdoor.connections").get(), 0);
+        assert_eq!(door.active_connections(), 0);
+        assert_eq!(door.cluster().session_manager().active_count(), 0);
+    }
 }

@@ -344,7 +344,7 @@ fn get_value(r: &mut Reader<'_>) -> Result<Value> {
     Ok(match r.get_u8()? {
         0 => Value::Null,
         1 => Value::Bool(r.get_bool()?),
-        2 => Value::Int2(r.get_i32()? as i16),
+        2 => Value::Int2(i16::try_from(r.get_i32()?).map_err(|e| RsError::Codec(format!("INT2: {e}")))?),
         3 => Value::Int4(r.get_i32()?),
         4 => Value::Int8(r.get_i64()?),
         5 => Value::Float8(r.get_f64()?),
@@ -535,6 +535,32 @@ mod tests {
         for frame in frames {
             let err = decode_response(&frame).unwrap_err();
             assert!(matches!(err, RsError::Codec(_)), "{frame:?}: {err}");
+        }
+    }
+
+    /// An INT2 cell carries an `i32` on the wire; one outside `i16` is a
+    /// corrupt frame, not a value to wrap.
+    #[test]
+    fn an_out_of_range_int2_is_a_codec_error() {
+        let rows = |v: i16| {
+            Response::Rows(WireRows {
+                columns: vec![OutCol { name: "s".into(), ty: DataType::Int2 }],
+                rows: vec![Row::new(vec![Value::Int2(v)])],
+                cache_hit: false,
+                result_cache_hit: false,
+            })
+        };
+        for v in [i16::MIN, -1, 0, i16::MAX] {
+            roundtrip_resp(rows(v));
+        }
+        let frame = encode_response(&rows(7));
+        let cell = [&[2u8][..], &7i32.to_le_bytes()].concat();
+        let at = frame.windows(cell.len()).rposition(|w| w == cell).expect("the INT2 cell");
+        for wide in [70_000i32, i16::MAX as i32 + 1, i16::MIN as i32 - 1] {
+            let mut corrupt = frame.clone();
+            corrupt[at + 1..at + 5].copy_from_slice(&wide.to_le_bytes());
+            let err = decode_response(&corrupt).unwrap_err();
+            assert!(matches!(err, RsError::Codec(_)), "{wide}: {err}");
         }
     }
 }

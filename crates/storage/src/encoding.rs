@@ -17,7 +17,7 @@
 //! ```
 
 use crate::lzss;
-use crate::varint::{read_ivarint, write_ivarint};
+use crate::varint::{read_ivarint, sum_ivarints64, write_ivarint};
 use redsim_common::codec::{Reader, Writer};
 use redsim_common::{Bitmap, ColumnData, DataType, Result, RsError, StrVec};
 
@@ -143,14 +143,18 @@ fn widen(col: &ColumnData) -> Option<Vec<i128>> {
 
 /// A payload slot of an integer-family column, for the codecs whose
 /// wire values are widened to `i128`: decoding converts each value
-/// straight into the column's own width.
+/// straight into the column's own width (`wrap`: one known to fit).
 trait IntSlot: Copy {
     fn from_wide(v: i128) -> Option<Self>;
+    fn wrap(v: i64) -> Self;
 }
 
 impl IntSlot for bool {
     fn from_wide(v: i128) -> Option<Self> {
         Some(v != 0)
+    }
+    fn wrap(v: i64) -> Self {
+        v != 0
     }
 }
 
@@ -160,6 +164,10 @@ macro_rules! int_slot {
             #[inline]
             fn from_wide(v: i128) -> Option<Self> {
                 <$t>::try_from(v).ok()
+            }
+            #[inline]
+            fn wrap(v: i64) -> Self {
+                v as $t
             }
         }
     )*};
@@ -194,7 +202,9 @@ macro_rules! int_column {
 }
 
 /// Delta stream: `rows` zigzag varints, each the step from the previous
-/// value.
+/// value. Integer-family steps add in `i64` until one is truncated,
+/// overlong or leaves `i64` (only a corrupt stream does); that one, and
+/// every DECIMAL step, adds in `i128`.
 fn decode_delta<T: IntSlot>(buf: &[u8], rows: usize, ty: DataType) -> Result<Vec<T>> {
     // Every varint takes at least a byte: bound the allocation by the
     // bytes actually present, not by the header's row count.
@@ -202,11 +212,18 @@ fn decode_delta<T: IntSlot>(buf: &[u8], rows: usize, ty: DataType) -> Result<Vec
         return Err(RsError::Codec("delta stream shorter than its row count".into()));
     }
     let mut out = Vec::with_capacity(rows);
-    let mut pos = 0usize;
-    let mut prev = 0i128;
-    for _ in 0..rows {
-        prev += read_ivarint(buf, &mut pos)?;
-        out.push(T::from_wide(prev).ok_or_else(|| out_of_range(prev, ty))?);
+    let (mut pos, mut prev) = (0usize, 0i128);
+    while out.len() < rows {
+        if let (true, Ok(mut run)) = (size_of::<T>() <= 8, i64::try_from(prev)) {
+            sum_ivarints64(buf, &mut pos, &mut run, rows - out.len(), |v| {
+                T::from_wide(v.into()).map(|s| out.push(s)).ok_or_else(|| out_of_range(v.into(), ty))
+            })?;
+            prev = run.into();
+        }
+        if out.len() < rows {
+            prev = prev.checked_add(read_ivarint(buf, &mut pos)?).ok_or_else(|| out_of_range(prev, ty))?;
+            out.push(T::from_wide(prev).ok_or_else(|| out_of_range(prev, ty))?);
+        }
     }
     Ok(out)
 }
@@ -221,17 +238,17 @@ fn decode_mostly<T: IntSlot>(
     ty: DataType,
 ) -> Result<Vec<T>> {
     let slot = |v: i128| T::from_wide(v).ok_or_else(|| out_of_range(v, ty));
-    let mut out: Vec<T> = match width {
-        1 => narrow.iter().map(|&b| slot(b as i8 as i128)).collect::<Result<_>>()?,
-        2 => narrow
-            .chunks_exact(2)
-            .map(|c| slot(i16::from_le_bytes([c[0], c[1]]) as i128))
-            .collect::<Result<_>>()?,
-        _ => narrow
-            .chunks_exact(4)
-            .map(|c| slot(i32::from_le_bytes([c[0], c[1], c[2], c[3]]) as i128))
-            .collect::<Result<_>>()?,
-    };
+    // Widen straight into the slot; only one narrower than the stored value is range-checked.
+    macro_rules! widen {
+        ($n:ty) => {{
+            let vals = narrow.chunks_exact(size_of::<$n>()).map(|c| <$n>::from_le_bytes(c.try_into().unwrap()) as i64);
+            if size_of::<T>() < size_of::<$n>() {
+                vals.clone().try_for_each(|v| slot(v.into()).map(drop))?;
+            }
+            vals.map(T::wrap).collect()
+        }};
+    }
+    let mut out: Vec<T> = match width { 1 => widen!(i8), 2 => widen!(i16), _ => widen!(i32) };
     let mut pos = 0usize;
     for _ in 0..n_exc {
         if pos + 4 > exceptions.len() {
@@ -1097,6 +1114,65 @@ mod tests {
             t.push_value(&Value::Timestamp(us)).unwrap();
         }
         roundtrip(&t, Encoding::Delta);
+    }
+
+    /// A delta block of `ty` whose stream is `varints` (one per row).
+    fn delta_block(ty: DataType, varints: &[u8], rows: usize) -> Vec<u8> {
+        let mut col = ColumnData::new(ty);
+        (0..rows).for_each(|_| col.push_null());
+        // A raw block's header and bitmap words, retagged, then the
+        // payload length and the payload.
+        let mut bytes = encode_column(&col, Encoding::Raw).unwrap();
+        bytes[0] = Encoding::Delta.tag();
+        let head = 12 + 8 * rows.div_ceil(64);
+        [&bytes[..head], &(varints.len() as u32).to_le_bytes(), varints].concat()
+    }
+
+    fn zz(vals: &[i128]) -> Vec<u8> {
+        let mut out = Vec::new();
+        vals.iter().for_each(|&v| write_ivarint(&mut out, v));
+        out
+    }
+
+    #[test]
+    fn corrupt_delta_streams_are_codec_errors_on_both_paths() {
+        let i64_wide = |v: i64| v as i128;
+        let short = zz(&[2, -1]); // two one-byte steps: the i64 path
+        let long = zz(&[1 << 70]); // eleven bytes: the i128 path
+        let overlong = [[0xFFu8; 19].as_slice(), &[0x01]].concat();
+        let cases: Vec<(DataType, Vec<u8>, usize, &str)> = vec![
+            // Truncated after short steps, and inside a long varint.
+            (DataType::Int8, [&short[..], &[0x80]].concat(), 3, "varint truncated"),
+            (DataType::Int8, long[..long.len() - 1].to_vec(), 1, "varint truncated"),
+            (DataType::Decimal(38, 0), [&short[..], &[0x80]].concat(), 3, "varint truncated"),
+            // Overlong (more than 128 bits), after short steps or alone.
+            (DataType::Int4, [&short[..], &overlong].concat(), 3, "varint overflow"),
+            (DataType::Decimal(38, 0), overlong.clone(), 1, "varint overflow"),
+            // Out of the column's range on the i64 path …
+            (DataType::Int2, zz(&[40_000]), 1, "decoded value 40000 out of range"),
+            (DataType::Int4, zz(&[1, i32::MAX as i128]), 2, "decoded value 2147483648 out of range"),
+            (DataType::Date, zz(&[i32::MIN as i128 - 1]), 1, "out of range"),
+            // … where an i64 add overflows and the step is redone wide …
+            (DataType::Int8, zz(&[(1 << 62) - 1; 3]), 3, "decoded value 13835058055282163709 out of range"),
+            (DataType::Timestamp, zz(&[-(1 << 62), -(1 << 62), -1]), 3, "out of range"),
+            // … and on the i128 path.
+            (DataType::Int8, zz(&[i64_wide(i64::MAX), 1]), 2, "out of range"),
+            (DataType::Int8, long.clone(), 1, "out of range"),
+            (DataType::Decimal(38, 0), zz(&[i128::MAX, 1]), 2, "out of range"),
+            // A row count the stream cannot hold.
+            (DataType::Int8, short.clone(), 3, "shorter than its row count"),
+        ];
+        for (ty, varints, rows, want) in cases {
+            let err = decode_column(&delta_block(ty, &varints, rows), Some(ty)).unwrap_err();
+            assert!(matches!(&err, RsError::Codec(m) if m.contains(want)), "{ty} {varints:?}: {err}");
+        }
+        // The neighbours of the limits decode, whichever path each step takes.
+        let edges = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX, i64::MIN, 0];
+        let col = int_col(&edges.map(Some), DataType::Int8);
+        roundtrip(&col, Encoding::Delta);
+        // A BOOL slot keeps any value that is not 0, past i64 or not.
+        let b = decode_column(&delta_block(DataType::Bool, &zz(&[1 << 70, -(1 << 70), 0]), 3), None);
+        assert!(matches!(b, Ok(ColumnData::Bool { data, .. }) if data == [true, false, false]));
     }
 
     #[test]

@@ -70,6 +70,54 @@ pub fn read_ivarint(buf: &[u8], pos: &mut usize) -> Result<i128> {
     Ok(unzigzag(read_uvarint(buf, pos)?))
 }
 
+/// Add up to `n` zigzag varints from `buf` at `*pos` onto `*acc`, handing
+/// each running sum to `emit`. Stops early, with `*pos` on it, at a varint
+/// that is truncated, overlong, or whose value or sum leaves `i64`: those
+/// are [`read_ivarint`]'s to read or report. Eight one-byte or four
+/// two-byte varints in a row — a sorted column's steps, a small key's —
+/// come from one 64-bit load.
+pub fn sum_ivarints64(
+    buf: &[u8],
+    pos: &mut usize,
+    acc: &mut i64,
+    n: usize,
+    mut emit: impl FnMut(i64) -> Result<()>,
+) -> Result<()> {
+    let unzig = |z: u64| ((z >> 1) as i64) ^ -((z & 1) as i64);
+    let mut left = n;
+    while left > 0 {
+        // Eight steps of at most two bytes cannot carry a sum this far
+        // from the limits out of `i64`.
+        if let (Some(w), true) = (buf.get(*pos..*pos + 8), acc.unsigned_abs() < 1 << 62) {
+            let w = u64::from_le_bytes(w.try_into().expect("eight bytes"));
+            let continues = w & 0x8080_8080_8080_8080;
+            if continues == 0 && left >= 8 {
+                for k in 0..8 {
+                    *acc += unzig((w >> (8 * k)) & 0x7F);
+                    emit(*acc)?;
+                }
+                (*pos, left) = (*pos + 8, left - 8);
+                continue;
+            }
+            if continues == 0x0080_0080_0080_0080 && left >= 4 {
+                for k in 0..4 {
+                    let lane = w >> (16 * k);
+                    *acc += unzig((lane & 0x7F) | ((lane >> 1) & 0x3F80));
+                    emit(*acc)?;
+                }
+                (*pos, left) = (*pos + 8, left - 4);
+                continue;
+            }
+        }
+        let mut next = *pos;
+        let Ok(z) = read_uvarint(buf, &mut next) else { break };
+        let Some(sum) = i64::try_from(unzigzag(z)).ok().and_then(|step| acc.checked_add(step)) else { break };
+        (*pos, *acc, left) = (next, sum, left - 1);
+        emit(sum)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,6 +141,50 @@ mod tests {
             assert_eq!(read_ivarint(&buf, &mut pos).unwrap(), v);
         }
         assert_eq!(pos, buf.len());
+    }
+
+    /// `sum_ivarints64`, resumed by `read_ivarint` wherever it stops (as the
+    /// delta decoder does), adds up exactly what `read_ivarint` alone does.
+    #[test]
+    fn sums_agree_with_the_wide_reader() {
+        let mut steps: Vec<i128> = (0..64).map(|k| k % 3 - 1).collect(); // one-byte runs
+        steps.extend((0..64).map(|k| (k * 997) % 8_000 - 4_000)); // mostly two-byte runs
+        for k in 0..64 {
+            steps.extend([1i128 << k, -(1i128 << k), (1i128 << k) - 1, 1, -1, 100]);
+        }
+        // Up to i64::MAX, one past it and back, and far past it (ten bytes).
+        steps.extend([i64::MAX as i128, 1, -1, -(i64::MAX as i128), 1 << 64, -(1 << 64), 0]);
+        let mut buf = Vec::new();
+        steps.iter().for_each(|&v| write_ivarint(&mut buf, v));
+        // Non-canonical (overlong) encodings of 0 and of -64 (zigzag 127).
+        buf.extend_from_slice(&[0x80, 0x00, 0xFF, 0x80, 0x00]);
+        steps.extend([0, -64]);
+        let (mut pos, mut wide, mut sums, mut fast) = (0usize, 0i128, Vec::new(), 0);
+        while sums.len() < steps.len() {
+            if let Ok(mut acc) = i64::try_from(wide) {
+                let before = sums.len();
+                sum_ivarints64(&buf, &mut pos, &mut acc, steps.len() - sums.len(), |v| {
+                    sums.push(v as i128);
+                    Ok(())
+                })
+                .unwrap();
+                (wide, fast) = (acc.into(), fast + sums.len() - before);
+            }
+            if sums.len() < steps.len() {
+                wide += read_ivarint(&buf, &mut pos).unwrap();
+                sums.push(wide);
+            }
+        }
+        let mut total = 0i128;
+        let want: Vec<i128> = steps.iter().map(|s| { total += s; total }).collect();
+        assert_eq!((sums, pos), (want, buf.len()));
+        assert!(fast > steps.len() * 9 / 10, "{fast} of {} on the i64 path", steps.len());
+        // Truncated: it stops on the varint, which the wide reader reports.
+        for cut in [&[0x80u8][..], &[0x02, 0xFF, 0xFF], &[]] {
+            let (mut pos, mut acc) = (0, 0);
+            sum_ivarints64(cut, &mut pos, &mut acc, 2, |_| Ok(())).unwrap();
+            assert!(read_ivarint(cut, &mut pos).is_err(), "{cut:?}");
+        }
     }
 
     #[test]

@@ -64,6 +64,44 @@ fn int_encodings_roundtrip() {
             }
         }
     });
+    // Every integer-family type, each value cut to the type's width, and
+    // INT8 runs through the neighbours of i64::MIN / MAX: delta steps of
+    // one, two and ten bytes, sums at the limits of the i64 accumulator.
+    let edges = [i64::MIN, i64::MIN + 1, i64::MIN + 2, -1, 0, 1, i64::MAX - 2, i64::MAX - 1, i64::MAX];
+    let gen = prop::pair(prop::vec_of(prop::option_of(prop::any_i64()), 0..300), prop::range(0usize..7));
+    prop::check("int_encodings_roundtrip_every_type", &Config::with_cases(64), &gen, |(vals, pick)| {
+        let ty = [DataType::Int2, DataType::Int4, DataType::Date, DataType::Timestamp,
+                  DataType::Bool, DataType::Decimal(38, 0), DataType::Int8][*pick];
+        let mut col = ColumnData::new(ty);
+        for (i, v) in vals.iter().enumerate() {
+            let Some(x) = *v else {
+                col.push_null();
+                continue;
+            };
+            // A third of the rows sit on an edge, in runs, so steps cross it.
+            let x = if x % 3 == 0 { edges[(i / 4) % edges.len()] } else { x };
+            col.push_value(&match ty {
+                DataType::Int2 => Value::Int2(x as i16),
+                DataType::Int4 => Value::Int4(x as i32),
+                DataType::Date => Value::Date(x as i32),
+                DataType::Timestamp => Value::Timestamp(x),
+                DataType::Bool => Value::Bool(x & 1 == 1),
+                // Units past i64 on both sides.
+                DataType::Decimal(..) => Value::Decimal { units: x as i128 * 1_000_003, scale: 0 },
+                _ => Value::Int8(x),
+            })
+            .unwrap();
+        }
+        for enc in Encoding::ALL {
+            if let Ok(bytes) = encode_column(&col, enc) {
+                let back = decode_column(&bytes, Some(ty)).unwrap();
+                assert_eq!(back.len(), col.len());
+                for i in 0..col.len() {
+                    assert_eq!(back.get(i), col.get(i), "{ty} {enc} row {i}");
+                }
+            }
+        }
+    });
 }
 
 #[test]
@@ -2359,17 +2397,12 @@ fn vector_kernels_nan_total_order_end_to_end() {
     let ints: Vec<Option<i64>> = (0..9).map(|i| if i == 4 { None } else { Some(i) }).collect();
     let floats: Vec<Option<usize>> = (0..9).map(|i| if i == 8 { None } else { Some(i) }).collect();
     let strs: Vec<Option<usize>> = (0..9).map(|i| Some(i)).collect();
-    let batch = vector_support::batch(&ints, &floats, &strs, false);
+    let mut batch = vector_support::batch(&ints, &floats, &strs, false);
     let rows = batch[0].len();
+    const OPS: [BinaryOp; 6] =
+        [BinaryOp::Eq, BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::LtEq, BinaryOp::Gt, BinaryOp::GtEq];
     for &lit in vector_support::FLOAT_SPECIALS {
-        for op in [
-            BinaryOp::Eq,
-            BinaryOp::NotEq,
-            BinaryOp::Lt,
-            BinaryOp::LtEq,
-            BinaryOp::Gt,
-            BinaryOp::GtEq,
-        ] {
+        for op in OPS {
             let expr = BoundExpr::Binary {
                 left: Box::new(BoundExpr::Column { index: 1, ty: DataType::Float8 }),
                 op,
@@ -2381,6 +2414,68 @@ fn vector_kernels_nan_total_order_end_to_end() {
             assert_eq!(kernel, interp, "op {op:?} lit {lit:?}");
         }
     }
+
+    // The f64 lane's other inputs: INT8, INT4 and DECIMAL columns against
+    // every special on either side, and column against column; then the
+    // same over a 4,096-row batch where `< 500.0` keeps about half, so
+    // the loops run at full width with every outcome mixed.
+    let column = |ty: DataType, vals: &mut dyn Iterator<Item = Value>| {
+        let mut c = ColumnData::new(ty);
+        vals.for_each(|v| c.push_value(&v).unwrap());
+        c
+    };
+    let dec = |u: i64| Value::Decimal { units: u as i128, scale: 2 };
+    let int4 = column(DataType::Int4, &mut (0..9).map(|i| if i == 2 { Value::Null } else { Value::Int4(i * 40 - 160) }));
+    let decs = column(DataType::Decimal(10, 2), &mut (0..9).map(|i| if i == 6 { Value::Null } else { dec(i * 75 - 300) }));
+    batch.extend([int4, decs]);
+    let mut wide = vec![ColumnData::new(DataType::Int8), ColumnData::new(DataType::Float8)];
+    let (mut x, n) = (0x9E37_79B9_7F4A_7C15u64, 4_096);
+    let mut cols = [DataType::Int4, DataType::Decimal(10, 2)].map(ColumnData::new);
+    for i in 0..n {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let cents = (x % 100_000) as i64;
+        let null = i % 89 == 0;
+        let push = |c: &mut ColumnData, v: Value| c.push_value(if null { &Value::Null } else { &v }).unwrap();
+        push(&mut wide[0], Value::Int8(cents / 100));
+        let f = match i % 97 {
+            0 => f64::NAN,
+            1 => -0.0,
+            2 => 0.0,
+            _ => cents as f64 / 100.0,
+        };
+        push(&mut wide[1], Value::Float8(f));
+        push(&mut cols[0], Value::Int4((cents / 100) as i32));
+        push(&mut cols[1], dec(cents));
+    }
+    wide.extend(cols);
+    let specials = vector_support::FLOAT_SPECIALS.iter().chain(&[500.0, 499.99]);
+    let col = |index: usize, ty: DataType| Box::new(BoundExpr::Column { index, ty });
+    for (batch, [i8c, f8c, i4c, dc]) in [(&batch, [0, 1, 3, 4]), (&wide, [0, 1, 2, 3])] {
+        let rows = batch[0].len();
+        let typed = |i: usize| col(i, batch[i].data_type());
+        let mut exprs = Vec::new();
+        for &lit in specials.clone() {
+            for c in [i8c, f8c, i4c, dc] {
+                let lit = Box::new(BoundExpr::Literal(Value::Float8(lit)));
+                exprs.extend(OPS.map(|op| (typed(c), op, lit.clone())));
+                exprs.extend(OPS.map(|op| (lit.clone(), op, typed(c))));
+            }
+        }
+        for (a, b) in [(f8c, i8c), (dc, f8c), (i4c, dc), (f8c, f8c)] {
+            exprs.extend(OPS.map(|op| (typed(a), op, typed(b))));
+        }
+        for (left, op, right) in exprs {
+            let expr = BoundExpr::Binary { left, op, right };
+            let interp = eval_predicate_interp(&expr, batch, rows).unwrap();
+            let kernel = try_eval_predicate(&expr, batch, rows).expect("f64-lane compare must be kernel-covered");
+            assert_eq!(kernel, interp, "{rows} rows: {expr:?}");
+        }
+    }
+    let half = BoundExpr::Binary { left: col(1, DataType::Float8), op: BinaryOp::Lt, right: Box::new(BoundExpr::Literal(Value::Float8(500.0))) };
+    let kept = try_eval_predicate(&half, &wide, n).unwrap().len();
+    assert!((1_800..2_300).contains(&kept), "`< 500.0` kept {kept} of {n}");
 }
 
 // ---------------------------------------------------------------------
@@ -2486,83 +2581,108 @@ fn vector_aggregates_match_value_path() {
             prop::option_of(prop::any_bool()),
         ),
     );
+    type Spec = (Option<i64>, Option<usize>, Option<i64>, Option<i64>, (Option<usize>, Option<usize>, Option<i64>, Option<bool>));
     let gen = prop::pair(prop::vec_of(row, 0..40), prop::range(0i64..6));
-    prop::check(
-        "vector_aggregates_match_value_path",
-        &Config::with_cases(128),
-        &gen,
-        |(rows, keep_below)| {
-            let mut batches: Vec<Vec<ColumnData>> = Vec::new();
-            let mut heap = Vec::new();
-            for chunk in rows.chunks(7) {
-                let mut cols: Vec<ColumnData> = TYPES.iter().map(|t| ColumnData::new(*t)).collect();
-                for (k, f, big, small, (s0, s1, dec, b)) in chunk {
-                    let vals = [
-                        k.map_or(Value::Null, Value::Int8),
-                        f.map_or(Value::Null, |j| Value::Float8(vector_support::FLOAT_SPECIALS[j])),
-                        // 0 → i64::MAX, 1 → i64::MAX - 1, …: sums wrap.
-                        big.map_or(Value::Null, |b| Value::Int8(i64::MAX - b)),
-                        small.map_or(Value::Null, |s| Value::Int4(s as i32)),
-                        s0.map_or(Value::Null, |j| Value::Str(STRS[j].into())),
-                        s1.map_or(Value::Null, |j| Value::Str(STRS[j].into())),
-                        dec.map_or(Value::Null, |d| Value::Decimal { units: d as i128 * 75, scale: 2 }),
-                        b.map_or(Value::Null, Value::Bool),
-                    ];
-                    for (c, v) in cols.iter_mut().zip(&vals) {
-                        c.push_value(v).unwrap();
-                    }
-                    heap.push(Row::new(vals.to_vec()));
+    let all_keys: [&[usize]; 11] =
+        [&[], &[0], &[4], &[4, 5], &[0, 4], &[1], &[6], &[7], &[1, 6, 7], &[7, 4, 0, 1], &[0, 6, 4, 5]];
+    let check = |rows: &[Spec], keep_below: &i64, key_sets: &[&[usize]]| {
+        let mut batches: Vec<Vec<ColumnData>> = Vec::new();
+        let mut heap = Vec::new();
+        for chunk in rows.chunks(7) {
+            let mut cols: Vec<ColumnData> = TYPES.iter().map(|t| ColumnData::new(*t)).collect();
+            for (k, f, big, small, (s0, s1, dec, b)) in chunk {
+                let vals = [
+                    k.map_or(Value::Null, Value::Int8),
+                    f.map_or(Value::Null, |j| Value::Float8(vector_support::FLOAT_SPECIALS[j])),
+                    // 0 → i64::MAX, 1 → i64::MAX - 1, …: sums wrap.
+                    big.map_or(Value::Null, |b| Value::Int8(i64::MAX - b)),
+                    small.map_or(Value::Null, |s| Value::Int4(s as i32)),
+                    s0.map_or(Value::Null, |j| Value::Str(STRS[j].into())),
+                    s1.map_or(Value::Null, |j| Value::Str(STRS[j].into())),
+                    dec.map_or(Value::Null, |d| Value::Decimal { units: d as i128 * 75, scale: 2 }),
+                    b.map_or(Value::Null, Value::Bool),
+                ];
+                for (c, v) in cols.iter_mut().zip(&vals) {
+                    c.push_value(v).unwrap();
                 }
-                batches.push(cols);
+                heap.push(Row::new(vals.to_vec()));
             }
-            let mut store = RowStore::new();
-            store.insert_table("t", heap);
-            let provider = OneSlice(batches);
-            // `small < keep_below`: keeps nothing at 0 … everything at 5
-            // (NULL `small` never passes).
-            let filter = BoundExpr::Binary {
-                left: Box::new(col(3)),
-                op: BinaryOp::Lt,
-                right: Box::new(BoundExpr::Literal(Value::Int8(*keep_below - 3))),
+            batches.push(cols);
+        }
+        let mut store = RowStore::new();
+        store.insert_table("t", heap);
+        let provider = OneSlice(batches);
+        // `small < keep_below`: keeps nothing at 0 … everything at 5
+        // (NULL `small` never passes).
+        let filter = BoundExpr::Binary {
+            left: Box::new(col(3)),
+            op: BinaryOp::Lt,
+            right: Box::new(BoundExpr::Literal(Value::Int8(*keep_below - 3))),
+        };
+        for &keys in key_sets {
+            let group_by: Vec<BoundExpr> = keys.iter().map(|&k| col(k)).collect();
+            let mut output: Vec<OutCol> = group_by
+                .iter()
+                .map(|g| OutCol { name: "k".into(), ty: g.ty() })
+                .collect();
+            output.extend(aggs.iter().map(|a| OutCol { name: a.output_name.clone(), ty: a.ty() }));
+            let plan = LogicalPlan::Aggregate {
+                input: Box::new(LogicalPlan::Scan {
+                    table: "t".into(),
+                    projection: (0..TYPES.len()).collect(),
+                    output: TYPES
+                        .iter()
+                        .enumerate()
+                        .map(|(i, t)| OutCol { name: format!("c{i}"), ty: *t })
+                        .collect(),
+                    filter: Some(filter.clone()),
+                    pruning: ScanPredicate::default(),
+                }),
+                group_by,
+                aggs: aggs.clone(),
+                output,
             };
-            let key_sets: [&[usize]; 11] =
-                [&[], &[0], &[4], &[4, 5], &[0, 4], &[1], &[6], &[7], &[1, 6, 7], &[7, 4, 0, 1], &[0, 6, 4, 5]];
-            for keys in key_sets {
-                let group_by: Vec<BoundExpr> = keys.iter().map(|&k| col(k)).collect();
-                let mut output: Vec<OutCol> = group_by
-                    .iter()
-                    .map(|g| OutCol { name: "k".into(), ty: g.ty() })
-                    .collect();
-                output.extend(aggs.iter().map(|a| OutCol { name: a.output_name.clone(), ty: a.ty() }));
-                let plan = LogicalPlan::Aggregate {
-                    input: Box::new(LogicalPlan::Scan {
-                        table: "t".into(),
-                        projection: (0..TYPES.len()).collect(),
-                        output: TYPES
-                            .iter()
-                            .enumerate()
-                            .map(|(i, t)| OutCol { name: format!("c{i}"), ty: *t })
-                            .collect(),
-                        filter: Some(filter.clone()),
-                        pruning: ScanPredicate::default(),
-                    }),
-                    group_by,
-                    aggs: aggs.clone(),
-                    output,
-                };
-                let typed = Executor::new(&provider).run(&plan).unwrap();
-                assert_eq!(typed.metrics.interp_fallback, 0);
-                let boxed = baseline::run_plan(&plan, &store).unwrap();
-                // Debug text: NaN equals itself, -0.0 differs from 0.0.
-                let text = |rows: &[Row]| {
-                    let mut v: Vec<String> = rows.iter().map(|r| format!("{:?}", r.values())).collect();
-                    v.sort();
-                    v
-                };
-                assert_eq!(text(&typed.rows()), text(&boxed), "keys={keys:?}");
-            }
-        },
-    );
+            let typed = Executor::new(&provider).run(&plan).unwrap();
+            assert_eq!(typed.metrics.interp_fallback, 0);
+            let boxed = baseline::run_plan(&plan, &store).unwrap();
+            // Debug text: NaN equals itself, -0.0 differs from 0.0.
+            let text = |rows: &[Row]| {
+                let mut v: Vec<String> = rows.iter().map(|r| format!("{:?}", r.values())).collect();
+                v.sort();
+                v
+            };
+            assert_eq!(text(&typed.rows()), text(&boxed), "keys={keys:?}");
+        }
+    };
+    prop::check("vector_aggregates_match_value_path", &Config::with_cases(128), &gen, |(rows, keep_below)| {
+        check(rows, keep_below, &all_keys)
+    });
+    // Without keys the typed fold keeps its running MIN/MAX, COUNT and SUM
+    // in registers: -0.0 before and after 0.0, a NaN first, last or alone,
+    // batches (of 7 rows) with only NULLs, and a selection that keeps
+    // nothing. FLOAT_SPECIALS: 0 = 0.0, 1 = -0.0, 2 = 1.5, 3 = -2.5, 4 = NaN.
+    let float_runs: [&[Option<usize>]; 11] = [
+        &[Some(1), Some(0)],
+        &[Some(0), Some(1), Some(1)],
+        &[Some(1), None, Some(1)],
+        &[Some(4), Some(2), Some(3)],
+        &[Some(2), Some(3), Some(4)],
+        &[Some(4)],
+        &[Some(4), None, Some(4)],
+        &[None; 9],
+        &[None, None, None, None, None, None, None, Some(3), Some(1)],
+        &[Some(2), None, None, None, None, None, None, None, Some(0), None, None, None, None, None, Some(1)],
+        &[],
+    ];
+    for run in float_runs {
+        // `big` and `small` vary too, so integer MIN/MAX and SUM see NULLs.
+        let rows: Vec<Spec> = (run.iter().enumerate())
+            .map(|(i, &f)| (None, f, f.map(|_| i as i64 % 4), Some(i as i64 % 2 - 3), (None, None, None, None)))
+            .collect();
+        for keep_below in [0, 5] {
+            check(&rows, &keep_below, &[&[]]);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
