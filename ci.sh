@@ -573,7 +573,9 @@ if grep -n 'raw\.to_vec()\|parallel_map(keys' crates/core/src/cluster/write.rs; 
   exit 1
 fi
 # Non-test lines of the files the change touched; the parent had 3,633,
-# and the change may add at most 120.
+# and the change may add at most 120. The branch-free scan loops change
+# later added 17 to encoding.rs (the i64 delta path; its own section
+# prints it), so the cap carries those 17 too.
 copy_units_lines=0
 for f in crates/core/src/cluster/write.rs crates/core/src/loader.rs crates/common/src/codec.rs \
   crates/common/src/schema.rs crates/frontdoor/src/wire.rs crates/storage/src/table.rs \
@@ -583,8 +585,8 @@ for f in crates/core/src/cluster/write.rs crates/core/src/loader.rs crates/commo
   copy_units_lines=$((copy_units_lines + n))
 done
 echo "  non-test lines: $copy_units_lines (parent: 3633)"
-if [ "$copy_units_lines" -gt $((3633 + 120)) ]; then
-  echo "ERROR: the touched files grew by more than 120 lines" >&2
+if [ "$copy_units_lines" -gt $((3633 + 120 + 17)) ]; then
+  echo "ERROR: the touched files grew by more than 120 lines (+17 in encoding.rs)" >&2
   exit 1
 fi
 
@@ -615,16 +617,17 @@ echo "== branch-free scan loops (quick pass) =="
 # The per-row loops of the scan path branch on nothing but the loop
 # (DESIGN.md §16 "The per-row loop rule", "The one-group fold", "Integer
 # decode widths"): the f64 lane's operators are IEEE compares and NaN
-# flags, a short LIKE literal is one masked arena word, a plan without
-# keys folds COUNT / SUM in locals and MIN / MAX in four lanes, and delta streams add
-# in i64. Results, errors and bytes are the parent's. The probes: f64-lane
+# flags, a LIKE prefix of <= 8 bytes is one masked arena word, a plan
+# without keys folds COUNT / SUM in locals and MIN / MAX in four lanes,
+# and delta streams add in i64. Results, errors and bytes are the parent's. The probes: f64-lane
 # compares of FLOAT8 / INT8 / INT4 / DECIMAL columns against every float
 # special and over a 4,096-row ~50 % batch equal the interpreter; no-key
 # aggregates over -0.0 / 0.0, NaN first / last / only, all-NULL batches
 # and empty selections equal the value path; every integer-family type
 # round-trips every encoding; truncated, overlong and out-of-range delta
 # streams are Codec errors on the i64 and the i128 path; an idle front
-# door's accept thread sleeps; a wire INT2 outside i16 is a Codec error.
+# door's accept thread sleeps, and drain returns when its wake-up connect
+# fails; a wire INT2 outside i16 is a Codec error.
 cargo test -q --offline --test properties -- vector_kernels_nan_total_order_end_to_end \
   vector_aggregates_match_value_path int_encodings_roundtrip
 cargo test -q --offline -p redsim-engine --lib -- column_kernel_agrees_with_row_matcher \
@@ -632,17 +635,34 @@ cargo test -q --offline -p redsim-engine --lib -- column_kernel_agrees_with_row_
 cargo test -q --offline -p redsim-storage --lib -- corrupt_delta_streams_are_codec_errors_on_both_paths \
   sums_agree_with_the_wide_reader
 cargo test -q --offline -p redsim-frontdoor --lib -- accept_thread_sleeps_while_idle \
-  an_out_of_range_int2_is_a_codec_error
+  drain_is_bounded_when_the_wake_up_connect_fails an_out_of_range_int2_is_a_codec_error
 # A branch on the data in the float lane costs a misprediction per other
-# row at ~50 % selectivity and almost nothing at ~5 %: the committed
-# scan_kernels run must show them within 1.5x (the parent: 2.9x).
-awk -F, '$1 == "scan_pipeline" && $2 == "kernel" && $3 == "float_tail" { tail = $6 }
-  $1 == "scan_pipeline" && $2 == "kernel" && $3 == "float_half" { half = $6 }
-  END {
-    if (!tail || !half) { print "error: float_tail / float_half rows missing" > "/dev/stderr"; exit 1 }
-    printf "float_half = %.2fx float_tail (kernel p50)\n", half / tail
-    if (half / tail > 1.5) { print "error: the float lane branches on the data again" > "/dev/stderr"; exit 1 }
-  }' results/scan_kernels.csv
+# row at ~50 % selectivity and almost nothing at ~5 %. Fresh runs of the
+# two float shapes alone (`-- float`, about a second each, written to
+# scan_kernels_float.csv in a temporary directory) must show
+# `price < 500.0` within 1.5x of `price < 50.0` in one of three tries
+# (0.9-1.15x per run; the parent: 2.7-3.2x).
+sk_dir=$(mktemp -d)
+float_ok=0
+for try in 1 2 3; do
+  RSIM_RESULTS_DIR="$sk_dir/results" cargo bench -q --offline -p redsim-bench --bench scan_kernels \
+    -- float > "$sk_dir/out.txt"
+  if awk -F, -v try="$try" '$1 == "scan_pipeline" && $2 == "kernel" && $3 == "float_tail" { tail = $6 }
+    $1 == "scan_pipeline" && $2 == "kernel" && $3 == "float_half" { half = $6 }
+    END {
+      if (!tail || !half) { print "error: float_tail / float_half rows missing" > "/dev/stderr"; exit 2 }
+      printf "try %d: float_half = %.2fx float_tail (kernel p50)\n", try, half / tail
+      exit (half / tail > 1.5)
+    }' "$sk_dir/results/scan_kernels_float.csv"; then
+    float_ok=1
+    break
+  fi
+done
+rm -rf "$sk_dir"
+if [ "$float_ok" != 1 ]; then
+  echo "error: the float lane branches on the data again (float_half > 1.5x float_tail three times)" >&2
+  exit 1
+fi
 # Non-test lines of the files the change touched, beside the parent's.
 loop_lines=0
 for f in crates/engine/src/kernels.rs:769 crates/engine/src/like.rs:178 crates/engine/src/agg.rs:686 \

@@ -15,9 +15,9 @@
 //!   needs backtracking (`like_general`). Each pair must return
 //!   identical selections (asserted per batch before timing).
 //!   Three filter-only shapes time the predicate alone, so that only
-//!   selectivity separates them: `v > 950.0` (`float_tail`, ~5%),
-//!   `v < 500.0` (`float_half`, ~50%; a loop that branches on the data
-//!   pays there, and `ci.sh` holds it within 1.5× of `float_tail`) and
+//!   selectivity separates them: `price < 50.0` (`float_tail`, ~5%),
+//!   `price < 500.0` (`float_half`, ~50%; a loop that branches on the
+//!   data pays there, and `ci.sh` holds it within 1.5× of `float_tail`) and
 //!   `note LIKE 'red-03%'` over the `adhoc_scan` benchmark's `color-NNN`
 //!   text (`like_prefix_note`). `agg_minmax` times a whole filter +
 //!   MIN/MAX aggregate plan through the executor (typed accumulators
@@ -44,15 +44,16 @@ use redsim_sql::ast::BinaryOp;
 use redsim_sql::plan::{AggExpr, AggFunc, BoundExpr, LogicalPlan, OutCol};
 use redsim_storage::encoding::{encode_column, Encoding};
 use redsim_storage::table::{ScanOutput, ScanPredicate};
-use redsim_testkit::bench::{Bench, BenchmarkId};
+use redsim_testkit::bench::{Bench, BenchmarkId, Group};
 use redsim_testkit::par;
 
 const BATCHES: usize = 32;
 const ROWS: usize = 4_096;
 
-/// Batches of (k Int8, v Float8, s Varchar, note Varchar) with ~1/16
-/// NULLs in k and a predicate selectivity around 5%; `v` and `note` are
-/// the `adhoc_scan` benchmark's random `price` and `color-NNN` text.
+/// Batches of (k Int8, v Float8, s Varchar, note Varchar, price Float8)
+/// with ~1/16 NULLs in k and a predicate selectivity around 5%. `note`
+/// and `price` are the `adhoc_scan` benchmark's `color-NNN` text and
+/// random cents, read only by the filter-only shapes.
 fn make_batches() -> Vec<Vec<ColumnData>> {
     const COLORS: [&str; 8] = ["red", "blue", "green", "amber", "black", "white", "cyan", "pink"];
     (0..BATCHES)
@@ -61,6 +62,7 @@ fn make_batches() -> Vec<Vec<ColumnData>> {
             let mut v = ColumnData::new(DataType::Float8);
             let mut s = ColumnData::new(DataType::Varchar);
             let mut note = ColumnData::new(DataType::Varchar);
+            let mut price = ColumnData::new(DataType::Float8);
             for i in 0..ROWS {
                 let x = (b * ROWS + i) as i64;
                 if x % 16 == 5 {
@@ -68,21 +70,23 @@ fn make_batches() -> Vec<Vec<ColumnData>> {
                 } else {
                     k.push_value(&Value::Int8(x % 64)).unwrap();
                 }
-                // Random cents, like the benchmark's `price`: a period in
-                // the data would let a branch predictor learn the outcomes.
-                let h = mix64(x as u64);
-                v.push_value(&Value::Float8((h % 100_000) as f64 / 100.0)).unwrap();
+                v.push_value(&Value::Float8((x.wrapping_mul(2_654_435_761) % 1000) as f64))
+                    .unwrap();
                 s.push_value(&Value::Str(format!("tag-{}", x % 100))).unwrap();
+                // No period in `price`: a branch predictor would learn one,
+                // and the branch would cost nothing at any selectivity.
+                let h = mix64(x as u64);
                 let (color, num) = (COLORS[(h >> 20) as usize % 8], (h >> 24) % 1000);
                 note.push_value(&Value::Str(format!("{color}-{num:03}"))).unwrap();
+                price.push_value(&Value::Float8((h % 100_000) as f64 / 100.0)).unwrap();
             }
-            vec![k, v, s, note]
+            vec![k, v, s, note, price]
         })
         .collect()
 }
 
 fn col(index: usize) -> Box<BoundExpr> {
-    let ty = [DataType::Int8, DataType::Float8, DataType::Varchar, DataType::Varchar][index];
+    let ty = [DataType::Int8, DataType::Float8, DataType::Varchar, DataType::Varchar, DataType::Float8][index];
     Box::new(BoundExpr::Column { index, ty })
 }
 
@@ -122,13 +126,14 @@ fn predicates() -> Vec<(&'static str, BoundExpr)> {
 }
 
 /// Filter-only shapes, timed without the aggregate tail so that only
-/// selectivity separates them: (row label, predicate). A kernel loop
+/// selectivity separates them (the two float shapes share an operator:
+/// the lane's `<` and `>` differ in cost): (row label, predicate). A kernel loop
 /// that branches on the data pays for it at ~50% (`float_half`), not at
 /// ~5% (`float_tail`).
 fn filters() -> Vec<(&'static str, BoundExpr)> {
     vec![
-        ("float_tail", *v_high()),
-        ("float_half", *bin(col(1), BinaryOp::Lt, lit(Value::Float8(500.0)))),
+        ("float_tail", *bin(col(4), BinaryOp::Lt, lit(Value::Float8(50.0)))),
+        ("float_half", *bin(col(4), BinaryOp::Lt, lit(Value::Float8(500.0)))),
         (
             "like_prefix_note",
             BoundExpr::Like { expr: col(3), pattern: "red-03%".into(), negated: false },
@@ -168,12 +173,12 @@ impl TableProvider for OneSlice<'_> {
     }
 }
 
-/// … and as a heap of rows, for the row-at-a-time baseline.
+/// … and as a heap of (k, v, s) rows, for the row-at-a-time baseline.
 fn row_store(batches: &[Vec<ColumnData>]) -> RowStore {
     let mut rows = Vec::with_capacity(BATCHES * ROWS);
     for b in batches {
         for i in 0..ROWS {
-            rows.push(Row::new(b.iter().map(|c| c.get(i)).collect()));
+            rows.push(Row::new(b[..3].iter().map(|c| c.get(i)).collect()));
         }
     }
     let mut store = RowStore::new();
@@ -231,12 +236,7 @@ fn bench_scan_pipeline(b: &mut Bench, batches: &[Vec<ColumnData>]) {
         }
     }
     let filters = filters();
-    for (shape, pred) in &filters {
-        for batch in batches {
-            let kernel = eval_predicate(pred, batch, ROWS).unwrap();
-            assert_eq!(kernel, eval_predicate_interp(pred, batch, ROWS).unwrap(), "kernel/interp disagreement on {shape}");
-        }
-    }
+    assert_filters_agree(batches, &filters);
     let plan = minmax_plan();
     let provider = OneSlice(batches);
     let store = row_store(batches);
@@ -269,20 +269,50 @@ fn bench_scan_pipeline(b: &mut Bench, batches: &[Vec<ColumnData>]) {
             });
         });
     }
-    for (shape, pred) in &filters {
-        g.bench_with_input(BenchmarkId::new("kernel", shape), pred, |bch, pred| {
-            bch.iter(|| batches.iter().map(|b| eval_predicate(pred, b, ROWS).unwrap().len()).sum::<usize>());
-        });
-        g.bench_with_input(BenchmarkId::new("interp", shape), pred, |bch, pred| {
-            bch.iter(|| batches.iter().map(|b| eval_predicate_interp(pred, b, ROWS).unwrap().len()).sum::<usize>());
-        });
-    }
+    time_filters(&mut g, batches, &filters, true);
     g.bench_with_input(BenchmarkId::new("kernel", "agg_minmax"), &plan, |bch, plan| {
         bch.iter(|| Executor::new(&provider).run(plan).unwrap().row_count());
     });
     g.bench_with_input(BenchmarkId::new("interp", "agg_minmax"), &plan, |bch, plan| {
         bch.iter(|| baseline::run_plan(plan, &store).unwrap().len());
     });
+    g.finish();
+}
+
+fn assert_filters_agree(batches: &[Vec<ColumnData>], filters: &[(&str, BoundExpr)]) {
+    for (shape, pred) in filters {
+        for batch in batches {
+            let kernel = eval_predicate(pred, batch, ROWS).unwrap();
+            assert_eq!(kernel, eval_predicate_interp(pred, batch, ROWS).unwrap(), "kernel/interp disagreement on {shape}");
+        }
+    }
+}
+
+/// Time the filter-only shapes through the kernels and, with `interp`,
+/// through the row interpreter.
+fn time_filters(g: &mut Group<'_>, batches: &[Vec<ColumnData>], filters: &[(&str, BoundExpr)], interp: bool) {
+    for (shape, pred) in filters {
+        g.bench_with_input(BenchmarkId::new("kernel", shape), pred, |bch, pred| {
+            bch.iter(|| batches.iter().map(|b| eval_predicate(pred, b, ROWS).unwrap().len()).sum::<usize>());
+        });
+        if interp {
+            g.bench_with_input(BenchmarkId::new("interp", shape), pred, |bch, pred| {
+                bch.iter(|| batches.iter().map(|b| eval_predicate_interp(pred, b, ROWS).unwrap().len()).sum::<usize>());
+            });
+        }
+    }
+}
+
+/// `cargo bench --bench scan_kernels -- float`: only the kernel rows of
+/// `float_tail` and `float_half`, the pair whose ratio shows a branch on
+/// the data (`ci.sh` runs this), into `results/scan_kernels_float.csv`.
+fn bench_float_only(b: &mut Bench, batches: &[Vec<ColumnData>]) {
+    let floats: Vec<_> = filters().into_iter().filter(|(shape, _)| shape.starts_with("float_")).collect();
+    assert_filters_agree(batches, &floats);
+    let mut g = b.group("scan_pipeline");
+    g.sample_size(10);
+    g.throughput_elems((BATCHES * ROWS) as u64);
+    time_filters(&mut g, batches, &floats, false);
     g.finish();
 }
 
@@ -385,12 +415,21 @@ fn bench_encode(b: &mut Bench) {
 }
 
 fn main() {
-    let mut b = Bench::new("scan_kernels");
-    b.json_summary_to("BENCH_scan_kernels.json");
+    let float_only = std::env::args().skip(1).any(|a| a == "float");
+    // The float-only run writes its own CSV and no JSON point, so it never
+    // overwrites the full run's.
+    let mut b = Bench::new(if float_only { "scan_kernels_float" } else { "scan_kernels" });
+    if !float_only {
+        b.json_summary_to("BENCH_scan_kernels.json");
+    }
     let batches = make_batches();
-    bench_scan_pipeline(&mut b, &batches);
-    bench_spawn_vs_pool(&mut b);
-    bench_encode(&mut b);
+    if float_only {
+        bench_float_only(&mut b, &batches);
+    } else {
+        bench_scan_pipeline(&mut b, &batches);
+        bench_spawn_vs_pool(&mut b);
+        bench_encode(&mut b);
+    }
     let records = b.finish();
 
     // Print the headline ratios so a bench run documents itself.
@@ -402,16 +441,18 @@ fn main() {
             .unwrap_or(f64::NAN)
     };
     println!();
+    let kernel_ratio = p50("kernel", "float_half") / p50("kernel", "float_tail");
+    if float_only {
+        println!("scan_pipeline float_half/float_tail kernel p50 ratio = {kernel_ratio:.2}x");
+        return;
+    }
     for shape in ["", "arith", "like_prefix", "like_general", "float_tail", "float_half", "like_prefix_note", "agg_minmax"] {
         println!(
             "scan_pipeline {shape:<12}: interp/kernel p50 ratio = {:.1}x",
             p50("interp", shape) / p50("kernel", shape)
         );
     }
-    println!(
-        "scan_pipeline float_half/float_tail kernel p50 ratio = {:.2}x (a branch on the data shows here)",
-        p50("kernel", "float_half") / p50("kernel", "float_tail")
-    );
+    println!("scan_pipeline float_half/float_tail kernel p50 ratio = {kernel_ratio:.2}x (a branch on the data shows here)");
     for n in ["64", "512", "4096"] {
         println!(
             "spawn_vs_pool n={n}: spawn/pool p50 ratio = {:.1}x",

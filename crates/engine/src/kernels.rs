@@ -183,15 +183,6 @@ macro_rules! with_f64_op {
     };
 }
 
-/// `u as f64 / unit`, the DECIMAL slot as `ColumnData::get_f64` reads it,
-/// without the 128-bit conversion's library call when `u` fits an `i64`
-/// (the same correctly rounded double either way).
-#[inline]
-fn dec_f64(u: i128, unit: f64) -> f64 {
-    let narrow = u as i64;
-    (if narrow as i128 == u { narrow as f64 } else { u as f64 }) / unit
-}
-
 /// Evaluate a predicate over every row, or `None` when the expression
 /// (or its operand types) isn't covered by a kernel.
 pub fn try_eval_predicate(
@@ -470,7 +461,7 @@ fn floats(c: &ColumnData) -> Cow<'_, [f64]> {
         ColumnData::Float8 { data, .. } => Cow::Borrowed(data),
         ColumnData::Decimal { data, scale, .. } => {
             let unit = 10f64.powi(*scale as i32);
-            Cow::Owned(data.iter().map(|&u| dec_f64(u, unit)).collect())
+            Cow::Owned(data.iter().map(|&u| u as f64 / unit).collect())
         }
         other => with_ints!(other,
             d => Cow::Owned(d.iter().map(|&x| x as i64 as f64).collect()),
@@ -492,8 +483,8 @@ fn cmp_i64(lo: &Operand, ro: &Operand, op: BinaryOp, cand: &Selection) -> Select
         }
         (Operand::Col(lc), Operand::Col(rc)) => {
             let (a, b) = (ints(lc), ints(rc));
-            with_op!(op, holds => {
-                cand.select_valid(Some(lc.nulls()), Some(rc.nulls()), |i| holds(a[i].cmp(&b[i])))
+            cand.select_valid(Some(lc.nulls()), Some(rc.nulls()), |i| {
+                cmp_holds(a[i].cmp(&b[i]), op)
             })
         }
         (Operand::Lit(a), Operand::Lit(b)) => {
@@ -518,7 +509,7 @@ fn cmp_f64_lane(lo: &Operand, ro: &Operand, op: BinaryOp, cand: &Selection) -> S
                 }
                 ColumnData::Decimal { data, scale, .. } => {
                     let unit = 10f64.powi(*scale as i32);
-                    cand.select_valid(nulls, None, |i| holds(dec_f64(data[i], unit), b))
+                    cand.select_valid(nulls, None, |i| holds(data[i] as f64 / unit, b))
                 }
                 other => with_ints!(other,
                     d => cand.select_valid(nulls, None, |i| holds(d[i] as i64 as f64, b)),
@@ -625,7 +616,11 @@ fn in_list_kernel(
             }
             let vals = floats(&c);
             Some(cand.select_valid(nulls, None, |i| {
-                keep(items.iter().fold(false, |found, &b| found | f64_eq(vals[i], b)))
+                keep(
+                    items
+                        .iter()
+                        .any(|&b| cmp_f64(vals[i], b) == Ordering::Equal),
+                )
             }))
         }
         Lane::Str => {

@@ -159,15 +159,11 @@ impl FrontDoor {
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.lock().take() {
             // `accept` blocks: one loopback connect wakes it to see `stop`.
-            let mut wake = self.local_addr;
-            if wake.ip().is_unspecified() {
-                wake.set_ip(match wake {
-                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-                });
+            // If no connect gets through, the thread is left to exit at
+            // its next accept instead of joined, so drain stays bounded.
+            if self.wake_accept() {
+                let _ = h.join();
             }
-            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
-            let _ = h.join();
         }
         // Half-close: reads unblock with EOF, writes (in-flight
         // responses) still flush.
@@ -182,6 +178,24 @@ impl FrontDoor {
             std::thread::sleep(Duration::from_millis(1));
         }
         true
+    }
+
+    /// Connect to the listener so a blocked `accept` returns: up to three
+    /// attempts, `false` when none got through.
+    fn wake_accept(&self) -> bool {
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        (0..3).any(|attempt| {
+            if attempt > 0 {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            TcpStream::connect_timeout(&wake, Duration::from_millis(500)).is_ok()
+        })
     }
 
     /// Drain the front door, then shut the cluster down (WLM drain +
@@ -442,5 +456,28 @@ mod tests {
         assert_eq!(trace.gauge("frontdoor.connections").get(), 0);
         assert_eq!(door.active_connections(), 0);
         assert_eq!(door.cluster().session_manager().active_count(), 0);
+    }
+
+    #[test]
+    fn drain_is_bounded_when_the_wake_up_connect_fails() {
+        let cluster = Cluster::launch(ClusterConfig::new("unwoken").nodes(1).slices_per_node(1)).unwrap();
+        let mut door = FrontDoor::serve(cluster, ServerOpts::default()).unwrap();
+        let trace = Arc::clone(door.cluster().trace());
+        // Aim the wake-up at a port nothing listens on: every connect fails.
+        let live = door.local_addr;
+        door.local_addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let drained = door.drain();
+            let _ = tx.send(drained);
+            door
+        });
+        let drained = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(drained, Ok(true), "drain did not return after a failed wake-up");
+        // The detached accept thread exits at its next accept, unadmitted.
+        drop(TcpStream::connect(live).unwrap());
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(trace.counter_value("frontdoor.accepted"), 0);
+        assert_eq!(trace.gauge("frontdoor.connections").get(), 0);
     }
 }
