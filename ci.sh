@@ -155,7 +155,7 @@ RSIM_PROP_CASES=4 cargo test -q --offline --test properties qmr_
 
 echo "== profiler invariants (quick property pass) =="
 # svl_query_report row count == queries x slices x steps for a pinned
-# workload (and zero with profiling off); EXPLAIN ANALYZE annotates
+# workload (every executed SELECT is profiled); EXPLAIN ANALYZE annotates
 # every plan line with actual rows + time and allocates no query id.
 RSIM_PROP_CASES=4 cargo test -q --offline --test properties profile_
 
@@ -215,39 +215,6 @@ echo "== frontdoor wire-server smoke (64 concurrent sessions) =="
 # The concurrent TCP server end to end: 64 clients, backlog rejection
 # with a retryable THROTTLE, typed errors over the wire, graceful drain.
 cargo test -q --offline --test frontdoor_server
-
-echo "== result-cache bench baseline is honored (benchdiff gate) =="
-# Re-running `cargo bench -p redsim-bench --bench result_cache` rewrites
-# results/result_cache.csv; this diff fails CI if the repeat-mix p50
-# regressed >15% against the committed baseline. With a fresh checkout
-# the two files are identical and the gate is a no-op.
-cargo run -q --offline -p redsim-bench --bin benchdiff -- \
-  results/result_cache_baseline.csv results/result_cache.csv
-
-echo "== profiler overhead stays within 15% (benchdiff gate) =="
-# The profiler-overhead bench writes two CSVs with identical keys —
-# the same query mix with per-step profiling off (baseline) and on.
-# benchdiff's default 15% threshold IS the overhead budget: if
-# profiling ever costs more than 15% p50 on any bench in the mix,
-# this gate fails. Regenerate both files with
-#   cargo bench --offline -p redsim-bench --bench profiler_overhead
-cargo run -q --offline -p redsim-bench --bin benchdiff -- \
-  results/profiler_overhead_off.csv results/profiler_overhead_on.csv
-
-echo "== workload macro-bench baselines are honored (benchdiff gates) =="
-# The workload_replay bench writes per-class latency CSVs from the
-# seeded 1k-tenant virtual replay — the same statements every run, so a
-# drift is an engine/session/WLM cost change, not workload noise. Both
-# p50 and tail are gated: dashboards live and die by p99. Regenerate
-# after an intentional perf change with
-#   cargo bench --offline -p redsim-bench --bench workload_replay
-# and copy each workload_<class>.csv over its _baseline.csv.
-for wl_class in dashboard etl adhoc; do
-  cargo run -q --offline -p redsim-bench --bin benchdiff -- \
-    "results/workload_${wl_class}_baseline.csv" "results/workload_${wl_class}.csv"
-  cargo run -q --offline -p redsim-bench --bin benchdiff -- --p99 \
-    "results/workload_${wl_class}_baseline.csv" "results/workload_${wl_class}.csv"
-done
 
 echo "== copy_load WAL-overhead budget (benchdiff gate) =="
 # Every COPY/INSERT appends+fsyncs a redo-log delta (table image with
@@ -605,8 +572,8 @@ RSIM_PROP_CASES=4 cargo test -q --offline --test model
 cargo test -q --offline -p redsim-core --lib -- resize_keeps_a_sorted_table_sorted \
   a_freed_slot_goes_to_the_longest_waiter
 cargo test -q --offline -p redsim-replication --lib re_replication_onto_a_revived_node_restores_redundancy
-# Structural guard: the four deleted ClusterConfig knobs stay deleted.
-knobs='cohort_size|plan_cache_capacity|system_snapshot_retention|result_cache_max_rows'
+# Structural guard: the five deleted ClusterConfig knobs stay deleted.
+knobs='cohort_size|plan_cache_capacity|system_snapshot_retention|result_cache_max_rows|profile_queries|query_profiling'
 if grep -nE "$knobs" crates/core/src/config.rs \
   || grep -rnE "config\.($knobs)" crates/ src/ tests/ examples/ benchmark/src/; then
   echo "ERROR: a deleted ClusterConfig knob reappeared" >&2
@@ -673,6 +640,44 @@ for f in crates/engine/src/kernels.rs:769 crates/engine/src/like.rs:178 crates/e
   loop_lines=$((loop_lines + n))
 done
 echo "  non-test lines: $loop_lines (parent: 3504)"
+
+echo "== one ruler per question (quick pass) =="
+# A question gets one ruler (EXPERIMENTS.md "One ruler per question"):
+# the result-cache, profiler-overhead and fleet-replay benches are
+# answered by the benchmark workloads' end-to-end metrics, and E8 / E10
+# are deterministic block counts in storage tests, not timing benches.
+# The probes: under no sort key, COMPOUND and INTERLEAVED, a one-column
+# range skips the row groups §3.3 claims; a sorted table skips groups in
+# proportion to selectivity and a scattered one skips none, neither
+# losing a matching row; a sessionless `execute` of a SELECT is logged
+# as `query`'s implicit default session, not as the first user who
+# connected.
+cargo test -q --offline -p redsim-storage --lib -- interleaved_prunes_on_any_dimension \
+  zone_map_pruning_on_sorted_data no_pruning_on_random_data
+cargo test -q --offline -p redsim-core --lib -- sessionless_execute_select_is_logged_as_the_default_user
+# Structural guard: the five benches and their twelve CSVs stay deleted.
+rulers='result_cache|profiler_overhead|workload_replay|zorder_vs_compound|block_skipping'
+csvs='result_cache|result_cache_baseline|profiler_overhead_off|profiler_overhead_on|workload_dashboard|workload_dashboard_baseline|workload_etl|workload_etl_baseline|workload_adhoc|workload_adhoc_baseline|e8_zorder_vs_compound|e10_block_skipping'
+if grep -nE "^name = \"($rulers)\"" crates/bench/Cargo.toml \
+  || grep -nE "^[^#]*--bench ($rulers)\b" ci.sh \
+  || grep -nE "^[^#]*results/($csvs)\.csv" ci.sh \
+  || ls crates/bench/benches results | grep -xE "($rulers)\.rs|($csvs)\.csv"; then
+  echo "ERROR: a deleted bench, its gate or its CSV came back" >&2
+  exit 1
+fi
+# Non-blank non-test lines of the files the change was about, beside the
+# parent's.
+ruler_lines=0
+for d in 'crates/bench/benches/*.rs:1840' 'crates/workload/src/*.rs:940' \
+  crates/core/src/config.rs:123 crates/core/src/cluster/read.rs:307; do
+  n=0
+  for f in ${d%%:*}; do
+    n=$((n + $(awk '/^#\[cfg\(test\)\]/{exit} /[^[:space:]]/{n++} END{print n+0}' "$f")))
+  done
+  printf '  %5d (parent %5d) %s\n' "$n" "${d##*:}" "${d%%:*}"
+  ruler_lines=$((ruler_lines + n))
+done
+echo "  non-test lines: $ruler_lines (parent: 3210)"
 
 echo "== benchdiff smoke (self-diff must pass, regression must fail) =="
 bd_dir=$(mktemp -d)

@@ -274,19 +274,29 @@ impl Cluster {
         &self.leader.usage
     }
 
-    /// Execute any statement; returns a row-count summary.
+    /// Execute any statement; returns a row-count summary. A SELECT or
+    /// EXPLAIN runs as [`Cluster::query`] does.
     pub fn execute(&self, sql: &str) -> Result<ExecSummary> {
-        self.execute_with_ctx(sql, &SessionCtx::unregistered())
+        self.execute_with_ctx(sql, None)
     }
 
-    pub(crate) fn execute_with_ctx(&self, sql: &str, ctx: &SessionCtx) -> Result<ExecSummary> {
+    /// `ctx` is the issuing session's; `None` is the sessionless API.
+    pub(crate) fn execute_with_ctx(
+        &self,
+        sql: &str,
+        ctx: Option<&SessionCtx>,
+    ) -> Result<ExecSummary> {
         self.execute_inner(sql, ctx).inspect_err(|e| self.leader.usage.record_error(e.code()))
     }
 
-    fn execute_inner(&self, sql: &str, ctx: &SessionCtx) -> Result<ExecSummary> {
+    fn execute_inner(&self, sql: &str, ctx: Option<&SessionCtx>) -> Result<ExecSummary> {
         let (feature, result) = match redsim_sql::parse(sql)? {
             Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
-                let n = self.query_with_ctx(sql, ctx)?.rows.len() as u64;
+                let out = match ctx {
+                    Some(ctx) => self.query_with_ctx(sql, ctx),
+                    None => self.query(sql),
+                };
+                let n = out?.rows.len() as u64;
                 return Ok(ExecSummary { rows_affected: n, message: format!("SELECT {n}") });
             }
             Statement::CreateTable(ct) => ("CREATE TABLE", self.run_create_table(ct)),
@@ -294,7 +304,9 @@ impl Cluster {
                 ("DROP TABLE", self.run_drop_table(&name, if_exists))
             }
             Statement::Insert(ins) => ("INSERT", self.run_insert(ins)),
-            Statement::Copy(c) => ("COPY", self.run_copy(c, ctx)),
+            Statement::Copy(c) => {
+                ("COPY", self.run_copy(c, ctx.unwrap_or(&SessionCtx::unregistered())))
+            }
             Statement::Vacuum { table } => ("VACUUM", self.run_vacuum(table.as_deref())),
             Statement::Analyze { table } => ("ANALYZE", self.run_analyze(table.as_deref())),
         };
@@ -739,6 +751,22 @@ mod session_tests {
             assert_eq!(row.get(1).as_i64(), Some(100));
             assert_eq!(row.get(2).as_str(), Some("off"));
         }
+    }
+
+    #[test]
+    fn sessionless_execute_select_is_logged_as_the_default_user() {
+        let c = small();
+        seed(&c);
+        // alice connects first, so she holds the first userid.
+        let alice = c.connect(SessionOpts::new("alice")).unwrap();
+        c.execute("SELECT COUNT(*) FROM t").unwrap();
+        c.query("SELECT COUNT(*) FROM t").unwrap();
+        let stl = c.query("SELECT userid, session FROM stl_query ORDER BY query").unwrap();
+        assert_eq!(stl.rows.len(), 2);
+        let (execute, query) = (&stl.rows[0], &stl.rows[1]);
+        assert_eq!(execute.get(0), query.get(0), "execute and query log one user");
+        assert_ne!(execute.get(0).as_i64(), Some(alice.userid() as i64), "not alice's");
+        assert!(execute.get(1).as_i64().unwrap() > 0, "an implicit session, not session 0");
     }
 
     #[test]

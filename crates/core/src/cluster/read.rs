@@ -164,15 +164,13 @@ impl Cluster {
         // Leader: compile (cache) then dispatch to slices.
         let (cache_hit, compiled, compile_ns) = self.leader.compile(plan, &qspan);
         let mut espan = qspan.child(LVL_PHASE, "query.exec");
-        // Per-step profiling feeds `svl_query_report`; EXPLAIN ANALYZE
-        // needs it regardless of the cluster-wide setting.
-        let profiling = mode == SelectMode::ExplainAnalyze
-            || (mode == SelectMode::Execute && self.config.profile_queries);
+        // Every executed SELECT is profiled: the per-step rows feed
+        // `svl_query_report` and EXPLAIN ANALYZE's annotations.
         let t_exec = std::time::Instant::now();
         let mut out = {
             let executor = Executor::new(&reader)
                 .with_trace(&espan)
-                .with_profiling(profiling)
+                .with_profiling(true)
                 .with_faults(Arc::clone(self.faults()));
             executor.run(&compiled.plan)?
         };
@@ -217,7 +215,7 @@ impl Cluster {
         }
         // Per-step report rows ride the trace as standalone spans so the
         // existing retention machinery bounds them like everything else.
-        if mode == SelectMode::Execute && profiling {
+        if mode == SelectMode::Execute {
             for s in &out.profile {
                 self.trace().span_completed(
                     LVL_CORE,

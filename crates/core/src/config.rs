@@ -40,10 +40,6 @@ pub struct ClusterConfig {
     /// Leader result-cache capacity (entries). Sessions opt out per
     /// connection; the sessionless compat API never participates.
     pub result_cache_capacity: usize,
-    /// Record per-step, per-slice execution profiles (`svl_query_report`)
-    /// for every query. On by default — the profiler-overhead bench
-    /// gates the cost; `EXPLAIN ANALYZE` profiles regardless.
-    pub profile_queries: bool,
 }
 
 impl ClusterConfig {
@@ -61,7 +57,6 @@ impl ClusterConfig {
             retry: RetryPolicy::default(),
             wlm: WlmConfig::default(),
             result_cache_capacity: 128,
-            profile_queries: true,
         }
     }
 
@@ -122,13 +117,6 @@ impl ClusterConfig {
     /// reuse: a one-entry cache that churns).
     pub fn result_cache_capacity(mut self, entries: usize) -> Self {
         self.result_cache_capacity = entries;
-        self
-    }
-
-    /// Toggle per-step query profiling (the profiler-overhead ablation
-    /// compares the two settings).
-    pub fn query_profiling(mut self, on: bool) -> Self {
-        self.profile_queries = on;
         self
     }
 

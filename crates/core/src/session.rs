@@ -83,7 +83,7 @@ pub(crate) struct SessionCtx {
 
 impl SessionCtx {
     /// Context for statements issued through the sessionless `Cluster`
-    /// API without even an implicit registration (e.g. `execute`).
+    /// API without even an implicit registration (`execute`'s writes).
     /// Result cache off: the legacy API predates the cache and its
     /// callers assert on cold-execution telemetry.
     pub(crate) fn unregistered() -> SessionCtx {
@@ -371,7 +371,7 @@ impl Session {
 
     /// Execute any statement on this session.
     pub fn execute(&self, sql: &str) -> Result<ExecSummary> {
-        self.run(sql, |ctx| self.cluster.execute_with_ctx(sql, ctx))
+        self.run(sql, |ctx| self.cluster.execute_with_ctx(sql, Some(ctx)))
     }
 
     /// `SET`-style session settings. Recognized names (case-insensitive):

@@ -373,8 +373,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Enable (or disable) per-step, per-slice profiling. Off by
-    /// default; the cluster turns it on per `profile_queries` config and
-    /// always for `EXPLAIN ANALYZE`.
+    /// default; the cluster turns it on for every SELECT it executes,
+    /// `EXPLAIN ANALYZE` included.
     pub fn with_profiling(mut self, on: bool) -> Self {
         self.profile = if on { Some(Mutex::new(Vec::new())) } else { None };
         self

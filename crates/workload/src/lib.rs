@@ -19,10 +19,7 @@
 //!   through real `Session`s, in two modes: **virtual** (sequential,
 //!   a `VirtualClock` jumps between op timestamps, chaos delays ride
 //!   the same clock — a fleet-day in seconds, deterministically) and
-//!   **wall** (tenant-partitioned worker threads, real contention —
-//!   the bench mode).
-//! * [`report`] — per-class latency CSVs in the `testkit::bench` shape,
-//!   so `benchdiff` gates workload p50/p99 like any micro-bench.
+//!   **wall** (tenant-partitioned worker threads, real contention).
 //!
 //! ```
 //! use redsim_workload::{ReplayDriver, ReplayMode, WorkloadConfig};
@@ -38,7 +35,6 @@
 
 pub mod config;
 pub mod replay;
-pub mod report;
 pub mod synth;
 
 pub use config::{ArrivalCurve, ClassConfig, QueryClass, WorkloadConfig};

@@ -12,7 +12,7 @@
 //! * **Wall** — tenants are partitioned across worker threads (a
 //!   tenant's ops stay ordered on its own sessions) and ops fire at
 //!   `op.at / time_scale` real seconds, or as fast as possible with no
-//!   scale. This is the bench mode: real queue contention, real p99s.
+//!   scale: real queue contention, real p99s.
 
 use crate::config::{QueryClass, WorkloadConfig};
 use crate::synth::{copy_object_body, OpKind, Schedule, ScheduledOp};
@@ -45,8 +45,6 @@ pub struct ClassStats {
     /// Queries answered from the leader result cache.
     pub cache_hits: u64,
     pub latency: Histogram,
-    /// `Histogram` doesn't track minima; kept alongside for the CSV row.
-    pub min_ns: u64,
 }
 
 impl ClassStats {
@@ -58,7 +56,6 @@ impl ClassStats {
             errors: 0,
             cache_hits: 0,
             latency: Histogram::new(),
-            min_ns: u64::MAX,
         }
     }
 
@@ -80,7 +77,6 @@ impl ClassStats {
         self.errors += other.errors;
         self.cache_hits += other.cache_hits;
         self.latency.merge(&other.latency);
-        self.min_ns = self.min_ns.min(other.min_ns);
     }
 
     fn record(&mut self, op: &ScheduledOp, ns: u64, cache_hit: bool, err: bool) {
@@ -95,11 +91,10 @@ impl ClassStats {
             self.cache_hits += 1;
         }
         self.latency.record(ns);
-        self.min_ns = self.min_ns.min(ns);
     }
 }
 
-/// What a replay run produced, for reports, benches, and invariants.
+/// What a replay run produced, for reports and invariants.
 #[derive(Debug)]
 pub struct ReplayReport {
     pub per_class: Vec<ClassStats>,
@@ -126,7 +121,7 @@ impl ReplayReport {
         self.per_class.iter().map(|s| s.errors).sum()
     }
 
-    /// One human-readable line per class, for bench stdout.
+    /// One human-readable line per class.
     pub fn summary(&self) -> String {
         let mut out = String::new();
         for s in &self.per_class {

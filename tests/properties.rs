@@ -286,88 +286,6 @@ fn compiled_equals_interpreted() {
 }
 
 // ---------------------------------------------------------------------
-// Backup → restore is lossless for random tables.
-// ---------------------------------------------------------------------
-
-#[test]
-fn snapshot_restore_is_identity() {
-    let gen = prop::vec_of(prop::pair(prop::any_i64(), prop::pattern("[a-z]{0,12}")), 1..150);
-    prop::check(
-        "snapshot_restore_is_identity",
-        &Config::with_cases(12),
-        &gen,
-        |rows| {
-            use redshift_sim::replication::SnapshotKind;
-            let c = Cluster::launch(
-                ClusterConfig::new("snapprop").nodes(2).slices_per_node(1).rows_per_group(16),
-            )
-            .unwrap();
-            c.execute("CREATE TABLE t (a BIGINT, s VARCHAR(16))").unwrap();
-            let mut csv = String::new();
-            for (a, s) in rows {
-                csv.push_str(&format!("{a},{s}\n"));
-            }
-            c.put_s3_object("x/1", csv.into_bytes());
-            c.execute("COPY t FROM 's3://x/'").unwrap();
-            c.create_snapshot("p", SnapshotKind::User).unwrap();
-            let restored = Cluster::restore_from_snapshot(
-                ClusterConfig::new("snapprop2").nodes(2).slices_per_node(1),
-                Arc::clone(c.s3()),
-                "us-east-1",
-                "snapprop",
-                "p",
-                None,
-            )
-            .unwrap();
-            let q = "SELECT a, s FROM t ORDER BY a, s";
-            assert_eq!(c.query(q).unwrap().rows, restored.query(q).unwrap().rows);
-        },
-    );
-}
-
-// ---------------------------------------------------------------------
-// Sort-key scans return exactly the rows a full scan filters to.
-// ---------------------------------------------------------------------
-
-#[test]
-fn pruned_scans_lose_nothing() {
-    let gen = prop::triple(
-        prop::vec_of(prop::range(0i64..10_000), 50..400),
-        prop::range(0i64..10_000),
-        prop::range(1i64..2_000),
-    );
-    prop::check(
-        "pruned_scans_lose_nothing",
-        &Config::with_cases(12),
-        &gen,
-        |(keys, lo, width)| {
-            let c = Cluster::launch(
-                ClusterConfig::new("prune").nodes(1).slices_per_node(1).rows_per_group(32),
-            )
-            .unwrap();
-            c.execute("CREATE TABLE t (k BIGINT) COMPOUND SORTKEY(k)").unwrap();
-            let mut csv = String::new();
-            for k in keys {
-                csv.push_str(&format!("{k}\n"));
-            }
-            c.put_s3_object("k/1", csv.into_bytes());
-            c.execute("COPY t FROM 's3://k/'").unwrap();
-            c.execute("VACUUM").unwrap();
-            let (lo, hi) = (*lo, *lo + *width);
-            let got = c
-                .query(&format!("SELECT COUNT(*) FROM t WHERE k BETWEEN {lo} AND {hi}"))
-                .unwrap()
-                .rows[0]
-                .get(0)
-                .as_i64()
-                .unwrap();
-            let expect = keys.iter().filter(|&&k| k >= lo && k <= hi).count() as i64;
-            assert_eq!(got, expect);
-        },
-    );
-}
-
-// ---------------------------------------------------------------------
 // Schema round-trip through the catalog codec.
 // ---------------------------------------------------------------------
 
@@ -1479,17 +1397,6 @@ fn profile_report_rows_equal_queries_times_slices_times_steps() {
     }
     let got = c.query("SELECT COUNT(*) FROM svl_query_report").unwrap();
     assert_eq!(got.rows[0].get(0).as_i64(), Some(expected));
-
-    // With profiling off the table stays empty (and queries still run).
-    let off = Cluster::launch(
-        ClusterConfig::new("profile-off").nodes(2).slices_per_node(2).query_profiling(false),
-    )
-    .unwrap();
-    off.execute("CREATE TABLE t (k BIGINT)").unwrap();
-    off.execute("INSERT INTO t VALUES (1)").unwrap();
-    off.query("SELECT COUNT(*) FROM t").unwrap();
-    let none = off.query("SELECT COUNT(*) FROM svl_query_report").unwrap();
-    assert_eq!(none.rows[0].get(0).as_i64(), Some(0));
 }
 
 #[test]
