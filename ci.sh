@@ -679,6 +679,68 @@ for d in 'crates/bench/benches/*.rs:1840' 'crates/workload/src/*.rs:940' \
 done
 echo "  non-test lines: $ruler_lines (parent: 3210)"
 
+echo "== block seal at memory speed (quick pass) =="
+# Sealing a block costs what its bytes cost (DESIGN.md §17 "Load path:
+# sealing a block"): crc32 is slice-by-16 and a zone map's min/max one
+# typed fold per column variant, with every block's payload, crc and
+# zone-map bytes the parent's. The probes: a COPY ... LZSS stream that
+# goes on past the token completing its header's length (a lowered
+# header, appended bytes) is a Codec error, and such an object loads no
+# rows and drops the draft; crc32 equals the bitwise definition at every
+# length 0..=1,024 and start offset 0..16 and on 1 MiB; min_max equals
+# the boxed Value fold over random columns of every variant; the table
+# image bytes are the parent's.
+cargo test -q --offline -p redsim-storage --lib -- a_stream_must_end_at_its_last_token
+cargo test -q --offline -p redsim-core --lib -- a_damaged_lzss_object_loads_nothing \
+  table_image_bytes_are_the_parents
+cargo test -q --offline -p redsim-common --lib -- crc32_slice_by_16_equals_the_bitwise_definition \
+  typed_min_max_equals_the_boxed_fold crc32_known_vector
+# Fresh runs of the seal group alone (`-- seal`, a few seconds, written to
+# copy_load_seal.csv in a temporary directory): in one of three tries the
+# CRC must take <= 0.4x the bytewise reference (0.19x measured) and the
+# typed zone map <= 0.5x the boxed one (0.11-0.15x measured).
+seal_dir=$(mktemp -d)
+seal_ok=0
+for try in 1 2 3; do
+  RSIM_RESULTS_DIR="$seal_dir/results" cargo bench -q --offline -p redsim-bench --bench copy_load \
+    -- seal > "$seal_dir/out.txt"
+  if awk -F, -v try="$try" '$1 == "seal" { p50[$2] = $6 }
+    END {
+      if (!p50["crc32_64KiB"] || !p50["crc32_bytewise_64KiB"] || !p50["zone_map_varchar_2500"] \
+          || !p50["zone_map_boxed_varchar_2500"]) { print "error: seal rows missing" > "/dev/stderr"; exit 2 }
+      crc = p50["crc32_64KiB"] / p50["crc32_bytewise_64KiB"]
+      zm = p50["zone_map_varchar_2500"] / p50["zone_map_boxed_varchar_2500"]
+      printf "try %d: crc32 = %.2fx bytewise, zone map = %.2fx boxed (p50)\n", try, crc, zm
+      exit (crc > 0.4 || zm > 0.5)
+    }' "$seal_dir/results/copy_load_seal.csv"; then
+    seal_ok=1
+    break
+  fi
+done
+rm -rf "$seal_dir"
+if [ "$seal_ok" != 1 ]; then
+  echo "error: sealing a block is back to bytewise CRC or boxed zone maps (three tries)" >&2
+  exit 1
+fi
+# Structural guard: one CRC-32 in the program. The polynomial appears once
+# in non-test code under crates/*/src (the reference CRCs live in a test
+# module and in the bench).
+poly=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 }
+  !t && tolower($0) ~ /0xedb8_?8320/ { n++ } END { print n + 0 }')
+if [ "$poly" != 1 ]; then
+  echo "ERROR: the CRC-32 polynomial appears $poly times in non-test code (one crc32, one table)" >&2
+  exit 1
+fi
+# Non-test lines of the files the change touched, beside the parent's.
+seal_lines=0
+for f in crates/common/src/codec.rs:212 crates/common/src/column.rs:522 crates/storage/src/zonemap.rs:175 \
+  crates/storage/src/lzss.rs:204 crates/core/src/cluster/write.rs:568 crates/bench/benches/copy_load.rs:108; do
+  n=$(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "${f%%:*}")
+  printf '  %5d (parent %5d) %s\n' "$n" "${f##*:}" "${f%%:*}"
+  seal_lines=$((seal_lines + n))
+done
+echo "  non-test lines: $seal_lines (parent: 1789)"
+
 echo "== benchdiff smoke (self-diff must pass, regression must fail) =="
 bd_dir=$(mktemp -d)
 trap 'rm -rf "$bd_dir"' EXIT

@@ -13,20 +13,106 @@
 //! `analyze_ns_per_value/{int,float,varchar}` is that fold alone — one
 //! `TableStats::update` over a 100k-value column; p50 / 100k is ns per
 //! value — which is also what `ANALYZE` pays per scanned value.
+//! `seal/*` is the per-block work of sealing a group, beside the bench-local
+//! reference each replaced: `crc32_64KiB` (slice-by-16, paid at creation
+//! and once per replica put) against `crc32_bytewise_64KiB`, and
+//! `zone_map_varchar_2500` (the typed min/max fold over one etl_load-shaped
+//! 2,500-row VARCHAR block) against `zone_map_boxed_varchar_2500` (a
+//! `Value` per row). `cargo bench --bench copy_load -- seal` times only
+//! this group, into `results/copy_load_seal.csv` and no JSON point
+//! (`ci.sh` runs it).
 //! JSON point: `BENCH_copy_load.json`.
 
+use redsim_common::codec::crc32;
 use redsim_common::{ColumnData, DataType, Value};
 use redsim_core::{Cluster, ClusterConfig};
 use redsim_storage::stats::TableStats;
+use redsim_storage::ZoneMap;
 use redsim_testkit::bench::Bench;
+use std::hint::black_box;
 
 const OBJECTS: usize = 4;
 const ROWS_PER_OBJECT: usize = 2_000;
 const NTH_ROWS: usize = 10_000;
 const LANE_VALUES: usize = 100_000;
+/// A sealed block's bytes, and one etl_load block's rows (10k rows over
+/// four slices).
+const SEAL_BYTES: usize = 64 * 1024;
+const SEAL_ROWS: usize = 2_500;
+
+/// The table of the bytewise CRC-32 `crc32` replaced.
+fn crc32_table() -> [u32; 256] {
+    std::array::from_fn(|i| {
+        (0..8).fold(i as u32, |c, _| if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 })
+    })
+}
+
+/// That CRC: one table lookup per byte.
+fn crc32_bytewise(table: &[u32; 256], data: &[u8]) -> u32 {
+    !data.iter().fold(!0u32, |c, &b| table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8))
+}
+
+/// The zone map a `Value`-per-row fold builds: what `ZoneMap::build` did
+/// before its min/max became one typed fold.
+fn zone_map_boxed(col: &ColumnData) -> ZoneMap {
+    let (mut min, mut max): (Option<Value>, Option<Value>) = (None, None);
+    for v in (0..col.len()).filter(|&i| !col.is_null(i)).map(|i| col.get(i)) {
+        if min.as_ref().is_none_or(|m| v.cmp_sql(m).is_lt()) {
+            min = Some(v.clone());
+        }
+        if max.as_ref().is_none_or(|m| v.cmp_sql(m).is_gt()) {
+            max = Some(v);
+        }
+    }
+    ZoneMap { min, max, null_count: col.null_count() as u32, rows: col.len() as u32 }
+}
+
+/// `seal/*`: the two per-block passes of sealing a group, each beside the
+/// reference it replaced (outputs asserted equal before timing).
+fn bench_seal(b: &mut Bench) {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let bytes: Vec<u8> = (0..SEAL_BYTES)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect();
+    let table = crc32_table();
+    assert_eq!(crc32(&bytes), crc32_bytewise(&table, &bytes));
+    // etl_load's `tag` column: "<status>-<0..100>".
+    let mut tags = ColumnData::new(DataType::Varchar);
+    for i in 0..SEAL_ROWS {
+        let tag = format!("{}-{}", ["new", "paid", "held", "void", "sent", "done"][i * 7 % 6], i * 31 % 100);
+        tags.push_value(&Value::Str(tag)).unwrap();
+    }
+    assert_eq!(ZoneMap::build(&tags), zone_map_boxed(&tags));
+    let mut g = b.group("seal");
+    g.sample_size(10);
+    g.throughput_elems(SEAL_BYTES as u64);
+    g.bench_function("crc32_64KiB", |bch| bch.iter(|| crc32(black_box(&bytes))));
+    g.bench_function("crc32_bytewise_64KiB", |bch| {
+        bch.iter(|| crc32_bytewise(&table, black_box(&bytes)))
+    });
+    g.throughput_elems(SEAL_ROWS as u64);
+    g.bench_function("zone_map_varchar_2500", |bch| bch.iter(|| ZoneMap::build(black_box(&tags))));
+    g.bench_function("zone_map_boxed_varchar_2500", |bch| {
+        bch.iter(|| zone_map_boxed(black_box(&tags)))
+    });
+    g.finish();
+}
 
 fn main() {
-    let mut b = Bench::new("copy_load");
+    let seal_only = std::env::args().skip(1).any(|a| a == "seal");
+    // The seal-only run writes its own CSV and no JSON point, so it never
+    // overwrites the full run's.
+    let mut b = Bench::new(if seal_only { "copy_load_seal" } else { "copy_load" });
+    if seal_only {
+        bench_seal(&mut b);
+        print_seal_ratios(&b.finish());
+        return;
+    }
     b.json_summary_to("BENCH_copy_load.json");
     let c = Cluster::launch(
         ClusterConfig::new("copy-bench").nodes(2).slices_per_node(2),
@@ -104,5 +190,17 @@ fn main() {
         g.bench_function(*name, |bch| bch.iter(|| TableStats::of(cols)));
     }
     g.finish();
-    b.finish();
+    bench_seal(&mut b);
+    print_seal_ratios(&b.finish());
+}
+
+fn print_seal_ratios(records: &[redsim_testkit::bench::Record]) {
+    let p50 = |bench: &str| {
+        records.iter().find(|r| r.group == "seal" && r.bench == bench).map_or(f64::NAN, |r| r.p50_ns)
+    };
+    println!(
+        "seal crc32 slice-by-16/bytewise p50 ratio = {:.2}x; zone map typed/boxed p50 ratio = {:.2}x",
+        p50("crc32_64KiB") / p50("crc32_bytewise_64KiB"),
+        p50("zone_map_varchar_2500") / p50("zone_map_boxed_varchar_2500"),
+    );
 }

@@ -188,26 +188,31 @@ impl<'a> Reader<'a> {
 
 /// CRC-32 (IEEE, reflected) — block integrity checksum.
 ///
-/// Table-driven; the table is computed once at first use.
+/// Slice-by-16: table `t[k]` is the bytewise table `t[0]` advanced `k`
+/// zero bytes, so sixteen lookups fold 16 bytes; safe Rust on every platform.
 pub fn crc32(data: &[u8]) -> u32 {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
+    static TABLES: OnceLock<[[u32; 256]; 16]> = OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 16];
+        for i in 0..256 * 16 {
+            let (k, b) = (i / 256, i % 256);
+            t[k][b] = if k == 0 {
+                (0..8).fold(b as u32, |c, _| if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 })
+            } else {
+                (t[k - 1][b] >> 8) ^ t[0][(t[k - 1][b] & 0xFF) as usize]
+            };
         }
         t
     });
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = data.chunks_exact(16);
+    for c in &mut chunks {
+        let lead = (crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]])).to_le_bytes();
+        let byte = |j: usize| if j < 4 { lead[j] } else { c[j] };
+        crc = (0..16).fold(0, |x, j| x ^ t[15 - j][byte(j) as usize]);
     }
-    !crc
+    !chunks.remainder().iter().fold(crc, |c, &v| t[0][((c ^ v as u32) & 0xFF) as usize] ^ (c >> 8))
 }
 
 #[cfg(test)]
@@ -272,5 +277,40 @@ mod tests {
         // Standard test vector: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The definition, one bit at a time: the reference the table-driven
+    /// `crc32` must equal.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    /// Every length 0..=1,024 at every start offset 0..16 of one random
+    /// buffer (each tail length, each alignment of the 16-byte steps), and
+    /// one 1 MiB buffer, hash as the bitwise definition does.
+    #[test]
+    fn crc32_slice_by_16_equals_the_bitwise_definition() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        };
+        let buf: Vec<u8> = (0..1 << 20).map(|_| next()).collect();
+        for start in 0..16 {
+            for len in 0..=1_024 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start}, len {len}");
+            }
+        }
+        assert_eq!(crc32(&buf), crc32_bitwise(&buf), "1 MiB");
     }
 }

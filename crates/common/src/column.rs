@@ -7,7 +7,8 @@
 
 use crate::bitmap::Bitmap;
 use crate::error::{Result, RsError};
-use crate::types::{DataType, Value};
+use crate::types::{cmp_f64, DataType, Value};
+use std::cmp::Ordering;
 
 /// Arena-backed string vector: `offsets[i]..offsets[i+1]` indexes `bytes`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -469,31 +470,49 @@ impl ColumnData {
         out
     }
 
-    /// Non-NULL min/max as `Value`s (zone-map construction).
+    /// Non-NULL min/max as `Value`s (zone-map construction): the *first*
+    /// minimum and the *first* maximum among the valid rows under
+    /// [`Value::cmp_sql`], `None` when every row is NULL. One typed fold
+    /// per variant, in the order `cmp_sql` gives that type — native for
+    /// integers, DATE and TIMESTAMP, `false < true`, byte order for
+    /// VARCHAR, [`cmp_f64`] for FLOAT8 (so of -0.0 / 0.0, or of two NaN
+    /// payloads, the first one's bits win) and for DECIMAL through `f64`,
+    /// as `cmp_sql` compares two decimals; only the two winners become
+    /// `Value`s.
     pub fn min_max(&self) -> Option<(Value, Value)> {
-        let mut mn: Option<Value> = None;
-        let mut mx: Option<Value> = None;
-        for i in 0..self.len() {
-            if self.is_null(i) {
-                continue;
-            }
-            let v = self.get(i);
-            match &mn {
-                None => {
-                    mn = Some(v.clone());
-                    mx = Some(v);
-                }
-                Some(curmin) => {
-                    if v.cmp_sql(curmin) == std::cmp::Ordering::Less {
-                        mn = Some(v.clone());
-                    }
-                    if v.cmp_sql(mx.as_ref().unwrap()) == std::cmp::Ordering::Greater {
-                        mx = Some(v);
-                    }
-                }
-            }
+        macro_rules! native {
+            ($variant:ident, $data:expr, $nulls:expr) => {{
+                let (a, b) = first_extremes($data.iter().copied(), $nulls, |a, b| a < b)?;
+                (Value::$variant(a), Value::$variant(b))
+            }};
         }
-        mn.zip(mx)
+        let less_f64 = |a: f64, b: f64| cmp_f64(a, b) == Ordering::Less;
+        Some(match self {
+            ColumnData::Bool { data, nulls } => native!(Bool, data, nulls),
+            ColumnData::Int2 { data, nulls } => native!(Int2, data, nulls),
+            ColumnData::Int4 { data, nulls } => native!(Int4, data, nulls),
+            ColumnData::Int8 { data, nulls } => native!(Int8, data, nulls),
+            ColumnData::Date { data, nulls } => native!(Date, data, nulls),
+            ColumnData::Timestamp { data, nulls } => native!(Timestamp, data, nulls),
+            ColumnData::Float8 { data, nulls } => {
+                let (a, b) = first_extremes(data.iter().copied(), nulls, less_f64)?;
+                (Value::Float8(a), Value::Float8(b))
+            }
+            ColumnData::Str { data, nulls } => {
+                let rows = (0..data.len()).map(|i| data.bytes_at(i));
+                let (a, b) = first_extremes(rows, nulls, |a, b| a < b)?;
+                let text = |s| std::str::from_utf8(s).expect("StrVec holds valid UTF-8").to_string();
+                (Value::Str(text(a)), Value::Str(text(b)))
+            }
+            ColumnData::Decimal { data, scale, nulls } => {
+                // `Value::as_f64`'s conversion, carrying the exact units.
+                let unit = 10f64.powi(*scale as i32);
+                let rows = data.iter().map(|&u| (u as f64 / unit, u));
+                let (a, b) = first_extremes(rows, nulls, |a, b| less_f64(a.0, b.0))?;
+                let scale = *scale;
+                (Value::Decimal { units: a.1, scale }, Value::Decimal { units: b.1, scale })
+            }
+        })
     }
 
     /// Release spare capacity, for a column kept long after it was built
@@ -517,6 +536,27 @@ impl ColumnData {
             ColumnData::Decimal { data, .. } => data.len() * 16,
         };
         payload + self.len().div_ceil(8)
+    }
+}
+
+/// The first minimum and the first maximum of the valid rows of `vals`
+/// under the strict order `less`: a later value replaces a winner only
+/// when strictly beyond it. `None` when no row is valid.
+fn first_extremes<T: Copy>(
+    vals: impl Iterator<Item = T>,
+    nulls: &Bitmap,
+    less: impl Fn(T, T) -> bool,
+) -> Option<(T, T)> {
+    fn fold<T: Copy>(mut vals: impl Iterator<Item = T>, less: impl Fn(T, T) -> bool) -> Option<(T, T)> {
+        let first = vals.next()?;
+        Some(vals.fold((first, first), |(mn, mx), v| {
+            (if less(v, mn) { v } else { mn }, if less(mx, v) { v } else { mx })
+        }))
+    }
+    if nulls.all_set() {
+        fold(vals, less)
+    } else {
+        fold(vals.enumerate().filter(|&(i, _)| nulls.get(i)).map(|(_, v)| v), less)
     }
 }
 
@@ -580,6 +620,112 @@ mod tests {
         assert_eq!(mx.as_i64(), Some(5));
         let empty = ColumnData::new(DataType::Int8);
         assert!(empty.min_max().is_none());
+    }
+
+    /// The definition `min_max` must equal: every valid row boxed as a
+    /// `Value` and folded through `cmp_sql`, a winner replaced only by a
+    /// strictly smaller (larger) row.
+    fn boxed_min_max(c: &ColumnData) -> Option<(Value, Value)> {
+        let mut mn: Option<Value> = None;
+        let mut mx: Option<Value> = None;
+        for i in (0..c.len()).filter(|&i| !c.is_null(i)) {
+            let v = c.get(i);
+            match &mn {
+                None => {
+                    mn = Some(v.clone());
+                    mx = Some(v);
+                }
+                Some(curmin) => {
+                    if v.cmp_sql(curmin) == Ordering::Less {
+                        mn = Some(v.clone());
+                    }
+                    if v.cmp_sql(mx.as_ref().unwrap()) == Ordering::Greater {
+                        mx = Some(v);
+                    }
+                }
+            }
+        }
+        mn.zip(mx)
+    }
+
+    /// A value's exact identity: floats by their bits (NaN payload, sign
+    /// of zero), everything else by its debug form.
+    fn exact(v: &Value) -> String {
+        match v {
+            Value::Float8(f) => format!("Float8({:#018x})", f.to_bits()),
+            v => format!("{v:?}"),
+        }
+    }
+
+    /// The typed fold equals the boxed one, bit for bit, over random
+    /// columns of every variant: no NULLs, some NULLs (with extreme
+    /// payloads under them), all NULL and empty; values drawn from small
+    /// pools so extremes repeat; NaN payloads of both signs, -0.0 / 0.0 in
+    /// both orders and infinities; DECIMAL units beyond 2^53, where
+    /// distinct units share an `f64`.
+    #[test]
+    fn typed_min_max_equals_the_boxed_fold() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let floats = [
+            0.0,
+            -0.0,
+            1.5,
+            -1.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            f64::from_bits(0xFFF8_0000_0000_0002),
+            f64::from_bits(0x7FF0_0000_0000_0003),
+            f64::MIN_POSITIVE,
+        ];
+        let strs = ["", "a", "ab", "abc", "b", "B", "é", "ée", "zz", "a\u{0}"];
+        let big = 1i128 << 60;
+        let units = [0, 1, -1, 150, -150, big, big + 1, big + 2, -big, -big - 1, i64::MAX as i128 * 4];
+        let mut checked = 0;
+        for case in 0..4_000u64 {
+            let len = (next() % 48) as usize;
+            let density = match case % 4 {
+                0 => 0,  // no NULLs
+                1 => 64, // all NULL
+                _ => next() % 64,
+            };
+            let valid: Vec<bool> = (0..len).map(|_| next() % 64 >= density).collect();
+            let nulls = Bitmap::from_iter(valid.iter().copied());
+            let mut pick = |n: usize| (next() % n as u64) as usize;
+            let col = match case % 9 {
+                0 => ColumnData::Bool { data: (0..len).map(|_| pick(2) == 1).collect(), nulls },
+                1 => ColumnData::Int2 { data: (0..len).map(|_| pick(7) as i16 - 3).collect(), nulls },
+                2 => ColumnData::Int4 {
+                    data: (0..len).map(|_| [i32::MIN, -5, 0, 5, i32::MAX][pick(5)]).collect(),
+                    nulls,
+                },
+                3 => ColumnData::Int8 {
+                    data: (0..len).map(|_| [i64::MIN, -9, 0, 9, i64::MAX][pick(5)]).collect(),
+                    nulls,
+                },
+                4 => ColumnData::Float8 { data: (0..len).map(|_| floats[pick(floats.len())]).collect(), nulls },
+                5 => ColumnData::Str { data: (0..len).map(|_| strs[pick(strs.len())]).collect(), nulls },
+                6 => ColumnData::Date { data: (0..len).map(|_| pick(9) as i32 - 4).collect(), nulls },
+                7 => ColumnData::Timestamp { data: (0..len).map(|_| pick(9) as i64 * 1_000_003).collect(), nulls },
+                _ => ColumnData::Decimal {
+                    data: (0..len).map(|_| units[pick(units.len())]).collect(),
+                    scale: pick(5) as u8,
+                    nulls,
+                },
+            };
+            let key = |mm: Option<(Value, Value)>| mm.map(|(a, b)| (exact(&a), exact(&b)));
+            assert_eq!(key(col.min_max()), key(boxed_min_max(&col)), "case {case}: {col:?}");
+            checked += usize::from(col.min_max().is_some());
+        }
+        assert!(checked > 2_000, "too few columns had a valid row: {checked}");
     }
 
     #[test]

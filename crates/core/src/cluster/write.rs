@@ -790,6 +790,43 @@ mod tests {
         }
     }
 
+    /// A damaged `COPY … LZSS` object loads nothing: with its header
+    /// lowered to end inside line 101, or 12 bytes appended after its
+    /// last token, the COPY fails with the object's typed codec error,
+    /// and the draft, which had already appended the good object before
+    /// it, is dropped: no rows, no blocks, the catalog as it was.
+    #[test]
+    fn a_damaged_lzss_object_loads_nothing() {
+        let text: String = (0..200).map(|i| format!("{i},{}\n", i * 7919 % 1000)).collect();
+        let good = redsim_storage::lzss::compress(text.as_bytes());
+        // Line 101 is "100,900"; a prefix ending at "100,9" parses.
+        let cut = offset_of_line(&text, 101) + 5;
+        let mut lowered = good.clone();
+        lowered[..4].copy_from_slice(&(cut as u32).to_le_bytes());
+        let mut appended = good.clone();
+        appended.extend_from_slice(&[0x5A; 12]);
+        for (name, damaged) in [("lowered", lowered), ("appended", appended)] {
+            let c = Cluster::launch(
+                ClusterConfig::new("lzss").nodes(2).slices_per_node(2).rows_per_group(16),
+            )
+            .unwrap();
+            c.execute("CREATE TABLE t (k BIGINT, v BIGINT)").unwrap();
+            c.put_s3_object("z/0", good.clone());
+            c.put_s3_object("z/1", damaged);
+            let before = (storage(&c, "t"), c.catalog_version());
+            let err = c.execute("COPY t FROM 's3://z/' LZSS").unwrap_err();
+            assert!(matches!(err, RsError::Analysis(_)), "{name}: {err}");
+            assert!(err.to_string().contains("z/1: ") && err.to_string().contains("LZSS"), "{name}: {err}");
+            assert_eq!((storage(&c, "t"), c.catalog_version()), before, "{name}");
+            assert_eq!(c.trace().counter_value("write_txn.rollbacks"), 1, "{name}: no draft dropped");
+            let q = c.query("SELECT COUNT(*) FROM t").unwrap();
+            assert_eq!(q.rows[0].get(0).as_i64(), Some(0), "{name}");
+            // The good object alone still loads whole.
+            c.put_s3_object("y/0", good.clone());
+            assert_eq!(c.execute("COPY t FROM 's3://y/' LZSS").unwrap().rows_affected, 200);
+        }
+    }
+
     /// The four ways a COPY source reaches the loader.
     #[derive(Clone, Copy, Debug)]
     enum Form {

@@ -104,7 +104,8 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompress a buffer produced by [`compress`].
+/// Decompress a buffer produced by [`compress`]. The stream must end
+/// exactly at the token that completes the header's length.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, redsim_common::RsError> {
     use redsim_common::RsError;
     let err = || RsError::Codec("corrupt LZSS stream".into());
@@ -199,6 +200,11 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, redsim_common::RsError> {
             }
         }
     }
+    // `compress` ends the stream at its last token: bytes after it mean a
+    // lowered header (a truncated prefix would decode) or appended junk.
+    if pos != data.len() {
+        return Err(err());
+    }
     Ok(out)
 }
 
@@ -281,6 +287,35 @@ mod tests {
             let data: Vec<u8> = (0..3000).map(|i| (i % period) as u8 ^ (i / 997) as u8).collect();
             roundtrip(&data);
         }
+    }
+
+    /// A stream that goes on past the token completing its header's
+    /// length is corrupt: a lowered header must not decode to a prefix,
+    /// and bytes appended after the last token must not be ignored.
+    #[test]
+    fn a_stream_must_end_at_its_last_token() {
+        let text: String = (0..200).map(|i| format!("{i},{}\n", i * 7919 % 1000)).collect();
+        let c = compress(text.as_bytes());
+        assert_eq!(decompress(&c).unwrap(), text.as_bytes());
+        // Lower the header to end inside line 101, "100,900": at "100,9".
+        let cut = text.split_inclusive('\n').take(100).map(str::len).sum::<usize>() + 5;
+        let mut lowered = c.clone();
+        lowered[..4].copy_from_slice(&(cut as u32).to_le_bytes());
+        assert!(decompress(&lowered).is_err(), "a lowered header decoded a prefix");
+        let mut appended = c.clone();
+        appended.extend_from_slice(&[0x5A; 12]);
+        assert!(decompress(&appended).is_err(), "appended bytes were ignored");
+        // Every shorter header, and one junk byte after any stream.
+        for len in 0..text.len() {
+            lowered[..4].copy_from_slice(&(len as u32).to_le_bytes());
+            assert!(decompress(&lowered).is_err(), "header lowered to {len}");
+        }
+        for data in [&b""[..], b"a", b"abcabcabc", text.as_bytes()] {
+            let mut c = compress(data);
+            c.push(0);
+            assert!(decompress(&c).is_err(), "{} bytes + 1", data.len());
+        }
+        assert_eq!(compress(b""), 0u32.to_le_bytes(), "the empty stream is its header");
     }
 
     #[test]

@@ -23,10 +23,10 @@ pub struct ZoneMap {
 impl ZoneMap {
     /// Build from a column segment.
     pub fn build(col: &ColumnData) -> ZoneMap {
-        let mm = col.min_max();
+        let (min, max) = col.min_max().unzip();
         ZoneMap {
-            min: mm.as_ref().map(|(a, _)| a.clone()),
-            max: mm.map(|(_, b)| b),
+            min,
+            max,
             null_count: col.null_count() as u32,
             rows: col.len() as u32,
         }
