@@ -123,23 +123,6 @@ echo "== mvcc invariants (quick property pass) =="
 # land, and quiesce leaks no spans/sessions/WLM slots.
 RSIM_PROP_CASES=4 cargo test -q --offline --test properties mvcc_
 
-echo "== crash-recovery invariants (quick property pass) =="
-# Redo-log replay: a seeded write schedule, a crash at a random armed
-# WAL seam (append/sync/commit) with the hard-crash flag up, then
-# recovery. The committed prefix — and nothing else — is visible; the
-# torn statement's orphan blocks are scrubbed; a second crash/recover is
-# a fixpoint. Replay a failure with RSIM_SEED=<seed>.
-RSIM_PROP_CASES=4 cargo test -q --offline --test properties recovery_
-
-echo "== load-time statistics invariants (quick property pass) =="
-# COPY (STATUPDATE) and INSERT fold the loaded batch into the table's
-# statistics record instead of rescanning the table: over generated
-# schedules of COPY / INSERT / STATUPDATE OFF / crash-recover /
-# snapshot-restore / resize on KEY, EVEN and ALL tables with every
-# DataType, the folded record equals what ANALYZE computes next, field
-# for field and sketch hash for hash.
-RSIM_PROP_CASES=4 cargo test -q --offline --test properties stats_
-
 echo "== session + result cache invariants (quick property pass) =="
 # Randomized multi-session schedules: cache hits bit-identical to cold
 # executions, rolled-back COPY never moves the catalog version, abrupt
@@ -655,9 +638,10 @@ echo "== one ruler per question (quick pass) =="
 cargo test -q --offline -p redsim-storage --lib -- interleaved_prunes_on_any_dimension \
   zone_map_pruning_on_sorted_data no_pruning_on_random_data
 cargo test -q --offline -p redsim-core --lib -- sessionless_execute_select_is_logged_as_the_default_user
-# Structural guard: the five benches and their twelve CSVs stay deleted.
-rulers='result_cache|profiler_overhead|workload_replay|zorder_vs_compound|block_skipping'
-csvs='result_cache|result_cache_baseline|profiler_overhead_off|profiler_overhead_on|workload_dashboard|workload_dashboard_baseline|workload_etl|workload_etl_baseline|workload_adhoc|workload_adhoc_baseline|e8_zorder_vs_compound|e10_block_skipping'
+# Structural guard: the six benches and their thirteen CSVs stay deleted
+# (`ablations` went in PR 34).
+rulers='result_cache|profiler_overhead|workload_replay|zorder_vs_compound|block_skipping|ablations'
+csvs='ablations|result_cache|result_cache_baseline|profiler_overhead_off|profiler_overhead_on|workload_dashboard|workload_dashboard_baseline|workload_etl|workload_etl_baseline|workload_adhoc|workload_adhoc_baseline|e8_zorder_vs_compound|e10_block_skipping'
 if grep -nE "^name = \"($rulers)\"" crates/bench/Cargo.toml \
   || grep -nE "^[^#]*--bench ($rulers)\b" ci.sh \
   || grep -nE "^[^#]*results/($csvs)\.csv" ci.sh \
@@ -740,6 +724,32 @@ for f in crates/common/src/codec.rs:212 crates/common/src/column.rs:522 crates/s
   seal_lines=$((seal_lines + n))
 done
 echo "  non-test lines: $seal_lines (parent: 1789)"
+
+echo "== one trace (quick pass) =="
+# The trace has one level (DESIGN.md §8): every span the code opens is
+# recorded, the system tables are its one reader, and S3Sim keeps no
+# sink — a fault at an s3.* seam counts in the sink its caller passes.
+# The probes: two clusters on one S3 (a restore), s3.get throttled once
+# under the first one's COPY, count it in the first's fault.injected and
+# not the second's; a SELECT records one exec.slice per slice, a COPY one
+# copy.object per object and one copy.slice_seal per slice.
+cargo test -q --offline --test failure_injection a_clusters_s3_faults_count_in_its_own_sink
+cargo test -q --offline -p redsim-core --lib -- query_spans_all_close_and_nest copy_spans_record_ingest_phases
+# Structural guard: the verbosity knob, its levels and the exporters stay
+# deleted, and S3Sim keeps no sink.
+if grep -rnE 'RSIM_TRACE|LVL_CORE|LVL_PHASE|LVL_DETAIL|with_level|export_json|export_text|metrics_to_' \
+  crates/ src/ tests/ examples/ || grep -n 'set_trace' crates/replication/src/s3sim.rs; then
+  echo "ERROR: a trace level, an exporter or S3Sim's own sink came back" >&2
+  exit 1
+fi
+# Non-blank non-test lines of crates/obs/src, beside the parent's.
+obs_lines=0
+for f in crates/obs/src/*.rs; do
+  n=$(awk '/^#\[cfg\(test\)\]/{exit} /[^[:space:]]/{n++} END{print n+0}' "$f")
+  printf '  %5d %s\n' "$n" "$f"
+  obs_lines=$((obs_lines + n))
+done
+echo "  non-test lines: $obs_lines (parent: 981)"
 
 echo "== benchdiff smoke (self-diff must pass, regression must fail) =="
 bd_dir=$(mktemp -d)

@@ -17,11 +17,11 @@
 //! recipe to keep refactors honest:
 //!
 //! ```text
-//! cargo bench --offline -p redsim-bench --bench ablations
-//! cp results/ablations.csv /tmp/base.csv
+//! cargo bench --offline -p redsim-bench --bench scan_kernels
+//! cp results/scan_kernels.csv /tmp/base.csv
 //! # ... hack hack hack ...
-//! cargo bench --offline -p redsim-bench --bench ablations
-//! cargo run --offline -p redsim-bench --bin benchdiff -- /tmp/base.csv results/ablations.csv
+//! cargo bench --offline -p redsim-bench --bench scan_kernels
+//! cargo run --offline -p redsim-bench --bin benchdiff -- /tmp/base.csv results/scan_kernels.csv
 //! ```
 
 use redsim_testkit::bench::{diff_stat, fmt_ns, parse_csv, DiffStat};

@@ -88,15 +88,6 @@ impl Bitmap {
         }
     }
 
-    /// Append all bits from `other`.
-    pub fn extend_from(&mut self, other: &Bitmap) {
-        // Bit-by-bit is fine: extension happens on the load path where the
-        // per-row parse dominates.
-        for i in 0..other.len {
-            self.push(other.get(i));
-        }
-    }
-
     /// Row-wise AND with `other` (same length): valid where both are.
     /// Word-at-a-time, for kernels that combine operand validity.
     pub fn and(&self, other: &Bitmap) -> Bitmap {

@@ -35,10 +35,6 @@ impl Row {
         &self.values[i]
     }
 
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// Render as a tab-separated line (examples/tools output).
     pub fn to_tsv(&self) -> String {
         let mut s = String::new();

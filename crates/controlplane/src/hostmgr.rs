@@ -8,7 +8,7 @@
 //! example, restarting a database process on failure."
 
 use redsim_common::FxHashMap;
-use redsim_obs::{AttrValue, TraceSink, LVL_PHASE};
+use redsim_obs::{AttrValue, TraceSink};
 use redsim_simkit::SimTime;
 use std::sync::Arc;
 
@@ -139,11 +139,7 @@ impl HostManager {
                     _ => ("hostmgr.restarts", "hostmgr.restart"),
                 };
                 t.counter(counter).incr();
-                let mut span = t.span(LVL_PHASE, event);
-                if span.is_recording() {
-                    span.attr("at_secs", AttrValue::F64(now.as_secs_f64()));
-                }
-                span.finish();
+                t.span(event).attr("at_secs", AttrValue::F64(now.as_secs_f64()));
             }
             return Some(self.state);
         }
@@ -266,7 +262,7 @@ mod tests {
     #[test]
     fn typed_errors_classify_and_count_retryables() {
         use redsim_common::RsError;
-        let sink = Arc::new(TraceSink::with_level(LVL_PHASE));
+        let sink = Arc::new(TraceSink::new());
         let mut m = HostManager::new(HostManagerConfig::default()).with_trace(Arc::clone(&sink));
         // A retry-exhausted throttle (transient class preserved) and a
         // permanent fault land in different Pareto buckets.
@@ -286,7 +282,7 @@ mod tests {
 
     #[test]
     fn telemetry_counters_and_events() {
-        let sink = Arc::new(TraceSink::with_level(LVL_PHASE));
+        let sink = Arc::new(TraceSink::new());
         let mut m = HostManager::new(HostManagerConfig::default()).with_trace(Arc::clone(&sink));
         m.heartbeat(SimTime::from_secs(0));
         let mut t = SimTime::ZERO;

@@ -40,11 +40,6 @@ impl StepSpec {
         self.max_attempts = n.max(1);
         self
     }
-
-    pub fn with_timeout(mut self, secs: f64) -> StepSpec {
-        self.timeout_secs = secs;
-        self
-    }
 }
 
 /// A sequence of steps.

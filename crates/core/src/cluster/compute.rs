@@ -11,7 +11,7 @@ use redsim_common::{ColumnData, Result, Row, RsError};
 use redsim_distribution::{ClusterTopology, DistStyle, RowRouter, SliceId};
 use redsim_engine::baseline;
 use redsim_engine::exec::{rows_of, ScanSink, TableProvider};
-use redsim_obs::{Span, LVL_DETAIL};
+use redsim_obs::Span;
 use redsim_sql::{CatalogView, TableMeta};
 use redsim_storage::stats::TableStats;
 use redsim_storage::table::{ScanOutput, ScanPredicate, SliceTable, SortKeySpec};
@@ -101,10 +101,8 @@ impl Compute {
     /// each failure.
     pub fn seal(&self, next: &mut TableVersion, span: &Span) -> Vec<Result<()>> {
         self.on_slices_mut(next, |slice, t, store| {
-            let mut sspan = span.child(LVL_DETAIL, "copy.slice_seal");
-            if sspan.is_recording() {
-                sspan.attr("slice", slice);
-            }
+            let mut sspan = span.child("copy.slice_seal");
+            sspan.attr("slice", slice);
             t.flush(store)
         })
     }

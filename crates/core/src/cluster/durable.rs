@@ -137,7 +137,6 @@ impl Durable {
         // One retry schedule per cluster: jitter is derived from the
         // cluster seed so chaos runs replay bit-for-bit.
         let retry = config.retry.with_seed(config.seed);
-        s3.set_trace(Arc::clone(&trace));
         blocks.set_trace(Arc::clone(&trace));
         blocks.set_retry_policy(retry);
         let backup = BackupManager::new(

@@ -17,7 +17,7 @@ use redsim_engine::compile::CompiledQuery;
 use redsim_engine::exec::{rows_of, ExecMetrics, Executor};
 use redsim_engine::PlanCache;
 use redsim_faultkit::FaultRegistry;
-use redsim_obs::{Span, TraceSink, LVL_CORE, LVL_PHASE};
+use redsim_obs::{Span, TraceSink};
 use redsim_sql::plan::LogicalPlan;
 use redsim_sql::{ast, optimizer, Binder};
 use redsim_testkit::sync::{Mutex, RwLock};
@@ -101,7 +101,7 @@ pub(super) struct Leader {
     /// §5 future work: usage statistics by feature and plan shape.
     pub usage: UsageStats,
     /// Per-cluster telemetry sink; `stl_*` / `svl_*` system tables are
-    /// materialized from it (verbosity via `RSIM_TRACE=0|1|2`).
+    /// materialized from it.
     pub trace: Arc<TraceSink>,
     /// Monotonic query ids for `stl_query` (1-based, SELECTs only).
     query_seq: AtomicU64,
@@ -155,7 +155,7 @@ impl Leader {
     /// Compile through the plan cache under a `query.compile` child of
     /// `qspan`. Returns (cache hit?, compiled plan, nanoseconds).
     pub fn compile(&self, plan: LogicalPlan, qspan: &Span) -> (bool, Arc<CompiledQuery>, u64) {
-        let mut cspan = qspan.child(LVL_PHASE, "query.compile");
+        let mut cspan = qspan.child("query.compile");
         let t0 = std::time::Instant::now();
         let (compiled, cache_hit) = self.plan_cache.get_or_compile(plan);
         let compile_ns = t0.elapsed().as_nanos() as u64;
@@ -172,12 +172,10 @@ impl Leader {
     /// spans under this `query` span is how tests verify the skip.
     pub fn serve_cached(&self, sql: &str, ctx: &SessionCtx, hit: &CachedResult) -> QueryResult {
         self.trace.counter("result_cache.hits").incr();
-        let mut qspan = self.trace.span(LVL_CORE, "query");
-        if qspan.is_recording() {
-            stamp_query(&mut qspan, self.next_query_id(), sql, hit.row_count(), ctx);
-            qspan.attr("result_cache", "hit");
-            qspan.attr("plan", hit.plan.clone());
-        }
+        let mut qspan = self.trace.span("query");
+        stamp_query(&mut qspan, self.next_query_id(), sql, hit.row_count(), ctx);
+        qspan.attr("result_cache", "hit");
+        qspan.attr("plan", hit.plan.clone());
         qspan.finish();
         self.usage.record_feature("SELECT");
         let mut served = QueryResult::new(

@@ -12,7 +12,7 @@ use redsim_common::codec::Reader;
 use redsim_common::Result;
 use redsim_crypto::HsmSim;
 use redsim_distribution::SliceId;
-use redsim_obs::{TraceSink, LVL_PHASE};
+use redsim_obs::TraceSink;
 use redsim_replication::{BackupManager, S3Sim, SnapshotInfo, SnapshotKind};
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
@@ -27,7 +27,7 @@ impl Cluster {
     /// Launch against a shared S3 (restore drills, DR, resize).
     pub fn launch_with_s3(config: ClusterConfig, s3: Arc<S3Sim>) -> Result<Arc<Cluster>> {
         let keys = if config.encryption { Some(Keys::create(config.seed)?) } else { None };
-        let durable = Durable::create(&config, Arc::new(TraceSink::from_env()), s3, keys)?;
+        let durable = Durable::create(&config, Arc::new(TraceSink::new()), s3, keys)?;
         Self::assemble(config, durable, |_, _| Ok(Catalog::default()))
     }
 
@@ -41,13 +41,11 @@ impl Cluster {
         // Exclusive: waits out in-flight table writers, so the manifest
         // only ever references committed blocks.
         let _txn = self.begin_write_txn(WriteScope::Exclusive)?;
-        let mut span = self.trace().span(LVL_PHASE, "snapshot");
+        let mut span = self.trace().span("snapshot");
         let catalog = self.leader.catalog();
         let blocks = catalog.block_ids();
-        if span.is_recording() {
-            span.attr("id", id);
-            span.attr("blocks", blocks.len());
-        }
+        span.attr("id", id);
+        span.attr("blocks", blocks.len());
         self.durable.snapshot(id, kind, &catalog, blocks)
     }
 
@@ -71,18 +69,14 @@ impl Cluster {
         snapshot_id: &str,
         hsm: Option<Arc<HsmSim>>,
     ) -> Result<Arc<Cluster>> {
-        let trace = Arc::new(TraceSink::from_env());
-        // Before the manifest load, so its S3 reads land in this sink.
-        s3.set_trace(Arc::clone(&trace));
-        let mut rspan = trace.span(LVL_PHASE, "restore.open");
+        let trace = Arc::new(TraceSink::new());
+        let mut rspan = trace.span("restore.open");
         let mgr = BackupManager::new(Arc::clone(&s3), region, bucket, None, 4)
             .with_retry(config.retry.with_seed(config.seed))
             .with_trace(Arc::clone(&trace));
         let (_kind, metadata, blocks) = mgr.load_manifest(region, snapshot_id)?;
-        if rspan.is_recording() {
-            rspan.attr("snapshot", snapshot_id);
-            rspan.attr("blocks", blocks.len());
-        }
+        rspan.attr("snapshot", snapshot_id);
+        rspan.attr("blocks", blocks.len());
         let mut r = Reader::new(&metadata);
         let keys = Keys::decode(&mut r, hsm)?;
         let durable = Durable::create(&config, trace, s3, keys)?;
@@ -244,8 +238,8 @@ impl Cluster {
     /// durable prefix — are invisible afterwards.
     pub fn recover(image: CrashImage) -> Result<Arc<Cluster>> {
         let CrashImage { config, durable: dead, wal } = image;
-        let trace = Arc::new(TraceSink::from_env());
-        let mut rspan = trace.span(LVL_PHASE, "recovery");
+        let trace = Arc::new(TraceSink::new());
+        let mut rspan = trace.span("recovery");
         let (s3, blocks, keys) = (Arc::clone(&dead.s3), dead.blocks.clone(), dead.keys.clone());
         let durable = Durable::new(&config, Arc::clone(&trace), s3, blocks, keys, wal);
         Self::assemble(config, durable, |durable, compute| {
@@ -262,10 +256,8 @@ impl Cluster {
             compute.delete_blocks(orphans);
             trace.counter("recovery.orphan_blocks_scrubbed").add(scrubbed);
             trace.counter("recovery.replayed_deltas").add(replayed);
-            if rspan.is_recording() {
-                rspan.attr("replayed_deltas", replayed);
-                rspan.attr("orphan_blocks_scrubbed", scrubbed);
-            }
+            rspan.attr("replayed_deltas", replayed);
+            rspan.attr("orphan_blocks_scrubbed", scrubbed);
             rspan.finish();
             // Compact: fold the replayed state into one fresh checkpoint
             // so repeated crash/recover cycles don't replay an ever-longer

@@ -167,7 +167,7 @@ impl Cluster {
         // "machine-generated logs that mutate over time").
         let mut corpus = String::new();
         for key in &keys {
-            let bytes = self.s3().get(&self.config.region, key)?;
+            let bytes = self.s3().get_traced(&self.config.region, key, Some(self.trace()))?;
             let text = std::str::from_utf8(&bytes)
                 .map_err(|_| RsError::Analysis(format!("{key}: not UTF-8")))?;
             corpus.push_str(text);

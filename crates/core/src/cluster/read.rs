@@ -13,7 +13,7 @@ use crate::wlm::QmrStats;
 use redsim_common::{Result, Row, RsError};
 use redsim_engine::baseline;
 use redsim_engine::exec::Executor;
-use redsim_obs::{AttrValue, Span, LVL_CORE, LVL_PHASE};
+use redsim_obs::{AttrValue, Span};
 use redsim_sql::ast::{self, Statement};
 use redsim_sql::plan::LogicalPlan;
 use redsim_sql::{optimizer, Binder};
@@ -82,7 +82,7 @@ impl Cluster {
         qspan: &Span,
     ) -> Result<(SnapshotReader<'_>, LogicalPlan)> {
         let reader = self.compute.reader(catalog);
-        let pspan = qspan.child(LVL_PHASE, "query.plan");
+        let pspan = qspan.child("query.plan");
         let plan = optimizer::optimize(Binder::new(&reader).bind_select(sel)?, &reader);
         pspan.finish();
         Ok((reader, plan))
@@ -138,17 +138,18 @@ impl Cluster {
             None
         };
         let queue_wait_ns = wlm_guard.as_ref().map_or(0, |g| g.queue_wait_ns());
-        // Root span for stl_query: LVL_CORE records even at RSIM_TRACE=0.
-        // EXPLAIN / EXPLAIN ANALYZE are diagnostics and are not logged
-        // (as in the real STL_QUERY, which records executed queries).
-        let mut qspan = if mode == SelectMode::Execute {
-            self.trace().span(LVL_CORE, "query")
+        // Root span for stl_query. EXPLAIN / EXPLAIN ANALYZE are
+        // diagnostics and are not logged (as in the real STL_QUERY, which
+        // records executed queries).
+        let logged = mode == SelectMode::Execute;
+        let mut qspan = if logged {
+            self.trace().span("query")
         } else {
             redsim_obs::Span::disabled()
         };
-        qspan.child_completed(LVL_PHASE, "query.parse", parse_ns, &[]);
+        qspan.child_completed("query.parse", parse_ns, &[]);
         if queue_wait_ns > 0 {
-            qspan.child_completed(LVL_PHASE, "wlm.wait", queue_wait_ns, &[]);
+            qspan.child_completed("wlm.wait", queue_wait_ns, &[]);
         }
         let (reader, plan) = self.plan_select(catalog, sel, &qspan)?;
         let plan_text = plan.explain();
@@ -163,7 +164,7 @@ impl Cluster {
         }
         // Leader: compile (cache) then dispatch to slices.
         let (cache_hit, compiled, compile_ns) = self.leader.compile(plan, &qspan);
-        let mut espan = qspan.child(LVL_PHASE, "query.exec");
+        let mut espan = qspan.child("query.exec");
         // Every executed SELECT is profiled: the per-step rows feed
         // `svl_query_report` and EXPLAIN ANALYZE's annotations.
         let t_exec = std::time::Instant::now();
@@ -182,15 +183,13 @@ impl Cluster {
         // expected value; anything else says which statement fell off
         // the fast path (EXPLAIN ANALYZE prints it per statement).
         self.trace().counter("exec.interp_fallback").add(out.metrics.interp_fallback);
-        if espan.is_recording() {
-            espan.attr("slices", self.compute.topology.total_slices());
-            espan.attr("rows_out", out.row_count());
-        }
+        espan.attr("slices", self.compute.topology.total_slices());
+        espan.attr("rows_out", out.row_count());
         espan.finish();
         // Query id is allocated only for logged (executed) queries, and
         // shared between the `stl_query` row and its `svl_query_report`
         // step rows.
-        let qid = if qspan.is_recording() { self.leader.next_query_id() } else { 0 };
+        let qid = if logged { self.leader.next_query_id() } else { 0 };
         // Query-monitoring rules, merge point: evaluated on the leader
         // while the service-class slot is still held, against the final
         // execution metrics. A hop re-homes the slot; an abort releases
@@ -205,20 +204,17 @@ impl Cluster {
                 nested_loop_join: plan_has_residual_join(&compiled.plan),
             };
             if let Err(e) = g.evaluate_rules(&stats) {
-                if qspan.is_recording() {
-                    leader::stamp_query(&mut qspan, qid, sql, 0, ctx);
-                    qspan.attr("aborted", true);
-                }
+                leader::stamp_query(&mut qspan, qid, sql, 0, ctx);
+                qspan.attr("aborted", true);
                 qspan.finish();
                 return Err(e);
             }
         }
         // Per-step report rows ride the trace as standalone spans so the
         // existing retention machinery bounds them like everything else.
-        if mode == SelectMode::Execute {
+        if logged {
             for s in &out.profile {
                 self.trace().span_completed(
-                    LVL_CORE,
                     "profile.step",
                     s.elapsed_ns,
                     &[
@@ -259,27 +255,24 @@ impl Cluster {
             });
             return Ok(QueryResult { metrics: out.metrics, cache_hit, ..annotated });
         }
-        self.trace().histogram("query.exec_ns").record(exec_ns);
-        if qspan.is_recording() {
-            let m = &out.metrics;
-            leader::stamp_query(&mut qspan, qid, sql, out.row_count(), ctx);
-            qspan.attr("compile_cache", if cache_hit { "hit" } else { "miss" });
-            qspan.attr("compile_ns", compile_ns);
-            qspan.attr("exec_ns", exec_ns);
-            qspan.attr("rows_scanned", m.rows_scanned);
-            qspan.attr("blocks_read", m.blocks_read);
-            qspan.attr("bytes_read", m.bytes_read);
-            qspan.attr("bytes_broadcast", m.bytes_broadcast);
-            qspan.attr("bytes_redistributed", m.bytes_redistributed);
-            qspan.attr("groups_total", m.groups_total);
-            qspan.attr("groups_skipped", m.groups_skipped);
-            qspan.attr("queue_wait_us", queue_wait_ns / 1_000);
-            if let Some(g) = &wlm_guard {
-                qspan.attr("service_class", g.service_class().to_string());
-            }
-            qspan.attr("result_cache", if cacheable { "miss" } else { "off" });
-            qspan.attr("plan", plan_text.clone());
+        let m = &out.metrics;
+        leader::stamp_query(&mut qspan, qid, sql, out.row_count(), ctx);
+        qspan.attr("compile_cache", if cache_hit { "hit" } else { "miss" });
+        qspan.attr("compile_ns", compile_ns);
+        qspan.attr("exec_ns", exec_ns);
+        qspan.attr("rows_scanned", m.rows_scanned);
+        qspan.attr("blocks_read", m.blocks_read);
+        qspan.attr("bytes_read", m.bytes_read);
+        qspan.attr("bytes_broadcast", m.bytes_broadcast);
+        qspan.attr("bytes_redistributed", m.bytes_redistributed);
+        qspan.attr("groups_total", m.groups_total);
+        qspan.attr("groups_skipped", m.groups_skipped);
+        qspan.attr("queue_wait_us", queue_wait_ns / 1_000);
+        if let Some(g) = &wlm_guard {
+            qspan.attr("service_class", g.service_class().to_string());
         }
+        qspan.attr("result_cache", if cacheable { "miss" } else { "off" });
+        qspan.attr("plan", plan_text.clone());
         qspan.finish();
         let rows = out.rows();
         if cacheable {
@@ -407,6 +400,11 @@ mod tests {
             assert_eq!(phases[0].parent, root.id, "{name} parents to query");
             assert!(phases[0].dur_ns <= root.dur_ns, "{name} fits in parent");
         }
+        // Every span is recorded: one `exec.slice` per slice's scan.
+        let exec = &sink.records_named("query.exec")[0];
+        let slices = sink.records_named("exec.slice");
+        assert_eq!(slices.len(), c.compute.topology.total_slices() as usize);
+        assert!(slices.iter().all(|s| s.parent == exec.id && s.attr_str("table") == Some("t")));
     }
 
     #[test]
@@ -427,6 +425,11 @@ mod tests {
         assert!(!sink.records_named("copy.append").is_empty());
         assert!(!sink.records_named("copy.seal").is_empty());
         assert!(!sink.records_named("copy.encoding_sample").is_empty());
+        let objects = sink.records_named("copy.object");
+        assert_eq!(objects.len(), 1);
+        assert_eq!(objects[0].attr_u64("rows"), Some(100));
+        let seals = sink.records_named("copy.slice_seal");
+        assert_eq!(seals.len(), c.compute.topology.total_slices() as usize);
         assert_eq!(sink.counter_value("copy.rows_loaded"), 100);
         assert_eq!(sink.open_spans(), 0);
     }
@@ -478,18 +481,5 @@ mod tests {
         c.query_interpreted("SELECT a FROM t").unwrap();
         let r = c.query("SELECT COUNT(*) FROM stl_query").unwrap();
         assert_eq!(r.rows[0].get(0).as_i64(), Some(0));
-    }
-
-    #[test]
-    fn trace_exports_render() {
-        let c = small();
-        c.execute("CREATE TABLE t (a BIGINT)").unwrap();
-        c.execute("INSERT INTO t VALUES (1)").unwrap();
-        c.query("SELECT a FROM t").unwrap();
-        let text = c.trace().export_text();
-        assert!(text.contains("query"), "{text}");
-        let json = c.trace().export_json();
-        assert!(json.starts_with('['), "{json}");
-        assert!(json.contains("\"name\": \"query\""), "{json}");
     }
 }

@@ -10,7 +10,7 @@ use crate::loader;
 use crate::session::SessionCtx;
 use redsim_common::{ColumnData, ColumnDef, Result, RsError, Schema, Value};
 use redsim_distribution::DistStyle;
-use redsim_obs::{AttrValue, LVL_CORE, LVL_DETAIL, LVL_PHASE};
+use redsim_obs::AttrValue;
 use redsim_sql::{ast, Binder, BoundExpr};
 use redsim_storage::stats::TableStats;
 use redsim_storage::table::SortKeySpec;
@@ -207,7 +207,6 @@ impl Cluster {
                 None => {
                     self.trace().counter("txn.conflicts").incr();
                     self.trace().span_completed(
-                        LVL_CORE,
                         "tr_conflict",
                         0,
                         &[
@@ -374,12 +373,9 @@ impl Cluster {
         if keys.is_empty() {
             return Err(RsError::NotFound(format!("no objects under s3://{prefix}")));
         }
-        let t_copy = std::time::Instant::now();
-        let mut span = self.trace().span(LVL_PHASE, "copy");
-        if span.is_recording() {
-            span.attr("table", c.table.clone());
-            span.attr("objects", keys.len());
-        }
+        let mut span = self.trace().span("copy");
+        span.attr("table", c.table.clone());
+        span.attr("objects", keys.len());
         // All-or-nothing from here on ("data loads are transactional",
         // §2.1): slices, cursor and counters change in the draft only,
         // and any error below drops it and deletes the statement's
@@ -398,7 +394,6 @@ impl Cluster {
         if comp_update {
             // First flush samples the data and locks per-column encodings.
             span.event_with(
-                LVL_PHASE,
                 "copy.encoding_sample",
                 &[("table", AttrValue::Str(c.table.clone()))],
             );
@@ -418,10 +413,10 @@ impl Cluster {
         };
         let (mut loaded, mut pending, mut failed) = (0u64, Vec::new(), None);
         let mut folded = TableStats::new(entry.schema.len());
-        let mut aspan = span.child(LVL_PHASE, "copy.append");
+        let mut aspan = span.child("copy.append");
         'load: for window in keys.chunks(width) {
             let fetched = par::map_indexed(window.len(), |o| -> Result<_> {
-                let mut ospan = span.child(LVL_DETAIL, "copy.object");
+                let mut ospan = span.child("copy.object");
                 ospan.attr("object", window[o].clone());
                 let bytes = self.fetch_source(&window[o], c.compressed, source_key.as_ref())?;
                 let units = loader::units(&bytes, COPY_UNIT_BYTES);
@@ -480,7 +475,7 @@ impl Cluster {
         }
         aspan.attr("rows", loaded);
         aspan.finish();
-        let seal_span = span.child(LVL_PHASE, "copy.seal");
+        let seal_span = span.child("copy.seal");
         let results = self.compute.seal(next, &seal_span);
         seal_span.finish();
         // Aggregate per-slice seal failures instead of dropping all but
@@ -512,22 +507,19 @@ impl Cluster {
         // proportional to the load, not the table. Without it the rows
         // count as stale for the maintenance advisor.
         if c.stat_update {
-            let mut aspan = span.child(LVL_PHASE, "copy.analyze");
+            let mut aspan = span.child("copy.analyze");
             next.fold_stats(&folded);
             aspan.attr("rows", loaded);
         } else {
             next.state.loads_since_analyze += loaded;
         }
-        if span.is_recording() {
-            span.attr("rows", loaded);
-        }
+        span.attr("rows", loaded);
         span.finish();
         for (s, flag) in next.slices.iter_mut().zip(table_flags) {
             s.set_auto_compress(flag);
         }
         draft.commit()?;
         self.trace().counter("copy.rows_loaded").add(loaded);
-        self.trace().histogram("copy.duration_ns").record(t_copy.elapsed().as_nanos() as u64);
         Ok(ExecSummary { rows_affected: loaded, message: format!("COPY {loaded}") })
     }
 
@@ -550,7 +542,7 @@ impl Cluster {
                     Some(self.trace()),
                     redsim_faultkit::fp::COPY_FETCH_OBJECT,
                 )?;
-                self.s3().get(&self.config.region, key)
+                self.s3().get_traced(&self.config.region, key, Some(self.trace()))
             },
             redsim_replication::retry_observer(Some(Arc::clone(self.trace()))),
         )?;

@@ -339,11 +339,6 @@ impl Session {
         self.shared.user_group.as_deref()
     }
 
-    /// Statements executed on this session so far.
-    pub fn statement_count(&self) -> u64 {
-        self.shared.statements()
-    }
-
     /// Result-cache hits served to this session.
     pub fn result_cache_hits(&self) -> u64 {
         self.shared.result_cache_hits()

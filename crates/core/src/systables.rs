@@ -490,7 +490,6 @@ impl TableProvider for SystemTables {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redsim_obs::LVL_CORE;
     use std::sync::Arc;
 
     /// Every batch a system table's scan hands on.
@@ -504,9 +503,9 @@ mod tests {
     }
 
     fn sink_with_queries(n: u64) -> Arc<TraceSink> {
-        let sink = Arc::new(TraceSink::with_level(LVL_CORE));
+        let sink = Arc::new(TraceSink::new());
         for i in 1..=n {
-            let mut s = sink.span(LVL_CORE, "query");
+            let mut s = sink.span("query");
             s.attr("query", i);
             s.attr("querytxt", format!("SELECT {i}"));
             s.attr("rows", 3u64);
@@ -538,7 +537,7 @@ mod tests {
     #[test]
     fn stl_fault_event_materializes_the_registry_ring() {
         use redsim_faultkit::{fp, ErrClass, FaultRegistry, FaultSpec, Outcome};
-        let sink = Arc::new(TraceSink::with_level(LVL_CORE));
+        let sink = Arc::new(TraceSink::new());
         let reg = FaultRegistry::new(3);
         reg.configure(fp::S3_GET, FaultSpec::err(ErrClass::Throttle).times(2));
         for _ in 0..3 {
@@ -561,7 +560,7 @@ mod tests {
     #[test]
     fn wlm_tables_materialize_from_controller_and_spans() {
         use crate::wlm::{WlmConfig, WlmQueueDef};
-        let sink = Arc::new(TraceSink::with_level(LVL_CORE));
+        let sink = Arc::new(TraceSink::new());
         let cfg = WlmConfig::with_queues(vec![WlmQueueDef::new("q1", 2)]).sqa(10, 1);
         let ctl = Arc::new(WlmController::new(&cfg, Arc::clone(&sink)));
         let g_short = ctl.admit(5, None).unwrap(); // SQA lane
@@ -591,7 +590,7 @@ mod tests {
 
     #[test]
     fn session_tables_materialize_from_manager() {
-        let sink = Arc::new(TraceSink::with_level(LVL_CORE));
+        let sink = Arc::new(TraceSink::new());
         let mgr = crate::session::SessionManager::new(Arc::clone(&sink));
         let a = mgr.register("ada", Some("analyst"), false);
         let implicit = mgr.register("default", None, true);
@@ -642,7 +641,7 @@ mod tests {
     #[test]
     fn svl_query_report_materializes_profile_steps() {
         use redsim_obs::AttrValue;
-        let sink = Arc::new(TraceSink::with_level(LVL_CORE));
+        let sink = Arc::new(TraceSink::new());
         // Backdated spans are clipped to the sink's epoch; make sure the
         // sink is old enough to hold a 5µs span.
         while sink.now_ns() < 5_000 {
@@ -651,7 +650,6 @@ mod tests {
         for slice in 0..2u64 {
             for step in 1..=2u64 {
                 sink.span_completed(
-                    LVL_CORE,
                     "profile.step",
                     5_000,
                     &[
@@ -677,7 +675,7 @@ mod tests {
 
     #[test]
     fn empty_sink_yields_empty_tables() {
-        let sink = Arc::new(TraceSink::with_level(LVL_CORE));
+        let sink = Arc::new(TraceSink::new());
         let sys = SystemTables::capture(&sink, None, None, None, None, &["svl_query_metrics"]);
         let out = scan(&sys, "svl_query_metrics", &[0]).unwrap();
         assert!(out.is_empty());

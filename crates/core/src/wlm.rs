@@ -23,12 +23,12 @@
 //!   `Cluster::shutdown` drain before touching topology.
 //!
 //! Every admission outcome is recorded exactly once as a `wlm` span
-//! (LVL_CORE) in the cluster's [`TraceSink`], which is what the
+//! in the cluster's [`TraceSink`], which is what the
 //! `stl_wlm_query` system table materializes; live queue state backs
 //! `stv_wlm_service_class_state`.
 
 use redsim_common::{Result, RsError};
-use redsim_obs::{TraceSink, LVL_CORE};
+use redsim_obs::TraceSink;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -601,8 +601,7 @@ impl WlmController {
         self.emit_span(qid, &self.cfg.queues[qi].name, outcome, wait_ns, 0, false, hops);
     }
 
-    /// Emit the per-query `wlm` record (LVL_CORE — `stl_wlm_query`
-    /// depends on it).
+    /// Emit the per-query `wlm` record (`stl_wlm_query` reads it).
     #[allow(clippy::too_many_arguments)]
     fn emit_span(
         &self,
@@ -614,7 +613,7 @@ impl WlmController {
         sqa: bool,
         hops: u64,
     ) {
-        let mut span = self.trace.span(LVL_CORE, "wlm");
+        let mut span = self.trace.span("wlm");
         span.attr("query", qid as i64);
         span.attr("service_class", service_class.to_string());
         span.attr("state", outcome.as_str());
@@ -759,9 +758,6 @@ impl WlmController {
             Outcome::Aborted => self.trace.counter("wlm.aborted").incr(),
             _ => self.trace.counter("wlm.completed").incr(),
         }
-        // Queue-wait distribution across every released admission (the
-        // `release` path sees all of them, SQA and queued alike).
-        self.trace.histogram("wlm.queue_wait_ns").record(wait_ns);
         self.emit_span(qid, &name, outcome, wait_ns, exec_ns, sqa, hops);
     }
 
@@ -812,11 +808,6 @@ impl WlmGuard {
         self.hops
     }
 
-    /// The WLM query id (joins against `stl_wlm_query.query`).
-    pub fn wlm_query_id(&self) -> u64 {
-        self.qid
-    }
-
     /// Whether this admission went through the SQA lane.
     pub fn via_sqa(&self) -> bool {
         self.lane == Lane::Sqa
@@ -854,7 +845,7 @@ impl WlmGuard {
         }
         let service_class = self.ctl.cfg.queues[qi].name.clone();
         for r in &fired {
-            let mut span = self.ctl.trace.span(LVL_CORE, "wlm_rule_action");
+            let mut span = self.ctl.trace.span("wlm_rule_action");
             span.attr("query", self.qid as i64);
             span.attr("service_class", service_class.clone());
             span.attr("rule", r.name.clone());
@@ -923,11 +914,10 @@ impl std::fmt::Debug for WlmGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redsim_obs::LVL_CORE;
     use std::sync::Arc;
 
     fn ctl(cfg: WlmConfig) -> Arc<WlmController> {
-        Arc::new(WlmController::new(&cfg, Arc::new(TraceSink::with_level(LVL_CORE))))
+        Arc::new(WlmController::new(&cfg, Arc::new(TraceSink::new())))
     }
 
     #[test]
@@ -1125,7 +1115,7 @@ mod tests {
                 .rule("big_scan", QmrMetric::RowsScanned, 1_000, QmrAction::Hop),
             WlmQueueDef::new("wide", 4),
         ]);
-        let sink = Arc::new(TraceSink::with_level(LVL_CORE));
+        let sink = Arc::new(TraceSink::new());
         let c = Arc::new(WlmController::new(&cfg, Arc::clone(&sink)));
         let mut g = c.admit(10, None).unwrap();
         assert_eq!(g.service_class(), "narrow");
@@ -1155,7 +1145,7 @@ mod tests {
             1_000,
             QmrAction::Abort,
         )]);
-        let sink = Arc::new(TraceSink::with_level(LVL_CORE));
+        let sink = Arc::new(TraceSink::new());
         let c = Arc::new(WlmController::new(&cfg, Arc::clone(&sink)));
         let mut g = c.admit(10, None).unwrap();
         let err = g
@@ -1184,7 +1174,7 @@ mod tests {
                 .rule("move_scan", QmrMetric::RowsScanned, 100, QmrAction::Hop),
             WlmQueueDef::new("wide", 4),
         ]);
-        let sink = Arc::new(TraceSink::with_level(LVL_CORE));
+        let sink = Arc::new(TraceSink::new());
         let c = Arc::new(WlmController::new(&cfg, Arc::clone(&sink)));
         let mut g = c.admit(10, None).unwrap();
         g.evaluate_rules(&QmrStats { rows_scanned: 500, ..QmrStats::default() }).unwrap();
@@ -1200,7 +1190,7 @@ mod tests {
         let cfg = WlmConfig::with_queues(vec![WlmQueueDef::new("q", 1)
             .max_wait(Duration::from_secs(5))
             .rule("slow_queue", QmrMetric::QueryQueueTime, 0, QmrAction::Log)]);
-        let sink = Arc::new(TraceSink::with_level(LVL_CORE));
+        let sink = Arc::new(TraceSink::new());
         let c = Arc::new(WlmController::new(&cfg, Arc::clone(&sink)));
         let g = c.admit(10, None).unwrap();
         assert!(
@@ -1225,7 +1215,7 @@ mod tests {
         let cfg = WlmConfig::with_queues(vec![WlmQueueDef::new("q", 2)
             .max_queue_len(0)
             .max_wait(Duration::from_millis(5))]);
-        let sink = Arc::new(TraceSink::with_level(LVL_CORE));
+        let sink = Arc::new(TraceSink::new());
         let c = Arc::new(WlmController::new(&cfg, Arc::clone(&sink)));
         let g1 = c.admit(1, None).unwrap();
         let g2 = c.admit(1, None).unwrap();

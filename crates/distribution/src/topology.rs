@@ -64,14 +64,6 @@ impl ClusterTopology {
         let base = node.0 * self.slices_per_node;
         (base..base + self.slices_per_node).map(SliceId)
     }
-
-    pub fn all_slices(&self) -> impl Iterator<Item = SliceId> {
-        (0..self.total_slices()).map(SliceId)
-    }
-
-    pub fn all_nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes).map(NodeId)
-    }
 }
 
 /// Cohort-based replica placement.

@@ -38,10 +38,6 @@ impl RowStore {
     pub fn insert_table(&mut self, name: impl Into<String>, rows: Vec<Row>) {
         self.tables.insert(name.into(), rows);
     }
-
-    pub fn table_rows(&self, name: &str) -> Option<&[Row]> {
-        self.tables.get(name).map(|v| v.as_slice())
-    }
 }
 
 impl RowSource for RowStore {

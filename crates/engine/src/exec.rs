@@ -348,7 +348,7 @@ pub struct Executor<'a> {
     /// per plan node is one branch, so default-on is affordable — the
     /// profiler-overhead bench keeps this honest).
     profile: Option<Mutex<Vec<StepProfile>>>,
-    /// Parent span for per-slice detail spans (`RSIM_TRACE=2`).
+    /// Parent span for the per-slice `exec.slice` spans.
     trace: Option<&'a redsim_obs::Span>,
     /// Failpoint registry consulted at the per-slice scan seam
     /// (`exec.scan_slice`); `None` skips the check entirely.
@@ -665,10 +665,8 @@ impl<'a> Executor<'a> {
                 )));
             }
         }
-        let mut span = match self.trace {
-            Some(parent) => parent.child(redsim_obs::LVL_DETAIL, "exec.slice"),
-            None => redsim_obs::Span::disabled(),
-        };
+        let mut span =
+            self.trace.map_or_else(redsim_obs::Span::disabled, |p| p.child("exec.slice"));
         let read = self.provider.scan_slice(scan.table, slice, scan.projection, scan.pruning, &mut |batch| {
             let mut chunk = Chunk::dense(batch);
             lane.metrics.rows_scanned += chunk.sel.rows() as u64;
@@ -686,14 +684,12 @@ impl<'a> Executor<'a> {
         m.bytes_read += read.bytes_read;
         m.groups_total += read.groups_total;
         m.groups_skipped += read.groups_skipped;
-        if span.is_recording() {
-            span.attr("table", scan.table);
-            span.attr("slice", slice);
-            span.attr("rows_scanned", m.rows_scanned);
-            span.attr("blocks_read", m.blocks_read);
-            span.attr("bytes_read", m.bytes_read);
-            span.attr("groups_skipped", m.groups_skipped);
-        }
+        span.attr("table", scan.table);
+        span.attr("slice", slice);
+        span.attr("rows_scanned", m.rows_scanned);
+        span.attr("blocks_read", m.blocks_read);
+        span.attr("bytes_read", m.bytes_read);
+        span.attr("groups_skipped", m.groups_skipped);
         Ok(())
     }
 }

@@ -27,9 +27,10 @@
 //!
 //! Failpoints sit on the hottest storage paths, so the disarmed check
 //! must be near-free: [`FaultRegistry::fire`] is a **single relaxed
-//! atomic load** when nothing is armed (`armed == 0`), verified by the
-//! `faultkit` group in `benches/ablations.rs`. The mutex-guarded slow
-//! path only runs while at least one failpoint is armed.
+//! atomic load** when nothing is armed (`armed == 0`); the disarmed
+//! seams sit on every benchmark workload's path, so their cost is inside
+//! each `cpu_ms_per_stmt`. The mutex-guarded slow path only runs while
+//! at least one failpoint is armed.
 //!
 //! ## Environment DSL
 //!

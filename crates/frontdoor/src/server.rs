@@ -21,7 +21,7 @@ use crate::wire::{
 use redsim_common::{FxHashMap, Result, RsError};
 use redsim_core::session::SessionOpts;
 use redsim_core::{Cluster, Session};
-use redsim_obs::{TraceSink, LVL_DETAIL};
+use redsim_obs::TraceSink;
 use redsim_testkit::sync::Mutex;
 use std::io::Write as _;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -142,13 +142,6 @@ impl FrontDoor {
     /// The cluster behind this front door.
     pub fn cluster(&self) -> &Arc<Cluster> {
         &self.cluster
-    }
-
-    /// The in-process client handle: a [`Session`] on the same session
-    /// layer the wire connections use, with no socket between — tests
-    /// and benches drive the cluster through this.
-    pub fn local_session(&self, opts: SessionOpts) -> Result<Session> {
-        self.cluster.connect(opts)
     }
 
     /// Stop accepting and gracefully drain: in-flight statements finish
@@ -284,11 +277,9 @@ fn handle_conn(
     cluster: &Arc<Cluster>,
     shared: &Shared,
 ) {
-    let mut span = shared.trace.span(LVL_DETAIL, "frontdoor.conn");
-    if span.is_recording() {
-        span.attr("conn", conn_id);
-        span.attr("peer", peer.to_string());
-    }
+    let mut span = shared.trace.span("frontdoor.conn");
+    span.attr("conn", conn_id);
+    span.attr("peer", peer.to_string());
     let mut statements = 0u64;
     let session = match expect_hello(&mut stream, cluster) {
         Some(s) => s,
@@ -297,10 +288,8 @@ fn handle_conn(
             return;
         }
     };
-    if span.is_recording() {
-        span.attr("session", session.id());
-        span.attr("user", session.user().to_string());
-    }
+    span.attr("session", session.id());
+    span.attr("user", session.user().to_string());
     loop {
         let payload = match read_frame(&mut stream) {
             Ok(Some(p)) => p,

@@ -1,19 +1,13 @@
 //! Log-bucketed histograms: latency distributions with bounded error.
 //!
-//! The fleet cannot afford to keep every sample, so standing latency
-//! metrics (`query.exec_ns`, `wlm.queue_wait_ns`, `copy.duration_ns`)
-//! are recorded into fixed-size log-linear histograms instead: each
+//! The fleet cannot afford to keep every sample, so latency
+//! distributions are recorded into fixed-size log-linear histograms: each
 //! power-of-two octave is split into [`SUB_BUCKETS`] linear
 //! sub-buckets, so any reported quantile is within one sub-bucket of
 //! the true value — a relative error of at most `1 / SUB_BUCKETS`
 //! (12.5%), independent of magnitude. Recording is one atomic
 //! increment on a fixed array: safe to hammer from slice workers,
 //! never allocates after construction.
-//!
-//! Histograms live in the [`crate::TraceSink`] registry next to
-//! counters and gauges and ride the same text/JSON metric exports
-//! (`p50`/`p90`/`p99`/`max` columns), which is what feeds `benchdiff`'s
-//! optional p99 gate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -3,9 +3,9 @@
 //! A zero-dependency tracing/metrics substrate for the simulator, built
 //! on the operational premise of the paper (§2.2): the warehouse is a
 //! *service*, and the service is only operable because every cluster
-//! continuously reports structured telemetry — which the operator sees
-//! as fleet metrics and the customer sees as system tables (`STL_*` /
-//! `SVL_*`) queryable with plain SQL.
+//! continuously reports structured telemetry — which the customer sees
+//! as system tables (`STL_*` / `SVL_*`) queryable with plain SQL. Those
+//! tables are the reader; nothing else renders a trace.
 //!
 //! The pieces:
 //!
@@ -13,53 +13,31 @@
 //!   ids. Dropping (or [`Span::finish`]ing) the guard publishes a
 //!   [`SpanRecord`] into the owning [`TraceSink`].
 //! * [`Counter`] / [`Gauge`] — named atomics in per-sink registries,
-//!   `O(1)` after the first lookup and safe to hammer from slice
-//!   worker threads.
-//! * [`TraceSink`] — the process-wide (in practice: per-cluster)
-//!   collector. Spans land first in fixed-capacity sharded ring
-//!   buffers (one shard per OS thread, assigned round-robin) so the
-//!   hot path takes an uncontended lock; full rings drain into the
-//!   bounded completed-record store.
-//! * [`export`] — text (indented tree) and JSON exporters over
-//!   [`TraceSink::snapshot`]. Snapshots are content-sorted, so a
-//!   deterministic workload (`RSIM_SEED` replay) produces
-//!   byte-identical exports even when slice workers race on span ids.
+//!   `O(1)` after the first lookup and safe to hammer from slice worker
+//!   threads.
+//! * [`Histogram`] — a log-bucketed latency distribution with bounded
+//!   quantile error (the workload replay's per-class latencies).
+//! * [`TraceSink`] — the per-cluster collector. Spans land first in
+//!   fixed-capacity sharded ring buffers (one shard per OS thread,
+//!   assigned round-robin) so the hot path takes an uncontended lock;
+//!   full rings drain into the bounded completed-record store.
+//!   Snapshots are content-sorted, so a deterministic workload
+//!   (`RSIM_SEED` replay) reads back the same records in the same order
+//!   even when slice workers race on span ids.
 //!
-//! ## Verbosity
-//!
-//! The `RSIM_TRACE` environment variable (read once per sink; override
-//! with [`TraceSink::with_level`]) selects how much is recorded:
-//!
-//! * `0` — essential records only ([`LVL_CORE`]): one span per query /
-//!   COPY / restore operation. This is what the system tables are
-//!   built from, so `stl_query` keeps working; overhead is one record
-//!   per statement.
-//! * `1` (default) — adds phase spans ([`LVL_PHASE`]): parse, plan,
-//!   compile, exec, per-object COPY ingest, hydration steps.
-//! * `2` — adds per-slice detail ([`LVL_DETAIL`]): slice scans, slice
-//!   ingest/seal, individual restore page faults.
-//!
-//! Spans above the sink's level cost one branch and no allocation.
+//! There is one level: every span the code opens is recorded — the
+//! statement, its phases, each slice's scan, each COPY object and slice
+//! seal, each connection and retry wait. Which spans exist is decided at
+//! the call site. [`Span::disabled`] is for what is deliberately
+//! unrecorded: system-table reads, and components built without a sink.
 
-pub mod export;
 pub mod hist;
 pub mod sink;
 pub mod span;
 
-pub use export::{to_json, to_text};
 pub use hist::Histogram;
 pub use sink::{Counter, Gauge, TraceSink};
 pub use span::{AttrValue, Span, SpanRecord};
-
-/// Essential spans: always recorded (system tables depend on them).
-pub const LVL_CORE: u8 = 0;
-/// Phase spans: parse/plan/compile/exec, per-object COPY, hydration.
-pub const LVL_PHASE: u8 = 1;
-/// Per-slice detail spans and high-frequency events.
-pub const LVL_DETAIL: u8 = 2;
-
-/// The default verbosity when `RSIM_TRACE` is unset.
-pub const DEFAULT_LEVEL: u8 = LVL_PHASE;
 
 #[cfg(test)]
 mod tests {
@@ -68,15 +46,15 @@ mod tests {
 
     #[test]
     fn span_hierarchy_and_attrs_recorded() {
-        let sink = Arc::new(TraceSink::with_level(LVL_DETAIL));
+        let sink = Arc::new(TraceSink::new());
         {
-            let mut root = sink.span(LVL_CORE, "query");
+            let mut root = sink.span("query");
             root.attr("rows", 3i64);
             {
-                let mut child = root.child(LVL_PHASE, "compile");
+                let mut child = root.child("compile");
                 child.attr("cache_hit", false);
             }
-            root.child(LVL_DETAIL, "exec.slice").attr("slice", 0i64);
+            root.child("exec.slice").attr("slice", 0i64);
         }
         let recs = sink.snapshot();
         assert_eq!(recs.len(), 3);
@@ -94,32 +72,23 @@ mod tests {
     }
 
     #[test]
-    fn level_gating_skips_detail() {
-        let sink = Arc::new(TraceSink::with_level(LVL_CORE));
+    fn disabled_children_of_disabled_spans() {
+        let sink = Arc::new(TraceSink::new());
         {
-            let root = sink.span(LVL_CORE, "query");
-            let _phase = root.child(LVL_PHASE, "plan");
-            let _detail = root.child(LVL_DETAIL, "exec.slice");
+            let off = Span::disabled();
+            let _child = off.child("also_gone");
+            off.event("gone_too");
+            let _recorded = sink.span("kept");
         }
         let recs = sink.snapshot();
-        assert_eq!(recs.len(), 1, "only the core span survives: {recs:?}");
-        assert_eq!(recs[0].name, "query");
-    }
-
-    #[test]
-    fn disabled_children_of_disabled_spans() {
-        let sink = Arc::new(TraceSink::with_level(LVL_CORE));
-        {
-            let phase = sink.span(LVL_PHASE, "gone");
-            let _grandchild = phase.child(LVL_CORE, "also_gone");
-        }
-        assert!(sink.snapshot().is_empty());
+        assert_eq!(recs.len(), 1, "only the sink's own span is recorded: {recs:?}");
+        assert_eq!(recs[0].name, "kept");
         assert_eq!(sink.open_spans(), 0);
     }
 
     #[test]
     fn counters_and_gauges() {
-        let sink = TraceSink::with_level(LVL_CORE);
+        let sink = TraceSink::new();
         let c = sink.counter("plan_cache.hit");
         c.incr();
         c.add(4);
@@ -129,15 +98,13 @@ mod tests {
         g.set(7);
         g.add(-2);
         assert_eq!(sink.gauge_value("mirror.backlog"), 5);
-        let names: Vec<String> = sink.counters().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["plan_cache.hit"], "registry is deterministic");
     }
 
     #[test]
     fn ring_overflow_drains_not_drops() {
-        let sink = Arc::new(TraceSink::with_level(LVL_DETAIL));
+        let sink = Arc::new(TraceSink::new());
         for i in 0..5_000u64 {
-            let mut s = sink.span(LVL_CORE, "tick");
+            let mut s = sink.span("tick");
             s.attr("i", i as i64);
         }
         assert_eq!(sink.snapshot().len(), 5_000, "overflowing rings spill, not drop");
@@ -145,47 +112,26 @@ mod tests {
 
     #[test]
     fn retention_bounds_completed_records() {
-        let sink = Arc::new(TraceSink::with_level(LVL_DETAIL).retain(100));
+        let sink = Arc::new(TraceSink::new().retain(100));
         for _ in 0..500 {
-            sink.span(LVL_CORE, "q");
+            sink.span("q");
         }
         let n = sink.snapshot().len();
         assert!(n <= 100, "retention cap enforced, got {n}");
         assert!(sink.records_evicted() >= 400);
-        // Truncation is visible in the exported metrics, not just the
-        // internal accessor.
+        // Truncation is visible as a counter, not just the internal
+        // accessor.
         assert_eq!(sink.counter_value("trace.records_dropped"), sink.records_evicted());
-        assert!(sink.export_metrics_text().contains("counter trace.records_dropped"));
     }
 
     #[test]
-    fn histogram_registry_and_metric_exports() {
-        let sink = TraceSink::with_level(LVL_CORE);
-        let h = sink.histogram("query.exec_ns");
-        for v in [1_000u64, 2_000, 4_000, 8_000] {
-            h.record(v);
-        }
-        // Registry hands back the same histogram for the same name.
-        assert_eq!(sink.histogram("query.exec_ns").count(), 4);
-        assert_eq!(sink.histogram_quantile("missing", 0.99), 0);
-        let p99 = sink.histogram_quantile("query.exec_ns", 0.99);
-        assert!((7_000..=8_000).contains(&p99), "p99={p99}");
-        sink.counter("wlm.admitted").add(2);
-        let txt = sink.export_metrics_text();
-        assert!(txt.contains("counter wlm.admitted 2"), "{txt}");
-        assert!(txt.contains("histogram query.exec_ns count=4"), "{txt}");
-        let j = sink.export_metrics_json();
-        assert!(j.contains("\"query.exec_ns\": {\"count\": 4"), "{j}");
-    }
-
-    #[test]
-    fn export_deterministic_for_same_content() {
+    fn snapshot_deterministic_for_same_content() {
         let run = || {
-            let sink = Arc::new(TraceSink::with_level(LVL_DETAIL));
-            let mut root = sink.span(LVL_CORE, "query");
+            let sink = Arc::new(TraceSink::new());
+            let mut root = sink.span("query");
             root.attr("query", 1i64);
             for slice in 0..4i64 {
-                root.child(LVL_DETAIL, "exec.slice").attr("slice", slice);
+                root.child("exec.slice").attr("slice", slice);
             }
             drop(root);
             // Strip the non-deterministic timings before comparing.
@@ -200,10 +146,10 @@ mod tests {
 
     #[test]
     fn events_are_instant_children() {
-        let sink = Arc::new(TraceSink::with_level(LVL_PHASE));
+        let sink = Arc::new(TraceSink::new());
         {
-            let root = sink.span(LVL_CORE, "copy");
-            root.event(LVL_PHASE, "copy.encoding_sample");
+            let root = sink.span("copy");
+            root.event("copy.encoding_sample");
         }
         let recs = sink.snapshot();
         let ev = recs.iter().find(|r| r.name == "copy.encoding_sample").unwrap();
@@ -213,16 +159,16 @@ mod tests {
 
     #[test]
     fn child_completed_backfills_timing() {
-        let sink = Arc::new(TraceSink::with_level(LVL_PHASE));
+        let sink = Arc::new(TraceSink::new());
         {
-            let root = sink.span(LVL_CORE, "query");
+            let root = sink.span("query");
             // Let the parent accumulate real elapsed time so the backfilled
             // duration fits inside its extent un-clipped.
             std::thread::sleep(std::time::Duration::from_millis(1));
-            root.child_completed(LVL_PHASE, "parse", 1234, &[("chars", AttrValue::I64(17))]);
+            root.child_completed("parse", 1234, &[("chars", AttrValue::I64(17))]);
             // A retroactive duration larger than the parent's extent is
             // clipped so children always nest inside their parent.
-            root.child_completed(LVL_PHASE, "oversized", u64::MAX, &[]);
+            root.child_completed("oversized", u64::MAX, &[]);
         }
         let recs = sink.snapshot();
         let p = recs.iter().find(|r| r.name == "parse").unwrap();

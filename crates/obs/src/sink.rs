@@ -1,7 +1,6 @@
 //! The trace sink: sharded ring buffers, completed-record store, and
 //! the counter/gauge registries.
 
-use crate::hist::Histogram;
 use crate::span::{AttrValue, Span, SpanInner, SpanRecord};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -77,7 +76,6 @@ struct Ring {
 /// retention cap (like the real system tables, which keep a window,
 /// not forever).
 pub struct TraceSink {
-    level: u8,
     epoch: Instant,
     next_id: AtomicU64,
     open: AtomicI64,
@@ -87,40 +85,26 @@ pub struct TraceSink {
     retain: usize,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
-    hists: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
 impl Default for TraceSink {
     fn default() -> Self {
-        Self::from_env()
+        Self::new()
     }
 }
 
 impl std::fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceSink")
-            .field("level", &self.level)
             .field("open", &self.open.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
 
 impl TraceSink {
-    /// Build with verbosity from `RSIM_TRACE` (`0|1|2`, default
-    /// [`crate::DEFAULT_LEVEL`]).
-    pub fn from_env() -> TraceSink {
-        let level = std::env::var("RSIM_TRACE")
-            .ok()
-            .and_then(|v| v.trim().parse::<u8>().ok())
-            .unwrap_or(crate::DEFAULT_LEVEL)
-            .min(crate::LVL_DETAIL);
-        Self::with_level(level)
-    }
-
-    /// Build with an explicit verbosity level.
-    pub fn with_level(level: u8) -> TraceSink {
+    /// An empty sink; every span opened on it is recorded.
+    pub fn new() -> TraceSink {
         TraceSink {
-            level: level.min(crate::LVL_DETAIL),
             epoch: Instant::now(),
             next_id: AtomicU64::new(1),
             open: AtomicI64::new(0),
@@ -130,7 +114,6 @@ impl TraceSink {
             retain: DEFAULT_RETAIN,
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
-            hists: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -140,27 +123,12 @@ impl TraceSink {
         self
     }
 
-    /// The active verbosity level.
-    pub fn level(&self) -> u8 {
-        self.level
+    /// Open a root span.
+    pub fn span(self: &Arc<Self>, name: &'static str) -> Span {
+        self.open_span(name, 0, 0)
     }
 
-    /// Open a root span at `level`. Returns an inert guard when the
-    /// sink's verbosity is below `level`.
-    pub fn span(self: &Arc<Self>, level: u8, name: &'static str) -> Span {
-        self.open_span(level, name, 0, 0)
-    }
-
-    pub(crate) fn open_span(
-        self: &Arc<Self>,
-        level: u8,
-        name: &'static str,
-        parent: u64,
-        trace: u64,
-    ) -> Span {
-        if level > self.level {
-            return Span::disabled();
-        }
+    pub(crate) fn open_span(self: &Arc<Self>, name: &'static str, parent: u64, trace: u64) -> Span {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let trace = if trace == 0 { id } else { trace };
         self.open.fetch_add(1, Ordering::Relaxed);
@@ -196,14 +164,10 @@ impl TraceSink {
     /// nest) are unaffected.
     pub fn span_completed(
         &self,
-        level: u8,
         name: &'static str,
         dur_ns: u64,
         attrs: &[(&'static str, AttrValue)],
     ) {
-        if level > self.level {
-            return;
-        }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let now = self.now_ns();
         let dur_ns = dur_ns.min(now);
@@ -220,7 +184,6 @@ impl TraceSink {
 
     pub(crate) fn push_completed(
         &self,
-        level: u8,
         name: &'static str,
         parent: u64,
         trace: u64,
@@ -228,9 +191,6 @@ impl TraceSink {
         dur_ns: u64,
         attrs: &[(&'static str, AttrValue)],
     ) {
-        if level > self.level {
-            return;
-        }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         // Clip retroactive measurements to the parent's extent: a phase
         // timed before the parent span opened (parsing, say) must still
@@ -250,9 +210,14 @@ impl TraceSink {
 
     fn push(&self, record: SpanRecord) {
         let mut ring = self.shards[my_shard()].lock().unwrap_or_else(|e| e.into_inner());
+        // A ring is allocated whole, once per fill: recording a span
+        // never grows one.
+        if ring.buf.capacity() == 0 {
+            ring.buf.reserve_exact(RING_CAP);
+        }
         ring.buf.push(record);
         if ring.buf.len() >= RING_CAP {
-            let spill = std::mem::take(&mut ring.buf);
+            let spill = std::mem::replace(&mut ring.buf, Vec::with_capacity(RING_CAP));
             drop(ring);
             self.spill(spill);
         }
@@ -266,8 +231,8 @@ impl TraceSink {
             done.drain(..over);
             self.evicted.fetch_add(over as u64, Ordering::Relaxed);
             drop(done);
-            // Surface truncation in the exported metrics too: silent
-            // record loss makes system tables quietly lie.
+            // Surface truncation as a counter too: silent record loss
+            // makes system tables quietly lie.
             self.counter("trace.records_dropped").add(over as u64);
         }
     }
@@ -287,8 +252,8 @@ impl TraceSink {
 
     /// All completed records, content-sorted: `(trace, parent,
     /// content)` with id as the final tiebreak. Sorting by *content*
-    /// rather than by racy ids/timestamps makes exports of a
-    /// deterministic workload replay byte-stable.
+    /// rather than by racy ids/timestamps makes snapshots of a
+    /// deterministic workload replay stable.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
         let done = self.done_locked();
         let mut records: Vec<SpanRecord> = done.iter().cloned().collect();
@@ -335,31 +300,6 @@ impl TraceSink {
         reg.get(name).map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
-    /// All counters, name-sorted.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        let reg = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        reg.iter().map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed))).collect()
-    }
-
-    /// Get-or-create a named histogram (log-bucketed; see
-    /// [`crate::hist`]).
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut reg = self.hists.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(reg.entry(name.to_string()).or_default())
-    }
-
-    /// The `q`-quantile of a named histogram (0 when never recorded).
-    pub fn histogram_quantile(&self, name: &str, q: f64) -> u64 {
-        let reg = self.hists.lock().unwrap_or_else(|e| e.into_inner());
-        reg.get(name).map_or(0, |h| h.quantile(q))
-    }
-
-    /// All histograms, name-sorted.
-    pub fn histograms(&self) -> Vec<(String, Arc<Histogram>)> {
-        let reg = self.hists.lock().unwrap_or_else(|e| e.into_inner());
-        reg.iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect()
-    }
-
     /// Get-or-create a named gauge.
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut reg = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
@@ -370,34 +310,5 @@ impl TraceSink {
     pub fn gauge_value(&self, name: &str) -> i64 {
         let reg = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
         reg.get(name).map_or(0, |g| g.load(Ordering::Relaxed))
-    }
-
-    /// All gauges, name-sorted.
-    pub fn gauges(&self) -> Vec<(String, i64)> {
-        let reg = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        reg.iter().map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed))).collect()
-    }
-
-    /// Render the current snapshot as an indented text tree.
-    pub fn export_text(&self) -> String {
-        crate::export::to_text(&self.snapshot())
-    }
-
-    /// Render the current snapshot as a JSON document.
-    pub fn export_json(&self) -> String {
-        crate::export::to_json(&self.snapshot())
-    }
-
-    /// Render the metric registries (counters, gauges, histograms) as
-    /// line-oriented text. Histograms export count/sum plus
-    /// p50/p90/p99/max quantile columns — the fleet-side view that
-    /// `benchdiff --p99` style gates consume.
-    pub fn export_metrics_text(&self) -> String {
-        crate::export::metrics_to_text(&self.counters(), &self.gauges(), &self.histograms())
-    }
-
-    /// Render the metric registries as a JSON document.
-    pub fn export_metrics_json(&self) -> String {
-        crate::export::metrics_to_json(&self.counters(), &self.gauges(), &self.histograms())
     }
 }

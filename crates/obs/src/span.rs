@@ -15,7 +15,7 @@ pub enum AttrValue {
 }
 
 impl AttrValue {
-    /// Render for exports (JSON-compatible for non-strings).
+    /// Render as text (the snapshot's content ordering key).
     pub fn render(&self) -> String {
         match self {
             AttrValue::I64(v) => v.to_string(),
@@ -155,32 +155,23 @@ pub(crate) struct SpanInner {
 }
 
 /// An in-flight span. Created via [`TraceSink::span`] (roots) or
-/// [`Span::child`]; publishes its [`SpanRecord`] on drop. Spans whose
-/// level exceeds the sink's verbosity are inert — one branch, no
-/// allocation, nothing recorded.
+/// [`Span::child`]; publishes its [`SpanRecord`] on drop. Every span
+/// opened on a sink is recorded; only [`Span::disabled`] is inert.
 pub struct Span {
     pub(crate) inner: Option<SpanInner>,
 }
 
 impl Span {
-    /// The inert span (used when verbosity gates a site out).
+    /// The inert span, for what is deliberately unrecorded: system-table
+    /// reads, and components built without a sink. Its children are
+    /// inert too.
     pub fn disabled() -> Span {
         Span { inner: None }
-    }
-
-    /// Is this span actually recording?
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// This span's id (0 when disabled).
     pub fn id(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.id)
-    }
-
-    /// Root id of this span's tree (0 when disabled).
-    pub fn trace_id(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.trace)
     }
 
     /// Attach/overwrite an attribute.
@@ -194,25 +185,25 @@ impl Span {
         }
     }
 
-    /// Open a child span at `level` (gated by the sink's verbosity).
-    /// Children may be created from worker threads through a shared
-    /// reference; the guard itself stays on the creating thread.
-    pub fn child(&self, level: u8, name: &'static str) -> Span {
+    /// Open a child span. Children may be created from worker threads
+    /// through a shared reference; the guard itself stays on the
+    /// creating thread.
+    pub fn child(&self, name: &'static str) -> Span {
         match &self.inner {
-            Some(inner) => inner.sink.open_span(level, name, inner.id, inner.trace),
+            Some(inner) => inner.sink.open_span(name, inner.id, inner.trace),
             None => Span::disabled(),
         }
     }
 
     /// Record an instant (zero-duration) child event.
-    pub fn event(&self, level: u8, name: &'static str) {
-        self.event_with(level, name, &[]);
+    pub fn event(&self, name: &'static str) {
+        self.event_with(name, &[]);
     }
 
     /// Record an instant child event with attributes.
-    pub fn event_with(&self, level: u8, name: &'static str, attrs: &[(&'static str, AttrValue)]) {
+    pub fn event_with(&self, name: &'static str, attrs: &[(&'static str, AttrValue)]) {
         if let Some(inner) = &self.inner {
-            inner.sink.push_completed(level, name, inner.id, inner.trace, inner.start_ns, 0, attrs);
+            inner.sink.push_completed(name, inner.id, inner.trace, inner.start_ns, 0, attrs);
         }
     }
 
@@ -222,21 +213,12 @@ impl Span {
     /// inside parents) hold even for retroactive measurements.
     pub fn child_completed(
         &self,
-        level: u8,
         name: &'static str,
         dur_ns: u64,
         attrs: &[(&'static str, AttrValue)],
     ) {
         if let Some(inner) = &self.inner {
-            inner.sink.push_completed(
-                level,
-                name,
-                inner.id,
-                inner.trace,
-                inner.start_ns,
-                dur_ns,
-                attrs,
-            );
+            inner.sink.push_completed(name, inner.id, inner.trace, inner.start_ns, dur_ns, attrs);
         }
     }
 

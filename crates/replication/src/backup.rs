@@ -115,7 +115,7 @@ impl BackupManager {
             if !self.s3.exists(&self.region, &key) {
                 let blk = store.get_any(b)?;
                 self.retried("s3.put", || {
-                    self.s3.put_checked(&self.region, &key, blk.serialize())
+                    self.s3.put_traced(&self.region, &key, blk.serialize(), self.trace.as_ref())
                 })?;
                 uploaded += 1;
             }
@@ -138,18 +138,21 @@ impl BackupManager {
             w.put_u64(b.0);
         }
         let manifest = w.into_bytes();
+        let manifest_key = self.manifest_key(id);
         self.retried("s3.put", || {
-            self.s3.put_checked(&self.region, &self.manifest_key(id), manifest.clone())
+            self.s3.put_traced(&self.region, &manifest_key, manifest.clone(), self.trace.as_ref())
         })?;
         if let Some(dr) = &self.dr_region {
             // DR copies: manifest + any block not yet in the second region.
             self.retried("s3.put", || {
-                self.s3.put_checked(dr, &self.manifest_key(id), manifest.clone())
+                self.s3.put_traced(dr, &manifest_key, manifest.clone(), self.trace.as_ref())
             })?;
             for &b in &blocks {
                 let key = block_key(&self.bucket, b);
                 if !self.s3.exists(dr, &key) {
-                    self.retried("s3.copy_object", || self.s3.copy_object(&self.region, dr, &key))?;
+                    self.retried("s3.copy_object", || {
+                        self.s3.copy_object(&self.region, dr, &key, self.trace.as_ref())
+                    })?;
                 }
             }
         }
@@ -230,7 +233,9 @@ impl BackupManager {
         region: &str,
         id: &str,
     ) -> Result<(SnapshotKind, Vec<u8>, Vec<BlockId>)> {
-        let bytes = self.retried("s3.get", || self.s3.get(region, &self.manifest_key(id)))?;
+        let key = self.manifest_key(id);
+        let bytes =
+            self.retried("s3.get", || self.s3.get_traced(region, &key, self.trace.as_ref()))?;
         let mut r = Reader::new(&bytes);
         if r.get_u32()? != 0x534E_4150 {
             return Err(RsError::Codec("bad snapshot magic".into()));

@@ -10,7 +10,7 @@
 
 use redsim_common::{Result, RetryEvent, RsError};
 use redsim_faultkit::{ErrClass, FaultRegistry, Outcome};
-use redsim_obs::{AttrValue, TraceSink, LVL_DETAIL};
+use redsim_obs::{AttrValue, TraceSink};
 use std::sync::Arc;
 
 /// What a call site should do after consulting a failpoint.
@@ -77,7 +77,7 @@ pub fn fire_no_skip(
 /// A [`RetryPolicy::run_observed`](redsim_common::RetryPolicy::run_observed)
 /// hook that publishes the standard retry telemetry to `sink`:
 /// `retry.attempts` / `retry.exhausted` counters, and a retroactive
-/// `retry.wait` span (LVL_DETAIL) per backoff sleep.
+/// `retry.wait` span per backoff sleep.
 pub fn retry_observer(sink: Option<Arc<TraceSink>>) -> impl FnMut(&RetryEvent) {
     move |ev| {
         let Some(s) = &sink else { return };
@@ -85,7 +85,6 @@ pub fn retry_observer(sink: Option<Arc<TraceSink>>) -> impl FnMut(&RetryEvent) {
             RetryEvent::Backoff { op, attempt, wait, .. } => {
                 s.counter("retry.attempts").incr();
                 s.span_completed(
-                    LVL_DETAIL,
                     "retry.wait",
                     wait.as_nanos() as u64,
                     &[
@@ -128,7 +127,7 @@ mod tests {
 
     #[test]
     fn fire_bumps_fault_injected_counter() {
-        let sink = Arc::new(TraceSink::with_level(redsim_obs::LVL_DETAIL));
+        let sink = Arc::new(TraceSink::new());
         let reg = FaultRegistry::new(1);
         reg.configure(fp::S3_GET, FaultSpec::err(ErrClass::Throttle).times(2));
         reg.configure(fp::S3_PUT, FaultSpec::drop_op().once());
@@ -145,7 +144,7 @@ mod tests {
 
     #[test]
     fn retry_observer_publishes_counters_and_wait_spans() {
-        let sink = Arc::new(TraceSink::with_level(redsim_obs::LVL_DETAIL));
+        let sink = Arc::new(TraceSink::new());
         let policy = RetryPolicy::default()
             .with_max_attempts(3)
             .with_delays(Duration::from_micros(50), Duration::from_micros(200));

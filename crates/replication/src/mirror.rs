@@ -9,7 +9,7 @@
 use crate::inject::{self, Flow};
 use crate::s3sim::S3Sim;
 use redsim_faultkit::{fp, FaultRegistry};
-use redsim_obs::{AttrValue, TraceSink, LVL_PHASE};
+use redsim_obs::{AttrValue, TraceSink};
 use redsim_testkit::sync::{Mutex, RwLock};
 use redsim_common::{FxHashMap, Result, RetryPolicy, RsError};
 use redsim_distribution::{CohortMap, NodeId};
@@ -112,7 +112,7 @@ impl ReplicatedStore {
 
     fn span(&self, name: &'static str) -> redsim_obs::Span {
         let trace = self.trace.read();
-        trace.as_ref().map_or_else(redsim_obs::Span::disabled, |t| t.span(LVL_PHASE, name))
+        trace.as_ref().map_or_else(redsim_obs::Span::disabled, |t| t.span(name))
     }
 
     fn with_sink(&self, f: impl FnOnce(&Arc<TraceSink>)) {
@@ -230,10 +230,8 @@ impl ReplicatedStore {
         let fault = || self.fault_in(id).map(|(block, _placed)| block);
         let Some(t) = self.sink_opt() else { return fault() };
         t.counter("restore.page_faults").incr();
-        let mut span = t.span(LVL_PHASE, "restore.page_fault");
-        if span.is_recording() {
-            span.attr("block", AttrValue::Str(format!("{id}")));
-        }
+        let mut span = t.span("restore.page_fault");
+        span.attr("block", AttrValue::Str(format!("{id}")));
         let out = fault();
         span.finish();
         out
@@ -265,7 +263,7 @@ impl ReplicatedStore {
                 "restore.page_fault",
                 || {
                     inject::fire_no_skip(self.faults(), sink.as_ref(), fp::RESTORE_PAGE_FAULT)?;
-                    self.s3.get(&region, &key)
+                    self.s3.get_traced(&region, &key, sink.as_ref())
                 },
                 inject::retry_observer(sink.clone()),
             )
@@ -303,11 +301,9 @@ impl ReplicatedStore {
             self.fault_in(BlockId(id))?.1?;
             self.with_sink(|t| t.counter("restore.blocks_hydrated").incr());
         }
-        if span.is_recording() {
-            span.attr("requested", k);
-            span.attr("fetched", batch.len());
-            span.attr("remaining", self.pending.lock().len());
-        }
+        span.attr("requested", k);
+        span.attr("fetched", batch.len());
+        span.attr("remaining", self.pending.lock().len());
         Ok(batch.len())
     }
 
@@ -359,7 +355,7 @@ impl ReplicatedStore {
                 || match inject::fire(faults, sink.as_ref(), fp::MIRROR_BACKUP_DRAIN)? {
                     Flow::Skip => Ok(false), // stays queued for the next drain
                     Flow::Continue => {
-                        self.s3.put_checked(&self.region, &key, block.serialize())?;
+                        self.s3.put_traced(&self.region, &key, block.serialize(), sink.as_ref())?;
                         Ok(true)
                     }
                 },
@@ -381,11 +377,9 @@ impl ReplicatedStore {
         if !requeue.is_empty() {
             self.backup_queue.lock().extend(requeue);
         }
-        if span.is_recording() {
-            span.attr("queued", requested);
-            span.attr("uploaded", uploaded);
-            span.attr("failed", failure.is_some());
-        }
+        span.attr("queued", requested);
+        span.attr("uploaded", uploaded);
+        span.attr("failed", failure.is_some());
         span.finish();
         self.with_sink(|t| t.counter("mirror.blocks_backed_up").add(uploaded as u64));
         self.publish_backlog();
@@ -496,11 +490,9 @@ impl ReplicatedStore {
                 .insert(idraw, Placement { primary: survivor, secondary: new_secondary });
             blocks += 1;
         }
-        if span.is_recording() {
-            span.attr("node", failed.0);
-            span.attr("blocks", blocks);
-            span.attr("bytes", bytes);
-        }
+        span.attr("node", failed.0);
+        span.attr("blocks", blocks);
+        span.attr("bytes", bytes);
         span.finish();
         self.with_sink(|t| t.counter("mirror.blocks_re_replicated").add(blocks as u64));
         Ok((blocks, bytes))
@@ -990,7 +982,7 @@ mod tests {
 
     #[test]
     fn restore_trace_records_faults_and_hydration() {
-        let sink = Arc::new(TraceSink::with_level(redsim_obs::LVL_DETAIL));
+        let sink = Arc::new(TraceSink::new());
         let (_s3, store, ids) = restored(6);
         store.set_trace(Arc::clone(&sink));
         store.get_any(ids[0]).unwrap(); // demand fault

@@ -30,22 +30,18 @@ struct Region {
 /// shares the same failpoint configuration and seeded trigger stream,
 /// so one `RSIM_FAILPOINTS`/`RSIM_SEED` pair configures — and replays —
 /// a whole chaos schedule.
+///
+/// It keeps no telemetry sink: clusters restored onto one S3 share it,
+/// so a fault that fires at an `s3.*` seam counts in the sink the caller
+/// passes — its own cluster's `fault.injected`.
 pub struct S3Sim {
     regions: RwLock<BTreeMap<String, Region>>,
     faults: Arc<FaultRegistry>,
-    /// Optional telemetry sink for `fault.injected` at the s3.* seams
-    /// (attached by the owning cluster; last writer wins when clusters
-    /// share an S3, which only happens in DR drills).
-    trace: RwLock<Option<Arc<TraceSink>>>,
 }
 
 impl Default for S3Sim {
     fn default() -> Self {
-        S3Sim {
-            regions: RwLock::new(BTreeMap::new()),
-            faults: Arc::new(FaultRegistry::from_env()),
-            trace: RwLock::new(None),
-        }
+        S3Sim::with_faults(Arc::new(FaultRegistry::from_env()))
     }
 }
 
@@ -67,7 +63,7 @@ impl S3Sim {
     /// Construct with an explicit fault registry (tests that want a
     /// fixed seed regardless of the environment).
     pub fn with_faults(faults: Arc<FaultRegistry>) -> Self {
-        S3Sim { regions: RwLock::new(BTreeMap::new()), faults, trace: RwLock::new(None) }
+        S3Sim { regions: RwLock::new(BTreeMap::new()), faults }
     }
 
     /// The shared failpoint registry for everything riding on this S3.
@@ -75,19 +71,9 @@ impl S3Sim {
         &self.faults
     }
 
-    /// Attach a telemetry sink so s3.* failpoint firings bump
-    /// `fault.injected`.
-    pub fn set_trace(&self, sink: Arc<TraceSink>) {
-        *self.trace.write() = Some(sink);
-    }
-
-    fn sink(&self) -> Option<Arc<TraceSink>> {
-        self.trace.read().clone()
-    }
-
     /// Store an object (overwrites). Infallible by design: this is the
     /// raw staging primitive used by tests (`put_s3_object`) and
-    /// fixtures. Production write paths go through [`Self::put_checked`],
+    /// fixtures. Production write paths go through [`Self::put_traced`],
     /// which honors the `s3.put` failpoint.
     pub fn put(&self, region: &str, key: &str, data: Vec<u8>) {
         let mut regions = self.regions.write();
@@ -97,11 +83,24 @@ impl S3Sim {
         r.objects.insert(key.to_string(), Arc::new(data));
     }
 
-    /// Store an object through the `s3.put` failpoint. A `drop` action
-    /// silently loses the write (the object never lands) — the
-    /// durability seam multi-fault tests exercise.
+    /// [`Self::put_traced`] for a caller with no sink of its own: a fault
+    /// that fires counts only in the registry.
     pub fn put_checked(&self, region: &str, key: &str, data: Vec<u8>) -> Result<()> {
-        match inject::fire(&self.faults, self.sink().as_ref(), fp::S3_PUT)? {
+        self.put_traced(region, key, data, None)
+    }
+
+    /// Store an object through the `s3.put` failpoint, counting a firing
+    /// in `sink`'s `fault.injected`. A `drop` action silently loses the
+    /// write (the object never lands) — the durability seam multi-fault
+    /// tests exercise.
+    pub fn put_traced(
+        &self,
+        region: &str,
+        key: &str,
+        data: Vec<u8>,
+        sink: Option<&Arc<TraceSink>>,
+    ) -> Result<()> {
+        match inject::fire(&self.faults, sink, fp::S3_PUT)? {
             Flow::Skip => Ok(()), // lost write
             Flow::Continue => {
                 self.put(region, key, data);
@@ -110,10 +109,22 @@ impl S3Sim {
         }
     }
 
-    /// Fetch an object (subject to the `s3.get` failpoint; a `drop`
-    /// action surfaces as a transient lost-response error).
+    /// [`Self::get_traced`] for a caller with no sink of its own: a fault
+    /// that fires counts only in the registry.
     pub fn get(&self, region: &str, key: &str) -> Result<Arc<Vec<u8>>> {
-        inject::fire_no_skip(&self.faults, self.sink().as_ref(), fp::S3_GET)?;
+        self.get_traced(region, key, None)
+    }
+
+    /// Fetch an object through the `s3.get` failpoint, counting a firing
+    /// in `sink`'s `fault.injected` (a `drop` action surfaces as a
+    /// transient lost-response error).
+    pub fn get_traced(
+        &self,
+        region: &str,
+        key: &str,
+        sink: Option<&Arc<TraceSink>>,
+    ) -> Result<Arc<Vec<u8>>> {
+        inject::fire_no_skip(&self.faults, sink, fp::S3_GET)?;
         let mut regions = self.regions.write();
         let r = regions
             .get_mut(region)
@@ -153,14 +164,21 @@ impl S3Sim {
     }
 
     /// Copy one object across regions (disaster-recovery replication).
-    /// Subject to `s3.copy_object`; a `drop` action silently skips the
-    /// copy (the DR region misses the object until the next snapshot).
-    pub fn copy_object(&self, from_region: &str, to_region: &str, key: &str) -> Result<()> {
-        match inject::fire(&self.faults, self.sink().as_ref(), fp::S3_COPY_OBJECT)? {
+    /// Subject to `s3.copy_object` and `s3.get`, counted in `sink`; a
+    /// `drop` action silently skips the copy (the DR region misses the
+    /// object until the next snapshot).
+    pub fn copy_object(
+        &self,
+        from_region: &str,
+        to_region: &str,
+        key: &str,
+        sink: Option<&Arc<TraceSink>>,
+    ) -> Result<()> {
+        match inject::fire(&self.faults, sink, fp::S3_COPY_OBJECT)? {
             Flow::Skip => return Ok(()),
             Flow::Continue => {}
         }
-        let data = self.get(from_region, key)?;
+        let data = self.get_traced(from_region, key, sink)?;
         let mut regions = self.regions.write();
         let dst = regions.entry(to_region.to_string()).or_default();
         dst.puts += 1;
@@ -213,7 +231,7 @@ mod tests {
     fn cross_region_copy() {
         let s3 = S3Sim::new();
         s3.put("us-east-1", "k", vec![7]);
-        s3.copy_object("us-east-1", "eu-west-1", "k").unwrap();
+        s3.copy_object("us-east-1", "eu-west-1", "k", None).unwrap();
         assert_eq!(*s3.get("eu-west-1", "k").unwrap(), vec![7]);
     }
 
@@ -245,11 +263,14 @@ mod tests {
         let s3 = S3Sim::new();
         s3.put("r", "k", vec![1]);
         s3.faults().configure(fp::S3_GET, FaultSpec::err(ErrClass::Throttle).times(2));
-        assert_eq!(s3.get("r", "k").unwrap_err().code(), "THROTTLE");
+        let sink = Arc::new(TraceSink::new());
+        assert_eq!(s3.get_traced("r", "k", Some(&sink)).unwrap_err().code(), "THROTTLE");
         assert_eq!(s3.get("r", "k").unwrap_err().code(), "THROTTLE");
         // Budget exhausted: the failpoint disarmed itself.
         assert_eq!(*s3.get("r", "k").unwrap(), vec![1]);
         assert_eq!(s3.faults().injected_total(), 2);
+        // Only the traced call had a sink to count in.
+        assert_eq!(sink.counter_value("fault.injected"), 1);
     }
 
     #[test]
@@ -269,8 +290,11 @@ mod tests {
         let s3 = S3Sim::new();
         s3.put("a", "k", vec![7]);
         s3.faults().configure(fp::S3_COPY_OBJECT, FaultSpec::err(ErrClass::Repl).once());
-        assert_eq!(s3.copy_object("a", "b", "k").unwrap_err().code(), "REPL");
-        s3.copy_object("a", "b", "k").unwrap();
+        let sink = Arc::new(TraceSink::new());
+        assert_eq!(s3.copy_object("a", "b", "k", Some(&sink)).unwrap_err().code(), "REPL");
+        s3.copy_object("a", "b", "k", Some(&sink)).unwrap();
         assert_eq!(*s3.get("b", "k").unwrap(), vec![7]);
+        // The firing counts in the caller's sink.
+        assert_eq!(sink.counter_value("fault.injected"), 1);
     }
 }

@@ -60,10 +60,6 @@ impl SimTime {
         self.as_secs_f64() / 3_600.0
     }
 
-    pub fn as_days_f64(self) -> f64 {
-        self.as_secs_f64() / 86_400.0
-    }
-
     /// Saturating difference (spans are non-negative).
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))

@@ -3,7 +3,7 @@
 use crate::ast::{BinaryOp, JoinType, UnaryOp};
 use redsim_common::{DataType, Result, RsError, Value};
 use redsim_distribution::JoinDistStrategy;
-use redsim_storage::table::{ColumnRange, ScanPredicate};
+use redsim_storage::table::ScanPredicate;
 
 /// Scalar functions available in expressions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -376,9 +376,4 @@ impl LogicalPlan {
             }
         }
     }
-}
-
-/// Helper to construct a [`ColumnRange`] (re-exported storage type).
-pub fn column_range(col: usize, lo: Option<Value>, hi: Option<Value>) -> ColumnRange {
-    ColumnRange { col, lo, hi }
 }

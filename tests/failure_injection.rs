@@ -270,6 +270,35 @@ fn disaster_recovery_from_second_region() {
 }
 
 #[test]
+fn a_clusters_s3_faults_count_in_its_own_sink() {
+    // Two clusters on one S3 (a restore drill): a fault that fires under
+    // one cluster's COPY is that cluster's `fault.injected`, not the
+    // cluster that attached to the S3 last.
+    let pa =
+        Cluster::launch(ClusterConfig::new("pa").nodes(1).slices_per_node(1).retry(fast_retry()))
+            .unwrap();
+    load(&pa, 100);
+    pa.create_snapshot("snap", SnapshotKind::User).unwrap();
+    let pb = Cluster::restore_from_snapshot(
+        ClusterConfig::new("pb").nodes(1).slices_per_node(1),
+        Arc::clone(pa.s3()),
+        "us-east-1",
+        "pa",
+        "snap",
+        None,
+    )
+    .unwrap();
+    let injected = |c: &Cluster| c.trace().counter_value("fault.injected");
+    let (a0, b0) = (injected(&pa), injected(&pb));
+    pa.put_s3_object("more/1", b"7,row-7\n".to_vec());
+    pa.faults().configure(fp::S3_GET, FaultSpec::err(ErrClass::Throttle).times(1));
+    pa.execute("COPY t FROM 's3://more/'").unwrap();
+    assert_eq!(pa.faults().injected_total(), 1, "the armed fault fired once");
+    let (a1, b1) = (injected(&pa), injected(&pb));
+    assert_eq!((a1 - a0, b1 - b0), (1, 0), "A: {a0} -> {a1}, B: {b0} -> {b1}");
+}
+
+#[test]
 fn copy_rides_through_s3_flakiness() {
     // §5 "escalators, not elevators": a flaky S3 (30% throttle on every
     // GET) must not fail a COPY — the typed retry loop absorbs the
