@@ -268,10 +268,11 @@ echo "== join strategies + aggregate key lanes (e11) baseline is honored (benchd
 # E11: the same join co-located (DS_DIST_NONE), against a DISTSTYLE ALL
 # inner (DS_DIST_ALL_NONE) and re-hashed, and one 200k-row join grouped
 # by a BIGINT, a VARCHAR and two VARCHAR keys. The baseline is the run
-# on the commit before the typed join (PR 16); the stock 15% p50 gate
-# keeps the 3-10x from eroding. The bench prints ALL_NONE / DIST_NONE
-# (target <= 1.2: a replicated inner is built once, not per slice) and
-# GROUP BY VARCHAR / BIGINT (target <= 2). Regenerate with
+# after dimension strings became codes; the stock 15% p50 gate keeps it
+# from eroding. The bench prints ALL_NONE / DIST_NONE (target <= 1.2: a
+# replicated inner is built once, not per slice) and GROUP BY VARCHAR /
+# BIGINT (target <= 1.1, gated below in "dimension strings travel as
+# codes"). Regenerate with
 #   cargo bench --offline -p redsim-bench --bench join_strategy
 # and copy results/e11_join_strategy.csv over its _baseline.csv.
 cargo run -q --offline -p redsim-bench --bin benchdiff -- \
@@ -750,6 +751,65 @@ for f in crates/obs/src/*.rs; do
   obs_lines=$((obs_lines + n))
 done
 echo "  non-test lines: $obs_lines (parent: 981)"
+
+echo "== dimension strings travel as codes (quick pass) =="
+# A join codes each build-side VARCHAR it emits once, into one dictionary
+# (DESIGN.md §16 "The coded StrVec", §18), and GROUP BY remaps codes
+# instead of hashing strings. The probes: every StrVec / ColumnData
+# operation on a coded vector equals it on the arena, with and without
+# NULLs, and raw_parts refuses a coded vector; a coded key gets the ids
+# its bytes get and LIKE over a coded column matches the row matcher;
+# every encoding writes a coded column as its arena's bytes; inner and
+# LEFT joins grouped by a dimension VARCHAR (NULL padding, a NULL value,
+# duplicate build keys, two keys) equal the row-store oracle; ORDER BY
+# <position> sorts by that select-list column and refuses one out of
+# range (both probes fail on the parent); LZSS compress emits the
+# reference compressor's tokens.
+cargo test -q --offline -p redsim-common --lib -- coded_equals_arena raw_parts_refuses_a_coded_vector
+cargo test -q --offline -p redsim-engine --lib -- coded_strings_get_the_ids_their_bytes_get \
+  column_kernel_agrees_with_row_matcher
+cargo test -q --offline -p redsim-storage --lib -- coded_columns_encode_as_their_arena \
+  compress_emits_the_reference_tokens
+cargo test -q --offline -p redsim-sql --lib -- order_by_position_is_a_select_list_column
+cargo test -q --offline --test end_to_end -- order_by_position_sorts_by_that_select_list_column \
+  dimension_strings_travel_as_codes
+# Fresh runs of e11's aggregate_lanes alone (`-- lanes`, a few seconds,
+# written to e11_join_strategy_lanes.csv in a temporary directory): in one
+# of three tries GROUP BY VARCHAR must cost <= 1.1x GROUP BY BIGINT (the
+# parent: 1.30x) and GROUP BY VARCHAR, VARCHAR <= 1.5x (the parent: 2.01x).
+lanes_dir=$(mktemp -d)
+lanes_ok=0
+for try in 1 2 3; do
+  RSIM_RESULTS_DIR="$lanes_dir/results" cargo bench -q --offline -p redsim-bench --bench join_strategy \
+    -- lanes > "$lanes_dir/out.txt"
+  # The two-key bench's name is quoted and holds a comma: its p50 is $7.
+  if awk -F, -v try="$try" '$1 == "aggregate_lanes" && $2 == "GROUP BY BIGINT" { big = $6 }
+    $1 == "aggregate_lanes" && $2 == "GROUP BY VARCHAR" { one = $6 }
+    $1 == "aggregate_lanes" && $2 == "\"GROUP BY VARCHAR" { two = $7 }
+    END {
+      if (!big || !one || !two) { print "error: aggregate_lanes rows missing" > "/dev/stderr"; exit 2 }
+      printf "try %d: GROUP BY VARCHAR = %.2fx, VARCHAR, VARCHAR = %.2fx GROUP BY BIGINT (p50)\n", try, one / big, two / big
+      exit (one / big > 1.1 || two / big > 1.5)
+    }' "$lanes_dir/results/e11_join_strategy_lanes.csv"; then
+    lanes_ok=1
+    break
+  fi
+done
+rm -rf "$lanes_dir"
+if [ "$lanes_ok" != 1 ]; then
+  echo "error: GROUP BY a joined VARCHAR hashes strings again (aggregate_lanes ratios, three tries)" >&2
+  exit 1
+fi
+# Non-test lines of the files the change touched, beside the parent's.
+codes_lines=0
+for f in crates/common/src/column.rs:562 crates/engine/src/join.rs:348 crates/engine/src/keys.rs:188 \
+  crates/engine/src/like.rs:215 crates/storage/src/encoding.rs:853 crates/storage/src/lzss.rs:210 \
+  crates/sql/src/binder.rs:821 crates/bench/benches/join_strategy.rs:147; do
+  n=$(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "${f%%:*}")
+  printf '  %5d (parent %5d) %s\n' "$n" "${f##*:}" "${f%%:*}"
+  codes_lines=$((codes_lines + n))
+done
+echo "  non-test lines: $codes_lines (parent: 3344)"
 
 echo "== benchdiff smoke (self-diff must pass, regression must fail) =="
 bd_dir=$(mktemp -d)

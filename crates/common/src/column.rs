@@ -3,54 +3,135 @@
 //! A [`ColumnData`] holds one column's values for a batch (or a whole
 //! block). Fixed-width types use plain `Vec`s; strings use [`StrVec`], an
 //! offsets-into-arena layout that avoids per-value heap allocations on the
-//! scan path.
+//! scan path, or — a join's dimension column — codes into a shared
+//! dictionary.
 
 use crate::bitmap::Bitmap;
 use crate::error::{Result, RsError};
+use crate::hash::FxHashMap;
 use crate::types::{cmp_f64, DataType, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-/// Arena-backed string vector: `offsets[i]..offsets[i+1]` indexes `bytes`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StrVec {
-    offsets: Vec<u32>,
-    bytes: Vec<u8>,
+/// A string vector in one of two forms, equal wherever both hold the
+/// same strings:
+///
+/// - an **arena**: `offsets[i]..offsets[i+1]` indexes `bytes`. Storage,
+///   codecs and the loader only ever write this form.
+/// - **coded**: row `i` is entry `codes[i]` of `dict`, an arena shared
+///   by every vector cut from the same one ([`StrVec::coded`]). A join
+///   codes a build-side VARCHAR once, so gathering a row copies a `u32`
+///   and GROUP BY reads the code. The dictionary always holds `""`, the
+///   payload of a NULL slot.
+///
+/// Every reader (`get`, `bytes_at`, `gather`, compare, `Value`s) reads
+/// through the dictionary; a write that cannot stay coded (a string
+/// pushed, a row from another dictionary) turns the vector into an
+/// arena first. Only [`StrVec::raw_parts`] needs the arena form: its
+/// callers take [`StrVec::arena`] first.
+#[derive(Debug, Clone)]
+pub struct StrVec(Repr);
+
+#[derive(Debug, Clone)]
+enum Repr {
+    Arena { offsets: Vec<u32>, bytes: Vec<u8> },
+    Coded { codes: Vec<u32>, dict: Arc<StrVec>, empty: u32 },
 }
+
+impl Default for StrVec {
+    fn default() -> Self {
+        StrVec::new()
+    }
+}
+
+/// Equal strings, whatever the form.
+impl PartialEq for StrVec {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && (0..self.len()).all(|i| self.bytes_at(i) == other.bytes_at(i))
+    }
+}
+
+impl Eq for StrVec {}
 
 impl StrVec {
     pub fn new() -> Self {
-        StrVec { offsets: vec![0], bytes: Vec::new() }
+        StrVec::with_capacity(0, 0)
     }
 
     pub fn with_capacity(rows: usize, bytes: usize) -> Self {
         let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0);
-        StrVec { offsets, bytes: Vec::with_capacity(bytes) }
+        StrVec(Repr::Arena { offsets, bytes: Vec::with_capacity(bytes) })
     }
 
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        match &self.0 {
+            Repr::Arena { offsets, .. } => offsets.len() - 1,
+            Repr::Coded { codes, .. } => codes.len(),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total bytes of string payload.
+    /// Bytes of string payload held: the arena's, or a coded vector's
+    /// dictionary's.
     pub fn byte_len(&self) -> usize {
-        self.bytes.len()
+        match &self.0 {
+            Repr::Arena { bytes, .. } => bytes.len(),
+            Repr::Coded { dict, .. } => dict.byte_len(),
+        }
+    }
+
+    /// Heap bytes the vector reads: payload plus one `u32` per row — an
+    /// arena's offset, a coded vector's code — and, coded, one per
+    /// dictionary entry. A coded vector counts its whole dictionary,
+    /// though every vector cut from it shares one.
+    pub fn byte_size(&self) -> usize {
+        match &self.0 {
+            Repr::Arena { bytes, .. } => bytes.len() + 4 * self.len(),
+            Repr::Coded { codes, dict, .. } => 4 * codes.len() + dict.byte_size(),
+        }
     }
 
     pub fn push(&mut self, s: &str) {
-        self.bytes.extend_from_slice(s.as_bytes());
-        self.offsets.push(self.bytes.len() as u32);
+        self.push_bytes(s.as_bytes());
+    }
+
+    /// Append text known to be UTF-8 (another `StrVec`'s row).
+    fn push_bytes(&mut self, s: &[u8]) {
+        let (offsets, bytes) = self.arena_mut();
+        bytes.extend_from_slice(s);
+        offsets.push(bytes.len() as u32);
+    }
+
+    /// Append the payload of a NULL slot: `""`, coded or not.
+    pub fn push_null(&mut self) {
+        match &mut self.0 {
+            Repr::Coded { codes, empty, .. } => codes.push(*empty),
+            Repr::Arena { .. } => self.push_bytes(b""),
+        }
+    }
+
+    /// Append row `i` of `src`: its code when both share a dictionary,
+    /// else its bytes (turning a coded `self` into an arena).
+    pub fn push_from(&mut self, src: &StrVec, i: usize) {
+        match (&mut self.0, &src.0) {
+            (Repr::Coded { codes, dict, .. }, Repr::Coded { codes: s, dict: d, .. })
+                if Arc::ptr_eq(dict, d) =>
+            {
+                codes.push(s[i])
+            }
+            _ => self.push_bytes(src.bytes_at(i)),
+        }
     }
 
     #[inline]
     pub fn get(&self, i: usize) -> &str {
-        let (a, b) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
         // SAFETY-free: only `&str` payloads are ever pushed.
-        std::str::from_utf8(&self.bytes[a..b]).expect("StrVec holds valid UTF-8")
+        std::str::from_utf8(self.bytes_at(i)).expect("StrVec holds valid UTF-8")
     }
 
     /// Row `i` as raw bytes: what [`StrVec::get`] returns, minus the
@@ -58,21 +139,128 @@ impl StrVec {
     /// read this.
     #[inline]
     pub fn bytes_at(&self, i: usize) -> &[u8] {
-        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        match &self.0 {
+            Repr::Arena { offsets, bytes } => slot(offsets, bytes, i),
+            Repr::Coded { codes, dict, .. } => dict.entry(codes[i] as usize),
+        }
+    }
+
+    /// Entry `i` of a dictionary, which is always an arena.
+    #[inline]
+    fn entry(&self, i: usize) -> &[u8] {
+        match &self.0 {
+            Repr::Arena { offsets, bytes } => slot(offsets, bytes, i),
+            Repr::Coded { .. } => unreachable!("a dictionary is an arena"),
+        }
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    pub fn shrink_to_fit(&mut self) {
-        self.offsets.shrink_to_fit();
-        self.bytes.shrink_to_fit();
+    /// Rows `idx`, in that form; the rows `nulls` marks NULL get the NULL
+    /// payload. Indices out of range panic.
+    pub fn gather(&self, idx: &[u32], nulls: &Bitmap) -> StrVec {
+        let all = nulls.all_set();
+        match &self.0 {
+            Repr::Coded { codes, dict, empty } => {
+                let codes = match all {
+                    true => idx.iter().map(|&i| codes[i as usize]).collect(),
+                    false => (idx.iter())
+                        .map(|&i| if nulls.get(i as usize) { codes[i as usize] } else { *empty })
+                        .collect(),
+                };
+                StrVec(Repr::Coded { codes, dict: Arc::clone(dict), empty: *empty })
+            }
+            Repr::Arena { offsets, bytes } => {
+                let mut out_offsets = Vec::with_capacity(idx.len() + 1);
+                let mut out = Vec::new();
+                out_offsets.push(0);
+                for &i in idx {
+                    let i = i as usize;
+                    if all || nulls.get(i) {
+                        // Raw arena copy: no per-row UTF-8 revalidation.
+                        out.extend_from_slice(slot(offsets, bytes, i));
+                    }
+                    out_offsets.push(out.len() as u32);
+                }
+                StrVec(Repr::Arena { offsets: out_offsets, bytes: out })
+            }
+        }
     }
 
-    /// Access the raw arena (offsets, bytes) for codecs.
+    /// The coded form: one dictionary of the distinct strings, first-seen
+    /// order, then `""` if no row holds it.
+    pub fn coded(&self) -> StrVec {
+        if let Repr::Coded { .. } = self.0 {
+            return self.clone();
+        }
+        let mut dict = StrVec::new();
+        let mut seen: FxHashMap<&[u8], u32> = FxHashMap::default();
+        let rows = (0..self.len()).map(|i| self.bytes_at(i));
+        let mut codes: Vec<u32> = (rows.chain([&b""[..]]))
+            .map(|s| {
+                *seen.entry(s).or_insert_with(|| {
+                    dict.push_bytes(s);
+                    dict.len() as u32 - 1
+                })
+            })
+            .collect();
+        let empty = codes.pop().expect("the code of \"\"");
+        dict.shrink_to_fit();
+        StrVec(Repr::Coded { codes, dict: Arc::new(dict), empty })
+    }
+
+    /// A coded vector's codes and dictionary; `None` for an arena.
+    pub fn as_coded(&self) -> Option<(&[u32], &Arc<StrVec>)> {
+        match &self.0 {
+            Repr::Coded { codes, dict, .. } => Some((codes, dict)),
+            Repr::Arena { .. } => None,
+        }
+    }
+
+    /// The arena form: borrowed when it is one, else materialised.
+    pub fn arena(&self) -> Cow<'_, StrVec> {
+        match &self.0 {
+            Repr::Arena { .. } => Cow::Borrowed(self),
+            Repr::Coded { .. } => {
+                let mut out = StrVec::with_capacity(self.len(), 0);
+                (0..self.len()).for_each(|i| out.push_bytes(self.bytes_at(i)));
+                Cow::Owned(out)
+            }
+        }
+    }
+
+    /// The arena's offsets and bytes, turning a coded vector into an
+    /// arena first.
+    fn arena_mut(&mut self) -> (&mut Vec<u32>, &mut Vec<u8>) {
+        if let Repr::Coded { .. } = self.0 {
+            *self = self.arena().into_owned();
+        }
+        match &mut self.0 {
+            Repr::Arena { offsets, bytes } => (offsets, bytes),
+            Repr::Coded { .. } => unreachable!("made an arena above"),
+        }
+    }
+
+    pub fn shrink_to_fit(&mut self) {
+        match &mut self.0 {
+            Repr::Arena { offsets, bytes } => {
+                offsets.shrink_to_fit();
+                bytes.shrink_to_fit();
+            }
+            Repr::Coded { codes, .. } => codes.shrink_to_fit(),
+        }
+    }
+
+    /// Access the raw arena (offsets, bytes) for codecs. Only an arena
+    /// has them: a caller that may hold a coded vector reads
+    /// `v.arena().raw_parts()`.
     pub fn raw_parts(&self) -> (&[u32], &[u8]) {
-        (&self.offsets, &self.bytes)
+        match &self.0 {
+            Repr::Arena { offsets, bytes } => (offsets, bytes),
+            Repr::Coded { .. } => panic!("raw_parts of a coded StrVec: read arena() first"),
+        }
     }
 
     /// Rebuild from raw parts, validating monotonicity and UTF-8.
@@ -84,8 +272,14 @@ impl StrVec {
             return Err(RsError::Codec("corrupt StrVec offsets".into()));
         }
         std::str::from_utf8(&bytes).map_err(|_| RsError::Codec("StrVec not UTF-8".into()))?;
-        Ok(StrVec { offsets, bytes })
+        Ok(StrVec(Repr::Arena { offsets, bytes }))
     }
+}
+
+/// Row `i` of an arena.
+#[inline]
+fn slot<'a>(offsets: &[u32], bytes: &'a [u8], i: usize) -> &'a [u8] {
+    &bytes[offsets[i] as usize..offsets[i + 1] as usize]
 }
 
 impl<'a> FromIterator<&'a str> for StrVec {
@@ -257,7 +451,7 @@ impl ColumnData {
                 nulls.push(false);
             }
             ColumnData::Str { data, nulls } => {
-                data.push("");
+                data.push_null();
                 nulls.push(false);
             }
             ColumnData::Date { data, nulls } => {
@@ -378,27 +572,11 @@ impl ColumnData {
                 fixed!(Decimal, data, nulls, scale: *scale)
             }
             ColumnData::Str { data, nulls } => {
-                let mut out = StrVec::with_capacity(idx.len(), 0);
-                if nulls.all_set() {
-                    // No NULLs to carry over: arena copies only.
-                    for &i in idx {
-                        out.bytes.extend_from_slice(data.bytes_at(i as usize));
-                        out.offsets.push(out.bytes.len() as u32);
-                    }
-                    return ColumnData::Str { data: out, nulls: Bitmap::all_valid(idx.len()) };
-                }
-                let mut out_nulls = Bitmap::new();
-                for &i in idx {
-                    let i = i as usize;
-                    let ok = nulls.get(i);
-                    if ok {
-                        // Raw arena copy: no per-row UTF-8 revalidation.
-                        out.bytes.extend_from_slice(data.bytes_at(i));
-                    }
-                    out.offsets.push(out.bytes.len() as u32);
-                    out_nulls.push(ok);
-                }
-                ColumnData::Str { data: out, nulls: out_nulls }
+                let out_nulls = match nulls.all_set() {
+                    true => Bitmap::all_valid(idx.len()),
+                    false => Bitmap::from_iter(idx.iter().map(|&i| nulls.get(i as usize))),
+                };
+                ColumnData::Str { data: data.gather(idx, nulls), nulls: out_nulls }
             }
         }
     }
@@ -431,7 +609,7 @@ impl ColumnData {
                 nulls.push(true);
             }
             (ColumnData::Str { data, nulls }, ColumnData::Str { data: s, .. }) => {
-                data.push(s.get(i));
+                data.push_from(s, i);
                 nulls.push(true);
             }
             (ColumnData::Date { data, nulls }, ColumnData::Date { data: s, .. }) => {
@@ -461,13 +639,9 @@ impl ColumnData {
         }
     }
 
-    /// Slice out rows `[from, to)` as a new column.
+    /// Slice out rows `[from, to)` as a new column, in this form.
     pub fn slice(&self, from: usize, to: usize) -> ColumnData {
-        let mut out = ColumnData::new(self.data_type());
-        for i in from..to {
-            out.push_from(self, i);
-        }
-        out
+        self.gather(&(from as u32..to as u32).collect::<Vec<u32>>())
     }
 
     /// Non-NULL min/max as `Value`s (zone-map construction): the *first*
@@ -532,7 +706,7 @@ impl ColumnData {
             ColumnData::Int4 { data, .. } | ColumnData::Date { data, .. } => data.len() * 4,
             ColumnData::Int8 { data, .. } | ColumnData::Timestamp { data, .. } => data.len() * 8,
             ColumnData::Float8 { data, .. } => data.len() * 8,
-            ColumnData::Str { data, .. } => data.byte_len() + 4 * data.len(),
+            ColumnData::Str { data, .. } => data.byte_size(),
             ColumnData::Decimal { data, .. } => data.len() * 16,
         };
         payload + self.len().div_ceil(8)
@@ -563,6 +737,8 @@ fn first_extremes<T: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type StrSet<'a> = std::collections::HashSet<&'a str>;
 
     #[test]
     fn strvec_roundtrip() {
@@ -726,6 +902,134 @@ mod tests {
             checked += usize::from(col.min_max().is_some());
         }
         assert!(checked > 2_000, "too few columns had a valid row: {checked}");
+    }
+
+    /// A VARCHAR column of `vals` (`None`: NULL) and its coded twin.
+    fn arena_and_coded(vals: &[Option<&str>]) -> (ColumnData, ColumnData) {
+        let mut c = ColumnData::new(DataType::Varchar);
+        for v in vals {
+            c.push_value(&v.map_or(Value::Null, |s| Value::Str(s.into()))).unwrap();
+        }
+        let ColumnData::Str { data, nulls } = &c else { unreachable!() };
+        let coded = ColumnData::Str { data: data.coded(), nulls: nulls.clone() };
+        (c, coded)
+    }
+
+    fn is_coded(c: &ColumnData) -> bool {
+        matches!(c, ColumnData::Str { data, .. } if data.as_coded().is_some())
+    }
+
+    /// Every row read three ways, and the raw bytes.
+    fn rows(c: &ColumnData) -> Vec<(Value, Option<String>, Vec<u8>)> {
+        let ColumnData::Str { data, .. } = c else { unreachable!() };
+        (0..c.len())
+            .map(|i| (c.get(i), c.get_str(i).map(str::to_string), data.bytes_at(i).to_vec()))
+            .collect()
+    }
+
+    /// Every `StrVec` / `ColumnData` operation on a coded vector equals the
+    /// same operation on its arena, with and without NULLs, and the reads
+    /// that can stay coded do.
+    #[test]
+    fn coded_equals_arena() {
+        let cases: [&[Option<&str>]; 5] = [
+            &[],
+            &[Some("eu"), Some("na"), Some("eu"), Some("apac"), Some("na")],
+            &[Some("eu"), None, Some(""), Some("wörld"), None, Some("eu")],
+            &[None, None],
+            &[Some("b"), Some("a"), Some("é"), Some("a\u{0}"), Some(""), Some("b")],
+        ];
+        for vals in cases {
+            let (arena, coded) = arena_and_coded(vals);
+            let ColumnData::Str { data: ad, .. } = &arena else { unreachable!() };
+            let ColumnData::Str { data: cd, .. } = &coded else { unreachable!() };
+            assert!(is_coded(&coded) && !is_coded(&arena));
+            // Reads, Values, PartialEq both ways, iteration.
+            assert_eq!(rows(&coded), rows(&arena), "{vals:?}");
+            assert_eq!(coded, arena);
+            assert_eq!(arena, coded);
+            assert_eq!(cd.iter().collect::<Vec<_>>(), ad.iter().collect::<Vec<_>>());
+            assert_eq!(coded.null_count(), arena.null_count());
+            // The dictionary holds each distinct string once, and "".
+            let (codes, dict) = cd.as_coded().unwrap();
+            assert_eq!(codes.len(), vals.len());
+            let distinct: StrSet = dict.iter().collect();
+            assert_eq!(distinct.len(), dict.len());
+            assert!(distinct.contains(""));
+            // gather (repeats, reversed, empty) and slice stay coded.
+            let n = vals.len() as u32;
+            let reversed: Vec<u32> = (0..n).rev().collect();
+            for idx in [reversed, (0..n).flat_map(|i| [i, i]).collect(), vec![]] {
+                let (a, c) = (arena.gather(&idx), coded.gather(&idx));
+                assert!(is_coded(&c));
+                assert_eq!(rows(&c), rows(&a));
+                assert_eq!(c.nulls(), a.nulls());
+            }
+            for (from, to) in [(0, vals.len()), (vals.len() / 2, vals.len()), (0, 0)] {
+                let (a, c) = (arena.slice(from, to), coded.slice(from, to));
+                assert!(is_coded(&c));
+                assert_eq!(rows(&c), rows(&a));
+            }
+            // push_null stays coded; push_from a vector of the same
+            // dictionary stays coded, from any other turns into an arena.
+            let (mut a, mut c) = (arena.clone(), coded.clone());
+            a.push_null();
+            c.push_null();
+            assert!(is_coded(&c));
+            assert_eq!(rows(&c), rows(&a));
+            for i in 0..vals.len() {
+                a.push_from(&arena, i);
+                c.push_from(&coded, i);
+            }
+            assert!(is_coded(&c));
+            assert_eq!(rows(&c), rows(&a));
+            a.append(&coded);
+            c.append(&coded);
+            assert!(is_coded(&c));
+            assert_eq!(rows(&c), rows(&a));
+            let mut into_arena = ColumnData::new(DataType::Varchar);
+            into_arena.append(&coded);
+            assert!(!is_coded(&into_arena));
+            assert_eq!(rows(&into_arena), rows(&arena));
+            let (_, other_dict) = arena_and_coded(vals);
+            for (src, what) in [(&arena, "an arena"), (&other_dict, "another dictionary")] {
+                let mut c = coded.clone();
+                c.append(src);
+                // Only a NULL row (its payload is coded) keeps it coded.
+                assert_eq!(is_coded(&c), src.null_count() == src.len(), "appending {what}");
+                let mut a = arena.clone();
+                a.append(src);
+                assert_eq!(rows(&c), rows(&a), "appending {what}");
+            }
+            let mut pushed = cd.clone();
+            pushed.push("new");
+            assert!(pushed.as_coded().is_none());
+            assert_eq!(pushed.get(vals.len()), "new");
+            // Compare and sort: the same order row by row.
+            let order = |c: &ColumnData| {
+                let mut idx: Vec<usize> = (0..c.len()).collect();
+                idx.sort_by(|&x, &y| c.get(x).cmp_sql(&c.get(y)).then(x.cmp(&y)));
+                idx
+            };
+            assert_eq!(order(&coded), order(&arena));
+            let key = |mm: Option<(Value, Value)>| mm.map(|(a, b)| (exact(&a), exact(&b)));
+            assert_eq!(key(coded.min_max()), key(arena.min_max()));
+            // The arena form is the original's bytes exactly.
+            assert_eq!(cd.arena().raw_parts(), ad.raw_parts());
+            assert!(matches!(ad.arena(), Cow::Borrowed(_)));
+            // byte_size: the codes, plus the whole dictionary (payload and
+            // an offset per entry), plus the validity bits.
+            let dict_bytes = dict.byte_len() + 4 * dict.len();
+            assert_eq!(coded.byte_size(), 4 * vals.len() + dict_bytes + vals.len().div_ceil(8));
+            assert_eq!(arena.byte_size(), ad.byte_len() + 4 * vals.len() + vals.len().div_ceil(8));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "raw_parts of a coded StrVec")]
+    fn raw_parts_refuses_a_coded_vector() {
+        let v: StrVec = ["a", "b"].into_iter().collect();
+        let _ = v.coded().raw_parts();
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! residual sees only the columns it reads, a LEFT join's rows without a
 //! surviving match are NULL-extended after their batch's matches, and
 //! only the plan's `emit` columns are gathered — keys and filter-only
-//! columns are never copied. A [`Build`] is immutable: when the inner
+//! columns are never copied. An inner VARCHAR is coded once, at build
+//! time ([`StrVec::coded`](redsim_common::StrVec::coded)), so emitting
+//! it gathers `u32` codes and shares one dictionary. A [`Build`] is immutable: when the inner
 //! side is the same on every slice (`DS_DIST_ALL_NONE`,
 //! `DS_BCAST_INNER`) one is made and all probe it.
 
@@ -207,7 +209,7 @@ impl Build {
             }
         }
         let cols = (shape.right_types.iter().enumerate())
-            .map(|(c, &ty)| shape.reads_right(c).then(|| concat_selected(chunks, c, ty)))
+            .map(|(c, &ty)| shape.reads_right(c).then(|| coded(concat_selected(chunks, c, ty))))
             .collect();
         Ok(Build { lane, table, duplicates: next.iter().any(|&x| x != 0), next, cols })
     }
@@ -283,6 +285,17 @@ fn concat_selected(chunks: &[Chunk], c: usize, ty: DataType) -> ColumnData {
         ch.sel.for_each(|_, i| out.push_from(&ch.cols[c], i));
     }
     out
+}
+
+/// A VARCHAR as codes into one dictionary of its distinct strings, made
+/// once per build: the join then gathers a `u32` per output row, and
+/// GROUP BY remaps codes instead of hashing strings. Other types as they
+/// are.
+fn coded(col: ColumnData) -> ColumnData {
+    match col {
+        ColumnData::Str { data, nulls } => ColumnData::Str { data: data.coded(), nulls },
+        other => other,
+    }
 }
 
 /// Batch row `l[p]` joins build row `r[p]`; `unmatched`: LEFT-join rows to pad.

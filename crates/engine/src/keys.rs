@@ -8,7 +8,7 @@
 //! | INT2/4/8, DATE, TIMESTAMP, BOOL | `Int` | the value widened to `i64` |
 //! | FLOAT8 | `Float` | [`canon_f64`] bits (`-0.0` is `0.0`, one NaN) |
 //! | DECIMAL | `Dec` | `i128` units (a join: both sides of one scale) |
-//! | VARCHAR | `Str` | UTF-8 bytes, copied once per distinct key |
+//! | VARCHAR | `Str` | UTF-8 bytes, copied once per distinct key; a coded column's entry, hashed once per dictionary |
 //! | a join's mixed numeric pair: DECIMAL scales differ, an integer with a DECIMAL, anything with FLOAT8 | `Float` | both sides' `f64` (`get_f64`), as `=` compares them |
 //!
 //! A [`Dict`] gives each distinct key, NULL included, a dense id in
@@ -16,13 +16,19 @@
 //! a join indexes its build side by them, or — two integer-family keys —
 //! by the `i64` itself (`join`), and looks probe keys up with
 //! [`KeyLane::find`], which never inserts.
+//!
+//! A coded VARCHAR (a join's dimension column, [`StrVec::coded`]) reaches
+//! the `Str` lane as codes: a [`Remap`] caches each dictionary entry's id
+//! the first time a row holds it, so a string is hashed once per entry,
+//! not once per row, and ids stay in first-seen row order.
 
 use crate::kernels::with_ints;
 use crate::selection::Selection;
 use redsim_common::types::canon_f64;
-use redsim_common::{Bitmap, ColumnData, DataType, FxHashMap, Result, RsError};
+use redsim_common::{Bitmap, ColumnData, DataType, FxHashMap, Result, RsError, StrVec};
 use std::borrow::Borrow;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// The id [`KeyLane::find`] gives a NULL or unseen key.
 const MISS: u32 = u32::MAX;
@@ -109,12 +115,56 @@ impl<K: Hash + Eq> Dict<K> {
     }
 }
 
+impl Dict<Vec<u8>> {
+    /// [`Dict::ids`] over a coded column: `remap[code]` is its entry's
+    /// id once a row has held it.
+    fn ids_coded(
+        &mut self,
+        remap: &mut [u32],
+        (codes, dict): (&[u32], &StrVec),
+        sel: &Selection,
+        nulls: &Bitmap,
+        out: &mut Vec<u32>,
+    ) {
+        sel.for_each(|_, i| {
+            out.push(match nulls.get(i) {
+                true => {
+                    let c = codes[i] as usize;
+                    match remap[c] {
+                        MISS => {
+                            remap[c] = self.id_of(dict.bytes_at(c));
+                            remap[c]
+                        }
+                        id => id,
+                    }
+                }
+                false => *self.null_id.get_or_insert_with(|| Self::fresh(&mut self.len)),
+            })
+        })
+    }
+}
+
+/// The last dictionary a `Str` lane saw coded, and each of its entries'
+/// id ([`MISS`]: no row has held it yet).
+#[derive(Default)]
+pub(crate) struct Remap(Option<(Arc<StrVec>, Vec<u32>)>);
+
+impl Remap {
+    /// The remap of `dict`, fresh when it is not the last one seen.
+    fn of(&mut self, dict: &Arc<StrVec>) -> &mut [u32] {
+        if !self.0.as_ref().is_some_and(|(seen, _)| Arc::ptr_eq(seen, dict)) {
+            self.0 = Some((Arc::clone(dict), vec![MISS; dict.len()]));
+        }
+        &mut self.0.as_mut().expect("set above").1
+    }
+}
+
 /// One key column's dictionary, on its lane.
 pub(crate) enum KeyLane {
     Int(Dict<i64>),
     Float(Dict<u64>),
     Dec(Dict<i128>),
-    Str(Dict<Vec<u8>>),
+    Str(Dict<Vec<u8>>, Remap),
 }
 
 /// Row `i` of a numeric column on the `Float` lane.
@@ -135,7 +185,7 @@ macro_rules! on_lane {
         let (col, sel, out): (&ColumnData, &Selection, &mut Vec<u32>) = ($col, $sel, $out);
         let nulls = col.nulls();
         match ($lane, col) {
-            (KeyLane::Str(d), ColumnData::Str { data, .. }) => {
+            (KeyLane::Str(d, _), ColumnData::Str { data, .. }) => {
                 d.$code::<[u8], _>(sel, nulls, out, |i| data.bytes_at(i))
             }
             (KeyLane::Dec(d), ColumnData::Decimal { data, .. }) => d.$code::<i128, _>(sel, nulls, out, |i| data[i]),
@@ -157,7 +207,7 @@ impl KeyLane {
         match ty {
             DataType::Float8 => KeyLane::Float(Dict::default()),
             DataType::Decimal(..) => KeyLane::Dec(Dict::default()),
-            DataType::Varchar => KeyLane::Str(Dict::default()),
+            DataType::Varchar => KeyLane::Str(Dict::default(), Remap::default()),
             _ => KeyLane::Int(Dict::default()),
         }
     }
@@ -176,6 +226,12 @@ impl KeyLane {
     /// Append the id of each selected row's key to `out`, opening ids for
     /// keys first seen here.
     pub(crate) fn ids_of(&mut self, col: &ColumnData, sel: &Selection, out: &mut Vec<u32>) -> Result<()> {
+        if let (KeyLane::Str(d, remap), ColumnData::Str { data, nulls }) = (&mut *self, col) {
+            if let Some((codes, dict)) = data.as_coded() {
+                d.ids_coded(remap.of(dict), (codes, dict), sel, nulls, out);
+                return Ok(());
+            }
+        }
         on_lane!(self, col, sel, out, ids)
     }
 
@@ -223,6 +279,44 @@ mod tests {
         assert!(lane.ids_of(&strs, &Selection::all(1), &mut ids).is_err());
     }
 
+    /// A coded VARCHAR gets, row for row, the ids its bytes get: over
+    /// batches of one dictionary, then of another, with NULLs and a
+    /// sparse selection; each entry's id is looked up once.
+    #[test]
+    fn coded_strings_get_the_ids_their_bytes_get() {
+        use Value::*;
+        let strs = |v: &[&str]| {
+            let vals: Vec<Value> =
+                v.iter().map(|s| if *s == "-" { Null } else { Str(s.to_string()) }).collect();
+            let arena = column(DataType::Varchar, &vals);
+            let ColumnData::Str { data, nulls } = &arena else { unreachable!() };
+            let coded = ColumnData::Str { data: data.coded(), nulls: nulls.clone() };
+            (arena, coded)
+        };
+        let first = strs(&["eu", "-", "na", "eu", "", "apac"]);
+        let second = strs(&["apac", "latam", "-", "eu", "latam", "na"]);
+        let mut plain = KeyLane::for_type(DataType::Varchar);
+        let mut coded = KeyLane::for_type(DataType::Varchar);
+        for ((arena, code), sel) in [
+            (&first, Selection::all(6)),
+            (&first, Selection::from_ids(6, vec![1, 3, 5])),
+            (&second, Selection::from_ids(6, vec![0, 1, 2, 4])),
+            (&second, Selection::all(6)),
+            (&first, Selection::all(6)),
+        ] {
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            plain.ids_of(arena, &sel, &mut want).unwrap();
+            coded.ids_of(code, &sel, &mut got).unwrap();
+            assert_eq!(got, want);
+        }
+        let KeyLane::Str(d, Remap(Some((dict, remap)))) = &coded else { unreachable!() };
+        assert_eq!(d.len, 6, "eu, NULL, na, \"\", apac, latam");
+        // The last dictionary seen was the first batch's again, and a
+        // valid row holds each of its entries: all are mapped.
+        assert_eq!(remap.len(), dict.len());
+        assert!(remap.iter().all(|&id| id != MISS));
+    }
+
     #[test]
     fn join_lanes_come_from_both_types() {
         use DataType::*;
@@ -231,7 +325,7 @@ mod tests {
             Some(KeyLane::Int(_)) => "int",
             Some(KeyLane::Float(_)) => "f64",
             Some(KeyLane::Dec(_)) => "dec",
-            Some(KeyLane::Str(_)) => "str",
+            Some(KeyLane::Str(..)) => "str",
         };
         assert_eq!(lane(Int2, Int8), "direct");
         assert_eq!(lane(Date, Date), "direct");

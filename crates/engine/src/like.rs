@@ -122,7 +122,8 @@ impl LikeMatcher {
 
     /// The candidates whose string is non-NULL and matches (`want`) or
     /// does not (`!want`): the LIKE kernel. The shape is picked once,
-    /// outside the row loop.
+    /// outside the row loop; a coded column is matched once per
+    /// dictionary entry.
     pub(crate) fn select(
         &self,
         data: &StrVec,
@@ -130,6 +131,12 @@ impl LikeMatcher {
         cand: &Selection,
         want: bool,
     ) -> Selection {
+        if let Some((codes, dict)) = data.as_coded() {
+            // Once per dictionary entry, then a lookup per row.
+            let hits: Vec<bool> =
+                (0..dict.len()).map(|e| self.matches_bytes(dict.bytes_at(e)) == want).collect();
+            return cand.select_valid(Some(nulls), None, |i| hits[codes[i] as usize]);
+        }
         match &self.shape {
             // A prefix of ≤ 8 bytes tests a row with a length check and one
             // masked arena word, falling back to the slice compare only
@@ -266,7 +273,9 @@ mod tests {
     #[test]
     fn column_kernel_agrees_with_row_matcher() {
         use redsim_common::{ColumnData, DataType, Value};
-        // Every shape through the per-column entry point, one NULL row.
+        // Every shape through the per-column entry point, one NULL row,
+        // on the arena and on its coded twin (matched per dictionary
+        // entry).
         let texts = [
             "red-031",
             "red-03",
@@ -285,6 +294,8 @@ mod tests {
         let ColumnData::Str { data, nulls } = &col else {
             unreachable!()
         };
+        let coded = data.coded();
+        assert!(coded.as_coded().is_some());
         let all = Selection::all(col.len());
         for pattern in [
             "r%",
@@ -309,6 +320,8 @@ mod tests {
                     expect,
                     "{pattern} want={want}"
                 );
+                let got = m.select(&coded, nulls, &all, want);
+                assert_eq!(got, expect, "coded {pattern} want={want}");
             }
         }
     }

@@ -294,7 +294,9 @@ impl<'a> Binder<'a> {
         }
 
         // ORDER BY binds against the projected output (aliases and output
-        // names). Three fallbacks keep common SQL working:
+        // names). A bare integer literal is a 1-based position in the
+        // select list (`ORDER BY 1 + 0` stays an expression). Two
+        // fallbacks keep common SQL working:
         //   1. qualified names (`c.region`) retry unqualified — the
         //      projection drops qualifiers;
         //   2. expressions over *pre-projection* columns (ORDER BY a
@@ -310,6 +312,17 @@ impl<'a> Binder<'a> {
         let mut keys: Vec<(BoundExpr, bool)> = Vec::new();
         if !sel.order_by.is_empty() {
             for item in &sel.order_by {
+                if let Expr::Literal(Literal::Int(pos)) = item.expr {
+                    // Position 0 wraps past any list.
+                    let index = (pos as usize).wrapping_sub(1);
+                    let Some(col) = out_cols[..visible].get(index) else {
+                        return Err(RsError::Analysis(format!(
+                            "ORDER BY position {pos} is not in select list"
+                        )));
+                    };
+                    keys.push((BoundExpr::Column { index, ty: col.ty }, item.desc));
+                    continue;
+                }
                 let over_projection = self.bind_expr(&item.expr, &proj_scope).or_else(|e| {
                     match &item.expr {
                         Expr::Column { table: Some(_), name } => self
@@ -953,6 +966,46 @@ mod tests {
             }
         }
         assert!(find_filter(&plan));
+    }
+
+    /// `ORDER BY <n>` sorts by the n-th select-list column, not by the
+    /// constant n.
+    #[test]
+    fn order_by_position_is_a_select_list_column() {
+        fn sort_keys(p: &LogicalPlan) -> Vec<(BoundExpr, bool)> {
+            match p {
+                LogicalPlan::Sort { keys, .. } => keys.clone(),
+                LogicalPlan::Project { input, .. } | LogicalPlan::Limit { input, .. } => {
+                    sort_keys(input)
+                }
+                other => panic!("no sort in {other:?}"),
+            }
+        }
+        let keys = sort_keys(&bind("SELECT total, id FROM orders ORDER BY 2 DESC, 1").unwrap());
+        assert_eq!(
+            keys,
+            [
+                (BoundExpr::Column { index: 1, ty: DataType::Int8 }, true),
+                (BoundExpr::Column { index: 0, ty: DataType::Float8 }, false),
+            ]
+        );
+        // Positions count the select list only, not a hidden sort column.
+        for sql in [
+            "SELECT id FROM orders ORDER BY 7",
+            "SELECT id FROM orders ORDER BY 0",
+            "SELECT id FROM orders ORDER BY total, 2",
+        ] {
+            let pos = sql.rsplit(' ').next().unwrap();
+            match bind(sql) {
+                Err(RsError::Analysis(m)) => {
+                    assert_eq!(m, format!("ORDER BY position {pos} is not in select list"))
+                }
+                other => panic!("{sql}: {other:?}"),
+            }
+        }
+        // An expression is not a position.
+        let keys = sort_keys(&bind("SELECT id FROM orders ORDER BY 1 + 0").unwrap());
+        assert!(!matches!(keys[0].0, BoundExpr::Column { .. }), "{keys:?}");
     }
 
     #[test]

@@ -301,7 +301,8 @@ fn write_raw_payload(col: &ColumnData, w: &mut Writer) {
             }
         }
         ColumnData::Str { data, .. } => {
-            let (offsets, bytes) = data.raw_parts();
+            let arena = data.arena();
+            let (offsets, bytes) = arena.raw_parts();
             w.put_u32(offsets.len() as u32);
             for &o in offsets {
                 w.put_u32(o);
@@ -408,15 +409,11 @@ fn slot_eq(col: &ColumnData, a: usize, b: usize) -> bool {
         ColumnData::Float8 { data, .. } => data[a].to_bits() == data[b].to_bits(),
         ColumnData::Decimal { data, .. } => data[a] == data[b],
         ColumnData::Str { data, .. } => {
-            // Strict raw-byte comparison: indexes the offset table
-            // directly so an out-of-range index panics like every other
-            // arm (instead of any lenient "absent == absent" outcome
-            // silently fusing RLE runs), and skips per-slot UTF-8
-            // revalidation on this hot loop.
-            let (off, bytes) = data.raw_parts();
-            let ra = off[a] as usize..off[a + 1] as usize;
-            let rb = off[b] as usize..off[b + 1] as usize;
-            bytes[ra] == bytes[rb]
+            // Strict raw-byte comparison: an out-of-range index panics
+            // like every other arm (instead of any lenient "absent ==
+            // absent" outcome silently fusing RLE runs), and no per-slot
+            // UTF-8 revalidation on this hot loop.
+            data.bytes_at(a) == data.bytes_at(b)
         }
     }
 }
@@ -648,7 +645,8 @@ pub fn encode_column(col: &ColumnData, enc: Encoding) -> Result<Vec<u8>> {
                     |i: usize, w: &mut Writer| w.put_i128(data[i])
                 ),
                 ColumnData::Str { data, .. } => {
-                    let (off, bytes) = data.raw_parts();
+                    let arena = data.arena();
+                    let (off, bytes) = arena.raw_parts();
                     let at = |i: usize| &bytes[off[i] as usize..off[i + 1] as usize];
                     build!(
                         |i: usize| hash_bytes(at(i)),
@@ -884,6 +882,28 @@ mod tests {
         assert_eq!(col.len(), back.len());
         for i in 0..col.len() {
             assert_eq!(col.get(i), back.get(i), "row {i} enc {enc}");
+        }
+    }
+
+    /// Storage never receives a coded VARCHAR (only a join makes one, and
+    /// nothing writes a join's output), but if one arrived, every
+    /// encoding would write its arena's bytes exactly.
+    #[test]
+    fn coded_columns_encode_as_their_arena() {
+        let vals =
+            [Some("eu"), None, Some(""), Some("na"), Some("eu"), Some("wörld"), None, Some("eu")];
+        let arena = str_col(&vals);
+        let ColumnData::Str { data, nulls } = &arena else { unreachable!() };
+        let coded = ColumnData::Str { data: data.coded(), nulls: nulls.clone() };
+        for enc in Encoding::ALL {
+            match (encode_column(&arena, enc), encode_column(&coded, enc)) {
+                (Ok(a), Ok(c)) => {
+                    assert_eq!(a, c, "{enc}");
+                    roundtrip(&coded, enc);
+                }
+                (Err(_), Err(_)) => {}
+                (a, c) => panic!("{enc}: {a:?} vs {c:?}"),
+            }
         }
     }
 

@@ -28,6 +28,25 @@ fn hash3(b: &[u8]) -> usize {
     (h as usize) & (HASH_SIZE - 1)
 }
 
+/// How many bytes from `a` equal those from `b` (`a < b`), up to `max`:
+/// eight at a time while a whole word fits, then byte by byte.
+#[inline]
+fn match_len(input: &[u8], a: usize, b: usize, max: usize) -> usize {
+    let word = |at: usize| u64::from_le_bytes(input[at..at + 8].try_into().expect("eight bytes"));
+    let mut l = 0;
+    while l + 8 <= max {
+        let diff = word(a + l) ^ word(b + l);
+        if diff != 0 {
+            return l + diff.trailing_zeros() as usize / 8;
+        }
+        l += 8;
+    }
+    while l < max && input[a + l] == input[b + l] {
+        l += 1;
+    }
+    l
+}
+
 /// Compress `input`. Always succeeds; worst case expands by ~1/8 + 5 bytes.
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
@@ -58,21 +77,19 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
             let h = hash3(&input[i..]);
             let mut cand = head[h];
             let mut probes = 0;
-            while cand != usize::MAX && probes < MAX_PROBES {
+            // No candidate can beat a match of every byte left.
+            let max = MAX_MATCH.min(input.len() - i);
+            while cand != usize::MAX && probes < MAX_PROBES && best_len < max {
                 if i - cand > WINDOW {
                     break;
                 }
-                // Extend match.
-                let max = MAX_MATCH.min(input.len() - i);
-                let mut l = 0;
-                while l < max && input[cand + l] == input[i + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_off = i - cand;
-                    if l == MAX_MATCH {
-                        break;
+                // Only a candidate that also matches the byte at
+                // `best_len` can be longer than the best so far.
+                if input[cand + best_len] == input[i + best_len] {
+                    let l = match_len(input, cand, i, max);
+                    if l > best_len {
+                        best_len = l;
+                        best_off = i - cand;
                     }
                 }
                 cand = prev[cand % WINDOW];
@@ -212,10 +229,120 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, redsim_common::RsError> {
 mod tests {
     use super::*;
 
+    /// The reference compressor: every chain candidate extended byte by
+    /// byte. `compress` must emit exactly its tokens.
+    fn compress_reference(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(input.len() / 2 + 16);
+        out.extend_from_slice(&(input.len() as u32).to_le_bytes());
+        // head[h] = most recent position with hash h; prev[i % WINDOW] = chain.
+        let mut head = vec![usize::MAX; HASH_SIZE];
+        let mut prev = vec![usize::MAX; WINDOW];
+        let mut i = 0usize;
+        let mut flag_pos = usize::MAX;
+        let mut flag_bit = 8u8;
+        let push_token = |out: &mut Vec<u8>, flag_pos: &mut usize, flag_bit: &mut u8, is_copy: bool, bytes: &[u8]| {
+            if *flag_bit == 8 {
+                *flag_pos = out.len();
+                out.push(0);
+                *flag_bit = 0;
+            }
+            if is_copy {
+                let fp = *flag_pos;
+                out[fp] |= 1 << *flag_bit;
+            }
+            *flag_bit += 1;
+            out.extend_from_slice(bytes);
+        };
+        while i < input.len() {
+            let mut best_len = 0usize;
+            let mut best_off = 0usize;
+            if i + MIN_MATCH <= input.len() {
+                let h = hash3(&input[i..]);
+                let mut cand = head[h];
+                let mut probes = 0;
+                while cand != usize::MAX && probes < MAX_PROBES {
+                    if i - cand > WINDOW {
+                        break;
+                    }
+                    // Extend match.
+                    let max = MAX_MATCH.min(input.len() - i);
+                    let mut l = 0;
+                    while l < max && input[cand + l] == input[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_off = i - cand;
+                        if l == MAX_MATCH {
+                            break;
+                        }
+                    }
+                    cand = prev[cand % WINDOW];
+                    probes += 1;
+                }
+            }
+            if best_len >= MIN_MATCH {
+                let token = ((best_off as u16 - 1) << 5) | (best_len as u16 - MIN_MATCH as u16);
+                push_token(&mut out, &mut flag_pos, &mut flag_bit, true, &token.to_le_bytes());
+                // Insert hash entries for every covered position.
+                let end = i + best_len;
+                while i < end && i + MIN_MATCH <= input.len() {
+                    let h = hash3(&input[i..]);
+                    prev[i % WINDOW] = head[h];
+                    head[h] = i;
+                    i += 1;
+                }
+                i = end;
+            } else {
+                if i + MIN_MATCH <= input.len() {
+                    let h = hash3(&input[i..]);
+                    prev[i % WINDOW] = head[h];
+                    head[h] = i;
+                }
+                push_token(&mut out, &mut flag_pos, &mut flag_bit, false, &input[i..=i]);
+                i += 1;
+            }
+        }
+        out
+    }
+
     fn roundtrip(data: &[u8]) {
         let c = compress(data);
+        let n = data.len();
+        assert!(c == compress_reference(data), "tokens differ from the reference on {n} bytes");
         let d = decompress(&c).unwrap();
         assert_eq!(d, data);
+    }
+
+    /// A 4,096-row block of the `color-NNN` text a note column holds,
+    /// as its arena bytes.
+    fn color_block(seed: u64) -> Vec<u8> {
+        const COLORS: [&str; 8] =
+            ["red", "blue", "green", "amber", "black", "white", "cyan", "pink"];
+        let mut x = seed;
+        let mut out = Vec::new();
+        for _ in 0..4096 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (color, num) = (COLORS[(x >> 20) as usize % 8], (x >> 24) % 1000);
+            out.extend_from_slice(format!("{color}-{num:03}").as_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn compress_emits_the_reference_tokens() {
+        for seed in [1, 0x9E37_79B9_7F4A_7C15, 42] {
+            roundtrip(&color_block(seed));
+        }
+        // Matches that end exactly at, one short of and one past a word,
+        // and inputs ending inside a would-be match.
+        for n in 0..80 {
+            let alphabet = b"abcdefghijklmnopqrstuvwxyz0123456789";
+            let data: Vec<u8> = alphabet.iter().cycle().take(n).copied().collect();
+            roundtrip(&[&data[..], &data[..], &data[..n / 2]].concat());
+        }
     }
 
     #[test]

@@ -604,3 +604,93 @@ fn result_cache_hits_are_bit_identical_for_every_type() {
     assert_eq!(bits[..2], [0.0f64.to_bits(), (-0.0f64).to_bits()]);
     assert!(f64::from_bits(bits[2]).is_nan() && bits[3] == f64::NEG_INFINITY.to_bits());
 }
+
+#[test]
+fn order_by_position_sorts_by_that_select_list_column() {
+    let c = launch("order-pos");
+    c.execute("CREATE TABLE f (k BIGINT, q BIGINT, s VARCHAR(8))").unwrap();
+    c.execute("INSERT INTO f VALUES (1, 10, 'x'), (2, 50, 'z'), (3, 20, 'y')").unwrap();
+    c.execute("INSERT INTO f VALUES (4, 40, 'w'), (5, 30, 'v')").unwrap();
+    let text = |sql: &str| -> Vec<String> {
+        let rows = c.query(sql).unwrap().rows;
+        assert_eq!(rows, c.query_interpreted(sql).unwrap(), "{sql}");
+        let cells = |r: &redshift_sim::common::Row| -> Vec<String> {
+            (0..r.len()).map(|i| r.get(i).to_string()).collect()
+        };
+        rows.iter().map(|r| cells(r).join(",")).collect()
+    };
+    assert_eq!(text("SELECT s, q FROM f ORDER BY 2 DESC LIMIT 3"), ["z,50", "w,40", "v,30"]);
+    assert_eq!(text("SELECT q FROM f ORDER BY 1"), ["10", "20", "30", "40", "50"]);
+    let desc = ["z,50", "y,20", "x,10", "w,40", "v,30"];
+    assert_eq!(text("SELECT s, q FROM f ORDER BY 1 DESC"), desc);
+    // Position and name mix; an expression is not a position.
+    assert_eq!(text("SELECT k, s FROM f ORDER BY 2, k"), ["5,v", "4,w", "1,x", "3,y", "2,z"]);
+    assert_eq!(text("SELECT q FROM f ORDER BY 1 + 0, q DESC LIMIT 2"), ["50", "40"]);
+    let err = c.query("SELECT q FROM f ORDER BY 7").unwrap_err();
+    assert_eq!(err.code(), "ANALYSIS");
+    assert!(err.to_string().contains("ORDER BY position 7 is not in select list"), "{err}");
+}
+
+/// A dimension VARCHAR leaves the join as codes into the build's
+/// dictionary and GROUP BY reads the codes: every statement equals the
+/// row-store oracle — inner and LEFT joins, NULL-padded rows, a NULL
+/// dimension value, duplicate build keys, two keys across the join, a
+/// LIKE, a sort and the boxed aggregates over the joined column.
+#[test]
+fn dimension_strings_travel_as_codes() {
+    let c = launch("codes");
+    c.execute("CREATE TABLE fact (k BIGINT, q BIGINT) DISTKEY(k)").unwrap();
+    c.execute("CREATE TABLE dim (k BIGINT, region VARCHAR(8), cat VARCHAR(8)) DISTKEY(k)").unwrap();
+    c.execute("CREATE TABLE dim_all (k BIGINT, region VARCHAR(8), cat VARCHAR(8)) DISTSTYLE ALL")
+        .unwrap();
+    let fact: String = (0..400).map(|i| format!("{},{}\n", i * 7 % 13, i % 50)).collect();
+    // Keys 0..=10 (11 and 12 find nothing), key 3 twice, key 5 with a
+    // NULL region (an empty CSV field), key 8 with an empty one.
+    let dim: String = (0..=10)
+        .filter(|&k| k != 8)
+        .chain([3])
+        .enumerate()
+        .map(|(row, k)| {
+            let region = if k == 5 { "" } else { ["eu", "na", "apac", "latam"][(k + row) % 4] };
+            format!("{k},{region},{}\n", ["bolt", "nut", "gear"][k % 3])
+        })
+        .collect();
+    c.put_s3_object("codes/fact", fact.into_bytes());
+    c.put_s3_object("codes/dim", dim.into_bytes());
+    c.execute("COPY fact FROM 's3://codes/fact'").unwrap();
+    for t in ["dim", "dim_all"] {
+        c.execute(&format!("COPY {t} FROM 's3://codes/dim'")).unwrap();
+        c.execute(&format!("INSERT INTO {t} VALUES (8, '', 'gear')")).unwrap();
+    }
+    let sorted = |mut rows: Vec<redshift_sim::common::Row>| {
+        rows.sort_by_key(|r| format!("{r:?}"));
+        rows
+    };
+    for dim in ["dim", "dim_all"] {
+        for join in ["JOIN", "LEFT JOIN"] {
+            let from = format!("fact {join} {dim} d ON fact.k = d.k");
+            for sql in [
+                format!("SELECT region, COUNT(*), SUM(q) FROM {from} GROUP BY region"),
+                format!("SELECT region, cat, COUNT(*) FROM {from} GROUP BY region, cat"),
+                format!("SELECT cat, region, MIN(q) FROM {from} GROUP BY cat, region"),
+                format!("SELECT q, region FROM {from} WHERE region LIKE 'a%' OR q < 3"),
+                format!("SELECT DISTINCT region FROM {from}"),
+                format!(
+                    "SELECT COUNT(DISTINCT region), MIN(region), MAX(cat), COUNT(region) FROM {from}"
+                ),
+            ] {
+                let rows = c.query(&sql).unwrap().rows;
+                let oracle = c.query_interpreted(&sql).unwrap();
+                assert_eq!(sorted(rows), sorted(oracle), "{sql}");
+            }
+            let sql = format!("SELECT region, cat, q FROM {from} ORDER BY 1, 2 DESC, 3");
+            assert_eq!(c.query(&sql).unwrap().rows, c.query_interpreted(&sql).unwrap(), "{sql}");
+        }
+    }
+    // The LEFT join pads keys 11 and 12 with NULL and key 5 holds a NULL
+    // region (one group), key 8 an empty one: the two stay apart.
+    let sql = "SELECT region, COUNT(*) FROM fact LEFT JOIN dim ON fact.k = dim.k GROUP BY region";
+    let keys: Vec<String> =
+        c.query(sql).unwrap().rows.iter().map(|r| format!("{:?}", r.get(0))).collect();
+    assert!(keys.contains(&"Null".into()) && keys.contains(&"Str(\"\")".into()), "{keys:?}");
+}

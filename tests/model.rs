@@ -647,7 +647,7 @@ impl Run {
         let key =
             |rng: &mut Pcg32| keys.get(rng.gen_index(keys.len().max(1))).copied().unwrap_or(0);
         let (x, y) = (key(rng), key(rng));
-        let sql = match a % 7 {
+        let sql = match a % 13 {
             0 => format!("SELECT * FROM {t}"),
             1 => format!("SELECT COUNT(*), COUNT(v), SUM(k), MIN(v), MAX(i4) FROM {t}"),
             2 => format!(
@@ -658,6 +658,23 @@ impl Run {
             3 => format!("SELECT v, COUNT(*), MIN(k), MAX(i4) FROM {t} GROUP BY v"),
             4 => format!("SELECT COUNT(*), SUM(a.i4), MAX(b.v) FROM {t} a JOIN {u} b ON a.k = b.k"),
             5 => format!("SELECT k, i4, v FROM {t} ORDER BY k DESC, i4, v LIMIT {}", 1 + a % 20),
+            // Group by the build side's VARCHAR (it leaves the join as
+            // codes): inner, LEFT with NULL-padded rows, and two keys
+            // across the join; NULL and duplicate keys come from the rows.
+            6 => format!("SELECT b.v, COUNT(*), SUM(a.i4) FROM {t} a JOIN {u} b ON a.k = b.k GROUP BY b.v"),
+            7 => format!(
+                "SELECT b.v, COUNT(*), MIN(a.k) FROM {t} a LEFT JOIN {u} b ON a.k = b.k GROUP BY b.v"
+            ),
+            8 => format!(
+                "SELECT a.v, b.v, COUNT(*), MAX(b.i4) FROM {t} a LEFT JOIN {u} b ON a.k = b.k \
+                 GROUP BY a.v, b.v"
+            ),
+            // Positional ORDER BY, over a join and over one table.
+            9 => format!(
+                "SELECT b.v, a.k FROM {t} a LEFT JOIN {u} b ON a.k = b.k ORDER BY 1 DESC, 2 LIMIT {}",
+                1 + a % 20
+            ),
+            10 => format!("SELECT v, k, i4 FROM {t} ORDER BY 2 DESC, 3, 1 LIMIT {}", 1 + a % 20),
             _ if table.cols.len() == WIDE.len() => {
                 format!(
                     "SELECT MIN(f), MAX(f), MIN(d), MAX(ts), SUM(m), COUNT(b), MIN(i2) FROM {t}"
