@@ -268,8 +268,11 @@ echo "== join strategies + aggregate key lanes (e11) baseline is honored (benchd
 # E11: the same join co-located (DS_DIST_NONE), against a DISTSTYLE ALL
 # inner (DS_DIST_ALL_NONE) and re-hashed, and one 200k-row join grouped
 # by a BIGINT, a VARCHAR and two VARCHAR keys. The baseline is the run
-# after dimension strings became codes; the stock 15% p50 gate keeps it
-# from eroding. The bench prints ALL_NONE / DIST_NONE (target <= 1.2: a
+# after the integer probe became one pass over the selection
+# (DS_DIST_NONE 1.62 -> 0.86 ms on the box that recorded it); the stock
+# 15% p50 gate keeps it from eroding: a revert of that probe read the
+# DS_DIST rows +32-230% there.
+# The bench prints ALL_NONE / DIST_NONE (target <= 1.2: a
 # replicated inner is built once, not per slice) and GROUP BY VARCHAR /
 # BIGINT (target <= 1.1, gated below in "dimension strings travel as
 # codes"). Regenerate with
@@ -286,11 +289,14 @@ awk -F, '$1 == "join_strategy" && $2 ~ /^DS_DIST_NONE/ { none = $6 }
   }' results/e11_join_strategy.csv
 
 echo "== encode (e9) budget is honored (benchdiff gate) =="
-# The E9 encoding microbenches, re-baselined after the one-pass
-# bytedict build (slot hashes over the raw column payload, no per-row
-# Writer, no owned keys): dictionary-friendly shapes encode 9-20x
-# faster than the pre-change baseline. The stock 15% p50 gate keeps
-# that budget from silently eroding. Regenerate with
+# The E9 encoding microbenches. Every row but the int-key-500 shape's
+# is the baseline recorded after the one-pass bytedict build, which made
+# dictionary-friendly shapes encode 9-20x faster. The int-key-500 rows
+# (50k keys uniform over 0..500, star_join's `sid`) came with the
+# mixed-width delta decode and were recorded after it: `decode delta
+# int-key-500` is the row a revert of that word path moves (+70-131% on
+# the box that recorded it). The stock 15% p50 gate keeps both budgets
+# from silently eroding. Regenerate with
 #   cargo bench --offline -p redsim-bench --bench encodings
 # and copy results/e9_encodings.csv over its _baseline.csv.
 cargo run -q --offline -p redsim-bench --bin benchdiff -- \

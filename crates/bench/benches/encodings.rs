@@ -16,8 +16,12 @@ fn shapes() -> Vec<(&'static str, ColumnData)> {
     // Uniform over 0..5,000, the `adhoc_scan` benchmark's `cust` / `pid`
     // shape: two-byte delta steps in random order.
     let mut small_random = ColumnData::new(DataType::Int8);
+    // Uniform over 0..500, the `star_join` benchmark's `sid` shape: about
+    // one step in eight fits a byte, so one- and two-byte steps mix.
+    let mut key_500 = ColumnData::new(DataType::Int8);
     for i in 0..ROWS as i64 {
         small_random.push_value(&Value::Int8((mix64(i as u64) % 5_000) as i64)).unwrap();
+        key_500.push_value(&Value::Int8((mix64((ROWS as i64 + i) as u64) % 500) as i64)).unwrap();
         sorted.push_value(&Value::Int8(1_000_000_000 + i * 3)).unwrap();
         runs.push_value(&Value::Int8(i / 5_000)).unwrap();
         random
@@ -43,6 +47,7 @@ fn shapes() -> Vec<(&'static str, ColumnData)> {
         ("int-random", random),
         ("int-small", small),
         ("int-small-random", small_random),
+        ("int-key-500", key_500),
         ("text-urls", urls),
         ("text-lowcard", cats),
     ]

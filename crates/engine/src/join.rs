@@ -29,7 +29,7 @@ use crate::expr::narrow_predicate;
 use crate::kernels::with_ints;
 use crate::keys::{mismatch, KeyLane};
 use crate::selection::Selection;
-use redsim_common::{ColumnData, DataType, Result};
+use redsim_common::{Bitmap, ColumnData, DataType, Result};
 use redsim_sql::ast::JoinType;
 use redsim_sql::plan::{BoundExpr, OutCol};
 
@@ -144,21 +144,27 @@ impl IntTable {
     #[inline]
     fn head(&self, key: i64) -> u32 {
         match self {
-            IntTable::Direct { min, heads } => {
-                // Below `min` wraps past any length.
-                heads.get(key.wrapping_sub(*min) as u64 as usize).copied().unwrap_or(0)
+            IntTable::Direct { min, heads } => Self::direct_head(heads, *min, key),
+            IntTable::Hashed { slots, shift } => Self::hashed_head(slots, *shift, key),
+        }
+    }
+
+    #[inline(always)]
+    fn direct_head(heads: &[u32], min: i64, key: i64) -> u32 {
+        // Below `min` wraps past any length.
+        heads.get(key.wrapping_sub(min) as u64 as usize).copied().unwrap_or(0)
+    }
+
+    #[inline(always)]
+    fn hashed_head(slots: &[(i64, u32)], shift: u32, key: i64) -> u32 {
+        let mask = slots.len() - 1;
+        let mut s = Self::slot_of(key, shift);
+        loop {
+            let (k, head) = slots[s];
+            if (head == 0) | (k == key) {
+                return head;
             }
-            IntTable::Hashed { slots, shift } => {
-                let mask = slots.len() - 1;
-                let mut s = Self::slot_of(key, *shift);
-                loop {
-                    let (k, head) = slots[s];
-                    if (head == 0) | (k == key) {
-                        return head;
-                    }
-                    s = (s + 1) & mask;
-                }
-            }
+            s = (s + 1) & mask;
         }
     }
 }
@@ -218,47 +224,28 @@ impl Build {
         self.cols[c].as_ref().expect("an inner column the join reads")
     }
 
-    /// The head of each selected probe row's chain (0: no match).
-    fn heads(&self, key: &ColumnData, sel: &Selection) -> Result<Vec<u32>> {
-        let mut heads = Vec::with_capacity(sel.len());
-        let t = &self.table;
-        match &self.lane {
+    /// Every (probe row, build row) with equal keys, ascending; with
+    /// `keep_unmatched`, also the probe rows that found none.
+    fn probe(&self, key: &ColumnData, sel: &Selection, keep_unmatched: bool) -> Result<Pairs> {
+        let (l, r, unmatched) = match &self.lane {
             None => {
-                let nulls = key.nulls();
+                let nulls = Some(key.nulls()).filter(|n| !n.all_set());
                 with_ints!(key,
-                    d => sel.for_each(|_, i| heads.push(if nulls.get(i) { t.head(d[i] as i64) } else { 0 })),
+                    d => int_first_matches(&self.table, |i| d[i] as i64, nulls, sel, keep_unmatched),
                     _ => return Err(mismatch(key)))
             }
             // `MISS` lies past every id the table holds: no head.
             Some(lane) => {
-                lane.find(key, sel, &mut heads)?;
-                heads.iter_mut().for_each(|h| *h = t.head(*h as i64));
+                let mut ids = Vec::with_capacity(sel.len());
+                lane.find(key, sel, &mut ids)?;
+                first_matches(sel, keep_unmatched, |j, _| self.table.head(ids[j] as i64))
             }
-        }
-        Ok(heads)
-    }
-
-    /// Every (probe row, build row) with equal keys, ascending; with
-    /// `keep_unmatched`, also the probe rows that found none.
-    fn probe(&self, key: &ColumnData, sel: &Selection, keep_unmatched: bool) -> Result<Pairs> {
-        let heads = self.heads(key, sel)?;
-        // First matches, written without a branch on whether there was
-        // one: a miss is overwritten by the next row.
-        let (mut l, mut r) = (vec![0u32; sel.len() + 1], vec![0u32; sel.len() + 1]);
-        let mut n = 0;
-        sel.for_each(|j, i| {
-            (l[n], r[n]) = (i as u32, heads[j].wrapping_sub(1));
-            n += (heads[j] != 0) as usize;
-        });
-        l.truncate(n);
-        r.truncate(n);
-        let misses = sel.iter().zip(&heads).filter(|&(_, &head)| keep_unmatched && head == 0);
-        let unmatched = misses.map(|(i, _)| i as u32).collect();
+        };
         if !self.duplicates {
             return Ok(Pairs { l, r, unmatched });
         }
         // Some build key repeats: follow each first match down its chain.
-        let (mut all_l, mut all_r) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let (mut all_l, mut all_r) = (Vec::with_capacity(l.len()), Vec::with_capacity(l.len()));
         for (&i, &first) in l.iter().zip(&r) {
             let mut head = first + 1;
             while head != 0 {
@@ -269,6 +256,75 @@ impl Build {
         }
         Ok(Pairs { l: all_l, r: all_r, unmatched })
     }
+}
+
+/// [`first_matches`] for an integer key read by `key_at` (row -> key),
+/// with the table's kind and whether any key is NULL settled once, so
+/// each gets its own loop. A NULL key's slot holds a plain default value:
+/// it is looked up, and its head masked to a miss.
+#[inline]
+fn int_first_matches(
+    table: &IntTable,
+    key_at: impl Fn(usize) -> i64,
+    nulls: Option<&Bitmap>,
+    sel: &Selection,
+    keep_unmatched: bool,
+) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    #[inline(always)]
+    fn valid_only(
+        head: impl Fn(usize) -> u32,
+        nulls: Option<&Bitmap>,
+        sel: &Selection,
+        keep_unmatched: bool,
+    ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        match nulls {
+            None => first_matches(sel, keep_unmatched, |_, i| head(i)),
+            Some(n) => first_matches(sel, keep_unmatched, |_, i| head(i) & 0u32.wrapping_sub(n.get(i) as u32)),
+        }
+    }
+    match table {
+        IntTable::Direct { min, heads } => {
+            valid_only(|i| IntTable::direct_head(heads, *min, key_at(i)), nulls, sel, keep_unmatched)
+        }
+        IntTable::Hashed { slots, shift } => {
+            valid_only(|i| IntTable::hashed_head(slots, *shift, key_at(i)), nulls, sel, keep_unmatched)
+        }
+    }
+}
+
+/// One pass over `sel`: `head(position, row)` is the row's chain head (0:
+/// no match). Each row's first match goes to `(l, r)` and, with
+/// `keep_unmatched`, each miss to `unmatched` — every candidate is
+/// written, and only the cursor it belongs to advances.
+#[inline(always)]
+fn first_matches(
+    sel: &Selection,
+    keep_unmatched: bool,
+    head: impl Fn(usize, usize) -> u32,
+) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let (mut l, mut r) = (vec![0u32; sel.len() + 1], vec![0u32; sel.len() + 1]);
+    let mut n = 0;
+    let mut unmatched = Vec::new();
+    if keep_unmatched {
+        unmatched = vec![0u32; sel.len() + 1];
+        let mut m = 0;
+        sel.for_each(|j, i| {
+            let h = head(j, i);
+            (l[n], r[n], unmatched[m]) = (i as u32, h.wrapping_sub(1), i as u32);
+            n += (h != 0) as usize;
+            m += (h == 0) as usize;
+        });
+        unmatched.truncate(m);
+    } else {
+        sel.for_each(|j, i| {
+            let h = head(j, i);
+            (l[n], r[n]) = (i as u32, h.wrapping_sub(1));
+            n += (h != 0) as usize;
+        });
+    }
+    l.truncate(n);
+    r.truncate(n);
+    (l, r, unmatched)
 }
 
 /// Column `c` of the selected rows of `chunks`, as one dense column.
@@ -362,7 +418,7 @@ pub(crate) fn join_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redsim_common::FxHashMap;
+    use redsim_common::{FxHashMap, Value};
 
     /// Chains of `keys` (row -> key) through an `IntTable`, per key.
     fn chains(keys: &[i64]) -> (bool, FxHashMap<i64, Vec<u32>>) {
@@ -389,6 +445,137 @@ mod tests {
             assert!(keys.contains(&absent) || table.head(absent) == 0, "absent key {absent}");
         }
         (matches!(table, IntTable::Direct { .. }), out)
+    }
+
+    /// The probe as it was before it became one pass, kept as the
+    /// oracle: every head first, then the first matches, then a walk for
+    /// the misses, then the chains.
+    fn reference_probe(b: &Build, key: &ColumnData, sel: &Selection, keep_unmatched: bool) -> Pairs {
+        let mut heads = Vec::with_capacity(sel.len());
+        match &b.lane {
+            None => {
+                let nulls = key.nulls();
+                with_ints!(key,
+                    d => sel.for_each(|_, i| heads.push(if nulls.get(i) { b.table.head(d[i] as i64) } else { 0 })),
+                    _ => unreachable!("an integer key"))
+            }
+            Some(lane) => {
+                lane.find(key, sel, &mut heads).unwrap();
+                heads.iter_mut().for_each(|h| *h = b.table.head(*h as i64));
+            }
+        }
+        let (mut l, mut r) = (vec![0u32; sel.len() + 1], vec![0u32; sel.len() + 1]);
+        let mut n = 0;
+        sel.for_each(|j, i| {
+            (l[n], r[n]) = (i as u32, heads[j].wrapping_sub(1));
+            n += (heads[j] != 0) as usize;
+        });
+        l.truncate(n);
+        r.truncate(n);
+        let misses = sel.iter().zip(&heads).filter(|&(_, &head)| keep_unmatched && head == 0);
+        let unmatched = misses.map(|(i, _)| i as u32).collect();
+        if !b.duplicates {
+            return Pairs { l, r, unmatched };
+        }
+        let (mut all_l, mut all_r) = (Vec::new(), Vec::new());
+        for (&i, &first) in l.iter().zip(&r) {
+            let mut head = first + 1;
+            while head != 0 {
+                all_l.push(i);
+                all_r.push(head - 1);
+                head = b.next[head as usize];
+            }
+        }
+        Pairs { l: all_l, r: all_r, unmatched }
+    }
+
+    /// A column of `ty` holding `vals` (`None`: NULL).
+    fn column(ty: DataType, vals: &[Option<i64>]) -> ColumnData {
+        let mut col = ColumnData::new(ty);
+        for v in vals {
+            let v = match (v, ty) {
+                (None, _) => Value::Null,
+                (Some(v), DataType::Int2) => Value::Int2(*v as i16),
+                (Some(v), DataType::Int4) => Value::Int4(*v as i32),
+                (Some(v), DataType::Int8) => Value::Int8(*v),
+                (Some(v), DataType::Float8) => Value::Float8(*v as f64),
+                (Some(v), _) => Value::Str(v.to_string()),
+            };
+            col.push_value(&v).unwrap();
+        }
+        col
+    }
+
+    #[test]
+    fn the_one_pass_probe_equals_the_reference() {
+        let (mut direct, mut hashed) = (0, 0);
+        // Close-packed build keys (a direct table) and sparse ones (a
+        // hashed table), each with duplicates and a NULL.
+        let packed: Vec<Option<i64>> =
+            [-3, 0, 7, 7, 2, -3, 11, 5, 7].into_iter().map(Some).chain([None]).collect();
+        let sparse: Vec<Option<i64>> = [i64::MIN, 9, i64::MAX, 1 << 40, 9, -(1 << 33), 0, i64::MIN]
+            .into_iter()
+            .map(Some)
+            .chain([None])
+            .collect();
+        let unique: Vec<Option<i64>> = (0..40).map(|k| Some(k * 3 - 20)).collect();
+        // Below and above every build range, at both ends of i64, each
+        // build key, NULLs, and repeats.
+        let mut probe: Vec<Option<i64>> = vec![Some(i64::MIN), Some(i64::MAX), Some(i64::MIN + 1), Some(i64::MAX - 1)];
+        probe.extend([-4, -21, 12, 100, 1 << 40, -(1 << 33), 9, 0, 2, 7, -3, 5, 11, 3, 40].into_iter().map(Some));
+        probe.extend([None, Some(7), None, Some(-20), Some(97), Some(98), Some(-3)]);
+        let n = probe.len();
+        let sels = [
+            Selection::all(n),
+            Selection::from_ids(n, (0..n as u32).filter(|i| i % 3 != 1).collect()),
+            Selection::from_ids(n, vec![0, 5, 17, n as u32 - 1]),
+            Selection::none(n),
+        ];
+        let types = [
+            (DataType::Int8, DataType::Int8),
+            (DataType::Int4, DataType::Int8),
+            (DataType::Int2, DataType::Int4),
+            (DataType::Varchar, DataType::Varchar),
+            (DataType::Float8, DataType::Int8),
+        ];
+        for build_keys in [&packed, &sparse, &unique] {
+            for (lty, rty) in types {
+                // A narrow type holds only the keys that fit it.
+                let fits = |ty: DataType, v: &Option<i64>| match (ty, v) {
+                    (DataType::Int2, Some(v)) => i16::try_from(*v).is_ok(),
+                    (DataType::Int4, Some(v)) => i32::try_from(*v).is_ok(),
+                    _ => true,
+                };
+                let narrow = |ty, vals: &[Option<i64>]| -> Vec<Option<i64>> {
+                    vals.iter().map(|v| v.filter(|_| fits(ty, v))).collect()
+                };
+                let probe_col = column(lty, &narrow(lty, &probe));
+                let build_col = column(rty, &narrow(rty, build_keys));
+                let cols = |ty| vec![OutCol { name: "k".into(), ty }];
+                for join_type in [JoinType::Inner, JoinType::Left] {
+                    let shape = JoinShape::new(&cols(lty), &cols(rty), join_type, (0, 0), None, &[]).unwrap();
+                    let chunk = Chunk { sel: Selection::all(build_col.len()), cols: vec![build_col.clone()] };
+                    let build = Build::new(&shape, &[chunk]).unwrap();
+                    if build.lane.is_none() {
+                        match build.table {
+                            IntTable::Direct { .. } => direct += 1,
+                            IntTable::Hashed { .. } => hashed += 1,
+                        }
+                    }
+                    for sel in &sels {
+                        let keep = join_type == JoinType::Left;
+                        let got = build.probe(&probe_col, sel, keep).unwrap();
+                        let want = reference_probe(&build, &probe_col, sel, keep);
+                        assert_eq!(
+                            (got.l, got.r, got.unmatched),
+                            (want.l, want.r, want.unmatched),
+                            "{lty} = {rty}, {join_type:?}, {build_keys:?}, {sel:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(direct > 0 && hashed > 0, "{direct} direct and {hashed} hashed builds");
     }
 
     #[test]

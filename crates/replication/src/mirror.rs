@@ -421,28 +421,36 @@ impl ReplicatedStore {
             // only with reads, which treat missing blocks as fall-through.
             alive[node.0 as usize] = true;
         }
-        // The replacement arrives blank: clear blocks the dead incarnation
-        // hosted (we can't swap the store Arc in-place without unsafe).
-        let placements = self.placements.read();
-        for (&idraw, p) in placements.iter() {
-            if p.primary == node || p.secondary == Some(node) {
-                self.nodes[node.0 as usize].delete(BlockId(idraw));
-            }
-        }
-        drop(placements);
+        // The replacement arrives blank: every block the dead incarnation
+        // held goes, named by a placement or not (we can't swap the store
+        // Arc in-place without unsafe).
+        self.nodes[node.0 as usize].clear();
         true
     }
 
-    /// Re-replicate every block that lost a replica on `failed`.
-    /// Returns (blocks re-replicated, bytes copied) — the "resource
-    /// impact of re-replication" the cohort design bounds.
+    /// Is `node` up and holding `id`'s bytes — a live copy?
+    fn holds(&self, node: NodeId, id: BlockId) -> bool {
+        self.node_alive(node) && self.nodes[node.0 as usize].contains(id)
+    }
+
+    /// Re-replicate every block that lost a replica on `failed`, and
+    /// every other block with one live copy where its cohort has room
+    /// for two: one placed without a secondary while its peer was down,
+    /// or whose secondary write was dropped. Returns (blocks
+    /// re-replicated, bytes copied) — the "resource impact of
+    /// re-replication" the cohort design bounds.
     pub fn re_replicate(&self, failed: NodeId) -> Result<(usize, u64)> {
         let mut span = self.span("mirror.re_replicate");
+        let live_members = |n: NodeId| self.cohorts.members(n).into_iter().filter(|&m| self.node_alive(m)).count();
         let affected: Vec<(u64, Placement)> = self
             .placements
             .read()
             .iter()
-            .filter(|(_, p)| p.primary == failed || p.secondary == Some(failed))
+            .filter(|&(&id, p)| {
+                let copies = [Some(p.primary), p.secondary].into_iter().flatten();
+                let copies = copies.filter(|&n| self.holds(n, BlockId(id))).count();
+                p.primary == failed || p.secondary == Some(failed) || copies == 1 && live_members(p.primary) >= 2
+            })
             .map(|(&id, &p)| (id, p))
             .collect();
         let retry = *self.retry.read();
@@ -465,14 +473,14 @@ impl ReplicatedStore {
                 inject::retry_observer(sink.clone()),
             )?;
             let Some(block) = fetched else { continue };
-            // New primary: the survivor; new secondary: another live
+            // New primary: a replica still holding the bytes, else the
+            // live one `failed` leaves; new secondary: another live
             // cohort member — `failed` itself once revived (blank), which
-            // in a two-node cohort is the only one.
-            let survivor = if old.primary == failed {
-                old.secondary.filter(|&s| self.node_alive(s))
-            } else {
-                Some(old.primary).filter(|&p| self.node_alive(p))
-            };
+            // in a two-node cohort is the only one. Whichever lacks the
+            // bytes gets them.
+            let named = [Some(old.primary), old.secondary].into_iter().flatten();
+            let survivor = (named.clone().find(|&n| self.holds(n, id)))
+                .or_else(|| named.filter(|&n| n != failed).find(|&n| self.node_alive(n)));
             let survivor = survivor.ok_or_else(|| {
                 RsError::Replication(format!("{id}: no surviving on-cluster replica"))
             })?;
@@ -481,9 +489,11 @@ impl ReplicatedStore {
                 .members(survivor)
                 .into_iter()
                 .find(|&m| m != survivor && self.node_alive(m));
-            if let Some(ns) = new_secondary {
-                self.nodes[ns.0 as usize].put((*block).clone())?;
-                bytes += block.byte_size() as u64;
+            for n in [Some(survivor), new_secondary].into_iter().flatten() {
+                if !self.holds(n, id) {
+                    self.nodes[n.0 as usize].put((*block).clone())?;
+                    bytes += block.byte_size() as u64;
+                }
             }
             self.placements
                 .write()
@@ -695,6 +705,70 @@ mod tests {
         store.re_replicate(NodeId(0)).unwrap();
         store.kill_node(NodeId(1));
         assert_eq!(store.get_any(id).unwrap().payload, vec![7; 32]);
+    }
+
+    #[test]
+    fn re_replication_repairs_a_block_written_while_its_peer_was_down() {
+        // Two nodes, nothing backed up: a block put while node 1 is down
+        // has no secondary. Re-replicating node 1 once it is back must
+        // give it one, so losing node 0 loses nothing.
+        let (_s3, store) = setup(2);
+        store.kill_node(NodeId(1));
+        let b = block(vec![9; 32]);
+        let id = b.id;
+        store.node_store(NodeId(0)).put(b).unwrap();
+        assert_eq!(store.placement_of(id).unwrap().secondary, None);
+        assert!(store.revive_node(NodeId(1)));
+        assert_eq!(store.re_replicate(NodeId(1)).unwrap().0, 1);
+        store.kill_node(NodeId(0));
+        assert_eq!(store.get_any(id).unwrap().payload, vec![9; 32]);
+    }
+
+    #[test]
+    fn re_replication_repairs_a_dropped_secondary_write() {
+        // A dropped secondary write leaves a placement naming a replica
+        // without the bytes. Any re-replication pass restores the copy,
+        // not only one for a node the placement names.
+        use redsim_faultkit::FaultSpec;
+        let (_s3, store) = setup(4);
+        store.faults().configure(fp::MIRROR_WRITE_SECONDARY, FaultSpec::drop_op().once());
+        let b = block(vec![5; 32]);
+        let id = b.id;
+        store.node_store(NodeId(0)).put(b).unwrap();
+        let p = store.placement_of(id).unwrap();
+        let bystander = (1..4).map(NodeId).find(|&n| Some(n) != p.secondary).unwrap();
+        store.kill_node(bystander);
+        assert!(store.revive_node(bystander));
+        assert_eq!(store.re_replicate(bystander).unwrap().0, 1);
+        // A second pass has nothing left to copy.
+        assert_eq!(store.re_replicate(bystander).unwrap().1, 0);
+        store.kill_node(NodeId(0));
+        assert_eq!(store.get_any(id).unwrap().payload, vec![5; 32]);
+        assert_eq!(store.fallthrough_stats().1, 0, "served on-cluster");
+    }
+
+    #[test]
+    fn a_revived_node_holds_nothing_it_held_before() {
+        // A pass for a bystander moves a block's copy off dead node
+        // `old`. Revived, `old` is blank, so re-replicating onto it after
+        // losing node 0 copies the bytes again and counts them. Three
+        // nodes, one cohort: whichever of 1 and 2 `old` is, the bystander
+        // is the other.
+        let (_s3, store) = setup(3);
+        let b = block(vec![3; 32]);
+        let (id, size) = (b.id, b.byte_size() as u64);
+        store.node_store(NodeId(0)).put(b).unwrap();
+        let old = store.placement_of(id).unwrap().secondary.unwrap();
+        store.kill_node(old);
+        let bystander = NodeId(3 - old.0);
+        store.kill_node(bystander);
+        assert!(store.revive_node(bystander));
+        assert_eq!(store.re_replicate(bystander).unwrap(), (1, size));
+        assert_eq!(store.placement_of(id).unwrap().secondary, Some(bystander));
+        assert!(store.revive_node(old));
+        store.kill_node(NodeId(0));
+        assert_eq!(store.re_replicate(NodeId(0)).unwrap(), (1, size));
+        assert_eq!(store.placement_of(id).unwrap().secondary, Some(old));
     }
 
     #[test]

@@ -78,6 +78,11 @@ impl MemBlockStore {
     pub fn ids(&self) -> Vec<BlockId> {
         self.inner.read().keys().map(|&k| BlockId(k)).collect()
     }
+
+    /// Drop every block (a node replaced by a blank one).
+    pub fn clear(&self) {
+        self.inner.write().clear();
+    }
 }
 
 impl BlockStore for MemBlockStore {

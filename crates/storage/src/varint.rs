@@ -75,7 +75,8 @@ pub fn read_ivarint(buf: &[u8], pos: &mut usize) -> Result<i128> {
 /// that is truncated, overlong, or whose value or sum leaves `i64`: those
 /// are [`read_ivarint`]'s to read or report. Eight one-byte or four
 /// two-byte varints in a row — a sorted column's steps, a small key's —
-/// come from one 64-bit load.
+/// come from one 64-bit load; so does any mix of one- and two-byte
+/// varints starting in its first seven bytes (a random key's steps).
 pub fn sum_ivarints64(
     buf: &[u8],
     pos: &mut usize,
@@ -87,9 +88,14 @@ pub fn sum_ivarints64(
     let mut left = n;
     while left > 0 {
         // Eight steps of at most two bytes cannot carry a sum this far
-        // from the limits out of `i64`.
-        if let (Some(w), true) = (buf.get(*pos..*pos + 8), acc.unsigned_abs() < 1 << 62) {
-            let w = u64::from_le_bytes(w.try_into().expect("eight bytes"));
+        // from the limits out of `i64`. A word that opens with a varint of
+        // three or more bytes (a wide column's step) has nothing for the
+        // word paths and goes straight to `read_uvarint`.
+        let word = (buf.get(*pos..*pos + 8))
+            .filter(|_| acc.unsigned_abs() < 1 << 62)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("eight bytes")))
+            .filter(|w| w & 0x8080 != 0x8080);
+        if let Some(w) = word {
             let continues = w & 0x8080_8080_8080_8080;
             if continues == 0 && left >= 8 {
                 for k in 0..8 {
@@ -108,6 +114,22 @@ pub fn sum_ivarints64(
                 (*pos, left) = (*pos + 8, left - 4);
                 continue;
             }
+            // Mixed widths: a varint's own continuation bit says whether
+            // its second byte belongs to it. One of three or more bytes
+            // ends the word; the first is at most two.
+            let (mut at, mut took) = (0, 0);
+            while at < 7 && took < left {
+                let lane = w >> (8 * at);
+                let two = (lane >> 7) & 1;
+                if two & (lane >> 15) != 0 {
+                    break;
+                }
+                *acc += unzig((lane & 0x7F) | (((lane >> 1) & 0x3F80) * two));
+                emit(*acc)?;
+                (at, took) = (at + 1 + two as usize, took + 1);
+            }
+            (*pos, left) = (*pos + at, left - took);
+            continue;
         }
         let mut next = *pos;
         let Ok(z) = read_uvarint(buf, &mut next) else { break };
@@ -184,6 +206,63 @@ mod tests {
             let (mut pos, mut acc) = (0, 0);
             sum_ivarints64(cut, &mut pos, &mut acc, 2, |_| Ok(())).unwrap();
             assert!(read_ivarint(cut, &mut pos).is_err(), "{cut:?}");
+        }
+        // Mixed one- and two-byte steps from every start offset within a
+        // word, and each kind of stop at every byte position of one.
+        let mut seed = 36u64;
+        for lead in [0, 8] {
+            for at in 0..8 {
+                let mut buf = mixed(&mut seed, lead + at);
+                buf.extend(mixed(&mut seed, 64));
+                stops_where_the_reader_does(&buf, lead + at);
+                for stop in [vec![0x80, 0x80, 0x01], vec![0x80; 8 - at], vec![0xFF; 9].into_iter().chain([0x03]).collect()] {
+                    let mut buf = mixed(&mut seed, lead + at);
+                    buf.extend(&stop);
+                    if stop.len() + at != 8 {
+                        buf.extend(mixed(&mut seed, 16));
+                    }
+                    stops_where_the_reader_does(&buf, 0);
+                }
+            }
+        }
+    }
+
+    /// One- and two-byte zigzag varints, picked at random, `bytes` in all.
+    fn mixed(seed: &mut u64, bytes: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        while buf.len() < bytes {
+            *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let r = (*seed >> 33) as i128;
+            let two = bytes - buf.len() >= 2 && r & 1 == 1;
+            write_ivarint(&mut buf, if two { (64 + r % 8_000) * (1 - 2 * ((r >> 20) & 1)) } else { r % 128 - 64 });
+        }
+        buf
+    }
+
+    /// For every `n`, `sum_ivarints64` from `start` emits what reading
+    /// `read_ivarint` after `read_ivarint` sums, and stops with `(pos,
+    /// acc)` exactly where that reader stands: after `n` values, or on the
+    /// first varint it must leave to that reader (too wide for `i64`, or
+    /// truncated).
+    fn stops_where_the_reader_does(buf: &[u8], start: usize) {
+        let mut reader = vec![(start, 0i64)];
+        loop {
+            let (mut pos, acc) = *reader.last().unwrap();
+            match read_ivarint(buf, &mut pos).map(|v| i64::try_from(v + acc as i128)) {
+                Ok(Ok(sum)) => reader.push((pos, sum)),
+                _ => break,
+            }
+        }
+        for n in 0..reader.len() + 2 {
+            let (mut pos, mut acc, mut sums) = (start, 0i64, Vec::new());
+            sum_ivarints64(buf, &mut pos, &mut acc, n, |v| {
+                sums.push(v);
+                Ok(())
+            })
+            .unwrap();
+            let t = n.min(reader.len() - 1);
+            let want: Vec<i64> = reader[1..=t].iter().map(|&(_, s)| s).collect();
+            assert_eq!((sums, (pos, acc)), (want, reader[t]), "n = {n} from {start} of {buf:02x?}");
         }
     }
 

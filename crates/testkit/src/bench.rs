@@ -212,6 +212,9 @@ impl Bench {
         self.records
     }
 
+    /// The ns columns in the shortest form that parses back to the same
+    /// `f64`: `parse_csv` recovers `throughput_elems` from `mean_ns`,
+    /// which a fixed decimal would round by up to 5 % at ~1 ns.
     fn to_csv(&self) -> String {
         let mut out = String::from(
             "group,bench,input,samples,iters_per_sample,p50_ns,p99_ns,mean_ns,min_ns,max_ns,elems_per_sec\n",
@@ -219,7 +222,7 @@ impl Bench {
         for r in &self.records {
             writeln!(
                 out,
-                "{},{},{},{},{},{:.1},{:.1},{:.1},{:.1},{:.1},{}",
+                "{},{},{},{},{},{},{},{},{},{},{}",
                 csv_field(&r.group),
                 csv_field(&r.bench),
                 csv_field(&r.input),
@@ -780,6 +783,30 @@ mod tests {
         let t = parsed[0].throughput_elems.unwrap();
         assert!((990..=1_010).contains(&t), "{t}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_nanosecond_mean_round_trips_its_throughput() {
+        let mut b = Bench::new("ns");
+        b.records.push(Record {
+            group: "g".into(),
+            bench: "sum".into(),
+            input: "1k".into(),
+            samples: 3,
+            iters_per_sample: 1 << 20,
+            mean_ns: 1.04,
+            p50_ns: 1.04,
+            p99_ns: 1.25,
+            min_ns: 0.96,
+            max_ns: 1.3,
+            throughput_elems: Some(1_000),
+        });
+        let parsed = parse_csv(&b.to_csv()).unwrap();
+        assert_eq!((parsed[0].mean_ns, parsed[0].p99_ns, parsed[0].min_ns), (1.04, 1.25, 0.96));
+        assert_eq!(parsed[0].throughput_elems, Some(1_000));
+        // A committed CSV's one-decimal columns still parse.
+        let old = "group,bench,input,samples,iters_per_sample,p50_ns,p99_ns,mean_ns,min_ns,max_ns,elems_per_sec\ng,sum,1k,3,1,1000.0,1200.0,1000.0,900.0,1300.0,1000000000\n";
+        assert_eq!(parse_csv(old).unwrap()[0].throughput_elems, Some(1_000));
     }
 
     #[test]

@@ -632,11 +632,19 @@ impl Run {
     }
 
     /// A new cluster took over: it has its own version history and every
-    /// node up.
+    /// node up. A restored one page-faults its blocks from S3, which the
+    /// armed faults refuse at random, so they are lifted while it must
+    /// show every row and re-armed after.
     fn lifecycle(&mut self) {
         self.version = self.c.catalog_version();
         self.dead = None;
+        self.log.push("c.faults().clear_all()".into());
+        self.c.faults().clear_all();
         self.contents();
+        self.log.push("-- re-arm every fault configured above".into());
+        for (seam, spec) in &self.armed {
+            self.c.faults().configure(seam, *spec);
+        }
     }
 
     fn select(&mut self, t: &str, a: u32, rng: &mut Pcg32) {
@@ -647,7 +655,7 @@ impl Run {
         let key =
             |rng: &mut Pcg32| keys.get(rng.gen_index(keys.len().max(1))).copied().unwrap_or(0);
         let (x, y) = (key(rng), key(rng));
-        let sql = match a % 13 {
+        let sql = match a % 16 {
             0 => format!("SELECT * FROM {t}"),
             1 => format!("SELECT COUNT(*), COUNT(v), SUM(k), MIN(v), MAX(i4) FROM {t}"),
             2 => format!(
@@ -675,6 +683,13 @@ impl Run {
                 1 + a % 20
             ),
             10 => format!("SELECT v, k, i4 FROM {t} ORDER BY 2 DESC, 3, 1 LIMIT {}", 1 + a % 20),
+            // Join on `i4`: negative keys, NULLs, a range of ±100,000 that
+            // hashes on any build of a few rows, and INT4 against BIGINT.
+            11 => format!("SELECT COUNT(*), SUM(a.k), MAX(b.v) FROM {t} a JOIN {u} b ON a.i4 = b.i4"),
+            12 => format!(
+                "SELECT a.i4, b.k, COUNT(*) FROM {t} a LEFT JOIN {u} b ON a.i4 = b.i4 GROUP BY a.i4, b.k"
+            ),
+            13 => format!("SELECT a.i4, COUNT(*), MIN(b.v) FROM {t} a JOIN {u} b ON a.i4 = b.k GROUP BY a.i4"),
             _ if table.cols.len() == WIDE.len() => {
                 format!(
                     "SELECT MIN(f), MAX(f), MIN(d), MAX(ts), SUM(m), COUNT(b), MIN(i2) FROM {t}"
