@@ -289,14 +289,18 @@ awk -F, '$1 == "join_strategy" && $2 ~ /^DS_DIST_NONE/ { none = $6 }
   }' results/e11_join_strategy.csv
 
 echo "== encode (e9) budget is honored (benchdiff gate) =="
-# The E9 encoding microbenches. Every row but the int-key-500 shape's
-# is the baseline recorded after the one-pass bytedict build, which made
-# dictionary-friendly shapes encode 9-20x faster. The int-key-500 rows
-# (50k keys uniform over 0..500, star_join's `sid`) came with the
-# mixed-width delta decode and were recorded after it: `decode delta
-# int-key-500` is the row a revert of that word path moves (+70-131% on
-# the box that recorded it). The stock 15% p50 gate keeps both budgets
-# from silently eroding. Regenerate with
+# The E9 encoding microbenches. Every row but the int-key-500, lzo and
+# text-notes rows is the baseline recorded after the one-pass bytedict
+# build, which made dictionary-friendly shapes encode 9-20x faster. The
+# int-key-500 rows (50k keys uniform over 0..500, star_join's `sid`) came
+# with the mixed-width delta decode and were recorded after it: `decode
+# delta int-key-500` is the row a revert of that word path moves
+# (+70-131% on the box that recorded it). The lzo rows and the text-notes
+# shape (one 4,096-row block of adhoc_scan's `note`) were recorded after
+# lzo blocks lost their offsets array: `encode lzo text-notes` and
+# `decode lzo text-notes` are the rows a revert of that layout moves
+# (+70-153% and +23-98% on the box that recorded them). The stock 15% p50
+# gate keeps every budget from silently eroding. Regenerate with
 #   cargo bench --offline -p redsim-bench --bench encodings
 # and copy results/e9_encodings.csv over its _baseline.csv.
 cargo run -q --offline -p redsim-bench --bin benchdiff -- \
@@ -816,6 +820,40 @@ for f in crates/common/src/column.rs:562 crates/engine/src/join.rs:348 crates/en
   codes_lines=$((codes_lines + n))
 done
 echo "  non-test lines: $codes_lines (parent: 3344)"
+
+echo "== text blocks without an offsets array (quick pass) =="
+# An lzo VARCHAR block is its row lengths as varints beside the LZSS of
+# its bytes alone (DESIGN.md §16 "Text blocks without an offsets array"),
+# and the LZSS decoder branches once per copy token. The probes: a seeded
+# 4,096-row note block encodes as lzo in <= 21,000 bytes (the parent's
+# layout, offsets inside the stream, took 28,883); every way the
+# payload's parts can disagree is a Codec error; random damage to note
+# blocks never panics; the group decoder equals the parent's per-token
+# decoder (the test-only reference) on random streams and on every
+# truncation and byte flip; a row that starts inside a character is
+# refused; a COPY ... LZSS object must still end at its last token; the
+# analyzer's picks and the table image bytes are the parent's.
+cargo test -q --offline -p redsim-storage --lib -- a_note_block_encodes_as_lzo_in_at_most_21000_bytes \
+  corrupt_lzo_text_blocks_are_codec_errors mutated_note_blocks_never_panic \
+  decompress_agrees_with_the_reference a_stream_must_end_at_its_last_token analyzer::tests
+cargo test -q --offline -p redsim-common --lib -- strvec_rejects_corrupt_offsets
+cargo test -q --offline -p redsim-core --lib -- a_damaged_lzss_object_loads_nothing \
+  table_image_bytes_are_the_parents
+# Structural guard: an lzo payload never carries the Raw payload (and so
+# its offsets array) again.
+if grep -n 'write_raw_payload(col, &mut raw)' crates/storage/src/encoding.rs; then
+  echo "ERROR: the lzo payload compresses the Raw payload, offsets array included" >&2
+  exit 1
+fi
+# Non-test lines of the files the change touched, beside the parent's.
+text_lines=0
+for f in crates/storage/src/encoding.rs:851 crates/storage/src/lzss.rs:227 \
+  crates/storage/src/varint.rs:142 crates/common/src/column.rs:736 crates/bench/benches/encodings.rs:113; do
+  n=$(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "${f%%:*}")
+  printf '  %5d (parent %5d) %s\n' "$n" "${f##*:}" "${f%%:*}"
+  text_lines=$((text_lines + n))
+done
+echo "  non-test lines: $text_lines (parent: 2069)"
 
 echo "== benchdiff smoke (self-diff must pass, regression must fail) =="
 bd_dir=$(mktemp -d)

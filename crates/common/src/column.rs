@@ -263,7 +263,9 @@ impl StrVec {
         }
     }
 
-    /// Rebuild from raw parts, validating monotonicity and UTF-8.
+    /// Rebuild from raw parts, validating monotonicity and UTF-8: the
+    /// bytes as a whole, and every row starting on a character boundary
+    /// (so each row is UTF-8 on its own, as [`StrVec::get`] expects).
     pub fn from_raw_parts(offsets: Vec<u32>, bytes: Vec<u8>) -> Result<Self> {
         if offsets.first() != Some(&0)
             || offsets.windows(2).any(|w| w[0] > w[1])
@@ -271,7 +273,12 @@ impl StrVec {
         {
             return Err(RsError::Codec("corrupt StrVec offsets".into()));
         }
-        std::str::from_utf8(&bytes).map_err(|_| RsError::Codec("StrVec not UTF-8".into()))?;
+        let not_utf8 = || RsError::Codec("StrVec not UTF-8".into());
+        std::str::from_utf8(&bytes).map_err(|_| not_utf8())?;
+        // A continuation byte (0b10xx_xxxx) never starts a character.
+        if offsets.iter().any(|&o| bytes.get(o as usize).is_some_and(|&b| b & 0xC0 == 0x80)) {
+            return Err(not_utf8());
+        }
         Ok(StrVec(Repr::Arena { offsets, bytes }))
     }
 }
@@ -759,6 +766,10 @@ mod tests {
     fn strvec_rejects_corrupt_offsets() {
         assert!(StrVec::from_raw_parts(vec![0, 5, 3], vec![0; 3]).is_err());
         assert!(StrVec::from_raw_parts(vec![1, 2], vec![0; 2]).is_err());
+        // Valid UTF-8 as a whole, but "é" is cut between two rows.
+        let e = "é".as_bytes().to_vec();
+        assert!(StrVec::from_raw_parts(vec![0, 2], e.clone()).is_ok());
+        assert!(matches!(StrVec::from_raw_parts(vec![0, 1, 2], e), Err(RsError::Codec(_))));
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! u32  null-bitmap word count, then raw u64 words
 //! u32  payload byte length, then payload (per-encoding)
 //! ```
+//!
+//! An lzo payload is a VARCHAR block's row lengths as varints beside its
+//! LZSS-compressed bytes, no offsets array (`lzss::compress_text`).
 
 use crate::lzss;
 use crate::varint::{read_ivarint, sum_ivarints64, write_ivarint};
@@ -38,7 +41,7 @@ pub enum Encoding {
     Mostly16,
     /// 32-bit values with an exception list.
     Mostly32,
-    /// LZSS over the raw text payload (VARCHAR only).
+    /// LZSS over the text bytes, lengths beside them (VARCHAR only).
     Lzss,
 }
 
@@ -265,7 +268,7 @@ fn decode_mostly<T: IntSlot>(
 }
 
 // ---------------------------------------------------------------------
-// Raw payloads (also the base representation for Dict entries and LZSS).
+// Raw payloads (also the base representation for Dict entries).
 // ---------------------------------------------------------------------
 
 fn write_raw_payload(col: &ColumnData, w: &mut Writer) {
@@ -547,9 +550,10 @@ pub fn encode_column(col: &ColumnData, enc: Encoding) -> Result<Vec<u8>> {
     match enc {
         Encoding::Raw => write_raw_payload(col, &mut payload),
         Encoding::Lzss => {
-            let mut raw = Writer::new();
-            write_raw_payload(col, &mut raw);
-            payload.put_raw(&lzss::compress(&raw.into_bytes()));
+            let ColumnData::Str { data, .. } = col else { unreachable!("lzo is VARCHAR only") };
+            let arena = data.arena();
+            let (offsets, bytes) = arena.raw_parts();
+            payload.put_raw(&lzss::compress_text(offsets, bytes));
         }
         Encoding::Rle => {
             // Runs of physically-equal adjacent slots.
@@ -767,10 +771,11 @@ pub fn decode_column(bytes: &[u8], expected: Option<DataType>) -> Result<ColumnD
 
     let col = match enc {
         Encoding::Raw => read_raw_payload(ty, rows, nulls, &mut pr)?,
-        Encoding::Lzss => {
-            let raw = lzss::decompress(payload)?;
-            read_raw_payload(ty, rows, nulls, &mut Reader::new(&raw))?
+        Encoding::Lzss if ty == DataType::Varchar => {
+            let (offsets, bytes) = lzss::decompress_text(payload, rows)?;
+            ColumnData::Str { data: StrVec::from_raw_parts(offsets, bytes)?, nulls }
         }
+        Encoding::Lzss => return Err(RsError::Codec(format!("an lzo block holds {ty}"))),
         Encoding::Rle => {
             let n_runs = pr.get_u32()? as usize;
             let mut out = ColumnData::new(ty);
@@ -853,6 +858,7 @@ fn restore_nulls(col: ColumnData, nulls: Bitmap) -> ColumnData {
 mod tests {
     use super::*;
     use redsim_common::Value;
+    use redsim_testkit::rng::{Pcg32, Rng, RngCore};
 
     fn int_col(vals: &[Option<i64>], ty: DataType) -> ColumnData {
         let mut c = ColumnData::new(ty);
@@ -1105,6 +1111,126 @@ mod tests {
         assert!(lz.len() * 2 < raw.len(), "lz {} raw {}", lz.len(), raw.len());
         // Not applicable to ints.
         assert!(encode_column(&int_col(&[Some(1)], DataType::Int4), Encoding::Lzss).is_err());
+    }
+
+    /// A 4,096-row block shaped like the benchmark's `note` column:
+    /// `color-NNN` in random order, with a NULL in every 97th row.
+    fn note_block(seed: u64) -> ColumnData {
+        const COLORS: [&str; 8] = ["red", "blue", "green", "amber", "black", "white", "cyan", "pink"];
+        let mut rng = Pcg32::new(seed, 9);
+        let mut c = ColumnData::new(DataType::Varchar);
+        for i in 0..4_096 {
+            let (color, num) = (COLORS[rng.gen_index(8)], rng.gen_index(1_000));
+            match i % 97 {
+                96 => c.push_null(),
+                _ => c.push_value(&Value::Str(format!("{color}-{num:03}"))).unwrap(),
+            }
+        }
+        c
+    }
+
+    /// The lzo layout carries no offsets array: LZSS sees only the text,
+    /// and the lengths ride beside it as one-byte varints. With the
+    /// offsets inside the stream this block took 28,883 bytes (19,775
+    /// without).
+    #[test]
+    fn a_note_block_encodes_as_lzo_in_at_most_21000_bytes() {
+        let col = note_block(2015);
+        let lzo = encode_column(&col, Encoding::Lzss).unwrap();
+        assert!(lzo.len() <= 21_000, "a 4,096-row note block took {} bytes as lzo", lzo.len());
+        roundtrip(&col, Encoding::Lzss);
+    }
+
+    /// An lzo block of `rows` NULL rows whose payload is `lengths` (the
+    /// varint section, behind its byte count) and then `stream`.
+    fn lzo_block(rows: usize, lengths: &[u8], stream: &[u8]) -> Vec<u8> {
+        let mut col = ColumnData::new(DataType::Varchar);
+        (0..rows).for_each(|_| col.push_null());
+        let mut bytes = encode_column(&col, Encoding::Raw).unwrap();
+        bytes[0] = Encoding::Lzss.tag();
+        let head = 12 + 8 * rows.div_ceil(64);
+        let payload = [&(lengths.len() as u32).to_le_bytes()[..], lengths, stream].concat();
+        [&bytes[..head], &(payload.len() as u32).to_le_bytes(), &payload].concat()
+    }
+
+    /// Every way the lzo payload's parts can disagree is a codec error
+    /// naming what is wrong, never a panic or a wrong column.
+    #[test]
+    fn corrupt_lzo_text_blocks_are_codec_errors() {
+        let abcd = lzss::compress(b"abcd");
+        let cases: Vec<(usize, Vec<u8>, Vec<u8>, &str)> = vec![
+            // The lengths count disagrees with the row count.
+            (3, vec![2, 2], abcd.clone(), "fewer than the rows"),
+            (3, vec![1, 1, 1, 1], abcd.clone(), "outnumber the rows"),
+            (1, vec![0x84], abcd.clone(), "varint truncated"),
+            // A varint longer than five bytes, or past u32.
+            (1, vec![0x80, 0x80, 0x80, 0x80, 0x80, 0x00], abcd.clone(), "more than five bytes"),
+            (1, vec![0x80, 0x80, 0x80, 0x80, 0x10], abcd.clone(), "past u32"),
+            (1, vec![0xFF, 0xFF, 0xFF, 0xFF, 0x1F], abcd.clone(), "past u32"),
+            // Lengths that sum short of, or past, the text.
+            (3, vec![1, 1, 1], abcd.clone(), "short of the text bytes"),
+            (3, vec![2, 2, 1], abcd.clone(), "past the text bytes"),
+            (2, vec![0x84, 0x01, 0x00], abcd.clone(), "past the text bytes"),
+            // Bytes that are not UTF-8, as a whole or row by row.
+            (2, vec![1, 1], lzss::compress(&[0xFF, b'a']), "not UTF-8"),
+            (2, vec![1, 1], lzss::compress("é".as_bytes()), "not UTF-8"),
+            // A damaged stream, and a lengths count past the payload.
+            (2, vec![2, 2], abcd[..abcd.len() - 1].to_vec(), "corrupt LZSS stream"),
+            (0, vec![], vec![], "corrupt LZSS stream"),
+        ];
+        for (rows, lengths, stream, want) in cases {
+            let err = decode_column(&lzo_block(rows, &lengths, &stream), None).unwrap_err();
+            assert!(matches!(&err, RsError::Codec(m) if m.contains(want)), "{lengths:?}: {err}");
+        }
+        let mut past = lzo_block(2, &[2, 2], &abcd);
+        let at = 12 + 8 + 4; // the lengths' byte count
+        past[at..at + 4].copy_from_slice(&1_000u32.to_le_bytes());
+        assert!(matches!(decode_column(&past, None), Err(RsError::Codec(_))));
+        // Only VARCHAR is lzo.
+        let mut int = lzo_block(1, &[0], &lzss::compress(b""));
+        int[1] = DataType::Int8.tag();
+        let err = decode_column(&int, None).unwrap_err();
+        assert!(matches!(&err, RsError::Codec(m) if m.contains("lzo block holds BIGINT")), "{err}");
+        // The parts agreeing decode, an empty row included.
+        let ok = decode_column(&lzo_block(3, &[2, 0, 2], &abcd), None).unwrap();
+        let ColumnData::Str { data, .. } = ok else { unreachable!() };
+        assert_eq!(data.iter().collect::<Vec<_>>(), ["ab", "", "cd"]);
+    }
+
+    /// Random damage to encoded note blocks decodes to a column of the
+    /// block's rows, each readable, or is a codec error — never a panic.
+    #[test]
+    fn mutated_note_blocks_never_panic() {
+        let mut rng = Pcg32::new(0x107E, 3);
+        let blocks: Vec<Vec<u8>> = (0..4)
+            .map(|seed| {
+                let col = note_block(seed);
+                let keep = 1 + seed as usize * 700;
+                let mut some = ColumnData::new(DataType::Varchar);
+                (0..keep).for_each(|i| some.push_from(&col, i));
+                encode_column(&some, Encoding::Lzss).unwrap()
+            })
+            .collect();
+        for k in 0..3_000 {
+            let mut bytes = blocks[k % blocks.len()].clone();
+            for _ in 0..1 + rng.gen_index(3) {
+                let at = rng.gen_index(bytes.len());
+                match rng.gen_index(4) {
+                    0 => bytes[at] ^= 1 << rng.gen_index(8),
+                    1 => bytes[at] = rng.next_u32() as u8,
+                    2 => bytes.truncate(at),
+                    _ => bytes.insert(at, rng.next_u32() as u8),
+                }
+                if bytes.is_empty() {
+                    break;
+                }
+            }
+            match decode_column(&bytes, Some(DataType::Varchar)) {
+                Ok(col) => (0..col.len()).for_each(|i| drop(col.get(i))),
+                Err(RsError::Codec(_)) => {}
+                Err(e) => panic!("mutation {k}: {e}"),
+            }
+        }
     }
 
     #[test]

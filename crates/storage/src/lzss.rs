@@ -12,7 +12,12 @@
 //! ```
 //!
 //! Window 2048 bytes, match lengths 3..=34. A simple 3-byte-prefix hash
-//! chain keeps compression O(n) with bounded probing.
+//! chain keeps compression O(n) with bounded probing. An lzo column
+//! block compresses only its text bytes (`compress_text`).
+
+use crate::varint::{offsets_of_lengths, write_uvarint};
+use redsim_common::codec::Reader;
+use redsim_common::RsError;
 
 const WINDOW: usize = 2048;
 const MIN_MATCH: usize = 3;
@@ -123,8 +128,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 
 /// Decompress a buffer produced by [`compress`]. The stream must end
 /// exactly at the token that completes the header's length.
-pub fn decompress(data: &[u8]) -> Result<Vec<u8>, redsim_common::RsError> {
-    use redsim_common::RsError;
+pub fn decompress(data: &[u8]) -> Result<Vec<u8>, RsError> {
     let err = || RsError::Codec("corrupt LZSS stream".into());
     if data.len() < 4 {
         return Err(err());
@@ -137,31 +141,33 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, redsim_common::RsError> {
         return Err(err());
     }
     // Decode into a buffer of the final size. While a whole flag group
-    // (8 tokens: at most 16 input bytes, 8 × MAX_MATCH output bytes) is
-    // sure to fit, tokens are copied without per-byte bounds questions,
-    // matches in 8-byte chunks; the tail of the stream takes the careful
-    // path. Both paths reject a copy that reaches before the output.
-    const GROUP_OUT: usize = 8 * MAX_MATCH + 8; // + one chunk of overshoot
+    // (8 tokens: at most 16 input bytes, 8 × MAX_MATCH output bytes) plus
+    // one chunk's overread and overshoot is sure to fit, the group
+    // branches once per copy token: the literals before it move as one
+    // 8-byte chunk (counted by the flag byte's trailing zeros), a short
+    // copy as one 16-byte chunk. Bytes a chunk writes past its token are
+    // overwritten by the next one. The tail of the stream takes the
+    // careful path. Both paths reject a copy that reaches before the
+    // output.
+    const GROUP_IN: usize = 16 + 8; // + one literal chunk of overread
+    const GROUP_OUT: usize = 8 * MAX_MATCH + 16; // + one copy chunk of overshoot
     let mut out = vec![0u8; expect];
     let mut n = 0usize;
     let mut pos = 4usize;
     while n < expect {
         let flags = *data.get(pos).ok_or_else(err)?;
         pos += 1;
-        if pos + 16 <= data.len() && n + GROUP_OUT <= expect {
-            if flags == 0 {
+        if pos + GROUP_IN <= data.len() && n + GROUP_OUT <= expect {
+            // Bit 8 stands for the end of the group.
+            let mut f = flags as u32 | 0x100;
+            loop {
+                let lits = f.trailing_zeros() as usize;
                 out[n..n + 8].copy_from_slice(&data[pos..pos + 8]);
-                n += 8;
-                pos += 8;
-                continue;
-            }
-            for bit in 0..8 {
-                if flags & (1 << bit) == 0 {
-                    out[n] = data[pos];
-                    n += 1;
-                    pos += 1;
-                    continue;
+                (n, pos, f) = (n + lits, pos + lits, f >> lits);
+                if f == 1 {
+                    break;
                 }
+                f >>= 1;
                 let token = u16::from_le_bytes([data[pos], data[pos + 1]]);
                 pos += 2;
                 let off = ((token >> 5) + 1) as usize;
@@ -170,11 +176,14 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, redsim_common::RsError> {
                     return Err(err());
                 }
                 let start = n - off;
-                if off >= 8 {
+                if len <= 16 && off >= len {
+                    // The first `len` bytes of the chunk are before the
+                    // write cursor, so they are final.
+                    out.copy_within(start..start + 16, n);
+                } else if off >= 8 {
                     // Source chunks end at or before the write cursor,
                     // so chunked copying equals the byte-by-byte
-                    // definition; the overshoot past `len` is overwritten
-                    // by the next token (GROUP_OUT reserves room for it).
+                    // definition.
                     let mut k = 0;
                     while k < len {
                         out.copy_within(start + k..start + k + 8, n + k);
@@ -225,9 +234,39 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, redsim_common::RsError> {
     Ok(out)
 }
 
+/// An lzo text payload of the rows `offsets` marks in `bytes` (a
+/// `StrVec` arena), with no offsets array in it:
+///
+/// ```text
+/// u32  byte count of the lengths, then one LEB128 varint per row
+///      (its byte length; a NULL row holds the empty payload, so 0)
+/// ...  compress(bytes), to the end of the payload
+/// ```
+pub(crate) fn compress_text(offsets: &[u32], bytes: &[u8]) -> Vec<u8> {
+    let mut lengths = Vec::with_capacity(offsets.len());
+    for w in offsets.windows(2) {
+        write_uvarint(&mut lengths, (w[1] - w[0]) as u128);
+    }
+    let mut out = (lengths.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&lengths);
+    out.extend_from_slice(&compress(bytes));
+    out
+}
+
+/// The arena offsets and bytes of a [`compress_text`] payload of `rows`
+/// rows: the decompressed buffer is the arena itself, and the offsets
+/// are the lengths' prefix sum. Parts that disagree are a codec error.
+pub(crate) fn decompress_text(payload: &[u8], rows: usize) -> Result<(Vec<u32>, Vec<u8>), RsError> {
+    let mut r = Reader::new(payload);
+    let lengths = r.get_bytes()?;
+    let bytes = decompress(r.get_raw(r.remaining())?)?;
+    Ok((offsets_of_lengths(lengths, rows, bytes.len())?, bytes))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redsim_testkit::rng::{Pcg32, Rng, RngCore};
 
     /// The reference compressor: every chain candidate extended byte by
     /// byte. `compress` must emit exactly its tokens.
@@ -304,6 +343,110 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The reference decoder: a branch per token, matches in 8-byte
+    /// chunks. [`decompress`] must return its bytes or, where it errs,
+    /// an error.
+    fn decompress_reference(data: &[u8]) -> Result<Vec<u8>, RsError> {
+        let err = || RsError::Codec("corrupt LZSS stream".into());
+        if data.len() < 4 {
+            return Err(err());
+        }
+        let expect = u32::from_le_bytes(data[..4].try_into().unwrap()) as usize;
+        // A 2-byte copy token yields at most MAX_MATCH bytes: a header
+        // claiming more than the stream can hold is corrupt (and must not
+        // size the allocation).
+        if expect > data.len().saturating_mul(MAX_MATCH / 2) {
+            return Err(err());
+        }
+        // Decode into a buffer of the final size. While a whole flag group
+        // (8 tokens: at most 16 input bytes, 8 × MAX_MATCH output bytes) is
+        // sure to fit, tokens are copied without per-byte bounds questions,
+        // matches in 8-byte chunks; the tail of the stream takes the careful
+        // path. Both paths reject a copy that reaches before the output.
+        const GROUP_OUT: usize = 8 * MAX_MATCH + 8; // + one chunk of overshoot
+        let mut out = vec![0u8; expect];
+        let mut n = 0usize;
+        let mut pos = 4usize;
+        while n < expect {
+            let flags = *data.get(pos).ok_or_else(err)?;
+            pos += 1;
+            if pos + 16 <= data.len() && n + GROUP_OUT <= expect {
+                if flags == 0 {
+                    out[n..n + 8].copy_from_slice(&data[pos..pos + 8]);
+                    n += 8;
+                    pos += 8;
+                    continue;
+                }
+                for bit in 0..8 {
+                    if flags & (1 << bit) == 0 {
+                        out[n] = data[pos];
+                        n += 1;
+                        pos += 1;
+                        continue;
+                    }
+                    let token = u16::from_le_bytes([data[pos], data[pos + 1]]);
+                    pos += 2;
+                    let off = ((token >> 5) + 1) as usize;
+                    let len = (token & 0x1F) as usize + MIN_MATCH;
+                    if off > n {
+                        return Err(err());
+                    }
+                    let start = n - off;
+                    if off >= 8 {
+                        // Source chunks end at or before the write cursor,
+                        // so chunked copying equals the byte-by-byte
+                        // definition; the overshoot past `len` is overwritten
+                        // by the next token (GROUP_OUT reserves room for it).
+                        let mut k = 0;
+                        while k < len {
+                            out.copy_within(start + k..start + k + 8, n + k);
+                            k += 8;
+                        }
+                    } else {
+                        for k in 0..len {
+                            out[n + k] = out[start + k];
+                        }
+                    }
+                    n += len;
+                }
+                continue;
+            }
+            for bit in 0..8 {
+                if n >= expect {
+                    break;
+                }
+                if flags & (1 << bit) != 0 {
+                    let (Some(&lo), Some(&hi)) = (data.get(pos), data.get(pos + 1)) else {
+                        return Err(err());
+                    };
+                    pos += 2;
+                    let token = u16::from_le_bytes([lo, hi]);
+                    let off = ((token >> 5) + 1) as usize;
+                    let len = (token & 0x1F) as usize + MIN_MATCH;
+                    if off > n || n + len > expect {
+                        return Err(err());
+                    }
+                    let start = n - off;
+                    // Overlapping copies are defined byte-by-byte.
+                    for k in 0..len {
+                        out[n + k] = out[start + k];
+                    }
+                    n += len;
+                } else {
+                    out[n] = *data.get(pos).ok_or_else(err)?;
+                    n += 1;
+                    pos += 1;
+                }
+            }
+        }
+        // `compress` ends the stream at its last token: bytes after it mean a
+        // lowered header (a truncated prefix would decode) or appended junk.
+        if pos != data.len() {
+            return Err(err());
+        }
+        Ok(out)
     }
 
     fn roundtrip(data: &[u8]) {
@@ -443,6 +586,72 @@ mod tests {
             assert!(decompress(&c).is_err(), "{} bytes + 1", data.len());
         }
         assert_eq!(compress(b""), 0u32.to_le_bytes(), "the empty stream is its header");
+    }
+
+    /// A stream of `tokens` random tokens that decodes: literals, and
+    /// copies of every length at any distance the output so far allows
+    /// (half of them within 20 bytes, so overlapping copies are common).
+    fn random_stream(rng: &mut Pcg32, tokens: usize) -> Vec<u8> {
+        let (mut body, mut n, mut flags_at) = (Vec::new(), 0usize, 0usize);
+        for t in 0..tokens {
+            if t % 8 == 0 {
+                flags_at = body.len();
+                body.push(0);
+            }
+            let reach = n.min(WINDOW);
+            if reach > 0 && rng.gen_index(3) == 0 {
+                let near = rng.gen_bool(0.5);
+                let off = 1 + rng.gen_index(if near { reach.min(20) } else { reach });
+                let len = MIN_MATCH + rng.gen_index(MAX_MATCH - MIN_MATCH + 1);
+                body[flags_at] |= 1 << (t % 8);
+                let token = (((off - 1) << 5) | (len - MIN_MATCH)) as u16;
+                body.extend_from_slice(&token.to_le_bytes());
+                n += len;
+            } else {
+                body.push(b'a' + rng.gen_index(4) as u8);
+                n += 1;
+            }
+        }
+        [&(n as u32).to_le_bytes()[..], &body].concat()
+    }
+
+    /// The group path decodes what the reference decoder does: random
+    /// token streams, compressed text, every truncation and single-byte
+    /// flips of both, and random bytes — the same bytes, or both an error.
+    #[test]
+    fn decompress_agrees_with_the_reference() {
+        let agree = |data: &[u8]| match (decompress(data), decompress_reference(data)) {
+            (Ok(a), Ok(b)) => assert!(a == b, "{} stream bytes decode differently", data.len()),
+            (Err(_), Err(_)) => {}
+            (a, b) => {
+                let (a, b) = (a.map(|v| v.len()), b.map(|v| v.len()));
+                panic!("{} stream bytes: {a:?} vs the reference's {b:?}", data.len())
+            }
+        };
+        let mut rng = Pcg32::new(0x1255, 37);
+        let mut streams: Vec<Vec<u8>> = (0..40).map(|k| random_stream(&mut rng, 1 + k * 13)).collect();
+        streams.push(compress(&color_block(5)[..6_000]));
+        streams.push(compress(&b"http://example.com/page ".repeat(40)));
+        for stream in &streams {
+            assert_eq!(decompress(stream).unwrap(), decompress_reference(stream).unwrap());
+            for cut in 0..stream.len() {
+                agree(&stream[..cut]);
+            }
+            let mut flipped = stream.clone();
+            for at in 0..stream.len() {
+                let bit = 1 << rng.gen_index(8);
+                flipped[at] ^= bit;
+                agree(&flipped);
+                flipped[at] ^= bit;
+            }
+        }
+        for _ in 0..2_000 {
+            let mut junk = vec![0u8; 4 + rng.gen_index(200)];
+            rng.fill_bytes(&mut junk);
+            let claim = rng.gen_index(junk.len() * MAX_MATCH / 2 + 1) as u32;
+            junk[..4].copy_from_slice(&claim.to_le_bytes());
+            agree(&junk);
+        }
     }
 
     #[test]

@@ -65,6 +65,51 @@ pub fn read_uvarint(buf: &[u8], pos: &mut usize) -> Result<u128> {
     }
 }
 
+/// The offsets of a row arena whose `rows` lengths are the LEB128 varints
+/// filling `buf`: `0`, then each running sum, the last equal to `total`.
+/// A length takes at most five bytes and fits a `u32`; a count, a sum or a
+/// varint that disagrees is a codec error.
+pub(crate) fn offsets_of_lengths(buf: &[u8], rows: usize, total: usize) -> Result<Vec<u32>> {
+    let bad = |what: &str| RsError::Codec(format!("text lengths {what}"));
+    // Every length takes at least a byte: bound the allocation by the
+    // bytes present, not by the row count.
+    if rows > buf.len() {
+        return Err(bad("fewer than the rows"));
+    }
+    let mut offsets = Vec::with_capacity(rows + 1);
+    offsets.push(0u32);
+    let (mut pos, mut end) = (0usize, 0u64);
+    while offsets.len() <= rows {
+        let Some(&first) = buf.get(pos) else {
+            return Err(bad("fewer than the rows"));
+        };
+        // A short row's length is one byte.
+        let len = if first < 0x80 {
+            pos += 1;
+            first as u64
+        } else {
+            let at = pos;
+            let len = read_uvarint(buf, &mut pos)?;
+            if pos - at > 5 {
+                return Err(bad("hold a varint of more than five bytes"));
+            }
+            u32::try_from(len).map_err(|_| bad("hold a length past u32"))? as u64
+        };
+        end += len;
+        if end > total as u64 {
+            return Err(bad("add up past the text bytes"));
+        }
+        offsets.push(end as u32);
+    }
+    if pos != buf.len() {
+        return Err(bad("outnumber the rows"));
+    }
+    if end != total as u64 {
+        return Err(bad("add up short of the text bytes"));
+    }
+    Ok(offsets)
+}
+
 /// Read a zigzag varint.
 pub fn read_ivarint(buf: &[u8], pos: &mut usize) -> Result<i128> {
     Ok(unzigzag(read_uvarint(buf, pos)?))
