@@ -289,18 +289,20 @@ awk -F, '$1 == "join_strategy" && $2 ~ /^DS_DIST_NONE/ { none = $6 }
   }' results/e11_join_strategy.csv
 
 echo "== encode (e9) budget is honored (benchdiff gate) =="
-# The E9 encoding microbenches. Every row but the int-key-500, lzo and
-# text-notes rows is the baseline recorded after the one-pass bytedict
+# The E9 encoding microbenches. Every row but the delta, int-key-500, lzo
+# and text-notes rows is the baseline recorded after the one-pass bytedict
 # build, which made dictionary-friendly shapes encode 9-20x faster. The
-# int-key-500 rows (50k keys uniform over 0..500, star_join's `sid`) came
-# with the mixed-width delta decode and were recorded after it: `decode
-# delta int-key-500` is the row a revert of that word path moves
-# (+70-131% on the box that recorded it). The lzo rows and the text-notes
+# int-key-500 shape (50k keys uniform over 0..500, star_join's `sid`) was
+# recorded when it was added. The lzo rows and the text-notes
 # shape (one 4,096-row block of adhoc_scan's `note`) were recorded after
 # lzo blocks lost their offsets array: `encode lzo text-notes` and
 # `decode lzo text-notes` are the rows a revert of that layout moves
-# (+70-153% and +23-98% on the box that recorded them). The stock 15% p50
-# gate keeps every budget from silently eroding. Regenerate with
+# (+70-153% and +23-98% on the box that recorded them). The delta rows
+# (and `decode delta int-random`, whose pick moved off mostly32) were
+# recorded after delta steps were bit-packed in miniblocks: `decode delta
+# int-small-random` and `decode delta int-key-500` are the rows a revert of
+# that layout moves. The stock 15% p50 gate keeps every budget from
+# silently eroding. Regenerate with
 #   cargo bench --offline -p redsim-bench --bench encodings
 # and copy results/e9_encodings.csv over its _baseline.csv.
 cargo run -q --offline -p redsim-bench --bin benchdiff -- \
@@ -580,13 +582,16 @@ echo "== branch-free scan loops (quick pass) =="
 # decode widths"): the f64 lane's operators are IEEE compares and NaN
 # flags, a LIKE prefix of <= 8 bytes is one masked arena word, a plan
 # without keys folds COUNT / SUM in locals and MIN / MAX in four lanes,
-# and delta streams add in i64. Results, errors and bytes are the parent's. The probes: f64-lane
+# and a delta miniblock whose sums cannot leave i64 adds in i64. Results and
+# errors are the parent's. The probes: f64-lane
 # compares of FLOAT8 / INT8 / INT4 / DECIMAL columns against every float
 # special and over a 4,096-row ~50 % batch equal the interpreter; no-key
 # aggregates over -0.0 / 0.0, NaN first / last / only, all-NULL batches
 # and empty selections equal the value path; every integer-family type
-# round-trips every encoding; truncated, overlong and out-of-range delta
-# streams are Codec errors on the i64 and the i128 path; an idle front
+# round-trips every encoding; truncated, overlong, too-wide, trailing and
+# out-of-range delta streams are Codec errors on the i64 and the i128 path,
+# every packed width round-trips, and random damage to delta blocks never
+# panics; LIKE '', '%' and '%%' agree with the row matcher; an idle front
 # door's accept thread sleeps, and drain returns when its wake-up connect
 # fails; a wire INT2 outside i16 is a Codec error.
 cargo test -q --offline --test properties -- vector_kernels_nan_total_order_end_to_end \
@@ -594,7 +599,13 @@ cargo test -q --offline --test properties -- vector_kernels_nan_total_order_end_
 cargo test -q --offline -p redsim-engine --lib -- column_kernel_agrees_with_row_matcher \
   typed_accumulators_match_the_value_path
 cargo test -q --offline -p redsim-storage --lib -- corrupt_delta_streams_are_codec_errors_on_both_paths \
-  sums_agree_with_the_wide_reader
+  delta_roundtrips_at_every_width mutated_delta_blocks_never_panic packed_bits_read_back_at_every_width
+# Structural guard: the varint-per-step delta reader stays deleted (delta
+# steps are bit-packed in miniblocks, DESIGN.md §16 "Integer decode widths").
+if grep -rn 'sum_ivarints64' crates/ src/ tests/; then
+  echo "ERROR: the varint-per-step delta reader came back" >&2
+  exit 1
+fi
 cargo test -q --offline -p redsim-frontdoor --lib -- accept_thread_sleeps_while_idle \
   drain_is_bounded_when_the_wake_up_connect_fails an_out_of_range_int2_is_a_codec_error
 # A branch on the data in the float lane costs a misprediction per other

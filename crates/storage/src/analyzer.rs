@@ -56,6 +56,7 @@ pub fn encoding_report(col: &ColumnData) -> Vec<(Encoding, usize)> {
 mod tests {
     use super::*;
     use redsim_common::{DataType, Value};
+    use redsim_testkit::rng::{Pcg32, Rng};
 
     fn int_col(vals: impl Iterator<Item = i64>, ty: DataType) -> ColumnData {
         let mut c = ColumnData::new(ty);
@@ -80,13 +81,19 @@ mod tests {
 
     #[test]
     fn picks_narrow_encoding_for_small_values() {
-        // Small, non-monotonic, non-repeating values: mostly8 or dict wins.
+        // `(i * 37) % 120` is an arithmetic progression mod 120: its steps
+        // are 37 and -83, which bit-pack into 7 bits, below mostly8's 8.
         let col = int_col((0..10_000).map(|i| (i * 37) % 120), DataType::Int8);
         let pick = analyze_compression(&col, DEFAULT_SAMPLE_ROWS);
-        assert!(
-            matches!(pick, Encoding::Mostly8 | Encoding::Dict),
-            "picked {pick}"
-        );
+        println!("(i * 37) % 120: {:?}", encoding_report(&col));
+        assert_eq!(pick, Encoding::Delta);
+        // Small values in random order step across twice their range, so
+        // a narrow slot or a dictionary code still wins.
+        let mut rng = Pcg32::new(120, 38);
+        let col = int_col((0..10_000).map(|_| rng.gen_index(120) as i64), DataType::Int8);
+        let pick = analyze_compression(&col, DEFAULT_SAMPLE_ROWS);
+        println!("random 0..120: {:?}", encoding_report(&col));
+        assert!(matches!(pick, Encoding::Mostly8 | Encoding::Dict), "picked {pick}");
     }
 
     #[test]

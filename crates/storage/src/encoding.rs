@@ -17,10 +17,12 @@
 //! ```
 //!
 //! An lzo payload is a VARCHAR block's row lengths as varints beside its
-//! LZSS-compressed bytes, no offsets array (`lzss::compress_text`).
+//! LZSS-compressed bytes, no offsets array (`lzss::compress_text`). A
+//! delta payload is the steps between values, bit-packed in miniblocks
+//! (`varint::pack_steps`).
 
 use crate::lzss;
-use crate::varint::{read_ivarint, sum_ivarints64, write_ivarint};
+use crate::varint::{out_of_range, pack_steps, read_ivarint, unpack_sums, write_ivarint};
 use redsim_common::codec::{Reader, Writer};
 use redsim_common::{Bitmap, ColumnData, DataType, Result, RsError, StrVec};
 
@@ -31,7 +33,7 @@ pub enum Encoding {
     Raw,
     /// Run-length: (count, value) pairs.
     Rle,
-    /// First value + zigzag-varint deltas (integer family + decimals).
+    /// Steps bit-packed in miniblocks of 128 (integer family + decimals).
     Delta,
     /// Byte dictionary: ≤ 65,536 distinct values per block.
     Dict,
@@ -177,10 +179,6 @@ macro_rules! int_slot {
 }
 int_slot!(i16, i32, i64, i128);
 
-fn out_of_range(v: i128, ty: DataType) -> RsError {
-    RsError::Codec(format!("decoded value {v} out of range for {ty}"))
-}
-
 /// Build the `ty` column whose payload `$decode::<slot type>($args)`
 /// produces — the inverse of [`widen`].
 macro_rules! int_column {
@@ -204,31 +202,10 @@ macro_rules! int_column {
     };
 }
 
-/// Delta stream: `rows` zigzag varints, each the step from the previous
-/// value. Integer-family steps add in `i64` until one is truncated,
-/// overlong or leaves `i64` (only a corrupt stream does); that one, and
-/// every DECIMAL step, adds in `i128`.
+/// Delta stream: the running sums of its bit-packed steps
+/// (`varint::unpack_sums`), in `i64` wherever they provably fit.
 fn decode_delta<T: IntSlot>(buf: &[u8], rows: usize, ty: DataType) -> Result<Vec<T>> {
-    // Every varint takes at least a byte: bound the allocation by the
-    // bytes actually present, not by the header's row count.
-    if rows > buf.len() {
-        return Err(RsError::Codec("delta stream shorter than its row count".into()));
-    }
-    let mut out = Vec::with_capacity(rows);
-    let (mut pos, mut prev) = (0usize, 0i128);
-    while out.len() < rows {
-        if let (true, Ok(mut run)) = (size_of::<T>() <= 8, i64::try_from(prev)) {
-            sum_ivarints64(buf, &mut pos, &mut run, rows - out.len(), |v| {
-                T::from_wide(v.into()).map(|s| out.push(s)).ok_or_else(|| out_of_range(v.into(), ty))
-            })?;
-            prev = run.into();
-        }
-        if out.len() < rows {
-            prev = prev.checked_add(read_ivarint(buf, &mut pos)?).ok_or_else(|| out_of_range(prev, ty))?;
-            out.push(T::from_wide(prev).ok_or_else(|| out_of_range(prev, ty))?);
-        }
-    }
-    Ok(out)
+    unpack_sums(buf, rows, ty, T::wrap, T::from_wide)
 }
 
 /// Mostly-N: `width`-byte little-endian slots, then the exception list
@@ -684,14 +661,14 @@ pub fn encode_column(col: &ColumnData, enc: Encoding) -> Result<Vec<u8>> {
             }
         }
         Encoding::Delta => {
-            let vals = widen(col).ok_or_else(|| {
-                RsError::Unsupported(format!("delta not applicable to {ty}"))
-            })?;
-            let mut buf = Vec::with_capacity(vals.len() * 2);
-            let mut prev = 0i128;
-            for v in vals {
-                write_ivarint(&mut buf, v - prev);
-                prev = v;
+            let mut buf = Vec::new();
+            match col {
+                ColumnData::Bool { data, .. } => pack_steps(data, &mut buf)?,
+                ColumnData::Int2 { data, .. } => pack_steps(data, &mut buf)?,
+                ColumnData::Int4 { data, .. } | ColumnData::Date { data, .. } => pack_steps(data, &mut buf)?,
+                ColumnData::Int8 { data, .. } | ColumnData::Timestamp { data, .. } => pack_steps(data, &mut buf)?,
+                ColumnData::Decimal { data, .. } => pack_steps(data, &mut buf)?,
+                ColumnData::Float8 { .. } | ColumnData::Str { .. } => unreachable!("delta is integer-family only"),
             }
             payload.put_raw(&buf);
         }
@@ -1262,8 +1239,8 @@ mod tests {
         roundtrip(&t, Encoding::Delta);
     }
 
-    /// A delta block of `ty` whose stream is `varints` (one per row).
-    fn delta_block(ty: DataType, varints: &[u8], rows: usize) -> Vec<u8> {
+    /// A delta block of `ty` and `rows` whose payload is `stream`.
+    fn delta_block(ty: DataType, stream: &[u8], rows: usize) -> Vec<u8> {
         let mut col = ColumnData::new(ty);
         (0..rows).for_each(|_| col.push_null());
         // A raw block's header and bitmap words, retagged, then the
@@ -1271,54 +1248,164 @@ mod tests {
         let mut bytes = encode_column(&col, Encoding::Raw).unwrap();
         bytes[0] = Encoding::Delta.tag();
         let head = 12 + 8 * rows.div_ceil(64);
-        [&bytes[..head], &(varints.len() as u32).to_le_bytes(), varints].concat()
+        [&bytes[..head], &(stream.len() as u32).to_le_bytes(), stream].concat()
     }
 
-    fn zz(vals: &[i128]) -> Vec<u8> {
+    /// One miniblock: its least step, its width byte and its packed run.
+    fn mini(least: i128, width: u8, packed: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        vals.iter().for_each(|&v| write_ivarint(&mut out, v));
+        write_ivarint(&mut out, least);
+        out.push(width);
+        out.extend_from_slice(packed);
+        out
+    }
+
+    /// The delta stream of `vals`, whatever their column type.
+    fn steps(vals: &[i128]) -> Vec<u8> {
+        let mut out = Vec::new();
+        pack_steps(vals, &mut out).unwrap();
         out
     }
 
     #[test]
     fn corrupt_delta_streams_are_codec_errors_on_both_paths() {
-        let i64_wide = |v: i64| v as i128;
-        let short = zz(&[2, -1]); // two one-byte steps: the i64 path
-        let long = zz(&[1 << 70]); // eleven bytes: the i128 path
+        let (i64_max, i128_max) = (i64::MAX as i128, i128::MAX);
+        let at = |least: i128| mini(least, 0, &[]); // one step, no packed run
+        let head = [at(0), mini(0, 1, &[0; 16])].concat(); // a first value, then 128 steps of 0
         let overlong = [[0xFFu8; 19].as_slice(), &[0x01]].concat();
+        let dec = DataType::Decimal(38, 0);
         let cases: Vec<(DataType, Vec<u8>, usize, &str)> = vec![
-            // Truncated after short steps, and inside a long varint.
-            (DataType::Int8, [&short[..], &[0x80]].concat(), 3, "varint truncated"),
-            (DataType::Int8, long[..long.len() - 1].to_vec(), 1, "varint truncated"),
-            (DataType::Decimal(38, 0), [&short[..], &[0x80]].concat(), 3, "varint truncated"),
-            // Overlong (more than 128 bits), after short steps or alone.
-            (DataType::Int4, [&short[..], &overlong].concat(), 3, "varint overflow"),
-            (DataType::Decimal(38, 0), overlong.clone(), 1, "varint overflow"),
+            // Truncated: in the least step's varint, before the width
+            // byte, in a packed run, on either path.
+            (DataType::Int8, vec![0x80, 0x80], 1, "varint truncated"),
+            (DataType::Int8, [&head[..], &[0x02]].concat(), 130, "truncated in a miniblock header"),
+            (DataType::Int8, [at(0), mini(0, 8, &[1, 2])].concat(), 4, "truncated in a packed run"),
+            (DataType::Int8, [&head[..], &mini(0, 60, &[0; 7])].concat(), 130, "truncated in a packed run"),
+            (dec, [at(0), mini(0, 100, &[0; 24])].concat(), 3, "truncated in a packed run"),
+            // A least step of more than 128 bits, a width past 128.
+            (DataType::Int4, [&head[..], &overlong].concat(), 130, "varint overflow"),
+            (DataType::Int8, mini(0, 129, &[0; 17]), 1, "width 129 past 128"),
+            (DataType::Int8, mini(0, 255, &[0; 32]), 1, "width 255 past 128"),
+            // Bytes after the last miniblock.
+            (DataType::Int8, [&at(2)[..], &[0]].concat(), 1, "bytes after its last miniblock"),
+            (DataType::Int8, [&head[..], &head[2..]].concat(), 129, "bytes after its last miniblock"),
             // Out of the column's range on the i64 path …
-            (DataType::Int2, zz(&[40_000]), 1, "decoded value 40000 out of range"),
-            (DataType::Int4, zz(&[1, i32::MAX as i128]), 2, "decoded value 2147483648 out of range"),
-            (DataType::Date, zz(&[i32::MIN as i128 - 1]), 1, "out of range"),
-            // … where an i64 add overflows and the step is redone wide …
-            (DataType::Int8, zz(&[(1 << 62) - 1; 3]), 3, "decoded value 13835058055282163709 out of range"),
-            (DataType::Timestamp, zz(&[-(1 << 62), -(1 << 62), -1]), 3, "out of range"),
-            // … and on the i128 path.
-            (DataType::Int8, zz(&[i64_wide(i64::MAX), 1]), 2, "out of range"),
-            (DataType::Int8, long.clone(), 1, "out of range"),
-            (DataType::Decimal(38, 0), zz(&[i128::MAX, 1]), 2, "out of range"),
+            (DataType::Int2, steps(&[40_000]), 1, "decoded value 40000 out of range"),
+            (DataType::Int4, steps(&[1, 1 << 31]), 2, "decoded value 2147483648 out of range"),
+            (DataType::Date, steps(&[0, i32::MIN as i128 - 1]), 2, "out of range"),
+            // … where a sum would leave i64: the miniblock adds wide …
+            (DataType::Int8, [at((1 << 62) - 1), at((1 << 62) - 1)].concat(), 3,
+                "decoded value 13835058055282163709 out of range"),
+            (DataType::Timestamp, steps(&[0, -(1 << 62), -(2 << 62), -(2 << 62) - 1]), 4, "out of range"),
+            // … also after miniblocks that added in i64 …
+            (DataType::Int8, [at(1 << 55), at(1 << 55), at(1 << 62)].concat(), 130,
+                "decoded value 9259400833873739776 out of range"),
+            // … and on the i128 path, where a sum may leave i128.
+            (DataType::Int8, [at(i64_max), at(i64_max)].concat(), 2, "out of range"),
+            (DataType::Int8, at(1 << 70), 1, "out of range"),
+            (DataType::Int8, mini(i64_max - 5, 57, &[0xFF; 8]), 1, "out of range"),
+            (dec, [at(i128_max), at(1)].concat(), 2, "sum leaves i128"),
+            (dec, [at(0), mini(i128_max, 1, &[0b10])].concat(), 3, "sum leaves i128"),
             // A row count the stream cannot hold.
-            (DataType::Int8, short.clone(), 3, "shorter than its row count"),
+            (DataType::Int8, at(0), 2, "shorter than its row count"),
         ];
-        for (ty, varints, rows, want) in cases {
-            let err = decode_column(&delta_block(ty, &varints, rows), Some(ty)).unwrap_err();
-            assert!(matches!(&err, RsError::Codec(m) if m.contains(want)), "{ty} {varints:?}: {err}");
+        for (ty, stream, rows, want) in cases {
+            let err = decode_column(&delta_block(ty, &stream, rows), Some(ty)).unwrap_err();
+            assert!(matches!(&err, RsError::Codec(m) if m.contains(want)), "{ty} {stream:?}: {err}");
         }
-        // The neighbours of the limits decode, whichever path each step takes.
-        let edges = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX, i64::MIN, 0];
-        let col = int_col(&edges.map(Some), DataType::Int8);
-        roundtrip(&col, Encoding::Delta);
         // A BOOL slot keeps any value that is not 0, past i64 or not.
-        let b = decode_column(&delta_block(DataType::Bool, &zz(&[1 << 70, -(1 << 70), 0]), 3), None);
-        assert!(matches!(b, Ok(ColumnData::Bool { data, .. }) if data == [true, false, false]));
+        let b = decode_column(&delta_block(DataType::Bool, &steps(&[1 << 70, 0, 0, 2]), 4), None);
+        assert!(matches!(b, Ok(ColumnData::Bool { data, .. }) if data == [true, false, false, true]));
+        // A DECIMAL step past i128 cannot be stored: the block goes Raw.
+        let mut d = ColumnData::new(DataType::Decimal(38, 0));
+        d.push_value(&Value::Decimal { units: i128::MIN, scale: 0 }).unwrap();
+        d.push_value(&Value::Decimal { units: 1, scale: 0 }).unwrap();
+        assert!(matches!(encode_column(&d, Encoding::Delta), Err(RsError::Unsupported(_))));
+    }
+
+    /// Every width class round-trips, through a partial last miniblock
+    /// with NULLs in it: 0 (a sorted column), 1, 56 (the widest added in `i64`), 57,
+    /// 64, past 64 (an INT8 step past `i64`), and DECIMAL's up to 128.
+    #[test]
+    fn delta_roundtrips_at_every_width() {
+        let mut rng = Pcg32::new(38, 7);
+        let dec = DataType::Decimal(38, 0);
+        for (ty, width) in [(DataType::Int8, 0u8), (DataType::Int8, 1), (DataType::Int8, 56), (DataType::Int8, 57),
+            (DataType::Int8, 64), (DataType::Int8, 65), (dec, 100), (dec, 128)]
+        {
+            let (mut col, mut walk) = (ColumnData::new(ty), 0i128);
+            for i in 0..300usize {
+                let bits = (((rng.next_u64() as u128) << 64 | rng.next_u64() as u128) >> (129 - width.max(2) as u32)) as i128;
+                walk += rng.gen_index(2) as i128;
+                let v = match width {
+                    0 => 1_000_000_007 + 3 * i as i128,
+                    1 => walk,
+                    65 => [i64::MIN, i64::MAX][i % 2] as i128,
+                    128 => [-(1i128 << 126), (1 << 126) - 1][i % 2],
+                    _ => bits * (i % 2) as i128, // 0, then a value of width - 1 bits
+                };
+                match (i > 260 && i % 7 == 0, ty) { // NULLs (0) in the last miniblock only
+                    (true, _) => col.push_null(),
+                    (false, DataType::Int8) => col.push_value(&Value::Int8(v as i64)).unwrap(),
+                    (false, _) => col.push_value(&Value::Decimal { units: v, scale: 0 }).unwrap(),
+                }
+            }
+            let bytes = encode_column(&col, Encoding::Delta).unwrap();
+            // The first value's miniblock, then the second's least step.
+            let mut at = 12 + 8 * 5 + 4;
+            read_ivarint(&bytes, &mut at).unwrap();
+            assert_eq!(bytes[at], 0, "{ty}");
+            at += 1;
+            read_ivarint(&bytes, &mut at).unwrap();
+            assert_eq!(bytes[at], width, "{ty}");
+            roundtrip(&col, Encoding::Delta);
+        }
+        // The neighbours of the limits, on every path.
+        let edges = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX, i64::MIN, 0];
+        roundtrip(&int_col(&edges.map(Some), DataType::Int8), Encoding::Delta);
+        let near: Vec<Option<i64>> =
+            (0..300).map(|i| Some(if i / 7 % 2 == 0 { i64::MAX - i % 3 } else { i64::MIN + i % 5 })).collect();
+        roundtrip(&int_col(&near, DataType::Int8), Encoding::Delta);
+    }
+
+    /// Random damage to encoded delta blocks of every integer width
+    /// decodes to a column of the block's rows, each readable, or is a
+    /// codec error — never a panic.
+    #[test]
+    fn mutated_delta_blocks_never_panic() {
+        let mut rng = Pcg32::new(0xDE17A, 5);
+        let blocks: Vec<(DataType, Vec<u8>)> = [DataType::Int2, DataType::Int4, DataType::Date, DataType::Int8]
+            .into_iter()
+            .enumerate()
+            .map(|(k, ty)| {
+                let keep = 1 + k * 300;
+                let vals: Vec<Option<i64>> = (0..keep)
+                    .map(|i| Some((i as i64 * 7 + rng.gen_index(500) as i64) % 30_000).filter(|_| i % 61 != 7))
+                    .collect();
+                (ty, encode_column(&int_col(&vals, ty), Encoding::Delta).unwrap())
+            })
+            .collect();
+        for k in 0..3_000 {
+            let (ty, block) = &blocks[k % blocks.len()];
+            let mut bytes = block.clone();
+            for _ in 0..1 + rng.gen_index(3) {
+                let at = rng.gen_index(bytes.len());
+                match rng.gen_index(4) {
+                    0 => bytes[at] ^= 1 << rng.gen_index(8),
+                    1 => bytes[at] = rng.next_u32() as u8,
+                    2 => bytes.truncate(at),
+                    _ => bytes.insert(at, rng.next_u32() as u8),
+                }
+                if bytes.is_empty() {
+                    break;
+                }
+            }
+            match decode_column(&bytes, Some(*ty)) {
+                Ok(col) => (0..col.len()).for_each(|i| drop(col.get(i))),
+                Err(RsError::Codec(_)) => {}
+                Err(e) => panic!("mutation {k}: {e}"),
+            }
+        }
     }
 
     #[test]

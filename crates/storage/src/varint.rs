@@ -1,6 +1,7 @@
-//! Zigzag + LEB128 varints, used by the delta encoding.
+//! Zigzag + LEB128 varints, and the delta encoding's bit-packed
+//! miniblocks of steps.
 
-use redsim_common::{Result, RsError};
+use redsim_common::{DataType, Result, RsError};
 
 /// Zigzag-encode a signed 128-bit integer (covers i64 and decimal units).
 #[inline]
@@ -115,74 +116,263 @@ pub fn read_ivarint(buf: &[u8], pos: &mut usize) -> Result<i128> {
     Ok(unzigzag(read_uvarint(buf, pos)?))
 }
 
-/// Add up to `n` zigzag varints from `buf` at `*pos` onto `*acc`, handing
-/// each running sum to `emit`. Stops early, with `*pos` on it, at a varint
-/// that is truncated, overlong, or whose value or sum leaves `i64`: those
-/// are [`read_ivarint`]'s to read or report. Eight one-byte or four
-/// two-byte varints in a row — a sorted column's steps, a small key's —
-/// come from one 64-bit load; so does any mix of one- and two-byte
-/// varints starting in its first seven bytes (a random key's steps).
-pub fn sum_ivarints64(
-    buf: &[u8],
-    pos: &mut usize,
-    acc: &mut i64,
-    n: usize,
-    mut emit: impl FnMut(i64) -> Result<()>,
-) -> Result<()> {
-    let unzig = |z: u64| ((z >> 1) as i64) ^ -((z & 1) as i64);
-    let mut left = n;
-    while left > 0 {
-        // Eight steps of at most two bytes cannot carry a sum this far
-        // from the limits out of `i64`. A word that opens with a varint of
-        // three or more bytes (a wide column's step) has nothing for the
-        // word paths and goes straight to `read_uvarint`.
-        let word = (buf.get(*pos..*pos + 8))
-            .filter(|_| acc.unsigned_abs() < 1 << 62)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("eight bytes")))
-            .filter(|w| w & 0x8080 != 0x8080);
-        if let Some(w) = word {
-            let continues = w & 0x8080_8080_8080_8080;
-            if continues == 0 && left >= 8 {
-                for k in 0..8 {
-                    *acc += unzig((w >> (8 * k)) & 0x7F);
-                    emit(*acc)?;
-                }
-                (*pos, left) = (*pos + 8, left - 8);
-                continue;
-            }
-            if continues == 0x0080_0080_0080_0080 && left >= 4 {
-                for k in 0..4 {
-                    let lane = w >> (16 * k);
-                    *acc += unzig((lane & 0x7F) | ((lane >> 1) & 0x3F80));
-                    emit(*acc)?;
-                }
-                (*pos, left) = (*pos + 8, left - 4);
-                continue;
-            }
-            // Mixed widths: a varint's own continuation bit says whether
-            // its second byte belongs to it. One of three or more bytes
-            // ends the word; the first is at most two.
-            let (mut at, mut took) = (0, 0);
-            while at < 7 && took < left {
-                let lane = w >> (8 * at);
-                let two = (lane >> 7) & 1;
-                if two & (lane >> 15) != 0 {
-                    break;
-                }
-                *acc += unzig((lane & 0x7F) | (((lane >> 1) & 0x3F80) * two));
-                emit(*acc)?;
-                (at, took) = (at + 1 + two as usize, took + 1);
-            }
-            (*pos, left) = (*pos + at, left - took);
-            continue;
+/// Steps in one miniblock of a delta stream.
+const MINIBLOCK: usize = 128;
+
+/// Bits appended LSB-first through one 64-bit word.
+struct BitWriter<'a> {
+    out: &'a mut Vec<u8>,
+    word: u64,
+    len: u32,
+}
+
+impl BitWriter<'_> {
+    /// Append `v`'s low `w ≤ 64` bits (none above them is set).
+    #[inline]
+    fn put(&mut self, v: u64, w: u32) {
+        self.word |= v << self.len;
+        let end = self.len + w;
+        if end >= 64 {
+            self.out.extend_from_slice(&self.word.to_le_bytes());
+            self.word = v.checked_shr(64 - self.len).unwrap_or(0);
+            self.len = end - 64;
+        } else {
+            self.len = end;
         }
-        let mut next = *pos;
-        let Ok(z) = read_uvarint(buf, &mut next) else { break };
-        let Some(sum) = i64::try_from(unzigzag(z)).ok().and_then(|step| acc.checked_add(step)) else { break };
-        (*pos, *acc, left) = (next, sum, left - 1);
-        emit(sum)?;
+    }
+
+    /// The last word's bytes that hold bits.
+    fn finish(self) {
+        self.out.extend_from_slice(&self.word.to_le_bytes()[..self.len.div_ceil(8) as usize]);
+    }
+}
+
+/// Append the delta stream of `vals`: each value's step from the one
+/// before, in miniblocks. The first value is a miniblock of its own (its
+/// step from 0 would widen the steps after it); the rest go [`MINIBLOCK`]
+/// to one, the last perhaps fewer. A miniblock is its least step as a
+/// zigzag varint, one width byte, then each step less the least in
+/// `width` bits, LSB-first, the last byte zero-padded. Values of at most
+/// 64 bits step in `i64`; a miniblock with a step past `i64`, and every
+/// DECIMAL one, steps in `i128`. Only a DECIMAL step past `i128` cannot
+/// be stored.
+pub(crate) fn pack_steps<V: Copy + Into<i128>>(vals: &[V], out: &mut Vec<u8>) -> Result<()> {
+    let (first, rest) = vals.split_at(vals.len().min(1));
+    let mut prev = 0i128;
+    for chunk in std::iter::once(first).chain(rest.chunks(MINIBLOCK)).filter(|c| !c.is_empty()) {
+        if size_of::<V>() <= 8 {
+            let mut steps = [0u64; MINIBLOCK];
+            let (mut lo, mut hi, mut over, mut last) = (i64::MAX, i64::MIN, false, prev as i64);
+            for (s, &v) in steps.iter_mut().zip(chunk) {
+                let v = v.into() as i64;
+                let (d, o) = v.overflowing_sub(last);
+                (over, last, *s) = (over | o, v, d as u64);
+                (lo, hi) = (lo.min(d), hi.max(d));
+            }
+            if !over {
+                let width = 64 - (hi as u64).wrapping_sub(lo as u64).leading_zeros();
+                out.reserve(20 + (chunk.len() * width as usize).div_ceil(8));
+                write_ivarint(out, lo.into());
+                out.push(width as u8);
+                if width > 0 {
+                    let mut bits = BitWriter { out: &mut *out, word: 0, len: 0 };
+                    steps[..chunk.len()].iter().for_each(|&s| bits.put(s.wrapping_sub(lo as u64), width));
+                    bits.finish();
+                }
+                prev = last.into();
+                continue;
+            }
+        }
+        let mut steps = [0i128; MINIBLOCK];
+        let (mut lo, mut hi) = (i128::MAX, i128::MIN);
+        for (s, &v) in steps.iter_mut().zip(chunk) {
+            let v = v.into();
+            *s = v.checked_sub(prev).ok_or_else(|| RsError::Unsupported("a delta step leaves i128".into()))?;
+            (lo, hi, prev) = (lo.min(*s), hi.max(*s), v);
+        }
+        let width = 128 - (hi.wrapping_sub(lo) as u128).leading_zeros();
+        out.reserve(20 + (chunk.len() * width as usize).div_ceil(8));
+        write_ivarint(out, lo);
+        out.push(width as u8);
+        let mut bits = BitWriter { out: &mut *out, word: 0, len: 0 };
+        for &s in &steps[..chunk.len()] {
+            let d = s.wrapping_sub(lo) as u128;
+            bits.put(d as u64, width.min(64));
+            if width > 64 {
+                bits.put((d >> 64) as u64, width - 64);
+            }
+        }
+        bits.finish();
     }
     Ok(())
+}
+
+/// `width ≤ 128` bits of `run` from bit `bit` on; bytes past its end read
+/// as zeros.
+fn read_bits(run: &[u8], bit: usize, width: u32) -> u128 {
+    let (at, shift) = (bit / 8, bit % 8);
+    let mut bytes = [0u8; 17];
+    let take = run.len().saturating_sub(at).min(17);
+    bytes[..take].copy_from_slice(&run[at..at + take]);
+    let low = u128::from_le_bytes(bytes[..16].try_into().expect("sixteen bytes")) >> shift;
+    let v = low | (bytes[16] as u128).checked_shl(128 - shift as u32).unwrap_or(0);
+    v & u128::MAX.checked_shr(128 - width).unwrap_or(0)
+}
+
+/// A decoded value that does not fit its column's type.
+pub(crate) fn out_of_range(v: i128, ty: DataType) -> RsError {
+    RsError::Codec(format!("decoded value {v} out of range for {ty}"))
+}
+
+/// Call `$f::<_, W>` with `W` the constant equal to `$width`.
+macro_rules! by_width {
+    ($width:expr, $f:ident $args:tt; $($w:literal)*) => {
+        match $width {
+            $($w => $f::<_, $w> $args,)*
+            _ => unreachable!("the i64 path takes widths up to 56"),
+        }
+    };
+}
+
+/// The `ty` column's `rows` values: the running sums of the
+/// [`pack_steps`] stream that fills `buf`. Where the slot has at most 64
+/// bits, a miniblock whose `n` sums cannot leave `i64` — width ≤ 56 and
+/// `|sum before| + n·(|least| + 2^width) < 2^63` — adds in `i64`, one
+/// unaligned word read a value, and `wrap`s each sum into its slot. If
+/// that reach of sums also fits `slot`, no sum is checked; otherwise the
+/// least and greatest are. Every other miniblock adds in checked `i128`
+/// and converts each sum with `slot`. A truncated stream, a width past
+/// 128, a sum past `i128` or the slot, and bytes after the last
+/// miniblock are codec errors.
+pub(crate) fn unpack_sums<T: Copy>(
+    buf: &[u8],
+    rows: usize,
+    ty: DataType,
+    wrap: impl Fn(i64) -> T + Copy,
+    slot: impl Fn(i128) -> Option<T>,
+) -> Result<Vec<T>> {
+    let bad = |what: String| RsError::Codec(format!("delta stream {what}"));
+    // Every miniblock takes at least two bytes: bound the allocation by
+    // the bytes present, not by the header's row count.
+    if (rows.min(1) + rows.saturating_sub(1).div_ceil(MINIBLOCK)) * 2 > buf.len() {
+        return Err(bad("shorter than its row count".into()));
+    }
+    let checked = |v: i128| slot(v).ok_or_else(|| out_of_range(v, ty));
+    let mut out = Vec::with_capacity(rows);
+    let (mut pos, mut acc) = (0usize, 0i128);
+    while out.len() < rows {
+        let n = if out.is_empty() { 1 } else { (rows - out.len()).min(MINIBLOCK) };
+        let least = read_ivarint(buf, &mut pos)?;
+        let width = *buf.get(pos).ok_or_else(|| bad("truncated in a miniblock header".into()))? as u32;
+        if width > 128 {
+            return Err(bad(format!("width {width} past 128")));
+        }
+        let start = pos + 1;
+        let packed = (n * width as usize).div_ceil(8);
+        let run = buf.get(start..start + packed).ok_or_else(|| bad("truncated in a packed run".into()))?;
+        pos = start + packed;
+        let reach = (size_of::<T>() <= 8 && width <= 56)
+            .then(|| i64::try_from(least).ok())
+            .flatten()
+            .map(|l| (l, n as i128 * (l.unsigned_abs() as i128 + (1 << width))))
+            .filter(|&(_, reach)| acc.unsigned_abs() + (reach as u128) < 1 << 63);
+        let Some((least, reach)) = reach else {
+            for k in 0..n {
+                let d = read_bits(run, k * width as usize, width);
+                acc = (least.checked_add_unsigned(d).and_then(|step| acc.checked_add(step)))
+                    .ok_or_else(|| bad("sum leaves i128".into()))?;
+                out.push(checked(acc)?);
+            }
+            continue;
+        };
+        // Eight readable bytes from each value's first: the stream's
+        // own, or zeros past its end (a run holds at most 128 values of
+        // 56 bits, 7 bytes each).
+        let padded;
+        let run = match buf.get(start..start + packed + 8) {
+            Some(run) => run,
+            None => {
+                padded = {
+                    let mut p = [0u8; MINIBLOCK * 7 + 8];
+                    p[..packed].copy_from_slice(run);
+                    p
+                };
+                &padded[..]
+            }
+        };
+        let mut sum = acc as i64;
+        if slot(acc - reach).is_some() && slot(acc + reach).is_some() {
+            by_width!(width, add_groups(run, n, least, &mut sum, &mut out, wrap);
+                0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28
+                29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56);
+        } else {
+            let (lo, hi) = add_packed::<T, true>(run, 0..n, width, least, &mut sum, &mut out, wrap);
+            checked(lo.into())?;
+            checked(hi.into())?;
+        }
+        acc = sum.into();
+    }
+    if pos != buf.len() {
+        return Err(bad("has bytes after its last miniblock".into()));
+    }
+    Ok(out)
+}
+
+/// [`add_packed`] without checks, for a width known when compiling: a
+/// group of eight values starts on a byte (`8·W` bits), so each value
+/// is a load at a fixed offset from the group's first byte, a fixed
+/// shift and a mask (about 2× faster than with the width in a
+/// register). The last `n % 8` take the general loop.
+#[inline(always)]
+fn add_groups<T: Copy, const W: usize>(
+    run: &[u8],
+    n: usize,
+    least: i64,
+    sum: &mut i64,
+    out: &mut Vec<T>,
+    wrap: impl Fn(i64) -> T,
+) {
+    let mask = (1u64 << W) - 1;
+    let start = out.len();
+    out.resize(start + n / 8 * 8, wrap(0));
+    for (g, group_out) in out[start..].chunks_exact_mut(8).enumerate() {
+        let group = &run[g * W..g * W + W + 8];
+        let group_out: &mut [T; 8] = group_out.try_into().expect("eight slots");
+        for (j, slot) in group_out.iter_mut().enumerate() {
+            let at = j * W / 8;
+            let word = u64::from_le_bytes(group[at..at + 8].try_into().expect("eight bytes"));
+            *sum += least + ((word >> (j * W % 8)) & mask) as i64;
+            *slot = wrap(*sum);
+        }
+    }
+    add_packed::<T, false>(run, n / 8 * 8..n, W as u32, least, sum, out, wrap);
+}
+
+/// Push the running sums of `run`'s `width`-bit steps `at` (each plus
+/// `least`) onto `*sum`, wrapped into their slots; with `TRACK`, return
+/// their least and greatest.
+#[inline(always)]
+fn add_packed<T, const TRACK: bool>(
+    run: &[u8],
+    at: std::ops::Range<usize>,
+    width: u32,
+    least: i64,
+    sum: &mut i64,
+    out: &mut Vec<T>,
+    wrap: impl Fn(i64) -> T,
+) -> (i64, i64) {
+    let mask = (1u64 << width) - 1;
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    for k in at {
+        let bit = k * width as usize;
+        let word = u64::from_le_bytes(run[bit / 8..bit / 8 + 8].try_into().expect("eight bytes"));
+        *sum += least + ((word >> (bit % 8)) & mask) as i64;
+        if TRACK {
+            (lo, hi) = (lo.min(*sum), hi.max(*sum));
+        }
+        out.push(wrap(*sum));
+    }
+    (lo, hi)
 }
 
 #[cfg(test)]
@@ -210,104 +400,33 @@ mod tests {
         assert_eq!(pos, buf.len());
     }
 
-    /// `sum_ivarints64`, resumed by `read_ivarint` wherever it stops (as the
-    /// delta decoder does), adds up exactly what `read_ivarint` alone does.
+    /// Values put at every width from 0 to 128 through the word writer
+    /// read back from every bit offset, the last byte zero-padded.
     #[test]
-    fn sums_agree_with_the_wide_reader() {
-        let mut steps: Vec<i128> = (0..64).map(|k| k % 3 - 1).collect(); // one-byte runs
-        steps.extend((0..64).map(|k| (k * 997) % 8_000 - 4_000)); // mostly two-byte runs
-        for k in 0..64 {
-            steps.extend([1i128 << k, -(1i128 << k), (1i128 << k) - 1, 1, -1, 100]);
-        }
-        // Up to i64::MAX, one past it and back, and far past it (ten bytes).
-        steps.extend([i64::MAX as i128, 1, -1, -(i64::MAX as i128), 1 << 64, -(1 << 64), 0]);
-        let mut buf = Vec::new();
-        steps.iter().for_each(|&v| write_ivarint(&mut buf, v));
-        // Non-canonical (overlong) encodings of 0 and of -64 (zigzag 127).
-        buf.extend_from_slice(&[0x80, 0x00, 0xFF, 0x80, 0x00]);
-        steps.extend([0, -64]);
-        let (mut pos, mut wide, mut sums, mut fast) = (0usize, 0i128, Vec::new(), 0);
-        while sums.len() < steps.len() {
-            if let Ok(mut acc) = i64::try_from(wide) {
-                let before = sums.len();
-                sum_ivarints64(&buf, &mut pos, &mut acc, steps.len() - sums.len(), |v| {
-                    sums.push(v as i128);
-                    Ok(())
+    fn packed_bits_read_back_at_every_width() {
+        let mut seed = 38u64;
+        for width in 0..=128u32 {
+            let vals: Vec<u128> = (0..19)
+                .map(|_| {
+                    seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let r = (seed as u128) << 64 | seed.rotate_left(29) as u128;
+                    r & u128::MAX.checked_shr(128 - width).unwrap_or(0)
                 })
-                .unwrap();
-                (wide, fast) = (acc.into(), fast + sums.len() - before);
-            }
-            if sums.len() < steps.len() {
-                wide += read_ivarint(&buf, &mut pos).unwrap();
-                sums.push(wide);
-            }
-        }
-        let mut total = 0i128;
-        let want: Vec<i128> = steps.iter().map(|s| { total += s; total }).collect();
-        assert_eq!((sums, pos), (want, buf.len()));
-        assert!(fast > steps.len() * 9 / 10, "{fast} of {} on the i64 path", steps.len());
-        // Truncated: it stops on the varint, which the wide reader reports.
-        for cut in [&[0x80u8][..], &[0x02, 0xFF, 0xFF], &[]] {
-            let (mut pos, mut acc) = (0, 0);
-            sum_ivarints64(cut, &mut pos, &mut acc, 2, |_| Ok(())).unwrap();
-            assert!(read_ivarint(cut, &mut pos).is_err(), "{cut:?}");
-        }
-        // Mixed one- and two-byte steps from every start offset within a
-        // word, and each kind of stop at every byte position of one.
-        let mut seed = 36u64;
-        for lead in [0, 8] {
-            for at in 0..8 {
-                let mut buf = mixed(&mut seed, lead + at);
-                buf.extend(mixed(&mut seed, 64));
-                stops_where_the_reader_does(&buf, lead + at);
-                for stop in [vec![0x80, 0x80, 0x01], vec![0x80; 8 - at], vec![0xFF; 9].into_iter().chain([0x03]).collect()] {
-                    let mut buf = mixed(&mut seed, lead + at);
-                    buf.extend(&stop);
-                    if stop.len() + at != 8 {
-                        buf.extend(mixed(&mut seed, 16));
-                    }
-                    stops_where_the_reader_does(&buf, 0);
+                .chain([0, u128::MAX.checked_shr(128 - width).unwrap_or(0)])
+                .collect();
+            let mut out = Vec::new();
+            let mut bits = BitWriter { out: &mut out, word: 0, len: 0 };
+            for &v in &vals {
+                bits.put(v as u64, width.min(64));
+                if width > 64 {
+                    bits.put((v >> 64) as u64, width - 64);
                 }
             }
-        }
-    }
-
-    /// One- and two-byte zigzag varints, picked at random, `bytes` in all.
-    fn mixed(seed: &mut u64, bytes: usize) -> Vec<u8> {
-        let mut buf = Vec::new();
-        while buf.len() < bytes {
-            *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let r = (*seed >> 33) as i128;
-            let two = bytes - buf.len() >= 2 && r & 1 == 1;
-            write_ivarint(&mut buf, if two { (64 + r % 8_000) * (1 - 2 * ((r >> 20) & 1)) } else { r % 128 - 64 });
-        }
-        buf
-    }
-
-    /// For every `n`, `sum_ivarints64` from `start` emits what reading
-    /// `read_ivarint` after `read_ivarint` sums, and stops with `(pos,
-    /// acc)` exactly where that reader stands: after `n` values, or on the
-    /// first varint it must leave to that reader (too wide for `i64`, or
-    /// truncated).
-    fn stops_where_the_reader_does(buf: &[u8], start: usize) {
-        let mut reader = vec![(start, 0i64)];
-        loop {
-            let (mut pos, acc) = *reader.last().unwrap();
-            match read_ivarint(buf, &mut pos).map(|v| i64::try_from(v + acc as i128)) {
-                Ok(Ok(sum)) => reader.push((pos, sum)),
-                _ => break,
+            bits.finish();
+            assert_eq!(out.len(), (vals.len() * width as usize).div_ceil(8), "width {width}");
+            for (k, &v) in vals.iter().enumerate() {
+                assert_eq!(read_bits(&out, k * width as usize, width), v, "width {width}, value {k}");
             }
-        }
-        for n in 0..reader.len() + 2 {
-            let (mut pos, mut acc, mut sums) = (start, 0i64, Vec::new());
-            sum_ivarints64(buf, &mut pos, &mut acc, n, |v| {
-                sums.push(v);
-                Ok(())
-            })
-            .unwrap();
-            let t = n.min(reader.len() - 1);
-            let want: Vec<i64> = reader[1..=t].iter().map(|&(_, s)| s).collect();
-            assert_eq!((sums, (pos, acc)), (want, reader[t]), "n = {n} from {start} of {buf:02x?}");
         }
     }
 
