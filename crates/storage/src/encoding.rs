@@ -1289,7 +1289,7 @@ mod tests {
             // Bytes after the last miniblock.
             (DataType::Int8, [&at(2)[..], &[0]].concat(), 1, "bytes after its last miniblock"),
             (DataType::Int8, [&head[..], &head[2..]].concat(), 129, "bytes after its last miniblock"),
-            // Out of the column's range on the i64 path …
+            // Out of a narrow column's range: its reach leaves the slot …
             (DataType::Int2, steps(&[40_000]), 1, "decoded value 40000 out of range"),
             (DataType::Int4, steps(&[1, 1 << 31]), 2, "decoded value 2147483648 out of range"),
             (DataType::Date, steps(&[0, i32::MIN as i128 - 1]), 2, "out of range"),

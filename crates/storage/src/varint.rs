@@ -237,13 +237,12 @@ macro_rules! by_width {
 /// The `ty` column's `rows` values: the running sums of the
 /// [`pack_steps`] stream that fills `buf`. Where the slot has at most 64
 /// bits, a miniblock whose `n` sums cannot leave `i64` — width ≤ 56 and
-/// `|sum before| + n·(|least| + 2^width) < 2^63` — adds in `i64`, one
-/// unaligned word read a value, and `wrap`s each sum into its slot. If
-/// that reach of sums also fits `slot`, no sum is checked; otherwise the
-/// least and greatest are. Every other miniblock adds in checked `i128`
-/// and converts each sum with `slot`. A truncated stream, a width past
-/// 128, a sum past `i128` or the slot, and bytes after the last
-/// miniblock are codec errors.
+/// `|sum before| + n·(|least| + 2^width) < 2^63` — and whose reach of
+/// sums fits `slot` adds in `i64` unchecked, one unaligned word read a
+/// value, and `wrap`s each sum into its slot. Every other miniblock adds
+/// in checked `i128` and converts each sum with `slot`. A truncated
+/// stream, a width past 128, a sum past `i128` or the slot, and bytes
+/// after the last miniblock are codec errors.
 pub(crate) fn unpack_sums<T: Copy>(
     buf: &[u8],
     rows: usize,
@@ -271,12 +270,16 @@ pub(crate) fn unpack_sums<T: Copy>(
         let packed = (n * width as usize).div_ceil(8);
         let run = buf.get(start..start + packed).ok_or_else(|| bad("truncated in a packed run".into()))?;
         pos = start + packed;
-        let reach = (size_of::<T>() <= 8 && width <= 56)
+        let fast = (size_of::<T>() <= 8 && width <= 56)
             .then(|| i64::try_from(least).ok())
             .flatten()
-            .map(|l| (l, n as i128 * (l.unsigned_abs() as i128 + (1 << width))))
-            .filter(|&(_, reach)| acc.unsigned_abs() + (reach as u128) < 1 << 63);
-        let Some((least, reach)) = reach else {
+            .filter(|&l| {
+                let reach = n as i128 * (l.unsigned_abs() as i128 + (1 << width));
+                acc.unsigned_abs() + (reach as u128) < 1 << 63
+                    && slot(acc - reach).is_some()
+                    && slot(acc + reach).is_some()
+            });
+        let Some(least) = fast else {
             for k in 0..n {
                 let d = read_bits(run, k * width as usize, width);
                 acc = (least.checked_add_unsigned(d).and_then(|step| acc.checked_add(step)))
@@ -301,15 +304,9 @@ pub(crate) fn unpack_sums<T: Copy>(
             }
         };
         let mut sum = acc as i64;
-        if slot(acc - reach).is_some() && slot(acc + reach).is_some() {
-            by_width!(width, add_groups(run, n, least, &mut sum, &mut out, wrap);
-                0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28
-                29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56);
-        } else {
-            let (lo, hi) = add_packed::<T, true>(run, 0..n, width, least, &mut sum, &mut out, wrap);
-            checked(lo.into())?;
-            checked(hi.into())?;
-        }
+        by_width!(width, add_groups(run, n, least, &mut sum, &mut out, wrap);
+            0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28
+            29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56);
         acc = sum.into();
     }
     if pos != buf.len() {
@@ -318,11 +315,12 @@ pub(crate) fn unpack_sums<T: Copy>(
     Ok(out)
 }
 
-/// [`add_packed`] without checks, for a width known when compiling: a
-/// group of eight values starts on a byte (`8·W` bits), so each value
-/// is a load at a fixed offset from the group's first byte, a fixed
-/// shift and a mask (about 2× faster than with the width in a
-/// register). The last `n % 8` take the general loop.
+/// Push the running sums of `run`'s first `n` `W`-bit steps (each plus
+/// `least`) onto `*sum`, wrapped into their slots, without checks. A
+/// group of eight values starts on a byte (`8·W` bits), so each value is
+/// a load at a fixed offset from the group's first byte, a fixed shift
+/// and a mask (about 2× faster than with the width in a register). The
+/// last `n % 8` are read one by one.
 #[inline(always)]
 fn add_groups<T: Copy, const W: usize>(
     run: &[u8],
@@ -345,34 +343,12 @@ fn add_groups<T: Copy, const W: usize>(
             *slot = wrap(*sum);
         }
     }
-    add_packed::<T, false>(run, n / 8 * 8..n, W as u32, least, sum, out, wrap);
-}
-
-/// Push the running sums of `run`'s `width`-bit steps `at` (each plus
-/// `least`) onto `*sum`, wrapped into their slots; with `TRACK`, return
-/// their least and greatest.
-#[inline(always)]
-fn add_packed<T, const TRACK: bool>(
-    run: &[u8],
-    at: std::ops::Range<usize>,
-    width: u32,
-    least: i64,
-    sum: &mut i64,
-    out: &mut Vec<T>,
-    wrap: impl Fn(i64) -> T,
-) -> (i64, i64) {
-    let mask = (1u64 << width) - 1;
-    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-    for k in at {
-        let bit = k * width as usize;
+    for k in n / 8 * 8..n {
+        let bit = k * W;
         let word = u64::from_le_bytes(run[bit / 8..bit / 8 + 8].try_into().expect("eight bytes"));
         *sum += least + ((word >> (bit % 8)) & mask) as i64;
-        if TRACK {
-            (lo, hi) = (lo.min(*sum), hi.max(*sum));
-        }
         out.push(wrap(*sum));
     }
-    (lo, hi)
 }
 
 #[cfg(test)]
