@@ -12,7 +12,7 @@
 //! 4. **Column pruning** — scans read only the columns the query touches;
 //!    the whole point of a columnar layout.
 
-use crate::ast::{BinaryOp, UnaryOp};
+use crate::ast::BinaryOp;
 use crate::catalog::CatalogView;
 use crate::plan::{BoundExpr, LogicalPlan};
 use redsim_common::Value;
@@ -567,10 +567,6 @@ fn map_plan(plan: LogicalPlan, f: &dyn Fn(LogicalPlan) -> LogicalPlan) -> Logica
     };
     f(rebuilt)
 }
-
-/// Suppress an unused-import warning kept for symmetry with binder tests.
-#[allow(unused)]
-fn _unused(_: UnaryOp) {}
 
 #[cfg(test)]
 mod tests {
