@@ -179,6 +179,11 @@ probes='
   mutated_note_blocks_never_panic decompress_agrees_with_the_reference a_stream_must_end_at_its_last_token
   analyzer::tests strvec_rejects_corrupt_offsets a_damaged_lzss_object_loads_nothing
   table_image_bytes_are_the_parents
+  # one kind of WLM slot: §9 "One kind of slot"; one injected-fault mapping: §10
+  wait_idle_counts_a_query_on_the_sqa_lane sqa_is_the_last_service_class_and_never_waits
+  a_user_group_query_under_the_sqa_ceiling_rides_sqa an_injected_fault_class_is_the_same_error_at_every_seam
+  wlm_tables_materialize_from_controller_and_spans workload_wlm_qmr_replay_accounting_and_sqa_latency
+  wlm_queued_queries_survive_node_failure_or_fail_retryably table_image_bytes_are_the_parents
 '
 # <test list> <probe names...>: fails naming every probe no listed test matches.
 probes_exist() {
@@ -227,6 +232,13 @@ absent -nE "^[^#]*results/($csvs)\.csv" 'a gate on a deleted CSV' ci.sh
 absent -rnE 'RSIM_TRACE|LVL_CORE|LVL_PHASE|LVL_DETAIL|with_level|export_json|export_text|metrics_to_' \
   'a trace level or an exporter' crates/ src/ tests/ examples/
 absent -n 'set_trace' "S3Sim's own trace sink" crates/replication/src/s3sim.rs
+absent -n 'enum Lane' 'the SQA lane as a second kind of slot' crates/core/src/wlm.rs
+absent -rn 'sqa_in_flight' "the SQA lane's own in-flight count" crates/
+absent -rn 'sqa_executed' "the SQA lane's own executed count" crates/
+absent -rn 'release_with' 'a second WLM release' crates/
+absent -rn 'fn config(&self) -> &WlmConfig' "WLM's unused config accessor" crates/
+absent -rn 'fn class_error' 'a second injected-fault mapping' crates/
+absent -rn 'fn fault_error' 'a second injected-fault mapping' crates/
 absent -n 'write_raw_payload(col, &mut raw)' 'an lzo payload compressing the Raw payload (offsets array included)' \
   crates/storage/src/encoding.rs
 if ls crates/bench/benches results | grep -xE "($rulers)\.rs|($csvs)\.csv"; then

@@ -4,6 +4,7 @@
 //! human-readable message plus, where useful, structured context. The enum
 //! is `#[non_exhaustive]` so downstream code matches with a catch-all.
 
+use redsim_faultkit::ErrClass;
 use std::fmt;
 
 /// Convenient result alias used across the workspace.
@@ -80,6 +81,21 @@ impl RsError {
             RsError::Serializable(_) => "SERIALIZABLE",
             RsError::Unsupported(_) => "UNSUPPORTED",
             RsError::Throttled(_) => "THROTTLE",
+        }
+    }
+
+    /// The error an `err(class)` action at failpoint `fp` raises. The
+    /// variant *is* the retry classification: `Throttle`, `Fault` and
+    /// `Repl` are transient, `NotFound` is permanent and fails fast.
+    /// Every seam maps a class through here, so a class is the same
+    /// error wherever it is injected.
+    pub fn injected(fp: &str, class: ErrClass) -> RsError {
+        let msg = format!("injected {} at failpoint {fp}", class.as_str());
+        match class {
+            ErrClass::Throttle => RsError::Throttled(msg),
+            ErrClass::Fault => RsError::FaultInjected(msg),
+            ErrClass::NotFound => RsError::NotFound(msg),
+            ErrClass::Repl => RsError::Replication(msg),
         }
     }
 

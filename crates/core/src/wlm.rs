@@ -11,10 +11,11 @@
 //! * [`WlmConfig`] / [`WlmQueueDef`] — named queues with per-queue
 //!   slot counts, bounded wait lists, wait timeouts, and routing rules
 //!   (user-group match and/or an estimated-cost ceiling).
-//! * A short-query-accelerator (SQA) lane: queries whose estimated
-//!   cost is below a threshold may bypass the queues entirely on a
-//!   small dedicated slot pool, so a burst of ETL never starves a
-//!   dashboard `SELECT count(*)`.
+//! * The short-query accelerator (SQA): one more service class, `sqa`,
+//!   after the configured queues. A query whose estimated cost is at
+//!   most its threshold takes a free `sqa` slot instead of its routed
+//!   queue, so a burst of ETL never starves a dashboard
+//!   `SELECT count(*)`; a full `sqa` class is never waited on.
 //! * Timeout/eviction: a query that waits longer than its queue's
 //!   `max_wait` is evicted with a retryable error instead of hanging.
 //! * Graceful drain: [`WlmController::begin_drain`] rejects new work
@@ -201,15 +202,15 @@ impl WlmQueueDef {
     }
 }
 
-/// The WLM configuration: an ordered list of queues plus the SQA lane.
+/// The WLM configuration: an ordered list of queues plus the SQA class.
 ///
 /// Routing precedence for a query with user group `g` and estimated
 /// cost `c`:
 ///
-/// 1. the first queue whose `user_groups` contains `g`;
-/// 2. otherwise, if SQA is enabled and `c <= sqa_max_cost` and an SQA
-///    slot is free, the SQA lane (never waits — falls through when
-///    full);
+/// 1. if SQA is enabled, `c <= sqa_max_cost` and an SQA slot is free,
+///    the `sqa` class, whatever `g` is (never waits — falls through
+///    when full);
+/// 2. otherwise the first queue whose `user_groups` contains `g`;
 /// 3. otherwise the first queue with `max_cost >= c` (or no
 ///    `max_cost`); the last queue is the catch-all fallback.
 #[derive(Debug, Clone)]
@@ -219,7 +220,7 @@ pub struct WlmConfig {
     pub queues: Vec<WlmQueueDef>,
     /// SQA cost threshold; `0` disables the accelerator.
     pub sqa_max_cost: u64,
-    /// Slots in the SQA lane (only meaningful when enabled).
+    /// Slots in the SQA class (only meaningful when enabled).
     pub sqa_slots: u32,
 }
 
@@ -250,22 +251,20 @@ impl WlmConfig {
         self
     }
 
-    fn validate(&self) -> WlmConfig {
-        let mut cfg = self.clone();
-        if cfg.queues.is_empty() {
-            cfg.queues.push(WlmQueueDef::new("default", 50));
+    /// The controller's service classes: the configured queues (a
+    /// default one when there are none), then, when SQA is enabled, a
+    /// class named `sqa` with no rules and no wait list.
+    fn classes(&self) -> Vec<WlmQueueDef> {
+        let mut classes = self.queues.clone();
+        if classes.is_empty() {
+            classes.push(WlmQueueDef::new("default", 50));
         }
-        cfg
+        if self.sqa_max_cost > 0 {
+            let sqa = WlmQueueDef::new("sqa", 1).max_cost(self.sqa_max_cost).max_queue_len(0);
+            classes.push(WlmQueueDef { slots: self.sqa_slots, ..sqa });
+        }
+        classes
     }
-}
-
-/// Which lane a query was admitted on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lane {
-    /// Regular service class, by queue index.
-    Queue(usize),
-    /// The short-query-accelerator pool.
-    Sqa,
 }
 
 /// Final state of an admission, mirrored into `stl_wlm_query.state`.
@@ -315,9 +314,8 @@ impl QueueState {
 
 #[derive(Debug)]
 struct Inner {
+    /// One state per service class, in `WlmController::classes` order.
     queues: Vec<QueueState>,
-    sqa_in_flight: u32,
-    sqa_executed: u64,
     draining: bool,
     /// Bumped on every `begin_drain` so waiters can tell a drain
     /// wake-up from a slot-free wake-up.
@@ -346,7 +344,12 @@ pub struct ServiceClassState {
 /// The leader-side admission controller. One per cluster; shared with
 /// query threads via `Arc`.
 pub struct WlmController {
-    cfg: WlmConfig,
+    /// Every service class: the configured queues, then `sqa` if enabled.
+    /// A query's lane is an index into this list.
+    classes: Vec<WlmQueueDef>,
+    /// How many of `classes` are configured queues; routing and hops
+    /// only ever pick one of these.
+    configured: usize,
     inner: Mutex<Inner>,
     cv: Condvar,
     seq: AtomicU64,
@@ -357,7 +360,7 @@ impl std::fmt::Debug for WlmController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.lock();
         f.debug_struct("WlmController")
-            .field("queues", &self.cfg.queues.len())
+            .field("queues", &self.configured)
             .field("draining", &inner.draining)
             .finish_non_exhaustive()
     }
@@ -366,17 +369,16 @@ impl std::fmt::Debug for WlmController {
 impl WlmController {
     /// Build a controller for `cfg`, recording into `trace`.
     pub fn new(cfg: &WlmConfig, trace: Arc<TraceSink>) -> WlmController {
-        let cfg = cfg.validate();
-        let queues = cfg.queues.iter().map(|_| QueueState::default()).collect();
+        let classes = cfg.classes();
+        let configured = cfg.queues.len().max(1);
         WlmController {
-            cfg,
             inner: Mutex::new(Inner {
-                queues,
-                sqa_in_flight: 0,
-                sqa_executed: 0,
+                queues: vec![QueueState::default(); classes.len()],
                 draining: false,
                 drain_epoch: 0,
             }),
+            classes,
+            configured,
             cv: Condvar::new(),
             seq: AtomicU64::new(1),
             trace,
@@ -387,26 +389,32 @@ impl WlmController {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The `sqa` class's index, when SQA is enabled.
+    fn sqa(&self) -> Option<usize> {
+        (self.classes.len() > self.configured).then_some(self.configured)
+    }
+
     /// Route a query to a queue index, per the precedence documented
     /// on [`WlmConfig`]. (SQA is decided separately, under the lock.)
     fn route(&self, cost: u64, user_group: Option<&str>) -> usize {
+        let queues = &self.classes[..self.configured];
         if let Some(g) = user_group {
-            if let Some(i) = self
-                .cfg
-                .queues
-                .iter()
-                .position(|q| q.user_groups.iter().any(|ug| ug == g))
-            {
+            if let Some(i) = queues.iter().position(|q| q.user_groups.iter().any(|ug| ug == g)) {
                 return i;
             }
         }
         // Cost routing only considers queues without a user-group gate:
         // a user-group queue is reachable solely by its groups.
-        self.cfg
-            .queues
+        queues
             .iter()
             .position(|q| q.user_groups.is_empty() && q.max_cost.is_none_or(|mc| cost <= mc))
-            .unwrap_or(self.cfg.queues.len() - 1)
+            .unwrap_or(self.configured - 1)
+    }
+
+    /// The queues after `qi` a hop may move a query to: those without a
+    /// user-group gate (only enterable via their groups), in order.
+    fn wider(&self, qi: usize) -> impl Iterator<Item = usize> + '_ {
+        (qi + 1..self.configured).filter(|&j| self.classes[j].user_groups.is_empty())
     }
 
     /// Admit a query: returns an RAII guard once a slot is held, or an
@@ -422,8 +430,7 @@ impl WlmController {
     ) -> Result<WlmGuard> {
         let qid = self.seq.fetch_add(1, Ordering::Relaxed);
         let qi = self.route(cost, user_group);
-        let q = &self.cfg.queues[qi];
-        let sqa_eligible = self.cfg.sqa_max_cost > 0 && cost <= self.cfg.sqa_max_cost;
+        let q = &self.classes[qi];
         let t0 = Instant::now();
 
         let mut inner = self.lock();
@@ -435,44 +442,17 @@ impl WlmController {
             ));
         }
 
-        // SQA fast path: short queries bypass the queues when a lane
-        // slot is free. Never waits — a full SQA pool falls through to
-        // the routed queue.
-        if sqa_eligible && inner.sqa_in_flight < self.cfg.sqa_slots {
-            inner.sqa_in_flight += 1;
-            drop(inner);
-            self.trace.counter("wlm.sqa_admits").incr();
-            self.trace.counter("wlm.admitted").incr();
-            return Ok(WlmGuard {
-                ctl: Arc::clone(self),
-                lane: Lane::Sqa,
-                qid,
-                wait_ns: 0,
-                hops: 0,
-                admitted_at: Instant::now(),
-                done: false,
-            });
-        }
-
-        // Free slot and nobody ahead: admit with zero wait.
-        if inner.queues[qi].in_flight < q.slots && inner.queues[qi].waiting.is_empty() {
-            inner.queues[qi].in_flight += 1;
-            drop(inner);
-            self.trace.counter("wlm.admitted").incr();
-            let mut guard = WlmGuard {
-                ctl: Arc::clone(self),
-                lane: Lane::Queue(qi),
-                qid,
-                wait_ns: 0,
-                hops: 0,
-                admitted_at: Instant::now(),
-                done: false,
-            };
-            guard.eval_rules(
-                QmrPhase::Admission,
-                &QmrStats { queue_ns: 0, ..QmrStats::default() },
-            )?;
-            return Ok(guard);
+        // Free slot and nobody ahead: admit with zero wait. A short query
+        // tries an `sqa` slot first, whatever its route; SQA never waits —
+        // a full `sqa` class falls through to the routed queue.
+        let sqa = self.sqa().filter(|&s| self.classes[s].max_cost.is_some_and(|mc| cost <= mc));
+        for lane in sqa.into_iter().chain([qi]) {
+            let st = &mut inner.queues[lane];
+            if st.in_flight < self.classes[lane].slots && st.waiting.is_empty() {
+                st.in_flight += 1;
+                drop(inner);
+                return self.grant(lane, qid, 0, 0);
+            }
         }
 
         // Bounded wait list.
@@ -496,9 +476,9 @@ impl WlmController {
         let mut deadline = t0 + q.max_wait;
         loop {
             let now = Instant::now();
+            let wait_ns = now.duration_since(t0).as_nanos() as u64;
             if inner.draining || inner.drain_epoch != my_epoch {
                 inner.queues[qi].leave(qid);
-                let wait_ns = now.duration_since(t0).as_nanos() as u64;
                 self.record_failure(&mut inner, qi, qid, Outcome::Evicted, wait_ns, hops);
                 drop(inner);
                 return Err(RsError::InvalidState(
@@ -506,37 +486,22 @@ impl WlmController {
                 ));
             }
             let head = inner.queues[qi].waiting.front() == Some(&qid);
-            if head && inner.queues[qi].in_flight < self.cfg.queues[qi].slots {
+            if head && inner.queues[qi].in_flight < self.classes[qi].slots {
                 inner.queues[qi].leave(qid);
                 inner.queues[qi].in_flight += 1;
-                let wait_ns = now.duration_since(t0).as_nanos() as u64;
                 drop(inner);
                 // The next waiter is the head now, and may find a slot.
                 self.cv.notify_all();
-                self.trace.counter("wlm.admitted").incr();
                 self.trace.counter("wlm.queued_admits").incr();
-                let mut guard = WlmGuard {
-                    ctl: Arc::clone(self),
-                    lane: Lane::Queue(qi),
-                    qid,
-                    wait_ns,
-                    hops,
-                    admitted_at: Instant::now(),
-                    done: false,
-                };
-                // Admission-point rule evaluation: queue time is known
-                // the moment the slot is granted.
-                guard.eval_rules(
-                    QmrPhase::Admission,
-                    &QmrStats { queue_ns: wait_ns, ..QmrStats::default() },
-                )?;
-                return Ok(guard);
+                return self.grant(qi, qid, wait_ns, hops);
             }
             if now >= deadline {
                 // Leaving may put another waiter at the head.
                 inner.queues[qi].leave(qid);
                 self.cv.notify_all();
-                if let Some(next) = self.next_hop(&inner, qi) {
+                let room =
+                    |j: &usize| inner.queues[*j].waiting.len() < self.classes[*j].max_queue_len;
+                if let Some(next) = self.wider(qi).find(room) {
                     inner.queues[next].waiting.push_back(qid);
                     inner.queues[qi].hopped_out += 1;
                     qi = next;
@@ -544,16 +509,15 @@ impl WlmController {
                     // A fresh wait budget in the new queue; total wait
                     // is still reported from t0 (queue_wait_us spans
                     // every queue the query sat in).
-                    deadline = now + self.cfg.queues[qi].max_wait;
+                    deadline = now + self.classes[qi].max_wait;
                     self.trace.counter("wlm.hops").incr();
                     continue;
                 }
-                let wait_ns = now.duration_since(t0).as_nanos() as u64;
                 self.record_failure(&mut inner, qi, qid, Outcome::Evicted, wait_ns, hops);
                 drop(inner);
                 return Err(RsError::InvalidState(format!(
                     "wlm: queue wait timeout in '{}' after {:?} ({} hops)",
-                    self.cfg.queues[qi].name, self.cfg.queues[qi].max_wait, hops
+                    self.classes[qi].name, self.classes[qi].max_wait, hops
                 )));
             }
             let (guard, _timeout) = self
@@ -564,16 +528,28 @@ impl WlmController {
         }
     }
 
-    /// The next queue a timed-out waiter may hop to: the first queue
-    /// after `qi` that is reachable by cost routing (no user-group
-    /// gate — those are only enterable via their groups) and whose
-    /// wait list has room. `None` means the query fell off the last
-    /// queue and must be evicted.
-    fn next_hop(&self, inner: &Inner, qi: usize) -> Option<usize> {
-        (qi + 1..self.cfg.queues.len()).find(|&j| {
-            self.cfg.queues[j].user_groups.is_empty()
-                && inner.queues[j].waiting.len() < self.cfg.queues[j].max_queue_len
-        })
+    /// Hand out the slot of `lane` the caller just took, then run the
+    /// class's admission-point rules: queue time is known the moment
+    /// the slot is granted.
+    fn grant(self: &Arc<Self>, lane: usize, qid: u64, wait_ns: u64, hops: u64) -> Result<WlmGuard> {
+        if self.sqa() == Some(lane) {
+            self.trace.counter("wlm.sqa_admits").incr();
+        }
+        self.trace.counter("wlm.admitted").incr();
+        let mut guard = WlmGuard {
+            ctl: Arc::clone(self),
+            lane,
+            qid,
+            wait_ns,
+            hops,
+            admitted_at: Instant::now(),
+            done: false,
+        };
+        guard.eval_rules(
+            QmrPhase::Admission,
+            &QmrStats { queue_ns: wait_ns, ..QmrStats::default() },
+        )?;
+        Ok(guard)
     }
 
     /// Record a rejection/eviction span and bump counters. Must be
@@ -598,28 +574,26 @@ impl WlmController {
             }
             Outcome::Completed | Outcome::Aborted => unreachable!("failures only"),
         }
-        self.emit_span(qid, &self.cfg.queues[qi].name, outcome, wait_ns, 0, false, hops);
+        self.emit_span(qid, qi, outcome, wait_ns, 0, hops);
     }
 
     /// Emit the per-query `wlm` record (`stl_wlm_query` reads it).
-    #[allow(clippy::too_many_arguments)]
     fn emit_span(
         &self,
         qid: u64,
-        service_class: &str,
+        lane: usize,
         outcome: Outcome,
         wait_ns: u64,
         exec_ns: u64,
-        sqa: bool,
         hops: u64,
     ) {
         let mut span = self.trace.span("wlm");
         span.attr("query", qid as i64);
-        span.attr("service_class", service_class.to_string());
+        span.attr("service_class", self.classes[lane].name.clone());
         span.attr("state", outcome.as_str());
         span.attr("queue_wait_us", (wait_ns / 1_000) as i64);
         span.attr("exec_us", (exec_ns / 1_000) as i64);
-        span.attr("sqa", sqa);
+        span.attr("sqa", self.sqa() == Some(lane));
         span.attr("hops", hops as i64);
     }
 
@@ -642,9 +616,7 @@ impl WlmController {
         let deadline = Instant::now() + timeout;
         let mut inner = self.lock();
         loop {
-            let busy =
-                inner.sqa_in_flight > 0 || inner.queues.iter().any(|q| q.in_flight > 0);
-            if !busy {
+            if inner.queues.iter().all(|q| q.in_flight == 0) {
                 return true;
             }
             let now = Instant::now();
@@ -672,13 +644,11 @@ impl WlmController {
         self.lock().draining
     }
 
-    /// Point-in-time state of every service class (plus the SQA lane
-    /// when enabled) for `stv_wlm_service_class_state`.
+    /// Point-in-time state of every service class (the `sqa` class
+    /// last, when enabled) for `stv_wlm_service_class_state`.
     pub fn service_class_states(&self) -> Vec<ServiceClassState> {
         let inner = self.lock();
-        let mut out: Vec<ServiceClassState> = self
-            .cfg
-            .queues
+        self.classes
             .iter()
             .zip(inner.queues.iter())
             .map(|(def, st)| ServiceClassState {
@@ -697,81 +667,17 @@ impl WlmController {
                     st.queue_wait_ns_total / st.executed / 1_000
                 },
             })
-            .collect();
-        if self.cfg.sqa_max_cost > 0 {
-            out.push(ServiceClassState {
-                name: "sqa".into(),
-                slots: self.cfg.sqa_slots,
-                in_flight: inner.sqa_in_flight,
-                queued: 0,
-                executed: inner.sqa_executed,
-                evicted: 0,
-                rejected: 0,
-                hopped: 0,
-                aborted: 0,
-                avg_queue_wait_us: 0,
-            });
-        }
-        out
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &WlmConfig {
-        &self.cfg
-    }
-
-    fn release(&self, lane: Lane, qid: u64, wait_ns: u64, exec_ns: u64, hops: u64) {
-        self.release_with(lane, qid, wait_ns, exec_ns, hops, Outcome::Completed);
-    }
-
-    fn release_with(
-        &self,
-        lane: Lane,
-        qid: u64,
-        wait_ns: u64,
-        exec_ns: u64,
-        hops: u64,
-        outcome: Outcome,
-    ) {
-        let mut inner = self.lock();
-        let (name, sqa) = match lane {
-            Lane::Sqa => {
-                inner.sqa_in_flight -= 1;
-                inner.sqa_executed += 1;
-                ("sqa".to_string(), true)
-            }
-            Lane::Queue(qi) => {
-                inner.queues[qi].in_flight -= 1;
-                match outcome {
-                    Outcome::Aborted => inner.queues[qi].aborted += 1,
-                    _ => {
-                        inner.queues[qi].executed += 1;
-                        inner.queues[qi].queue_wait_ns_total += wait_ns;
-                    }
-                }
-                (self.cfg.queues[qi].name.clone(), false)
-            }
-        };
-        drop(inner);
-        self.cv.notify_all();
-        match outcome {
-            Outcome::Aborted => self.trace.counter("wlm.aborted").incr(),
-            _ => self.trace.counter("wlm.completed").incr(),
-        }
-        self.emit_span(qid, &name, outcome, wait_ns, exec_ns, sqa, hops);
+            .collect()
     }
 
     /// Move a *running* query to the next wider queue because a
-    /// monitoring rule said so: the first queue after `qi` without a
-    /// user-group gate (those are only enterable via their groups).
-    /// Unlike a timed-out waiter hop, the query keeps running — the
-    /// target's `in_flight` may transiently exceed its slot count, the
-    /// price of not restarting work that is already done. Returns the
-    /// new queue index, or `None` when already in the last queue (the
-    /// hop degrades to a log-only firing).
+    /// monitoring rule said so. Unlike a timed-out waiter hop, the
+    /// query keeps running — the target's `in_flight` may transiently
+    /// exceed its slot count, the price of not restarting work that is
+    /// already done. Returns the new queue index, or `None` when no
+    /// wider queue is left (the hop degrades to a log-only firing).
     fn rule_hop(&self, qi: usize) -> Option<usize> {
-        let next =
-            (qi + 1..self.cfg.queues.len()).find(|&j| self.cfg.queues[j].user_groups.is_empty())?;
+        let next = self.wider(qi).next()?;
         let mut inner = self.lock();
         inner.queues[qi].in_flight -= 1;
         inner.queues[qi].hopped_out += 1;
@@ -788,7 +694,8 @@ impl WlmController {
 /// drop, then releases it, wakes waiters, and records the `wlm` span.
 pub struct WlmGuard {
     ctl: Arc<WlmController>,
-    lane: Lane,
+    /// The service class holding the slot (an index into `classes`).
+    lane: usize,
     qid: u64,
     wait_ns: u64,
     hops: u64,
@@ -808,17 +715,14 @@ impl WlmGuard {
         self.hops
     }
 
-    /// Whether this admission went through the SQA lane.
+    /// Whether this admission went through the SQA class.
     pub fn via_sqa(&self) -> bool {
-        self.lane == Lane::Sqa
+        self.ctl.sqa() == Some(self.lane)
     }
 
     /// The service-class name this query runs under.
     pub fn service_class(&self) -> &str {
-        match self.lane {
-            Lane::Sqa => "sqa",
-            Lane::Queue(qi) => &self.ctl.cfg.queues[qi].name,
-        }
+        &self.ctl.classes[self.lane].name
     }
 
     /// Evaluate this queue's monitoring rules against live execution
@@ -832,9 +736,8 @@ impl WlmGuard {
     }
 
     fn eval_rules(&mut self, phase: QmrPhase, stats: &QmrStats) -> Result<()> {
-        // SQA-lane admissions have no service class, hence no rules.
-        let Lane::Queue(qi) = self.lane else { return Ok(()) };
-        let fired: Vec<QmrRule> = self.ctl.cfg.queues[qi]
+        let class = &self.ctl.classes[self.lane];
+        let fired: Vec<QmrRule> = class
             .rules
             .iter()
             .filter(|r| r.metric.phase() == phase && r.metric.value(stats) > r.threshold)
@@ -843,11 +746,10 @@ impl WlmGuard {
         if fired.is_empty() {
             return Ok(());
         }
-        let service_class = self.ctl.cfg.queues[qi].name.clone();
         for r in &fired {
             let mut span = self.ctl.trace.span("wlm_rule_action");
             span.attr("query", self.qid as i64);
-            span.attr("service_class", service_class.clone());
+            span.attr("service_class", class.name.clone());
             span.attr("rule", r.name.clone());
             span.attr("metric", r.metric.as_str());
             span.attr("value", r.metric.value(stats) as i64);
@@ -859,26 +761,16 @@ impl WlmGuard {
         match strongest.action {
             QmrAction::Log => Ok(()),
             QmrAction::Hop => {
-                if let Some(next) = self.ctl.rule_hop(qi) {
-                    self.lane = Lane::Queue(next);
+                if let Some(next) = self.ctl.rule_hop(self.lane) {
+                    self.lane = next;
                     self.hops += 1;
                 }
                 Ok(())
             }
             QmrAction::Abort => {
                 // Leader-side termination: release the slot now with an
-                // Aborted record; Drop sees `done` and stays quiet.
-                self.done = true;
-                let exec_ns = self.admitted_at.elapsed().as_nanos() as u64;
-                let ctl = Arc::clone(&self.ctl);
-                ctl.release_with(
-                    self.lane,
-                    self.qid,
-                    self.wait_ns,
-                    exec_ns,
-                    self.hops,
-                    Outcome::Aborted,
-                );
+                // Aborted record; Drop finds it released and stays quiet.
+                self.release(Outcome::Aborted);
                 Err(RsError::InvalidState(format!(
                     "wlm: query aborted by monitoring rule '{}' ({} {} > {})",
                     strongest.name,
@@ -889,16 +781,38 @@ impl WlmGuard {
             }
         }
     }
+
+    /// Give the slot back, wake waiters and record how the query ended;
+    /// only the first call does anything.
+    fn release(&mut self, outcome: Outcome) {
+        if std::mem::replace(&mut self.done, true) {
+            return;
+        }
+        let exec_ns = self.admitted_at.elapsed().as_nanos() as u64;
+        let ctl = &self.ctl;
+        let mut inner = ctl.lock();
+        let st = &mut inner.queues[self.lane];
+        st.in_flight -= 1;
+        match outcome {
+            Outcome::Aborted => st.aborted += 1,
+            _ => {
+                st.executed += 1;
+                st.queue_wait_ns_total += self.wait_ns;
+            }
+        }
+        drop(inner);
+        ctl.cv.notify_all();
+        match outcome {
+            Outcome::Aborted => ctl.trace.counter("wlm.aborted").incr(),
+            _ => ctl.trace.counter("wlm.completed").incr(),
+        }
+        ctl.emit_span(self.qid, self.lane, outcome, self.wait_ns, exec_ns, self.hops);
+    }
 }
 
 impl Drop for WlmGuard {
     fn drop(&mut self) {
-        if self.done {
-            return;
-        }
-        self.done = true;
-        let exec_ns = self.admitted_at.elapsed().as_nanos() as u64;
-        self.ctl.release(self.lane, self.qid, self.wait_ns, exec_ns, self.hops);
+        self.release(Outcome::Completed);
     }
 }
 
@@ -1228,5 +1142,86 @@ mod tests {
             recs.iter().filter_map(|r| r.attr_str("state").map(str::to_string)).collect();
         assert_eq!(states.iter().filter(|s| *s == "Completed").count(), 2);
         assert_eq!(states.iter().filter(|s| *s == "Rejected").count(), 1);
+    }
+
+    #[test]
+    fn wait_idle_counts_a_query_on_the_sqa_lane() {
+        let cfg = WlmConfig::with_queues(vec![WlmQueueDef::new("q", 1)]).sqa(100, 1);
+        let c = ctl(cfg);
+        let short = c.admit(5, None).unwrap();
+        assert!(short.via_sqa());
+        assert!(!c.wait_idle(Duration::from_millis(20)), "a held SQA slot is not idle");
+        // A drain waiting on the SQA slot wakes when it is released.
+        let c2 = Arc::clone(&c);
+        let idle = std::thread::spawn(move || c2.wait_idle(Duration::from_secs(10)));
+        std::thread::sleep(Duration::from_millis(20));
+        drop(short);
+        assert!(idle.join().unwrap(), "idle once the SQA guard dropped");
+    }
+
+    #[test]
+    fn sqa_is_the_last_service_class_and_never_waits() {
+        let queue = || {
+            WlmQueueDef::new("a", 1)
+                .max_wait(Duration::from_secs(5))
+                .rule("slow_queue", QmrMetric::QueryQueueTime, 0, QmrAction::Log)
+                .rule("big_scan", QmrMetric::RowsScanned, 0, QmrAction::Abort)
+        };
+        let names = |c: &WlmController| -> Vec<String> {
+            c.service_class_states().into_iter().map(|s| s.name).collect()
+        };
+        assert_eq!(names(&ctl(WlmConfig::with_queues(vec![queue()]))), ["a"], "SQA off");
+        let sink = Arc::new(TraceSink::new());
+        let cfg = WlmConfig::with_queues(vec![queue()]).sqa(100, 1);
+        let c = Arc::new(WlmController::new(&cfg, Arc::clone(&sink)));
+        assert_eq!(names(&c), ["a", "sqa"], "SQA comes last");
+
+        let hog = c.admit(1_000_000, None).unwrap(); // fills "a"
+        let mut short = c.admit(5, None).unwrap(); // "a" is full: SQA, no wait
+        assert!(short.via_sqa());
+        assert_eq!((short.service_class(), short.queue_wait_ns()), ("sqa", 0));
+        // The routed queue's rules are not the SQA admission's.
+        short.evaluate_rules(&QmrStats { rows_scanned: 1 << 40, ..QmrStats::default() }).unwrap();
+        assert!(sink.records_named("wlm_rule_action").is_empty());
+
+        // A full SQA class falls through to the routed queue and waits there.
+        let c2 = Arc::clone(&c);
+        let third = std::thread::spawn(move || c2.admit(5, None));
+        while c.service_class_states()[0].queued == 0 {
+            std::thread::yield_now();
+        }
+        drop(hog);
+        let third = third.join().unwrap().unwrap();
+        assert!(!third.via_sqa());
+        assert_eq!(third.service_class(), "a");
+        assert!(third.queue_wait_ns() > 0);
+        let firings = sink.records_named("wlm_rule_action");
+        assert_eq!(firings.len(), 1, "only the queued admission fires the queue-time rule");
+        assert_eq!(firings[0].attr_str("rule"), Some("slow_queue"));
+        drop((short, third));
+
+        let recs = sink.records_named("wlm");
+        let span = |class: &str| recs.iter().find(|r| r.attr_str("service_class") == Some(class));
+        assert_eq!(span("sqa").and_then(|r| r.attr_bool("sqa")), Some(true));
+        assert_eq!(span("a").and_then(|r| r.attr_bool("sqa")), Some(false));
+        let sqa = c.service_class_states().pop().unwrap();
+        assert_eq!((sqa.name.as_str(), sqa.slots, sqa.executed), ("sqa", 1, 1));
+        assert_eq!((sqa.in_flight, sqa.queued, sqa.evicted, sqa.rejected), (0, 0, 0, 0));
+    }
+
+    #[test]
+    fn a_user_group_query_under_the_sqa_ceiling_rides_sqa() {
+        let cfg = WlmConfig::with_queues(vec![
+            WlmQueueDef::new("etl", 2).user_group("etl_users"),
+            WlmQueueDef::new("rest", 2),
+        ])
+        .sqa(100, 1);
+        let c = ctl(cfg);
+        let short = c.admit(5, Some("etl_users")).unwrap();
+        assert_eq!(short.service_class(), "sqa", "SQA comes before the user-group match");
+        let next = c.admit(5, Some("etl_users")).unwrap();
+        assert_eq!(next.service_class(), "etl", "a full SQA class falls through to the group");
+        let long = c.admit(1_000, Some("etl_users")).unwrap();
+        assert_eq!(long.service_class(), "etl");
     }
 }

@@ -658,11 +658,8 @@ impl<'a> Executor<'a> {
                 Outcome::Drop => Some(ErrClass::Fault),
             };
             if let Some(class) = class {
-                return Err(RsError::FaultInjected(format!(
-                    "injected {} at {} (slice {slice})",
-                    class.as_str(),
-                    fp::EXEC_SCAN_SLICE,
-                )));
+                let err = RsError::injected(fp::EXEC_SCAN_SLICE, class);
+                return Err(err.with_note(&format!(" (slice {slice})")));
             }
         }
         let mut span =

@@ -120,9 +120,10 @@ pub mod fp {
     ];
 }
 
-/// Error class carried by an `err(..)` action. Call sites map these to
-/// `RsError` variants (`Throttled`, `FaultInjected`, `NotFound`,
-/// `Replication`), which drive `is_retryable()`.
+/// Error class carried by an `err(..)` action. `RsError::injected` (in
+/// `redsim-common`) maps these to `RsError` variants (`Throttled`,
+/// `FaultInjected`, `NotFound`, `Replication`), which drive
+/// `is_retryable()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrClass {
     /// Transient service throttle — retryable.

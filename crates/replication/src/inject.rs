@@ -1,15 +1,15 @@
 //! Glue between `faultkit` outcomes, `RsError` classes, and `obs`.
 //!
 //! Failpoints are *named seams*; this module decides what firing one
-//! means in workspace terms: which `RsError` variant each
-//! [`ErrClass`] maps to (and therefore whether a retry loop may absorb
-//! it), how drops are represented, and which counters/spans get bumped.
-//! Keeping the mapping in one place means `stl_fault_event`, the
-//! `fault.injected` counter and the retry classification can never
-//! disagree about what an injected fault *is*.
+//! means for the S3 and mirror paths: how drops are represented, and
+//! which counters/spans get bumped. Which `RsError` variant each
+//! `ErrClass` maps to (and therefore whether a retry loop may absorb
+//! it) is [`RsError::injected`], the one mapping every seam shares, so
+//! `stl_fault_event`, the `fault.injected` counter and the retry
+//! classification can never disagree about what an injected fault *is*.
 
 use redsim_common::{Result, RetryEvent, RsError};
-use redsim_faultkit::{ErrClass, FaultRegistry, Outcome};
+use redsim_faultkit::{FaultRegistry, Outcome};
 use redsim_obs::{AttrValue, TraceSink};
 use std::sync::Arc;
 
@@ -24,20 +24,6 @@ pub enum Flow {
     Skip,
 }
 
-/// Map an injected error class to the workspace error type. The variant
-/// choice *is* the retry classification: `Throttle`/`Fault`/`Repl` are
-/// transient ([`RsError::is_retryable`] == true), `NotFound` is
-/// permanent and fails fast without burning the attempt budget.
-pub fn fault_error(fp: &str, class: ErrClass) -> RsError {
-    let msg = format!("injected {} at failpoint {fp}", class.as_str());
-    match class {
-        ErrClass::Throttle => RsError::Throttled(msg),
-        ErrClass::Fault => RsError::FaultInjected(msg),
-        ErrClass::NotFound => RsError::NotFound(msg),
-        ErrClass::Repl => RsError::Replication(msg),
-    }
-}
-
 /// Evaluate failpoint `fp`, bumping the `fault.injected` counter on
 /// `sink` when it fires. Disarmed registries cost one relaxed load.
 #[inline]
@@ -48,7 +34,7 @@ pub fn fire(reg: &FaultRegistry, sink: Option<&Arc<TraceSink>>, fp: &'static str
             if let Some(s) = sink {
                 s.counter("fault.injected").incr();
             }
-            Err(fault_error(fp, class))
+            Err(RsError::injected(fp, class))
         }
         Outcome::Drop => {
             if let Some(s) = sink {
@@ -106,7 +92,7 @@ pub fn retry_observer(sink: Option<Arc<TraceSink>>) -> impl FnMut(&RetryEvent) {
 mod tests {
     use super::*;
     use redsim_common::RetryPolicy;
-    use redsim_faultkit::{fp, FaultSpec};
+    use redsim_faultkit::{fp, ErrClass, FaultSpec};
     use std::time::Duration;
 
     #[test]
@@ -118,7 +104,7 @@ mod tests {
             (ErrClass::NotFound, "NOT_FOUND", false),
         ];
         for (class, code, retryable) in cases {
-            let e = fault_error("s3.get", class);
+            let e = RsError::injected("s3.get", class);
             assert_eq!(e.code(), code);
             assert_eq!(e.is_retryable(), retryable, "{e}");
             assert!(e.to_string().contains("s3.get"), "{e}");

@@ -30,10 +30,10 @@
 
 //! Fault seams (this PR's escalator substrate): every S3-touching path
 //! consults a named `faultkit` failpoint and is wrapped in a typed
-//! retry loop — [`inject`] holds the class→`RsError` mapping and the
-//! `obs` glue — so transient faults are absorbed with backoff while
-//! permanent ones surface typed, per the paper's §5 "escalators, not
-//! elevators".
+//! retry loop — [`inject`] holds the `obs` glue, `RsError::injected`
+//! the class→`RsError` mapping — so transient faults are absorbed with
+//! backoff while permanent ones surface typed, per the paper's §5
+//! "escalators, not elevators".
 
 pub mod backup;
 pub mod inject;
@@ -41,6 +41,6 @@ pub mod mirror;
 pub mod s3sim;
 
 pub use backup::{BackupManager, SnapshotInfo, SnapshotKind};
-pub use inject::{fault_error, fire, fire_no_skip, retry_observer, Flow};
+pub use inject::{fire, fire_no_skip, retry_observer, Flow};
 pub use mirror::{NodeStore, ReplicatedStore};
 pub use s3sim::S3Sim;

@@ -113,10 +113,10 @@ impl Wal {
     fn gate(&self, name: &str) -> Result<()> {
         match self.faults.fire(name) {
             Outcome::Proceed => Ok(()),
-            Outcome::Err(class) => Err(class_error(class, name)),
+            Outcome::Err(class) => Err(RsError::injected(name, class)),
             // `Drop` still aborts the statement: a silently lost redo
             // record for a txn that later commits would be unrecoverable.
-            Outcome::Drop => Err(class_error(ErrClass::Fault, name)),
+            Outcome::Drop => Err(RsError::injected(name, ErrClass::Fault)),
         }
     }
 
@@ -181,16 +181,6 @@ impl Wal {
     /// Unsynced bytes that a crash would lose.
     pub fn tail_len(&self) -> usize {
         self.inner.lock().tail.len()
-    }
-}
-
-fn class_error(class: ErrClass, name: &str) -> RsError {
-    let msg = format!("injected {} at {name}", class.as_str());
-    match class {
-        ErrClass::Throttle => RsError::Throttled(msg),
-        ErrClass::NotFound => RsError::NotFound(msg),
-        ErrClass::Repl => RsError::Replication(msg),
-        _ => RsError::FaultInjected(msg),
     }
 }
 

@@ -40,8 +40,9 @@ impl QueryClass {
     }
 
     /// The WLM user group the class's sessions connect with. Dashboards
-    /// deliberately have none: user-group routing takes precedence over
-    /// SQA, and short panels are exactly what SQA exists for.
+    /// have none: they route by cost, and short panels are exactly what
+    /// SQA exists for. (SQA comes before the user-group match, so a
+    /// grouped query under the SQA ceiling rides it too.)
     pub fn user_group(self) -> Option<&'static str> {
         match self {
             QueryClass::Dashboard => None,
@@ -140,7 +141,7 @@ pub struct WorkloadConfig {
     pub start_hour: f64,
     /// Rows COPY'd into `events` before replay starts.
     pub seed_rows: u32,
-    /// WLM: cost ceiling for the SQA lane (leader cost units — logical
+    /// WLM: cost ceiling for the `sqa` class (leader cost units — logical
     /// rows × tables referenced).
     pub sqa_max_cost: u64,
     pub classes: Vec<ClassConfig>,

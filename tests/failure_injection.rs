@@ -1117,6 +1117,40 @@ fn no_lock_readers_overlap_key_rotation() {
 /// `err(fault)` raises: an answer missing a slice is wrong, and the
 /// result cache would serve it until the next write. After the fault,
 /// the rerun and its cache hit both count every row.
+/// `err(class)` is one typed error whatever seam it is injected at
+/// (DESIGN.md §10): the executor's per-slice scan, the redo log's commit
+/// and COPY's S3 fetch raise the same code and retry class for the same
+/// class, and each message names its failpoint.
+#[test]
+fn an_injected_fault_class_is_the_same_error_at_every_seam() {
+    let cfg = ClusterConfig::new("classes").nodes(2).slices_per_node(2).retry(fast_retry());
+    let c = Cluster::launch(cfg).unwrap();
+    load(&c, 100);
+    c.put_s3_object("w/1", b"1,w\n".to_vec());
+    let seams = [
+        (fp::EXEC_SCAN_SLICE, "SELECT COUNT(*) FROM t"),
+        (fp::WAL_COMMIT, "INSERT INTO t VALUES (1, 'x')"),
+        (fp::COPY_FETCH_OBJECT, "COPY t FROM 's3://w/'"),
+    ];
+    let classes = [
+        (ErrClass::NotFound, "NOT_FOUND", false),
+        (ErrClass::Throttle, "THROTTLE", true),
+        (ErrClass::Fault, "FAULT", true),
+        (ErrClass::Repl, "REPL", true),
+    ];
+    for (class, code, retryable) in classes {
+        for (seam, sql) in seams {
+            c.faults().configure(seam, FaultSpec::err(class));
+            let err = c.execute(sql).expect_err(seam);
+            c.faults().clear(seam);
+            assert_eq!((err.code(), err.is_retryable()), (code, retryable), "{seam}: {err}");
+            assert!(err.to_string().contains(seam), "{seam}: {err}");
+        }
+    }
+    // Nothing was written: every write above failed at its seam.
+    assert_eq!(c.query("SELECT COUNT(*) FROM t").unwrap().rows[0].get(0).as_i64(), Some(100));
+}
+
 #[test]
 fn scan_slice_drop_is_a_retryable_fault_not_a_short_answer() {
     let c = Cluster::launch(ClusterConfig::new("drop").nodes(2).slices_per_node(2)).unwrap();
