@@ -112,94 +112,208 @@ CARGO_TARGET_DIR=target/benchmark cargo test --offline --manifest-path benchmark
 echo "== named probes still exist =="
 # The tests each change named as its probes ran in the --workspace pass
 # above; `cargo test <filter>` passes when the filter matches nothing, so
-# a renamed probe would leave CI green. Each name must match (as a
-# substring, the way a cargo test filter does) at least one listed test.
-# One line per change, naming its DESIGN.md section.
-probes='
+# a renamed probe would leave CI green. Each probe is
+# `<test binary>::<test path>` and must name exactly one listed test (bash
+# brace expansion spells several tests of one module). One group per
+# change, naming its DESIGN.md section; a test an earlier group names is
+# not repeated.
+probes=(
   # property invariants: trace §8, WLM §9, chaos §10, MVCC §15, session §12, QMR + profiler §13, replay §14, kernels §16
-  trace_invariants wlm_ chaos_ mvcc_ session_ qmr_ profile_ workload_ vector_
+  properties::{trace_invariants_hold_under_random_workload,wlm_admission_invariants}
+  properties::{wlm_dr_failover_preserves_data,wlm_resize_preserves_data_and_drains}
+  properties::workload_wlm_qmr_replay_accounting_and_sqa_latency
+  properties::chaos_schedule_upholds_exactness_and_liveness
+  properties::{qmr_rules_under_chaos_never_leak_spans_or_slots,workload_chaos_delay_rides_virtual_clock}
+  properties::{mvcc_snapshot_reads_and_first_committer_wins,session_schedule_cache_and_leak_invariants}
+  properties::{session_wire_disconnect_never_leaks,qmr_abort_never_fires_on_explain_or_system_reads}
+  properties::qmr_rule_hop_and_timeout_hop_both_count_in_stl_hops
+  properties::profile_explain_analyze_annotates_three_table_join
+  properties::profile_report_rows_equal_queries_times_slices_times_steps
+  properties::{workload_schedule_determinism_and_replay_counts,vector_aggregates_match_value_path}
+  properties::{vector_interp_fallback_is_counted_and_zero_on_benchmark_shapes,vector_joins_match_baseline}
+  properties::{vector_kernels_match_interpreter,vector_kernels_nan_total_order_end_to_end}
+  failure_injection::wlm_queued_queries_survive_node_failure_or_fail_retryably
+  redsim_core::cluster::session_tests::result_cache_hit_skips_wlm_compile_and_exec
+  redsim_core::cluster::session_tests::cache_partitions_by_user_group_and_respects_opt_out
+  redsim_core::cluster::session_tests::commits_invalidate_but_rolled_back_copy_does_not
+  redsim_core::cluster::session_tests::compupdate_session_default_applies_when_copy_omits_it
+  redsim_core::cluster::session_tests::plan_cache_does_not_survive_schema_change
+  redsim_core::cluster::session_tests::sessionless_execute_select_is_logged_as_the_default_user
+  redsim_core::cluster::session_tests::sessionless_query_routes_through_implicit_session
+  redsim_core::cluster::session_tests::sessions_surface_in_system_tables_and_clean_up_on_drop
+  redsim_core::systables::tests::wlm_tables_materialize_from_controller_and_spans
+  redsim_core::systables::tests::session_tables_materialize_from_manager
+  redsim_core::systables::tests::svl_query_report_materializes_profile_steps
+  redsim_core::wlm::tests::qmr_abort_rule_releases_slot_and_errors
+  redsim_core::wlm::tests::qmr_all_firings_logged_but_strongest_action_wins
+  redsim_core::wlm::tests::qmr_hop_rule_moves_running_query_to_wider_queue
+  redsim_core::wlm::tests::qmr_queue_time_rule_fires_at_admission
   # one expression semantics: §16 "Binder → kernel | row fallback"
-  compiled_equals_interpreted insert_parses_strings guards_protect_division
+  properties::compiled_equals_interpreted
+  end_to_end::{insert_parses_strings_into_date_timestamp_and_decimal_columns,guards_protect_division}
   # frontdoor wire server, 64 concurrent sessions: §12 "Wire server"
-  sixty_four_concurrent_sessions connection_limit_rejects_with_retryable_throttle
-  typed_errors_round_trip_the_wire abrupt_disconnect_cleans_up_session
-  mid_statement_disconnect_commits_fully_or_not_at_all drain_finishes_in_flight_work_and_stops_accepting
+  frontdoor_server::{sixty_four_concurrent_sessions,connection_limit_rejects_with_retryable_throttle}
+  frontdoor_server::{typed_errors_round_trip_the_wire,abrupt_disconnect_cleans_up_session}
+  frontdoor_server::mid_statement_disconnect_commits_fully_or_not_at_all
+  frontdoor_server::drain_finishes_in_flight_work_and_stops_accepting
   # write atomicity (failure injection): §10 "Chaos, inside the model", §15 "Crash and recovery"
-  copy_ failed_ wal_
+  end_to_end::copy_ingests_compressed_and_encrypted_sources
+  failure_injection::copy_aborted_mid_objects_by_parse_error_leaves_zero_rows
+  failure_injection::{copy_failing_at_each_wal_seam_rolls_back_cleanly,copy_rides_through_s3_flakiness}
+  failure_injection::copy_succeeds_exactly_when_transient_mirror_write_fault_is_absorbed
+  failure_injection::copy_under_probabilistic_write_faults_is_all_or_nothing
+  failure_injection::failed_copy_rolls_back_to_pre_copy_state
+  failure_injection::one_catalog_copy_overlapping_a_resize_lands_or_errors
+  failure_injection::failed_insert_rolls_back_router_and_estimates
+  failure_injection::wal_truncate_failure_is_absorbed_not_surfaced
+  peak_heap::{copy_heap_is_flat_as_an_object_grows,copy_heap_is_flat_as_objects_multiply}
+  redsim_core::cluster::read::tests::copy_spans_record_ingest_phases
+  redsim_core::cluster::tests::{copy_csv_from_s3,copy_json_from_s3}
+  redsim_core::cluster::write::tests::copy_streams_failing_in_the_last_unit_change_nothing
+  redsim_core::cluster::write::tests::copy_streams_first_object_error_wins
+  redsim_core::cluster::write::tests::copy_streams_into_the_blocks_one_append_writes
+  redsim_core::cluster::write::tests::copy_streams_report_the_line_of_the_object
+  redsim_replication::s3sim::tests::copy_object_failpoint
+  redsim_sql::parser::tests::{copy_compressed_and_encrypted_options,copy_statement}
+  redsim_storage::lzss::tests::copy_reaching_before_the_output_is_rejected_on_both_paths
+  redsim_workload::synth::tests::copy_objects_are_prefix_free_and_bodies_deterministic
+  redsim_core::cluster::lifecycle::tests::failed_hydration_step_keeps_its_block_pending
+  redsim_core::cluster::lifecycle::tests::restored_select_survives_a_failed_placement
+  redsim_core::cluster::lifecycle::tests::recovery_replays_wal_deltas_after_last_checkpoint
+  executor_integration::failed_scan_slice_leaves_metrics_untouched
+  redsim_replication::mirror::tests::demand_read_survives_a_failed_placement
   # one table image: §11 "The rule: one immutable catalog"
-  one_image_ dropped_draft_deletes_exactly_its_blocks_on_every_replica
-  aborted_first_load_leaves_encodings_unlocked compupdate_override_dies_with_its_statement
-  table_image_bytes_are_the_parents
+  failure_injection::one_image_readers_neither_wait_on_nor_see_an_inflight_copy
+  failure_injection::one_image_refused_analyze_and_vacuum_change_nothing
+  redsim_core::cluster::write::tests::dropped_draft_deletes_exactly_its_blocks_on_every_replica
+  redsim_core::cluster::write::tests::aborted_first_load_leaves_encodings_unlocked
+  redsim_core::cluster::write::tests::compupdate_override_dies_with_its_statement
+  redsim_core::catalog::tests::table_image_bytes_are_the_parents
   # one block home: §3 replication
-  failed_hydration_step_keeps_its_block_pending hydration_progress_ignores_writes_after_restore
-  restore_reads_its_manifest_through_the_retry_loop snapshot_retries_are_observed
-  restored_cluster_is_an_ordinary_cluster restored_select_survives_a_failed_placement
-  restore_ writes_after_restore_ hydrated_blocks_are_backed_up_ demand_read_survives_a_failed_placement
-  a_deleted_pending_block_is_never_placed
+  redsim_core::cluster::lifecycle::tests::hydration_progress_ignores_writes_after_restore
+  redsim_core::cluster::lifecycle::tests::restore_reads_its_manifest_through_the_retry_loop
+  redsim_core::cluster::lifecycle::tests::snapshot_retries_are_observed
+  redsim_core::cluster::lifecycle::tests::restored_cluster_is_an_ordinary_cluster
+  redsim_core::cluster::lifecycle::tests::{restore_preserves_table_state,snapshot_restore_preserves_data}
+  end_to_end::lifecycle_create_load_query_snapshot_restore_resize
+  failure_injection::lost_s3_object_reports_error_on_restore_touch
+  failure_injection::one_catalog_refused_restore_checkpoint_fails_the_restore
+  failure_injection::{restore_works_after_cluster_key_rotation,streaming_restore_completes_via_retries}
+  redsim_bench::figures::tests::e12_restore_serves_early
+  redsim_core::cluster::read::tests::restore_trace_records_page_faults_and_hydration
+  redsim_replication::mirror::tests::{restore_hydration_completes,restore_hydration_skips_faulted_blocks}
+  redsim_replication::mirror::tests::restore_of_a_lost_object_is_a_replication_error
+  redsim_replication::mirror::tests::restore_page_fault_failpoint_is_typed_and_recovers
+  redsim_replication::mirror::tests::restore_rides_through_s3_flakiness
+  redsim_replication::mirror::tests::restore_serves_a_demand_fault_then_reads_locally
+  redsim_replication::mirror::tests::restore_trace_records_faults_and_hydration
+  redsim_replication::mirror::tests::writes_after_restore_are_mirrored_and_backed_up
+  redsim_replication::mirror::tests::hydrated_blocks_are_backed_up_unless_already_in_the_own_bucket
+  redsim_replication::mirror::tests::a_deleted_pending_block_is_never_placed
   # one key path: §16 "One key path"
-  one_key_path_ keys:: unsorted_group_order_ typed_accumulators_match_the_value_path
-  floats_are_equal_as_eq_compares_them keys_equal_by_sql_equality_hash_alike
+  end_to_end::one_key_path_probes_match_equals
+  redsim_crypto::keys::tests::{cluster_key_rotation_preserves_block_keys,debug_never_leaks_key_material}
+  redsim_crypto::keys::tests::{hsm_lifecycle_and_repudiation,keyring_block_keys}
+  redsim_crypto::keys::tests::{master_rotation_rewraps_cluster_key_only,wrap_unwrap_roundtrip}
+  redsim_engine::keys::tests::coded_strings_get_the_ids_their_bytes_get
+  redsim_engine::keys::tests::ids_are_dense_first_seen_and_find_never_inserts
+  redsim_engine::keys::tests::join_lanes_come_from_both_types
+  redsim_engine::agg::tests::unsorted_group_order_is_first_seen_across_batches_and_fragments
+  redsim_engine::agg::tests::typed_accumulators_match_the_value_path
+  redsim_engine::hashkey::tests::floats_are_equal_as_eq_compares_them
+  redsim_distribution::style::tests::keys_equal_by_sql_equality_hash_alike
   # one catalog version: §11
-  one_catalog_ one_image_refused_ wait_timeout_evicts table_image_bytes_are_the_parents
+  failure_injection::one_catalog_analyze_during_a_resize_lands_or_errors
+  failure_injection::one_catalog_refused_resize_checkpoint_leaves_the_source_serving
+  failure_injection::one_catalog_resized_and_restored_writes_survive_a_crash
+  redsim_core::wlm::tests::wait_timeout_evicts
   # readers take no lock: §11 retire, §15
-  no_lock_ a_held_catalog_keeps_its_blocks_until_released crash_while_a_retired_catalog_is_held
-  no_op_exclusive_statements_count_no_rollback dropped_draft_deletes_exactly_its_blocks_on_every_replica
+  failure_injection::no_lock_analyze_commits_beside_a_parked_reader
+  failure_injection::{no_lock_drop_commits_beside_a_parked_reader,no_lock_readers_overlap_key_rotation}
+  failure_injection::no_lock_redistribute_commits_beside_a_parked_reader
+  failure_injection::no_lock_vacuum_commits_beside_a_parked_reader
+  redsim_core::cluster::write::tests::a_held_catalog_keeps_its_blocks_until_released
+  redsim_core::cluster::write::tests::no_op_exclusive_statements_count_no_rollback
+  redsim_core::cluster::lifecycle::tests::crash_while_a_retired_catalog_is_held
   # one batch per slice: §16 "Pipelines and breakers", §12 result cache
-  scan_slice_drop_is_a_retryable_fault_not_a_short_answer projection_out_of_range_is_an_error_not_a_panic
-  peak_heap_is_flat_as_the_table_grows copy_heap_is_flat_as_objects_multiply
-  copy_heap_is_flat_as_an_object_grows a_cached_result_holds_its_columns_and_nothing_more
-  result_cache_hits_are_bit_identical_for_every_type
+  failure_injection::scan_slice_drop_is_a_retryable_fault_not_a_short_answer
+  redsim_storage::table::tests::projection_out_of_range_is_an_error_not_a_panic
+  peak_heap::{peak_heap_is_flat_as_the_table_grows,a_cached_result_holds_its_columns_and_nothing_more}
+  end_to_end::result_cache_hits_are_bit_identical_for_every_type
   # COPY streams units: §17 "Load path"
-  copy_streams_ units_parse_as_the_whole_text join_returns_both_sides_and_nests copy_heap_
-  a_corrupt_count_is_a_codec_error
+  redsim_core::loader::tests::units_parse_as_the_whole_text
+  redsim_testkit::par::tests::join_returns_both_sides_and_nests
+  redsim_common::codec::tests::a_corrupt_count_is_a_codec_error
+  redsim_common::schema::tests::a_corrupt_count_is_a_codec_error
+  redsim_frontdoor::wire::tests::a_corrupt_count_is_a_codec_error
+  redsim_replication::backup::tests::a_corrupt_count_is_a_codec_error
+  redsim_storage::encoding::tests::a_corrupt_count_is_a_codec_error
+  redsim_storage::table::tests::a_corrupt_count_is_a_codec_error
   # one model: §7 "The model"
-  one_model_checks_every_write_crash_resize_and_restore resize_keeps_a_sorted_table_sorted
-  a_freed_slot_goes_to_the_longest_waiter re_replication_onto_a_revived_node_restores_redundancy
+  model::one_model_checks_every_write_crash_resize_and_restore
+  redsim_core::cluster::lifecycle::tests::resize_keeps_a_sorted_table_sorted
+  redsim_core::wlm::tests::a_freed_slot_goes_to_the_longest_waiter
+  redsim_replication::mirror::tests::re_replication_onto_a_revived_node_restores_redundancy
   # branch-free scan loops: §16 "The per-row loop rule", "The one-group fold", "Integer decode widths"
-  vector_kernels_nan_total_order_end_to_end vector_aggregates_match_value_path int_encodings_roundtrip
-  column_kernel_agrees_with_row_matcher typed_accumulators_match_the_value_path
-  corrupt_delta_streams_are_codec_errors_on_both_paths delta_roundtrips_at_every_width
-  mutated_delta_blocks_never_panic packed_bits_read_back_at_every_width accept_thread_sleeps_while_idle
-  drain_is_bounded_when_the_wake_up_connect_fails an_out_of_range_int2_is_a_codec_error
+  properties::int_encodings_roundtrip redsim_engine::like::tests::column_kernel_agrees_with_row_matcher
+  redsim_storage::encoding::tests::corrupt_delta_streams_are_codec_errors_on_both_paths
+  redsim_storage::encoding::tests::{delta_roundtrips_at_every_width,mutated_delta_blocks_never_panic}
+  redsim_storage::varint::tests::packed_bits_read_back_at_every_width
+  redsim_frontdoor::server::tests::accept_thread_sleeps_while_idle
+  redsim_frontdoor::server::tests::drain_is_bounded_when_the_wake_up_connect_fails
+  redsim_frontdoor::wire::tests::an_out_of_range_int2_is_a_codec_error
   # one ruler per question: EXPERIMENTS.md "One ruler per question"
-  interleaved_prunes_on_any_dimension zone_map_pruning_on_sorted_data no_pruning_on_random_data
-  sessionless_execute_select_is_logged_as_the_default_user
+  redsim_storage::table::tests::{interleaved_prunes_on_any_dimension,zone_map_pruning_on_sorted_data}
+  redsim_storage::table::tests::no_pruning_on_random_data
   # block seal at memory speed: §17 "Load path: sealing a block"
-  a_stream_must_end_at_its_last_token a_damaged_lzss_object_loads_nothing table_image_bytes_are_the_parents
-  crc32_slice_by_16_equals_the_bitwise_definition typed_min_max_equals_the_boxed_fold crc32_known_vector
+  redsim_storage::lzss::tests::a_stream_must_end_at_its_last_token
+  redsim_core::cluster::write::tests::a_damaged_lzss_object_loads_nothing
+  redsim_common::codec::tests::{crc32_slice_by_16_equals_the_bitwise_definition,crc32_known_vector}
+  redsim_common::column::tests::typed_min_max_equals_the_boxed_fold
   # one trace: §8
-  a_clusters_s3_faults_count_in_its_own_sink query_spans_all_close_and_nest copy_spans_record_ingest_phases
+  failure_injection::a_clusters_s3_faults_count_in_its_own_sink
+  redsim_core::cluster::read::tests::query_spans_all_close_and_nest
   # dimension strings travel as codes: §16 "The coded StrVec", §18
-  coded_equals_arena raw_parts_refuses_a_coded_vector coded_strings_get_the_ids_their_bytes_get
-  column_kernel_agrees_with_row_matcher coded_columns_encode_as_their_arena compress_emits_the_reference_tokens
-  order_by_position_is_a_select_list_column order_by_position_sorts_by_that_select_list_column
-  dimension_strings_travel_as_codes
+  redsim_common::column::tests::{coded_equals_arena,raw_parts_refuses_a_coded_vector}
+  redsim_storage::encoding::tests::coded_columns_encode_as_their_arena
+  redsim_storage::lzss::tests::compress_emits_the_reference_tokens
+  redsim_sql::binder::tests::order_by_position_is_a_select_list_column
+  end_to_end::{order_by_position_sorts_by_that_select_list_column,dimension_strings_travel_as_codes}
   # text blocks without an offsets array: §16 "Text blocks without an offsets array"
-  a_note_block_encodes_as_lzo_in_at_most_21000_bytes corrupt_lzo_text_blocks_are_codec_errors
-  mutated_note_blocks_never_panic decompress_agrees_with_the_reference a_stream_must_end_at_its_last_token
-  analyzer::tests strvec_rejects_corrupt_offsets a_damaged_lzss_object_loads_nothing
-  table_image_bytes_are_the_parents
+  redsim_storage::encoding::tests::a_note_block_encodes_as_lzo_in_at_most_21000_bytes
+  redsim_storage::encoding::tests::corrupt_lzo_text_blocks_are_codec_errors
+  redsim_storage::encoding::tests::mutated_note_blocks_never_panic
+  redsim_storage::lzss::tests::decompress_agrees_with_the_reference
+  redsim_storage::analyzer::tests::{empty_column_defaults_to_raw_family,picks_delta_for_sequences}
+  redsim_storage::analyzer::tests::{picks_dict_for_low_cardinality_strings,picks_lzss_for_repetitive_text}
+  redsim_storage::analyzer::tests::{picks_narrow_encoding_for_small_values,picks_rle_for_constant_runs}
+  redsim_storage::analyzer::tests::sample_pick_close_to_oracle
+  redsim_common::column::tests::strvec_rejects_corrupt_offsets
   # one kind of WLM slot: §9 "One kind of slot"; one injected-fault mapping: §10
-  wait_idle_counts_a_query_on_the_sqa_lane sqa_is_the_last_service_class_and_never_waits
-  a_user_group_query_under_the_sqa_ceiling_rides_sqa an_injected_fault_class_is_the_same_error_at_every_seam
-  wlm_tables_materialize_from_controller_and_spans workload_wlm_qmr_replay_accounting_and_sqa_latency
-  wlm_queued_queries_survive_node_failure_or_fail_retryably table_image_bytes_are_the_parents
-'
-# <test list> <probe names...>: fails naming every probe no listed test matches.
+  redsim_core::wlm::tests::wait_idle_counts_a_query_on_the_sqa_lane
+  redsim_core::wlm::tests::sqa_is_the_last_service_class_and_never_waits
+  redsim_core::wlm::tests::a_user_group_query_under_the_sqa_ceiling_rides_sqa
+  failure_injection::an_injected_fault_class_is_the_same_error_at_every_seam
+  # one kind of bench gate: §2 "What ci.sh checks"; per-class books: §9
+  redsim_testkit::bench::tests::a_ratio_row_fails_over_its_bound_on_a_missing_arm_and_on_nan
+  redsim_core::systables::tests::an_aborted_query_counts_in_its_class_through_sql
+)
+# <listing> <probes...>: fails naming every probe that is not exactly one
+# listed test.
 probes_exist() {
   local list=$1
   shift
-  printf '%s\n' "$@" | awk 'NR == FNR { if (sub(/: test$/, "")) name[++n] = $0; next }
-    seen[$0]++ { next }
-    { for (i = 1; i <= n; i++) if (index(name[i], $0)) next
-      print "ERROR: probe " $0 " matches no test" > "/dev/stderr"; bad++ }
+  printf '%s\n' "$@" | awk 'NR == FNR { n[$0]++; next }
+    n[$0] != 1 { printf "ERROR: probe %s names %d listed tests, not one\n", $0, n[$0] > "/dev/stderr"; bad++ }
     END { exit (bad > 0) }' "$list" -
 }
-probe_names=$(printf '%s\n' "$probes" | sed 's/#.*//')
-cargo test -q --offline --workspace -- --list > "$tmp/tests.txt"
-# shellcheck disable=SC2086 # one probe name per word
-probes_exist "$tmp/tests.txt" $probe_names
-echo "ok: $(printf '%s\n' $probe_names | sort -u | wc -l) probe names match $(grep -c ': test$' "$tmp/tests.txt") listed tests"
+# The listing: one `<binary>::<test path>` line per listed test, the binary
+# taken from the `Running … (…/deps/<binary>-<hash>)` line above it.
+cargo test --offline --workspace -- --list 2>&1 |
+  awk '/^ *Running / { b = $NF; sub(/.*\//, "", b); sub(/-[0-9a-f]+\)$/, "", b) }
+    /^ *Doc-tests / { b = $2 } sub(/: test$/, "") { print b "::" $0 }' > "$tmp/tests.txt"
+probes_exist "$tmp/tests.txt" "${probes[@]}"
+echo "ok: ${#probes[@]} probes each name one of $(wc -l < "$tmp/tests.txt") listed tests"
 
 echo "== structural guards: deleted names stay deleted =="
 # One row per guard: grep flags, pattern (kept verbatim from the change
@@ -241,7 +355,15 @@ absent -rn 'fn class_error' 'a second injected-fault mapping' crates/
 absent -rn 'fn fault_error' 'a second injected-fault mapping' crates/
 absent -n 'write_raw_payload(col, &mut raw)' 'an lzo payload compressing the Raw payload (offsets array included)' \
   crates/storage/src/encoding.rs
-if ls crates/bench/benches results | grep -xE "($rulers)\.rs|($csvs)\.csv"; then
+absent -rn 'bench[d]iff' 'the committed-file bench diff' crates/ ci.sh
+absent -rn '_baseline\.csv' 'a committed bench baseline' crates/ ci.sh
+absent -rn 'DiffStat' "testkit::bench's diff statistics" crates/
+absent -rn 'fn parse_csv(text' "testkit::bench's CSV reader" crates/
+absent -rn 'float_only' 'a bench mode that existed only for a ci.sh gate' crates/bench/
+absent -rn 'seal_only' 'a bench mode that existed only for a ci.sh gate' crates/bench/
+absent -rn 'lanes_only' 'a bench mode that existed only for a ci.sh gate' crates/bench/
+absent -rn 'RSIM_BENCH_QUICK' 'a second bench tuning' crates/ src/ tests/ README.md results/README.md
+if ls crates/bench/benches results | grep -xE "($rulers)\.rs|($csvs|.*_baseline)\.csv"; then
   echo "ERROR: a deleted bench or its CSV came back" >&2
   exit 1
 fi
@@ -255,130 +377,24 @@ if [ "$poly" != 1 ]; then
 fi
 echo "ok: no deleted name came back; one CRC-32 polynomial"
 
-echo "== committed bench baselines (benchdiff gates) =="
-# Each bench's committed CSV against its committed _baseline.csv, at the
-# stock 15% p50 gate, and for concurrent_copy and scan_kernels at p99 too
-# (a convoy or an interpreter fallback moves the tail first). Regenerate
-# after an intentional change with `cargo bench --offline -p redsim-bench
-# --bench <name>` and copy results/<csv>.csv over its _baseline.csv;
-# EXPERIMENTS.md records each baseline and the revert it catches.
-# - copy_load: the WAL-overhead budget (fresh load, n-th load, statistics fold);
-# - concurrent_copy: 1 vs 4 writers on distinct tables (no global write lock);
-# - scan_kernels: typed kernels vs the interpreter fallback, the worker pool,
-#   the one-pass bytedict build;
-# - e7: the cached vectorized engine vs the row-at-a-time baseline;
-# - e11: co-located / ALL / re-hashed joins and the GROUP BY key lanes;
-# - e9: the encodings (bytedict, lzo text-notes, bit-packed delta rows).
-benchdiff() { cargo run -q --offline -p redsim-bench --bin benchdiff -- "$@"; }
-benchdiff results/copy_load_baseline.csv results/copy_load.csv
-benchdiff results/concurrent_copy_baseline.csv results/concurrent_copy.csv
-benchdiff --p99 results/concurrent_copy_baseline.csv results/concurrent_copy.csv
-benchdiff results/scan_kernels_baseline.csv results/scan_kernels.csv
-benchdiff --p99 results/scan_kernels_baseline.csv results/scan_kernels.csv
-benchdiff results/e7_compile_vs_interpret_baseline.csv results/e7_compile_vs_interpret.csv
-benchdiff results/e11_join_strategy_baseline.csv results/e11_join_strategy.csv
-benchdiff results/e9_encodings_baseline.csv results/e9_encodings.csv
-# COPY cost is flat in table size: nth_copy/1 and nth_copy/20 are the same
-# 10k x 4 COPY into a table holding 0 and 190k rows. Statistics are folded
-# from the batch, so the 20th may cost at most 1.5x the 1st; a rescan of
-# the table on the load path (5.6x before the fold) fails here.
-awk -F, '$1 == "nth_copy" { p50[$2] = $6 }
-  END {
-    if (!(1 in p50) || !(20 in p50)) { print "error: nth_copy rows missing" > "/dev/stderr"; exit 1 }
-    ratio = p50[20] / p50[1]
-    printf "nth_copy/20 = %.2fx nth_copy/1\n", ratio
-    if (ratio > 1.5) { print "error: the 20th COPY costs more than 1.5x the 1st" > "/dev/stderr"; exit 1 }
-  }' results/copy_load.csv
-# A replicated (DISTSTYLE ALL) inner is built once, not per slice.
-awk -F, '$1 == "join_strategy" && $2 ~ /^DS_DIST_NONE/ { none = $6 }
-  $1 == "join_strategy" && $2 ~ /^DS_DIST_ALL_NONE/ { all = $6 }
-  END {
-    if (!none || !all) { print "error: join_strategy rows missing" > "/dev/stderr"; exit 1 }
-    printf "DS_DIST_ALL_NONE = %.2fx DS_DIST_NONE\n", all / none
-    if (all / none > 1.2) { print "error: the ALL join costs more than 1.2x the co-located one" > "/dev/stderr"; exit 1 }
-  }' results/e11_join_strategy.csv
-
-echo "== fresh-bench ratio gates (best of three tries) =="
-# <csv> <awk check> <error> <cargo bench args...>: runs the bench into a
-# temporary results directory up to three times; passes when the check
-# (run with -v try=N over the CSV) exits 0 once.
-fresh_ratio() {
-  local csv=$1 check=$2 error=$3 try
-  shift 3
-  for try in 1 2 3; do
-    RSIM_RESULTS_DIR="$tmp/results" cargo bench -q --offline -p redsim-bench "$@" > "$tmp/bench.txt"
-    if awk -F, -v try="$try" "$check" "$tmp/results/$csv"; then
-      return 0
-    fi
+echo "== bench gates: each bench's in-run ratio rows (best of three runs) =="
+# Each bench declares ratio rows beside the arms they compare
+# (`Bench::ratio`): one arm's p50 over another's, timed in the same run with
+# their iterations interleaved, so the box's speed cancels. A run exits
+# non-zero when a row breaks its bound, an arm is missing or a ratio is
+# NaN; a bench passes when one of three whole runs does. EXPERIMENTS.md
+# "Bench gates" gives each row's bound, its ten-run range and the revert
+# it catches.
+for bench in scan_kernels compile_vs_interpret concurrent_copy copy_load join_strategy encodings; do
+  for try in 1 2 3 failed; do
+    [ "$try" = failed ] && { echo "error: $bench failed three runs" >&2; exit 1; }
+    RSIM_RESULTS_DIR="$tmp/results" cargo bench -q --offline -p redsim-bench --bench "$bench" > "$tmp/bench.txt" 2>&1 && break
+    grep -E 'BROKEN|panicked|^error' "$tmp/bench.txt" | sed "s/^/$bench, run $try: /" >&2 || true
   done
-  echo "error: $error" >&2
-  exit 1
-}
-# The float lane branches on nothing but the loop (DESIGN.md §16 "The
-# per-row loop rule"): `price < 500.0` (~50 % selected) within 1.5x of
-# `price < 50.0` (0.9-1.15x per run; with a branch on the data 2.7-3.2x).
-fresh_ratio scan_kernels_float.csv \
-  '$1 == "scan_pipeline" && $2 == "kernel" && $3 == "float_tail" { tail = $6 }
-    $1 == "scan_pipeline" && $2 == "kernel" && $3 == "float_half" { half = $6 }
-    END {
-      if (!tail || !half) { print "error: float_tail / float_half rows missing" > "/dev/stderr"; exit 2 }
-      printf "try %d: float_half = %.2fx float_tail (kernel p50)\n", try, half / tail
-      exit (half / tail > 1.5)
-    }' \
-  'the float lane branches on the data again (float_half > 1.5x float_tail three times)' \
-  --bench scan_kernels -- float
-# Sealing a block costs what its bytes cost (§17 "Load path: sealing a
-# block"): the CRC <= 0.4x the bytewise reference (0.19x measured) and the
-# typed zone map <= 0.5x the boxed one (0.11-0.15x measured).
-fresh_ratio copy_load_seal.csv \
-  '$1 == "seal" { p50[$2] = $6 }
-    END {
-      if (!p50["crc32_64KiB"] || !p50["crc32_bytewise_64KiB"] || !p50["zone_map_varchar_2500"] \
-          || !p50["zone_map_boxed_varchar_2500"]) { print "error: seal rows missing" > "/dev/stderr"; exit 2 }
-      crc = p50["crc32_64KiB"] / p50["crc32_bytewise_64KiB"]
-      zm = p50["zone_map_varchar_2500"] / p50["zone_map_boxed_varchar_2500"]
-      printf "try %d: crc32 = %.2fx bytewise, zone map = %.2fx boxed (p50)\n", try, crc, zm
-      exit (crc > 0.4 || zm > 0.5)
-    }' \
-  'sealing a block is back to bytewise CRC or boxed zone maps (three tries)' \
-  --bench copy_load -- seal
-# GROUP BY a joined VARCHAR remaps codes (§16 "The coded StrVec"): GROUP BY
-# VARCHAR <= 1.1x GROUP BY BIGINT (hashing strings: 1.30x), and VARCHAR,
-# VARCHAR <= 1.5x (2.01x). The two-key bench's name is quoted and holds a
-# comma: its p50 is $7.
-fresh_ratio e11_join_strategy_lanes.csv \
-  '$1 == "aggregate_lanes" && $2 == "GROUP BY BIGINT" { big = $6 }
-    $1 == "aggregate_lanes" && $2 == "GROUP BY VARCHAR" { one = $6 }
-    $1 == "aggregate_lanes" && $2 == "\"GROUP BY VARCHAR" { two = $7 }
-    END {
-      if (!big || !one || !two) { print "error: aggregate_lanes rows missing" > "/dev/stderr"; exit 2 }
-      printf "try %d: GROUP BY VARCHAR = %.2fx, VARCHAR, VARCHAR = %.2fx GROUP BY BIGINT (p50)\n", try, one / big, two / big
-      exit (one / big > 1.1 || two / big > 1.5)
-    }' \
-  'GROUP BY a joined VARCHAR hashes strings again (aggregate_lanes ratios, three tries)' \
-  --bench join_strategy -- lanes
+  grep '^ratio' "$tmp/bench.txt"
+done
 
-echo "== self-tests: benchdiff, the size point, the probe check =="
-cat > "$tmp/base.csv" <<'CSV'
-group,bench,input,samples,iters_per_sample,p50_ns,p99_ns,mean_ns,min_ns,max_ns,elems_per_sec
-scan,rows,1k,5,100,1000.0,1200.0,1050.0,900.0,1300.0,952381
-CSV
-sed 's/1000\.0/1400.0/' "$tmp/base.csv" > "$tmp/slow.csv"
-benchdiff "$tmp/base.csv" "$tmp/base.csv"
-if benchdiff "$tmp/base.csv" "$tmp/slow.csv"; then
-  echo "error: benchdiff failed to flag a 40% p50 regression" >&2
-  exit 1
-fi
-echo "ok: benchdiff gates p50 regressions"
-# A blown-out tail with a flat median: the default p50 gate must pass,
-# --p99 must fail.
-sed 's/1200\.0/2000.0/' "$tmp/base.csv" > "$tmp/tail.csv"
-benchdiff "$tmp/base.csv" "$tmp/tail.csv"
-if benchdiff --p99 "$tmp/base.csv" "$tmp/tail.csv"; then
-  echo "error: benchdiff --p99 failed to flag a 67% tail regression" >&2
-  exit 1
-fi
-echo "ok: benchdiff --p99 gates tail regressions the p50 gate misses"
+echo "== self-tests: the size point, the probe check =="
 # A committed point with one number off by one must fail the size check.
 awk '/"total"/ { sub(/[0-9]+/, $2 + 1) } { print }' SIZE.json > "$tmp/SIZE.stale.json"
 if size_check "$tmp/SIZE.stale.json" "$tmp/SIZE.json" 2> "$tmp/size.err"; then
@@ -386,13 +402,13 @@ if size_check "$tmp/SIZE.stale.json" "$tmp/SIZE.json" 2> "$tmp/size.err"; then
   exit 1
 fi
 echo "ok: a stale SIZE.json fails"
-# A probe list with one unknown name must fail the probe check.
-# shellcheck disable=SC2086
-if probes_exist "$tmp/tests.txt" $probe_names no_test_is_named_this 2> "$tmp/probes.err"; then
-  echo "error: the probe check passed an unknown probe name" >&2
+# A probe missing one module of its path must fail the probe check.
+misspelt=redsim_engine::tests::compile_cost_scales_with_plan_size
+grep -qx "${misspelt/tests/compile::tests}" "$tmp/tests.txt"
+if probes_exist "$tmp/tests.txt" "$misspelt" 2> "$tmp/probes.err" || ! grep -q "$misspelt names 0" "$tmp/probes.err"; then
+  echo "error: the probe check passed a misspelt path" >&2
   exit 1
 fi
-grep -q 'probe no_test_is_named_this matches no test' "$tmp/probes.err"
-echo "ok: an unknown probe name fails"
+echo "ok: a misspelt probe path fails"
 
 echo "== ci green =="

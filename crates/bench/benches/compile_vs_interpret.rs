@@ -7,7 +7,8 @@
 //! * `cached+run` — vectorized engine with a plan-cache hit.
 //!
 //! Expected shape: interpretation wins on tiny tables; compilation wins
-//! from modest sizes; the cache removes the overhead entirely.
+//! from modest sizes; the cache removes the overhead entirely. A ratio row
+//! per size bounds `cached_vectorized` over `interpreted` (DESIGN.md §2).
 
 use redsim_testkit::bench::{Bench, BenchmarkId};
 use redsim_core::{Cluster, ClusterConfig};
@@ -68,8 +69,8 @@ fn bench_compile(c: &mut Bench) {
     let mut g = c.group("e7");
     g.sample_size(10);
     for (rows, cluster) in &clusters {
+        cluster.query(SQL).unwrap(); // prime the plan cache
         g.bench_with_input(BenchmarkId::new("cached_vectorized", rows), cluster, |b, cl| {
-            cl.query(SQL).unwrap(); // prime
             b.iter(|| cl.query(SQL).unwrap());
         });
         g.bench_with_input(BenchmarkId::new("interpreted", rows), cluster, |b, cl| {
@@ -77,26 +78,20 @@ fn bench_compile(c: &mut Bench) {
         });
     }
     g.finish();
+    // Each bound sits above the worst of ten runs (EXPERIMENTS.md "Bench gates").
+    for (rows, max) in [("1000", 0.6), ("10000", 0.25), ("100000", 0.2)] {
+        c.ratio(
+            ["e7", "cached_vectorized", rows],
+            ["e7", "interpreted", rows],
+            max,
+            "a cached plan runs the vectorized engine, not the row-at-a-time one",
+        );
+    }
 }
 
 fn main() {
     let mut b = Bench::new("e7_compile_vs_interpret");
     b.json_summary_to("BENCH_e7.json");
     bench_compile(&mut b);
-    let records = b.finish();
-    // The headline ratio, so a bench run documents itself.
-    let p50 = |bench: &str, rows: &str| {
-        records
-            .iter()
-            .find(|r| r.bench == bench && r.input == rows)
-            .map(|r| r.p50_ns)
-            .unwrap_or(f64::NAN)
-    };
-    println!();
-    for rows in ["1000", "10000", "100000"] {
-        println!(
-            "e7 rows={rows:<7}: interpreted/cached_vectorized p50 ratio = {:.1}x",
-            p50("interpreted", rows) / p50("cached_vectorized", rows)
-        );
-    }
+    b.finish();
 }

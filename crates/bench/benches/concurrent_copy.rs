@@ -6,19 +6,20 @@
 //! `table_writers_are_independent_and_conflicts_are_serializable` in
 //! redsim-core, which commits into table B while table A's writer mutex
 //! is held). This bench tracks the cost side: 1 vs 4 concurrent writers
-//! on distinct tables. On a multi-core runner the 4-writer case shows
-//! wall-clock overlap; on any runner, `benchdiff` gates both p50 and
-//! p99 against the committed baseline
-//! (results/concurrent_copy_baseline.csv) — a reintroduced global lock
-//! or a heavier txn/WAL path shows up as convoyed outliers in the tail
-//! before it moves the median.
+//! on distinct tables. Four writers do four times the work; on a
+//! multi-core runner they overlap, and a ratio row bounds the 4-writer
+//! p50 over the 1-writer p50, so a reintroduced global lock that
+//! serializes them fails the run (DESIGN.md §2).
 
 use redsim_core::{Cluster, ClusterConfig};
 use redsim_testkit::bench::Bench;
 use redsim_testkit::par;
+use std::cell::Cell;
 
 const WRITERS: usize = 4;
 const ROWS_PER_OBJECT: usize = 2_000;
+/// Above the worst of ten runs on a 2-vCPU box (EXPERIMENTS.md "Bench gates").
+const FOUR_OVER_ONE: f64 = 4.0;
 
 fn main() {
     let mut b = Bench::new("concurrent_copy");
@@ -38,21 +39,22 @@ fn main() {
 
     let mut g = b.group("copy_writers");
     g.sample_size(10);
-    let mut n = 0u64;
+    // One table-name counter for both arms, whose iterations interleave.
+    let (next, c) = (&Cell::new(0u64), &c);
     for writers in [1usize, WRITERS] {
         g.throughput_elems((writers * ROWS_PER_OBJECT) as u64);
-        g.bench_function(format!("{writers}_writers_distinct_tables"), |bch| {
+        g.bench_function(format!("{writers}_writers_distinct_tables"), move |bch| {
             bch.iter(|| {
-                n += 1;
+                let n = next.get() + 1;
+                next.set(n);
                 for w in 0..writers {
                     c.execute(&format!(
                         "CREATE TABLE t{n}_{w} (a BIGINT, b BIGINT, s VARCHAR(32))"
                     ))
                     .unwrap();
                 }
-                let m = n;
                 par::map((0..writers).collect::<Vec<_>>(), |w| {
-                    c.execute(&format!("COPY t{m}_{w} FROM 's3://w{w}/'")).unwrap();
+                    c.execute(&format!("COPY t{n}_{w} FROM 's3://w{w}/'")).unwrap();
                 });
                 for w in 0..writers {
                     c.execute(&format!("DROP TABLE t{n}_{w}")).unwrap();
@@ -61,5 +63,11 @@ fn main() {
         });
     }
     g.finish();
+    b.ratio(
+        ["copy_writers", "4_writers_distinct_tables", ""],
+        ["copy_writers", "1_writers_distinct_tables", ""],
+        FOUR_OVER_ONE,
+        "COPYs into distinct tables overlap: no global write lock",
+    );
     b.finish();
 }

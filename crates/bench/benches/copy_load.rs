@@ -2,14 +2,13 @@
 //! install-or-rollback) machinery against regressions on the happy
 //! path. The txn guard runs on *every* COPY, so its cost (cloning each
 //! touched slice's buffered tail + catalog counters) must stay in the
-//! noise relative to parse/encode/mirror work. `benchdiff` gates the
-//! p50 against the pre-change baseline (results/copy_load_baseline.csv).
+//! noise relative to parse/encode/mirror work.
 //!
 //! `copy/load_8k_rows_4_objects` only ever loads a *fresh* table, so it
 //! cannot see a load whose cost grows with the table. `nth_copy/{1,20}`
 //! can: the same 10k × 4 COPY into a table holding 0 and 190k rows.
 //! Statistics are folded from the batch, not rescanned from the table,
-//! so the two must stay within 1.5× of each other (ci.sh checks).
+//! so a ratio row holds the 20th within 1.5× of the 1st.
 //! `analyze_ns_per_value/{int,float,varchar}` is that fold alone — one
 //! `TableStats::update` over a 100k-value column; p50 / 100k is ns per
 //! value — which is also what `ANALYZE` pays per scanned value.
@@ -18,10 +17,9 @@
 //! and once per replica put) against `crc32_bytewise_64KiB`, and
 //! `zone_map_varchar_2500` (the typed min/max fold over one etl_load-shaped
 //! 2,500-row VARCHAR block) against `zone_map_boxed_varchar_2500` (a
-//! `Value` per row). `cargo bench --bench copy_load -- seal` times only
-//! this group, into `results/copy_load_seal.csv` and no JSON point
-//! (`ci.sh` runs it).
-//! JSON point: `BENCH_copy_load.json`.
+//! `Value` per row); a ratio row bounds each.
+//! JSON point: `BENCH_copy_load.json`. The run exits non-zero when a ratio
+//! row breaks (DESIGN.md §2).
 
 use redsim_common::codec::crc32;
 use redsim_common::{ColumnData, DataType, Value};
@@ -101,18 +99,22 @@ fn bench_seal(b: &mut Bench) {
         bch.iter(|| zone_map_boxed(black_box(&tags)))
     });
     g.finish();
+    b.ratio(
+        ["seal", "crc32_64KiB", ""],
+        ["seal", "crc32_bytewise_64KiB", ""],
+        0.4,
+        "the block CRC is slice-by-16, not a table lookup per byte",
+    );
+    b.ratio(
+        ["seal", "zone_map_varchar_2500", ""],
+        ["seal", "zone_map_boxed_varchar_2500", ""],
+        0.5,
+        "a zone map is one typed min/max fold, not a Value per row",
+    );
 }
 
 fn main() {
-    let seal_only = std::env::args().skip(1).any(|a| a == "seal");
-    // The seal-only run writes its own CSV and no JSON point, so it never
-    // overwrites the full run's.
-    let mut b = Bench::new(if seal_only { "copy_load_seal" } else { "copy_load" });
-    if seal_only {
-        bench_seal(&mut b);
-        print_seal_ratios(&b.finish());
-        return;
-    }
+    let mut b = Bench::new("copy_load");
     b.json_summary_to("BENCH_copy_load.json");
     let c = Cluster::launch(
         ClusterConfig::new("copy-bench").nodes(2).slices_per_node(2),
@@ -154,8 +156,9 @@ fn main() {
     let mut g = b.group("nth_copy");
     g.sample_size(10);
     g.throughput_elems(NTH_ROWS as u64);
+    let c = &c;
     for nth in [1usize, 20] {
-        g.bench_function(nth.to_string(), |bch| {
+        g.bench_function(nth.to_string(), move |bch| {
             bch.iter_batched(
                 || {
                     c.execute("DROP TABLE IF EXISTS nth").unwrap();
@@ -170,6 +173,12 @@ fn main() {
         });
     }
     g.finish();
+    b.ratio(
+        ["nth_copy", "20", ""],
+        ["nth_copy", "1", ""],
+        1.5,
+        "COPY folds statistics from the batch; a rescan of the table cost 5.6x",
+    );
 
     let lane = |ty: DataType, value: &dyn Fn(usize) -> Value| {
         let mut col = ColumnData::new(ty);
@@ -191,16 +200,5 @@ fn main() {
     }
     g.finish();
     bench_seal(&mut b);
-    print_seal_ratios(&b.finish());
-}
-
-fn print_seal_ratios(records: &[redsim_testkit::bench::Record]) {
-    let p50 = |bench: &str| {
-        records.iter().find(|r| r.group == "seal" && r.bench == bench).map_or(f64::NAN, |r| r.p50_ns)
-    };
-    println!(
-        "seal crc32 slice-by-16/bytewise p50 ratio = {:.2}x; zone map typed/boxed p50 ratio = {:.2}x",
-        p50("crc32_64KiB") / p50("crc32_bytewise_64KiB"),
-        p50("zone_map_varchar_2500") / p50("zone_map_boxed_varchar_2500"),
-    );
+    b.finish();
 }

@@ -1,5 +1,8 @@
 //! E9 — compression encodings: ratio and speed per data shape, and the
-//! automatic analyzer's pick vs the oracle (§2.1's "dusty knob").
+//! automatic analyzer's pick vs the oracle (§2.1's "dusty knob"). The
+//! decode group times each shape's pick, and `raw` beside it for each
+//! integer shape; a ratio row bounds delta over raw decode for each shape
+//! where delta is picked (DESIGN.md §2).
 
 use redsim_testkit::bench::{Bench, BenchmarkId};
 use redsim_common::{mix64, ColumnData, DataType, Value};
@@ -9,6 +12,11 @@ use redsim_storage::encoding::{decode_column, encode_column, Encoding};
 const ROWS: usize = 50_000;
 /// One block of a table: `rows_per_group`'s default.
 const BLOCK_ROWS: usize = 4_096;
+/// The shapes the analyzer encodes as delta, and the bound on their decode
+/// over a raw decode: above the worst of ten runs (EXPERIMENTS.md "Bench
+/// gates").
+const DELTA_PICKS: [&str; 4] = ["int-sorted", "int-random", "int-small-random", "int-key-500"];
+const DELTA_OVER_RAW: f64 = 4.0;
 
 fn shapes() -> Vec<(&'static str, ColumnData)> {
     let mut sorted = ColumnData::new(DataType::Int8);
@@ -98,29 +106,43 @@ fn bench_encodings(c: &mut Bench) {
             if encode_column(col, enc).is_err() {
                 continue;
             }
-            g.bench_with_input(BenchmarkId::new(format!("{enc}"), name), col, |b, col| {
+            g.bench_with_input(BenchmarkId::new(format!("{enc}"), name), col, move |b, col| {
                 b.iter(|| encode_column(col, enc).unwrap());
             });
         }
     }
     g.finish();
 
-    let mut g = c.group("decode");
-    g.sample_size(10);
+    // Each shape's pick; a note block's two candidates; raw beside each
+    // integer pick.
+    let mut blocks = Vec::new();
     for (name, col) in &shapes {
-        let mut encs = vec![analyze_compression(col, 4_096)];
-        // A note block's two candidates are both timed.
-        if *name == "text-notes" && encs[0] != Encoding::Dict {
+        let pick = analyze_compression(col, 4_096);
+        let mut encs = vec![pick];
+        if *name == "text-notes" && pick != Encoding::Dict {
             encs.push(Encoding::Dict);
         }
-        for enc in encs {
-            let bytes = encode_column(col, enc).unwrap();
-            g.bench_with_input(BenchmarkId::new(format!("{enc}"), name), &bytes, |b, bytes| {
-                b.iter(|| decode_column(bytes, None).unwrap());
-            });
+        if col.data_type() == DataType::Int8 && pick != Encoding::Raw {
+            encs.push(Encoding::Raw);
         }
+        blocks.extend(encs.into_iter().map(|enc| (enc, *name, encode_column(col, enc).unwrap())));
+    }
+    let mut g = c.group("decode");
+    g.sample_size(10);
+    for (enc, name, bytes) in &blocks {
+        g.bench_with_input(BenchmarkId::new(enc, name), bytes, |b, bytes| {
+            b.iter(|| decode_column(bytes, None).unwrap());
+        });
     }
     g.finish();
+    for shape in DELTA_PICKS {
+        c.ratio(
+            ["decode", "delta", shape],
+            ["decode", "raw", shape],
+            DELTA_OVER_RAW,
+            "a delta block decodes by unpacking its miniblocks, not a varint per value",
+        );
+    }
 }
 
 fn main() {

@@ -2,7 +2,8 @@
 //! same join under DS_DIST_NONE / DS_DIST_ALL_NONE / DS_BCAST_INNER
 //! (§2.1's co-located join claim), and the aggregate's key lanes above a
 //! join: the same 200k joined rows grouped by a BIGINT, a VARCHAR and
-//! two VARCHAR columns of the dimension.
+//! two VARCHAR columns of the dimension. Ratio rows bound the ALL join
+//! over the co-located one and each key lane over BIGINT (DESIGN.md §2).
 
 use redsim_testkit::bench::Bench;
 use redsim_bench::datagen;
@@ -81,6 +82,12 @@ fn bench_join_strategies(c: &mut Bench) {
         });
     }
     g.finish();
+    c.ratio(
+        ["join_strategy", cases[1].0, ""],
+        ["join_strategy", cases[0].0, ""],
+        1.2,
+        "a replicated (DISTSTYLE ALL) inner is built once, not per slice",
+    );
 }
 
 const LANE_ROWS: usize = 200_000;
@@ -122,39 +129,26 @@ fn bench_aggregate_lanes(c: &mut Bench) {
         let r = cluster.query(&sql).unwrap();
         let joined: i64 = r.rows.iter().map(|row| row.get(row.len() - 2).as_i64().unwrap()).sum();
         assert_eq!(joined as usize, LANE_ROWS, "{sql}");
-        g.bench_function(label, |b| {
+        let cluster = &cluster;
+        g.bench_function(label, move |b| {
             b.iter(|| cluster.query(&sql).unwrap());
         });
     }
     g.finish();
+    for (lane, max, hashing) in [("GROUP BY VARCHAR", 1.1, "1.30x"), ("GROUP BY VARCHAR, VARCHAR", 1.5, "2.01x")] {
+        c.ratio(
+            ["aggregate_lanes", lane, ""],
+            ["aggregate_lanes", "GROUP BY BIGINT", ""],
+            max,
+            &format!("a joined VARCHAR groups by its dictionary code (hashing strings: {hashing})"),
+        );
+    }
 }
 
-/// `cargo bench --bench join_strategy -- lanes` runs only
-/// `aggregate_lanes` (`ci.sh` times it), into
-/// `results/e11_join_strategy_lanes.csv` and no JSON point.
 fn main() {
-    let lanes_only = std::env::args().skip(1).any(|a| a == "lanes");
-    let name = if lanes_only { "e11_join_strategy_lanes" } else { "e11_join_strategy" };
-    let mut b = Bench::new(name);
-    if !lanes_only {
-        b.json_summary_to("BENCH_e11.json");
-        bench_join_strategies(&mut b);
-    }
+    let mut b = Bench::new("e11_join_strategy");
+    b.json_summary_to("BENCH_e11.json");
+    bench_join_strategies(&mut b);
     bench_aggregate_lanes(&mut b);
-    let records = b.finish();
-    // The headline ratios, so a bench run documents itself.
-    let p50 = |bench: &str| {
-        records.iter().find(|r| r.bench.starts_with(bench)).map_or(f64::NAN, |r| r.p50_ns)
-    };
-    if !lanes_only {
-        let all_none = p50("DS_DIST_ALL_NONE") / p50("DS_DIST_NONE");
-        println!("E11 ALL_NONE / DIST_NONE = {all_none:.2} (target <= 1.2)");
-    }
-    let big = p50("GROUP BY BIGINT");
-    println!(
-        "E11 GROUP BY VARCHAR / BIGINT = {:.2} (target <= 1.1); \
-         VARCHAR, VARCHAR / BIGINT = {:.2} (target <= 1.5)",
-        p50("GROUP BY VARCHAR") / big,
-        p50("GROUP BY VARCHAR, VARCHAR") / big,
-    );
+    b.finish();
 }

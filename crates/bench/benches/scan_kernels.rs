@@ -1,9 +1,9 @@
 //! Scan-pipeline kernels bench — the tentpole measurements for the
 //! vectorized predicate kernels and the bounded worker pool.
 //!
-//! Three groups, one CSV (`results/scan_kernels.csv`, gated by
-//! `benchdiff` p50 *and* p99 against the committed baseline) and one
-//! JSON point (`BENCH_scan_kernels.json`):
+//! Three groups, one CSV (`results/scan_kernels.csv`) and one JSON point
+//! (`BENCH_scan_kernels.json`). Every arm pair is a ratio row the run
+//! itself gates (`Bench::ratio`, DESIGN.md §2):
 //!
 //! * `scan_pipeline` — the same scan→filter→aggregate loop twice: once
 //!   through the typed kernels (`engine::kernels`, what
@@ -17,7 +17,7 @@
 //!   Three filter-only shapes time the predicate alone, so that only
 //!   selectivity separates them: `price < 50.0` (`float_tail`, ~5%),
 //!   `price < 500.0` (`float_half`, ~50%; a loop that branches on the
-//!   data pays there, and `ci.sh` holds it within 1.5× of `float_tail`) and
+//!   data pays there, and a row holds it within 1.5× of `float_tail`) and
 //!   `note LIKE 'red-03%'` over the `adhoc_scan` benchmark's `color-NNN`
 //!   text (`like_prefix_note`). `agg_minmax` times a whole filter +
 //!   MIN/MAX aggregate plan through the executor (typed accumulators
@@ -31,9 +31,8 @@
 //! * `encode` — one-pass bytedict build on the E9 low-cardinality text
 //!   shape (the `slot_hash`/`slot_eq` dictionary, no per-row `Writer`).
 //!
-//! Regenerate after an intentional perf change with
-//!   cargo bench --offline -p redsim-bench --bench scan_kernels
-//! and copy results/scan_kernels.csv over results/scan_kernels_baseline.csv.
+//! Run with `cargo bench --offline -p redsim-bench --bench scan_kernels`;
+//! it exits non-zero when a ratio row breaks.
 
 use redsim_common::{mix64, ColumnData, DataType, FxHashMap, Result, Row, Value};
 use redsim_engine::baseline::{self, RowStore};
@@ -44,11 +43,16 @@ use redsim_sql::ast::BinaryOp;
 use redsim_sql::plan::{AggExpr, AggFunc, BoundExpr, LogicalPlan, OutCol};
 use redsim_storage::encoding::{encode_column, Encoding};
 use redsim_storage::table::{ScanOutput, ScanPredicate};
-use redsim_testkit::bench::{Bench, BenchmarkId, Group};
+use redsim_testkit::bench::{Bench, BenchmarkId};
 use redsim_testkit::par;
 
 const BATCHES: usize = 32;
 const ROWS: usize = 4_096;
+
+/// Each bound sits above the worst of ten runs (EXPERIMENTS.md "Bench gates").
+const KERNEL_OVER_INTERP: f64 = 0.25;
+const POOL_OVER_SPAWN: f64 = 0.2;
+const ONE_PASS_OVER_REF: f64 = 0.4;
 
 /// Batches of (k Int8, v Float8, s Varchar, note Varchar, price Float8)
 /// with ~1/16 NULLs in k and a predicate selectivity around 5%. `note`
@@ -226,17 +230,14 @@ fn minmax_plan() -> LogicalPlan {
 }
 
 fn bench_scan_pipeline(b: &mut Bench, batches: &[Vec<ColumnData>]) {
-    let preds = predicates();
+    let (preds, filters) = (predicates(), filters());
     // The two paths must agree before we time anything.
-    for (shape, pred) in &preds {
+    for (shape, pred) in preds.iter().chain(&filters) {
         for batch in batches {
             let kernel = eval_predicate(pred, batch, ROWS).unwrap();
-            let interp = eval_predicate_interp(pred, batch, ROWS).unwrap();
-            assert_eq!(kernel, interp, "kernel/interp disagreement on {shape:?}");
+            assert_eq!(kernel, eval_predicate_interp(pred, batch, ROWS).unwrap(), "kernel/interp disagreement on {shape:?}");
         }
     }
-    let filters = filters();
-    assert_filters_agree(batches, &filters);
     let plan = minmax_plan();
     let provider = OneSlice(batches);
     let store = row_store(batches);
@@ -269,7 +270,14 @@ fn bench_scan_pipeline(b: &mut Bench, batches: &[Vec<ColumnData>]) {
             });
         });
     }
-    time_filters(&mut g, batches, &filters, true);
+    for (shape, pred) in &filters {
+        g.bench_with_input(BenchmarkId::new("kernel", shape), pred, |bch, pred| {
+            bch.iter(|| batches.iter().map(|b| eval_predicate(pred, b, ROWS).unwrap().len()).sum::<usize>());
+        });
+        g.bench_with_input(BenchmarkId::new("interp", shape), pred, |bch, pred| {
+            bch.iter(|| batches.iter().map(|b| eval_predicate_interp(pred, b, ROWS).unwrap().len()).sum::<usize>());
+        });
+    }
     g.bench_with_input(BenchmarkId::new("kernel", "agg_minmax"), &plan, |bch, plan| {
         bch.iter(|| Executor::new(&provider).run(plan).unwrap().row_count());
     });
@@ -277,43 +285,21 @@ fn bench_scan_pipeline(b: &mut Bench, batches: &[Vec<ColumnData>]) {
         bch.iter(|| baseline::run_plan(plan, &store).unwrap().len());
     });
     g.finish();
-}
-
-fn assert_filters_agree(batches: &[Vec<ColumnData>], filters: &[(&str, BoundExpr)]) {
-    for (shape, pred) in filters {
-        for batch in batches {
-            let kernel = eval_predicate(pred, batch, ROWS).unwrap();
-            assert_eq!(kernel, eval_predicate_interp(pred, batch, ROWS).unwrap(), "kernel/interp disagreement on {shape}");
-        }
+    let shapes = preds.iter().chain(&filters).map(|&(shape, _)| shape).chain(["agg_minmax"]);
+    for shape in shapes {
+        b.ratio(
+            ["scan_pipeline", "kernel", shape],
+            ["scan_pipeline", "interp", shape],
+            KERNEL_OVER_INTERP,
+            "the typed kernels, not the row interpreter, run this shape",
+        );
     }
-}
-
-/// Time the filter-only shapes through the kernels and, with `interp`,
-/// through the row interpreter.
-fn time_filters(g: &mut Group<'_>, batches: &[Vec<ColumnData>], filters: &[(&str, BoundExpr)], interp: bool) {
-    for (shape, pred) in filters {
-        g.bench_with_input(BenchmarkId::new("kernel", shape), pred, |bch, pred| {
-            bch.iter(|| batches.iter().map(|b| eval_predicate(pred, b, ROWS).unwrap().len()).sum::<usize>());
-        });
-        if interp {
-            g.bench_with_input(BenchmarkId::new("interp", shape), pred, |bch, pred| {
-                bch.iter(|| batches.iter().map(|b| eval_predicate_interp(pred, b, ROWS).unwrap().len()).sum::<usize>());
-            });
-        }
-    }
-}
-
-/// `cargo bench --bench scan_kernels -- float`: only the kernel rows of
-/// `float_tail` and `float_half`, the pair whose ratio shows a branch on
-/// the data (`ci.sh` runs this), into `results/scan_kernels_float.csv`.
-fn bench_float_only(b: &mut Bench, batches: &[Vec<ColumnData>]) {
-    let floats: Vec<_> = filters().into_iter().filter(|(shape, _)| shape.starts_with("float_")).collect();
-    assert_filters_agree(batches, &floats);
-    let mut g = b.group("scan_pipeline");
-    g.sample_size(10);
-    g.throughput_elems((BATCHES * ROWS) as u64);
-    time_filters(&mut g, batches, &floats, false);
-    g.finish();
+    b.ratio(
+        ["scan_pipeline", "kernel", "float_half"],
+        ["scan_pipeline", "kernel", "float_tail"],
+        1.5,
+        "the float lane branches on nothing but the loop (with a branch on the data: 2.7-3.2x)",
+    );
 }
 
 fn bench_spawn_vs_pool(b: &mut Bench) {
@@ -329,11 +315,11 @@ fn bench_spawn_vs_pool(b: &mut Bench) {
 
     let mut g = b.group("spawn_vs_pool");
     g.sample_size(10);
-    for n in [64usize, 512, 4096] {
-        g.bench_with_input(BenchmarkId::new("pool", n), &n, |bch, &n| {
+    for n in &[64usize, 512] {
+        g.bench_with_input(BenchmarkId::new("pool", n), n, |bch, &n| {
             bch.iter(|| par::map_indexed(n, work).iter().copied().sum::<u64>());
         });
-        g.bench_with_input(BenchmarkId::new("spawn", n), &n, |bch, &n| {
+        g.bench_with_input(BenchmarkId::new("spawn", n), n, |bch, &n| {
             bch.iter(|| {
                 let mut out = vec![0u64; n];
                 std::thread::scope(|s| {
@@ -346,6 +332,14 @@ fn bench_spawn_vs_pool(b: &mut Bench) {
         });
     }
     g.finish();
+    for n in ["64", "512"] {
+        b.ratio(
+            ["spawn_vs_pool", "pool", n],
+            ["spawn_vs_pool", "spawn", n],
+            POOL_OVER_SPAWN,
+            "fan-out runs on the persistent pool, not a thread per item",
+        );
+    }
 }
 
 /// The pre-change dictionary build, kept here as the speedup reference:
@@ -412,58 +406,22 @@ fn bench_encode(b: &mut Bench) {
         bch.iter(|| dict_codes_two_pass_ref(&smallint).1.len());
     });
     g.finish();
+    for shape in ["text_lowcard", "int_small"] {
+        b.ratio(
+            ["encode", &format!("bytedict_{shape}"), ""],
+            ["encode", &format!("bytedict_ref_{shape}"), ""],
+            ONE_PASS_OVER_REF,
+            "the bytedict build is one pass, without a Writer or an owned key per row",
+        );
+    }
 }
 
 fn main() {
-    let float_only = std::env::args().skip(1).any(|a| a == "float");
-    // The float-only run writes its own CSV and no JSON point, so it never
-    // overwrites the full run's.
-    let mut b = Bench::new(if float_only { "scan_kernels_float" } else { "scan_kernels" });
-    if !float_only {
-        b.json_summary_to("BENCH_scan_kernels.json");
-    }
+    let mut b = Bench::new("scan_kernels");
+    b.json_summary_to("BENCH_scan_kernels.json");
     let batches = make_batches();
-    if float_only {
-        bench_float_only(&mut b, &batches);
-    } else {
-        bench_scan_pipeline(&mut b, &batches);
-        bench_spawn_vs_pool(&mut b);
-        bench_encode(&mut b);
-    }
-    let records = b.finish();
-
-    // Print the headline ratios so a bench run documents itself.
-    let p50 = |bench: &str, input: &str| {
-        records
-            .iter()
-            .find(|r| r.bench == bench && r.input == input)
-            .map(|r| r.p50_ns)
-            .unwrap_or(f64::NAN)
-    };
-    println!();
-    let kernel_ratio = p50("kernel", "float_half") / p50("kernel", "float_tail");
-    if float_only {
-        println!("scan_pipeline float_half/float_tail kernel p50 ratio = {kernel_ratio:.2}x");
-        return;
-    }
-    for shape in ["", "arith", "like_prefix", "like_general", "float_tail", "float_half", "like_prefix_note", "agg_minmax"] {
-        println!(
-            "scan_pipeline {shape:<12}: interp/kernel p50 ratio = {:.1}x",
-            p50("interp", shape) / p50("kernel", shape)
-        );
-    }
-    println!("scan_pipeline float_half/float_tail kernel p50 ratio = {kernel_ratio:.2}x (a branch on the data shows here)");
-    for n in ["64", "512", "4096"] {
-        println!(
-            "spawn_vs_pool n={n}: spawn/pool p50 ratio = {:.1}x",
-            p50("spawn", n) / p50("pool", n)
-        );
-    }
-    for shape in ["text_lowcard", "int_small"] {
-        println!(
-            "encode {shape}: two-pass-ref/one-pass p50 ratio = {:.1}x",
-            p50(&format!("bytedict_ref_{shape}"), "")
-                / p50(&format!("bytedict_{shape}"), "")
-        );
-    }
+    bench_scan_pipeline(&mut b, &batches);
+    bench_spawn_vs_pool(&mut b);
+    bench_encode(&mut b);
+    b.finish();
 }

@@ -14,7 +14,7 @@
 //! | `stl_explain`       | `STL_EXPLAIN`       | `plan` attr, one row/line |
 //! | `svl_query_metrics` | `SVL_QUERY_METRICS` | `ExecMetrics` attrs    |
 //! | `stl_wlm_query`     | `STL_WLM_QUERY`     | `wlm` span core attrs  |
-//! | `stv_wlm_service_class_state` | `STV_WLM_SERVICE_CLASS_STATE` | live [`WlmController`] state |
+//! | `stv_wlm_service_class_state` | `STV_WLM_SERVICE_CLASS_STATE` | live [`WlmController`] state, per-class books with `aborted` |
 //! | `stl_fault_event`   | (simulator-only)    | [`FaultRegistry`] event ring |
 //! | `stv_sessions`      | `STV_SESSIONS`      | live [`SessionManager`] state |
 //! | `stl_connection_log`| `STL_CONNECTION_LOG`| [`SessionManager`] event ring |
@@ -104,6 +104,7 @@ fn schema_of(table: &str) -> Schema {
             ColumnDef::new("evicted", DataType::Int8),
             ColumnDef::new("rejected", DataType::Int8),
             ColumnDef::new("hopped", DataType::Int8),
+            ColumnDef::new("aborted", DataType::Int8),
             ColumnDef::new("avg_queue_wait_us", DataType::Int8),
         ],
         "stl_fault_event" => vec![
@@ -225,6 +226,7 @@ fn materialize(
                     Value::Int8(sc.evicted as i64),
                     Value::Int8(sc.rejected as i64),
                     Value::Int8(sc.hopped as i64),
+                    Value::Int8(sc.aborted as i64),
                     Value::Int8(sc.avg_queue_wait_us as i64),
                 ]);
             }
@@ -586,6 +588,26 @@ mod tests {
         let sys2 = SystemTables::capture(&sink, None, None, None, None, &["stv_wlm_service_class_state"]);
         let empty = scan(&sys2, "stv_wlm_service_class_state", &[0]).unwrap();
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn an_aborted_query_counts_in_its_class_through_sql() {
+        use crate::wlm::{QmrAction, QmrMetric, WlmConfig, WlmQueueDef};
+        use crate::{Cluster, ClusterConfig};
+        let wlm = WlmConfig::with_queues(vec![
+            WlmQueueDef::new("watched", 2).rule("kill_big", QmrMetric::RowsScanned, 100, QmrAction::Abort)
+        ]);
+        let c = Cluster::launch(ClusterConfig::new("aborted").nodes(1).slices_per_node(2).wlm(wlm)).unwrap();
+        c.execute("CREATE TABLE big (k BIGINT)").unwrap();
+        let values = (0..300).map(|i| format!("({i})")).collect::<Vec<_>>().join(", ");
+        c.execute(&format!("INSERT INTO big VALUES {values}")).unwrap();
+        let err = c.query("SELECT COUNT(*) FROM big").unwrap_err();
+        assert!(err.to_string().contains("aborted by monitoring rule 'kill_big'"), "{err}");
+        let r = c
+            .query("SELECT aborted FROM stv_wlm_service_class_state WHERE service_class = 'watched'")
+            .unwrap();
+        assert_eq!(r.rows.len(), 1);
+        assert_eq!(r.rows[0].get(0).as_i64(), Some(1), "the aborted query is in its class's books");
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //!
 //! The six bench binaries build a [`Bench`], register functions through
 //! [`Group::bench_function`] / [`Group::bench_with_input`] exactly like
-//! criterion groups, and call [`Bench::finish`].
+//! criterion groups, declare their gates with [`Bench::ratio`], and call
+//! [`Bench::finish`]. A gate is a ratio of two arms' p50 timed in the same
+//! run, so the box's speed cancels; `finish` prints every ratio and exits
+//! non-zero when one breaks its bound (DESIGN.md §2).
 //!
-//! Env knobs:
-//! * `RSIM_BENCH_QUICK=1` — 3 samples, short warmup (smoke-test mode);
-//! * `RSIM_RESULTS_DIR=<dir>` — overrides the report directory.
+//! One tuning: 10 samples of ~25 ms per arm after a 20 ms warmup.
+//! `RSIM_RESULTS_DIR=<dir>` overrides the report directory.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -41,29 +43,32 @@ impl Record {
     }
 }
 
-/// Measurement tuning shared by all benches in a harness.
-#[derive(Debug, Clone)]
-struct Tuning {
-    samples: usize,
-    warmup: Duration,
-    target_sample: Duration,
+/// The one tuning: samples per arm, warmup, and the time one sample aims at.
+const SAMPLES: usize = 10;
+const WARMUP: Duration = Duration::from_millis(20);
+const TARGET_SAMPLE: Duration = Duration::from_millis(25);
+
+/// One in-run gate: the p50 of the `num` arm over that of the `den` arm,
+/// each named by (group, bench, input), at most `max`.
+struct Ratio {
+    num: [String; 3],
+    den: [String; 3],
+    max: f64,
+    why: String,
 }
 
-impl Tuning {
-    fn from_env() -> Tuning {
-        if std::env::var("RSIM_BENCH_QUICK").map(|v| v != "0").unwrap_or(false) {
-            Tuning {
-                samples: 3,
-                warmup: Duration::from_millis(2),
-                target_sample: Duration::from_millis(4),
-            }
-        } else {
-            Tuning {
-                samples: 10,
-                warmup: Duration::from_millis(20),
-                target_sample: Duration::from_millis(25),
-            }
-        }
+impl Ratio {
+    /// One printed line. A missing arm or a NaN ratio never holds.
+    fn judge(&self, records: &[Record]) -> (bool, String) {
+        let p50 = |[g, b, i]: &[String; 3]| {
+            records.iter().find(|r| (&r.group, &r.bench, &r.input) == (g, b, i)).map(|r| r.p50_ns)
+        };
+        let value = p50(&self.num).zip(p50(&self.den)).map(|(num, den)| num / den);
+        let holds = value.is_some_and(|v| v <= self.max);
+        let shown = value.map_or("missing arm".to_string(), |v| format!("{v:.3}"));
+        let [num, den] = [&self.num, &self.den].map(|[g, b, i]| display_label(g, b, i));
+        let verdict = if holds { "ok" } else { "BROKEN" };
+        (holds, format!("ratio {num} / {den} = {shown} (max {}) {verdict}: {}", self.max, self.why))
     }
 }
 
@@ -71,16 +76,45 @@ impl Tuning {
 pub struct Bench {
     name: String,
     records: Vec<Record>,
-    tuning: Tuning,
+    ratios: Vec<Ratio>,
     results_dir: PathBuf,
     json_out: Option<PathBuf>,
 }
 
 impl Bench {
     pub fn new(name: impl Into<String>) -> Bench {
-        let name = name.into();
         let results_dir = default_results_dir();
-        Bench { name, records: Vec::new(), tuning: Tuning::from_env(), results_dir, json_out: None }
+        Bench { name: name.into(), records: Vec::new(), ratios: Vec::new(), results_dir, json_out: None }
+    }
+
+    /// Gate this run: `num`'s p50 over `den`'s must be at most `max`, each
+    /// arm named by `[group, bench, input]`; `why` is the question the row
+    /// answers. Checked by [`Bench::finish`].
+    pub fn ratio(&mut self, num: [&str; 3], den: [&str; 3], max: f64, why: &str) -> &mut Self {
+        self.ratios.push(Ratio {
+            num: num.map(String::from),
+            den: den.map(String::from),
+            max,
+            why: why.to_string(),
+        });
+        self
+    }
+
+    /// Print every ratio row; `Err` names the rows that broke.
+    fn check(&self) -> Result<(), String> {
+        let mut broken = Vec::new();
+        for row in &self.ratios {
+            let (holds, line) = row.judge(&self.records);
+            println!("{line}");
+            if !holds {
+                broken.push(line);
+            }
+        }
+        if broken.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("{} of {} ratio rows broke:\n{}", broken.len(), self.ratios.len(), broken.join("\n")))
+        }
     }
 
     /// Override the report directory (tests use a temp dir).
@@ -108,39 +142,18 @@ impl Bench {
             name: name.into(),
             sample_size: None,
             throughput_elems: None,
+            arms: Vec::new(),
         }
     }
 
-    /// Shorthand: a single function in an anonymous group.
-    pub fn bench_function(&mut self, id: impl Into<String>, f: impl FnMut(&mut Bencher)) {
-        let mut g = self.group("");
-        g.bench_function(id.into(), f);
-        g.finish();
-    }
-
-    fn run_one(
-        &mut self,
-        group: &str,
-        bench: &str,
-        input: &str,
-        sample_size: Option<usize>,
-        throughput_elems: Option<u64>,
-        f: &mut dyn FnMut(&mut Bencher),
-    ) {
-        let mut tuning = self.tuning.clone();
-        if let Some(n) = sample_size {
-            // criterion semantics: sample_size(10) means 10 samples; our
-            // quick mode may lower it further.
-            tuning.samples = tuning.samples.min(n.max(2));
-        }
-        let mut b = Bencher { tuning, result: None };
-        f(&mut b);
-        let Some((iters, samples_ns)) = b.result else {
+    /// Summarize and print one arm that ran.
+    fn record(&mut self, group: &str, arm: &Arm<'_>) {
+        let Some(iters) = arm.bencher.iters else {
             // Routine never called `iter` — record nothing.
             return;
         };
-        let rec = summarize(group, bench, input, iters, &samples_ns, throughput_elems);
-        let label = display_label(group, bench, input);
+        let rec = summarize(group, &arm.bench, &arm.input, iters, &arm.bencher.samples_ns, arm.throughput_elems);
+        let label = display_label(group, &arm.bench, &arm.input);
         let tput = rec
             .elems_per_sec()
             .map(|e| format!("  thrpt: {}/s", fmt_count_f(e)))
@@ -154,53 +167,16 @@ impl Bench {
         self.records.push(rec);
     }
 
-    /// All measurements so far (exposed for programmatic consumers).
-    pub fn records(&self) -> &[Record] {
-        &self.records
-    }
-
-    /// Print the final aligned table and write `results/<name>.csv`
-    /// (+ JSON summary if requested). Returns the records.
+    /// Write `results/<name>.csv` (+ JSON summary if requested), then
+    /// print every ratio row and exit the process with status 1 if one
+    /// broke. Returns the records.
     pub fn finish(self) -> Vec<Record> {
-        println!("\n== {} — {} benches ==", self.name, self.records.len());
-        let header = ["group", "bench", "input", "p50", "p99", "mean", "iters"];
-        let mut rows: Vec<[String; 7]> = Vec::new();
-        for r in &self.records {
-            rows.push([
-                r.group.clone(),
-                r.bench.clone(),
-                r.input.clone(),
-                fmt_ns(r.p50_ns),
-                fmt_ns(r.p99_ns),
-                fmt_ns(r.mean_ns),
-                r.iters_per_sample.to_string(),
-            ]);
-        }
-        let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-        for row in &rows {
-            for (w, c) in widths.iter_mut().zip(row.iter()) {
-                *w = (*w).max(c.len());
-            }
-        }
-        let fmt_row = |cells: &[String]| {
-            cells
-                .iter()
-                .zip(&widths)
-                .map(|(c, w)| format!("{c:<w$}"))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        println!("{}", fmt_row(&header.map(String::from)));
-        for row in &rows {
-            println!("{}", fmt_row(row.as_slice()));
-        }
-
         if let Err(e) = std::fs::create_dir_all(&self.results_dir) {
             eprintln!("[testkit::bench] cannot create {}: {e}", self.results_dir.display());
         }
         let csv_path = self.results_dir.join(format!("{}.csv", self.name));
         match std::fs::write(&csv_path, self.to_csv()) {
-            Ok(()) => println!("\nwrote {}", csv_path.display()),
+            Ok(()) => println!("wrote {}", csv_path.display()),
             Err(e) => eprintln!("[testkit::bench] cannot write {}: {e}", csv_path.display()),
         }
         if let Some(json_path) = &self.json_out {
@@ -209,12 +185,16 @@ impl Bench {
                 Err(e) => eprintln!("[testkit::bench] cannot write {}: {e}", json_path.display()),
             }
         }
+        println!();
+        if let Err(broken) = self.check() {
+            eprintln!("error: {}: {broken}", self.name);
+            std::process::exit(1);
+        }
         self.records
     }
 
     /// The ns columns in the shortest form that parses back to the same
-    /// `f64`: `parse_csv` recovers `throughput_elems` from `mean_ns`,
-    /// which a fixed decimal would round by up to 5 % at ~1 ns.
+    /// `f64`: a fixed decimal would round a ~1 ns mean by up to 5 %.
     fn to_csv(&self) -> String {
         let mut out = String::from(
             "group,bench,input,samples,iters_per_sample,p50_ns,p99_ns,mean_ns,min_ns,max_ns,elems_per_sec\n",
@@ -276,15 +256,26 @@ impl Bench {
     }
 }
 
-/// A named group of benchmarks (criterion's `BenchmarkGroup`).
+/// A named group of benchmarks (criterion's `BenchmarkGroup`). Its arms
+/// run at [`Group::finish`], their iterations interleaved.
 pub struct Group<'a> {
     bench: &'a mut Bench,
     name: String,
     sample_size: Option<usize>,
     throughput_elems: Option<u64>,
+    arms: Vec<Arm<'a>>,
 }
 
-impl Group<'_> {
+/// One registered routine and what it has measured so far.
+struct Arm<'a> {
+    bench: String,
+    input: String,
+    throughput_elems: Option<u64>,
+    routine: Box<dyn FnMut(&mut Bencher) + 'a>,
+    bencher: Bencher,
+}
+
+impl<'a> Group<'a> {
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = Some(n);
         self
@@ -296,23 +287,58 @@ impl Group<'_> {
         self
     }
 
-    pub fn bench_function(&mut self, id: impl Into<String>, mut f: impl FnMut(&mut Bencher)) {
-        let id = id.into();
-        let (name, ss, tp) = (self.name.clone(), self.sample_size, self.throughput_elems);
-        self.bench.run_one(&name, &id, "", ss, tp, &mut f);
+    pub fn bench_function(&mut self, id: impl Into<String>, f: impl FnMut(&mut Bencher) + 'a) {
+        self.add(id.into(), String::new(), Box::new(f));
     }
 
     pub fn bench_with_input<I: ?Sized>(
         &mut self,
         id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
+        input: &'a I,
+        mut f: impl FnMut(&mut Bencher, &I) + 'a,
     ) {
-        let (name, ss, tp) = (self.name.clone(), self.sample_size, self.throughput_elems);
-        self.bench.run_one(&name, &id.function, &id.parameter, ss, tp, &mut |b| f(b, input));
+        self.add(id.function, id.parameter, Box::new(move |b| f(b, input)));
     }
 
-    pub fn finish(self) {}
+    fn add(&mut self, bench: String, input: String, routine: Box<dyn FnMut(&mut Bencher) + 'a>) {
+        // criterion semantics: sample_size(10) means 10 samples.
+        let samples = self.sample_size.map_or(SAMPLES, |n| SAMPLES.min(n.max(2)));
+        let bencher = Bencher { samples, iters: None, done: 0, timed: Duration::ZERO, samples_ns: Vec::new() };
+        self.arms.push(Arm { bench, input, throughput_elems: self.throughput_elems, routine, bencher });
+    }
+
+    /// Run the arms: each routine is called once to warm up and calibrate,
+    /// then once per timed iteration. Every round takes one sample of each
+    /// arm, their iterations interleaved: the next one is always the arm
+    /// furthest behind, so each sample spans the whole round. A slow spell
+    /// of the box then lands on every arm alike, and a ratio of two arms'
+    /// p50 cancels it.
+    pub fn finish(mut self) {
+        for arm in &mut self.arms {
+            (arm.routine)(&mut arm.bencher);
+        }
+        for round in 0..SAMPLES {
+            let mut taking: Vec<&mut Arm<'_>> = self.arms.iter_mut()
+                .filter(|a| a.bencher.iters.is_some() && round < a.bencher.samples)
+                .collect();
+            loop {
+                let behind = taking.iter_mut().filter(|a| a.bencher.left() > 0).min_by(|a, b| {
+                    let (a, b) = (&a.bencher, &b.bencher);
+                    (a.done * b.iters.unwrap_or(1)).cmp(&(b.done * a.iters.unwrap_or(1)))
+                });
+                let Some(arm) = behind else { break };
+                let left = arm.bencher.left();
+                (arm.routine)(&mut arm.bencher);
+                assert!(arm.bencher.left() < left, "a routine times one iteration on every call");
+            }
+            for arm in taking {
+                arm.bencher.end_sample();
+            }
+        }
+        for arm in &self.arms {
+            self.bench.record(&self.name, arm);
+        }
+    }
 }
 
 /// Function + parameter label (criterion's `BenchmarkId`).
@@ -328,43 +354,57 @@ impl BenchmarkId {
 }
 
 /// Passed to the routine; call [`Bencher::iter`] with the hot closure.
+/// The first call warms up and calibrates the iterations per sample; each
+/// later call times one iteration.
 pub struct Bencher {
-    tuning: Tuning,
-    result: Option<(u64, Vec<f64>)>,
+    samples: usize,
+    /// Iterations per sample, once calibrated.
+    iters: Option<u64>,
+    /// Iterations and their time in the sample being taken.
+    done: u64,
+    timed: Duration,
+    samples_ns: Vec<f64>,
 }
 
 impl Bencher {
-    /// Warm up and calibrate iterations-per-sample to the target sample
-    /// duration, by wall time of `once` (all of it, timed or not).
-    fn calibrate(&self, mut once: impl FnMut()) -> u64 {
-        let warm_start = Instant::now();
-        let mut warm_iters = 0u64;
-        loop {
-            once();
-            warm_iters += 1;
-            if warm_start.elapsed() >= self.tuning.warmup || warm_iters >= 1_000 {
-                break;
-            }
-        }
-        let per_iter_ns =
-            (warm_start.elapsed().as_nanos() as f64 / warm_iters as f64).max(1.0);
-        ((self.tuning.target_sample.as_nanos() as f64 / per_iter_ns) as u64).clamp(1, 10_000_000)
+    /// Iterations the sample being taken still needs.
+    fn left(&self) -> u64 {
+        self.iters.map_or(0, |n| n - self.done)
     }
 
-    /// Warm up, calibrate, then time `tuning.samples` samples.
-    pub fn iter<O>(&mut self, mut f: impl FnMut() -> O) {
-        let iters = self.calibrate(|| {
-            black_box(f());
-        });
-        let mut samples_ns = Vec::with_capacity(self.tuning.samples);
-        for _ in 0..self.tuning.samples {
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            samples_ns.push(t.elapsed().as_nanos() as f64 / iters as f64);
+    fn end_sample(&mut self) {
+        let iters = self.iters.expect("only calibrated arms take samples");
+        self.samples_ns.push(self.timed.as_nanos() as f64 / iters as f64);
+        (self.done, self.timed) = (0, Duration::ZERO);
+    }
+
+    /// `once()` runs one iteration and returns the time it counts.
+    /// Calibration goes by the wall time of whole iterations (untimed setup
+    /// included).
+    fn measure(&mut self, mut once: impl FnMut() -> Duration) {
+        if self.iters.is_some() {
+            self.timed += once();
+            self.done += 1;
+            return;
         }
-        self.result = Some((iters, samples_ns));
+        let warm_start = Instant::now();
+        let mut warm_iters = 0u64;
+        while warm_iters == 0 || (warm_start.elapsed() < WARMUP && warm_iters < 1_000) {
+            once();
+            warm_iters += 1;
+        }
+        let per_iter_ns = (warm_start.elapsed().as_nanos() as f64 / warm_iters as f64).max(1.0);
+        let iters = (TARGET_SAMPLE.as_nanos() as f64 / per_iter_ns) as u64;
+        self.iters = Some(iters.clamp(1, 10_000_000));
+    }
+
+    /// Time `f`, `iters` calls per sample.
+    pub fn iter<O>(&mut self, mut f: impl FnMut() -> O) {
+        self.measure(|| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed()
+        });
     }
 
     /// Like [`Bencher::iter`], but every iteration gets a fresh input
@@ -376,21 +416,12 @@ impl Bencher {
         mut setup: impl FnMut() -> I,
         mut routine: impl FnMut(I) -> O,
     ) {
-        let iters = self.calibrate(|| {
-            black_box(routine(setup()));
+        self.measure(|| {
+            let input = setup();
+            let t = Instant::now();
+            black_box(routine(input));
+            t.elapsed()
         });
-        let mut samples_ns = Vec::with_capacity(self.tuning.samples);
-        for _ in 0..self.tuning.samples {
-            let mut timed = Duration::ZERO;
-            for _ in 0..iters {
-                let input = setup();
-                let t = Instant::now();
-                black_box(routine(input));
-                timed += t.elapsed();
-            }
-            samples_ns.push(timed.as_nanos() as f64 / iters as f64);
-        }
-        self.result = Some((iters, samples_ns));
     }
 }
 
@@ -429,153 +460,6 @@ fn display_label(group: &str, bench: &str, input: &str) -> String {
         }
     }
     parts.join("/")
-}
-
-/// Parse a CSV previously written by [`Bench::finish`] back into
-/// [`Record`]s. The header row is required and columns are matched by
-/// position. `throughput_elems` is not stored in the CSV (only the
-/// derived `elems_per_sec`), so it is recovered from `elems_per_sec`
-/// and `mean_ns` when present.
-pub fn parse_csv(text: &str) -> Result<Vec<Record>, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| "empty CSV".to_string())?;
-    if !header.starts_with("group,bench,input,") {
-        return Err(format!("unrecognized CSV header: {header}"));
-    }
-    let mut out = Vec::new();
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields = split_csv_line(line);
-        if fields.len() < 10 {
-            return Err(format!("line {}: expected >=10 fields, got {}", i + 2, fields.len()));
-        }
-        let num = |j: usize| -> Result<f64, String> {
-            fields[j]
-                .parse::<f64>()
-                .map_err(|e| format!("line {}: field {}: {e}", i + 2, j + 1))
-        };
-        let mean_ns = num(7)?;
-        let throughput_elems = fields
-            .get(10)
-            .filter(|s| !s.is_empty())
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(|eps| (eps * mean_ns / 1e9).round() as u64);
-        out.push(Record {
-            group: fields[0].clone(),
-            bench: fields[1].clone(),
-            input: fields[2].clone(),
-            samples: num(3)? as usize,
-            iters_per_sample: num(4)? as u64,
-            p50_ns: num(5)?,
-            p99_ns: num(6)?,
-            mean_ns,
-            min_ns: num(8)?,
-            max_ns: num(9)?,
-            throughput_elems,
-        });
-    }
-    Ok(out)
-}
-
-fn split_csv_line(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cur.push('"');
-                } else {
-                    in_quotes = false;
-                }
-            }
-            '"' => in_quotes = true,
-            ',' if !in_quotes => fields.push(std::mem::take(&mut cur)),
-            c => cur.push(c),
-        }
-    }
-    fields.push(cur);
-    fields
-}
-
-/// Which latency statistic a diff gates on. `P50` is the default
-/// everywhere; `P99` exists for tail-latency gates (fed by histogram
-/// exports and the profiler-overhead ablation), where the median hides
-/// exactly the regressions that matter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiffStat {
-    P50,
-    P99,
-}
-
-impl DiffStat {
-    pub fn label(self) -> &'static str {
-        match self {
-            DiffStat::P50 => "p50",
-            DiffStat::P99 => "p99",
-        }
-    }
-
-    fn pick(self, r: &Record) -> f64 {
-        match self {
-            DiffStat::P50 => r.p50_ns,
-            DiffStat::P99 => r.p99_ns,
-        }
-    }
-}
-
-/// One `(group, bench, input)` pair compared across two runs.
-#[derive(Debug, Clone)]
-pub struct StatDiff {
-    /// `group/bench/input` display key.
-    pub key: String,
-    pub base_ns: f64,
-    pub new_ns: f64,
-    /// Positive = regression (new is slower).
-    pub delta_pct: f64,
-}
-
-/// Join two runs by `(group, bench, input)` and compare the chosen
-/// statistic. Returns `(common, only_in_base, only_in_new)`; `common`
-/// is sorted by descending regression so the worst offenders print
-/// first.
-pub fn diff_stat(
-    base: &[Record],
-    new: &[Record],
-    stat: DiffStat,
-) -> (Vec<StatDiff>, Vec<String>, Vec<String>) {
-    let key = |r: &Record| display_label(&r.group, &r.bench, &r.input);
-    let base_map: std::collections::BTreeMap<String, f64> =
-        base.iter().map(|r| (key(r), stat.pick(r))).collect();
-    let new_map: std::collections::BTreeMap<String, f64> =
-        new.iter().map(|r| (key(r), stat.pick(r))).collect();
-    let mut common = Vec::new();
-    let mut only_base = Vec::new();
-    for (k, &b) in &base_map {
-        match new_map.get(k) {
-            Some(&n) => common.push(StatDiff {
-                key: k.clone(),
-                base_ns: b,
-                new_ns: n,
-                delta_pct: (n - b) / b.max(1e-9) * 100.0,
-            }),
-            None => only_base.push(k.clone()),
-        }
-    }
-    let only_new: Vec<String> =
-        new_map.keys().filter(|k| !base_map.contains_key(*k)).cloned().collect();
-    common.sort_by(|a, b| b.delta_pct.partial_cmp(&a.delta_pct).expect("finite deltas"));
-    (common, only_base, only_new)
-}
-
-/// [`diff_stat`] pinned to the default p50 gate.
-pub fn diff_p50(base: &[Record], new: &[Record]) -> (Vec<StatDiff>, Vec<String>, Vec<String>) {
-    diff_stat(base, new, DiffStat::P50)
 }
 
 /// Human-scale nanoseconds.
@@ -664,21 +548,16 @@ mod tests {
         d
     }
 
-    fn quick_bench(name: &str, dir: &Path) -> Bench {
+    fn bench_in(name: &str, dir: &Path) -> Bench {
         let mut b = Bench::new(name);
         b.results_dir(dir);
-        b.tuning = Tuning {
-            samples: 5,
-            warmup: Duration::from_micros(200),
-            target_sample: Duration::from_micros(500),
-        };
         b
     }
 
     #[test]
     fn end_to_end_csv_and_stats() {
         let dir = temp_dir("csv");
-        let mut b = quick_bench("unit", &dir);
+        let mut b = bench_in("unit", &dir);
         let mut g = b.group("math");
         g.sample_size(5);
         g.bench_with_input(BenchmarkId::new("sum", "1k"), &1000u64, |b, &n| {
@@ -704,10 +583,12 @@ mod tests {
     #[test]
     fn json_summary_written_and_escaped() {
         let dir = temp_dir("json");
-        let mut b = quick_bench("jsum", &dir);
+        let mut b = bench_in("jsum", &dir);
         let json_path = dir.join("BENCH_test.json");
         b.json_summary_to(&json_path);
-        b.bench_function("quote\"in\"name", |b| b.iter(|| 2 * 2));
+        let mut g = b.group("");
+        g.bench_function("quote\"in\"name", |b| b.iter(|| 2 * 2));
+        g.finish();
         b.finish();
         let json = std::fs::read_to_string(&json_path).unwrap();
         assert!(json.contains("\"harness\": \"jsum\""));
@@ -719,9 +600,10 @@ mod tests {
     #[test]
     fn iter_batched_times_the_routine_only() {
         let dir = temp_dir("batched");
-        let mut b = quick_bench("batched", &dir);
+        let mut b = bench_in("batched", &dir);
         let mut setups = 0u64;
-        b.bench_function("cheap_routine_slow_setup", |b| {
+        let mut g = b.group("");
+        g.bench_function("cheap_routine_slow_setup", |b| {
             b.iter_batched(
                 || {
                     setups += 1;
@@ -731,6 +613,7 @@ mod tests {
                 |n| n + 1,
             )
         });
+        g.finish();
         let records = b.finish();
         assert!(setups > records[0].samples as u64, "fresh input per iteration");
         assert!(records[0].p50_ns < 100_000.0, "setup's 300 µs leaked in: {:?}", records[0]);
@@ -740,7 +623,7 @@ mod tests {
     #[test]
     fn throughput_reported() {
         let dir = temp_dir("tput");
-        let mut b = quick_bench("tput", &dir);
+        let mut b = bench_in("tput", &dir);
         let mut g = b.group("scan");
         g.throughput_elems(10_000);
         g.bench_function("rows", |b| b.iter(|| std::hint::black_box(42)));
@@ -761,119 +644,43 @@ mod tests {
         assert_eq!(csv_field("plain"), "plain");
     }
 
-    #[test]
-    fn csv_round_trip_parses() {
-        let dir = temp_dir("roundtrip");
-        let mut b = quick_bench("rt", &dir);
-        let mut g = b.group("grp,with,commas");
-        g.throughput_elems(1_000);
-        g.bench_with_input(BenchmarkId::new("sum", "1k"), &1000u64, |b, &n| {
-            b.iter(|| (0..n).sum::<u64>());
-        });
-        g.finish();
-        let written = b.finish();
-        let csv = std::fs::read_to_string(dir.join("rt.csv")).unwrap();
-        let parsed = parse_csv(&csv).unwrap();
-        assert_eq!(parsed.len(), written.len());
-        assert_eq!(parsed[0].group, "grp,with,commas");
-        assert_eq!(parsed[0].bench, "sum");
-        assert_eq!(parsed[0].input, "1k");
-        assert!((parsed[0].p50_ns - written[0].p50_ns).abs() < 0.5);
-        // elems_per_sec → throughput_elems round-trips within rounding.
-        let t = parsed[0].throughput_elems.unwrap();
-        assert!((990..=1_010).contains(&t), "{t}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_nanosecond_mean_round_trips_its_throughput() {
-        let mut b = Bench::new("ns");
-        b.records.push(Record {
-            group: "g".into(),
-            bench: "sum".into(),
-            input: "1k".into(),
-            samples: 3,
-            iters_per_sample: 1 << 20,
-            mean_ns: 1.04,
-            p50_ns: 1.04,
-            p99_ns: 1.25,
-            min_ns: 0.96,
-            max_ns: 1.3,
-            throughput_elems: Some(1_000),
-        });
-        let parsed = parse_csv(&b.to_csv()).unwrap();
-        assert_eq!((parsed[0].mean_ns, parsed[0].p99_ns, parsed[0].min_ns), (1.04, 1.25, 0.96));
-        assert_eq!(parsed[0].throughput_elems, Some(1_000));
-        // A committed CSV's one-decimal columns still parse.
-        let old = "group,bench,input,samples,iters_per_sample,p50_ns,p99_ns,mean_ns,min_ns,max_ns,elems_per_sec\ng,sum,1k,3,1,1000.0,1200.0,1000.0,900.0,1300.0,1000000000\n";
-        assert_eq!(parse_csv(old).unwrap()[0].throughput_elems, Some(1_000));
-    }
-
-    #[test]
-    fn parse_csv_rejects_garbage() {
-        assert!(parse_csv("").is_err());
-        assert!(parse_csv("nope,nope\n1,2\n").is_err());
-        let bad = "group,bench,input,samples,iters_per_sample,p50_ns,p99_ns,mean_ns,min_ns,max_ns,elems_per_sec\na,b,c,xx,1,1,1,1,1,1,\n";
-        assert!(parse_csv(bad).is_err());
-    }
-
-    #[test]
-    fn diff_p50_flags_regressions_and_membership() {
-        let rec = |bench: &str, p50: f64| Record {
+    fn record(bench: &str, p50_ns: f64) -> Record {
+        Record {
             group: "g".into(),
             bench: bench.into(),
             input: String::new(),
             samples: 3,
             iters_per_sample: 1,
-            mean_ns: p50,
-            p50_ns: p50,
-            p99_ns: p50,
-            min_ns: p50,
-            max_ns: p50,
+            mean_ns: p50_ns,
+            p50_ns,
+            p99_ns: p50_ns,
+            min_ns: p50_ns,
+            max_ns: p50_ns,
             throughput_elems: None,
-        };
-        let base = vec![rec("stable", 100.0), rec("slower", 100.0), rec("gone", 10.0)];
-        let new = vec![rec("stable", 101.0), rec("slower", 150.0), rec("fresh", 5.0)];
-        let (common, only_base, only_new) = diff_p50(&base, &new);
-        assert_eq!(common.len(), 2);
-        // Sorted worst-first.
-        assert_eq!(common[0].key, "g/slower");
-        assert!((common[0].delta_pct - 50.0).abs() < 1e-9);
-        assert_eq!(common[1].key, "g/stable");
-        assert_eq!(only_base, vec!["g/gone".to_string()]);
-        assert_eq!(only_new, vec!["g/fresh".to_string()]);
+        }
+    }
+
+    /// A run with the arms `fast` and `slow` and one row `fast / slow <= max`.
+    fn gated(fast: f64, slow: f64, max: f64) -> Bench {
+        let mut b = Bench::new("gated");
+        b.records = vec![record("fast", fast), record("slow", slow)];
+        b.ratio(["g", "fast", ""], ["g", "slow", ""], max, "fast beats slow");
+        b
     }
 
     #[test]
-    fn diff_stat_p99_gates_the_tail_independently() {
-        let rec = |bench: &str, p50: f64, p99: f64| Record {
-            group: "g".into(),
-            bench: bench.into(),
-            input: String::new(),
-            samples: 3,
-            iters_per_sample: 1,
-            mean_ns: p50,
-            p50_ns: p50,
-            p99_ns: p99,
-            min_ns: p50,
-            max_ns: p99,
-            throughput_elems: None,
-        };
-        // Median flat, tail +100%: only the p99 gate sees it.
-        let base = vec![rec("tail", 100.0, 200.0)];
-        let new = vec![rec("tail", 100.0, 400.0)];
-        let (by_p50, _, _) = diff_stat(&base, &new, DiffStat::P50);
-        assert!(by_p50[0].delta_pct.abs() < 1e-9);
-        let (by_p99, _, _) = diff_stat(&base, &new, DiffStat::P99);
-        assert!((by_p99[0].delta_pct - 100.0).abs() < 1e-9);
-        assert_eq!(DiffStat::P99.label(), "p99");
-    }
-
-    #[test]
-    fn quick_env_is_respected_in_shape() {
-        // Not set in tests — just assert the default tuning is sane.
-        let t = Tuning::from_env();
-        assert!(t.samples >= 3);
-        assert!(t.target_sample >= Duration::from_millis(1));
+    fn a_ratio_row_fails_over_its_bound_on_a_missing_arm_and_on_nan() {
+        assert_eq!(gated(10.0, 100.0, 0.1).check(), Ok(()));
+        let over = gated(11.0, 100.0, 0.1).check().unwrap_err();
+        assert!(over.contains("g/fast / g/slow = 0.110 (max 0.1) BROKEN"), "{over}");
+        let mut missing = gated(10.0, 100.0, 0.1);
+        missing.records.pop();
+        assert!(missing.check().unwrap_err().contains("missing arm"));
+        let mut misnamed = gated(10.0, 100.0, 0.1);
+        misnamed.ratio(["g", "fast", ""], ["g", "slow", "1k"], 1.0, "an input no arm ran");
+        assert!(misnamed.check().unwrap_err().starts_with("1 of 2 ratio rows broke"));
+        // 0 / 0: NaN compares false with everything, and must not pass.
+        let nan = gated(0.0, 0.0, f64::INFINITY).check().unwrap_err();
+        assert!(nan.contains("= NaN"), "{nan}");
     }
 }

@@ -322,10 +322,16 @@ fn copy_transient(objects: usize, rows: usize) -> usize {
 /// what a load holds in flight does not grow with it: from a load of N to
 /// one of 8N, the transient heap grows by less than a quarter. N scales
 /// with the worker count, so the small load already keeps every worker
-/// busy.
+/// busy. Each load's transient is the most of three runs: the peak comes
+/// when one batch's parse overlaps the previous batch's append, by a
+/// margin scheduling decides, and a small load has only one or two such
+/// overlaps to reach it. On 2 workers, one run of a 32k-row object held
+/// 1.86-2.31 MB, of a 256k-row one 2.38-2.44 MB, of a 512k-row one
+/// 2.32-2.34 MB: the load is flat, a single small run is not its peak.
 fn assert_copy_heap_flat(name: &str, transient_at: impl Fn(usize) -> usize) {
     let n = redshift_sim::testkit::par::available_workers().div_ceil(8);
-    let (small, large) = (transient_at(n), transient_at(8 * n));
+    let most = |size| (0..3).map(|_| transient_at(size)).max().expect("three runs");
+    let (small, large) = (most(n), most(8 * n));
     assert!(
         large * 4 < small * 5,
         "{name}: COPY's transient heap grew {small} -> {large} bytes from N to 8N"
