@@ -118,11 +118,10 @@ echo "== named probes still exist =="
 # change, naming its DESIGN.md section; a test an earlier group names is
 # not repeated.
 probes=(
-  # property invariants: trace §8, WLM §9, chaos §10, MVCC §15, session §12, QMR + profiler §13, replay §14, kernels §16
+  # property invariants: trace §8, WLM §9, MVCC §15, session §12, QMR + profiler §13, replay §14, kernels §16
   properties::{trace_invariants_hold_under_random_workload,wlm_admission_invariants}
   properties::{wlm_dr_failover_preserves_data,wlm_resize_preserves_data_and_drains}
   properties::workload_wlm_qmr_replay_accounting_and_sqa_latency
-  properties::chaos_schedule_upholds_exactness_and_liveness
   properties::{qmr_rules_under_chaos_never_leak_spans_or_slots,workload_chaos_delay_rides_virtual_clock}
   properties::{mvcc_snapshot_reads_and_first_committer_wins,session_schedule_cache_and_leak_invariants}
   properties::{session_wire_disconnect_never_leaks,qmr_abort_never_fires_on_explain_or_system_reads}
@@ -156,16 +155,11 @@ probes=(
   frontdoor_server::{typed_errors_round_trip_the_wire,abrupt_disconnect_cleans_up_session}
   frontdoor_server::mid_statement_disconnect_commits_fully_or_not_at_all
   frontdoor_server::drain_finishes_in_flight_work_and_stops_accepting
-  # write atomicity (failure injection): §10 "Chaos, inside the model", §15 "Crash and recovery"
+  # write atomicity, one chaos harness: §10 "Chaos, inside the model", §15 "Crash and recovery"
+  model::one_model_checks_every_write_crash_resize_and_restore
   end_to_end::copy_ingests_compressed_and_encrypted_sources
-  failure_injection::copy_aborted_mid_objects_by_parse_error_leaves_zero_rows
-  failure_injection::{copy_failing_at_each_wal_seam_rolls_back_cleanly,copy_rides_through_s3_flakiness}
-  failure_injection::copy_succeeds_exactly_when_transient_mirror_write_fault_is_absorbed
-  failure_injection::copy_under_probabilistic_write_faults_is_all_or_nothing
-  failure_injection::failed_copy_rolls_back_to_pre_copy_state
+  failure_injection::{copy_rides_through_s3_flakiness,wal_truncate_failure_is_absorbed_not_surfaced}
   failure_injection::one_catalog_copy_overlapping_a_resize_lands_or_errors
-  failure_injection::failed_insert_rolls_back_router_and_estimates
-  failure_injection::wal_truncate_failure_is_absorbed_not_surfaced
   peak_heap::{copy_heap_is_flat_as_an_object_grows,copy_heap_is_flat_as_objects_multiply}
   redsim_core::cluster::read::tests::copy_spans_record_ingest_phases
   redsim_core::cluster::tests::{copy_csv_from_s3,copy_json_from_s3}
@@ -250,7 +244,6 @@ probes=(
   redsim_storage::encoding::tests::a_corrupt_count_is_a_codec_error
   redsim_storage::table::tests::a_corrupt_count_is_a_codec_error
   # one model: §7 "The model"
-  model::one_model_checks_every_write_crash_resize_and_restore
   redsim_core::cluster::lifecycle::tests::resize_keeps_a_sorted_table_sorted
   redsim_core::wlm::tests::a_freed_slot_goes_to_the_longest_waiter
   redsim_replication::mirror::tests::re_replication_onto_a_revived_node_restores_redundancy
@@ -363,6 +356,30 @@ absent -rn 'float_only' 'a bench mode that existed only for a ci.sh gate' crates
 absent -rn 'seal_only' 'a bench mode that existed only for a ci.sh gate' crates/bench/
 absent -rn 'lanes_only' 'a bench mode that existed only for a ci.sh gate' crates/bench/
 absent -rn 'RSIM_BENCH_QUICK' 'a second bench tuning' crates/ src/ tests/ README.md results/README.md
+absent -rn 'chaos_schedule_upholds_exactness_and_liveness' 'a second chaos harness' crates/ src/ tests/
+absent -rn 'arb_chaos_case' 'a second chaos harness' crates/ src/ tests/
+absent -rn 'copy_succeeds_exactly_when_transient_mirror_write_fault_is_absorbed' 'a pinned rollback the model subsumes' crates/ tests/
+absent -rn 'failed_copy_rolls_back_to_pre_copy_state' 'a pinned rollback the model subsumes' crates/ tests/
+absent -rn 'copy_under_probabilistic_write_faults_is_all_or_nothing' 'a pinned rollback the model subsumes' crates/ tests/
+absent -rn 'copy_aborted_mid_objects_by_parse_error_leaves_zero_rows' 'a pinned rollback the model subsumes' crates/ tests/
+absent -rn 'copy_failing_at_each_wal_seam_rolls_back_cleanly' 'a pinned rollback the model subsumes' crates/ tests/
+absent -rn 'failed_insert_rolls_back_router_and_estimates' 'a pinned rollback the model subsumes' crates/ tests/
+absent -rn 'PreWrite' "the pinned rollbacks' snapshot" crates/ tests/
+absent -rn 'pre_write' "the pinned rollbacks' snapshot" crates/ tests/
+absent -rn 'assert_unchanged' "the pinned rollbacks' snapshot" crates/ tests/
+absent -rn 'RSIM_FAILPOINTS' 'a second way to arm a failpoint' crates/ src/ tests/ examples/ benchmark/src/
+absent -rn 'from_env' 'a second way to arm a failpoint' crates/faultkit/
+absent -rn 'configure_str' 'a second way to arm a failpoint' crates/
+absent -rn 'parse_config' 'the failpoint DSL' crates/
+absent -rn 'parse_spec' 'the failpoint DSL' crates/
+absent -rn 'parse_seed' 'the failpoint DSL' crates/faultkit/
+absent -rn 'fn parse(' 'the failpoint DSL (ErrClass::parse)' crates/faultkit/
+absent -rn 'FpStats' 'per-failpoint hits and fires' crates/
+absent -rn 'fn stats(' 'per-failpoint hits and fires' crates/faultkit/
+absent -rn 'fn fired(' 'Outcome::fired' crates/faultkit/
+absent -rn 'const ALL' 'fp::ALL' crates/faultkit/
+# Only testkit (seeds, case counts, results dir) reads the environment.
+absent -rn 'env::var' 'an environment read outside crates/testkit' $(find crates -mindepth 1 -maxdepth 1 -type d ! -name testkit)
 if ls crates/bench/benches results | grep -xE "($rulers)\.rs|($csvs|.*_baseline)\.csv"; then
   echo "ERROR: a deleted bench or its CSV came back" >&2
   exit 1

@@ -1,4 +1,4 @@
-//! E9 — compression encodings: ratio and speed per data shape, and the
+//! E9 — compression encodings: size and decode speed per data shape, and the
 //! automatic analyzer's pick vs the oracle (§2.1's "dusty knob"). The
 //! decode group times each shape's pick, and `raw` beside it for each
 //! integer shape; a ratio row bounds delta over raw decode for each shape
@@ -94,24 +94,6 @@ fn bench_encodings(c: &mut Bench) {
             .collect();
         println!("  {name:<14} {}", cells.join("  "));
     }
-
-    let mut g = c.group("encode");
-    g.sample_size(10);
-    for (name, col) in &shapes {
-        for enc in [Encoding::Raw, Encoding::Rle, Encoding::Delta, Encoding::Dict, Encoding::Lzss]
-        {
-            if !enc.applicable_to(col.data_type()) {
-                continue;
-            }
-            if encode_column(col, enc).is_err() {
-                continue;
-            }
-            g.bench_with_input(BenchmarkId::new(format!("{enc}"), name), col, move |b, col| {
-                b.iter(|| encode_column(col, enc).unwrap());
-            });
-        }
-    }
-    g.finish();
 
     // Each shape's pick; a note block's two candidates; raw beside each
     // integer pick.

@@ -155,8 +155,8 @@ impl Cluster {
     }
 
     /// The failpoint registry shared by everything riding on this
-    /// cluster's S3 (mirroring, backup, restore, the COPY loader).
-    /// Configure it programmatically or via `RSIM_FAILPOINTS`.
+    /// cluster's S3 (mirroring, backup, restore, the COPY loader); arm
+    /// it with `configure`.
     pub fn faults(&self) -> &Arc<redsim_faultkit::FaultRegistry> {
         self.durable.s3.faults()
     }

@@ -5,8 +5,8 @@
 //! falling over. To test that continuously instead of anecdotally, this
 //! crate provides a registry of **named failpoints** that production
 //! code consults at its fault-prone seams (`s3.get`,
-//! `mirror.write.secondary`, `restore.page_fault`, …). Tests — or an
-//! operator via `RSIM_FAILPOINTS` — arm a failpoint with an action:
+//! `mirror.write.secondary`, `restore.page_fault`, …). Tests arm a
+//! failpoint with [`FaultRegistry::configure`] and an action:
 //!
 //! * `err(class)` — return a typed error (throttle / fault / notfound /
 //!   repl), mapped to `RsError` at the call site;
@@ -19,9 +19,9 @@
 //! * `drop`       — tell the call site to silently skip the operation
 //!   (lost write / lost message semantics, site-defined).
 //!
-//! Each action carries a trigger: `once`, `times=N`, or `p=0.2`
-//! (Bernoulli off a seeded PCG32, so every chaos schedule is replayable
-//! with `RSIM_SEED`).
+//! Each action carries a trigger: `once`, `times(n)`, or `prob(p)`
+//! (Bernoulli off a seeded PCG32, so a harness that seeds the registry
+//! replays its chaos schedule).
 //!
 //! ## Cost when disarmed
 //!
@@ -31,19 +31,6 @@
 //! seams sit on every benchmark workload's path, so their cost is inside
 //! each `cpu_ms_per_stmt`. The mutex-guarded slow path only runs while
 //! at least one failpoint is armed.
-//!
-//! ## Environment DSL
-//!
-//! ```text
-//! RSIM_FAILPOINTS="s3.get=err(throttle,p=0.2);mirror.write.secondary=err(once)"
-//! RSIM_SEED=42
-//! ```
-//!
-//! Entries are `name=action` separated by `;`. Action arguments are
-//! comma-separated tokens: an error class (`throttle`, `fault`,
-//! `notfound`, `repl`), a trigger (`once`, `times=N`, `p=F`), or — for
-//! `delay` — a leading integer millisecond count. Omitted class
-//! defaults to `fault`; omitted trigger means "always".
 //!
 //! This crate is a zero-dependency leaf (like `testkit` and `obs`);
 //! `ci.sh` enforces that with a `cargo tree` guard. It carries its own
@@ -99,25 +86,6 @@ pub mod fp {
     /// the slice touches storage — exercises partial-scan failure paths
     /// (a failed slice must not leak partial metrics into stl_query).
     pub const EXEC_SCAN_SLICE: &str = "exec.scan_slice";
-
-    /// All canonical names, for docs/tests/chaos generators.
-    pub const ALL: &[&str] = &[
-        S3_GET,
-        S3_PUT,
-        S3_COPY_OBJECT,
-        MIRROR_WRITE_PRIMARY,
-        MIRROR_WRITE_SECONDARY,
-        MIRROR_BACKUP_DRAIN,
-        MIRROR_RE_REPLICATE,
-        RESTORE_PAGE_FAULT,
-        COPY_FETCH_OBJECT,
-        WAL_APPEND,
-        WAL_SYNC,
-        WAL_COMMIT,
-        WAL_TRUNCATE,
-        FRONTDOOR_DISCONNECT,
-        EXEC_SCAN_SLICE,
-    ];
 }
 
 /// Error class carried by an `err(..)` action. `RsError::injected` (in
@@ -143,16 +111,6 @@ impl ErrClass {
             ErrClass::Fault => "fault",
             ErrClass::NotFound => "notfound",
             ErrClass::Repl => "repl",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "throttle" => Some(ErrClass::Throttle),
-            "fault" => Some(ErrClass::Fault),
-            "notfound" => Some(ErrClass::NotFound),
-            "repl" => Some(ErrClass::Repl),
-            _ => None,
         }
     }
 }
@@ -191,8 +149,7 @@ pub enum Trigger {
     Prob(f64),
 }
 
-/// A complete failpoint configuration: action + trigger. Built either
-/// from the DSL ([`parse_spec`]) or programmatically:
+/// A complete failpoint configuration, action × trigger:
 ///
 /// ```
 /// use redsim_faultkit::{FaultSpec, ErrClass};
@@ -243,15 +200,6 @@ pub enum Outcome {
     Drop,
 }
 
-impl Outcome {
-    /// True when the failpoint actually injected something (error or
-    /// drop; served delays count as injections in the event log but
-    /// still return `Proceed`).
-    pub fn fired(&self) -> bool {
-        !matches!(self, Outcome::Proceed)
-    }
-}
-
 /// One injected fault, recorded for `stl_fault_event`.
 #[derive(Debug, Clone)]
 pub struct FaultEvent {
@@ -267,25 +215,11 @@ pub struct FaultEvent {
     pub class: &'static str,
 }
 
-/// Per-failpoint counters, exposed for assertions and system tables.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FpStats {
-    pub failpoint: String,
-    /// Evaluations while this failpoint was armed.
-    pub hits: u64,
-    /// Evaluations where the action applied.
-    pub fires: u64,
-    /// Still armed (false once `once`/`times` exhausts or it is cleared).
-    pub active: bool,
-}
-
 #[derive(Debug)]
 struct FpState {
     spec: FaultSpec,
     /// Remaining firings for `Times`; `u32::MAX` for unlimited.
     remaining: u32,
-    hits: u64,
-    fires: u64,
     active: bool,
 }
 
@@ -361,25 +295,7 @@ impl FaultRegistry {
         *self.delay_hook.lock().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
-    /// Build from the environment: seed from `RSIM_SEED` (decimal or
-    /// `0x`-hex, default 0), config from `RSIM_FAILPOINTS`. A malformed
-    /// DSL panics with the offending entry — a chaos run with a typo'd
-    /// config silently testing nothing is worse than a crash.
-    pub fn from_env() -> Self {
-        let seed = std::env::var("RSIM_SEED")
-            .ok()
-            .and_then(|s| parse_seed(&s))
-            .unwrap_or(0);
-        let reg = FaultRegistry::new(seed);
-        if let Ok(cfg) = std::env::var("RSIM_FAILPOINTS") {
-            reg.configure_str(&cfg)
-                .unwrap_or_else(|e| panic!("RSIM_FAILPOINTS: {e}"));
-        }
-        reg
-    }
-
-    /// Arm (or re-arm) a failpoint. Counters for the name persist
-    /// across re-arms; the trigger budget resets.
+    /// Arm (or re-arm) a failpoint; the trigger budget resets.
     pub fn configure(&self, name: &str, spec: FaultSpec) {
         let mut inner = self.lock();
         let remaining = match spec.trigger {
@@ -389,8 +305,6 @@ impl FaultRegistry {
         let entry = inner.points.entry(name.to_string()).or_insert(FpState {
             spec,
             remaining,
-            hits: 0,
-            fires: 0,
             active: false,
         });
         entry.spec = spec;
@@ -407,16 +321,7 @@ impl FaultRegistry {
         }
     }
 
-    /// Arm failpoints from a DSL string
-    /// (`"s3.get=err(throttle,p=0.2);mirror.write.secondary=err(once)"`).
-    pub fn configure_str(&self, config: &str) -> Result<(), String> {
-        for (name, spec) in parse_config(config)? {
-            self.configure(&name, spec);
-        }
-        Ok(())
-    }
-
-    /// Disarm one failpoint (counters are kept for post-mortems).
+    /// Disarm one failpoint.
     pub fn clear(&self, name: &str) {
         let mut inner = self.lock();
         if let Some(st) = inner.points.get_mut(name) {
@@ -427,7 +332,7 @@ impl FaultRegistry {
         }
     }
 
-    /// Disarm everything (counters and events are kept).
+    /// Disarm everything (the event log is kept).
     pub fn clear_all(&self) {
         let mut inner = self.lock();
         for st in inner.points.values_mut() {
@@ -468,7 +373,6 @@ impl FaultRegistry {
         if !st.active {
             return Outcome::Proceed;
         }
-        st.hits += 1;
         let matched = match st.spec.trigger {
             Trigger::Always => true,
             Trigger::Times(_) => st.remaining > 0,
@@ -484,7 +388,6 @@ impl FaultRegistry {
                 self.armed.fetch_sub(1, Ordering::Relaxed);
             }
         }
-        st.fires += 1;
         let action = st.spec.action;
         *seq += 1;
         let ev = FaultEvent {
@@ -528,20 +431,6 @@ impl FaultRegistry {
         self.lock().seq
     }
 
-    /// Per-failpoint counters, sorted by name.
-    pub fn stats(&self) -> Vec<FpStats> {
-        self.lock()
-            .points
-            .iter()
-            .map(|(name, st)| FpStats {
-                failpoint: name.clone(),
-                hits: st.hits,
-                fires: st.fires,
-                active: st.active,
-            })
-            .collect()
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         // Poison-tolerant: a panicking test thread must not wedge every
         // other cluster sharing the process.
@@ -556,100 +445,9 @@ impl Default for FaultRegistry {
 }
 
 // ---------------------------------------------------------------------
-// DSL parsing
-// ---------------------------------------------------------------------
-
-/// Parse a full `RSIM_FAILPOINTS` config into `(name, spec)` pairs.
-/// Entries are `;`-separated; blanks are ignored.
-pub fn parse_config(config: &str) -> Result<Vec<(String, FaultSpec)>, String> {
-    let mut out = Vec::new();
-    for entry in config.split(';') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let (name, action) = entry
-            .split_once('=')
-            .ok_or_else(|| format!("entry {entry:?}: expected name=action"))?;
-        let name = name.trim();
-        if name.is_empty() {
-            return Err(format!("entry {entry:?}: empty failpoint name"));
-        }
-        out.push((name.to_string(), parse_spec(action.trim())?));
-    }
-    Ok(out)
-}
-
-/// Parse one action spec: `err(throttle,p=0.2)`, `delay(5,once)`,
-/// `drop`, `err(once)`, `delay(10)`, `drop(times=3)`.
-pub fn parse_spec(spec: &str) -> Result<FaultSpec, String> {
-    let (head, args) = match spec.find('(') {
-        Some(i) => {
-            let inner = spec[i + 1..]
-                .strip_suffix(')')
-                .ok_or_else(|| format!("action {spec:?}: missing ')'"))?;
-            (&spec[..i], inner)
-        }
-        None => (spec, ""),
-    };
-    let mut class: Option<ErrClass> = None;
-    let mut trigger = Trigger::Always;
-    let mut delay_ms: Option<u64> = None;
-    for tok in args.split(',') {
-        let tok = tok.trim();
-        if tok.is_empty() {
-            continue;
-        }
-        if let Some(c) = ErrClass::parse(tok) {
-            class = Some(c);
-        } else if tok == "once" {
-            trigger = Trigger::Times(1);
-        } else if let Some(v) = tok.strip_prefix("times=") {
-            let n: u32 = v
-                .parse()
-                .map_err(|_| format!("action {spec:?}: bad times={v:?}"))?;
-            trigger = Trigger::Times(n);
-        } else if let Some(v) = tok.strip_prefix("p=") {
-            let p: f64 = v
-                .parse()
-                .map_err(|_| format!("action {spec:?}: bad p={v:?}"))?;
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("action {spec:?}: p={p} out of [0,1]"));
-            }
-            trigger = Trigger::Prob(p);
-        } else if let Ok(ms) = tok.parse::<u64>() {
-            delay_ms = Some(ms);
-        } else {
-            return Err(format!("action {spec:?}: unknown token {tok:?}"));
-        }
-    }
-    let action = match head.trim() {
-        "err" => FaultAction::Err(class.unwrap_or(ErrClass::Fault)),
-        "delay" => FaultAction::Delay(
-            delay_ms.ok_or_else(|| format!("action {spec:?}: delay needs milliseconds"))?,
-        ),
-        "drop" => FaultAction::Drop,
-        other => return Err(format!("action {spec:?}: unknown action {other:?}")),
-    };
-    if matches!(action, FaultAction::Drop | FaultAction::Delay(_)) && class.is_some() {
-        return Err(format!("action {spec:?}: error class only applies to err(..)"));
-    }
-    Ok(FaultSpec { action, trigger })
-}
-
-fn parse_seed(s: &str) -> Option<u64> {
-    let s = s.trim();
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Private PCG32 — bit-identical to testkit::rng::Pcg32 so RSIM_SEED
-// replays line up across crates, but copied in so faultkit stays a
-// zero-dependency leaf.
+// Private PCG32 — bit-identical to testkit::rng::Pcg32 so one seed
+// means the same stream in every crate, but copied in so faultkit stays
+// a zero-dependency leaf.
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -696,7 +494,7 @@ mod tests {
     fn disarmed_registry_always_proceeds() {
         let reg = FaultRegistry::new(1);
         assert_eq!(reg.armed_count(), 0);
-        for name in fp::ALL {
+        for name in [fp::S3_GET, fp::WAL_COMMIT, fp::EXEC_SCAN_SLICE] {
             assert_eq!(reg.fire(name), Outcome::Proceed);
         }
         assert!(reg.events().is_empty());
@@ -711,8 +509,7 @@ mod tests {
         }
         // Other failpoints are unaffected.
         assert_eq!(reg.fire(fp::S3_PUT), Outcome::Proceed);
-        let st = &reg.stats()[0];
-        assert_eq!((st.hits, st.fires), (5, 5));
+        assert_eq!(reg.injected_total(), 5);
     }
 
     #[test]
@@ -740,7 +537,7 @@ mod tests {
         let run = |seed: u64| -> Vec<bool> {
             let reg = FaultRegistry::new(seed);
             reg.configure(fp::S3_GET, FaultSpec::err(ErrClass::Throttle).prob(0.3));
-            (0..64).map(|_| reg.fire(fp::S3_GET).fired()).collect()
+            (0..64).map(|_| reg.fire(fp::S3_GET) != Outcome::Proceed).collect()
         };
         assert_eq!(run(42), run(42), "same seed must replay the same schedule");
         assert_ne!(run(42), run(43), "different seeds must diverge");
@@ -801,10 +598,8 @@ mod tests {
         reg.clear_all();
         assert_eq!(reg.armed_count(), 0);
         assert_eq!(reg.fire(fp::S3_PUT), Outcome::Proceed);
-        // Stats survive disarming for post-mortems.
-        let stats = reg.stats();
-        assert_eq!(stats.len(), 2);
-        assert!(stats.iter().all(|s| !s.active));
+        // The event log survives disarming for post-mortems.
+        assert_eq!(reg.events().len(), 1);
     }
 
     #[test]
@@ -815,9 +610,8 @@ mod tests {
         assert_eq!(reg.armed_count(), 0);
         reg.configure(fp::S3_GET, FaultSpec::err(ErrClass::Fault).once());
         assert_eq!(reg.armed_count(), 1);
-        assert!(reg.fire(fp::S3_GET).fired());
-        let st = &reg.stats()[0];
-        assert_eq!(st.fires, 2, "counters accumulate across re-arms");
+        assert_eq!(reg.fire(fp::S3_GET), Outcome::Err(ErrClass::Fault));
+        assert_eq!(reg.injected_total(), 2, "counters accumulate across re-arms");
     }
 
     #[test]
@@ -839,68 +633,10 @@ mod tests {
     }
 
     #[test]
-    fn dsl_parses_issue_example() {
-        let cfg =
-            parse_config("s3.get=err(throttle,p=0.2);mirror.write.secondary=err(once)").unwrap();
-        assert_eq!(cfg.len(), 2);
-        assert_eq!(cfg[0].0, "s3.get");
-        assert_eq!(
-            cfg[0].1,
-            FaultSpec { action: FaultAction::Err(ErrClass::Throttle), trigger: Trigger::Prob(0.2) }
-        );
-        assert_eq!(cfg[1].0, "mirror.write.secondary");
-        assert_eq!(
-            cfg[1].1,
-            FaultSpec { action: FaultAction::Err(ErrClass::Fault), trigger: Trigger::Times(1) }
-        );
-    }
-
-    #[test]
-    fn dsl_parses_all_action_shapes() {
-        assert_eq!(
-            parse_spec("err(notfound)").unwrap(),
-            FaultSpec { action: FaultAction::Err(ErrClass::NotFound), trigger: Trigger::Always }
-        );
-        assert_eq!(
-            parse_spec("delay(10,times=3)").unwrap(),
-            FaultSpec { action: FaultAction::Delay(10), trigger: Trigger::Times(3) }
-        );
-        assert_eq!(
-            parse_spec("drop(p=0.5)").unwrap(),
-            FaultSpec { action: FaultAction::Drop, trigger: Trigger::Prob(0.5) }
-        );
-        assert_eq!(
-            parse_spec("drop").unwrap(),
-            FaultSpec { action: FaultAction::Drop, trigger: Trigger::Always }
-        );
-        assert_eq!(
-            parse_spec("err(repl,times=2)").unwrap(),
-            FaultSpec { action: FaultAction::Err(ErrClass::Repl), trigger: Trigger::Times(2) }
-        );
-    }
-
-    #[test]
-    fn dsl_rejects_malformed_entries() {
-        assert!(parse_config("s3.get").is_err(), "missing =action");
-        assert!(parse_config("=err(fault)").is_err(), "empty name");
-        assert!(parse_spec("err(bogus)").is_err(), "unknown token");
-        assert!(parse_spec("explode(now)").is_err(), "unknown action");
-        assert!(parse_spec("err(throttle,p=1.5)").is_err(), "p out of range");
-        assert!(parse_spec("err(throttle,times=x)").is_err(), "bad times");
-        assert!(parse_spec("delay(once)").is_err(), "delay without ms");
-        assert!(parse_spec("drop(throttle)").is_err(), "class on non-err");
-        assert!(parse_spec("err(throttle").is_err(), "unbalanced paren");
-        // Blank entries and whitespace are tolerated.
-        let ok = parse_config(" ; s3.get = err( throttle , p=0.2 ) ; ").unwrap();
-        assert_eq!(ok.len(), 1);
-        assert_eq!(ok[0].0, "s3.get");
-    }
-
-    #[test]
     fn private_pcg32_matches_testkit_stream() {
         // Frozen first outputs of testkit's Pcg32::new(1, 0) — the two
-        // implementations must never drift, or RSIM_SEED replays would
-        // mean different things in different crates.
+        // implementations must never drift, or one seed would mean
+        // different things in different crates.
         let mut r = Pcg32::new(1, 0);
         let ours: Vec<u32> = (0..4).map(|_| r.step()).collect();
         assert_eq!(ours, vec![3_795_398_737, 17_903_413, 3_545_275_701, 194_195_274]);

@@ -290,8 +290,7 @@ impl TraceSink {
 
     /// Get-or-create a named counter.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut reg = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        Counter(Arc::clone(reg.entry(name.to_string()).or_default()))
+        Counter(get_or_insert(&self.counters, name))
     }
 
     /// Current value of a counter (0 when never touched).
@@ -302,8 +301,7 @@ impl TraceSink {
 
     /// Get-or-create a named gauge.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut reg = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        Gauge(Arc::clone(reg.entry(name.to_string()).or_default()))
+        Gauge(get_or_insert(&self.gauges, name))
     }
 
     /// Current value of a gauge (0 when never touched).
@@ -311,4 +309,14 @@ impl TraceSink {
         let reg = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
         reg.get(name).map_or(0, |g| g.load(Ordering::Relaxed))
     }
+}
+
+/// The named cell, created on first use: a hit looks the name up and
+/// allocates nothing; only a miss builds the `String` key.
+fn get_or_insert<T: Default>(reg: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut reg = reg.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(cell) = reg.get(name) {
+        return Arc::clone(cell);
+    }
+    Arc::clone(reg.entry(name.to_string()).or_default())
 }

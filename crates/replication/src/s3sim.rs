@@ -28,7 +28,7 @@ struct Region {
 /// Owns the cluster's [`FaultRegistry`]: every layer riding on this S3
 /// handle (mirroring, backup, streaming restore, the COPY loader)
 /// shares the same failpoint configuration and seeded trigger stream,
-/// so one `RSIM_FAILPOINTS`/`RSIM_SEED` pair configures — and replays —
+/// so arming and reseeding this one registry configures — and replays —
 /// a whole chaos schedule.
 ///
 /// It keeps no telemetry sink: clusters restored onto one S3 share it,
@@ -41,7 +41,7 @@ pub struct S3Sim {
 
 impl Default for S3Sim {
     fn default() -> Self {
-        S3Sim::with_faults(Arc::new(FaultRegistry::from_env()))
+        S3Sim::with_faults(Arc::new(FaultRegistry::new(0)))
     }
 }
 

@@ -459,242 +459,6 @@ fn wlm_queued_queries_survive_node_failure_or_fail_retryably() {
     );
 }
 
-// ---------------------------------------------------------------------
-// Write atomicity (transactional COPY/INSERT): a write statement either
-// installs completely or is rolled back block-for-block — catalog
-// counters, telemetry and every replica return to the pre-statement
-// state. These tests arm the write seams the chaos property also
-// exercises, but pin the exact scenarios from the issue.
-// ---------------------------------------------------------------------
-
-/// Capture everything a failed write must leave untouched.
-struct PreWrite {
-    count: i64,
-    rows_estimate: Option<u64>,
-    loads_since_analyze: u64,
-    rows_loaded_counter: u64,
-    local_bytes: u64,
-    /// The statement folds its rows into these before it commits.
-    stats: Option<redshift_sim::storage::stats::TableStats>,
-}
-
-fn pre_write(c: &Cluster, table: &str) -> PreWrite {
-    PreWrite {
-        count: c
-            .query(&format!("SELECT COUNT(*) FROM {table}"))
-            .unwrap()
-            .rows[0]
-            .get(0)
-            .as_i64()
-            .unwrap(),
-        rows_estimate: c.rows_estimate(table),
-        loads_since_analyze: c.loads_since_analyze(table),
-        rows_loaded_counter: c.trace().counter("copy.rows_loaded").get(),
-        local_bytes: c.replicated_store().unwrap().local_bytes(),
-        stats: c.table_stats(table),
-    }
-}
-
-fn assert_unchanged(c: &Cluster, table: &str, pre: &PreWrite, ctx: &str) {
-    let post = pre_write(c, table);
-    assert_eq!(post.count, pre.count, "{ctx}: row count leaked");
-    assert_eq!(post.rows_estimate, pre.rows_estimate, "{ctx}: rows_estimate leaked");
-    assert_eq!(
-        post.loads_since_analyze, pre.loads_since_analyze,
-        "{ctx}: loads_since_analyze leaked"
-    );
-    assert_eq!(
-        post.rows_loaded_counter, pre.rows_loaded_counter,
-        "{ctx}: copy.rows_loaded bumped by a failed load"
-    );
-    assert_eq!(
-        post.local_bytes, pre.local_bytes,
-        "{ctx}: orphan blocks left on the nodes"
-    );
-    assert_eq!(post.stats, pre.stats, "{ctx}: statistics kept the failed load's rows");
-}
-
-#[test]
-fn copy_succeeds_exactly_when_transient_mirror_write_fault_is_absorbed() {
-    // mirror.write.secondary=err(once): the retry loop absorbs the one
-    // transient and the load lands exactly once — no rollback, no
-    // duplicate rows.
-    let c = Cluster::launch(
-        ClusterConfig::new("wtx1").nodes(2).slices_per_node(1).retry(fast_retry()),
-    )
-    .unwrap();
-    c.execute("CREATE TABLE t (a BIGINT, s VARCHAR(64))").unwrap();
-    let mut csv = String::new();
-    for i in 0..2_000 {
-        csv.push_str(&format!("{i},row-{i}\n"));
-    }
-    c.put_s3_object("d/1", csv.into_bytes());
-    c.faults().reseed(11);
-    c.faults().configure(fp::MIRROR_WRITE_SECONDARY, FaultSpec::err(ErrClass::Repl).once());
-    c.execute("COPY t FROM 's3://d/'").unwrap();
-    assert!(c.faults().injected_total() > 0, "the once-fault never fired");
-    let n = c.query("SELECT COUNT(*) FROM t").unwrap().rows[0].get(0).as_i64().unwrap();
-    assert_eq!(n, 2_000, "absorbed transient must not duplicate or drop rows");
-    assert_eq!(c.rows_estimate("t"), Some(2_000));
-}
-
-#[test]
-fn failed_copy_rolls_back_to_pre_copy_state() {
-    // A *permanent* mirror.write fault exhausts the retry budget mid-
-    // load; the COPY must fail typed-retryable and be observationally
-    // invisible: identical SELECT results, catalog counters, telemetry
-    // counters, and node-local bytes (no orphan replicas).
-    let c = Cluster::launch(
-        ClusterConfig::new("wtx2")
-            .nodes(2)
-            .slices_per_node(1)
-            .rows_per_group(32) // force real block seals during append
-            .retry(fast_retry()),
-    )
-    .unwrap();
-    load(&c, 1_000); // pre-existing committed data must survive untouched
-    let pre = pre_write(&c, "t");
-    let mut csv = String::new();
-    for i in 0..500 {
-        csv.push_str(&format!("{i},new-{i}\n"));
-    }
-    c.put_s3_object("d2/1", csv.into_bytes());
-    c.faults().reseed(13);
-    c.faults().configure(fp::MIRROR_WRITE_SECONDARY, FaultSpec::err(ErrClass::Repl));
-    let err = c.execute("COPY t FROM 's3://d2/'").unwrap_err();
-    assert!(err.is_retryable(), "exhausted mirror fault must stay retryable: {err}");
-    assert!(err.to_string().contains("exhausted"), "{err}");
-    assert_unchanged(&c, "t", &pre, "permanent mirror.write.secondary");
-    // Clearing the fault heals in place: the same COPY then lands.
-    c.faults().clear_all();
-    c.execute("COPY t FROM 's3://d2/'").unwrap();
-    let n = c.query("SELECT COUNT(*) FROM t").unwrap().rows[0].get(0).as_i64().unwrap();
-    assert_eq!(n, 1_500);
-    assert_eq!(c.rows_estimate("t"), Some(1_500));
-}
-
-#[test]
-fn copy_under_probabilistic_write_faults_is_all_or_nothing() {
-    // mirror.write.* and s3.put firing probabilistically across a batch
-    // of COPYs: every statement either lands exactly or leaves the
-    // pre-COPY state byte-identical. The final count equals the sum of
-    // the successful loads — no partial batch ever sticks.
-    let c = Cluster::launch(
-        ClusterConfig::new("wtx3")
-            .nodes(2)
-            .slices_per_node(1)
-            .rows_per_group(32)
-            .retry(fast_retry()),
-    )
-    .unwrap();
-    c.execute("CREATE TABLE t (a BIGINT, s VARCHAR(64))").unwrap();
-    c.faults().reseed(17);
-    c.faults().configure(fp::MIRROR_WRITE_PRIMARY, FaultSpec::err(ErrClass::Repl).prob(0.6));
-    c.faults().configure(fp::MIRROR_WRITE_SECONDARY, FaultSpec::err(ErrClass::Repl).prob(0.6));
-    c.faults().configure(fp::S3_PUT, FaultSpec::err(ErrClass::Throttle).prob(0.6));
-    let mut expected = 0i64;
-    let (mut ok, mut failed) = (0, 0);
-    for round in 0..8 {
-        let rows = 200;
-        let mut csv = String::new();
-        for i in 0..rows {
-            csv.push_str(&format!("{i},r{round}-{i}\n"));
-        }
-        c.put_s3_object(&format!("p{round}/1"), csv.into_bytes());
-        let pre = pre_write(&c, "t");
-        match c.execute(&format!("COPY t FROM 's3://p{round}/'")) {
-            Ok(s) => {
-                assert_eq!(s.rows_affected, rows as u64);
-                expected += rows;
-                ok += 1;
-            }
-            Err(e) => {
-                assert!(e.is_retryable(), "write-fault COPY error must be retryable: {e}");
-                assert_unchanged(&c, "t", &pre, "probabilistic write fault");
-                failed += 1;
-            }
-        }
-    }
-    assert!(c.faults().injected_total() > 0, "write faults never fired");
-    c.faults().clear_all();
-    let n = c.query("SELECT COUNT(*) FROM t").unwrap().rows[0].get(0).as_i64().unwrap();
-    assert_eq!(n, expected, "count must equal the successful loads ({ok} ok / {failed} failed)");
-    assert_eq!(c.rows_estimate("t"), Some(expected as u64));
-}
-
-#[test]
-fn copy_aborted_mid_objects_by_parse_error_leaves_zero_rows() {
-    // Pinned regression for the multi-object partial-parse case: 4
-    // objects, the last one malformed. Pre-fix, the first 3 batches
-    // stayed durably visible; transactional COPY must leave *zero* rows
-    // (and zero blocks, zero counter drift) behind.
-    let c = Cluster::launch(
-        ClusterConfig::new("wtx4")
-            .nodes(2)
-            .slices_per_node(2)
-            .rows_per_group(32) // early objects seal real blocks before the bad one
-            .retry(fast_retry()),
-    )
-    .unwrap();
-    c.execute("CREATE TABLE t (a BIGINT, s VARCHAR(64))").unwrap();
-    let pre = pre_write(&c, "t");
-    for o in 0..3 {
-        let mut csv = String::new();
-        for i in 0..200 {
-            csv.push_str(&format!("{i},obj{o}-{i}\n"));
-        }
-        c.put_s3_object(&format!("m/{o}"), csv.into_bytes());
-    }
-    c.put_s3_object("m/3", b"not-a-number,oops\n".to_vec());
-    let err = c.execute("COPY t FROM 's3://m/'").unwrap_err();
-    assert_eq!(err.code(), "ANALYSIS", "parse failures are permanent: {err}");
-    assert_unchanged(&c, "t", &pre, "multi-object partial parse");
-    // The table is still fully usable: fixing the object loads all rows.
-    c.put_s3_object("m/3", b"3,fixed\n".to_vec());
-    c.execute("COPY t FROM 's3://m/'").unwrap();
-    let n = c.query("SELECT COUNT(*) FROM t").unwrap().rows[0].get(0).as_i64().unwrap();
-    assert_eq!(n, 601);
-}
-
-#[test]
-fn copy_failing_at_each_wal_seam_rolls_back_cleanly() {
-    // The redo-log seams (record append, fsync, commit record) each
-    // abort the statement: pre-statement state stays byte-identical, the
-    // error keeps its injected class, and the log itself stays coherent —
-    // the retried COPY lands and the whole table survives a crash.
-    for seam in [fp::WAL_APPEND, fp::WAL_SYNC, fp::WAL_COMMIT] {
-        let c = Cluster::launch(
-            ClusterConfig::new(format!("walseam-{}", seam.replace('.', "-")))
-                .nodes(2)
-                .slices_per_node(1)
-                .rows_per_group(32)
-                .retry(fast_retry()),
-        )
-        .unwrap();
-        load(&c, 500);
-        let pre = pre_write(&c, "t");
-        let mut csv = String::new();
-        for i in 0..200 {
-            csv.push_str(&format!("{i},w-{i}\n"));
-        }
-        c.put_s3_object("w/1", csv.into_bytes());
-        c.faults().configure(seam, FaultSpec::err(ErrClass::Fault).once());
-        let err = c.execute("COPY t FROM 's3://w/'").unwrap_err();
-        assert!(err.is_retryable(), "{seam}: {err}");
-        assert!(err.to_string().contains(seam), "{seam}: {err}");
-        assert_unchanged(&c, "t", &pre, seam);
-        // The statement-level retry contract holds: same COPY, clean log.
-        c.execute("COPY t FROM 's3://w/'").unwrap();
-        let n = c.query("SELECT COUNT(*) FROM t").unwrap().rows[0].get(0).as_i64().unwrap();
-        assert_eq!(n, 700, "{seam}");
-        // Nothing about the failed attempt leaked into the redo log: a
-        // crash + replay reconstructs exactly the committed 700 rows.
-        let r = Cluster::recover(c.crash().unwrap()).unwrap();
-        let n = r.query("SELECT COUNT(*) FROM t").unwrap().rows[0].get(0).as_i64().unwrap();
-        assert_eq!(n, 700, "{seam}: recovery");
-    }
-}
-
 #[test]
 fn wal_truncate_failure_is_absorbed_not_surfaced() {
     // Log truncation after a checkpoint is pure space reclamation: the
@@ -709,33 +473,6 @@ fn wal_truncate_failure_is_absorbed_not_surfaced() {
     let r = Cluster::recover(c.crash().unwrap()).unwrap();
     let n = r.query("SELECT COUNT(*) FROM t").unwrap().rows[0].get(0).as_i64().unwrap();
     assert_eq!(n, 1);
-}
-
-#[test]
-fn failed_insert_rolls_back_router_and_estimates() {
-    // INSERT is transactional too: a mirror fault during the flush-seal
-    // leaves no rows, no estimate drift, and no round-robin cursor
-    // drift (the next successful INSERT routes exactly as if the failed
-    // one never happened).
-    let c = Cluster::launch(
-        ClusterConfig::new("wtx5")
-            .nodes(2)
-            .slices_per_node(1)
-            .retry(fast_retry()),
-    )
-    .unwrap();
-    c.execute("CREATE TABLE t (a BIGINT, s VARCHAR(64))").unwrap();
-    let pre = pre_write(&c, "t");
-    c.faults().reseed(19);
-    c.faults().configure(fp::MIRROR_WRITE_PRIMARY, FaultSpec::err(ErrClass::Repl));
-    let err = c.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')").unwrap_err();
-    assert!(err.is_retryable(), "{err}");
-    assert_unchanged(&c, "t", &pre, "failed INSERT");
-    c.faults().clear_all();
-    c.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')").unwrap();
-    let n = c.query("SELECT COUNT(*) FROM t").unwrap().rows[0].get(0).as_i64().unwrap();
-    assert_eq!(n, 2);
-    assert_eq!(c.rows_estimate("t"), Some(2));
 }
 
 // ---------------------------------------------------------------------

@@ -8,7 +8,8 @@
 //! malformed object), INSERT, VACUUM, ANALYZE, `redistribute_all`,
 //! SELECTs from a panel, crash + recover (sometimes with a statement torn
 //! at a WAL seam), resize, snapshot + restore at a random hydration, node
-//! kill / revive, backup drain and transient failpoints.
+//! kill / revive, backup drain (copied to a DR region) and failpoints,
+//! transient or permanent.
 //!
 //! After every step the cluster must agree with the model: per table
 //! `rows_estimate`, `loads_since_analyze`, `table_stats` (the statistics
@@ -19,7 +20,9 @@
 //! is retryable unless the model says it is permanent. At quiesce the
 //! placed blocks are the published catalog's, nothing leaked, every
 //! injected fault is in `stl_fault_event`, and one more crash + recover
-//! is a fixpoint.
+//! is a fixpoint. Over the run every seam the schedule arms must fire
+//! and at least one refusal must be a retry exhaustion; on success the
+//! run prints what it reached.
 //!
 //! A failure shrinks to a minimal schedule and prints it as replayable
 //! SQL, S3 objects and lifecycle calls. `RSIM_PROP_CASES` sets the case
@@ -45,9 +48,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Cases per run, unless `RSIM_PROP_CASES` says otherwise.
-const CASES: u32 = 48;
+const CASES: u32 = 128;
 /// Refused statements the harness healed and reran, over every case.
 static HEALED: AtomicU64 = AtomicU64::new(0);
+/// Retryable refusals, and those that exhausted a retry loop.
+static REFUSED: AtomicU64 = AtomicU64::new(0);
+static EXHAUSTED: AtomicU64 = AtomicU64::new(0);
+/// Injections per seam of `SEAMS`, read from `faults().events()` at
+/// quiesce.
+static INJECTED: [AtomicU64; SEAMS.len()] = [const { AtomicU64::new(0) }; SEAMS.len()];
 
 /// The wide schema carries one column of every `DataType`; a narrow
 /// table is its `k, i4, v` (the columns the query panel reads).
@@ -65,7 +74,7 @@ const COLUMNS: [(&str, &str, DataType); 9] = [
 const NARROW: [usize; 3] = [3, 2, 5];
 const WIDE: [usize; 9] = [0, 1, 2, 3, 4, 5, 6, 7, 8];
 
-/// Chaos's nine seams, then the three WAL seams.
+/// The S3, COPY, mirror and restore seams, then the three WAL seams.
 const SEAMS: [&str; 12] = [
     fp::S3_GET,
     fp::COPY_FETCH_OBJECT,
@@ -99,8 +108,10 @@ enum Op {
 }
 
 /// Steps draw from this list, so repeats weight an op; shrinking moves a
-/// step toward the front.
-const OPS: [Op; 20] = [
+/// step toward the front. Faults, kill / revive and drains weigh enough
+/// that a default run reaches every seam (`mirror.re_replicate` needs a
+/// revive, `s3.copy_object` a drain, after the fault is armed).
+const OPS: [Op; 26] = [
     Op::Ddl,
     Op::Copy,
     Op::Insert,
@@ -119,6 +130,12 @@ const OPS: [Op; 20] = [
     Op::Restore,
     Op::Node,
     Op::Drain,
+    Op::Fault,
+    Op::Fault,
+    Op::Node,
+    Op::Node,
+    Op::Drain,
+    Op::Fault,
     Op::Fault,
     Op::Fault,
 ];
@@ -269,11 +286,20 @@ fn retry() -> RetryPolicy {
 }
 
 fn config(name: String, nodes: u32, slices: u32) -> ClusterConfig {
-    ClusterConfig::new(name).nodes(nodes).slices_per_node(slices).rows_per_group(32).retry(retry())
+    ClusterConfig::new(name)
+        .nodes(nodes)
+        .slices_per_node(slices)
+        .rows_per_group(32)
+        .dr_region("eu-west-1")
+        .retry(retry())
 }
 
 fn assert_retryable(ctx: &str, e: &RsError) {
-    assert!(e.is_retryable(), "{ctx}: a refusal under transient faults must be retryable: {e}");
+    assert!(e.is_retryable(), "{ctx}: a refusal under injected faults must be retryable: {e}");
+    REFUSED.fetch_add(1, Relaxed);
+    if e.to_string().contains("exhausted after") {
+        EXHAUSTED.fetch_add(1, Relaxed);
+    }
 }
 
 /// A write's outcome, as the model predicts it.
@@ -397,8 +423,13 @@ impl Run {
         let affected = run(&c).unwrap_or_else(|e| panic!("{call} refused after healing: {e}"));
         self.committed(call, expect, next, affected);
         HEALED.fetch_add(1, Relaxed);
+        self.rearm();
+    }
+
+    fn rearm(&mut self) {
+        self.log.push("-- re-arm every fault configured above".into());
         for (seam, spec) in &self.armed {
-            c.faults().configure(seam, *spec);
+            self.c.faults().configure(seam, *spec);
         }
     }
 
@@ -597,8 +628,15 @@ impl Run {
                         self.log
                             .push(format!("store.revive_node({n:?}); store.re_replicate({n:?})"));
                         assert!(store.revive_node(n), "revive of a dead node must report true");
+                        // The revived node is blank: until re-replication
+                        // lands, a second kill would lose single copies.
                         if let Err(e) = store.re_replicate(n) {
                             assert_retryable("re_replicate", &e);
+                            self.log
+                                .push(format!("c.faults().clear_all(); store.re_replicate({n:?})"));
+                            self.c.faults().clear_all();
+                            store.re_replicate(n).expect("re_replicate refused after healing");
+                            self.rearm();
                         }
                     }
                     None if self.c.config().nodes >= 2 => {
@@ -620,11 +658,12 @@ impl Run {
                 let seam = SEAMS[a as usize % SEAMS.len()];
                 let class =
                     [ErrClass::Throttle, ErrClass::Repl, ErrClass::Fault][a as usize / 12 % 3];
-                let p = [0.05, 0.15, 0.25][(b % 3) as usize];
-                self.log.push(format!(
-                    "c.faults().configure({seam:?}, FaultSpec::err({class:?}).prob({p}))"
-                ));
-                let spec = FaultSpec::err(class).prob(p);
+                // A permanent fault outlasts every retry loop it meets.
+                let spec = match b % 4 {
+                    3 => FaultSpec::err(class),
+                    i => FaultSpec::err(class).prob([0.05, 0.15, 0.25][i as usize]),
+                };
+                self.log.push(format!("c.faults().configure({seam:?}, {spec:?})"));
                 self.c.faults().configure(seam, spec);
                 self.armed.push((seam, spec));
             }
@@ -641,10 +680,7 @@ impl Run {
         self.log.push("c.faults().clear_all()".into());
         self.c.faults().clear_all();
         self.contents();
-        self.log.push("-- re-arm every fault configured above".into());
-        for (seam, spec) in &self.armed {
-            self.c.faults().configure(seam, *spec);
-        }
+        self.rearm();
     }
 
     fn select(&mut self, t: &str, a: u32, rng: &mut Pcg32) {
@@ -803,6 +839,11 @@ impl Run {
         let events =
             c.query("SELECT COUNT(*) FROM stl_fault_event").unwrap().rows[0].get(0).as_i64();
         assert_eq!(events, Some(c.faults().events().len() as i64), "stl_fault_event");
+        for e in c.faults().events() {
+            if let Some(i) = SEAMS.iter().position(|s| *s == e.failpoint) {
+                INJECTED[i].fetch_add(1, Relaxed);
+            }
+        }
         self.crash(0);
         self.check();
     }
@@ -837,8 +878,21 @@ fn one_model_checks_every_write_crash_resize_and_restore() {
             );
         }
     });
-    // Not vacuous: at full depth, faults fired and refused statements healed.
+    let reach: Vec<String> =
+        SEAMS.iter().zip(&INJECTED).map(|(s, n)| format!("{s}={}", n.load(Relaxed))).collect();
+    let (healed, refused, exhausted) =
+        (HEALED.load(Relaxed), REFUSED.load(Relaxed), EXHAUSTED.load(Relaxed));
+    println!(
+        "one_model reach: healed={healed} refused={refused} exhausted={exhausted} injected: {}",
+        reach.join(" ")
+    );
+    // Not vacuous: at full depth, every seam fired, a refusal outlasted its
+    // retry loop, and refused statements healed.
     let cases: u32 =
         std::env::var("RSIM_PROP_CASES").ok().and_then(|n| n.parse().ok()).unwrap_or(CASES);
-    assert!(cases < 16 || HEALED.load(Relaxed) > 0, "no statement was refused, healed and rerun");
+    if cases >= 16 {
+        assert!(INJECTED.iter().all(|n| n.load(Relaxed) > 0), "a seam never fired: {reach:?}");
+        assert!(exhausted > 0, "no refusal exhausted a retry loop");
+        assert!(healed > 0, "no statement was refused, healed and rerun");
+    }
 }

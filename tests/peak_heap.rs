@@ -1,7 +1,8 @@
 //! Live heap, counted by a `#[global_allocator]`. A scan streams one
 //! batch per slice through filter, probe and partial aggregate, so the
 //! peak `Executor::run` holds does not grow with the table; and a cached
-//! result holds its dense columns and nothing more. The counters are
+//! result holds its dense columns and nothing more; a telemetry counter
+//! or gauge that exists allocates nothing to look up. The counters are
 //! process-wide, so the tests take turns.
 
 use redshift_sim::common::{ColumnData, ColumnDef, DataType, Result, Schema, Value};
@@ -430,4 +431,25 @@ fn a_cached_result_holds_its_columns_and_nothing_more() {
         entry * 10 >= columns * 9,
         "the entry was not measured: {entry} of {columns} bytes ({entries:?})"
     );
+}
+
+#[test]
+fn a_counter_or_gauge_hit_allocates_nothing() {
+    let _turn = one_at_a_time();
+    let sink = redshift_sim::obs::TraceSink::new();
+    sink.counter("copy.rows_loaded").incr();
+    sink.gauge("wlm.queued").set(1);
+    // Several counters run on every statement's path: after first use a
+    // lookup must not build the name's `String`. The least of three
+    // windows, as the test harness's own thread may allocate in one.
+    let grown = (0..3).map(|_| {
+        let live = LIVE.load(Relaxed);
+        PEAK.store(live, Relaxed);
+        for _ in 0..100 {
+            sink.counter("copy.rows_loaded").incr();
+            sink.gauge("wlm.queued").add(1);
+        }
+        PEAK.load(Relaxed) - live
+    });
+    assert_eq!(grown.min(), Some(0), "a hit allocated");
 }

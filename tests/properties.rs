@@ -805,238 +805,6 @@ fn wlm_dr_failover_preserves_data() {
 }
 
 // ---------------------------------------------------------------------
-// Chaos property: randomized COPY / SELECT / kill / revive / backup /
-// restore schedules run under randomized *transient* failpoint
-// configurations — with the write seams (`mirror.write.*`, `s3.put`)
-// armed: COPY is transactional (slice-level snapshot, install-or-
-// rollback), so a load that fails mid-write is observationally
-// invisible and exactness tracking survives write faults. Invariants:
-//   1. every operation returns exact results or a typed retryable error
-//      — never wrong data, never an unclassified failure, never a hang;
-//   2. a failed COPY leaves the pre-COPY state byte-identical: same
-//      SELECT results, same `rows_estimate`, same `loads_since_analyze`,
-//      same `copy.rows_loaded` counter;
-//   3. once faults clear, the cluster heals in place: redundancy is
-//      restorable and the final count is exact;
-//   4. the telemetry sink stays structurally consistent (no span leaks).
-// Replay any case with `RSIM_SEED` via the registry reseed printed by
-// the harness on failure.
-// ---------------------------------------------------------------------
-
-/// (fault configs, op schedule, registry seed).
-/// Fault config = (failpoint idx, class idx, probability idx).
-fn arb_chaos_case() -> Gen<(Vec<(usize, usize, usize)>, Vec<(usize, i64)>, u64)> {
-    prop::triple(
-        prop::vec_of(
-            prop::triple(
-                prop::range(0usize..9),
-                prop::range(0usize..2),
-                prop::range(0usize..3),
-            ),
-            1..4,
-        ),
-        prop::vec_of(prop::pair(prop::range(0usize..6), prop::range(0i64..10_000)), 5..30),
-        prop::range(0u64..1_000_000),
-    )
-}
-
-#[test]
-fn chaos_schedule_upholds_exactness_and_liveness() {
-    use redshift_sim::common::{RetryPolicy, RsError};
-    use redshift_sim::faultkit::{fp, ErrClass, FaultSpec};
-    use std::time::{Duration, Instant};
-
-    // Transient chaos over every seam, write seams included: since COPY
-    // is transactional (rollback on partial write failure), a load that
-    // dies on `mirror.write.*` or a seal error is rolled back block-for-
-    // block and the exactness bookkeeping below stays truthful.
-    const FPS: [&str; 9] = [
-        fp::S3_GET,
-        fp::COPY_FETCH_OBJECT,
-        fp::MIRROR_BACKUP_DRAIN,
-        fp::S3_COPY_OBJECT,
-        fp::MIRROR_RE_REPLICATE,
-        fp::RESTORE_PAGE_FAULT,
-        fp::MIRROR_WRITE_PRIMARY,
-        fp::MIRROR_WRITE_SECONDARY,
-        fp::S3_PUT,
-    ];
-    const CLASSES: [ErrClass; 2] = [ErrClass::Throttle, ErrClass::Repl];
-    const PROBS: [f64; 3] = [0.05, 0.15, 0.25];
-    /// Every error escaping a chaos schedule must carry a retryable class.
-    fn assert_retryable(ctx: &str, e: &RsError) {
-        assert!(e.is_retryable(), "{ctx}: non-retryable error under transient chaos: {e}");
-    }
-
-    let cfg = Config::with_cases(24).regressions_file(regressions());
-    prop::check("chaos_schedule", &cfg, &arb_chaos_case(), |(faults, schedule, seed)| {
-        let t0 = Instant::now();
-        let retry = RetryPolicy::default()
-            .with_delays(Duration::from_micros(50), Duration::from_millis(1))
-            .with_deadline(Duration::from_secs(2));
-        let c = Cluster::launch(
-            ClusterConfig::new("chaos")
-                .nodes(3)
-                .slices_per_node(1)
-                .rows_per_group(32)
-                .dr_region("eu-west-1")
-                .retry(retry)
-                .seed(*seed),
-        )
-        .unwrap();
-        c.execute("CREATE TABLE ev (k BIGINT) DISTKEY(k)").unwrap();
-        let store = Arc::clone(c.replicated_store().unwrap());
-
-        // Arm the randomized failpoint configuration, seeded for replay.
-        for &(f, cl, p) in faults {
-            c.faults().configure(FPS[f], FaultSpec::err(CLASSES[cl]).prob(PROBS[p]));
-        }
-        c.faults().reseed(*seed);
-
-        let mut expected = 0i64;
-        let mut dead: Option<redshift_sim::distribution::NodeId> = None;
-        for (step, &(kind, lit)) in schedule.iter().enumerate() {
-            match kind {
-                // COPY one object (only with full redundancy, so a fetch
-                // failure provably appends nothing).
-                0 if dead.is_none() => {
-                    let rows = 1 + lit % 50;
-                    let mut csv = String::new();
-                    for i in 0..rows {
-                        csv.push_str(&format!("{i}\n"));
-                    }
-                    c.put_s3_object(&format!("chaos/{step}/obj"), csv.into_bytes());
-                    let pre_estimate = c.rows_estimate("ev");
-                    let pre_loads = c.loads_since_analyze("ev");
-                    let pre_counter = c.trace().counter("copy.rows_loaded").get();
-                    match c.execute(&format!("COPY ev FROM 's3://chaos/{step}/'")) {
-                        Ok(s) => {
-                            assert_eq!(s.rows_affected, rows as u64);
-                            expected += rows;
-                        }
-                        Err(e) => {
-                            assert_retryable("copy", &e);
-                            // Atomic COPY: the failed load is
-                            // observationally invisible — catalog
-                            // counters and telemetry are byte-identical
-                            // to the pre-COPY snapshot, and any
-                            // readable SELECT sees the old count.
-                            assert_eq!(
-                                c.rows_estimate("ev"),
-                                pre_estimate,
-                                "failed COPY leaked into rows_estimate"
-                            );
-                            assert_eq!(
-                                c.loads_since_analyze("ev"),
-                                pre_loads,
-                                "failed COPY leaked into loads_since_analyze"
-                            );
-                            assert_eq!(
-                                c.trace().counter("copy.rows_loaded").get(),
-                                pre_counter,
-                                "failed COPY bumped copy.rows_loaded"
-                            );
-                            match c.query("SELECT COUNT(*) FROM ev") {
-                                Ok(r) => assert_eq!(
-                                    r.rows[0].get(0).as_i64(),
-                                    Some(expected),
-                                    "failed COPY left rows behind"
-                                ),
-                                Err(e) => assert_retryable("post-copy select", &e),
-                            }
-                        }
-                    }
-                }
-                // SELECT: exact or typed-retryable (retry exhaustion).
-                0 | 1 => match c.query("SELECT COUNT(*) FROM ev") {
-                    Ok(r) => assert_eq!(
-                        r.rows[0].get(0).as_i64(),
-                        Some(expected),
-                        "torn read under chaos"
-                    ),
-                    Err(e) => assert_retryable("select", &e),
-                },
-                // Kill one node (at most one dead at a time: synchronous
-                // primary+secondary replication tolerates one failure).
-                2 if dead.is_none() => {
-                    let n = redshift_sim::distribution::NodeId((lit % 3) as u32);
-                    assert!(store.kill_node(n), "kill of a live node must report true");
-                    dead = Some(n);
-                }
-                // Revive + re-replicate (idempotency is covered by the
-                // mirror unit tests; here revive must report true once).
-                2 | 3 => {
-                    if let Some(n) = dead.take() {
-                        assert!(store.revive_node(n), "revive of a dead node must report true");
-                        if let Err(e) = store.re_replicate(n) {
-                            assert_retryable("re_replicate", &e);
-                        }
-                    }
-                }
-                // Drain the continuous-backup queue (requeues on failure).
-                4 => {
-                    if let Err(e) = store.drain_backup_queue() {
-                        assert_retryable("backup_drain", &e);
-                    }
-                }
-                // Snapshot + streaming restore against the same flaky S3.
-                _ => {
-                    use redshift_sim::replication::SnapshotKind;
-                    match c.create_snapshot(&format!("s{step}"), SnapshotKind::User) {
-                        Err(e) => assert_retryable("snapshot", &e),
-                        Ok(_) => {
-                            let restored = Cluster::restore_from_snapshot(
-                                ClusterConfig::new(format!("chaos-r{step}"))
-                                    .nodes(3)
-                                    .slices_per_node(1)
-                                    .retry(retry)
-                                    .seed(*seed),
-                                Arc::clone(c.s3()),
-                                "us-east-1",
-                                "chaos",
-                                &format!("s{step}"),
-                                None,
-                            );
-                            match restored {
-                                Err(e) => assert_retryable("restore.open", &e),
-                                Ok(r) => match r.query("SELECT COUNT(*) FROM ev") {
-                                    Ok(rows) => assert_eq!(
-                                        rows.rows[0].get(0).as_i64(),
-                                        Some(expected),
-                                        "restore served wrong data under chaos"
-                                    ),
-                                    Err(e) => assert_retryable("restore.query", &e),
-                                },
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Faults clear → the cluster heals in place and books are exact.
-        c.faults().clear_all();
-        if let Some(n) = dead.take() {
-            assert!(store.revive_node(n));
-            store.re_replicate(n).unwrap();
-        }
-        while store.backup_backlog() > 0 {
-            store.drain_backup_queue().unwrap();
-        }
-        let n = c.query("SELECT COUNT(*) FROM ev").unwrap().rows[0].get(0).as_i64();
-        assert_eq!(n, Some(expected), "final count drifted");
-        // Injections are auditable with plain SQL, and nothing leaked.
-        let ev = c.query("SELECT COUNT(*) FROM stl_fault_event").unwrap().rows[0]
-            .get(0)
-            .as_i64()
-            .unwrap();
-        assert_eq!(ev, c.faults().events().len() as i64);
-        assert_eq!(c.trace().open_spans(), 0, "chaos leaked spans");
-        assert!(t0.elapsed() < Duration::from_secs(20), "chaos case hung: {:?}", t0.elapsed());
-    });
-}
-
-// ---------------------------------------------------------------------
 // Sessions + leader result cache: randomized multi-session schedules.
 // ---------------------------------------------------------------------
 
