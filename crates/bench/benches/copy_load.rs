@@ -1,17 +1,14 @@
-//! COPY throughput bench — guards the write-transaction (snapshot /
-//! install-or-rollback) machinery against regressions on the happy
-//! path. The txn guard runs on *every* COPY, so its cost (cloning each
-//! touched slice's buffered tail + catalog counters) must stay in the
-//! noise relative to parse/encode/mirror work.
+//! COPY bench: the parts of a load whose cost could grow without the
+//! end-to-end COPY time (the benchmark's `etl_load`) showing which.
 //!
-//! `copy/load_8k_rows_4_objects` only ever loads a *fresh* table, so it
-//! cannot see a load whose cost grows with the table. `nth_copy/{1,20}`
-//! can: the same 10k × 4 COPY into a table holding 0 and 190k rows.
-//! Statistics are folded from the batch, not rescanned from the table,
-//! so a ratio row holds the 20th within 1.5× of the 1st.
+//! `nth_copy/{1,20}` is the same 10k × 4 COPY into a table holding 0 and
+//! 190k rows. Statistics are folded from the batch, not rescanned from
+//! the table, so a ratio row holds the 20th within 1.5× of the 1st.
 //! `analyze_ns_per_value/{int,float,varchar}` is that fold alone — one
 //! `TableStats::update` over a 100k-value column; p50 / 100k is ns per
-//! value — which is also what `ANALYZE` pays per scanned value.
+//! value — which is also what `ANALYZE` pays per scanned value. A ratio
+//! row bounds the VARCHAR lane over the BIGINT one: a string's distinct
+//! count must not cost a boxed `Value` per row.
 //! `seal/*` is the per-block work of sealing a group, beside the bench-local
 //! reference each replaced: `crc32_64KiB` (slice-by-16, paid at creation
 //! and once per replica put) against `crc32_bytewise_64KiB`, and
@@ -29,10 +26,11 @@ use redsim_storage::ZoneMap;
 use redsim_testkit::bench::Bench;
 use std::hint::black_box;
 
-const OBJECTS: usize = 4;
-const ROWS_PER_OBJECT: usize = 2_000;
 const NTH_ROWS: usize = 10_000;
 const LANE_VALUES: usize = 100_000;
+/// The VARCHAR statistics lane over the BIGINT one: 2.58–2.83 in ten runs
+/// (EXPERIMENTS.md "Bench gates").
+const VARCHAR_OVER_INT: f64 = 3.5;
 /// A sealed block's bytes, and one etl_load block's rows (10k rows over
 /// four slices).
 const SEAL_BYTES: usize = 64 * 1024;
@@ -120,32 +118,6 @@ fn main() {
         ClusterConfig::new("copy-bench").nodes(2).slices_per_node(2),
     )
     .unwrap();
-    for o in 0..OBJECTS {
-        let mut csv = String::new();
-        for i in 0..ROWS_PER_OBJECT {
-            let v = o * ROWS_PER_OBJECT + i;
-            csv.push_str(&format!("{v},{},val-{v}\n", v * 3));
-        }
-        c.put_s3_object(&format!("load/{o}"), csv.into_bytes());
-    }
-
-    let mut g = b.group("copy");
-    g.sample_size(10);
-    g.throughput_elems((OBJECTS * ROWS_PER_OBJECT) as u64);
-    let mut n = 0u64;
-    g.bench_function("load_8k_rows_4_objects", |bch| {
-        bch.iter(|| {
-            n += 1;
-            let t = format!("t{n}");
-            c.execute(&format!(
-                "CREATE TABLE {t} (a BIGINT, b BIGINT, s VARCHAR(32))"
-            ))
-            .unwrap();
-            c.execute(&format!("COPY {t} FROM 's3://load/'")).unwrap();
-            c.execute(&format!("DROP TABLE {t}")).unwrap();
-        });
-    });
-    g.finish();
 
     // One 10k × 4 object, the etl_load shape (BIGINT, BIGINT, FLOAT8, VARCHAR).
     let mut csv = String::new();
@@ -199,6 +171,12 @@ fn main() {
         g.bench_function(*name, |bch| bch.iter(|| TableStats::of(cols)));
     }
     g.finish();
+    b.ratio(
+        ["analyze_ns_per_value", "varchar", ""],
+        ["analyze_ns_per_value", "int", ""],
+        VARCHAR_OVER_INT,
+        "a VARCHAR's statistics fold its bytes, not a boxed Value per row",
+    );
     bench_seal(&mut b);
     b.finish();
 }

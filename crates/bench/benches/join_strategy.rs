@@ -2,8 +2,9 @@
 //! same join under DS_DIST_NONE / DS_DIST_ALL_NONE / DS_BCAST_INNER
 //! (§2.1's co-located join claim), and the aggregate's key lanes above a
 //! join: the same 200k joined rows grouped by a BIGINT, a VARCHAR and
-//! two VARCHAR columns of the dimension. Ratio rows bound the ALL join
-//! over the co-located one and each key lane over BIGINT (DESIGN.md §2).
+//! two VARCHAR columns of the dimension. Ratio rows bound the ALL join and
+//! the EVEN-inner join over the co-located one, and each key lane over
+//! BIGINT (DESIGN.md §2).
 
 use redsim_testkit::bench::Bench;
 use redsim_bench::datagen;
@@ -87,6 +88,12 @@ fn bench_join_strategies(c: &mut Bench) {
         ["join_strategy", cases[0].0, ""],
         1.2,
         "a replicated (DISTSTYLE ALL) inner is built once, not per slice",
+    );
+    c.ratio(
+        ["join_strategy", cases[2].0, ""],
+        ["join_strategy", cases[0].0, ""],
+        5.5,
+        "an EVEN inner pays one exchange over the co-located join",
     );
 }
 

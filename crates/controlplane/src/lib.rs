@@ -13,8 +13,6 @@
 //!
 //! * [`workflow`] — an Amazon-SWF-like step engine: retries, timeouts,
 //!   idempotent steps.
-//! * [`hostmgr`] — per-node agent: heartbeats, crash detection,
-//!   restart-with-backoff.
 //! * [`provision`] — cluster provisioning: cold EC2-style boots vs the
 //!   **warm pool** of preconfigured nodes that cut creation from ~15 to
 //!   ~3 minutes (§3.1) — experiment E6.
@@ -29,7 +27,6 @@
 
 pub mod adminops;
 pub mod availability;
-pub mod hostmgr;
 pub mod patch;
 pub mod pricing;
 pub mod provision;

@@ -201,7 +201,7 @@ struct UsageInner {
 
 impl UsageStats {
     pub fn record_feature(&self, feature: &str) {
-        *self.inner.lock().by_feature.entry(feature.to_string()).or_insert(0) += 1;
+        bump(&mut self.inner.lock().by_feature, feature);
     }
 
     pub fn record_plan_shape(&self, shape: String) {
@@ -209,7 +209,7 @@ impl UsageStats {
     }
 
     pub fn record_error(&self, code: &str) {
-        *self.inner.lock().errors_by_code.entry(code.to_string()).or_insert(0) += 1;
+        bump(&mut self.inner.lock().errors_by_code, code);
     }
 
     /// (feature, count) sorted by count desc — the Pareto view of §5.
@@ -224,6 +224,15 @@ impl UsageStats {
     pub fn top_errors(&self) -> Vec<(String, u64)> {
         ranked(&self.inner.lock().errors_by_code)
     }
+}
+
+/// Count one `key`: a hit looks the name up and allocates nothing; only a
+/// miss builds the `String` key (these run on every statement).
+fn bump(counts: &mut FxHashMap<String, u64>, key: &str) {
+    if let Some(n) = counts.get_mut(key) {
+        return *n += 1;
+    }
+    counts.insert(key.to_string(), 1);
 }
 
 /// Counts sorted descending (ties by key, so the order is stable).

@@ -363,8 +363,8 @@ fn streaming_restore_completes_via_retries() {
 fn retry_exhaustion_surfaces_throttle_not_a_hang() {
     // A *permanently* throttling S3 exhausts the retry budget: the query
     // fails in bounded time with the transient's own class (THROTTLE), so
-    // callers and the host manager can tell throttle storms from real
-    // faults. It must never hang or remap to a misleading class.
+    // callers can tell throttle storms from real faults. It must never
+    // hang or remap to a misleading class.
     let c = Cluster::launch(
         ClusterConfig::new("exh").nodes(1).slices_per_node(1).retry(fast_retry()),
     )
@@ -477,8 +477,9 @@ fn wal_truncate_failure_is_absorbed_not_surfaced() {
 
 // ---------------------------------------------------------------------
 // One table image: a table's state lives in its committed version and
-// nowhere else, so a statement the log refuses leaves nothing behind,
-// and no reader waits on — or sees through — a statement in flight.
+// nowhere else, so a statement the log refuses leaves nothing behind.
+// That no reader waits on, or sees through, a statement in flight is the
+// model's parked step (tests/model.rs).
 // ---------------------------------------------------------------------
 
 /// Everything a reader can learn about `t` without scanning it.
@@ -509,7 +510,6 @@ fn one_image_cluster(name: &str) -> Arc<Cluster> {
     };
     c.put_s3_object("fresh/1", csv(0..500));
     c.put_s3_object("stale/1", csv(500..800));
-    c.put_s3_object("more/1", csv(800..2_800));
     c.execute("COPY t FROM 's3://fresh/'").unwrap();
     // Statistics now lag the table, and every row sits unsorted.
     c.execute("COPY t FROM 's3://stale/' STATUPDATE OFF").unwrap();
@@ -574,44 +574,12 @@ fn one_image_refused_analyze_and_vacuum_change_nothing() {
     assert_eq!(r.trace().counter_value("recovery.orphan_blocks_scrubbed"), 0);
 }
 
-#[test]
-fn one_image_readers_neither_wait_on_nor_see_an_inflight_copy() {
-    let c = one_image_cluster("oneimg-inflight");
-    let read = |c: &Cluster| {
-        let explain = c.query("EXPLAIN SELECT COUNT(*) FROM t x JOIN t y ON x.a = y.a").unwrap();
-        (one_image_view(c), explain.plan, c.query("SELECT COUNT(*) FROM t").unwrap().rows)
-    };
-    let pre = read(&c);
-    // Park the COPY mid-append, inside a block write.
-    let park = Duration::from_millis(2_000);
-    c.faults()
-        .configure(fp::MIRROR_WRITE_PRIMARY, FaultSpec::delay_ms(park.as_millis() as u64).once());
-    let writer = {
-        let c = Arc::clone(&c);
-        std::thread::spawn(move || c.execute("COPY t FROM 's3://more/' STATUPDATE OFF"))
-    };
-    let armed = std::time::Instant::now();
-    while c.faults().injected_total() == 0 {
-        assert!(armed.elapsed() < Duration::from_secs(20), "the COPY never reached the mirror");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let parked = std::time::Instant::now();
-    let during = read(&c);
-    let took = parked.elapsed();
-    assert!(took < park / 4, "readers waited {took:?} on a writer parked for {park:?}");
-    assert!(!writer.is_finished(), "the reads must overlap the parked COPY");
-    assert_eq!(during, pre, "readers saw through to an uncommitted COPY");
-    assert_eq!(writer.join().unwrap().unwrap().rows_affected, 2_000);
-    assert_eq!(c.loads_since_analyze("t"), 2_300);
-    assert_eq!(c.rows_estimate("t"), Some(2_800));
-}
-
 // ---------------------------------------------------------------------
 // One catalog version: every commit logs the next catalog, then
 // publishes it, under the publication lock resize flips the source
-// read-only with — so a write is on the resize target or refused, and a
-// target or restored cluster exists only once its first catalog is
-// durable.
+// read-only with — so a write is on the resize target or refused (the
+// model's parked step), and a target or restored cluster exists only once
+// its first catalog is durable.
 // ---------------------------------------------------------------------
 
 /// `t` with three rows, loaded without statistics.
@@ -631,53 +599,8 @@ fn one_catalog_restore(c: &Cluster, name: &str, snapshot: &str) -> Result<Arc<Cl
     Cluster::restore_from_snapshot(config, s3, "us-east-1", &c.config().name, snapshot, None)
 }
 
-/// Wait until the delay armed on `c`'s failpoints has caught a statement.
-fn one_catalog_parked(c: &Cluster) {
-    let armed = std::time::Instant::now();
-    while c.faults().injected_total() == 0 {
-        assert!(armed.elapsed() < Duration::from_secs(20), "nothing reached the failpoint");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
 fn one_catalog_rows(c: &Cluster) -> Vec<redshift_sim::common::Row> {
     c.query("SELECT COUNT(*), SUM(a) FROM t").unwrap().rows
-}
-
-#[test]
-fn one_catalog_copy_overlapping_a_resize_lands_or_errors() {
-    let c = one_catalog_cluster("onecat-copy");
-    c.put_s3_object("more/1", b"4,a\n5,b\n6,c\n7,d\n".to_vec());
-    c.faults().configure(fp::COPY_FETCH_OBJECT, FaultSpec::delay_ms(600).once());
-    let writer = {
-        let c = Arc::clone(&c);
-        std::thread::spawn(move || c.execute("COPY t FROM 's3://more/'"))
-    };
-    one_catalog_parked(&c);
-    let target = c.resize(4, 2).unwrap();
-    let copied = writer.join().unwrap().map(|s| s.rows_affected);
-    let count = |c: &Cluster| one_catalog_rows(c)[0].get(0).as_i64().unwrap();
-    let expect = 3 + copied.as_ref().map_or(0, |&n| n as i64);
-    assert_eq!(count(&target), expect, "the COPY returned {copied:?}");
-    let recovered = Cluster::recover(target.crash().unwrap()).unwrap();
-    assert_eq!(count(&recovered), expect, "the COPY returned {copied:?}");
-}
-
-#[test]
-fn one_catalog_analyze_during_a_resize_lands_or_errors() {
-    let c = one_catalog_cluster("onecat-analyze");
-    // Park the resize inside its first block write on the target.
-    c.faults().configure(fp::MIRROR_WRITE_PRIMARY, FaultSpec::delay_ms(600).once());
-    let resize = {
-        let c = Arc::clone(&c);
-        std::thread::spawn(move || c.resize(4, 2).map_err(|e| e.to_string()))
-    };
-    one_catalog_parked(&c);
-    let analyzed = c.execute("ANALYZE t").map(|s| s.message);
-    let target = resize.join().unwrap().unwrap();
-    let seen = (target.loads_since_analyze("t"), target.table_stats("t").map(|s| s.rows));
-    let expect = if analyzed.is_ok() { (0, Some(3)) } else { (3, None) };
-    assert_eq!(seen, expect, "ANALYZE returned {analyzed:?}");
 }
 
 #[test]
@@ -721,89 +644,9 @@ fn one_catalog_resized_and_restored_writes_survive_a_crash() {
 // Readers take no lock: an exclusive commit retires the blocks its
 // replaced catalog names and its own does not, and they are freed when
 // the last catalog naming them drops — so VACUUM, ANALYZE, redistribute
-// and DROP neither wait for a running scan nor free a block under it.
+// and DROP neither wait for a running scan nor free a block under it (the
+// model's parked step). Key rotation, which the model does not run:
 // ---------------------------------------------------------------------
-
-/// The blocks on the store, and the ones the published catalog names (a
-/// snapshot manifest's list), both sorted.
-fn no_lock_blocks(c: &Cluster, snapshot: &str) -> (Vec<u64>, Vec<u64>) {
-    c.create_snapshot(snapshot, SnapshotKind::User).unwrap();
-    let region = c.config().region.as_str();
-    let mgr = BackupManager::new(Arc::clone(c.s3()), region, &c.config().name, None, 4);
-    let sorted = |ids: Vec<redshift_sim::storage::BlockId>| {
-        let mut ids: Vec<u64> = ids.iter().map(|b| b.0).collect();
-        ids.sort_unstable();
-        ids
-    };
-    let published = sorted(mgr.load_manifest(region, snapshot).unwrap().2);
-    (sorted(c.replicated_store().unwrap().placed_block_ids()), published)
-}
-
-/// Park a SELECT over `t` for 1.5 s in the scan delay and run `stmt`
-/// while it is parked: `stmt` returns in under a quarter of the park,
-/// no byte leaves the store while the reader runs, and the reader
-/// returns the pre-`stmt` rows. Returns the cluster once the reader is
-/// done.
-fn no_lock_probe(name: &str, stmt: &str, run: impl FnOnce(&Cluster)) -> Arc<Cluster> {
-    let c = one_image_cluster(name);
-    let scan = "SELECT COUNT(*), SUM(a), MIN(s), MAX(s) FROM t";
-    let pre = c.query(scan).unwrap().rows;
-    let bytes = c.replicated_store().unwrap().local_bytes();
-    let park = Duration::from_millis(1_500);
-    let delay = FaultSpec::delay_ms(park.as_millis() as u64).once();
-    c.faults().configure(fp::EXEC_SCAN_SLICE, delay);
-    let reader = {
-        let c = Arc::clone(&c);
-        std::thread::spawn(move || c.query(scan).map(|q| q.rows))
-    };
-    one_catalog_parked(&c);
-    let started = std::time::Instant::now();
-    run(&c);
-    let took = started.elapsed();
-    assert!(took < park / 4, "{stmt} waited {took:?} on a reader parked for {park:?}");
-    assert!(!reader.is_finished(), "{stmt} must commit while the reader is parked");
-    let during = c.replicated_store().unwrap().local_bytes();
-    assert!(during >= bytes, "{stmt} freed blocks under a running scan: {bytes} -> {during}");
-    assert_eq!(reader.join().unwrap().unwrap(), pre, "the reader lost its pre-{stmt} rows");
-    c
-}
-
-#[test]
-fn no_lock_vacuum_commits_beside_a_parked_reader() {
-    let c = no_lock_probe("nolock-vacuum", "VACUUM t", |c| {
-        c.execute("VACUUM t").unwrap();
-    });
-    let (placed, published) = no_lock_blocks(&c, "after");
-    assert_eq!(placed, published, "the reader's release left VACUUM's retired blocks placed");
-}
-
-#[test]
-fn no_lock_analyze_commits_beside_a_parked_reader() {
-    let c = no_lock_probe("nolock-analyze", "ANALYZE t", |c| {
-        c.execute("ANALYZE t").unwrap();
-    });
-    assert_eq!(c.loads_since_analyze("t"), 0);
-    let (placed, published) = no_lock_blocks(&c, "after");
-    assert_eq!(placed, published);
-}
-
-#[test]
-fn no_lock_redistribute_commits_beside_a_parked_reader() {
-    let c = no_lock_probe("nolock-redistribute", "redistribute_all", |c| {
-        c.redistribute_all("t").unwrap();
-    });
-    let (placed, published) = no_lock_blocks(&c, "after");
-    assert_eq!(placed, published, "the reader's release left the EVEN layout placed");
-}
-
-#[test]
-fn no_lock_drop_commits_beside_a_parked_reader() {
-    let c = no_lock_probe("nolock-drop", "DROP TABLE t", |c| {
-        c.execute("DROP TABLE t").unwrap();
-    });
-    assert_eq!(c.replicated_store().unwrap().local_bytes(), 0, "the dropped table outlived its reader");
-    assert_eq!(no_lock_blocks(&c, "after"), (Vec::new(), Vec::new()));
-}
 
 /// Readers overlap key rotation now: every row stays exact, and no read
 /// unwraps a block key with a cluster key a rotation has just replaced.

@@ -439,6 +439,9 @@ fn a_counter_or_gauge_hit_allocates_nothing() {
     let sink = redshift_sim::obs::TraceSink::new();
     sink.counter("copy.rows_loaded").incr();
     sink.gauge("wlm.queued").set(1);
+    let usage = redshift_sim::core::UsageStats::default();
+    usage.record_feature("SELECT");
+    usage.record_error("FAULT");
     // Several counters run on every statement's path: after first use a
     // lookup must not build the name's `String`. The least of three
     // windows, as the test harness's own thread may allocate in one.
@@ -448,6 +451,8 @@ fn a_counter_or_gauge_hit_allocates_nothing() {
         for _ in 0..100 {
             sink.counter("copy.rows_loaded").incr();
             sink.gauge("wlm.queued").add(1);
+            usage.record_feature("SELECT");
+            usage.record_error("FAULT");
         }
         PEAK.load(Relaxed) - live
     });

@@ -630,90 +630,6 @@ fn wlm_admission_invariants() {
 }
 
 // ---------------------------------------------------------------------
-// Elastic resize as a property (ported from examples/elastic_resize.rs):
-// random topologies before/after, concurrent readers during the resize,
-// WLM drains in-flight queries first, and no row is lost.
-// ---------------------------------------------------------------------
-
-fn arb_resize_case() -> Gen<((u32, u32, u32, u32), Vec<i64>)> {
-    prop::pair(
-        prop::tuple4(
-            prop::range(1u32..4),  // nodes before
-            prop::range(1u32..3),  // slices before
-            prop::range(1u32..5),  // nodes after
-            prop::range(1u32..3),  // slices after
-        ),
-        prop::vec_of(prop::range(0i64..10_000), 1..200),
-    )
-}
-
-#[test]
-fn wlm_resize_preserves_data_and_drains() {
-    let cfg = Config::with_cases(64).regressions_file(regressions());
-    prop::check(
-        "wlm_resize_preserves_data_and_drains",
-        &cfg,
-        &arb_resize_case(),
-        |((n0, s0, n1, s1), keys)| {
-            let c = Cluster::launch(
-                ClusterConfig::new("rz-prop")
-                    .nodes(*n0)
-                    .slices_per_node(*s0)
-                    .rows_per_group(32),
-            )
-            .unwrap();
-            c.execute("CREATE TABLE ev (k BIGINT) DISTKEY(k)").unwrap();
-            let mut csv = String::new();
-            for k in keys {
-                csv.push_str(&format!("{k}\n"));
-            }
-            c.put_s3_object("rz/1", csv.into_bytes());
-            c.execute("COPY ev FROM 's3://rz/'").unwrap();
-            let q = "SELECT COUNT(*), SUM(k) FROM ev";
-            let before = c.query(q).unwrap().rows;
-
-            // A reader hammers the source while the resize runs. Every
-            // result is either correct rows or a clean STATE error from
-            // the WLM drain / decommission — never a panic or bad data.
-            let (target, reader_results) = {
-                let c2 = Arc::clone(&c);
-                let reader = std::thread::spawn(move || {
-                    let mut out = Vec::new();
-                    for _ in 0..40 {
-                        out.push(c2.query("SELECT COUNT(*) FROM ev").map(|r| r.rows));
-                        std::thread::yield_now();
-                    }
-                    out
-                });
-                let target = c.resize(*n1, *s1).unwrap();
-                (target, reader.join().unwrap())
-            };
-            let expect_n = before[0].get(0).clone();
-            for r in reader_results {
-                match r {
-                    Ok(rows) => assert_eq!(rows[0].get(0), &expect_n, "reader saw torn data"),
-                    Err(e) => assert_eq!(e.code(), "STATE", "unexpected error class: {e}"),
-                }
-            }
-
-            // WLM drained: the source rejects, queue books are clean.
-            assert!(c.query(q).is_err(), "source decommissioned");
-            assert!(c.wlm().is_draining());
-            for sc in c.wlm().service_class_states() {
-                assert_eq!(sc.in_flight, 0, "drain left a query in flight");
-                assert_eq!(sc.queued, 0);
-            }
-
-            // Data survived the topology change bit-for-bit.
-            assert_eq!(target.query(q).unwrap().rows, before);
-            assert_eq!(target.topology().total_slices(), n1 * s1);
-            // The target accepts new work immediately.
-            target.execute("INSERT INTO ev VALUES (424242)").unwrap();
-        },
-    );
-}
-
-// ---------------------------------------------------------------------
 // DR failover as a property (ported from examples/disaster_recovery.rs):
 // random data + failure point; the primary drains via WLM-led shutdown,
 // the standby region restores losslessly with streaming hydration.
@@ -1330,160 +1246,6 @@ fn workload_chaos_delay_rides_virtual_clock() {
          (replay took {wall:?})"
     );
     assert!(report.virtual_end.as_micros() > 0);
-}
-
-// ---------------------------------------------------------------------
-// MVCC snapshots + first-committer-wins (multi-writer transactions).
-// ---------------------------------------------------------------------
-
-/// Per-thread statement scripts over one shared table. kind 0 = snapshot
-/// COUNT, kind 1 = 3-row INSERT, kind 2 = 3-row COPY, kind 3 = VACUUM,
-/// kind 4 = ANALYZE; the literal keys the written values.
-fn arb_mvcc_workload() -> Gen<Vec<Vec<(usize, i64)>>> {
-    prop::vec_of(
-        prop::vec_of(prop::pair(prop::range(0usize..5), prop::range(0i64..1_000)), 1..8),
-        2..5,
-    )
-}
-
-/// The blocks `c`'s published catalog names, sorted: the block list of a
-/// snapshot taken now.
-fn published_blocks(c: &Cluster, snapshot: &str) -> Vec<u64> {
-    use redshift_sim::replication::{BackupManager, SnapshotKind};
-    c.create_snapshot(snapshot, SnapshotKind::User).unwrap();
-    let region = c.config().region.as_str();
-    let mgr = BackupManager::new(Arc::clone(c.s3()), region, &c.config().name, None, 4);
-    let mut ids: Vec<u64> = mgr.load_manifest(region, snapshot).unwrap().2.iter().map(|b| b.0).collect();
-    ids.sort_unstable();
-    ids
-}
-
-#[test]
-fn mvcc_snapshot_reads_and_first_committer_wins() {
-    use redshift_sim::common::RsError;
-    use redshift_sim::testkit::par;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let cfg = Config::with_cases(24).regressions_file(regressions());
-    prop::check(
-        "mvcc_snapshot_reads_and_first_committer_wins",
-        &cfg,
-        &arb_mvcc_workload(),
-        |threads| {
-            let c = Cluster::launch(
-                ClusterConfig::new("mvcc-prop").nodes(2).slices_per_node(2),
-            )
-            .unwrap();
-            c.execute("CREATE TABLE m (k BIGINT, v BIGINT) DISTKEY(k) COMPOUND SORTKEY(k)")
-                .unwrap();
-            let committed = AtomicU64::new(0);
-            let conflicts_seen = AtomicU64::new(0);
-            let results: Vec<Result<(), String>> = par::map(threads.clone(), |script| {
-                // One client connection per thread; the result cache is
-                // off so every COUNT really snapshots the catalog.
-                let s = c
-                    .connect(SessionOpts::new("mvcc").result_cache(false))
-                    .map_err(|e| e.to_string())?;
-                let mut last = 0i64;
-                for (kind, lit) in script {
-                    match kind {
-                        0 => {
-                            let r =
-                                s.query("SELECT COUNT(*) FROM m").map_err(|e| e.to_string())?;
-                            let n = r.rows[0].get(0).as_i64().unwrap();
-                            // Never early: a VACUUM that replaced this
-                            // catalog's blocks frees them only once the
-                            // scan is done — an early free is an error
-                            // above. Every committed write is exactly 3
-                            // rows: a snapshot read must never see a torn
-                            // write …
-                            if n % 3 != 0 {
-                                return Err(format!("torn snapshot: {n} rows"));
-                            }
-                            // … and commits are monotonic, so one session's
-                            // sequential reads never travel back in time.
-                            if n < last {
-                                return Err(format!("time travel: {n} after {last}"));
-                            }
-                            last = n;
-                        }
-                        3 | 4 => {
-                            let stmt = if kind == 3 { "VACUUM m" } else { "ANALYZE m" };
-                            s.execute(stmt).map_err(|e| e.to_string())?;
-                        }
-                        kind => {
-                            let stmt = if kind == 1 {
-                                format!(
-                                    "INSERT INTO m VALUES ({lit}, 1), ({lit}, 2), ({lit}, 3)"
-                                )
-                            } else {
-                                // Trailing slash keeps prefixes disjoint:
-                                // COPY 's3://mv/45/' must not also match
-                                // a thread's 'mv/450/…' objects.
-                                c.put_s3_object(
-                                    &format!("mv/{lit}/data"),
-                                    format!("{lit},1\n{lit},2\n{lit},3\n").into_bytes(),
-                                );
-                                format!("COPY m FROM 's3://mv/{lit}/'")
-                            };
-                            // First committer wins; the loser retries the
-                            // statement, exactly as the error instructs.
-                            loop {
-                                match s.execute(&stmt) {
-                                    Ok(_) => {
-                                        committed.fetch_add(1, Ordering::Relaxed);
-                                        break;
-                                    }
-                                    Err(RsError::Serializable(_)) => {
-                                        conflicts_seen.fetch_add(1, Ordering::Relaxed);
-                                        std::thread::yield_now();
-                                    }
-                                    Err(e) => return Err(e.to_string()),
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            });
-            for r in results {
-                r.unwrap();
-            }
-
-            // Exactly-one-winner accounting: every conflict a client saw
-            // is one txn.conflicts tick and one stl_tr_conflict row.
-            let seen = conflicts_seen.load(Ordering::Relaxed);
-            assert_eq!(c.trace().counter_value("txn.conflicts"), seen);
-            let log = c.query("SELECT COUNT(*) FROM stl_tr_conflict").unwrap();
-            assert_eq!(log.rows[0].get(0).as_i64(), Some(seen as i64));
-
-            // All retried writes eventually committed; nothing was lost
-            // or double-applied.
-            let n = c.query("SELECT COUNT(*) FROM m").unwrap().rows[0]
-                .get(0)
-                .as_i64()
-                .unwrap();
-            assert_eq!(n as u64, committed.load(Ordering::Relaxed) * 3);
-            assert_eq!(c.rows_estimate("m"), Some(n as u64));
-
-            // Never leaked: with every statement done, the placed blocks
-            // are exactly those the published catalog names (its snapshot
-            // manifest's list) — recovery's orphan equation, live.
-            let mut placed: Vec<u64> =
-                c.replicated_store().unwrap().placed_block_ids().iter().map(|b| b.0).collect();
-            placed.sort_unstable();
-            assert_eq!(placed, published_blocks(&c, "mvcc-quiesced"), "retired blocks leaked");
-
-            // Leak freedom at quiesce: spans closed, sessions gone, WLM
-            // slots drained.
-            assert_eq!(c.trace().open_spans(), 0, "span leak");
-            assert_eq!(c.session_manager().active_count(), 0, "session leak");
-            for sc in c.wlm().service_class_states() {
-                assert_eq!(sc.in_flight, 0, "{}: slot leaked", sc.name);
-                assert_eq!(sc.queued, 0, "{}: waiter leaked", sc.name);
-            }
-        },
-    );
 }
 
 // ---------------------------------------------------------------------
