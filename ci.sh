@@ -291,6 +291,10 @@ probes=(
   # one kind of bench gate: §2 "What ci.sh checks"; per-class books: §9
   redsim_testkit::bench::tests::a_ratio_row_fails_over_its_bound_on_a_missing_arm_and_on_nan
   redsim_core::systables::tests::an_aborted_query_counts_in_its_class_through_sql
+  # a block frees itself: §11 "free = the last holder of a row group deletes its blocks"; §10 what fault.injected counts
+  redsim_core::cluster::write::tests::a_block_no_held_catalog_names_goes_at_once
+  redsim_storage::table::tests::a_failed_vacuum_keeps_the_z_norm
+  redsim_core::systables::tests::stl_fault_event_materializes_the_registry_ring
 )
 # <listing> <probes...>: fails naming every probe that is not exactly one
 # listed test.
@@ -388,6 +392,13 @@ absent -rn 'FpStats' 'per-failpoint hits and fires' crates/
 absent -rn 'fn stats(' 'per-failpoint hits and fires' crates/faultkit/
 absent -rn 'fn fired(' 'Outcome::fired' crates/faultkit/
 absent -rn 'const ALL' 'fp::ALL' crates/faultkit/
+absent -rn 'struct Epoch' 'the epoch chain (a row group frees its own blocks)' crates/ src/ tests/
+absent -rn 'fn retire(' 'the epoch chain (a row group frees its own blocks)' crates/ src/ tests/
+absent -rn 'fn unreferenced_by' 'the abort diff (a row group frees its own blocks)' crates/ src/ tests/
+absent -rn 'fn unshared' 'the abort diff (a row group frees its own blocks)' crates/ src/ tests/
+absent -rn 'fn free_blocks' "the epoch's free closure (a row group frees its own blocks)" crates/ src/ tests/
+absent -rn 'fn vacuum_deferred' "a second VACUUM (a row group frees its own blocks)" crates/ src/ tests/
+absent -n 'fn new(capacity: usize) -> Self' "PlanCache's uncalled constructor" crates/engine/src/compile.rs
 # Only testkit (seeds, case counts, results dir) reads the environment.
 absent -rn 'env::var' 'an environment read outside crates/testkit' $(find crates -mindepth 1 -maxdepth 1 -type d ! -name testkit)
 if ls crates/bench/benches results | grep -xE "($rulers)\.rs|($csvs|.*_baseline)\.csv"; then

@@ -9,15 +9,15 @@ use redsim_storage::table::{SliceTable, SortKeySpec, TableConfig};
 use redsim_storage::BlockId;
 use redsim_testkit::sync::Mutex;
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One immutable image of a table — the only place its mutable state
 /// lives. A write statement's draft [`Catalog`] clones it on first change
-/// (slice *manifests*: group descriptors plus the small unsealed buffer,
+/// (slice *manifests*: shared row groups plus the small unsealed buffer,
 /// never block payloads); once published a version is reached only
 /// through its `Arc` and never changes, so a reader holding a catalog
-/// neither blocks on nor observes a concurrent write.
+/// neither blocks on nor observes a concurrent write. A block lives as
+/// long as some version names its row group (DESIGN.md §11).
 #[derive(Clone, Default)]
 pub struct TableVersion {
     /// One slice table per global slice id.
@@ -46,15 +46,6 @@ impl TableVersion {
     /// Every block the slice manifests reference.
     pub fn block_ids(&self) -> Vec<BlockId> {
         self.slices.iter().flat_map(SliceTable::block_ids).collect()
-    }
-
-    /// The blocks this version references and `live` does not: VACUUM's
-    /// unsorted copy against the sorted one that replaced it.
-    pub fn unshared(&self, live: &TableVersion) -> Vec<BlockId> {
-        let keep: BTreeSet<BlockId> = live.block_ids().into_iter().collect();
-        let mut ids = self.block_ids();
-        ids.retain(|id| !keep.contains(id));
-        ids
     }
 
     /// (stored, unsorted) rows summed over slices — an ALL table counts
@@ -174,75 +165,9 @@ pub struct Catalog {
     /// under one version is never served after a commit.
     pub version: u64,
     tables: BTreeMap<String, (Arc<TableEntry>, Arc<TableVersion>)>,
-    /// The epoch a published catalog belongs to (`None` until the leader
-    /// publishes it); every clone of it pins the epoch.
-    pub epoch: Option<Arc<Epoch>>,
-}
-
-/// Deletes retired blocks from every replica.
-pub type FreeBlocks = Arc<dyn Fn(Vec<BlockId>) + Send + Sync>;
-
-/// A run of published catalogs between two exclusive commits, and what
-/// freeing their blocks waits on (DESIGN.md §11). A table writer's commit
-/// only appends, so its catalog joins its predecessor's epoch. The
-/// exclusive commit that ends an epoch retires into it the blocks its last
-/// catalog names and the next one does not, and links it to the next
-/// epoch. Links run oldest to newest, so an epoch drops, and frees what
-/// it retired, only once its own catalogs and every older one have: a
-/// statement holding any catalog keeps every block that catalog names.
-pub struct Epoch {
-    free: FreeBlocks,
-    /// Set by the commit that ends the epoch: what it retired, and the
-    /// epoch after it.
-    end: Mutex<(Vec<BlockId>, Option<Arc<Epoch>>)>,
-}
-
-impl Epoch {
-    /// An open epoch: nothing retired yet, no successor.
-    pub fn open(free: FreeBlocks) -> Arc<Epoch> {
-        Arc::new(Epoch { free, end: Mutex::default() })
-    }
-}
-
-impl Drop for Epoch {
-    /// Free what this epoch retired, then each later epoch this one held
-    /// the last link to — in a loop: a catalog held across many exclusive
-    /// commits is released without recursing once per commit.
-    fn drop(&mut self) {
-        let (retired, mut next) = std::mem::take(self.end.get_mut());
-        (self.free)(retired);
-        while let Some(mut epoch) = next.take().and_then(Arc::into_inner) {
-            // Unlinked first, so its own drop frees only its blocks.
-            next = epoch.end.get_mut().1.take();
-        }
-    }
 }
 
 impl Catalog {
-    /// End this published catalog's epoch in favour of `next`, the
-    /// catalog an exclusive commit publishes in its place: retire the
-    /// blocks this one names and `next` does not, and start `next`'s
-    /// epoch.
-    pub fn retire(&self, next: &mut Catalog) {
-        let ending = self.epoch.as_ref().expect("a published catalog has an epoch");
-        let epoch = Epoch::open(Arc::clone(&ending.free));
-        *ending.end.lock() = (self.unreferenced_by(next), Some(Arc::clone(&epoch)));
-        next.epoch = Some(epoch);
-    }
-
-    /// [`TableVersion::unshared`] table by table, matched by name: an
-    /// aborted draft against the published catalog, or a replaced catalog
-    /// against the one that replaced it. A table whose version is the
-    /// same `Arc` in both is skipped unread.
-    pub fn unreferenced_by(&self, live: &Catalog) -> Vec<BlockId> {
-        let per_table = self.tables().map(|(t, version)| match live.get(&t.name) {
-            Some((_, kept)) if Arc::ptr_eq(kept, version) => Vec::new(),
-            Some((_, kept)) => version.unshared(kept),
-            None => version.block_ids(),
-        });
-        per_table.flatten().collect()
-    }
-
     /// Does this catalog hold `other`'s tables — the same definitions and
     /// versions, by `Arc`? A draft that changed nothing does.
     pub fn same_tables(&self, other: &Catalog) -> bool {
@@ -315,6 +240,7 @@ impl Catalog {
     /// the tail of their container (snapshot metadata, redo checkpoint).
     /// The image keeps its slice count: the paper restores to an
     /// equivalently sized cluster; changing size afterwards is a resize.
+    /// Its row groups delete nothing until a cluster adopts them.
     pub fn decode(r: &mut Reader, topology: &ClusterTopology) -> Result<Catalog> {
         let n = r.get_u32()? as usize;
         let mut catalog = Catalog::default();
@@ -340,7 +266,7 @@ impl Catalog {
 
     /// The catalog transaction `txn` published by committing one
     /// [`TableVersion::encode_delta`] payload: this one with the delta's
-    /// image as its table's version.
+    /// image, inert as [`Catalog::decode`]'s, as its table's version.
     pub fn apply_delta(&self, txn: u64, payload: &[u8]) -> Result<Catalog> {
         let mut r = Reader::new(payload);
         let name = r.get_str()?;

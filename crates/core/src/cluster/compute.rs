@@ -5,8 +5,7 @@
 //! read, a writer's private draft to change) and under which lock is the
 //! caller's business.
 
-use super::durable::Durable;
-use crate::catalog::{Catalog, FreeBlocks, TableEntry, TableState, TableVersion};
+use crate::catalog::{Catalog, TableEntry, TableState, TableVersion};
 use redsim_common::{ColumnData, Result, Row, RsError};
 use redsim_distribution::{ClusterTopology, DistStyle, RowRouter, SliceId};
 use redsim_engine::baseline;
@@ -15,15 +14,16 @@ use redsim_obs::Span;
 use redsim_sql::{CatalogView, TableMeta};
 use redsim_storage::stats::TableStats;
 use redsim_storage::table::{ScanOutput, ScanPredicate, SliceTable, SortKeySpec};
-use redsim_storage::{BlockId, BlockStore};
+use redsim_storage::BlockStore;
 /// Run a closure over owned inputs on scoped threads, preserving order.
 pub(super) use redsim_testkit::par::map as parallel_map;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 pub(super) struct Compute {
     pub topology: ClusterTopology,
-    /// Per-node block store handles (encryption-wrapped when enabled).
+    /// Per-node block store handles (encryption-wrapped when enabled),
+    /// each handing the row groups written through it this incarnation's
+    /// freeing handle (`Durable::node_stores`).
     pub node_stores: Vec<Arc<dyn BlockStore>>,
 }
 
@@ -39,6 +39,17 @@ fn distinct_slices(entry: &TableEntry, version: &TableVersion) -> usize {
 }
 
 impl Compute {
+    /// Hand every row group of `catalog`, a cluster's first, this
+    /// incarnation's freeing handle: a decoded image names blocks no
+    /// draft of it wrote.
+    pub fn adopt(&self, catalog: &Catalog) {
+        for (_, version) in catalog.tables() {
+            for (slice, t) in version.slices.iter().enumerate() {
+                t.adopt(self.store_for_slice(slice));
+            }
+        }
+    }
+
     pub fn store_for_slice(&self, slice: usize) -> &dyn BlockStore {
         let node = self.topology.node_of(SliceId(slice as u32));
         self.node_stores[node.0 as usize].as_ref()
@@ -117,12 +128,11 @@ impl Compute {
     }
 
     /// Re-sort every slice of the draft into new blocks; returns rows
-    /// rewritten. The blocks it supersedes stay in the store — they still
-    /// back the committed version — until the caller's commit retires
-    /// them and the last catalog naming them drops.
+    /// rewritten. The blocks it supersedes stay in the store while a
+    /// version names them — the committed one does until the caller's
+    /// commit replaces it and the last catalog holding it drops.
     pub fn vacuum(&self, next: &mut TableVersion) -> Result<u64> {
-        let rewritten = self.on_slices_mut(next, |_, t, store| t.vacuum_deferred(store));
-        rewritten.into_iter().map(|r| r.map(|(rows, _)| rows)).sum()
+        self.on_slices_mut(next, |_, t, store| t.vacuum(store)).into_iter().sum()
     }
 
     /// Fill `next`, the draft of the re-laid-out copy `to` (resize,
@@ -148,37 +158,12 @@ impl Compute {
         }
         self.seal(next, &Span::disabled()).into_iter().collect::<Result<()>>()?;
         if !matches!(to.sort_key, SortKeySpec::None) {
-            // The appends landed in the unsorted region: re-sort, and free
-            // the unsorted copy only the draft ever named.
-            let unsorted = next.clone();
-            let sorted = self.vacuum(next);
-            self.delete_blocks(unsorted.unshared(next));
-            sorted?;
+            // The appends landed in the unsorted region: re-sort. Only the
+            // draft named the unsorted groups, so they free themselves.
+            self.vacuum(next)?;
         }
         next.state = TableState { cursor: next.state.cursor, ..image.state.clone() };
         Ok(())
-    }
-
-    /// Delete blocks from every replica (any node's handle reaches all).
-    pub fn delete_blocks(&self, ids: impl IntoIterator<Item = BlockId>) {
-        if let Some(store) = self.node_stores.first() {
-            for id in ids {
-                store.delete(id);
-            }
-        }
-    }
-
-    /// How an [`Epoch`](crate::catalog::Epoch) frees what it retired:
-    /// [`Compute::delete_blocks`], unless `durable`'s hard crash is armed.
-    /// A dead process frees nothing — recovery's orphan scrub does — and a
-    /// late release never deletes under the cluster recovered after it.
-    pub fn free_blocks(&self, durable: &Arc<Durable>) -> FreeBlocks {
-        let (durable, store) = (Arc::clone(durable), Arc::clone(&self.node_stores[0]));
-        Arc::new(move |ids| {
-            if !durable.hard_crash.load(Ordering::Acquire) {
-                ids.into_iter().for_each(|id| store.delete(id));
-            }
-        })
     }
 
     /// The MVCC read view of the published `catalog`.

@@ -14,7 +14,7 @@ use redsim_distribution::{ClusterTopology, NodeId};
 use redsim_obs::TraceSink;
 use redsim_replication::{BackupManager, ReplicatedStore, S3Sim, SnapshotInfo, SnapshotKind};
 use redsim_storage::wal::{self, Wal};
-use redsim_storage::{BlockId, BlockStore};
+use redsim_storage::{BlockId, BlockStore, Free};
 use redsim_testkit::rng::Pcg32;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -91,11 +91,11 @@ pub(super) struct Durable {
     pub wal: Wal,
     /// Monotonic transaction ids (1-based; 0 marks bootstrap versions).
     txn_seq: AtomicU64,
-    /// Armed by `Cluster::crash` / `Cluster::arm_hard_crash`: an aborted
-    /// statement no longer deletes the blocks it wrote, nor a released
-    /// catalog the blocks it retired, modeling a process that died and
-    /// left orphans for recovery to scrub.
-    pub hard_crash: AtomicBool,
+    /// Armed by `Cluster::crash` / `Cluster::arm_hard_crash`: no row
+    /// group of this incarnation deletes its blocks any more — neither an
+    /// aborted statement's nor a released catalog's — modeling a process
+    /// that died and left orphans for recovery to scrub.
+    pub hard_crash: Arc<AtomicBool>,
     pub trace: Arc<TraceSink>,
 }
 
@@ -155,26 +155,38 @@ impl Durable {
             backup,
             keys,
             txn_seq: AtomicU64::new(0),
-            hard_crash: AtomicBool::new(false),
+            hard_crash: Arc::default(),
             trace,
         }
     }
 
-    /// Per-node block store handles, encryption-wrapped when enabled.
+    /// Per-node block store handles, encryption-wrapped when enabled. A
+    /// row group written through one, or adopted (`Compute::adopt`),
+    /// deletes its blocks from every replica (any node's handle reaches
+    /// all) once no table version names it — unless this incarnation's
+    /// hard crash is armed: a dead process frees nothing, and its late
+    /// release never deletes under the cluster recovered after it.
     pub fn node_stores(&self, config: &ClusterConfig) -> Vec<Arc<dyn BlockStore>> {
-        (0..config.nodes)
-            .map(|n| {
-                let store = self.blocks.node_store(NodeId(n));
-                match &self.keys {
-                    Some(k) => Arc::new(EncryptedBlockStore::new(
-                        store,
-                        Arc::clone(&k.keyring),
-                        config.seed ^ (n as u64 + 1),
-                    )) as Arc<dyn BlockStore>,
-                    None => Arc::new(store),
-                }
-            })
-            .collect()
+        let store = |n: u32, free: Option<Free>| -> Arc<dyn BlockStore> {
+            let store = self.blocks.node_store(NodeId(n)).freeing(free);
+            match &self.keys {
+                Some(k) => Arc::new(EncryptedBlockStore::new(
+                    store,
+                    Arc::clone(&k.keyring),
+                    config.seed ^ (n as u64 + 1),
+                )),
+                None => Arc::new(store),
+            }
+        };
+        // The handle deletes through a store without one: holding itself,
+        // it would never drop.
+        let (crashed, any) = (Arc::clone(&self.hard_crash), store(0, None));
+        let free: Free = Arc::new(move |id| {
+            if !crashed.load(Ordering::Acquire) {
+                any.delete(id);
+            }
+        });
+        (0..config.nodes).map(|n| store(n, Some(Arc::clone(&free)))).collect()
     }
 
     pub fn next_txn(&self) -> u64 {

@@ -86,6 +86,7 @@ impl Cluster {
         // restore recovers it, and a refused one fails the restore.
         let mut draft = cluster.begin(WriteScope::Exclusive)?;
         draft.next = Catalog::decode(&mut r, &cluster.compute.topology)?;
+        cluster.compute.adopt(&draft.next);
         // Each block is pending on the node of the slice that owns it.
         let mut homes = Vec::new();
         for (_, version) in draft.next.tables() {
@@ -253,7 +254,8 @@ impl Cluster {
             let mut orphans = durable.blocks.placed_block_ids();
             orphans.retain(|id| !referenced.contains(&id.0));
             let scrubbed = orphans.len() as u64;
-            compute.delete_blocks(orphans);
+            // Any node's handle deletes from every replica.
+            orphans.into_iter().for_each(|id| compute.node_stores[0].delete(id));
             trace.counter("recovery.orphan_blocks_scrubbed").add(scrubbed);
             trace.counter("recovery.replayed_deltas").add(replayed);
             rspan.attr("replayed_deltas", replayed);
@@ -577,22 +579,24 @@ mod tests {
 
     /// A crash while a statement holds a catalog whose blocks a VACUUM
     /// retired: recovery's orphan scrub frees them, and the dead cluster's
-    /// late release deletes nothing under the one recovered over the same
-    /// block store.
+    /// late release — of that catalog, and of its own, which names the
+    /// blocks the recovered cluster reads — deletes nothing under the one
+    /// recovered over the same block store.
     #[test]
     fn crash_while_a_retired_catalog_is_held() {
         let c = small();
         eight_block_table(&c);
         let held = c.leader.catalog();
         c.execute("VACUUM t").unwrap();
-        let retired = held.unreferenced_by(&c.leader.catalog()).len() as u64;
+        let published: BTreeSet<_> = c.leader.catalog().block_ids().into_iter().collect();
+        let retired = held.block_ids().iter().filter(|id| !published.contains(id)).count() as u64;
         assert_eq!(retired, 8, "VACUUM rewrote every block");
         let r = Cluster::recover(c.crash().unwrap()).unwrap();
         assert_eq!(r.trace().counter_value("recovery.orphan_blocks_scrubbed"), retired);
         r.execute("INSERT INTO t VALUES (1000, 'w')").unwrap();
         let store = r.replicated_store().unwrap();
         let before = (rows(&r), store.placed_block_ids());
-        drop(held);
+        drop((held, c));
         assert_eq!((rows(&r), store.placed_block_ids()), before, "the dead cluster freed blocks");
     }
 

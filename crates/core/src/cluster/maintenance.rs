@@ -26,10 +26,10 @@ impl Cluster {
 
     pub(super) fn run_vacuum(&self, table: Option<&str>) -> Result<ExecSummary> {
         self.check_writable()?;
-        // Each table re-sorts into new blocks in the draft and keeps the
-        // old ones, which still back the published catalog: the commit
-        // retires them once the post-vacuum layout is durable, and an
-        // error on any table drops the draft, new blocks and all.
+        // Each table re-sorts into new blocks in the draft; the old ones
+        // still back the published catalog and go when the last catalog
+        // naming them drops, after the commit. An error on any table
+        // drops the draft, new blocks and all.
         let mut draft = self.begin(WriteScope::Exclusive)?;
         let mut rewritten = 0u64;
         for entry in Self::tables_or_all(&draft.next, table)? {
@@ -133,9 +133,8 @@ impl Cluster {
             return Ok(());
         }
         // Read every row, rebuild under ALL (sorted, as every re-layout)
-        // in place of the old layout; the commit retires the old layout's
-        // blocks once the new one is durable, and drops plans compiled
-        // against the old layout.
+        // in place of the old layout, whose blocks go with the last
+        // catalog naming it; the commit drops plans compiled against it.
         let (entry, image) = draft.next.drop_table(table)?;
         let (all, empty) = TableEntry::new(
             entry.name.clone(),

@@ -21,7 +21,7 @@ pub use durable::CrashImage;
 pub use leader::WlmAccounting;
 
 use crate::autonomics::UsageStats;
-use crate::catalog::{Catalog, Epoch, TableVersion};
+use crate::catalog::{Catalog, TableVersion};
 use crate::config::ClusterConfig;
 use crate::session::{Session, SessionCtx, SessionManager, SessionOpts};
 use crate::wlm::WlmController;
@@ -114,8 +114,9 @@ pub struct Cluster {
 impl Cluster {
     /// The one place a cluster is put together: the compute part from
     /// the durable part's block stores, then the leader part around the
-    /// catalog `load` produces (empty, decoded from a snapshot, or
-    /// replayed from the redo log).
+    /// catalog `load` produces (empty, or replayed from the redo log),
+    /// which the compute part adopts: from here on its row groups free
+    /// their blocks in this cluster's store.
     fn assemble(
         config: ClusterConfig,
         durable: Durable,
@@ -123,9 +124,9 @@ impl Cluster {
     ) -> Result<Arc<Cluster>> {
         let topology = ClusterTopology::new(config.nodes, config.slices_per_node)?;
         let compute = Compute { topology, node_stores: durable.node_stores(&config) };
-        let mut catalog = load(&durable, &compute)?;
+        let catalog = load(&durable, &compute)?;
+        compute.adopt(&catalog);
         let durable = Arc::new(durable);
-        catalog.epoch = Some(Epoch::open(compute.free_blocks(&durable)));
         Ok(Arc::new(Cluster {
             leader: Leader::new(&config, catalog, Arc::clone(&durable.trace)),
             durable,

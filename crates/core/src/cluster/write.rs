@@ -16,7 +16,6 @@ use redsim_storage::stats::TableStats;
 use redsim_storage::table::SortKeySpec;
 use redsim_testkit::par;
 use redsim_testkit::sync::{MutexGuard, RwLockWriteGuard};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Bytes of source text in one COPY unit (carried on to a line end): what
@@ -37,8 +36,8 @@ pub(super) enum WriteScope<'a> {
 
 /// The locks a write transaction holds, plus its id. Dropping the
 /// handle releases them; the handle itself carries no rollback duty —
-/// that stays with [`Draft`] (the unpublished catalog's blocks) and the
-/// WAL protocol (durability).
+/// the unpublished catalog's row groups free their own blocks, and the
+/// WAL protocol keeps durability.
 pub(super) struct TxnHandle<'a> {
     pub txn: u64,
     _locks: TxnLocks<'a>,
@@ -72,7 +71,8 @@ fn parse_hex_key(hex: &str) -> Result<redsim_crypto::Key> {
 ///
 /// [`Draft::commit`] logs and publishes it. Every other exit path,
 /// panics included, drops it, and that is the whole abort: nobody else
-/// ever saw the draft, so all there is to undo is the blocks it wrote
+/// ever saw the draft, so all there is to undo is the blocks it wrote,
+/// and the row groups only the draft named delete them as it drops
 /// ("data loads are transactional", §2.1).
 pub(super) struct Draft<'a> {
     cluster: &'a Cluster,
@@ -102,15 +102,14 @@ impl Draft<'_> {
     /// publication lock: refuse if the cluster no longer takes writes (a
     /// resize has taken its snapshot); log, a table writer its table's
     /// redo delta, an exclusive-scope statement its whole next catalog as
-    /// a checkpoint; and publish it as transaction `txn`'s catalog. Once
-    /// logged, an exclusive-scope commit retires the blocks the replaced
-    /// catalog references and the new one does not (VACUUM's old layout,
-    /// a dropped table): they are freed when the last catalog naming them
-    /// drops — at once if no statement holds one — so neither a crash on
-    /// either side of the commit mark nor a running scan loses a block.
-    /// Any error returns before the publish, and the drop discards the
-    /// draft. A table writer only appends: it retires nothing and
-    /// redefines nothing.
+    /// a checkpoint; and publish it as transaction `txn`'s catalog. The
+    /// blocks the replaced catalog names and the new one does not
+    /// (VACUUM's old layout, a dropped table) are freed when the last
+    /// catalog naming them drops — at once if no statement holds one — so
+    /// neither a crash on either side of the commit mark nor a running
+    /// scan loses a block. Any error returns before the publish, and the
+    /// drop discards the draft. A table writer only appends: it frees
+    /// nothing and redefines nothing.
     pub fn commit(mut self) -> Result<()> {
         let cluster = self.cluster;
         let _publication = cluster.leader.publication.lock();
@@ -128,9 +127,7 @@ impl Draft<'_> {
             }
             None => {
                 cluster.durable.log_checkpoint(txn, &self.next)?;
-                let mut next = std::mem::take(&mut self.next);
-                cluster.leader.catalog().retire(&mut next);
-                next
+                std::mem::take(&mut self.next)
             }
         };
         next.version = txn;
@@ -152,27 +149,16 @@ impl Draft<'_> {
 }
 
 impl Drop for Draft<'_> {
-    /// Abort: delete from every replica, at once, the blocks the draft
-    /// references and the published catalog does not — no published
-    /// catalog ever named them, so no statement can be scanning them.
-    /// Unless a hard crash is armed: that models a process that died
-    /// before it could clean up, so the blocks stay behind for recovery's
-    /// orphan scrub, and tidying here would remove the very mess recovery
-    /// must handle. A draft that changed nothing (`DROP TABLE IF EXISTS`
-    /// of no table) has nothing to roll back and counts nothing.
+    /// Abort counts a rollback; the draft's catalog then drops, and with
+    /// it every row group only the draft named, which deletes its blocks
+    /// from every replica — no published catalog ever named them, so no
+    /// statement can be scanning them. (Under an armed hard crash they
+    /// stay behind for recovery's orphan scrub.) A draft that changed
+    /// nothing (`DROP TABLE IF EXISTS` of no table) counts nothing.
     fn drop(&mut self) {
-        let cluster = self.cluster;
-        if self.published || cluster.durable.hard_crash.load(Ordering::Acquire) {
-            return;
+        if !self.published && !self.next.same_tables(&self.cluster.leader.catalog()) {
+            self.cluster.trace().counter("write_txn.rollbacks").incr();
         }
-        let published = cluster.leader.catalog();
-        if self.next.same_tables(&published) {
-            return;
-        }
-        let blocks = self.next.unreferenced_by(&published);
-        cluster.trace().counter("write_txn.rollbacks").add(1);
-        cluster.trace().counter("write_txn.blocks_dropped").add(blocks.len() as u64);
-        cluster.compute.delete_blocks(blocks);
     }
 }
 
@@ -652,7 +638,6 @@ mod tests {
         let after = c.committed("t").unwrap();
         assert!(Arc::ptr_eq(&after, &base), "abort never replaces the published version");
         assert_eq!(c.trace().counter_value("write_txn.rollbacks"), 1);
-        assert!(c.trace().counter_value("write_txn.blocks_dropped") > 0);
 
         // The table is fully writable afterwards: the same rows re-load.
         load(600..1600).commit().unwrap();
@@ -705,6 +690,24 @@ mod tests {
         assert!(before.len() > published.len(), "nothing was retired");
         drop(held);
         assert_eq!(placed(), published, "the release left retired blocks placed");
+    }
+
+    /// A block goes as soon as no held catalog names it, not once every
+    /// older catalog has gone: a table created, loaded and dropped while
+    /// a statement holds the catalog from before it leaves no block
+    /// placed that the published catalog does not name.
+    #[test]
+    fn a_block_no_held_catalog_names_goes_at_once() {
+        let c = small();
+        let held = c.leader.catalog();
+        c.execute("CREATE TABLE u (k BIGINT)").unwrap();
+        c.execute("INSERT INTO u VALUES (1), (2)").unwrap();
+        c.execute("DROP TABLE u").unwrap();
+        let published: BTreeSet<BlockId> = c.leader.catalog().block_ids().into_iter().collect();
+        let placed = c.replicated_store().unwrap().placed_block_ids();
+        let unnamed: Vec<_> = placed.into_iter().filter(|id| !published.contains(id)).collect();
+        assert_eq!(unnamed, [], "blocks no held catalog names stay placed");
+        drop(held);
     }
 
     /// Encodings lock in on the first seal; aborting that first load must
@@ -987,13 +990,14 @@ mod tests {
             let c = streamed("last", 256);
             c.execute("INSERT INTO t VALUES (1, 'a', 1.5), (2, 'b', 2.5)").unwrap();
             let before = (storage(&c, "t"), c.catalog_version());
-            let dropped = c.trace().counter_value("write_txn.blocks_dropped");
+            // Every block written queues for backup, and stays queued.
+            let backlog = c.replicated_store().unwrap().backup_backlog();
             let texts = [source(form, 0, 20_000, None), source(form, 20_000, 20_000, Some(20_000))];
             let err = c.execute(&stage(&c, form, "in", &texts)).unwrap_err();
             assert!(err.to_string().contains("line 20000: "), "{form:?}: {err}");
             assert_eq!((storage(&c, "t"), c.catalog_version()), before, "{form:?}");
             assert!(
-                c.trace().counter_value("write_txn.blocks_dropped") > dropped,
+                c.replicated_store().unwrap().backup_backlog() > backlog,
                 "{form:?}: the earlier units sealed no blocks"
             );
         }

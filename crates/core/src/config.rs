@@ -24,8 +24,10 @@ pub struct ClusterConfig {
     pub region: String,
     /// Optional disaster-recovery region (§3.2's checkbox).
     pub dr_region: Option<String>,
-    /// Plan-compilation work units per plan node (0 = free compilation,
-    /// useful in unit tests; benches use the calibrated default).
+    /// Plan-compilation work units per plan node. 0, the default, is free
+    /// compilation: the tests and the benchmark run at it. Only the e7
+    /// bench (`compile_vs_interpret`) sets it, to `DEFAULT_WORK_PER_NODE /
+    /// 10`, for its ungated single-shot print.
     pub compile_work_per_node: u64,
     /// Seed for the cluster's internal randomness (keys, nonces).
     pub seed: u64,

@@ -10,7 +10,7 @@ use redsim_testkit::sync::Mutex;
 use redsim_testkit::rng::Pcg32;
 use redsim_common::Result;
 use redsim_crypto::{decrypt_payload, encrypt_payload, ClusterKeyring, EncryptedPayload};
-use redsim_storage::{BlockId, BlockStore, EncodedBlock};
+use redsim_storage::{BlockId, BlockStore, EncodedBlock, Free};
 use std::sync::Arc;
 
 /// A [`BlockStore`] that encrypts payloads on `put` and decrypts on `get`.
@@ -59,6 +59,10 @@ impl<S: BlockStore> BlockStore for EncryptedBlockStore<S> {
 
     fn total_bytes(&self) -> u64 {
         self.inner.total_bytes()
+    }
+
+    fn free(&self) -> Option<Free> {
+        self.inner.free()
     }
 }
 

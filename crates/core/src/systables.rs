@@ -557,6 +557,20 @@ mod tests {
         let sys2 = SystemTables::capture(&sink, None, None, None, None, &["stl_fault_event"]);
         let empty = scan(&sys2, "stl_fault_event", &[0]).unwrap();
         assert!(empty.is_empty());
+        // A WAL seam fires on the registry directly: the ring, and so the
+        // table, records it; the cluster's `fault.injected` counter, which
+        // covers only `replication::inject`'s seams, does not count it.
+        use crate::{Cluster, ClusterConfig};
+        let c = Cluster::launch(ClusterConfig::new("wal").nodes(1).slices_per_node(1)).unwrap();
+        c.execute("CREATE TABLE t (k BIGINT)").unwrap();
+        c.faults().configure(fp::WAL_COMMIT, FaultSpec::err(ErrClass::Fault).once());
+        c.execute("INSERT INTO t VALUES (1)").unwrap_err();
+        assert_eq!(c.faults().injected_total(), 1);
+        assert_eq!(c.trace().counter_value("fault.injected"), 0);
+        let q = c.query("SELECT failpoint, class FROM stl_fault_event").unwrap();
+        assert_eq!(q.rows.len(), 1);
+        assert_eq!(q.rows[0].get(0).as_str(), Some("wal.commit"));
+        assert_eq!(q.rows[0].get(1).as_str(), Some("fault"));
     }
 
     #[test]

@@ -85,10 +85,6 @@ struct CacheInner {
 }
 
 impl PlanCache {
-    pub fn new(capacity: usize) -> Self {
-        Self::with_work(capacity, DEFAULT_WORK_PER_NODE)
-    }
-
     pub fn with_work(capacity: usize, work_per_node: u64) -> Self {
         PlanCache {
             inner: Mutex::new(CacheInner {

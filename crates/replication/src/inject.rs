@@ -7,6 +7,11 @@
 //! it) is [`RsError::injected`], the one mapping every seam shares, so
 //! `stl_fault_event`, the `fault.injected` counter and the retry
 //! classification can never disagree about what an injected fault *is*.
+//!
+//! The per-cluster `fault.injected` counter counts only what fires here:
+//! the nine S3, mirror, restore and COPY seams. The WAL seams,
+//! `exec.scan_slice` and `frontdoor.disconnect` fire on the registry
+//! directly; `stl_fault_event` (the registry's ring) is the full record.
 
 use redsim_common::{Result, RetryEvent, RsError};
 use redsim_faultkit::{FaultRegistry, Outcome};

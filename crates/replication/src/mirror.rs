@@ -13,7 +13,7 @@ use redsim_obs::{AttrValue, TraceSink};
 use redsim_testkit::sync::{Mutex, RwLock};
 use redsim_common::{FxHashMap, Result, RetryPolicy, RsError};
 use redsim_distribution::{CohortMap, NodeId};
-use redsim_storage::{BlockId, BlockStore, EncodedBlock, MemBlockStore};
+use redsim_storage::{BlockId, BlockStore, EncodedBlock, Free, MemBlockStore};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -149,7 +149,7 @@ impl ReplicatedStore {
     /// handle place the primary replica on that node.
     pub fn node_store(self: &Arc<Self>, node: NodeId) -> NodeStore {
         assert!((node.0 as usize) < self.nodes.len());
-        NodeStore { node, inner: Arc::clone(self) }
+        NodeStore { node, inner: Arc::clone(self), free: None }
     }
 
     fn node_alive(&self, node: NodeId) -> bool {
@@ -549,9 +549,15 @@ impl ReplicatedStore {
 pub struct NodeStore {
     node: NodeId,
     inner: Arc<ReplicatedStore>,
+    free: Option<Free>,
 }
 
 impl NodeStore {
+    /// This handle, handing every row group written through it `free`.
+    pub fn freeing(self, free: Option<Free>) -> NodeStore {
+        NodeStore { free, ..self }
+    }
+
     pub fn node(&self) -> NodeId {
         self.node
     }
@@ -584,6 +590,10 @@ impl BlockStore for NodeStore {
 
     fn total_bytes(&self) -> u64 {
         self.inner.local_bytes()
+    }
+
+    fn free(&self) -> Option<Free> {
+        self.free.clone()
     }
 }
 

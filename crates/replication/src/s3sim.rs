@@ -33,7 +33,10 @@ struct Region {
 ///
 /// It keeps no telemetry sink: clusters restored onto one S3 share it,
 /// so a fault that fires at an `s3.*` seam counts in the sink the caller
-/// passes — its own cluster's `fault.injected`.
+/// passes — its own cluster's `fault.injected`. That counter covers the
+/// nine seams that fire through [`crate::inject`] (see there), not the
+/// WAL, scan or front-door seams; the registry's event ring
+/// (`stl_fault_event`) records every one.
 pub struct S3Sim {
     regions: RwLock<BTreeMap<String, Region>>,
     faults: Arc<FaultRegistry>,

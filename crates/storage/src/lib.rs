@@ -52,7 +52,7 @@ pub use analyzer::{analyze_compression, encoding_report};
 pub use block::{BlockId, EncodedBlock};
 pub use encoding::{decode_column, encode_column, Encoding};
 pub use stats::{ColumnStats, TableStats};
-pub use store::{BlockStore, MemBlockStore};
+pub use store::{BlockStore, Free, MemBlockStore};
 pub use table::{ColumnRange, ScanPredicate, SliceTable, SortKeySpec, TableConfig};
 pub use wal::{Wal, WalRecord};
 pub use zonemap::ZoneMap;

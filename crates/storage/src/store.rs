@@ -3,14 +3,19 @@
 //! [`BlockStore`] is the seam between the table layer and everything the
 //! paper builds underneath it: local disks, the synchronous secondary
 //! replica, the asynchronous S3 backup, and page-fault streaming restore.
-//! The table layer only ever `put`s, `get`s and `delete`s; the
-//! replication crate wraps a store to add mirroring and S3 fall-through
-//! without the storage layer knowing.
+//! The table layer only ever `put`s, `get`s and `delete`s, and hands each
+//! row group it writes the store's [`Free`] handle; the replication crate
+//! wraps a store to add mirroring and S3 fall-through without the storage
+//! layer knowing.
 
 use crate::block::{BlockId, EncodedBlock};
 use redsim_testkit::sync::RwLock;
 use redsim_common::{FxHashMap, Result, RsError};
 use std::sync::Arc;
+
+/// Deletes one block from every replica: what a row group calls on each of
+/// its blocks when the last table version naming it drops.
+pub type Free = Arc<dyn Fn(BlockId) + Send + Sync>;
 
 /// Abstract block storage.
 pub trait BlockStore: Send + Sync {
@@ -32,6 +37,12 @@ pub trait BlockStore: Send + Sync {
 
     /// Total payload bytes held.
     fn total_bytes(&self) -> u64;
+
+    /// The handle every row group written through this store frees its
+    /// blocks with; `None`, the default, leaves them in place.
+    fn free(&self) -> Option<Free> {
+        None
+    }
 }
 
 /// A shared handle to a store is a store, so wrappers generic over
@@ -61,12 +72,16 @@ impl<T: BlockStore + ?Sized> BlockStore for Arc<T> {
     fn total_bytes(&self) -> u64 {
         (**self).total_bytes()
     }
+
+    fn free(&self) -> Option<Free> {
+        (**self).free()
+    }
 }
 
 /// In-memory block store (a node's local disk in the simulation).
 #[derive(Default)]
 pub struct MemBlockStore {
-    inner: RwLock<FxHashMap<u64, Arc<EncodedBlock>>>,
+    inner: Arc<RwLock<FxHashMap<u64, Arc<EncodedBlock>>>>,
 }
 
 impl MemBlockStore {
@@ -114,6 +129,11 @@ impl BlockStore for MemBlockStore {
 
     fn total_bytes(&self) -> u64 {
         self.inner.read().values().map(|b| b.byte_size() as u64).sum()
+    }
+
+    fn free(&self) -> Option<Free> {
+        let inner = Arc::clone(&self.inner);
+        Some(Arc::new(move |id: BlockId| drop(inner.write().remove(&id.0))))
     }
 }
 

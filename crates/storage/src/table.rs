@@ -16,11 +16,12 @@ use crate::analyzer::{analyze_compression, DEFAULT_SAMPLE_ROWS};
 use crate::block::{BlockId, EncodedBlock};
 use crate::encoding::{decode_column, encode_column, Encoding};
 use crate::stats::TableStats;
-use crate::store::BlockStore;
+use crate::store::{BlockStore, Free};
 use crate::zonemap::ZoneMap;
 use redsim_common::codec::{Reader, Writer};
 use redsim_common::{ColumnData, DataType, Result, RsError, Schema, Value};
 use redsim_zorder::{normalize_f64, normalize_i64, ZSpace};
+use std::sync::{Arc, OnceLock};
 
 /// Table sort order specification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,18 +77,30 @@ pub struct ScanPredicate {
     pub ranges: Vec<ColumnRange>,
 }
 
-#[derive(Debug, Clone)]
 struct BlockRef {
     id: BlockId,
     zone: ZoneMap,
 }
 
-#[derive(Debug, Clone)]
+/// One row group: a block per column. Shared by every table version that
+/// names it; when the last one drops, the group deletes its blocks.
 struct RowGroup {
     rows: u32,
     cols: Vec<BlockRef>,
     /// z-code interval covered by this group (interleaved sorted region).
     z_range: Option<(u128, u128)>,
+    /// How the group deletes its blocks: the handle of the store that
+    /// wrote it, or of the cluster that adopted it. Unset, as a decoded
+    /// image's groups are until adopted, it deletes nothing.
+    free: OnceLock<Free>,
+}
+
+impl Drop for RowGroup {
+    fn drop(&mut self) {
+        if let Some(free) = self.free.get() {
+            self.cols.iter().for_each(|b| free(b.id));
+        }
+    }
 }
 
 /// Normalization parameters mapping key-column values onto the z-grid.
@@ -117,17 +130,19 @@ pub struct ScanOutput {
 /// Columnar storage of one table on one slice.
 ///
 /// `Clone` is deliberate: a writer builds the table's next version on a
-/// private copy of every slice (manifests only — block payloads live in
-/// the store), so a deep copy here is a few group descriptors plus the
-/// buffered tail, not table data.
-#[derive(Debug, Clone)]
+/// private copy of every slice. The copy shares the row groups (`Arc`s;
+/// block payloads live in the store) and owns only its buffered tail. A
+/// group deletes its blocks when the last copy naming it drops, so
+/// whatever a write replaces or aborts frees itself once no version
+/// names it.
+#[derive(Clone)]
 pub struct SliceTable {
     schema: Schema,
     config: TableConfig,
     /// Locked-in per-column encodings (chosen on first flush).
     encodings: Option<Vec<Encoding>>,
-    sorted: Vec<RowGroup>,
-    unsorted: Vec<RowGroup>,
+    sorted: Vec<Arc<RowGroup>>,
+    unsorted: Vec<Arc<RowGroup>>,
     /// Partial row group not yet encoded.
     buffer: Vec<ColumnData>,
     znorm: Option<ZNorm>,
@@ -248,7 +263,7 @@ impl SliceTable {
                 self.buffer.iter().map(|c| c.slice(take, c.len())).collect();
             self.buffer = rest;
             let group = self.encode_group(&group_cols, store)?;
-            self.unsorted.push(group);
+            self.unsorted.push(Arc::new(group));
         }
         Ok(())
     }
@@ -263,7 +278,7 @@ impl SliceTable {
             self.schema.columns().iter().map(|c| ColumnData::new(c.data_type)).collect(),
         );
         let group = self.encode_group(&group_cols, store)?;
-        self.unsorted.push(group);
+        self.unsorted.push(Arc::new(group));
         Ok(())
     }
 
@@ -279,47 +294,37 @@ impl SliceTable {
         self.encodings = Some(encodings);
     }
 
+    /// Write `cols` as one row group, a block per column, that frees its
+    /// blocks with `store`'s handle. On an error the part already written
+    /// drops and frees itself.
     fn encode_group(&mut self, cols: &[ColumnData], store: &dyn BlockStore) -> Result<RowGroup> {
         self.ensure_encodings(cols);
         let encodings = self.encodings.clone().expect("set above");
         let rows = cols.first().map_or(0, |c| c.len()) as u32;
-        let mut refs: Vec<BlockRef> = Vec::with_capacity(cols.len());
+        let mut group = RowGroup {
+            rows,
+            cols: Vec::with_capacity(cols.len()),
+            z_range: self.z_range_of(cols),
+            free: store.free().map_or_else(OnceLock::new, OnceLock::from),
+        };
         for (col, &enc) in cols.iter().zip(&encodings) {
             // The analyzer picks from a sample; data later in the load can
             // break a codec's data-dependent limits (dict overflow). Fall
             // back to Raw rather than failing the load.
-            let payload = match encode_column(col, enc)
-                .or_else(|_| encode_column(col, Encoding::Raw))
-            {
-                Ok(p) => p,
-                Err(e) => {
-                    // Scrub columns already written for this group so a
-                    // failed encode leaves no orphan blocks behind.
-                    for r in &refs {
-                        store.delete(r.id);
-                    }
-                    return Err(e);
-                }
-            };
+            let payload = encode_column(col, enc).or_else(|_| encode_column(col, Encoding::Raw))?;
             let zone = ZoneMap::build(col);
             let block = EncodedBlock::new(rows, payload);
             let id = block.id;
             if let Err(e) = store.put(block) {
                 // A failed put may have partially dual-written (mirror
-                // primary ok, secondary refused → no placement record).
-                // delete() is idempotent and removes the id from every
-                // node, so scrub the failing id too, then the group's
-                // already-written columns.
+                // primary ok, secondary refused → no placement record),
+                // and no group names it: delete it from every node here.
                 store.delete(id);
-                for r in &refs {
-                    store.delete(r.id);
-                }
                 return Err(e);
             }
-            refs.push(BlockRef { id, zone });
+            group.cols.push(BlockRef { id, zone });
         }
-        let z_range = self.z_range_of(cols);
-        Ok(RowGroup { rows, cols: refs, z_range })
+        Ok(group)
     }
 
     /// Compute the z-code range covered by a group (only meaningful after
@@ -439,25 +444,14 @@ impl SliceTable {
 
     /// VACUUM: merge sorted + unsorted + buffer into a fully sorted
     /// region (by the table's sort key), rewriting all blocks. Returns
-    /// the number of rows rewritten.
+    /// the number of rows rewritten. The replaced groups free their blocks
+    /// when the last version naming them drops: at once if this table was
+    /// their only holder, after the commit that replaces the published
+    /// version if this is a writer's copy — so a crash on either side of
+    /// that commit leaves one complete, readable block set. On error the
+    /// table is untouched, and the new groups already written free
+    /// themselves.
     pub fn vacuum(&mut self, store: &dyn BlockStore) -> Result<u64> {
-        let (rows, old_blocks) = self.vacuum_deferred(store)?;
-        for id in old_blocks {
-            store.delete(id);
-        }
-        Ok(rows)
-    }
-
-    /// [`SliceTable::vacuum`] with the old blocks' deletion *deferred*:
-    /// the rewrite installs new groups but leaves the pre-vacuum blocks
-    /// in the store, returning their ids for the caller to delete. The
-    /// crash-recovery write path needs this ordering — old blocks must
-    /// outlive the WAL commit of the post-vacuum manifests, so that a
-    /// crash on either side of the commit leaves one complete, readable
-    /// block set (the other side's blocks become scrubbable orphans).
-    /// On error the table is untouched and any partially-written new
-    /// blocks are scrubbed.
-    pub fn vacuum_deferred(&mut self, store: &dyn BlockStore) -> Result<(u64, Vec<BlockId>)> {
         // Materialize everything.
         let all_cols_idx: Vec<usize> = (0..self.schema.len()).collect();
         let mut full: Vec<ColumnData> =
@@ -495,10 +489,10 @@ impl SliceTable {
         }
         let sorted_cols: Vec<ColumnData> = full.iter().map(|c| c.gather(&order)).collect();
 
-        // Rewrite into new blocks first; the old blocks stay until the
-        // caller deletes them. Stage into a local vec so a mid-rewrite
-        // error leaves `self` exactly as it was.
-        let old_blocks = self.block_ids();
+        // Rewrite into new groups staged in a local vec, under the new
+        // norm (their z-ranges); an error puts back the norm and the
+        // encodings the rewrite may have set, so `self` is as it was.
+        let kept = (self.znorm.clone(), self.encodings.clone());
         if let Some(norm) = new_znorm {
             self.znorm = Some(norm);
         }
@@ -508,26 +502,31 @@ impl SliceTable {
             let end = (offset + self.config.rows_per_group).min(n);
             let group_cols: Vec<ColumnData> =
                 sorted_cols.iter().map(|c| c.slice(offset, end)).collect();
-            let group = match self.encode_group(&group_cols, store) {
-                Ok(g) => g,
+            match self.encode_group(&group_cols, store) {
+                Ok(group) => new_sorted.push(Arc::new(group)),
                 Err(e) => {
-                    for g in &new_sorted {
-                        let g: &RowGroup = g;
-                        for b in &g.cols {
-                            store.delete(b.id);
-                        }
-                    }
+                    (self.znorm, self.encodings) = kept;
                     return Err(e);
                 }
-            };
-            new_sorted.push(group);
+            }
             offset = end;
         }
         self.sorted = new_sorted;
         self.unsorted.clear();
         self.buffer =
             self.schema.columns().iter().map(|c| ColumnData::new(c.data_type)).collect();
-        Ok((n as u64, old_blocks))
+        Ok(n as u64)
+    }
+
+    /// Hand every row group `store`'s freeing handle, unless it has one:
+    /// how a cluster takes over a decoded image, whose groups delete
+    /// nothing until adopted.
+    pub fn adopt(&self, store: &dyn BlockStore) {
+        if let Some(free) = store.free() {
+            for group in self.sorted.iter().chain(&self.unsorted) {
+                let _ = group.free.set(Arc::clone(&free));
+            }
+        }
     }
 
     /// Compute full table statistics (ANALYZE) for this slice.
@@ -619,7 +618,8 @@ impl SliceTable {
 
     /// Inverse of [`encode_meta`](Self::encode_meta). The blocks
     /// referenced must be resolvable through the store handed to later
-    /// scans (streaming restore page-faults them in).
+    /// scans (streaming restore page-faults them in). The groups are inert
+    /// — dropping them deletes nothing — until [`SliceTable::adopt`]ed.
     pub fn decode_meta(r: &mut Reader) -> Result<SliceTable> {
         let schema = Schema::decode(r)?;
         let rows_per_group = r.get_u32()? as usize;
@@ -650,7 +650,7 @@ impl SliceTable {
         } else {
             None
         };
-        let mut regions: Vec<Vec<RowGroup>> = Vec::with_capacity(2);
+        let mut regions: Vec<Vec<Arc<RowGroup>>> = Vec::with_capacity(2);
         // A group is at least rows, a column count and the z-range flag; a
         // column a block id and a zone map's two flags and two counts.
         for _ in 0..2 {
@@ -670,7 +670,7 @@ impl SliceTable {
                 } else {
                     None
                 };
-                groups.push(RowGroup { rows, cols, z_range });
+                groups.push(Arc::new(RowGroup { rows, cols, z_range, free: OnceLock::new() }));
             }
             regions.push(groups);
         }
@@ -1104,6 +1104,86 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `inner`, refusing its `refuse`th `put` (counting from 1).
+    struct RefusesPut {
+        inner: MemBlockStore,
+        puts: std::sync::atomic::AtomicUsize,
+        refuse: usize,
+    }
+
+    impl BlockStore for RefusesPut {
+        fn put(&self, block: EncodedBlock) -> Result<()> {
+            let n = self.puts.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+            if n == self.refuse {
+                return Err(RsError::FaultInjected(format!("put {n} refused")));
+            }
+            self.inner.put(block)
+        }
+
+        fn get(&self, id: BlockId) -> Result<Arc<EncodedBlock>> {
+            self.inner.get(id)
+        }
+
+        fn delete(&self, id: BlockId) {
+            self.inner.delete(id)
+        }
+
+        fn contains(&self, id: BlockId) -> bool {
+            self.inner.contains(id)
+        }
+
+        fn block_count(&self) -> usize {
+            self.inner.block_count()
+        }
+
+        fn total_bytes(&self) -> u64 {
+            self.inner.total_bytes()
+        }
+
+        fn free(&self) -> Option<Free> {
+            self.inner.free()
+        }
+    }
+
+    /// A VACUUM that fails leaves the table as it was, its z-norm
+    /// included: the norm computed for the rewrite must not outlive it
+    /// over groups whose z-ranges were cut under the old one, or pruning
+    /// drops matching rows. Its new groups free their blocks.
+    #[test]
+    fn a_failed_vacuum_keeps_the_z_norm() {
+        let store =
+            RefusesPut { inner: MemBlockStore::new(), puts: Default::default(), refuse: 5 };
+        let schema = Schema::new(vec![
+            ColumnDef::new("x", DataType::Int8),
+            ColumnDef::new("y", DataType::Int8),
+        ])
+        .unwrap();
+        let cfg = TableConfig {
+            rows_per_group: 16,
+            sort_key: SortKeySpec::Interleaved(vec![0, 1]),
+            ..Default::default()
+        };
+        let mut t = SliceTable::new(schema, cfg).unwrap();
+        let rows = |keys: std::ops::Range<i64>| -> Vec<ColumnData> {
+            let (mut x, mut y) = (ColumnData::new(DataType::Int8), ColumnData::new(DataType::Int8));
+            for i in keys {
+                x.push_value(&Value::Int8(i * 7 % 100 + i / 100 * 100)).unwrap();
+                y.push_value(&Value::Int8(i)).unwrap();
+            }
+            vec![x, y]
+        };
+        t.append(&rows(0..100), &store.inner).unwrap();
+        t.vacuum(&store.inner).unwrap();
+        t.append(&rows(100..300), &store.inner).unwrap();
+        t.flush(&store.inner).unwrap();
+        let (blocks, ids) = (store.inner.block_count(), t.block_ids());
+        let err = t.vacuum(&store).unwrap_err();
+        assert!(matches!(err, RsError::FaultInjected(_)), "{err}");
+        assert_eq!((store.inner.block_count(), t.block_ids()), (blocks, ids), "the rewrite leaked");
+        let out = scan_all(&t, &store.inner, &[0], Some(&range(0, 0, 50)));
+        assert_eq!(rows_in(&out, 0, 0, 50), 51, "pruning dropped matching rows");
     }
 
     #[test]

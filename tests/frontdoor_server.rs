@@ -154,8 +154,10 @@ fn drain_finishes_in_flight_work_and_stops_accepting() {
     let addr = door.addr();
     let mut idle = WireClient::connect(addr, "idle", None).unwrap();
     idle.ping().unwrap();
+    // Connected before the drain begins: the write, not the connect,
+    // races it.
+    let mut c = WireClient::connect(addr, "busy", None).unwrap();
     let busy = std::thread::spawn(move || {
-        let mut c = WireClient::connect(addr, "busy", None).unwrap();
         // A small write races the drain below; whichever way it lands,
         // the response (or EOF error) must be clean, never a hang.
         let r = c.execute("INSERT INTO t VALUES (4, 'w')");

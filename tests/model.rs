@@ -50,6 +50,7 @@ use redshift_sim::replication::{BackupManager, SnapshotKind};
 use redshift_sim::sql::catalog::{StaticCatalog, TableMeta};
 use redshift_sim::sql::plan_query;
 use redshift_sim::storage::stats::TableStats;
+use redshift_sim::storage::BlockId;
 use redshift_sim::storage::table::SortKeySpec;
 use redshift_sim::testkit::prop::{self, Config};
 use redshift_sim::testkit::rng::{Pcg32, Rng};
@@ -507,6 +508,11 @@ impl Job {
 /// What a refused write must leave as it was, read before it ran alone:
 /// `copy.rows_loaded`, and the nodes' bytes.
 type Before = (u64, Option<u64>);
+
+/// The blocks placed on `c`'s nodes.
+fn placed_ids(c: &Cluster) -> BTreeSet<BlockId> {
+    c.replicated_store().unwrap().placed_block_ids().into_iter().collect()
+}
 
 /// Run `job` on a thread of its own; it sends its outcome on `tx`. A
 /// parked statement's delay hook sends `None` there first.
@@ -978,6 +984,7 @@ impl Run {
             beside => (beside, None),
         };
         let (mut heal, mut waiting, alone) = (Vec::new(), None, beside.is_none());
+        let mut left = None;
         if let Some((op, ba, bb)) = beside {
             self.step += 1;
             match self.plan(op, ba, bb) {
@@ -986,7 +993,7 @@ impl Run {
                     RETURNED.fetch_add(1, Relaxed);
                     self.inline(op, ba, bb);
                 }
-                Some(b_job) => waiting = self.beside(kind, &job, &c, b_job, &mut heal),
+                Some(b_job) => waiting = self.beside(kind, &job, &c, b_job, &mut heal, &mut left),
             }
         }
         if matches!(kind, Op::Copy | Op::Insert) {
@@ -995,6 +1002,15 @@ impl Run {
         }
         drop(release);
         let got = done(&events, &a_line);
+        if let Some((pair, placed, now)) = left {
+            // ... and what B freed that A's catalog does not name was gone
+            // when B returned: nothing B frees waits for A. Here A has
+            // returned, so every block it kept placed and the published
+            // catalog does not name is gone too.
+            let kept = placed_ids(&c);
+            let late: Vec<_> = now.difference(&kept).filter(|b| !placed.contains(b)).collect();
+            assert!(late.is_empty(), "{pair}: blocks A's catalog never named waited for A: {late:?}");
+        }
         match (job, got) {
             // B resized the cluster under the parked write: its commit is
             // refused (or a fault or a node down on the source refused it
@@ -1022,6 +1038,9 @@ impl Run {
     /// Start B on a thread of its own beside the parked A (`a` on `c`).
     /// A B that returns is waited for and settled here, its refused write
     /// pushed to `heal`; a B that waits is handed back, still running.
+    /// Beside a parked SELECT on a hydrated cluster, a B that returns
+    /// leaves in `left` the pair, the blocks placed when B began (the
+    /// ones A's catalog names) and those placed when B returned.
     fn beside(
         &mut self,
         kind: Op,
@@ -1029,14 +1048,17 @@ impl Run {
         c: &Arc<Cluster>,
         b_job: Job,
         heal: &mut Vec<Stmt>,
+        left: &mut Option<(String, BTreeSet<BlockId>, BTreeSet<BlockId>)>,
     ) -> Option<(Job, mpsc::Receiver<Option<Got>>, String)> {
         let pair = format!("B `{}` beside parked A `{}`", b_job.line(), a.line());
         let waits = waits(kind, &b_job);
         let conflict = a.loads().is_some() && a.loads() == b_job.loads();
         let read_only = kind == Op::Resize && matches!(b_job, Job::Write(_) | Job::Resize(..));
         // A parked reader holds its catalog's blocks: nothing beside it
-        // frees one, so `local_bytes()` cannot fall either.
-        let placed = (kind == Op::Select).then(|| c.replicated_store().unwrap().placed_block_ids());
+        // frees one, so `local_bytes()` cannot fall either. On a hydrated
+        // cluster the blocks placed are exactly the ones its catalog names.
+        let placed = (kind == Op::Select).then(|| placed_ids(c));
+        let hydrated = c.hydration_progress() == 1.0;
         let counted = conflict.then(|| conflicts(c));
         self.log.push(format!("-- beside it, on a thread ({}):", if waits { "waits" } else { "returns" }));
         self.log.push(b_job.line());
@@ -1084,9 +1106,12 @@ impl Run {
             (b_job, got) => heal.extend(self.settle(b_job, got, None)),
         }
         if let Some(placed) = placed {
-            let now: BTreeSet<_> = c.replicated_store().unwrap().placed_block_ids().into_iter().collect();
-            let freed: Vec<_> = placed.into_iter().filter(|b| !now.contains(b)).collect();
+            let now = placed_ids(c);
+            let freed: Vec<_> = placed.difference(&now).collect();
             assert!(freed.is_empty(), "{pair}: freed blocks under a parked reader: {freed:?}");
+            if hydrated {
+                *left = Some((pair, placed, now));
+            }
         }
         None
     }
