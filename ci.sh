@@ -295,6 +295,11 @@ probes=(
   redsim_core::cluster::write::tests::a_block_no_held_catalog_names_goes_at_once
   redsim_storage::table::tests::a_failed_vacuum_keeps_the_z_norm
   redsim_core::systables::tests::stl_fault_event_materializes_the_registry_ring
+  # a unit moves as columns: §17 "Load path: a unit moves as columns"
+  redsim_common::column::tests::bulk_moves_equal_the_per_row_reference
+  redsim_common::bitmap::tests::extend_range_equals_pushing_each_bit
+  redsim_core::loader::tests::{fast_parsers_equal_str_parse,one_scan_cuts_as_lines_split_trim}
+  redsim_distribution::style::tests::key_slices_equal_dist_hash_of_each_value
 )
 # <listing> <probes...>: fails naming every probe that is not exactly one
 # listed test.
@@ -399,6 +404,10 @@ absent -rn 'fn unshared' 'the abort diff (a row group frees its own blocks)' cra
 absent -rn 'fn free_blocks' "the epoch's free closure (a row group frees its own blocks)" crates/ src/ tests/
 absent -rn 'fn vacuum_deferred' "a second VACUUM (a row group frees its own blocks)" crates/ src/ tests/
 absent -n 'fn new(capacity: usize) -> Self' "PlanCache's uncalled constructor" crates/engine/src/compile.rs
+absent -rn 'dist_hash(&cols\[kc\].get(i))' 'a boxed Value per row in the KEY router (a unit moves as columns)' crates/
+absent -n 'fn route(' "exec's private typed router (a unit moves as columns)" crates/engine/src/exec.rs
+absent -n 'gather(&(from as u32' "slice's index-vector gather (a unit moves as columns)" crates/common/src/column.rs
+absent -rn 'fn slice_for_key' "the router's boxed one-key lookup (a unit moves as columns)" crates/ src/ tests/
 # Only testkit (seeds, case counts, results dir) reads the environment.
 absent -rn 'env::var' 'an environment read outside crates/testkit' $(find crates -mindepth 1 -maxdepth 1 -type d ! -name testkit)
 if ls crates/bench/benches results | grep -xE "($rulers)\.rs|($csvs|.*_baseline)\.csv"; then

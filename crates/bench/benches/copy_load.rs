@@ -15,12 +15,18 @@
 //! `zone_map_varchar_2500` (the typed min/max fold over one etl_load-shaped
 //! 2,500-row VARCHAR block) against `zone_map_boxed_varchar_2500` (a
 //! `Value` per row); a ratio row bounds each.
+//! `parse/etl_10k` is one etl_load body through `loader::parse_csv` (one
+//! byte scan per unit, exact ASCII number paths) beside
+//! `parse/etl_10k_split`, the `str::lines` / `split` / `trim` /
+//! `str::parse` path it replaced; `append/bulk_10k` moves that batch with
+//! `ColumnData::append` (typed bulk copies) beside `append/push_from_10k`,
+//! a `push_from` per row; a ratio row bounds each.
 //! JSON point: `BENCH_copy_load.json`. The run exits non-zero when a ratio
 //! row breaks (DESIGN.md §2).
 
 use redsim_common::codec::crc32;
-use redsim_common::{ColumnData, DataType, Value};
-use redsim_core::{Cluster, ClusterConfig};
+use redsim_common::{Bitmap, ColumnData, ColumnDef, DataType, Schema, StrVec, Value};
+use redsim_core::{loader, Cluster, ClusterConfig};
 use redsim_storage::stats::TableStats;
 use redsim_storage::ZoneMap;
 use redsim_testkit::bench::Bench;
@@ -31,10 +37,17 @@ const LANE_VALUES: usize = 100_000;
 /// The VARCHAR statistics lane over the BIGINT one: 2.58–2.83 in ten runs
 /// (EXPERIMENTS.md "Bench gates").
 const VARCHAR_OVER_INT: f64 = 3.5;
+/// `parse/etl_10k` over `parse/etl_10k_split`: 0.578–0.759 in eleven runs;
+/// `append/bulk_10k` over `append/push_from_10k`: 0.028–0.039
+/// (EXPERIMENTS.md "Bench gates").
+const PARSE_OVER_SPLIT: f64 = 0.85;
+const BULK_OVER_PUSH_FROM: f64 = 0.1;
 /// A sealed block's bytes, and one etl_load block's rows (10k rows over
 /// four slices).
 const SEAL_BYTES: usize = 64 * 1024;
 const SEAL_ROWS: usize = 2_500;
+/// One etl_load body's rows.
+const ETL_ROWS: usize = 10_000;
 
 /// The table of the bytewise CRC-32 `crc32` replaced.
 fn crc32_table() -> [u32; 256] {
@@ -111,6 +124,99 @@ fn bench_seal(b: &mut Bench) {
     );
 }
 
+/// An etl_load-shaped body: `id,v,amt,tag` with `amt` in cents.
+fn etl_csv() -> String {
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move |n: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % n
+    };
+    let tags = ["new", "paid", "held", "void", "sent", "done"];
+    (0..ETL_ROWS)
+        .map(|r| {
+            let (v, cents) = (next(1_000_000), next(1_000_000));
+            let tag = tags[next(6) as usize];
+            format!("{r},{v},{}.{:02},{tag}-{}\n", cents / 100, cents % 100, next(100))
+        })
+        .collect()
+}
+
+/// The parse `loader::parse_csv` replaced, for the etl_load columns:
+/// `str::lines`, `split`, `trim`, then `str::parse` into typed vectors.
+fn parse_split(text: &str) -> Vec<ColumnData> {
+    let (mut id, mut v, mut amt, mut tag) = (Vec::new(), Vec::new(), Vec::new(), StrVec::new());
+    for line in text.lines().filter(|l| !l.is_empty()) {
+        let mut f = line.split(',').map(str::trim);
+        let mut next = || f.next().expect("four fields");
+        id.push(next().parse::<i64>().expect("BIGINT"));
+        v.push(next().parse::<i64>().expect("BIGINT"));
+        amt.push(next().parse::<f64>().expect("FLOAT8"));
+        tag.push(next());
+    }
+    let valid = || Bitmap::all_valid(id.len());
+    vec![
+        ColumnData::Int8 { nulls: valid(), data: id.clone() },
+        ColumnData::Int8 { nulls: valid(), data: v },
+        ColumnData::Float8 { nulls: valid(), data: amt },
+        ColumnData::Str { nulls: valid(), data: tag },
+    ]
+}
+
+/// `parse/*` and `append/*`: the two per-row stages of a COPY unit, each
+/// beside the per-row path it replaced (outputs asserted equal first).
+fn bench_unit(b: &mut Bench) {
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int8),
+        ColumnDef::new("v", DataType::Int8),
+        ColumnDef::new("amt", DataType::Float8),
+        ColumnDef::new("tag", DataType::Varchar),
+    ])
+    .unwrap();
+    let csv = etl_csv();
+    let batch = loader::parse_csv(&csv, 1, ',', &schema).unwrap();
+    assert_eq!(batch, parse_split(&csv));
+    let empty = || batch.iter().map(|c| ColumnData::new(c.data_type())).collect::<Vec<_>>();
+    let by_row = || {
+        let mut out = empty();
+        for (o, c) in out.iter_mut().zip(&batch) {
+            (0..c.len()).for_each(|i| o.push_from(c, i));
+        }
+        out
+    };
+    let bulk = || {
+        let mut out = empty();
+        out.iter_mut().zip(&batch).for_each(|(o, c)| o.append(c));
+        out
+    };
+    assert_eq!(bulk(), by_row());
+    let mut g = b.group("parse");
+    g.sample_size(10);
+    g.throughput_elems(ETL_ROWS as u64);
+    g.bench_function("etl_10k", |bch| bch.iter(|| loader::parse_csv(black_box(&csv), 1, ',', &schema)));
+    g.bench_function("etl_10k_split", |bch| bch.iter(|| parse_split(black_box(&csv))));
+    g.finish();
+    let mut g = b.group("append");
+    g.sample_size(10);
+    g.throughput_elems(ETL_ROWS as u64);
+    g.bench_function("bulk_10k", |bch| bch.iter(bulk));
+    g.bench_function("push_from_10k", |bch| bch.iter(by_row));
+    g.finish();
+    b.ratio(
+        ["parse", "etl_10k", ""],
+        ["parse", "etl_10k_split", ""],
+        PARSE_OVER_SPLIT,
+        "a unit is cut in one byte scan and its numbers parse on exact ASCII paths",
+    );
+    b.ratio(
+        ["append", "bulk_10k", ""],
+        ["append", "push_from_10k", ""],
+        BULK_OVER_PUSH_FROM,
+        "a batch moves as typed bulk copies, not a push_from per row",
+    );
+}
+
 fn main() {
     let mut b = Bench::new("copy_load");
     b.json_summary_to("BENCH_copy_load.json");
@@ -178,5 +284,6 @@ fn main() {
         "a VARCHAR's statistics fold its bytes, not a boxed Value per row",
     );
     bench_seal(&mut b);
+    bench_unit(&mut b);
     b.finish();
 }

@@ -97,6 +97,40 @@ impl Bitmap {
         Bitmap { bits, len: self.len, zeros: self.len - ones }
     }
 
+    /// Append rows `from..to` of `src`, 64 at a time.
+    pub fn extend_range(&mut self, src: &Bitmap, from: usize, to: usize) {
+        assert!(from <= to && to <= src.len, "bitmap range {from}..{to} out of bounds (len {})", src.len);
+        self.bits.reserve((self.len + to - from).div_ceil(64).saturating_sub(self.bits.len()));
+        for at in (from..to).step_by(64) {
+            let n = (to - at).min(64);
+            self.push_word(src.word_at(at) & (u64::MAX >> (64 - n)), n);
+        }
+    }
+
+    /// The 64 bits from row `i` on; bits past the end read 0.
+    fn word_at(&self, i: usize) -> u64 {
+        let (w, s) = (i / 64, i % 64);
+        match s {
+            0 => self.bits[w],
+            _ => self.bits[w] >> s | self.bits.get(w + 1).map_or(0, |&hi| hi << (64 - s)),
+        }
+    }
+
+    /// Append the low `n` (1..=64) bits of `word`, whose other bits are 0.
+    fn push_word(&mut self, word: u64, n: usize) {
+        match self.len % 64 {
+            0 => self.bits.push(word),
+            s => {
+                *self.bits.last_mut().expect("a partly used word") |= word << s;
+                if s + n > 64 {
+                    self.bits.push(word >> (64 - s));
+                }
+            }
+        }
+        self.len += n;
+        self.zeros += n - word.count_ones() as usize;
+    }
+
     /// Iterate validity bits.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
@@ -180,6 +214,23 @@ mod tests {
         assert_eq!(rt.null_count(), 2);
         // Stray bits past `len` are dropped, not counted.
         assert_eq!(Bitmap::from_raw(vec![u64::MAX, u64::MAX], 70), Bitmap::all_valid(70));
+    }
+
+    /// The word-level extend equals pushing the same bits one by one:
+    /// every alignment of source and destination, across word ends.
+    #[test]
+    fn extend_range_equals_pushing_each_bit() {
+        let src = Bitmap::from_iter((0..300).map(|i| i % 7 != 3 && i % 64 != 63));
+        for head in [0, 1, 63, 64, 65, 130] {
+            let dst = Bitmap::from_iter((0..head).map(|i| i % 5 != 0));
+            for (from, to) in [(0, 0), (0, 300), (1, 64), (63, 129), (64, 128), (5, 6), (200, 300)] {
+                let mut bulk = dst.clone();
+                bulk.extend_range(&src, from, to);
+                let mut pushed = dst.clone();
+                (from..to).for_each(|i| pushed.push(src.get(i)));
+                assert_eq!(bulk, pushed, "head {head}, {from}..{to}");
+            }
+        }
     }
 
     #[test]

@@ -189,6 +189,48 @@ impl StrVec {
         }
     }
 
+    /// An empty vector of the same form: coded ones share the dictionary.
+    fn empty_like(&self) -> StrVec {
+        match &self.0 {
+            Repr::Arena { .. } => StrVec::new(),
+            Repr::Coded { dict, empty, .. } => {
+                StrVec(Repr::Coded { codes: Vec::new(), dict: Arc::clone(dict), empty: *empty })
+            }
+        }
+    }
+
+    /// Append rows `from..to` of `src`, those `nulls` marks NULL as the
+    /// NULL payload: what [`StrVec::push_from`] and [`StrVec::push_null`]
+    /// row by row leave, one bulk copy where the rows allow it. A coded
+    /// vector stays coded for rows of its dictionary and for NULLs.
+    fn extend_range(&mut self, src: &StrVec, nulls: &Bitmap, from: usize, to: usize) {
+        let all = nulls.null_count() == 0 || (from..to).all(|i| nulls.get(i));
+        match (&mut self.0, &src.0) {
+            (Repr::Coded { codes, dict, empty }, Repr::Coded { codes: s, dict: d, .. })
+                if Arc::ptr_eq(dict, d) =>
+            {
+                let start = codes.len();
+                codes.extend_from_slice(&s[from..to]);
+                if !all {
+                    (from..to).filter(|&i| !nulls.get(i)).for_each(|i| codes[start + i - from] = *empty);
+                }
+            }
+            (Repr::Coded { codes, empty, .. }, _) if (from..to).all(|i| !nulls.get(i)) => {
+                codes.resize(codes.len() + to - from, *empty)
+            }
+            (_, Repr::Arena { offsets: so, bytes: sb }) if all => {
+                let (offsets, bytes) = self.arena_mut();
+                let (lo, base) = (so[from], bytes.len() as u32);
+                bytes.extend_from_slice(&sb[lo as usize..so[to] as usize]);
+                offsets.extend(so[from + 1..=to].iter().map(|&o| o - lo + base));
+            }
+            _ => (from..to).for_each(|i| match nulls.get(i) {
+                true => self.push_bytes(src.bytes_at(i)),
+                false => self.push_null(),
+            }),
+        }
+    }
+
     /// The coded form: one dictionary of the distinct strings, first-seen
     /// order, then `""` if no row holds it.
     pub fn coded(&self) -> StrVec {
@@ -641,14 +683,54 @@ impl ColumnData {
 
     /// Append all rows of `other` (same type).
     pub fn append(&mut self, other: &ColumnData) {
-        for i in 0..other.len() {
-            self.push_from(other, i);
-        }
+        self.extend_range(other, 0, other.len());
     }
 
     /// Slice out rows `[from, to)` as a new column, in this form.
     pub fn slice(&self, from: usize, to: usize) -> ColumnData {
-        self.gather(&(from as u32..to as u32).collect::<Vec<u32>>())
+        let mut out = match self {
+            ColumnData::Str { data, .. } => ColumnData::Str { data: data.empty_like(), nulls: Bitmap::new() },
+            other => ColumnData::new(other.data_type()),
+        };
+        out.extend_range(self, from, to);
+        out
+    }
+
+    /// Append rows `from..to` of `src` (same type): one typed bulk copy of
+    /// the payload and one word-level extend of the validity bits. A NULL
+    /// slot holds the default payload, as [`ColumnData::push_from`] row by
+    /// row leaves it.
+    pub fn extend_range(&mut self, src: &ColumnData, from: usize, to: usize) {
+        let nulls = src.nulls();
+        macro_rules! fixed {
+            ($data:expr, $s:expr) => {{
+                let start = $data.len();
+                $data.extend_from_slice(&$s[from..to]);
+                if nulls.null_count() > 0 {
+                    let slots = &mut $data[start..];
+                    (from..to).filter(|&i| !nulls.get(i)).for_each(|i| slots[i - from] = Default::default());
+                }
+            }};
+        }
+        match (&mut *self, src) {
+            (ColumnData::Bool { data, .. }, ColumnData::Bool { data: s, .. }) => fixed!(data, s),
+            (ColumnData::Int2 { data, .. }, ColumnData::Int2 { data: s, .. }) => fixed!(data, s),
+            (ColumnData::Int4 { data, .. }, ColumnData::Int4 { data: s, .. }) => fixed!(data, s),
+            (ColumnData::Int8 { data, .. }, ColumnData::Int8 { data: s, .. }) => fixed!(data, s),
+            (ColumnData::Float8 { data, .. }, ColumnData::Float8 { data: s, .. }) => fixed!(data, s),
+            (ColumnData::Date { data, .. }, ColumnData::Date { data: s, .. }) => fixed!(data, s),
+            (ColumnData::Timestamp { data, .. }, ColumnData::Timestamp { data: s, .. }) => fixed!(data, s),
+            (ColumnData::Decimal { data, .. }, ColumnData::Decimal { data: s, .. }) => fixed!(data, s),
+            (ColumnData::Str { data, .. }, ColumnData::Str { data: s, .. }) => {
+                data.extend_range(s, nulls, from, to)
+            }
+            (me, src) => panic!(
+                "extend_range type mismatch: {:?} <- {:?}",
+                me.data_type(),
+                src.data_type()
+            ),
+        }
+        for_each_variant!(self, _d, n => n.extend_range(nulls, from, to));
     }
 
     /// Non-NULL min/max as `Value`s (zone-map construction): the *first*
@@ -1034,6 +1116,71 @@ mod tests {
             assert_eq!(coded.byte_size(), 4 * vals.len() + dict_bytes + vals.len().div_ceil(8));
             assert_eq!(arena.byte_size(), ad.byte_len() + 4 * vals.len() + vals.len().div_ceil(8));
         }
+    }
+
+    /// Bulk `append` / `slice` / `extend_range` leave exactly what the
+    /// per-row definitions they replaced leave — `push_from` row by row,
+    /// and a gather of `from..to` — down to the form (arena or coded, which
+    /// dictionary), the NULL payloads and the validity words: every
+    /// variant, payload garbage under NULLs, every alignment of the bits,
+    /// and coded vectors that do and do not share a dictionary.
+    #[test]
+    fn bulk_moves_equal_the_per_row_reference() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let strs = ["", "a", "bc", "é", "日本", "zz"];
+        let mut checked = 0;
+        for case in 0..3_000u64 {
+            let len = next(150) as usize;
+            let density = [0, 64, next(64)][case as usize % 3];
+            let nulls = Bitmap::from_iter((0..len).map(|_| next(64) >= density));
+            let words: StrVec = (0..len).map(|_| strs[next(6) as usize]).collect();
+            let mut ints = || (0..len).map(|_| next(9) as i64 - 4).collect::<Vec<i64>>();
+            let col = match case % 11 {
+                0 => ColumnData::Bool { data: ints().iter().map(|&v| v > 0).collect(), nulls },
+                1 => ColumnData::Int2 { data: ints().iter().map(|&v| v as i16).collect(), nulls },
+                2 => ColumnData::Int4 { data: ints().iter().map(|&v| v as i32).collect(), nulls },
+                3 => ColumnData::Int8 { data: ints(), nulls },
+                4 => ColumnData::Float8 { data: ints().iter().map(|&v| v as f64 / 3.0).collect(), nulls },
+                5 => ColumnData::Date { data: ints().iter().map(|&v| v as i32).collect(), nulls },
+                6 => ColumnData::Timestamp { data: ints(), nulls },
+                7 => ColumnData::Decimal { data: ints().iter().map(|&v| v as i128).collect(), scale: 2, nulls },
+                8 => ColumnData::Str { data: words, nulls },
+                _ => ColumnData::Str { data: words.coded(), nulls },
+            };
+            let (a, b) = (next(len as u64 + 1) as usize, next(len as u64 + 1) as usize);
+            let (from, to) = (a.min(b), a.max(b));
+            let rows: Vec<u32> = (from..to).map(|i| i as u32).collect();
+            let gathered = col.gather(&rows);
+            assert_eq!(format!("{:?}", col.slice(from, to)), format!("{gathered:?}"), "case {case}");
+            // Destinations: empty; a head of the source's rows (of its
+            // dictionary, when coded); for strings, a coded head of another.
+            let head = col.slice(0, next(len as u64 + 1) as usize);
+            let mut dsts = vec![ColumnData::new(col.data_type()), head.clone()];
+            if let ColumnData::Str { data, nulls } = &head {
+                // A head cut from a coded source shares its dictionary;
+                // this one never does.
+                dsts.push(ColumnData::Str { data: data.arena().coded(), nulls: nulls.clone() });
+            }
+            for dst in dsts {
+                let (mut bulk, mut by_row) = (dst.clone(), dst);
+                bulk.extend_range(&col, from, to);
+                (from..to).for_each(|i| by_row.push_from(&col, i));
+                assert_eq!(format!("{bulk:?}"), format!("{by_row:?}"), "case {case}, {from}..{to}");
+                checked += 1;
+            }
+            let mut appended = head.clone();
+            appended.append(&col);
+            let mut by_row = head;
+            (0..col.len()).for_each(|i| by_row.push_from(&col, i));
+            assert_eq!(format!("{appended:?}"), format!("{by_row:?}"), "case {case}");
+        }
+        assert!(checked > 6_000, "{checked}");
     }
 
     #[test]

@@ -494,6 +494,66 @@ pub fn parse_decimal(s: &str, scale: u8) -> Result<i128> {
     Ok(if neg { -units } else { units })
 }
 
+/// An optional `+` / `-`, then the rest.
+fn split_sign(s: &[u8]) -> (bool, &[u8]) {
+    match s {
+        [b'-', rest @ ..] => (true, rest),
+        [b'+', rest @ ..] => (false, rest),
+        _ => (false, s),
+    }
+}
+
+/// `s.parse::<i64>()` where it is exact and cheap: a sign, then 1 to 18
+/// ASCII digits, which cannot overflow. `None` for any other text, which
+/// `str::parse` then decides.
+pub fn parse_int_ascii(s: &[u8]) -> Option<i64> {
+    let (neg, digits) = split_sign(s);
+    if digits.is_empty() || digits.len() > 18 {
+        return None;
+    }
+    let mut v = 0i64;
+    for &b in digits {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v = v * 10 + d as i64;
+    }
+    Some(if neg { -v } else { v })
+}
+
+/// `s.parse::<f64>()` where it is exact and cheap: a sign, then digits
+/// with at most one `.`, at most 15 significant digits and at most 22
+/// after the point. The value is then `m / 10^k` with `m < 2^53` and
+/// `10^k` both exact, so the one correctly rounded division gives the
+/// bits `str::parse` gives (Clinger's fast path). `None` for any other
+/// text: exponents, `inf`, `NaN`, longer mantissas.
+pub fn parse_f64_ascii(s: &[u8]) -> Option<f64> {
+    const POW10: [f64; 23] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+        1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+    ];
+    let (neg, body) = split_sign(s);
+    let (mut m, mut significant, mut point, mut k, mut digits) = (0u64, 0, false, 0, 0);
+    for &b in body {
+        match b.wrapping_sub(b'0') {
+            d @ 0..=9 => {
+                m = m * 10 + d as u64;
+                significant += usize::from(m != 0);
+                k += usize::from(point);
+                digits += 1;
+                if significant > 15 || k > 22 {
+                    return None;
+                }
+            }
+            _ if b == b'.' && !point => point = true,
+            _ => return None,
+        }
+    }
+    let v = m as f64 / POW10[k];
+    (digits > 0).then_some(if neg { -v } else { v })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

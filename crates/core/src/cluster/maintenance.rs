@@ -62,8 +62,9 @@ impl Cluster {
 
     /// Self-maintenance pass (§3.2 future work): inspect every table and
     /// VACUUM/ANALYZE the ones whose telemetry crosses the policy's
-    /// thresholds. Returns the actions taken. Intended to be called "when
-    /// load is otherwise light" — e.g. from a host-manager idle hook.
+    /// thresholds. Returns the actions taken. Meant to run "when load is
+    /// otherwise light"; nothing in the cluster schedules it yet — its
+    /// callers are the tests and `examples/self_driving.rs`.
     pub fn maintenance_tick(&self, policy: &MaintenancePolicy) -> Result<Vec<MaintenanceAction>> {
         self.check_writable()?;
         let mut actions = Vec::new();

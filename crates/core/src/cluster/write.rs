@@ -657,9 +657,9 @@ mod tests {
     }
 
     /// Freeing follows catalog lifetime: a held catalog keeps every block
-    /// it names placed across the commits that retire them, and releasing
-    /// it frees them — walking the 10,000 epochs it held in a loop, on a
-    /// test thread's default stack.
+    /// it names placed across the commits that replace them, and releasing
+    /// it frees them — after 10,000 catalogs were published and dropped
+    /// past it, on a test thread's default stack.
     #[test]
     fn a_held_catalog_keeps_its_blocks_until_released() {
         let c = Cluster::launch(
@@ -672,10 +672,10 @@ mod tests {
             c.replicated_store().unwrap().placed_block_ids().into_iter().collect()
         };
         let held = c.leader.catalog();
-        // Each exclusive commit ends an epoch, so the 10,000 ANALYZEs
-        // chain 10,000 of them, and the VACUUM retires the blocks `held`
-        // names in a later epoch than `held`'s own. A table writer's
-        // commit joins its predecessor's epoch and adds no link.
+        // Each ANALYZE publishes a catalog that shares `held`'s row
+        // groups, and the VACUUMs replace those groups with new ones.
+        // `held` is then the last holder of its groups: they stay placed
+        // until it drops, and each frees its own blocks then.
         for _ in 0..10_000 {
             c.execute("ANALYZE t").unwrap();
         }

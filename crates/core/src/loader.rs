@@ -42,9 +42,10 @@ pub fn units(text: &[u8], size: usize) -> Vec<Unit> {
 /// newline is tolerated. No quoting (the paper-era COPY default is
 /// delimiter-separated text; quoted CSV arrived later).
 ///
-/// Typed end to end: a chunk of lines is split into trimmed field slices,
-/// then every column parses its own straight into its typed vector
-/// ([`parse_lane`]). The error is the first in line, then field, order.
+/// Typed end to end: a chunk of lines is cut into trimmed field slices
+/// ([`next_row`]), then every column parses its own straight into its typed
+/// vector ([`parse_lane`]). The error is the first in line, then field,
+/// order.
 pub fn parse_csv(
     text: &str,
     first_line: usize,
@@ -54,7 +55,7 @@ pub fn parse_csv(
     let mut cols: Vec<ColumnData> =
         schema.columns().iter().map(|c| ColumnData::new(c.data_type)).collect();
     let width = schema.len();
-    let mut lines = text.lines().enumerate().filter(|(_, line)| !line.is_empty());
+    let (mut at, mut line) = (0, first_line);
     // The chunk's fields, row-major, and the source line of each row.
     let (mut fields, mut linenos) = (Vec::<&str>::new(), Vec::new());
     loop {
@@ -62,10 +63,10 @@ pub fn parse_csv(
         linenos.clear();
         // Earliest failing row of the chunk so far, with its message.
         let mut err: Option<(usize, String)> = None;
-        for (lineno, line) in lines.by_ref().take(CHUNK_ROWS) {
-            linenos.push(lineno + first_line);
+        while linenos.len() < CHUNK_ROWS {
             let row_start = fields.len();
-            fields.extend(line.split(delimiter).map(str::trim));
+            let Some(lineno) = next_row(text, (&mut at, &mut line), delimiter, &mut fields) else { break };
+            linenos.push(lineno);
             let n = fields.len() - row_start;
             if n != width {
                 fields.truncate(row_start);
@@ -87,6 +88,50 @@ pub fn parse_csv(
             return Err(RsError::Analysis(format!("line {}: {msg}", linenos[row])));
         }
     }
+}
+
+/// Push the fields of the next non-empty line of `text` at or after
+/// `*at`, which is line `*line`, onto `fields`, and return its line
+/// number: what `str::lines`, `split(delimiter)` and `str::trim` give. One
+/// byte scan finds the line end and the delimiters together, and a field
+/// is trimmed only when an end byte is whitespace, a control byte or
+/// non-ASCII. A non-ASCII (or line-end) delimiter takes the three calls.
+fn next_row<'a>(
+    text: &'a str,
+    (at, line): (&mut usize, &mut usize),
+    delimiter: char,
+    fields: &mut Vec<&'a str>,
+) -> Option<usize> {
+    let (bytes, d) = (text.as_bytes(), delimiter as u8);
+    let scan = delimiter.is_ascii() && d != b'\r' && d != b'\n';
+    let plain = |b: Option<&u8>| b.is_none_or(|b| (b'!'..0x80).contains(b));
+    let trimmed = |f: &'a str| if plain(f.as_bytes().first()) && plain(f.as_bytes().last()) { f } else { f.trim() };
+    while *at < bytes.len() {
+        let (start, lineno) = (*at, *line);
+        *line += 1;
+        let (mut field, mut end) = (start, start);
+        if !scan {
+            end = text[start..].find('\n').map_or(bytes.len(), |i| start + i);
+        }
+        while scan && end < bytes.len() && bytes[end] != b'\n' {
+            if bytes[end] == d {
+                fields.push(trimmed(&text[field..end]));
+                field = end + 1;
+            }
+            end += 1;
+        }
+        *at = end + 1;
+        // `str::lines` drops the `\r` of a `\r\n`; an empty line is skipped.
+        let end = end - usize::from(end < bytes.len() && end > field && bytes[end - 1] == b'\r');
+        if end > start {
+            match scan {
+                true => fields.push(trimmed(&text[field..end])),
+                false => fields.extend(text[start..end].split(delimiter).map(str::trim)),
+            }
+            return Some(lineno);
+        }
+    }
+    None
 }
 
 /// Parse one column's (trimmed) fields into its typed vector: one match
@@ -125,18 +170,21 @@ fn parse_lane<'a>(
             data.push(v.unwrap_or_default());
         }
     }
-    // The four `FromStr` lanes differ only in the vector's element type.
+    // The four `FromStr` lanes differ only in the vector's element type
+    // and their exact ASCII fast path; any other text goes to `str::parse`.
     macro_rules! from_str {
-        ($data:ident, $nulls:ident) => {{
-            let bad = |s| bad_field(s, def.data_type);
-            lane(def, fields, |s| s.parse().map_err(|_| bad(s)), sink($data, $nulls))
+        ($data:ident, $nulls:ident, $fast:expr) => {{
+            let slow = |s: &str| s.parse().map_err(|_| bad_field(s, def.data_type));
+            let parse = |s: &str| ($fast)(s.as_bytes()).map_or_else(|| slow(s), Ok);
+            lane(def, fields, parse, sink($data, $nulls))
         }};
     }
+    let int = types::parse_int_ascii;
     match col {
-        ColumnData::Int2 { data, nulls } => from_str!(data, nulls),
-        ColumnData::Int4 { data, nulls } => from_str!(data, nulls),
-        ColumnData::Int8 { data, nulls } => from_str!(data, nulls),
-        ColumnData::Float8 { data, nulls } => from_str!(data, nulls),
+        ColumnData::Int2 { data, nulls } => from_str!(data, nulls, |s| int(s).and_then(|v| v.try_into().ok())),
+        ColumnData::Int4 { data, nulls } => from_str!(data, nulls, |s| int(s).and_then(|v| v.try_into().ok())),
+        ColumnData::Int8 { data, nulls } => from_str!(data, nulls, int),
+        ColumnData::Float8 { data, nulls } => from_str!(data, nulls, types::parse_f64_ascii),
         ColumnData::Bool { data, nulls } => {
             let parse = |s| parse_bool(s).ok_or_else(|| bad_field(s, DataType::Bool));
             lane(def, fields, parse, sink(data, nulls))
@@ -462,6 +510,125 @@ mod tests {
             }
         }
         assert!(loaded >= 50 && failed >= 50, "both outcomes exercised: {loaded} ok, {failed} err");
+    }
+
+    /// A numeric field as a load might hold it: signs, leading zeros, up to
+    /// 24 digits, a point, an exponent, `inf` / `NaN`, and malformed ones.
+    fn number(rng: &mut Pcg32) -> String {
+        let sign = ["", "", "-", "+"][rng.gen_index(4)];
+        let zeros = "0".repeat(rng.gen_range(0..3));
+        let mut digits = |n: usize| -> String {
+            (0..rng.gen_range(0..n)).map(|_| char::from(b'0' + rng.gen_range(0..10u8))).collect()
+        };
+        let (int, frac) = (digits(25), digits(25));
+        match rng.gen_range(0..10) {
+            0..=3 => format!("{sign}{zeros}{int}"),
+            4..=6 => format!("{sign}{zeros}{int}.{frac}"),
+            7 => format!("{sign}{int}.{frac}e{}{}", ["", "-", "+"][rng.gen_index(3)], rng.gen_range(0..400)),
+            8 => format!("{sign}{}", ["inf", "infinity", "NaN", "nan", "INF"][rng.gen_index(5)]),
+            _ => ["", ".", "-", "+", "1.", ".5", "1..2", "0x10", "1_0", "--1", "1-", "٣"][rng.gen_index(12)].into(),
+        }
+    }
+
+    /// The fast paths equal `str::parse` bit for bit wherever they answer,
+    /// and answer for the short plain decimals a load is made of.
+    #[test]
+    fn fast_parsers_equal_str_parse() {
+        let mut rng = Pcg32::seed_from_u64(seed_from_env_or(46));
+        let (mut fast_int, mut fast_float) = (0, 0);
+        for case in 0..40_000 {
+            let s = number(&mut rng);
+            if let Some(v) = types::parse_int_ascii(s.as_bytes()) {
+                assert_eq!(Ok(v), s.parse::<i64>().map_err(|_| ()), "case {case}: {s:?}");
+                fast_int += 1;
+            }
+            if let Some(v) = types::parse_f64_ascii(s.as_bytes()) {
+                let want = s.parse::<f64>().map(f64::to_bits).map_err(|_| ());
+                assert_eq!(Ok(v.to_bits()), want, "case {case}: {s:?}");
+                fast_float += 1;
+            }
+        }
+        assert!(fast_int > 5_000 && fast_float > 10_000, "{fast_int} ints, {fast_float} floats fast");
+        for s in ["9007199254740993", "0.1", "-0.0", "+.5", "5.", "123456789012345.6", "1e3"] {
+            let fast = types::parse_f64_ascii(s.as_bytes()).map(f64::to_bits);
+            assert!(fast.is_none() || fast == s.parse::<f64>().ok().map(f64::to_bits), "{s:?}");
+        }
+    }
+
+    /// [`next_row`] cuts a text as `str::lines`, `split` and `str::trim` do —
+    /// `\r\n`, blank and whitespace-only lines, no final line end, non-ASCII
+    /// whitespace, ASCII and non-ASCII delimiters — and a numeric load
+    /// parses to the same columns, or the same error at the same line, as
+    /// per-field `str::parse`.
+    #[test]
+    fn one_scan_cuts_as_lines_split_trim() {
+        let mut rng = Pcg32::seed_from_u64(seed_from_env_or(47));
+        let pieces = ["", " ", "a", " b ", "\u{3000}x\u{3000}", "\u{a0}y", "é", "日本", "\t", "\u{b}v", "c\r", "\r"];
+        let numeric = Schema::new(vec![
+            ColumnDef::new("i8", DataType::Int8),
+            ColumnDef::new("i4", DataType::Int4),
+            ColumnDef::new("i2", DataType::Int2),
+            ColumnDef::new("f", DataType::Float8),
+        ])
+        .unwrap();
+        let (mut loaded, mut failed) = (0, 0);
+        for case in 0..2_000 {
+            let delimiter = [',', '|', '\t', ' ', ';', '→', '\r'][rng.gen_index(7)];
+            let (numbers, width) = (case % 2 == 0, rng.gen_range(1..5));
+            let mut text = String::new();
+            for _ in 0..rng.gen_range(0..30) {
+                match rng.gen_range(0..12) {
+                    0 => text.push_str(["\n", "\r\n", "  \n", "\t\r\n"][rng.gen_index(4)]),
+                    _ => {
+                        let fields: Vec<String> = (0..if numbers { 4 } else { width })
+                            .map(|c| match numbers {
+                                // Every fourth numeric case is clean: small ints, plain decimals.
+                                true if case % 8 == 0 || rng.gen_bool(0.9) => {
+                                    let (sign, n) = (["", "-", "+", " -0"][rng.gen_index(4)], rng.gen_range(0..30_000));
+                                    match c {
+                                        3 => format!("{sign}{n}.{}", rng.gen_range(0..1_000_000)),
+                                        _ => format!("{sign}{n}"),
+                                    }
+                                }
+                                true => format!("{}{}", ["", " ", "\u{3000}"][rng.gen_index(3)], number(&mut rng)),
+                                false => pieces[rng.gen_index(pieces.len())].to_string(),
+                            })
+                            .collect();
+                        text.push_str(&fields.join(&delimiter.to_string()));
+                        text.push_str(if rng.gen_bool(0.3) { "\r\n" } else { "\n" });
+                    }
+                }
+            }
+            if rng.gen_bool(0.3) {
+                text.pop(); // no final line end (or a bare final `\r`)
+            }
+            let first = rng.gen_range(1..100);
+            let (mut at, mut line, mut got) = (0, first, Vec::new());
+            loop {
+                let mut fields = Vec::new();
+                let Some(n) = next_row(&text, (&mut at, &mut line), delimiter, &mut fields) else { break };
+                got.push((n, fields));
+            }
+            let want: Vec<(usize, Vec<&str>)> = (text.lines().enumerate())
+                .filter(|(_, l)| !l.is_empty())
+                .map(|(i, l)| (first + i, l.split(delimiter).map(str::trim).collect()))
+                .collect();
+            assert_eq!(got, want, "case {case}: {text:?}");
+            if numbers {
+                match (parse_csv(&text, 1, delimiter, &numeric), parse_csv_by_field(&text, delimiter, &numeric)) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(format!("{a:?}"), format!("{b:?}"), "case {case}");
+                        loaded += 1;
+                    }
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a.to_string(), b.to_string(), "case {case}: {text:?}");
+                        failed += 1;
+                    }
+                    (a, b) => panic!("case {case}: one scan {a:?} vs per field {b:?}\n{text:?}"),
+                }
+            }
+        }
+        assert!(loaded >= 100 && failed >= 200, "both outcomes exercised: {loaded} ok, {failed} err");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Distribution styles and the row router.
 
-use crate::topology::{ClusterTopology, SliceId};
+use crate::topology::ClusterTopology;
 use redsim_common::types::canon_f64;
 use redsim_common::{fx_hash64, ColumnData, Result, RsError, Value};
 
@@ -37,15 +37,52 @@ pub fn dist_hash(v: &Value) -> u64 {
         // FLOAT8 and DECIMAL hash by the f64 `=` compares them by, a whole
         // one as that integer: keys `=` equates land on one slice whatever
         // their numeric types (0.0 and -0.0, 2.00 and 2.000, 2 and 2.0).
-        Value::Float8(_) | Value::Decimal { .. } => {
-            let f = canon_f64(v.as_f64().expect("numeric"));
-            if f.fract() == 0.0 && f.abs() < 9.2e18 {
-                fx_hash64(&(f as i64))
-            } else {
-                fx_hash64(&f.to_bits())
-            }
-        }
+        Value::Float8(_) | Value::Decimal { .. } => float_hash(v.as_f64().expect("numeric")),
         Value::Null => 0, // all NULL keys co-locate (matches Redshift)
+    }
+}
+
+fn float_hash(f: f64) -> u64 {
+    let f = canon_f64(f);
+    if f.fract() == 0.0 && f.abs() < 9.2e18 {
+        fx_hash64(&(f as i64))
+    } else {
+        fx_hash64(&f.to_bits())
+    }
+}
+
+/// The slice (of `slices`) each of `rows` (`None`: every row) routes to:
+/// [`dist_hash`] of its key, hashed straight from the typed lane, one
+/// match per lane and no `Value` per row. A COPY into a KEY table and a
+/// join re-hashing one side both route here, so they meet.
+pub fn key_slices(key: &ColumnData, rows: Option<&[u32]>, slices: u64) -> Vec<u32> {
+    match rows {
+        None => lane_slices(key, 0..key.len(), slices),
+        Some(ids) => lane_slices(key, ids.iter().map(|&i| i as usize), slices),
+    }
+}
+
+fn lane_slices(key: &ColumnData, rows: impl Iterator<Item = usize>, n: u64) -> Vec<u32> {
+    let nulls = key.nulls();
+    // NULL keys route like `dist_hash(&Value::Null)`: to slice 0.
+    let slot = |i: usize, hash: u64| if nulls.get(i) { (hash % n) as u32 } else { 0 };
+    macro_rules! ints {
+        ($d:expr) => {
+            rows.map(|i| slot(i, fx_hash64(&(i64::from($d[i]))))).collect()
+        };
+    }
+    match key {
+        ColumnData::Bool { data, .. } => ints!(data),
+        ColumnData::Int2 { data, .. } => ints!(data),
+        ColumnData::Int4 { data, .. } | ColumnData::Date { data, .. } => ints!(data),
+        ColumnData::Int8 { data, .. } | ColumnData::Timestamp { data, .. } => ints!(data),
+        ColumnData::Str { data, .. } => rows.map(|i| slot(i, fx_hash64(data.get(i)))).collect(),
+        ColumnData::Float8 { data, .. } => rows.map(|i| slot(i, float_hash(data[i]))).collect(),
+        ColumnData::Decimal { data, scale, .. } => {
+            // `Value::as_f64`'s conversion.
+            let unit = 10f64.powi(*scale as i32);
+            rows.map(|i| slot(i, float_hash(data[i] as f64 / unit))).collect()
+        }
     }
 }
 
@@ -76,11 +113,13 @@ impl RowRouter {
         match &self.style {
             DistStyle::All => Ok((0..slices).map(|_| cols.to_vec()).collect()),
             DistStyle::Even => {
-                let mut sel: Vec<Vec<u32>> = vec![Vec::new(); slices];
-                for i in 0..n {
-                    sel[self.cursor as usize].push(i as u32);
-                    self.cursor = (self.cursor + 1) % self.total_slices;
-                }
+                // Row `i` goes to slice `(cursor + i) % slices`: each slice
+                // takes every `slices`-th row from its first one.
+                let cursor = self.cursor as usize;
+                let sel: Vec<Vec<u32>> = (0..slices)
+                    .map(|s| ((s + slices - cursor) % slices..n).step_by(slices).map(|i| i as u32).collect())
+                    .collect();
+                self.cursor = ((cursor + n) % slices) as u32;
                 Ok(gather_per_slice(cols, &sel))
             }
             DistStyle::Key(kc) => {
@@ -89,19 +128,11 @@ impl RowRouter {
                     return Err(RsError::Analysis(format!("distkey column {kc} out of range")));
                 }
                 let mut sel: Vec<Vec<u32>> = vec![Vec::new(); slices];
-                for i in 0..n {
-                    let h = dist_hash(&cols[kc].get(i));
-                    sel[(h % self.total_slices as u64) as usize].push(i as u32);
-                }
+                let dest = key_slices(&cols[kc], None, slices as u64);
+                dest.iter().enumerate().for_each(|(i, &d)| sel[d as usize].push(i as u32));
                 Ok(gather_per_slice(cols, &sel))
             }
         }
-    }
-
-    /// Which slice does a single key value belong to? (Join-time
-    /// redistribution uses this.)
-    pub fn slice_for_key(&self, v: &Value) -> SliceId {
-        SliceId((dist_hash(v) % self.total_slices as u64) as u32)
     }
 
     /// Round-robin cursor position (EVEN distribution). The redo log
@@ -153,6 +184,16 @@ mod tests {
         let parts2 = r.route(&key_col(2)).unwrap();
         let counts: Vec<usize> = parts2.iter().map(|p| p[0].len()).collect();
         assert_eq!(counts.iter().sum::<usize>(), 2);
+        // Row i goes to slice (cursor + i) % 4, as a rotation one row at
+        // a time puts it, and the cursor moves on by the batch.
+        for (cursor, n) in [(0, 0), (3, 1), (1, 7), (2, 101)] {
+            r.set_cursor(cursor);
+            for (slice, part) in r.route(&key_col(n)).unwrap().iter().enumerate() {
+                let want: Vec<i64> = (0..n).filter(|i| (cursor as i64 + i) % 4 == slice as i64).collect();
+                assert_eq!((0..part[0].len()).map(|i| part[0].get_i64(i).unwrap()).collect::<Vec<_>>(), want);
+            }
+            assert_eq!(r.cursor() as i64, (cursor as i64 + n) % 4);
+        }
     }
 
     #[test]
@@ -172,21 +213,19 @@ mod tests {
 
     #[test]
     fn same_key_same_slice_across_tables() {
-        // Two tables with the same distkey values co-locate rows.
-        let t = topo(4, 2);
-        let r1 = RowRouter::new(DistStyle::Key(0), &t);
-        let r2 = RowRouter::new(DistStyle::Key(0), &t);
-        for k in 0..1000i64 {
-            assert_eq!(
-                r1.slice_for_key(&Value::Int8(k)),
-                r2.slice_for_key(&Value::Int8(k))
-            );
+        // Two tables with the same distkey values co-locate rows, and
+        // widened integer types collide.
+        let slices = topo(4, 2).total_slices() as u64;
+        let mut r = RowRouter::new(DistStyle::Key(0), &topo(4, 2));
+        let mut narrow = ColumnData::new(DataType::Int4);
+        (0..1000).for_each(|k| narrow.push_value(&Value::Int4(k)).unwrap());
+        let wide = key_col(1000);
+        assert_eq!(key_slices(&narrow, None, slices), key_slices(&wide[0], None, slices));
+        let routed = r.route(&wide).unwrap();
+        for (slice, part) in routed.iter().enumerate() {
+            let mut keys = (0..part[0].len()).map(|i| Value::Int8(part[0].get_i64(i).unwrap()));
+            assert!(keys.all(|k| dist_hash(&k) % slices == slice as u64), "slice {slice}");
         }
-        // Widened integer types collide.
-        assert_eq!(
-            r1.slice_for_key(&Value::Int4(42)),
-            r1.slice_for_key(&Value::Int8(42))
-        );
     }
 
     #[test]
@@ -206,6 +245,38 @@ mod tests {
             assert_eq!(dist_hash(&a), dist_hash(&b), "{a:?} vs {b:?}");
         }
         assert_ne!(dist_hash(&dec(150, 2)), dist_hash(&Value::Int8(1)));
+    }
+
+    /// The typed router sends every row where `dist_hash` of its boxed
+    /// value does: every distkey type, NULLs, whole and fractional floats
+    /// and decimals, ±0.0 and NaN, all rows or a selection.
+    #[test]
+    fn key_slices_equal_dist_hash_of_each_value() {
+        let values: Vec<Vec<Value>> = vec![
+            (0..40).map(|i| Value::Bool(i % 3 == 0)).collect(),
+            (0..40).map(|i| Value::Int2(i * 811 - 16_000)).collect(),
+            (0..40).map(|i| Value::Int4(i * 99_991 - 7)).collect(),
+            (0..40).map(|i| Value::Int8(i64::MIN + i * 0x0123_4567_89AB)).collect(),
+            (0..40).map(|i| Value::Float8([0.0, -0.0, 2.0, 2.5, -1e300, f64::NAN, 9.3e18][i % 7] * i as f64)).collect(),
+            (0..40).map(|i| Value::Str(["", "eu", "naïve", "日本"][i % 4].repeat(i % 3))).collect(),
+            (0..40).map(|i| Value::Date(i * 37 - 700)).collect(),
+            (0..40).map(|i| Value::Timestamp(i * 86_400_000_003)).collect(),
+            (0..40).map(|i| Value::Decimal { units: (i as i128 - 20) * 125, scale: 2 }).collect(),
+        ];
+        for vals in values {
+            let mut col = ColumnData::new(vals[0].data_type().unwrap());
+            for (i, v) in vals.iter().enumerate() {
+                col.push_value(if i % 5 == 4 { &Value::Null } else { v }).unwrap();
+            }
+            let ids: Vec<u32> = (0..col.len() as u32).filter(|i| i % 3 != 1).collect();
+            for n in [1u64, 3, 4, 7] {
+                let want = |i: usize| (dist_hash(&col.get(i)) % n) as u32;
+                let all: Vec<u32> = (0..col.len()).map(want).collect();
+                assert_eq!(key_slices(&col, None, n), all, "{:?} over {n}", col.data_type());
+                let some: Vec<u32> = ids.iter().map(|&i| want(i as usize)).collect();
+                assert_eq!(key_slices(&col, Some(&ids), n), some, "{:?} over {n}", col.data_type());
+            }
+        }
     }
 
     #[test]

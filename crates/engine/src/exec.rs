@@ -14,10 +14,10 @@
 use crate::agg::Groups;
 use crate::expr::{bind, narrow_predicate};
 use crate::join::{join_chunk, Build, JoinShape};
-use crate::kernels::{cmp_slots, with_ints};
+use crate::kernels::cmp_slots;
 use crate::selection::Selection;
-use redsim_common::{fx_hash64, ColumnData, Result, Row, RsError};
-use redsim_distribution::{style::dist_hash, JoinDistStrategy};
+use redsim_common::{ColumnData, Result, Row, RsError};
+use redsim_distribution::{style::key_slices, JoinDistStrategy};
 use redsim_sql::plan::{BoundExpr, LogicalPlan, OutCol};
 use redsim_storage::table::{ScanOutput, ScanPredicate};
 use redsim_testkit::{par, sync::Mutex};
@@ -709,7 +709,7 @@ fn redistribute(per_slice: Vec<Vec<Chunk>>, key: usize, n: usize) -> (Vec<Vec<Ch
             if rows == 0 {
                 continue;
             }
-            let dest = route(&chunk.cols[key], &chunk.sel, n as u64);
+            let dest = key_slices(&chunk.cols[key], chunk.sel.ids(), n as u64);
             let mut start = vec![0usize; n + 1];
             dest.iter().for_each(|&d| start[d as usize + 1] += 1);
             (0..n).for_each(|d| start[d + 1] += start[d]);
@@ -734,25 +734,6 @@ fn redistribute(per_slice: Vec<Vec<Chunk>>, key: usize, n: usize) -> (Vec<Vec<Ch
         }
     }
     (out, moved)
-}
-
-/// The slice (of `n`) each selected row's key routes to: `dist_hash`'s
-/// hash — a re-hashed side meets a KEY-distributed table's rows —
-/// without a `Value` per row for the integer family and VARCHAR.
-fn route(key: &ColumnData, sel: &Selection, n: u64) -> Vec<u32> {
-    let mut dest = Vec::with_capacity(sel.len());
-    let nulls = key.nulls();
-    // NULL keys route like `dist_hash(&Value::Null)`: to slice 0.
-    let slot = |valid: bool, hash: u64| if valid { (hash % n) as u32 } else { 0 };
-    match key {
-        ColumnData::Str { data, .. } => {
-            sel.for_each(|_, i| dest.push(slot(nulls.get(i), fx_hash64(data.get(i)))))
-        }
-        other => with_ints!(other,
-            d => sel.for_each(|_, i| dest.push(slot(nulls.get(i), fx_hash64(&(d[i] as i64))))),
-            _ => sel.for_each(|_, i| dest.push(slot(true, dist_hash(&other.get(i)))))),
-    }
-    dest
 }
 
 /// `chunk.into_dense()`'s `byte_size`: what shipping the chunk's

@@ -25,10 +25,7 @@ pub fn analyze_compression(col: &ColumnData, sample_rows: usize) -> Encoding {
         while i < col.len() {
             // Take short contiguous runs, not single rows: run-length and
             // delta structure lives in adjacency.
-            let end = (i + 8).min(col.len());
-            for j in i..end {
-                s.push_from(col, j);
-            }
+            s.extend_range(col, i, (i + 8).min(col.len()));
             i += stride.max(8);
         }
         sample = s;

@@ -189,13 +189,7 @@ impl SliceTable {
 
     /// Total rows (sorted + unsorted + buffered).
     pub fn row_count(&self) -> u64 {
-        let grouped: u64 = self
-            .sorted
-            .iter()
-            .chain(&self.unsorted)
-            .map(|g| g.rows as u64)
-            .sum();
-        grouped + self.buffer.first().map_or(0, |c| c.len()) as u64
+        self.sorted.iter().map(|g| g.rows as u64).sum::<u64>() + self.unsorted_rows()
     }
 
     /// Rows in the unsorted region (drives "vacuum needed" telemetry).
@@ -252,18 +246,17 @@ impl SliceTable {
                 )));
             }
         }
-        for (buf, col) in self.buffer.iter_mut().zip(cols) {
-            buf.append(col);
-        }
-        while self.buffer.first().map_or(0, |c| c.len()) >= self.config.rows_per_group {
-            let take = self.config.rows_per_group;
-            let group_cols: Vec<ColumnData> =
-                self.buffer.iter().map(|c| c.slice(0, take)).collect();
-            let rest: Vec<ColumnData> =
-                self.buffer.iter().map(|c| c.slice(take, c.len())).collect();
-            self.buffer = rest;
-            let group = self.encode_group(&group_cols, store)?;
-            self.unsorted.push(Arc::new(group));
+        // Each row is copied once, into the buffer; a buffer that fills to
+        // a group is flushed whole, and the rest of the batch starts anew.
+        let mut at = 0;
+        while at < n {
+            let have = self.buffer.first().map_or(0, |c| c.len());
+            let take = (self.config.rows_per_group - have).min(n - at);
+            self.buffer.iter_mut().zip(cols).for_each(|(buf, col)| buf.extend_range(col, at, at + take));
+            at += take;
+            if have + take == self.config.rows_per_group {
+                self.flush(store)?;
+            }
         }
         Ok(())
     }
@@ -273,10 +266,8 @@ impl SliceTable {
         if self.buffer.first().map_or(0, |c| c.len()) == 0 {
             return Ok(());
         }
-        let group_cols = std::mem::replace(
-            &mut self.buffer,
-            self.schema.columns().iter().map(|c| ColumnData::new(c.data_type)).collect(),
-        );
+        let empty = self.schema.columns().iter().map(|c| ColumnData::new(c.data_type));
+        let group_cols = std::mem::replace(&mut self.buffer, empty.collect());
         let group = self.encode_group(&group_cols, store)?;
         self.unsorted.push(Arc::new(group));
         Ok(())
