@@ -300,6 +300,10 @@ probes=(
   redsim_common::bitmap::tests::extend_range_equals_pushing_each_bit
   redsim_core::loader::tests::{fast_parsers_equal_str_parse,one_scan_cuts_as_lines_split_trim}
   redsim_distribution::style::tests::key_slices_equal_dist_hash_of_each_value
+  # a unit folds under the record's limits: §17 "The limit rule"
+  redsim_storage::stats::tests::{every_fold_equals_the_reference,a_coded_column_folds_its_rows_bytes}
+  redsim_storage::stats::tests::a_hash_just_under_the_kth_smallest_is_kept
+  redsim_common::hash::tests::a_short_string_hashes_as_its_padded_word
 )
 # <listing> <probes...>: fails naming every probe that is not exactly one
 # listed test.
@@ -408,6 +412,8 @@ absent -rn 'dist_hash(&cols\[kc\].get(i))' 'a boxed Value per row in the KEY rou
 absent -n 'fn route(' "exec's private typed router (a unit moves as columns)" crates/engine/src/exec.rs
 absent -n 'gather(&(from as u32' "slice's index-vector gather (a unit moves as columns)" crates/common/src/column.rs
 absent -rn 'fn slice_for_key' "the router's boxed one-key lookup (a unit moves as columns)" crates/ src/ tests/
+absent -n 'TableStats::of(&cols)' 'a COPY unit folding from an empty sketch (a unit folds under the limits)' \
+  crates/core/src/cluster/write.rs
 # Only testkit (seeds, case counts, results dir) reads the environment.
 absent -rn 'env::var' 'an environment read outside crates/testkit' $(find crates -mindepth 1 -maxdepth 1 -type d ! -name testkit)
 if ls crates/bench/benches results | grep -xE "($rulers)\.rs|($csvs|.*_baseline)\.csv"; then

@@ -21,6 +21,12 @@
 //! `str::parse` path it replaced; `append/bulk_10k` moves that batch with
 //! `ColumnData::append` (typed bulk copies) beside `append/push_from_10k`,
 //! a `push_from` per row; a ratio row bounds each.
+//! `stats/etl_unit_5k` is one 5,000-row etl_load unit's statistics, the
+//! partial each COPY unit builds: `fresh` (a new table's first unit) and
+//! `seeded` (under the limits of a record that already holds the body, as
+//! every later COPY folds), beside `per_value`, the bench-local fold it
+//! replaced (every hash inserted one at a time, an `Option` pair of
+//! bounds per value); a ratio row bounds `seeded` over `per_value`.
 //! JSON point: `BENCH_copy_load.json`. The run exits non-zero when a ratio
 //! row breaks (DESIGN.md §2).
 
@@ -29,25 +35,33 @@ use redsim_common::{Bitmap, ColumnData, ColumnDef, DataType, Schema, StrVec, Val
 use redsim_core::{loader, Cluster, ClusterConfig};
 use redsim_storage::stats::TableStats;
 use redsim_storage::ZoneMap;
-use redsim_testkit::bench::Bench;
+use redsim_common::types::canon_f64;
+use redsim_common::{fx_hash64, mix64};
+use redsim_storage::stats::KmvSketch;
+use redsim_testkit::bench::{Bench, BenchmarkId};
 use std::hint::black_box;
 
 const NTH_ROWS: usize = 10_000;
 const LANE_VALUES: usize = 100_000;
-/// The VARCHAR statistics lane over the BIGINT one: 2.58–2.83 in ten runs
-/// (EXPERIMENTS.md "Bench gates").
+/// The VARCHAR statistics lane over the BIGINT one: 2.58–2.83 in ten runs,
+/// 2.98–3.16 once units fold under the record's limits (EXPERIMENTS.md
+/// "Bench gates").
 const VARCHAR_OVER_INT: f64 = 3.5;
 /// `parse/etl_10k` over `parse/etl_10k_split`: 0.578–0.759 in eleven runs;
 /// `append/bulk_10k` over `append/push_from_10k`: 0.028–0.039
 /// (EXPERIMENTS.md "Bench gates").
 const PARSE_OVER_SPLIT: f64 = 0.85;
 const BULK_OVER_PUSH_FROM: f64 = 0.1;
+/// `stats/etl_unit_5k/seeded` over `stats/etl_unit_5k/per_value`:
+/// 0.288–0.343 in ten runs (EXPERIMENTS.md "Bench gates").
+const SEEDED_OVER_PER_VALUE: f64 = 0.5;
 /// A sealed block's bytes, and one etl_load block's rows (10k rows over
 /// four slices).
 const SEAL_BYTES: usize = 64 * 1024;
 const SEAL_ROWS: usize = 2_500;
-/// One etl_load body's rows.
+/// One etl_load body's rows, and the rows `stats/etl_unit_5k` folds.
 const ETL_ROWS: usize = 10_000;
+const UNIT_ROWS: usize = 5_000;
 
 /// The table of the bytewise CRC-32 `crc32` replaced.
 fn crc32_table() -> [u32; 256] {
@@ -217,6 +231,83 @@ fn bench_unit(b: &mut Bench) {
     );
 }
 
+/// The per-unit fold `TableStats::of_limited` replaced, for the etl_load
+/// columns: one sketch per column from empty, every value's hash through
+/// `KmvSketch::insert_hash` (a binary search and a `Vec::insert` until the
+/// sketch fills), bounds as an `Option` pair rebuilt per value.
+fn fold_per_value(cols: &[ColumnData]) -> Vec<(KmvSketch, Option<(Value, Value)>)> {
+    fn lane<T: Copy>(
+        lane: impl Iterator<Item = T>,
+        nulls: &Bitmap,
+        key: impl Fn(T) -> u64,
+        lt: impl Fn(&T, &T) -> bool,
+        value: impl Fn(T) -> Value,
+    ) -> (KmvSketch, Option<(Value, Value)>) {
+        let mut sketch = KmvSketch::new(256);
+        let mut bounds: Option<(T, T)> = None;
+        for (x, _) in lane.zip(nulls.iter()).filter(|(_, valid)| *valid) {
+            sketch.insert_hash(mix64(key(x)));
+            let (lo, hi) = bounds.unwrap_or((x, x));
+            bounds = Some((if lt(&x, &lo) { x } else { lo }, if lt(&hi, &x) { x } else { hi }));
+        }
+        (sketch, bounds.map(|(lo, hi)| (value(lo), value(hi))))
+    }
+    let str_value = |s: &[u8]| Value::Str(String::from_utf8_lossy(s).into_owned());
+    cols.iter()
+        .map(|col| match col {
+            ColumnData::Int8 { data, nulls } => {
+                lane(data.iter().copied(), nulls, |x| x as u64, i64::lt, Value::Int8)
+            }
+            ColumnData::Float8 { data, nulls } => {
+                let lt = |a: &f64, b: &f64| a < b;
+                lane(data.iter().map(|&x| canon_f64(x)), nulls, f64::to_bits, lt, Value::Float8)
+            }
+            ColumnData::Str { data, nulls } => {
+                let rows = (0..data.len()).map(|i| data.bytes_at(i));
+                lane(rows, nulls, |s| fx_hash64(s), |a, b| a < b, str_value)
+            }
+            _ => unreachable!("the etl_load columns"),
+        })
+        .collect()
+}
+
+/// `stats/etl_unit_5k/*`: one COPY unit's statistics partial, fresh and
+/// seeded, beside the per-value fold it replaced.
+fn bench_unit_stats(b: &mut Bench) {
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int8),
+        ColumnDef::new("v", DataType::Int8),
+        ColumnDef::new("amt", DataType::Float8),
+        ColumnDef::new("tag", DataType::Varchar),
+    ])
+    .unwrap();
+    let body = loader::parse_csv(&etl_csv(), 1, ',', &schema).unwrap();
+    let unit: Vec<ColumnData> = body.iter().map(|c| c.slice(0, UNIT_ROWS)).collect();
+    // The record after the first COPY of the body: what COPY 2..20 fold under.
+    let limits = TableStats::of(&body).limits();
+    let fresh = TableStats::of(&unit);
+    for (col, (sketch, bounds)) in fresh.columns.iter().zip(fold_per_value(&unit)) {
+        assert_eq!(col.ndv(), sketch.estimate());
+        assert_eq!((col.min.clone(), col.max.clone()), bounds.unzip());
+    }
+    let mut g = b.group("stats");
+    g.sample_size(10);
+    g.throughput_elems(UNIT_ROWS as u64);
+    let arm = |input: &str| BenchmarkId::new("etl_unit_5k", input);
+    g.bench_with_input(arm("fresh"), &unit, |bch, u| bch.iter(|| TableStats::of(black_box(u))));
+    g.bench_with_input(arm("seeded"), &unit, |bch, u| {
+        bch.iter(|| TableStats::of_limited(black_box(u), &limits))
+    });
+    g.bench_with_input(arm("per_value"), &unit, |bch, u| bch.iter(|| fold_per_value(black_box(u))));
+    g.finish();
+    b.ratio(
+        ["stats", "etl_unit_5k", "seeded"],
+        ["stats", "etl_unit_5k", "per_value"],
+        SEEDED_OVER_PER_VALUE,
+        "a COPY unit folds under the record's limits in typed lanes, not a sorted insert per hash",
+    );
+}
+
 fn main() {
     let mut b = Bench::new("copy_load");
     b.json_summary_to("BENCH_copy_load.json");
@@ -285,5 +376,6 @@ fn main() {
     );
     bench_seal(&mut b);
     bench_unit(&mut b);
+    bench_unit_stats(&mut b);
     b.finish();
 }

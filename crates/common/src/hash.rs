@@ -96,6 +96,20 @@ pub fn fx_hash64<T: Hash + ?Sized>(v: &T) -> u64 {
     h.finish()
 }
 
+/// [`fx_hash64`] of a byte string of `len` ≤ 8 bytes, given as its
+/// zero-padded little-endian word: the slice's hash (its length, then
+/// that word) for a caller that already holds the word, as the
+/// statistics' VARCHAR lane does after one load from its arena.
+#[inline]
+pub fn fx_hash64_short(len: usize, word: u64) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_usize(len);
+    if len > 0 {
+        h.add_to_hash(word);
+    }
+    h.finish()
+}
+
 /// Mix a 64-bit value (splitmix64 finalizer) — used where we need a second
 /// independent hash from the same key (e.g. KMV sketches).
 #[inline]
@@ -114,6 +128,20 @@ mod tests {
     fn deterministic_across_calls() {
         assert_eq!(fx_hash64(&42u64), fx_hash64(&42u64));
         assert_eq!(fx_hash64("distkey"), fx_hash64("distkey"));
+    }
+
+    /// A string of at most 8 bytes handed over as its zero-padded word
+    /// hashes as the slice does: the statistics sketches key on it.
+    #[test]
+    fn a_short_string_hashes_as_its_padded_word() {
+        let bytes: Vec<u8> = (0..16u64).map(|i| (mix64(i) >> 56) as u8 | 0x80).collect();
+        for start in 0..8 {
+            for len in 0..=8 {
+                let s = &bytes[start..start + len];
+                let word = s.iter().rev().fold(0, |w, &b| (w << 8) | b as u64);
+                assert_eq!(fx_hash64_short(len, word), fx_hash64(s), "{len} bytes at {start}");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod types;
 pub use bitmap::Bitmap;
 pub use column::{ColumnData, StrVec};
 pub use error::{Result, RsError};
-pub use hash::{fx_hash64, mix64, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{fx_hash64, fx_hash64_short, mix64, FxHashMap, FxHashSet, FxHasher};
 pub use retry::{RetryEvent, RetryPolicy};
 pub use row::Row;
 pub use schema::{ColumnDef, Schema};

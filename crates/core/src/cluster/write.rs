@@ -389,16 +389,17 @@ impl Cluster {
         // Stream the load (DESIGN.md §17 "Load path"): fetch and decode
         // `width` objects at a time, one per worker; cut them into
         // line-aligned units; parse `width` units at a time, each with its
-        // statistics partial (before routing: ALL rows count once); append
-        // each in source order while the next round parses. The first error
-        // in source order stops the stream once the units before it are
-        // appended, so an append error among them still comes first.
+        // statistics partial under the running record's limits (before
+        // routing: ALL rows count once); append each in source order while
+        // the next round parses. The first error in source order stops the
+        // stream once the units before it are appended, so an append error
+        // among them still comes first.
         let width = par::available_workers();
         let append = |next: &mut TableVersion, pending: &mut Vec<Vec<ColumnData>>| {
             pending.drain(..).try_for_each(|cols| self.compute.append(entry, next, cols, false))
         };
         let (mut loaded, mut pending, mut failed) = (0u64, Vec::new(), None);
-        let mut folded = TableStats::new(entry.schema.len());
+        let mut folded = next.state.stats.clone().unwrap_or(TableStats::new(entry.schema.len()));
         let mut aspan = span.child("copy.append");
         'load: for window in keys.chunks(width) {
             let fetched = par::map_indexed(window.len(), |o| -> Result<_> {
@@ -417,7 +418,7 @@ impl Cluster {
                 .enumerate()
                 .flat_map(|(o, (_, _, units))| units.iter().map(move |u| (o, u.clone())))
                 .collect();
-            let parse = |(o, unit): (usize, loader::Unit)| -> Result<_> {
+            let parse = |(o, unit): (usize, loader::Unit), limits: &[u64]| -> Result<_> {
                 let text = std::str::from_utf8(&objects[o].1[unit.bytes])
                     .map_err(|_| RsError::Analysis(format!("{}: not UTF-8", window[o])))?;
                 let (line, schema) = (unit.first_line, &entry.schema);
@@ -425,12 +426,12 @@ impl Cluster {
                     ast::CopyFormat::Csv => loader::parse_csv(text, line, c.delimiter, schema),
                     ast::CopyFormat::Json => loader::parse_json_lines(text, line, schema),
                 }?;
-                let stats = c.stat_update.then(|| TableStats::of(&cols));
+                let stats = c.stat_update.then(|| TableStats::of_limited(&cols, limits));
                 Ok((o, cols, stats))
             };
             let mut rows = vec![0u64; objects.len()];
             for batch in work.chunks(width) {
-                let parse_batch = || parallel_map(batch.to_vec(), &parse);
+                let parse_batch = || parallel_map(batch.to_vec(), |u| parse(u, &folded.limits()));
                 let (appended, parsed) = par::join(|| append(next, &mut pending), parse_batch);
                 appended?;
                 let stop = parsed.into_iter().try_for_each(|unit| {
@@ -489,12 +490,12 @@ impl Cluster {
         next.state.rows_estimate += loaded;
         // STATUPDATE: refresh optimizer statistics with the load (§2.1:
         // "By default, compression scheme and optimizer statistics are
-        // updated with load") by merging the units' partials: work
-        // proportional to the load, not the table. Without it the rows
-        // count as stale for the maintenance advisor.
+        // updated with load"): the running record, the draft's with the
+        // units' partials merged, is work proportional to the load, not
+        // the table. Without it the rows count as stale for the advisor.
         if c.stat_update {
             let mut aspan = span.child("copy.analyze");
-            next.fold_stats(&folded);
+            next.state.stats = Some(folded);
             aspan.attr("rows", loaded);
         } else {
             next.state.loads_since_analyze += loaded;
