@@ -304,6 +304,10 @@ probes=(
   redsim_storage::stats::tests::{every_fold_equals_the_reference,a_coded_column_folds_its_rows_bytes}
   redsim_storage::stats::tests::a_hash_just_under_the_kth_smallest_is_kept
   redsim_common::hash::tests::a_short_string_hashes_as_its_padded_word
+  # maintenance is a table writer: §15 "Transaction model: two lock scopes", "Who waits for whom"
+  redsim_core::cluster::write::tests::an_untouched_table_draft_counts_no_rollback_beside_a_commit
+  redsim_core::cluster::maintenance::tests::{an_unqualified_analyze_beside_a_busy_table_finishes_on_rerun,maintenance_tick_leaves_a_busy_table_for_its_next_pass}
+  redsim_core::cluster::lifecycle::tests::vacuum_and_analyze_commit_deltas_that_replay
 )
 # <listing> <probes...>: fails naming every probe that is not exactly one
 # listed test.
@@ -414,6 +418,10 @@ absent -n 'gather(&(from as u32' "slice's index-vector gather (a unit moves as c
 absent -rn 'fn slice_for_key' "the router's boxed one-key lookup (a unit moves as columns)" crates/ src/ tests/
 absent -n 'TableStats::of(&cols)' 'a COPY unit folding from an empty sketch (a unit folds under the limits)' \
   crates/core/src/cluster/write.rs
+absent -rn 'struct UsageStats' 'UsageStats (usage is read from stl_query / stl_explain)' crates/ src/ tests/ examples/
+absent -rn 'fn plan_shape' 'the per-SELECT plan-shape string (usage is read from stl_explain)' crates/ src/ tests/ examples/
+absent -rn 'fn usage_stats' 'Cluster::usage_stats (usage is read from stl_query / stl_explain)' crates/ src/ tests/ examples/
+absent -rnP '(?<!let shared = self\.)write_txn\.read\(\)' 'a caller taking write_txn shared outside begin_table' crates/ src/ tests/
 # Only testkit (seeds, case counts, results dir) reads the environment.
 absent -rn 'env::var' 'an environment read outside crates/testkit' $(find crates -mindepth 1 -maxdepth 1 -type d ! -name testkit)
 if ls crates/bench/benches results | grep -xE "($rulers)\.rs|($csvs|.*_baseline)\.csv"; then

@@ -9,7 +9,12 @@
 //! on distinct tables. Four writers do four times the work; on a
 //! multi-core runner they overlap, and a ratio row bounds the 4-writer
 //! p50 over the 1-writer p50, so a reintroduced global lock that
-//! serializes them fails the run (DESIGN.md §2).
+//! serializes them fails the run (DESIGN.md §2). ANALYZE is a table
+//! writer too (DESIGN.md §15): a second row bounds one COPY beside an
+//! ANALYZE of another table over one COPY alone, so an ANALYZE that
+//! waits out the COPY again fails the run. (ANALYZE, not VACUUM: its
+//! cost repeats on every iteration, while VACUUM's vanishes once the
+//! table is sorted.)
 
 use redsim_core::{Cluster, ClusterConfig};
 use redsim_testkit::bench::Bench;
@@ -18,8 +23,12 @@ use std::cell::Cell;
 
 const WRITERS: usize = 4;
 const ROWS_PER_OBJECT: usize = 2_000;
-/// Above the worst of ten runs on a 2-vCPU box (EXPERIMENTS.md "Bench gates").
+/// Rows of the table ANALYZE reads: one ANALYZE costs about one COPY.
+const ANALYZED_ROWS: usize = 35_000;
+// The bounds: each above the worst of ten runs on a 2-vCPU box
+// (EXPERIMENTS.md "Bench gates").
 const FOUR_OVER_ONE: f64 = 4.0;
+const BESIDE_OVER_ALONE: f64 = 2.8;
 
 fn main() {
     let mut b = Bench::new("concurrent_copy");
@@ -36,14 +45,22 @@ fn main() {
         }
         c.put_s3_object(&format!("w{w}/data"), csv.into_bytes());
     }
+    let csv: String = (0..ANALYZED_ROWS).map(|v| format!("{v},{},val-{}\n", v * 7, v % 997)).collect();
+    c.put_s3_object("analyzed/data", csv.into_bytes());
+    c.execute("CREATE TABLE analyzed (a BIGINT, b BIGINT, s VARCHAR(32))").unwrap();
+    c.execute("COPY analyzed FROM 's3://analyzed/'").unwrap();
 
     let mut g = b.group("copy_writers");
     g.sample_size(10);
-    // One table-name counter for both arms, whose iterations interleave.
+    // One table-name counter for every arm, whose iterations interleave.
     let (next, c) = (&Cell::new(0u64), &c);
-    for writers in [1usize, WRITERS] {
+    for (writers, analyze) in [(1usize, false), (WRITERS, false), (1, true)] {
         g.throughput_elems((writers * ROWS_PER_OBJECT) as u64);
-        g.bench_function(format!("{writers}_writers_distinct_tables"), move |bch| {
+        let arm = match analyze {
+            true => "copy_beside_analyze_of_another_table".to_string(),
+            false => format!("{writers}_writers_distinct_tables"),
+        };
+        g.bench_function(arm, move |bch| {
             bch.iter(|| {
                 let n = next.get() + 1;
                 next.set(n);
@@ -53,9 +70,15 @@ fn main() {
                     ))
                     .unwrap();
                 }
-                par::map((0..writers).collect::<Vec<_>>(), |w| {
-                    c.execute(&format!("COPY t{n}_{w} FROM 's3://w{w}/'")).unwrap();
-                });
+                let copies = || {
+                    par::map((0..writers).collect::<Vec<_>>(), |w| {
+                        c.execute(&format!("COPY t{n}_{w} FROM 's3://w{w}/'")).unwrap();
+                    })
+                };
+                match analyze {
+                    true => drop(par::join(copies, || c.execute("ANALYZE analyzed").unwrap())),
+                    false => drop(copies()),
+                }
                 for w in 0..writers {
                     c.execute(&format!("DROP TABLE t{n}_{w}")).unwrap();
                 }
@@ -68,6 +91,12 @@ fn main() {
         ["copy_writers", "1_writers_distinct_tables", ""],
         FOUR_OVER_ONE,
         "COPYs into distinct tables overlap: no global write lock",
+    );
+    b.ratio(
+        ["copy_writers", "copy_beside_analyze_of_another_table", ""],
+        ["copy_writers", "1_writers_distinct_tables", ""],
+        BESIDE_OVER_ALONE,
+        "a COPY and an ANALYZE of another table overlap: ANALYZE is a table writer",
     );
     b.finish();
 }

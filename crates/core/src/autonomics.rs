@@ -10,12 +10,8 @@
 //!   semi-structured data into tables for efficient query execution" →
 //!   [`infer_json_schema`]: schema inference over JSON-lines objects,
 //!   used by [`crate::Cluster::relationalize_json`].
-//! * §5: "we would like to add automated collection of usage statistics
-//!   by feature, query plan shapes, etc." → [`UsageStats`], collected on
-//!   every statement the leader executes.
 
 use crate::json::{self, JsonValue};
-use redsim_testkit::sync::Mutex;
 use redsim_common::{ColumnDef, DataType, FxHashMap, Result, RsError, Schema};
 
 // ---------------------------------------------------------------------
@@ -180,83 +176,6 @@ pub enum MaintenanceAction {
     RedistributeAll { table: String },
 }
 
-// ---------------------------------------------------------------------
-// §5: usage statistics
-// ---------------------------------------------------------------------
-
-/// Fleet-telemetry style usage collection on the leader.
-#[derive(Debug, Default)]
-pub struct UsageStats {
-    inner: Mutex<UsageInner>,
-}
-
-#[derive(Debug, Default)]
-struct UsageInner {
-    /// Statement kind → count ("usage statistics by feature").
-    by_feature: FxHashMap<String, u64>,
-    /// Plan shape (operator skeleton) → count ("query plan shapes").
-    by_plan_shape: FxHashMap<String, u64>,
-    errors_by_code: FxHashMap<String, u64>,
-}
-
-impl UsageStats {
-    pub fn record_feature(&self, feature: &str) {
-        bump(&mut self.inner.lock().by_feature, feature);
-    }
-
-    pub fn record_plan_shape(&self, shape: String) {
-        *self.inner.lock().by_plan_shape.entry(shape).or_insert(0) += 1;
-    }
-
-    pub fn record_error(&self, code: &str) {
-        bump(&mut self.inner.lock().errors_by_code, code);
-    }
-
-    /// (feature, count) sorted by count desc — the Pareto view of §5.
-    pub fn top_features(&self) -> Vec<(String, u64)> {
-        ranked(&self.inner.lock().by_feature)
-    }
-
-    pub fn top_plan_shapes(&self) -> Vec<(String, u64)> {
-        ranked(&self.inner.lock().by_plan_shape)
-    }
-
-    pub fn top_errors(&self) -> Vec<(String, u64)> {
-        ranked(&self.inner.lock().errors_by_code)
-    }
-}
-
-/// Count one `key`: a hit looks the name up and allocates nothing; only a
-/// miss builds the `String` key (these run on every statement).
-fn bump(counts: &mut FxHashMap<String, u64>, key: &str) {
-    if let Some(n) = counts.get_mut(key) {
-        return *n += 1;
-    }
-    counts.insert(key.to_string(), 1);
-}
-
-/// Counts sorted descending (ties by key, so the order is stable).
-fn ranked(counts: &FxHashMap<String, u64>) -> Vec<(String, u64)> {
-    let mut v: Vec<(String, u64)> = counts.iter().map(|(k, &c)| (k.clone(), c)).collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    v
-}
-
-/// Reduce a plan's EXPLAIN text to its operator skeleton ("plan shape"):
-/// operator names joined in tree order, literals and tables elided.
-pub fn plan_shape(explain: &str) -> String {
-    explain
-        .lines()
-        .filter_map(|l| {
-            let t = l.trim_start();
-            t.strip_prefix("XN ").map(|rest| {
-                rest.split([' ', '(']).next().unwrap_or("?").to_string()
-            })
-        })
-        .collect::<Vec<_>>()
-        .join(">")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,24 +219,6 @@ mod tests {
         let ddl = schema_to_ddl("t", &schema);
         assert!(ddl.starts_with("CREATE TABLE t ("), "{ddl}");
         assert!(ddl.contains("BIGINT"), "{ddl}");
-    }
-
-    #[test]
-    fn usage_stats_pareto_order() {
-        let u = UsageStats::default();
-        for _ in 0..5 {
-            u.record_feature("SELECT");
-        }
-        u.record_feature("COPY");
-        u.record_error("EXEC");
-        assert_eq!(u.top_features()[0], ("SELECT".to_string(), 5));
-        assert_eq!(u.top_errors()[0].0, "EXEC");
-    }
-
-    #[test]
-    fn plan_shape_extraction() {
-        let explain = "XN Limit 5\n  XN Sort (1 keys)\n    XN HashAggregate (groups=1, aggs=2)\n      XN Seq Scan on t (cols [0])\n";
-        assert_eq!(plan_shape(explain), "Limit>Sort>HashAggregate>Seq");
     }
 
     #[test]

@@ -7,8 +7,8 @@ use redsim_distribution::{ClusterTopology, DistStyle};
 use redsim_storage::stats::TableStats;
 use redsim_storage::table::{SliceTable, SortKeySpec, TableConfig};
 use redsim_storage::BlockId;
-use redsim_testkit::sync::Mutex;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// One immutable image of a table — the only place its mutable state
@@ -126,11 +126,36 @@ pub struct TableEntry {
     pub schema: Schema,
     pub dist_style: DistStyle,
     pub sort_key: SortKeySpec,
-    /// First-committer-wins writer lock: a COPY/INSERT `try_lock`s this
-    /// for the statement's duration; a second writer on the same table
-    /// finds it held and fails with `RsError::Serializable` instead of
-    /// queueing. Writers to *different* tables proceed in parallel.
-    pub writer: Mutex<()>,
+    /// First-committer-wins writer flag, set while a table writer (COPY,
+    /// INSERT, VACUUM, ANALYZE) holds its [`TableWriter`]; a second
+    /// writer on the same table finds it set and fails with
+    /// `RsError::Serializable` instead of queueing. Writers to
+    /// *different* tables proceed in parallel.
+    writer: AtomicBool,
+}
+
+/// A held table writer: its table's `writer` flag, taken by
+/// [`TableWriter::try_take`] and cleared on drop. It owns its entry, so
+/// a draft holds its table and that table's lock as one value.
+pub struct TableWriter(Arc<TableEntry>);
+
+impl TableWriter {
+    /// `entry`'s writer, unless another statement holds it.
+    pub fn try_take(entry: &Arc<TableEntry>) -> Option<TableWriter> {
+        let taken = entry.writer.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed);
+        taken.is_ok().then(|| TableWriter(Arc::clone(entry)))
+    }
+
+    pub fn entry(&self) -> &TableEntry {
+        &self.0
+    }
+}
+
+impl Drop for TableWriter {
+    fn drop(&mut self) {
+        // Pairs with `try_take`'s Acquire: the next writer starts after this one.
+        self.0.writer.store(false, Ordering::Release);
+    }
 }
 
 impl TableEntry {
@@ -148,7 +173,7 @@ impl TableEntry {
         let slices = (0..topology.total_slices())
             .map(|_| SliceTable::new(schema.clone(), config.clone()))
             .collect::<Result<Vec<_>>>()?;
-        let entry = TableEntry { name, schema, dist_style, sort_key, writer: Mutex::new(()) };
+        let entry = TableEntry { name, schema, dist_style, sort_key, writer: AtomicBool::new(false) };
         Ok((Arc::new(entry), TableVersion { slices, ..TableVersion::default() }))
     }
 }
@@ -255,7 +280,7 @@ impl Catalog {
             let version = TableVersion::decode_image(r, topology.total_slices() as usize)?;
             let slice = &version.slices[0];
             let (schema, sort_key) = (slice.schema().clone(), slice.sort_key().clone());
-            let entry = TableEntry { name, schema, dist_style, sort_key, writer: Mutex::new(()) };
+            let entry = TableEntry { name, schema, dist_style, sort_key, writer: AtomicBool::new(false) };
             catalog.create((Arc::new(entry), version))?;
         }
         if !r.is_exhausted() {

@@ -1,11 +1,10 @@
 //! The leader part: the published catalog and the services around it
 //! that never touch a block — plan cache, result cache, WLM admission,
-//! sessions, usage telemetry, the trace sink and query ids (§2.1's leader
+//! sessions, the trace sink and query ids (§2.1's leader
 //! node, minus the transaction protocol, which stays on
 //! [`Cluster`](super::Cluster)). Nothing here survives a crash.
 
 use super::QueryResult;
-use crate::autonomics::UsageStats;
 use crate::catalog::Catalog;
 use crate::config::ClusterConfig;
 use crate::result_cache::{CachedResult, ResultCache};
@@ -98,8 +97,6 @@ pub(super) struct Leader {
     /// `stl_connection_log`); the sessionless API registers implicit
     /// sessions here too.
     pub sessions: SessionManager,
-    /// §5 future work: usage statistics by feature and plan shape.
-    pub usage: UsageStats,
     /// Per-cluster telemetry sink; `stl_*` / `svl_*` system tables are
     /// materialized from it.
     pub trace: Arc<TraceSink>,
@@ -121,7 +118,6 @@ impl Leader {
             result_cache: ResultCache::new(config.result_cache_capacity, RESULT_CACHE_MAX_ROWS),
             wlm: Arc::new(WlmController::new(&config.wlm, Arc::clone(&trace))),
             sessions: SessionManager::new(Arc::clone(&trace)),
-            usage: UsageStats::default(),
             trace,
             query_seq: AtomicU64::new(0),
         }
@@ -177,7 +173,6 @@ impl Leader {
         qspan.attr("result_cache", "hit");
         qspan.attr("plan", hit.plan.clone());
         qspan.finish();
-        self.usage.record_feature("SELECT");
         let mut served = QueryResult::new(
             hit.columns.clone(),
             rows_of(&hit.batch),
@@ -208,7 +203,6 @@ impl Leader {
         let bound = Binder::new(&sys).bind_select(sel)?;
         let plan = optimizer::optimize(bound, &sys);
         let plan_text = plan.explain();
-        self.usage.record_feature("SYSTEM TABLE");
         if explain_only {
             return Ok(QueryResult::plan_rows(plan_text, |_, l| l.to_string()));
         }

@@ -4,7 +4,6 @@
 //! (snapshot, resize, shutdown, crash).
 
 use super::durable::{CrashImage, Durable, Keys};
-use super::write::WriteScope;
 use super::{Cluster, ClusterState};
 use crate::catalog::{Catalog, TableEntry};
 use crate::config::ClusterConfig;
@@ -40,13 +39,12 @@ impl Cluster {
         self.check_readable()?;
         // Exclusive: waits out in-flight table writers, so the manifest
         // only ever references committed blocks.
-        let _txn = self.begin_write_txn(WriteScope::Exclusive)?;
+        let draft = self.begin_exclusive();
         let mut span = self.trace().span("snapshot");
-        let catalog = self.leader.catalog();
-        let blocks = catalog.block_ids();
+        let blocks = draft.next.block_ids();
         span.attr("id", id);
         span.attr("blocks", blocks.len());
-        self.durable.snapshot(id, kind, &catalog, blocks)
+        self.durable.snapshot(id, kind, &draft.next, blocks)
     }
 
     /// Restore a snapshot into a new cluster. The returned cluster is
@@ -84,7 +82,7 @@ impl Cluster {
         // The snapshot's catalog is the new cluster's first commit: its
         // checkpoint seeds the redo log, so a crash right after the
         // restore recovers it, and a refused one fails the restore.
-        let mut draft = cluster.begin(WriteScope::Exclusive)?;
+        let mut draft = cluster.begin_exclusive();
         draft.next = Catalog::decode(&mut r, &cluster.compute.topology)?;
         cluster.compute.adopt(&draft.next);
         // Each block is pending on the node of the slice that owns it.
@@ -182,7 +180,7 @@ impl Cluster {
         let target = Cluster::launch_with_s3(cfg, Arc::clone(self.s3()))?;
         // The migrated catalog is the target's first commit, as for a
         // restore: a refused checkpoint fails the resize.
-        let mut draft = target.begin(WriteScope::Exclusive)?;
+        let mut draft = target.begin_exclusive();
         for (entry, image) in source.tables() {
             let (to, empty) = TableEntry::new(
                 entry.name.clone(),
@@ -690,6 +688,26 @@ mod tests {
         c.create_snapshot("s", SnapshotKind::User).unwrap();
         assert_eq!(c.faults().injected_total(), 2);
         assert_eq!(c.trace().counter_value("retry.attempts"), 2);
+    }
+
+    /// VACUUM and ANALYZE are table writers: each commits its table's
+    /// delta, not a checkpoint, and recovery replays both with nothing
+    /// left to scrub.
+    #[test]
+    fn vacuum_and_analyze_commit_deltas_that_replay() {
+        let c = small();
+        c.execute("CREATE TABLE t (k BIGINT) COMPOUND SORTKEY(k)").unwrap(); // last checkpoint
+        c.put_s3_object("in/rows", b"5\n3\n9\n1\n".to_vec());
+        c.execute("COPY t FROM 's3://in/' STATUPDATE OFF").unwrap();
+        c.execute("VACUUM t").unwrap();
+        c.execute("ANALYZE t").unwrap();
+        c.execute("VACUUM").unwrap();
+        let image = c.committed("t").unwrap().encode_delta("t");
+        let r = Cluster::recover(c.crash().unwrap()).unwrap();
+        assert_eq!(r.trace().counter_value("recovery.replayed_deltas"), 4);
+        assert_eq!(r.trace().counter_value("recovery.orphan_blocks_scrubbed"), 0);
+        assert_eq!(r.committed("t").unwrap().encode_delta("t"), image);
+        assert_eq!((r.loads_since_analyze("t"), r.rows_estimate("t")), (0, Some(4)));
     }
 
     #[test]

@@ -1,70 +1,77 @@
 //! Maintenance: VACUUM / ANALYZE, and the paper's §3.2/§4/§5 "future
 //! work", implemented — the self-maintenance advisor, EVEN → ALL
 //! redistribution, JSON auto-relationalization and key rotation.
+//!
+//! VACUUM and ANALYZE are table writers, one commit per table (DESIGN.md
+//! §15); `redistribute_all` changes a definition and stays exclusive.
 
-use super::write::WriteScope;
+use super::write::Draft;
 use super::{Cluster, ExecSummary};
 use crate::autonomics::{self, MaintenanceAction, MaintenancePolicy};
-use crate::catalog::{Catalog, TableEntry};
+use crate::catalog::TableEntry;
 use redsim_common::{Result, RsError};
 use redsim_distribution::DistStyle;
 use redsim_storage::table::SortKeySpec;
 use std::sync::Arc;
 
 impl Cluster {
-    /// The tables a statement names — every table when it names none —
-    /// in `catalog`.
-    fn tables_or_all(catalog: &Catalog, table: Option<&str>) -> Result<Vec<Arc<TableEntry>>> {
-        match table {
-            Some(t) => match catalog.get(t) {
-                Some((entry, _)) => Ok(vec![Arc::clone(entry)]),
-                None => Err(RsError::NotFound(format!("relation {t:?}"))),
-            },
-            None => Ok(catalog.tables().map(|(entry, _)| Arc::clone(entry)).collect()),
+    /// `table`, or when a statement names none, every table in catalog
+    /// order — each its own table writer's commit in `run`, so the tables
+    /// before a refused one stay committed and a rerun is idempotent. A
+    /// table dropped since the listing is skipped.
+    fn each_table(
+        &self,
+        table: Option<&str>,
+        mut run: impl FnMut(Draft<'_>) -> Result<()>,
+    ) -> Result<u64> {
+        let names: Vec<String> = match table {
+            Some(t) => vec![t.to_string()],
+            None => self.leader.catalog().tables().map(|(t, _)| t.name.clone()).collect(),
+        };
+        let mut done = 0;
+        for name in names {
+            match self.begin_table(&name) {
+                Err(RsError::NotFound(_)) if table.is_none() => continue,
+                draft => run(draft?)?,
+            }
+            done += 1;
         }
+        Ok(done)
     }
 
     pub(super) fn run_vacuum(&self, table: Option<&str>) -> Result<ExecSummary> {
-        self.check_writable()?;
-        // Each table re-sorts into new blocks in the draft; the old ones
+        // A table re-sorts into new blocks in the draft; the old ones
         // still back the published catalog and go when the last catalog
-        // naming them drops, after the commit. An error on any table
-        // drops the draft, new blocks and all.
-        let mut draft = self.begin(WriteScope::Exclusive)?;
+        // naming them drops, after the commit. An error drops the draft,
+        // new blocks and all.
         let mut rewritten = 0u64;
-        for entry in Self::tables_or_all(&draft.next, table)? {
-            let next = draft.next.version_mut(&entry.name).expect("listed from this catalog");
-            rewritten += self.compute.vacuum(Arc::make_mut(next))?;
-        }
-        draft.commit()?;
+        self.each_table(table, |mut draft| {
+            rewritten += self.compute.vacuum(draft.table_mut().1)?;
+            draft.commit()
+        })?;
         Ok(ExecSummary { rows_affected: rewritten, message: format!("VACUUM {rewritten}") })
     }
 
     pub(super) fn run_analyze(&self, table: Option<&str>) -> Result<ExecSummary> {
-        self.check_writable()?;
-        // Exclusive so the refreshed stats and the checkpoint that makes
-        // them durable are a consistent image. (A load's statistics fold
-        // instead rides the statement's own writer lock and delta.)
-        let mut draft = self.begin(WriteScope::Exclusive)?;
-        let tables = Self::tables_or_all(&draft.next, table)?;
-        for entry in &tables {
-            let next = draft.next.version_mut(&entry.name).expect("listed from this catalog");
-            let stats = self.compute.analyze(entry, next)?;
-            let state = &mut Arc::make_mut(next).state;
+        let analyzed = self.each_table(table, |mut draft| {
+            let (entry, version) = draft.table();
+            let stats = self.compute.analyze(entry, version)?;
+            let state = &mut draft.table_mut().1.state;
             state.rows_estimate = stats.rows;
             state.loads_since_analyze = 0;
             state.stats = Some(stats);
-        }
-        draft.commit()?;
-        let analyzed = tables.len() as u64;
+            draft.commit()
+        })?;
         Ok(ExecSummary { rows_affected: analyzed, message: format!("ANALYZE {analyzed} tables") })
     }
 
     /// Self-maintenance pass (§3.2 future work): inspect every table and
     /// VACUUM/ANALYZE the ones whose telemetry crosses the policy's
-    /// thresholds. Returns the actions taken. Meant to run "when load is
-    /// otherwise light"; nothing in the cluster schedules it yet — its
-    /// callers are the tests and `examples/self_driving.rs`.
+    /// thresholds. A table whose writer is busy (a COPY or INSERT into it
+    /// is running) is left for the next pass. Returns the actions taken.
+    /// Meant to run "when load is otherwise light"; nothing in the cluster
+    /// schedules it yet — its callers are the tests and
+    /// `examples/self_driving.rs`.
     pub fn maintenance_tick(&self, policy: &MaintenancePolicy) -> Result<Vec<MaintenanceAction>> {
         self.check_writable()?;
         let mut actions = Vec::new();
@@ -87,15 +94,17 @@ impl Cluster {
                 })
                 .collect()
         };
+        // Whether `done` ran; a busy table (`Serializable`) did not.
+        let ran = |done: Result<ExecSummary>| match done {
+            Ok(_) => Ok(true),
+            Err(RsError::Serializable(_)) => Ok(false),
+            Err(e) => Err(e),
+        };
         for (name, needs_vacuum, needs_analyze) in candidates {
-            if needs_vacuum {
-                self.run_vacuum(Some(&name))?;
-                self.leader.usage.record_feature("AUTO VACUUM");
+            if needs_vacuum && ran(self.run_vacuum(Some(&name)))? {
                 actions.push(MaintenanceAction::Vacuum { table: name.clone() });
             }
-            if needs_analyze {
-                self.run_analyze(Some(&name))?;
-                self.leader.usage.record_feature("AUTO ANALYZE");
+            if needs_analyze && ran(self.run_analyze(Some(&name)))? {
                 actions.push(MaintenanceAction::Analyze { table: name });
             }
         }
@@ -116,7 +125,6 @@ impl Cluster {
             };
             for name in small_even {
                 self.redistribute_all(&name)?;
-                self.leader.usage.record_feature("AUTO DISTSTYLE ALL");
                 actions.push(MaintenanceAction::RedistributeAll { table: name });
             }
         }
@@ -127,7 +135,7 @@ impl Cluster {
     /// advisor; also callable directly).
     pub fn redistribute_all(&self, table: &str) -> Result<()> {
         self.check_writable()?;
-        let mut draft = self.begin(WriteScope::Exclusive)?;
+        let mut draft = self.begin_exclusive();
         // Already ALL: the draft is left unchanged, so its drop rolls
         // nothing back.
         if draft.next.get(table).is_some_and(|(t, _)| matches!(t.dist_style, DistStyle::All)) {
@@ -179,7 +187,6 @@ impl Cluster {
         // statistics, distribution all apply).
         self.execute(&ddl)?;
         let loaded = self.execute(&format!("COPY {table} FROM '{s3_uri}' FORMAT JSON"))?;
-        self.leader.usage.record_feature("RELATIONALIZE");
         Ok((ddl, loaded.rows_affected))
     }
 
@@ -187,9 +194,9 @@ impl Cluster {
     /// overlap it; the exclusive scope keeps out the writers that insert
     /// block keys.
     pub fn rotate_cluster_key(&self) -> Result<()> {
-        let txn = self.begin_write_txn(WriteScope::Exclusive)?;
+        let draft = self.begin_exclusive();
         // Deterministic per cluster seed, distinct per rotation.
-        self.durable.rotate_cluster_key(self.config.seed ^ txn.txn.rotate_left(32))
+        self.durable.rotate_cluster_key(self.config.seed ^ draft.txn.rotate_left(32))
     }
 }
 
@@ -239,6 +246,59 @@ mod tests {
         assert!(actions.iter().all(|a| !matches!(a, MaintenanceAction::Vacuum { .. })));
     }
 
+    /// Three tables loaded with stale statistics.
+    fn stale(name: &str) -> Arc<Cluster> {
+        let c = Cluster::launch(
+            ClusterConfig::new(name).nodes(1).slices_per_node(2).rows_per_group(64),
+        )
+        .unwrap();
+        c.put_s3_object("in/rows", b"9\n4\n7\n1\n".to_vec());
+        for t in ["a", "b", "d"] {
+            let ddl = format!("CREATE TABLE {t} (k BIGINT) DISTKEY(k) COMPOUND SORTKEY(k)");
+            c.execute(&ddl).unwrap();
+            c.execute(&format!("COPY {t} FROM 's3://in/' STATUPDATE OFF")).unwrap();
+        }
+        c
+    }
+
+    /// An unqualified ANALYZE is one table writer's commit per table, in
+    /// catalog order: beside a held writer on `b` it commits `a`, is
+    /// refused retryably at `b`, and a rerun finishes, `a` again included.
+    #[test]
+    fn an_unqualified_analyze_beside_a_busy_table_finishes_on_rerun() {
+        let c = stale("analyze_all");
+        let loads = |c: &Cluster| ["a", "b", "d"].map(|t| c.loads_since_analyze(t));
+        let held = c.begin_table("b").unwrap();
+        let err = c.execute("ANALYZE").unwrap_err();
+        assert!(matches!(err, RsError::Serializable(_)) && err.is_retryable(), "{err}");
+        assert_eq!(c.trace().counter_value("txn.conflicts"), 1);
+        assert_eq!(loads(&c), [0, 4, 4], "the tables before the busy one stay committed");
+        let analyzed = c.table_stats("a");
+        drop(held);
+        assert_eq!(c.execute("ANALYZE").unwrap().message, "ANALYZE 3 tables");
+        assert_eq!(loads(&c), [0, 0, 0]);
+        assert_eq!(c.table_stats("a"), analyzed, "a rerun changes nothing it committed");
+    }
+
+    /// A maintenance pass leaves a table whose writer is busy for the
+    /// next pass, and does not fail.
+    #[test]
+    fn maintenance_tick_leaves_a_busy_table_for_its_next_pass() {
+        let c = stale("busy");
+        let tick = |c: &Cluster| {
+            let actions = c.maintenance_tick(&MaintenancePolicy::default()).unwrap();
+            actions.iter().map(|a| format!("{a:?}")).collect::<Vec<_>>().join(" ")
+        };
+        let held = c.begin_table("b").unwrap();
+        let first = tick(&c);
+        assert!(first.contains("\"a\"") && first.contains("\"d\""), "{first}");
+        assert!(!first.contains("\"b\""), "a busy table was maintained: {first}");
+        drop(held);
+        let next = tick(&c);
+        let b = "Vacuum { table: \"b\" } Analyze { table: \"b\" }";
+        assert_eq!(next, b, "the next pass takes the busy table");
+    }
+
     #[test]
     fn relationalize_json_end_to_end() {
         let c = Cluster::launch(ClusterConfig::new("rel").nodes(2).slices_per_node(2)).unwrap();
@@ -257,26 +317,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.rows[0].get(0).as_i64(), Some(2));
         assert_eq!(r.rows[0].get(1).as_f64(), Some(15.0));
-    }
-
-    #[test]
-    fn usage_stats_collected() {
-        let c = Cluster::launch(ClusterConfig::new("usage").nodes(1).slices_per_node(1)).unwrap();
-        c.execute("CREATE TABLE t (a BIGINT)").unwrap();
-        c.execute("INSERT INTO t VALUES (1)").unwrap();
-        for _ in 0..3 {
-            c.query("SELECT COUNT(*) FROM t").unwrap();
-        }
-        c.query("SELECT a FROM t ORDER BY a LIMIT 1").unwrap();
-        let _ = c.execute("SELECT broken FROM t"); // error → telemetry
-        let features = c.usage_stats().top_features();
-        assert_eq!(features[0].0, "SELECT");
-        assert_eq!(features[0].1, 4);
-        let shapes = c.usage_stats().top_plan_shapes();
-        assert!(shapes.iter().any(|(s, _)| s.contains("HashAggregate")), "{shapes:?}");
-        assert!(shapes.iter().any(|(s, _)| s.contains("Limit")), "{shapes:?}");
-        let errors = c.usage_stats().top_errors();
-        assert_eq!(errors[0].0, "ANALYSIS");
     }
 
     #[test]

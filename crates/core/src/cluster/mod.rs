@@ -20,7 +20,6 @@ mod write;
 pub use durable::CrashImage;
 pub use leader::WlmAccounting;
 
-use crate::autonomics::UsageStats;
 use crate::catalog::{Catalog, TableVersion};
 use crate::config::ClusterConfig;
 use crate::session::{Session, SessionCtx, SessionManager, SessionOpts};
@@ -99,15 +98,15 @@ pub struct Cluster {
     leader: Leader,
     state: RwLock<ClusterState>,
     /// The writers' lock; readers never take it — the catalog a SELECT
-    /// holds keeps every block it names. Table writers (COPY / INSERT)
-    /// hold it shared, taken before they look their table up, and
-    /// serialize per table on its `writer` mutex, so they run
+    /// holds keeps every block it names. Table writers (COPY, INSERT,
+    /// VACUUM, ANALYZE) hold it shared, taken before they look their
+    /// table up, and serialize per table on its `writer`, so they run
     /// concurrently across tables and DROP cannot remove a writer's
-    /// table. Catalog-shaped statements (DDL, VACUUM, ANALYZE,
-    /// redistribute, snapshot, key rotation) hold it exclusively, so no
-    /// table writer commits between their draft's clone and its
-    /// whole-catalog checkpoint. All exclusive acquisition goes through
-    /// [`Cluster::begin_write_txn`].
+    /// table. Statements that change table definitions or need the whole
+    /// catalog (DDL, redistribute, snapshot, key rotation) hold it
+    /// exclusively, so no table writer commits between their draft's
+    /// clone and its whole-catalog checkpoint. Taken only by
+    /// `begin_table` and `begin_exclusive`.
     write_txn: RwLock<()>,
 }
 
@@ -270,11 +269,6 @@ impl Cluster {
         WlmAccounting::of(&self.leader.trace)
     }
 
-    /// Usage telemetry collected by the leader (§5 future work).
-    pub fn usage_stats(&self) -> &UsageStats {
-        &self.leader.usage
-    }
-
     /// Execute any statement; returns a row-count summary. A SELECT or
     /// EXPLAIN runs as [`Cluster::query`] does.
     pub fn execute(&self, sql: &str) -> Result<ExecSummary> {
@@ -287,32 +281,22 @@ impl Cluster {
         sql: &str,
         ctx: Option<&SessionCtx>,
     ) -> Result<ExecSummary> {
-        self.execute_inner(sql, ctx).inspect_err(|e| self.leader.usage.record_error(e.code()))
-    }
-
-    fn execute_inner(&self, sql: &str, ctx: Option<&SessionCtx>) -> Result<ExecSummary> {
-        let (feature, result) = match redsim_sql::parse(sql)? {
+        match redsim_sql::parse(sql)? {
             Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
                 let out = match ctx {
                     Some(ctx) => self.query_with_ctx(sql, ctx),
                     None => self.query(sql),
                 };
                 let n = out?.rows.len() as u64;
-                return Ok(ExecSummary { rows_affected: n, message: format!("SELECT {n}") });
+                Ok(ExecSummary { rows_affected: n, message: format!("SELECT {n}") })
             }
-            Statement::CreateTable(ct) => ("CREATE TABLE", self.run_create_table(ct)),
-            Statement::DropTable { name, if_exists } => {
-                ("DROP TABLE", self.run_drop_table(&name, if_exists))
-            }
-            Statement::Insert(ins) => ("INSERT", self.run_insert(ins)),
-            Statement::Copy(c) => {
-                ("COPY", self.run_copy(c, ctx.unwrap_or(&SessionCtx::unregistered())))
-            }
-            Statement::Vacuum { table } => ("VACUUM", self.run_vacuum(table.as_deref())),
-            Statement::Analyze { table } => ("ANALYZE", self.run_analyze(table.as_deref())),
-        };
-        self.leader.usage.record_feature(feature);
-        result
+            Statement::CreateTable(ct) => self.run_create_table(ct),
+            Statement::DropTable { name, if_exists } => self.run_drop_table(&name, if_exists),
+            Statement::Insert(ins) => self.run_insert(ins),
+            Statement::Copy(c) => self.run_copy(c, ctx.unwrap_or(&SessionCtx::unregistered())),
+            Statement::Vacuum { table } => self.run_vacuum(table.as_deref()),
+            Statement::Analyze { table } => self.run_analyze(table.as_deref()),
+        }
     }
 
     /// Run a SELECT (or EXPLAIN) and return rows. The sessionless path:

@@ -4,7 +4,6 @@
 use super::compute::SnapshotReader;
 use super::leader::{self, Leader};
 use super::{Cluster, QueryResult};
-use crate::autonomics;
 use crate::catalog::Catalog;
 use crate::result_cache::CachedResult;
 use crate::session::SessionCtx;
@@ -153,12 +152,6 @@ impl Cluster {
         }
         let (reader, plan) = self.plan_select(catalog, sel, &qspan)?;
         let plan_text = plan.explain();
-        self.leader.usage.record_feature(match mode {
-            SelectMode::Execute => "SELECT",
-            SelectMode::ExplainOnly => "EXPLAIN",
-            SelectMode::ExplainAnalyze => "EXPLAIN ANALYZE",
-        });
-        self.leader.usage.record_plan_shape(autonomics::plan_shape(&plan_text));
         if mode == SelectMode::ExplainOnly {
             return Ok(QueryResult::plan_rows(plan_text, |_, l| l.to_string()));
         }

@@ -5,7 +5,7 @@
 
 use super::compute::parallel_map;
 use super::{Cluster, ExecSummary};
-use crate::catalog::{Catalog, TableEntry, TableVersion};
+use crate::catalog::{Catalog, TableEntry, TableVersion, TableWriter};
 use crate::loader;
 use crate::session::SessionCtx;
 use redsim_common::{ColumnData, ColumnDef, Result, RsError, Schema, Value};
@@ -15,37 +15,25 @@ use redsim_sql::{ast, Binder, BoundExpr};
 use redsim_storage::stats::TableStats;
 use redsim_storage::table::SortKeySpec;
 use redsim_testkit::par;
-use redsim_testkit::sync::{MutexGuard, RwLockWriteGuard};
+use redsim_testkit::sync::{RwLockReadGuard, RwLockWriteGuard};
 use std::sync::Arc;
 
 /// Bytes of source text in one COPY unit (carried on to a line end): what
 /// one worker parses at a time, so a load holds units, not the load.
 const COPY_UNIT_BYTES: usize = 256 << 10;
 
-/// Scope of a write transaction — which locks
-/// [`Cluster::begin_write_txn`] takes. See DESIGN.md §15.
-pub(super) enum WriteScope<'a> {
-    /// Statement-scoped writer on one table (COPY / INSERT): shared
-    /// `write_txn` (held by the caller) + first-committer-wins
-    /// `try_lock` on the table's writer mutex.
-    Table(&'a TableEntry),
-    /// Catalog-shaped statement (DDL, VACUUM, ANALYZE, redistribute,
-    /// snapshot, key rotation): the exclusive `write_txn`.
-    Exclusive,
-}
-
-/// The locks a write transaction holds, plus its id. Dropping the
-/// handle releases them; the handle itself carries no rollback duty —
-/// the unpublished catalog's row groups free their own blocks, and the
-/// WAL protocol keeps durability.
-pub(super) struct TxnHandle<'a> {
-    pub txn: u64,
-    _locks: TxnLocks<'a>,
-}
-
-enum TxnLocks<'a> {
+/// The locks a [`Draft`] holds (DESIGN.md §15). Dropping the draft
+/// releases them; they carry no rollback duty — the unpublished
+/// catalog's row groups free their own blocks, and the WAL protocol
+/// keeps durability.
+enum Scope<'a> {
+    /// A table writer (COPY, INSERT, `VACUUM t`, `ANALYZE t`): the shared
+    /// `write_txn` and its table's writer.
+    Table { writer: TableWriter, _shared: RwLockReadGuard<'a, ()> },
+    /// A statement that changes table definitions or needs the whole
+    /// catalog (CREATE, DROP, `redistribute_all`, snapshot, key
+    /// rotation, restore, resize): the exclusive `write_txn`.
     Exclusive { _write_txn: RwLockWriteGuard<'a, ()> },
-    Table { _writer: MutexGuard<'a, ()> },
 }
 
 /// Parse the hex form back into a key.
@@ -65,8 +53,8 @@ fn parse_hex_key(hex: &str) -> Result<redsim_crypto::Key> {
 /// A statement's next catalog under construction: a private clone of the
 /// published one — a name → `Arc` map; a table's version is copied on its
 /// first change — that the statement appends into, vacuums, re-analyzes,
-/// creates or drops tables in with no lock but its scope (a table's
-/// writer mutex or the exclusive scope), which makes it the only writer
+/// creates or drops tables in with no lock but its scope (its table's
+/// writer, or the exclusive `write_txn`), which makes it the only writer
 /// of everything it changes.
 ///
 /// [`Draft::commit`] logs and publishes it. Every other exit path,
@@ -76,12 +64,11 @@ fn parse_hex_key(hex: &str) -> Result<redsim_crypto::Key> {
 /// ("data loads are transactional", §2.1).
 pub(super) struct Draft<'a> {
     cluster: &'a Cluster,
-    txn: TxnHandle<'a>,
-    /// A table writer's table, the only one its draft changes: logged as
-    /// a redo delta and published over whatever catalog is current by
-    /// then. `None` for an exclusive-scope draft: logged as a checkpoint
-    /// and published whole.
-    table: Option<&'a TableEntry>,
+    pub txn: u64,
+    /// A table writer's draft changes only its table: logged as a redo
+    /// delta and published over whatever catalog is current by then. An
+    /// exclusive draft is logged as a checkpoint and published whole.
+    scope: Scope<'a>,
     pub next: Catalog,
     published: bool,
 }
@@ -91,31 +78,46 @@ pub(super) struct Draft<'a> {
 const WRITER_TABLE: &str = "a table writer's table outlives its statement";
 
 impl Draft<'_> {
-    /// A table writer's copy of its table.
-    pub fn table(&mut self) -> &mut TableVersion {
-        let name = &self.table.expect("a table writer's draft").name;
-        Arc::make_mut(self.next.version_mut(name).expect(WRITER_TABLE))
+    /// A table writer's table, as the draft has it.
+    pub fn table(&self) -> (&TableEntry, &TableVersion) {
+        let entry = self.entry().expect("a table writer's draft");
+        (entry, self.next.get(&entry.name).expect(WRITER_TABLE).1)
+    }
+
+    /// A table writer's table, its version copied on first change.
+    pub fn table_mut(&mut self) -> (&TableEntry, &mut TableVersion) {
+        let Scope::Table { writer, .. } = &self.scope else { panic!("a table writer's draft") };
+        let entry = writer.entry();
+        (entry, Arc::make_mut(self.next.version_mut(&entry.name).expect(WRITER_TABLE)))
+    }
+
+    /// A table writer's table; `None` for an exclusive draft.
+    fn entry(&self) -> Option<&TableEntry> {
+        match &self.scope {
+            Scope::Table { writer, .. } => Some(writer.entry()),
+            Scope::Exclusive { .. } => None,
+        }
     }
 
     /// Commit: log, then publish — the one way any statement's changes
     /// become durable and visible (DESIGN.md §11). Under the leader's
     /// publication lock: refuse if the cluster no longer takes writes (a
     /// resize has taken its snapshot); log, a table writer its table's
-    /// redo delta, an exclusive-scope statement its whole next catalog as
-    /// a checkpoint; and publish it as transaction `txn`'s catalog. The
+    /// redo delta, an exclusive statement its whole next catalog as a
+    /// checkpoint; and publish it as transaction `txn`'s catalog. The
     /// blocks the replaced catalog names and the new one does not
     /// (VACUUM's old layout, a dropped table) are freed when the last
     /// catalog naming them drops — at once if no statement holds one — so
     /// neither a crash on either side of the commit mark nor a running
     /// scan loses a block. Any error returns before the publish, and the
-    /// drop discards the draft. A table writer only appends: it frees
-    /// nothing and redefines nothing.
+    /// drop discards the draft. A table writer changes one table's
+    /// version and redefines nothing.
     pub fn commit(mut self) -> Result<()> {
         let cluster = self.cluster;
         let _publication = cluster.leader.publication.lock();
         cluster.check_writable()?;
-        let txn = self.txn.txn;
-        let mut next = match self.table {
+        let txn = self.txn;
+        let mut next = match self.entry() {
             Some(entry) => {
                 let version = Arc::clone(self.next.get(&entry.name).expect(WRITER_TABLE).1);
                 cluster.durable.log_table_delta(txn, &entry.name, &version)?;
@@ -134,7 +136,7 @@ impl Draft<'_> {
         self.published = true;
         let next = Arc::new(next);
         let replaced = cluster.leader.publish(Arc::clone(&next));
-        if self.table.is_none() {
+        if self.entry().is_none() {
             let definitions =
                 |c: &Catalog| c.tables().map(|(t, _)| Arc::as_ptr(t)).collect::<Vec<_>>();
             if definitions(&replaced) != definitions(&next) {
@@ -154,78 +156,77 @@ impl Drop for Draft<'_> {
     /// from every replica — no published catalog ever named them, so no
     /// statement can be scanning them. (Under an armed hard crash they
     /// stay behind for recovery's orphan scrub.) A draft that changed
-    /// nothing (`DROP TABLE IF EXISTS` of no table) counts nothing.
+    /// nothing (`DROP TABLE IF EXISTS` of no table, a COPY of no objects)
+    /// counts nothing: a table writer's draft is compared on its own
+    /// table only, as other tables commit beside it.
     fn drop(&mut self) {
-        if !self.published && !self.next.same_tables(&self.cluster.leader.catalog()) {
+        if self.published {
+            return;
+        }
+        let published = self.cluster.leader.catalog();
+        let changed = match self.entry() {
+            Some(entry) => {
+                let version = |c: &Catalog| c.get(&entry.name).map(|(_, v)| Arc::as_ptr(v));
+                version(&self.next) != version(&published)
+            }
+            None => !self.next.same_tables(&published),
+        };
+        if changed {
             self.cluster.trace().counter("write_txn.rollbacks").incr();
         }
     }
 }
 
 impl Cluster {
-    /// Open a transaction: the single entry point for every write
-    /// statement's locking (DESIGN.md §15). Allocates the transaction id
-    /// and takes exactly the locks the scope needs:
-    ///
-    /// - [`WriteScope::Table`]: first-committer-wins `try_lock` on the
-    ///   table's writer mutex. The caller already holds the *shared*
-    ///   `write_txn` (taken before it looked the table up), so same-table
-    ///   contention is the only thing that can fail — and it fails fast
-    ///   with a retryable [`RsError::Serializable`] instead of queueing,
-    ///   recorded in `txn.conflicts` / `stl_tr_conflict`.
-    /// - [`WriteScope::Exclusive`]: the exclusive `write_txn` — waits out
-    ///   in-flight table writers (never readers), so no draft but the
-    ///   statement's own exists, a full-catalog WAL checkpoint taken under
-    ///   it is consistent, and key rotation never overlaps a block-key
-    ///   insert.
-    pub(super) fn begin_write_txn<'a>(
-        &'a self,
-        scope: WriteScope<'a>,
-    ) -> Result<TxnHandle<'a>> {
+    /// Begin a table writer's draft of table `name` — COPY, INSERT,
+    /// `VACUUM t` and `ANALYZE t` (DESIGN.md §15). Takes the *shared*
+    /// `write_txn` before the lookup, so DROP cannot take the table away
+    /// while the statement runs; then first-committer-wins on the table's
+    /// writer, so same-table contention is the only thing that can fail
+    /// — and it fails fast with a retryable [`RsError::Serializable`]
+    /// instead of queueing, recorded in `txn.conflicts` /
+    /// `stl_tr_conflict`. The draft starts from the catalog published
+    /// once the writer is held, so it is current for its table.
+    pub(super) fn begin_table(&self, name: &str) -> Result<Draft<'_>> {
+        self.check_writable()?;
+        let shared = self.write_txn.read();
+        let catalog = self.leader.catalog();
+        let (entry, _) =
+            catalog.get(name).ok_or_else(|| RsError::NotFound(format!("relation {name:?}")))?;
         let txn = self.durable.next_txn();
-        match scope {
-            WriteScope::Exclusive => {
-                let _write_txn = self.write_txn.write();
-                Ok(TxnHandle { txn, _locks: TxnLocks::Exclusive { _write_txn } })
-            }
-            WriteScope::Table(entry) => match entry.writer.try_lock() {
-                Some(_writer) => Ok(TxnHandle { txn, _locks: TxnLocks::Table { _writer } }),
-                None => {
-                    self.trace().counter("txn.conflicts").incr();
-                    self.trace().span_completed(
-                        "tr_conflict",
-                        0,
-                        &[
-                            ("table", AttrValue::Str(entry.name.clone())),
-                            ("xact_id", AttrValue::U64(txn)),
-                        ],
-                    );
-                    Err(RsError::Serializable(format!(
-                        "1023: serializable isolation violation on table {:?} — a \
-                         concurrent write transaction is in progress; retry the statement",
-                        entry.name
-                    )))
-                }
-            },
-        }
+        let Some(writer) = TableWriter::try_take(entry) else {
+            self.trace().counter("txn.conflicts").incr();
+            self.trace().span_completed(
+                "tr_conflict",
+                0,
+                &[("table", AttrValue::Str(entry.name.clone())), ("xact_id", AttrValue::U64(txn))],
+            );
+            return Err(RsError::Serializable(format!(
+                "1023: serializable isolation violation on table {:?} — a concurrent write \
+                 transaction is in progress; retry the statement",
+                entry.name
+            )));
+        };
+        let next = Catalog::clone(&self.leader.catalog());
+        let scope = Scope::Table { writer, _shared: shared };
+        Ok(Draft { cluster: self, txn, scope, next, published: false })
     }
 
-    /// Open a write transaction in `scope` and start its draft from the
-    /// published catalog, read once the scope's locks are held — so it
-    /// is current for everything the statement may change.
-    pub(super) fn begin<'a>(&'a self, scope: WriteScope<'a>) -> Result<Draft<'a>> {
-        let table = match scope {
-            WriteScope::Table(entry) => Some(entry),
-            WriteScope::Exclusive => None,
-        };
-        let txn = self.begin_write_txn(scope)?;
+    /// Begin an exclusive draft: the exclusive `write_txn` waits out
+    /// in-flight table writers (never readers), so no draft but this one
+    /// exists, the whole-catalog checkpoint its commit logs is consistent,
+    /// and key rotation never overlaps a block-key insert. The draft
+    /// starts from the catalog published once the lock is held.
+    pub(super) fn begin_exclusive(&self) -> Draft<'_> {
+        let txn = self.durable.next_txn();
+        let scope = Scope::Exclusive { _write_txn: self.write_txn.write() };
         let next = Catalog::clone(&self.leader.catalog());
-        Ok(Draft { cluster: self, txn, table, next, published: false })
+        Draft { cluster: self, txn, scope, next, published: false }
     }
 
     pub(super) fn run_create_table(&self, ct: ast::CreateTable) -> Result<ExecSummary> {
         self.check_writable()?;
-        let mut draft = self.begin(WriteScope::Exclusive)?;
+        let mut draft = self.begin_exclusive();
         let columns = ct.columns.iter().map(|c| ColumnDef {
             name: c.name.clone(),
             data_type: c.data_type,
@@ -264,7 +265,7 @@ impl Cluster {
 
     pub(super) fn run_drop_table(&self, name: &str, if_exists: bool) -> Result<ExecSummary> {
         self.check_writable()?;
-        let mut draft = self.begin(WriteScope::Exclusive)?;
+        let mut draft = self.begin_exclusive();
         match draft.next.drop_table(name) {
             Ok(_) => draft.commit()?,
             Err(_) if if_exists => {
@@ -277,17 +278,8 @@ impl Cluster {
     }
 
     pub(super) fn run_insert(&self, ins: ast::Insert) -> Result<ExecSummary> {
-        self.check_writable()?;
-        // Table writers run under the *shared* writers' lock: concurrent
-        // INSERT/COPY into different tables proceed in parallel, and a
-        // second writer on the same table fails fast with a
-        // serializable-isolation error.
-        let _shared = self.write_txn.read();
-        let catalog = self.leader.catalog();
-        let (entry, _) = catalog
-            .get(&ins.table)
-            .ok_or_else(|| RsError::NotFound(format!("relation {:?}", ins.table)))?;
-        let mut draft = self.begin(WriteScope::Table(entry))?;
+        let mut draft = self.begin_table(&ins.table)?;
+        let entry = draft.table().0;
         // Map the column list (or full schema order).
         let target_cols: Vec<usize> = match &ins.columns {
             Some(cols) => cols
@@ -301,7 +293,7 @@ impl Cluster {
                 .collect::<Result<_>>()?,
             None => (0..entry.schema.len()).collect(),
         };
-        let view = self.compute.reader(Arc::clone(&catalog)); // VALUES reference no table
+        let view = self.compute.reader(self.leader.catalog()); // VALUES reference no table
         let binder = Binder::new(&view);
         let mut batch: Vec<ColumnData> =
             entry.schema.columns().iter().map(|c| ColumnData::new(c.data_type)).collect();
@@ -331,7 +323,7 @@ impl Cluster {
         // another errored) leaves no stray rows and no drifted
         // round-robin cursor: both live in the draft.
         let folded = TableStats::of(&batch);
-        let next = draft.table();
+        let (entry, next) = draft.table_mut();
         self.compute.append(entry, next, batch, true)?;
         next.state.rows_estimate += n_rows;
         next.fold_stats(&folded);
@@ -340,16 +332,7 @@ impl Cluster {
     }
 
     pub(super) fn run_copy(&self, c: ast::Copy, ctx: &SessionCtx) -> Result<ExecSummary> {
-        self.check_writable()?;
-        // Shared writers' lock + per-table writer lock: COPYs into
-        // different tables run concurrently; a second COPY into the same
-        // table fails fast with a serializable-isolation error.
-        let _shared = self.write_txn.read();
-        let catalog = self.leader.catalog();
-        let (entry, _) = catalog
-            .get(&c.table)
-            .ok_or_else(|| RsError::NotFound(format!("relation {:?}", c.table)))?;
-        let mut draft = self.begin(WriteScope::Table(entry))?;
+        let mut draft = self.begin_table(&c.table)?;
         // `s3://prefix` → object listing in the home region.
         let prefix = c
             .source
@@ -366,7 +349,7 @@ impl Cluster {
         // §2.1): slices, cursor and counters change in the draft only,
         // and any error below drops it and deletes the statement's
         // blocks from every replica.
-        let next = draft.table();
+        let (entry, next) = draft.table_mut();
         // COMPUPDATE governs automatic compression analysis on first
         // load; an unspecified statement falls back to the session's
         // default (SET compupdate). A per-statement override: the table's
@@ -568,10 +551,7 @@ mod tests {
         c.put_s3_object("w/a", b"1\n2\n".to_vec());
         c.put_s3_object("w/b", b"3\n4\n".to_vec());
 
-        let catalog = c.leader.catalog();
-        let (entry, _) = catalog.get("a").unwrap();
-        let _shared = c.write_txn.read();
-        let held = c.begin_write_txn(WriteScope::Table(entry)).unwrap();
+        let held = c.begin_table("a").unwrap();
 
         // Independent table: commits while `a`'s writer mutex is held.
         let s = c.execute("COPY b FROM 's3://w/b'").unwrap();
@@ -583,7 +563,6 @@ mod tests {
         assert!(err.is_retryable(), "serializable conflicts are retryable");
         assert_eq!(c.trace().counter_value("txn.conflicts"), 1);
         drop(held);
-        drop(_shared);
 
         // Once the holder releases, the same statement goes through.
         assert_eq!(c.execute("COPY a FROM 's3://w/a'").unwrap().rows_affected, 2);
@@ -616,12 +595,11 @@ mod tests {
         )
         .unwrap();
         c.execute("CREATE TABLE t (k BIGINT)").unwrap();
-        let entry = Arc::clone(c.leader.catalog().get("t").unwrap().0);
         let load = |rows: std::ops::Range<i64>| -> Draft<'_> {
-            let mut draft = c.begin(WriteScope::Table(&entry)).unwrap();
-            let next = draft.table();
+            let mut draft = c.begin_table("t").unwrap();
+            let (entry, next) = draft.table_mut();
             next.slices.iter_mut().for_each(|s| s.set_auto_compress(false));
-            c.compute.append(&entry, next, ids(rows), false).unwrap();
+            c.compute.append(entry, next, ids(rows), false).unwrap();
             c.compute.seal(next, &redsim_obs::Span::disabled());
             draft
         };
@@ -654,6 +632,24 @@ mod tests {
         c.execute("DROP TABLE IF EXISTS nope").unwrap();
         c.execute("CREATE TABLE d (k BIGINT) DISTSTYLE ALL").unwrap();
         c.redistribute_all("d").unwrap();
+        assert_eq!(c.trace().counter_value("write_txn.rollbacks"), 0);
+    }
+
+    /// A table writer that changed nothing counts no rollback when
+    /// another table commits beside it: its draft is compared on its own
+    /// table, not the whole catalog.
+    #[test]
+    fn an_untouched_table_draft_counts_no_rollback_beside_a_commit() {
+        let c = small();
+        c.execute("CREATE TABLE t (k BIGINT)").unwrap();
+        c.execute("CREATE TABLE u (k BIGINT)").unwrap();
+        c.put_s3_object("u/rows", b"1\n2\n".to_vec());
+        let untouched = c.begin_table("t").unwrap();
+        assert_eq!(c.execute("COPY u FROM 's3://u/'").unwrap().rows_affected, 2);
+        drop(untouched);
+        // So does a COPY of an empty prefix, refused before any change.
+        let err = c.execute("COPY t FROM 's3://none/'").unwrap_err();
+        assert!(matches!(err, RsError::NotFound(_)), "{err}");
         assert_eq!(c.trace().counter_value("write_txn.rollbacks"), 0);
     }
 
@@ -720,11 +716,10 @@ mod tests {
         )
         .unwrap();
         c.execute("CREATE TABLE t (k BIGINT)").unwrap();
-        let catalog = c.leader.catalog();
-        let (entry, _) = catalog.get("t").unwrap();
-        let mut draft = c.begin(WriteScope::Table(entry)).unwrap();
-        c.compute.append(entry, draft.table(), ids(0..300), false).unwrap();
-        let locked = draft.table().slices.iter().all(|s| s.encodings().is_some());
+        let mut draft = c.begin_table("t").unwrap();
+        let (entry, next) = draft.table_mut();
+        c.compute.append(entry, next, ids(0..300), false).unwrap();
+        let locked = draft.table().1.slices.iter().all(|s| s.encodings().is_some());
         assert!(locked, "first seal locks them");
         drop(draft);
         let committed = c.committed("t").unwrap();
@@ -936,8 +931,8 @@ mod tests {
                 }
             }
             let stats = TableStats::of(&batch);
-            let mut draft = whole.begin(WriteScope::Table(entry)).unwrap();
-            let next = draft.table();
+            let mut draft = whole.begin_table("t").unwrap();
+            let (entry, next) = draft.table_mut();
             whole.compute.append(entry, next, batch, false).unwrap();
             let sealed = whole.compute.seal(next, &redsim_obs::Span::disabled());
             sealed.into_iter().collect::<Result<()>>().unwrap();

@@ -39,7 +39,7 @@ pub mod session;
 pub mod systables;
 pub mod wlm;
 
-pub use autonomics::{MaintenanceAction, MaintenancePolicy, UsageStats};
+pub use autonomics::{MaintenanceAction, MaintenancePolicy};
 pub use cluster::{Cluster, ExecSummary, QueryResult, WlmAccounting};
 pub use config::ClusterConfig;
 pub use result_cache::ResultCache;

@@ -1,6 +1,6 @@
 //! The paper's "future work", running: §3.2's self-maintaining database,
 //! §4's automatic relationalization of semi-structured data, and §5's
-//! automated usage telemetry.
+//! usage telemetry, read from the system tables.
 //!
 //! ```text
 //! cargo run --example self_driving
@@ -85,13 +85,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(before.rows, after.rows);
 
     // --- §5: what the fleet telemetry would ship home -----------------
-    println!("\nusage by feature:");
-    for (f, n) in cluster.usage_stats().top_features() {
-        println!("  {f:<18} {n}");
-    }
-    println!("top query plan shapes:");
-    for (s, n) in cluster.usage_stats().top_plan_shapes().into_iter().take(4) {
-        println!("  {n}x  {s}");
+    // Every executed query's plan is in `stl_explain`, one row per node.
+    let nodes = cluster.query(
+        "SELECT plannode, COUNT(*) AS n FROM stl_explain GROUP BY plannode ORDER BY n DESC LIMIT 4",
+    )?;
+    println!("\ntop plan nodes:");
+    for row in &nodes.rows {
+        println!("  {}x  {}", row.get(1), row.get(0));
     }
     Ok(())
 }

@@ -538,7 +538,8 @@ fn one_image_refused_analyze_and_vacuum_change_nothing() {
     let pre = read(&c);
     let (pre_catalog, pre_version) = (catalog(&c), c.catalog_version());
     assert_eq!(c.loads_since_analyze("t"), 300);
-    // Every exclusive-scope statement, refused at either log seam.
+    // VACUUM and ANALYZE (table writers: their delta) and every exclusive
+    // statement (its checkpoint), refused at either log seam.
     let statements =
         ["ANALYZE t", "VACUUM t", "CREATE TABLE u (k BIGINT)", "DROP TABLE t", "redistribute_all t"];
     for stmt in statements {

@@ -34,7 +34,8 @@
 //! is a fixpoint. Over the run every seam the schedule arms must fire, at
 //! least one refusal must be a retry exhaustion, every kind of A must
 //! park, and some B must wait, some return beside A and some be refused
-//! as a same-table conflict; on success the run prints what it reached.
+//! as a same-table conflict — VACUUM or ANALYZE among them, of another
+//! table and of A's; on success the run prints what it reached.
 //!
 //! A failure shrinks to a minimal schedule and prints it as replayable
 //! SQL, S3 objects and lifecycle calls. `RSIM_PROP_CASES` sets the case
@@ -77,6 +78,9 @@ static PARKED: [AtomicU64; PARK.len()] = [const { AtomicU64::new(0) }; PARK.len(
 static WAITED: AtomicU64 = AtomicU64::new(0);
 static RETURNED: AtomicU64 = AtomicU64::new(0);
 static CONFLICTS: AtomicU64 = AtomicU64::new(0);
+/// VACUUM or ANALYZE beside a parked table writer: of another table
+/// (returned), and of the same table (refused as a conflict).
+static MAINTAINED: [AtomicU64; 2] = [const { AtomicU64::new(0) }; 2];
 
 /// The wide schema carries one column of every `DataType`; a narrow
 /// table is its `k, i4, v` (the columns the query panel reads).
@@ -151,8 +155,10 @@ type Step = (Op, u32, u64);
 /// Steps draw from this list, so repeats weight an op; shrinking moves a
 /// step toward the front. Faults, kill / revive and drains weigh enough
 /// that a default run reaches every seam (`mirror.re_replicate` needs a
-/// revive, `s3.copy_object` a drain, after the fault is armed).
-const OPS: [Op; 28] = [
+/// revive, `s3.copy_object` a drain, after the fault is armed), and parks,
+/// VACUUM and ANALYZE enough that maintenance meets a parked table writer,
+/// of its own table and of another.
+const OPS: [Op; 34] = [
     Op::Ddl,
     Op::Copy,
     Op::Insert,
@@ -180,6 +186,12 @@ const OPS: [Op; 28] = [
     Op::Fault,
     Op::Fault,
     Op::Park,
+    Op::Park,
+    Op::Vacuum,
+    Op::Analyze,
+    Op::Park,
+    Op::Vacuum,
+    Op::Analyze,
     Op::Park,
 ];
 
@@ -365,8 +377,9 @@ enum Expect {
 enum Effect {
     Create(String, Table),
     Drop(String),
-    /// A table writer (COPY, INSERT): the one kind of write that holds
-    /// `write_txn` shared; every other write holds it exclusive.
+    /// COPY, INSERT. With VACUUM and ANALYZE, a table writer: it holds
+    /// `write_txn` shared and its table's writer; every other write holds
+    /// `write_txn` exclusive.
     Load { t: String, rows: Vec<Row>, statupdate: bool },
     Vacuum(String),
     Analyze(String),
@@ -409,10 +422,10 @@ impl Effect {
         }
     }
 
-    /// The table a table writer appends to.
-    fn loads(&self) -> Option<&str> {
+    /// The table a table writer writes.
+    fn writes(&self) -> Option<&str> {
         match self {
-            Effect::Load { t, .. } => Some(t),
+            Effect::Load { t, .. } | Effect::Vacuum(t) | Effect::Analyze(t) => Some(t),
             _ => None,
         }
     }
@@ -484,10 +497,10 @@ impl Job {
         }
     }
 
-    /// The table a table writer appends to.
-    fn loads(&self) -> Option<&str> {
+    /// The table a table writer writes.
+    fn writes(&self) -> Option<&str> {
         match self {
-            Job::Write(s) => s.effect.loads(),
+            Job::Write(s) => s.effect.writes(),
             _ => None,
         }
     }
@@ -533,14 +546,15 @@ fn done(rx: &mpsc::Receiver<Option<Got>>, what: &str) -> Got {
 }
 
 /// Whether B waits for the parked A (DESIGN.md §15 "Who waits for
-/// whom"): a resize's WLM drain waits for a parked SELECT's slot, and a
-/// statement of exclusive scope (DDL, VACUUM, ANALYZE, `redistribute_all`,
-/// snapshot) for a parked table writer's shared `write_txn`. Every other
-/// B returns while A is parked.
+/// whom"): a resize's WLM drain waits for a parked SELECT's slot, and an
+/// exclusive statement (DDL, `redistribute_all`, snapshot) for a parked
+/// table writer's shared `write_txn`. Every other B returns while A is
+/// parked: a table writer (COPY, INSERT, VACUUM, ANALYZE) of another table
+/// commits, and of A's table is refused as a conflict.
 fn waits(a: Op, b: &Job) -> bool {
     match (a, b) {
         (Op::Select, Job::Resize(..)) => true,
-        (Op::Copy | Op::Insert, Job::Write(s)) => s.effect.loads().is_none(),
+        (Op::Copy | Op::Insert, Job::Write(s)) => s.effect.writes().is_none(),
         (Op::Copy | Op::Insert, Job::Restore { .. }) => true,
         _ => false,
     }
@@ -947,6 +961,14 @@ impl Run {
     /// while A is still parked; one that waits, after A. A B that cannot
     /// run beside A (DESIGN.md §7) is handed back, to run next.
     fn park(&mut self, a: u32, b: u64, beside: Option<Step>) -> Option<Step> {
+        if let (Some((Op::Vacuum | Op::Analyze, ba, _)), 1) = (beside, self.tables.len()) {
+            // VACUUM or ANALYZE beside a parked write gets a second table
+            // first, so that it meets A's table or another one.
+            let free = (ba..ba + 3).find(|n| !self.tables.contains_key(&format!("t{}", n % 3)));
+            let create = self.create(free.expect("three names, one table"));
+            self.step += 1;
+            self.run(Job::Write(create));
+        }
         self.step += 1;
         let (kind, seam) = PARK[a as usize % PARK.len()];
         let job = self.plan(kind, a / PARK.len() as u32, b).expect("every kind of A is a job");
@@ -1015,7 +1037,7 @@ impl Run {
             // B resized the cluster under the parked write: its commit is
             // refused (or a fault or a node down on the source refused it
             // first), and it reruns on the target.
-            (Job::Write(s), got) if !Arc::ptr_eq(&self.c, &c) && s.effect.loads().is_some() => {
+            (Job::Write(s), got) if !Arc::ptr_eq(&self.c, &c) && s.effect.writes().is_some() => {
                 let Got::Affected(Err(e)) = got else { panic!("{a_line} committed on a resized source") };
                 let malformed = matches!(s.expect, Expect::Malformed { .. }) && e.code() == "ANALYSIS";
                 if e.code() != "STATE" && !malformed {
@@ -1052,7 +1074,11 @@ impl Run {
     ) -> Option<(Job, mpsc::Receiver<Option<Got>>, String)> {
         let pair = format!("B `{}` beside parked A `{}`", b_job.line(), a.line());
         let waits = waits(kind, &b_job);
-        let conflict = a.loads().is_some() && a.loads() == b_job.loads();
+        let conflict = a.writes().is_some() && a.writes() == b_job.writes();
+        let maintains = |s: &Stmt| matches!(s.effect, Effect::Vacuum(_) | Effect::Analyze(_));
+        if matches!(&b_job, Job::Write(s) if maintains(s) && a.writes().is_some()) {
+            MAINTAINED[conflict as usize].fetch_add(1, Relaxed);
+        }
         let read_only = kind == Op::Resize && matches!(b_job, Job::Write(_) | Job::Resize(..));
         // A parked reader holds its catalog's blocks: nothing beside it
         // frees one, so `local_bytes()` cannot fall either. On a hydrated
@@ -1333,15 +1359,20 @@ fn one_model_checks_every_write_crash_resize_and_restore() {
         (HEALED.load(Relaxed), REFUSED.load(Relaxed), EXHAUSTED.load(Relaxed));
     let (waited, returned, conflicts) =
         (WAITED.load(Relaxed), RETURNED.load(Relaxed), CONFLICTS.load(Relaxed));
+    let maintained = MAINTAINED.each_ref().map(|n| n.load(Relaxed));
+    let [m_returned, m_refused] = maintained;
     println!(
         "one_model reach: healed={healed} refused={refused} exhausted={exhausted} parked: {} \
-         waited={waited} returned={returned} conflicts={conflicts} injected: {}",
+         waited={waited} returned={returned} conflicts={conflicts} maintenance beside a writer: \
+         returned={m_returned} refused={m_refused} injected: {}",
         parked.join(" "),
         reach.join(" ")
     );
     // Not vacuous: at full depth, every seam fired, a refusal outlasted its
-    // retry loop, refused statements healed, every kind of A parked, and a
-    // B waited, a B returned beside A and a B was refused as a conflict.
+    // retry loop, refused statements healed, every kind of A parked, a B
+    // waited, a B returned beside A and a B was refused as a conflict, and
+    // maintenance beside a parked table writer both returned and was
+    // refused.
     let cases: u32 =
         std::env::var("RSIM_PROP_CASES").ok().and_then(|n| n.parse().ok()).unwrap_or(CASES);
     if cases >= 16 {
@@ -1351,5 +1382,7 @@ fn one_model_checks_every_write_crash_resize_and_restore() {
         assert!(PARKED.iter().all(|n| n.load(Relaxed) > 0), "a kind of A never parked: {parked:?}");
         assert!(waited > 0 && returned > 0, "no B waited, or none returned beside A");
         assert!(conflicts > 0, "no B was refused as a same-table conflict");
+        let never = "VACUUM or ANALYZE beside a parked writer never returned, or was never refused";
+        assert!(maintained.iter().all(|&n| n > 0), "{never}: {maintained:?}");
     }
 }
