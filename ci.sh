@@ -22,10 +22,15 @@ echo "== hermeticity: dependency rules =="
 #   hot path or adding a fault seam never grows a dependency;
 # - redsim-frontdoor (no TLS / auth / async stacks, DESIGN.md §12) and
 #   redsim-workload (no stats crate, redsim-simkit has the distributions)
-#   depend only on redsim-* path crates.
+#   depend only on redsim-* path crates;
+# - redsim-workload synthesizes and runs nothing (DESIGN.md §14): its
+#   direct dependencies are redsim-core and redsim-simkit.
+# A pattern cannot hold `|` (the field separator): spell alternation as
+# optional groups. A row whose `cargo tree` fails, fails.
 while IFS='|' read -r allowed why args; do
   # shellcheck disable=SC2086 # $args is a list of cargo tree flags
-  bad=$(cargo tree --offline --prefix none $args < /dev/null | sort -u | grep -v "$allowed" | grep -v '^\s*$' || true)
+  tree=$(cargo tree --offline --prefix none $args < /dev/null) || { echo "error: cargo tree $args failed" >&2; exit 1; }
+  bad=$(printf '%s\n' "$tree" | sort -u | grep -v "$allowed" | grep -v '^\s*$' || true)
   if [ -n "$bad" ]; then
     echo "error: $why:" >&2
     echo "$bad" >&2
@@ -37,8 +42,9 @@ done <<'ROWS'
 ^redsim-faultkit |redsim-faultkit grew dependencies|-p redsim-faultkit --edges normal
 ^redsim-|redsim-frontdoor grew non-workspace dependencies|-p redsim-frontdoor --edges normal
 ^redsim-|redsim-workload grew non-workspace dependencies|-p redsim-workload --edges normal
+^redsim-\(workload\)\{0,1\}\(core\)\{0,1\}\(simkit\)\{0,1\} v|redsim-workload grew a direct dependency|-p redsim-workload --edges normal --depth 1
 ROWS
-echo "ok: all dependencies are workspace-local; obs and faultkit are leaves"
+echo "ok: all dependencies are workspace-local; obs and faultkit are leaves; workload needs only core and simkit"
 
 echo "== size point (SIZE.json) and line caps =="
 # The one counting rule: non-blank lines, and a .rs file only up to its
@@ -124,17 +130,16 @@ echo "== named probes still exist =="
 # change, naming its DESIGN.md section; a test an earlier group names is
 # not repeated.
 probes=(
-  # property invariants: trace §8, WLM §9, session §12, QMR + profiler §13, replay §14, kernels §16
+  # property invariants: trace §8, WLM §9, session §12, QMR + profiler §13, kernels §16
   properties::{trace_invariants_hold_under_random_workload,wlm_admission_invariants}
   properties::wlm_dr_failover_preserves_data
-  properties::workload_wlm_qmr_replay_accounting_and_sqa_latency
-  properties::{qmr_rules_under_chaos_never_leak_spans_or_slots,workload_chaos_delay_rides_virtual_clock}
+  properties::qmr_rules_under_chaos_never_leak_spans_or_slots
   properties::session_schedule_cache_and_leak_invariants
   properties::{session_wire_disconnect_never_leaks,qmr_abort_never_fires_on_explain_or_system_reads}
   properties::qmr_rule_hop_and_timeout_hop_both_count_in_stl_hops
   properties::profile_explain_analyze_annotates_three_table_join
   properties::profile_report_rows_equal_queries_times_slices_times_steps
-  properties::{workload_schedule_determinism_and_replay_counts,vector_aggregates_match_value_path}
+  properties::vector_aggregates_match_value_path
   properties::{vector_interp_fallback_is_counted_and_zero_on_benchmark_shapes,vector_joins_match_baseline}
   properties::{vector_kernels_match_interpreter,vector_kernels_nan_total_order_end_to_end}
   failure_injection::wlm_queued_queries_survive_node_failure_or_fail_retryably
@@ -308,6 +313,9 @@ probes=(
   redsim_core::cluster::write::tests::an_untouched_table_draft_counts_no_rollback_beside_a_commit
   redsim_core::cluster::maintenance::tests::{an_unqualified_analyze_beside_a_busy_table_finishes_on_rerun,maintenance_tick_leaves_a_busy_table_for_its_next_pass}
   redsim_core::cluster::lifecycle::tests::vacuum_and_analyze_commit_deltas_that_replay
+  # the fleet replay goes, synthesis stays: §14 (wlm_admission_invariants, above, asserts a cheap query rides SQA)
+  redsim_workload::synth::tests::{synthesis_is_deterministic_and_sorted,class_mix_matches_config}
+  redsim_faultkit::tests::delay_hook_replaces_sleep_and_still_logs
 )
 # <listing> <probes...>: fails naming every probe that is not exactly one
 # listed test.
@@ -422,6 +430,10 @@ absent -rn 'struct UsageStats' 'UsageStats (usage is read from stl_query / stl_e
 absent -rn 'fn plan_shape' 'the per-SELECT plan-shape string (usage is read from stl_explain)' crates/ src/ tests/ examples/
 absent -rn 'fn usage_stats' 'Cluster::usage_stats (usage is read from stl_query / stl_explain)' crates/ src/ tests/ examples/
 absent -rnP '(?<!let shared = self\.)write_txn\.read\(\)' 'a caller taking write_txn shared outside begin_table' crates/ src/ tests/
+for name in ReplayDriver ReplayMode VirtualClock 'fn with_seed_rows' workload_schedule_determinism_and_replay_counts \
+  workload_wlm_qmr_replay_accounting_and_sqa_latency workload_chaos_delay_rides_virtual_clock; do
+  absent -rn "$name" 'the fleet replay (fleets run in benchmark/ only)' crates/ src/ tests/ examples/
+done
 # Only testkit (seeds, case counts, results dir) reads the environment.
 absent -rn 'env::var' 'an environment read outside crates/testkit' $(find crates -mindepth 1 -maxdepth 1 -type d ! -name testkit)
 if ls crates/bench/benches results | grep -xE "($rulers)\.rs|($csvs|.*_baseline)\.csv"; then

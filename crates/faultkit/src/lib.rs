@@ -11,11 +11,11 @@
 //! * `err(class)` — return a typed error (throttle / fault / notfound /
 //!   repl), mapped to `RsError` at the call site;
 //! * `delay(ms)`  — sleep, then proceed (latency injection). When a
-//!   virtual-time harness has installed a delay hook
+//!   harness has installed a delay hook
 //!   ([`FaultRegistry::install_delay_hook`]), the hook is called with
-//!   the milliseconds instead of sleeping — chaos schedules replayed on
-//!   `simkit` virtual time advance a clock and finish in milliseconds
-//!   of wall time;
+//!   the milliseconds instead of sleeping — the model's parked step
+//!   (`tests/model.rs`) uses it to hold a statement at a seam until the
+//!   harness releases it;
 //! * `drop`       — tell the call site to silently skip the operation
 //!   (lost write / lost message semantics, site-defined).
 //!
@@ -245,16 +245,16 @@ pub struct FaultRegistry {
     inner: Mutex<Inner>,
     epoch: Instant,
     /// When set, `delay(ms)` calls this instead of `thread::sleep` —
-    /// the seam virtual-time replay uses to charge injected latency to
-    /// a sim clock. Kept outside `Inner` (it is not `Debug`, and it is
-    /// read after the registry lock is released).
+    /// the seam a harness uses to park a statement or to charge
+    /// injected latency to its own clock. Kept outside `Inner` (it is
+    /// not `Debug`, and it is read after the registry lock is released).
     delay_hook: Mutex<Option<DelayHook>>,
 }
 
 /// Receives `delay(ms)` milliseconds in place of a wall sleep.
-/// `std`-only by design: faultkit stays a zero-dependency leaf, so the
-/// clock it advances (e.g. `simkit::VirtualClock`) is captured by the
-/// closure, not named here.
+/// `std`-only by design: faultkit stays a zero-dependency leaf, so what
+/// the hook touches (a channel that parks the caller, a counter) is
+/// captured by the closure, not named here.
 pub type DelayHook = std::sync::Arc<dyn Fn(u64) + Send + Sync>;
 
 impl std::fmt::Debug for FaultRegistry {
@@ -282,9 +282,9 @@ impl FaultRegistry {
     }
 
     /// Route `delay(ms)` injections through `hook` instead of a wall
-    /// sleep. Install once per virtual-time run (the workload replay
-    /// driver does this in virtual mode); [`Self::clear_delay_hook`]
-    /// restores wall sleeps.
+    /// sleep. Install once per run (the model's parked step does this
+    /// before it arms its seam); [`Self::clear_delay_hook`] restores
+    /// wall sleeps.
     pub fn install_delay_hook(&self, hook: impl Fn(u64) + Send + Sync + 'static) {
         *self.delay_hook.lock().unwrap_or_else(|e| e.into_inner()) =
             Some(std::sync::Arc::new(hook));

@@ -16,7 +16,7 @@
 //!   `O(1)` after the first lookup and safe to hammer from slice worker
 //!   threads.
 //! * [`Histogram`] — a log-bucketed latency distribution with bounded
-//!   quantile error (the workload replay's per-class latencies).
+//!   quantile error, for recording per-class statement latencies.
 //! * [`TraceSink`] — the per-cluster collector. Spans land first in
 //!   fixed-capacity sharded ring buffers (one shard per OS thread,
 //!   assigned round-robin) so the hot path takes an uncontended lock;

@@ -253,7 +253,7 @@ impl TraceSink {
     /// All completed records, content-sorted: `(trace, parent,
     /// content)` with id as the final tiebreak. Sorting by *content*
     /// rather than by racy ids/timestamps makes snapshots of a
-    /// deterministic workload replay stable.
+    /// deterministic workload stable.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
         let done = self.done_locked();
         let mut records: Vec<SpanRecord> = done.iter().cloned().collect();

@@ -10,7 +10,7 @@
 //! simulator instead: virtual time, seeded randomness, and analytic
 //! resource queues make every figure regenerable bit-for-bit.
 //!
-//! * [`time`] — virtual clock ([`time::SimTime`], microsecond resolution).
+//! * [`time`] — virtual time ([`time::SimTime`], microsecond resolution).
 //! * [`rng`] — seeded PCG32 RNG plus the distributions the models need
 //!   (uniform, exponential, normal, log-normal, Pareto, empirical).
 //! * [`sim`] — an event-queue simulation driver with closure events.
@@ -25,4 +25,4 @@ pub mod time;
 pub use resource::ServerPool;
 pub use rng::{Dist, SimRng, Zipf};
 pub use sim::Simulation;
-pub use time::{SimTime, VirtualClock};
+pub use time::SimTime;

@@ -2,7 +2,6 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A point (or span) of simulated time, in microseconds.
 ///
@@ -95,49 +94,6 @@ impl Sub for SimTime {
     }
 }
 
-/// A shared, thread-safe virtual clock.
-///
-/// [`crate::Simulation`] owns its clock privately and advances it from
-/// the event queue; trace replay wants the opposite shape — a clock that
-/// many threads (replay workers, faultkit delay hooks) can read and push
-/// forward concurrently while the *schedule*, not an event heap, decides
-/// what runs next. `VirtualClock` is that: a monotone atomic microsecond
-/// counter.
-///
-/// The workload replay driver advances it to each scheduled op's
-/// timestamp, and installs `advance_millis` as the fault registry's
-/// delay hook so `delay(ms)` failpoints cost virtual time instead of
-/// wall sleeps.
-#[derive(Debug, Default)]
-pub struct VirtualClock(AtomicU64);
-
-impl VirtualClock {
-    pub fn new() -> VirtualClock {
-        VirtualClock(AtomicU64::new(0))
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        SimTime(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Advance by a span; returns the new time.
-    pub fn advance(&self, by: SimTime) -> SimTime {
-        SimTime(self.0.fetch_add(by.0, Ordering::Relaxed) + by.0)
-    }
-
-    /// Advance by whole milliseconds (the faultkit delay-hook shape).
-    pub fn advance_millis(&self, ms: u64) -> SimTime {
-        self.advance(SimTime::from_millis(ms))
-    }
-
-    /// Move the clock forward to `at` if it is ahead of now; never moves
-    /// the clock backwards (concurrent advancers race benignly).
-    pub fn advance_to(&self, at: SimTime) {
-        self.0.fetch_max(at.0, Ordering::Relaxed);
-    }
-}
-
 impl fmt::Display for SimTime {
     /// Human-scale rendering: picks the largest sensible unit.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -183,20 +139,6 @@ mod tests {
     #[should_panic(expected = "underflow")]
     fn sub_underflow_panics() {
         let _ = SimTime::from_secs(1) - SimTime::from_secs(2);
-    }
-
-    #[test]
-    fn virtual_clock_is_monotone_and_shared() {
-        let c = VirtualClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.advance(SimTime::from_secs(2));
-        c.advance_millis(500);
-        assert_eq!(c.now(), SimTime::from_millis(2_500));
-        // advance_to never rewinds.
-        c.advance_to(SimTime::from_secs(1));
-        assert_eq!(c.now(), SimTime::from_millis(2_500));
-        c.advance_to(SimTime::from_secs(10));
-        assert_eq!(c.now(), SimTime::from_secs(10));
     }
 
     #[test]

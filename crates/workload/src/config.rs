@@ -8,9 +8,9 @@
 //! the same panels over and over (result-cache home turf), ETL runs a
 //! small fixed set of transforms plus a COPY cadence, ad-hoc never
 //! repeats. Everything is derived from one `seed`, so a config is a
-//! complete, replayable description of a fleet's day.
+//! complete, reproducible description of a fleet's day.
 
-use redsim_core::{ClusterConfig, WlmConfig, WlmQueueDef};
+use redsim_core::{WlmConfig, WlmQueueDef};
 use redsim_simkit::SimTime;
 use std::time::Duration;
 
@@ -18,7 +18,10 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum QueryClass {
     /// BI panels: short, repeat-heavy, latency-sensitive. Sessions carry
-    /// no user group, so cheap panels ride the SQA lane.
+    /// no user group, so they route by leader cost (logical rows ×
+    /// tables). `fleet()`'s SQA ceiling is 60,000 units, so a panel over
+    /// the benchmark's 200,000-row `events` lands in `default`, not the
+    /// `sqa` class (`core.wlm_sqa_share` reads 0).
     Dashboard,
     /// Scheduled transforms + the COPY cadence; routed to the `etl`
     /// queue by user group.
@@ -40,9 +43,10 @@ impl QueryClass {
     }
 
     /// The WLM user group the class's sessions connect with. Dashboards
-    /// have none: they route by cost, and short panels are exactly what
-    /// SQA exists for. (SQA comes before the user-group match, so a
-    /// grouped query under the SQA ceiling rides it too.)
+    /// have none: they route by cost, so a panel under the SQA ceiling
+    /// takes an `sqa` slot when one is free. (SQA comes before the
+    /// user-group match, so a grouped query under the ceiling rides it
+    /// too.)
     pub fn user_group(self) -> Option<&'static str> {
         match self {
             QueryClass::Dashboard => None,
@@ -139,8 +143,6 @@ pub struct WorkloadConfig {
     pub horizon: SimTime,
     /// Position on the diurnal curve at t=0 (hour of day).
     pub start_hour: f64,
-    /// Rows COPY'd into `events` before replay starts.
-    pub seed_rows: u32,
     /// WLM: cost ceiling for the `sqa` class (leader cost units — logical
     /// rows × tables referenced).
     pub sqa_max_cost: u64,
@@ -151,7 +153,7 @@ impl WorkloadConfig {
     /// The standing fleet mix: repeat-heavy diurnal dashboards, a
     /// night-peaking ETL band with a COPY cadence, bursty ad-hoc. Rates
     /// are sized so the default 30-minute horizon yields a few thousand
-    /// statements — seconds of wall clock in virtual mode.
+    /// statements.
     pub fn fleet(tenants: u32) -> WorkloadConfig {
         WorkloadConfig {
             seed: 0xF1EE7,
@@ -159,7 +161,6 @@ impl WorkloadConfig {
             tenant_skew: 1.05,
             horizon: SimTime::from_mins(30),
             start_hour: 13.0,
-            seed_rows: 20_000,
             sqa_max_cost: 60_000,
             classes: vec![
                 ClassConfig {
@@ -190,10 +191,10 @@ impl WorkloadConfig {
         }
     }
 
-    /// A small fleet for property tests: fewer tenants, a short horizon,
-    /// scaled-down rates — tens to a few hundred statements per case.
+    /// A small fleet for tests: fewer tenants, a short horizon,
+    /// scaled-down rates — tens to a few hundred statements.
     pub fn quick(tenants: u32) -> WorkloadConfig {
-        Self::fleet(tenants).horizon(SimTime::from_mins(5)).scaled(0.1).with_seed_rows(2_000)
+        Self::fleet(tenants).horizon(SimTime::from_mins(5)).scaled(0.1)
     }
 
     pub fn with_seed(mut self, s: u64) -> WorkloadConfig {
@@ -203,11 +204,6 @@ impl WorkloadConfig {
 
     pub fn horizon(mut self, h: SimTime) -> WorkloadConfig {
         self.horizon = h;
-        self
-    }
-
-    pub fn with_seed_rows(mut self, rows: u32) -> WorkloadConfig {
-        self.seed_rows = rows;
         self
     }
 
@@ -221,10 +217,14 @@ impl WorkloadConfig {
         self
     }
 
-    /// The recommended WLM layout for this fleet: an SQA lane for short
-    /// dashboard panels, user-group queues for ETL and ad-hoc, and a
-    /// catch-all. Waits are generous — replay correctness tests want
-    /// zero spurious evictions; stress configs can tighten them.
+    /// The recommended WLM layout for this fleet: user-group queues for
+    /// ETL and ad-hoc, a catch-all, and an `sqa` class for SELECTs whose
+    /// leader cost (logical rows × tables referenced) is at most
+    /// `sqa_max_cost`. The benchmark runs every workload under this
+    /// layout from `fleet(1)`; its tables make every SELECT cost more
+    /// than the 60,000-unit ceiling, so each one routes to `default`
+    /// (or its group's queue) and `core.wlm_sqa_share` reads 0. Waits
+    /// are generous (60 s) so a loaded run is not cut by evictions.
     pub fn wlm(&self) -> WlmConfig {
         WlmConfig::with_queues(vec![
             WlmQueueDef::new("etl", 4)
@@ -236,17 +236,6 @@ impl WorkloadConfig {
             WlmQueueDef::new("default", 8).max_wait(Duration::from_secs(60)),
         ])
         .sqa(self.sqa_max_cost, 2)
-    }
-
-    /// A cluster config wired for replay: the recommended WLM layout and
-    /// a result cache big enough for the dashboard pool.
-    pub fn cluster(&self, name: impl Into<String>) -> ClusterConfig {
-        ClusterConfig::new(name)
-            .nodes(2)
-            .slices_per_node(2)
-            .seed(self.seed)
-            .wlm(self.wlm())
-            .result_cache_capacity(256)
     }
 }
 

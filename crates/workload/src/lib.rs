@@ -1,7 +1,7 @@
 //! # redsim-workload
 //!
-//! Fleet-scale workload synthesis and deterministic replay — the macro
-//! harness for the paper's operational claims.
+//! Fleet-scale workload synthesis — the input of the paper's
+//! operational claims.
 //!
 //! The paper's argument is statistical: result caches, SQA, and WLM
 //! queues pay off because *fleets* of tenants behave a certain way —
@@ -15,28 +15,28 @@
 //! * [`Schedule::synthesize`] — expands the config into a time-sorted
 //!   op list. Same config ⇒ byte-identical schedule
 //!   ([`Schedule::to_bytes`] is the canonical form).
-//! * [`ReplayDriver`] — runs a schedule against a real [`Cluster`]
-//!   through real `Session`s, in two modes: **virtual** (sequential,
-//!   a `VirtualClock` jumps between op timestamps, chaos delays ride
-//!   the same clock — a fleet-day in seconds, deterministically) and
-//!   **wall** (tenant-partitioned worker threads, real contention).
+//! * [`synth::template_sql`] and [`copy_object_body`] — the statement
+//!   text of a class's repeat pool and the body of a staged COPY object,
+//!   both pure functions of their inputs.
+//!
+//! Nothing here runs a statement. The `benchmark/` harness takes its
+//! dashboard pool (`template_sql`) and WLM layout
+//! ([`WorkloadConfig::wlm`]) from this crate and runs its workloads over
+//! the wire; it is the one place a fleet runs against a cluster.
 //!
 //! ```
-//! use redsim_workload::{ReplayDriver, ReplayMode, WorkloadConfig};
+//! use redsim_workload::{QueryClass, Schedule, WorkloadConfig};
 //!
-//! let driver = ReplayDriver::new(WorkloadConfig::quick(8));
-//! let cluster = driver.launch("doc-fleet").unwrap();
-//! let report = driver.run(&cluster, ReplayMode::Virtual).unwrap();
-//! assert_eq!(report.total_errors(), 0);
-//! assert!(report.wlm.balanced());
+//! let cfg = WorkloadConfig::quick(8);
+//! let schedule = Schedule::synthesize(&cfg);
+//! assert_eq!(schedule.to_bytes(), Schedule::synthesize(&cfg).to_bytes());
+//! let dash = schedule.class_counts()[0];
+//! assert_eq!(dash.0, QueryClass::Dashboard);
+//! assert!(dash.1.queries > 0);
 //! ```
-//!
-//! [`Cluster`]: redsim_core::Cluster
 
 pub mod config;
-pub mod replay;
 pub mod synth;
 
 pub use config::{ArrivalCurve, ClassConfig, QueryClass, WorkloadConfig};
-pub use replay::{ClassStats, ReplayDriver, ReplayMode, ReplayReport};
 pub use synth::{copy_object_body, ClassCounts, OpKind, Schedule, ScheduledOp};

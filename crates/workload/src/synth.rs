@@ -8,7 +8,8 @@
 //! acceptance rate at any instant is a pure function of time. Every
 //! random draw comes from a stream forked off the config seed, so the
 //! same config always yields the same bytes — `Schedule::to_bytes` is
-//! the canonical form that the determinism property test compares.
+//! the canonical form `tests::synthesis_is_deterministic_and_sorted`
+//! compares.
 
 use crate::config::{ClassConfig, QueryClass, WorkloadConfig};
 use redsim_simkit::{SimRng, SimTime, Zipf};
@@ -30,8 +31,7 @@ pub enum OpKind {
     Copy { key: String, rows: u32 },
 }
 
-/// Per-class operation counts — the unit the determinism test compares
-/// across independent replays.
+/// Per-class operation counts (`Schedule::class_counts`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassCounts {
     pub queries: u64,
@@ -136,7 +136,7 @@ impl Schedule {
         h
     }
 
-    /// All COPY objects the replay driver must stage before running:
+    /// All COPY objects to stage before running the schedule:
     /// `(key, rows)` pairs.
     pub fn copy_objects(&self) -> impl Iterator<Item = (&str, u32)> {
         self.ops.iter().filter_map(|op| match &op.kind {
@@ -275,8 +275,8 @@ pub fn template_sql(class: QueryClass, rank: u64) -> String {
             _ => format!("SELECT MIN(v), MAX(v) FROM events WHERE k <> {}", rank % 50),
         },
         // ETL transforms: self-joins with a selective probe-side filter
-        // (unfiltered, a 50-key self-join explodes quadratically and a
-        // replay stops being "seconds of wall clock").
+        // (unfiltered, a 50-key self-join over `events` explodes
+        // quadratically).
         QueryClass::Etl => match rank % 3 {
             0 => format!(
                 "SELECT a.k, COUNT(*) AS n FROM events a JOIN events b ON a.k = b.k \
